@@ -10,7 +10,7 @@ use daos::{run_observed, RunConfig};
 use daos_mm::MachineProfile;
 use daos_obs::http::http_get;
 use daos_obs::prom::{parse_exposition, Sample};
-use daos_obs::{EpochPublisher, ObsServer, ObsSnapshot, Publisher};
+use daos_obs::{Dashboard, EpochPublisher, ObsServer, ObsSnapshot, Publisher};
 use daos_util::json::{FromJson, ToJson};
 use daos_workloads::by_path;
 
@@ -91,6 +91,56 @@ fn live_endpoints_agree_with_the_finished_run() {
     assert_eq!(missing.status, 404);
 
     server.shutdown();
+}
+
+/// The committed golden `tests/golden/<name>`.
+fn golden(name: &str) -> String {
+    let path = format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// `daos run parsec3/freqmine --config rec --epochs 200 --seed 42
+/// --serve`, in process: the final snapshot carries the pinned scalar
+/// fields, last window, scheme stats and overhead; its registry (what
+/// `/metrics` renders) is a superset of the pinned one; and `daos top`
+/// renders the pinned final frame from it.
+#[test]
+fn served_single_run_keeps_its_picture() {
+    let pinned_json = daos_util::json::parse(&golden("run_rec_snapshot.json")).expect("golden");
+    let pinned = ObsSnapshot::from_json(&pinned_json).expect("golden snapshot decodes");
+
+    let machine = MachineProfile::i3_metal();
+    let config = RunConfig::rec();
+    let mut spec = by_path("parsec3/freqmine").expect("workload exists");
+    spec.nr_epochs = 200;
+    daos_trace::install(daos_trace::Collector::builder().build().unwrap())
+        .expect("no collector leaked from another test in this binary");
+    let publisher = Publisher::new();
+    let mut obs =
+        EpochPublisher::new(publisher.clone(), &config.name, &spec.path_name(), &machine.name, 1);
+    let result = run_observed(&machine, &config, &spec, 42, Some(&mut obs)).expect("run");
+    obs.finalize(&result);
+    daos_trace::take().expect("collector still installed");
+    let snap = publisher.snapshot();
+
+    let scalars = |s: &ObsSnapshot| {
+        let mut s = s.clone();
+        s.registry = daos_trace::Registry::new();
+        s
+    };
+    assert_eq!(scalars(&snap), scalars(&pinned));
+    for (key, value) in pinned.registry.counters() {
+        assert_eq!(snap.registry.counter(key), value, "counter {key} moved");
+    }
+    for (key, value) in pinned.registry.gauges() {
+        let now = snap.registry.gauges().find(|(k, _)| *k == key);
+        assert_eq!(now, Some((key, value)), "gauge {key} moved");
+    }
+    for (key, hist) in pinned.registry.hists() {
+        let now = snap.registry.hists().find(|(k, _)| *k == key);
+        assert_eq!(now, Some((key, hist)), "histogram {key} moved");
+    }
+    assert_eq!(Dashboard::new().frame(&snap), golden("run_rec_top_frame.txt"));
 }
 
 #[test]

@@ -19,52 +19,72 @@ fn small_worker(nr_epochs: u64) -> WorkloadSpec {
     cfg.worker_spec(nr_epochs)
 }
 
-/// A fleet of one process is *the same run*: identical RunResult for
-/// every paper configuration, vaddr and paddr alike.
+/// The committed golden `tests/golden/<name>` (captured from the
+/// single-process `run()` before the fleet engine became the only one).
+fn golden(name: &str) -> String {
+    let path = format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// A fleet of one process is *the same run*: for every paper
+/// configuration, vaddr and paddr alike, a session with no fleet spec
+/// and one with `FleetSpec::new(1)` both reproduce the pinned
+/// single-run `RunResult`.
 #[test]
 fn fleet_of_one_equals_single_run() {
     let machine = small_machine();
     let spec = small_worker(40);
-    for config in [RunConfig::baseline(), RunConfig::prcl(), RunConfig::prec(), RunConfig::thp()] {
+    for config in RunConfig::paper_configs() {
+        let pinned = golden(&format!("single_run_{}.txt", config.name));
         let single = run(&machine, &config, &spec, 42).unwrap();
+        assert_eq!(format!("{single:#?}\n"), pinned, "run() left its pin under {}", config.name);
+        let plain = Session::new(&machine, &config, &spec).seed(42).execute().unwrap();
         let fleet = Session::new(&machine, &config, &spec)
             .seed(42)
             .fleet(FleetSpec::new(1))
             .execute()
             .unwrap();
-        assert_eq!(fleet.runs.len(), 1);
-        assert_eq!(
-            fleet.runs[0], single,
-            "fleet-of-1 diverged from run() under config {}",
-            config.name
-        );
+        for session in [&plain, &fleet] {
+            assert_eq!(session.runs.len(), 1);
+            assert_eq!(
+                format!("{:#?}\n", session.runs[0]),
+                pinned,
+                "session of one diverged from the pinned single run under config {}",
+                config.name
+            );
+        }
         let summary = fleet.fleet.expect("fleet summary present");
         assert_eq!(summary.nr_processes, 1);
-        assert_eq!(summary.runtime_ns, single.runtime_ns);
+        assert_eq!(summary.runtime_ns, fleet.runs[0].runtime_ns);
     }
 }
 
 /// The N=1 fleet runs inline on the caller thread, so a caller-installed
-/// trace collector sees a byte-identical event stream.
+/// trace collector sees the pinned single-run event stream, byte for
+/// byte.
 #[test]
 fn fleet_of_one_trace_is_byte_stable() {
     let machine = small_machine();
     let spec = small_worker(30);
     let config = RunConfig::prcl();
+    let pinned = golden("single_run_prcl_seed7_trace.jsonl");
 
     daos_trace::install(Collector::builder().build().unwrap()).unwrap();
     run(&machine, &config, &spec, 7).unwrap();
     let single_trace = daos_trace::export_collector(&daos_trace::take().unwrap());
+    assert_eq!(single_trace, pinned, "run() trace left its pin");
 
-    daos_trace::install(Collector::builder().build().unwrap()).unwrap();
-    Session::new(&machine, &config, &spec)
-        .seed(7)
-        .fleet(FleetSpec::new(1))
-        .execute()
-        .unwrap();
-    let fleet_trace = daos_trace::export_collector(&daos_trace::take().unwrap());
-
-    assert_eq!(single_trace, fleet_trace, "N=1 fleet trace diverged from run()");
+    for fleet in [None, Some(FleetSpec::new(1))] {
+        daos_trace::install(Collector::builder().build().unwrap()).unwrap();
+        let session = Session::new(&machine, &config, &spec).seed(7);
+        let session = match fleet {
+            Some(f) => session.fleet(f),
+            None => session,
+        };
+        session.execute().unwrap();
+        let trace = daos_trace::export_collector(&daos_trace::take().unwrap());
+        assert_eq!(trace, pinned, "session-of-one trace diverged from the pinned single run");
+    }
 }
 
 /// Worker count is a performance knob, never a results knob: per-process

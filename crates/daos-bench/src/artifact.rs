@@ -1,9 +1,10 @@
-//! Bench-artifact machinery shared by the `pipeline` and `fleet_bench`
-//! binaries: artifact JSON assembly, the committed-baseline regression
-//! gate that `scripts/verify.sh` drives via `--check --baseline
-//! --margin`, and the tiny argv helpers. Pure functions only — the
-//! binaries own all printing and exit codes.
+//! Bench-artifact machinery shared by the `pipeline`, `fleet_bench` and
+//! `obs_bench` binaries: artifact JSON assembly, the committed-baseline
+//! regression gate that `scripts/verify.sh` drives via `--check
+//! --baseline --margin`, and [`bench_main`], the one `main` all three
+//! share.
 
+use std::io::Write;
 use std::path::PathBuf;
 
 use daos_util::bench::Timing;
@@ -175,6 +176,112 @@ pub fn gate(
 /// The value following `flag` in `argv`, if any.
 pub fn flag_value<'a>(argv: &'a [String], flag: &str) -> Option<&'a str> {
     argv.iter().position(|a| a == flag).and_then(|i| argv.get(i + 1)).map(|s| s.as_str())
+}
+
+/// Why a bench binary stops early: its exit code and the message for
+/// stderr.
+type Failure = (i32, String);
+
+fn read_artifact(name: &str, path: &str) -> Result<Json, Failure> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| (74, format!("{name} --check: cannot read {path}: {e}")))?;
+    parse_artifact(&text).map_err(|e| (65, format!("{name} --check: {path} is {e}")))
+}
+
+/// `<name> --check FILE [--baseline BASE --margin PCT]`: 0 iff FILE
+/// parses as a bench artifact and (when a baseline is given) none of the
+/// `gated` medians exceeds the baseline median by more than PCT percent;
+/// 65 on a regression — the verify.sh perf gate.
+fn check(
+    name: &str,
+    gated: &[&str],
+    argv: &[String],
+    out: &mut dyn Write,
+    err: &mut dyn Write,
+) -> Result<i32, Failure> {
+    let path = flag_value(argv, "--check")
+        .ok_or_else(|| (64, format!("{name} --check needs a file argument")))?;
+    let margin_pct: f64 = match flag_value(argv, "--margin") {
+        Some(m) => {
+            m.parse().map_err(|_| (64, format!("{name} --margin needs a number (percent)")))?
+        }
+        None => 100.0,
+    };
+    let doc = read_artifact(name, path)?;
+    let Some(base_path) = flag_value(argv, "--baseline") else { return Ok(0) };
+    let base = read_artifact(name, base_path)?;
+    let checks = gate(&doc, &base, gated, margin_pct)
+        .map_err(|e| (65, format!("{name} --check: {e}")))?;
+    let mut code = 0;
+    for c in &checks {
+        // A closed pipe must not turn a verdict into a panic.
+        let _ = if c.regressed() {
+            code = 65;
+            writeln!(
+                err,
+                "{name} --check: {} regressed: {:.0} ns > {:.0} ns \
+                 (baseline {:.0} ns + {margin_pct}% margin)",
+                c.bench, c.got_ns, c.bound_ns, c.reference_ns
+            )
+        } else {
+            writeln!(
+                out,
+                "{name} --check: {} ok: {:.0} ns <= {:.0} ns",
+                c.bench, c.got_ns, c.bound_ns
+            )
+        };
+    }
+    Ok(code)
+}
+
+/// Measure through `run(quick)` and write the artifact it returns to
+/// `BENCH_<its "bench" field>.json` ([`out_path`]), once it re-parses
+/// and carries a median for every `gated` bench.
+fn measure(
+    name: &str,
+    gated: &[&str],
+    quick: bool,
+    out: &mut dyn Write,
+    run: impl FnOnce(bool) -> Json,
+) -> Result<i32, Failure> {
+    let doc = run(quick);
+    let text = doc.to_string_compact();
+    parse_artifact(&text).map_err(|e| (70, format!("{name}: generated artifact is {e}")))?;
+    for bench in gated {
+        median_of(&doc, bench)
+            .ok_or_else(|| (70, format!("{name}: generated artifact has no median for {bench}")))?;
+    }
+    let bench: String = doc.field("bench").unwrap_or_default();
+    let path = out_path(&format!("BENCH_{bench}.json"));
+    std::fs::write(&path, format!("{text}\n"))
+        .map_err(|e| (74, format!("{name}: cannot write {}: {e}", path.display())))?;
+    let _ = writeln!(out, "[artifact] {}", path.display());
+    Ok(0)
+}
+
+/// The `main` of the bench binary `name`, as its exit code: `--check`
+/// gates an artifact against a baseline, anything else measures
+/// (`--quick` for the CI smoke size) and writes the artifact. Verdicts
+/// and the artifact path go to `out`, failures to `err` — the binary
+/// hands in its stdout and stderr, this library never prints.
+pub fn bench_main(
+    name: &str,
+    gated: &[&str],
+    out: &mut dyn Write,
+    err: &mut dyn Write,
+    run: impl FnOnce(bool) -> Json,
+) -> i32 {
+    let argv: Vec<String> = std::env::args().collect();
+    let has = |flag: &str| argv.iter().any(|a| a == flag);
+    let result = if has("--check") {
+        check(name, gated, &argv, out, err)
+    } else {
+        measure(name, gated, has("--quick"), out, run)
+    };
+    result.unwrap_or_else(|(code, message)| {
+        let _ = writeln!(err, "{message}");
+        code
+    })
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! mistuned thresholds); watermarks keep the scheme dormant until free
 //! memory actually runs short.
 
-use daos::{run, Normalized, RunConfig};
+use daos::{Normalized, RunConfig, Session, SessionResult};
 use daos_bench::report::{write_artifact, Table};
 use daos_mm::clock::ms;
 use daos_mm::MachineProfile;
@@ -25,12 +25,15 @@ fn main() {
         // meaningful (free memory ~33% while fully resident).
         let mut machine = MachineProfile::i3_metal();
         machine.dram_bytes = spec.footprint * 3 / 2;
+        let run = |config: &RunConfig| {
+            Session::new(&machine, config, &spec).seed(42).execute().map(SessionResult::into_single)
+        };
 
-        let baseline = run(&machine, &RunConfig::baseline(), &spec, 42).unwrap();
+        let baseline = run(&RunConfig::baseline()).unwrap();
 
         // Plain prcl with an aggressive threshold.
         let prcl = RunConfig::prcl_with_min_age(ms(500));
-        let r_prcl = run(&machine, &prcl, &spec, 42).unwrap();
+        let r_prcl = run(&prcl).unwrap();
 
         // DAMON_RECLAIM: same threshold + quota + watermarks.
         let mut dr = RunConfig::prcl_with_min_age(ms(500));
@@ -47,7 +50,7 @@ fn main() {
             })
             .build()
             .unwrap()];
-        let r_dr = run(&machine, &dr, &spec, 42).unwrap();
+        let r_dr = run(&dr).unwrap();
 
         for (r, cfg_name) in [(&r_prcl, "prcl(0.5s)"), (&r_dr, "damon_reclaim")] {
             let n = Normalized::of(&baseline, r);

@@ -2,7 +2,7 @@
 //! a dense "Measured" sweep, the 10 tuner samples (6 global + 4 local),
 //! the polynomial "Estimated" curve, and the chosen peak.
 
-use daos::{run, score_inputs, RunConfig};
+use daos::{score_inputs, RunConfig, Session, SessionResult};
 use daos_bench::report::{write_artifact, Table};
 use daos_bench::sweep::prcl_sweep;
 use daos_mm::clock::sec;
@@ -20,7 +20,10 @@ fn main() {
     let measured = prcl_sweep(&machine, &spec, &ages, 1, 42).expect("prcl sweep");
 
     // The tuning session: 10 samples (60 % global + 40 % local).
-    let baseline = run(&machine, &RunConfig::baseline(), &spec, 42).expect("baseline");
+    let run = |config: &RunConfig| {
+        Session::new(&machine, config, &spec).seed(42).execute().map(SessionResult::into_single)
+    };
+    let baseline = run(&RunConfig::baseline()).expect("baseline");
     let mut score_fn = DefaultScore::default();
     let cfg = TunerConfig {
         time_limit: sec(100),
@@ -29,13 +32,7 @@ fn main() {
         seed: 42,
     };
     let result = tune(&cfg, |min_age| {
-        let r = run(
-            &machine,
-            &RunConfig::prcl_with_min_age((min_age * 1e9) as u64),
-            &spec,
-            42,
-        )
-        .expect("sample run");
+        let r = run(&RunConfig::prcl_with_min_age((min_age * 1e9) as u64)).expect("sample run");
         score_fn.score(&score_inputs(&baseline, &r))
     });
 

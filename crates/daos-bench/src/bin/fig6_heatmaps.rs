@@ -2,7 +2,7 @@
 //! when (x), which addresses (y), how frequently (intensity) — recorded
 //! by the `rec` configuration's Data Access Monitor.
 
-use daos::{biggest_active_span, run, Heatmap, RunConfig};
+use daos::{biggest_active_span, Heatmap, RunConfig, Session};
 use daos_bench::report::write_artifact;
 use daos_bench::scale::Scale;
 use daos_mm::MachineProfile;
@@ -14,7 +14,9 @@ fn main() {
 
     let mut all_csv = String::from("workload,time_s,addr_mib,intensity\n");
     for spec in scale.fig6_workloads() {
-        let r = run(&machine, &RunConfig::rec(), &spec, 42).expect("rec run");
+        let config = RunConfig::rec();
+        let session = Session::new(&machine, &config, &spec).seed(42).execute().expect("rec run");
+        let r = session.into_single();
         let record = r.record.as_ref().expect("rec records");
         // "we find and visualize the biggest subspace of each workload
         // that shows active access patterns" (§4.1).

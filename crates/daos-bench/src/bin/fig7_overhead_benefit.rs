@@ -3,7 +3,7 @@
 //! and monitoring-based scheme (ethp, prcl) configurations on i3.metal —
 //! the paper's Conclusions 3 and 4.
 
-use daos::{run, Normalized, RunConfig, RunResult};
+use daos::{Normalized, RunConfig, RunResult, Session};
 use daos_util::pool::par_map;
 use daos_bench::report::{mean, r3, write_artifact, Table};
 use daos_bench::scale::Scale;
@@ -28,8 +28,9 @@ fn main() {
             jobs.push((*spec, cfg.clone()));
         }
     }
-    let results: Vec<RunResult> =
-        par_map(jobs, |(spec, cfg)| run(&machine, &cfg, &spec, 42).expect("run"));
+    let results: Vec<RunResult> = par_map(jobs, |(spec, cfg)| {
+        Session::new(&machine, &cfg, &spec).seed(42).execute().expect("run").into_single()
+    });
 
     let ncfg = configs.len();
     let mut table = Table::new(vec![

@@ -3,7 +3,7 @@
 //! min_age thresholds with 10 samples and the Listing-2 score function
 //! (Conclusion-5).
 
-use daos::{run, score_inputs, score_vs_baseline, Normalized, RunConfig};
+use daos::{score_inputs, score_vs_baseline, Normalized, RunConfig, Session, SessionResult};
 use daos_util::pool::par_map;
 use daos_bench::report::{mean, write_artifact, Table};
 use daos_bench::scale::Scale;
@@ -23,10 +23,13 @@ struct Row {
 }
 
 fn tune_one(machine: &MachineProfile, spec: &WorkloadSpec) -> Row {
-    let baseline = run(machine, &RunConfig::baseline(), spec, 42).expect("baseline");
+    let run = |config: &RunConfig| {
+        Session::new(machine, config, spec).seed(42).execute().map(SessionResult::into_single)
+    };
+    let baseline = run(&RunConfig::baseline()).expect("baseline");
     // The manually-written scheme: the paper's Listing-3 thresholds
     // (min_age 5 s), tuned by hand on the i3.metal guest.
-    let manual = run(machine, &RunConfig::prcl(), spec, 42).expect("manual prcl");
+    let manual = run(&RunConfig::prcl()).expect("manual prcl");
 
     // Auto-tuning with 10 samples, as in §4.3.
     let mut score_fn = DefaultScore::default();
@@ -37,22 +40,10 @@ fn tune_one(machine: &MachineProfile, spec: &WorkloadSpec) -> Row {
         seed: 42,
     };
     let result = tune(&cfg, |min_age| {
-        let r = run(
-            machine,
-            &RunConfig::prcl_with_min_age((min_age * 1e9) as u64),
-            spec,
-            42,
-        )
-        .expect("sample");
+        let r = run(&RunConfig::prcl_with_min_age((min_age * 1e9) as u64)).expect("sample");
         score_fn.score(&score_inputs(&baseline, &r))
     });
-    let auto = run(
-        machine,
-        &RunConfig::prcl_with_min_age((result.best_x * 1e9) as u64),
-        spec,
-        42,
-    )
-    .expect("auto prcl");
+    let auto = run(&RunConfig::prcl_with_min_age((result.best_x * 1e9) as u64)).expect("auto prcl");
 
     Row {
         workload: spec.plot_name(),

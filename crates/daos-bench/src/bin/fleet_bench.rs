@@ -13,6 +13,7 @@ use daos_bench::artifact;
 use daos_mm::MachineProfile;
 use daos_schemes::parse_scheme_line;
 use daos_util::bench::Harness;
+use daos_util::json::Json;
 use daos_workloads::FleetConfig;
 use std::hint::black_box;
 
@@ -48,76 +49,8 @@ fn bench_fleet_tick(h: &mut Harness, iters: u64, nr_procs: usize) {
     });
 }
 
-fn read_artifact(path: &str) -> daos_util::json::Json {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fleet_bench --check: cannot read {path}: {e}");
-            std::process::exit(74);
-        }
-    };
-    match artifact::parse_artifact(&text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("fleet_bench --check: {path} is {e}");
-            std::process::exit(65);
-        }
-    }
-}
-
-/// `fleet_bench --check FILE [--baseline BASE --margin PCT]`: exit 0
-/// iff FILE parses as a bench artifact and (when a baseline is given)
-/// the gated fleet-tick median stays within PCT percent of the
-/// baseline. Exit 65 on a regression — the verify.sh perf gate.
-fn check(path: &str, baseline: Option<&str>, margin_pct: f64) -> ! {
-    let doc = read_artifact(path);
-    let Some(base_path) = baseline else { std::process::exit(0) };
-    let base = read_artifact(base_path);
-    let checks = artifact::gate(&doc, &base, &GATED, margin_pct).unwrap_or_else(|e| {
-        eprintln!("fleet_bench --check: {e}");
-        std::process::exit(65);
-    });
-    let mut regressed = false;
-    for c in &checks {
-        if c.regressed() {
-            eprintln!(
-                "fleet_bench --check: {} regressed: {:.0} ns > {:.0} ns \
-                 (baseline {:.0} ns + {margin_pct}% margin)",
-                c.bench, c.got_ns, c.bound_ns, c.reference_ns
-            );
-            regressed = true;
-        } else {
-            println!(
-                "fleet_bench --check: {} ok: {:.0} ns <= {:.0} ns",
-                c.bench, c.got_ns, c.bound_ns
-            );
-        }
-    }
-    std::process::exit(if regressed { 65 } else { 0 });
-}
-
-fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    if argv.iter().any(|a| a == "--check") {
-        match artifact::flag_value(&argv, "--check") {
-            Some(path) => {
-                let baseline = artifact::flag_value(&argv, "--baseline");
-                let margin = match artifact::flag_value(&argv, "--margin") {
-                    Some(m) => m.parse().unwrap_or_else(|_| {
-                        eprintln!("fleet_bench --margin needs a number (percent)");
-                        std::process::exit(64);
-                    }),
-                    None => 100.0,
-                };
-                check(path, baseline, margin)
-            }
-            None => {
-                eprintln!("fleet_bench --check needs a file argument");
-                std::process::exit(64);
-            }
-        }
-    }
-    let quick = std::env::args().any(|a| a == "--quick");
+/// Time every bench and return the artifact.
+fn measure(quick: bool) -> Json {
     let samples = if quick { 3 } else { 10 };
     let iters = if quick { 2 } else { 5 };
     let mut h = Harness::new("fleet", samples).progress_to(Box::new(std::io::stdout()));
@@ -125,17 +58,10 @@ fn main() {
     bench_fleet_tick(&mut h, iters, 100);
     bench_fleet_tick(&mut h, iters, 1000);
 
-    let doc = artifact::artifact_doc("fleet", quick, samples, h.results());
-    let text = doc.to_string_compact();
-    // Self-validate before writing: the artifact must re-parse.
-    if let Err(e) = artifact::parse_artifact(&text) {
-        eprintln!("fleet_bench: generated artifact is {e}");
-        std::process::exit(70);
-    }
-    let path = artifact::out_path("BENCH_fleet.json");
-    if let Err(e) = std::fs::write(&path, format!("{text}\n")) {
-        eprintln!("fleet_bench: cannot write {}: {e}", path.display());
-        std::process::exit(74);
-    }
-    println!("[artifact] {}", path.display());
+    artifact::artifact_doc("fleet", quick, samples, h.results())
+}
+
+fn main() {
+    let (mut out, mut err) = (std::io::stdout(), std::io::stderr());
+    std::process::exit(artifact::bench_main("fleet_bench", &GATED, &mut out, &mut err, measure));
 }

@@ -17,6 +17,7 @@ use daos_bench::artifact::{self, LoadStats};
 use daos_obs::http::{http_get, HttpClient};
 use daos_obs::{prom, ObsConfig, ObsServer, ObsSnapshot, Publisher};
 use daos_trace::{Collector, Event, Registry};
+use daos_util::json::Json;
 use std::time::{Duration, Instant};
 
 /// The latencies gated against the committed baseline (on `median_ns`,
@@ -129,76 +130,8 @@ fn server_side_counts(addr: std::net::SocketAddr) -> Vec<(String, u64)> {
         .collect()
 }
 
-fn read_artifact(path: &str) -> daos_util::json::Json {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("obs_bench --check: cannot read {path}: {e}");
-            std::process::exit(74);
-        }
-    };
-    match artifact::parse_artifact(&text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("obs_bench --check: {path} is {e}");
-            std::process::exit(65);
-        }
-    }
-}
-
-/// `obs_bench --check FILE [--baseline BASE --margin PCT]`: exit 0 iff
-/// FILE parses as a bench artifact and (when a baseline is given) every
-/// gated endpoint's p50 stays within PCT percent of the baseline. Exit
-/// 65 on a regression — the verify.sh perf gate.
-fn check(path: &str, baseline: Option<&str>, margin_pct: f64) -> ! {
-    let doc = read_artifact(path);
-    let Some(base_path) = baseline else { std::process::exit(0) };
-    let base = read_artifact(base_path);
-    let checks = artifact::gate(&doc, &base, &GATED, margin_pct).unwrap_or_else(|e| {
-        eprintln!("obs_bench --check: {e}");
-        std::process::exit(65);
-    });
-    let mut regressed = false;
-    for c in &checks {
-        if c.regressed() {
-            eprintln!(
-                "obs_bench --check: {} regressed: {:.0} ns > {:.0} ns \
-                 (baseline {:.0} ns + {margin_pct}% margin)",
-                c.bench, c.got_ns, c.bound_ns, c.reference_ns
-            );
-            regressed = true;
-        } else {
-            println!(
-                "obs_bench --check: {} ok: {:.0} ns <= {:.0} ns",
-                c.bench, c.got_ns, c.bound_ns
-            );
-        }
-    }
-    std::process::exit(if regressed { 65 } else { 0 });
-}
-
-fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    if argv.iter().any(|a| a == "--check") {
-        match artifact::flag_value(&argv, "--check") {
-            Some(path) => {
-                let baseline = artifact::flag_value(&argv, "--baseline");
-                let margin = match artifact::flag_value(&argv, "--margin") {
-                    Some(m) => m.parse().unwrap_or_else(|_| {
-                        eprintln!("obs_bench --margin needs a number (percent)");
-                        std::process::exit(64);
-                    }),
-                    None => 100.0,
-                };
-                check(path, baseline, margin)
-            }
-            None => {
-                eprintln!("obs_bench --check needs a file argument");
-                std::process::exit(64);
-            }
-        }
-    }
-    let quick = argv.iter().any(|a| a == "--quick");
+/// Storm every endpoint of a live server and return the artifact.
+fn measure(quick: bool) -> Json {
     let (clients, requests) = if quick { (20, 5) } else { (200, 25) };
 
     let publisher = synthetic_publisher();
@@ -255,24 +188,10 @@ fn main() {
     }
     println!("obs_bench: server-side request totals match client-side counts");
 
-    let doc = artifact::load_artifact_doc("obs", quick, &results);
-    let text = doc.to_string_compact();
-    // Self-validate before writing: the artifact must re-parse and every
-    // gated endpoint must have a gateable median.
-    if let Err(e) = artifact::parse_artifact(&text) {
-        eprintln!("obs_bench: generated artifact is {e}");
-        std::process::exit(70);
-    }
-    for bench in GATED {
-        if artifact::median_of(&doc, bench).is_none() {
-            eprintln!("obs_bench: generated artifact has no median for {bench}");
-            std::process::exit(70);
-        }
-    }
-    let path = artifact::out_path("BENCH_obs.json");
-    if let Err(e) = std::fs::write(&path, format!("{text}\n")) {
-        eprintln!("obs_bench: cannot write {}: {e}", path.display());
-        std::process::exit(74);
-    }
-    println!("[artifact] {}", path.display());
+    artifact::load_artifact_doc("obs", quick, &results)
+}
+
+fn main() {
+    let (mut out, mut err) = (std::io::stdout(), std::io::stderr());
+    std::process::exit(artifact::bench_main("obs_bench", &GATED, &mut out, &mut err, measure));
 }

@@ -1,7 +1,7 @@
 //! The prcl aggressiveness sweep shared by Figures 3, 4 and 5: vary the
 //! pageout scheme's `min_age` threshold, score each run with Listing 2.
 
-use daos::{run, score_inputs, DaosError, Normalized, RunConfig};
+use daos::{score_inputs, DaosError, Normalized, RunConfig, Session, SessionResult};
 use daos_mm::clock::sec;
 use daos_mm::MachineProfile;
 use daos_tuner::{DefaultScore, ScoreFn};
@@ -60,7 +60,7 @@ pub fn prcl_sweep(
             None => RunConfig::baseline(),
             Some(a) => RunConfig::prcl_with_min_age(sec(a)),
         };
-        run(machine, &cfg, spec, seed + rep)
+        Session::new(machine, &cfg, spec).seed(seed + rep).execute().map(SessionResult::into_single)
     });
     let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
 

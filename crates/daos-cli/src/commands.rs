@@ -6,22 +6,20 @@ use std::thread;
 use std::time::Duration;
 
 use daos::{
-    biggest_active_span, record_from_csv, record_to_csv, run, run_observed, score_inputs,
-    score_vs_baseline, DaosError, FleetSpec, Heatmap, MonitorKind, Normalized, RunConfig,
-    RunResult, Session, WssReport,
-};
-use daos_obs::{
-    Dashboard, EpochPublisher, FleetPublisher, ObsConfig, ObsServer, ObsSnapshot, Publisher,
+    biggest_active_span, record_from_csv, record_to_csv, score_inputs, score_vs_baseline,
+    DaosError, FleetSpec, Heatmap, MonitorKind, Normalized, RunConfig, RunResult, Session,
+    SessionResult, WssReport,
 };
 use daos_mm::clock::sec;
-use daos_mm::SwapConfig;
+use daos_mm::{MachineProfile, SwapConfig};
+use daos_obs::{Dashboard, FleetPublisher, ObsConfig, ObsServer, ObsSnapshot, Publisher};
 use daos_schemes::{parse_scheme_line, parse_schemes};
 use daos_tuner::{tune as tuner_tune, DefaultScore, ScoreFn, TunerConfig};
-use daos_workloads::{by_path, paper_suite, FleetConfig};
+use daos_workloads::{by_path, paper_suite, FleetConfig, WorkloadSpec};
 
 use crate::args::Args;
 
-fn lookup(args: &Args) -> Result<daos_workloads::WorkloadSpec, DaosError> {
+fn lookup(args: &Args) -> Result<WorkloadSpec, DaosError> {
     let name = args
         .pos(0)
         .ok_or_else(|| DaosError::usage("missing workload argument (see `daos list`)"))?;
@@ -73,7 +71,8 @@ pub fn record(args: &Args) -> Result<(), DaosError> {
         machine.name,
         if args.flag("paddr") { "physical-address" } else { "virtual-address" }
     );
-    let result = run(&machine, &config, &spec, args.seed()?)?;
+    let session = Session::new(&machine, &config, &spec).seed(args.seed()?);
+    let result = session.execute()?.into_single();
     let record = result.record.as_ref().expect("recording config");
     let out = args.opt("out").unwrap_or("daos.record.csv");
     fs::write(out, record_to_csv(record)).map_err(|e| DaosError::io(out, e))?;
@@ -227,12 +226,15 @@ pub fn schemes(args: &Args) -> Result<(), DaosError> {
         println!("  {s}");
     }
     let seed = args.seed()?;
-    let baseline = run(&machine, &RunConfig::baseline(), &spec, seed)?;
+    let run = |config: &RunConfig| {
+        Session::new(&machine, config, &spec).seed(seed).execute().map(SessionResult::into_single)
+    };
+    let baseline = run(&RunConfig::baseline())?;
     let mut config = RunConfig::rec();
     config.name = "schemes".into();
     config.record = false;
     config.schemes = schemes.into_iter().map(Into::into).collect();
-    let result = run(&machine, &config, &spec, seed)?;
+    let result = run(&config)?;
     let n = Normalized::of(&baseline, &result);
     println!("\nruntime: {:.1}s (baseline {:.1}s, {:+.2}% change)",
         result.runtime_ns as f64 / 1e9,
@@ -263,33 +265,37 @@ fn obs_config(args: &Args) -> Result<ObsConfig, DaosError> {
     Ok(ObsConfig { workers, ..ObsConfig::default() })
 }
 
-/// Bind the observability server on `addr`, run the workload with an
-/// [`EpochPublisher`] attached, and publish the final snapshot. The
-/// caller installs (and takes back) the trace collector; when one is
-/// installed the published snapshots carry its registry and ring tail.
-fn run_serving(
-    addr: &str,
-    machine: &daos_mm::MachineProfile,
+/// Run `fleet` processes of `spec` under `config` to completion. With
+/// `--serve ADDR`, first bind the observability server there, attach a
+/// [`FleetPublisher`] under the run's identity and publish the final
+/// snapshot; a trace collector the caller installed lends the published
+/// snapshots its registry and ring tail.
+fn execute(
+    args: &Args,
+    machine: &MachineProfile,
     config: &RunConfig,
-    spec: &daos_workloads::WorkloadSpec,
-    seed: u64,
-    publish_every: u64,
-    obs_cfg: ObsConfig,
-) -> Result<(RunResult, ObsServer), DaosError> {
+    spec: &WorkloadSpec,
+    fleet: FleetSpec,
+) -> Result<(SessionResult, Option<ObsServer>), DaosError> {
+    let session = Session::new(machine, config, spec).seed(args.seed()?).fleet(fleet);
+    let Some(addr) = args.opt("serve") else {
+        return Ok((session.execute()?, None));
+    };
+    let publish_every: u64 = args.opt_num("publish-every", 1)?;
     let publisher = Publisher::new();
-    let server = ObsServer::bind_with(addr, publisher.clone(), obs_cfg)
+    let server = ObsServer::bind_with(addr, publisher.clone(), obs_config(args)?)
         .map_err(|e| DaosError::io(addr, e))?;
     println!("serving observability on {}", server.addr());
-    let mut obs = EpochPublisher::new(
+    let mut obs = FleetPublisher::new(
         publisher,
         &config.name,
         &spec.path_name(),
         &machine.name,
         publish_every,
     );
-    let result = run_observed(machine, config, spec, seed, Some(&mut obs))?;
-    obs.finalize(&result);
-    Ok((result, server))
+    let result = session.fleet_observer(&mut obs).execute()?;
+    obs.finalize(result.fleet.as_ref().expect("every session carries a summary"));
+    Ok((result, Some(server)))
 }
 
 /// With `--linger`, keep the endpoint serving the final snapshot until
@@ -346,35 +352,35 @@ fn print_run_summary(result: &RunResult) {
 /// `daos run <workload>`: one configuration, summarised. With
 /// `--serve ADDR` the run also exposes the live observability endpoint
 /// (`/metrics`, `/snapshot`, `/events`, `/healthz`); without it, no
-/// publisher, server thread or collector is ever constructed — the run
-/// loop's observation hook stays a single untaken branch.
+/// publisher, server thread or collector is ever constructed.
 pub fn run_cmd(args: &Args) -> Result<(), DaosError> {
     let mut spec = lookup(args)?;
     let machine = args.machine()?;
-    let seed = args.seed()?;
     let config = named_config(args.opt("config").unwrap_or("prcl"))?;
     let epochs: u64 = args.opt_num("epochs", spec.nr_epochs)?;
     spec.nr_epochs = epochs.min(spec.nr_epochs);
 
-    let Some(addr) = args.opt("serve") else {
-        let result = run(&machine, &config, &spec, seed)?;
-        print_run_summary(&result);
-        return Ok(());
-    };
-
     // Serving implies telemetry: install a collector so `/metrics` and
     // `/events` have a registry and ring to publish.
-    let ring: usize = args.opt_num("ring", daos_trace::DEFAULT_RING_CAPACITY)?;
-    let publish_every: u64 = args.opt_num("publish-every", 1)?;
-    daos_trace::install(daos_trace::Collector::builder().ring_capacity(ring).build()?)?;
-    let served =
-        run_serving(addr, &machine, &config, &spec, seed, publish_every, obs_config(args)?);
-    let collector = daos_trace::take().expect("collector installed above");
-    let (result, server) = served?;
-    print_run_summary(&result);
-    let mut warned = false;
-    warn_ring_overflow_once(&mut warned, collector.ring().dropped(), collector.ring().capacity());
-    maybe_linger(args, &server);
+    if args.opt("serve").is_some() {
+        let ring: usize = args.opt_num("ring", daos_trace::DEFAULT_RING_CAPACITY)?;
+        daos_trace::install(daos_trace::Collector::builder().ring_capacity(ring).build()?)?;
+    }
+    let ran = execute(args, &machine, &config, &spec, FleetSpec::new(1));
+    let collector = daos_trace::take();
+    let (result, server) = ran?;
+    print_run_summary(&result.into_single());
+    if let Some(collector) = collector {
+        let mut warned = false;
+        warn_ring_overflow_once(
+            &mut warned,
+            collector.ring().dropped(),
+            collector.ring().capacity(),
+        );
+    }
+    if let Some(server) = &server {
+        maybe_linger(args, server);
+    }
     Ok(())
 }
 
@@ -490,27 +496,26 @@ fn top_inprocess(
             daos_trace::install(
                 daos_trace::Collector::builder().ring_capacity(ring).build()?,
             )?;
-            let mut obs = EpochPublisher::new(
+            let mut obs = FleetPublisher::new(
                 publisher.clone(),
                 &config.name,
                 &spec.path_name(),
                 &machine.name,
                 publish_every,
             );
-            let run_result = run_observed(&machine, &config, &spec, seed, Some(&mut obs));
-            let outcome = match run_result {
+            let ran = Session::new(&machine, &config, &spec)
+                .seed(seed)
+                .fleet_observer(&mut obs)
+                .execute();
+            match &ran {
                 Ok(result) => {
-                    obs.finalize(&result);
-                    Ok(())
+                    obs.finalize(result.fleet.as_ref().expect("every session carries a summary"))
                 }
-                Err(e) => {
-                    // Unblock the dashboard loop on failure too.
-                    publisher.finish();
-                    Err(DaosError::from(e))
-                }
-            };
+                // Unblock the dashboard loop on failure too.
+                Err(_) => publisher.finish(),
+            }
             daos_trace::take();
-            outcome
+            ran.map(drop).map_err(DaosError::from)
         })
     };
 
@@ -604,7 +609,6 @@ pub fn alerts(args: &Args) -> Result<(), DaosError> {
 pub fn trace(args: &Args) -> Result<(), DaosError> {
     let mut spec = lookup(args)?;
     let machine = args.machine()?;
-    let seed = args.seed()?;
     let config = named_config(args.opt("config").unwrap_or("prcl"))?;
     let ring: usize = args.opt_num("ring", daos_trace::DEFAULT_RING_CAPACITY)?;
     let epochs: u64 = args.opt_num("epochs", spec.nr_epochs)?;
@@ -613,22 +617,10 @@ pub fn trace(args: &Args) -> Result<(), DaosError> {
     daos_trace::install(daos_trace::Collector::builder().ring_capacity(ring).build()?)?;
     // Take the collector back even if the run fails, so a retry in the
     // same process does not hit AlreadyInstalled.
-    let mut server = None;
-    let run_result = match args.opt("serve") {
-        None => run(&machine, &config, &spec, seed).map_err(DaosError::from),
-        Some(addr) => {
-            let publish_every: u64 = args.opt_num("publish-every", 1)?;
-            run_serving(addr, &machine, &config, &spec, seed, publish_every, obs_config(args)?)
-                .map(
-                |(result, srv)| {
-                    server = Some(srv);
-                    result
-                },
-            )
-        }
-    };
+    let ran = execute(args, &machine, &config, &spec, FleetSpec::new(1));
     let collector = daos_trace::take().expect("collector installed above");
-    let result = run_result?;
+    let (result, server) = ran?;
+    let result = result.into_single();
 
     let jsonl = daos_trace::export_collector(&collector);
     // One warning per run, with the final count (not one per export or
@@ -686,7 +678,10 @@ pub fn tune(args: &Args) -> Result<(), DaosError> {
         spec.path_name(),
         machine.name
     );
-    let baseline = run(&machine, &RunConfig::baseline(), &spec, seed)?;
+    let run = |config: &RunConfig| {
+        Session::new(&machine, config, &spec).seed(seed).execute().map(SessionResult::into_single)
+    };
+    let baseline = run(&RunConfig::baseline())?;
     let mut score_fn = DefaultScore::default();
     let cfg = TunerConfig {
         time_limit: sec(samples * 10),
@@ -695,24 +690,13 @@ pub fn tune(args: &Args) -> Result<(), DaosError> {
         seed,
     };
     let result = tuner_tune(&cfg, |min_age| {
-        let r = run(
-            &machine,
-            &RunConfig::prcl_with_min_age((min_age * 1e9) as u64),
-            &spec,
-            seed,
-        )
-        .expect("sample run");
+        let r = run(&RunConfig::prcl_with_min_age((min_age * 1e9) as u64)).expect("sample run");
         let s = score_fn.score(&score_inputs(&baseline, &r));
         println!("  min_age {min_age:>6.1}s -> score {s:>8.2}");
         s
     });
     println!("\nbest threshold: min_age {:.1}s (estimated score {:.2})", result.best_x, result.best_score);
-    let tuned = run(
-        &machine,
-        &RunConfig::prcl_with_min_age((result.best_x * 1e9) as u64),
-        &spec,
-        seed,
-    )?;
+    let tuned = run(&RunConfig::prcl_with_min_age((result.best_x * 1e9) as u64))?;
     let n = Normalized::of(&baseline, &tuned);
     println!(
         "validated: {:.1}% memory saving at {:+.2}% runtime change (score {:.2})",
@@ -750,7 +734,6 @@ pub fn fleet(args: &Args) -> Result<(), DaosError> {
     let tenants: usize = args.opt_num("tenants", 4)?;
     let fleet_cfg = FleetConfig::default();
     let footprint: u64 = args.opt_num("footprint", fleet_cfg.worker_footprint >> 20)?;
-    let seed = args.seed()?;
 
     // The production configuration: physical-address monitoring feeding
     // the pageout scheme, unless --config picks a named paper config.
@@ -784,31 +767,8 @@ pub fn fleet(args: &Args) -> Result<(), DaosError> {
         config.swap,
     );
 
-    let session = Session::new(&machine, &config, &spec).seed(seed);
-    let (summary, server) = match args.opt("serve") {
-        None => {
-            let result = session.fleet(fleet_spec).execute()?;
-            (result.fleet.expect("fleet session carries a summary"), None)
-        }
-        Some(addr) => {
-            let publish_every: u64 = args.opt_num("publish-every", 1)?;
-            let publisher = Publisher::new();
-            let server = ObsServer::bind_with(addr, publisher.clone(), obs_config(args)?)
-                .map_err(|e| DaosError::io(addr, e))?;
-            println!("serving observability on {}", server.addr());
-            let mut obs = FleetPublisher::new(
-                publisher,
-                &config.name,
-                &spec.path_name(),
-                &machine.name,
-                publish_every,
-            );
-            let result = session.fleet(fleet_spec).fleet_observer(&mut obs).execute()?;
-            let summary = result.fleet.expect("fleet session carries a summary");
-            obs.finalize(&summary);
-            (summary, Some(server))
-        }
-    };
+    let (result, server) = execute(args, &machine, &config, &spec, fleet_spec)?;
+    let summary = result.fleet.expect("every session carries a summary");
     print!("{}", summary.render());
     if let Some(server) = &server {
         maybe_linger(args, server);
@@ -861,7 +821,9 @@ mod tests {
             },
         };
         let machine = daos_mm::MachineProfile::i3_metal();
-        let result = run(&machine, &RunConfig::rec(), &spec, 1).unwrap();
+        let config = RunConfig::rec();
+        let result =
+            Session::new(&machine, &config, &spec).seed(1).execute().unwrap().into_single();
         let path = std::env::temp_dir().join("daos_cli_test.rec");
         fs::write(&path, record_to_csv(result.record.as_ref().unwrap())).unwrap();
         let path_str = path.to_str().unwrap();

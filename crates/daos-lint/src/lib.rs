@@ -39,6 +39,7 @@ pub use lints::{all_passes, run_all, run_filtered, Pass, ALLOW_KEYS};
 pub use source::{SourceFile, Workspace};
 
 use daos_util::json::{Json, ToJson};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// One lint finding: a workspace-invariant violation at a source line.
@@ -109,12 +110,34 @@ pub fn lint_workspace_filtered(
     Ok((ws, findings))
 }
 
-/// The `--json` report: machine-readable mirror of the human output.
+/// [Live lines](SourceFile::live_lines) per package, keyed by the
+/// root-relative directory of the nearest enclosing `Cargo.toml` (`.`
+/// for the root package) — so a package nested below a crate's `src/`,
+/// like the perf ledger, is counted on its own.
+pub fn live_loc(ws: &Workspace) -> BTreeMap<String, u64> {
+    let mut loc = BTreeMap::new();
+    for f in &ws.files {
+        let package = Path::new(&f.rel)
+            .ancestors()
+            .skip(1)
+            .find(|dir| ws.root.join(dir).join("Cargo.toml").is_file())
+            .map(|dir| dir.to_string_lossy().into_owned())
+            .filter(|dir| !dir.is_empty())
+            .unwrap_or_else(|| ".".to_string());
+        *loc.entry(package).or_insert(0) += f.live_lines() as u64;
+    }
+    loc
+}
+
+/// The `--json` report: machine-readable mirror of the human output,
+/// plus the per-package live-LOC count.
 pub fn report_json(ws: &Workspace, findings: &[Finding]) -> Json {
+    let live_loc = live_loc(ws).into_iter().map(|(package, n)| (package, n.to_json())).collect();
     Json::Object(vec![
         ("clean".into(), findings.is_empty().to_json()),
         ("files_scanned".into(), (ws.files.len() as u64).to_json()),
         ("manifests_scanned".into(), (ws.manifests.len() as u64).to_json()),
+        ("live_loc".into(), Json::Object(live_loc)),
         (
             "lints".into(),
             Json::Array(all_passes().iter().map(|p| p.name().to_json()).collect()),

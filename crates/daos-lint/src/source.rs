@@ -86,6 +86,18 @@ impl SourceFile {
             .collect()
     }
 
+    /// Live lines of code: lines on which a token starts that is neither
+    /// a comment nor inside `#[test]` / `#[cfg(test)]`-gated code.
+    pub fn live_lines(&self) -> usize {
+        let lines: BTreeSet<u32> = self
+            .code()
+            .into_iter()
+            .filter(|&i| !self.in_test[i])
+            .map(|i| self.tokens[i].line)
+            .collect();
+        lines.len()
+    }
+
     /// Is a finding of `key` at `line` suppressed by an annotation?
     pub fn allowed(&self, key: &str, line: u32) -> bool {
         self.allows.iter().any(|a| a.key == key && a.target == line)
@@ -534,6 +546,23 @@ mod tests {
         assert!(tok_text.contains(&("a", false)));
         assert!(tok_text.contains(&("unwrap", true)));
         assert!(tok_text.contains(&("c", false)));
+    }
+
+    #[test]
+    fn live_lines_skip_comments_blanks_and_test_code() {
+        let f = sf(
+            "//! Crate docs.\n\
+             \n\
+             /// Item docs.\n\
+             fn a() { // trailing comment\n\
+                 b(); /* inline */ c();\n\
+             }\n\
+             #[cfg(test)]\n\
+             mod tests {\n\
+                 fn t() { a(); }\n\
+             }\n",
+        );
+        assert_eq!(f.live_lines(), 3, "fn a's three lines");
     }
 
     #[test]

@@ -51,14 +51,14 @@ fn workspace_is_lint_clean() {
 fn workspace_concurrency_surface_is_actually_analyzed() {
     // "Lint-clean" must mean "analyzed and clean", not "analysis saw
     // nothing". Pin that the guard analysis finds the poison funnels
-    // and a realistic number of acquisition sites across the four
+    // and a realistic number of acquisition sites across the
     // concurrent crates — all of them recovered.
     let ws = daos_lint::Workspace::load(&repo_root()).expect("repo loads");
     let a = daos_lint::locks::Analysis::build(&ws);
     assert!(a.funnels.contains("recover"), "daos_util::pool::recover not detected");
     assert!(a.funnels.contains("lock"), "the lock(&Mutex) funnels not detected");
     let acqs: Vec<_> = a.fns.iter().flat_map(|f| f.acquisitions.iter()).collect();
-    assert!(acqs.len() >= 40, "only {} acquisitions found — analysis broken?", acqs.len());
+    assert!(acqs.len() >= 34, "only {} acquisitions found — analysis broken?", acqs.len());
     assert!(
         acqs.iter().all(|q| q.recovered),
         "every workspace acquisition flows through a poison funnel"
@@ -67,7 +67,6 @@ fn workspace_concurrency_surface_is_actually_analyzed() {
         "crates/daos-util/src/pool.rs",
         "crates/daos-obs/src/server.rs",
         "crates/daos-obs/src/publisher.rs",
-        "crates/daos/src/fleet.rs",
     ] {
         let fi = ws.files.iter().position(|f| f.rel == rel).expect("file present");
         let n: usize = a
@@ -156,6 +155,7 @@ fn binary_json_report_is_machine_readable() {
     assert_eq!(code, 0);
     assert!(stdout.contains("\"clean\":true"), "{stdout}");
     assert!(stdout.contains("\"findings\":[]"), "{stdout}");
+    assert!(stdout.contains("\"live_loc\":{\"crates/"), "{stdout}");
 }
 
 #[test]

@@ -419,7 +419,7 @@ impl AlertEngine {
     }
 }
 
-/// The default rule set `EpochPublisher`/`FleetPublisher` install:
+/// The default rule set `FleetPublisher` installs:
 ///
 /// * `trace_ring_drop_rate` — the trace ring is dropping events
 ///   (rate of `daos_obs_dropped_events` > 0/s, 2 samples);

@@ -12,10 +12,12 @@
 //!   readers clone the `Arc` and always see an internally consistent
 //!   snapshot. A bounded event tail with global sequence numbers feeds
 //!   live `/events` subscribers.
-//! - [`publisher::EpochPublisher`] — the [`daos::RunObserver`] that
-//!   builds and publishes snapshots every N epochs from inside the run
+//! - [`publisher::FleetPublisher`] — the [`daos::FleetObserver`] that
+//!   builds and publishes snapshots every N ticks from inside the run
 //!   loop (and a final one via
-//!   [`finalize`](publisher::EpochPublisher::finalize)).
+//!   [`finalize`](publisher::FleetPublisher::finalize)), for a single
+//!   run and a fleet alike: a single run is exported as a fleet of one
+//!   process in tenant `t0`.
 //! - [`server::ObsServer`] — an HTTP/1.1 endpoint on
 //!   `std::net::TcpListener` built on a bounded `daos_util::pool`
 //!   worker pool multiplexing keep-alive connections, serving
@@ -57,7 +59,7 @@ pub mod top;
 pub use alert::{default_rules, AlertEngine, AlertError, AlertKind, AlertRule, AlertState, AlertStatus};
 pub use history::{Agg, MetricHistory, QueryResult};
 pub use http::{http_get, HttpClient};
-pub use publisher::{EpochPublisher, FleetPublisher, Publisher, DEFAULT_TAIL_CAPACITY};
+pub use publisher::{FleetPublisher, Publisher, DEFAULT_TAIL_CAPACITY};
 pub use server::{Endpoint, ObsConfig, ObsServer};
 pub use snapshot::ObsSnapshot;
 pub use top::Dashboard;

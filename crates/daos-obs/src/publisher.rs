@@ -17,7 +17,7 @@ use crate::alert::{self, AlertEngine, AlertRule, AlertState, AlertStatus};
 use crate::history::{Agg, MetricHistory, QueryResult};
 use crate::prom;
 use crate::snapshot::ObsSnapshot;
-use daos::{FleetObserver, FleetProgress, FleetSummary, RunObserver, RunProgress, RunResult, TenantStats};
+use daos::{FleetObserver, FleetProgress, FleetSummary, TenantStats};
 use daos_trace::{AlertStateTag, Event, Registry, Ring, TimedEvent};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -391,113 +391,29 @@ impl Publisher {
     }
 }
 
-/// A [`RunObserver`] that publishes an [`ObsSnapshot`] every
-/// `publish_every` epochs (and on the final epoch), reading the metrics
-/// registry and ring accounting from the thread-local trace collector.
-pub struct EpochPublisher {
-    publisher: Publisher,
-    config: String,
-    workload: String,
-    machine: String,
-    publish_every: u64,
-    seq: u64,
-}
-
-impl EpochPublisher {
-    /// Observer publishing through `publisher` under the given run
-    /// identity, once per `publish_every` epochs (min 1).
-    pub fn new(
-        publisher: Publisher,
-        config: &str,
-        workload: &str,
-        machine: &str,
-        publish_every: u64,
-    ) -> EpochPublisher {
-        publisher.install_default_rules();
-        EpochPublisher {
-            publisher,
-            config: config.to_string(),
-            workload: workload.to_string(),
-            machine: machine.to_string(),
-            publish_every: publish_every.max(1),
-            seq: 0,
-        }
-    }
-
-    fn build(&mut self, p: &RunProgress<'_>, finished: bool) -> ObsSnapshot {
-        self.seq += 1;
-        let registry = daos_trace::registry_snapshot().unwrap_or_default();
-        let dropped = daos_trace::ring_status().map_or(0, |(_, dropped, _)| dropped);
-        ObsSnapshot {
-            seq: self.seq,
-            config: self.config.clone(),
-            workload: self.workload.clone(),
-            machine: self.machine.clone(),
-            epoch: p.epoch,
-            nr_epochs: p.nr_epochs,
-            now_ns: p.now_ns,
-            wss_bytes: p.last_window.map_or(0, |w| w.hot_bytes_estimate()),
-            peak_rss_bytes: p.stats.peak_rss_bytes,
-            avg_rss_bytes: p.stats.avg_rss_bytes(p.now_ns),
-            last_window: p.last_window.cloned(),
-            schemes: p.scheme_stats.to_vec(),
-            overhead: p.overhead,
-            registry,
-            dropped_events: dropped,
-            finished,
-        }
-    }
-
-    /// Publish the end-of-run snapshot from the final [`RunResult`] and
-    /// mark the publisher finished. Call after `run_observed` returns,
-    /// with the run's collector still installed (so the registry snapshot
-    /// covers the whole run).
-    pub fn finalize(&mut self, result: &RunResult) {
-        self.seq += 1;
-        let registry = daos_trace::registry_snapshot().unwrap_or_default();
-        let dropped = daos_trace::ring_status().map_or(0, |(_, dropped, _)| dropped);
-        let mut snap = (*self.publisher.snapshot()).clone();
-        snap.seq = self.seq;
-        snap.config = result.config.clone();
-        snap.workload = result.workload.clone();
-        snap.machine = result.machine.clone();
-        snap.now_ns = result.runtime_ns;
-        snap.peak_rss_bytes = result.peak_rss;
-        snap.avg_rss_bytes = result.avg_rss;
-        snap.schemes = result.scheme_stats.clone();
-        snap.overhead = result.overhead;
-        snap.registry = registry;
-        snap.dropped_events = dropped;
-        snap.finished = true;
-        self.publisher.publish(snap);
-        self.publisher.finish();
-    }
-}
-
-impl RunObserver for EpochPublisher {
-    fn on_epoch(&mut self, p: &RunProgress<'_>) {
-        let due = p.epoch % self.publish_every == 0 || p.epoch + 1 == p.nr_epochs;
-        if !due {
-            return;
-        }
-        let snap = self.build(p, false);
-        daos_trace::with_collector(|c| self.publisher.sync_ring(c.ring()));
-        self.publisher.publish(snap);
-    }
-}
-
-/// Convenience for tests and tooling: a registry snapshot of the
-/// currently installed collector, or an empty registry.
-pub fn current_registry() -> Registry {
+/// A registry snapshot of the calling thread's installed collector, or
+/// an empty registry.
+fn current_registry() -> Registry {
     daos_trace::registry_snapshot().unwrap_or_default()
 }
 
-/// A [`FleetObserver`] that publishes **one snapshot per fleet** every
-/// `publish_every` ticks: fleet totals as `fleet.*` counters and
-/// per-tenant aggregates as `tenant.<name>.*` counters, which `/metrics`
-/// folds into `daos_tenant_*{tenant="..."}` label families. In the
-/// snapshot scalars, `avg_rss_bytes` carries the fleet's *current* total
-/// RSS and `peak_rss_bytes` the summed per-process peaks.
+/// Events the calling thread's installed collector has overwritten.
+fn ring_dropped() -> u64 {
+    daos_trace::ring_status().map_or(0, |(_, dropped, _)| dropped)
+}
+
+/// The [`FleetObserver`] that publishes **one snapshot per run** every
+/// `publish_every` ticks (and on the final tick). The registry is the
+/// calling thread's trace-collector registry (empty without one) plus
+/// run totals as `fleet.*` counters and per-tenant aggregates as
+/// `tenant.<name>.*` counters, which `/metrics` folds into
+/// `daos_tenant_*{tenant="..."}` label families — a single run is a
+/// fleet of one process in tenant `t0`, and is exported as such. A
+/// single process also shows its own monitoring state: the freshest
+/// aggregation window with its working-set estimate, scheme stats,
+/// monitor overhead, and its time-weighted average RSS in
+/// `avg_rss_bytes`; for a fleet `avg_rss_bytes` carries the *current*
+/// total RSS. `peak_rss_bytes` is the summed per-process peaks.
 pub struct FleetPublisher {
     publisher: Publisher,
     config: String,
@@ -523,7 +439,7 @@ fn tenant_counters(reg: &mut Registry, tenants: &[TenantStats]) {
 }
 
 impl FleetPublisher {
-    /// Observer publishing through `publisher` under the given fleet
+    /// Observer publishing through `publisher` under the given run
     /// identity, once per `publish_every` ticks (min 1).
     pub fn new(
         publisher: Publisher,
@@ -543,15 +459,17 @@ impl FleetPublisher {
         }
     }
 
-    fn build(&mut self, p: &FleetProgress, finished: bool) -> ObsSnapshot {
+    fn build(&mut self, p: &FleetProgress) -> ObsSnapshot {
         self.seq += 1;
-        let mut registry = Registry::new();
+        let mut registry = current_registry();
         registry.counter_add("fleet.nr_processes", p.nr_processes as u64);
         registry.counter_add("fleet.monitor_work_ns", p.monitor_work_ns);
         registry.counter_add("fleet.dropped_events", p.dropped_events);
         tenant_counters(&mut registry, &p.tenants);
         let total_rss: u64 = p.tenants.iter().map(|t| t.total_rss).sum();
         let total_peak: u64 = p.tenants.iter().map(|t| t.peak_rss).sum();
+        let single = p.single.as_ref();
+        let last_window = single.and_then(|s| s.last_window.clone());
         ObsSnapshot {
             seq: self.seq,
             config: self.config.clone(),
@@ -560,23 +478,26 @@ impl FleetPublisher {
             epoch: p.tick,
             nr_epochs: p.nr_ticks,
             now_ns: p.now_ns,
-            wss_bytes: 0,
+            wss_bytes: last_window.as_ref().map_or(0, |w| w.hot_bytes_estimate()),
             peak_rss_bytes: total_peak,
-            avg_rss_bytes: total_rss,
-            last_window: None,
-            schemes: Vec::new(),
-            overhead: None,
+            avg_rss_bytes: single.map_or(total_rss, |s| s.avg_rss),
+            last_window,
+            schemes: single.map(|s| s.scheme_stats.clone()).unwrap_or_default(),
+            overhead: single.and_then(|s| s.overhead),
             registry,
-            dropped_events: p.dropped_events,
-            finished,
+            dropped_events: p.dropped_events + ring_dropped(),
+            finished: false,
         }
     }
 
     /// Publish the end-of-run snapshot from the [`FleetSummary`] and
-    /// mark the publisher finished.
+    /// mark the publisher finished. Call after the session returns, with
+    /// the run's collector (if any) still installed, so the registry
+    /// snapshot covers the whole run. A single process's window, scheme
+    /// stats and overhead stay as the final tick published them.
     pub fn finalize(&mut self, summary: &FleetSummary) {
         self.seq += 1;
-        let mut registry = Registry::new();
+        let mut registry = current_registry();
         registry.counter_add("fleet.nr_processes", summary.nr_processes as u64);
         registry.counter_add("fleet.nr_shards", summary.nr_shards as u64);
         registry.counter_add("fleet.nr_workers", summary.nr_workers as u64);
@@ -591,6 +512,7 @@ impl FleetPublisher {
         registry.counter_add("fleet.steals", summary.steals);
         registry.counter_add("fleet.dropped_events", summary.total_dropped());
         tenant_counters(&mut registry, &summary.tenants);
+        let last = self.publisher.snapshot();
         let snap = ObsSnapshot {
             seq: self.seq,
             config: self.config.clone(),
@@ -599,14 +521,14 @@ impl FleetPublisher {
             epoch: summary.ticks.saturating_sub(1),
             nr_epochs: summary.ticks,
             now_ns: summary.runtime_ns,
-            wss_bytes: 0,
+            wss_bytes: last.wss_bytes,
             peak_rss_bytes: summary.total_peak_rss,
             avg_rss_bytes: summary.total_avg_rss,
-            last_window: None,
-            schemes: Vec::new(),
-            overhead: None,
+            last_window: last.last_window.clone(),
+            schemes: last.schemes.clone(),
+            overhead: last.overhead,
             registry,
-            dropped_events: summary.total_dropped(),
+            dropped_events: summary.total_dropped() + ring_dropped(),
             finished: true,
         };
         self.publisher.publish(snap);
@@ -615,12 +537,17 @@ impl FleetPublisher {
 }
 
 impl FleetObserver for FleetPublisher {
+    fn due(&self, tick: u64, nr_ticks: u64) -> bool {
+        tick % self.publish_every == 0 || tick + 1 == nr_ticks
+    }
+
     fn on_tick(&mut self, p: &FleetProgress) {
-        let due = p.tick % self.publish_every == 0 || p.tick + 1 == p.nr_ticks;
-        if !due {
+        // A caller ticking the engine by hand may hand over every tick.
+        if !self.due(p.tick, p.nr_ticks) {
             return;
         }
-        let snap = self.build(p, false);
+        let snap = self.build(p);
+        daos_trace::with_collector(|c| self.publisher.sync_ring(c.ring()));
         self.publisher.publish(snap);
     }
 }

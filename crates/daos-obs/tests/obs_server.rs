@@ -6,13 +6,13 @@
 
 use std::time::Duration;
 
-use daos::{run_observed, RunConfig};
+use daos::{FleetObserver, FleetProgress, FleetSpec, RunConfig, Session};
 use daos_mm::MachineProfile;
 use daos_obs::http::http_get;
 use daos_obs::prom::{parse_exposition, Sample};
-use daos_obs::{Dashboard, EpochPublisher, ObsServer, ObsSnapshot, Publisher};
+use daos_obs::{Dashboard, FleetPublisher, ObsServer, ObsSnapshot, Publisher};
 use daos_util::json::{FromJson, ToJson};
-use daos_workloads::by_path;
+use daos_workloads::{by_path, FleetConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -25,7 +25,7 @@ fn sample<'a>(samples: &'a [Sample], name: &str) -> &'a Sample {
 
 #[test]
 fn live_endpoints_agree_with_the_finished_run() {
-    // A short but real monitored run, observed epoch by epoch.
+    // A short but real monitored run, observed tick by tick.
     let machine = MachineProfile::i3_metal();
     let config = RunConfig::rec();
     let mut spec = by_path("parsec3/freqmine").expect("workload exists");
@@ -36,10 +36,12 @@ fn live_endpoints_agree_with_the_finished_run() {
     let publisher = Publisher::new();
     let mut server =
         ObsServer::bind("127.0.0.1:0", publisher.clone()).expect("bind ephemeral port");
-    let mut obs = EpochPublisher::new(publisher, &config.name, &spec.path_name(), &machine.name, 1);
+    let mut obs = FleetPublisher::new(publisher, &config.name, &spec.path_name(), &machine.name, 1);
 
-    let result = run_observed(&machine, &config, &spec, 42, Some(&mut obs)).expect("run");
-    obs.finalize(&result);
+    let session = Session::new(&machine, &config, &spec).seed(42).fleet_observer(&mut obs);
+    let session = session.execute().expect("run");
+    obs.finalize(session.fleet.as_ref().expect("every session carries a summary"));
+    let result = session.into_single();
     let collector = daos_trace::take().expect("collector still installed");
     let overhead = result.overhead.expect("rec config monitors");
 
@@ -102,8 +104,9 @@ fn golden(name: &str) -> String {
 /// `daos run parsec3/freqmine --config rec --epochs 200 --seed 42
 /// --serve`, in process: the final snapshot carries the pinned scalar
 /// fields, last window, scheme stats and overhead; its registry (what
-/// `/metrics` renders) is a superset of the pinned one; and `daos top`
-/// renders the pinned final frame from it.
+/// `/metrics` renders) is a superset of the pinned one — it gains the
+/// `fleet.*` totals and tenant `t0`'s aggregates, a single run being a
+/// fleet of one; and `daos top` renders the pinned final frame from it.
 #[test]
 fn served_single_run_keeps_its_picture() {
     let pinned_json = daos_util::json::parse(&golden("run_rec_snapshot.json")).expect("golden");
@@ -117,9 +120,10 @@ fn served_single_run_keeps_its_picture() {
         .expect("no collector leaked from another test in this binary");
     let publisher = Publisher::new();
     let mut obs =
-        EpochPublisher::new(publisher.clone(), &config.name, &spec.path_name(), &machine.name, 1);
-    let result = run_observed(&machine, &config, &spec, 42, Some(&mut obs)).expect("run");
-    obs.finalize(&result);
+        FleetPublisher::new(publisher.clone(), &config.name, &spec.path_name(), &machine.name, 1);
+    let session = Session::new(&machine, &config, &spec).seed(42).fleet_observer(&mut obs);
+    let summary = session.execute().expect("run").fleet.expect("every session carries a summary");
+    obs.finalize(&summary);
     daos_trace::take().expect("collector still installed");
     let snap = publisher.snapshot();
 
@@ -140,18 +144,67 @@ fn served_single_run_keeps_its_picture() {
         let now = snap.registry.hists().find(|(k, _)| *k == key);
         assert_eq!(now, Some((key, hist)), "histogram {key} moved");
     }
+    assert_eq!(snap.registry.counter("fleet.nr_processes"), 1);
+    assert_eq!(snap.registry.counter("tenant.t0.nr_processes"), 1);
     assert_eq!(Dashboard::new().frame(&snap), golden("run_rec_top_frame.txt"));
+}
+
+/// A 24-process fleet published at `publish_every = 10`: the engine
+/// builds its O(processes) progress only for the ticks the publisher is
+/// due for (counted through a wrapping observer — every `on_tick` is one
+/// `progress()`), and the last-tick and final snapshots are the pinned
+/// ones, field for field.
+#[test]
+fn fleet_progress_is_built_only_when_the_publisher_is_due() {
+    struct Counting<'a> {
+        inner: &'a mut FleetPublisher,
+        built: u64,
+    }
+    impl FleetObserver for Counting<'_> {
+        fn due(&self, tick: u64, nr_ticks: u64) -> bool {
+            self.inner.due(tick, nr_ticks)
+        }
+        fn on_tick(&mut self, progress: &FleetProgress) {
+            self.built += 1;
+            self.inner.on_tick(progress);
+        }
+    }
+    let snapshot_json = |publisher: &Publisher| format!("{}\n", publisher.snapshot().to_json());
+
+    let machine = MachineProfile::i3_metal();
+    let config = RunConfig::prcl();
+    let workers = FleetConfig { worker_footprint: 4 << 20, ..FleetConfig::default() };
+    let spec = workers.worker_spec(25);
+    let publisher = Publisher::new();
+    let mut obs =
+        FleetPublisher::new(publisher.clone(), &config.name, &spec.path_name(), &machine.name, 10);
+    let mut counting = Counting { inner: &mut obs, built: 0 };
+    let result = Session::new(&machine, &config, &spec)
+        .seed(15)
+        .fleet(FleetSpec::new(24).shard_size(4).workers(1).tenants(3))
+        .fleet_observer(&mut counting)
+        .execute()
+        .expect("fleet run");
+
+    // Ticks 0, 10, 20 and the final one — not one per tick.
+    assert_eq!(counting.built, 4);
+    assert!(counting.built <= spec.nr_epochs.div_ceil(10) + 1);
+    assert_eq!(publisher.snapshot().seq, counting.built);
+    assert_eq!(snapshot_json(&publisher), golden("fleet24_last_tick_snapshot.json"));
+    obs.finalize(result.fleet.as_ref().expect("every session carries a summary"));
+    assert_eq!(snapshot_json(&publisher), golden("fleet24_final_snapshot.json"));
 }
 
 #[test]
 fn serve_free_run_allocates_no_publisher() {
-    // The zero-overhead pin from the CLI side: a plain `run()` touches
+    // The zero-overhead pin from the CLI side: a plain session touches
     // neither collector nor publisher, so global trace state stays off.
     let machine = MachineProfile::i3_metal();
     let mut spec = by_path("parsec3/freqmine").expect("workload exists");
     spec.nr_epochs = 40;
     assert!(!daos_trace::enabled());
-    let result = daos::run(&machine, &RunConfig::baseline(), &spec, 7).expect("run");
-    assert!(result.runtime_ns > 0);
+    let config = RunConfig::baseline();
+    let result = Session::new(&machine, &config, &spec).seed(7).execute().expect("run");
+    assert!(result.into_single().runtime_ns > 0);
     assert!(!daos_trace::enabled(), "plain runs must not install a collector");
 }

@@ -1,5 +1,4 @@
-//! The sharded, work-stealing fleet engine: one monitoring plane over
-//! thousands of processes.
+//! The engine: one monitoring plane over one process or thousands.
 //!
 //! The paper's north star is "heavy traffic from millions of users" —
 //! one data-access-aware core driving many workloads cheaply. A
@@ -7,17 +6,19 @@
 //! **shards** of `procs_per_shard`, each shard a self-contained
 //! [`MemorySystem`] with its own deterministic clock and seed stream.
 //! Every simulation tick, each shard advances every resident process by
-//! one epoch through the *same three phase functions the single-process
-//! runner uses* ([`crate::runner`]): a fleet of one process executes the
-//! exact instruction sequence of [`crate::run`], which the N=1
-//! equivalence test pins.
+//! one epoch through the three phase functions of [`crate::runner`]. A
+//! single run is a fleet of one: one shard, one process, the plain seed
+//! (the seed offsets of shard 0 / process 0 are zero) — there is no
+//! other engine.
 //!
-//! Shard ticks are distributed over the workspace worker pool
-//! ([`daos_util::pool::WorkerPool`], a work-stealing scheduler), with a
-//! barrier per tick so results never depend on worker count — only
-//! `steals` in the summary varies. Single-shard (or single-worker)
-//! fleets run inline on the caller thread, so a thread-local trace
-//! collector observes them exactly like a single run.
+//! The engine owns its shards. Single-shard (or single-worker) fleets
+//! tick them inline on the caller thread, so a thread-local trace
+//! collector observes them directly. Otherwise each tick moves every
+//! shard into a task of the workspace worker pool
+//! ([`daos_util::pool::WorkerPool`], a work-stealing scheduler) and
+//! takes it back with the task's result behind a per-tick barrier, so
+//! results never depend on worker count — only `steals` in the summary
+//! varies.
 //!
 //! Monitoring cost stays **sub-linear in fleet size** through a global
 //! region budget: each process's `max_nr_regions` is
@@ -27,16 +28,14 @@
 //! per-process overhead *falls* as the fleet grows (the
 //! `overhead_per_process_ns()` line in the summary).
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
 use daos_mm::access::AccessBatch;
 use daos_mm::clock::Ns;
 use daos_mm::error::{MmError, MmResult};
 use daos_mm::machine::MachineProfile;
 use daos_mm::process::Pid;
 use daos_mm::system::MemorySystem;
-use daos_monitor::{Aggregation, MonitorAttrs, MonitorRecord};
-use daos_schemes::{SchemeTarget, SchemesEngine};
+use daos_monitor::{Aggregation, MonitorAttrs, MonitorRecord, OverheadStats};
+use daos_schemes::{SchemeStats, SchemeTarget, SchemesEngine};
 use daos_trace::Collector;
 use daos_util::pool::WorkerPool;
 use daos_workloads::{instantiate, SyntheticWorkload, Workload, WorkloadSpec};
@@ -46,13 +45,6 @@ use crate::runner::{
     build_monitor, khugepaged_phase, monitor_phase, workload_phase, AnyMonitor, RunResult,
     KHUGEPAGED_INTERVAL,
 };
-
-/// Recover a mutex guard from a poisoned lock: shard state stays
-/// consistent across a worker panic because every tick either completes
-/// or its error propagates before results are read.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// How to scale one run into a fleet. Built with
 /// [`FleetSpec::new`]`(nr_processes)` plus chained setters;
@@ -133,8 +125,8 @@ impl FleetSpec {
     /// Per-process monitoring attributes under the global region budget:
     /// `max_nr_regions` becomes `clamp(budget / nr_processes,
     /// min_nr_regions, max_nr_regions)`. With the auto budget
-    /// (64 × `max_nr_regions`) a fleet of ≤ 64 processes runs unchanged
-    /// — in particular N=1, preserving single-run equivalence.
+    /// (64 × `max_nr_regions`) a fleet of ≤ 64 processes — a single run
+    /// included — monitors with the configuration's own attributes.
     pub fn effective_attrs(&self, base: &MonitorAttrs) -> MonitorAttrs {
         let budget = if self.region_budget == 0 {
             64 * base.max_nr_regions
@@ -167,7 +159,21 @@ pub struct TenantStats {
     pub swapouts: u64,
 }
 
-/// Live fleet progress handed to a [`FleetObserver`] after every tick.
+/// What only a fleet of one process has to show: the single process's
+/// own monitoring state, which `daos run --serve` and `daos top` render.
+#[derive(Debug, Clone)]
+pub struct ProcessDetail {
+    /// Time-weighted average RSS so far, bytes.
+    pub avg_rss: u64,
+    /// The most recent completed aggregation window, if any.
+    pub last_window: Option<Aggregation>,
+    /// Per-scheme counters so far (empty without a schemes engine).
+    pub scheme_stats: Vec<SchemeStats>,
+    /// Monitoring overhead counters so far (None without a monitor).
+    pub overhead: Option<OverheadStats>,
+}
+
+/// Live progress handed to a [`FleetObserver`] after a tick.
 #[derive(Debug, Clone)]
 pub struct FleetProgress {
     /// Tick just completed (0-based).
@@ -184,18 +190,26 @@ pub struct FleetProgress {
     pub dropped_events: u64,
     /// Per-tenant aggregates.
     pub tenants: Vec<TenantStats>,
+    /// The process's own detail when the fleet is a single process.
+    pub single: Option<ProcessDetail>,
 }
 
-/// Hook into a live fleet: called once per tick, on the driver thread.
-/// Throttle internally if publishing is expensive.
+/// Hook into a live run, on the driver thread. After every tick
+/// [`FleetEngine::run`] asks [`due`](Self::due) and only then builds the
+/// O(processes) [`FleetProgress`] for [`on_tick`](Self::on_tick).
 pub trait FleetObserver {
-    /// One fleet tick (one epoch across every process) finished.
+    /// One tick (one epoch across every process) finished.
     fn on_tick(&mut self, progress: &FleetProgress);
+
+    /// Whether this observer wants `tick` (0-based) of `nr_ticks`.
+    fn due(&self, _tick: u64, _nr_ticks: u64) -> bool {
+        true
+    }
 }
 
-/// Everything a fleet run produced, beyond the per-process
-/// [`RunResult`]s. `render()` formats the human-readable summary the
-/// `daos fleet` subcommand prints.
+/// Everything a run produced, beyond the per-process [`RunResult`]s.
+/// `render()` formats the human-readable summary the `daos fleet`
+/// subcommand prints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSummary {
     /// Total worker processes.
@@ -345,7 +359,7 @@ struct Proc {
 
 /// One shard: a self-contained simulated machine hosting a slice of the
 /// fleet. All per-tick mutation is confined here, so shards tick in
-/// parallel with no shared state beyond the task queue.
+/// parallel with no shared state at all.
 struct Shard {
     sys: MemorySystem,
     procs: Vec<Proc>,
@@ -356,7 +370,8 @@ struct Shard {
     shard_record: Option<MonitorRecord>,
     sink: Vec<Aggregation>,
     batches: Vec<AccessBatch>,
-    scratch_window: Option<Aggregation>,
+    /// The freshest window of a non-recording monitor in this shard.
+    last_window: Option<Aggregation>,
     cpu_scale: f64,
     khugepaged: bool,
     paddr: bool,
@@ -433,7 +448,7 @@ impl Shard {
             shard_record,
             sink: Vec::new(),
             batches: Vec::new(),
-            scratch_window: None,
+            last_window: None,
             cpu_scale: 3.0 / machine.cpu_ghz,
             khugepaged: config.khugepaged,
             paddr,
@@ -485,16 +500,15 @@ impl Shard {
                     &mut self.shard_engine,
                     &mut self.shard_record,
                     &mut self.sink,
-                    &mut self.scratch_window,
-                    false,
+                    &mut self.last_window,
                 );
             }
             for p in &mut self.procs {
                 khugepaged_phase(&mut self.sys, p.pid, self.khugepaged, &mut p.next_khugepaged)?;
             }
         } else {
-            // Per-process pipeline, identical to the single runner's
-            // epoch sequence — the N=1 equivalence hinge.
+            // Per-process pipeline: each process's own monitor and
+            // engine follow its workload quantum.
             for p in &mut self.procs {
                 let before = dropped_now(tracing);
                 workload_phase(
@@ -512,8 +526,7 @@ impl Shard {
                     &mut p.engine,
                     &mut p.record,
                     &mut self.sink,
-                    &mut self.scratch_window,
-                    false,
+                    &mut self.last_window,
                 );
                 khugepaged_phase(&mut self.sys, p.pid, self.khugepaged, &mut p.next_khugepaged)?;
                 p.dropped_events += dropped_now(tracing).saturating_sub(before);
@@ -541,12 +554,12 @@ impl Shard {
     }
 }
 
-/// The fleet engine: builds the shards, ticks them (inline or over the
-/// worker pool) and assembles per-process [`RunResult`]s plus the
+/// The engine: builds the shards, ticks them (inline or over the worker
+/// pool) and assembles per-process [`RunResult`]s plus the
 /// [`FleetSummary`]. Normally driven via [`crate::Session`]; the bench
 /// harness drives [`tick`](Self::tick) directly to time it.
 pub struct FleetEngine {
-    shards: Vec<Arc<Mutex<Shard>>>,
+    shards: Vec<Shard>,
     pool: Option<WorkerPool>,
     spec: FleetSpec,
     config_name: String,
@@ -597,24 +610,20 @@ impl FleetEngine {
                 .map(|(s, range)| Shard::build(machine, config, spec, &fleet, seed, s, range))
                 .collect(),
         };
-        let mut built = Vec::with_capacity(nr_shards);
-        for shard in shards {
-            built.push(Arc::new(Mutex::new(shard?)));
-        }
+        let shards = shards.into_iter().collect::<MmResult<Vec<Shard>>>()?;
         let effective_max_regions = fleet.effective_attrs(&config.attrs).max_nr_regions;
-        let nr_ticks = spec.nr_epochs;
-        let workload_name = built
+        let workload_name = shards
             .first()
-            .and_then(|s| lock(s).procs.first().map(|p| p.wl.name()))
+            .and_then(|s| s.procs.first().map(|p| p.wl.name()))
             .unwrap_or_else(|| spec.name.to_string());
         Ok(FleetEngine {
-            shards: built,
+            shards,
             pool,
             spec: fleet,
             config_name: config.name.clone(),
             workload_name,
             machine_name: machine.name.clone(),
-            nr_ticks,
+            nr_ticks: spec.nr_epochs,
             tick: 0,
             effective_max_regions,
         })
@@ -636,28 +645,35 @@ impl FleetEngine {
     }
 
     /// Advance every process in the fleet by one epoch. With a pool,
-    /// shard ticks are distributed work-stealing with a barrier at the
-    /// end; otherwise they run inline on the caller thread (which keeps
-    /// a caller-installed trace collector observing a 1-shard fleet).
+    /// each shard moves into a work-stealing task and comes back with
+    /// its result behind the batch barrier; otherwise shards tick inline
+    /// on the caller thread (which keeps a caller-installed trace
+    /// collector observing a 1-shard fleet).
     pub fn tick(&mut self) -> MmResult<()> {
         let idx = self.tick;
         match &self.pool {
             Some(pool) => {
                 let tasks: Vec<_> = self
                     .shards
-                    .iter()
-                    .map(|sh| {
-                        let sh = Arc::clone(sh);
-                        move || lock(&sh).tick(idx)
+                    .drain(..)
+                    .map(|mut sh| {
+                        move || {
+                            let result = sh.tick(idx);
+                            (sh, result)
+                        }
                     })
                     .collect();
-                for r in pool.run_batch(tasks) {
-                    r?;
+                // Every shard comes home before the first error leaves.
+                let mut outcome = Ok(());
+                for (sh, result) in pool.run_batch(tasks) {
+                    self.shards.push(sh);
+                    outcome = outcome.and(result);
                 }
+                outcome?;
             }
             None => {
-                for sh in &self.shards {
-                    lock(sh).tick(idx)?;
+                for sh in &mut self.shards {
+                    sh.tick(idx)?;
                 }
             }
         }
@@ -665,27 +681,28 @@ impl FleetEngine {
         Ok(())
     }
 
-    /// Run all remaining ticks, reporting to `observer` after each.
+    /// Run all remaining ticks, reporting to `observer` after each tick
+    /// it says it is [`due`](FleetObserver::due) for.
     pub fn run(&mut self, mut observer: Option<&mut dyn FleetObserver>) -> MmResult<()> {
         while self.tick < self.nr_ticks {
             self.tick()?;
             if let Some(obs) = observer.as_deref_mut() {
-                let progress = self.progress();
-                obs.on_tick(&progress);
+                if obs.due(self.tick - 1, self.nr_ticks) {
+                    obs.on_tick(&self.progress());
+                }
             }
         }
         Ok(())
     }
 
-    /// Aggregate the current fleet state (locks every shard — cheap per
-    /// shard, linear in fleet size; observers throttle upstream).
+    /// Aggregate the current fleet state — linear in fleet size, so
+    /// [`run`](Self::run) builds it only for a due observer.
     pub fn progress(&self) -> FleetProgress {
         let mut tenants = self.empty_tenants();
         let mut now_ns = 0;
         let mut monitor_work_ns = 0;
         let mut dropped = 0;
         for sh in &self.shards {
-            let sh = lock(sh);
             now_ns = now_ns.max(sh.sys.now());
             monitor_work_ns += sh.monitor_totals().0;
             for p in &sh.procs {
@@ -709,7 +726,29 @@ impl FleetEngine {
             monitor_work_ns,
             dropped_events: dropped,
             tenants,
+            single: self.single_detail(),
         }
+    }
+
+    /// The lone process's monitoring state, when the fleet is one
+    /// process: its own (vaddr) or its shard's (paddr) monitor, engine
+    /// and freshest window.
+    fn single_detail(&self) -> Option<ProcessDetail> {
+        let [sh] = self.shards.as_slice() else { return None };
+        let [p] = sh.procs.as_slice() else { return None };
+        let stats = sh.sys.proc_stats(p.pid)?;
+        let record = p.record.as_ref().or(sh.shard_record.as_ref());
+        let engine = p.engine.as_ref().or(sh.shard_engine.as_ref());
+        let monitor = p.monitor.as_ref().or(sh.shard_monitor.as_ref());
+        Some(ProcessDetail {
+            avg_rss: stats.avg_rss_bytes(sh.sys.now()),
+            last_window: record
+                .and_then(|r| r.aggregations.last())
+                .or(sh.last_window.as_ref())
+                .cloned(),
+            scheme_stats: engine.map(|e| e.stats().to_vec()).unwrap_or_default(),
+            overhead: monitor.map(AnyMonitor::overhead),
+        })
     }
 
     fn empty_tenants(&self) -> Vec<TenantStats> {
@@ -721,8 +760,7 @@ impl FleetEngine {
     /// Consume the engine: per-process [`RunResult`]s (in global process
     /// order) plus the fleet summary. Shard-level state (kstats, paddr
     /// monitor/engine/record) is attributed to the shard's first
-    /// process, which at one process per fleet is *the* process — the
-    /// equivalence pin.
+    /// process, which in a fleet of one is *the* process.
     pub fn finish(self) -> MmResult<(Vec<RunResult>, FleetSummary)> {
         let mut runs = Vec::with_capacity(self.spec.nr_processes);
         let mut tenants = self.empty_tenants();
@@ -736,38 +774,29 @@ impl FleetEngine {
             .trace_ring
             .map(|_| vec![0u64; self.spec.nr_processes])
             .unwrap_or_default();
-        for sh in &self.shards {
-            let mut sh = lock(sh);
+        let nr_shards = self.shards.len();
+        for sh in self.shards {
             let shard_runtime = sh.sys.now();
             runtime_ns = runtime_ns.max(shard_runtime);
             let (work, checks) = sh.monitor_totals();
             monitor_work_ns += work;
             monitor_total_checks += checks;
-            let kstats = sh.sys.kstats;
-            let shard_scheme_stats = sh
-                .shard_engine
-                .take()
-                .map(|e| e.stats().to_vec())
-                .unwrap_or_default();
-            let mut shard_record = sh.shard_record.take();
-            let shard_overhead = sh.shard_monitor.as_ref().map(|m| m.overhead());
-            let Shard { ref sys, ref mut procs, .. } = *sh;
-            for (i, p) in procs.iter_mut().enumerate() {
-                let stats =
-                    *sys.proc_stats(p.pid).ok_or(MmError::NoSuchProcess(p.pid))?;
-                let overhead =
-                    p.monitor.as_ref().map(|m| m.overhead()).or(if i == 0 {
-                        shard_overhead
-                    } else {
-                        None
-                    });
-                let scheme_stats = match p.engine.take() {
+            let Shard { sys, procs, shard_monitor, shard_engine, mut shard_record, .. } = sh;
+            let shard_scheme_stats = shard_engine.map(|e| e.stats().to_vec()).unwrap_or_default();
+            let shard_overhead = shard_monitor.as_ref().map(AnyMonitor::overhead);
+            for (i, p) in procs.into_iter().enumerate() {
+                let stats = *sys.proc_stats(p.pid).ok_or(MmError::NoSuchProcess(p.pid))?;
+                let overhead = p
+                    .monitor
+                    .as_ref()
+                    .map(AnyMonitor::overhead)
+                    .or(if i == 0 { shard_overhead } else { None });
+                let scheme_stats = match p.engine {
                     Some(e) => e.stats().to_vec(),
                     None if i == 0 => shard_scheme_stats.clone(),
                     None => Vec::new(),
                 };
-                let record =
-                    p.record.take().or(if i == 0 { shard_record.take() } else { None });
+                let record = p.record.or(if i == 0 { shard_record.take() } else { None });
                 let avg_rss = stats.avg_rss_bytes(shard_runtime);
                 total_avg_rss += avg_rss;
                 total_peak_rss += stats.peak_rss_bytes;
@@ -789,7 +818,7 @@ impl FleetEngine {
                     avg_rss,
                     peak_rss: stats.peak_rss_bytes,
                     stats,
-                    kstats,
+                    kstats: sys.kstats,
                     record,
                     overhead,
                     scheme_stats,
@@ -800,7 +829,7 @@ impl FleetEngine {
         let steals = self.pool.as_ref().map_or(0, |p| p.stats().steals);
         let summary = FleetSummary {
             nr_processes: self.spec.nr_processes,
-            nr_shards: self.shards.len(),
+            nr_shards,
             nr_workers,
             nr_tenants: self.spec.nr_tenants,
             ticks: self.tick,

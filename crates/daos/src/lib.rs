@@ -7,11 +7,11 @@
 //!
 //! * the six evaluation configurations (baseline / rec / prec / thp /
 //!   ethp / prcl) as [`config::RunConfig`];
-//! * the unified [`Session`] entry point executing one workload under
-//!   one configuration on one machine profile — or, with a
-//!   [`FleetSpec`], replicated across thousands of processes under the
-//!   sharded work-stealing [`fleet`] engine (the [`runner`]'s
-//!   `run`/`run_observed` remain as deprecated shims);
+//! * the [`Session`] entry point executing one workload under one
+//!   configuration on one machine profile — or, with a [`FleetSpec`],
+//!   replicated across thousands of processes — on the sharded
+//!   work-stealing [`fleet`] engine, observed through one
+//!   [`FleetObserver`] seam;
 //! * Fig. 6-style access-pattern [`heatmap`]s;
 //! * the normalised performance / memory-efficiency / score [`metrics`]
 //!   of Figures 4, 7 and 8.
@@ -50,7 +50,7 @@ pub mod session;
 pub use config::{MonitorKind, RunConfig, RunConfigBuilder};
 pub use error::DaosError;
 pub use fleet::{
-    FleetEngine, FleetObserver, FleetProgress, FleetSpec, FleetSummary, TenantStats,
+    FleetEngine, FleetObserver, FleetProgress, FleetSpec, FleetSummary, ProcessDetail, TenantStats,
 };
 pub use heatmap::{biggest_active_span, Heatmap};
 pub use metrics::{score_inputs, score_vs_baseline, Normalized};
@@ -59,5 +59,5 @@ pub use recordio::{
     record_from_csv, record_from_jsonl, record_to_csv, record_to_jsonl, RecordError, WssReport,
     RECORD_HEADER,
 };
-pub use runner::{run, run_observed, RunObserver, RunProgress, RunResult};
+pub use runner::RunResult;
 pub use session::{Session, SessionResult};

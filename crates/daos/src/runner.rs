@@ -1,17 +1,13 @@
-//! The experiment runner: drive one workload under one configuration on
-//! one machine, with the monitor and schemes engine in the loop — the
-//! whole Fig. 1 workflow under a deterministic virtual clock.
-//!
-//! The per-epoch pipeline lives in three crate-internal phase functions
-//! ([`workload_phase`], [`monitor_phase`], [`khugepaged_phase`]) shared
-//! verbatim with the fleet engine ([`crate::fleet`]), so a fleet of one
-//! process executes the *same instruction sequence* as a single run —
-//! the cross-validation hinge the N=1 equivalence test pins.
+//! The per-epoch pipeline: one workload quantum with the monitor and
+//! schemes engine in the loop — the Fig. 1 workflow under a
+//! deterministic virtual clock — as three crate-internal phase functions
+//! ([`workload_phase`], [`monitor_phase`], [`khugepaged_phase`]) that
+//! the fleet engine ([`crate::fleet`]) composes per process (vaddr) or
+//! per shard (paddr), plus the [`RunResult`] every process ends in.
 
 use daos_mm::access::AccessBatch;
 use daos_mm::clock::{sec, Ns};
-use daos_mm::error::{MmError, MmResult};
-use daos_mm::machine::MachineProfile;
+use daos_mm::error::MmResult;
 use daos_mm::process::Pid;
 use daos_mm::stats::{KernelStats, ProcStats};
 use daos_mm::system::MemorySystem;
@@ -19,10 +15,10 @@ use daos_monitor::{
     Aggregation, MonitorAttrs, MonitorCtx, MonitorRecord, OverheadStats, PaddrPrimitives,
     VaddrPrimitives,
 };
-use daos_schemes::{SchemeTarget, SchemesEngine, SchemeStats};
-use daos_workloads::{instantiate, SyntheticWorkload, Workload, WorkloadSpec};
+use daos_schemes::{SchemeStats, SchemesEngine};
+use daos_workloads::{SyntheticWorkload, Workload};
 
-use crate::config::{MonitorKind, RunConfig};
+use crate::config::MonitorKind;
 
 /// Interval of the background khugepaged promoter in the `thp` config.
 pub(crate) const KHUGEPAGED_INTERVAL: Ns = sec(1);
@@ -62,42 +58,8 @@ impl RunResult {
     }
 }
 
-/// Live progress handed to a [`RunObserver`] once per epoch, borrowed
-/// straight from the runner's state — building it allocates nothing, so
-/// observation is cheap and a `None` observer costs one branch.
-#[derive(Debug)]
-pub struct RunProgress<'a> {
-    /// Epoch just completed (0-based).
-    pub epoch: u64,
-    /// Total epochs this run will execute.
-    pub nr_epochs: u64,
-    /// Virtual clock after the epoch.
-    pub now_ns: Ns,
-    /// The workload's process statistics so far.
-    pub stats: &'a ProcStats,
-    /// Kernel-side statistics so far.
-    pub kstats: &'a KernelStats,
-    /// The most recent completed aggregation window, if any.
-    pub last_window: Option<&'a Aggregation>,
-    /// Per-scheme counters so far (empty without a schemes engine).
-    pub scheme_stats: &'a [SchemeStats],
-    /// Monitoring overhead counters so far (None without a monitor).
-    pub overhead: Option<OverheadStats>,
-}
-
-/// Hook into a live run: [`run_observed`] calls `on_epoch` after every
-/// workload epoch (monitor and schemes already caught up). Observers run
-/// on the simulation thread — keep them cheap, and throttle internally
-/// if they do real work (the observability publisher snapshots every
-/// N-th call).
-pub trait RunObserver {
-    /// One epoch of the simulation finished.
-    fn on_epoch(&mut self, progress: &RunProgress<'_>);
-}
-
-/// Monomorphised monitor wrapper so one runner handles both primitives.
-/// Crate-visible: the fleet engine wraps its per-process (vaddr) and
-/// per-shard (paddr) contexts in the same type so the shared phase
+/// Monomorphised monitor wrapper: the fleet engine wraps its per-process
+/// (vaddr) and per-shard (paddr) contexts in the same type so the phase
 /// functions drive both paths.
 pub(crate) enum AnyMonitor {
     Vaddr(MonitorCtx<VaddrPrimitives>),
@@ -128,7 +90,7 @@ impl AnyMonitor {
 }
 
 /// Build the monitoring context `kind` describes, seeded with the
-/// runner's fixed monitor stream (`seed ^ 0xda05`). `attrs` is passed
+/// fixed monitor stream (`seed ^ 0xda05`). `attrs` is passed
 /// separately from the config because the fleet engine divides a global
 /// region budget across processes (see [`crate::fleet::FleetSpec`]).
 pub(crate) fn build_monitor(
@@ -183,9 +145,9 @@ pub(crate) fn workload_phase(
 
 /// Epoch phases 2–3: the monitor catches up with virtual time and the
 /// engine consumes each completed aggregation, with all work charged as
-/// interference against `pid`. With `keep_last`, the freshest window is
-/// kept (cloned if it also goes into the record) for observers.
-#[allow(clippy::too_many_arguments)]
+/// interference against `pid`. Each window ends in `record` when there
+/// is one and in `last_window` otherwise, so the freshest window is
+/// always at hand for observers without a clone.
 pub(crate) fn monitor_phase(
     sys: &mut MemorySystem,
     pid: Pid,
@@ -194,7 +156,6 @@ pub(crate) fn monitor_phase(
     record: &mut Option<MonitorRecord>,
     sink: &mut Vec<Aggregation>,
     last_window: &mut Option<Aggregation>,
-    keep_last: bool,
 ) {
     let Some(mon) = monitor else { return };
     let now = sys.now();
@@ -218,14 +179,8 @@ pub(crate) fn monitor_phase(
             }
         }
         match record {
-            Some(rec) => {
-                if keep_last {
-                    *last_window = Some(agg.clone());
-                }
-                rec.push(agg);
-            }
-            None if keep_last => *last_window = Some(agg),
-            None => {}
+            Some(rec) => rec.push(agg),
+            None => *last_window = Some(agg),
         }
     }
 }
@@ -247,303 +202,4 @@ pub(crate) fn khugepaged_phase(
         *next_khugepaged = sys.now() + KHUGEPAGED_INTERVAL;
     }
     Ok(())
-}
-
-/// Run `spec` under `config` on `machine`. `seed` fixes all randomness
-/// (workload draws, monitor sampling, region splits).
-///
-/// **Deprecated entry point** — prefer
-/// [`Session`](crate::Session)::`new(machine, config, spec).seed(s).execute()`,
-/// which scales the same run from one process to a fleet (via
-/// [`FleetSpec`](crate::FleetSpec)). This shim stays for source
-/// compatibility and simply delegates.
-pub fn run(
-    machine: &MachineProfile,
-    config: &RunConfig,
-    spec: &WorkloadSpec,
-    seed: u64,
-) -> MmResult<RunResult> {
-    execute_single(machine, config, spec, seed, None)
-}
-
-/// [`run`], with an optional per-epoch [`RunObserver`]. With
-/// `observer == None` this is exactly `run`: no progress struct is
-/// built and no aggregation is cloned, so the unobserved sim loop stays
-/// allocation-identical to before the hook existed (the zero-overhead
-/// pin the obs-plane tests rely on).
-///
-/// **Deprecated entry point** — prefer
-/// [`Session`](crate::Session)::`new(...).seed(s).observer(o).execute()`.
-/// This shim stays for source compatibility and simply delegates.
-pub fn run_observed(
-    machine: &MachineProfile,
-    config: &RunConfig,
-    spec: &WorkloadSpec,
-    seed: u64,
-    observer: Option<&mut dyn RunObserver>,
-) -> MmResult<RunResult> {
-    execute_single(machine, config, spec, seed, observer)
-}
-
-/// The single-process engine behind [`run`] / [`run_observed`] and
-/// [`crate::Session::execute`].
-pub(crate) fn execute_single(
-    machine: &MachineProfile,
-    config: &RunConfig,
-    spec: &WorkloadSpec,
-    seed: u64,
-    mut observer: Option<&mut dyn RunObserver>,
-) -> MmResult<RunResult> {
-    let mut sys = MemorySystem::new(machine.clone(), config.swap, seed);
-    let mut wl = instantiate(*spec, seed);
-    let pid = wl.setup(&mut sys, config.thp)?;
-
-    let mut monitor = build_monitor(config.monitor, config.attrs, &sys, pid, seed);
-    let mut engine = (!config.schemes.is_empty()).then(|| {
-        let target = match config.monitor {
-            Some(MonitorKind::Paddr) => SchemeTarget::Physical,
-            _ => SchemeTarget::Virtual(pid),
-        };
-        SchemesEngine::new(target, config.schemes.clone())
-    });
-    let mut record = config.record.then(MonitorRecord::new);
-    let mut sink: Vec<Aggregation> = Vec::new();
-    let mut batches = Vec::new();
-    let mut next_khugepaged = KHUGEPAGED_INTERVAL;
-    let cpu_scale = 3.0 / machine.cpu_ghz;
-    let observing = observer.is_some();
-    let mut last_window: Option<Aggregation> = None;
-    let nr_epochs = wl.nr_epochs();
-
-    for idx in 0..nr_epochs {
-        workload_phase(&mut sys, pid, &mut wl, idx, cpu_scale, &mut batches)?;
-        monitor_phase(
-            &mut sys,
-            pid,
-            &mut monitor,
-            &mut engine,
-            &mut record,
-            &mut sink,
-            &mut last_window,
-            observing,
-        );
-        khugepaged_phase(&mut sys, pid, config.khugepaged, &mut next_khugepaged)?;
-
-        // Observation hook (a single branch when nobody listens).
-        if let Some(obs) = observer.as_deref_mut() {
-            let stats =
-                sys.proc_stats(pid).ok_or(MmError::NoSuchProcess(pid))?;
-            obs.on_epoch(&RunProgress {
-                epoch: idx,
-                nr_epochs,
-                now_ns: sys.now(),
-                stats,
-                kstats: &sys.kstats,
-                last_window: last_window.as_ref(),
-                scheme_stats: engine.as_ref().map_or(&[][..], |e| e.stats()),
-                overhead: monitor.as_ref().map(|m| m.overhead()),
-            });
-        }
-    }
-
-    let runtime_ns = sys.now();
-    let stats = *sys.proc_stats(pid).ok_or(MmError::NoSuchProcess(pid))?;
-    Ok(RunResult {
-        config: config.name.clone(),
-        workload: wl.name(),
-        machine: machine.name.clone(),
-        runtime_ns,
-        avg_rss: stats.avg_rss_bytes(runtime_ns),
-        peak_rss: stats.peak_rss_bytes,
-        stats,
-        kstats: sys.kstats,
-        record,
-        overhead: monitor.as_ref().map(|m| m.overhead()),
-        scheme_stats: engine.map(|e| e.stats().to_vec()).unwrap_or_default(),
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::RunConfig;
-    use daos_mm::clock::ms;
-    use daos_workloads::{Behavior, Suite};
-
-    /// A fast, small workload for runner tests (~2 s virtual).
-    fn tiny_spec() -> WorkloadSpec {
-        WorkloadSpec {
-            name: "tiny",
-            suite: Suite::Parsec3,
-            footprint: 16 << 20,
-            nr_epochs: 2500,
-            compute_ns: ms(1),
-            behavior: Behavior::MostlyIdle { active_frac: 0.1, apc: 4.0, stray_prob: 0.0 },
-        }
-    }
-
-    fn machine() -> MachineProfile {
-        MachineProfile::i3_metal()
-    }
-
-    #[test]
-    fn baseline_run_completes() {
-        let r = run(&machine(), &RunConfig::baseline(), &tiny_spec(), 1).unwrap();
-        assert!(r.runtime_ns > 0);
-        assert_eq!(r.avg_rss, 16 << 20, "everything stays resident");
-        assert!(r.record.is_none());
-        assert!(r.overhead.is_none());
-    }
-
-    #[test]
-    fn rec_monitors_with_low_overhead() {
-        let base = run(&machine(), &RunConfig::baseline(), &tiny_spec(), 1).unwrap();
-        let rec = run(&machine(), &RunConfig::rec(), &tiny_spec(), 1).unwrap();
-        let record = rec.record.as_ref().expect("rec records");
-        assert!(record.len() > 10, "aggregations recorded: {}", record.len());
-        let overhead = rec.overhead.unwrap();
-        assert!(overhead.total_checks > 0);
-        // Conclusion-3: monitoring costs ~1 % of a CPU and slows the
-        // workload by a few percent at most.
-        let share = rec.monitor_cpu_share();
-        assert!(share < 0.05, "monitor CPU share {share}");
-        let slowdown = rec.runtime_ns as f64 / base.runtime_ns as f64;
-        assert!(slowdown < 1.06, "rec slowdown {slowdown}");
-    }
-
-    #[test]
-    fn prec_overhead_independent_of_target_size() {
-        // prec monitors the whole machine (2 GiB+) instead of 16 MiB but
-        // its check count per tick obeys the same max_nr_regions bound.
-        let rec = run(&machine(), &RunConfig::rec(), &tiny_spec(), 1).unwrap();
-        let prec = run(&machine(), &RunConfig::prec(), &tiny_spec(), 1).unwrap();
-        let ro = rec.overhead.unwrap();
-        let po = prec.overhead.unwrap();
-        let cap = 2 * RunConfig::prec().attrs.max_nr_regions as u64;
-        assert!(po.max_checks_per_tick <= cap);
-        assert!(ro.max_checks_per_tick <= cap);
-        // Same order of magnitude despite a 100x bigger target.
-        assert!(po.avg_checks_per_tick() < 10.0 * ro.avg_checks_per_tick().max(20.0));
-    }
-
-    #[test]
-    fn prcl_saves_memory_on_idle_workload() {
-        let base = run(&machine(), &RunConfig::baseline(), &tiny_spec(), 1).unwrap();
-        let prcl =
-            run(&machine(), &RunConfig::prcl_with_min_age(sec(1)), &tiny_spec(), 1).unwrap();
-        assert!(prcl.kstats.damos_pageouts > 0, "pageouts happened");
-        assert!(
-            (prcl.avg_rss as f64) < 0.6 * base.avg_rss as f64,
-            "90% idle workload: avg RSS {} vs baseline {}",
-            prcl.avg_rss,
-            base.avg_rss
-        );
-        // The hot 10 % stays resident, so the slowdown is modest.
-        let slowdown = prcl.runtime_ns as f64 / base.runtime_ns as f64;
-        assert!(slowdown < 1.25, "slowdown {slowdown}");
-    }
-
-    #[test]
-    fn thp_and_ethp_runs_complete() {
-        let spec = WorkloadSpec {
-            footprint: 32 << 20,
-            behavior: Behavior::Streaming {
-                window_frac: 0.25,
-                stride: 2,
-                apc: 16.0,
-                sweep_period: sec(1),
-            },
-            ..tiny_spec()
-        };
-        let base = run(&machine(), &RunConfig::baseline(), &spec, 1).unwrap();
-        let thp = run(&machine(), &RunConfig::thp(), &spec, 1).unwrap();
-        // Aggressive promotion of the stride-2 workload bloats memory…
-        assert!(
-            thp.avg_rss as f64 > 1.3 * base.avg_rss as f64,
-            "thp bloat: {} vs {}",
-            thp.avg_rss,
-            base.avg_rss
-        );
-        // …and speeds it up (TLB reach).
-        assert!(thp.runtime_ns < base.runtime_ns, "thp gains");
-        let ethp = run(&machine(), &RunConfig::ethp(), &spec, 1).unwrap();
-        assert!(ethp.stats.thp_promotions > 0, "ethp promoted hot regions");
-        // ethp keeps part of the gain at a fraction of the bloat.
-        assert!(ethp.avg_rss < thp.avg_rss, "ethp bloat below thp");
-        assert!(ethp.runtime_ns < base.runtime_ns, "ethp still gains");
-    }
-
-    #[test]
-    fn damon_reclaim_quota_caps_bandwidth() {
-        // The unquota'd prcl reclaims the idle 90% almost immediately;
-        // DAMON_RECLAIM's 8 MiB / 500 ms quota spreads the same reclaim
-        // out, so early-run RSS stays higher (but converges eventually).
-        let spec = WorkloadSpec {
-            footprint: 48 << 20,
-            nr_epochs: 1200, // ~1.6 s virtual: quota binds hard
-            ..tiny_spec()
-        };
-        let prcl = run(&machine(), &RunConfig::prcl_with_min_age(ms(200)), &spec, 3).unwrap();
-        let mut reclaim_cfg = RunConfig::damon_reclaim();
-        reclaim_cfg.schemes[0].scheme =
-            RunConfig::prcl_with_min_age(ms(200)).schemes[0].scheme;
-        // Disable the watermarks so only the quota differs (the test
-        // machine has no memory pressure).
-        reclaim_cfg.schemes[0].watermarks = None;
-        let reclaim = run(&machine(), &reclaim_cfg, &spec, 3).unwrap();
-        assert!(
-            reclaim.avg_rss > prcl.avg_rss + (4 << 20),
-            "quota slows reclaim: damon_reclaim avg {} vs prcl avg {}",
-            reclaim.avg_rss,
-            prcl.avg_rss,
-        );
-        assert!(reclaim.scheme_stats[0].nr_quota_skips > 0);
-        assert!(reclaim.kstats.damos_pageouts > 0, "but it does reclaim");
-    }
-
-    #[test]
-    fn observer_sees_every_epoch_and_perturbs_nothing() {
-        #[derive(Default)]
-        struct Counting {
-            calls: u64,
-            last_epoch: u64,
-            windows_seen: u64,
-            max_wss: u64,
-        }
-        impl RunObserver for Counting {
-            fn on_epoch(&mut self, p: &RunProgress<'_>) {
-                self.calls += 1;
-                self.last_epoch = p.epoch;
-                assert!(p.now_ns > 0);
-                assert!(p.overhead.is_some(), "rec config monitors");
-                if let Some(w) = p.last_window {
-                    self.windows_seen += 1;
-                    self.max_wss = self.max_wss.max(w.hot_bytes_estimate());
-                }
-            }
-        }
-        let spec = tiny_spec();
-        let mut obs = Counting::default();
-        let observed =
-            run_observed(&machine(), &RunConfig::rec(), &spec, 1, Some(&mut obs)).unwrap();
-        assert_eq!(obs.calls, spec.nr_epochs);
-        assert_eq!(obs.last_epoch, spec.nr_epochs - 1);
-        assert!(obs.windows_seen > obs.calls / 2, "windows stick around once seen");
-        assert!(obs.max_wss > 0, "the idle workload still has a hot working set");
-        // Observation must not change the simulation.
-        let plain = run(&machine(), &RunConfig::rec(), &spec, 1).unwrap();
-        assert_eq!(plain.runtime_ns, observed.runtime_ns);
-        assert_eq!(plain.avg_rss, observed.avg_rss);
-        assert_eq!(plain.stats, observed.stats);
-    }
-
-    #[test]
-    fn deterministic_runs() {
-        let a = run(&machine(), &RunConfig::prcl(), &tiny_spec(), 7).unwrap();
-        let b = run(&machine(), &RunConfig::prcl(), &tiny_spec(), 7).unwrap();
-        assert_eq!(a.runtime_ns, b.runtime_ns);
-        assert_eq!(a.avg_rss, b.avg_rss);
-        let c = run(&machine(), &RunConfig::prcl(), &tiny_spec(), 8).unwrap();
-        assert_ne!(a.runtime_ns, c.runtime_ns, "different seed, different run");
-    }
 }

@@ -1,13 +1,12 @@
-//! The unified run entry point: one builder that scales from a single
-//! process to a fleet.
+//! The run entry point: one builder that scales from a single process
+//! to a fleet.
 //!
-//! [`Session`] supersedes the [`crate::run`] / [`crate::run_observed`]
-//! duo (both kept as thin shims). A session names *what* to run — a
-//! machine, a configuration, a workload spec — and the builder chain
-//! adds *how*: a seed, an optional per-epoch [`RunObserver`], and
-//! optionally a [`FleetSpec`] that replicates the workload across
-//! thousands of processes under the sharded fleet engine
-//! ([`crate::fleet`]).
+//! A session names *what* to run — a machine, a configuration, a
+//! workload spec — and the builder chain adds *how*: a seed, an optional
+//! per-tick [`FleetObserver`], and optionally a [`FleetSpec`] that
+//! replicates the workload across thousands of processes. Either way the
+//! sharded engine ([`crate::fleet`]) runs it; without a fleet spec the
+//! fleet is one process.
 //!
 //! ```no_run
 //! use daos::{FleetSpec, RunConfig, Session};
@@ -18,7 +17,7 @@
 //! let config = RunConfig::prcl();
 //! let spec = by_path("parsec3/freqmine").unwrap();
 //!
-//! // Single process — exactly what `run()` did:
+//! // Single process:
 //! let one = Session::new(&machine, &config, &spec).seed(42).execute().unwrap();
 //! let result = one.into_single();
 //!
@@ -39,16 +38,16 @@ use daos_workloads::WorkloadSpec;
 
 use crate::config::RunConfig;
 use crate::fleet::{FleetEngine, FleetObserver, FleetSpec, FleetSummary};
-use crate::runner::{execute_single, RunObserver, RunResult};
+use crate::runner::RunResult;
 
 /// Everything a session produced: one [`RunResult`] per process (a
-/// single run is `runs.len() == 1`), plus the [`FleetSummary`] when a
-/// fleet ran.
+/// single run is `runs.len() == 1`) plus the [`FleetSummary`].
 #[derive(Debug)]
 pub struct SessionResult {
     /// Per-process results, in global process order.
     pub runs: Vec<RunResult>,
-    /// Fleet-level aggregates (None for a single-process session).
+    /// Fleet-level aggregates; `Some` for every executed session (a
+    /// single run is a fleet of one process).
     pub fleet: Option<FleetSummary>,
 }
 
@@ -71,28 +70,19 @@ pub struct Session<'a> {
     config: &'a RunConfig,
     spec: &'a WorkloadSpec,
     seed: u64,
-    observer: Option<&'a mut dyn RunObserver>,
-    fleet: Option<FleetSpec>,
+    fleet: FleetSpec,
     fleet_observer: Option<&'a mut dyn FleetObserver>,
 }
 
 impl<'a> Session<'a> {
     /// A session running `spec` under `config` on `machine` (seed 0, no
-    /// observers, single process).
+    /// observer, single process).
     pub fn new(
         machine: &'a MachineProfile,
         config: &'a RunConfig,
         spec: &'a WorkloadSpec,
     ) -> Self {
-        Session {
-            machine,
-            config,
-            spec,
-            seed: 0,
-            observer: None,
-            fleet: None,
-            fleet_observer: None,
-        }
+        Session { machine, config, spec, seed: 0, fleet: FleetSpec::new(1), fleet_observer: None }
     }
 
     /// Fix all randomness (workload draws, monitor sampling, region
@@ -102,44 +92,233 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Observe a single-process run once per epoch (ignored when a
-    /// fleet spec is set — use [`fleet_observer`](Self::fleet_observer)).
-    pub fn observer(mut self, observer: &'a mut dyn RunObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
     /// Scale to a fleet: replicate the workload `spec.nr_processes`
     /// times under the sharded engine.
     pub fn fleet(mut self, spec: FleetSpec) -> Self {
-        self.fleet = Some(spec);
+        self.fleet = spec;
         self
     }
 
-    /// Observe a fleet run once per tick.
+    /// Observe the run after every tick the observer is
+    /// [`due`](FleetObserver::due) for.
     pub fn fleet_observer(mut self, observer: &'a mut dyn FleetObserver) -> Self {
         self.fleet_observer = Some(observer);
         self
     }
 
-    /// Run to completion. A session without a fleet spec is *exactly*
-    /// the old `run_observed` (same instruction sequence); with one, the
-    /// fleet engine takes over — and a `FleetSpec::new(1)` fleet still
-    /// produces a byte-identical `RunResult` (the equivalence pin).
+    /// Run to completion: build the engine, tick it through the
+    /// workload's epochs, collect the per-process results.
     pub fn execute(self) -> MmResult<SessionResult> {
-        match self.fleet {
-            None => {
-                let run =
-                    execute_single(self.machine, self.config, self.spec, self.seed, self.observer)?;
-                Ok(SessionResult { runs: vec![run], fleet: None })
-            }
-            Some(fleet) => {
-                let mut engine =
-                    FleetEngine::new(self.machine, self.config, self.spec, fleet, self.seed)?;
-                engine.run(self.fleet_observer)?;
-                let (runs, summary) = engine.finish()?;
-                Ok(SessionResult { runs, fleet: Some(summary) })
+        let mut engine =
+            FleetEngine::new(self.machine, self.config, self.spec, self.fleet, self.seed)?;
+        engine.run(self.fleet_observer)?;
+        let (runs, summary) = engine.finish()?;
+        Ok(SessionResult { runs, fleet: Some(summary) })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fleet::FleetProgress;
+    use crate::runner::RunResult;
+    use daos_mm::clock::{ms, sec};
+    use daos_workloads::{Behavior, Suite};
+
+    /// A fast, small workload (~2 s virtual).
+    fn tiny_spec() -> WorkloadSpec {
+        WorkloadSpec {
+            name: "tiny",
+            suite: Suite::Parsec3,
+            footprint: 16 << 20,
+            nr_epochs: 2500,
+            compute_ns: ms(1),
+            behavior: Behavior::MostlyIdle { active_frac: 0.1, apc: 4.0, stray_prob: 0.0 },
+        }
+    }
+
+    fn machine() -> MachineProfile {
+        MachineProfile::i3_metal()
+    }
+
+    fn run(
+        machine: &MachineProfile,
+        config: &RunConfig,
+        spec: &WorkloadSpec,
+        seed: u64,
+    ) -> MmResult<RunResult> {
+        Session::new(machine, config, spec).seed(seed).execute().map(SessionResult::into_single)
+    }
+
+    #[test]
+    fn baseline_run_completes() {
+        let r = run(&machine(), &RunConfig::baseline(), &tiny_spec(), 1).unwrap();
+        assert!(r.runtime_ns > 0);
+        assert_eq!(r.avg_rss, 16 << 20, "everything stays resident");
+        assert!(r.record.is_none());
+        assert!(r.overhead.is_none());
+    }
+
+    #[test]
+    fn rec_monitors_with_low_overhead() {
+        let base = run(&machine(), &RunConfig::baseline(), &tiny_spec(), 1).unwrap();
+        let rec = run(&machine(), &RunConfig::rec(), &tiny_spec(), 1).unwrap();
+        let record = rec.record.as_ref().expect("rec records");
+        assert!(record.len() > 10, "aggregations recorded: {}", record.len());
+        let overhead = rec.overhead.unwrap();
+        assert!(overhead.total_checks > 0);
+        // Conclusion-3: monitoring costs ~1 % of a CPU and slows the
+        // workload by a few percent at most.
+        let share = rec.monitor_cpu_share();
+        assert!(share < 0.05, "monitor CPU share {share}");
+        let slowdown = rec.runtime_ns as f64 / base.runtime_ns as f64;
+        assert!(slowdown < 1.06, "rec slowdown {slowdown}");
+    }
+
+    #[test]
+    fn prec_overhead_independent_of_target_size() {
+        // prec monitors the whole machine (2 GiB+) instead of 16 MiB but
+        // its check count per tick obeys the same max_nr_regions bound.
+        let rec = run(&machine(), &RunConfig::rec(), &tiny_spec(), 1).unwrap();
+        let prec = run(&machine(), &RunConfig::prec(), &tiny_spec(), 1).unwrap();
+        let ro = rec.overhead.unwrap();
+        let po = prec.overhead.unwrap();
+        let cap = 2 * RunConfig::prec().attrs.max_nr_regions as u64;
+        assert!(po.max_checks_per_tick <= cap);
+        assert!(ro.max_checks_per_tick <= cap);
+        // Same order of magnitude despite a 100x bigger target.
+        assert!(po.avg_checks_per_tick() < 10.0 * ro.avg_checks_per_tick().max(20.0));
+    }
+
+    #[test]
+    fn prcl_saves_memory_on_idle_workload() {
+        let base = run(&machine(), &RunConfig::baseline(), &tiny_spec(), 1).unwrap();
+        let prcl =
+            run(&machine(), &RunConfig::prcl_with_min_age(sec(1)), &tiny_spec(), 1).unwrap();
+        assert!(prcl.kstats.damos_pageouts > 0, "pageouts happened");
+        assert!(
+            (prcl.avg_rss as f64) < 0.6 * base.avg_rss as f64,
+            "90% idle workload: avg RSS {} vs baseline {}",
+            prcl.avg_rss,
+            base.avg_rss
+        );
+        // The hot 10 % stays resident, so the slowdown is modest.
+        let slowdown = prcl.runtime_ns as f64 / base.runtime_ns as f64;
+        assert!(slowdown < 1.25, "slowdown {slowdown}");
+    }
+
+    #[test]
+    fn thp_and_ethp_runs_complete() {
+        let spec = WorkloadSpec {
+            footprint: 32 << 20,
+            behavior: Behavior::Streaming {
+                window_frac: 0.25,
+                stride: 2,
+                apc: 16.0,
+                sweep_period: sec(1),
+            },
+            ..tiny_spec()
+        };
+        let base = run(&machine(), &RunConfig::baseline(), &spec, 1).unwrap();
+        let thp = run(&machine(), &RunConfig::thp(), &spec, 1).unwrap();
+        // Aggressive promotion of the stride-2 workload bloats memory…
+        assert!(
+            thp.avg_rss as f64 > 1.3 * base.avg_rss as f64,
+            "thp bloat: {} vs {}",
+            thp.avg_rss,
+            base.avg_rss
+        );
+        // …and speeds it up (TLB reach).
+        assert!(thp.runtime_ns < base.runtime_ns, "thp gains");
+        let ethp = run(&machine(), &RunConfig::ethp(), &spec, 1).unwrap();
+        assert!(ethp.stats.thp_promotions > 0, "ethp promoted hot regions");
+        // ethp keeps part of the gain at a fraction of the bloat.
+        assert!(ethp.avg_rss < thp.avg_rss, "ethp bloat below thp");
+        assert!(ethp.runtime_ns < base.runtime_ns, "ethp still gains");
+    }
+
+    #[test]
+    fn damon_reclaim_quota_caps_bandwidth() {
+        // The unquota'd prcl reclaims the idle 90% almost immediately;
+        // DAMON_RECLAIM's 8 MiB / 500 ms quota spreads the same reclaim
+        // out, so early-run RSS stays higher (but converges eventually).
+        let spec = WorkloadSpec {
+            footprint: 48 << 20,
+            nr_epochs: 1200, // ~1.6 s virtual: quota binds hard
+            ..tiny_spec()
+        };
+        let prcl = run(&machine(), &RunConfig::prcl_with_min_age(ms(200)), &spec, 3).unwrap();
+        let mut reclaim_cfg = RunConfig::damon_reclaim();
+        reclaim_cfg.schemes[0].scheme =
+            RunConfig::prcl_with_min_age(ms(200)).schemes[0].scheme;
+        // Disable the watermarks so only the quota differs (the test
+        // machine has no memory pressure).
+        reclaim_cfg.schemes[0].watermarks = None;
+        let reclaim = run(&machine(), &reclaim_cfg, &spec, 3).unwrap();
+        assert!(
+            reclaim.avg_rss > prcl.avg_rss + (4 << 20),
+            "quota slows reclaim: damon_reclaim avg {} vs prcl avg {}",
+            reclaim.avg_rss,
+            prcl.avg_rss,
+        );
+        assert!(reclaim.scheme_stats[0].nr_quota_skips > 0);
+        assert!(reclaim.kstats.damos_pageouts > 0, "but it does reclaim");
+    }
+
+    /// The observer contract on a one-process session: an always-due
+    /// observer is called once per epoch, sees the process's own detail
+    /// (from the record's tail under `rec`, from the engine-side window
+    /// under `prcl`), and leaves the result untouched.
+    #[test]
+    fn observer_sees_every_epoch_and_perturbs_nothing() {
+        #[derive(Default)]
+        struct Counting {
+            nr_schemes: usize,
+            calls: u64,
+            last_tick: u64,
+            windows_seen: u64,
+            max_wss: u64,
+        }
+        impl FleetObserver for Counting {
+            fn on_tick(&mut self, p: &FleetProgress) {
+                self.calls += 1;
+                self.last_tick = p.tick;
+                assert!(p.now_ns > 0);
+                assert_eq!(p.nr_processes, 1);
+                let single = p.single.as_ref().expect("a fleet of one shows its process");
+                assert!(single.overhead.is_some(), "the config monitors");
+                assert_eq!(single.scheme_stats.len(), self.nr_schemes);
+                if let Some(w) = &single.last_window {
+                    self.windows_seen += 1;
+                    self.max_wss = self.max_wss.max(w.hot_bytes_estimate());
+                }
             }
         }
+        let spec = tiny_spec();
+        for config in [RunConfig::rec(), RunConfig::prcl_with_min_age(sec(1))] {
+            let mut obs = Counting { nr_schemes: config.schemes.len(), ..Counting::default() };
+            let observed = Session::new(&machine(), &config, &spec)
+                .seed(1)
+                .fleet_observer(&mut obs)
+                .execute()
+                .unwrap()
+                .into_single();
+            assert_eq!(obs.calls, spec.nr_epochs, "always due: once per epoch");
+            assert_eq!(obs.last_tick, spec.nr_epochs - 1);
+            assert!(obs.windows_seen > obs.calls / 2, "windows stick around once seen");
+            assert!(obs.max_wss > 0, "the idle workload still has a hot working set");
+            // Observation must not change the simulation.
+            assert_eq!(run(&machine(), &config, &spec, 1).unwrap(), observed);
+        }
+    }
+
+    #[test]
+    fn deterministic_runs() {
+        let a = run(&machine(), &RunConfig::prcl(), &tiny_spec(), 7).unwrap();
+        let b = run(&machine(), &RunConfig::prcl(), &tiny_spec(), 7).unwrap();
+        assert_eq!(a.runtime_ns, b.runtime_ns);
+        assert_eq!(a.avg_rss, b.avg_rss);
+        let c = run(&machine(), &RunConfig::prcl(), &tiny_spec(), 8).unwrap();
+        assert_ne!(a.runtime_ns, c.runtime_ns, "different seed, different run");
     }
 }

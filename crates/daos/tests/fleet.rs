@@ -1,9 +1,9 @@
-//! Fleet engine cross-validation: the scaled path must stay pinned to
-//! the single-run path (N=1 equivalence, byte-stable trace), stay
-//! deterministic regardless of worker count, keep per-process drop
+//! Engine cross-validation: a fleet of one must reproduce the pinned
+//! single-run goldens (results and byte-stable trace), and fleets must
+//! stay deterministic regardless of worker count, keep per-process drop
 //! accounting, and show sub-linear monitoring overhead.
 
-use daos::{run, FleetSpec, RunConfig, Session};
+use daos::{FleetSpec, RunConfig, Session};
 use daos_mm::MachineProfile;
 use daos_trace::Collector;
 use daos_workloads::{by_path, FleetConfig, WorkloadSpec};
@@ -19,16 +19,15 @@ fn small_worker(nr_epochs: u64) -> WorkloadSpec {
     cfg.worker_spec(nr_epochs)
 }
 
-/// The committed golden `tests/golden/<name>` (captured from the
-/// single-process `run()` before the fleet engine became the only one).
+/// The committed golden `tests/golden/<name>`: what a single-process
+/// run of the small-worker spec produces.
 fn golden(name: &str) -> String {
     let path = format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// A fleet of one process is *the same run*: for every paper
-/// configuration, vaddr and paddr alike, a session with no fleet spec
-/// and one with `FleetSpec::new(1)` both reproduce the pinned
+/// A single run is a fleet of one: for every paper configuration, vaddr
+/// and paddr alike, a session without a fleet spec reproduces the pinned
 /// single-run `RunResult`.
 #[test]
 fn fleet_of_one_equals_single_run() {
@@ -36,55 +35,37 @@ fn fleet_of_one_equals_single_run() {
     let spec = small_worker(40);
     for config in RunConfig::paper_configs() {
         let pinned = golden(&format!("single_run_{}.txt", config.name));
-        let single = run(&machine, &config, &spec, 42).unwrap();
-        assert_eq!(format!("{single:#?}\n"), pinned, "run() left its pin under {}", config.name);
-        let plain = Session::new(&machine, &config, &spec).seed(42).execute().unwrap();
-        let fleet = Session::new(&machine, &config, &spec)
-            .seed(42)
-            .fleet(FleetSpec::new(1))
-            .execute()
-            .unwrap();
-        for session in [&plain, &fleet] {
-            assert_eq!(session.runs.len(), 1);
-            assert_eq!(
-                format!("{:#?}\n", session.runs[0]),
-                pinned,
-                "session of one diverged from the pinned single run under config {}",
-                config.name
-            );
-        }
-        let summary = fleet.fleet.expect("fleet summary present");
+        let session = Session::new(&machine, &config, &spec).seed(42).execute().unwrap();
+        assert_eq!(session.runs.len(), 1);
+        assert_eq!(
+            format!("{:#?}\n", session.runs[0]),
+            pinned,
+            "session of one diverged from the pinned single run under config {}",
+            config.name
+        );
+        let summary = session.fleet.expect("every session carries a summary");
         assert_eq!(summary.nr_processes, 1);
-        assert_eq!(summary.runtime_ns, fleet.runs[0].runtime_ns);
+        assert_eq!(summary.runtime_ns, session.runs[0].runtime_ns);
     }
 }
 
-/// The N=1 fleet runs inline on the caller thread, so a caller-installed
-/// trace collector sees the pinned single-run event stream, byte for
-/// byte.
+/// A fleet of one runs inline on the caller thread, so a
+/// caller-installed trace collector sees the pinned single-run event
+/// stream, byte for byte.
 #[test]
 fn fleet_of_one_trace_is_byte_stable() {
     let machine = small_machine();
     let spec = small_worker(30);
     let config = RunConfig::prcl();
-    let pinned = golden("single_run_prcl_seed7_trace.jsonl");
 
     daos_trace::install(Collector::builder().build().unwrap()).unwrap();
-    run(&machine, &config, &spec, 7).unwrap();
-    let single_trace = daos_trace::export_collector(&daos_trace::take().unwrap());
-    assert_eq!(single_trace, pinned, "run() trace left its pin");
-
-    for fleet in [None, Some(FleetSpec::new(1))] {
-        daos_trace::install(Collector::builder().build().unwrap()).unwrap();
-        let session = Session::new(&machine, &config, &spec).seed(7);
-        let session = match fleet {
-            Some(f) => session.fleet(f),
-            None => session,
-        };
-        session.execute().unwrap();
-        let trace = daos_trace::export_collector(&daos_trace::take().unwrap());
-        assert_eq!(trace, pinned, "session-of-one trace diverged from the pinned single run");
-    }
+    Session::new(&machine, &config, &spec).seed(7).execute().unwrap();
+    let trace = daos_trace::export_collector(&daos_trace::take().unwrap());
+    assert_eq!(
+        trace,
+        golden("single_run_prcl_seed7_trace.jsonl"),
+        "session-of-one trace diverged from the pinned single run"
+    );
 }
 
 /// Worker count is a performance knob, never a results knob: per-process
@@ -203,18 +184,25 @@ fn fleet_spec_defaults_and_clamps() {
     assert_eq!(squeezed.max_nr_regions, attrs.min_nr_regions, "huge fleets hit the floor");
 }
 
-/// Session without a fleet spec matches the deprecated run() shim, and
-/// works on a catalog workload.
+/// A session without a fleet spec is a fleet of one — summary
+/// included — and works on a catalog workload.
 #[test]
-fn session_single_matches_run_shim() {
+fn session_without_fleet_spec_is_a_fleet_of_one() {
     let machine = small_machine();
     let config = RunConfig::rec();
     let spec = by_path("parsec3/blackscholes").unwrap();
     let mut small = spec;
     small.footprint = 8 << 20;
     small.nr_epochs = 20;
-    let via_shim = run(&machine, &config, &small, 11).unwrap();
-    let via_session =
-        Session::new(&machine, &config, &small).seed(11).execute().unwrap().into_single();
-    assert_eq!(via_shim, via_session);
+    let plain = Session::new(&machine, &config, &small).seed(11).execute().unwrap();
+    let explicit = Session::new(&machine, &config, &small)
+        .seed(11)
+        .fleet(FleetSpec::new(1))
+        .execute()
+        .unwrap();
+    assert_eq!(plain.runs, explicit.runs);
+    assert_eq!(plain.fleet, explicit.fleet);
+    let summary = plain.fleet.expect("every session carries a summary");
+    assert_eq!((summary.nr_processes, summary.nr_shards, summary.nr_workers), (1, 1, 1));
+    assert_eq!(summary.ticks, small.nr_epochs);
 }

@@ -16,8 +16,11 @@ fn main() {
     let machine = MachineProfile::i3_metal();
     println!("auto-tuning the prcl scheme for {} on {}\n", spec.path_name(), machine.name);
 
-    let baseline = run(&machine, &RunConfig::baseline(), &spec, 42).unwrap();
-    let manual = run(&machine, &RunConfig::prcl(), &spec, 42).unwrap();
+    let run = |config: &RunConfig| {
+        Session::new(&machine, config, &spec).seed(42).execute().map(SessionResult::into_single)
+    };
+    let baseline = run(&RunConfig::baseline()).unwrap();
+    let manual = run(&RunConfig::prcl()).unwrap();
     let nm = Normalized::of(&baseline, &manual);
     println!(
         "manual scheme (min_age 5s):  {:>5.1}% memory saving, {:>6.2}% slowdown, score {:.1}",
@@ -36,8 +39,7 @@ fn main() {
     };
     println!("\ntuning (10 samples = 6 global + 4 localized):");
     let result = tune(&cfg, |min_age| {
-        let r = run(&machine, &RunConfig::prcl_with_min_age((min_age * 1e9) as u64), &spec, 42)
-            .unwrap();
+        let r = run(&RunConfig::prcl_with_min_age((min_age * 1e9) as u64)).unwrap();
         let s = score_fn.score(&ScoreInputs {
             runtime: r.runtime_ns as f64,
             orig_runtime: baseline.runtime_ns as f64,
@@ -53,13 +55,7 @@ fn main() {
         result.best_x
     );
 
-    let auto = run(
-        &machine,
-        &RunConfig::prcl_with_min_age((result.best_x * 1e9) as u64),
-        &spec,
-        42,
-    )
-    .unwrap();
+    let auto = run(&RunConfig::prcl_with_min_age((result.best_x * 1e9) as u64)).unwrap();
     let na = Normalized::of(&baseline, &auto);
     println!(
         "auto-tuned scheme:           {:>5.1}% memory saving, {:>6.2}% slowdown, score {:.1}",

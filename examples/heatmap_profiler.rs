@@ -24,7 +24,9 @@ fn main() {
         spec.path_name(),
         spec.footprint >> 20
     );
-    let result = run(&machine, &RunConfig::rec(), &spec, 42).expect("rec run");
+    let config = RunConfig::rec();
+    let session = Session::new(&machine, &config, &spec).seed(42).execute().expect("rec run");
+    let result = session.into_single();
     let record = result.record.as_ref().unwrap();
 
     // Skip the address-space gaps, as the paper's Fig. 6 does.

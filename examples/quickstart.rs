@@ -15,8 +15,11 @@ fn main() {
     let spec = by_path("parsec3/freqmine").expect("suite workload");
     println!("workload: {} ({} MiB footprint)", spec.path_name(), spec.footprint >> 20);
 
+    let run = |config: &RunConfig| {
+        Session::new(&machine, config, &spec).seed(42).execute().map(SessionResult::into_single)
+    };
     // 2. Baseline: no DAOS. The whole footprint stays resident.
-    let baseline = run(&machine, &RunConfig::baseline(), &spec, 42).unwrap();
+    let baseline = run(&RunConfig::baseline()).unwrap();
     println!(
         "baseline: runtime {:.1}s, average RSS {} MiB",
         baseline.runtime_ns as f64 / 1e9,
@@ -26,7 +29,7 @@ fn main() {
     // 3. Monitoring only (the paper's `rec`): what does the access
     //    pattern look like? The Data Access Monitor watches the address
     //    space with bounded overhead and reports hot/cold regions.
-    let rec = run(&machine, &RunConfig::rec(), &spec, 42).unwrap();
+    let rec = run(&RunConfig::rec()).unwrap();
     let record = rec.record.as_ref().unwrap();
     let last = record.aggregations.last().unwrap();
     let hot_bytes: u64 = last
@@ -48,7 +51,7 @@ fn main() {
     let scheme = parse_scheme_line(scheme_text).unwrap();
     println!("scheme:   '{scheme_text}' -> {scheme:?}");
 
-    let prcl = run(&machine, &RunConfig::prcl(), &spec, 42).unwrap();
+    let prcl = run(&RunConfig::prcl()).unwrap();
     let n = Normalized::of(&baseline, &prcl);
     println!(
         "with scheme: average RSS {} MiB ({:.1}% saved) at {:.2}% slowdown",

@@ -17,9 +17,12 @@ fn main() {
         spec.footprint >> 20
     );
 
-    let baseline = run(&machine, &RunConfig::baseline(), &spec, 42).unwrap();
-    let thp = run(&machine, &RunConfig::thp(), &spec, 42).unwrap();
-    let ethp = run(&machine, &RunConfig::ethp(), &spec, 42).unwrap();
+    let run = |config: &RunConfig| {
+        Session::new(&machine, config, &spec).seed(42).execute().map(SessionResult::into_single)
+    };
+    let baseline = run(&RunConfig::baseline()).unwrap();
+    let thp = run(&RunConfig::thp()).unwrap();
+    let ethp = run(&RunConfig::ethp()).unwrap();
 
     println!("{:<22} {:>10} {:>12} {:>12}", "config", "runtime", "avg RSS", "THP promos");
     println!("{:-<60}", "");

@@ -254,6 +254,11 @@ cargo test -q --offline --workspace
 echo "== offline bench binaries compile =="
 cargo bench --offline --no-run
 
+echo "== perf ledger (BENCHMARK.json's command) builds and passes its tests =="
+# The ledger is a package of its own outside the workspace, so nothing
+# above compiles it: an API change that breaks its adapter shows here.
+cargo test -q --release --offline --manifest-path crates/daos-bench/src/bin/ledger/Cargo.toml
+
 echo "== telemetry: JSONL replay re-derives the Fig. 7 bound =="
 cargo test -q --offline --test trace_replay
 

@@ -7,7 +7,7 @@
 //! * [`schemes`] — the Memory Management Schemes Engine (DAMOS);
 //! * [`tuner`] — the Auto-tuning Runtime;
 //! * [`workloads`] — the 24 Parsec3/Splash-2x analogs + serverless fleet;
-//! * [`daos`] — the integration layer (configs, runner, heatmaps, metrics).
+//! * [`daos`] — the integration layer (configs, sessions, heatmaps, metrics).
 //!
 //! See `README.md` for a guided tour, `DESIGN.md` for the system
 //! inventory, and `EXPERIMENTS.md` for paper-vs-measured results.
@@ -20,9 +20,11 @@
 //! let machine = MachineProfile::i3_metal();
 //! let spec = by_path("parsec3/freqmine").unwrap();
 //! let mut quick = spec; quick.nr_epochs = 3_000;
-//! let base = run(&machine, &RunConfig::baseline(), &quick, 42).unwrap();
-//! let prcl_cfg = RunConfig::prcl_with_min_age(daos_mm::clock::sec(1));
-//! let prcl = run(&machine, &prcl_cfg, &quick, 42).unwrap();
+//! let run = |config: &RunConfig| {
+//!     Session::new(&machine, config, &quick).seed(42).execute().unwrap().into_single()
+//! };
+//! let base = run(&RunConfig::baseline());
+//! let prcl = run(&RunConfig::prcl_with_min_age(daos_mm::clock::sec(1)));
 //! let n = Normalized::of(&base, &prcl);
 //! assert!(n.memory_saving_pct() > 40.0);
 //! assert!(n.slowdown_pct() < 10.0);
@@ -39,8 +41,8 @@ pub use daos_workloads as workloads;
 /// Everything a typical user needs, in one import.
 pub mod prelude {
     pub use daos::{
-        biggest_active_span, run, score_vs_baseline, DaosError, Heatmap, MonitorKind,
-        Normalized, RunConfig, RunResult,
+        biggest_active_span, score_vs_baseline, DaosError, Heatmap, MonitorKind, Normalized,
+        RunConfig, RunResult, Session, SessionResult,
     };
     pub use daos_trace::{Collector, Event, Registry, TimedEvent};
     pub use daos_mm::{

@@ -1,7 +1,7 @@
 //! Tooling-level integration: record files, WSS reports, trace replay
 //! and the scheme DSL driving real runs end to end.
 
-use daos::{record_from_csv, record_to_csv, run, RunConfig, WssReport};
+use daos::{record_from_csv, record_to_csv, RunConfig, Session, WssReport};
 use daos_mm::clock::ms;
 use daos_mm::{AccessBatch, MachineProfile, MemorySystem, SwapConfig, ThpMode};
 use daos_workloads::{Behavior, Suite, Trace, TraceWorkload, Workload, WorkloadSpec};
@@ -20,7 +20,8 @@ fn small_spec() -> WorkloadSpec {
 #[test]
 fn record_file_roundtrip_preserves_analysis_results() {
     let machine = MachineProfile::i3_metal();
-    let result = run(&machine, &RunConfig::rec(), &small_spec(), 3).unwrap();
+    let (config, spec) = (RunConfig::rec(), small_spec());
+    let result = Session::new(&machine, &config, &spec).seed(3).execute().unwrap().into_single();
     let record = result.record.unwrap();
 
     let csv = record_to_csv(&record);

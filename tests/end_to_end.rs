@@ -1,9 +1,9 @@
 //! Cross-crate integration tests: the full monitor → engine → substrate
 //! pipeline on reduced-scale workloads.
 
-use daos::{run, Normalized, RunConfig};
+use daos::{Normalized, RunConfig, RunResult, Session, SessionResult};
 use daos_mm::clock::{ms, sec};
-use daos_mm::MachineProfile;
+use daos_mm::{MachineProfile, MmResult};
 use daos_workloads::{Behavior, Suite, Workload, WorkloadSpec};
 
 /// A scaled-down workload that still exercises every moving part
@@ -21,6 +21,16 @@ fn small(behavior: Behavior) -> WorkloadSpec {
 
 fn machine() -> MachineProfile {
     MachineProfile::i3_metal()
+}
+
+/// One process of `spec` under `config`, run to completion.
+fn run(
+    machine: &MachineProfile,
+    config: &RunConfig,
+    spec: &WorkloadSpec,
+    seed: u64,
+) -> MmResult<RunResult> {
+    Session::new(machine, config, spec).seed(seed).execute().map(SessionResult::into_single)
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! cell-for-cell, and a run without the collector emits zero span
 //! events (the zero-overhead pin, observed end to end).
 
-use daos::{biggest_active_span, run, Heatmap, RunConfig};
+use daos::{biggest_active_span, Heatmap, RunConfig, Session};
 use daos_mm::MachineProfile;
 use daos_report::{record_from_doc, Profile, Summary};
 use daos_trace::{parse_export, Collector, Event};
@@ -16,9 +16,9 @@ fn traced_run(seed: u64) -> (daos::RunResult, Collector) {
     spec.nr_epochs = 1_000;
     let collector = Collector::builder().ring_capacity(1 << 20).build().unwrap();
     daos_trace::install(collector).unwrap();
-    let run_result = run(&machine, &RunConfig::rec(), &spec, seed);
+    let run_result = Session::new(&machine, &RunConfig::rec(), &spec).seed(seed).execute();
     let collector = daos_trace::take().expect("collector installed above");
-    (run_result.unwrap(), collector)
+    (run_result.unwrap().into_single(), collector)
 }
 
 #[test]
@@ -74,8 +74,8 @@ fn disabled_collection_emits_zero_span_events() {
     let mut spec = by_path("parsec3/freqmine").unwrap();
     spec.nr_epochs = 300;
     assert!(!daos_trace::enabled());
-    let result = run(&machine, &RunConfig::rec(), &spec, 3).unwrap();
-    assert!(result.record.is_some(), "the run itself is unaffected");
+    let result = Session::new(&machine, &RunConfig::rec(), &spec).seed(3).execute().unwrap();
+    assert!(result.into_single().record.is_some(), "the run itself is unaffected");
 
     // An empty trace document reports exactly that: zero spans.
     let doc = parse_export("").unwrap();

@@ -2,7 +2,7 @@
 //! the full monitored pipeline (truncated) without error, stays within
 //! its declared footprint, and is observable by the monitor.
 
-use daos::{run, RunConfig};
+use daos::{RunConfig, Session};
 use daos_mm::MachineProfile;
 use daos_workloads::paper_suite;
 
@@ -12,8 +12,11 @@ fn all_24_workloads_run_monitored() {
     for mut spec in paper_suite() {
         // Truncate for test time; behaviour machinery is identical.
         spec.nr_epochs = spec.nr_epochs.min(400);
-        let r = run(&machine, &RunConfig::rec(), &spec, 17)
-            .unwrap_or_else(|e| panic!("{}: {e}", spec.path_name()));
+        let r = Session::new(&machine, &RunConfig::rec(), &spec)
+            .seed(17)
+            .execute()
+            .unwrap_or_else(|e| panic!("{}: {e}", spec.path_name()))
+            .into_single();
         assert!(r.runtime_ns > 0, "{}", spec.path_name());
         assert!(
             r.peak_rss <= spec.footprint + (1 << 20),

@@ -4,7 +4,7 @@
 //! overhead bound (`max checks/tick <= 2 * max_nr_regions`) — the same
 //! number the runner reports through `OverheadStats`.
 
-use daos::{run, RunConfig};
+use daos::{RunConfig, Session};
 use daos_mm::MachineProfile;
 use daos_trace::{events_from_jsonl, Collector, Event};
 use daos_workloads::by_path;
@@ -19,9 +19,9 @@ fn jsonl_replay_rederives_fig7_overhead_bound() {
     // the replayed maximum.
     let collector = Collector::builder().ring_capacity(1 << 18).build().unwrap();
     daos_trace::install(collector).unwrap();
-    let run_result = run(&machine, &RunConfig::prcl(), &spec, 42);
+    let run_result = Session::new(&machine, &RunConfig::prcl(), &spec).seed(42).execute();
     let collector = daos_trace::take().expect("collector installed above");
-    let result = run_result.unwrap();
+    let result = run_result.unwrap().into_single();
     assert_eq!(collector.ring().dropped(), 0, "ring too small for a faithful replay");
 
     // Export and re-parse: the JSONL round trip is the replay source.

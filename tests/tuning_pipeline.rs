@@ -2,9 +2,9 @@
 //! tuner must turn an SLA-violating manual scheme into a safe one while
 //! keeping most of the memory saving (the Fig. 8 claim, at small scale).
 
-use daos::{run, score_inputs, Normalized, RunConfig};
+use daos::{score_inputs, Normalized, RunConfig, RunResult, Session, SessionResult};
 use daos_mm::clock::{ms, sec};
-use daos_mm::MachineProfile;
+use daos_mm::{MachineProfile, MmResult};
 use daos_tuner::{tune, DefaultScore, ScoreFn, TunerConfig};
 use daos_workloads::{Behavior, Suite, WorkloadSpec};
 
@@ -25,6 +25,16 @@ fn thrashy() -> WorkloadSpec {
             sweep_period: sec(8),
         },
     }
+}
+
+/// One process of `spec` under `config`, run to completion.
+fn run(
+    machine: &MachineProfile,
+    config: &RunConfig,
+    spec: &WorkloadSpec,
+    seed: u64,
+) -> MmResult<RunResult> {
+    Session::new(machine, config, spec).seed(seed).execute().map(SessionResult::into_single)
 }
 
 #[test]

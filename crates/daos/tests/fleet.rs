@@ -3,8 +3,11 @@
 //! stay deterministic regardless of worker count, keep per-process drop
 //! accounting, and show sub-linear monitoring overhead.
 
-use daos::{FleetSpec, RunConfig, Session};
+use daos::{FleetSpec, MonitorKind, RunConfig, Session};
+use daos_mm::clock::ms;
 use daos_mm::MachineProfile;
+use daos_monitor::MonitorAttrs;
+use daos_schemes::parse_scheme_line;
 use daos_trace::Collector;
 use daos_workloads::{by_path, FleetConfig, WorkloadSpec};
 
@@ -66,6 +69,49 @@ fn fleet_of_one_trace_is_byte_stable() {
         golden("single_run_prcl_seed7_trace.jsonl"),
         "session-of-one trace diverged from the pinned single run"
     );
+}
+
+/// A shard-wide plane over more than one process: under a recording
+/// physical-address configuration with a pageout scheme, each shard's
+/// record, scheme stats and overhead land on its first process (`None` /
+/// empty on the rest). All 12 results plus the summary are pinned, at
+/// either worker count. Intervals are shortened so that windows complete
+/// and the scheme pages out within 25 epochs.
+#[test]
+fn paddr_fleet_of_twelve_matches_golden() {
+    let machine = small_machine();
+    let spec = small_worker(25);
+    let attrs = MonitorAttrs::builder()
+        .sampling_interval(ms(1))
+        .aggregation_interval(ms(10))
+        .regions_update_interval(ms(50))
+        .build()
+        .unwrap();
+    let config = RunConfig::builder("prec-pageout")
+        .monitor(MonitorKind::Paddr)
+        .scheme(parse_scheme_line("4K max min min 20ms max pageout").unwrap())
+        .record(true)
+        .attrs(attrs)
+        .build()
+        .unwrap();
+    let pinned = golden("fleet_paddr12.txt");
+    for workers in [1, 2] {
+        let session = Session::new(&machine, &config, &spec)
+            .seed(15)
+            .fleet(FleetSpec::new(12).shard_size(4).workers(workers).tenants(3))
+            .execute()
+            .unwrap();
+        let mut summary = session.fleet.expect("every session carries a summary");
+        assert_eq!(summary.nr_workers, workers);
+        // Pool counters vary with worker count and thread timing.
+        summary.nr_workers = 0;
+        summary.steals = 0;
+        assert_eq!(
+            format!("{:#?}\n{:#?}\n", session.runs, summary),
+            pinned,
+            "paddr fleet of 12 diverged from the golden at workers({workers})"
+        );
+    }
 }
 
 /// Worker count is a performance knob, never a results knob: per-process

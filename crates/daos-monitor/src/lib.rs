@@ -36,7 +36,6 @@ pub mod attrs;
 pub mod ctx;
 pub mod overhead;
 pub mod primitives;
-pub mod reference;
 pub mod region;
 pub mod regions;
 pub mod snapshot;

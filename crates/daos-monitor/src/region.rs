@@ -1,6 +1,6 @@
 //! A monitoring region: the unit of the paper's space-based sampling.
 
-use daos_mm::addr::{AddrRange, PAGE_SIZE};
+use daos_mm::addr::AddrRange;
 
 /// One monitored region: adjacent pages assumed to share an access
 /// frequency, with its access counter and age.
@@ -39,48 +39,10 @@ impl Region {
         self.range.len()
     }
 
-    /// Split at byte offset `mid` (absolute address). Both halves keep
-    /// the access counters and **inherit the age** (§3.1: "When a region
-    /// is split, each sub-region inherits the age of the old region").
-    pub fn split_at(&self, mid: u64) -> (Region, Region) {
-        let (lo, hi) = self.range.split_at(mid);
-        let mut a = *self;
-        let mut b = *self;
-        a.range = lo;
-        b.range = hi;
-        a.sampling_addr = None;
-        b.sampling_addr = None;
-        (a, b)
-    }
-
-    /// Merge `other` (which must be address-adjacent on the right) into
-    /// `self`. Counters and age become **size-weighted averages** (§3.1:
-    /// "the new region gets an age which is the size-weighted average of
-    /// the old regions' ages").
-    pub fn merge_right(&mut self, other: &Region) {
-        debug_assert_eq!(self.range.end, other.range.start);
-        let sa = self.sz();
-        let sb = other.sz();
-        let total = (sa + sb).max(1);
-        let wavg =
-            |x: u32, y: u32| -> u32 { ((x as u64 * sa + y as u64 * sb) / total) as u32 };
-        self.nr_accesses = wavg(self.nr_accesses, other.nr_accesses);
-        self.last_nr_accesses = wavg(self.last_nr_accesses, other.last_nr_accesses);
-        self.age = wavg(self.age, other.age);
-        self.range.end = other.range.end;
-        self.sampling_addr = None;
-    }
-
     /// Number of whole pages (the split-point granularity).
     #[inline]
     pub fn nr_pages(&self) -> u64 {
         self.range.nr_pages()
-    }
-
-    /// Whether the region is large enough to split in two pages.
-    #[inline]
-    pub fn splittable(&self) -> bool {
-        self.sz() >= 2 * PAGE_SIZE
     }
 }
 
@@ -100,61 +62,5 @@ impl From<&Region> for RegionInfo {
         Self { range: r.range, nr_accesses: r.nr_accesses, age: r.age }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn region(start: u64, end: u64, nr: u32, age: u32) -> Region {
-        Region {
-            range: AddrRange::new(start, end),
-            nr_accesses: nr,
-            last_nr_accesses: nr,
-            age,
-            sampling_addr: Some(start),
-        }
-    }
-
-    #[test]
-    fn split_inherits_age_and_counters() {
-        let r = region(0, 0x8000, 7, 4);
-        let (a, b) = r.split_at(0x2000);
-        assert_eq!(a.range, AddrRange::new(0, 0x2000));
-        assert_eq!(b.range, AddrRange::new(0x2000, 0x8000));
-        for half in [a, b] {
-            assert_eq!(half.age, 4, "age inherited");
-            assert_eq!(half.nr_accesses, 7);
-            assert_eq!(half.sampling_addr, None, "sample invalidated");
-        }
-    }
-
-    #[test]
-    fn merge_takes_size_weighted_average() {
-        // 1 page at nr=10/age=10 merged with 3 pages at nr=2/age=2:
-        // avg = (10*1 + 2*3)/4 = 4.
-        let mut a = region(0, 0x1000, 10, 10);
-        let b = region(0x1000, 0x4000, 2, 2);
-        a.merge_right(&b);
-        assert_eq!(a.range, AddrRange::new(0, 0x4000));
-        assert_eq!(a.nr_accesses, 4);
-        assert_eq!(a.age, 4);
-    }
-
-    #[test]
-    fn merge_weighted_average_never_exceeds_max_parent() {
-        let mut a = region(0, 0x3000, 5, 9);
-        let b = region(0x3000, 0x5000, 3, 1);
-        let max_age = a.age.max(b.age);
-        a.merge_right(&b);
-        assert!(a.age <= max_age);
-    }
-
-    #[test]
-    fn splittable_bounds() {
-        assert!(!region(0, 0x1000, 0, 0).splittable());
-        assert!(region(0, 0x2000, 0, 0).splittable());
-    }
-}
-
 
 daos_util::json_struct!(RegionInfo { range, nr_accesses, age });

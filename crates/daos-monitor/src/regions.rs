@@ -242,7 +242,7 @@ impl RegionSet {
             let (na, la, age) = (self.nr_accesses[i], self.last_nr_accesses[i], self.ages[i]);
             let mut was_split = false;
             for _ in 1..nr_pieces {
-                // splittable(): at least two pages to cut between.
+                // Splittable: at least two pages to cut between.
                 if total >= max_nr || rest_end - rest_start < 2 * PAGE_SIZE {
                     break;
                 }
@@ -259,7 +259,7 @@ impl RegionSet {
                 total += 1;
             }
             // An untouched region keeps its outstanding sample; split
-            // pieces have theirs invalidated (as Region::split_at does).
+            // pieces have theirs invalidated.
             let sample = if was_split { NO_SAMPLE } else { self.sampling[i] };
             out.push_with(rest_start, rest_end, na, la, age, sample);
         }

@@ -1,13 +1,14 @@
 //! Reference region-set implementation: the original `Vec<Region>` code,
 //! kept verbatim as the cross-validation oracle for the struct-of-arrays
-//! store in [`crate::regions`] (the Virtuoso method: a faster substrate
-//! is only trustworthy if differentially tested against the slower
-//! reference it replaced). Not used on the hot path.
+//! store in `daos_monitor::regions` (the Virtuoso method: a faster
+//! substrate is only trustworthy if differentially tested against the
+//! slower reference it replaced). Test support only: nothing in the
+//! library calls it.
 
 use daos_mm::addr::{page_align_down, AddrRange, PAGE_SIZE};
 use daos_util::rng::SmallRng;
 
-use crate::region::{Region, RegionInfo};
+use daos_monitor::{Region, RegionInfo};
 
 /// An ordered, non-overlapping set of monitoring regions (reference
 /// array-of-structs implementation).
@@ -54,19 +55,9 @@ impl RegionSet {
         &self.regions
     }
 
-    /// Mutable view (tests adjust counters in place).
-    pub fn regions_mut(&mut self) -> &mut [Region] {
-        &mut self.regions
-    }
-
     /// Number of regions.
     pub fn len(&self) -> usize {
         self.regions.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
     }
 
     /// Total monitored bytes.
@@ -110,7 +101,7 @@ impl RegionSet {
                         && prev.nr_accesses.abs_diff(r.nr_accesses) <= threshold
                         && prev.sz() + r.sz() <= sz_limit =>
                 {
-                    prev.merge_right(&r);
+                    merge_right(prev, &r);
                     count -= 1;
                 }
                 _ => merged.push(r),
@@ -135,7 +126,7 @@ impl RegionSet {
         for r in self.regions.drain(..) {
             let mut rest = r;
             for _ in 1..nr_pieces {
-                if total >= max_nr || !rest.splittable() {
+                if total >= max_nr || !splittable(&rest) {
                     break;
                 }
                 // Random page-aligned split point strictly inside.
@@ -145,7 +136,7 @@ impl RegionSet {
                 if mid <= rest.range.start || mid >= rest.range.end {
                     break;
                 }
-                let (lo, hi) = rest.split_at(mid);
+                let (lo, hi) = split_at(&rest, mid);
                 out.push(lo);
                 rest = hi;
                 total += 1;
@@ -181,7 +172,7 @@ impl RegionSet {
     }
 
     /// Phase-1 sampling: consume outstanding samples, counting accesses.
-    /// Mirrors [`crate::regions::RegionSet::check_samples`].
+    /// Mirrors `daos_monitor::RegionSet::check_samples`.
     pub fn check_samples(&mut self, mut young: impl FnMut(u64) -> bool) -> u64 {
         let mut checks = 0;
         for r in &mut self.regions {
@@ -197,7 +188,7 @@ impl RegionSet {
 
     /// Phase-2 sampling: pick one random page per region, age it via
     /// `mkold`, and remember it for the next check. Consumes the rng
-    /// identically to [`crate::regions::RegionSet::prepare_samples`].
+    /// identically to `daos_monitor::RegionSet::prepare_samples`.
     pub fn prepare_samples(&mut self, rng: &mut SmallRng, mut mkold: impl FnMut(u64)) -> u64 {
         let mut checks = 0;
         for r in &mut self.regions {
@@ -225,5 +216,95 @@ impl RegionSet {
             return Err(format!("empty region at {}", r.range));
         }
         Ok(())
+    }
+}
+
+/// Split `r` at byte offset `mid` (absolute address). Both halves keep
+/// the access counters and **inherit the age** (§3.1: "When a region
+/// is split, each sub-region inherits the age of the old region").
+fn split_at(r: &Region, mid: u64) -> (Region, Region) {
+    let (lo, hi) = r.range.split_at(mid);
+    let mut a = *r;
+    let mut b = *r;
+    a.range = lo;
+    b.range = hi;
+    a.sampling_addr = None;
+    b.sampling_addr = None;
+    (a, b)
+}
+
+/// Merge `other` (which must be address-adjacent on the right) into
+/// `r`. Counters and age become **size-weighted averages** (§3.1:
+/// "the new region gets an age which is the size-weighted average of
+/// the old regions' ages").
+fn merge_right(r: &mut Region, other: &Region) {
+    debug_assert_eq!(r.range.end, other.range.start);
+    let sa = r.sz();
+    let sb = other.sz();
+    let total = (sa + sb).max(1);
+    let wavg = |x: u32, y: u32| -> u32 { ((x as u64 * sa + y as u64 * sb) / total) as u32 };
+    r.nr_accesses = wavg(r.nr_accesses, other.nr_accesses);
+    r.last_nr_accesses = wavg(r.last_nr_accesses, other.last_nr_accesses);
+    r.age = wavg(r.age, other.age);
+    r.range.end = other.range.end;
+    r.sampling_addr = None;
+}
+
+/// Whether the region is large enough to split in two pages.
+fn splittable(r: &Region) -> bool {
+    r.sz() >= 2 * PAGE_SIZE
+}
+
+mod region_helper_tests {
+    use super::*;
+
+    fn region(start: u64, end: u64, nr: u32, age: u32) -> Region {
+        Region {
+            range: AddrRange::new(start, end),
+            nr_accesses: nr,
+            last_nr_accesses: nr,
+            age,
+            sampling_addr: Some(start),
+        }
+    }
+
+    #[test]
+    fn split_inherits_age_and_counters() {
+        let r = region(0, 0x8000, 7, 4);
+        let (a, b) = split_at(&r, 0x2000);
+        assert_eq!(a.range, AddrRange::new(0, 0x2000));
+        assert_eq!(b.range, AddrRange::new(0x2000, 0x8000));
+        for half in [a, b] {
+            assert_eq!(half.age, 4, "age inherited");
+            assert_eq!(half.nr_accesses, 7);
+            assert_eq!(half.sampling_addr, None, "sample invalidated");
+        }
+    }
+
+    #[test]
+    fn merge_takes_size_weighted_average() {
+        // 1 page at nr=10/age=10 merged with 3 pages at nr=2/age=2:
+        // avg = (10*1 + 2*3)/4 = 4.
+        let mut a = region(0, 0x1000, 10, 10);
+        let b = region(0x1000, 0x4000, 2, 2);
+        merge_right(&mut a, &b);
+        assert_eq!(a.range, AddrRange::new(0, 0x4000));
+        assert_eq!(a.nr_accesses, 4);
+        assert_eq!(a.age, 4);
+    }
+
+    #[test]
+    fn merge_weighted_average_never_exceeds_max_parent() {
+        let mut a = region(0, 0x3000, 5, 9);
+        let b = region(0x3000, 0x5000, 3, 1);
+        let max_age = a.age.max(b.age);
+        merge_right(&mut a, &b);
+        assert!(a.age <= max_age);
+    }
+
+    #[test]
+    fn splittable_bounds() {
+        assert!(!splittable(&region(0, 0x1000, 0, 0)));
+        assert!(splittable(&region(0, 0x2000, 0, 0)));
     }
 }

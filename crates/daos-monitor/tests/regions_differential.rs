@@ -1,6 +1,6 @@
 //! Differential equivalence tests: the struct-of-arrays `RegionSet`
 //! (`daos_monitor::regions`) against the original array-of-structs
-//! implementation kept as an oracle (`daos_monitor::reference`).
+//! implementation kept beside this test as an oracle (`reference/`).
 //!
 //! Both stores are driven through identical seeded operation sequences —
 //! two `SmallRng`s built from the same seed, consumed in the same order —
@@ -10,9 +10,10 @@
 //! seed and step in the panic message.
 
 use daos_mm::addr::{AddrRange, PAGE_SIZE};
-use daos_monitor::reference;
 use daos_monitor::regions::RegionSet;
 use daos_util::rng::SmallRng;
+
+mod reference;
 
 fn mb(n: u64) -> u64 {
     n << 20

@@ -22,11 +22,9 @@
 pub mod serverless;
 pub mod spec;
 pub mod suite;
-pub mod trace;
 pub mod workload;
 
 pub use serverless::{FleetConfig, ServerlessFleet};
 pub use spec::{Behavior, Suite, WorkloadSpec, EPOCH_TARGET};
 pub use suite::{by_path, fig4_subset, instantiate, paper_suite};
-pub use trace::{Trace, TraceEpoch, TraceWorkload};
 pub use workload::{SyntheticWorkload, Workload};

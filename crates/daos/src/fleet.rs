@@ -5,11 +5,22 @@
 //! [`FleetSpec`] partitions `nr_processes` identical workloads into
 //! **shards** of `procs_per_shard`, each shard a self-contained
 //! [`MemorySystem`] with its own deterministic clock and seed stream.
-//! Every simulation tick, each shard advances every resident process by
-//! one epoch through the three phase functions of [`crate::runner`]. A
-//! single run is a fleet of one: one shard, one process, the plain seed
-//! (the seed offsets of shard 0 / process 0 are zero) — there is no
+//! A single run is a fleet of one: one shard, one process, the plain
+//! seed (the seed offsets of shard 0 / process 0 are zero) — there is no
 //! other engine.
+//!
+//! Within a shard, processes are partitioned into **groups**, each
+//! watched by at most one monitoring **plane**: a monitor, the schemes
+//! engine it feeds, the record it keeps and its freshest window. A
+//! virtual-address configuration watches every process through a plane
+//! of its own (a group of one — an unmonitored configuration is the same
+//! shape without the plane); a physical-address configuration watches
+//! the whole machine, so the shard is one group. The plane's
+//! interference, ring drops and results belong to the group's first
+//! process, its *owner*. Every simulation tick a shard walks its groups
+//! once — each member's workload quantum, then the plane's step, then
+//! each member's khugepaged scan — which is the Fig. 1 workflow under a
+//! deterministic virtual clock.
 //!
 //! The engine owns its shards. Single-shard (or single-worker) fleets
 //! tick them inline on the caller thread, so a thread-local trace
@@ -21,30 +32,30 @@
 //! varies.
 //!
 //! Monitoring cost stays **sub-linear in fleet size** through a global
-//! region budget: each process's `max_nr_regions` is
-//! `clamp(region_budget / nr_processes, min_nr_regions,
-//! max_nr_regions)`. DAMON's overhead is bounded by the region count,
-//! not the footprint, so capping total regions caps total overhead —
-//! per-process overhead *falls* as the fleet grows (the
+//! region budget of 64 × the configuration's `max_nr_regions`: each
+//! process's `max_nr_regions` is `clamp(budget / nr_processes,
+//! min_nr_regions, max_nr_regions)`. DAMON's overhead is bounded by the
+//! region count, not the footprint, so capping total regions caps total
+//! overhead — per-process overhead *falls* as the fleet grows (the
 //! `overhead_per_process_ns()` line in the summary).
 
 use daos_mm::access::AccessBatch;
-use daos_mm::clock::Ns;
+use daos_mm::clock::{sec, Ns};
 use daos_mm::error::{MmError, MmResult};
 use daos_mm::machine::MachineProfile;
 use daos_mm::process::Pid;
 use daos_mm::system::MemorySystem;
-use daos_monitor::{Aggregation, MonitorAttrs, MonitorRecord, OverheadStats};
+use daos_monitor::{
+    Aggregation, MonitorAttrs, MonitorCtx, MonitorRecord, OverheadStats, PaddrPrimitives,
+    VaddrPrimitives,
+};
 use daos_schemes::{SchemeStats, SchemeTarget, SchemesEngine};
 use daos_trace::Collector;
 use daos_util::pool::WorkerPool;
 use daos_workloads::{instantiate, SyntheticWorkload, Workload, WorkloadSpec};
 
 use crate::config::{MonitorKind, RunConfig};
-use crate::runner::{
-    build_monitor, khugepaged_phase, monitor_phase, workload_phase, AnyMonitor, RunResult,
-    KHUGEPAGED_INTERVAL,
-};
+use crate::session::RunResult;
 
 /// How to scale one run into a fleet. Built with
 /// [`FleetSpec::new`]`(nr_processes)` plus chained setters;
@@ -60,9 +71,6 @@ pub struct FleetSpec {
     /// Tenant label families published per fleet (clamped to ≥ 1);
     /// process `p` belongs to tenant `p % nr_tenants`, named `t<i>`.
     pub nr_tenants: usize,
-    /// Global monitoring-region budget across the whole fleet;
-    /// 0 = auto (64 × the config's `max_nr_regions`).
-    pub region_budget: usize,
     /// Per-shard trace collectors with this ring capacity, enabling the
     /// per-process dropped-event accounting in the summary.
     pub trace_ring: Option<usize>,
@@ -70,14 +78,13 @@ pub struct FleetSpec {
 
 impl FleetSpec {
     /// A fleet of `nr_processes` with the defaults: 32 processes per
-    /// shard, auto workers, one tenant, auto region budget, no tracing.
+    /// shard, auto workers, one tenant, no tracing.
     pub fn new(nr_processes: usize) -> Self {
         Self {
             nr_processes: nr_processes.max(1),
             procs_per_shard: 32,
             nr_workers: 0,
             nr_tenants: 1,
-            region_budget: 0,
             trace_ring: None,
         }
     }
@@ -100,12 +107,6 @@ impl FleetSpec {
         self
     }
 
-    /// Global region budget (0 = auto).
-    pub fn budget(mut self, regions: usize) -> Self {
-        self.region_budget = regions;
-        self
-    }
-
     /// Enable per-shard trace collectors with ring capacity `cap`.
     pub fn trace_ring(mut self, cap: usize) -> Self {
         self.trace_ring = Some(cap);
@@ -124,16 +125,14 @@ impl FleetSpec {
 
     /// Per-process monitoring attributes under the global region budget:
     /// `max_nr_regions` becomes `clamp(budget / nr_processes,
-    /// min_nr_regions, max_nr_regions)`. With the auto budget
-    /// (64 × `max_nr_regions`) a fleet of ≤ 64 processes — a single run
-    /// included — monitors with the configuration's own attributes.
+    /// min_nr_regions, max_nr_regions)`.
     pub fn effective_attrs(&self, base: &MonitorAttrs) -> MonitorAttrs {
-        let budget = if self.region_budget == 0 {
-            64 * base.max_nr_regions
-        } else {
-            self.region_budget
-        };
-        let per = budget / self.nr_processes.max(1);
+        /// The fleet-wide budget in units of the configuration's own
+        /// `max_nr_regions`: a fleet of ≤ 64 processes — a single run
+        /// included — monitors with the configuration's attributes, and
+        /// total regions stop growing beyond that.
+        const BUDGET_FACTOR: usize = 64;
+        let per = BUDGET_FACTOR * base.max_nr_regions / self.nr_processes.max(1);
         let mut attrs = *base;
         attrs.max_nr_regions = per.clamp(base.min_nr_regions, base.max_nr_regions);
         attrs
@@ -343,18 +342,180 @@ fn fmt_bytes(b: u64) -> String {
     "0 B".to_string()
 }
 
+/// Interval of the background khugepaged promoter in the `thp` config.
+const KHUGEPAGED_INTERVAL: Ns = sec(1);
+
 /// One worker process resident in a shard.
 struct Proc {
     pid: Pid,
     global_idx: usize,
     wl: SyntheticWorkload,
-    /// Per-process monitor (vaddr configurations).
-    monitor: Option<AnyMonitor>,
-    /// Per-process schemes engine (vaddr configurations).
-    engine: Option<SchemesEngine>,
-    record: Option<MonitorRecord>,
     next_khugepaged: Ns,
     dropped_events: u64,
+}
+
+/// Monomorphised monitor: a plane drives either primitive through the
+/// same calls.
+enum AnyMonitor {
+    Vaddr(MonitorCtx<VaddrPrimitives>),
+    Paddr(MonitorCtx<PaddrPrimitives>),
+}
+
+impl AnyMonitor {
+    fn step(&mut self, sys: &mut MemorySystem, now: Ns, sink: &mut Vec<Aggregation>) {
+        match self {
+            AnyMonitor::Vaddr(ctx) => ctx.step(sys, now, sink),
+            AnyMonitor::Paddr(ctx) => ctx.step(sys, now, sink),
+        }
+    }
+
+    fn take_work_ns(&mut self) -> Ns {
+        match self {
+            AnyMonitor::Vaddr(ctx) => ctx.take_work_ns(),
+            AnyMonitor::Paddr(ctx) => ctx.take_work_ns(),
+        }
+    }
+
+    fn overhead(&self) -> OverheadStats {
+        match self {
+            AnyMonitor::Vaddr(ctx) => ctx.overhead,
+            AnyMonitor::Paddr(ctx) => ctx.overhead,
+        }
+    }
+}
+
+/// One monitoring plane: the monitor, the schemes engine consuming its
+/// windows, and where the windows end up — in `record` when the
+/// configuration records, in `last_window` otherwise, so the freshest
+/// window is always at hand for observers without a clone.
+struct Plane {
+    monitor: AnyMonitor,
+    engine: Option<SchemesEngine>,
+    record: Option<MonitorRecord>,
+    last_window: Option<Aggregation>,
+}
+
+impl Plane {
+    /// The plane `kind` describes: over `owner`'s address space
+    /// (virtual) or the whole machine (physical), sampling from the
+    /// fixed monitor stream `seed ^ 0xda05`.
+    fn build(
+        kind: MonitorKind,
+        config: &RunConfig,
+        attrs: MonitorAttrs,
+        sys: &MemorySystem,
+        owner: Pid,
+        seed: u64,
+    ) -> Plane {
+        let (now, seed) = (sys.now(), seed ^ 0xda05);
+        let (monitor, target) = match kind {
+            MonitorKind::Vaddr => {
+                let prim = VaddrPrimitives::new(owner);
+                let ctx = MonitorCtx::new(attrs, prim, sys, now, seed);
+                (AnyMonitor::Vaddr(ctx), SchemeTarget::Virtual(owner))
+            }
+            MonitorKind::Paddr => {
+                let ctx = MonitorCtx::new(attrs, PaddrPrimitives, sys, now, seed);
+                (AnyMonitor::Paddr(ctx), SchemeTarget::Physical)
+            }
+        };
+        Plane {
+            monitor,
+            engine: (!config.schemes.is_empty())
+                .then(|| SchemesEngine::new(target, config.schemes.clone())),
+            record: config.record.then(MonitorRecord::new),
+            last_window: None,
+        }
+    }
+
+    /// Epoch phases 2–3: the monitor catches up with virtual time and
+    /// the engine consumes each completed window, with all work charged
+    /// as interference against `owner`.
+    fn step(&mut self, sys: &mut MemorySystem, owner: Pid, sink: &mut Vec<Aggregation>) {
+        let now = sys.now();
+        self.monitor.step(sys, now, sink);
+        let work = sys.charge_monitor(self.monitor.take_work_ns());
+        interfere(sys, owner, work);
+        for agg in sink.drain(..) {
+            if let Some(engine) = &mut self.engine {
+                let pass = engine.on_aggregation(sys, &agg);
+                let work = sys.charge_schemes(pass.work_ns);
+                interfere(sys, owner, work);
+            }
+            match &mut self.record {
+                Some(rec) => rec.push(agg),
+                None => self.last_window = Some(agg),
+            }
+        }
+    }
+
+    fn last_window(&self) -> Option<&Aggregation> {
+        self.record.as_ref().and_then(|r| r.aggregations.last()).or(self.last_window.as_ref())
+    }
+
+    fn scheme_stats(&self) -> Vec<SchemeStats> {
+        self.engine.as_ref().map(|e| e.stats().to_vec()).unwrap_or_default()
+    }
+}
+
+/// Stall `owner` (and the machine's clock) by `ns` of monitoring work.
+fn interfere(sys: &mut MemorySystem, owner: Pid, ns: Ns) {
+    if ns > 0 {
+        if let Some(st) = sys.proc_stats_mut(owner) {
+            st.monitor_interference_ns += ns;
+        }
+        sys.advance(ns);
+    }
+}
+
+/// Epoch phase 1: the workload runs one quantum and its access + compute
+/// cost advances the clock.
+fn workload_phase(
+    sys: &mut MemorySystem,
+    pid: Pid,
+    wl: &mut SyntheticWorkload,
+    idx: u64,
+    cpu_scale: f64,
+    batches: &mut Vec<AccessBatch>,
+) -> MmResult<()> {
+    batches.clear();
+    let compute_ref = wl.epoch(idx, sys.now(), batches);
+    let compute = (compute_ref as f64 * cpu_scale) as Ns;
+    let mut cost = compute;
+    for b in batches.iter() {
+        cost += sys.apply_access(pid, b)?.cost_ns;
+    }
+    if let Some(st) = sys.proc_stats_mut(pid) {
+        st.compute_ns += compute;
+    }
+    sys.advance(cost);
+    Ok(())
+}
+
+/// Epoch phase 4: Linux-original THP — aggressive background promotion.
+fn khugepaged_phase(
+    sys: &mut MemorySystem,
+    pid: Pid,
+    enabled: bool,
+    next_khugepaged: &mut Ns,
+) -> MmResult<()> {
+    if enabled && sys.now() >= *next_khugepaged {
+        let (_, ns) = sys.khugepaged_scan(pid, 1)?;
+        let interference = sys.charge_schemes(ns);
+        if let Some(st) = sys.proc_stats_mut(pid) {
+            st.stall_ns += interference;
+        }
+        sys.advance(interference);
+        *next_khugepaged = sys.now() + KHUGEPAGED_INTERVAL;
+    }
+    Ok(())
+}
+
+/// Processes watched together by at most one [`Plane`]. Never empty;
+/// `procs[0]` is the plane's owner.
+struct Group {
+    procs: Vec<Proc>,
+    plane: Option<Plane>,
 }
 
 /// One shard: a self-contained simulated machine hosting a slice of the
@@ -362,30 +523,38 @@ struct Proc {
 /// parallel with no shared state at all.
 struct Shard {
     sys: MemorySystem,
-    procs: Vec<Proc>,
-    /// Shard-wide monitor/engine/record (paddr configurations monitor
-    /// the whole machine at once — the batched-application path).
-    shard_monitor: Option<AnyMonitor>,
-    shard_engine: Option<SchemesEngine>,
-    shard_record: Option<MonitorRecord>,
+    groups: Vec<Group>,
     sink: Vec<Aggregation>,
     batches: Vec<AccessBatch>,
-    /// The freshest window of a non-recording monitor in this shard.
-    last_window: Option<Aggregation>,
     cpu_scale: f64,
     khugepaged: bool,
-    paddr: bool,
     /// Shard-owned trace collector (`FleetSpec::trace_ring`), installed
     /// thread-locally for the duration of each tick.
     collector: Option<Collector>,
 }
 
-/// Current dropped-event count of the thread's installed collector.
-fn dropped_now(tracing: bool) -> u64 {
-    if tracing {
+/// Attributes the installed collector's ring drops: each
+/// [`charge`](Self::charge) books the drops since the previous one.
+struct DropMeter {
+    tracing: bool,
+    seen: u64,
+}
+
+impl DropMeter {
+    fn dropped_now() -> u64 {
         daos_trace::ring_status().map_or(0, |(_, dropped, _)| dropped)
-    } else {
-        0
+    }
+
+    fn start(tracing: bool) -> DropMeter {
+        DropMeter { tracing, seen: if tracing { Self::dropped_now() } else { 0 } }
+    }
+
+    fn charge(&mut self, to: &mut Proc) {
+        if self.tracing {
+            let now = Self::dropped_now();
+            to.dropped_events += now.saturating_sub(self.seen);
+            self.seen = now;
+        }
     }
 }
 
@@ -400,58 +569,45 @@ impl Shard {
         proc_range: std::ops::Range<usize>,
     ) -> MmResult<Shard> {
         let shard_seed = seed ^ ((shard_idx as u64) << 21);
+        let wl_seed = |p: usize| seed ^ ((p as u64) << 17);
         let mut sys = MemorySystem::new(machine.clone(), config.swap, shard_seed);
         let attrs = fleet.effective_attrs(&config.attrs);
-        let paddr = config.monitor == Some(MonitorKind::Paddr);
-        let mut procs = Vec::with_capacity(proc_range.len());
-        for p in proc_range {
-            let wl_seed = seed ^ ((p as u64) << 17);
-            let mut wl = instantiate(*spec, wl_seed);
-            let pid = wl.setup(&mut sys, config.thp)?;
-            let monitor = if paddr {
-                None
-            } else {
-                build_monitor(config.monitor, attrs, &sys, pid, wl_seed)
-            };
-            let engine = (!paddr && !config.schemes.is_empty()).then(|| {
-                SchemesEngine::new(SchemeTarget::Virtual(pid), config.schemes.clone())
-            });
-            let record = (!paddr && config.record).then(MonitorRecord::new);
-            procs.push(Proc {
-                pid,
-                global_idx: p,
-                wl,
-                monitor,
-                engine,
-                record,
-                next_khugepaged: KHUGEPAGED_INTERVAL,
-                dropped_events: 0,
-            });
+        // A physical-address plane watches the whole machine: the shard
+        // is one group, sampled from the shard's stream. Any other
+        // configuration makes each process a group of its own.
+        let whole_shard = config.monitor == Some(MonitorKind::Paddr);
+        let group_len = if whole_shard { proc_range.len().max(1) } else { 1 };
+        let mut groups = Vec::with_capacity(proc_range.len().div_ceil(group_len));
+        for lo in proc_range.clone().step_by(group_len) {
+            let mut procs = Vec::with_capacity(group_len);
+            for p in lo..(lo + group_len).min(proc_range.end) {
+                let mut wl = instantiate(*spec, wl_seed(p));
+                let pid = wl.setup(&mut sys, config.thp)?;
+                procs.push(Proc {
+                    pid,
+                    global_idx: p,
+                    wl,
+                    next_khugepaged: KHUGEPAGED_INTERVAL,
+                    dropped_events: 0,
+                });
+            }
+            let plane_seed = if whole_shard { shard_seed } else { wl_seed(lo) };
+            let plane = config
+                .monitor
+                .map(|kind| Plane::build(kind, config, attrs, &sys, procs[0].pid, plane_seed));
+            groups.push(Group { procs, plane });
         }
-        let lead = procs.first().map(|p| p.pid);
-        let shard_monitor = match lead {
-            Some(pid) if paddr => build_monitor(config.monitor, attrs, &sys, pid, shard_seed),
-            _ => None,
-        };
-        let shard_engine = (paddr && !config.schemes.is_empty())
-            .then(|| SchemesEngine::new(SchemeTarget::Physical, config.schemes.clone()));
-        let shard_record = (paddr && config.record).then(MonitorRecord::new);
         // Ring capacity clamped to ≥ 1 so the builder cannot fail.
         let collector = fleet
             .trace_ring
             .and_then(|cap| Collector::builder().ring_capacity(cap.max(1)).build().ok());
         Ok(Shard {
             sys,
-            procs,
-            shard_monitor,
-            shard_engine,
-            shard_record,
+            groups,
             sink: Vec::new(),
             batches: Vec::new(),
-            last_window: None,
             cpu_scale: 3.0 / machine.cpu_ghz,
             khugepaged: config.khugepaged,
-            paddr,
             collector,
         })
     }
@@ -475,13 +631,12 @@ impl Shard {
         result
     }
 
+    /// Per group: every member's workload quantum, the plane's step
+    /// (its ring drops go to the owner), every member's khugepaged scan.
     fn tick_inner(&mut self, idx: u64, tracing: bool) -> MmResult<()> {
-        if self.paddr {
-            // All workloads run, then the shard-wide monitor sweeps the
-            // whole machine once and the engine applies schemes across
-            // every process in one batch.
-            for p in &mut self.procs {
-                let before = dropped_now(tracing);
+        let mut drops = DropMeter::start(tracing);
+        for g in &mut self.groups {
+            for p in &mut g.procs {
                 workload_phase(
                     &mut self.sys,
                     p.pid,
@@ -490,67 +645,32 @@ impl Shard {
                     self.cpu_scale,
                     &mut self.batches,
                 )?;
-                p.dropped_events += dropped_now(tracing).saturating_sub(before);
+                drops.charge(p);
             }
-            if let Some(lead) = self.procs.first().map(|p| p.pid) {
-                monitor_phase(
-                    &mut self.sys,
-                    lead,
-                    &mut self.shard_monitor,
-                    &mut self.shard_engine,
-                    &mut self.shard_record,
-                    &mut self.sink,
-                    &mut self.last_window,
-                );
+            if let Some(plane) = &mut g.plane {
+                let owner = &mut g.procs[0];
+                plane.step(&mut self.sys, owner.pid, &mut self.sink);
+                drops.charge(owner);
             }
-            for p in &mut self.procs {
+            for p in &mut g.procs {
                 khugepaged_phase(&mut self.sys, p.pid, self.khugepaged, &mut p.next_khugepaged)?;
-            }
-        } else {
-            // Per-process pipeline: each process's own monitor and
-            // engine follow its workload quantum.
-            for p in &mut self.procs {
-                let before = dropped_now(tracing);
-                workload_phase(
-                    &mut self.sys,
-                    p.pid,
-                    &mut p.wl,
-                    idx,
-                    self.cpu_scale,
-                    &mut self.batches,
-                )?;
-                monitor_phase(
-                    &mut self.sys,
-                    p.pid,
-                    &mut p.monitor,
-                    &mut p.engine,
-                    &mut p.record,
-                    &mut self.sink,
-                    &mut self.last_window,
-                );
-                khugepaged_phase(&mut self.sys, p.pid, self.khugepaged, &mut p.next_khugepaged)?;
-                p.dropped_events += dropped_now(tracing).saturating_sub(before);
+                drops.charge(p);
             }
         }
         Ok(())
     }
 
+    fn procs(&self) -> impl Iterator<Item = &Proc> {
+        self.groups.iter().flat_map(|g| &g.procs)
+    }
+
     /// Total monitor CPU work accumulated in this shard, ns, plus total
     /// access checks.
     fn monitor_totals(&self) -> (Ns, u64) {
-        let mut work = 0;
-        let mut checks = 0;
-        for m in self
-            .procs
-            .iter()
-            .filter_map(|p| p.monitor.as_ref())
-            .chain(self.shard_monitor.as_ref())
-        {
-            let o = m.overhead();
-            work += o.work_ns;
-            checks += o.total_checks;
-        }
-        (work, checks)
+        self.groups.iter().filter_map(|g| g.plane.as_ref()).fold((0, 0), |(work, checks), pl| {
+            let o = pl.monitor.overhead();
+            (work + o.work_ns, checks + o.total_checks)
+        })
     }
 }
 
@@ -614,7 +734,7 @@ impl FleetEngine {
         let effective_max_regions = fleet.effective_attrs(&config.attrs).max_nr_regions;
         let workload_name = shards
             .first()
-            .and_then(|s| s.procs.first().map(|p| p.wl.name()))
+            .and_then(|s| s.procs().next().map(|p| p.wl.name()))
             .unwrap_or_else(|| spec.name.to_string());
         Ok(FleetEngine {
             shards,
@@ -698,15 +818,49 @@ impl FleetEngine {
     /// Aggregate the current fleet state — linear in fleet size, so
     /// [`run`](Self::run) builds it only for a due observer.
     pub fn progress(&self) -> FleetProgress {
-        let mut tenants = self.empty_tenants();
         let mut now_ns = 0;
         let mut monitor_work_ns = 0;
-        let mut dropped = 0;
+        let mut dropped_events = 0;
         for sh in &self.shards {
             now_ns = now_ns.max(sh.sys.now());
             monitor_work_ns += sh.monitor_totals().0;
-            for p in &sh.procs {
-                dropped += p.dropped_events;
+            dropped_events += sh.procs().map(|p| p.dropped_events).sum::<u64>();
+        }
+        FleetProgress {
+            tick: self.tick.saturating_sub(1),
+            nr_ticks: self.nr_ticks,
+            now_ns,
+            nr_processes: self.spec.nr_processes,
+            monitor_work_ns,
+            dropped_events,
+            tenants: self.tenants(),
+            single: self.single_detail(),
+        }
+    }
+
+    /// The lone process's monitoring state, when the fleet is one
+    /// process.
+    fn single_detail(&self) -> Option<ProcessDetail> {
+        let [sh] = self.shards.as_slice() else { return None };
+        let [g] = sh.groups.as_slice() else { return None };
+        let [p] = g.procs.as_slice() else { return None };
+        let stats = sh.sys.proc_stats(p.pid)?;
+        let plane = g.plane.as_ref();
+        Some(ProcessDetail {
+            avg_rss: stats.avg_rss_bytes(sh.sys.now()),
+            last_window: plane.and_then(Plane::last_window).cloned(),
+            scheme_stats: plane.map(Plane::scheme_stats).unwrap_or_default(),
+            overhead: plane.map(|pl| pl.monitor.overhead()),
+        })
+    }
+
+    /// Per-tenant aggregates of the current fleet state.
+    fn tenants(&self) -> Vec<TenantStats> {
+        let mut tenants: Vec<TenantStats> = (0..self.spec.nr_tenants)
+            .map(|i| TenantStats { name: format!("t{i}"), ..TenantStats::default() })
+            .collect();
+        for sh in &self.shards {
+            for p in sh.procs() {
                 let t = &mut tenants[self.spec.tenant_of(p.global_idx)];
                 t.nr_processes += 1;
                 t.total_rss += sh.sys.rss_bytes(p.pid);
@@ -718,52 +872,17 @@ impl FleetEngine {
                 }
             }
         }
-        FleetProgress {
-            tick: self.tick.saturating_sub(1),
-            nr_ticks: self.nr_ticks,
-            now_ns,
-            nr_processes: self.spec.nr_processes,
-            monitor_work_ns,
-            dropped_events: dropped,
-            tenants,
-            single: self.single_detail(),
-        }
-    }
-
-    /// The lone process's monitoring state, when the fleet is one
-    /// process: its own (vaddr) or its shard's (paddr) monitor, engine
-    /// and freshest window.
-    fn single_detail(&self) -> Option<ProcessDetail> {
-        let [sh] = self.shards.as_slice() else { return None };
-        let [p] = sh.procs.as_slice() else { return None };
-        let stats = sh.sys.proc_stats(p.pid)?;
-        let record = p.record.as_ref().or(sh.shard_record.as_ref());
-        let engine = p.engine.as_ref().or(sh.shard_engine.as_ref());
-        let monitor = p.monitor.as_ref().or(sh.shard_monitor.as_ref());
-        Some(ProcessDetail {
-            avg_rss: stats.avg_rss_bytes(sh.sys.now()),
-            last_window: record
-                .and_then(|r| r.aggregations.last())
-                .or(sh.last_window.as_ref())
-                .cloned(),
-            scheme_stats: engine.map(|e| e.stats().to_vec()).unwrap_or_default(),
-            overhead: monitor.map(AnyMonitor::overhead),
-        })
-    }
-
-    fn empty_tenants(&self) -> Vec<TenantStats> {
-        (0..self.spec.nr_tenants)
-            .map(|i| TenantStats { name: format!("t{i}"), ..TenantStats::default() })
-            .collect()
+        tenants
     }
 
     /// Consume the engine: per-process [`RunResult`]s (in global process
-    /// order) plus the fleet summary. Shard-level state (kstats, paddr
-    /// monitor/engine/record) is attributed to the shard's first
-    /// process, which in a fleet of one is *the* process.
+    /// order) plus the fleet summary. Every process carries its shard's
+    /// kernel-side statistics (they are per machine); a plane's record,
+    /// overhead and scheme statistics go to its group's owner, which in
+    /// a fleet of one is *the* process.
     pub fn finish(self) -> MmResult<(Vec<RunResult>, FleetSummary)> {
+        let tenants = self.tenants();
         let mut runs = Vec::with_capacity(self.spec.nr_processes);
-        let mut tenants = self.empty_tenants();
         let mut runtime_ns = 0;
         let mut monitor_work_ns = 0;
         let mut monitor_total_checks = 0;
@@ -781,48 +900,32 @@ impl FleetEngine {
             let (work, checks) = sh.monitor_totals();
             monitor_work_ns += work;
             monitor_total_checks += checks;
-            let Shard { sys, procs, shard_monitor, shard_engine, mut shard_record, .. } = sh;
-            let shard_scheme_stats = shard_engine.map(|e| e.stats().to_vec()).unwrap_or_default();
-            let shard_overhead = shard_monitor.as_ref().map(AnyMonitor::overhead);
-            for (i, p) in procs.into_iter().enumerate() {
-                let stats = *sys.proc_stats(p.pid).ok_or(MmError::NoSuchProcess(p.pid))?;
-                let overhead = p
-                    .monitor
-                    .as_ref()
-                    .map(AnyMonitor::overhead)
-                    .or(if i == 0 { shard_overhead } else { None });
-                let scheme_stats = match p.engine {
-                    Some(e) => e.stats().to_vec(),
-                    None if i == 0 => shard_scheme_stats.clone(),
-                    None => Vec::new(),
-                };
-                let record = p.record.or(if i == 0 { shard_record.take() } else { None });
-                let avg_rss = stats.avg_rss_bytes(shard_runtime);
-                total_avg_rss += avg_rss;
-                total_peak_rss += stats.peak_rss_bytes;
-                if let Some(d) = dropped_events.get_mut(p.global_idx) {
-                    *d = p.dropped_events;
+            let Shard { sys, groups, .. } = sh;
+            for Group { procs, plane: mut unclaimed } in groups {
+                for p in procs {
+                    let stats = *sys.proc_stats(p.pid).ok_or(MmError::NoSuchProcess(p.pid))?;
+                    // The owner comes first and takes the plane's results.
+                    let plane = unclaimed.take();
+                    let avg_rss = stats.avg_rss_bytes(shard_runtime);
+                    total_avg_rss += avg_rss;
+                    total_peak_rss += stats.peak_rss_bytes;
+                    if let Some(d) = dropped_events.get_mut(p.global_idx) {
+                        *d = p.dropped_events;
+                    }
+                    runs.push(RunResult {
+                        config: self.config_name.clone(),
+                        workload: p.wl.name(),
+                        machine: self.machine_name.clone(),
+                        runtime_ns: shard_runtime,
+                        avg_rss,
+                        peak_rss: stats.peak_rss_bytes,
+                        stats,
+                        kstats: sys.kstats,
+                        overhead: plane.as_ref().map(|pl| pl.monitor.overhead()),
+                        scheme_stats: plane.as_ref().map(Plane::scheme_stats).unwrap_or_default(),
+                        record: plane.and_then(|pl| pl.record),
+                    });
                 }
-                let t = &mut tenants[self.spec.tenant_of(p.global_idx)];
-                t.nr_processes += 1;
-                t.total_rss += sys.rss_bytes(p.pid);
-                t.peak_rss += stats.peak_rss_bytes;
-                t.interference_ns += stats.monitor_interference_ns;
-                t.major_faults += stats.major_faults;
-                t.swapouts += stats.swapouts;
-                runs.push(RunResult {
-                    config: self.config_name.clone(),
-                    workload: p.wl.name(),
-                    machine: self.machine_name.clone(),
-                    runtime_ns: shard_runtime,
-                    avg_rss,
-                    peak_rss: stats.peak_rss_bytes,
-                    stats,
-                    kstats: sys.kstats,
-                    record,
-                    overhead,
-                    scheme_stats,
-                });
             }
         }
         let nr_workers = self.pool.as_ref().map_or(1, |p| p.nr_workers());
@@ -844,5 +947,46 @@ impl FleetEngine {
             tenants,
         };
         Ok((runs, summary))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use daos_mm::clock::ms;
+    use daos_workloads::FleetConfig;
+
+    /// Every event a shard's ring overwrites is charged to one of its
+    /// processes — whichever phase overwrote it, under a shard-wide
+    /// plane as under per-process ones.
+    #[test]
+    fn ring_drops_are_all_charged_to_a_process() {
+        let mut machine = MachineProfile::i3_metal();
+        machine.dram_bytes = 1 << 30;
+        let worker = FleetConfig { worker_footprint: 4 << 20, ..FleetConfig::default() };
+        let spec = worker.worker_spec(25);
+        let attrs = MonitorAttrs::builder()
+            .sampling_interval(ms(1))
+            .aggregation_interval(ms(10))
+            .regions_update_interval(ms(50))
+            .build()
+            .unwrap();
+        let fleet = FleetSpec::new(4).shard_size(4).trace_ring(8);
+        for kind in [MonitorKind::Paddr, MonitorKind::Vaddr] {
+            let config = RunConfig::builder("drops")
+                .monitor(kind)
+                .scheme(daos_schemes::parse_scheme_line("4K max min min 20ms max pageout").unwrap())
+                .attrs(attrs)
+                .build()
+                .unwrap();
+            let mut shard = Shard::build(&machine, &config, &spec, &fleet, 3, 0, 0..4).unwrap();
+            for idx in 0..spec.nr_epochs {
+                shard.tick(idx).unwrap();
+            }
+            let ring_dropped = shard.collector.as_ref().unwrap().ring().dropped();
+            assert!(ring_dropped > 0, "{kind:?}: an 8-event ring overflows");
+            let charged: u64 = shard.procs().map(|p| p.dropped_events).sum();
+            assert_eq!(charged, ring_dropped, "{kind:?}: drops charged vs the ring's own count");
+        }
     }
 }

@@ -10,8 +10,10 @@
 //! * the [`Session`] entry point executing one workload under one
 //!   configuration on one machine profile — or, with a [`FleetSpec`],
 //!   replicated across thousands of processes — on the sharded
-//!   work-stealing [`fleet`] engine, observed through one
-//!   [`FleetObserver`] seam;
+//!   work-stealing [`fleet`] engine, which hosts the monitor one way (a
+//!   plane per group of processes: one process under virtual-address
+//!   monitoring, the whole shard under physical-address monitoring) and
+//!   is observed through one [`FleetObserver`] seam;
 //! * Fig. 6-style access-pattern [`heatmap`]s;
 //! * the normalised performance / memory-efficiency / score [`metrics`]
 //!   of Figures 4, 7 and 8.
@@ -42,9 +44,7 @@ pub mod error;
 pub mod fleet;
 pub mod heatmap;
 pub mod metrics;
-pub mod multi;
 pub mod recordio;
-pub mod runner;
 pub mod session;
 
 pub use config::{MonitorKind, RunConfig, RunConfigBuilder};
@@ -54,10 +54,5 @@ pub use fleet::{
 };
 pub use heatmap::{biggest_active_span, Heatmap};
 pub use metrics::{score_inputs, score_vs_baseline, Normalized};
-pub use multi::{MultiMonitor, TargetAggregation};
-pub use recordio::{
-    record_from_csv, record_from_jsonl, record_to_csv, record_to_jsonl, RecordError, WssReport,
-    RECORD_HEADER,
-};
-pub use runner::RunResult;
-pub use session::{Session, SessionResult};
+pub use recordio::{record_from_csv, record_to_csv, RecordError, WssReport, RECORD_HEADER};
+pub use session::{RunResult, Session, SessionResult};

@@ -2,7 +2,7 @@
 
 use daos_tuner::{DefaultScore, ScoreFn, ScoreInputs};
 
-use crate::runner::RunResult;
+use crate::session::RunResult;
 
 /// A run's metrics normalised against the baseline run.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -7,7 +7,6 @@
 
 use daos_mm::addr::AddrRange;
 use daos_monitor::{Aggregation, MonitorRecord, RegionInfo};
-use daos_util::json::{parse_lines, FromJson, JsonError, ToJson};
 
 /// Header line of the record CSV format.
 pub const RECORD_HEADER: &str = "at_ns,start,end,nr_accesses,age,max_nr_accesses,aggr_ns";
@@ -29,8 +28,6 @@ pub enum RecordError {
         /// The offending token.
         token: String,
     },
-    /// A JSONL line is not a valid aggregation object.
-    Json(JsonError),
 }
 
 impl core::fmt::Display for RecordError {
@@ -42,25 +39,11 @@ impl core::fmt::Display for RecordError {
             RecordError::BadNumber { line, token } => {
                 write!(f, "line {line}: bad number '{token}'")
             }
-            RecordError::Json(e) => write!(f, "{e}"),
         }
     }
 }
 
-impl std::error::Error for RecordError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RecordError::Json(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<JsonError> for RecordError {
-    fn from(e: JsonError) -> Self {
-        RecordError::Json(e)
-    }
-}
+impl std::error::Error for RecordError {}
 
 /// Serialise a record to CSV.
 pub fn record_to_csv(record: &MonitorRecord) -> String {
@@ -128,28 +111,6 @@ pub fn record_from_csv(text: &str) -> Result<MonitorRecord, RecordError> {
     }
     if let Some(done) = current {
         record.push(done);
-    }
-    Ok(record)
-}
-
-/// Serialise a record as JSONL: one [`Aggregation`] object per line.
-///
-/// Unlike the CSV format, JSONL preserves empty aggregations and needs
-/// no header; blank lines and `#` comments are ignored on read.
-pub fn record_to_jsonl(record: &MonitorRecord) -> String {
-    let mut out = String::with_capacity(128 * record.len() + 16);
-    for agg in &record.aggregations {
-        out.push_str(&agg.to_json().to_string_compact());
-        out.push('\n');
-    }
-    out
-}
-
-/// Parse a record back from JSONL (inverse of [`record_to_jsonl`]).
-pub fn record_from_jsonl(text: &str) -> Result<MonitorRecord, RecordError> {
-    let mut record = MonitorRecord::new();
-    for v in parse_lines(text)? {
-        record.push(Aggregation::from_json(&v)?);
     }
     Ok(record)
 }
@@ -245,32 +206,6 @@ mod tests {
         assert!(record_from_csv("a,b,c,d,e,f,g\n").is_err());
         assert!(record_from_csv("").unwrap().is_empty());
         assert!(record_from_csv(RECORD_HEADER).unwrap().is_empty());
-    }
-
-    #[test]
-    fn jsonl_roundtrip_is_lossless() {
-        let rec = sample_record();
-        let jsonl = record_to_jsonl(&rec);
-        assert_eq!(jsonl.lines().count(), 5);
-        let back = record_from_jsonl(&jsonl).unwrap();
-        assert_eq!(rec, back);
-        // JSONL keeps empty aggregations, which CSV cannot represent.
-        let mut rec = MonitorRecord::new();
-        rec.push(Aggregation {
-            at: sec(1),
-            regions: vec![],
-            max_nr_accesses: 0,
-            aggregation_interval: ms(100),
-        });
-        let back = record_from_jsonl(&record_to_jsonl(&rec)).unwrap();
-        assert_eq!(rec, back);
-    }
-
-    #[test]
-    fn jsonl_parse_errors_and_comments() {
-        assert!(record_from_jsonl("{\"not\": \"an aggregation\"}\n").is_err());
-        assert!(record_from_jsonl("not json at all\n").is_err());
-        assert!(record_from_jsonl("# comment only\n\n").unwrap().is_empty());
     }
 
     #[test]

@@ -32,13 +32,53 @@
 //! # let _ = result;
 //! ```
 
+use daos_mm::clock::Ns;
 use daos_mm::error::MmResult;
 use daos_mm::machine::MachineProfile;
+use daos_mm::stats::{KernelStats, ProcStats};
+use daos_monitor::{MonitorRecord, OverheadStats};
+use daos_schemes::SchemeStats;
 use daos_workloads::WorkloadSpec;
 
 use crate::config::RunConfig;
 use crate::fleet::{FleetEngine, FleetObserver, FleetSpec, FleetSummary};
-use crate::runner::RunResult;
+
+/// Everything one process's run produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunResult {
+    /// Configuration name.
+    pub config: String,
+    /// Workload path name.
+    pub workload: String,
+    /// Machine profile name.
+    pub machine: String,
+    /// Total virtual runtime (the paper's performance metric).
+    pub runtime_ns: Ns,
+    /// Time-weighted average RSS (the paper's memory metric).
+    pub avg_rss: u64,
+    /// Peak RSS.
+    pub peak_rss: u64,
+    /// Full process statistics.
+    pub stats: ProcStats,
+    /// Kernel-side statistics of the process's machine.
+    pub kstats: KernelStats,
+    /// The aggregation record (when `config.record`, on the process
+    /// that owns the monitoring plane).
+    pub record: Option<MonitorRecord>,
+    /// Monitoring overhead counters (on the process that owns a
+    /// monitoring plane).
+    pub overhead: Option<OverheadStats>,
+    /// Per-scheme statistics (likewise).
+    pub scheme_stats: Vec<SchemeStats>,
+}
+
+impl RunResult {
+    /// Monitor CPU utilisation share of one core over the run (the
+    /// paper reports ~1.37 % / 1.46 % for rec / prec).
+    pub fn monitor_cpu_share(&self) -> f64 {
+        self.overhead.map(|o| o.cpu_share(self.runtime_ns)).unwrap_or(0.0)
+    }
+}
 
 /// Everything a session produced: one [`RunResult`] per process (a
 /// single run is `runs.len() == 1`) plus the [`FleetSummary`].
@@ -121,7 +161,6 @@ impl<'a> Session<'a> {
 mod tests {
     use super::*;
     use crate::fleet::FleetProgress;
-    use crate::runner::RunResult;
     use daos_mm::clock::{ms, sec};
     use daos_workloads::{Behavior, Suite};
 

@@ -1,5 +1,6 @@
 //! Engine cross-validation: a fleet of one must reproduce the pinned
-//! single-run goldens (results and byte-stable trace), and fleets must
+//! single-run goldens (results and byte-stable trace), a shard-wide
+//! plane over several processes its own golden, and fleets must
 //! stay deterministic regardless of worker count, keep per-process drop
 //! accounting, and show sub-linear monitoring overhead.
 

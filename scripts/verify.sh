@@ -53,6 +53,25 @@ for pass in lock-order blocking-under-lock guard-discipline; do
 done
 echo "ok"
 
+echo "== live lines per package (daos-lint --json live_loc) =="
+# Non-comment, non-test lines under each package's src/: the number a
+# simplification PR quotes before and after (ROADMAP aim 2).
+echo "$lint_out" | sed 's/.*"live_loc":{\([^}]*\)}.*/\1/' | tr ',' '\n' | tr -d '"' \
+    | awk -F: '
+    { n[$1] = $2; printf "  %-42s %6d\n", $1, $2 }
+    END {
+        paper = n["crates/daos-mm"] + n["crates/daos-monitor"] \
+            + n["crates/daos-schemes"] + n["crates/daos-tuner"]
+        support = n["crates/daos-obs"] + n["crates/daos-lint"] + n["crates/daos-util"]
+        printf "  %-42s %6d\n", "paper layers (mm+monitor+schemes+tuner)", paper
+        printf "  %-42s %6d\n", "support (obs+lint+util)", support
+        printf "  %-42s %6d\n", "driver (crates/daos)", n["crates/daos"]
+        exit !(paper > 0 && support > 0 && n["crates/daos"] > 0)
+    }' || {
+    echo "FAIL: daos-lint --json carries no live_loc for the named packages"
+    exit 1
+}
+
 echo "== golden: fixed-seed trace reports are byte-stable =="
 # Record a small fixed-seed trace and diff the offline reports against
 # checked-in golden files. Any drift in the monitor, the trace schema,

@@ -1,10 +1,10 @@
-//! Tooling-level integration: record files, WSS reports, trace replay
-//! and the scheme DSL driving real runs end to end.
+//! Tooling-level integration: record files, WSS reports and the scheme
+//! DSL driving real runs end to end.
 
 use daos::{record_from_csv, record_to_csv, RunConfig, Session, WssReport};
 use daos_mm::clock::ms;
 use daos_mm::{AccessBatch, MachineProfile, MemorySystem, SwapConfig, ThpMode};
-use daos_workloads::{Behavior, Suite, Trace, TraceWorkload, Workload, WorkloadSpec};
+use daos_workloads::{Behavior, Suite, WorkloadSpec};
 
 fn small_spec() -> WorkloadSpec {
     WorkloadSpec {
@@ -44,38 +44,6 @@ fn record_file_roundtrip_preserves_analysis_results() {
     let span_a = daos::biggest_active_span(&record).unwrap();
     let span_b = daos::biggest_active_span(&reloaded).unwrap();
     assert_eq!(span_a, span_b);
-}
-
-#[test]
-fn trace_recorded_from_suite_workload_replays_deterministically() {
-    let spec = small_spec();
-    let machine = MachineProfile::i3_metal();
-
-    // Record the generator into a trace, write it to text, read it back.
-    let mut recorder = daos_workloads::SyntheticWorkload::new(spec, 9);
-    let mut sys = MemorySystem::new(machine.clone(), SwapConfig::paper_zram(), 9);
-    recorder.setup(&mut sys, ThpMode::Never).unwrap();
-    let base = recorder.region().start;
-    let trace = Trace::record(&mut recorder, spec.footprint, base);
-    let text = trace.to_text();
-    let reloaded = Trace::from_text(&text).unwrap();
-    assert_eq!(trace, reloaded);
-
-    // Replay through the full substrate; hot pages must be the ones the
-    // original would have touched.
-    let mut replay = TraceWorkload::new("tooling", reloaded);
-    let mut sys2 = MemorySystem::new(machine, SwapConfig::paper_zram(), 10);
-    let pid = replay.setup(&mut sys2, ThpMode::Never).unwrap();
-    let mut batches = Vec::new();
-    for idx in 0..replay.nr_epochs().min(50) {
-        batches.clear();
-        replay.epoch(idx, 0, &mut batches);
-        for b in &batches {
-            sys2.apply_access(pid, b).unwrap();
-        }
-    }
-    // The hot quarter is resident; the cold tail was never touched.
-    assert_eq!(sys2.rss_bytes(pid), 4 << 20);
 }
 
 #[test]

@@ -195,17 +195,6 @@ impl Agg {
             Agg::Last => r.last,
         }
     }
-
-    /// Combine already-projected values falling into one `step` bucket.
-    fn combine(self, values: &[f64]) -> f64 {
-        match self {
-            Agg::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
-            Agg::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            Agg::Mean => values.iter().sum::<f64>() / values.len() as f64,
-            // lint: allow(panic, combine is only called on non-empty step buckets)
-            Agg::Last => *values.last().expect("non-empty bucket"),
-        }
-    }
 }
 
 /// One `/query` answer: the series name, the deepest tier consulted,
@@ -329,17 +318,11 @@ impl MetricHistory {
         self.samples_recorded
     }
 
-    /// Sorted series names (the `/query` discovery surface).
-    pub fn series_names(&self) -> Vec<String> {
-        self.series.keys().cloned().collect()
-    }
-
     /// Answer one query: points of `metric` with `at >= since`, drawn
     /// from the shallowest tier that still covers `since`, rollups
-    /// projected through `agg`, finer points spliced on top, and (with
-    /// `step > 0`) re-bucketed to one point per `step` of virtual time.
+    /// projected through `agg` and finer points spliced on top.
     /// `None` when the series does not exist.
-    pub fn query(&self, metric: &str, since: u64, step: u64, agg: Agg) -> Option<QueryResult> {
+    pub fn query(&self, metric: &str, since: u64, agg: Agg) -> Option<QueryResult> {
         let s = self.series.get(metric)?;
         // A tier "covers" the window when it still holds every sample
         // ever recorded (no eviction yet) or its oldest entry predates
@@ -364,9 +347,6 @@ impl MetricHistory {
             points.extend(s.raw.iter().copied().filter(|(at, _)| *at > edge && *at >= since));
             "t100"
         };
-        if step > 0 {
-            points = rebucket(&points, step, agg);
-        }
         Some(QueryResult { metric: metric.to_string(), tier, agg, points })
     }
 }
@@ -393,32 +373,6 @@ fn splice<'a>(
     edge
 }
 
-/// Combine points into one sample per `step`-wide time bucket; the
-/// output point carries the bucket's newest timestamp.
-fn rebucket(points: &[(u64, f64)], step: u64, agg: Agg) -> Vec<(u64, f64)> {
-    let mut out = Vec::new();
-    let mut bucket: Option<(u64, u64, Vec<f64>)> = None; // (bucket id, last at, values)
-    for &(at, v) in points {
-        let id = at / step;
-        match &mut bucket {
-            Some((bid, last_at, values)) if *bid == id => {
-                *last_at = at;
-                values.push(v);
-            }
-            _ => {
-                if let Some((_, last_at, values)) = bucket.take() {
-                    out.push((last_at, agg.combine(&values)));
-                }
-                bucket = Some((id, at, vec![v]));
-            }
-        }
-    }
-    if let Some((_, last_at, values)) = bucket {
-        out.push((last_at, agg.combine(&values)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,11 +392,11 @@ mod tests {
     fn raw_tier_answers_recent_queries_exactly() {
         let mut h = MetricHistory::new();
         fill(&mut h, 20, |i| i as f64);
-        let r = h.query("m", 500, 0, Agg::Last).unwrap();
+        let r = h.query("m", 500, Agg::Last).unwrap();
         assert_eq!(r.tier, "raw");
         assert_eq!(r.points.first(), Some(&(500, 5.0)));
         assert_eq!(r.points.len(), 16);
-        assert!(h.query("nope", 0, 0, Agg::Last).is_none());
+        assert!(h.query("nope", 0, Agg::Last).is_none());
     }
 
     #[test]
@@ -451,7 +405,7 @@ mod tests {
         h.record(1, 100, &one("m", 1.0));
         h.record(1, 100, &one("m", 1.0));
         h.record(2, 200, &one("m", 2.0));
-        assert_eq!(h.query("m", 0, 0, Agg::Last).unwrap().points.len(), 2);
+        assert_eq!(h.query("m", 0, Agg::Last).unwrap().points.len(), 2);
         assert_eq!(h.latest("m"), Some((200, 2.0)));
     }
 
@@ -467,7 +421,7 @@ mod tests {
         assert_eq!((r.min, r.max, r.last, r.count), (1.0, 10.0, 10.0, 10));
         assert!((r.mean - 5.5).abs() < 1e-9);
         // Old windows fall back to the rollup tiers.
-        let q = h.query("m", 100, 0, Agg::Mean).unwrap();
+        let q = h.query("m", 100, Agg::Mean).unwrap();
         assert_eq!(q.tier, "t10");
         assert!(q.points.windows(2).all(|w| w[0].0 < w[1].0));
         // 23 closed rollups; the last covers samples 221..=230.
@@ -479,26 +433,13 @@ mod tests {
     fn deep_history_uses_t100_and_splices_finer_tiers() {
         let mut h = MetricHistory::with_limits(8, 16, 8);
         fill(&mut h, 2_037, |i| (i % 7) as f64);
-        let q = h.query("m", 0, 0, Agg::Max).unwrap();
+        let q = h.query("m", 0, Agg::Max).unwrap();
         assert_eq!(q.tier, "t100");
         assert!(q.points.windows(2).all(|w| w[0].0 < w[1].0), "{:?}", q.points);
         // 8 t100 rollups (up to sample 2000), then the t10 rollups past
         // them (2010, 2020, 2030), then the raw tail (2031..=2037).
         assert_eq!(q.points.len(), 8 + 3 + 7);
         assert_eq!(q.points.last(), Some(&(203_700, (2_037 % 7) as f64)));
-    }
-
-    #[test]
-    fn step_rebuckets_points() {
-        let mut h = MetricHistory::new();
-        fill(&mut h, 40, |i| i as f64);
-        let q = h.query("m", 0, 1_000, Agg::Max).unwrap();
-        // 40 samples at 100ns spacing → buckets [100,900], [1000,1900],
-        // …, [4000] — five of them.
-        assert_eq!(q.points.len(), 5);
-        assert_eq!(q.points[0], (900, 9.0), "bucket carries its max and last at");
-        let mean = h.query("m", 0, 1_000, Agg::Mean).unwrap();
-        assert!((mean.points[0].1 - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -553,7 +494,6 @@ mod tests {
             n in 101u64..900,
             scale in 1u64..1000,
             since in 0u64..5_000,
-            step in 0u64..400,
         ) {
             let mut h = MetricHistory::with_limits(4, 16, 16);
             let mut lo = f64::INFINITY;
@@ -565,7 +505,7 @@ mod tests {
                 h.record(i, i * 10, &[("m".to_string(), v)]);
             }
             for agg in [Agg::Min, Agg::Max, Agg::Mean, Agg::Last] {
-                let q = h.query("m", since, step, agg).unwrap();
+                let q = h.query("m", since, agg).unwrap();
                 for (at, v) in &q.points {
                     prop_assert!(*at >= since);
                     prop_assert!(*v >= lo - 1e-9 && *v <= hi + 1e-9);

@@ -12,6 +12,15 @@
 //!   readers clone the `Arc` and always see an internally consistent
 //!   snapshot. A bounded event tail with global sequence numbers feeds
 //!   live `/events` subscribers.
+//! - [`prom::exposition`] — the one function that decides which
+//!   numbers are exported and under which names: the snapshot's scalars
+//!   as `obs.*` keys, the snapshot's registry, and the plane's own
+//!   telemetry (server counters and per-endpoint histograms, event-tail
+//!   and history accounting, alert states) in one registry. `/metrics`
+//!   renders it, every publish records it into the history behind
+//!   `/query` and the alert rules, and `/statusz` is a JSON view of its
+//!   `obs.server.*` / `obs.http.*` / `obs.history.*` keys — so the
+//!   three cannot disagree about what exists.
 //! - [`publisher::FleetPublisher`] — the [`daos::FleetObserver`] that
 //!   builds and publishes snapshots every N ticks from inside the run
 //!   loop (and a final one via
@@ -21,19 +30,19 @@
 //! - [`server::ObsServer`] — an HTTP/1.1 endpoint on
 //!   `std::net::TcpListener` built on a bounded `daos_util::pool`
 //!   worker pool multiplexing keep-alive connections, serving
-//!   `GET /metrics` (Prometheus text exposition, including the
-//!   server's own `daos_obs_http_*{endpoint=...}` telemetry),
-//!   `/snapshot` (JSON), `/events` (chunked live JSONL), `/healthz`,
-//!   and `/statusz` (the server's own state as JSON). Saturation is
+//!   `GET /metrics` (the exposition as Prometheus text), `/snapshot`
+//!   (JSON), `/events` (chunked live JSONL), `/healthz`, and
+//!   `/statusz` (the server's own state as JSON). Saturation is
 //!   explicit: past [`server::ObsConfig::max_connections`] the accept
 //!   loop answers `503` with `Retry-After`.
 //! - [`history::MetricHistory`] — the embedded time-series store behind
-//!   `GET /query`: every publish is flattened into prometheus-style
-//!   series (labels included) and retained in fixed-capacity rings with
-//!   tiered raw → 10-sample → 100-sample rollup downsampling.
-//! - [`alert::AlertEngine`] — threshold / rate-of-change rules
-//!   ([`alert::AlertRule`], builder-validated) evaluated on every
-//!   publish with hysteresis; states serve on `GET /alerts`, export as
+//!   `GET /query`: every publish's exposition is flattened into
+//!   prometheus-style series (labels included) and retained in
+//!   fixed-capacity rings with tiered raw → 10-sample → 100-sample
+//!   rollup downsampling.
+//! - [`alert::AlertEngine`] — the threshold / rate-of-change rules of
+//!   [`alert::DEFAULT_RULES`] evaluated on every publish with
+//!   hysteresis; states serve on `GET /alerts`, export as
 //!   `daos_alert_state{rule=…}`, and transitions stream on `/events`.
 //! - [`top::Dashboard`] — the `daos top` frame renderer (WSS sparkline,
 //!   hottest regions, scheme quota state, span p50/p95), backfilling
@@ -56,10 +65,18 @@ pub mod server;
 pub mod snapshot;
 pub mod top;
 
-pub use alert::{default_rules, AlertEngine, AlertError, AlertKind, AlertRule, AlertState, AlertStatus};
+pub use alert::{AlertEngine, AlertKind, AlertRule, AlertState, AlertStatus, DEFAULT_RULES};
 pub use history::{Agg, MetricHistory, QueryResult};
 pub use http::{http_get, HttpClient};
 pub use publisher::{FleetPublisher, Publisher, DEFAULT_TAIL_CAPACITY};
 pub use server::{Endpoint, ObsConfig, ObsServer};
 pub use snapshot::ObsSnapshot;
 pub use top::Dashboard;
+
+/// The crate's one poison funnel. Every mutex here guards state whose
+/// updates are each self-contained (a whole-`Arc` swap, one histogram
+/// or counter update, an append), so a panicking holder leaves it
+/// consistent and recovering beats taking the server down.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -1,6 +1,9 @@
-//! Prometheus text exposition (format 0.0.4) rendered from an
-//! [`ObsSnapshot`], plus a strict line parser used by the tests and the
-//! verify smoke to assert the output really is well-formed.
+//! What the obs plane exports and how it is spelled. [`exposition`]
+//! decides the set of exported numbers once, as one [`Registry`];
+//! [`render_with`] renders it as Prometheus text (format 0.0.4) for
+//! `/metrics`, [`flatten_registry`] turns it into the series the metric
+//! history records, and a strict line parser lets the tests and the
+//! verify smoke assert the output really is well-formed.
 //!
 //! Mapping from registry keys:
 //! - dotted keys become `daos_`-prefixed underscore names
@@ -19,6 +22,7 @@
 use crate::snapshot::ObsSnapshot;
 use daos_trace::{Histogram, Registry};
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
 /// Mangle a dotted registry key into a Prometheus metric name.
 fn mangle(key: &str) -> String {
@@ -49,16 +53,19 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
 }
 
+/// Emit one counter or gauge sample line, with its folded label if any.
+fn scalar_sample<V: Display>(out: &mut String, name: &str, label: Option<(&str, &str)>, value: V) {
+    match label {
+        Some((k, v)) => out.push_str(&format!("{name}{{{k}=\"{}\"}} {value}\n", escape_label(v))),
+        None => out.push_str(&format!("{name} {value}\n")),
+    }
+}
+
 /// Emit the sample lines of one histogram. `label` is an optional extra
-/// label pair rendered on every line (the family header is the caller's
-/// job when labelled histograms share a family).
+/// label pair rendered on every line.
 fn hist_samples(out: &mut String, name: &str, label: Option<(&str, &str)>, h: &Histogram) {
     let extra = match label {
         Some((k, v)) => format!("{k}=\"{}\",", escape_label(v)),
-        None => String::new(),
-    };
-    let plain = match label {
-        Some((k, v)) => format!("{{{k}=\"{}\"}}", escape_label(v)),
         None => String::new(),
     };
     let mut cum = 0u64;
@@ -69,13 +76,8 @@ fn hist_samples(out: &mut String, name: &str, label: Option<(&str, &str)>, h: &H
         out.push_str(&format!("{name}_bucket{{{extra}le=\"{le}\"}} {cum}\n"));
     }
     out.push_str(&format!("{name}_bucket{{{extra}le=\"+Inf\"}} {}\n", h.count()));
-    out.push_str(&format!("{name}_sum{plain} {}\n", h.sum()));
-    out.push_str(&format!("{name}_count{plain} {}\n", h.count()));
-}
-
-fn hist_lines(out: &mut String, name: &str, h: &Histogram) {
-    family(out, name, "histogram", "log2-bucketed duration/size distribution");
-    hist_samples(out, name, None, h);
+    scalar_sample(out, &format!("{name}_sum"), label, h.sum());
+    scalar_sample(out, &format!("{name}_count"), label, h.count());
 }
 
 /// Key prefixes that collapse into labelled families, as
@@ -101,12 +103,18 @@ fn split_labelled(key: &str) -> Option<(&str, &str, &str, &str)> {
     })
 }
 
-/// Render the registry part of the exposition into `out`.
-fn render_registry(out: &mut String, reg: &Registry) {
-    // Counters: keyed prefixes collapse into labelled families.
-    let mut labelled: BTreeMap<(&str, &str, &str), Vec<(&str, u64)>> = BTreeMap::new();
-    let mut plain: Vec<(&str, u64)> = Vec::new();
-    for (key, value) in reg.counters() {
+/// Render every entry of one metric kind: plain keys as one family
+/// each, keyed prefixes collapsed into one family per
+/// `(prefix, field)` with the label on every sample line.
+fn fold<'a, V>(
+    out: &mut String,
+    kind: &str,
+    entries: impl Iterator<Item = (&'a str, V)>,
+    sample: impl Fn(&mut String, &str, Option<(&str, &str)>, V),
+) {
+    let mut labelled: BTreeMap<_, Vec<_>> = BTreeMap::new();
+    let mut plain = Vec::new();
+    for (key, value) in entries {
         match split_labelled(key) {
             Some((prefix, label, idx, field)) => {
                 labelled.entry((prefix, label, field)).or_default().push((idx, value))
@@ -116,72 +124,14 @@ fn render_registry(out: &mut String, reg: &Registry) {
     }
     for (key, value) in plain {
         let name = mangle(key);
-        family(out, &name, "counter", &format!("daos-trace counter {key}"));
-        out.push_str(&format!("{name} {value}\n"));
+        family(out, &name, kind, &format!("daos-trace {kind} {key}"));
+        sample(out, &name, None, value);
     }
     for ((prefix, label, field), entries) in labelled {
         let name = mangle(&format!("{prefix}.{field}"));
-        family(
-            out,
-            &name,
-            "counter",
-            &format!("per-{label} counter {prefix}.<{label}>.{field}"),
-        );
+        family(out, &name, kind, &format!("per-{label} {kind} {prefix}.<{label}>.{field}"));
         for (idx, value) in entries {
-            out.push_str(&format!("{name}{{{label}=\"{}\"}} {value}\n", escape_label(idx)));
-        }
-    }
-    // Gauges fold the same way (`alert.<rule>.state` is the labelled
-    // customer; historical plain gauges are untouched by the fold).
-    let mut labelled_gauges: BTreeMap<(&str, &str, &str), Vec<(&str, f64)>> = BTreeMap::new();
-    let mut plain_gauges: Vec<(&str, f64)> = Vec::new();
-    for (key, value) in reg.gauges() {
-        match split_labelled(key) {
-            Some((prefix, label, idx, field)) => {
-                labelled_gauges.entry((prefix, label, field)).or_default().push((idx, value))
-            }
-            None => plain_gauges.push((key, value)),
-        }
-    }
-    for (key, value) in plain_gauges {
-        let name = mangle(key);
-        family(out, &name, "gauge", &format!("daos-trace gauge {key}"));
-        out.push_str(&format!("{name} {value}\n"));
-    }
-    for ((prefix, label, field), entries) in labelled_gauges {
-        let name = mangle(&format!("{prefix}.{field}"));
-        family(
-            out,
-            &name,
-            "gauge",
-            &format!("per-{label} gauge {prefix}.<{label}>.{field}"),
-        );
-        for (idx, value) in entries {
-            out.push_str(&format!("{name}{{{label}=\"{}\"}} {value}\n", escape_label(idx)));
-        }
-    }
-    // Histograms fold the same way; labelled ones share one family
-    // header per (prefix, field) with the label on every sample line.
-    let mut labelled_hists: BTreeMap<(&str, &str, &str), Vec<(&str, &Histogram)>> =
-        BTreeMap::new();
-    for (key, h) in reg.hists() {
-        match split_labelled(key) {
-            Some((prefix, label, idx, field)) => {
-                labelled_hists.entry((prefix, label, field)).or_default().push((idx, h))
-            }
-            None => hist_lines(out, &mangle(key), h),
-        }
-    }
-    for ((prefix, label, field), entries) in labelled_hists {
-        let name = mangle(&format!("{prefix}.{field}"));
-        family(
-            out,
-            &name,
-            "histogram",
-            &format!("per-{label} log2 histogram {prefix}.<{label}>.{field}"),
-        );
-        for (idx, h) in entries {
-            hist_samples(out, &name, Some((label, idx)), h);
+            sample(out, &name, Some((label, idx)), value);
         }
     }
 }
@@ -220,43 +170,48 @@ pub fn flatten_registry(reg: &Registry) -> Vec<(String, f64)> {
     out
 }
 
-/// Render the full `/metrics` exposition for one snapshot.
-pub fn render(snap: &ObsSnapshot) -> String {
-    render_with(snap, None)
+/// Every number the obs plane exports, under its registry key — the one
+/// place that decides the set and the names. To the snapshot's own
+/// registry it adds the snapshot's scalar fields as `obs.*` keys, the
+/// monitor's share of one CPU per process (derived from the fleet
+/// totals every snapshot carries), and `extra` (the publisher's
+/// telemetry). `/metrics` renders the result, every
+/// publish records [`flatten_registry`] of it into the history behind
+/// `/query` and the alert rules, and `/statusz` reads its `obs.*` keys.
+pub fn exposition(snap: &ObsSnapshot, extra: Option<&Registry>) -> Registry {
+    let mut reg = snap.registry.clone();
+    let gauges = [
+        ("obs.seq", snap.seq),
+        ("obs.epoch", snap.epoch),
+        ("obs.nr_epochs", snap.nr_epochs),
+        ("obs.now_ns", snap.now_ns),
+        ("obs.wss_bytes", snap.wss_bytes),
+        ("obs.peak_rss_bytes", snap.peak_rss_bytes),
+        ("obs.avg_rss_bytes", snap.avg_rss_bytes),
+        ("obs.finished", snap.finished as u64),
+    ];
+    for (key, value) in gauges {
+        reg.gauge_set(key, value as f64);
+    }
+    reg.counter_add("obs.dropped_events", snap.dropped_events);
+    let cpu_ns = reg.counter("fleet.nr_processes").max(1) as f64 * snap.now_ns as f64;
+    let work_ns = reg.counter("fleet.monitor_work_ns") as f64;
+    let share = if cpu_ns == 0.0 { 0.0 } else { work_ns / cpu_ns };
+    reg.gauge_set("obs.monitor_share_permille", share * 1000.0);
+    if let Some(extra) = extra {
+        reg.merge(extra);
+    }
+    reg
 }
 
-/// Render the `/metrics` exposition for one snapshot, with an optional
-/// extra registry (the obs server's self-telemetry) merged in so both
-/// appear as one well-formed exposition with no duplicate families.
+/// Render the `/metrics` text for one snapshot: [`exposition`] as one
+/// well-formed Prometheus exposition with no duplicate families.
 pub fn render_with(snap: &ObsSnapshot, extra: Option<&Registry>) -> String {
+    let reg = exposition(snap, extra);
     let mut out = String::new();
-    let gauges: [(&str, &str, u64); 6] = [
-        ("daos_obs_seq", "snapshot publish sequence number", snap.seq),
-        ("daos_obs_epoch", "last completed epoch (0-based)", snap.epoch),
-        ("daos_obs_nr_epochs", "total epochs this run executes", snap.nr_epochs),
-        ("daos_obs_now_ns", "virtual clock at publish time", snap.now_ns),
-        ("daos_obs_wss_bytes", "working-set estimate of the last window", snap.wss_bytes),
-        ("daos_obs_finished", "1 once the run has completed", snap.finished as u64),
-    ];
-    for (name, help, value) in gauges {
-        family(&mut out, name, "gauge", help);
-        out.push_str(&format!("{name} {value}\n"));
-    }
-    family(
-        &mut out,
-        "daos_obs_dropped_events",
-        "counter",
-        "events the trace ring overwrote",
-    );
-    out.push_str(&format!("daos_obs_dropped_events {}\n", snap.dropped_events));
-    match extra {
-        None => render_registry(&mut out, &snap.registry),
-        Some(reg) => {
-            let mut merged = snap.registry.clone();
-            merged.merge(reg);
-            render_registry(&mut out, &merged);
-        }
-    }
+    fold(&mut out, "counter", reg.counters(), scalar_sample);
+    fold(&mut out, "gauge", reg.gauges(), scalar_sample);
+    fold(&mut out, "histogram", reg.hists(), hist_samples);
     out
 }
 
@@ -396,6 +351,10 @@ fn valid_name(name: &str) -> bool {
 mod tests {
     use super::*;
 
+    fn render(snap: &ObsSnapshot) -> String {
+        render_with(snap, None)
+    }
+
     fn sample_map(text: &str) -> BTreeMap<String, f64> {
         parse_exposition(text)
             .unwrap()
@@ -525,7 +484,7 @@ mod tests {
             h.record(v);
         }
         let mut out = String::new();
-        hist_lines(&mut out, "daos_h", &h);
+        hist_samples(&mut out, "daos_h", None, &h);
         let samples = parse_exposition(&out).unwrap();
         let mut last = -1.0f64;
         let mut last_cum = 0.0;

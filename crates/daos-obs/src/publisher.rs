@@ -4,24 +4,24 @@
 //! dashboard read both without ever blocking the sim loop for more than
 //! a pointer swap.
 //!
-//! Since the history/alert subsystem, every publish also: flattens the
-//! snapshot (scalars, registry counters/gauges, histogram percentiles)
-//! into the bounded [`MetricHistory`] behind `/query`, evaluates the
-//! installed [`AlertEngine`] rules against the freshest samples, pushes
-//! each state transition onto the `/events` tail as an
-//! `AlertTransition` trace event, and mirrors rule states into the
-//! `alert.<rule>.*` registry keys `/metrics` folds into
-//! `daos_alert_state{rule=…}`.
+//! Every publish also records [`prom::exposition`] of the snapshot —
+//! the same registry `/metrics` renders — into the bounded
+//! [`MetricHistory`] behind `/query`, evaluates the installed
+//! [`AlertEngine`] rules against the freshest samples, and pushes each
+//! state transition onto the `/events` tail as an `AlertTransition`
+//! trace event.
 
-use crate::alert::{self, AlertEngine, AlertRule, AlertState, AlertStatus};
+use crate::alert::{AlertEngine, AlertStatus, DEFAULT_RULES};
 use crate::history::{Agg, MetricHistory, QueryResult};
+use crate::lock;
 use crate::prom;
+use crate::server::ServerStats;
 use crate::snapshot::ObsSnapshot;
 use daos::{FleetObserver, FleetProgress, FleetSummary, TenantStats};
-use daos_trace::{AlertStateTag, Event, Registry, Ring, TimedEvent};
+use daos_trace::{Event, Registry, Ring, TimedEvent};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 /// Default bound on the live event tail (events). 8Ki timed events is a
 /// few hundred KiB — enough for a dashboard's "recent activity" view
@@ -43,34 +43,38 @@ struct Tail {
     cap: usize,
 }
 
-/// Extra samples recorded into the history on every publish (the obs
-/// server injects its own counters here, so rules can watch e.g. the
-/// 503 rate without a scrape round-trip).
-type AuxSource = Box<dyn Fn(&mut Vec<(String, f64)>) + Send + Sync>;
+impl Tail {
+    /// Append one event, evicting the oldest (and counting it as
+    /// missed) when the tail is full.
+    fn push(&mut self, ev: TimedEvent) {
+        if self.events.len() == self.cap {
+            self.events.pop_front();
+            self.first_seq += 1;
+            self.missed += 1;
+        }
+        self.events.push_back(ev);
+    }
+}
 
 /// The retention + alerting state, advanced on every publish.
 struct ObsState {
     history: MetricHistory,
     alerts: AlertEngine,
-    aux: Option<AuxSource>,
+    /// The bound server's counters, so every publish records them and
+    /// rate rules (the default `obs_http_503_rate`) can watch the 503
+    /// gate without a scrape round-trip.
+    server: Option<Arc<ServerStats>>,
 }
 
+// Poison recovery through `lock` is safe for all three: the snapshot is
+// a whole-`Arc` swap, the tail's every exit path leaves it internally
+// consistent (worst case: events a poisoned sync already counted
+// re-sync as missed), and the history and alert engine only append.
 struct Shared {
-    snap: RwLock<Arc<ObsSnapshot>>,
+    snap: Mutex<Arc<ObsSnapshot>>,
     tail: Mutex<Tail>,
     obs: Mutex<ObsState>,
     finished: AtomicBool,
-}
-
-/// Map an engine state to its trace-event tag (trace sits below obs in
-/// the crate DAG, so the enum is mirrored, not shared).
-fn state_tag(s: AlertState) -> AlertStateTag {
-    match s {
-        AlertState::Ok => AlertStateTag::Ok,
-        AlertState::Pending => AlertStateTag::Pending,
-        AlertState::Firing => AlertStateTag::Firing,
-        AlertState::Resolved => AlertStateTag::Resolved,
-    }
 }
 
 /// Handle to the shared observability state. Clones are cheap and all
@@ -98,7 +102,7 @@ impl Publisher {
     pub fn with_tail_capacity(cap: usize) -> Publisher {
         Publisher {
             shared: Arc::new(Shared {
-                snap: RwLock::new(Arc::new(ObsSnapshot::default())),
+                snap: Mutex::new(Arc::new(ObsSnapshot::default())),
                 tail: Mutex::new(Tail {
                     events: VecDeque::new(),
                     first_seq: 0,
@@ -109,7 +113,7 @@ impl Publisher {
                 obs: Mutex::new(ObsState {
                     history: MetricHistory::new(),
                     alerts: AlertEngine::new(),
-                    aux: None,
+                    server: None,
                 }),
                 finished: AtomicBool::new(false),
             }),
@@ -118,202 +122,103 @@ impl Publisher {
 
     /// Swap in a new snapshot (the Arc-swap: readers holding the old
     /// `Arc` keep a consistent view, new readers see the new one), after
-    /// recording it into the metric history and evaluating alert rules.
+    /// recording its exposition into the metric history and evaluating
+    /// the alert rules over the freshest values.
     pub fn publish(&self, snap: ObsSnapshot) {
-        let transitions = self.record_and_evaluate(&snap);
+        let samples = prom::flatten_registry(&prom::exposition(&snap, Some(&self.telemetry())));
+        let transitions = {
+            let mut obs = lock(&self.shared.obs);
+            let ObsState { history, alerts, .. } = &mut *obs;
+            history.record(snap.seq, snap.now_ns, &samples);
+            alerts.evaluate(snap.now_ns, |metric| history.latest(metric).map(|(_, v)| v))
+        };
         for t in &transitions {
-            let event = Event::AlertTransition {
-                rule: t.rule,
-                from: state_tag(t.from),
-                to: state_tag(t.to),
-                value: t.value,
-            };
             // Into the thread-local ring for offline JSONL export —
             // `sync_ring` skips the variant, so the direct tail push
             // below stays the single `/events` delivery path.
             daos_trace::trace!(t.at, AlertTransition {
                 rule: t.rule,
-                from: state_tag(t.from),
-                to: state_tag(t.to),
+                from: t.from,
+                to: t.to,
                 value: t.value,
             });
-            self.push_tail(TimedEvent { at: t.at, event });
+            let event =
+                Event::AlertTransition { rule: t.rule, from: t.from, to: t.to, value: t.value };
+            lock(&self.shared.tail).push(TimedEvent { at: t.at, event });
         }
-        // A panicking publisher poisons the lock; the snapshot is a
-        // whole-Arc swap, so the stored value is always consistent and
-        // poison recovery is safe.
-        *self
-            .shared
-            .snap
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Arc::new(snap);
+        *lock(&self.shared.snap) = Arc::new(snap);
     }
 
-    /// Flatten `snap` into history samples, record them, and run the
-    /// alert engine over the freshest values.
-    fn record_and_evaluate(&self, snap: &ObsSnapshot) -> Vec<alert::Transition> {
-        let (missed, tail_len) = {
-            let tail = self
-                .shared
-                .tail
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            (tail.missed, tail.events.len())
+    /// Everything the obs plane reports about itself, as registry keys:
+    /// event-tail accounting (`obs.events_missed_total`, `obs.tail_len`),
+    /// history accounting (`obs.history.*`), the alert states
+    /// (`alert.<rule>.state` gauges, `alert.<rule>.transitions_total`
+    /// counters) and, once a server is bound, its `obs.server.*` /
+    /// `obs.http.<endpoint>.*` counters and histograms. This is the
+    /// `extra` every reader hands to [`prom::exposition`].
+    pub(crate) fn telemetry(&self) -> Registry {
+        let mut reg = Registry::new();
+        {
+            let tail = lock(&self.shared.tail);
+            reg.counter_add("obs.events_missed_total", tail.missed);
+            reg.gauge_set("obs.tail_len", tail.events.len() as f64);
+        }
+        let server = {
+            let obs = lock(&self.shared.obs);
+            reg.gauge_set("obs.history.series", obs.history.series_count() as f64);
+            reg.counter_add("obs.history.samples_total", obs.history.samples_recorded());
+            reg.counter_add("obs.history.dropped_series_total", obs.history.dropped_series());
+            for s in obs.alerts.statuses() {
+                reg.gauge_set(&format!("alert.{}.state", s.rule.name), s.state as u32 as f64);
+                reg.counter_add(
+                    &format!("alert.{}.transitions_total", s.rule.name),
+                    s.transitions,
+                );
+            }
+            obs.server.clone()
         };
-        let mut samples: Vec<(String, f64)> = vec![
-            ("daos_obs_seq".into(), snap.seq as f64),
-            ("daos_obs_epoch".into(), snap.epoch as f64),
-            ("daos_obs_nr_epochs".into(), snap.nr_epochs as f64),
-            ("daos_obs_wss_bytes".into(), snap.wss_bytes as f64),
-            ("daos_obs_peak_rss_bytes".into(), snap.peak_rss_bytes as f64),
-            ("daos_obs_avg_rss_bytes".into(), snap.avg_rss_bytes as f64),
-            ("daos_obs_dropped_events".into(), snap.dropped_events as f64),
-            ("daos_obs_finished".into(), if snap.finished { 1.0 } else { 0.0 }),
-            ("daos_obs_events_missed_total".into(), missed as f64),
-            ("daos_obs_tail_len".into(), tail_len as f64),
-        ];
-        if let Some(overhead) = &snap.overhead {
-            samples.push((
-                "daos_obs_monitor_share_permille".into(),
-                overhead.cpu_share(snap.now_ns) * 1000.0,
-            ));
+        if let Some(stats) = server {
+            stats.export(&mut reg);
         }
-        samples.extend(prom::flatten_registry(&snap.registry));
-        let mut obs = self
-            .shared
-            .obs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let ObsState { history, alerts, aux } = &mut *obs;
-        if let Some(aux) = aux {
-            aux(&mut samples);
-        }
-        history.record(snap.seq, snap.now_ns, &samples);
-        alerts.evaluate(snap.now_ns, |metric| history.latest(metric).map(|(_, v)| v))
+        reg
     }
 
-    /// Append one event directly to the tail (the alert-transition
-    /// path; ring-emitted events go through [`sync_ring`](Self::sync_ring)).
-    fn push_tail(&self, ev: TimedEvent) {
-        let mut tail = self
-            .shared
-            .tail
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if tail.events.len() == tail.cap {
-            tail.events.pop_front();
-            tail.first_seq += 1;
-            tail.missed += 1;
-        }
-        tail.events.push_back(ev);
+    /// Hand over the bound server's counters (replacing any previous
+    /// server's), to be exported through [`telemetry`](Self::telemetry).
+    pub(crate) fn attach_server(&self, stats: Arc<ServerStats>) {
+        lock(&self.shared.obs).server = Some(stats);
     }
 
-    /// Install alert rules (appended to any already installed).
-    pub fn install_rules(&self, rules: Vec<AlertRule>) {
-        self.shared
-            .obs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .alerts
-            .install(rules);
-    }
-
-    /// Install [`alert::default_rules`] unless rules are already
-    /// installed — idempotent, so wiring it into every observer
-    /// constructor can't double the rule set.
+    /// Install [`DEFAULT_RULES`] unless rules are already installed —
+    /// idempotent, so wiring it into every observer constructor can't
+    /// double the rule set.
     pub fn install_default_rules(&self) {
-        let mut obs = self
-            .shared
-            .obs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut obs = lock(&self.shared.obs);
         if obs.alerts.is_empty() {
-            obs.alerts.install(alert::default_rules());
+            obs.alerts.install(&DEFAULT_RULES);
         }
     }
 
     /// Point-in-time view of every installed rule (the `/alerts` body).
     pub fn alert_statuses(&self) -> Vec<AlertStatus> {
-        self.shared
-            .obs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .alerts
-            .statuses()
-    }
-
-    /// The alert states as registry keys (`alert.<rule>.state` gauges,
-    /// `alert.<rule>.transitions_total` counters) for merging into the
-    /// `/metrics` exposition.
-    pub fn alert_registry(&self) -> Registry {
-        let mut reg = Registry::new();
-        for s in self.alert_statuses() {
-            reg.gauge_set(&format!("alert.{}.state", s.rule.name), s.state.as_gauge());
-            reg.counter_add(
-                &format!("alert.{}.transitions_total", s.rule.name),
-                s.transitions,
-            );
-        }
-        reg
+        lock(&self.shared.obs).alerts.statuses()
     }
 
     /// Answer a `/query`: see [`MetricHistory::query`].
-    pub fn query(&self, metric: &str, since: u64, step: u64, agg: Agg) -> Option<QueryResult> {
-        self.shared
-            .obs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .history
-            .query(metric, since, step, agg)
+    pub fn query(&self, metric: &str, since: u64, agg: Agg) -> Option<QueryResult> {
+        lock(&self.shared.obs).history.query(metric, since, agg)
     }
 
-    /// History accounting for `/statusz`:
-    /// `(series, samples recorded, series dropped at the cap)`.
-    pub fn history_stats(&self) -> (usize, u64, u64) {
-        let obs = self
-            .shared
-            .obs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        (
-            obs.history.series_count(),
-            obs.history.samples_recorded(),
-            obs.history.dropped_series(),
-        )
-    }
-
-    /// Register the extra per-publish sample source (replacing any
-    /// previous one). The obs server injects its own counters here.
-    pub fn set_aux_source(&self, f: impl Fn(&mut Vec<(String, f64)>) + Send + Sync + 'static) {
-        self.shared
-            .obs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .aux = Some(Box::new(f));
-    }
-
-    /// The current snapshot (cheap: one `Arc` clone under a read lock).
+    /// The current snapshot (cheap: one `Arc` clone under the lock).
     pub fn snapshot(&self) -> Arc<ObsSnapshot> {
-        self.shared
-            .snap
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        lock(&self.shared.snap).clone()
     }
 
     /// Pull the ring's events-since-last-sync into the shared tail. Only
     /// the new suffix is copied, so the cost is proportional to emission
     /// rate, not ring size.
     pub fn sync_ring(&self, ring: &Ring) {
-        // Tail bookkeeping is updated field-by-field, but every exit
-        // path leaves it internally consistent (worst case: events the
-        // poisoned sync already counted re-sync as missed), so poison
-        // recovery beats taking the whole server down.
-        let mut tail = self
-            .shared
-            .tail
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut tail = lock(&self.shared.tail);
         let total = ring.total_pushed();
         let new = total.saturating_sub(tail.seen);
         if new == 0 {
@@ -326,15 +231,9 @@ impl Publisher {
             // Alert transitions reach the tail directly in `publish`;
             // copying the ring's mirror of them would double-deliver
             // on `/events`.
-            if matches!(ev.event, Event::AlertTransition { .. }) {
-                continue;
+            if !matches!(ev.event, Event::AlertTransition { .. }) {
+                tail.push(ev);
             }
-            if tail.events.len() == tail.cap {
-                tail.events.pop_front();
-                tail.first_seq += 1;
-                tail.missed += 1;
-            }
-            tail.events.push_back(ev);
         }
         tail.seen = total;
     }
@@ -343,36 +242,11 @@ impl Publisher {
     /// to pass next time. A subscriber starting at 0 gets the whole
     /// surviving tail.
     pub fn events_since(&self, cursor: u64) -> (Vec<TimedEvent>, u64) {
-        let tail = self
-            .shared
-            .tail
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let tail = lock(&self.shared.tail);
         let next = tail.first_seq + tail.events.len() as u64;
         let start = cursor.max(tail.first_seq);
         let skip = (start - tail.first_seq) as usize;
         (tail.events.iter().skip(skip).copied().collect(), next)
-    }
-
-    /// Number of events currently buffered in the tail (the `/statusz`
-    /// view of how full the bounded tail is).
-    pub fn tail_len(&self) -> usize {
-        self.shared
-            .tail
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .events
-            .len()
-    }
-
-    /// Events that never reached the tail (ring overwrites between syncs
-    /// plus tail evictions).
-    pub fn missed_events(&self) -> u64 {
-        self.shared
-            .tail
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .missed
     }
 
     /// Mark the run complete: `/events` streams terminate once drained
@@ -423,21 +297,6 @@ pub struct FleetPublisher {
     seq: u64,
 }
 
-/// Per-tenant aggregates as `tenant.<name>.*` registry counters.
-fn tenant_counters(reg: &mut Registry, tenants: &[TenantStats]) {
-    for t in tenants {
-        let mut add = |field: &str, v: u64| {
-            reg.counter_add(&format!("tenant.{}.{field}", t.name), v);
-        };
-        add("nr_processes", t.nr_processes as u64);
-        add("rss_bytes", t.total_rss);
-        add("peak_rss_bytes", t.peak_rss);
-        add("interference_ns", t.interference_ns);
-        add("major_faults", t.major_faults);
-        add("swapouts", t.swapouts);
-    }
-}
-
 impl FleetPublisher {
     /// Observer publishing through `publisher` under the given run
     /// identity, once per `publish_every` ticks (min 1).
@@ -459,34 +318,42 @@ impl FleetPublisher {
         }
     }
 
-    fn build(&mut self, p: &FleetProgress) -> ObsSnapshot {
+    /// The one snapshot constructor. It adds what every snapshot shares
+    /// — the next `seq`, the run identity, the calling thread's
+    /// registry plus the `fleet.*` totals and `tenant.<name>.*`
+    /// aggregates, and the thread collector's ring drops on top of the
+    /// engine's — to `rest`, where a live tick and the end of the run
+    /// put what they each know.
+    fn build(
+        &mut self,
+        fleet: &[(&str, u64)],
+        tenants: &[TenantStats],
+        rest: ObsSnapshot,
+    ) -> ObsSnapshot {
         self.seq += 1;
         let mut registry = current_registry();
-        registry.counter_add("fleet.nr_processes", p.nr_processes as u64);
-        registry.counter_add("fleet.monitor_work_ns", p.monitor_work_ns);
-        registry.counter_add("fleet.dropped_events", p.dropped_events);
-        tenant_counters(&mut registry, &p.tenants);
-        let total_rss: u64 = p.tenants.iter().map(|t| t.total_rss).sum();
-        let total_peak: u64 = p.tenants.iter().map(|t| t.peak_rss).sum();
-        let single = p.single.as_ref();
-        let last_window = single.and_then(|s| s.last_window.clone());
+        for (field, value) in fleet {
+            registry.counter_add(&format!("fleet.{field}"), *value);
+        }
+        for t in tenants {
+            let mut add = |field: &str, v: u64| {
+                registry.counter_add(&format!("tenant.{}.{field}", t.name), v);
+            };
+            add("nr_processes", t.nr_processes as u64);
+            add("rss_bytes", t.total_rss);
+            add("peak_rss_bytes", t.peak_rss);
+            add("interference_ns", t.interference_ns);
+            add("major_faults", t.major_faults);
+            add("swapouts", t.swapouts);
+        }
         ObsSnapshot {
             seq: self.seq,
             config: self.config.clone(),
             workload: self.workload.clone(),
             machine: self.machine.clone(),
-            epoch: p.tick,
-            nr_epochs: p.nr_ticks,
-            now_ns: p.now_ns,
-            wss_bytes: last_window.as_ref().map_or(0, |w| w.hot_bytes_estimate()),
-            peak_rss_bytes: total_peak,
-            avg_rss_bytes: single.map_or(total_rss, |s| s.avg_rss),
-            last_window,
-            schemes: single.map(|s| s.scheme_stats.clone()).unwrap_or_default(),
-            overhead: single.and_then(|s| s.overhead),
             registry,
-            dropped_events: p.dropped_events + ring_dropped(),
-            finished: false,
+            dropped_events: rest.dropped_events + ring_dropped(),
+            ..rest
         }
     }
 
@@ -496,41 +363,37 @@ impl FleetPublisher {
     /// snapshot covers the whole run. A single process's window, scheme
     /// stats and overhead stay as the final tick published them.
     pub fn finalize(&mut self, summary: &FleetSummary) {
-        self.seq += 1;
-        let mut registry = current_registry();
-        registry.counter_add("fleet.nr_processes", summary.nr_processes as u64);
-        registry.counter_add("fleet.nr_shards", summary.nr_shards as u64);
-        registry.counter_add("fleet.nr_workers", summary.nr_workers as u64);
-        registry.counter_add("fleet.ticks", summary.ticks);
-        registry.counter_add("fleet.monitor_work_ns", summary.monitor_work_ns);
-        registry.counter_add("fleet.monitor_total_checks", summary.monitor_total_checks);
-        registry.counter_add(
-            "fleet.overhead_per_process_ns",
-            summary.overhead_per_process_ns(),
-        );
-        registry.counter_add("fleet.effective_max_regions", summary.effective_max_regions as u64);
-        registry.counter_add("fleet.steals", summary.steals);
-        registry.counter_add("fleet.dropped_events", summary.total_dropped());
-        tenant_counters(&mut registry, &summary.tenants);
+        let fleet = [
+            ("nr_processes", summary.nr_processes as u64),
+            ("nr_shards", summary.nr_shards as u64),
+            ("nr_workers", summary.nr_workers as u64),
+            ("ticks", summary.ticks),
+            ("monitor_work_ns", summary.monitor_work_ns),
+            ("monitor_total_checks", summary.monitor_total_checks),
+            ("overhead_per_process_ns", summary.overhead_per_process_ns()),
+            ("effective_max_regions", summary.effective_max_regions as u64),
+            ("steals", summary.steals),
+            ("dropped_events", summary.total_dropped()),
+        ];
         let last = self.publisher.snapshot();
-        let snap = ObsSnapshot {
-            seq: self.seq,
-            config: self.config.clone(),
-            workload: self.workload.clone(),
-            machine: self.machine.clone(),
-            epoch: summary.ticks.saturating_sub(1),
-            nr_epochs: summary.ticks,
-            now_ns: summary.runtime_ns,
-            wss_bytes: last.wss_bytes,
-            peak_rss_bytes: summary.total_peak_rss,
-            avg_rss_bytes: summary.total_avg_rss,
-            last_window: last.last_window.clone(),
-            schemes: last.schemes.clone(),
-            overhead: last.overhead,
-            registry,
-            dropped_events: summary.total_dropped() + ring_dropped(),
-            finished: true,
-        };
+        let snap = self.build(
+            &fleet,
+            &summary.tenants,
+            ObsSnapshot {
+                epoch: summary.ticks.saturating_sub(1),
+                nr_epochs: summary.ticks,
+                now_ns: summary.runtime_ns,
+                wss_bytes: last.wss_bytes,
+                peak_rss_bytes: summary.total_peak_rss,
+                avg_rss_bytes: summary.total_avg_rss,
+                last_window: last.last_window.clone(),
+                schemes: last.schemes.clone(),
+                overhead: last.overhead,
+                dropped_events: summary.total_dropped(),
+                finished: true,
+                ..Default::default()
+            },
+        );
         self.publisher.publish(snap);
         self.publisher.finish();
     }
@@ -546,7 +409,31 @@ impl FleetObserver for FleetPublisher {
         if !self.due(p.tick, p.nr_ticks) {
             return;
         }
-        let snap = self.build(p);
+        let fleet = [
+            ("nr_processes", p.nr_processes as u64),
+            ("monitor_work_ns", p.monitor_work_ns),
+            ("dropped_events", p.dropped_events),
+        ];
+        let single = p.single.as_ref();
+        let last_window = single.and_then(|s| s.last_window.clone());
+        let total_rss: u64 = p.tenants.iter().map(|t| t.total_rss).sum();
+        let snap = self.build(
+            &fleet,
+            &p.tenants,
+            ObsSnapshot {
+                epoch: p.tick,
+                nr_epochs: p.nr_ticks,
+                now_ns: p.now_ns,
+                wss_bytes: last_window.as_ref().map_or(0, |w| w.hot_bytes_estimate()),
+                peak_rss_bytes: p.tenants.iter().map(|t| t.peak_rss).sum(),
+                avg_rss_bytes: single.map_or(total_rss, |s| s.avg_rss),
+                last_window,
+                schemes: single.map(|s| s.scheme_stats.clone()).unwrap_or_default(),
+                overhead: single.and_then(|s| s.overhead),
+                dropped_events: p.dropped_events,
+                ..Default::default()
+            },
+        );
         daos_trace::with_collector(|c| self.publisher.sync_ring(c.ring()));
         self.publisher.publish(snap);
     }
@@ -555,7 +442,12 @@ impl FleetObserver for FleetPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daos_trace::{Collector, Event};
+    use crate::alert::AlertState;
+    use daos_trace::Collector;
+
+    fn missed(p: &Publisher) -> u64 {
+        p.telemetry().counter("obs.events_missed_total")
+    }
 
     fn ev(at: u64) -> TimedEvent {
         TimedEvent { at, event: Event::RegionSplit { before: at, after: at + 1 } }
@@ -597,7 +489,7 @@ mod tests {
         let (evs, cursor3) = p.events_since(cursor);
         assert_eq!(evs.iter().map(|e| e.at).collect::<Vec<_>>(), vec![3, 4, 5]);
         assert_eq!(cursor3, 6);
-        assert_eq!(p.missed_events(), 2, "tail evictions are accounted");
+        assert_eq!(missed(&p), 2, "tail evictions are accounted");
         // A stale cursor below the tail window clamps to what survives.
         let (evs, _) = p.events_since(0);
         assert_eq!(evs.len(), 4);
@@ -613,7 +505,7 @@ mod tests {
         p.sync_ring(c.ring());
         let (evs, _) = p.events_since(0);
         assert_eq!(evs.iter().map(|e| e.at).collect::<Vec<_>>(), vec![3, 4]);
-        assert_eq!(p.missed_events(), 3, "events the ring overwrote are counted, once");
+        assert_eq!(missed(&p), 3, "events the ring overwrote are counted, once");
     }
 
     #[test]
@@ -630,27 +522,18 @@ mod tests {
                 ..Default::default()
             });
         }
-        let q = p.query("daos_obs_wss_bytes", 0, 0, Agg::Last).expect("series recorded");
+        let q = p.query("daos_obs_wss_bytes", 0, Agg::Last).expect("series recorded");
         assert_eq!(q.points.len(), 5);
         assert_eq!(q.points.last(), Some(&(5_000, 5.0 * 4096.0)));
-        let f = p.query("daos_fleet_nr_processes", 0, 0, Agg::Last).unwrap();
+        let f = p.query("daos_fleet_nr_processes", 0, Agg::Last).unwrap();
         assert!(f.points.iter().all(|&(_, v)| v == 256.0));
-        let (series, samples, dropped) = p.history_stats();
-        assert!(series >= 2);
-        assert!(samples >= 10);
-        assert_eq!(dropped, 0);
+        let t = p.telemetry();
+        assert!(t.gauge("obs.history.series").unwrap() >= 2.0);
+        assert!(t.counter("obs.history.samples_total") >= 10);
+        assert_eq!(t.counter("obs.history.dropped_series_total"), 0);
         // Re-publishing the same seq is deduplicated.
         p.publish(ObsSnapshot { seq: 5, now_ns: 5_000, wss_bytes: 99, ..Default::default() });
-        assert_eq!(p.query("daos_obs_wss_bytes", 0, 0, Agg::Last).unwrap().points.len(), 5);
-    }
-
-    #[test]
-    fn aux_source_samples_are_recorded() {
-        let p = Publisher::new();
-        p.set_aux_source(|out| out.push(("daos_obs_server_rejected_total".into(), 7.0)));
-        p.publish(ObsSnapshot { seq: 1, now_ns: 1_000, ..Default::default() });
-        let q = p.query("daos_obs_server_rejected_total", 0, 0, Agg::Last).unwrap();
-        assert_eq!(q.points, vec![(1_000, 7.0)]);
+        assert_eq!(p.query("daos_obs_wss_bytes", 0, Agg::Last).unwrap().points.len(), 5);
     }
 
     #[test]
@@ -683,13 +566,13 @@ mod tests {
         assert_eq!(alerts.len(), 4, "every transition reaches /events: {evs:?}");
         match alerts[1].event {
             Event::AlertTransition { from, to, .. } => {
-                assert_eq!(from, AlertStateTag::Pending);
-                assert_eq!(to, AlertStateTag::Firing);
+                assert_eq!(from, AlertState::Pending);
+                assert_eq!(to, AlertState::Firing);
             }
             _ => unreachable!(),
         }
         // The registry view folds into daos_alert_* families.
-        let reg = p.alert_registry();
+        let reg = p.telemetry();
         assert_eq!(reg.counter("alert.trace_ring_drop_rate.transitions_total"), 4);
         let gauges: Vec<(&str, f64)> = reg.gauges().collect();
         assert!(gauges.iter().any(|(k, v)| *k == "alert.trace_ring_drop_rate.state" && *v == 0.0));
@@ -704,8 +587,8 @@ mod tests {
             2,
             Event::AlertTransition {
                 rule: 0,
-                from: AlertStateTag::Ok,
-                to: AlertStateTag::Pending,
+                from: AlertState::Ok,
+                to: AlertState::Pending,
                 value: 1.0,
             },
         );
@@ -713,7 +596,7 @@ mod tests {
         p.sync_ring(c.ring());
         let (evs, _) = p.events_since(0);
         assert_eq!(evs.iter().map(|e| e.at).collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(p.missed_events(), 0, "skipped mirrors are not 'missed'");
+        assert_eq!(missed(&p), 0, "skipped mirrors are not 'missed'");
     }
 
     #[test]

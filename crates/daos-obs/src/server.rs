@@ -3,17 +3,18 @@
 //! that drives the fleet engine) instead of a thread per connection.
 //! Routes:
 //!
-//! - `GET /metrics` — Prometheus text exposition of the latest snapshot,
-//!   with the server's own per-endpoint telemetry merged in as
+//! - `GET /metrics` — [`prom::exposition`] of the latest snapshot as
+//!   Prometheus text, the server's own telemetry included as
 //!   `daos_obs_http_*{endpoint=...}` and `daos_obs_server_*` families
 //! - `GET /snapshot` — the full [`ObsSnapshot`] as compact JSON
 //! - `GET /events` — chunked live JSONL tail of the trace ring; streams
 //!   until the run finishes, then drains and terminates
 //! - `GET /healthz` — liveness probe (`ok`)
-//! - `GET /statusz` — compact JSON view of the server's own state
-//!   (in-flight, accepted/rejected, per-endpoint p50/p99)
-//! - `GET /query?metric=…[&since=…][&step=…][&agg=min|max|mean|last]` —
-//!   one retained series from the metric history as JSON points
+//! - `GET /statusz` — the same telemetry's `obs.server.*` /
+//!   `obs.http.*` / `obs.history.*` keys as compact JSON (in-flight,
+//!   accepted/rejected, per-endpoint p50/p99)
+//! - `GET /query?metric=…[&since=…][&agg=min|max|mean|last]` — one
+//!   retained series from the metric history as JSON points
 //! - `GET /alerts` — every installed alert rule's state as JSON
 //!
 //! `HEAD` works everywhere (headers only); malformed requests get a
@@ -26,7 +27,7 @@
 //! fixed number of threads multiplexes every keep-alive connection.
 //! A pump peeks each connection with a short timeout: data ready means
 //! one full request is served (and the connection requeued), idle
-//! connections are requeued until [`ObsConfig::keepalive_idle`] expires.
+//! connections are requeued until `KEEPALIVE_IDLE` (10 s) expires.
 //! When [`ObsConfig::max_connections`] connections are already open, the
 //! accept loop answers `503` with `Retry-After` and closes — saturation
 //! is explicit backpressure, never an unbounded thread spawn. A live
@@ -38,6 +39,7 @@ use crate::http::{
     Request, ResponseOpts,
 };
 use crate::history::Agg;
+use crate::lock;
 use crate::prom;
 use crate::publisher::Publisher;
 use daos_trace::{Histogram, Registry};
@@ -47,7 +49,7 @@ use std::collections::VecDeque;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -69,6 +71,15 @@ const PUMP_IDLE: Duration = Duration::from_millis(50);
 /// it).
 const REJECT_DRAIN: Duration = Duration::from_millis(100);
 
+/// Socket read timeout once a request has started arriving.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Socket write timeout (responses and `/events` chunks).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long an idle keep-alive connection is kept before closing.
+const KEEPALIVE_IDLE: Duration = Duration::from_secs(10);
+
 /// Tuning for the obs server's worker pool and admission policy.
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
@@ -77,23 +88,11 @@ pub struct ObsConfig {
     pub workers: usize,
     /// Open-connection bound; the accept loop answers `503` beyond it.
     pub max_connections: usize,
-    /// Socket read timeout once a request has started arriving.
-    pub read_timeout: Duration,
-    /// Socket write timeout (responses and `/events` chunks).
-    pub write_timeout: Duration,
-    /// How long an idle keep-alive connection is kept before closing.
-    pub keepalive_idle: Duration,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        ObsConfig {
-            workers: 0,
-            max_connections: 256,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            keepalive_idle: Duration::from_secs(10),
-        }
+        ObsConfig { workers: 0, max_connections: 256 }
     }
 }
 
@@ -131,54 +130,19 @@ pub enum Endpoint {
 
 const NR_ENDPOINTS: usize = 8;
 
-impl Endpoint {
-    /// Every endpoint, in telemetry order.
-    pub const ALL: [Endpoint; NR_ENDPOINTS] = [
-        Endpoint::Healthz,
-        Endpoint::Metrics,
-        Endpoint::Snapshot,
-        Endpoint::Events,
-        Endpoint::Statusz,
-        Endpoint::Query,
-        Endpoint::Alerts,
-        Endpoint::Other,
-    ];
-
-    /// The `endpoint` label value (and `obs.http.<key>.*` registry
-    /// segment).
-    pub fn key(self) -> &'static str {
-        match self {
-            Endpoint::Healthz => "healthz",
-            Endpoint::Metrics => "metrics",
-            Endpoint::Snapshot => "snapshot",
-            Endpoint::Events => "events",
-            Endpoint::Statusz => "statusz",
-            Endpoint::Query => "query",
-            Endpoint::Alerts => "alerts",
-            Endpoint::Other => "other",
-        }
-    }
-
-    fn of(path: &str) -> Endpoint {
-        match path {
-            "/healthz" => Endpoint::Healthz,
-            "/metrics" => Endpoint::Metrics,
-            "/snapshot" => Endpoint::Snapshot,
-            "/events" => Endpoint::Events,
-            "/statusz" => Endpoint::Statusz,
-            "/query" => Endpoint::Query,
-            "/alerts" => Endpoint::Alerts,
-            _ => Endpoint::Other,
-        }
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Telemetry state stays internally consistent under panic (each
-    // histogram/counter update is self-contained), so poison recovery
-    // beats taking the server down.
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// One row per endpoint, in discriminant order: the request path it
+/// answers (none for `Other`) and its `endpoint` label value (the
+/// `obs.http.<key>.*` registry segment).
+const ENDPOINTS: [(Endpoint, &str, &str); NR_ENDPOINTS] = [
+    (Endpoint::Healthz, "/healthz", "healthz"),
+    (Endpoint::Metrics, "/metrics", "metrics"),
+    (Endpoint::Snapshot, "/snapshot", "snapshot"),
+    (Endpoint::Events, "/events", "events"),
+    (Endpoint::Statusz, "/statusz", "statusz"),
+    (Endpoint::Query, "/query", "query"),
+    (Endpoint::Alerts, "/alerts", "alerts"),
+    (Endpoint::Other, "", "other"),
+];
 
 #[derive(Default)]
 struct EndpointStats {
@@ -188,21 +152,23 @@ struct EndpointStats {
 }
 
 /// The server's self-telemetry: lock-free counters plus mutexed log2
-/// histograms per endpoint, materialized into a [`Registry`] on demand
-/// so `/metrics` can self-report without the handlers sharing a lock on
-/// the hot path.
-struct ServerStats {
+/// histograms per endpoint, exported as registry keys on demand so the
+/// handlers share no lock on the hot path. Each update is
+/// self-contained, so the histograms recover from poison.
+pub(crate) struct ServerStats {
     endpoints: [EndpointStats; NR_ENDPOINTS],
     accepted: AtomicU64,
     rejected: AtomicU64,
     bad_requests: AtomicU64,
     keepalive_reuse: AtomicU64,
     in_flight: AtomicU64,
+    queued: AtomicU64,
     workers: usize,
+    max_connections: usize,
 }
 
 impl ServerStats {
-    fn new(workers: usize) -> ServerStats {
+    fn new(workers: usize, max_connections: usize) -> ServerStats {
         ServerStats {
             endpoints: std::array::from_fn(|_| EndpointStats::default()),
             accepted: AtomicU64::new(0),
@@ -210,7 +176,9 @@ impl ServerStats {
             bad_requests: AtomicU64::new(0),
             keepalive_reuse: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
+            queued: AtomicU64::new(0),
             workers,
+            max_connections,
         }
     }
 
@@ -223,43 +191,34 @@ impl ServerStats {
         lock(&s.response_bytes).record(bytes as u64);
     }
 
-    /// Materialize the telemetry as `obs.http.<endpoint>.*` /
-    /// `obs.server.*` registry keys (the `/metrics` fold input).
-    fn to_registry(&self) -> Registry {
-        let mut reg = Registry::new();
-        for ep in Endpoint::ALL {
-            let s = &self.endpoints[ep as usize];
-            // ordering: Relaxed — telemetry read; exactness across
-            // concurrent requests is not required for a scrape.
-            let requests = s.requests.load(Ordering::Relaxed);
-            if requests == 0 {
-                continue;
+    /// Write the telemetry into `reg` as `obs.http.<endpoint>.*` /
+    /// `obs.server.*` keys. Every endpoint's request counter is there
+    /// from the start, so the exported name set does not depend on the
+    /// traffic so far; its histograms appear with its first request.
+    pub(crate) fn export(&self, reg: &mut Registry) {
+        // ordering: Relaxed throughout — monotonic counters and
+        // advisory gauges read for a point-in-time scrape; exactness
+        // across concurrent requests is not required.
+        let read = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        for (s, (_, _, key)) in self.endpoints.iter().zip(ENDPOINTS) {
+            let requests = read(&s.requests);
+            reg.counter_add(&format!("obs.http.{key}.requests_total"), requests);
+            if requests > 0 {
+                reg.hist_insert(&format!("obs.http.{key}.request_ns"), &lock(&s.request_ns));
+                reg.hist_insert(
+                    &format!("obs.http.{key}.response_bytes"),
+                    &lock(&s.response_bytes),
+                );
             }
-            reg.counter_add(&format!("obs.http.{}.requests_total", ep.key()), requests);
-            reg.hist_insert(&format!("obs.http.{}.request_ns", ep.key()), &lock(&s.request_ns));
-            reg.hist_insert(
-                &format!("obs.http.{}.response_bytes", ep.key()),
-                &lock(&s.response_bytes),
-            );
         }
-        // ordering: Relaxed — monotonic telemetry counter scrape.
-        reg.counter_add("obs.server.accepted_total", self.accepted.load(Ordering::Relaxed));
-        // ordering: Relaxed — monotonic telemetry counter scrape.
-        reg.counter_add("obs.server.rejected_total", self.rejected.load(Ordering::Relaxed));
-        reg.counter_add(
-            "obs.server.bad_requests_total",
-            // ordering: Relaxed — monotonic telemetry counter scrape.
-            self.bad_requests.load(Ordering::Relaxed),
-        );
-        reg.counter_add(
-            "obs.server.keepalive_reuse_total",
-            // ordering: Relaxed — monotonic telemetry counter scrape.
-            self.keepalive_reuse.load(Ordering::Relaxed),
-        );
-        // ordering: Relaxed — advisory point-in-time gauge.
-        reg.gauge_set("obs.server.in_flight", self.in_flight.load(Ordering::Relaxed) as f64);
+        reg.counter_add("obs.server.accepted_total", read(&self.accepted));
+        reg.counter_add("obs.server.rejected_total", read(&self.rejected));
+        reg.counter_add("obs.server.bad_requests_total", read(&self.bad_requests));
+        reg.counter_add("obs.server.keepalive_reuse_total", read(&self.keepalive_reuse));
+        reg.gauge_set("obs.server.in_flight", read(&self.in_flight) as f64);
+        reg.gauge_set("obs.server.queued_connections", read(&self.queued) as f64);
         reg.gauge_set("obs.server.workers", self.workers as f64);
-        reg
+        reg.gauge_set("obs.server.max_connections", self.max_connections as f64);
     }
 }
 
@@ -290,68 +249,49 @@ impl Inner {
     }
 
     fn requeue(&self, conn: Conn) {
-        lock(&self.queue).push_back(conn);
+        let mut q = lock(&self.queue);
+        q.push_back(conn);
+        // ordering: Relaxed — advisory queue-depth gauge.
+        self.stats.queued.store(q.len() as u64, Ordering::Relaxed);
+        drop(q);
         self.queue_cv.notify_one();
     }
 
-    /// The self-telemetry registry, plus the live queue-depth gauge,
-    /// the publisher's event-tail accounting, and the alert states.
-    fn telemetry(&self) -> Registry {
-        let mut reg = self.stats.to_registry();
-        reg.gauge_set("obs.server.queued_connections", lock(&self.queue).len() as f64);
-        reg.counter_add("obs.events_missed_total", self.publisher.missed_events());
-        reg.gauge_set("obs.tail_len", self.publisher.tail_len() as f64);
-        reg.merge(&self.publisher.alert_registry());
-        reg
-    }
-
-    /// The `/statusz` body: the server's own state as compact JSON.
+    /// The `/statusz` body: the telemetry's `obs.server.*`,
+    /// `obs.history.*` and per-endpoint `obs.http.*` keys as compact
+    /// JSON, plus whether the run has finished.
     fn statusz(&self) -> String {
-        let (history_series, history_samples, history_dropped) =
-            self.publisher.history_stats();
+        let reg = self.publisher.telemetry();
+        let counter = |key: &str| Json::U64(reg.counter(key));
+        let gauge = |key: &str| Json::U64(reg.gauge(key).unwrap_or(0.0) as u64);
         let mut endpoints = Vec::new();
-        for ep in Endpoint::ALL {
-            let s = &self.stats.endpoints[ep as usize];
-            // ordering: Relaxed — telemetry read for a status page.
-            let requests = s.requests.load(Ordering::Relaxed);
-            if requests == 0 {
+        for (_, _, key) in ENDPOINTS {
+            let Some(h) = reg.hist(&format!("obs.http.{key}.request_ns")) else {
                 continue;
-            }
-            let h = lock(&s.request_ns);
+            };
             endpoints.push((
-                ep.key().to_string(),
+                key.to_string(),
                 Json::Object(vec![
-                    ("requests_total".into(), Json::U64(requests)),
+                    ("requests_total".into(), counter(&format!("obs.http.{key}.requests_total"))),
                     ("p50_ns".into(), Json::U64(h.percentile(50.0))),
                     ("p99_ns".into(), Json::U64(h.percentile(99.0))),
                 ]),
             ));
         }
         Json::Object(vec![
-            ("workers".into(), Json::U64(self.stats.workers as u64)),
-            ("max_connections".into(), Json::U64(self.cfg.max_connections as u64)),
-            // ordering: Relaxed — advisory point-in-time telemetry read.
-            ("in_flight".into(), Json::U64(self.stats.in_flight.load(Ordering::Relaxed))),
-            ("queued_connections".into(), Json::U64(lock(&self.queue).len() as u64)),
-            // ordering: Relaxed — advisory point-in-time telemetry read.
-            ("accepted_total".into(), Json::U64(self.stats.accepted.load(Ordering::Relaxed))),
-            // ordering: Relaxed — advisory point-in-time telemetry read.
-            ("rejected_total".into(), Json::U64(self.stats.rejected.load(Ordering::Relaxed))),
-            (
-                "bad_requests_total".into(),
-                // ordering: Relaxed — advisory point-in-time telemetry read.
-                Json::U64(self.stats.bad_requests.load(Ordering::Relaxed)),
-            ),
-            (
-                "keepalive_reuse_total".into(),
-                // ordering: Relaxed — advisory point-in-time telemetry read.
-                Json::U64(self.stats.keepalive_reuse.load(Ordering::Relaxed)),
-            ),
-            ("tail_events".into(), Json::U64(self.publisher.tail_len() as u64)),
+            ("workers".into(), gauge("obs.server.workers")),
+            ("max_connections".into(), gauge("obs.server.max_connections")),
+            ("in_flight".into(), gauge("obs.server.in_flight")),
+            ("queued_connections".into(), gauge("obs.server.queued_connections")),
+            ("accepted_total".into(), counter("obs.server.accepted_total")),
+            ("rejected_total".into(), counter("obs.server.rejected_total")),
+            ("bad_requests_total".into(), counter("obs.server.bad_requests_total")),
+            ("keepalive_reuse_total".into(), counter("obs.server.keepalive_reuse_total")),
+            ("tail_events".into(), gauge("obs.tail_len")),
             ("finished".into(), Json::Bool(self.publisher.is_finished())),
-            ("history_series".into(), Json::U64(history_series as u64)),
-            ("history_samples".into(), Json::U64(history_samples)),
-            ("history_dropped_series".into(), Json::U64(history_dropped)),
+            ("history_series".into(), gauge("obs.history.series")),
+            ("history_samples".into(), counter("obs.history.samples_total")),
+            ("history_dropped_series".into(), counter("obs.history.dropped_series_total")),
             ("endpoints".into(), Json::Object(endpoints)),
         ])
         .to_string_compact()
@@ -387,31 +327,8 @@ impl ObsServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let workers = cfg.effective_workers();
-        let stats = Arc::new(ServerStats::new(workers));
-        // Feed the server's own admission counters into the metric
-        // history on every publish, so rate rules (e.g. the default
-        // `obs_http_503_rate`) can watch the 503 gate. Captures only the
-        // stats `Arc` — no cycle through `Inner`.
-        {
-            let stats = stats.clone();
-            publisher.set_aux_source(move |out| {
-                out.push((
-                    "daos_obs_server_accepted_total".into(),
-                    // ordering: Relaxed — telemetry counter read.
-                    stats.accepted.load(Ordering::Relaxed) as f64,
-                ));
-                out.push((
-                    "daos_obs_server_rejected_total".into(),
-                    // ordering: Relaxed — telemetry counter read.
-                    stats.rejected.load(Ordering::Relaxed) as f64,
-                ));
-                out.push((
-                    "daos_obs_server_bad_requests_total".into(),
-                    // ordering: Relaxed — telemetry counter read.
-                    stats.bad_requests.load(Ordering::Relaxed) as f64,
-                ));
-            });
-        }
+        let stats = Arc::new(ServerStats::new(workers, cfg.max_connections));
+        publisher.attach_server(stats.clone());
         let inner = Arc::new(Inner {
             publisher,
             stats,
@@ -461,13 +378,15 @@ impl ObsServer {
         // Close connections still parked in the queue so keep-alive
         // clients see EOF now instead of a read timeout later.
         lock(&self.inner.queue).clear();
+        // ordering: Relaxed — advisory queue-depth gauge.
+        self.inner.stats.queued.store(0, Ordering::Relaxed);
     }
 
-    /// The self-telemetry as a [`Registry`] (`obs.http.*` /
-    /// `obs.server.*` keys) — what `/metrics` merges into the snapshot
-    /// exposition.
+    /// The obs plane's telemetry as a [`Registry`] (`obs.http.*` /
+    /// `obs.server.*` / `obs.history.*` / `alert.*` keys) — the `extra`
+    /// that `/metrics` hands to [`prom::exposition`].
     pub fn telemetry(&self) -> Registry {
-        self.inner.telemetry()
+        self.inner.publisher.telemetry()
     }
 
     /// Requests served on `ep` so far.
@@ -476,34 +395,10 @@ impl ObsServer {
         self.inner.stats.endpoints[ep as usize].requests.load(Ordering::Relaxed)
     }
 
-    /// Connections admitted past the 503 gate.
-    pub fn accepted_total(&self) -> u64 {
-        // ordering: Relaxed — telemetry counter read.
-        self.inner.stats.accepted.load(Ordering::Relaxed)
-    }
-
     /// Connections answered `503` at the admission gate.
     pub fn rejected_total(&self) -> u64 {
         // ordering: Relaxed — telemetry counter read.
         self.inner.stats.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered `400` (malformed request line).
-    pub fn bad_requests_total(&self) -> u64 {
-        // ordering: Relaxed — telemetry counter read.
-        self.inner.stats.bad_requests.load(Ordering::Relaxed)
-    }
-
-    /// Requests served on an already-used keep-alive connection.
-    pub fn keepalive_reuse_total(&self) -> u64 {
-        // ordering: Relaxed — telemetry counter read.
-        self.inner.stats.keepalive_reuse.load(Ordering::Relaxed)
-    }
-
-    /// Open connections right now (served + queued).
-    pub fn in_flight(&self) -> u64 {
-        // ordering: Relaxed — advisory gauge read.
-        self.inner.stats.in_flight.load(Ordering::Relaxed)
     }
 }
 
@@ -526,7 +421,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
             // ordering: Relaxed — monotonic telemetry counter.
             inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
             let _ = stream.set_read_timeout(Some(REJECT_DRAIN));
-            let _ = stream.set_write_timeout(Some(inner.cfg.write_timeout));
+            let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
             let _ = stream.set_nodelay(true);
             let _ = read_request(&mut BufReader::new(&stream));
             let _ = write_response_with(
@@ -538,7 +433,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
             );
             continue;
         }
-        if stream.set_write_timeout(Some(inner.cfg.write_timeout)).is_err() {
+        if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
             continue;
         }
         // Chunked `/events` frames and pipelined keep-alive turns are
@@ -572,6 +467,8 @@ fn pump(inner: &Inner) {
                 return;
             }
             if let Some(c) = q.pop_front() {
+                // ordering: Relaxed — advisory queue-depth gauge.
+                inner.stats.queued.store(q.len() as u64, Ordering::Relaxed);
                 break c;
             }
             q = inner
@@ -597,7 +494,7 @@ fn serve_turn(mut conn: Conn, inner: &Inner) {
             Ok(0) => return inner.close(conn), // clean EOF
             Ok(_) => {}
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                if conn.idle_since.elapsed() >= inner.cfg.keepalive_idle {
+                if conn.idle_since.elapsed() >= KEEPALIVE_IDLE {
                     return inner.close(conn);
                 }
                 return inner.requeue(conn);
@@ -607,7 +504,7 @@ fn serve_turn(mut conn: Conn, inner: &Inner) {
     }
     // A request has started arriving: block for the rest of it under the
     // full read timeout.
-    let _ = conn.stream.set_read_timeout(Some(inner.cfg.read_timeout));
+    let _ = conn.stream.set_read_timeout(Some(READ_TIMEOUT));
     let started = Instant::now();
     let req = match read_request(&mut conn.reader) {
         Ok(Some(req)) => req,
@@ -663,12 +560,14 @@ fn route(conn: &mut Conn, req: &Request, inner: &Inner, started: Instant) -> io:
         return Ok(req.keep_alive);
     }
     let path = req.path.split('?').next().unwrap_or("");
-    let ep = Endpoint::of(path);
+    let ep = ENDPOINTS.iter().find(|row| row.1 == path).map_or(Endpoint::Other, |row| row.0);
     let (status, ctype, body) = match ep {
         Endpoint::Healthz => (200, "text/plain", "ok\n".to_string()),
         Endpoint::Metrics => {
-            let body =
-                prom::render_with(&inner.publisher.snapshot(), Some(&inner.telemetry()));
+            let body = prom::render_with(
+                &inner.publisher.snapshot(),
+                Some(&inner.publisher.telemetry()),
+            );
             (200, "text/plain; version=0.0.4", body)
         }
         Endpoint::Snapshot => (
@@ -758,7 +657,6 @@ fn query_response(publisher: &Publisher, raw_path: &str) -> (u16, String) {
     let qs = raw_path.split_once('?').map(|(_, q)| q).unwrap_or("");
     let mut metric = None;
     let mut since = 0u64;
-    let mut step = 0u64;
     let mut agg = Agg::Last;
     for pair in qs.split('&').filter(|p| !p.is_empty()) {
         let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
@@ -768,10 +666,6 @@ fn query_response(publisher: &Publisher, raw_path: &str) -> (u16, String) {
             "since" => match v.parse() {
                 Ok(n) => since = n,
                 Err(_) => return (400, "bad since: expected u64 nanoseconds\n".into()),
-            },
-            "step" => match v.parse() {
-                Ok(n) => step = n,
-                Err(_) => return (400, "bad step: expected u64 nanoseconds\n".into()),
             },
             "agg" => match Agg::parse(&v) {
                 Some(a) => agg = a,
@@ -783,7 +677,7 @@ fn query_response(publisher: &Publisher, raw_path: &str) -> (u16, String) {
     let Some(metric) = metric else {
         return (400, "missing required parameter: metric\n".into());
     };
-    match publisher.query(&metric, since, step, agg) {
+    match publisher.query(&metric, since, agg) {
         Some(result) => (200, result.to_json().to_string_compact()),
         None => (404, format!("unknown metric: {metric}\n")),
     }
@@ -919,7 +813,7 @@ mod tests {
         let mut resp = String::new();
         raw.read_to_string(&mut resp).unwrap();
         assert!(resp.starts_with("HTTP/1.1 400 Bad Request"), "{resp}");
-        assert_eq!(server.bad_requests_total(), 1);
+        assert_eq!(server.telemetry().counter("obs.server.bad_requests_total"), 1);
     }
 
     #[test]
@@ -1012,10 +906,10 @@ mod tests {
     }
 
     #[test]
-    fn server_counters_feed_the_history_via_the_aux_source() {
+    fn server_counters_feed_the_history() {
         let (server, publisher) = server_with_state();
         let _ = http_get(server.addr(), "/healthz", T).unwrap();
-        // The aux source samples at publish time, after the hit above.
+        // The telemetry is sampled at publish time, after the hit above.
         publisher.publish(ObsSnapshot { seq: 4, now_ns: 4_000, ..Default::default() });
         let resp =
             http_get(server.addr(), "/query?metric=daos_obs_server_accepted_total", T).unwrap();

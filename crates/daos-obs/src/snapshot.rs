@@ -11,7 +11,7 @@ use daos_util::json_struct;
 /// snapshot every publish interval and swaps it behind an `Arc`; readers
 /// (HTTP handlers, the in-process dashboard) clone the `Arc` and never
 /// block the publisher.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsSnapshot {
     /// Publish sequence number (1-based; 0 = nothing published yet).
     pub seq: u64,
@@ -53,29 +53,6 @@ json_struct!(ObsSnapshot {
     peak_rss_bytes, avg_rss_bytes, last_window, schemes, overhead, registry,
     dropped_events, finished,
 });
-
-impl Default for ObsSnapshot {
-    fn default() -> Self {
-        ObsSnapshot {
-            seq: 0,
-            config: String::new(),
-            workload: String::new(),
-            machine: String::new(),
-            epoch: 0,
-            nr_epochs: 0,
-            now_ns: 0,
-            wss_bytes: 0,
-            peak_rss_bytes: 0,
-            avg_rss_bytes: 0,
-            last_window: None,
-            schemes: Vec::new(),
-            overhead: None,
-            registry: Registry::new(),
-            dropped_events: 0,
-            finished: false,
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -4,8 +4,11 @@
 //! stream on `/events` as first-class trace events, `/query` serves the
 //! series that crossed the threshold, and `/alerts` reports the rule.
 
+use daos::{FleetSpec, RunConfig, Session};
+use daos_mm::MachineProfile;
 use daos_obs::http::http_get;
-use daos_obs::{ObsServer, ObsSnapshot, Publisher};
+use daos_obs::{FleetPublisher, ObsServer, ObsSnapshot, Publisher};
+use daos_workloads::FleetConfig;
 use daos_trace::{AlertStateTag, Collector, Event, TimedEvent};
 use daos_util::json::{FromJson, Json};
 use std::time::Duration;
@@ -100,4 +103,25 @@ fn ring_overflow_fires_and_resolves_the_drop_rate_alert() {
     assert!(values[1] > 0.0 && values[2] > values[1], "rising: {values:?}");
     assert_eq!(values[3], values[2], "flat after: {values:?}");
     assert_eq!(values[4], values[3], "flat after: {values:?}");
+
+    // The overhead rule watches fleets of any size, not only a fleet of
+    // one: a monitored 4-process fleet gives it a number to compare.
+    let machine = MachineProfile::i3_metal();
+    let config = RunConfig::prcl();
+    let spec = FleetConfig { worker_footprint: 4 << 20, ..FleetConfig::default() }.worker_spec(25);
+    let publisher = Publisher::new();
+    let mut obs =
+        FleetPublisher::new(publisher.clone(), &config.name, &spec.path_name(), &machine.name, 5);
+    Session::new(&machine, &config, &spec)
+        .seed(15)
+        .fleet(FleetSpec::new(4).workers(1))
+        .fleet_observer(&mut obs)
+        .execute()
+        .expect("fleet run");
+    let statuses = publisher.alert_statuses();
+    let overhead = statuses
+        .iter()
+        .find(|s| s.rule.name == "monitor_overhead_permille")
+        .expect("default rule installed");
+    assert!(overhead.value.is_some_and(|v| v > 0.0), "{overhead:?}");
 }

@@ -60,7 +60,10 @@ fn keepalive_storm_counts_match_client_side_exactly() {
     // lost or double-counted requests.
     assert_eq!(server.requests_total(Endpoint::Snapshot), client_side as u64);
     // Each connection's 2nd..Nth request is a keep-alive reuse.
-    assert_eq!(server.keepalive_reuse_total(), (CLIENTS * (REQUESTS - 1)) as u64);
+    assert_eq!(
+        server.telemetry().counter("obs.server.keepalive_reuse_total"),
+        (CLIENTS * (REQUESTS - 1)) as u64
+    );
     assert_eq!(server.rejected_total(), 0, "default bound admits the whole storm");
 
     // And the same number self-reports through /metrics as the
@@ -89,11 +92,7 @@ fn keepalive_storm_counts_match_client_side_exactly() {
 
 #[test]
 fn saturation_returns_503_with_retry_after_then_recovers() {
-    let (server, _publisher) = serve(ObsConfig {
-        workers: 2,
-        max_connections: 2,
-        ..Default::default()
-    });
+    let (server, _publisher) = serve(ObsConfig { workers: 2, max_connections: 2 });
     let addr = server.addr();
 
     // Two keep-alive clients occupy the whole admission budget.
@@ -101,7 +100,7 @@ fn saturation_returns_503_with_retry_after_then_recovers() {
     let mut b = HttpClient::connect(addr, T).unwrap();
     assert_eq!(a.get("/healthz").unwrap().status, 200);
     assert_eq!(b.get("/healthz").unwrap().status, 200);
-    assert_eq!(server.in_flight(), 2);
+    assert_eq!(server.telemetry().gauge("obs.server.in_flight"), Some(2.0));
 
     // The next connection is answered 503 + Retry-After, not hung.
     let resp = http_get(addr, "/healthz", T).unwrap();
@@ -185,7 +184,7 @@ fn events_client_vanishing_mid_stream_frees_the_pump() {
             at += 1;
             c.record(at, Event::RegionSplit { before: at, after: at + 1 });
             publisher.sync_ring(c.ring());
-            server.in_flight() == 0
+            server.telemetry().gauge("obs.server.in_flight") == Some(0.0)
         }),
         "write error reaps the dead stream"
     );

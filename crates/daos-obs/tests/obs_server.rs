@@ -4,6 +4,7 @@
 //! must **equal** the end-of-run `OverheadStats`, not merely resemble
 //! them.
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use daos::{FleetObserver, FleetProgress, FleetSpec, RunConfig, Session};
@@ -193,6 +194,88 @@ fn fleet_progress_is_built_only_when_the_publisher_is_due() {
     assert_eq!(snapshot_json(&publisher), golden("fleet24_last_tick_snapshot.json"));
     obs.finalize(result.fleet.as_ref().expect("every session carries a summary"));
     assert_eq!(snapshot_json(&publisher), golden("fleet24_final_snapshot.json"));
+}
+
+/// `/metrics`, `/query` and `/statusz` read one exposition, so they
+/// agree on what exists: after a finalized served run every
+/// non-histogram sample on `/metrics` is a `/query` series, every
+/// histogram is there as its `_p50`/`_p99` projections, and the history
+/// holds nothing else (counted through `/statusz`).
+#[test]
+fn metrics_and_query_share_one_name_set() {
+    let percent_encode = |key: &str| -> String {
+        key.bytes()
+            .map(|b| match b {
+                b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' => (b as char).to_string(),
+                _ => format!("%{b:02X}"),
+            })
+            .collect()
+    };
+    let machine = MachineProfile::i3_metal();
+    let mut freqmine = by_path("parsec3/freqmine").expect("workload exists");
+    freqmine.nr_epochs = 60;
+    let workers = FleetConfig { worker_footprint: 4 << 20, ..FleetConfig::default() };
+    let runs = [
+        (RunConfig::rec(), freqmine, FleetSpec::new(1)),
+        (
+            RunConfig::prcl(),
+            workers.worker_spec(25),
+            FleetSpec::new(24).shard_size(4).workers(1).tenants(3),
+        ),
+    ];
+    for (config, spec, fleet) in runs {
+        let publisher = Publisher::new();
+        let server = ObsServer::bind("127.0.0.1:0", publisher.clone()).expect("bind");
+        let addr = server.addr();
+        let mut obs =
+            FleetPublisher::new(publisher, &config.name, &spec.path_name(), &machine.name, 5);
+        let result = Session::new(&machine, &config, &spec)
+            .seed(15)
+            .fleet(fleet)
+            .fleet_observer(&mut obs)
+            .execute()
+            .expect("run");
+        obs.finalize(result.fleet.as_ref().expect("every session carries a summary"));
+
+        let metrics = http_get(addr, "/metrics", TIMEOUT).expect("metrics");
+        let samples = parse_exposition(&metrics.body).expect("exposition parses");
+        let hist_families: BTreeSet<&str> =
+            samples.iter().filter_map(|s| s.name.strip_suffix("_bucket")).collect();
+        // `(family, suffix)` when the sample is one line of a histogram.
+        let hist_part = |s: &Sample| {
+            ["_bucket", "_sum", "_count"].into_iter().find_map(|suffix| {
+                let base = s.name.strip_suffix(suffix)?;
+                hist_families.contains(base).then(|| (base.to_string(), suffix))
+            })
+        };
+        let mut series = BTreeSet::new();
+        for s in &samples {
+            match hist_part(s) {
+                Some((base, "_count")) => {
+                    for p in ["_p50", "_p99"] {
+                        series.insert(Sample { name: format!("{base}{p}"), ..s.clone() }.key());
+                    }
+                }
+                Some(_) => {}
+                None => {
+                    series.insert(s.key());
+                }
+            }
+        }
+        assert!(series.contains("daos_obs_monitor_share_permille"), "{series:?}");
+        assert!(series.contains("daos_alert_state{rule=\"obs_http_503_rate\"}"), "{series:?}");
+        for key in &series {
+            let path = format!("/query?metric={}", percent_encode(key));
+            let resp = http_get(addr, &path, TIMEOUT).expect("query");
+            assert_eq!(resp.status, 200, "{key} is on /metrics but not on /query");
+        }
+        let statusz = http_get(addr, "/statusz", TIMEOUT).expect("statusz");
+        let held: u64 = daos_util::json::parse(&statusz.body)
+            .expect("statusz is JSON")
+            .field("history_series")
+            .expect("history_series");
+        assert_eq!(held, series.len() as u64, "the history holds a series /metrics lacks");
+    }
 }
 
 #[test]

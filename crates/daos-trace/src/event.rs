@@ -30,9 +30,10 @@ pub enum Layer {
 
 json_enum!(Layer { Mm, Monitor, Schemes, Tuner, Obs });
 
-/// Alert-rule state tag carried by [`Event::AlertTransition`]. Mirrors
-/// `daos_obs::alert::AlertState` variant-for-variant (trace sits below
-/// the obs crate in the crate DAG).
+/// Alert-rule state carried by [`Event::AlertTransition`]. It lives here
+/// because trace sits below the obs crate in the crate DAG; the alert
+/// engine uses it as `daos_obs::AlertState`, and `/metrics` exports the
+/// discriminant (0 = ok … 3 = resolved) as `daos_alert_state`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertStateTag {
     /// Signal within bounds.

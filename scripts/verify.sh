@@ -180,12 +180,14 @@ target/release/obs-get "$faddr" /statusz > "$tmp/fleet_statusz.txt" || {
     kill "$fleet_pid" 2>/dev/null
     exit 1
 }
-grep -q '"in_flight"' "$tmp/fleet_statusz.txt" || {
-    echo "FAIL: /statusz lacks the in_flight gauge"
-    cat "$tmp/fleet_statusz.txt"
-    kill "$fleet_pid" 2>/dev/null
-    exit 1
-}
+for field in in_flight accepted_total history_series; do
+    grep -q "\"$field\":[0-9]" "$tmp/fleet_statusz.txt" || {
+        echo "FAIL: /statusz lacks a numeric $field"
+        cat "$tmp/fleet_statusz.txt"
+        kill "$fleet_pid" 2>/dev/null
+        exit 1
+    }
+done
 # The metric history behind /query must have recorded the fleet gauge on
 # every publish: a non-empty, monotonically non-decreasing series.
 target/release/obs-get "$faddr" '/query?metric=daos_fleet_nr_processes&agg=last' \
@@ -210,6 +212,14 @@ target/release/obs-get "$faddr" /alerts > "$tmp/fleet_alerts.json" || {
 }
 grep -q '"rule":"trace_ring_drop_rate"' "$tmp/fleet_alerts.json" || {
     echo "FAIL: /alerts lacks the default rule set"
+    cat "$tmp/fleet_alerts.json"
+    kill "$fleet_pid" 2>/dev/null
+    exit 1
+}
+# The overhead rule must see a fleet's monitor share, not only a single
+# run's: its value is a number, never null.
+grep -q '"rule":"monitor_overhead_permille"[^}]*"value":[0-9]' "$tmp/fleet_alerts.json" || {
+    echo "FAIL: /alerts has no numeric value for monitor_overhead_permille"
     cat "$tmp/fleet_alerts.json"
     kill "$fleet_pid" 2>/dev/null
     exit 1

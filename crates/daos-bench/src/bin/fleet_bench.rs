@@ -1,7 +1,8 @@
-//! The fleet engine's hot path, timed: one full monitoring/scheme tick
-//! of a 1000-process serverless fleet (and a 100-process fleet for the
-//! sub-linearity context), written to `BENCH_fleet.json` at the repo
-//! root as the regression baseline.
+//! The fleet engine, timed: one full monitoring/scheme tick of a
+//! 1000-process serverless fleet (and a 100-process fleet for the
+//! sub-linearity context), and building (and dropping) the 1000-process
+//! fleet `daos fleet` runs by default, written to `BENCH_fleet.json` at
+//! the repo root as the regression baseline.
 //!
 //! `fleet_bench --quick` shrinks samples/iterations for CI smoke runs;
 //! `DAOS_BENCH_OUT` overrides the output path;
@@ -17,9 +18,9 @@ use daos_util::json::Json;
 use daos_workloads::FleetConfig;
 use std::hint::black_box;
 
-/// The timing gated against the committed baseline: the per-tick cost
-/// of the acceptance-scale fleet.
-const GATED: [&str; 1] = ["fleet/tick_1000_procs"];
+/// The timings gated against the committed baseline: the per-tick cost
+/// and the build cost of the acceptance-scale fleet.
+const GATED: [&str; 2] = ["fleet/tick_1000_procs", "fleet/build_1000_procs"];
 
 /// The `daos fleet` production configuration at bench scale:
 /// physical-address monitoring feeding the pageout scheme.
@@ -49,6 +50,21 @@ fn bench_fleet_tick(h: &mut Harness, iters: u64, nr_procs: usize) {
     });
 }
 
+/// Time `FleetEngine::new` plus the engine's drop for `daos fleet`'s
+/// default fleet: 1000 default-footprint workers in shards of 32, which
+/// overcommit each shard's DRAM so set-up itself reclaims.
+fn bench_fleet_build(h: &mut Harness) {
+    let machine = MachineProfile::i3_metal();
+    let config = fleet_config();
+    let spec = FleetConfig::default().worker_spec(50);
+    h.bench_iters("fleet/build_1000_procs", 1, || {
+        let fleet = FleetSpec::new(1000).shard_size(32);
+        let engine =
+            FleetEngine::new(&machine, &config, &spec, fleet, 42).expect("fleet setup");
+        black_box(engine.nr_ticks())
+    });
+}
+
 /// Time every bench and return the artifact.
 fn measure(quick: bool) -> Json {
     let samples = if quick { 3 } else { 10 };
@@ -57,6 +73,7 @@ fn measure(quick: bool) -> Json {
 
     bench_fleet_tick(&mut h, iters, 100);
     bench_fleet_tick(&mut h, iters, 1000);
+    bench_fleet_build(&mut h);
 
     artifact::artifact_doc("fleet", quick, samples, h.results())
 }

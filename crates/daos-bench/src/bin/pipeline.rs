@@ -1,7 +1,8 @@
 //! The seeded perf trajectory: median-of-N timings of the simulator's
 //! hot paths — the monitoring tick (sampling), a full aggregation window
-//! (aggregate + split/merge), the schemes-engine apply pass, and the
-//! same monitor loop with tracing enabled vs disabled — written to
+//! (aggregate + split/merge), the schemes-engine apply pass, the
+//! substrate's resident-touch walk, and the same monitor loop with
+//! tracing enabled vs disabled — written to
 //! `BENCH_pipeline.json` at the repo root as the regression baseline.
 //!
 //! `pipeline --quick` shrinks samples/iterations for CI smoke runs
@@ -96,6 +97,21 @@ fn bench_scheme_apply(h: &mut Harness, iters: u64) {
     });
 }
 
+/// One `All` batch over 4096 resident pages: the substrate's resident
+/// touch walk, which is most of what a `daos run` or a fleet tick does.
+fn bench_resident_touch(h: &mut Harness, iters: u64) {
+    let mut machine = daos_mm::MachineProfile::test_tiny();
+    machine.dram_bytes = 256 << 20;
+    let mut sys = MemorySystem::new(machine, SwapConfig::paper_zram(), 1);
+    let pid = sys.spawn();
+    let range = sys.mmap(pid, 16 << 20, ThpMode::Never).expect("mmap 16 MiB");
+    let batch = AccessBatch::all(range, 1.0);
+    sys.apply_access(pid, &batch).expect("fault in");
+    h.bench_iters("mm/touch_all_4096_resident", iters, || {
+        black_box(sys.apply_access(pid, &batch).expect("resident touch").touched_pages)
+    });
+}
+
 /// The identical monitor loop with the trace collector absent vs
 /// installed — the zero-overhead-when-disabled claim, quantified.
 fn bench_trace_toggle(h: &mut Harness, iters: u64) {
@@ -122,9 +138,10 @@ fn bench_trace_toggle(h: &mut Harness, iters: u64) {
 }
 
 /// Hot-path timings gated against the committed baseline by
-/// `--check --baseline`: the region/mm rebuild targets, so a rewrite
-/// that quietly regresses either shows up in verify.sh.
-const GATED: [&str; 2] = ["schemes/apply_1000_regions", "monitor/aggregate_window"];
+/// `--check --baseline`: the region/mm rebuild targets and the page
+/// walker, so a rewrite that quietly regresses one shows up in verify.sh.
+const GATED: [&str; 3] =
+    ["schemes/apply_1000_regions", "monitor/aggregate_window", "mm/touch_all_4096_resident"];
 
 /// Time every bench and return the artifact.
 fn measure(quick: bool) -> Json {
@@ -135,6 +152,7 @@ fn measure(quick: bool) -> Json {
     bench_monitor_tick(&mut h, iters * 4);
     bench_monitor_window(&mut h, iters);
     bench_scheme_apply(&mut h, iters);
+    bench_resident_touch(&mut h, iters * 4);
     bench_trace_toggle(&mut h, iters * 4);
 
     artifact::artifact_doc("pipeline", quick, samples, h.results())

@@ -27,24 +27,22 @@ pub type FrameId = u32;
 /// Frames of metadata per lazily-allocated slab (16 MiB of DRAM each).
 pub const SLAB_FRAMES: usize = 4096;
 
-/// Per-frame metadata.
+/// Per-frame metadata: the rmap entry, 24 bytes. (Whether the CPU used
+/// the page since it was mapped is a bit of the mapping's PTE — see
+/// [`crate::vma::Pte::touched`] — not of the frame.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameMeta {
     /// Owning `(process, page-aligned virtual address)` when mapped.
     pub owner: Option<(Pid, u64)>,
-    /// Whether the CPU touched this frame since it was mapped. Used to
-    /// identify THP-bloat subpages that were allocated by a huge-page
-    /// promotion but never accessed.
-    pub touched: bool,
 }
 
 impl FrameMeta {
-    const FREE: FrameMeta = FrameMeta { owner: None, touched: false };
+    const FREE: FrameMeta = FrameMeta { owner: None };
 }
 
 /// A dense allocator over a fixed number of physical frames, with
 /// slab-lazy metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FrameAllocator {
     capacity: usize,
     /// Lazily materialised metadata slabs of [`SLAB_FRAMES`] frames each.
@@ -54,6 +52,21 @@ pub struct FrameAllocator {
     /// Next never-allocated frame; all frames `>= next_fresh` outside
     /// `free` are virgin and implicitly [`FrameMeta::FREE`].
     next_fresh: FrameId,
+}
+
+/// A copy keeps the recycle list's capacity (a derived clone is exactly
+/// full and would regrow on the first `free`).
+impl Clone for FrameAllocator {
+    fn clone(&self) -> Self {
+        let mut free = Vec::with_capacity(self.free.capacity());
+        free.extend_from_slice(&self.free);
+        Self {
+            capacity: self.capacity,
+            slabs: self.slabs.clone(),
+            free,
+            next_fresh: self.next_fresh,
+        }
+    }
 }
 
 impl FrameAllocator {
@@ -125,7 +138,7 @@ impl FrameAllocator {
             }
             None => return None,
         };
-        *self.meta_mut(id) = FrameMeta { owner: Some((pid, vaddr)), touched: false };
+        *self.meta_mut(id) = FrameMeta { owner: Some((pid, vaddr)) };
         Some(id)
     }
 
@@ -147,18 +160,6 @@ impl FrameAllocator {
         self.meta(id).owner
     }
 
-    /// Whether the frame has been touched since it was mapped.
-    #[inline]
-    pub fn touched(&self, id: FrameId) -> bool {
-        self.meta(id).touched
-    }
-
-    /// Record a CPU touch of the frame.
-    #[inline]
-    pub fn mark_touched(&mut self, id: FrameId) {
-        self.meta_mut(id).touched = true;
-    }
-
     /// Iterate over `(frame, meta)` of all frames; the physical-address
     /// monitoring primitive walks this. Virgin slabs yield FREE metadata.
     pub fn iter(&self) -> impl Iterator<Item = (FrameId, FrameMeta)> + '_ {
@@ -178,9 +179,6 @@ mod tests {
         let f = fa.alloc(1, 0x1000).unwrap();
         assert_eq!(fa.nr_used(), 1);
         assert_eq!(fa.owner(f), Some((1, 0x1000)));
-        assert!(!fa.touched(f));
-        fa.mark_touched(f);
-        assert!(fa.touched(f));
         fa.free(f);
         assert_eq!(fa.nr_free(), 16);
         assert_eq!(fa.owner(f), None);
@@ -223,14 +221,8 @@ mod tests {
     }
 
     #[test]
-    fn touched_resets_on_remap() {
-        let mut fa = FrameAllocator::new(PAGE_SIZE);
-        let f = fa.alloc(1, 0).unwrap();
-        fa.mark_touched(f);
-        fa.free(f);
-        let f2 = fa.alloc(1, 0x2000).unwrap();
-        assert_eq!(f, f2);
-        assert!(!fa.touched(f2), "touch state must not leak across owners");
+    fn frame_meta_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<FrameMeta>(), 24);
     }
 
     #[test]
@@ -241,7 +233,6 @@ mod tests {
         assert_eq!(fa.nr_free(), fa.capacity());
         // Reads of virgin frames see FREE metadata without materialising.
         assert_eq!(fa.owner(123_456), None);
-        assert!(!fa.touched(123_456));
     }
 
     #[test]

@@ -38,10 +38,24 @@ pub struct LruEntry {
 }
 
 /// The two-list LRU.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Lru {
     active: VecDeque<LruEntry>,
     inactive: VecDeque<LruEntry>,
+}
+
+/// A copy keeps the original's capacity: a derived clone is exactly
+/// full, so the first insert into a copy of a warmed-up machine would
+/// regrow (and move) a multi-MiB deque.
+impl Clone for Lru {
+    fn clone(&self) -> Self {
+        let copy = |q: &VecDeque<LruEntry>| {
+            let mut out = VecDeque::with_capacity(q.capacity());
+            out.extend(q);
+            out
+        };
+        Lru { active: copy(&self.active), inactive: copy(&self.inactive) }
+    }
 }
 
 impl Lru {
@@ -127,6 +141,18 @@ mod tests {
         assert_eq!(lru.pop_active().unwrap().addr, 0xa000);
         assert_eq!(lru.pop_inactive().unwrap().addr, 0xb000);
         assert!(lru.is_empty());
+    }
+
+    #[test]
+    fn clone_keeps_order_and_headroom() {
+        let mut lru = Lru::new();
+        for i in 0..100 {
+            lru.insert(LruList::Inactive, 1, i * 0x1000, 1);
+        }
+        let mut copy = lru.clone();
+        assert!(copy.inactive.capacity() >= lru.inactive.capacity());
+        assert_eq!(copy.inactive, lru.inactive);
+        assert_eq!(copy.pop_inactive(), lru.pop_inactive());
     }
 
     #[test]

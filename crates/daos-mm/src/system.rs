@@ -23,8 +23,10 @@ use crate::vma::{PteState, ThpMode};
 /// How many pages one pressure-reclaim pass tries to free.
 const RECLAIM_BATCH: u64 = 32;
 
-/// The whole simulated machine.
-#[derive(Debug)]
+/// The whole simulated machine. `Clone` copies it with everything it
+/// has mapped, keeping the LRU lists' and the frame recycle list's
+/// growth headroom — the fleet engine stamps shards from one built image.
+#[derive(Debug, Clone)]
 pub struct MemorySystem {
     machine: MachineProfile,
     clock: Clock,
@@ -54,6 +56,17 @@ impl MemorySystem {
             kstats: KernelStats::default(),
             fault_scratch: Vec::new(),
         }
+    }
+
+    /// Replace the random stream of a machine that has not drawn from it
+    /// yet — a copy of an image built with `built_with` becomes the machine
+    /// `MemorySystem::new(.., seed)` followed by the same set-up would be.
+    pub fn reseed(&mut self, built_with: u64, seed: u64) {
+        debug_assert!(
+            self.rng == SmallRng::seed_from_u64(built_with),
+            "the image drew from the machine stream: a copy would replay the draw"
+        );
+        self.rng = SmallRng::seed_from_u64(seed);
     }
 
     // ---- introspection ---------------------------------------------
@@ -211,46 +224,32 @@ impl MemorySystem {
 
         // Pass 1: touch resident pages in place, queue the rest.
         {
-            let Self { procs, frames, rng, .. } = self;
+            let Self { procs, rng, .. } = self;
             let proc = procs
                 .get_mut(pid as usize)
                 .ok_or(MmError::NoSuchProcess(pid))?;
+            let touch = |vma: &mut crate::vma::Vma,
+                         faults: &mut Vec<u64>,
+                         out: &mut AccessOutcome,
+                         addr: u64| {
+                if vma.touch_resident(addr) {
+                    out.touched_pages += 1;
+                    out.touched_huge += vma.is_huge(addr) as u64;
+                } else {
+                    faults.push(addr);
+                }
+            };
             for vma in proc.vmas_mut() {
                 let Some(isect) = vma.range.intersect(&batch.range) else {
                     continue;
                 };
-                let touch = |vma: &mut crate::vma::Vma,
-                             frames: &mut FrameAllocator,
-                             faults: &mut Vec<u64>,
-                             out: &mut AccessOutcome,
-                             addr: u64| {
-                    match vma.touch_resident(addr) {
-                        Some(f) => {
-                            frames.mark_touched(f);
-                            out.touched_pages += 1;
-                            out.touched_huge += vma.is_huge(addr) as u64;
-                        }
-                        None => faults.push(addr),
-                    }
-                };
                 match batch.pattern {
-                    TouchPattern::All => {
-                        for addr in isect.pages() {
-                            touch(vma, frames, &mut faults, &mut out, addr);
-                        }
-                    }
-                    TouchPattern::Stride(n) => {
-                        let step = n.max(1) as u64 * PAGE_SIZE;
-                        let mut addr = isect.page_aligned().start;
-                        while addr < isect.end {
-                            touch(vma, frames, &mut faults, &mut out, addr);
-                            addr += step;
-                        }
-                    }
+                    TouchPattern::All => vma.touch_run(&isect, 1, &mut faults, &mut out),
+                    TouchPattern::Stride(n) => vma.touch_run(&isect, n, &mut faults, &mut out),
                     TouchPattern::Prob(p) => {
                         for addr in isect.pages() {
                             if rng.random::<f32>() < p {
-                                touch(vma, frames, &mut faults, &mut out, addr);
+                                touch(vma, &mut faults, &mut out, addr);
                             }
                         }
                     }
@@ -260,7 +259,7 @@ impl MemorySystem {
                             let base = isect.page_aligned().start;
                             for _ in 0..count {
                                 let page = rng.random_range(0..nr);
-                                touch(vma, frames, &mut faults, &mut out, base + page * PAGE_SIZE);
+                                touch(vma, &mut faults, &mut out, base + page * PAGE_SIZE);
                             }
                         }
                     }
@@ -315,13 +314,13 @@ impl MemorySystem {
 
         let (frame, reclaim_ns) = self.get_frame(pid, addr)?;
         cost += reclaim_ns;
-        self.frames.mark_touched(frame);
 
         let proc = self.proc_mut(pid)?;
         let vma = proc.find_vma_mut(addr).ok_or(MmError::Unmapped(addr))?;
         let gen = vma.with_pte(addr, |pte| {
             pte.state = PteState::Resident(frame);
             pte.accessed = true;
+            pte.touched = true;
             pte.lru_gen = pte.lru_gen.wrapping_add(1);
             pte.lru_gen
         });
@@ -456,6 +455,7 @@ impl MemorySystem {
             let PteState::Resident(frame) = pte.state else { return None };
             pte.state = PteState::Swapped(slot);
             pte.accessed = false;
+            pte.touched = false;
             pte.lru_gen = pte.lru_gen.wrapping_add(1);
             Some(frame)
         });
@@ -666,8 +666,10 @@ impl MemorySystem {
                 let vma = proc.find_vma_mut(addr).ok_or(MmError::Unmapped(addr))?;
                 vma.with_pte(addr, |pte| {
                     pte.state = PteState::Resident(frame);
-                    // Filled subpages are *not* accessed — that is the bloat.
+                    // Filled subpages are neither accessed nor touched —
+                    // that is the bloat `demote_huge` gives back.
                     pte.accessed = false;
+                    pte.touched = false;
                     pte.lru_gen = pte.lru_gen.wrapping_add(1);
                 });
             }
@@ -751,10 +753,9 @@ impl MemorySystem {
                 let mut resident = Vec::new();
                 vma.collect_resident_in(&chunk_range, &mut resident);
                 for addr in resident {
-                    if let PteState::Resident(f) = vma.pte(addr).state {
-                        if !self.frames.touched(f) {
-                            to_free.push((addr, f));
-                        }
+                    let pte = vma.pte(addr);
+                    if let (PteState::Resident(f), false) = (pte.state, pte.touched) {
+                        to_free.push((addr, f));
                     }
                 }
             }
@@ -875,6 +876,7 @@ impl MemorySystem {
             let gen = vma.with_pte(addr, |pte| {
                 pte.state = PteState::Resident(frame);
                 pte.accessed = false;
+                pte.touched = false;
                 pte.lru_gen = pte.lru_gen.wrapping_add(1);
                 pte.lru_gen
             });
@@ -1010,21 +1012,62 @@ mod tests {
         // 4 MiB aligned at a huge boundary → two aligned chunks.
         let range = sys.mmap_at(pid, 4 * HUGE_PAGE_SIZE, 2 * HUGE_PAGE_SIZE, ThpMode::Always).unwrap();
         // Touch only the first 16 pages of each chunk.
-        for chunk in [range.start, range.start + HUGE_PAGE_SIZE] {
+        let (c0, c1) = (range.start, range.start + HUGE_PAGE_SIZE);
+        for chunk in [c0, c1] {
             let head = AddrRange::new(chunk, chunk + 16 * PAGE_SIZE);
             sys.apply_access(pid, &AccessBatch::all(head, 1.0)).unwrap();
         }
+        let page = |chunk: u64, i: u64| {
+            AddrRange::new(chunk + i * PAGE_SIZE, chunk + (i + 1) * PAGE_SIZE)
+        };
+        // Two of them leave and come back before the promotion: one
+        // prefetched and never used again, one faulted back in.
+        let (prefetched, refaulted) = (page(c1, 3), page(c1, 5));
+        for r in [prefetched, refaulted] {
+            sys.pageout(pid, r).unwrap(); // clears the reference bit
+            sys.pageout(pid, r).unwrap(); // evicts
+        }
+        assert_eq!(sys.nr_swapped_in(pid, range), 2);
+        sys.willneed(pid, prefetched).unwrap();
+        let out = sys.apply_access(pid, &AccessBatch::all(refaulted, 1.0)).unwrap();
+        assert_eq!(out.major_faults, 1);
         let rss_before = sys.rss_bytes(pid);
         assert_eq!(rss_before, 32 * PAGE_SIZE);
         let (promoted, _) = sys.promote_huge(pid, range).unwrap();
         assert_eq!(promoted, 2);
         assert_eq!(sys.rss_bytes(pid), 2 * HUGE_PAGE_SIZE, "bloat: full chunks resident");
         assert_eq!(sys.huge_bytes(pid), 2 * HUGE_PAGE_SIZE);
-        // Demote: untouched filler pages are freed again.
+        // A filler subpage the workload gets round to using is data now.
+        let used_filler = page(c0, 100);
+        let out = sys.apply_access(pid, &AccessBatch::all(used_filler, 1.0)).unwrap();
+        assert_eq!((out.touched_pages, out.touched_huge, out.minor_faults), (1, 1, 0));
+        // Demote: untouched pages are freed again — the filler, and the
+        // prefetched page the chunk was promoted over.
         let (freed, _) = sys.demote_huge(pid, range).unwrap();
         assert_eq!(freed, 2 * HUGE_PAGE_SIZE - 32 * PAGE_SIZE);
         assert_eq!(sys.rss_bytes(pid), 32 * PAGE_SIZE);
         assert_eq!(sys.huge_bytes(pid), 0);
+        assert_eq!(sys.nr_resident_in(pid, used_filler), 1, "touched after promotion: kept");
+        assert_eq!(sys.nr_resident_in(pid, prefetched), 0, "willneed maps untouched: freed");
+        assert_eq!(sys.nr_resident_in(pid, refaulted), 1, "a swap-in fault maps touched: kept");
+    }
+
+    /// The touched bit belongs to the mapping: it does not survive the
+    /// page leaving DRAM, whoever maps it next.
+    #[test]
+    fn touched_resets_on_remap() {
+        let (mut sys, pid, range) = small_sys();
+        let first = AddrRange::new(range.start, range.start + PAGE_SIZE);
+        let pte = |sys: &MemorySystem| sys.procs[pid as usize].vmas()[0].pte(first.start);
+        sys.apply_access(pid, &AccessBatch::all(first, 1.0)).unwrap();
+        assert!(pte(&sys).touched, "a fault maps a touched page");
+        sys.pageout(pid, first).unwrap();
+        sys.pageout(pid, first).unwrap();
+        assert!(!pte(&sys).is_resident() && !pte(&sys).touched);
+        sys.willneed(pid, first).unwrap();
+        assert!(pte(&sys).is_resident() && !pte(&sys).touched, "touch state must not leak");
+        sys.apply_access(pid, &AccessBatch::all(first, 1.0)).unwrap();
+        assert!(pte(&sys).touched);
     }
 
     #[test]

@@ -20,9 +20,37 @@
 //! [`Vma::collect_swapped_in`]) skip missing chunks, chunks whose counter
 //! is zero, and zero blocks — so paging out an already-evicted region is
 //! O(blocks touched), not O(pages in range). All state changes must go
-//! through [`Vma::with_pte`] (or the [`Vma::touch_resident`] fast path),
-//! which keeps the counters exact.
+//! through [`Vma::with_pte`], which keeps the counters exact; the two
+//! touch paths ([`Vma::touch_run`], [`Vma::touch_resident`]) only set bits
+//! of resident PTEs and so leave the counters alone.
+//!
+//! ## PTE layout
+//!
+//! A [`Pte`] is 24 bytes: 16 of state (the swap slot is a `u64`), the
+//! 4-byte LRU generation and two flag bytes, `accessed` and `touched`.
+//! `touched` — "the CPU has used this page since it was mapped", what
+//! `demote_huge` reads to tell a promotion's filler subpages from real
+//! data — used to live in the frame table. It is a property of the
+//! mapping, it is written by the same loop that writes `accessed`, and
+//! the PTE had the padding for it, so it lives here: a resident touch
+//! writes one array, not two. Every transition into `Resident` states it
+//! (a fault maps a touched page; promotion filler and `willneed` prefetch
+//! map untouched ones) and it is cleared when the page leaves `Resident`.
+//!
+//! ## The chunk-at-a-time walker
+//!
+//! [`Vma::touch_run`] is the one function that walks `All`/`Stride`
+//! batches. Its contract: pages are visited in ascending address order
+//! from the page holding `range.start`, every `stride`-th page, while
+//! the page address is below `range.end`; a resident page gets `accessed`
+//! and `touched` set and is counted (as huge when its chunk is — the flag
+//! is read once per 2 MiB chunk, and is `false` for the partial chunks at
+//! an unaligned VMA's ends); a non-resident page is pushed on the fault
+//! list, in visit order, without being changed; an unmaterialised chunk
+//! queues its whole span without reading a PTE. No state changes, so no
+//! counter moves and no chunk is materialised.
 
+use crate::access::AccessOutcome;
 use crate::addr::{
     huge_align_down, huge_align_up, AddrRange, HUGE_PAGE_SIZE, PAGES_PER_HUGE, PAGE_SHIFT,
     PAGE_SIZE,
@@ -56,13 +84,17 @@ pub struct Pte {
     /// Hardware accessed ("young") bit — set on every CPU touch, cleared
     /// by the monitor's access checks and by LRU aging.
     pub accessed: bool,
+    /// Whether the CPU used the page since it was mapped. Promotion
+    /// filler and prefetched pages start `false`; `demote_huge` frees
+    /// resident subpages of a huge chunk that still read `false`.
+    pub touched: bool,
     /// Generation stamp used by the lazy LRU lists to invalidate stale
     /// queue entries; bumped on every map/unmap/list move.
     pub lru_gen: u32,
 }
 
 impl Pte {
-    const EMPTY: Pte = Pte { state: PteState::None, accessed: false, lru_gen: 0 };
+    const EMPTY: Pte = Pte { state: PteState::None, accessed: false, touched: false, lru_gen: 0 };
 
     /// Whether the page occupies a physical frame.
     #[inline]
@@ -207,20 +239,65 @@ impl Vma {
         }
     }
 
-    /// Fast path for the workload touch loop: if `addr` is resident, set
-    /// its accessed bit and return the backing frame; otherwise `None`
-    /// (without materialising anything — a fault will).
+    /// Single-page touch (the `Prob`/`Random` patterns, which have no run
+    /// to amortise over): if `addr` is resident, set its accessed and
+    /// touched bits and return `true`; otherwise `false`, without
+    /// materialising anything — a fault will.
     #[inline]
-    pub fn touch_resident(&mut self, addr: u64) -> Option<FrameId> {
+    pub fn touch_resident(&mut self, addr: u64) -> bool {
         let slot = self.slot(addr);
-        let c = self.chunks[slot].as_deref_mut()?;
+        let Some(c) = self.chunks[slot].as_deref_mut() else { return false };
         let pte = &mut c.ptes[Self::page_in_chunk(addr)];
-        match pte.state {
-            PteState::Resident(f) => {
-                pte.accessed = true;
-                Some(f)
+        let resident = pte.is_resident();
+        if resident {
+            pte.accessed = true;
+            pte.touched = true;
+        }
+        resident
+    }
+
+    /// Touch every `stride`-th page of `range ∩ vma`, one 2 MiB chunk at
+    /// a time (see the module docs for the contract). Resident pages are
+    /// touched in place; the rest are pushed on `faults` in visit order.
+    /// `out.touched_pages` / `out.touched_huge` count the former.
+    pub fn touch_run(
+        &mut self,
+        range: &AddrRange,
+        stride: u32,
+        faults: &mut Vec<u64>,
+        out: &mut AccessOutcome,
+    ) {
+        let Some(isect) = self.range.intersect(range) else { return };
+        let stride = stride.max(1) as usize;
+        let step = stride as u64 * PAGE_SIZE;
+        let mut addr = isect.page_aligned().start;
+        while addr < isect.end {
+            let chunk_base = huge_align_down(addr);
+            // Pages `[lo, hi)` of this chunk are inside the run.
+            let lo = Self::page_in_chunk(addr);
+            let hi = (isect.end.min(chunk_base + HUGE_PAGE_SIZE) - chunk_base)
+                .div_ceil(PAGE_SIZE) as usize;
+            let huge = self.is_huge(chunk_base);
+            let slot = self.slot(addr);
+            match self.chunks[slot].as_deref_mut() {
+                Some(c) => {
+                    let mut nr = 0u64;
+                    for (i, pte) in c.ptes[lo..hi].iter_mut().enumerate().step_by(stride) {
+                        if pte.is_resident() {
+                            pte.accessed = true;
+                            pte.touched = true;
+                            nr += 1;
+                        } else {
+                            faults.push(chunk_base + ((lo + i) as u64) * PAGE_SIZE);
+                        }
+                    }
+                    out.touched_pages += nr;
+                    out.touched_huge += if huge { nr } else { 0 };
+                }
+                None => faults
+                    .extend((lo..hi).step_by(stride).map(|pi| chunk_base + pi as u64 * PAGE_SIZE)),
             }
-            _ => None,
+            addr += (hi - lo).div_ceil(stride) as u64 * step;
         }
     }
 
@@ -459,6 +536,11 @@ mod tests {
     }
 
     #[test]
+    fn pte_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Pte>(), 24);
+    }
+
+    #[test]
     fn vma_pte_indexing() {
         let mut vma = Vma::new(AddrRange::new(mb(4), mb(8)), ThpMode::Never);
         assert_eq!(vma.nr_pages(), (mb(4) / PAGE_SIZE) as usize);
@@ -511,11 +593,12 @@ mod tests {
     #[test]
     fn touch_resident_fast_path() {
         let mut vma = Vma::new(AddrRange::new(0, mb(4)), ThpMode::Never);
-        assert_eq!(vma.touch_resident(mb(1)), None, "hole: fault path");
+        assert!(!vma.touch_resident(mb(1)), "hole: fault path");
         assert!(vma.chunks.iter().all(|c| c.is_none()), "miss must not materialise");
         vma.with_pte(mb(1), |p| p.state = PteState::Resident(3));
-        assert_eq!(vma.touch_resident(mb(1)), Some(3));
-        assert!(vma.pte(mb(1)).accessed, "touch sets the accessed bit");
+        assert!(vma.touch_resident(mb(1)));
+        let pte = vma.pte(mb(1));
+        assert!(pte.accessed && pte.touched, "touch sets the accessed and touched bits");
         vma.check_counters();
     }
 

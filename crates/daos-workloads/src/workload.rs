@@ -76,9 +76,25 @@ impl SyntheticWorkload {
             spec,
             pid: 0,
             region: AddrRange::empty(),
-            rng: SmallRng::seed_from_u64(seed ^ spec.footprint),
+            rng: Self::stream(&spec, seed),
             built_end: 0,
         }
+    }
+
+    /// The random stream of a workload instantiated with `seed`.
+    fn stream(spec: &WorkloadSpec, seed: u64) -> SmallRng {
+        SmallRng::seed_from_u64(seed ^ spec.footprint)
+    }
+
+    /// Replace the random stream of a workload that has not drawn from it
+    /// yet (set-up draws nothing): a copy of `new(spec, built_with)` after
+    /// `setup` becomes what `new(spec, seed)` after the same `setup` is.
+    pub fn reseed(&mut self, built_with: u64, seed: u64) {
+        debug_assert!(
+            self.rng == Self::stream(&self.spec, built_with),
+            "set-up drew from the workload stream: a copy would replay the draw"
+        );
+        self.rng = Self::stream(&self.spec, seed);
     }
 
     /// The underlying spec.

@@ -9,6 +9,25 @@
 //! seed (the seed offsets of shard 0 / process 0 are zero) — there is no
 //! other engine.
 //!
+//! **Building is per shard length, not per shard.** Set-up issues only
+//! `All`/`Stride` batches and reclaim is deterministic, so setting up a
+//! shard's processes draws from no random stream: every shard of one
+//! length starts as the same memory image, whatever its seeds. The
+//! engine therefore builds one `ShardImage` per distinct length — at most
+//! two, the full shards' and the remainder shard's — and *stamps* every
+//! shard from it: copy the image (the last shard of a length takes the
+//! image itself, so a fleet of one shard never copies), seed the machine
+//! stream with `seed ^ (shard << 21)` and process `p`'s workload stream
+//! with `seed ^ (p << 17)`, label the processes with their global
+//! indices, and build the planes (seeded `… ^ 0xda05` from the shard's
+//! stream for a physical-address plane, from the owner's otherwise) and
+//! the collector against the stamped machine. The unit is the shard, not
+//! the process, because processes of one spec do *not* start identical:
+//! the default fleet maps 32 × 24 MiB onto 512 MiB of DRAM per shard, so
+//! about 2.03 M of a 1000 × 50 run's 2.26 M swapouts happen inside
+//! set-up, and which pages a process loses depends on its position in
+//! the shard.
+//!
 //! Within a shard, processes are partitioned into **groups**, each
 //! watched by at most one monitoring **plane**: a monitor, the schemes
 //! engine it feeds, the record it keeps and its freshest window. A
@@ -23,8 +42,9 @@
 //! deterministic virtual clock.
 //!
 //! The engine owns its shards. Single-shard (or single-worker) fleets
-//! tick them inline on the caller thread, so a thread-local trace
-//! collector observes them directly. Otherwise each tick moves every
+//! stamp and tick them inline on the caller thread, so a thread-local
+//! trace collector observes them directly (it sees a length's set-up
+//! once, when the image is built). Otherwise each tick moves every
 //! shard into a task of the workspace worker pool
 //! ([`daos_util::pool::WorkerPool`], a work-stealing scheduler) and
 //! takes it back with the task's result behind a per-tick barrier, so
@@ -52,6 +72,7 @@ use daos_monitor::{
 use daos_schemes::{SchemeStats, SchemeTarget, SchemesEngine};
 use daos_trace::Collector;
 use daos_util::pool::WorkerPool;
+use std::sync::Arc;
 use daos_workloads::{instantiate, SyntheticWorkload, Workload, WorkloadSpec};
 
 use crate::config::{MonitorKind, RunConfig};
@@ -558,58 +579,101 @@ impl DropMeter {
     }
 }
 
-impl Shard {
+/// The seed a [`ShardImage`] is built with. Nothing draws from it: a
+/// stamped shard replaces both streams before its first tick.
+const IMAGE_SEED: u64 = 0;
+
+/// The memory image every shard of one length starts from: a machine
+/// with that many processes set up, plus their workloads. Set-up issues
+/// only `All`/`Stride` batches and reclaim is deterministic, so building
+/// it draws from no random stream and it depends on no seed — only on
+/// the machine, the configuration, the workload spec and the *number* of
+/// processes sharing the machine (which decides what set-up swaps out).
+#[derive(Clone)]
+struct ShardImage {
+    sys: MemorySystem,
+    wls: Vec<SyntheticWorkload>,
+}
+
+impl ShardImage {
+    /// The one place a shard's processes are set up.
     fn build(
         machine: &MachineProfile,
         config: &RunConfig,
         spec: &WorkloadSpec,
+        nr_procs: usize,
+    ) -> MmResult<ShardImage> {
+        let mut sys = MemorySystem::new(machine.clone(), config.swap, IMAGE_SEED);
+        let mut wls = Vec::with_capacity(nr_procs);
+        for _ in 0..nr_procs {
+            let mut wl = instantiate(*spec, IMAGE_SEED);
+            wl.setup(&mut sys, config.thp)?;
+            wls.push(wl);
+        }
+        Ok(ShardImage { sys, wls })
+    }
+}
+
+impl Shard {
+    /// Turn an image into shard `shard_idx`, whose first process is
+    /// global process `first_proc`: seed the machine stream with the
+    /// shard's seed and each workload's with its process's, label the
+    /// processes, and build the planes and the collector against the
+    /// stamped machine (they carry their own seeds and only read the
+    /// owner's VMAs or the physical space, at virtual time 0).
+    fn stamp(
+        image: ShardImage,
+        config: &RunConfig,
         fleet: &FleetSpec,
         seed: u64,
         shard_idx: usize,
-        proc_range: std::ops::Range<usize>,
-    ) -> MmResult<Shard> {
+        first_proc: usize,
+    ) -> Shard {
         let shard_seed = seed ^ ((shard_idx as u64) << 21);
         let wl_seed = |p: usize| seed ^ ((p as u64) << 17);
-        let mut sys = MemorySystem::new(machine.clone(), config.swap, shard_seed);
+        let ShardImage { mut sys, wls } = image;
+        sys.reseed(IMAGE_SEED, shard_seed);
         let attrs = fleet.effective_attrs(&config.attrs);
         // A physical-address plane watches the whole machine: the shard
         // is one group, sampled from the shard's stream. Any other
         // configuration makes each process a group of its own.
         let whole_shard = config.monitor == Some(MonitorKind::Paddr);
-        let group_len = if whole_shard { proc_range.len().max(1) } else { 1 };
-        let mut groups = Vec::with_capacity(proc_range.len().div_ceil(group_len));
-        for lo in proc_range.clone().step_by(group_len) {
-            let mut procs = Vec::with_capacity(group_len);
-            for p in lo..(lo + group_len).min(proc_range.end) {
-                let mut wl = instantiate(*spec, wl_seed(p));
-                let pid = wl.setup(&mut sys, config.thp)?;
-                procs.push(Proc {
-                    pid,
-                    global_idx: p,
-                    wl,
-                    next_khugepaged: KHUGEPAGED_INTERVAL,
-                    dropped_events: 0,
-                });
+        let group_len = if whole_shard { wls.len().max(1) } else { 1 };
+        let mut procs = wls.into_iter().enumerate().map(|(i, mut wl)| {
+            let global_idx = first_proc + i;
+            wl.reseed(IMAGE_SEED, wl_seed(global_idx));
+            Proc {
+                pid: wl.pid(),
+                global_idx,
+                wl,
+                next_khugepaged: KHUGEPAGED_INTERVAL,
+                dropped_events: 0,
             }
-            let plane_seed = if whole_shard { shard_seed } else { wl_seed(lo) };
+        });
+        let mut groups = Vec::new();
+        loop {
+            let procs: Vec<Proc> = procs.by_ref().take(group_len).collect();
+            let Some(owner) = procs.first() else { break };
+            let plane_seed = if whole_shard { shard_seed } else { wl_seed(owner.global_idx) };
             let plane = config
                 .monitor
-                .map(|kind| Plane::build(kind, config, attrs, &sys, procs[0].pid, plane_seed));
+                .map(|kind| Plane::build(kind, config, attrs, &sys, owner.pid, plane_seed));
             groups.push(Group { procs, plane });
         }
         // Ring capacity clamped to ≥ 1 so the builder cannot fail.
         let collector = fleet
             .trace_ring
             .and_then(|cap| Collector::builder().ring_capacity(cap.max(1)).build().ok());
-        Ok(Shard {
+        let cpu_scale = 3.0 / sys.machine().cpu_ghz;
+        Shard {
             sys,
             groups,
             sink: Vec::new(),
             batches: Vec::new(),
-            cpu_scale: 3.0 / machine.cpu_ghz,
+            cpu_scale,
             khugepaged: config.khugepaged,
             collector,
-        })
+        }
     }
 
     /// Advance every resident process by one epoch. With a shard
@@ -691,9 +755,12 @@ pub struct FleetEngine {
 }
 
 impl FleetEngine {
-    /// Build the fleet: partition processes into shards and set up every
-    /// workload. Shard construction runs over the pool when one is
-    /// warranted (more than one shard and more than one worker).
+    /// Build the fleet: one [`ShardImage`] per distinct shard length (the
+    /// full shards, and the remainder shard if there is one), every
+    /// shard stamped from its length's image — the last one takes the
+    /// image itself, so a fleet of one shard never copies. Images are
+    /// built on the caller thread; with a pool (more than one shard and
+    /// more than one worker) the copies are stamped in pool tasks.
     pub fn new(
         machine: &MachineProfile,
         config: &RunConfig,
@@ -704,33 +771,44 @@ impl FleetEngine {
         let nr_shards = fleet.nr_shards();
         let pool = (nr_shards > 1 && fleet.nr_workers != 1)
             .then(|| WorkerPool::new(fleet.nr_workers));
-        let ranges: Vec<(usize, std::ops::Range<usize>)> = (0..nr_shards)
-            .map(|s| {
-                let lo = s * fleet.procs_per_shard;
-                let hi = ((s + 1) * fleet.procs_per_shard).min(fleet.nr_processes);
-                (s, lo..hi)
-            })
-            .collect();
-        let shards: Vec<MmResult<Shard>> = match &pool {
-            Some(pool) => {
-                let tasks: Vec<_> = ranges
-                    .into_iter()
-                    .map(|(s, range)| {
-                        let machine = machine.clone();
-                        let config = config.clone();
-                        let spec = *spec;
-                        let fleet = fleet.clone();
-                        move || Shard::build(&machine, &config, &spec, &fleet, seed, s, range)
-                    })
-                    .collect();
-                pool.run_batch(tasks)
+        let per_shard = fleet.procs_per_shard;
+        let nr_full = fleet.nr_processes / per_shard;
+        let remainder = fleet.nr_processes % per_shard;
+        let mut shards = Vec::with_capacity(nr_shards);
+        // (first shard, shards, processes per shard) of each length.
+        for (first, nr, len) in [(0, nr_full, per_shard), (nr_full, remainder.min(1), remainder)] {
+            if nr == 0 {
+                continue;
             }
-            None => ranges
-                .into_iter()
-                .map(|(s, range)| Shard::build(machine, config, spec, &fleet, seed, s, range))
-                .collect(),
-        };
-        let shards = shards.into_iter().collect::<MmResult<Vec<Shard>>>()?;
+            let last = first + nr - 1;
+            let mut image = ShardImage::build(machine, config, spec, len)?;
+            let stamp = |image, s: usize| Shard::stamp(image, config, &fleet, seed, s, s * per_shard);
+            match &pool {
+                Some(pool) if first < last => {
+                    let shared = Arc::new(image);
+                    let tasks: Vec<_> = (first..last)
+                        .map(|s| {
+                            let image = Arc::clone(&shared);
+                            let config = config.clone();
+                            let fleet = fleet.clone();
+                            move || {
+                                let copy = ShardImage::clone(&image);
+                                Shard::stamp(copy, &config, &fleet, seed, s, s * per_shard)
+                            }
+                        })
+                        .collect();
+                    shards.extend(pool.run_batch(tasks));
+                    // Every task has run and dropped its handle.
+                    image = Arc::try_unwrap(shared).unwrap_or_else(|held| ShardImage::clone(&held));
+                }
+                _ => {
+                    for s in first..last {
+                        shards.push(stamp(image.clone(), s));
+                    }
+                }
+            }
+            shards.push(stamp(image, last));
+        }
         let effective_max_regions = fleet.effective_attrs(&config.attrs).max_nr_regions;
         let workload_name = shards
             .first()
@@ -954,7 +1032,122 @@ impl FleetEngine {
 mod tests {
     use super::*;
     use daos_mm::clock::ms;
-    use daos_workloads::FleetConfig;
+    use daos_workloads::{Behavior, FleetConfig, Suite};
+
+    /// Monitoring intervals short enough that windows complete, regions
+    /// age and schemes act within a few dozen 5 ms epochs.
+    fn fast_attrs() -> MonitorAttrs {
+        MonitorAttrs::builder()
+            .sampling_interval(ms(1))
+            .aggregation_interval(ms(10))
+            .regions_update_interval(ms(50))
+            .build()
+            .unwrap()
+    }
+
+    /// Every shape the engine has: the six paper configurations (no
+    /// plane, vaddr planes, a paddr plane, khugepaged, the two scheme
+    /// sets) with their ages scaled to `fast_attrs`, and `daos fleet`'s
+    /// own shard-wide pageout plane.
+    fn engine_shapes() -> Vec<RunConfig> {
+        let schemes = |text: &str| {
+            daos_schemes::parse_schemes(text).unwrap().into_iter().map(Into::into).collect()
+        };
+        let mut configs = RunConfig::paper_configs();
+        for c in &mut configs {
+            match c.name.as_str() {
+                "ethp" => {
+                    c.schemes = schemes(
+                        "min max 5 max min max hugepage\n2M max min min 40ms max nohugepage",
+                    )
+                }
+                "prcl" => c.schemes = schemes("4K max min min 20ms max pageout"),
+                _ => {}
+            }
+        }
+        configs.push(
+            RunConfig::builder("fleet-prcl")
+                .monitor(MonitorKind::Paddr)
+                .scheme(schemes("min max min min 20ms max pageout").remove(0))
+                .build()
+                .unwrap(),
+        );
+        for c in &mut configs {
+            c.attrs = fast_attrs();
+        }
+        configs
+    }
+
+    /// One small spec per [`Behavior`].
+    fn behaviors() -> Vec<Behavior> {
+        vec![
+            Behavior::CompactHot { hot_frac: 0.25, apc: 4.0, cold_touch_prob: 0.01 },
+            Behavior::PointerChase { random_touches: 48, core_frac: 0.1, apc: 6.0 },
+            Behavior::Streaming { window_frac: 0.2, stride: 2, apc: 8.0, sweep_period: ms(150) },
+            Behavior::PhaseShift { nr_phases: 3, hot_frac: 0.2, apc: 4.0, phase_len: ms(60) },
+            Behavior::Growing { built_by_frac: 0.5, hot_tail_frac: 0.3, apc: 4.0 },
+            Behavior::MostlyIdle { active_frac: 0.15, apc: 4.0, stray_prob: 0.3 },
+        ]
+    }
+
+    /// Stamping shards from one shared image is only a way to build them
+    /// faster: for every workload behaviour under every engine shape, a
+    /// fleet whose shards were each built from an image of their own
+    /// produces the same per-process results and the same summary —
+    /// inline and over the pool, with a remainder shard, per-shard trace
+    /// rings, and a machine small enough that set-up itself swaps (so
+    /// what a process loses depends on its position in the shard).
+    #[test]
+    fn stamped_shards_equal_separately_built_ones() {
+        let mut machine = MachineProfile::i3_metal();
+        machine.dram_bytes = 7 << 20;
+        let fleet = FleetSpec::new(26).shard_size(4).tenants(3).trace_ring(64);
+        let seed = 77;
+        for behavior in behaviors() {
+            for config in engine_shapes() {
+                // khugepaged first runs after one virtual second.
+                let nr_epochs = if config.khugepaged { 230 } else { 60 };
+                let spec = WorkloadSpec {
+                    name: "shape",
+                    suite: Suite::Fleet,
+                    footprint: 4 << 20,
+                    nr_epochs,
+                    compute_ns: ms(5),
+                    behavior,
+                };
+                let what = format!("{} under {}", behavior.kind_name(), config.name);
+                let finish = |mut engine: FleetEngine| {
+                    engine.run(None).unwrap();
+                    let (runs, mut summary) = engine.finish().unwrap();
+                    // Pool counters vary with worker count and thread timing.
+                    summary.nr_workers = 0;
+                    summary.steals = 0;
+                    (runs, summary)
+                };
+                let shared = |workers: usize| {
+                    FleetEngine::new(&machine, &config, &spec, fleet.clone().workers(workers), seed)
+                        .unwrap()
+                };
+                let mut separate = shared(1);
+                separate.shards = (0..fleet.nr_shards())
+                    .map(|s| {
+                        let first = s * fleet.procs_per_shard;
+                        let len = fleet.procs_per_shard.min(fleet.nr_processes - first);
+                        let image = ShardImage::build(&machine, &config, &spec, len).unwrap();
+                        Shard::stamp(image, &config, &fleet, seed, s, first)
+                    })
+                    .collect();
+                let (runs, summary) = finish(separate);
+                assert_eq!(runs.len(), 26);
+                assert!(runs.iter().any(|r| r.stats.swapouts > 0), "{what}: no memory pressure");
+                for workers in [1, 2] {
+                    let (stamped_runs, stamped_summary) = finish(shared(workers));
+                    assert!(stamped_runs == runs, "{what}: results differ at workers({workers})");
+                    assert_eq!(stamped_summary, summary, "{what}: workers({workers})");
+                }
+            }
+        }
+    }
 
     /// Every event a shard's ring overwrites is charged to one of its
     /// processes — whichever phase overwrote it, under a shard-wide
@@ -979,7 +1172,8 @@ mod tests {
                 .attrs(attrs)
                 .build()
                 .unwrap();
-            let mut shard = Shard::build(&machine, &config, &spec, &fleet, 3, 0, 0..4).unwrap();
+            let image = ShardImage::build(&machine, &config, &spec, 4).unwrap();
+            let mut shard = Shard::stamp(image, &config, &fleet, 3, 0, 0);
             for idx in 0..spec.nr_epochs {
                 shard.tick(idx).unwrap();
             }

@@ -116,7 +116,9 @@ fn paddr_fleet_of_twelve_matches_golden() {
 }
 
 /// Worker count is a performance knob, never a results knob: per-process
-/// results and the summary (minus pool counters) are identical.
+/// results and the summary (minus pool counters) are identical whether
+/// the shards are stamped and ticked inline or over a pool of two or of
+/// eight, remainder shard included.
 #[test]
 fn fleet_results_independent_of_worker_count() {
     let machine = small_machine();
@@ -125,22 +127,22 @@ fn fleet_results_independent_of_worker_count() {
     let fleet = |workers: usize| {
         Session::new(&machine, &config, &spec)
             .seed(1234)
-            .fleet(FleetSpec::new(24).shard_size(4).workers(workers).tenants(3))
+            .fleet(FleetSpec::new(26).shard_size(4).workers(workers).tenants(3))
             .execute()
             .unwrap()
     };
     let serial = fleet(1);
-    let parallel = fleet(4);
-    assert_eq!(serial.runs, parallel.runs, "worker count changed per-process results");
-    let (s, p) = (serial.fleet.unwrap(), parallel.fleet.unwrap());
-    assert_eq!(s.runtime_ns, p.runtime_ns);
-    assert_eq!(s.total_avg_rss, p.total_avg_rss);
-    assert_eq!(s.total_peak_rss, p.total_peak_rss);
-    assert_eq!(s.monitor_work_ns, p.monitor_work_ns);
-    assert_eq!(s.monitor_total_checks, p.monitor_total_checks);
-    assert_eq!(s.tenants, p.tenants);
-    assert_eq!(s.nr_workers, 1);
-    assert_eq!(p.nr_workers, 4);
+    let s = serial.fleet.unwrap();
+    assert_eq!((s.nr_workers, s.nr_shards), (1, 7));
+    for workers in [2, 8] {
+        let parallel = fleet(workers);
+        assert_eq!(serial.runs, parallel.runs, "workers({workers}) changed per-process results");
+        let mut p = parallel.fleet.unwrap();
+        assert_eq!(p.nr_workers, workers);
+        p.nr_workers = s.nr_workers;
+        p.steals = s.steals;
+        assert_eq!(s, p, "workers({workers}) changed the summary");
+    }
 }
 
 /// Same seed, same everything: a fleet run is reproducible.

@@ -238,7 +238,23 @@ grep -q '^daos_fleet_nr_processes 256$' "$tmp/fleet_metrics.txt" || {
 }
 echo "ok"
 
-echo "== bench fleet: 1k-process tick median within baseline =="
+echo "== fleet: results independent of worker count =="
+# Shards are stamped from one image and ticked inline (1 worker) or over
+# the pool (2): everything the summary prints except the worker count
+# and the pool's steal counter must be byte-equal. 100 processes make
+# three full shards and a remainder shard.
+for w in 1 2; do
+    target/release/daos fleet --processes 100 --epochs 20 --seed 42 --workers "$w" \
+        | grep -v -e '^fleet    ' -e '^pool     ' > "$tmp/fleet_workers_$w.txt"
+    [ -s "$tmp/fleet_workers_$w.txt" ] || { echo "FAIL: daos fleet --workers $w printed nothing"; exit 1; }
+done
+diff -u "$tmp/fleet_workers_1.txt" "$tmp/fleet_workers_2.txt" || {
+    echo "FAIL: daos fleet summary depends on --workers"
+    exit 1
+}
+echo "ok"
+
+echo "== bench fleet: 1k-process tick and build medians within baseline =="
 # Same shape as the pipeline gate: fresh full run, artifact well-formed,
 # gated median within the committed baseline + margin.
 DAOS_BENCH_OUT="$tmp/fleet_bench.json" target/release/fleet_bench > /dev/null

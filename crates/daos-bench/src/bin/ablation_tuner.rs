@@ -12,7 +12,7 @@ const BUDGET: u64 = 10;
 const NOISE: f64 = 2.0;
 const TRIALS: u64 = 40;
 
-/// Noisy evaluation of a canonical pattern (aggressiveness t ∈ [0,60]).
+/// Noisy evaluation of a canonical pattern (aggressiveness t ∈ \[0,60\]).
 fn make_eval(pattern: ScorePattern, seed: u64) -> impl FnMut(f64) -> f64 {
     let mut rng = SmallRng::seed_from_u64(seed);
     move |x: f64| pattern.canonical(x / 60.0) + (rng.random::<f64>() - 0.5) * 2.0 * NOISE

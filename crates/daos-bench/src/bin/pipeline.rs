@@ -1,6 +1,7 @@
 //! The seeded perf trajectory: median-of-N timings of the simulator's
 //! hot paths — the monitoring tick (sampling), a full aggregation window
-//! (aggregate + split/merge), the schemes-engine apply pass, the
+//! (aggregate + split/merge) over the synthetic space and over a real
+//! process's page tables, the schemes-engine apply pass, the
 //! substrate's resident-touch walk, and the same monitor loop with
 //! tracing enabled vs disabled — written to
 //! `BENCH_pipeline.json` at the repo root as the regression baseline.
@@ -16,6 +17,7 @@ use daos_mm::{MemorySystem, SwapConfig, ThpMode};
 use daos_mm::access::AccessBatch;
 use daos_monitor::{
     Aggregation, MonitorAttrs, MonitorCtx, RegionInfo, SyntheticPrimitives, SyntheticSpace,
+    VaddrPrimitives,
 };
 use daos_schemes::{parse_scheme_line, SchemeTarget, SchemesEngine};
 use daos_util::bench::Harness;
@@ -64,6 +66,39 @@ fn bench_monitor_window(h: &mut Harness, iters: u64) {
         let windows = sink.len();
         sink.clear();
         black_box(windows)
+    });
+}
+
+/// One aggregation window of the path `daos run` takes: `VaddrPrimitives`
+/// reading and clearing PTE accessed bits of a process with a 128 MiB
+/// heap (every other page resident) and a stack, so each sweep resolves
+/// addresses across two VMAs, materialised chunks and holes. Nothing
+/// re-touches the pages: the steady state is the ~35 cold regions the
+/// paper-default attrs merge down to, ~70 checks a tick. The two
+/// synthetic lanes above read a `HashSet` and never see this cost.
+fn bench_sweep_vaddr(h: &mut Harness, iters: u64) {
+    let mut machine = daos_mm::MachineProfile::test_tiny();
+    machine.dram_bytes = 256 << 20;
+    let mut sys = MemorySystem::new(machine, SwapConfig::paper_zram(), 1);
+    let pid = sys.spawn();
+    let heap = sys.mmap(pid, 128 << 20, ThpMode::Never).expect("mmap 128 MiB");
+    let stack = sys
+        .mmap_at(pid, daos_mm::process::STACK_BASE, 1 << 20, ThpMode::Never)
+        .expect("mmap stack");
+    sys.apply_access(pid, &AccessBatch::stride(heap, 2, 1.0)).expect("fault in");
+    sys.apply_access(pid, &AccessBatch::all(stack, 1.0)).expect("fault in");
+    let a = attrs();
+    let mut ctx = MonitorCtx::new(a, VaddrPrimitives::new(pid), &sys, 0, 42);
+    let mut sink = Vec::new();
+    let ticks = (a.aggregation_interval / a.sampling_interval).max(1);
+    let mut now = 0;
+    h.bench_iters("monitor/sweep_vaddr", iters, || {
+        for _ in 0..ticks {
+            now += a.sampling_interval;
+            ctx.step(&mut sys, now, &mut sink);
+        }
+        sink.clear();
+        black_box(ctx.overhead.total_checks)
     });
 }
 
@@ -140,8 +175,12 @@ fn bench_trace_toggle(h: &mut Harness, iters: u64) {
 /// Hot-path timings gated against the committed baseline by
 /// `--check --baseline`: the region/mm rebuild targets and the page
 /// walker, so a rewrite that quietly regresses one shows up in verify.sh.
-const GATED: [&str; 3] =
-    ["schemes/apply_1000_regions", "monitor/aggregate_window", "mm/touch_all_4096_resident"];
+const GATED: [&str; 4] = [
+    "schemes/apply_1000_regions",
+    "monitor/aggregate_window",
+    "monitor/sweep_vaddr",
+    "mm/touch_all_4096_resident",
+];
 
 /// Time every bench and return the artifact.
 fn measure(quick: bool) -> Json {
@@ -151,6 +190,7 @@ fn measure(quick: bool) -> Json {
 
     bench_monitor_tick(&mut h, iters * 4);
     bench_monitor_window(&mut h, iters);
+    bench_sweep_vaddr(&mut h, iters);
     bench_scheme_apply(&mut h, iters);
     bench_resident_touch(&mut h, iters * 4);
     bench_trace_toggle(&mut h, iters * 4);

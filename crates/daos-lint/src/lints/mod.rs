@@ -1,6 +1,6 @@
 //! The pass framework: a lint is a [`Pass`] over the loaded
 //! [`Workspace`]; most walk one file's comment-free token stream via
-//! [`Code`]. Adding a lint is: write a module with a `Pass` impl, list
+//! `Code`. Adding a lint is: write a module with a `Pass` impl, list
 //! it in [`all_passes`], and (if it supports `// lint: allow(…)`
 //! suppression) give it an allow key in [`ALLOW_KEYS`].
 

@@ -11,9 +11,15 @@
 //! The interface the monitoring/scheme layers consume is deliberately the
 //! narrow one DAMON uses in the kernel:
 //!
-//! * [`MemorySystem::check_accessed_clear`] — read+clear a PTE accessed bit
-//!   (virtual primitive) / [`MemorySystem::check_paddr_accessed_clear`]
-//!   (physical primitive via rmap);
+//! * [`MemorySystem::pte_cursor`] / [`MemorySystem::paddr_cursor`] — the
+//!   access checks of one monitor sweep: a forward page-table cursor
+//!   ([`process::PteCursor`]) that reads and clears PTE accessed bits,
+//!   resolving process and VMA once per run of addresses, not once per
+//!   check (any address order is correct, ascending is fast), directly
+//!   or through rmap. [`MemorySystem::check_accessed_clear`],
+//!   [`MemorySystem::peek_accessed`] and
+//!   [`MemorySystem::check_paddr_accessed_clear`] are the same lookup,
+//!   one shot, for tests and tools;
 //! * [`MemorySystem::vma_ranges`] / [`MemorySystem::phys_space`] — target
 //!   discovery;
 //! * [`MemorySystem::pageout`], [`MemorySystem::promote_huge`],

@@ -1,4 +1,7 @@
-//! Simulated processes: VMA bookkeeping and address-space layout.
+//! Simulated processes: VMA bookkeeping and address-space layout, and
+//! the forward page-table cursor ([`PteCursor`]) accessed-bit sweeps use.
+
+use std::ops::{Deref, DerefMut};
 
 use crate::addr::{page_align_up, AddrRange, PAGE_SIZE};
 use crate::error::{MmError, MmResult};
@@ -134,6 +137,59 @@ impl Process {
     /// Total mapped bytes (virtual size).
     pub fn vsize_bytes(&self) -> u64 {
         self.vmas.iter().map(|v| v.range.len()).sum()
+    }
+}
+
+/// A forward cursor over a sorted VMA list, for reading and clearing
+/// accessed bits at a run of addresses (the monitor's sampling sweep).
+///
+/// This is the one place an address is resolved to its VMA and chunk for
+/// an accessed-bit check. The cursor remembers the VMA the last address
+/// fell in: the next address up costs one range compare, and any other
+/// address falls back to the binary search — every order is correct,
+/// ascending order is fast. Checks move flags only, so they neither
+/// materialise a chunk nor touch a residency counter.
+///
+/// `V` is `&[Vma]` for a read-only cursor or `&mut [Vma]` for one that can
+/// also clear; see [`crate::MemorySystem::pte_cursor`] and, for physical
+/// addresses, [`crate::MemorySystem::paddr_cursor`].
+#[derive(Debug)]
+pub struct PteCursor<V> {
+    vmas: V,
+    /// Index of the VMA the last resolved address fell in.
+    pub(crate) at: usize,
+}
+
+impl<V: Deref<Target = [Vma]>> PteCursor<V> {
+    /// A cursor at the first VMA of `vmas` (sorted, non-overlapping).
+    pub fn new(vmas: V) -> Self {
+        Self { vmas, at: 0 }
+    }
+
+    /// Move to the VMA containing `addr`; `None` when it is unmapped.
+    #[inline]
+    fn seek(&mut self, addr: u64) -> Option<usize> {
+        let vmas = &*self.vmas;
+        let hit = |i: usize| vmas.get(i).is_some_and(|v| v.range.contains(addr));
+        if !hit(self.at) {
+            self.at = vmas.partition_point(|v| v.range.end <= addr);
+        }
+        hit(self.at).then_some(self.at)
+    }
+
+    /// The accessed bit of the page at `addr`; `None` when unmapped.
+    #[inline]
+    pub fn accessed(&mut self, addr: u64) -> Option<bool> {
+        self.seek(addr).map(|i| self.vmas[i].pte(addr).accessed)
+    }
+}
+
+impl<V: DerefMut<Target = [Vma]>> PteCursor<V> {
+    /// Clear the accessed bit of the page at `addr`, returning whether it
+    /// was set; `None` when unmapped.
+    #[inline]
+    pub fn clear_accessed(&mut self, addr: u64) -> Option<bool> {
+        self.seek(addr).map(|i| self.vmas[i].clear_accessed(addr))
     }
 }
 

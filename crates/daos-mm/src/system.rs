@@ -14,11 +14,11 @@ use crate::error::{MmError, MmResult};
 use crate::frame::FrameAllocator;
 use crate::lru::{Lru, LruList};
 use crate::machine::MachineProfile;
-use crate::process::{Pid, Process};
+use crate::process::{Pid, Process, PteCursor};
 use crate::stats::KernelStats;
 use crate::swap::{SwapConfig, SwapDevice};
 use crate::tlb::access_costs;
-use crate::vma::{PteState, ThpMode};
+use crate::vma::{PteState, ThpMode, Vma};
 
 /// How many pages one pressure-reclaim pass tries to free.
 const RECLAIM_BATCH: u64 = 32;
@@ -473,34 +473,46 @@ impl MemorySystem {
 
     // ---- monitoring hooks (the "Monitoring Primitives" substrate) ---
 
+    /// A forward cursor over `pid`'s page tables for a sweep of
+    /// accessed-bit checks (an unknown `pid` has nothing mapped).
+    pub fn pte_cursor(&mut self, pid: Pid) -> PteCursor<&mut [Vma]> {
+        PteCursor::new(self.procs.get_mut(pid as usize).map(Process::vmas_mut).unwrap_or_default())
+    }
+
+    /// The physical-space cursor: `cursor(paddr, clear)` says whether the
+    /// page backed by the frame at `paddr` was accessed, clearing the bit
+    /// when `clear`; unowned frames read `false`. Each check goes through
+    /// rmap to the owner's [`PteCursor`], started at the VMA index the
+    /// last check hit — processes are laid out alike, so it mostly hits.
+    pub fn paddr_cursor(&mut self) -> impl FnMut(u64, bool) -> bool + '_ {
+        let mut at = 0;
+        move |paddr, clear| {
+            let Some((pid, vaddr)) = self.phys_owner(paddr) else { return false };
+            let mut cur = self.pte_cursor(pid);
+            cur.at = at;
+            let was = if clear { cur.clear_accessed(vaddr) } else { cur.accessed(vaddr) };
+            at = cur.at;
+            was.unwrap_or(false)
+        }
+    }
+
     /// Read **and clear** the accessed bit of the page at `addr`.
     /// `None` when the address is unmapped. This is the PTE-based access
-    /// check of §3.1.
+    /// check of §3.1, as a one-shot cursor lookup.
     pub fn check_accessed_clear(&mut self, pid: Pid, addr: u64) -> Option<bool> {
-        let proc = self.procs.get_mut(pid as usize)?;
-        let vma = proc.find_vma_mut(addr)?;
-        Some(vma.with_pte(addr, |pte| {
-            let was = pte.accessed;
-            pte.accessed = false;
-            was
-        }))
+        self.pte_cursor(pid).clear_accessed(addr)
     }
 
     /// Peek at the accessed bit without clearing (ground-truth checks).
     pub fn peek_accessed(&self, pid: Pid, addr: u64) -> Option<bool> {
-        let proc = self.procs.get(pid as usize)?;
-        let vma = proc.find_vma(addr)?;
-        Some(vma.pte(addr).accessed)
+        PteCursor::new(self.procs.get(pid as usize)?.vmas()).accessed(addr)
     }
 
     /// Physical-space access check via rmap: translate the frame at
     /// `paddr` to its owner mapping and check that PTE. Unowned frames
     /// read as "not accessed".
     pub fn check_paddr_accessed_clear(&mut self, paddr: u64) -> bool {
-        match self.phys_owner(paddr) {
-            Some((pid, vaddr)) => self.check_accessed_clear(pid, vaddr).unwrap_or(false),
-            None => false,
-        }
+        self.paddr_cursor()(paddr, true)
     }
 
     /// Record monitor CPU work; returns the interference to charge the

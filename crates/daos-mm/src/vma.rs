@@ -22,7 +22,8 @@
 //! O(blocks touched), not O(pages in range). All state changes must go
 //! through [`Vma::with_pte`], which keeps the counters exact; the two
 //! touch paths ([`Vma::touch_run`], [`Vma::touch_resident`]) only set bits
-//! of resident PTEs and so leave the counters alone.
+//! of resident PTEs, and the monitor's check ([`Vma::clear_accessed`])
+//! only clears one, so they write in place and leave the counters alone.
 //!
 //! ## PTE layout
 //!
@@ -237,6 +238,17 @@ impl Vma {
             }
             r
         }
+    }
+
+    /// Clear the accessed bit of the page at `addr`; returns whether it was
+    /// set. A flag write moves no residency counter and an unmaterialised
+    /// chunk holds no set bit, so this writes the PTE in place — what
+    /// [`Vma::with_pte`] would conclude after its accounting.
+    #[inline]
+    pub fn clear_accessed(&mut self, addr: u64) -> bool {
+        let slot = self.slot(addr);
+        let Some(c) = self.chunks[slot].as_deref_mut() else { return false };
+        std::mem::take(&mut c.ptes[Self::page_in_chunk(addr)].accessed)
     }
 
     /// Single-page touch (the `Prob`/`Random` patterns, which have no run
@@ -568,7 +580,10 @@ mod tests {
             was
         });
         assert!(!was);
+        assert!(!vma.clear_accessed(mb(5)), "the in-place flag write reads an absent chunk as clear");
         assert!(vma.chunks.iter().all(|c| c.is_none()));
+        vma.with_pte(mb(5), |p| p.accessed = true);
+        assert!(vma.clear_accessed(mb(5)) && !vma.pte(mb(5)).accessed);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The per-page touch loops `MemorySystem::apply_access` ran for
 //! `TouchPattern::All` and `TouchPattern::Stride` before the
-//! chunk-at-a-time walker (`Vma::touch_run`) replaced them, kept as the
-//! oracle `walker_differential.rs` compares the walker against. Every
-//! page is looked up on its own — chunk slot, PTE, huge flag — through
-//! the public per-page API, so nothing here shares code with the walker.
+//! chunk-at-a-time walker (`Vma::touch_run`) replaced them, and the
+//! per-address accessed-bit checks `MemorySystem` made before the forward
+//! cursor (`PteCursor`), kept as the oracles `walker_differential.rs`
+//! compares the two against. Every page is looked up on its own — VMA,
+//! chunk slot, PTE, huge flag — through the public per-page API, so
+//! nothing here shares code with the walker or the cursor.
 
 use daos_mm::access::AccessOutcome;
 use daos_mm::addr::{AddrRange, PAGE_SIZE};
@@ -46,4 +48,17 @@ pub fn touch_stride(
         touch(vma, faults, out, addr);
         addr += step;
     }
+}
+
+/// `MemorySystem::peek_accessed` before the cursor: find the VMA (a plain
+/// scan here), read the PTE.
+pub fn peek_accessed(vmas: &[Vma], addr: u64) -> Option<bool> {
+    vmas.iter().find(|v| v.range.contains(addr)).map(|v| v.pte(addr).accessed)
+}
+
+/// `MemorySystem::check_accessed_clear` before the cursor: find the VMA,
+/// read and clear the bit through the counter-keeping `with_pte`.
+pub fn check_accessed_clear(vmas: &mut [Vma], addr: u64) -> Option<bool> {
+    let vma = vmas.iter_mut().find(|v| v.range.contains(addr))?;
+    Some(vma.with_pte(addr, |pte| std::mem::take(&mut pte.accessed)))
 }

@@ -10,10 +10,18 @@
 //! 700 pages (past 512 a stride skips whole chunks). They must agree on
 //! the outcome counters, the fault list element for element, every PTE
 //! bit, and leave the residency counters exact.
+//!
+//! The forward page-table cursor (`PteCursor`) is pinned the same way,
+//! over the same address spaces, against the per-address lookups it
+//! replaced: reads and clears at byte-granular addresses — inside VMAs,
+//! in the gaps, past both ends — in ascending, descending and shuffled
+//! order must return the same bits and leave the same VMAs, down to which
+//! chunks exist.
 
 use daos_mm::access::{AccessBatch, AccessOutcome};
 use daos_mm::addr::{AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
 use daos_mm::machine::MachineProfile;
+use daos_mm::process::PteCursor;
 use daos_mm::swap::{SwapConfig, SwapSlot};
 use daos_mm::system::MemorySystem;
 use daos_mm::vma::{PteState, ThpMode, Vma};
@@ -155,6 +163,43 @@ proptest! {
         }
         let whole = AddrRange::new(0, u64::MAX);
         compare(&vmas, &whole, stride, false, &format!("seed {seed} whole space stride {stride}"));
+    }
+
+    fn cursor_matches_the_per_address_lookup(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let vmas = random_address_space(&mut rng);
+        let lo = vmas[0].range.start - 8 * PAGE_SIZE;
+        let hi = vmas[vmas.len() - 1].range.end + 8 * PAGE_SIZE;
+        // (address, clear?) — a read or a read-and-clear.
+        let mut probes: Vec<(u64, bool)> =
+            (0..300).map(|_| (rng.random_range(lo..hi), rng.random::<f32>() < 0.5)).collect();
+        for order in ["ascending", "descending", "shuffled"] {
+            match order {
+                "ascending" => probes.sort_unstable(),
+                "descending" => probes.reverse(),
+                _ => (1..probes.len()).rev().for_each(|i| probes.swap(i, rng.random_range(0..i + 1))),
+            }
+            let (mut swept, mut looked_up) = (vmas.clone(), vmas.clone());
+            let mut cur = PteCursor::new(&mut swept[..]);
+            for &(addr, clear) in &probes {
+                let what = format!("seed {seed} {order} {addr:#x} clear={clear}");
+                if clear {
+                    let want = reference::check_accessed_clear(&mut looked_up, addr);
+                    prop_assert_eq!(cur.clear_accessed(addr), want, "{}", what);
+                } else {
+                    let want = reference::peek_accessed(&looked_up, addr);
+                    prop_assert_eq!(cur.accessed(addr), want, "{}", what);
+                    // The read-only cursor, one-shot: what `peek_accessed` is.
+                    prop_assert_eq!(PteCursor::new(&looked_up[..]).accessed(addr), want, "{}", what);
+                }
+            }
+            // Same bits cleared and — `Vma ==` compares the chunk table —
+            // no chunk materialised by a probe.
+            for (i, (s, l)) in swept.iter().zip(&looked_up).enumerate() {
+                assert!(s == l, "seed {seed} {order}: vma {i} {} differs after the sweep", s.range);
+                check_counters(s);
+            }
+        }
     }
 
     /// `TouchPattern::Stride`'s doc promises `Stride(1) == All`: the one

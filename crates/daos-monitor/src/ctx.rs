@@ -101,13 +101,19 @@ impl<P: Primitives> MonitorCtx<P> {
     /// One sampling tick at time `t`.
     fn tick(&mut self, env: &mut P::Env, t: Ns, sink: &mut Vec<Aggregation>) {
         let check_cost = self.prim.check_cost_ns(env);
-        let mut checks: u64 = 0;
-
-        // Phase 1: evaluate the samples prepared one interval ago.
-        {
-            let Self { regions, prim, .. } = self;
-            checks += regions.check_samples(|addr| prim.young(env, addr));
-        }
+        // On a boundary tick the merge/split/update below sits between
+        // checking the samples prepared one interval ago (phase 1) and
+        // preparing the next (phase 2). On every other tick nothing does,
+        // and one fused pass over the regions does both.
+        let boundary = self.next_aggr <= t || self.next_update <= t;
+        let mut checks = {
+            let mut probe = self.prim.cursor(env);
+            if boundary {
+                self.regions.check_samples(|addr| probe(addr, false))
+            } else {
+                self.regions.sweep_samples(&mut self.rng, probe)
+            }
+        };
 
         // Aggregation boundary: merge+age, report, reset, split. The two
         // spans decompose the historical `final_regions × 40 ns` charge
@@ -196,13 +202,14 @@ impl<P: Primitives> MonitorCtx<P> {
         if self.next_update <= t {
             let ranges = self.prim.target_ranges(env);
             self.regions.update_ranges(&ranges);
+            let a = &self.attrs;
+            self.regions.merge_to_cap(a.merge_threshold(), a.min_nr_regions, a.max_nr_regions);
             self.next_update = t + self.attrs.regions_update_interval;
         }
 
-        // Phase 2: prepare the next samples — one random page per region.
-        {
-            let Self { regions, prim, rng, .. } = self;
-            checks += regions.prepare_samples(rng, |addr| prim.mkold(env, addr));
+        if boundary {
+            let mut probe = self.prim.cursor(env);
+            checks += self.regions.prepare_samples(&mut self.rng, |addr| { probe(addr, true); });
         }
 
         // Overhead accounting: this is where the paper's bound lives —
@@ -310,6 +317,32 @@ mod tests {
         // Overhead bound: ≤ 2 checks per region per tick.
         assert!(ctx.overhead.max_checks_per_tick <= 2 * attrs.max_nr_regions as u64);
         assert!(ctx.overhead.nr_aggregations >= 25);
+    }
+
+    #[test]
+    fn region_cap_survives_a_growing_target() {
+        // Alternating 2 MiB hot stripes keep neighbours dissimilar, so the
+        // set sits at the cap when the first regions update adds nine new
+        // ranges: the fresh regions must be merged back under it.
+        let mut env = SyntheticSpace::new(vec![AddrRange::new(0, mb(128))]);
+        let attrs = small_attrs();
+        let max = attrs.max_nr_regions;
+        let mut ctx = MonitorCtx::new(attrs, SyntheticPrimitives, &env, 0, 7);
+        let mut sink = Vec::new();
+        for tick in 1..=260u64 {
+            for stripe in (0..64).step_by(2) {
+                env.touch_range(AddrRange::new(mb(2 * stripe), mb(2 * stripe + 2)));
+            }
+            if tick == 199 {
+                assert_eq!(ctx.regions().len(), max, "the set must reach the cap first");
+                env.ranges.extend((0..9).map(|i| AddrRange::new(mb(200 + 4 * i), mb(202 + 4 * i))));
+            }
+            ctx.step(&mut env, tick * attrs.sampling_interval, &mut sink);
+            assert!(ctx.regions().len() <= max, "tick {tick}: {} regions", ctx.regions().len());
+            assert!(ctx.overhead.max_checks_per_tick <= 2 * max as u64, "tick {tick}");
+            ctx.regions().check_invariants().unwrap();
+        }
+        assert_eq!(ctx.regions().total_bytes(), mb(128 + 18), "the update was followed");
     }
 
     #[test]

@@ -14,9 +14,10 @@ use daos_mm::system::MemorySystem;
 
 /// The target-specific operations the monitor core needs.
 ///
-/// Two-phase sampling, as in the kernel: `mkold` clears the accessed bit
-/// of the sample page when the sample is *prepared*; one sampling interval
-/// later `young` reads whether the CPU set it again.
+/// Two-phase sampling, as in the kernel: the accessed bit of the sample
+/// page is cleared (`mkold`) when the sample is *prepared*; one sampling
+/// interval later the monitor reads whether the CPU set it again
+/// (`young`). Both go through the cursor a back-end hands out per sweep.
 pub trait Primitives {
     /// The environment checks run against (the simulated machine, or a
     /// synthetic space in tests).
@@ -26,11 +27,15 @@ pub trait Primitives {
     /// interval to follow `mmap()`/hotplug events).
     fn target_ranges(&mut self, env: &Self::Env) -> Vec<AddrRange>;
 
-    /// Clear the accessed state of the page at `addr` (sample prepare).
-    fn mkold(&mut self, env: &mut Self::Env, addr: u64);
-
-    /// Whether the page at `addr` was accessed since the last `mkold`.
-    fn young(&mut self, env: &mut Self::Env, addr: u64) -> bool;
+    /// The access-check cursor for one sweep over the regions:
+    /// `cursor(addr, clear)` says whether the page at `addr` was accessed
+    /// since its bit was last cleared, and clears it when `clear`. It
+    /// must be correct for addresses in any order and may be faster for
+    /// ascending ones — a sweep visits the regions in address order, so
+    /// a back-end resolves its target once here, not once per check.
+    /// Target ranges must be page-aligned: the monitor relies on checks
+    /// in different regions touching different pages.
+    fn cursor<'a>(&'a mut self, env: &'a mut Self::Env) -> impl FnMut(u64, bool) -> bool + 'a;
 
     /// CPU cost of a single `mkold`/`young` operation.
     fn check_cost_ns(&self, env: &Self::Env) -> Ns;
@@ -92,14 +97,13 @@ impl Primitives for VaddrPrimitives {
         three_regions(&env.vma_ranges(self.pid))
     }
 
-    fn mkold(&mut self, env: &mut MemorySystem, addr: u64) {
-        let _ = env.check_accessed_clear(self.pid, addr);
-    }
-
-    fn young(&mut self, env: &mut MemorySystem, addr: u64) -> bool {
+    fn cursor<'a>(&'a mut self, env: &'a mut MemorySystem) -> impl FnMut(u64, bool) -> bool + 'a {
         // The three-regions span covers gaps between VMAs; samples landing
         // in a gap simply read as not-accessed, like unmapped PTEs.
-        env.peek_accessed(self.pid, addr).unwrap_or(false)
+        let mut cur = env.pte_cursor(self.pid);
+        move |addr, clear| {
+            if clear { cur.clear_accessed(addr) } else { cur.accessed(addr) }.unwrap_or(false)
+        }
     }
 
     fn check_cost_ns(&self, env: &MemorySystem) -> Ns {
@@ -124,15 +128,8 @@ impl Primitives for PaddrPrimitives {
         vec![env.phys_space()]
     }
 
-    fn mkold(&mut self, env: &mut MemorySystem, paddr: u64) {
-        let _ = env.check_paddr_accessed_clear(paddr);
-    }
-
-    fn young(&mut self, env: &mut MemorySystem, paddr: u64) -> bool {
-        match env.phys_owner(paddr) {
-            Some((pid, vaddr)) => env.peek_accessed(pid, vaddr).unwrap_or(false),
-            None => false,
-        }
+    fn cursor<'a>(&'a mut self, env: &'a mut MemorySystem) -> impl FnMut(u64, bool) -> bool + 'a {
+        env.paddr_cursor()
     }
 
     fn check_cost_ns(&self, env: &MemorySystem) -> Ns {
@@ -180,12 +177,11 @@ impl Primitives for SyntheticPrimitives {
         env.ranges.clone()
     }
 
-    fn mkold(&mut self, env: &mut SyntheticSpace, addr: u64) {
-        env.accessed.remove(&page_align_down(addr));
-    }
-
-    fn young(&mut self, env: &mut SyntheticSpace, addr: u64) -> bool {
-        env.accessed.contains(&page_align_down(addr))
+    fn cursor<'a>(&'a mut self, env: &'a mut SyntheticSpace) -> impl FnMut(u64, bool) -> bool + 'a {
+        move |addr, clear| {
+            let page = page_align_down(addr);
+            if clear { env.accessed.remove(&page) } else { env.accessed.contains(&page) }
+        }
     }
 
     fn check_cost_ns(&self, _env: &SyntheticSpace) -> Ns {
@@ -197,6 +193,7 @@ impl Primitives for SyntheticPrimitives {
 mod tests {
     use super::*;
     use daos_mm::access::AccessBatch;
+    use daos_mm::addr::PAGE_SIZE;
     use daos_mm::machine::MachineProfile;
     use daos_mm::swap::SwapConfig;
     use daos_mm::vma::ThpMode;
@@ -244,13 +241,20 @@ mod tests {
             MemorySystem::new(MachineProfile::test_tiny(), SwapConfig::paper_zram(), 1);
         let pid = sys.spawn();
         let range = sys.mmap(pid, 1 << 20, ThpMode::Never).unwrap();
+        let stack = sys.mmap_at(pid, daos_mm::process::STACK_BASE, 1 << 16, ThpMode::Never).unwrap();
         let mut prim = VaddrPrimitives::new(pid);
         sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
+        sys.apply_access(pid, &AccessBatch::all(stack, 1.0)).unwrap();
 
-        prim.mkold(&mut sys, range.start); // prepare clears the bit
-        assert!(!prim.young(&mut sys, range.start));
+        assert!(prim.cursor(&mut sys)(range.start, true), "prepare clears the bit");
+        assert!(!prim.cursor(&mut sys)(range.start, false));
         sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
-        assert!(prim.young(&mut sys, range.start), "touch after mkold → young");
+        let mut cur = prim.cursor(&mut sys);
+        assert!(cur(range.start, false), "touch after mkold → young");
+        assert!(!cur(range.end + PAGE_SIZE, false), "outside every VMA reads not-accessed");
+        assert!(cur(stack.start, false), "on into the next VMA");
+        assert!(cur(range.start, false), "and back down: any order is correct");
+        drop(cur);
         assert!(prim.check_cost_ns(&sys) > 0);
     }
 
@@ -259,8 +263,10 @@ mod tests {
         let mut sys =
             MemorySystem::new(MachineProfile::test_tiny(), SwapConfig::paper_zram(), 1);
         let pid = sys.spawn();
-        let range = sys.mmap(pid, 1 << 20, ThpMode::Never).unwrap();
-        sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
+        for _ in 0..2 {
+            let range = sys.mmap(pid, 1 << 20, ThpMode::Never).unwrap();
+            sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
+        }
         let mut prim = PaddrPrimitives;
         let targets = prim.target_ranges(&sys);
         assert_eq!(targets, vec![sys.phys_space()]);
@@ -269,9 +275,14 @@ mod tests {
             .pages()
             .find(|p| sys.phys_owner(*p).is_some())
             .unwrap();
-        assert!(prim.young(&mut sys, owned));
-        prim.mkold(&mut sys, owned);
-        assert!(!prim.young(&mut sys, owned));
+        let all_owned: Vec<u64> =
+            sys.phys_space().pages().filter(|p| sys.phys_owner(*p).is_some()).collect();
+        assert_eq!(all_owned.len(), 512);
+        let mut cur = prim.cursor(&mut sys);
+        assert!(all_owned.iter().rev().all(|p| cur(*p, false)), "both VMAs' frames, any order");
+        assert!(cur(owned, true));
+        assert!(!cur(owned, false));
+        drop(cur);
         // Physical checks cost more than virtual ones (rmap walk).
         assert!(prim.check_cost_ns(&sys) > VaddrPrimitives::new(pid).check_cost_ns(&sys));
     }
@@ -281,11 +292,12 @@ mod tests {
         let mut space = SyntheticSpace::new(vec![AddrRange::new(0, 0x10000)]);
         let mut prim = SyntheticPrimitives;
         space.touch_range(AddrRange::new(0x1000, 0x3000));
-        assert!(prim.young(&mut space, 0x1000));
-        assert!(prim.young(&mut space, 0x1234), "sub-page addr maps to its page");
-        assert!(!prim.young(&mut space, 0x4000));
-        prim.mkold(&mut space, 0x1500);
-        assert!(!prim.young(&mut space, 0x1000));
-        assert!(prim.young(&mut space, 0x2000));
+        let mut cur = prim.cursor(&mut space);
+        assert!(cur(0x1000, false));
+        assert!(cur(0x1234, false), "sub-page addr maps to its page");
+        assert!(!cur(0x4000, false));
+        assert!(cur(0x1500, true));
+        assert!(!cur(0x1000, false));
+        assert!(cur(0x2000, false));
     }
 }

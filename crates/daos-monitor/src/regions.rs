@@ -14,9 +14,21 @@
 //! aggregation boundary no longer rescans the set.
 //!
 //! Semantics are pinned to the reference array-of-structs implementation
-//! in [`crate::reference`] by differential tests; `split` and
+//! in `tests/reference/` by differential tests; `split` and
 //! `prepare_samples` consume the rng in exactly the same order as the
 //! reference so both produce identical sequences from one seed.
+//!
+//! ## Sampling: two phases, or one fused sweep
+//!
+//! Each sampling interval every region's outstanding sample is checked
+//! ([`RegionSet::check_samples`]) and a new one is drawn and aged
+//! ([`RegionSet::prepare_samples`]). The monitor runs the two as separate
+//! phases only on ticks where a merge, split or target update sits
+//! between them; on all others [`RegionSet::sweep_samples`] does both per
+//! region in one pass over the columns. The result is the same because
+//! regions are disjoint and page-aligned — the page region *i* ages is
+//! never the page region *j* checks — and the rng is still drawn once
+//! per non-empty region, in region order.
 
 use daos_mm::addr::{page_align_down, AddrRange, PAGE_SIZE};
 use daos_util::rng::SmallRng;
@@ -35,7 +47,7 @@ fn wavg(x: u32, y: u32, sa: u64, sb: u64) -> u32 {
 
 /// An ordered, non-overlapping set of monitoring regions, stored as
 /// struct-of-arrays.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegionSet {
     starts: Vec<u64>,
     ends: Vec<u64>,
@@ -156,13 +168,7 @@ impl RegionSet {
     ///
     /// Aging (§3.1): a region whose access count moved by more than
     /// `threshold` since the previous window has a *changed* pattern, so
-    /// its age resets; otherwise age increments.
-    ///
-    /// Merging: adjacent regions whose access counts differ by at most
-    /// `threshold` are combined, unless the result would exceed
-    /// `sz_limit` bytes or shrink the set below `min_nr` regions (the
-    /// paper's explicit lower bound). Runs as one in-place compaction
-    /// walk over the arrays.
+    /// its age resets; otherwise age increments. Then the merge walk.
     pub fn merge_with_aging(&mut self, threshold: u32, sz_limit: u64, min_nr: usize) {
         for i in 0..self.len() {
             if self.nr_accesses[i].abs_diff(self.last_nr_accesses[i]) > threshold {
@@ -171,6 +177,30 @@ impl RegionSet {
                 self.ages[i] += 1;
             }
         }
+        self.merge(threshold, sz_limit, min_nr);
+    }
+
+    /// Re-establish the `max_nr` cap after [`Self::update_ranges`] added
+    /// fresh regions to a full set: merge with a doubling threshold until
+    /// it holds, as the kernel does when `max_nr_regions` is unmet. Only
+    /// regions separated by gaps can keep the set above the cap.
+    pub fn merge_to_cap(&mut self, threshold: u32, min_nr: usize, max_nr: usize) {
+        let mut threshold = threshold.max(1);
+        while self.len() > max_nr {
+            self.merge(threshold, u64::MAX, min_nr);
+            if threshold == u32::MAX {
+                break;
+            }
+            threshold = threshold.saturating_mul(2);
+        }
+    }
+
+    /// Merging: adjacent regions whose access counts differ by at most
+    /// `threshold` are combined, unless the result would exceed
+    /// `sz_limit` bytes or shrink the set below `min_nr` regions (the
+    /// paper's explicit lower bound). Runs as one in-place compaction
+    /// walk over the arrays.
+    fn merge(&mut self, threshold: u32, sz_limit: u64, min_nr: usize) {
         let n = self.len();
         if n <= min_nr {
             return;
@@ -341,43 +371,66 @@ impl RegionSet {
         *self = out;
     }
 
-    /// Phase-1 sampling: consume every outstanding sample, incrementing
-    /// the region's counter when `young` reports the page was accessed.
-    /// Returns the number of checks performed. Keeping the loop inside
-    /// the store lets it stream the `sampling` and `nr_accesses` columns.
-    pub fn check_samples(&mut self, mut young: impl FnMut(u64) -> bool) -> u64 {
-        let mut checks = 0;
-        for i in 0..self.len() {
-            let addr = self.sampling[i];
-            if addr != NO_SAMPLE {
-                self.sampling[i] = NO_SAMPLE;
-                if young(addr) {
-                    self.nr_accesses[i] += 1;
-                }
-                checks += 1;
-            }
+    /// Consume region `i`'s outstanding sample, counting an access when
+    /// `young` reports the page was touched. Returns the checks made.
+    #[inline]
+    fn check_one(&mut self, i: usize, young: &mut impl FnMut(u64) -> bool) -> u64 {
+        let addr = std::mem::replace(&mut self.sampling[i], NO_SAMPLE);
+        if addr == NO_SAMPLE {
+            return 0;
         }
-        checks
+        self.nr_accesses[i] += young(addr) as u32;
+        1
     }
 
-    /// Phase-2 sampling: pick one random page per region, age it via
-    /// `mkold`, and remember it for the next check. Returns the number of
-    /// samples prepared. Consumes the rng in the reference
-    /// implementation's exact order (one draw per non-empty region).
-    pub fn prepare_samples(&mut self, rng: &mut SmallRng, mut mkold: impl FnMut(u64)) -> u64 {
-        let mut checks = 0;
-        for i in 0..self.len() {
-            let pages = (self.ends[i] - self.starts[i]).div_ceil(PAGE_SIZE);
-            if pages == 0 {
-                continue;
-            }
-            let page = rng.random_range(0..pages);
-            let addr = page_align_down(self.starts[i]) + page * PAGE_SIZE;
-            mkold(addr);
-            self.sampling[i] = addr;
-            checks += 1;
+    /// Pick one random page of region `i`, age it via `mkold` and
+    /// remember it for the next check (one rng draw per non-empty
+    /// region, the reference implementation's order). Returns the
+    /// checks made.
+    #[inline]
+    fn prepare_one(&mut self, i: usize, rng: &mut SmallRng, mkold: &mut impl FnMut(u64)) -> u64 {
+        let pages = (self.ends[i] - self.starts[i]).div_ceil(PAGE_SIZE);
+        if pages == 0 {
+            return 0;
         }
-        checks
+        let addr = page_align_down(self.starts[i]) + rng.random_range(0..pages) * PAGE_SIZE;
+        mkold(addr);
+        self.sampling[i] = addr;
+        1
+    }
+
+    /// Phase-1 sampling: consume every outstanding sample. Returns the
+    /// number of checks performed. Keeping the loop inside the store
+    /// lets it stream the `sampling` and `nr_accesses` columns.
+    pub fn check_samples(&mut self, mut young: impl FnMut(u64) -> bool) -> u64 {
+        (0..self.len()).map(|i| self.check_one(i, &mut young)).sum()
+    }
+
+    /// Phase-2 sampling: prepare one sample per region. Returns the
+    /// number of samples prepared.
+    pub fn prepare_samples(&mut self, rng: &mut SmallRng, mut mkold: impl FnMut(u64)) -> u64 {
+        (0..self.len()).map(|i| self.prepare_one(i, rng, &mut mkold)).sum()
+    }
+
+    /// Both phases in one pass, region by region: check the outstanding
+    /// sample, then prepare the next (`probe(addr, clear)` reads the
+    /// accessed bit and clears it when `clear`). Equal to
+    /// [`Self::check_samples`] followed by [`Self::prepare_samples`]
+    /// whenever no two regions share a page: region *i*'s `mkold` then
+    /// commutes with region *j*'s `young`, and the rng is drawn in the
+    /// same order. Returns the number of checks performed.
+    pub fn sweep_samples(
+        &mut self,
+        rng: &mut SmallRng,
+        mut probe: impl FnMut(u64, bool) -> bool,
+    ) -> u64 {
+        debug_assert!(self.starts.iter().all(|s| s % PAGE_SIZE == 0), "regions share a page");
+        (0..self.len())
+            .map(|i| {
+                self.check_one(i, &mut |addr| probe(addr, false))
+                    + self.prepare_one(i, rng, &mut |addr| { probe(addr, true); })
+            })
+            .sum()
     }
 
     /// Debug invariant: sorted, non-overlapping, non-empty regions, and a

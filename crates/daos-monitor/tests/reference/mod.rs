@@ -1,14 +1,153 @@
-//! Reference region-set implementation: the original `Vec<Region>` code,
-//! kept verbatim as the cross-validation oracle for the struct-of-arrays
-//! store in `daos_monitor::regions` (the Virtuoso method: a faster
-//! substrate is only trustworthy if differentially tested against the
-//! slower reference it replaced). Test support only: nothing in the
-//! library calls it.
+//! Reference implementations the library's fast paths are pinned to (the
+//! Virtuoso method: a faster substrate is only trustworthy if
+//! differentially tested against the slower reference it replaced). Test
+//! support only: nothing in the library calls them.
+//!
+//! * [`RegionSet`]: the original `Vec<Region>` code, kept verbatim as the
+//!   oracle for the struct-of-arrays store in `daos_monitor::regions`.
+//! * [`Monitor`]: `MonitorCtx`'s tick as it ran before the page-table
+//!   cursor and the fused sweep — two phases on every tick, every check
+//!   resolved on its own through `MemorySystem`'s random-access calls.
 
 use daos_mm::addr::{page_align_down, AddrRange, PAGE_SIZE};
+use daos_mm::clock::Ns;
+use daos_mm::process::Pid;
+use daos_mm::system::MemorySystem;
 use daos_util::rng::SmallRng;
 
-use daos_monitor::{Region, RegionInfo};
+use daos_monitor::{three_regions, Aggregation, MonitorAttrs, OverheadStats, Region, RegionInfo};
+
+/// What a reference [`Monitor`] watches.
+#[derive(Debug, Clone, Copy)]
+pub enum Target {
+    /// One process's virtual address space.
+    Vaddr(Pid),
+    /// The machine's physical address space.
+    Paddr,
+}
+
+impl Target {
+    fn ranges(self, sys: &MemorySystem) -> Vec<AddrRange> {
+        match self {
+            Target::Vaddr(pid) => three_regions(&sys.vma_ranges(pid)),
+            Target::Paddr => vec![sys.phys_space()],
+        }
+    }
+
+    fn young(self, sys: &MemorySystem, addr: u64) -> bool {
+        let owner = match self {
+            Target::Vaddr(pid) => Some((pid, addr)),
+            Target::Paddr => sys.phys_owner(addr),
+        };
+        owner.and_then(|(pid, vaddr)| sys.peek_accessed(pid, vaddr)).unwrap_or(false)
+    }
+
+    fn mkold(self, sys: &mut MemorySystem, addr: u64) {
+        match self {
+            Target::Vaddr(pid) => drop(sys.check_accessed_clear(pid, addr)),
+            Target::Paddr => drop(sys.check_paddr_accessed_clear(addr)),
+        }
+    }
+
+    fn check_cost_ns(self, sys: &MemorySystem) -> Ns {
+        let m = sys.machine();
+        match self {
+            Target::Vaddr(_) => m.access_check_ns,
+            Target::Paddr => (m.access_check_ns as f64 * m.rmap_check_factor) as Ns,
+        }
+    }
+}
+
+/// The per-address, always-two-phase monitoring loop (tracing left out).
+/// It drives the library's own `RegionSet` through its two-phase calls,
+/// so what it pins is the tick: which checks happen, in which order,
+/// against which page, and what they cost.
+#[derive(Debug)]
+pub struct Monitor {
+    attrs: MonitorAttrs,
+    target: Target,
+    pub regions: daos_monitor::RegionSet,
+    pub rng: SmallRng,
+    next_sample: Ns,
+    next_aggr: Ns,
+    next_update: Ns,
+    pub overhead: OverheadStats,
+    pub pending_work_ns: Ns,
+}
+
+impl Monitor {
+    pub fn new(attrs: MonitorAttrs, target: Target, sys: &MemorySystem, now: Ns, seed: u64) -> Self {
+        Self {
+            attrs,
+            target,
+            regions: daos_monitor::RegionSet::init(&target.ranges(sys), attrs.min_nr_regions),
+            rng: SmallRng::seed_from_u64(seed),
+            next_sample: now + attrs.sampling_interval,
+            next_aggr: now + attrs.aggregation_interval,
+            next_update: now + attrs.regions_update_interval,
+            overhead: OverheadStats::default(),
+            pending_work_ns: 0,
+        }
+    }
+
+    pub fn step(&mut self, sys: &mut MemorySystem, now: Ns, sink: &mut Vec<Aggregation>) {
+        if self.next_sample > now {
+            return;
+        }
+        let interval = self.attrs.sampling_interval;
+        let t = self.next_sample + (now - self.next_sample) / interval * interval;
+        self.tick(sys, t, sink);
+        self.next_sample = t + interval;
+    }
+
+    fn tick(&mut self, sys: &mut MemorySystem, t: Ns, sink: &mut Vec<Aggregation>) {
+        let (attrs, target) = (self.attrs, self.target);
+        let mut checks = self.regions.check_samples(|addr| target.young(sys, addr));
+
+        if self.next_aggr <= t {
+            if attrs.adaptive {
+                let sz_limit =
+                    (self.regions.total_bytes() / attrs.min_nr_regions.max(1) as u64).max(PAGE_SIZE);
+                self.regions.merge_with_aging(attrs.merge_threshold(), sz_limit, attrs.min_nr_regions);
+            } else {
+                self.regions.merge_with_aging(attrs.merge_threshold(), 0, usize::MAX);
+            }
+            sink.push(Aggregation {
+                at: t,
+                regions: self.regions.snapshot(),
+                max_nr_accesses: attrs.max_nr_accesses(),
+                aggregation_interval: attrs.aggregation_interval,
+            });
+            self.regions.reset_aggregated();
+            if attrs.adaptive {
+                self.regions.split(&mut self.rng, attrs.max_nr_regions);
+            }
+            // Merge + snapshot + reset + split: 40 ns per final region.
+            self.pending_work_ns += self.regions.len() as u64 * 40;
+            self.overhead.nr_aggregations += 1;
+            self.next_aggr = t + attrs.aggregation_interval;
+        }
+
+        if self.next_update <= t {
+            self.regions.update_ranges(&target.ranges(sys));
+            self.regions.merge_to_cap(
+                attrs.merge_threshold(),
+                attrs.min_nr_regions,
+                attrs.max_nr_regions,
+            );
+            self.next_update = t + attrs.regions_update_interval;
+        }
+
+        checks += self.regions.prepare_samples(&mut self.rng, |addr| target.mkold(sys, addr));
+
+        self.overhead.total_checks += checks;
+        self.overhead.max_checks_per_tick = self.overhead.max_checks_per_tick.max(checks);
+        self.overhead.nr_ticks += 1;
+        let work = checks * target.check_cost_ns(sys);
+        self.overhead.work_ns += work;
+        self.pending_work_ns += work;
+    }
+}
 
 /// An ordered, non-overlapping set of monitoring regions (reference
 /// array-of-structs implementation).

@@ -1,6 +1,9 @@
-//! Differential equivalence tests: the struct-of-arrays `RegionSet`
+//! Differential equivalence tests against the oracles kept beside this
+//! test (`reference/`): the struct-of-arrays `RegionSet`
 //! (`daos_monitor::regions`) against the original array-of-structs
-//! implementation kept beside this test as an oracle (`reference/`).
+//! implementation, and `MonitorCtx`'s tick — one page-table cursor per
+//! sweep, check and prepare fused between boundaries — against the
+//! per-address two-phase loop it replaced.
 //!
 //! Both stores are driven through identical seeded operation sequences —
 //! two `SmallRng`s built from the same seed, consumed in the same order —
@@ -9,8 +12,16 @@
 //! rewritten hot path shows up as a field-level mismatch with the exact
 //! seed and step in the panic message.
 
-use daos_mm::addr::{AddrRange, PAGE_SIZE};
+use daos_mm::access::AccessBatch;
+use daos_mm::addr::{AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
+use daos_mm::clock::ms;
+use daos_mm::machine::MachineProfile;
+use daos_mm::process::{Pid, STACK_BASE};
+use daos_mm::swap::SwapConfig;
+use daos_mm::system::MemorySystem;
+use daos_mm::vma::ThpMode;
 use daos_monitor::regions::RegionSet;
+use daos_monitor::{MonitorAttrs, MonitorCtx, PaddrPrimitives, Primitives, VaddrPrimitives};
 use daos_util::rng::SmallRng;
 
 mod reference;
@@ -168,5 +179,138 @@ fn update_ranges_matches_reference_through_target_churn() {
         soa.update_ranges(target);
         aos.update_ranges(target);
         assert_same(&soa, &aos, &format!("update step {step} → {target:?}"));
+    }
+}
+
+// ---------------------------------------------------------------------
+// The tick: cursor + fused sweep vs the per-address two-phase loop
+// ---------------------------------------------------------------------
+
+/// Three processes on a 6 MiB machine mapping 17 MiB between them, so
+/// every tick's touches fault, reclaim and swap: chunks get emptied,
+/// pages sit in swap, THP chunks are promoted and split under the
+/// monitor. Each has a heap off the 2 MiB grid, a second mapping and a
+/// far stack (two big gaps: the three-regions target).
+fn pressured_machine(seed: u64) -> (MemorySystem, Vec<(Pid, [AddrRange; 3])>) {
+    let mut machine = MachineProfile::test_tiny();
+    machine.dram_bytes = 6 << 20;
+    let mut sys = MemorySystem::new(machine, SwapConfig::paper_zram(), seed);
+    let procs = (0..3)
+        .map(|_| {
+            let pid = sys.spawn();
+            let at = 8 * HUGE_PAGE_SIZE + 5 * PAGE_SIZE;
+            let heap = sys.mmap_at(pid, at, 4 << 20, ThpMode::Always).unwrap();
+            let data = sys.mmap(pid, 1 << 20, ThpMode::Never).unwrap();
+            let stack = sys.mmap_at(pid, STACK_BASE, 512 << 10, ThpMode::Never).unwrap();
+            (pid, [heap, data, stack])
+        })
+        .collect();
+    (sys, procs)
+}
+
+/// One sampling interval of workload, identical on every copy of the
+/// machine: a hot window sliding over each heap, a strided pass, random
+/// touches of the data area, the stack — and a THP promotion now and then.
+fn workload_tick(sys: &mut MemorySystem, procs: &[(Pid, [AddrRange; 3])], tick: u64) {
+    for &(pid, [heap, data, stack]) in procs {
+        let off = (tick * 37 + pid as u64 * 211) % 768 * PAGE_SIZE;
+        let hot = AddrRange::new(heap.start + off, heap.start + off + (1 << 20));
+        sys.apply_access(pid, &AccessBatch::all(hot, 1.0)).unwrap();
+        sys.apply_access(pid, &AccessBatch::stride(heap, 61, 1.0)).unwrap();
+        sys.apply_access(pid, &AccessBatch::random(data, 24, 1.0)).unwrap();
+        sys.apply_access(pid, &AccessBatch::all(stack, 1.0)).unwrap();
+        if tick % 50 == 17 {
+            sys.promote_huge(pid, heap).unwrap();
+        }
+    }
+    sys.advance(ms(5));
+}
+
+/// Run `MonitorCtx<P>` and the reference loop side by side on two copies
+/// of one machine for `ticks` sampling intervals, comparing everything
+/// the monitor owns after every tick and the machines at the end.
+fn run_tick_differential<P: Primitives<Env = MemorySystem> + std::fmt::Debug>(
+    seed: u64,
+    prim: impl FnOnce(Pid) -> P,
+    target: impl FnOnce(Pid) -> reference::Target,
+    ticks: u64,
+) {
+    let attrs = MonitorAttrs {
+        sampling_interval: ms(5),
+        aggregation_interval: ms(100),
+        regions_update_interval: ms(1000),
+        min_nr_regions: 10,
+        max_nr_regions: 60,
+        adaptive: true,
+    };
+    let (mut sys, procs) = pressured_machine(seed);
+    workload_tick(&mut sys, &procs, 0);
+    let mut oracle_sys = sys.clone();
+    let watched = procs[1].0;
+    let mut ctx = MonitorCtx::new(attrs, prim(watched), &sys, sys.now(), seed ^ 0xda05);
+    let mut oracle =
+        reference::Monitor::new(attrs, target(watched), &oracle_sys, oracle_sys.now(), seed ^ 0xda05);
+    let (mut sink, mut oracle_sink) = (Vec::new(), Vec::new());
+    let mut extra = None;
+
+    for tick in 1..=ticks {
+        for s in [&mut sys, &mut oracle_sys] {
+            // The target changes under the monitor: a mapping appears in
+            // the first update interval and is gone by the third.
+            if tick == 130 {
+                extra = Some(s.mmap(watched, 3 << 20, ThpMode::Never).unwrap());
+            } else if tick == 450 {
+                s.munmap(watched, extra.unwrap()).unwrap();
+            }
+            if let Some(r) = extra.filter(|_| (130..450).contains(&tick)) {
+                s.apply_access(watched, &AccessBatch::stride(r, 3, 1.0)).unwrap();
+            }
+            workload_tick(s, &procs, tick);
+        }
+        let now = sys.now();
+        assert_eq!(now, oracle_sys.now(), "seed {seed} tick {tick}: machines in step");
+        ctx.step(&mut sys, now, &mut sink);
+        oracle.step(&mut oracle_sys, now, &mut oracle_sink);
+
+        let tag = format!("seed {seed} tick {tick}");
+        ctx.regions().check_invariants().unwrap_or_else(|e| panic!("{tag}: {e}"));
+        assert!(ctx.regions() == &oracle.regions, "{tag}: region sets differ");
+        assert_eq!(ctx.overhead, oracle.overhead, "{tag}: overhead");
+        assert_eq!(ctx.take_work_ns(), std::mem::take(&mut oracle.pending_work_ns), "{tag}: work");
+        assert_eq!(sink, oracle_sink, "{tag}: delivered aggregations");
+        assert!(
+            format!("{ctx:?}").contains(&format!("rng: {:?},", oracle.rng)),
+            "{tag}: rng state"
+        );
+    }
+    assert!(ctx.overhead.nr_aggregations >= ticks / 20 - 1 && sink.len() as u64 >= ticks / 20 - 1);
+    assert!(sys.swap().used_bytes() > 0, "the machine must have been under pressure");
+
+    // Every accessed bit either monitor left behind, and everything the
+    // machines did meanwhile.
+    assert_eq!(sys.kstats, oracle_sys.kstats, "seed {seed}: kstats");
+    for (pid, ranges) in procs {
+        assert_eq!(sys.proc_stats(pid), oracle_sys.proc_stats(pid), "seed {seed}: pid {pid} stats");
+        for addr in ranges.iter().flat_map(|r| r.pages()) {
+            assert_eq!(
+                sys.peek_accessed(pid, addr),
+                oracle_sys.peek_accessed(pid, addr),
+                "seed {seed}: pid {pid} accessed bit at {addr:#x}"
+            );
+        }
+    }
+}
+
+#[test]
+fn vaddr_tick_matches_the_per_address_two_phase_loop() {
+    for seed in [1, 42] {
+        run_tick_differential(seed, VaddrPrimitives::new, reference::Target::Vaddr, 460);
+    }
+}
+
+#[test]
+fn paddr_tick_matches_the_per_address_two_phase_loop() {
+    for seed in [7, 42] {
+        run_tick_differential(seed, |_| PaddrPrimitives, |_| reference::Target::Paddr, 460);
     }
 }

@@ -230,7 +230,7 @@ impl ToJson for QueryResult {
     }
 }
 
-/// The store: one [`Series`] per flattened metric name, bounded in
+/// The store: one `Series` per flattened metric name, bounded in
 /// series count and per-series retention.
 #[derive(Debug)]
 pub struct MetricHistory {

@@ -6,7 +6,7 @@
 //! - `GET /metrics` — [`prom::exposition`] of the latest snapshot as
 //!   Prometheus text, the server's own telemetry included as
 //!   `daos_obs_http_*{endpoint=...}` and `daos_obs_server_*` families
-//! - `GET /snapshot` — the full [`ObsSnapshot`] as compact JSON
+//! - `GET /snapshot` — the full [`ObsSnapshot`](crate::ObsSnapshot) as compact JSON
 //! - `GET /events` — chunked live JSONL tail of the trace ring; streams
 //!   until the run finishes, then drains and terminates
 //! - `GET /healthz` — liveness probe (`ok`)

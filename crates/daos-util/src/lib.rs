@@ -17,7 +17,7 @@
 //!   [`json_struct!`]/[`json_enum!`] impl-generating macros.
 //! * [`prop`] — a deterministic seeded property-test harness (fixed case
 //!   count, failing seed printed, simple halving shrink).
-//! * [`bench`] — a median-of-N wall-clock timing harness for the bench
+//! * [`mod@bench`] — a median-of-N wall-clock timing harness for the bench
 //!   binaries.
 //! * [`pool`] — the workspace's single worker pool: a work-stealing
 //!   scheduler with a persistent-thread frontend ([`pool::WorkerPool`],

@@ -225,7 +225,7 @@ pub trait StrategyExt: Strategy + Sized {
         Map { inner: self, f }
     }
 
-    /// Erase the concrete strategy type (needed by [`one_of!`]).
+    /// Erase the concrete strategy type (needed by [`one_of!`](crate::one_of)).
     fn boxed(self) -> Box<dyn Strategy<Value = Self::Value>>
     where
         Self: 'static,
@@ -237,7 +237,7 @@ pub trait StrategyExt: Strategy + Sized {
 impl<S: Strategy + Sized> StrategyExt for S {}
 
 /// Uniformly delegate to one of several boxed strategies of the same
-/// value type. Use via the [`one_of!`] macro.
+/// value type. Use via the [`one_of!`](crate::one_of) macro.
 pub struct OneOf<T>(pub Vec<Box<dyn Strategy<Value = T>>>);
 
 impl<T: Clone + std::fmt::Debug> Strategy for OneOf<T> {

@@ -755,7 +755,7 @@ pub struct FleetEngine {
 }
 
 impl FleetEngine {
-    /// Build the fleet: one [`ShardImage`] per distinct shard length (the
+    /// Build the fleet: one `ShardImage` per distinct shard length (the
     /// full shards, and the remainder shard if there is one), every
     /// shard stamped from its length's image — the last one takes the
     /// image itself, so a fleet of one shard never copies. Images are

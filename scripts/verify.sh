@@ -28,6 +28,16 @@ if echo "$build_log" | grep -q "^warning"; then
 fi
 echo "ok"
 
+echo "== rustdoc: no broken or ambiguous links =="
+# A doc link is a claim about where something lives; a refactor that
+# moves the thing has to move the claim.
+doc_log=$(RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace 2>&1) || {
+    echo "$doc_log" | grep -A 12 "^error"
+    echo "FAIL: rustdoc reports broken or ambiguous doc links"
+    exit 1
+}
+echo "ok"
+
 echo "== daos-lint: workspace invariants =="
 # The token-level replacement for the old awk/grep guards: a
 # comment/string-aware lexer, so doc examples and multiline macro calls

@@ -20,6 +20,12 @@ pub fn timing_json(t: &Timing) -> Json {
     ])
 }
 
+/// The host's available parallelism, recorded in every artifact: a
+/// baseline only gates runs on a comparable machine.
+fn nproc() -> Json {
+    Json::U64(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64)
+}
+
 /// The full artifact document for a harness run.
 pub fn artifact_doc(bench: &str, quick: bool, samples: usize, results: &[(String, Timing)]) -> Json {
     let results: Vec<(String, Json)> =
@@ -28,6 +34,7 @@ pub fn artifact_doc(bench: &str, quick: bool, samples: usize, results: &[(String
         ("bench".into(), Json::Str(bench.into())),
         ("quick".into(), Json::Bool(quick)),
         ("samples".into(), Json::U64(samples as u64)),
+        ("nproc".into(), nproc()),
         ("results".into(), Json::Object(results)),
     ])
 }
@@ -36,7 +43,7 @@ pub fn artifact_doc(bench: &str, quick: bool, samples: usize, results: &[(String
 /// per-endpoint result shape of the `obs_bench` load harness.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadStats {
-    /// Median request latency (doubles as the gated `median_ns`).
+    /// Median request latency (the gated statistic of a load lane).
     pub p50_ns: f64,
     /// 95th-percentile request latency.
     pub p95_ns: f64,
@@ -74,12 +81,10 @@ pub fn load_stats(mut lat_ns: Vec<u64>, wall_ns: u64) -> Option<LoadStats> {
     })
 }
 
-/// One [`LoadStats`] as the artifact's per-bench JSON object. The p50
-/// is written under the `median_ns` key too, so [`median_of`] and
-/// [`gate`] work on load artifacts unchanged.
+/// One [`LoadStats`] as the artifact's per-bench JSON object; its
+/// `p50_ns` key is what marks a load lane for [`gated_ns`].
 pub fn load_json(s: &LoadStats) -> Json {
     Json::Object(vec![
-        ("median_ns".into(), Json::F64(s.p50_ns)),
         ("p50_ns".into(), Json::F64(s.p50_ns)),
         ("p95_ns".into(), Json::F64(s.p95_ns)),
         ("p99_ns".into(), Json::F64(s.p99_ns)),
@@ -103,6 +108,7 @@ pub fn load_artifact_doc(
     Json::Object(vec![
         ("bench".into(), Json::Str(bench.into())),
         ("quick".into(), Json::Bool(quick)),
+        ("nproc".into(), nproc()),
         ("results".into(), Json::Object(results)),
     ])
 }
@@ -123,9 +129,13 @@ pub fn parse_artifact(text: &str) -> Result<Json, String> {
     daos_util::json::parse(text).map_err(|e| format!("not valid JSON: {e}"))
 }
 
-/// The median timing recorded for `bench`, if the artifact has one.
-pub fn median_of(doc: &Json, bench: &str) -> Option<f64> {
-    match doc.get("results").and_then(|r| r.get(bench)).and_then(|t| t.get("median_ns")) {
+/// The one statistic the gate compares for `bench`, if the artifact has
+/// it: a load lane's `p50_ns` (a request storm's minimum is one lucky
+/// request), a timing lane's `min_ns` (min-of-N moves only with a
+/// systematic slowdown, where the median moves with scheduler noise).
+pub fn gated_ns(doc: &Json, bench: &str) -> Option<f64> {
+    let lane = doc.get("results").and_then(|r| r.get(bench))?;
+    match lane.get("p50_ns").or_else(|| lane.get("min_ns")) {
         Some(Json::F64(v)) => Some(*v),
         Some(Json::U64(v)) => Some(*v as f64),
         _ => None,
@@ -136,9 +146,9 @@ pub fn median_of(doc: &Json, bench: &str) -> Option<f64> {
 pub struct GateCheck {
     /// The gated bench name.
     pub bench: String,
-    /// The fresh median.
+    /// The fresh [`gated_ns`].
     pub got_ns: f64,
-    /// The baseline median.
+    /// The baseline's.
     pub reference_ns: f64,
     /// The pass bound: baseline plus the margin.
     pub bound_ns: f64,
@@ -151,9 +161,9 @@ impl GateCheck {
     }
 }
 
-/// Compare every gated median in `doc` against `base` with a
-/// `margin_pct` percent allowance. `Err` names the first bench either
-/// artifact is missing a median for.
+/// Compare every gated lane's [`gated_ns`] in `doc` against `base` with
+/// a `margin_pct` percent allowance. `Err` names the first bench either
+/// artifact is missing the statistic for.
 pub fn gate(
     doc: &Json,
     base: &Json,
@@ -163,10 +173,10 @@ pub fn gate(
     gated
         .iter()
         .map(|&bench| {
-            let got_ns = median_of(doc, bench)
-                .ok_or_else(|| format!("artifact has no median for {bench}"))?;
-            let reference_ns = median_of(base, bench)
-                .ok_or_else(|| format!("baseline has no median for {bench}"))?;
+            let got_ns = gated_ns(doc, bench)
+                .ok_or_else(|| format!("artifact has no gate statistic for {bench}"))?;
+            let reference_ns = gated_ns(base, bench)
+                .ok_or_else(|| format!("baseline has no gate statistic for {bench}"))?;
             let bound_ns = reference_ns * (1.0 + margin_pct / 100.0);
             Ok(GateCheck { bench: bench.to_string(), got_ns, reference_ns, bound_ns })
         })
@@ -189,8 +199,8 @@ fn read_artifact(name: &str, path: &str) -> Result<Json, Failure> {
 }
 
 /// `<name> --check FILE [--baseline BASE --margin PCT]`: 0 iff FILE
-/// parses as a bench artifact and (when a baseline is given) none of the
-/// `gated` medians exceeds the baseline median by more than PCT percent;
+/// parses as a bench artifact and (when a baseline is given) no `gated`
+/// lane's [`gated_ns`] exceeds the baseline's by more than PCT percent;
 /// 65 on a regression — the verify.sh perf gate.
 fn check(
     name: &str,
@@ -236,7 +246,7 @@ fn check(
 
 /// Measure through `run(quick)` and write the artifact it returns to
 /// `BENCH_<its "bench" field>.json` ([`out_path`]), once it re-parses
-/// and carries a median for every `gated` bench.
+/// and carries the gate statistic for every `gated` bench.
 fn measure(
     name: &str,
     gated: &[&str],
@@ -248,8 +258,9 @@ fn measure(
     let text = doc.to_string_compact();
     parse_artifact(&text).map_err(|e| (70, format!("{name}: generated artifact is {e}")))?;
     for bench in gated {
-        median_of(&doc, bench)
-            .ok_or_else(|| (70, format!("{name}: generated artifact has no median for {bench}")))?;
+        gated_ns(&doc, bench).ok_or_else(|| {
+            (70, format!("{name}: generated artifact has no gate statistic for {bench}"))
+        })?;
     }
     let bench: String = doc.field("bench").unwrap_or_default();
     let path = out_path(&format!("BENCH_{bench}.json"));
@@ -288,19 +299,21 @@ pub fn bench_main(
 mod tests {
     use super::*;
 
-    fn artifact(median: f64) -> Json {
+    /// A timing artifact whose median is noisy (3× the min).
+    fn artifact(min: f64) -> Json {
         parse_artifact(&format!(
-            r#"{{"bench":"t","results":{{"a/b":{{"median_ns":{median},"iters":3}}}}}}"#
+            r#"{{"bench":"t","results":{{"a/b":{{"median_ns":{},"min_ns":{min},"iters":3}}}}}}"#,
+            3.0 * min
         ))
         .unwrap()
     }
 
     #[test]
-    fn median_lookup_and_gate() {
+    fn gate_compares_the_min_of_a_timing_lane() {
         let fresh = artifact(150.0);
         let base = artifact(100.0);
-        assert_eq!(median_of(&fresh, "a/b"), Some(150.0));
-        assert_eq!(median_of(&fresh, "a/missing"), None);
+        assert_eq!(gated_ns(&fresh, "a/b"), Some(150.0));
+        assert_eq!(gated_ns(&fresh, "a/missing"), None);
 
         let checks = gate(&fresh, &base, &["a/b"], 100.0).unwrap();
         assert!(!checks[0].regressed(), "150 within 100 + 100%");
@@ -315,7 +328,8 @@ mod tests {
         let doc = artifact_doc("demo", true, 3, &[("x/y".into(), t)]);
         let text = doc.to_string_compact();
         let back = parse_artifact(&text).unwrap();
-        assert_eq!(median_of(&back, "x/y"), Some(1.5));
+        assert_eq!(gated_ns(&back, "x/y"), Some(1.0));
+        assert!(back.field::<u64>("nproc").unwrap() >= 1);
     }
 
     #[test]
@@ -333,11 +347,11 @@ mod tests {
         assert_eq!(s.iters, 100);
         assert!((s.rps - 1e7).abs() < 1e-6, "100 reqs / 10 µs = 1e7 rps");
 
-        // The load artifact round-trips and its p50 is gateable through
-        // the same `median_of`/`gate` machinery as the timing artifacts.
+        // The load artifact round-trips and is gated on its p50, not on
+        // its min, through the same `gate` as the timing artifacts.
         let doc = load_artifact_doc("obs", false, &[("obs/metrics".into(), s)]);
         let back = parse_artifact(&doc.to_string_compact()).unwrap();
-        assert_eq!(median_of(&back, "obs/metrics"), Some(51.0));
+        assert_eq!(gated_ns(&back, "obs/metrics"), Some(51.0));
         let checks = gate(&back, &back, &["obs/metrics"], 150.0).unwrap();
         assert!(!checks[0].regressed(), "an artifact never regresses against itself");
     }

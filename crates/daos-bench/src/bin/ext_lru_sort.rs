@@ -60,6 +60,10 @@ fn pressured_run(lru_sort: bool) -> (u64, f64) {
             cost += o.cost_ns;
         }
         sys.advance(cost);
+        // The one epoch loop outside the engine: this access script (a
+        // hot set re-touched every 50th epoch over cold churn) is not a
+        // `WorkloadSpec`, and a `Behavior` variant for one extension
+        // experiment is a capability nobody else needs.
         if let (Some(mon), Some(eng)) = (&mut monitor, &mut engine) {
             let now = sys.now();
             mon.step(&mut sys, now, &mut sink);

@@ -2,12 +2,12 @@
 //! a dense "Measured" sweep, the 10 tuner samples (6 global + 4 local),
 //! the polynomial "Estimated" curve, and the chosen peak.
 
-use daos::{score_inputs, RunConfig, Session, SessionResult};
+use daos::tune_prcl;
 use daos_bench::report::{write_artifact, Table};
 use daos_bench::sweep::prcl_sweep;
 use daos_mm::clock::sec;
 use daos_mm::MachineProfile;
-use daos_tuner::{tune, DefaultScore, ScoreFn, TunerConfig};
+use daos_tuner::TunerConfig;
 use daos_workloads::by_path;
 
 fn main() {
@@ -20,21 +20,13 @@ fn main() {
     let measured = prcl_sweep(&machine, &spec, &ages, 1, 42).expect("prcl sweep");
 
     // The tuning session: 10 samples (60 % global + 40 % local).
-    let run = |config: &RunConfig| {
-        Session::new(&machine, config, &spec).seed(42).execute().map(SessionResult::into_single)
-    };
-    let baseline = run(&RunConfig::baseline()).expect("baseline");
-    let mut score_fn = DefaultScore::default();
     let cfg = TunerConfig {
         time_limit: sec(100),
         unit_work_time: sec(10), // → 10 samples
         range: (0.0, 60.0),
         seed: 42,
     };
-    let result = tune(&cfg, |min_age| {
-        let r = run(&RunConfig::prcl_with_min_age((min_age * 1e9) as u64)).expect("sample run");
-        score_fn.score(&score_inputs(&baseline, &r))
-    });
+    let result = tune_prcl(&machine, &spec, 42, &cfg).expect("tuning runs").result;
 
     let curve = result.curve.as_ref().expect("polynomial fit");
     println!("{:>8} {:>10} {:>10}", "min_age", "Measured", "Estimated");

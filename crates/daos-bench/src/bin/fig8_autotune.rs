@@ -3,13 +3,13 @@
 //! min_age thresholds with 10 samples and the Listing-2 score function
 //! (Conclusion-5).
 
-use daos::{score_inputs, score_vs_baseline, Normalized, RunConfig, Session, SessionResult};
+use daos::{score_vs_baseline, tune_prcl, Normalized, RunConfig, Session, TunedPrcl};
 use daos_util::pool::par_map;
 use daos_bench::report::{mean, write_artifact, Table};
 use daos_bench::scale::Scale;
 use daos_mm::clock::sec;
 use daos_mm::MachineProfile;
-use daos_tuner::{tune, DefaultScore, ScoreFn, TunerConfig};
+use daos_tuner::TunerConfig;
 use daos_workloads::WorkloadSpec;
 
 struct Row {
@@ -23,27 +23,22 @@ struct Row {
 }
 
 fn tune_one(machine: &MachineProfile, spec: &WorkloadSpec) -> Row {
-    let run = |config: &RunConfig| {
-        Session::new(machine, config, spec).seed(42).execute().map(SessionResult::into_single)
-    };
-    let baseline = run(&RunConfig::baseline()).expect("baseline");
-    // The manually-written scheme: the paper's Listing-3 thresholds
-    // (min_age 5 s), tuned by hand on the i3.metal guest.
-    let manual = run(&RunConfig::prcl()).expect("manual prcl");
-
     // Auto-tuning with 10 samples, as in §4.3.
-    let mut score_fn = DefaultScore::default();
     let cfg = TunerConfig {
         time_limit: sec(100),
         unit_work_time: sec(10),
         range: (0.0, 60.0),
         seed: 42,
     };
-    let result = tune(&cfg, |min_age| {
-        let r = run(&RunConfig::prcl_with_min_age((min_age * 1e9) as u64)).expect("sample");
-        score_fn.score(&score_inputs(&baseline, &r))
-    });
-    let auto = run(&RunConfig::prcl_with_min_age((result.best_x * 1e9) as u64)).expect("auto prcl");
+    let TunedPrcl { baseline, result, tuned: auto } =
+        tune_prcl(machine, spec, 42, &cfg).expect("tuning runs");
+    // The manually-written scheme: the paper's Listing-3 thresholds
+    // (min_age 5 s), tuned by hand on the i3.metal guest.
+    let manual = Session::new(machine, &RunConfig::prcl(), spec)
+        .seed(42)
+        .execute()
+        .expect("manual prcl")
+        .into_single();
 
     Row {
         workload: spec.plot_name(),

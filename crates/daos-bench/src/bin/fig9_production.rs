@@ -3,118 +3,22 @@
 //! swap, cutting the fleet's memory footprint by ~80 % / ~90 % while the
 //! request path keeps running (Conclusion-6).
 
+use daos_bench::fig9::fig9_production;
 use daos_bench::report::{write_artifact, Table};
-use daos_mm::clock::{sec, Ns, SEC};
-use daos_mm::{MachineProfile, MemorySystem, SwapConfig};
-use daos_monitor::{Aggregation, MonitorAttrs, MonitorCtx, PaddrPrimitives};
-use daos_schemes::{parse_scheme_line, SchemeTarget, SchemesEngine};
-use daos_workloads::{FleetConfig, ServerlessFleet};
+use daos_workloads::FleetConfig;
 
-/// Virtual duration of the production experiment.
-const DURATION: Ns = 240 * SEC;
-/// Memory usage is averaged over the steady-state tail.
-const WARMUP: Ns = 120 * SEC;
-
-struct Outcome {
-    label: &'static str,
-    normalized_memory: f64,
-    monitor_share: f64,
-    slowdown: f64,
-    series: Vec<(f64, f64)>, // (t_s, normalized memory)
-}
-
-fn run_fleet(label: &'static str, swap: SwapConfig, baseline_cost: Option<f64>) -> Outcome {
-    let machine = MachineProfile::i3_metal();
-    let mut sys = MemorySystem::new(machine, swap, 7);
-    let mut fleet = ServerlessFleet::new(FleetConfig::default(), 7);
-    fleet.setup(&mut sys).expect("fleet setup");
-    let full = fleet.total_rss(&sys) as f64;
-
-    // The paper's hand-crafted production scheme: page out pages not
-    // touched for 30 seconds, driven by physical-address monitoring so
-    // one monitor covers the whole fleet.
-    let scheme = parse_scheme_line("min max min min 30s max pageout").expect("scheme");
-    let mut engine = SchemesEngine::new(SchemeTarget::Physical, vec![scheme]);
-    let mut monitor =
-        MonitorCtx::new(MonitorAttrs::paper_defaults(), PaddrPrimitives, &sys, 0, 99);
-    let mut sink: Vec<Aggregation> = Vec::new();
-
-    let mut series = Vec::new();
-    let mut next_sample = 0;
-    let mut usage_acc = 0.0;
-    let mut usage_n = 0u64;
-    let mut work_cost: Ns = 0;
-
-    while sys.now() < DURATION {
-        let cost = fleet.epoch(&mut sys).expect("fleet epoch");
-        work_cost += cost;
-        sys.advance(cost);
-        let now = sys.now();
-        monitor.step(&mut sys, now, &mut sink);
-        let interference = sys.charge_monitor(monitor.take_work_ns());
-        sys.advance(interference);
-        for agg in sink.drain(..) {
-            let pass = engine.on_aggregation(&mut sys, &agg);
-            let scheme_interference = sys.charge_schemes(pass.work_ns);
-            sys.advance(scheme_interference);
-        }
-        if sys.now() >= next_sample {
-            let usage = fleet.total_memory_usage(&sys) as f64 / full;
-            series.push((sys.now() as f64 / 1e9, usage));
-            if sys.now() >= WARMUP {
-                usage_acc += usage;
-                usage_n += 1;
-            }
-            next_sample += sec(1);
-        }
-    }
-
-    Outcome {
-        label,
-        normalized_memory: usage_acc / usage_n.max(1) as f64,
-        monitor_share: monitor.overhead.cpu_share(sys.now()),
-        slowdown: baseline_cost.map(|b| work_cost as f64 / b - 1.0).unwrap_or(0.0),
-        series,
-    }
-}
+/// Epochs per worker: about 240 virtual seconds of the default fleet.
+const NR_EPOCHS: u64 = 41_000;
 
 fn main() {
     println!("Figure 9: serverless production fleet under the 30s pageout scheme.\n");
-
-    // "No Swap" is the reference: the scheme cannot evict anywhere.
-    let no_swap = run_fleet("No Swap", SwapConfig::None, None);
-    let base_cost = {
-        // Re-derive the request-path cost of the no-swap run for the
-        // slowdown comparison (its own slowdown is 0 by construction).
-        let mut sys = MemorySystem::new(MachineProfile::i3_metal(), SwapConfig::None, 7);
-        let mut fleet = ServerlessFleet::new(FleetConfig::default(), 7);
-        fleet.setup(&mut sys).unwrap();
-        let mut cost = 0u64;
-        while sys.now() < DURATION {
-            let c = fleet.epoch(&mut sys).unwrap();
-            cost += c;
-            sys.advance(c);
-        }
-        cost as f64
-    };
-    // Serverless heaps are mostly-idle, highly compressible data → a
-    // higher zram compression ratio than the general-purpose default.
-    let zram = run_fleet(
-        "ZRAM",
-        SwapConfig::Zram { capacity_bytes: 256 << 20, compression_ratio: 9.0 },
-        Some(base_cost),
-    );
-    let file = run_fleet(
-        "File Swap",
-        SwapConfig::File { capacity_bytes: 1 << 30 },
-        Some(base_cost),
-    );
+    let rows = fig9_production(&FleetConfig::default(), NR_EPOCHS).expect("fleet run");
 
     let mut table = Table::new(vec![
         "configuration", "normalized RSS memory", "reduction", "monitor CPU", "request slowdown",
     ]);
     let mut csv = Table::new(vec!["configuration", "t_s", "normalized_memory"]);
-    for o in [&no_swap, &file, &zram] {
+    for o in &rows {
         table.row(vec![
             o.label.to_string(),
             format!("{:.3}", o.normalized_memory),

@@ -9,10 +9,10 @@
 //! `--check FILE [--baseline BASE --margin PCT]` gates the committed
 //! baseline exactly like `pipeline --check` (exit 65 on a regression).
 
-use daos::{FleetEngine, FleetSpec, MonitorKind, RunConfig};
+use daos::{FleetEngine, FleetSpec, RunConfig};
 use daos_bench::artifact;
-use daos_mm::MachineProfile;
-use daos_schemes::parse_scheme_line;
+use daos_mm::clock::sec;
+use daos_mm::{MachineProfile, SwapConfig};
 use daos_util::bench::Harness;
 use daos_util::json::Json;
 use daos_workloads::FleetConfig;
@@ -22,14 +22,9 @@ use std::hint::black_box;
 /// and the build cost of the acceptance-scale fleet.
 const GATED: [&str; 2] = ["fleet/tick_1000_procs", "fleet/build_1000_procs"];
 
-/// The `daos fleet` production configuration at bench scale:
-/// physical-address monitoring feeding the pageout scheme.
+/// The `daos fleet` production configuration on the default zram.
 fn fleet_config() -> RunConfig {
-    RunConfig::builder("fleet-prcl")
-        .monitor(MonitorKind::Paddr)
-        .scheme(parse_scheme_line("min max min min 30s max pageout").expect("static scheme"))
-        .build()
-        .expect("static config is valid")
+    RunConfig::fleet_prcl(sec(30), SwapConfig::paper_zram())
 }
 
 /// Time `engine.tick()` for a fleet of `nr_procs` small workers. The

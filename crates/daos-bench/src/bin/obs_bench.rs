@@ -20,8 +20,8 @@ use daos_trace::{Collector, Event, Registry};
 use daos_util::json::Json;
 use std::time::{Duration, Instant};
 
-/// The latencies gated against the committed baseline (on `median_ns`,
-/// i.e. the storm p50).
+/// The latencies gated against the committed baseline (on `p50_ns`,
+/// the storm's median).
 const GATED: [&str; 5] =
     ["obs/metrics", "obs/snapshot", "obs/events", "obs/statusz", "obs/query"];
 

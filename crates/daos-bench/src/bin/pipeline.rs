@@ -1,4 +1,4 @@
-//! The seeded perf trajectory: median-of-N timings of the simulator's
+//! The seeded perf trajectory: min/median/max-of-N timings of the simulator's
 //! hot paths — the monitoring tick (sampling), a full aggregation window
 //! (aggregate + split/merge) over the synthetic space and over a real
 //! process's page tables, the schemes-engine apply pass, the

@@ -1,8 +1,8 @@
 //! # daos-bench — the paper's evaluation harness
 //!
 //! One binary per table and figure of the paper (see DESIGN.md §3 for
-//! the experiment index), plus in-tree micro-benchmarks
-//! (`daos_util::bench`):
+//! the experiment index), plus the three gated bench binaries
+//! (`pipeline`, `fleet_bench`, `obs_bench`; [`artifact`]):
 //!
 //! | Binary | Reproduces |
 //! |---|---|
@@ -20,6 +20,7 @@
 //! `DAOS_FULL=1` the paper-exact grids. Artifacts land in `./results`.
 
 pub mod artifact;
+pub mod fig9;
 pub mod report;
 pub mod scale;
 pub mod sweep;

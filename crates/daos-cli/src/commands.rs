@@ -6,15 +6,15 @@ use std::thread;
 use std::time::Duration;
 
 use daos::{
-    biggest_active_span, record_from_csv, record_to_csv, score_inputs, score_vs_baseline,
-    DaosError, FleetSpec, Heatmap, MonitorKind, Normalized, RunConfig, RunResult, Session,
-    SessionResult, WssReport,
+    biggest_active_span, record_from_csv, record_to_csv, score_vs_baseline, tune_prcl, DaosError,
+    FleetSpec, Heatmap, Normalized, RunConfig, RunResult, Session, SessionResult, TunedPrcl,
+    WssReport,
 };
 use daos_mm::clock::sec;
 use daos_mm::{MachineProfile, SwapConfig};
 use daos_obs::{Dashboard, FleetPublisher, ObsConfig, ObsServer, ObsSnapshot, Publisher};
 use daos_schemes::{parse_scheme_line, parse_schemes};
-use daos_tuner::{tune as tuner_tune, DefaultScore, ScoreFn, TunerConfig};
+use daos_tuner::TunerConfig;
 use daos_workloads::{by_path, paper_suite, FleetConfig, WorkloadSpec};
 
 use crate::args::Args;
@@ -29,19 +29,8 @@ fn lookup(args: &Args) -> Result<WorkloadSpec, DaosError> {
 
 /// One of the paper's named configurations, by plot name.
 fn named_config(name: &str) -> Result<RunConfig, DaosError> {
-    Ok(match name {
-        "baseline" => RunConfig::baseline(),
-        "rec" => RunConfig::rec(),
-        "prec" => RunConfig::prec(),
-        "thp" => RunConfig::thp(),
-        "ethp" => RunConfig::ethp(),
-        "prcl" => RunConfig::prcl(),
-        "damon_reclaim" => RunConfig::damon_reclaim(),
-        other => {
-            return Err(DaosError::usage(format!(
-                "unknown config '{other}' (baseline | rec | prec | thp | ethp | prcl | damon_reclaim)"
-            )))
-        }
+    RunConfig::by_name(name).ok_or_else(|| {
+        DaosError::usage(format!("unknown config '{name}' ({})", RunConfig::names().join(" | ")))
     })
 }
 
@@ -678,25 +667,17 @@ pub fn tune(args: &Args) -> Result<(), DaosError> {
         spec.path_name(),
         machine.name
     );
-    let run = |config: &RunConfig| {
-        Session::new(&machine, config, &spec).seed(seed).execute().map(SessionResult::into_single)
-    };
-    let baseline = run(&RunConfig::baseline())?;
-    let mut score_fn = DefaultScore::default();
     let cfg = TunerConfig {
         time_limit: sec(samples * 10),
         unit_work_time: sec(10),
         range: (lo, hi),
         seed,
     };
-    let result = tuner_tune(&cfg, |min_age| {
-        let r = run(&RunConfig::prcl_with_min_age((min_age * 1e9) as u64)).expect("sample run");
-        let s = score_fn.score(&score_inputs(&baseline, &r));
+    let TunedPrcl { baseline, result, tuned } = tune_prcl(&machine, &spec, seed, &cfg)?;
+    for (min_age, s) in &result.samples {
         println!("  min_age {min_age:>6.1}s -> score {s:>8.2}");
-        s
-    });
+    }
     println!("\nbest threshold: min_age {:.1}s (estimated score {:.2})", result.best_x, result.best_score);
-    let tuned = run(&RunConfig::prcl_with_min_age((result.best_x * 1e9) as u64))?;
     let n = Normalized::of(&baseline, &tuned);
     println!(
         "validated: {:.1}% memory saving at {:+.2}% runtime change (score {:.2})",
@@ -743,11 +724,7 @@ pub fn fleet(args: &Args) -> Result<(), DaosError> {
             c.swap = swap;
             c
         }
-        None => RunConfig::builder("fleet-prcl")
-            .monitor(MonitorKind::Paddr)
-            .scheme(parse_scheme_line(&format!("min max min min {min_age}s max pageout"))?)
-            .swap(swap)
-            .build()?,
+        None => RunConfig::fleet_prcl(sec(min_age), swap),
     };
     let spec = FleetConfig { worker_footprint: footprint << 20, ..fleet_cfg }.worker_spec(epochs);
 
@@ -854,8 +831,10 @@ mod tests {
         assert!(!events.is_empty(), "trace produced no events");
         let _ = fs::remove_file(&path);
 
+        // The message lists exactly the names the library resolves.
         let err = trace(&args("parsec3/freqmine --config warp9")).unwrap_err();
-        assert!(err.to_string().contains("unknown config"));
+        let known = RunConfig::names().join(" | ");
+        assert_eq!(err.to_string(), format!("unknown config 'warp9' ({known})"));
     }
 
     #[test]

@@ -86,6 +86,17 @@ impl SwapDevice {
         self.used_bytes as u64
     }
 
+    /// Bytes of the machine's DRAM the device itself occupies: zram
+    /// keeps its compressed pool in memory, a swap file (or no device)
+    /// keeps nothing there. Fig. 9's memory metric is RSS plus this —
+    /// why zram saves less than file swap.
+    pub fn dram_bytes(&self) -> u64 {
+        match self.config {
+            SwapConfig::Zram { .. } => self.used_bytes(),
+            SwapConfig::None | SwapConfig::File { .. } => 0,
+        }
+    }
+
     /// Lifetime number of stored pages.
     pub fn nr_stores(&self) -> u64 {
         self.stores
@@ -188,6 +199,24 @@ mod tests {
         dev.store(&m).unwrap();
         dev.store(&m).unwrap();
         assert_eq!(dev.store(&m), Err(MmError::SwapFull));
+    }
+
+    #[test]
+    fn only_zram_pools_occupy_dram() {
+        let m = machine();
+        let mut zram = SwapDevice::new(SwapConfig::Zram {
+            capacity_bytes: 8 * PAGE_SIZE,
+            compression_ratio: 4.0,
+        });
+        let mut file = SwapDevice::new(SwapConfig::File { capacity_bytes: 8 * PAGE_SIZE });
+        for _ in 0..4 {
+            zram.store(&m).unwrap();
+            file.store(&m).unwrap();
+        }
+        assert_eq!(zram.dram_bytes(), PAGE_SIZE, "four pages at 4x compression");
+        assert_eq!(file.used_bytes(), 4 * PAGE_SIZE);
+        assert_eq!(file.dram_bytes(), 0, "a swap file lives on disk");
+        assert_eq!(SwapDevice::new(SwapConfig::None).dram_bytes(), 0);
     }
 
     #[test]

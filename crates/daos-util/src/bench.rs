@@ -1,10 +1,10 @@
 //! A minimal wall-clock timing harness — the in-tree replacement for
-//! criterion in the `daos-bench` bench binaries.
+//! criterion in the `daos-bench` gated bench binaries.
 //!
-//! Each benchmark runs a warm-up pass, then `samples` timed samples of
-//! `iters` iterations each, and reports the **median** ns/iteration
-//! (medians are robust to scheduler noise in a way means are not), plus
-//! min/max for a spread estimate.
+//! Each benchmark runs `samples` timed samples of `iters` iterations
+//! each and reports the min, median and max ns/iteration. The gate
+//! compares the **min** (it moves only with a systematic slowdown, not
+//! with scheduler noise); the median and max show the spread.
 
 use std::hint::black_box;
 use std::io::Write;
@@ -39,22 +39,19 @@ impl Timing {
 pub struct Harness {
     group: String,
     samples: usize,
-    /// Target wall time per sample, used to auto-size iteration counts.
-    target_sample_ns: u64,
     results: Vec<(String, Timing)>,
     sink: Box<dyn Write>,
 }
 
 impl Harness {
-    /// New harness for `group`, `samples` timed samples per benchmark
-    /// (median-of-`samples`). Progress is discarded until a sink is
+    /// New harness for `group`, `samples` timed samples per benchmark.
+    /// Progress is discarded until a sink is
     /// attached with [`Harness::progress_to`].
     pub fn new(group: &str, samples: usize) -> Self {
         assert!(samples >= 1);
         Self {
             group: group.to_string(),
             samples,
-            target_sample_ns: 20_000_000, // 20 ms per sample
             results: Vec::new(),
             sink: Box::new(std::io::sink()),
         }
@@ -65,23 +62,6 @@ impl Harness {
         let _ = writeln!(w, "# bench group: {}", self.group);
         self.sink = w;
         self
-    }
-
-    /// Lower the per-sample wall-time target (for expensive setups).
-    pub fn target_sample_ms(mut self, ms: u64) -> Self {
-        self.target_sample_ns = ms * 1_000_000;
-        self
-    }
-
-    /// Time `f`, auto-sizing the per-sample iteration count so one
-    /// sample takes roughly the wall-time target.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> Timing {
-        // Warm-up + calibration: time a single iteration.
-        let t0 = Instant::now();
-        black_box(f());
-        let once_ns = t0.elapsed().as_nanos().max(1) as u64;
-        let iters = (self.target_sample_ns / once_ns).clamp(1, 1_000_000);
-        self.bench_iters(name, iters, f)
     }
 
     /// Time `f` with an explicit per-sample iteration count (for
@@ -114,56 +94,9 @@ impl Harness {
         timing
     }
 
-    /// Time `f` with a fresh untimed `setup` value per iteration (for
-    /// benchmarks that consume their input, e.g. first-fault paths).
-    /// Each iteration is timed individually and only `f` is counted.
-    pub fn bench_setup<S, R>(
-        &mut self,
-        name: &str,
-        iters: u64,
-        mut setup: impl FnMut() -> S,
-        mut f: impl FnMut(S) -> R,
-    ) -> Timing {
-        assert!(iters >= 1);
-        let mut per_iter: Vec<f64> = (0..self.samples)
-            .map(|_| {
-                let mut total_ns = 0u128;
-                for _ in 0..iters {
-                    let input = setup();
-                    let t = Instant::now();
-                    black_box(f(input));
-                    total_ns += t.elapsed().as_nanos();
-                }
-                total_ns as f64 / iters as f64
-            })
-            .collect();
-        per_iter.sort_by(f64::total_cmp);
-        let timing = Timing {
-            median_ns: per_iter[per_iter.len() / 2],
-            min_ns: per_iter[0],
-            max_ns: per_iter[per_iter.len() - 1],
-            iters,
-        };
-        let _ = writeln!(self.sink, "{}/{name}: {}", self.group, timing.render());
-        self.results.push((name.to_string(), timing));
-        timing
-    }
-
     /// All results recorded so far, in run order.
     pub fn results(&self) -> &[(String, Timing)] {
         &self.results
-    }
-
-    /// Render results as a CSV artifact (`name,median_ns,min_ns,max_ns`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("name,median_ns,min_ns,max_ns,iters\n");
-        for (name, t) in &self.results {
-            out.push_str(&format!(
-                "{name},{:.1},{:.1},{:.1},{}\n",
-                t.median_ns, t.min_ns, t.max_ns, t.iters
-            ));
-        }
-        out
     }
 }
 
@@ -172,22 +105,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn median_is_robust_and_ordered() {
-        let mut h = Harness::new("test", 5).target_sample_ms(1);
-        let t = h.bench_iters("noop_sum", 1000, || {
-            (0..100u64).sum::<u64>()
-        });
+    fn samples_are_ordered_and_recorded() {
+        let mut h = Harness::new("test", 5);
+        let t = h.bench_iters("noop_sum", 1000, || (0..100u64).sum::<u64>());
         assert!(t.min_ns <= t.median_ns && t.median_ns <= t.max_ns);
+        assert_eq!(t.iters, 1000);
         assert_eq!(h.results().len(), 1);
-        let csv = h.to_csv();
-        assert!(csv.starts_with("name,median_ns"));
-        assert!(csv.contains("noop_sum"));
-    }
-
-    #[test]
-    fn auto_sizing_runs() {
-        let mut h = Harness::new("test", 3).target_sample_ms(1);
-        let t = h.bench("tiny", || black_box(1 + 1));
-        assert!(t.iters >= 1);
+        assert_eq!(h.results()[0].0, "noop_sum");
     }
 }

@@ -48,11 +48,6 @@ impl<T> StealQueues<T> {
         }
     }
 
-    /// Number of queues (= workers this scheduler feeds).
-    pub fn nr_queues(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Push an item onto the next queue, round-robin, so a batch starts
     /// out evenly spread and stealing only handles imbalance.
     pub fn push(&self, item: T) {

@@ -14,7 +14,7 @@
 //! * [`SmallRng::next_u64`] is the reference xoshiro256++ algorithm
 //!   (Blackman & Vigna, <https://prng.di.unimi.it/>).
 //! * The derived draws ([`SmallRng::random`], [`SmallRng::random_range`],
-//!   [`SmallRng::random_bool`], the `sample_*` helpers) each consume a
+//!   [`SmallRng::random_bool`], [`SmallRng::sample_index`]) each consume a
 //!   documented, fixed number of `next_u64` outputs and map them with
 //!   the fixed formulas below.
 //!
@@ -26,7 +26,7 @@
 /// output. Used for seed expansion so that similar seeds (0, 1, 2, …)
 /// still yield well-decorrelated xoshiro states.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -82,12 +82,6 @@ impl SmallRng {
         result
     }
 
-    /// High 32 bits of one `next_u64` draw.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform draw of type `T` (one `next_u64` consumed):
     /// `f64` in `[0, 1)` with 53 bits, `f32` in `[0, 1)` with 24 bits,
     /// integers over their full range, `bool` from the top bit.
@@ -113,50 +107,12 @@ impl SmallRng {
         self.random::<f64>() < p
     }
 
-    /// `true` with probability `numerator / denominator`.
-    #[inline]
-    pub fn random_ratio(&mut self, numerator: u32, denominator: u32) -> bool {
-        assert!(denominator > 0, "zero denominator");
-        assert!(numerator <= denominator, "ratio above 1");
-        (self.random_range(0..denominator as u64) as u32) < numerator
-    }
-
     /// A uniform index into a collection of length `len`.
     ///
     /// Panics if `len == 0`.
     #[inline]
     pub fn sample_index(&mut self, len: usize) -> usize {
         self.random_range(0..len)
-    }
-
-    /// An index drawn proportionally to non-negative `weights`.
-    ///
-    /// Panics if `weights` is empty or sums to a non-finite or
-    /// non-positive total.
-    pub fn sample_weighted(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "empty weight list");
-        let total: f64 = weights.iter().map(|w| w.max(0.0)).sum();
-        assert!(
-            total.is_finite() && total > 0.0,
-            "weights must sum to a positive finite total"
-        );
-        let mut x = self.random::<f64>() * total;
-        for (i, w) in weights.iter().enumerate() {
-            let w = w.max(0.0);
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
-    }
-
-    /// Fisher–Yates shuffle (consumes `len - 1` draws).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.random_range(0..=i);
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -359,27 +315,5 @@ mod tests {
     fn empty_range_panics() {
         let mut rng = SmallRng::seed_from_u64(1);
         let _ = rng.random_range(5u32..5);
-    }
-
-    #[test]
-    fn weighted_sampling_prefers_heavy_weights() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut counts = [0usize; 3];
-        for _ in 0..3000 {
-            counts[rng.sample_weighted(&[1.0, 0.0, 9.0])] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        assert!(counts[2] > counts[0] * 5, "{counts:?}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut xs: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, sorted, "seed 11 must actually permute");
     }
 }

@@ -24,7 +24,7 @@ pub mod spec;
 pub mod suite;
 pub mod workload;
 
-pub use serverless::{FleetConfig, ServerlessFleet};
+pub use serverless::FleetConfig;
 pub use spec::{Behavior, Suite, WorkloadSpec, EPOCH_TARGET};
 pub use suite::{by_path, fig4_subset, instantiate, paper_suite};
 pub use workload::{SyntheticWorkload, Workload};

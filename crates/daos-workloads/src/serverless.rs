@@ -7,16 +7,11 @@
 //!
 //! We model a fleet of worker processes, each with a large resident heap
 //! of which only ~10 % is ever touched while serving requests; request
-//! arrivals touch the hot part plus occasional cold strays.
+//! arrivals touch the hot part plus occasional cold strays. The worker
+//! is a [`crate::Behavior::MostlyIdle`] [`crate::WorkloadSpec`]; the
+//! `daos` engine runs the fleet.
 
-use daos_mm::access::AccessBatch;
-use daos_mm::addr::AddrRange;
 use daos_mm::clock::Ns;
-use daos_mm::error::MmResult;
-use daos_mm::process::Pid;
-use daos_mm::system::MemorySystem;
-use daos_mm::vma::ThpMode;
-use daos_util::rng::SmallRng;
 
 /// Fleet configuration.
 #[derive(Debug, Clone, Copy)]
@@ -53,8 +48,7 @@ impl FleetConfig {
     /// One worker process as a [`crate::WorkloadSpec`]: a mostly-idle
     /// heap of `worker_footprint` bytes whose request path touches only
     /// `working_frac` of it. The fleet engine replicates this spec per
-    /// process (each with its own seed), which is how the §4.4 service
-    /// scales past the in-process [`ServerlessFleet`] model.
+    /// process (each with its own seed).
     pub fn worker_spec(&self, nr_epochs: u64) -> crate::WorkloadSpec {
         crate::WorkloadSpec {
             name: "serverless",
@@ -68,141 +62,5 @@ impl FleetConfig {
                 stray_prob: self.stray_prob,
             },
         }
-    }
-}
-
-/// A running serverless fleet.
-#[derive(Debug)]
-pub struct ServerlessFleet {
-    cfg: FleetConfig,
-    workers: Vec<(Pid, AddrRange)>,
-    rng: SmallRng,
-}
-
-impl ServerlessFleet {
-    /// Create the fleet (workers not yet spawned).
-    pub fn new(cfg: FleetConfig, seed: u64) -> Self {
-        Self { cfg, workers: Vec::new(), rng: SmallRng::seed_from_u64(seed) }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
-    /// Spawn all workers and build their heaps (everything resident, as
-    /// the production service's startup does).
-    pub fn setup(&mut self, sys: &mut MemorySystem) -> MmResult<()> {
-        for _ in 0..self.cfg.nr_workers {
-            let pid = sys.spawn();
-            let heap = sys.mmap(pid, self.cfg.worker_footprint, ThpMode::Never)?;
-            sys.apply_access(pid, &AccessBatch::all(heap, 1.0))?;
-            self.workers.push((pid, heap));
-        }
-        Ok(())
-    }
-
-    /// The worker pids.
-    pub fn pids(&self) -> Vec<Pid> {
-        self.workers.iter().map(|w| w.0).collect()
-    }
-
-    /// Serve one epoch of requests across the fleet; returns the total
-    /// cost (the caller advances the clock).
-    pub fn epoch(&mut self, sys: &mut MemorySystem) -> MmResult<Ns> {
-        let mut cost = 0;
-        for &(pid, heap) in &self.workers {
-            let hot_end = heap.start
-                + ((heap.len() as f64 * self.cfg.working_frac) as u64 / 4096) * 4096;
-            let hot = AddrRange::new(heap.start, hot_end);
-            let out = sys.apply_access(pid, &AccessBatch::all(hot, self.cfg.apc))?;
-            cost += out.cost_ns;
-            if self.rng.random::<f32>() < self.cfg.stray_prob {
-                let cold = AddrRange::new(hot_end, heap.end);
-                let out = sys.apply_access(pid, &AccessBatch::random(cold, 2, 1.0))?;
-                cost += out.cost_ns;
-            }
-            cost += self.cfg.compute_ns;
-        }
-        Ok(cost)
-    }
-
-    /// Total resident bytes across the fleet.
-    pub fn total_rss(&self, sys: &MemorySystem) -> u64 {
-        self.workers.iter().map(|&(pid, _)| sys.rss_bytes(pid)).sum()
-    }
-
-    /// Total *system memory* attributable to the fleet: RSS plus the
-    /// memory the zram device holds for its swapped pages. This is the
-    /// honest Fig. 9 metric — zram savings are smaller than file-swap
-    /// savings precisely because compressed pages still occupy DRAM.
-    pub fn total_memory_usage(&self, sys: &MemorySystem) -> u64 {
-        let zram_resident = match sys.swap().config() {
-            daos_mm::swap::SwapConfig::Zram { .. } => sys.swap().used_bytes(),
-            _ => 0,
-        };
-        self.total_rss(sys) + zram_resident
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use daos_mm::machine::MachineProfile;
-    use daos_mm::swap::SwapConfig;
-
-    fn sys(swap: SwapConfig) -> MemorySystem {
-        let mut m = MachineProfile::i3_metal();
-        m.dram_bytes = 512 << 20;
-        MemorySystem::new(m, swap, 11)
-    }
-
-    #[test]
-    fn fleet_builds_full_resident_sets() {
-        let mut sys = sys(SwapConfig::paper_zram());
-        let mut fleet = ServerlessFleet::new(FleetConfig::default(), 1);
-        fleet.setup(&mut sys).unwrap();
-        let expect = 8 * (24 << 20) as u64;
-        assert_eq!(fleet.total_rss(&sys), expect);
-        assert_eq!(fleet.pids().len(), 8);
-    }
-
-    #[test]
-    fn requests_touch_only_working_set() {
-        let mut sys = sys(SwapConfig::paper_zram());
-        let mut fleet = ServerlessFleet::new(
-            FleetConfig { stray_prob: 0.0, ..FleetConfig::default() },
-            1,
-        );
-        fleet.setup(&mut sys).unwrap();
-        // Clear all accessed bits.
-        for &(pid, heap) in &fleet.workers {
-            for p in heap.pages() {
-                sys.check_accessed_clear(pid, p);
-            }
-        }
-        fleet.epoch(&mut sys).unwrap();
-        // Only ~10% of each heap should be young now.
-        let (pid, heap) = fleet.workers[0];
-        let young = heap.pages().filter(|&p| sys.peek_accessed(pid, p) == Some(true)).count();
-        let total = heap.nr_pages() as usize;
-        assert!(young * 9 <= total, "young {young} of {total}");
-        assert!(young > 0);
-    }
-
-    #[test]
-    fn memory_usage_counts_zram_residency() {
-        let mut sys = sys(SwapConfig::Zram { capacity_bytes: 256 << 20, compression_ratio: 4.0 });
-        let mut fleet = ServerlessFleet::new(FleetConfig::default(), 1);
-        fleet.setup(&mut sys).unwrap();
-        let before = fleet.total_memory_usage(&sys);
-        // Page out one worker's entire heap (reference pass + eviction).
-        let (pid, heap) = fleet.workers[0];
-        sys.pageout(pid, heap).unwrap();
-        sys.pageout(pid, heap).unwrap();
-        let after = fleet.total_memory_usage(&sys);
-        // RSS dropped by the heap, but zram holds heap/4 of it.
-        let heap_len = heap.len();
-        assert_eq!(after, before - heap_len + heap_len / 4);
     }
 }

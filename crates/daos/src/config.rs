@@ -110,17 +110,23 @@ impl RunConfig {
     /// *prcl* with a custom idle-age threshold — the aggressiveness knob
     /// the auto-tuner searches over (Figures 4, 5, 8).
     pub fn prcl_with_min_age(min_age: Ns) -> Self {
-        let scheme = daos_schemes::parse_scheme_line("4K max min min 5s max pageout")
-            // lint: allow(panic, static scheme string, covered by the config tests)
-            .expect("static prcl scheme parses");
-        let scheme = Scheme {
-            min_age: daos_schemes::Bound::Val(daos_schemes::AgeVal::Time(min_age)),
-            ..scheme
-        };
         Self {
             monitor: Some(MonitorKind::Vaddr),
-            schemes: vec![scheme.into()],
+            schemes: vec![pageout_idle("4K max min min 5s max pageout", min_age).into()],
             ..Self::base("prcl")
+        }
+    }
+
+    /// *fleet-prcl*: the §4.4 production configuration — one
+    /// physical-address monitor per machine feeding the hand-crafted
+    /// scheme that pages out whatever went untouched for `min_age`, to
+    /// `swap`. What `daos fleet` and Fig. 9 run.
+    pub fn fleet_prcl(min_age: Ns, swap: SwapConfig) -> Self {
+        Self {
+            monitor: Some(MonitorKind::Paddr),
+            schemes: vec![pageout_idle("min max min min 30s max pageout", min_age).into()],
+            swap,
+            ..Self::base("fleet-prcl")
         }
     }
 
@@ -147,15 +153,39 @@ impl RunConfig {
     /// All six paper configurations with default parameters, in Fig. 7's
     /// order (baseline first).
     pub fn paper_configs() -> Vec<RunConfig> {
-        vec![
-            Self::baseline(),
-            Self::rec(),
-            Self::prec(),
-            Self::thp(),
-            Self::ethp(),
-            Self::prcl(),
-        ]
+        NAMED[..6].iter().map(|(_, make)| make()).collect()
     }
+
+    /// Every name [`by_name`](Self::by_name) resolves: the six paper
+    /// configurations in Fig. 7's order, then `damon_reclaim`.
+    pub fn names() -> [&'static str; 7] {
+        NAMED.map(|(name, _)| name)
+    }
+
+    /// The named configuration with default parameters, by the name the
+    /// paper's plots (and `--config`) use.
+    pub fn by_name(name: &str) -> Option<RunConfig> {
+        NAMED.iter().find(|(n, _)| *n == name).map(|(_, make)| make())
+    }
+}
+
+/// The one table naming the configurations.
+const NAMED: [(&str, fn() -> RunConfig); 7] = [
+    ("baseline", RunConfig::baseline),
+    ("rec", RunConfig::rec),
+    ("prec", RunConfig::prec),
+    ("thp", RunConfig::thp),
+    ("ethp", RunConfig::ethp),
+    ("prcl", RunConfig::prcl),
+    ("damon_reclaim", RunConfig::damon_reclaim),
+];
+
+/// The static pageout scheme `line` with its idle-age bound replaced.
+fn pageout_idle(line: &str, min_age: Ns) -> Scheme {
+    let scheme = daos_schemes::parse_scheme_line(line)
+        // lint: allow(panic, static scheme strings, covered by the config tests)
+        .expect("static pageout scheme parses");
+    Scheme { min_age: daos_schemes::Bound::Val(daos_schemes::AgeVal::Time(min_age)), ..scheme }
 }
 
 /// Builder for [`RunConfig`]; obtained via [`RunConfig::builder`].
@@ -232,6 +262,31 @@ mod tests {
         let configs = RunConfig::paper_configs();
         let names: Vec<&str> = configs.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, vec!["baseline", "rec", "prec", "thp", "ethp", "prcl"]);
+    }
+
+    #[test]
+    fn every_name_round_trips() {
+        for c in RunConfig::paper_configs() {
+            assert_eq!(RunConfig::by_name(&c.name).expect("a paper config resolves").name, c.name);
+        }
+        for name in RunConfig::names() {
+            assert_eq!(RunConfig::by_name(name).expect("a listed name resolves").name, name);
+        }
+        assert_eq!(RunConfig::names()[6], "damon_reclaim", "after the six paper configs");
+        assert!(RunConfig::by_name("warp9").is_none());
+    }
+
+    #[test]
+    fn fleet_prcl_is_the_production_scheme() {
+        let swap = SwapConfig::File { capacity_bytes: 1 << 30 };
+        let c = RunConfig::fleet_prcl(sec(30), swap);
+        assert_eq!(c.name, "fleet-prcl");
+        assert_eq!(c.monitor, Some(MonitorKind::Paddr));
+        assert_eq!(c.swap, swap);
+        let production = daos_schemes::parse_scheme_line("min max min min 30s max pageout");
+        assert_eq!(c.schemes, vec![production.unwrap().into()]);
+        let quick = RunConfig::fleet_prcl(ms(20), swap).schemes[0].scheme;
+        assert_eq!(quick.min_age, daos_schemes::Bound::Val(daos_schemes::AgeVal::Time(ms(20))));
     }
 
     #[test]

@@ -208,6 +208,10 @@ pub struct FleetProgress {
     pub monitor_work_ns: Ns,
     /// Total trace events dropped so far (all shards).
     pub dropped_events: u64,
+    /// DRAM the shards' swap devices occupy themselves
+    /// ([`daos_mm::swap::SwapDevice::dram_bytes`]): machine memory in use
+    /// is the tenants' `total_rss` plus this.
+    pub swap_dram_bytes: u64,
     /// Per-tenant aggregates.
     pub tenants: Vec<TenantStats>,
     /// The process's own detail when the fleet is a single process.
@@ -899,10 +903,12 @@ impl FleetEngine {
         let mut now_ns = 0;
         let mut monitor_work_ns = 0;
         let mut dropped_events = 0;
+        let mut swap_dram_bytes = 0;
         for sh in &self.shards {
             now_ns = now_ns.max(sh.sys.now());
             monitor_work_ns += sh.monitor_totals().0;
             dropped_events += sh.procs().map(|p| p.dropped_events).sum::<u64>();
+            swap_dram_bytes += sh.sys.swap().dram_bytes();
         }
         FleetProgress {
             tick: self.tick.saturating_sub(1),
@@ -911,6 +917,7 @@ impl FleetEngine {
             nr_processes: self.spec.nr_processes,
             monitor_work_ns,
             dropped_events,
+            swap_dram_bytes,
             tenants: self.tenants(),
             single: self.single_detail(),
         }
@@ -1065,13 +1072,7 @@ mod tests {
                 _ => {}
             }
         }
-        configs.push(
-            RunConfig::builder("fleet-prcl")
-                .monitor(MonitorKind::Paddr)
-                .scheme(schemes("min max min min 20ms max pageout").remove(0))
-                .build()
-                .unwrap(),
-        );
+        configs.push(RunConfig::fleet_prcl(ms(20), daos_mm::swap::SwapConfig::paper_zram()));
         for c in &mut configs {
             c.attrs = fast_attrs();
         }

@@ -16,7 +16,8 @@
 //!   is observed through one [`FleetObserver`] seam;
 //! * Fig. 6-style access-pattern [`heatmap`]s;
 //! * the normalised performance / memory-efficiency / score [`metrics`]
-//!   of Figures 4, 7 and 8.
+//!   of Figures 4, 7 and 8, and [`tune_prcl`]: the Auto-tuning Runtime
+//!   sampling the *prcl* threshold through that same engine.
 //!
 //! ```no_run
 //! use daos::{Normalized, RunConfig, Session};
@@ -53,6 +54,6 @@ pub use fleet::{
     FleetEngine, FleetObserver, FleetProgress, FleetSpec, FleetSummary, ProcessDetail, TenantStats,
 };
 pub use heatmap::{biggest_active_span, Heatmap};
-pub use metrics::{score_inputs, score_vs_baseline, Normalized};
+pub use metrics::{score_inputs, score_vs_baseline, tune_prcl, Normalized, TunedPrcl};
 pub use recordio::{record_from_csv, record_to_csv, RecordError, WssReport, RECORD_HEADER};
 pub use session::{RunResult, Session, SessionResult};

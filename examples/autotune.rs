@@ -16,11 +16,18 @@ fn main() {
     let machine = MachineProfile::i3_metal();
     println!("auto-tuning the prcl scheme for {} on {}\n", spec.path_name(), machine.name);
 
-    let run = |config: &RunConfig| {
-        Session::new(&machine, config, &spec).seed(42).execute().map(SessionResult::into_single)
+    // The tuner: 10 samples within the time budget, Listing-2 score.
+    let cfg = TunerConfig {
+        time_limit: sec(100),
+        unit_work_time: sec(10),
+        range: (0.0, 60.0),
+        seed: 42,
     };
-    let baseline = run(&RunConfig::baseline()).unwrap();
-    let manual = run(&RunConfig::prcl()).unwrap();
+    let TunedPrcl { baseline, result, tuned: auto } =
+        tune_prcl(&machine, &spec, 42, &cfg).unwrap();
+
+    let manual =
+        Session::new(&machine, &RunConfig::prcl(), &spec).seed(42).execute().unwrap().into_single();
     let nm = Normalized::of(&baseline, &manual);
     println!(
         "manual scheme (min_age 5s):  {:>5.1}% memory saving, {:>6.2}% slowdown, score {:.1}",
@@ -29,33 +36,16 @@ fn main() {
         score_vs_baseline(&baseline, &manual)
     );
 
-    // The tuner: 10 samples within the time budget, Listing-2 score.
-    let mut score_fn = DefaultScore::default();
-    let cfg = TunerConfig {
-        time_limit: sec(100),
-        unit_work_time: sec(10),
-        range: (0.0, 60.0),
-        seed: 42,
-    };
     println!("\ntuning (10 samples = 6 global + 4 localized):");
-    let result = tune(&cfg, |min_age| {
-        let r = run(&RunConfig::prcl_with_min_age((min_age * 1e9) as u64)).unwrap();
-        let s = score_fn.score(&ScoreInputs {
-            runtime: r.runtime_ns as f64,
-            orig_runtime: baseline.runtime_ns as f64,
-            rss: r.avg_rss as f64,
-            orig_rss: baseline.avg_rss as f64,
-        });
+    for (min_age, s) in &result.samples {
         println!("  sample min_age {min_age:>5.1}s -> score {s:>7.2}");
-        s
-    });
+    }
     println!(
         "\nfitted degree-{} polynomial; best threshold: min_age {:.1}s",
         result.curve.as_ref().map(|c| c.degree()).unwrap_or(0),
         result.best_x
     );
 
-    let auto = run(&RunConfig::prcl_with_min_age((result.best_x * 1e9) as u64)).unwrap();
     let na = Normalized::of(&baseline, &auto);
     println!(
         "auto-tuned scheme:           {:>5.1}% memory saving, {:>6.2}% slowdown, score {:.1}",

@@ -7,67 +7,67 @@
 //! ```
 
 use daos_repro::prelude::*;
-use daos_mm::clock::{sec, SEC};
+use daos_mm::clock::sec;
 
-/// Drive the fleet for `duration` seconds under a 30 s idle-pageout
-/// scheme; returns (normalized memory usage, request slowdown).
-fn drive(swap: SwapConfig) -> (f64, f64) {
-    let machine = MachineProfile::i3_metal();
-    let mut sys = MemorySystem::new(machine, swap, 7);
-    let mut fleet = ServerlessFleet::new(FleetConfig::default(), 7);
-    fleet.setup(&mut sys).unwrap();
-    let full = fleet.total_rss(&sys) as f64;
+/// Machine memory in use (RSS plus the swap device's own DRAM) at every
+/// tick from 90 virtual seconds on, as a fraction of `footprint`.
+struct SteadyMemory {
+    footprint: f64,
+    usage: f64,
+    n: u64,
+}
 
-    let scheme = parse_scheme_line("min max min min 30s max pageout").unwrap();
-    let mut engine = SchemesEngine::new(SchemeTarget::Physical, vec![scheme]);
-    let mut monitor = MonitorCtx::new(MonitorAttrs::paper_defaults(), PaddrPrimitives, &sys, 0, 9);
-    let mut sink = Vec::new();
-
-    let mut usage = 0.0;
-    let mut n = 0u64;
-    let mut work = 0u64;
-    while sys.now() < 180 * SEC {
-        let cost = fleet.epoch(&mut sys).unwrap();
-        work += cost;
-        sys.advance(cost);
-        let now = sys.now();
-        monitor.step(&mut sys, now, &mut sink);
-        let interference = sys.charge_monitor(monitor.take_work_ns());
-        sys.advance(interference);
-        for agg in sink.drain(..) {
-            let pass = engine.on_aggregation(&mut sys, &agg);
-            let i2 = sys.charge_schemes(pass.work_ns);
-            sys.advance(i2);
-        }
-        if sys.now() >= sec(90) {
-            usage += fleet.total_memory_usage(&sys) as f64 / full;
-            n += 1;
+impl FleetObserver for SteadyMemory {
+    fn on_tick(&mut self, p: &FleetProgress) {
+        if p.now_ns >= sec(90) {
+            let in_use = p.tenants.iter().map(|t| t.total_rss).sum::<u64>() + p.swap_dram_bytes;
+            self.usage += in_use as f64 / self.footprint;
+            self.n += 1;
         }
     }
-    (usage / n as f64, work as f64)
+}
+
+/// Run the fleet for ~180 virtual seconds under a 30 s idle-pageout
+/// scheme on one shared machine; returns (normalized memory usage,
+/// virtual runtime).
+fn drive(swap: SwapConfig) -> (f64, f64) {
+    let workers = FleetConfig::default();
+    let footprint = (workers.nr_workers as u64 * workers.worker_footprint) as f64;
+    let mut memory = SteadyMemory { footprint, usage: 0.0, n: 0 };
+    let result = Session::new(
+        &MachineProfile::i3_metal(),
+        &RunConfig::fleet_prcl(sec(30), swap),
+        &workers.worker_spec(31_000),
+    )
+    .seed(7)
+    .fleet(FleetSpec::new(workers.nr_workers).shard_size(workers.nr_workers))
+    .fleet_observer(&mut memory)
+    .execute()
+    .unwrap();
+    (memory.usage / memory.n as f64, result.into_single().runtime_ns as f64)
 }
 
 fn main() {
     println!("Serverless fleet: 8 workers x 24 MiB heap, ~90% of it cold.");
     println!("Scheme: 'min max min min 30s max pageout' on the physical address space.\n");
 
-    let (none, base_work) = drive(SwapConfig::None);
-    let (file, file_work) = drive(SwapConfig::File { capacity_bytes: 1 << 30 });
-    let (zram, zram_work) =
+    let (none, base_runtime) = drive(SwapConfig::None);
+    let (file, file_runtime) = drive(SwapConfig::File { capacity_bytes: 1 << 30 });
+    let (zram, zram_runtime) =
         drive(SwapConfig::Zram { capacity_bytes: 256 << 20, compression_ratio: 9.0 });
 
     println!("{:<12} {:>18} {:>12}", "swap", "normalized memory", "slowdown");
     println!("{:-<44}", "");
-    for (name, usage, work) in [
-        ("no swap", none, base_work),
-        ("file swap", file, file_work),
-        ("zram", zram, zram_work),
+    for (name, usage, runtime) in [
+        ("no swap", none, base_runtime),
+        ("file swap", file, file_runtime),
+        ("zram", zram, zram_runtime),
     ] {
         println!(
             "{:<12} {:>17.0}% {:>11.2}%",
             name,
             usage * 100.0,
-            (work / base_work - 1.0) * 100.0
+            (runtime / base_runtime - 1.0) * 100.0
         );
     }
     println!("\npaper (Fig. 9): zram keeps ~20% (80% reduction), file swap ~10% (90%).");

@@ -38,6 +38,22 @@ doc_log=$(RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace 2
 }
 echo "ok"
 
+echo "== one engine: no shipped experiment re-composes the epoch loop =="
+# The monitor-step / charge / on_aggregation / charge sequence lives in
+# the engine (crates/daos/src/fleet.rs). Outside it only the substrate
+# that defines the call, the ledger's adapter (ROADMAP 2(b)'s debt) and
+# ext_lru_sort.rs (its access script is not a WorkloadSpec) may name it.
+loops=$(grep -rl 'charge_monitor(' --include='*.rs' crates/*/src crates/*/tests examples tests \
+    | grep -v -e '^crates/daos-mm/' -e '^crates/daos/src/fleet\.rs$' \
+        -e '^crates/daos-bench/src/bin/ledger/' \
+        -e '^crates/daos-bench/src/bin/ext_lru_sort\.rs$' || true)
+if [ -n "$loops" ]; then
+    echo "$loops"
+    echo "FAIL: hand-rolled epoch loop — drive the engine through Session"
+    exit 1
+fi
+echo "ok"
+
 echo "== daos-lint: workspace invariants =="
 # The token-level replacement for the old awk/grep guards: a
 # comment/string-aware lexer, so doc examples and multiline macro calls
@@ -129,10 +145,12 @@ wait "$serve_pid" 2>/dev/null || true
 echo "ok"
 
 echo "== bench pipeline: well-formed artifact, hot paths within baseline =="
-# A full (non-quick) run takes <1 s and its medians are stable enough to
-# gate; --quick's 3x5 samples are not. The margin absorbs slow shared
-# CI machines while still catching any real hot-path regression (the
-# pre-rebuild scheme-apply path was ~9x over today's baseline).
+# A full (non-quick) run takes <1 s. Timing lanes are gated on min-of-N,
+# which moves only with a systematic slowdown, so a 50 % margin holds on
+# a shared CI machine and still catches any real hot-path regression
+# (PR 15's parent was 3.2x / 5x over on the fleet build and the resident
+# touch walk). These micro lanes gate hot paths per layer; every
+# end-to-end number belongs to the ledger (DESIGN.md §10).
 DAOS_BENCH_OUT="$tmp/bench.json" target/release/pipeline > /dev/null
 [ -s "$tmp/bench.json" ] || { echo "FAIL: BENCH_pipeline.json empty"; exit 1; }
 # The committed baseline at the repo root must stay well-formed too.
@@ -140,7 +158,7 @@ target/release/pipeline --check BENCH_pipeline.json || {
     echo "FAIL: committed BENCH_pipeline.json is not well-formed JSON"; exit 1
 }
 target/release/pipeline --check "$tmp/bench.json" \
-    --baseline BENCH_pipeline.json --margin 150 || {
+    --baseline BENCH_pipeline.json --margin 50 || {
     echo "FAIL: hot-path bench regressed past the committed baseline + margin"
     echo "(compare $tmp/bench.json against BENCH_pipeline.json; if the"
     echo "slowdown is intentional, regenerate the baseline with"
@@ -264,16 +282,16 @@ diff -u "$tmp/fleet_workers_1.txt" "$tmp/fleet_workers_2.txt" || {
 }
 echo "ok"
 
-echo "== bench fleet: 1k-process tick and build medians within baseline =="
+echo "== bench fleet: 1k-process tick and build within baseline =="
 # Same shape as the pipeline gate: fresh full run, artifact well-formed,
-# gated median within the committed baseline + margin.
+# gated min-of-N within the committed baseline + margin.
 DAOS_BENCH_OUT="$tmp/fleet_bench.json" target/release/fleet_bench > /dev/null
 [ -s "$tmp/fleet_bench.json" ] || { echo "FAIL: fleet bench artifact empty"; exit 1; }
 target/release/fleet_bench --check BENCH_fleet.json || {
     echo "FAIL: committed BENCH_fleet.json is not well-formed JSON"; exit 1
 }
 target/release/fleet_bench --check "$tmp/fleet_bench.json" \
-    --baseline BENCH_fleet.json --margin 150 || {
+    --baseline BENCH_fleet.json --margin 50 || {
     echo "FAIL: fleet tick bench regressed past the committed baseline + margin"
     echo "(compare $tmp/fleet_bench.json against BENCH_fleet.json; if the"
     echo "slowdown is intentional, regenerate the baseline with"
@@ -294,7 +312,7 @@ target/release/obs_bench --check BENCH_obs.json || {
     echo "FAIL: committed BENCH_obs.json is not well-formed JSON"; exit 1
 }
 target/release/obs_bench --check "$tmp/obs_bench.json" \
-    --baseline BENCH_obs.json --margin 150 || {
+    --baseline BENCH_obs.json --margin 50 || {
     echo "FAIL: obs endpoint latency regressed past the committed baseline + margin"
     echo "(compare $tmp/obs_bench.json against BENCH_obs.json; if the"
     echo "slowdown is intentional, regenerate the baseline with"
@@ -305,9 +323,6 @@ echo "ok"
 
 echo "== offline test suite (workspace) =="
 cargo test -q --offline --workspace
-
-echo "== offline bench binaries compile =="
-cargo bench --offline --no-run
 
 echo "== perf ledger (BENCHMARK.json's command) builds and passes its tests =="
 # The ledger is a package of its own outside the workspace, so nothing

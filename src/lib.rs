@@ -6,7 +6,7 @@
 //! * [`monitor`] — the Data Access Monitor (DAMON);
 //! * [`schemes`] — the Memory Management Schemes Engine (DAMOS);
 //! * [`tuner`] — the Auto-tuning Runtime;
-//! * [`workloads`] — the 24 Parsec3/Splash-2x analogs + serverless fleet;
+//! * [`workloads`] — the 24 Parsec3/Splash-2x analogs + the serverless worker;
 //! * [`daos`] — the integration layer (configs, sessions, heatmaps, metrics).
 //!
 //! See `README.md` for a guided tour, `DESIGN.md` for the system
@@ -41,8 +41,9 @@ pub use daos_workloads as workloads;
 /// Everything a typical user needs, in one import.
 pub mod prelude {
     pub use daos::{
-        biggest_active_span, score_vs_baseline, DaosError, Heatmap, MonitorKind, Normalized,
-        RunConfig, RunResult, Session, SessionResult,
+        biggest_active_span, score_vs_baseline, tune_prcl, DaosError, FleetObserver,
+        FleetProgress, FleetSpec, Heatmap, MonitorKind, Normalized, RunConfig, RunResult,
+        Session, SessionResult, TunedPrcl,
     };
     pub use daos_trace::{Collector, Event, Registry, TimedEvent};
     pub use daos_mm::{
@@ -58,7 +59,6 @@ pub mod prelude {
     };
     pub use daos_tuner::{tune, classify, DefaultScore, ScoreFn, ScoreInputs, TunerConfig};
     pub use daos_workloads::{
-        by_path, instantiate, paper_suite, FleetConfig, ServerlessFleet, Workload,
-        WorkloadSpec,
+        by_path, instantiate, paper_suite, FleetConfig, Workload, WorkloadSpec,
     };
 }

@@ -2,10 +2,10 @@
 //! tuner must turn an SLA-violating manual scheme into a safe one while
 //! keeping most of the memory saving (the Fig. 8 claim, at small scale).
 
-use daos::{score_inputs, Normalized, RunConfig, RunResult, Session, SessionResult};
+use daos::{tune_prcl, Normalized, RunConfig, Session, TunedPrcl};
 use daos_mm::clock::{ms, sec};
-use daos_mm::{MachineProfile, MmResult};
-use daos_tuner::{tune, DefaultScore, ScoreFn, TunerConfig};
+use daos_mm::MachineProfile;
+use daos_tuner::TunerConfig;
 use daos_workloads::{Behavior, Suite, WorkloadSpec};
 
 /// A thrash-prone streaming workload: it re-sweeps its whole footprint
@@ -27,24 +27,27 @@ fn thrashy() -> WorkloadSpec {
     }
 }
 
-/// One process of `spec` under `config`, run to completion.
-fn run(
-    machine: &MachineProfile,
-    config: &RunConfig,
-    spec: &WorkloadSpec,
-    seed: u64,
-) -> MmResult<RunResult> {
-    Session::new(machine, config, spec).seed(seed).execute().map(SessionResult::into_single)
-}
-
 #[test]
 fn autotuning_recovers_from_a_bad_manual_threshold() {
     let machine = MachineProfile::i3_metal();
     let spec = thrashy();
-    let baseline = run(&machine, &RunConfig::baseline(), &spec, 5).unwrap();
+    // Tune with 10 samples over min_age ∈ [0, 20] s.
+    let cfg = TunerConfig {
+        time_limit: sec(100),
+        unit_work_time: sec(10),
+        range: (0.0, 20.0),
+        seed: 5,
+    };
+    let TunedPrcl { baseline, result, tuned: auto } =
+        tune_prcl(&machine, &spec, 5, &cfg).unwrap();
+    assert_eq!(result.samples.len(), 10);
 
     // Manual: aggressive 1 s threshold → refault storm.
-    let manual = run(&machine, &RunConfig::prcl_with_min_age(sec(1)), &spec, 5).unwrap();
+    let manual = Session::new(&machine, &RunConfig::prcl_with_min_age(sec(1)), &spec)
+        .seed(5)
+        .execute()
+        .unwrap()
+        .into_single();
     let nm = Normalized::of(&baseline, &manual);
     assert!(
         nm.slowdown_pct() > 10.0,
@@ -52,33 +55,6 @@ fn autotuning_recovers_from_a_bad_manual_threshold() {
         nm.slowdown_pct()
     );
 
-    // Tune with 10 samples over min_age ∈ [0, 20] s.
-    let mut score_fn = DefaultScore::default();
-    let cfg = TunerConfig {
-        time_limit: sec(100),
-        unit_work_time: sec(10),
-        range: (0.0, 20.0),
-        seed: 5,
-    };
-    let result = tune(&cfg, |min_age| {
-        let r = run(
-            &machine,
-            &RunConfig::prcl_with_min_age((min_age * 1e9) as u64),
-            &spec,
-            5,
-        )
-        .unwrap();
-        score_fn.score(&score_inputs(&baseline, &r))
-    });
-    assert_eq!(result.samples.len(), 10);
-
-    let auto = run(
-        &machine,
-        &RunConfig::prcl_with_min_age((result.best_x * 1e9) as u64),
-        &spec,
-        5,
-    )
-    .unwrap();
     let na = Normalized::of(&baseline, &auto);
     assert!(
         na.slowdown_pct() < nm.slowdown_pct() / 2.0,
@@ -106,31 +82,13 @@ fn tuner_keeps_savings_on_a_safe_workload() {
         compute_ns: ms(1),
         behavior: Behavior::MostlyIdle { active_frac: 0.1, apc: 4.0, stray_prob: 0.0 },
     };
-    let baseline = run(&machine, &RunConfig::baseline(), &spec, 5).unwrap();
-    let mut score_fn = DefaultScore::default();
     let cfg = TunerConfig {
         time_limit: sec(80),
         unit_work_time: sec(10),
         range: (0.0, 10.0),
         seed: 5,
     };
-    let result = tune(&cfg, |min_age| {
-        let r = run(
-            &machine,
-            &RunConfig::prcl_with_min_age((min_age * 1e9) as u64),
-            &spec,
-            5,
-        )
-        .unwrap();
-        score_fn.score(&score_inputs(&baseline, &r))
-    });
-    let auto = run(
-        &machine,
-        &RunConfig::prcl_with_min_age((result.best_x * 1e9) as u64),
-        &spec,
-        5,
-    )
-    .unwrap();
+    let TunedPrcl { baseline, tuned: auto, .. } = tune_prcl(&machine, &spec, 5, &cfg).unwrap();
     let na = Normalized::of(&baseline, &auto);
     assert!(
         na.memory_saving_pct() > 40.0,

@@ -29,14 +29,16 @@ fn fleet_config() -> RunConfig {
 
 /// Time `engine.tick()` for a fleet of `nr_procs` small workers. The
 /// engine is built once (setup cost excluded); every iteration advances
-/// the whole fleet by one epoch over the work-stealing pool.
+/// the whole fleet by one epoch, shard after shard on this thread: a
+/// pooled tick is a barrier over however many cores the neighbours leave
+/// free, and read 2x slow often enough to flake at the gate's margin.
 fn bench_fleet_tick(h: &mut Harness, iters: u64, nr_procs: usize) {
     let machine = MachineProfile::i3_metal();
     let config = fleet_config();
     let workers = FleetConfig { worker_footprint: 2 << 20, ..FleetConfig::default() };
     // More epochs than any harness run will tick through.
     let spec = workers.worker_spec(1 << 20);
-    let fleet = FleetSpec::new(nr_procs).shard_size(32);
+    let fleet = FleetSpec::new(nr_procs).shard_size(32).workers(1);
     let mut engine =
         FleetEngine::new(&machine, &config, &spec, fleet, 42).expect("fleet setup");
     h.bench_iters(&format!("fleet/tick_{nr_procs}_procs"), iters, || {

@@ -2,7 +2,7 @@
 //! hot paths — the monitoring tick (sampling), a full aggregation window
 //! (aggregate + split/merge) over the synthetic space and over a real
 //! process's page tables, the schemes-engine apply pass, the
-//! substrate's resident-touch walk, and the same monitor loop with
+//! substrate's page-table walks, and the same monitor loop with
 //! tracing enabled vs disabled — written to
 //! `BENCH_pipeline.json` at the repo root as the regression baseline.
 //!
@@ -11,7 +11,7 @@
 //! `DAOS_BENCH_OUT` overrides the output path.
 
 use daos_bench::artifact;
-use daos_mm::addr::AddrRange;
+use daos_mm::addr::{AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
 use daos_mm::clock::ms;
 use daos_mm::{MemorySystem, SwapConfig, ThpMode};
 use daos_mm::access::AccessBatch;
@@ -132,18 +132,37 @@ fn bench_scheme_apply(h: &mut Harness, iters: u64) {
     });
 }
 
-/// One `All` batch over 4096 resident pages: the substrate's resident
-/// touch walk, which is most of what a `daos run` or a fleet tick does.
-fn bench_resident_touch(h: &mut Harness, iters: u64) {
+/// The substrate's word-at-a-time page-table walks over a 16 MiB VMA:
+/// an `All` and a `Stride(2)` batch over 4096 resident pages (the resident
+/// touch walk, which is most of what a `daos run` or a fleet tick does),
+/// and the resident-page scan with one resident page per 2 MiB chunk —
+/// the skip path every pageout of a mostly-evicted region takes.
+fn bench_page_walks(h: &mut Harness, iters: u64) {
     let mut machine = daos_mm::MachineProfile::test_tiny();
     machine.dram_bytes = 256 << 20;
     let mut sys = MemorySystem::new(machine, SwapConfig::paper_zram(), 1);
     let pid = sys.spawn();
     let range = sys.mmap(pid, 16 << 20, ThpMode::Never).expect("mmap 16 MiB");
-    let batch = AccessBatch::all(range, 1.0);
-    sys.apply_access(pid, &batch).expect("fault in");
-    h.bench_iters("mm/touch_all_4096_resident", iters, || {
-        black_box(sys.apply_access(pid, &batch).expect("resident touch").touched_pages)
+    sys.apply_access(pid, &AccessBatch::all(range, 1.0)).expect("fault in");
+    for (name, batch) in [
+        ("mm/touch_all_4096_resident", AccessBatch::all(range, 1.0)),
+        ("mm/touch_stride2_4096_resident", AccessBatch::stride(range, 2, 1.0)),
+    ] {
+        h.bench_iters(name, iters, || {
+            black_box(sys.apply_access(pid, &batch).expect("resident touch").touched_pages)
+        });
+    }
+    // Evict all but the first page of each chunk (the mapping is
+    // chunk-aligned): the first pageout clears the reference bits the
+    // touches set, the second finds them clear.
+    for chunk in (range.start..range.end).step_by(HUGE_PAGE_SIZE as usize) {
+        let rest = AddrRange::new(chunk + PAGE_SIZE, chunk + HUGE_PAGE_SIZE);
+        sys.pageout(pid, rest).expect("age");
+        sys.pageout(pid, rest).expect("evict");
+    }
+    assert_eq!(sys.nr_resident_in(pid, range), range.len() / HUGE_PAGE_SIZE);
+    h.bench_iters("mm/collect_resident_16mib_sparse", iters, || {
+        black_box(sys.nr_resident_in(pid, range))
     });
 }
 
@@ -175,11 +194,13 @@ fn bench_trace_toggle(h: &mut Harness, iters: u64) {
 /// Hot-path timings gated against the committed baseline by
 /// `--check --baseline`: the region/mm rebuild targets and the page
 /// walker, so a rewrite that quietly regresses one shows up in verify.sh.
-const GATED: [&str; 4] = [
+const GATED: [&str; 6] = [
     "schemes/apply_1000_regions",
     "monitor/aggregate_window",
     "monitor/sweep_vaddr",
     "mm/touch_all_4096_resident",
+    "mm/touch_stride2_4096_resident",
+    "mm/collect_resident_16mib_sparse",
 ];
 
 /// Time every bench and return the artifact.
@@ -192,7 +213,7 @@ fn measure(quick: bool) -> Json {
     bench_monitor_window(&mut h, iters);
     bench_sweep_vaddr(&mut h, iters);
     bench_scheme_apply(&mut h, iters);
-    bench_resident_touch(&mut h, iters * 4);
+    bench_page_walks(&mut h, iters * 4);
     bench_trace_toggle(&mut h, iters * 4);
 
     artifact::artifact_doc("pipeline", quick, samples, h.results())

@@ -4,6 +4,7 @@
 use std::ops::{Deref, DerefMut};
 
 use crate::addr::{page_align_up, AddrRange, PAGE_SIZE};
+use crate::clock::Ns;
 use crate::error::{MmError, MmResult};
 use crate::stats::ProcStats;
 use crate::vma::{ThpMode, Vma};
@@ -30,9 +31,13 @@ pub struct Process {
     vmas: Vec<Vma>,
     /// Next address the bump allocator hands out for anonymous mmap.
     next_mmap: u64,
-    /// Resident pages across all VMAs (maintained incrementally).
-    pub rss_pages: u64,
-    /// Lifetime statistics.
+    /// Resident pages across all VMAs (maintained incrementally, through
+    /// [`Self::map_pages`] and [`Self::unmap_pages`] only).
+    rss_pages: u64,
+    /// Virtual time up to which `stats.rss_time_integral` is integrated.
+    rss_settled_at: Ns,
+    /// Lifetime statistics; `rss_time_integral` is exact as of the last
+    /// `settle`.
     pub stats: ProcStats,
     /// Whether the process has exited (VMAs torn down).
     pub exited: bool,
@@ -46,6 +51,7 @@ impl Process {
             vmas: Vec::new(),
             next_mmap: MMAP_BASE,
             rss_pages: 0,
+            rss_settled_at: 0,
             stats: ProcStats::default(),
             exited: false,
         }
@@ -55,6 +61,29 @@ impl Process {
     #[inline]
     pub fn rss_bytes(&self) -> u64 {
         self.rss_pages * PAGE_SIZE
+    }
+
+    /// Integrate RSS over the time since the last settlement, so that
+    /// `stats.rss_time_integral` is exact as of `now`. RSS is constant in
+    /// between — every change to it settles first — which makes the sum
+    /// the one a per-clock-advance integration would have reached.
+    pub(crate) fn settle(&mut self, now: Ns) {
+        let since = (now - self.rss_settled_at) as u128;
+        self.stats.rss_time_integral += self.rss_bytes() as u128 * since;
+        self.rss_settled_at = now;
+    }
+
+    /// `nr` more pages are resident from `now` on.
+    pub(crate) fn map_pages(&mut self, now: Ns, nr: u64) {
+        self.settle(now);
+        self.rss_pages += nr;
+        self.stats.peak_rss_bytes = self.stats.peak_rss_bytes.max(self.rss_bytes());
+    }
+
+    /// `nr` fewer pages are resident from `now` on.
+    pub(crate) fn unmap_pages(&mut self, now: Ns, nr: u64) {
+        self.settle(now);
+        self.rss_pages -= nr;
     }
 
     /// Map `len` bytes of anonymous memory at an allocator-chosen address.

@@ -91,14 +91,19 @@ impl MemorySystem {
         self.procs.get(pid as usize).map(|p| p.rss_bytes()).unwrap_or(0)
     }
 
-    /// Lifetime statistics of a process.
-    pub fn proc_stats(&self, pid: Pid) -> Option<&crate::stats::ProcStats> {
-        self.procs.get(pid as usize).map(|p| &p.stats)
+    /// Lifetime statistics of a process, as of now: reading them settles
+    /// the RSS integral [`Self::advance`] no longer maintains.
+    pub fn proc_stats(&mut self, pid: Pid) -> Option<&crate::stats::ProcStats> {
+        self.proc_stats_mut(pid).map(|st| &*st)
     }
 
-    /// Mutable statistics of a process (the runner charges compute time).
+    /// Mutable statistics of a process (the runner charges compute time),
+    /// settled like [`Self::proc_stats`].
     pub fn proc_stats_mut(&mut self, pid: Pid) -> Option<&mut crate::stats::ProcStats> {
-        self.procs.get_mut(pid as usize).map(|p| &mut p.stats)
+        let now = self.now();
+        let proc = self.procs.get_mut(pid as usize)?;
+        proc.settle(now);
+        Some(&mut proc.stats)
     }
 
     /// Total bytes of physical memory in use.
@@ -184,8 +189,8 @@ impl MemorySystem {
                 PteState::None => {}
             }
         }
-        let proc = self.proc_mut(pid)?;
-        proc.rss_pages -= freed_pages;
+        let now = self.now();
+        self.proc_mut(pid)?.unmap_pages(now, freed_pages);
         Ok(())
     }
 
@@ -203,13 +208,11 @@ impl MemorySystem {
 
     // ---- time -------------------------------------------------------
 
-    /// Advance virtual time, integrating each live process's RSS so the
-    /// average-RSS memory metric is time-weighted.
+    /// Advance virtual time. O(1): the time-weighted RSS integral behind
+    /// the average-RSS metric is settled per process, when its RSS changes
+    /// and when its statistics are read (`Process::settle`).
     pub fn advance(&mut self, delta: Ns) {
         self.clock.advance(delta);
-        for p in self.procs.iter_mut().filter(|p| !p.exited) {
-            p.stats.rss_time_integral += p.rss_bytes() as u128 * delta as u128;
-        }
     }
 
     // ---- the workload-facing access path ---------------------------
@@ -315,6 +318,7 @@ impl MemorySystem {
         let (frame, reclaim_ns) = self.get_frame(pid, addr)?;
         cost += reclaim_ns;
 
+        let now = self.now();
         let proc = self.proc_mut(pid)?;
         let vma = proc.find_vma_mut(addr).ok_or(MmError::Unmapped(addr))?;
         let gen = vma.with_pte(addr, |pte| {
@@ -324,8 +328,7 @@ impl MemorySystem {
             pte.lru_gen = pte.lru_gen.wrapping_add(1);
             pte.lru_gen
         });
-        proc.rss_pages += 1;
-        proc.stats.peak_rss_bytes = proc.stats.peak_rss_bytes.max(proc.rss_bytes());
+        proc.map_pages(now, 1);
         if load_cost.is_some() {
             proc.stats.major_faults += 1;
             proc.stats.swapins += 1;
@@ -338,7 +341,6 @@ impl MemorySystem {
         out.touched_huge += huge as u64;
         self.lru.insert(LruList::Inactive, pid, addr, gen);
         let major = load_cost.is_some();
-        let now = self.now();
         if major {
             daos_trace::trace!(now, SwapIn { pid, addr });
         }
@@ -449,6 +451,7 @@ impl MemorySystem {
     fn unmap_to_swap(&mut self, pid: Pid, addr: u64) -> MmResult<Ns> {
         let (slot, store_ns) = self.swap.store(&self.machine)?;
         self.kstats.swap_write_ns += store_ns;
+        let now = self.now();
         let proc = self.proc_mut(pid)?;
         let vma = proc.find_vma_mut(addr).ok_or(MmError::Unmapped(addr))?;
         let frame = vma.with_pte(addr, |pte| {
@@ -464,10 +467,10 @@ impl MemorySystem {
             self.swap.discard(slot);
             return Err(MmError::Unmapped(addr));
         };
-        proc.rss_pages -= 1;
+        proc.unmap_pages(now, 1);
         proc.stats.swapouts += 1;
         self.frames.free(frame);
-        daos_trace::trace!(self.now(), SwapOut { pid, addr });
+        daos_trace::trace!(now, SwapOut { pid, addr });
         Ok(self.machine.pageout_page_ns)
     }
 
@@ -673,6 +676,7 @@ impl MemorySystem {
                 continue;
             }
             let nr_filled = allocated.len() as u64;
+            let now = self.now();
             let proc = self.proc_mut(pid)?;
             for (addr, frame) in allocated {
                 let vma = proc.find_vma_mut(addr).ok_or(MmError::Unmapped(addr))?;
@@ -685,8 +689,7 @@ impl MemorySystem {
                     pte.lru_gen = pte.lru_gen.wrapping_add(1);
                 });
             }
-            proc.rss_pages += nr_filled;
-            proc.stats.peak_rss_bytes = proc.stats.peak_rss_bytes.max(proc.rss_bytes());
+            proc.map_pages(now, nr_filled);
             proc.stats.thp_promotions += 1;
             let vma = proc.find_vma_mut(chunk).ok_or(MmError::Unmapped(chunk))?;
             vma.set_huge(chunk, true);
@@ -775,6 +778,7 @@ impl MemorySystem {
             for (_, f) in &to_free {
                 self.frames.free(*f);
             }
+            let now = self.now();
             let proc = self.proc_mut(pid)?;
             for (addr, _) in &to_free {
                 let vma = proc.find_vma_mut(*addr).ok_or(MmError::Unmapped(*addr))?;
@@ -784,7 +788,7 @@ impl MemorySystem {
                     pte.lru_gen = pte.lru_gen.wrapping_add(1);
                 });
             }
-            proc.rss_pages -= nr_freed;
+            proc.unmap_pages(now, nr_freed);
             proc.stats.thp_demotions += 1;
             let vma = proc.find_vma_mut(chunk).ok_or(MmError::Unmapped(chunk))?;
             vma.set_huge(chunk, false);
@@ -883,6 +887,7 @@ impl MemorySystem {
                 }
             };
             cost += self.swap.load(slot, &self.machine);
+            let now = self.now();
             let proc = self.proc_mut(pid)?;
             let vma = proc.find_vma_mut(addr).ok_or(MmError::Unmapped(addr))?;
             let gen = vma.with_pte(addr, |pte| {
@@ -892,8 +897,7 @@ impl MemorySystem {
                 pte.lru_gen = pte.lru_gen.wrapping_add(1);
                 pte.lru_gen
             });
-            proc.rss_pages += 1;
-            proc.stats.peak_rss_bytes = proc.stats.peak_rss_bytes.max(proc.rss_bytes());
+            proc.map_pages(now, 1);
             proc.stats.swapins += 1;
             self.lru.insert(LruList::Active, pid, addr, gen);
             bytes += PAGE_SIZE;
@@ -1166,13 +1170,48 @@ mod tests {
         assert!(sys.live_pids().is_empty());
     }
 
+    /// `advance` only moves the clock; the integral is settled where RSS
+    /// changes and where statistics are read. The oracle is the loop
+    /// `advance` used to run: every live process, on every call.
     #[test]
     fn advance_integrates_rss() {
-        let (mut sys, pid, range) = small_sys();
-        sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
-        sys.advance(1000);
-        let st = sys.proc_stats(pid).unwrap();
-        assert_eq!(st.avg_rss_bytes(1000), 1 << 20);
+        let mut sys = sys_with_dram(64 << 20, SwapConfig::paper_zram());
+        let (p, q) = (sys.spawn(), sys.spawn());
+        let a = sys.mmap(p, 1 << 20, ThpMode::Never).unwrap();
+        let b = sys.mmap(q, 2 << 20, ThpMode::Never).unwrap();
+        let mut eager = [0u128; 2];
+        let mut advance = |sys: &mut MemorySystem, delta: Ns| {
+            for pid in sys.live_pids() {
+                eager[pid as usize] += sys.rss_bytes(pid) as u128 * delta as u128;
+            }
+            sys.advance(delta);
+            eager
+        };
+        let integral = |sys: &mut MemorySystem, pid| sys.proc_stats(pid).unwrap().rss_time_integral;
+
+        sys.apply_access(p, &AccessBatch::all(a, 1.0)).unwrap();
+        advance(&mut sys, 1000);
+        assert_eq!(sys.proc_stats(p).unwrap().avg_rss_bytes(1000), 1 << 20);
+        sys.apply_access(q, &AccessBatch::all(b, 1.0)).unwrap();
+        advance(&mut sys, 500);
+        // RSS changes mid-run: half of `a` leaves (second-chance, then out).
+        let half = AddrRange::new(a.start, a.start + a.len() / 2);
+        sys.pageout(p, half).unwrap();
+        advance(&mut sys, 40);
+        sys.pageout(p, half).unwrap();
+        assert_eq!(sys.rss_bytes(p), 512 << 10);
+        let want = advance(&mut sys, 700);
+        // A read between two changes settles without disturbing the sum.
+        assert_eq!(integral(&mut sys, p), want[0]);
+        advance(&mut sys, 60);
+        sys.willneed(p, half).unwrap();
+        advance(&mut sys, 300);
+        sys.exit(q).unwrap();
+        let want = advance(&mut sys, 900);
+        assert_eq!([integral(&mut sys, p), integral(&mut sys, q)], want);
+        assert_eq!(integral(&mut sys, q), (2u128 << 20) * (500 + 40 + 700 + 60 + 300));
+        // Reading twice at one instant adds nothing.
+        assert_eq!(integral(&mut sys, p), want[0]);
     }
 
     #[test]

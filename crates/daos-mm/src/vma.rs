@@ -1,42 +1,58 @@
 //! Virtual memory areas and page-table entries.
 //!
-//! Each process owns a sorted set of [`Vma`]s. A VMA stores one [`Pte`]
-//! per 4 KiB page plus per-2 MiB-chunk THP state. The PTE `accessed` bit is
-//! the hardware feature the paper's monitoring primitives read and clear
-//! (§3.1: "accessed bits in page table entries").
+//! Each process owns a sorted set of [`Vma`]s. A VMA stores the state of
+//! each 4 KiB page — read and written as a [`Pte`] — plus per-2 MiB-chunk
+//! THP state. The PTE `accessed` bit is the hardware feature the paper's
+//! monitoring primitives read and clear (§3.1: "accessed bits in page
+//! table entries").
 //!
 //! ## Sparse page table
 //!
-//! PTEs live in a two-level table: 2 MiB chunks of 512 entries, aligned
+//! PTEs live in a two-level table: 2 MiB chunks of 512 pages, aligned
 //! to *absolute* 2 MiB boundaries (so a page-table chunk coincides with
 //! the THP chunk covering the same addresses), materialised only when a
 //! page in the chunk first leaves the `None` state. A fresh VMA costs
 //! O(chunks) pointers instead of O(pages) PTEs, which is what lets
 //! 10⁶–10⁸-page address spaces exist without a dense `Vec<Pte>` per VMA.
 //!
-//! Each chunk carries resident/swapped counters plus a per-8-page-block
-//! resident count, and the VMA keeps running totals. Scans for resident
-//! or swapped pages ([`Vma::collect_resident_in`],
-//! [`Vma::collect_swapped_in`]) skip missing chunks, chunks whose counter
-//! is zero, and zero blocks — so paging out an already-evicted region is
-//! O(blocks touched), not O(pages in range). All state changes must go
-//! through [`Vma::with_pte`], which keeps the counters exact; the two
-//! touch paths ([`Vma::touch_run`], [`Vma::touch_resident`]) only set bits
-//! of resident PTEs, and the monitor's check ([`Vma::clear_accessed`])
-//! only clears one, so they write in place and leave the counters alone.
+//! Each chunk carries resident/swapped counters and the VMA keeps running
+//! totals. Scans for resident or swapped pages
+//! ([`Vma::collect_resident_in`], [`Vma::collect_swapped_in`]) skip
+//! missing chunks and, inside a chunk, every 64-page word with no bit set
+//! — so paging out an already-evicted region is O(words touched), not
+//! O(pages in range). All state changes must go through [`Vma::with_pte`],
+//! which keeps the counters exact; the two touch paths
+//! ([`Vma::touch_run`], [`Vma::touch_resident`]) only set bits of resident
+//! pages, and the monitor's check ([`Vma::clear_accessed`]) only clears
+//! one, so they write in place and leave the counters alone.
 //!
 //! ## PTE layout
 //!
-//! A [`Pte`] is 24 bytes: 16 of state (the swap slot is a `u64`), the
-//! 4-byte LRU generation and two flag bytes, `accessed` and `touched`.
+//! A chunk is structure-of-arrays. The four things a page *is* — resident,
+//! swapped, accessed, touched — are four bitmaps of eight `u64` words, one
+//! bit per page; what a page *has* sits beside them in two per-page
+//! arrays: `backing` (the frame id of a resident page, the swap slot of a
+//! swapped one) and the LRU generation. [`Pte`] is the by-value view of
+//! one page that `get` assembles and `set` scatters back; nothing stores
+//! one. The commonest thing a workload does — re-touching resident pages —
+//! and every scan for them therefore reads and writes words, 64 pages at a
+//! time, and never the per-page arrays.
+//!
+//! A chunk is kept in canonical form, which [`Vma::check_counters`]
+//! asserts: `resident` and `swapped` are disjoint, a page in neither has
+//! `backing == 0`, and the counters equal the popcounts. Derived equality
+//! on [`Vma`] is then a logical comparison (a shard stamped from an image
+//! equals one built separately). `accessed`, `touched` and the generation
+//! are stored as written whatever the state, exactly as the fields of a
+//! stored `Pte` would be.
+//!
 //! `touched` — "the CPU has used this page since it was mapped", what
 //! `demote_huge` reads to tell a promotion's filler subpages from real
-//! data — used to live in the frame table. It is a property of the
-//! mapping, it is written by the same loop that writes `accessed`, and
-//! the PTE had the padding for it, so it lives here: a resident touch
-//! writes one array, not two. Every transition into `Resident` states it
-//! (a fault maps a touched page; promotion filler and `willneed` prefetch
-//! map untouched ones) and it is cleared when the page leaves `Resident`.
+//! data — is a property of the mapping, written by the same word
+//! operation that writes `accessed`. Every transition into `Resident`
+//! states it (a fault maps a touched page; promotion filler and `willneed`
+//! prefetch map untouched ones) and it is cleared when the page leaves
+//! `Resident`.
 //!
 //! ## The chunk-at-a-time walker
 //!
@@ -50,6 +66,25 @@
 //! list, in visit order, without being changed; an unmaterialised chunk
 //! queues its whole span without reading a PTE. No state changes, so no
 //! counter moves and no chunk is materialised.
+//!
+//! Per chunk the walk is word operations. The *visit mask* of a word has
+//! a bit per page the run visits: the run's pages `[lo, hi)` of the chunk,
+//! thinned to every `stride`-th from `lo`. When the stride divides 64 the
+//! thinning is one constant pattern shifted to `lo`'s phase, the same in
+//! every word (all ones at stride 1); otherwise the eight words are built
+//! once per chunk by stepping through the run. Then `hit = resident &
+//! visit` is or-ed into `accessed` and `touched` and counted by popcount,
+//! and `visit & !resident` is the faults. Chunks ascend, words ascend
+//! within a chunk, and a word's set bits are taken lowest first, so the
+//! fault list is in visit order — the order the per-page loop pushed them.
+//! A word operation may assume only what the canonical form gives it: a
+//! bit of `resident` is a page with a frame, whatever its other bits say.
+//!
+//! A flag write still bypasses [`Vma::with_pte`]: setting or clearing
+//! `accessed`/`touched` moves no residency counter, and on an absent chunk
+//! there is no resident page to touch and no set bit to clear, so neither
+//! the load → `f` → store → account round trip nor a materialisation
+//! could change anything the in-place word write does not.
 
 use crate::access::AccessOutcome;
 use crate::addr::{
@@ -61,10 +96,8 @@ use crate::swap::SwapSlot;
 
 /// Pages per page-table chunk (one chunk = one aligned 2 MiB span).
 pub const PT_CHUNK_PAGES: usize = PAGES_PER_HUGE as usize;
-/// Pages per block inside a chunk (the fine-grained scan-skip unit).
-const PT_BLOCK_PAGES: usize = 8;
-/// Blocks per chunk.
-const PT_BLOCKS: usize = PT_CHUNK_PAGES / PT_BLOCK_PAGES;
+/// 64-page words per chunk bitmap.
+const PT_WORDS: usize = PT_CHUNK_PAGES / 64;
 
 /// Backing state of one virtual page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,27 +137,94 @@ impl Pte {
     }
 }
 
-/// One materialised 2 MiB span of the page table.
+/// One materialised 2 MiB span of the page table, structure-of-arrays
+/// (see "PTE layout" in the module docs). Bit `pi % 64` of word `pi / 64`
+/// is page `pi`.
 #[derive(Debug, Clone, PartialEq)]
 struct PteChunk {
-    ptes: [Pte; PT_CHUNK_PAGES],
-    /// Resident PTEs in this chunk.
+    resident: [u64; PT_WORDS],
+    swapped: [u64; PT_WORDS],
+    accessed: [u64; PT_WORDS],
+    touched: [u64; PT_WORDS],
+    /// Frame id of a resident page, swap slot of a swapped one, else 0.
+    backing: [u64; PT_CHUNK_PAGES],
+    lru_gen: [u32; PT_CHUNK_PAGES],
+    /// Resident pages in this chunk.
     nr_resident: u32,
-    /// Swapped PTEs in this chunk.
+    /// Swapped pages in this chunk.
     nr_swapped: u32,
-    /// Resident PTEs per 8-page block, for sub-chunk scan skipping.
-    block_resident: [u8; PT_BLOCKS],
 }
 
 impl PteChunk {
     fn new() -> Box<Self> {
         Box::new(PteChunk {
-            ptes: [Pte::EMPTY; PT_CHUNK_PAGES],
+            resident: [0; PT_WORDS],
+            swapped: [0; PT_WORDS],
+            accessed: [0; PT_WORDS],
+            touched: [0; PT_WORDS],
+            backing: [0; PT_CHUNK_PAGES],
+            lru_gen: [0; PT_CHUNK_PAGES],
             nr_resident: 0,
             nr_swapped: 0,
-            block_resident: [0; PT_BLOCKS],
         })
     }
+
+    /// Page `pi`, assembled.
+    #[inline]
+    fn get(&self, pi: usize) -> Pte {
+        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
+        let state = if self.resident[w] & bit != 0 {
+            PteState::Resident(self.backing[pi] as FrameId)
+        } else if self.swapped[w] & bit != 0 {
+            PteState::Swapped(SwapSlot(self.backing[pi]))
+        } else {
+            PteState::None
+        };
+        Pte {
+            state,
+            accessed: self.accessed[w] & bit != 0,
+            touched: self.touched[w] & bit != 0,
+            lru_gen: self.lru_gen[pi],
+        }
+    }
+
+    /// Scatter `pte` over page `pi`, in canonical form. The caller
+    /// accounts for the state change.
+    #[inline]
+    fn set(&mut self, pi: usize, pte: Pte) {
+        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
+        let put = |word: &mut u64, on: bool| *word = (*word & !bit) | if on { bit } else { 0 };
+        let (resident, swapped, backing) = match pte.state {
+            PteState::None => (false, false, 0),
+            PteState::Resident(frame) => (true, false, frame as u64),
+            PteState::Swapped(slot) => (false, true, slot.0),
+        };
+        put(&mut self.resident[w], resident);
+        put(&mut self.swapped[w], swapped);
+        put(&mut self.accessed[w], pte.accessed);
+        put(&mut self.touched[w], pte.touched);
+        self.backing[pi] = backing;
+        self.lru_gen[pi] = pte.lru_gen;
+    }
+}
+
+/// The set bit positions of `word`, lowest first.
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
+}
+
+/// The bits of word `w` whose pages lie in `[lo, hi)` (page indices in
+/// the chunk; the word must hold at least one of them).
+#[inline]
+fn word_mask(w: usize, lo: usize, hi: usize) -> u64 {
+    let (s, e) = (lo.max(w * 64) - w * 64, hi.min(w * 64 + 64) - w * 64);
+    (u64::MAX >> (64 - (e - s))) << s
 }
 
 /// Per-VMA transparent-huge-page policy, mirroring
@@ -210,7 +310,7 @@ impl Vma {
     #[inline]
     pub fn pte(&self, addr: u64) -> Pte {
         match &self.chunks[self.slot(addr)] {
-            Some(c) => c.ptes[Self::page_in_chunk(addr)],
+            Some(c) => c.get(Self::page_in_chunk(addr)),
             None => Pte::EMPTY,
         }
     }
@@ -223,18 +323,18 @@ impl Vma {
         let slot = self.slot(addr);
         let pi = Self::page_in_chunk(addr);
         if let Some(c) = &mut self.chunks[slot] {
-            let before = c.ptes[pi].state;
-            let r = f(&mut c.ptes[pi]);
-            let after = c.ptes[pi].state;
-            self.account(slot, pi, before, after);
+            let mut pte = c.get(pi);
+            let before = pte.state;
+            let r = f(&mut pte);
+            c.set(pi, pte);
+            self.account(slot, before, pte.state);
             r
         } else {
             let mut pte = Pte::EMPTY;
             let r = f(&mut pte);
             if pte != Pte::EMPTY {
-                let c = self.chunks[slot].insert(PteChunk::new());
-                c.ptes[pi] = pte;
-                self.account(slot, pi, PteState::None, pte.state);
+                self.chunks[slot].insert(PteChunk::new()).set(pi, pte);
+                self.account(slot, PteState::None, pte.state);
             }
             r
         }
@@ -242,13 +342,17 @@ impl Vma {
 
     /// Clear the accessed bit of the page at `addr`; returns whether it was
     /// set. A flag write moves no residency counter and an unmaterialised
-    /// chunk holds no set bit, so this writes the PTE in place — what
+    /// chunk holds no set bit, so this writes the bit in place — what
     /// [`Vma::with_pte`] would conclude after its accounting.
     #[inline]
     pub fn clear_accessed(&mut self, addr: u64) -> bool {
         let slot = self.slot(addr);
         let Some(c) = self.chunks[slot].as_deref_mut() else { return false };
-        std::mem::take(&mut c.ptes[Self::page_in_chunk(addr)].accessed)
+        let pi = Self::page_in_chunk(addr);
+        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
+        let was = c.accessed[w] & bit != 0;
+        c.accessed[w] &= !bit;
+        was
     }
 
     /// Single-page touch (the `Prob`/`Random` patterns, which have no run
@@ -259,13 +363,12 @@ impl Vma {
     pub fn touch_resident(&mut self, addr: u64) -> bool {
         let slot = self.slot(addr);
         let Some(c) = self.chunks[slot].as_deref_mut() else { return false };
-        let pte = &mut c.ptes[Self::page_in_chunk(addr)];
-        let resident = pte.is_resident();
-        if resident {
-            pte.accessed = true;
-            pte.touched = true;
-        }
-        resident
+        let pi = Self::page_in_chunk(addr);
+        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
+        let hit = c.resident[w] & bit;
+        c.accessed[w] |= hit;
+        c.touched[w] |= hit;
+        hit != 0
     }
 
     /// Touch every `stride`-th page of `range ∩ vma`, one 2 MiB chunk at
@@ -282,6 +385,9 @@ impl Vma {
         let Some(isect) = self.range.intersect(range) else { return };
         let stride = stride.max(1) as usize;
         let step = stride as u64 * PAGE_SIZE;
+        // Every `stride`-th bit from bit 0, when every word has that pattern.
+        let periodic = (64 % stride == 0)
+            .then(|| if stride == 64 { 1 } else { u64::MAX / ((1u64 << stride) - 1) });
         let mut addr = isect.page_aligned().start;
         while addr < isect.end {
             let chunk_base = huge_align_down(addr);
@@ -293,15 +399,22 @@ impl Vma {
             let slot = self.slot(addr);
             match self.chunks[slot].as_deref_mut() {
                 Some(c) => {
+                    let words = lo / 64..hi.div_ceil(64);
+                    let mut visit = [0u64; PT_WORDS];
+                    match periodic {
+                        Some(pattern) => words.clone().for_each(|w| {
+                            visit[w] = (pattern << (lo % stride)) & word_mask(w, lo, hi)
+                        }),
+                        None => (lo..hi).step_by(stride).for_each(|pi| visit[pi / 64] |= 1 << (pi % 64)),
+                    }
                     let mut nr = 0u64;
-                    for (i, pte) in c.ptes[lo..hi].iter_mut().enumerate().step_by(stride) {
-                        if pte.is_resident() {
-                            pte.accessed = true;
-                            pte.touched = true;
-                            nr += 1;
-                        } else {
-                            faults.push(chunk_base + ((lo + i) as u64) * PAGE_SIZE);
-                        }
+                    for w in words {
+                        let hit = c.resident[w] & visit[w];
+                        c.accessed[w] |= hit;
+                        c.touched[w] |= hit;
+                        nr += hit.count_ones() as u64;
+                        let page = |b| chunk_base + (w * 64 + b) as u64 * PAGE_SIZE;
+                        faults.extend(bits(visit[w] & !c.resident[w]).map(page));
                     }
                     out.touched_pages += nr;
                     out.touched_huge += if huge { nr } else { 0 };
@@ -314,7 +427,7 @@ impl Vma {
     }
 
     /// Counter fixup for one PTE state transition.
-    fn account(&mut self, slot: usize, pi: usize, before: PteState, after: PteState) {
+    fn account(&mut self, slot: usize, before: PteState, after: PteState) {
         let res = |s: &PteState| matches!(s, PteState::Resident(_)) as i64;
         let swp = |s: &PteState| matches!(s, PteState::Swapped(_)) as i64;
         let dr = res(&after) - res(&before);
@@ -326,8 +439,6 @@ impl Vma {
         let c = self.chunks[slot].as_deref_mut().expect("accounted chunk must exist");
         c.nr_resident = (c.nr_resident as i64 + dr) as u32;
         c.nr_swapped = (c.nr_swapped as i64 + ds) as u32;
-        let b = &mut c.block_resident[pi / PT_BLOCK_PAGES];
-        *b = (*b as i64 + dr) as u8;
         self.total_resident = (self.total_resident as i64 + dr) as u64;
         self.total_swapped = (self.total_swapped as i64 + ds) as u64;
     }
@@ -346,14 +457,11 @@ impl Vma {
             .iter()
             .enumerate()
             .filter_map(|(i, c)| c.as_deref().map(|c| (i, c)))
-            .filter(|(_, c)| c.nr_resident + c.nr_swapped > 0)
             .flat_map(move |(i, c)| {
                 let chunk_base = base + i as u64 * HUGE_PAGE_SIZE;
-                c.ptes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.state != PteState::None)
-                    .map(move |(pi, p)| (chunk_base + pi as u64 * PAGE_SIZE, *p))
+                (0..PT_WORDS)
+                    .flat_map(|w| bits(c.resident[w] | c.swapped[w]).map(move |b| w * 64 + b))
+                    .map(move |pi| (chunk_base + pi as u64 * PAGE_SIZE, c.get(pi)))
             })
     }
 
@@ -378,63 +486,43 @@ impl Vma {
     }
 
     /// Push the addresses of all resident pages in `range ∩ vma` onto
-    /// `out`, in address order. Chunks and 8-page blocks with no
-    /// residents are skipped without reading a PTE.
+    /// `out`, in address order. Missing chunks are skipped, and so is
+    /// every 64-page word with no resident page.
     pub fn collect_resident_in(&self, range: &AddrRange, out: &mut Vec<u64>) {
-        if self.total_resident == 0 {
-            return;
-        }
-        let Some(isect) = self.range.intersect(range) else { return };
-        let aligned = isect.page_aligned();
-        let (s_lo, s_hi) = self.slot_span(aligned.start, aligned.end);
-        let base = self.grid_base();
-        for slot in s_lo..s_hi {
-            let Some(c) = self.chunks[slot].as_deref() else { continue };
-            if c.nr_resident == 0 {
-                continue;
-            }
-            let chunk_base = base + slot as u64 * HUGE_PAGE_SIZE;
-            let p_lo = (aligned.start.max(chunk_base) - chunk_base) as usize >> PAGE_SHIFT;
-            let p_hi =
-                ((aligned.end.min(chunk_base + HUGE_PAGE_SIZE) - chunk_base) as usize) >> PAGE_SHIFT;
-            for b in (p_lo / PT_BLOCK_PAGES)..p_hi.div_ceil(PT_BLOCK_PAGES) {
-                if c.block_resident[b] == 0 {
-                    continue;
-                }
-                let s = (b * PT_BLOCK_PAGES).max(p_lo);
-                let e = ((b + 1) * PT_BLOCK_PAGES).min(p_hi);
-                for pi in s..e {
-                    if c.ptes[pi].is_resident() {
-                        out.push(chunk_base + (pi as u64) * PAGE_SIZE);
-                    }
-                }
-            }
+        if self.total_resident > 0 {
+            self.collect_in(range, out, |c| &c.resident);
         }
     }
 
     /// Push the addresses of all swapped pages in `range ∩ vma` onto
-    /// `out`, in address order, skipping swap-free chunks.
+    /// `out`, in address order, skipping swap-free words the same way.
     pub fn collect_swapped_in(&self, range: &AddrRange, out: &mut Vec<u64>) {
-        if self.total_swapped == 0 {
-            return;
+        if self.total_swapped > 0 {
+            self.collect_in(range, out, |c| &c.swapped);
         }
+    }
+
+    /// The pages of `range ∩ vma` whose bit is set in the bitmap `of`
+    /// picks, pushed on `out` in address order.
+    fn collect_in(
+        &self,
+        range: &AddrRange,
+        out: &mut Vec<u64>,
+        of: impl Fn(&PteChunk) -> &[u64; PT_WORDS],
+    ) {
         let Some(isect) = self.range.intersect(range) else { return };
         let aligned = isect.page_aligned();
         let (s_lo, s_hi) = self.slot_span(aligned.start, aligned.end);
         let base = self.grid_base();
         for slot in s_lo..s_hi {
             let Some(c) = self.chunks[slot].as_deref() else { continue };
-            if c.nr_swapped == 0 {
-                continue;
-            }
             let chunk_base = base + slot as u64 * HUGE_PAGE_SIZE;
             let p_lo = (aligned.start.max(chunk_base) - chunk_base) as usize >> PAGE_SHIFT;
             let p_hi =
                 ((aligned.end.min(chunk_base + HUGE_PAGE_SIZE) - chunk_base) as usize) >> PAGE_SHIFT;
-            for pi in p_lo..p_hi {
-                if matches!(c.ptes[pi].state, PteState::Swapped(_)) {
-                    out.push(chunk_base + (pi as u64) * PAGE_SIZE);
-                }
+            for w in p_lo / 64..p_hi.div_ceil(64) {
+                let page = |b| chunk_base + (w * 64 + b) as u64 * PAGE_SIZE;
+                out.extend(bits(of(c)[w] & word_mask(w, p_lo, p_hi)).map(page));
             }
         }
     }
@@ -510,29 +598,23 @@ impl Vma {
         self.huge.iter().filter(|h| **h).count() as u64 * HUGE_PAGE_SIZE
     }
 
-    /// Debug invariant: the running counters match a full rescan.
-    #[cfg(test)]
-    fn check_counters(&self) {
-        let mut resident = 0u64;
-        let mut swapped = 0u64;
+    /// Debug invariant, for tests: panics unless every chunk is in
+    /// canonical form ("PTE layout" in the module docs) and the running
+    /// counters match a recount from the bitmaps.
+    pub fn check_counters(&self) {
+        let count = |words: &[u64; PT_WORDS]| words.iter().map(|w| w.count_ones()).sum::<u32>();
+        let (mut resident, mut swapped) = (0u64, 0u64);
         for c in self.chunks.iter().flatten() {
-            let r = c.ptes.iter().filter(|p| p.is_resident()).count() as u64;
-            let s = c
-                .ptes
-                .iter()
-                .filter(|p| matches!(p.state, PteState::Swapped(_)))
-                .count() as u64;
-            assert_eq!(c.nr_resident as u64, r);
-            assert_eq!(c.nr_swapped as u64, s);
-            for (b, cnt) in c.block_resident.iter().enumerate() {
-                let in_block = c.ptes[b * PT_BLOCK_PAGES..(b + 1) * PT_BLOCK_PAGES]
-                    .iter()
-                    .filter(|p| p.is_resident())
-                    .count();
-                assert_eq!(*cnt as usize, in_block);
+            assert_eq!(c.nr_resident, count(&c.resident));
+            assert_eq!(c.nr_swapped, count(&c.swapped));
+            for w in 0..PT_WORDS {
+                assert_eq!(c.resident[w] & c.swapped[w], 0, "a page is resident and swapped");
+                for b in bits(!(c.resident[w] | c.swapped[w])) {
+                    assert_eq!(c.backing[w * 64 + b], 0, "an unmapped page keeps a backing");
+                }
             }
-            resident += r;
-            swapped += s;
+            resident += c.nr_resident as u64;
+            swapped += c.nr_swapped as u64;
         }
         assert_eq!(self.total_resident, resident);
         assert_eq!(self.total_swapped, swapped);
@@ -548,8 +630,8 @@ mod tests {
     }
 
     #[test]
-    fn pte_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<Pte>(), 24);
+    fn chunk_is_at_most_6656_bytes() {
+        assert!(std::mem::size_of::<PteChunk>() <= 6_656, "{}", std::mem::size_of::<PteChunk>());
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! cursor (`PteCursor`), kept as the oracles `walker_differential.rs`
 //! compares the two against. Every page is looked up on its own — VMA,
 //! chunk slot, PTE, huge flag — through the public per-page API, so
-//! nothing here shares code with the walker or the cursor.
+//! nothing here shares code with the walker or the cursor. The page table
+//! under all of it has its own oracle, `model`.
+
+pub mod model;
 
 use daos_mm::access::AccessOutcome;
 use daos_mm::addr::{AddrRange, PAGE_SIZE};

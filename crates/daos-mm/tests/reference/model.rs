@@ -1,0 +1,132 @@
+//! The page table `daos-mm` stored before the bitmaps: one `[Pte; 512]`
+//! per materialised 2 MiB span, and the per-page loops that touched,
+//! collected and iterated it. Kept as the model `walker_differential.rs`
+//! drives beside the real [`daos_mm::vma::Vma`]: every operation here
+//! looks at one whole `Pte` at a time and recounts instead of keeping
+//! counters, so it shares neither layout nor arithmetic with the words.
+
+use daos_mm::access::AccessOutcome;
+use daos_mm::addr::{huge_align_down, AddrRange, HUGE_PAGE_SIZE, PAGE_SHIFT, PAGE_SIZE};
+use daos_mm::vma::{Pte, PteState, PT_CHUNK_PAGES};
+
+const EMPTY: Pte = Pte { state: PteState::None, accessed: false, touched: false, lru_gen: 0 };
+
+/// One VMA's page table, array-of-`Pte`.
+pub struct ModelVma {
+    pub range: AddrRange,
+    /// Slot 0 covers `huge_align_down(range.start)`.
+    chunks: Vec<Option<Box<[Pte; PT_CHUNK_PAGES]>>>,
+    /// Addresses of the chunks marked huge.
+    huge: Vec<u64>,
+}
+
+impl ModelVma {
+    pub fn new(range: AddrRange) -> Self {
+        let slots = (range.end - huge_align_down(range.start)).div_ceil(HUGE_PAGE_SIZE);
+        Self { range, chunks: (0..slots).map(|_| None).collect(), huge: Vec::new() }
+    }
+
+    fn index(&self, addr: u64) -> (usize, usize) {
+        assert!(self.range.contains(addr));
+        let slot = (addr - huge_align_down(self.range.start)) / HUGE_PAGE_SIZE;
+        (slot as usize, ((addr % HUGE_PAGE_SIZE) >> PAGE_SHIFT) as usize)
+    }
+
+    pub fn pte(&self, addr: u64) -> Pte {
+        let (slot, pi) = self.index(addr);
+        self.chunks[slot].as_ref().map_or(EMPTY, |c| c[pi])
+    }
+
+    /// A chunk appears only when `f` leaves a non-empty entry behind.
+    pub fn with_pte<R>(&mut self, addr: u64, f: impl FnOnce(&mut Pte) -> R) -> R {
+        let (slot, pi) = self.index(addr);
+        let mut pte = self.pte(addr);
+        let r = f(&mut pte);
+        if self.chunks[slot].is_some() || pte != EMPTY {
+            self.chunks[slot].get_or_insert_with(|| Box::new([EMPTY; PT_CHUNK_PAGES]))[pi] = pte;
+        }
+        r
+    }
+
+    pub fn set_huge(&mut self, chunk_addr: u64, huge: bool) {
+        self.huge.retain(|c| *c != chunk_addr);
+        if huge {
+            self.huge.push(chunk_addr);
+        }
+    }
+
+    pub fn is_huge(&self, addr: u64) -> bool {
+        self.huge.contains(&huge_align_down(addr))
+    }
+
+    /// Which chunk slots exist.
+    pub fn materialised(&self) -> Vec<bool> {
+        self.chunks.iter().map(Option::is_some).collect()
+    }
+
+    pub fn clear_accessed(&mut self, addr: u64) -> bool {
+        let (slot, pi) = self.index(addr);
+        self.chunks[slot].as_mut().is_some_and(|c| std::mem::take(&mut c[pi].accessed))
+    }
+
+    pub fn touch_resident(&mut self, addr: u64) -> bool {
+        let (slot, pi) = self.index(addr);
+        let Some(pte) = self.chunks[slot].as_mut().map(|c| &mut c[pi]) else { return false };
+        if pte.is_resident() {
+            pte.accessed = true;
+            pte.touched = true;
+        }
+        pte.is_resident()
+    }
+
+    pub fn touch_run(
+        &mut self,
+        range: &AddrRange,
+        stride: u32,
+        faults: &mut Vec<u64>,
+        out: &mut AccessOutcome,
+    ) {
+        let Some(isect) = self.range.intersect(range) else { return };
+        let mut addr = isect.page_aligned().start;
+        while addr < isect.end {
+            if self.touch_resident(addr) {
+                out.touched_pages += 1;
+                out.touched_huge += self.is_huge(addr) as u64;
+            } else {
+                faults.push(addr);
+            }
+            addr += stride.max(1) as u64 * PAGE_SIZE;
+        }
+    }
+
+    /// Every page of `range ∩ vma` with its entry, ascending.
+    fn pages_in(&self, range: &AddrRange) -> impl Iterator<Item = (u64, Pte)> + '_ {
+        let isect = self.range.intersect(range).unwrap_or(AddrRange::empty());
+        isect.page_aligned().pages().map(|a| (a, self.pte(a)))
+    }
+
+    pub fn collect_resident_in(&self, range: &AddrRange, out: &mut Vec<u64>) {
+        out.extend(self.pages_in(range).filter(|(_, p)| p.is_resident()).map(|(a, _)| a));
+    }
+
+    pub fn collect_swapped_in(&self, range: &AddrRange, out: &mut Vec<u64>) {
+        let swapped = |p: &Pte| matches!(p.state, PteState::Swapped(_));
+        out.extend(self.pages_in(range).filter(|(_, p)| swapped(p)).map(|(a, _)| a));
+    }
+
+    pub fn iter_mapped(&self) -> Vec<(u64, Pte)> {
+        self.pages_in(&self.range).filter(|(_, p)| p.state != PteState::None).collect()
+    }
+
+    pub fn chunk_nr_resident(&self, chunk_addr: u64) -> u64 {
+        let mut v = Vec::new();
+        self.collect_resident_in(&AddrRange::new(chunk_addr, chunk_addr + HUGE_PAGE_SIZE), &mut v);
+        v.len() as u64
+    }
+
+    pub fn chunk_nr_swapped(&self, chunk_addr: u64) -> u64 {
+        let mut v = Vec::new();
+        self.collect_swapped_in(&AddrRange::new(chunk_addr, chunk_addr + HUGE_PAGE_SIZE), &mut v);
+        v.len() as u64
+    }
+}

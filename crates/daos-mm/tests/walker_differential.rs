@@ -9,7 +9,18 @@
 //! mid-page, outside every VMA, or straddle several, at strides from 1 to
 //! 700 pages (past 512 a stride skips whole chunks). They must agree on
 //! the outcome counters, the fault list element for element, every PTE
-//! bit, and leave the residency counters exact.
+//! bit, and leave the residency counters exact. The walker works a
+//! 64-page word at a time, so the generators aim at the word arithmetic:
+//! strides that divide 64, strides that do not, strides of a chunk and
+//! more (`STRIDES`), and runs that start and end on the first, second and
+//! last bit of a word, sit inside one word, or end on a chunk's last bit
+//! (`edge_range`).
+//!
+//! The page table itself — bitmaps and per-page arrays behind `Pte`-valued
+//! accessors — is pinned against the array-of-`Pte` layout it replaced
+//! (`reference/model.rs`): random sequences of every `Vma` operation that
+//! reads or writes a page go through both, and must return the same
+//! values and leave the same pages and the same materialised chunks.
 //!
 //! The forward page-table cursor (`PteCursor`) is pinned the same way,
 //! over the same address spaces, against the per-address lookups it
@@ -19,16 +30,21 @@
 //! chunks exist.
 
 use daos_mm::access::{AccessBatch, AccessOutcome};
-use daos_mm::addr::{AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
+use daos_mm::addr::{huge_align_down, AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
 use daos_mm::machine::MachineProfile;
 use daos_mm::process::PteCursor;
 use daos_mm::swap::{SwapConfig, SwapSlot};
 use daos_mm::system::MemorySystem;
-use daos_mm::vma::{PteState, ThpMode, Vma};
+use daos_mm::vma::{Pte, PteState, ThpMode, Vma};
 use daos_util::rng::SmallRng;
 use daos_util::{prop_assert_eq, proptest};
 
 mod reference;
+use reference::model::ModelVma;
+
+/// Strides by what they do to a word's visit mask: dividing 64 (one
+/// shifted constant), not dividing it (built per chunk), a chunk or more.
+const STRIDES: [u32; 17] = [1, 2, 4, 8, 16, 32, 64, 3, 5, 7, 63, 65, 127, 511, 512, 513, 700];
 
 /// One to three VMAs in ascending order, populated at random.
 fn random_address_space(rng: &mut SmallRng) -> Vec<Vma> {
@@ -50,9 +66,12 @@ fn random_address_space(rng: &mut SmallRng) -> Vec<Vma> {
     vmas
 }
 
-/// Fill `vma` one 2 MiB chunk at a time with a random mix of states.
-fn populate(vma: &mut Vma, rng: &mut SmallRng, frame: &mut u32) {
-    let range = vma.range;
+/// A random fill of `range`, one 2 MiB chunk at a time: the entries to
+/// write, in order, and the chunks to mark huge — a plan, so that the
+/// model suite can carry it out on both page tables.
+fn population(range: AddrRange, rng: &mut SmallRng, frame: &mut u32) -> (Vec<(u64, Pte)>, Vec<u64>) {
+    const EMPTY: Pte = Pte { state: PteState::None, accessed: false, touched: false, lru_gen: 0 };
+    let (mut entries, mut huge) = (Vec::new(), Vec::new());
     let mut chunk = range.start & !(HUGE_PAGE_SIZE - 1);
     while chunk < range.end {
         let span = AddrRange::new(chunk.max(range.start), (chunk + HUGE_PAGE_SIZE).min(range.end));
@@ -61,30 +80,38 @@ fn populate(vma: &mut Vma, rng: &mut SmallRng, frame: &mut u32) {
         let kind = rng.random_range(0..5u32);
         let resident_pct = [0, 0, 15, 85, 100][kind as usize];
         if kind == 1 {
-            vma.with_pte(span.start, |p| p.state = PteState::Resident(u32::MAX));
-            vma.with_pte(span.start, |p| p.state = PteState::None);
+            entries.push((span.start, Pte { state: PteState::Resident(u32::MAX), ..EMPTY }));
+            entries.push((span.start, EMPTY));
         }
         for addr in span.pages() {
             let roll = rng.random_range(0..100u32);
             if roll < resident_pct {
                 *frame += 1;
                 let (accessed, touched) = (rng.random::<f32>() < 0.5, rng.random::<f32>() < 0.5);
-                let id = *frame;
-                vma.with_pte(addr, |p| {
-                    p.state = PteState::Resident(id);
-                    p.accessed = accessed;
-                    p.touched = touched;
-                });
+                let state = PteState::Resident(*frame);
+                entries.push((addr, Pte { state, accessed, touched, lru_gen: 0 }));
             } else if kind >= 2 && roll < resident_pct + 10 {
-                vma.with_pte(addr, |p| p.state = PteState::Swapped(SwapSlot(addr)));
+                entries.push((addr, Pte { state: PteState::Swapped(SwapSlot(addr)), ..EMPTY }));
             }
         }
         // Aligned chunks are huge half the time, whatever they hold (a
         // page of a huge chunk can have been paged out since).
         if span.len() == HUGE_PAGE_SIZE && rng.random::<f32>() < 0.5 {
-            vma.set_huge(chunk, true);
+            huge.push(chunk);
         }
         chunk += HUGE_PAGE_SIZE;
+    }
+    (entries, huge)
+}
+
+/// Carry a `population` out on `vma`.
+fn populate(vma: &mut Vma, rng: &mut SmallRng, frame: &mut u32) {
+    let (entries, huge) = population(vma.range, rng, frame);
+    for (addr, pte) in entries {
+        vma.with_pte(addr, |p| *p = pte);
+    }
+    for chunk in huge {
+        vma.set_huge(chunk, true);
     }
 }
 
@@ -98,10 +125,38 @@ fn random_range(rng: &mut SmallRng, vmas: &[Vma]) -> AddrRange {
     AddrRange::new(a.min(b), a.max(b) + 1)
 }
 
-/// The residency counters, checked against a rescan through the public
-/// API: the totals, and the per-chunk and per-block counters the
-/// collecting scans skip by.
+/// A run over `vma` aimed at the word arithmetic, in pages `[lo, hi)`:
+/// both ends on bit 0, 1 or 63 of a word; a run inside one word; a run
+/// from a multiple of `stride` before a chunk's last page to the chunk's
+/// end, so that the last page visited is bit 63 of its last word.
+fn edge_range(rng: &mut SmallRng, vma: &Vma, stride: u32) -> AddrRange {
+    let (first, end) = (vma.range.start / PAGE_SIZE, vma.range.end / PAGE_SIZE);
+    let snap = |rng: &mut SmallRng| {
+        (rng.random_range(first..end) & !63) + [0, 1, 63][rng.random_range(0..3usize)]
+    };
+    let (lo, hi) = match rng.random_range(0..3u32) {
+        0 => {
+            let (a, b) = (snap(rng), snap(rng));
+            (a.min(b), a.max(b))
+        }
+        1 => {
+            let (word, a) = (snap(rng) & !63, rng.random_range(0..64u64));
+            (word + a, word + rng.random_range(a..64) + 1)
+        }
+        _ => {
+            let chunk_end = (snap(rng) | 511) + 1;
+            (chunk_end.saturating_sub(1 + rng.random_range(0..8u64) * stride as u64), chunk_end)
+        }
+    };
+    AddrRange::new(lo * PAGE_SIZE, hi.max(lo + 1) * PAGE_SIZE)
+}
+
+/// The layout invariants (`Vma::check_counters`: canonical form, counters
+/// equal to popcounts), and the residency counters against a rescan
+/// through the public API: the totals, the per-chunk counters, and the
+/// collecting scans.
 fn check_counters(vma: &Vma) {
+    vma.check_counters();
     let everything = AddrRange::new(0, u64::MAX);
     let resident: Vec<u64> =
         vma.iter_mapped().filter(|(_, p)| p.is_resident()).map(|(a, _)| a).collect();
@@ -118,6 +173,8 @@ fn check_counters(vma: &Vma) {
         let span = AddrRange::new(chunk, chunk + HUGE_PAGE_SIZE);
         let in_chunk = resident.iter().filter(|a| span.contains(**a)).count() as u64;
         assert_eq!(vma.chunk_nr_resident(chunk), in_chunk);
+        let in_chunk = swapped.iter().filter(|a| span.contains(**a)).count() as u64;
+        assert_eq!(vma.chunk_nr_swapped(chunk), in_chunk);
     }
 }
 
@@ -147,6 +204,57 @@ fn compare(vmas: &[Vma], range: &AddrRange, stride: u32, all: bool, what: &str) 
     }
 }
 
+/// One `with_pte` closure: every state transition, flag and generation
+/// writes whatever the state, and the closure that changes nothing.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    Map(u32, bool, bool),
+    Swap(u64),
+    /// `state = None`, flags and generation left as they are.
+    Unmap,
+    /// Back to the entry a never-touched page reads as.
+    Clear,
+    Flags(bool, bool),
+    Bump,
+    Nop,
+}
+
+impl Edit {
+    fn random(rng: &mut SmallRng) -> Self {
+        let mut flag = || rng.random::<f32>() < 0.5;
+        let (a, t) = (flag(), flag());
+        match rng.random_range(0..10u32) {
+            0..3 => Edit::Map(rng.random_range(0..=u32::MAX), a, t),
+            3..5 => Edit::Swap(rng.random_range(0..=u64::MAX)),
+            5 => Edit::Unmap,
+            6 => Edit::Clear,
+            7 => Edit::Flags(a, t),
+            8 => Edit::Bump,
+            _ => Edit::Nop,
+        }
+    }
+
+    /// Apply to `p`; returns what the closure saw.
+    fn apply(self, p: &mut Pte) -> Pte {
+        let saw = *p;
+        match self {
+            Edit::Map(frame, accessed, touched) => {
+                let lru_gen = p.lru_gen.wrapping_add(1);
+                *p = Pte { state: PteState::Resident(frame), accessed, touched, lru_gen }
+            }
+            Edit::Swap(slot) => p.state = PteState::Swapped(SwapSlot(slot)),
+            Edit::Unmap => p.state = PteState::None,
+            Edit::Clear => {
+                *p = Pte { state: PteState::None, accessed: false, touched: false, lru_gen: 0 }
+            }
+            Edit::Flags(accessed, touched) => (p.accessed, p.touched) = (accessed, touched),
+            Edit::Bump => p.lru_gen = p.lru_gen.wrapping_add(1),
+            Edit::Nop => {}
+        }
+        saw
+    }
+}
+
 proptest! {
     cases = 400;
 
@@ -155,10 +263,15 @@ proptest! {
         let vmas = random_address_space(&mut rng);
         for round in 0..4 {
             let range = random_range(&mut rng, &vmas);
-            // Small strides get the most traffic; cover them every case.
-            for stride in [stride, 1 + (stride + round) % 8] {
+            // Small strides get the most traffic; cover them every case,
+            // and one of each class of visit mask.
+            let class = STRIDES[(seed as usize + round as usize) % STRIDES.len()];
+            for stride in [stride, 1 + (stride + round) % 8, class] {
                 let what = format!("seed {seed} round {round} stride {stride} {range}");
                 compare(&vmas, &range, stride, false, &what);
+                let vma = &vmas[rng.random_range(0..vmas.len())];
+                let edge = edge_range(&mut rng, vma, stride);
+                compare(&vmas, &edge, stride, false, &format!("{what}: edge {edge}"));
             }
         }
         let whole = AddrRange::new(0, u64::MAX);
@@ -202,6 +315,113 @@ proptest! {
         }
     }
 
+    fn bitmaps_match_the_array_of_pte_model(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let start = 64 * HUGE_PAGE_SIZE + rng.random_range(0..600u64) * PAGE_SIZE;
+        let range = AddrRange::new(start, start + rng.random_range(1..1500u64) * PAGE_SIZE);
+        let (mut real, mut model) = (Vma::new(range, ThpMode::Always), ModelVma::new(range));
+        // Start from a populated table two times in three, else from
+        // nothing: every chunk absent.
+        if rng.random_range(0..3u32) > 0 {
+            let (entries, huge) = population(range, &mut rng, &mut 0);
+            for (addr, pte) in entries {
+                real.with_pte(addr, |p| *p = pte);
+                model.with_pte(addr, |p| *p = pte);
+            }
+            for chunk in huge {
+                real.set_huge(chunk, true);
+                model.set_huge(chunk, true);
+            }
+        }
+        let everything = AddrRange::new(0, u64::MAX);
+        for step in 0..150 {
+            let what = format!("seed {seed} step {step}");
+            // Byte-granular: every accessor takes any address in the page.
+            let addr = rng.random_range(range.start..range.end);
+            let span = random_range(&mut rng, std::slice::from_ref(&real));
+            match rng.random_range(0..100u32) {
+                0..45 => {
+                    let edit = Edit::random(&mut rng);
+                    let saw = real.with_pte(addr, |p| edit.apply(p));
+                    let want = model.with_pte(addr, |p| edit.apply(p));
+                    prop_assert_eq!(saw, want, "{}: with_pte {:?} at {:#x} saw", what, edit, addr);
+                }
+                45..52 => {
+                    // A dense patch, so that runs have something to hit.
+                    let patch = AddrRange::new(addr, (addr + 90 * PAGE_SIZE).min(range.end));
+                    for a in patch.page_aligned().pages() {
+                        let edit = Edit::Map(rng.random_range(0..=u32::MAX), false, false);
+                        real.with_pte(a, |p| edit.apply(p));
+                        model.with_pte(a, |p| edit.apply(p));
+                    }
+                }
+                52..70 => {
+                    let stride = STRIDES[rng.random_range(0..STRIDES.len())];
+                    let edge = rng.random::<f32>() < 0.5;
+                    let run = if edge { edge_range(&mut rng, &real, stride) } else { span };
+                    let what = format!("{what}: touch_run {run} stride {stride}");
+                    let (mut out_r, mut out_m) = (AccessOutcome::default(), AccessOutcome::default());
+                    let (mut faults_r, mut faults_m) = (Vec::new(), Vec::new());
+                    real.touch_run(&run, stride, &mut faults_r, &mut out_r);
+                    model.touch_run(&run, stride, &mut faults_m, &mut out_m);
+                    prop_assert_eq!(out_r, out_m, "{}: outcome", what);
+                    prop_assert_eq!(faults_r, faults_m, "{}: fault list", what);
+                }
+                70..78 => {
+                    let (hit, want) = (real.touch_resident(addr), model.touch_resident(addr));
+                    prop_assert_eq!(hit, want, "{}: touch_resident {:#x}", what, addr);
+                }
+                78..86 => {
+                    let (was, want) = (real.clear_accessed(addr), model.clear_accessed(addr));
+                    prop_assert_eq!(was, want, "{}: clear_accessed {:#x}", what, addr);
+                }
+                86..92 => {
+                    let (mut r, mut m) = (Vec::new(), Vec::new());
+                    real.collect_resident_in(&span, &mut r);
+                    model.collect_resident_in(&span, &mut m);
+                    prop_assert_eq!(&r, &m, "{}: collect_resident_in {}", what, span);
+                    real.collect_swapped_in(&span, &mut r);
+                    model.collect_swapped_in(&span, &mut m);
+                    prop_assert_eq!(r, m, "{}: collect_swapped_in {}", what, span);
+                }
+                92..96 => {
+                    let mapped: Vec<(u64, Pte)> = real.iter_mapped().collect();
+                    prop_assert_eq!(mapped, model.iter_mapped(), "{}: iter_mapped", what);
+                }
+                _ => {
+                    for chunk in real.chunks_in(&everything).collect::<Vec<_>>() {
+                        let counts = (real.chunk_nr_resident(chunk), real.chunk_nr_swapped(chunk));
+                        let want = (model.chunk_nr_resident(chunk), model.chunk_nr_swapped(chunk));
+                        prop_assert_eq!(counts, want, "{}: chunk {:#x} counters", what, chunk);
+                        if rng.random::<f32>() < 0.3 {
+                            let huge = !real.is_huge(chunk);
+                            real.set_huge(chunk, huge);
+                            model.set_huge(chunk, huge);
+                        }
+                    }
+                }
+            }
+        }
+        // The same pages, and — `Vma ==` compares the chunk table, and an
+        // unmapped page keeps no backing — the same materialised chunks: a
+        // fresh VMA given the model's chunks and entries is the real one.
+        let mut rebuilt = Vma::new(range, ThpMode::Always);
+        for (slot, _) in model.materialised().iter().enumerate().filter(|(_, m)| **m) {
+            let any = (huge_align_down(range.start) + slot as u64 * HUGE_PAGE_SIZE).max(range.start);
+            rebuilt.with_pte(any, |p| p.accessed = true);
+            rebuilt.with_pte(any, |p| p.accessed = false);
+        }
+        for addr in range.pages() {
+            prop_assert_eq!(real.pte(addr), model.pte(addr), "seed {}: page {:#x}", seed, addr);
+            rebuilt.with_pte(addr, |p| *p = model.pte(addr));
+        }
+        for chunk in real.chunks_in(&everything).collect::<Vec<_>>() {
+            rebuilt.set_huge(chunk, model.is_huge(chunk));
+        }
+        assert!(real == rebuilt, "seed {seed}: the materialised chunks differ from the model's");
+        check_counters(&real);
+    }
+
     /// `TouchPattern::Stride`'s doc promises `Stride(1) == All`: the one
     /// walker at stride 1 is the old `All` loop.
     fn stride_one_is_all(seed in 0u64..1_000_000) {
@@ -210,6 +430,8 @@ proptest! {
         for round in 0..4 {
             let range = random_range(&mut rng, &vmas);
             compare(&vmas, &range, 1, true, &format!("seed {seed} round {round} {range}"));
+            let edge = edge_range(&mut rng, &vmas[round % vmas.len()], 1);
+            compare(&vmas, &edge, 1, true, &format!("seed {seed} round {round} edge {edge}"));
         }
     }
 

@@ -898,8 +898,9 @@ impl FleetEngine {
     }
 
     /// Aggregate the current fleet state — linear in fleet size, so
-    /// [`run`](Self::run) builds it only for a due observer.
-    pub fn progress(&self) -> FleetProgress {
+    /// [`run`](Self::run) builds it only for a due observer. `&mut`
+    /// because reading a process's statistics settles its RSS integral.
+    pub fn progress(&mut self) -> FleetProgress {
         let mut now_ns = 0;
         let mut monitor_work_ns = 0;
         let mut dropped_events = 0;
@@ -925,14 +926,14 @@ impl FleetEngine {
 
     /// The lone process's monitoring state, when the fleet is one
     /// process.
-    fn single_detail(&self) -> Option<ProcessDetail> {
-        let [sh] = self.shards.as_slice() else { return None };
+    fn single_detail(&mut self) -> Option<ProcessDetail> {
+        let [sh] = self.shards.as_mut_slice() else { return None };
         let [g] = sh.groups.as_slice() else { return None };
         let [p] = g.procs.as_slice() else { return None };
-        let stats = sh.sys.proc_stats(p.pid)?;
+        let now = sh.sys.now();
         let plane = g.plane.as_ref();
         Some(ProcessDetail {
-            avg_rss: stats.avg_rss_bytes(sh.sys.now()),
+            avg_rss: sh.sys.proc_stats(p.pid)?.avg_rss_bytes(now),
             last_window: plane.and_then(Plane::last_window).cloned(),
             scheme_stats: plane.map(Plane::scheme_stats).unwrap_or_default(),
             overhead: plane.map(|pl| pl.monitor.overhead()),
@@ -940,16 +941,16 @@ impl FleetEngine {
     }
 
     /// Per-tenant aggregates of the current fleet state.
-    fn tenants(&self) -> Vec<TenantStats> {
+    fn tenants(&mut self) -> Vec<TenantStats> {
         let mut tenants: Vec<TenantStats> = (0..self.spec.nr_tenants)
             .map(|i| TenantStats { name: format!("t{i}"), ..TenantStats::default() })
             .collect();
-        for sh in &self.shards {
-            for p in sh.procs() {
+        for Shard { sys, groups, .. } in &mut self.shards {
+            for p in groups.iter().flat_map(|g| &g.procs) {
                 let t = &mut tenants[self.spec.tenant_of(p.global_idx)];
                 t.nr_processes += 1;
-                t.total_rss += sh.sys.rss_bytes(p.pid);
-                if let Some(st) = sh.sys.proc_stats(p.pid) {
+                t.total_rss += sys.rss_bytes(p.pid);
+                if let Some(st) = sys.proc_stats(p.pid) {
                     t.peak_rss += st.peak_rss_bytes;
                     t.interference_ns += st.monitor_interference_ns;
                     t.major_faults += st.major_faults;
@@ -965,7 +966,7 @@ impl FleetEngine {
     /// kernel-side statistics (they are per machine); a plane's record,
     /// overhead and scheme statistics go to its group's owner, which in
     /// a fleet of one is *the* process.
-    pub fn finish(self) -> MmResult<(Vec<RunResult>, FleetSummary)> {
+    pub fn finish(mut self) -> MmResult<(Vec<RunResult>, FleetSummary)> {
         let tenants = self.tenants();
         let mut runs = Vec::with_capacity(self.spec.nr_processes);
         let mut runtime_ns = 0;
@@ -985,7 +986,7 @@ impl FleetEngine {
             let (work, checks) = sh.monitor_totals();
             monitor_work_ns += work;
             monitor_total_checks += checks;
-            let Shard { sys, groups, .. } = sh;
+            let Shard { mut sys, groups, .. } = sh;
             for Group { procs, plane: mut unclaimed } in groups {
                 for p in procs {
                     let stats = *sys.proc_stats(p.pid).ok_or(MmError::NoSuchProcess(p.pid))?;

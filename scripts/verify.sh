@@ -327,7 +327,25 @@ cargo test -q --offline --workspace
 echo "== perf ledger (BENCHMARK.json's command) builds and passes its tests =="
 # The ledger is a package of its own outside the workspace, so nothing
 # above compiles it: an API change that breaks its adapter shows here.
-cargo test -q --release --offline --manifest-path crates/daos-bench/src/bin/ledger/Cargo.toml
+ledger=crates/daos-bench/src/bin/ledger
+cargo test -q --release --offline --manifest-path $ledger/Cargo.toml
+
+echo "== speed-only guard: the benchmark's workloads reproduce the recorded sim_digest =="
+# A layout or fast-path change may move host time only. Each BENCHMARK.json
+# workload, run once at seed 42, must hash to the sim_digest recorded in
+# the ledger's baseline (read here, never written).
+digest() { grep -o '"sim_digest":"[0-9a-f]*"' | head -1; }
+for w in $(sed -n 's/.*{"name": "\([a-z0-9_]*\)", "why".*/\1/p' BENCHMARK.json); do
+    want=$(grep -o "\"$w\":{.*" $ledger/baseline/ledger_A1.json | digest)
+    got=$(cargo run -q --release --offline --manifest-path $ledger/Cargo.toml -- \
+        --quick --workload "$w" --seed 42 2>/dev/null | tail -1 | digest)
+    [ -n "$want" ] && [ "$got" = "$want" ] || {
+        echo "FAIL: $w: $got, baseline/ledger_A1.json records $want"
+        exit 1
+    }
+    echo "  $w $got"
+done
+echo "ok"
 
 echo "== telemetry: JSONL replay re-derives the Fig. 7 bound =="
 cargo test -q --offline --test trace_replay

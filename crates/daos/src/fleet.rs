@@ -15,7 +15,7 @@
 //! length starts as the same memory image, whatever its seeds. The
 //! engine therefore builds one `ShardImage` per distinct length — at most
 //! two, the full shards' and the remainder shard's — and *stamps* every
-//! shard from it: copy the image (the last shard of a length takes the
+//! shard from it: copy the image (the last holder of an image takes the
 //! image itself, so a fleet of one shard never copies), seed the machine
 //! stream with `seed ^ (shard << 21)` and process `p`'s workload stream
 //! with `seed ^ (p << 17)`, label the processes with their global
@@ -41,13 +41,31 @@
 //! each member's khugepaged scan — which is the Fig. 1 workflow under a
 //! deterministic virtual clock.
 //!
-//! The engine owns its shards. Single-shard (or single-worker) fleets
-//! stamp and tick them inline on the caller thread, so a thread-local
-//! trace collector observes them directly (it sees a length's set-up
-//! once, when the image is built). Otherwise each tick moves every
-//! shard into a task of the workspace worker pool
+//! **Running is per shard, to the next barrier.** Shards share nothing,
+//! so the only thing that ever needs all of them at one tick is somebody
+//! looking: a *barrier* is the end of the next tick a [`FleetObserver`]
+//! is [`due`](FleetObserver::due) for (a hand-driven [`FleetEngine::tick`]
+//! is a barrier after one tick), or the end of the run. The engine keeps
+//! one slot per shard and advances the fleet slot by slot: a slot is
+//! stamped when it first advances, ticked straight to the barrier, and —
+//! once no due tick remains — *retired* on arrival: its per-process
+//! results and its share of the fleet totals stay, the machine goes back
+//! to the allocator while it is warm for the next stamp. A fleet nobody
+//! is watching is one span, so it never holds more than one live shard
+//! per worker; an always-due observer gets spans of one tick, every
+//! shard live throughout. Each shard executes the same ticks in the same
+//! order on its own clock and streams whichever way the spans are cut,
+//! so results cannot depend on the schedule
+//! (`tests::shard_major_equals_tick_major`).
+//!
+//! Single-shard (or single-worker) fleets advance inline on the caller
+//! thread, so a thread-local trace collector observes them directly: it
+//! sees a length's set-up once, when the image is built, and on a
+//! multi-shard fleet it sees a span's events shard after shard — their
+//! timestamps were always per-shard virtual clocks. Otherwise each span
+//! moves every slot into a task of the workspace worker pool
 //! ([`daos_util::pool::WorkerPool`], a work-stealing scheduler) and
-//! takes it back with the task's result behind a per-tick barrier, so
+//! takes it back with the task's result behind the batch barrier, so
 //! results never depend on worker count — only `steals` in the summary
 //! varies.
 //!
@@ -218,14 +236,19 @@ pub struct FleetProgress {
     pub single: Option<ProcessDetail>,
 }
 
-/// Hook into a live run, on the driver thread. After every tick
-/// [`FleetEngine::run`] asks [`due`](Self::due) and only then builds the
-/// O(processes) [`FleetProgress`] for [`on_tick`](Self::on_tick).
+/// Hook into a live run, on the driver thread. [`FleetEngine::run`]
+/// asks [`due`](Self::due) *ahead of time* — it runs every shard
+/// straight to the next due tick — and only then builds the
+/// O(processes) [`FleetProgress`] for [`on_tick`](Self::on_tick), which
+/// is called exactly once per due tick, in order, with `progress.tick`
+/// equal to it.
 pub trait FleetObserver {
     /// One tick (one epoch across every process) finished.
     fn on_tick(&mut self, progress: &FleetProgress);
 
-    /// Whether this observer wants `tick` (0-based) of `nr_ticks`.
+    /// Whether this observer wants `tick` (0-based) of `nr_ticks`. Must
+    /// be a pure function of its arguments: it is asked about ticks that
+    /// have not run yet, and may be asked about one more than once.
     fn due(&self, _tick: u64, _nr_ticks: u64) -> bool {
         true
     }
@@ -545,7 +568,8 @@ struct Group {
 
 /// One shard: a self-contained simulated machine hosting a slice of the
 /// fleet. All per-tick mutation is confined here, so shards tick in
-/// parallel with no shared state at all.
+/// parallel — or one after the other, each through many ticks — with no
+/// shared state at all.
 struct Shard {
     sys: MemorySystem,
     groups: Vec<Group>,
@@ -618,21 +642,71 @@ impl ShardImage {
     }
 }
 
+/// What stamping and retiring a shard need besides its image, shared
+/// with the pool tasks that do both.
+struct Recipe {
+    config: RunConfig,
+    fleet: FleetSpec,
+    seed: u64,
+    machine_name: String,
+}
+
+/// One shard's share of everything the engine reports about the fleet
+/// as a whole; shards add up (`now_ns` is the furthest clock).
+#[derive(Default)]
+struct Totals {
+    now_ns: Ns,
+    monitor_work_ns: Ns,
+    monitor_total_checks: u64,
+    dropped_events: u64,
+    swap_dram_bytes: u64,
+    tenants: Vec<TenantStats>,
+}
+
+impl Totals {
+    fn new(nr_tenants: usize) -> Totals {
+        let tenants = (0..nr_tenants)
+            .map(|i| TenantStats { name: format!("t{i}"), ..TenantStats::default() })
+            .collect();
+        Totals { tenants, ..Totals::default() }
+    }
+
+    fn add(&mut self, other: &Totals) {
+        self.now_ns = self.now_ns.max(other.now_ns);
+        self.monitor_work_ns += other.monitor_work_ns;
+        self.monitor_total_checks += other.monitor_total_checks;
+        self.dropped_events += other.dropped_events;
+        self.swap_dram_bytes += other.swap_dram_bytes;
+        for (t, o) in self.tenants.iter_mut().zip(&other.tenants) {
+            t.nr_processes += o.nr_processes;
+            t.total_rss += o.total_rss;
+            t.peak_rss += o.peak_rss;
+            t.interference_ns += o.interference_ns;
+            t.major_faults += o.major_faults;
+            t.swapouts += o.swapouts;
+        }
+    }
+}
+
+/// What a shard leaves behind when it retires: its processes' results
+/// and its share of the fleet totals as of its last tick.
+struct Retired {
+    runs: Vec<RunResult>,
+    /// Ring drops per process, in the order of `runs`.
+    dropped_events: Vec<u64>,
+    totals: Totals,
+}
+
 impl Shard {
-    /// Turn an image into shard `shard_idx`, whose first process is
-    /// global process `first_proc`: seed the machine stream with the
-    /// shard's seed and each workload's with its process's, label the
-    /// processes, and build the planes and the collector against the
-    /// stamped machine (they carry their own seeds and only read the
-    /// owner's VMAs or the physical space, at virtual time 0).
-    fn stamp(
-        image: ShardImage,
-        config: &RunConfig,
-        fleet: &FleetSpec,
-        seed: u64,
-        shard_idx: usize,
-        first_proc: usize,
-    ) -> Shard {
+    /// Turn an image into shard `shard_idx` of `recipe`'s fleet: seed the
+    /// machine stream with the shard's seed and each workload's with its
+    /// process's, label the processes with their global indices, and
+    /// build the planes and the collector against the stamped machine
+    /// (they carry their own seeds and only read the owner's VMAs or the
+    /// physical space, at virtual time 0).
+    fn stamp(image: ShardImage, recipe: &Recipe, shard_idx: usize) -> Shard {
+        let Recipe { config, fleet, seed, .. } = recipe;
+        let first_proc = shard_idx * fleet.procs_per_shard;
         let shard_seed = seed ^ ((shard_idx as u64) << 21);
         let wl_seed = |p: usize| seed ^ ((p as u64) << 17);
         let ShardImage { mut sys, wls } = image;
@@ -728,43 +802,128 @@ impl Shard {
         Ok(())
     }
 
-    fn procs(&self) -> impl Iterator<Item = &Proc> {
-        self.groups.iter().flat_map(|g| &g.procs)
+    /// Add this shard's current share of the fleet totals to `acc`.
+    fn add_totals(&mut self, fleet: &FleetSpec, acc: &mut Totals) {
+        let Shard { sys, groups, .. } = self;
+        acc.now_ns = acc.now_ns.max(sys.now());
+        acc.swap_dram_bytes += sys.swap().dram_bytes();
+        for plane in groups.iter().filter_map(|g| g.plane.as_ref()) {
+            let overhead = plane.monitor.overhead();
+            acc.monitor_work_ns += overhead.work_ns;
+            acc.monitor_total_checks += overhead.total_checks;
+        }
+        for p in groups.iter().flat_map(|g| &g.procs) {
+            acc.dropped_events += p.dropped_events;
+            let t = &mut acc.tenants[fleet.tenant_of(p.global_idx)];
+            t.nr_processes += 1;
+            t.total_rss += sys.rss_bytes(p.pid);
+            if let Some(st) = sys.proc_stats(p.pid) {
+                t.peak_rss += st.peak_rss_bytes;
+                t.interference_ns += st.monitor_interference_ns;
+                t.major_faults += st.major_faults;
+                t.swapouts += st.swapouts;
+            }
+        }
     }
 
-    /// Total monitor CPU work accumulated in this shard, ns, plus total
-    /// access checks.
-    fn monitor_totals(&self) -> (Ns, u64) {
-        self.groups.iter().filter_map(|g| g.plane.as_ref()).fold((0, 0), |(work, checks), pl| {
-            let o = pl.monitor.overhead();
-            (work + o.work_ns, checks + o.total_checks)
-        })
+    /// Take the results out of a shard that will not tick again: one
+    /// [`RunResult`] per process in process order. Every process carries
+    /// its shard's kernel-side statistics (they are per machine); a
+    /// plane's record, overhead and scheme statistics go to its group's
+    /// owner, which in a fleet of one is *the* process. The shard is
+    /// untouched if this fails.
+    fn retire(&mut self, recipe: &Recipe) -> MmResult<Retired> {
+        let mut totals = Totals::new(recipe.fleet.nr_tenants);
+        self.add_totals(&recipe.fleet, &mut totals);
+        let Shard { sys, groups, .. } = self;
+        // Everything that can fail comes before anything is taken.
+        let mut all_stats = groups
+            .iter()
+            .flat_map(|g| &g.procs)
+            .map(|p| sys.proc_stats(p.pid).copied().ok_or(MmError::NoSuchProcess(p.pid)))
+            .collect::<MmResult<Vec<_>>>()?
+            .into_iter();
+        let mut runs = Vec::with_capacity(all_stats.len());
+        let mut dropped_events = Vec::with_capacity(all_stats.len());
+        for Group { procs, plane: mut unclaimed } in groups.drain(..) {
+            for (p, stats) in procs.into_iter().zip(all_stats.by_ref()) {
+                // The owner comes first and takes the plane's results.
+                let plane = unclaimed.take();
+                dropped_events.push(p.dropped_events);
+                runs.push(RunResult {
+                    config: recipe.config.name.clone(),
+                    workload: p.wl.name(),
+                    machine: recipe.machine_name.clone(),
+                    runtime_ns: totals.now_ns,
+                    avg_rss: stats.avg_rss_bytes(totals.now_ns),
+                    peak_rss: stats.peak_rss_bytes,
+                    stats,
+                    kstats: sys.kstats,
+                    overhead: plane.as_ref().map(|pl| pl.monitor.overhead()),
+                    scheme_stats: plane.as_ref().map(Plane::scheme_stats).unwrap_or_default(),
+                    record: plane.and_then(|pl| pl.record),
+                });
+            }
+        }
+        Ok(Retired { runs, dropped_events, totals })
     }
 }
 
-/// The engine: builds the shards, ticks them (inline or over the worker
-/// pool) and assembles per-process [`RunResult`]s plus the
-/// [`FleetSummary`]. Normally driven via [`crate::Session`]; the bench
-/// harness drives [`tick`](Self::tick) directly to time it.
+/// Where one shard is in its life: an image to stamp, a machine that
+/// ticks, or the results it left behind.
+enum Slot {
+    Pending(Arc<ShardImage>),
+    Live(Shard),
+    Retired(Retired),
+}
+
+impl Slot {
+    /// Bring shard `shard_idx` from tick `from` to `barrier`: stamp it
+    /// if it is still an image (the last holder of an image takes it, so
+    /// a fleet of one shard never copies), tick it, and retire it if
+    /// `retire`. The slot comes back whatever happens; one that fails
+    /// stays live.
+    fn advance(
+        self,
+        recipe: &Recipe,
+        shard_idx: usize,
+        from: u64,
+        barrier: u64,
+        retire: bool,
+    ) -> (Slot, MmResult<()>) {
+        let mut shard = match self {
+            Slot::Pending(image) => Shard::stamp(Arc::unwrap_or_clone(image), recipe, shard_idx),
+            Slot::Live(shard) => shard,
+            retired @ Slot::Retired(_) => return (retired, Ok(())),
+        };
+        let ticked = (from..barrier).try_for_each(|idx| shard.tick(idx));
+        match ticked.and_then(|()| retire.then(|| shard.retire(recipe)).transpose()) {
+            Ok(Some(row)) => (Slot::Retired(row), Ok(())),
+            Ok(None) => (Slot::Live(shard), Ok(())),
+            Err(e) => (Slot::Live(shard), Err(e)),
+        }
+    }
+}
+
+/// The engine: builds the shard images, brings every shard to the next
+/// barrier (inline or over the worker pool) and assembles per-process
+/// [`RunResult`]s plus the [`FleetSummary`]. Normally driven via
+/// [`crate::Session`]; the bench harness drives [`tick`](Self::tick)
+/// directly to time it.
 pub struct FleetEngine {
-    shards: Vec<Shard>,
+    slots: Vec<Slot>,
     pool: Option<WorkerPool>,
-    spec: FleetSpec,
-    config_name: String,
+    recipe: Arc<Recipe>,
     workload_name: String,
-    machine_name: String,
     nr_ticks: u64,
     tick: u64,
-    effective_max_regions: usize,
 }
 
 impl FleetEngine {
     /// Build the fleet: one `ShardImage` per distinct shard length (the
-    /// full shards, and the remainder shard if there is one), every
-    /// shard stamped from its length's image — the last one takes the
-    /// image itself, so a fleet of one shard never copies. Images are
-    /// built on the caller thread; with a pool (more than one shard and
-    /// more than one worker) the copies are stamped in pool tasks.
+    /// full shards, and the remainder shard if there is one), on the
+    /// caller thread, and one pending slot per shard. Nothing is stamped
+    /// until the fleet first advances.
     pub fn new(
         machine: &MachineProfile,
         config: &RunConfig,
@@ -775,65 +934,31 @@ impl FleetEngine {
         let nr_shards = fleet.nr_shards();
         let pool = (nr_shards > 1 && fleet.nr_workers != 1)
             .then(|| WorkerPool::new(fleet.nr_workers));
-        let per_shard = fleet.procs_per_shard;
-        let nr_full = fleet.nr_processes / per_shard;
-        let remainder = fleet.nr_processes % per_shard;
-        let mut shards = Vec::with_capacity(nr_shards);
-        // (first shard, shards, processes per shard) of each length.
-        for (first, nr, len) in [(0, nr_full, per_shard), (nr_full, remainder.min(1), remainder)] {
-            if nr == 0 {
-                continue;
+        let nr_full = fleet.nr_processes / fleet.procs_per_shard;
+        let remainder = fleet.nr_processes % fleet.procs_per_shard;
+        let mut slots = Vec::with_capacity(nr_shards);
+        // (shards, processes per shard) of each length.
+        for (nr, len) in [(nr_full, fleet.procs_per_shard), (remainder.min(1), remainder)] {
+            if nr > 0 {
+                let image = Arc::new(ShardImage::build(machine, config, spec, len)?);
+                slots.extend((0..nr).map(|_| Slot::Pending(Arc::clone(&image))));
             }
-            let last = first + nr - 1;
-            let mut image = ShardImage::build(machine, config, spec, len)?;
-            let stamp = |image, s: usize| Shard::stamp(image, config, &fleet, seed, s, s * per_shard);
-            match &pool {
-                Some(pool) if first < last => {
-                    let shared = Arc::new(image);
-                    let tasks: Vec<_> = (first..last)
-                        .map(|s| {
-                            let image = Arc::clone(&shared);
-                            let config = config.clone();
-                            let fleet = fleet.clone();
-                            move || {
-                                let copy = ShardImage::clone(&image);
-                                Shard::stamp(copy, &config, &fleet, seed, s, s * per_shard)
-                            }
-                        })
-                        .collect();
-                    shards.extend(pool.run_batch(tasks));
-                    // Every task has run and dropped its handle.
-                    image = Arc::try_unwrap(shared).unwrap_or_else(|held| ShardImage::clone(&held));
-                }
-                _ => {
-                    for s in first..last {
-                        shards.push(stamp(image.clone(), s));
-                    }
-                }
-            }
-            shards.push(stamp(image, last));
         }
-        let effective_max_regions = fleet.effective_attrs(&config.attrs).max_nr_regions;
-        let workload_name = shards
-            .first()
-            .and_then(|s| s.procs().next().map(|p| p.wl.name()))
-            .unwrap_or_else(|| spec.name.to_string());
+        let recipe =
+            Recipe { config: config.clone(), fleet, seed, machine_name: machine.name.clone() };
         Ok(FleetEngine {
-            shards,
+            slots,
             pool,
-            spec: fleet,
-            config_name: config.name.clone(),
-            workload_name,
-            machine_name: machine.name.clone(),
+            recipe: Arc::new(recipe),
+            workload_name: spec.path_name(),
             nr_ticks: spec.nr_epochs,
             tick: 0,
-            effective_max_regions,
         })
     }
 
     /// The fleet spec this engine runs.
     pub fn spec(&self) -> &FleetSpec {
-        &self.spec
+        &self.recipe.fleet
     }
 
     /// Display name of the replicated workload.
@@ -846,88 +971,110 @@ impl FleetEngine {
         self.nr_ticks
     }
 
-    /// Advance every process in the fleet by one epoch. With a pool,
-    /// each shard moves into a work-stealing task and comes back with
-    /// its result behind the batch barrier; otherwise shards tick inline
-    /// on the caller thread (which keeps a caller-installed trace
-    /// collector observing a 1-shard fleet).
-    pub fn tick(&mut self) -> MmResult<()> {
-        let idx = self.tick;
-        match &self.pool {
+    /// Bring every shard to `barrier`, one shard at a time: shard after
+    /// shard on the caller thread (which keeps a caller-installed trace
+    /// collector observing), or with a pool one work-stealing task per
+    /// slot, which takes the slot and brings it home with its result
+    /// behind the batch barrier. With `retire` a shard leaves only its
+    /// results behind as soon as it arrives.
+    fn advance_to(&mut self, barrier: u64, retire: bool) -> MmResult<()> {
+        let (from, recipe) = (self.tick, &self.recipe);
+        let slots = std::mem::take(&mut self.slots).into_iter().enumerate();
+        let homes: Vec<(Slot, MmResult<()>)> = match &self.pool {
             Some(pool) => {
-                let tasks: Vec<_> = self
-                    .shards
-                    .drain(..)
-                    .map(|mut sh| {
-                        move || {
-                            let result = sh.tick(idx);
-                            (sh, result)
-                        }
-                    })
-                    .collect();
-                // Every shard comes home before the first error leaves.
-                let mut outcome = Ok(());
-                for (sh, result) in pool.run_batch(tasks) {
-                    self.shards.push(sh);
-                    outcome = outcome.and(result);
-                }
-                outcome?;
+                let tasks = slots.map(|(s, slot)| {
+                    let recipe = Arc::clone(recipe);
+                    move || slot.advance(&recipe, s, from, barrier, retire)
+                });
+                pool.run_batch(tasks.collect())
             }
-            None => {
-                for sh in &mut self.shards {
-                    sh.tick(idx)?;
-                }
-            }
+            None => slots.map(|(s, slot)| slot.advance(recipe, s, from, barrier, retire)).collect(),
+        };
+        // Every slot comes home before the first error leaves.
+        let mut outcome = Ok(());
+        for (slot, result) in homes {
+            self.slots.push(slot);
+            outcome = outcome.and(result);
         }
-        self.tick += 1;
+        outcome?;
+        self.tick = barrier;
         Ok(())
     }
 
+    /// Advance every process in the fleet by one epoch, keeping every
+    /// shard live: the tick-major schedule, for callers that look at the
+    /// fleet between ticks themselves.
+    pub fn tick(&mut self) -> MmResult<()> {
+        self.advance_to(self.tick + 1, false)
+    }
+
     /// Run all remaining ticks, reporting to `observer` after each tick
-    /// it says it is [`due`](FleetObserver::due) for.
+    /// it says it is [`due`](FleetObserver::due) for. Each shard runs
+    /// straight to the next due tick; once none remains, shards retire
+    /// as they finish.
     pub fn run(&mut self, mut observer: Option<&mut dyn FleetObserver>) -> MmResult<()> {
-        while self.tick < self.nr_ticks {
-            self.tick()?;
-            if let Some(obs) = observer.as_deref_mut() {
-                if obs.due(self.tick - 1, self.nr_ticks) {
+        let nr_ticks = self.nr_ticks;
+        while self.tick < nr_ticks {
+            let due = observer
+                .as_deref()
+                .and_then(|obs| (self.tick..nr_ticks).find(|&t| obs.due(t, nr_ticks)));
+            match (due, observer.as_deref_mut()) {
+                (Some(tick), Some(obs)) => {
+                    self.advance_to(tick + 1, false)?;
                     obs.on_tick(&self.progress());
                 }
+                _ => self.advance_to(nr_ticks, true)?,
             }
         }
         Ok(())
+    }
+
+    /// The fleet totals over every slot, live or retired.
+    fn totals(&mut self) -> Totals {
+        let fleet = &self.recipe.fleet;
+        let mut acc = Totals::new(fleet.nr_tenants);
+        for slot in &mut self.slots {
+            match slot {
+                // `progress` stamps and `finish` retires before folding.
+                Slot::Pending(_) => {}
+                Slot::Live(shard) => shard.add_totals(fleet, &mut acc),
+                Slot::Retired(row) => acc.add(&row.totals),
+            }
+        }
+        acc
     }
 
     /// Aggregate the current fleet state — linear in fleet size, so
     /// [`run`](Self::run) builds it only for a due observer. `&mut`
     /// because reading a process's statistics settles its RSS integral.
+    /// Retired shards count as of their last tick, so after a run that
+    /// retired them this is the fleet's final state; `single` is `None`
+    /// once its process has retired.
     pub fn progress(&mut self) -> FleetProgress {
-        let mut now_ns = 0;
-        let mut monitor_work_ns = 0;
-        let mut dropped_events = 0;
-        let mut swap_dram_bytes = 0;
-        for sh in &self.shards {
-            now_ns = now_ns.max(sh.sys.now());
-            monitor_work_ns += sh.monitor_totals().0;
-            dropped_events += sh.procs().map(|p| p.dropped_events).sum::<u64>();
-            swap_dram_bytes += sh.sys.swap().dram_bytes();
+        if matches!(self.slots.first(), Some(Slot::Pending(_))) {
+            // Nothing has run yet: stamp the fleet where it stands. No
+            // tick and no retirement, so nothing that can fail.
+            let stamped = self.advance_to(self.tick, false);
+            debug_assert!(stamped.is_ok());
         }
+        let totals = self.totals();
         FleetProgress {
             tick: self.tick.saturating_sub(1),
             nr_ticks: self.nr_ticks,
-            now_ns,
-            nr_processes: self.spec.nr_processes,
-            monitor_work_ns,
-            dropped_events,
-            swap_dram_bytes,
-            tenants: self.tenants(),
+            now_ns: totals.now_ns,
+            nr_processes: self.recipe.fleet.nr_processes,
+            monitor_work_ns: totals.monitor_work_ns,
+            dropped_events: totals.dropped_events,
+            swap_dram_bytes: totals.swap_dram_bytes,
+            tenants: totals.tenants,
             single: self.single_detail(),
         }
     }
 
     /// The lone process's monitoring state, when the fleet is one
-    /// process.
+    /// live process.
     fn single_detail(&mut self) -> Option<ProcessDetail> {
-        let [sh] = self.shards.as_mut_slice() else { return None };
+        let [Slot::Live(sh)] = self.slots.as_mut_slice() else { return None };
         let [g] = sh.groups.as_slice() else { return None };
         let [p] = g.procs.as_slice() else { return None };
         let now = sh.sys.now();
@@ -940,97 +1087,38 @@ impl FleetEngine {
         })
     }
 
-    /// Per-tenant aggregates of the current fleet state.
-    fn tenants(&mut self) -> Vec<TenantStats> {
-        let mut tenants: Vec<TenantStats> = (0..self.spec.nr_tenants)
-            .map(|i| TenantStats { name: format!("t{i}"), ..TenantStats::default() })
-            .collect();
-        for Shard { sys, groups, .. } in &mut self.shards {
-            for p in groups.iter().flat_map(|g| &g.procs) {
-                let t = &mut tenants[self.spec.tenant_of(p.global_idx)];
-                t.nr_processes += 1;
-                t.total_rss += sys.rss_bytes(p.pid);
-                if let Some(st) = sys.proc_stats(p.pid) {
-                    t.peak_rss += st.peak_rss_bytes;
-                    t.interference_ns += st.monitor_interference_ns;
-                    t.major_faults += st.major_faults;
-                    t.swapouts += st.swapouts;
-                }
-            }
-        }
-        tenants
-    }
-
-    /// Consume the engine: per-process [`RunResult`]s (in global process
-    /// order) plus the fleet summary. Every process carries its shard's
-    /// kernel-side statistics (they are per machine); a plane's record,
-    /// overhead and scheme statistics go to its group's owner, which in
-    /// a fleet of one is *the* process.
+    /// Consume the engine: retire what is still live, then concatenate
+    /// the per-process [`RunResult`]s (in global process order) and fold
+    /// the fleet summary.
     pub fn finish(mut self) -> MmResult<(Vec<RunResult>, FleetSummary)> {
-        let tenants = self.tenants();
-        let mut runs = Vec::with_capacity(self.spec.nr_processes);
-        let mut runtime_ns = 0;
-        let mut monitor_work_ns = 0;
-        let mut monitor_total_checks = 0;
-        let mut total_avg_rss = 0;
-        let mut total_peak_rss = 0;
-        let mut dropped_events = self
-            .spec
-            .trace_ring
-            .map(|_| vec![0u64; self.spec.nr_processes])
-            .unwrap_or_default();
-        let nr_shards = self.shards.len();
-        for sh in self.shards {
-            let shard_runtime = sh.sys.now();
-            runtime_ns = runtime_ns.max(shard_runtime);
-            let (work, checks) = sh.monitor_totals();
-            monitor_work_ns += work;
-            monitor_total_checks += checks;
-            let Shard { mut sys, groups, .. } = sh;
-            for Group { procs, plane: mut unclaimed } in groups {
-                for p in procs {
-                    let stats = *sys.proc_stats(p.pid).ok_or(MmError::NoSuchProcess(p.pid))?;
-                    // The owner comes first and takes the plane's results.
-                    let plane = unclaimed.take();
-                    let avg_rss = stats.avg_rss_bytes(shard_runtime);
-                    total_avg_rss += avg_rss;
-                    total_peak_rss += stats.peak_rss_bytes;
-                    if let Some(d) = dropped_events.get_mut(p.global_idx) {
-                        *d = p.dropped_events;
-                    }
-                    runs.push(RunResult {
-                        config: self.config_name.clone(),
-                        workload: p.wl.name(),
-                        machine: self.machine_name.clone(),
-                        runtime_ns: shard_runtime,
-                        avg_rss,
-                        peak_rss: stats.peak_rss_bytes,
-                        stats,
-                        kstats: sys.kstats,
-                        overhead: plane.as_ref().map(|pl| pl.monitor.overhead()),
-                        scheme_stats: plane.as_ref().map(Plane::scheme_stats).unwrap_or_default(),
-                        record: plane.and_then(|pl| pl.record),
-                    });
+        self.advance_to(self.tick, true)?;
+        let totals = self.totals();
+        let fleet = &self.recipe.fleet;
+        let mut runs = Vec::with_capacity(fleet.nr_processes);
+        let mut dropped_events = Vec::new();
+        for slot in self.slots {
+            if let Slot::Retired(row) = slot {
+                runs.extend(row.runs);
+                if fleet.trace_ring.is_some() {
+                    dropped_events.extend(row.dropped_events);
                 }
             }
         }
-        let nr_workers = self.pool.as_ref().map_or(1, |p| p.nr_workers());
-        let steals = self.pool.as_ref().map_or(0, |p| p.stats().steals);
         let summary = FleetSummary {
-            nr_processes: self.spec.nr_processes,
-            nr_shards,
-            nr_workers,
-            nr_tenants: self.spec.nr_tenants,
+            nr_processes: fleet.nr_processes,
+            nr_shards: fleet.nr_shards(),
+            nr_workers: self.pool.as_ref().map_or(1, |p| p.nr_workers()),
+            nr_tenants: fleet.nr_tenants,
             ticks: self.tick,
-            runtime_ns,
-            total_avg_rss,
-            total_peak_rss,
-            monitor_work_ns,
-            monitor_total_checks,
-            effective_max_regions: self.effective_max_regions,
+            runtime_ns: totals.now_ns,
+            total_avg_rss: runs.iter().map(|r| r.avg_rss).sum(),
+            total_peak_rss: runs.iter().map(|r| r.peak_rss).sum(),
+            monitor_work_ns: totals.monitor_work_ns,
+            monitor_total_checks: totals.monitor_total_checks,
+            effective_max_regions: fleet.effective_attrs(&self.recipe.config.attrs).max_nr_regions,
             dropped_events,
-            steals,
-            tenants,
+            steals: self.pool.as_ref().map_or(0, |p| p.stats().steals),
+            tenants: totals.tenants,
         };
         Ok((runs, summary))
     }
@@ -1039,6 +1127,7 @@ impl FleetEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use daos_mm::clock::ms;
     use daos_workloads::{Behavior, FleetConfig, Suite};
 
@@ -1092,62 +1181,235 @@ mod tests {
         ]
     }
 
+    /// The oracle fleet: 26 processes in shards of 4 (six full shards
+    /// and a remainder shard of 2), three tenants, per-shard trace rings,
+    /// on a machine small enough that set-up itself swaps (so what a
+    /// process loses depends on its position in the shard).
+    fn oracle_fleet() -> (MachineProfile, FleetSpec) {
+        let mut machine = MachineProfile::i3_metal();
+        machine.dram_bytes = 7 << 20;
+        (machine, FleetSpec::new(26).shard_size(4).tenants(3).trace_ring(64))
+    }
+
+    fn oracle_spec(behavior: Behavior, config: &RunConfig) -> WorkloadSpec {
+        WorkloadSpec {
+            name: "shape",
+            suite: Suite::Fleet,
+            footprint: 4 << 20,
+            // khugepaged first runs after one virtual second.
+            nr_epochs: if config.khugepaged { 230 } else { 60 },
+            compute_ns: ms(5),
+            behavior,
+        }
+    }
+
+    /// A finished engine's results, without the pool counters that vary
+    /// with worker count and thread timing.
+    fn finish(engine: FleetEngine) -> (Vec<RunResult>, FleetSummary) {
+        let (runs, mut summary) = engine.finish().unwrap();
+        summary.nr_workers = 0;
+        summary.steals = 0;
+        (runs, summary)
+    }
+
     /// Stamping shards from one shared image is only a way to build them
     /// faster: for every workload behaviour under every engine shape, a
     /// fleet whose shards were each built from an image of their own
     /// produces the same per-process results and the same summary —
-    /// inline and over the pool, with a remainder shard, per-shard trace
-    /// rings, and a machine small enough that set-up itself swaps (so
-    /// what a process loses depends on its position in the shard).
+    /// inline and over the pool.
     #[test]
     fn stamped_shards_equal_separately_built_ones() {
-        let mut machine = MachineProfile::i3_metal();
-        machine.dram_bytes = 7 << 20;
-        let fleet = FleetSpec::new(26).shard_size(4).tenants(3).trace_ring(64);
+        let (machine, fleet) = oracle_fleet();
         let seed = 77;
         for behavior in behaviors() {
             for config in engine_shapes() {
-                // khugepaged first runs after one virtual second.
-                let nr_epochs = if config.khugepaged { 230 } else { 60 };
-                let spec = WorkloadSpec {
-                    name: "shape",
-                    suite: Suite::Fleet,
-                    footprint: 4 << 20,
-                    nr_epochs,
-                    compute_ns: ms(5),
-                    behavior,
-                };
+                let spec = oracle_spec(behavior, &config);
                 let what = format!("{} under {}", behavior.kind_name(), config.name);
-                let finish = |mut engine: FleetEngine| {
-                    engine.run(None).unwrap();
-                    let (runs, mut summary) = engine.finish().unwrap();
-                    // Pool counters vary with worker count and thread timing.
-                    summary.nr_workers = 0;
-                    summary.steals = 0;
-                    (runs, summary)
-                };
                 let shared = |workers: usize| {
                     FleetEngine::new(&machine, &config, &spec, fleet.clone().workers(workers), seed)
                         .unwrap()
                 };
                 let mut separate = shared(1);
-                separate.shards = (0..fleet.nr_shards())
+                separate.slots = (0..fleet.nr_shards())
                     .map(|s| {
                         let first = s * fleet.procs_per_shard;
                         let len = fleet.procs_per_shard.min(fleet.nr_processes - first);
                         let image = ShardImage::build(&machine, &config, &spec, len).unwrap();
-                        Shard::stamp(image, &config, &fleet, seed, s, first)
+                        Slot::Pending(Arc::new(image))
                     })
                     .collect();
+                separate.run(None).unwrap();
                 let (runs, summary) = finish(separate);
                 assert_eq!(runs.len(), 26);
                 assert!(runs.iter().any(|r| r.stats.swapouts > 0), "{what}: no memory pressure");
                 for workers in [1, 2] {
-                    let (stamped_runs, stamped_summary) = finish(shared(workers));
+                    let mut stamped = shared(workers);
+                    stamped.run(None).unwrap();
+                    let (stamped_runs, stamped_summary) = finish(stamped);
                     assert!(stamped_runs == runs, "{what}: results differ at workers({workers})");
                     assert_eq!(stamped_summary, summary, "{what}: workers({workers})");
                 }
             }
+        }
+    }
+
+    /// What an observer is shown, minus `single` (a fleet has none).
+    type Seen = (u64, Ns, Ns, u64, u64, Vec<TenantStats>);
+
+    fn seen(p: &FleetProgress) -> Seen {
+        let tenants = p.tenants.clone();
+        (p.tick, p.now_ns, p.monitor_work_ns, p.dropped_events, p.swap_dram_bytes, tenants)
+    }
+
+    /// Due every `every`-th tick and the last one (the obs publisher's
+    /// rule; `every == 0` is never due), recording what it is shown and
+    /// how often it is asked.
+    struct Recording {
+        every: u64,
+        seen: Vec<Seen>,
+        asked: std::cell::Cell<u64>,
+    }
+
+    impl Recording {
+        fn every(every: u64) -> Recording {
+            Recording { every, seen: Vec::new(), asked: std::cell::Cell::new(0) }
+        }
+
+        fn wants(&self, tick: u64, nr_ticks: u64) -> bool {
+            self.every != 0 && (tick % self.every == 0 || tick + 1 == nr_ticks)
+        }
+    }
+
+    impl FleetObserver for Recording {
+        fn due(&self, tick: u64, nr_ticks: u64) -> bool {
+            self.asked.set(self.asked.get() + 1);
+            self.wants(tick, nr_ticks)
+        }
+
+        fn on_tick(&mut self, p: &FleetProgress) {
+            assert!(self.wants(p.tick, p.nr_ticks), "shown tick {} without being due", p.tick);
+            self.seen.push(seen(p));
+        }
+    }
+
+    /// The schedule is not observable. Tick-major — every shard live,
+    /// `tick()` by hand, `progress()` after each — is the reference; for
+    /// every workload behaviour under every engine shape, inline and
+    /// over the pool, `run` without an observer (one span, shards retire
+    /// as they finish) and with one due every tick, every 7th and the
+    /// last, or never must produce the same results and summary, show
+    /// the observer exactly what the reference reported at those ticks,
+    /// and leave `progress()` reporting the reference's final state.
+    #[test]
+    fn shard_major_equals_tick_major() {
+        let (machine, fleet) = oracle_fleet();
+        let seed = 77;
+        for behavior in behaviors() {
+            for config in engine_shapes() {
+                let spec = oracle_spec(behavior, &config);
+                let nr_ticks = spec.nr_epochs;
+                for workers in [1, 2, 8] {
+                    let (kind, name) = (behavior.kind_name(), &config.name);
+                    let what = format!("{kind} under {name} at workers({workers})");
+                    let engine = || {
+                        let fleet = fleet.clone().workers(workers);
+                        FleetEngine::new(&machine, &config, &spec, fleet, seed).unwrap()
+                    };
+                    let mut by_hand = engine();
+                    let reference: Vec<Seen> = (0..nr_ticks)
+                        .map(|_| {
+                            by_hand.tick().unwrap();
+                            seen(&by_hand.progress())
+                        })
+                        .collect();
+                    let expected = finish(by_hand);
+                    assert!(expected.0.iter().any(|r| r.stats.swapouts > 0), "{what}: no pressure");
+                    for every in [None, Some(1), Some(7), Some(0)] {
+                        let mut obs = every.map(Recording::every);
+                        let mut engine = engine();
+                        engine.run(obs.as_mut().map(|o| o as &mut dyn FleetObserver)).unwrap();
+                        let last = seen(&engine.progress());
+                        assert_eq!(Some(&last), reference.last(), "{what}, {every:?}: final state");
+                        assert!(finish(engine) == expected, "{what}, {every:?}: results differ");
+                        if let Some(obs) = obs {
+                            let due: Vec<Seen> = reference
+                                .iter()
+                                .filter(|r| obs.wants(r.0, nr_ticks))
+                                .cloned()
+                                .collect();
+                            assert!(obs.seen == due, "{what}, {every:?}: the observer's view");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `due` is asked ahead of time — about ticks that have not run, and
+    /// more than once — while `on_tick` is called exactly once per due
+    /// tick, in order, with that tick's progress.
+    #[test]
+    fn observer_is_shown_each_due_tick_exactly_once() {
+        let (machine, fleet) = oracle_fleet();
+        let config = RunConfig::baseline();
+        let spec = oracle_spec(behaviors()[0], &config);
+        let nr_ticks = spec.nr_epochs;
+        for publish_every in [1, 7, nr_ticks + 1] {
+            let mut obs = Recording::every(publish_every);
+            Session::new(&machine, &config, &spec)
+                .fleet(fleet.clone().workers(2))
+                .fleet_observer(&mut obs)
+                .execute()
+                .unwrap();
+            let due: Vec<u64> = (0..nr_ticks).filter(|&t| obs.wants(t, nr_ticks)).collect();
+            let shown: Vec<u64> = obs.seen.iter().map(|s| s.0).collect();
+            assert_eq!(shown, due, "publish_every {publish_every}");
+            assert!(obs.asked.get() >= nr_ticks, "every tick is asked about, some twice");
+        }
+    }
+
+    /// A shard whose set-up cannot fit fails the build with the
+    /// substrate's own error, inline and with a pool already spawned
+    /// (which is joined, not left hanging).
+    #[test]
+    fn set_up_that_cannot_fit_is_out_of_memory() {
+        let (machine, fleet) = oracle_fleet();
+        let mut config = RunConfig::baseline();
+        config.swap = daos_mm::swap::SwapConfig::None;
+        let spec = oracle_spec(behaviors()[0], &config);
+        for workers in [1, 2] {
+            let fleet = fleet.clone().workers(workers);
+            let built = FleetEngine::new(&machine, &config, &spec, fleet, 1);
+            assert_eq!(built.err(), Some(MmError::OutOfMemory), "workers({workers})");
+        }
+    }
+
+    /// An error inside one shard's span fails the run with that error,
+    /// and every slot still comes home: the failing shard live, the rest
+    /// retired (they had no due tick left), the engine droppable.
+    #[test]
+    fn a_failing_shard_fails_the_run_and_every_slot_comes_home() {
+        let (machine, fleet) = oracle_fleet();
+        let config = RunConfig::baseline();
+        let spec = oracle_spec(behaviors()[0], &config);
+        for workers in [1, 2] {
+            let spec_w = fleet.clone().workers(workers);
+            let mut engine = FleetEngine::new(&machine, &config, &spec, spec_w, 1).unwrap();
+            engine.tick().unwrap();
+            let middle = fleet.nr_shards() / 2;
+            let Slot::Live(shard) = &mut engine.slots[middle] else { panic!("ticked: live") };
+            // A process this shard's machine never spawned.
+            shard.groups[0].procs[0].pid = 4096;
+            assert_eq!(engine.run(None), Err(MmError::NoSuchProcess(4096)), "workers({workers})");
+            assert_eq!(engine.slots.len(), fleet.nr_shards());
+            for (s, slot) in engine.slots.iter().enumerate() {
+                match slot {
+                    Slot::Live(_) => assert_eq!(s, middle, "only the failing shard stays live"),
+                    Slot::Retired(_) => assert_ne!(s, middle),
+                    Slot::Pending(_) => panic!("shard {s} never ran"),
+                }
+            }
+            drop(engine);
         }
     }
 
@@ -1175,13 +1437,16 @@ mod tests {
                 .build()
                 .unwrap();
             let image = ShardImage::build(&machine, &config, &spec, 4).unwrap();
-            let mut shard = Shard::stamp(image, &config, &fleet, 3, 0, 0);
+            let (fleet, machine_name) = (fleet.clone(), machine.name.clone());
+            let recipe = Recipe { config, fleet, seed: 3, machine_name };
+            let mut shard = Shard::stamp(image, &recipe, 0);
             for idx in 0..spec.nr_epochs {
                 shard.tick(idx).unwrap();
             }
             let ring_dropped = shard.collector.as_ref().unwrap().ring().dropped();
             assert!(ring_dropped > 0, "{kind:?}: an 8-event ring overflows");
-            let charged: u64 = shard.procs().map(|p| p.dropped_events).sum();
+            let charged: u64 =
+                shard.groups.iter().flat_map(|g| &g.procs).map(|p| p.dropped_events).sum();
             assert_eq!(charged, ring_dropped, "{kind:?}: drops charged vs the ring's own count");
         }
     }

@@ -146,8 +146,9 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Run to completion: build the engine, tick it through the
-    /// workload's epochs, collect the per-process results.
+    /// Run to completion: build the engine, run every shard through the
+    /// workload's epochs (from one tick the observer is due for to the
+    /// next), collect the per-process results.
     pub fn execute(self) -> MmResult<SessionResult> {
         let mut engine =
             FleetEngine::new(self.machine, self.config, self.spec, self.fleet, self.seed)?;

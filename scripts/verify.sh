@@ -267,7 +267,7 @@ grep -q '^daos_fleet_nr_processes 256$' "$tmp/fleet_metrics.txt" || {
 echo "ok"
 
 echo "== fleet: results independent of worker count =="
-# Shards are stamped from one image and ticked inline (1 worker) or over
+# Shards are stamped from one image and run inline (1 worker) or over
 # the pool (2): everything the summary prints except the worker count
 # and the pool's steal counter must be byte-equal. 100 processes make
 # three full shards and a remainder shard.
@@ -282,7 +282,31 @@ diff -u "$tmp/fleet_workers_1.txt" "$tmp/fleet_workers_2.txt" || {
 }
 echo "ok"
 
-echo "== bench fleet: 1k-process tick and build within baseline =="
+echo "== fleet: memory bounded by workers, not by fleet size =="
+# Shards run one at a time per worker and retire as they finish, so a
+# 313-shard fleet fits an address-space limit a dozen live shards would
+# not (every shard alive at once is ~2.4 GiB). No tool needed: the run
+# either allocates under the limit or aborts.
+for w in 1 2; do
+    ( ulimit -v $((131072 * w))
+      target/release/daos fleet --processes 10000 --epochs 50 --seed 42 --workers "$w" ) \
+        > "$tmp/fleet_10k_$w.txt" || {
+        echo "FAIL: the 10,000-process fleet on $w worker(s) did not fit $((128 * w)) MiB"
+        exit 1
+    }
+done
+grep -q '^fleet    10000 procs in 313 shards' "$tmp/fleet_10k_1.txt" || {
+    echo "FAIL: the 10,000-process fleet printed no summary"
+    exit 1
+}
+grep -v -e '^fleet    ' -e '^pool     ' "$tmp/fleet_10k_1.txt" > "$tmp/fleet_10k_1.body"
+grep -v -e '^fleet    ' -e '^pool     ' "$tmp/fleet_10k_2.txt" | diff -u "$tmp/fleet_10k_1.body" - || {
+    echo "FAIL: the 10,000-process summary depends on --workers"
+    exit 1
+}
+echo "ok"
+
+echo "== bench fleet: 1k-process tick and run within baseline =="
 # Same shape as the pipeline gate: fresh full run, artifact well-formed,
 # gated min-of-N within the committed baseline + margin.
 DAOS_BENCH_OUT="$tmp/fleet_bench.json" target/release/fleet_bench > /dev/null

@@ -27,13 +27,11 @@ pub struct Fig9Row {
 }
 
 /// The three back-ends, the no-swap reference (the scheme cannot evict
-/// anywhere) first. Serverless heaps are mostly-idle, highly
-/// compressible data, hence a higher zram compression ratio than the
-/// general-purpose default.
+/// anywhere) first.
 const BACKENDS: [(&str, SwapConfig); 3] = [
     ("No Swap", SwapConfig::None),
-    ("File Swap", SwapConfig::File { capacity_bytes: 1 << 30 }),
-    ("ZRAM", SwapConfig::Zram { capacity_bytes: 256 << 20, compression_ratio: 9.0 }),
+    ("File Swap", SwapConfig::serverless_file()),
+    ("ZRAM", SwapConfig::serverless_zram()),
 ];
 
 /// Samples the machine's memory in use once per virtual second.

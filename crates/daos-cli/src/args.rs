@@ -1,5 +1,6 @@
 //! Minimal argument parsing: positionals plus `--key value` / `--flag`
-//! options, with typed accessors and unknown-option detection.
+//! options, with typed accessors. An option in neither table below is
+//! a usage error, so a misspelt `--key` cannot silently run defaults.
 
 use std::collections::BTreeMap;
 
@@ -13,13 +14,74 @@ pub struct Args {
     flags: Vec<String>,
 }
 
-/// Option keys that take a value (everything else is a boolean flag).
+/// The `daos` binary's help text; every `--option` it names is in one
+/// of the two tables below (pinned by a test).
+pub const USAGE: &str = "\
+daos — data access-aware memory management (paper reproduction tool)
+
+USAGE:
+    daos <SUBCOMMAND> [ARGS]
+
+SUBCOMMANDS:
+    list                      list the available workload analogs
+    run <workload>            run one configuration and print a summary
+        [--config baseline|rec|prec|thp|ethp|prcl|damon_reclaim]
+        [--machine i3|m5d|z1d] [--seed N] [--epochs N]
+        [--serve ADDR]        expose live /metrics /snapshot /events
+                              /healthz /statusz /query /alerts while
+                              the run executes
+        [--publish-every N] [--ring N] [--linger] [--obs-workers N]
+    top <ADDR | workload>     live dashboard (WSS sparkline, hottest
+        regions, scheme state, span latencies); ADDR attaches to a
+        --serve endpoint, a workload name runs it in-process
+        [--refresh MS] [--iterations N] [--plain] [--config ...]
+    alerts <ADDR>             one-shot alert-rule state table from a
+        --serve endpoint's /alerts (threshold and rate rules, with
+        hysteresis state and transition counts)
+    record <workload>         monitor a workload, write a record file
+        [--machine i3|m5d|z1d] [--paddr] [--seed N] [--out FILE]
+    report heatmap <FILE>     render a record or trace as an ASCII heatmap
+        [--rows N] [--cols N] [--json]
+    report wss <FILE>         working-set-size series + percentiles of a
+        record or trace [--distribution] [--json]
+    report summary <TRACE>    event counts, drop accounting and metrics
+        integrity of a trace
+    report schemes <TRACE>    per-scheme apply timeline (tried/applied,
+        quota throttling, watermark windows) [--json]
+    report profile <TRACE>    per-phase span latency percentiles and the
+        overhead cross-check
+    schemes <workload>        run a workload under a scheme file
+        (--schemes-file FILE | --scheme 'LINE') [--machine ...] [--seed N]
+    trace <workload>          run with the telemetry collector and emit
+        the event stream as JSONL (stdout, or --out FILE with a summary)
+        [--config baseline|rec|prec|thp|ethp|prcl|damon_reclaim]
+        [--ring N] [--epochs N] [--machine ...] [--seed N] [--out FILE]
+        [--serve ADDR] [--publish-every N] [--linger] [--obs-workers N]
+    tune <workload>           auto-tune the prcl scheme's min_age
+        [--range LO:HI] [--samples N] [--machine ...] [--seed N]
+    fleet                     the serverless production scenario at
+        scale: N worker processes under the sharded work-stealing
+        monitoring engine, with per-tenant aggregation
+        [--processes N] [--epochs N] [--shard-size N] [--workers N]
+        [--tenants N] [--footprint MIB] [--ring N]
+        [--config baseline|rec|prec|thp|ethp|prcl|damon_reclaim]
+        [--swap zram|file|none] [--min-age SECONDS]
+        [--machine i3|m5d|z1d] [--seed N]
+        [--serve ADDR] [--publish-every N] [--linger] [--obs-workers N]
+
+Every command is deterministic under a fixed --seed.
+";
+
+/// Option keys that take a value.
 const VALUE_OPTIONS: &[&str] = &[
     "machine", "out", "seed", "rows", "cols", "schemes-file", "scheme", "range", "samples",
-    "swap", "min-age", "duration", "config", "ring", "epochs", "serve", "refresh",
-    "iterations", "publish-every", "processes", "shard-size", "workers", "tenants",
-    "footprint", "obs-workers",
+    "swap", "min-age", "config", "ring", "epochs", "serve", "refresh", "iterations",
+    "publish-every", "processes", "shard-size", "workers", "tenants", "footprint",
+    "obs-workers",
 ];
+
+/// Boolean flags.
+const FLAGS: &[&str] = &["distribution", "json", "linger", "paddr", "plain"];
 
 impl Args {
     /// Parse raw arguments (without the program/subcommand names).
@@ -33,8 +95,12 @@ impl Args {
                         .next()
                         .ok_or_else(|| DaosError::usage(format!("option --{key} needs a value")))?;
                     args.options.insert(key.to_string(), v);
-                } else {
+                } else if FLAGS.contains(&key) {
                     args.flags.push(key.to_string());
+                } else {
+                    return Err(DaosError::usage(format!(
+                        "unknown option --{key} (see daos --help)"
+                    )));
                 }
             } else {
                 args.positionals.push(a);
@@ -113,6 +179,27 @@ mod tests {
     #[test]
     fn missing_value_is_an_error() {
         assert!(Args::parse(vec!["--machine".to_string()]).is_err());
+    }
+
+    #[test]
+    fn a_misspelt_option_is_a_usage_error_naming_it() {
+        let err = Args::parse("--proceses 8 --epochs 2".split(' ').map(String::from)).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().contains("--proceses"), "{err}");
+    }
+
+    #[test]
+    fn every_option_in_usage_parses() {
+        let named: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+            .filter_map(|w| w.strip_prefix("--"))
+            .collect();
+        assert!(named.len() > VALUE_OPTIONS.len() + FLAGS.len(), "USAGE names options");
+        for key in named {
+            let raw = [format!("--{key}"), "1".to_string()];
+            assert!(Args::parse(raw).is_ok(), "USAGE names --{key}, the parser rejects it");
+        }
+        assert_eq!((VALUE_OPTIONS.len(), FLAGS.len()), (24, 5));
     }
 
     #[test]

@@ -700,8 +700,8 @@ pub fn tune(args: &Args) -> Result<(), DaosError> {
 pub fn fleet(args: &Args) -> Result<(), DaosError> {
     let machine = args.machine()?;
     let swap = match args.opt("swap").unwrap_or("zram") {
-        "zram" => SwapConfig::Zram { capacity_bytes: 256 << 20, compression_ratio: 9.0 },
-        "file" => SwapConfig::File { capacity_bytes: 1 << 30 },
+        "zram" => SwapConfig::serverless_zram(),
+        "file" => SwapConfig::serverless_file(),
         "none" => SwapConfig::None,
         other => {
             return Err(DaosError::usage(format!("unknown swap '{other}' (zram | file | none)")))

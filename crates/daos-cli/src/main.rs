@@ -3,64 +3,8 @@
 //! schemes, auto-tune them, and drive the production-fleet scenario.
 
 use daos::DaosError;
-use daos_cli::args::Args;
+use daos_cli::args::{Args, USAGE};
 use daos_cli::commands;
-
-const USAGE: &str = "\
-daos — data access-aware memory management (paper reproduction tool)
-
-USAGE:
-    daos <SUBCOMMAND> [ARGS]
-
-SUBCOMMANDS:
-    list                      list the available workload analogs
-    run <workload>            run one configuration and print a summary
-        [--config baseline|rec|prec|thp|ethp|prcl|damon_reclaim]
-        [--machine i3|m5d|z1d] [--seed N] [--epochs N]
-        [--serve ADDR]        expose live /metrics /snapshot /events
-                              /healthz /statusz /query /alerts while
-                              the run executes
-        [--publish-every N] [--ring N] [--linger] [--obs-workers N]
-    top <ADDR | workload>     live dashboard (WSS sparkline, hottest
-        regions, scheme state, span latencies); ADDR attaches to a
-        --serve endpoint, a workload name runs it in-process
-        [--refresh MS] [--iterations N] [--plain] [--config ...]
-    alerts <ADDR>             one-shot alert-rule state table from a
-        --serve endpoint's /alerts (threshold and rate rules, with
-        hysteresis state and transition counts)
-    record <workload>         monitor a workload, write a record file
-        [--machine i3|m5d|z1d] [--paddr] [--seed N] [--out FILE]
-    report heatmap <FILE>     render a record or trace as an ASCII heatmap
-        [--rows N] [--cols N] [--json]
-    report wss <FILE>         working-set-size series + percentiles of a
-        record or trace [--distribution] [--json]
-    report summary <TRACE>    event counts, drop accounting and metrics
-        integrity of a trace
-    report schemes <TRACE>    per-scheme apply timeline (tried/applied,
-        quota throttling, watermark windows) [--json]
-    report profile <TRACE>    per-phase span latency percentiles and the
-        overhead cross-check
-    schemes <workload>        run a workload under a scheme file
-        (--schemes-file FILE | --scheme 'LINE') [--machine ...] [--seed N]
-    trace <workload>          run with the telemetry collector and emit
-        the event stream as JSONL (stdout, or --out FILE with a summary)
-        [--config baseline|rec|prec|thp|ethp|prcl|damon_reclaim]
-        [--ring N] [--epochs N] [--machine ...] [--seed N] [--out FILE]
-        [--serve ADDR] [--publish-every N] [--linger] [--obs-workers N]
-    tune <workload>           auto-tune the prcl scheme's min_age
-        [--range LO:HI] [--samples N] [--machine ...] [--seed N]
-    fleet                     the serverless production scenario at
-        scale: N worker processes under the sharded work-stealing
-        monitoring engine, with per-tenant aggregation
-        [--processes N] [--epochs N] [--shard-size N] [--workers N]
-        [--tenants N] [--footprint MIB] [--ring N]
-        [--config baseline|rec|prec|thp|ethp|prcl|damon_reclaim]
-        [--swap zram|file|none] [--min-age SECONDS]
-        [--machine i3|m5d|z1d] [--seed N]
-        [--serve ADDR] [--publish-every N] [--linger] [--obs-workers N]
-
-Every command is deterministic under a fixed --seed.
-";
 
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();

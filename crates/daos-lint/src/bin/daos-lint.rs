@@ -30,10 +30,9 @@ EXIT CODES:
     2   usage error (unknown flag, bad --root, unknown --pass)
 
 Passes: no-print, no-registry-deps, panic-discipline, determinism,
-atomic-ordering, dead-tracepoint, metric-name-discipline, lock-order,
-blocking-under-lock, guard-discipline. See DESIGN.md §11 and §16 for
-the catalogue and the `// lint: allow(<key>, <reason>)` annotation
-grammar.
+atomic-ordering, dead-tracepoint, metric-name-discipline,
+guard-discipline. See DESIGN.md §11 for the catalogue and the
+`// lint: allow(<key>, <reason>)` annotation grammar.
 ";
 
 fn run() -> Result<(), DaosError> {

@@ -10,13 +10,10 @@
 //! machine-checks them: a hand-rolled comment/string/raw-string-aware
 //! [lexer], a per-file token-stream [pass framework](lints::Pass), and
 //! a `daos-lint` binary (human and `--json` output, sysexits codes via
-//! `DaosError`). On top of the token stream sits a semantic layer —
-//! a brace-matched [item tree](model), a conservative name-resolution
-//! [call graph](callgraph), and [guard-region analysis](locks) — that
-//! powers the concurrency lints: `lock-order` (deadlock cycles with
-//! witness paths), `blocking-under-lock`, and `guard-discipline`
-//! (poison-funnel enforcement). See [`lints::all_passes`] for the full
-//! catalogue.
+//! `DaosError`). The one concurrency lint, `guard-discipline`, keeps
+//! every lock acquisition inside `daos_util::sync`, where the leaf-lock
+//! rule is asserted at run time (DESIGN.md §16). See
+//! [`lints::all_passes`] for the full catalogue.
 //!
 //! A finding is suppressed — never silenced — with an annotation that
 //! carries its reason:
@@ -28,11 +25,8 @@
 //!
 //! See `DESIGN.md` §11 for the lint catalogue and annotation grammar.
 
-pub mod callgraph;
 pub mod lexer;
 pub mod lints;
-pub mod locks;
-pub mod model;
 pub mod source;
 
 pub use lints::{all_passes, run_all, run_filtered, Pass, ALLOW_KEYS};

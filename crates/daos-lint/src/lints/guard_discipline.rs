@@ -1,25 +1,22 @@
-//! **guard-discipline** — every guard acquisition recovers from poison.
+//! **guard-discipline** — every lock is taken through the one funnel.
 //!
-//! The workspace's policy is that a poisoned lock is a *survivable*
-//! event: the panic that poisoned it is already being reported, and the
-//! protected data is either valid or about to be discarded. Every
-//! acquisition must therefore flow through a poison funnel —
-//! `recover(…)`, the `lock(…)` helper, or an inline
-//! `.unwrap_or_else(PoisonError::into_inner)` — instead of stacking a
-//! second panic on top with `.lock().unwrap()`.
-//!
-//! The [guard analysis](crate::locks) classifies each acquisition:
-//! funnel-wrapped and `into_inner`-recovered sites are clean; a bare
-//! `.unwrap()` / `.expect(…)` on the acquisition result is the classic
-//! violation; and an acquisition with no recovery at all (a raw
-//! `Result` guard flowing elsewhere) is flagged too, because the
-//! funnels exist precisely so that callers never handle
-//! `PoisonError` ad hoc.
+//! `daos_util::sync::lock` is where the workspace's locking policy
+//! lives: it recovers from poison (a poisoned lock is survivable — the
+//! panic that poisoned it is already being reported) and, in debug
+//! builds, asserts the leaf-lock rule on every acquisition (DESIGN.md
+//! §16). Both hold only if nothing acquires behind its back, so an
+//! empty-paren `.lock()` / `.read()` / `.write()` in live code anywhere
+//! else is a finding. The empty argument list is what tells
+//! `Mutex::lock` from `io::Read::read(&mut buf)`; a `stdout().lock()`
+//! would match too and need a `// lint: allow(guard, <reason>)`.
 
-use super::Pass;
-use crate::locks::Analysis;
+use super::{Code, Pass};
 use crate::source::Workspace;
 use crate::Finding;
+
+/// The one file that may call `Mutex::lock`.
+const FUNNEL: &str = "crates/daos-util/src/sync.rs";
+const ACQUIRE_METHODS: [&str; 3] = ["lock", "read", "write"];
 
 pub struct GuardDiscipline;
 
@@ -33,30 +30,26 @@ impl Pass for GuardDiscipline {
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        let a = Analysis::build(ws);
-        for fa in &a.fns {
-            let file = &ws.files[fa.file];
-            let holder = a.def(fa).qualified();
-            for acq in &fa.acquisitions {
-                if acq.recovered {
-                    continue;
+        for file in ws.files.iter().filter(|f| f.rel != FUNNEL) {
+            let c = Code::new(file);
+            for i in 1..c.len() {
+                if ACQUIRE_METHODS.iter().any(|m| c.is_ident(i, m))
+                    && !c.in_test(i)
+                    && c.is(i - 1, ".")
+                    && c.is(i + 1, "(")
+                    && c.is(i + 2, ")")
+                {
+                    out.push(Finding::new(
+                        self.name(),
+                        &file.rel,
+                        c.line(i),
+                        format!(
+                            "raw `.{}()` acquisition skips poison recovery and the \
+                             leaf-lock check: take it through `daos_util::sync::lock`",
+                            c.text(i)
+                        ),
+                    ));
                 }
-                let message = if acq.panic_suffix {
-                    format!(
-                        "`{holder}`: bare `{}.{}().unwrap()`-style acquisition \
-                         panics on poison; route it through `recover(…)` or \
-                         `.unwrap_or_else(PoisonError::into_inner)`",
-                        acq.lock, acq.method
-                    )
-                } else {
-                    format!(
-                        "`{holder}`: acquisition `{}.{}()` does not flow through \
-                         a poison funnel (`recover(…)` / `lock(…)` / \
-                         `.unwrap_or_else(PoisonError::into_inner)`)",
-                        acq.lock, acq.method
-                    )
-                };
-                out.push(Finding::new(self.name(), &file.rel, acq.line, message));
             }
         }
     }

@@ -9,11 +9,9 @@ use crate::source::{SourceFile, Workspace};
 use crate::Finding;
 
 mod atomic_ordering;
-mod blocking_under_lock;
 mod dead_tracepoint;
 mod determinism;
 mod guard_discipline;
-mod lock_order;
 mod metric_name;
 mod no_print;
 mod panic_discipline;
@@ -33,17 +31,8 @@ pub trait Pass {
 }
 
 /// The allow keys annotations may name (one per suppressible lint).
-pub const ALLOW_KEYS: [&str; 9] = [
-    "print",
-    "panic",
-    "time",
-    "ordering",
-    "tracepoint",
-    "metric",
-    "lock-order",
-    "blocking",
-    "guard",
-];
+pub const ALLOW_KEYS: [&str; 7] =
+    ["print", "panic", "time", "ordering", "tracepoint", "metric", "guard"];
 
 /// Every shipped lint, in reporting order.
 pub fn all_passes() -> Vec<Box<dyn Pass>> {
@@ -55,8 +44,6 @@ pub fn all_passes() -> Vec<Box<dyn Pass>> {
         Box::new(atomic_ordering::AtomicOrdering),
         Box::new(dead_tracepoint::DeadTracepoint),
         Box::new(metric_name::MetricName),
-        Box::new(lock_order::LockOrder),
-        Box::new(blocking_under_lock::BlockingUnderLock),
         Box::new(guard_discipline::GuardDiscipline),
     ]
 }

@@ -54,10 +54,27 @@ pub fn metric_bait(reg: &mut Registry, i: u32) {
     reg.hist_record("Legacy-Key", 1) // lint: allow(metric, fixture exercises the metric allow key)
 }
 
+/// `io::Read::read(&mut buf)` / `io::Write::write(&buf)` take arguments:
+/// not acquisitions. Neither is a funnelled `lock(&m)`, nor `.lock()`
+/// text in a comment or a raw string.
+pub fn guard_bait(src: &mut std::fs::File, m: &std::sync::Mutex<u64>) -> &'static str {
+    let mut buf = [0u8; 8];
+    let _ = src.read(&mut buf);
+    let _ = src.write(&buf);
+    *daos_util::sync::lock(m) += 1; // not self.a.lock().unwrap()
+    r##"let g = self.a.lock().unwrap(); r#"nested .lock() raw"# same string"##
+}
+
+pub fn justified_raw(rw: &std::sync::RwLock<u64>) -> u64 {
+    // lint: allow(guard, fixture exercises the guard allow key)
+    *rw.read().unwrap() // lint: allow(panic, fixture pairs with the guard allow above)
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
     fn masked() {
+        let _ = std::sync::Mutex::new(0).lock();
         super::trailing_allow(Some(1));
         Some(3u8).unwrap();
         let v: Result<u8, ()> = Ok(3);

@@ -1,5 +1,6 @@
-//! Fixture: library code that prints, leaves atomics unjustified, and
-//! declares a tracepoint nobody emits. Never compiled — only lexed.
+//! Fixture: library code that prints, leaves atomics unjustified,
+//! declares a tracepoint nobody emits, and locks behind the funnel's
+//! back. Never compiled — only lexed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -23,4 +24,16 @@ pub fn tick() {
 
 pub fn bad_metric(reg: &mut Registry) {
     reg.counter_add("Obs-Requests.Total", 1);
+}
+
+/// A raw acquisition outside `daos_util::sync` — even one that recovers
+/// from poison by hand — skips the leaf-lock check.
+pub fn raw_lock(m: &std::sync::Mutex<u64>) -> u64 {
+    *m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// … and this one panics a second time on a poisoned lock as well
+/// (guard-discipline *and* panic-discipline).
+pub fn bare_unwrap(m: &std::sync::Mutex<u64>) -> u64 {
+    *m.lock().unwrap()
 }

@@ -52,9 +52,16 @@ impl SwapConfig {
         }
     }
 
-    /// A large swap file, as used by Fig. 9's "File Swap" configuration.
-    pub fn paper_file() -> Self {
-        SwapConfig::File { capacity_bytes: 4 << 30 }
+    /// The zram device of the serverless scenario (Fig. 9, `daos fleet`):
+    /// serverless heaps are mostly-idle, highly compressible data, hence
+    /// a higher compression ratio than the general-purpose default.
+    pub const fn serverless_zram() -> Self {
+        SwapConfig::Zram { capacity_bytes: 256 << 20, compression_ratio: 9.0 }
+    }
+
+    /// The swap file of the serverless scenario (Fig. 9's "File Swap").
+    pub const fn serverless_file() -> Self {
+        SwapConfig::File { capacity_bytes: 1 << 30 }
     }
 }
 
@@ -246,7 +253,7 @@ mod tests {
     fn zram_latency_cheaper_than_file() {
         let m = MachineProfile::i3_metal();
         let mut zram = SwapDevice::new(SwapConfig::paper_zram());
-        let mut file = SwapDevice::new(SwapConfig::paper_file());
+        let mut file = SwapDevice::new(SwapConfig::serverless_file());
         let (zs, zlat) = zram.store(&m).unwrap();
         let (fs, flat) = file.store(&m).unwrap();
         // zram store costs CPU (compression) but its *load* path is faster

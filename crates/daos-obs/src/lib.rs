@@ -28,8 +28,8 @@
 //!   run and a fleet alike: a single run is exported as a fleet of one
 //!   process in tenant `t0`.
 //! - [`server::ObsServer`] — an HTTP/1.1 endpoint on
-//!   `std::net::TcpListener` built on a bounded `daos_util::pool`
-//!   worker pool multiplexing keep-alive connections, serving
+//!   `std::net::TcpListener` built on a fixed set of pump threads
+//!   multiplexing keep-alive connections, serving
 //!   `GET /metrics` (the exposition as Prometheus text), `/snapshot`
 //!   (JSON), `/events` (chunked live JSONL), `/healthz`, and
 //!   `/statusz` (the server's own state as JSON). Saturation is
@@ -52,6 +52,13 @@
 //!   ADDR`, the tests, the `obs_bench` load generator, and the
 //!   `obs-get` verify helper.
 //!
+//! Every mutex in the plane (the snapshot, the event tail, the history
+//! and alert state, the connection queue, the per-endpoint latency
+//! histograms) is taken through `daos_util::sync::lock`, the
+//! workspace's one funnel: each guards state whose updates are
+//! self-contained, so it recovers from poison, and each is a leaf —
+//! debug builds assert that nothing is acquired under it.
+//!
 //! The whole plane is opt-in: without `--serve`, `daos run` never
 //! constructs a publisher and the run loop's observation hook stays a
 //! single untaken branch.
@@ -72,11 +79,3 @@ pub use publisher::{FleetPublisher, Publisher, DEFAULT_TAIL_CAPACITY};
 pub use server::{Endpoint, ObsConfig, ObsServer};
 pub use snapshot::ObsSnapshot;
 pub use top::Dashboard;
-
-/// The crate's one poison funnel. Every mutex here guards state whose
-/// updates are each self-contained (a whole-`Arc` swap, one histogram
-/// or counter update, an append), so a panicking holder leaves it
-/// consistent and recovering beats taking the server down.
-pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}

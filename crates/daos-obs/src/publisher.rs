@@ -13,12 +13,12 @@
 
 use crate::alert::{AlertEngine, AlertStatus, DEFAULT_RULES};
 use crate::history::{Agg, MetricHistory, QueryResult};
-use crate::lock;
 use crate::prom;
 use crate::server::ServerStats;
 use crate::snapshot::ObsSnapshot;
 use daos::{FleetObserver, FleetProgress, FleetSummary, TenantStats};
 use daos_trace::{Event, Registry, Ring, TimedEvent};
+use daos_util::sync::lock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};

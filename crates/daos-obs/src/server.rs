@@ -1,6 +1,6 @@
 //! The observability endpoint: an HTTP/1.1 server over a [`Publisher`],
-//! built on a **bounded worker pool** (`daos_util::pool`, the same pool
-//! that drives the fleet engine) instead of a thread per connection.
+//! built on a **fixed set of pump threads** instead of a thread per
+//! connection.
 //! Routes:
 //!
 //! - `GET /metrics` — [`prom::exposition`] of the latest snapshot as
@@ -22,7 +22,7 @@
 //!
 //! ## Serving model
 //!
-//! Accepted connections join a shared queue; `workers` pool tasks
+//! Accepted connections join a shared queue; `workers` threads
 //! ("pumps") take turns serving one request per connection pass, so a
 //! fixed number of threads multiplexes every keep-alive connection.
 //! A pump peeks each connection with a short timeout: data ready means
@@ -39,12 +39,12 @@ use crate::http::{
     Request, ResponseOpts,
 };
 use crate::history::Agg;
-use crate::lock;
 use crate::prom;
 use crate::publisher::Publisher;
 use daos_trace::{Histogram, Registry};
 use daos_util::json::{Json, ToJson};
 use daos_util::pool::WorkerPool;
+use daos_util::sync::{lock, wait_timeout};
 use std::collections::VecDeque;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -80,10 +80,10 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// How long an idle keep-alive connection is kept before closing.
 const KEEPALIVE_IDLE: Duration = Duration::from_secs(10);
 
-/// Tuning for the obs server's worker pool and admission policy.
+/// Tuning for the obs server's pump threads and admission policy.
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
-    /// Pool workers serving requests; `0` picks
+    /// Pump threads serving requests; `0` picks
     /// `default_parallelism` clamped to `[2, 8]`.
     pub workers: usize,
     /// Open-connection bound; the accept loop answers `503` beyond it.
@@ -148,12 +148,11 @@ const ENDPOINTS: [(Endpoint, &str, &str); NR_ENDPOINTS] = [
 struct EndpointStats {
     requests: AtomicU64,
     request_ns: Mutex<Histogram>,
-    response_bytes: Mutex<Histogram>,
 }
 
-/// The server's self-telemetry: lock-free counters plus mutexed log2
-/// histograms per endpoint, exported as registry keys on demand so the
-/// handlers share no lock on the hot path. Each update is
+/// The server's self-telemetry: lock-free counters plus one mutexed
+/// log2 latency histogram per endpoint, exported as registry keys on
+/// demand so the handlers share no lock on the hot path. Each update is
 /// self-contained, so the histograms recover from poison.
 pub(crate) struct ServerStats {
     endpoints: [EndpointStats; NR_ENDPOINTS],
@@ -182,19 +181,18 @@ impl ServerStats {
         }
     }
 
-    fn record(&self, ep: Endpoint, started: Instant, bytes: usize) {
+    fn record(&self, ep: Endpoint, started: Instant) {
         let s = &self.endpoints[ep as usize];
         // ordering: Relaxed — monotonic telemetry counter; readers only
         // ever observe it through point-in-time registry snapshots.
         s.requests.fetch_add(1, Ordering::Relaxed);
         lock(&s.request_ns).record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        lock(&s.response_bytes).record(bytes as u64);
     }
 
     /// Write the telemetry into `reg` as `obs.http.<endpoint>.*` /
     /// `obs.server.*` keys. Every endpoint's request counter is there
     /// from the start, so the exported name set does not depend on the
-    /// traffic so far; its histograms appear with its first request.
+    /// traffic so far; its histogram appears with its first request.
     pub(crate) fn export(&self, reg: &mut Registry) {
         // ordering: Relaxed throughout — monotonic counters and
         // advisory gauges read for a point-in-time scrape; exactness
@@ -205,10 +203,6 @@ impl ServerStats {
             reg.counter_add(&format!("obs.http.{key}.requests_total"), requests);
             if requests > 0 {
                 reg.hist_insert(&format!("obs.http.{key}.request_ns"), &lock(&s.request_ns));
-                reg.hist_insert(
-                    &format!("obs.http.{key}.response_bytes"),
-                    &lock(&s.response_bytes),
-                );
             }
         }
         reg.counter_add("obs.server.accepted_total", read(&self.accepted));
@@ -298,16 +292,16 @@ impl Inner {
     }
 }
 
-/// A running observability server: a bounded worker pool multiplexing
-/// keep-alive connections, with explicit 503 backpressure and
-/// per-endpoint self-telemetry. Binding spawns the accept loop on a
-/// background thread; dropping (or [`shutdown`](Self::shutdown)) stops
-/// it and joins everything.
+/// A running observability server: a fixed set of pump threads
+/// multiplexing keep-alive connections, with explicit 503 backpressure
+/// and per-endpoint self-telemetry. Binding spawns the pumps and the
+/// accept loop on background threads; dropping (or
+/// [`shutdown`](Self::shutdown)) stops and joins them all.
 pub struct ObsServer {
     addr: SocketAddr,
     inner: Arc<Inner>,
     accept_thread: Option<JoinHandle<()>>,
-    pool: Option<WorkerPool>,
+    pumps: Vec<JoinHandle<()>>,
 }
 
 impl ObsServer {
@@ -337,20 +331,23 @@ impl ObsServer {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
         });
-        // One long-lived pump per pool worker; work stealing spreads
-        // them across the workers, and any surplus pumps simply exit at
-        // shutdown — correctness never depends on the spread, only
-        // concurrency does.
-        let pool = WorkerPool::new(workers);
-        for _ in 0..workers {
-            let inner = inner.clone();
-            pool.submit(move || pump(&inner));
+        // Built before the first spawn, so a spawn that fails drops it:
+        // `shutdown` stops and joins whatever already started.
+        let mut server = ObsServer { addr, inner, accept_thread: None, pumps: Vec::new() };
+        for i in 0..workers {
+            let inner = server.inner.clone();
+            let handle = thread::Builder::new()
+                .name(format!("daos-obs-pump-{i}"))
+                .spawn(move || pump(&inner))?;
+            server.pumps.push(handle);
         }
-        let accept_inner = inner.clone();
-        let accept_thread = thread::Builder::new()
-            .name("daos-obs-accept".into())
-            .spawn(move || accept_loop(listener, accept_inner))?;
-        Ok(ObsServer { addr, inner, accept_thread: Some(accept_thread), pool: Some(pool) })
+        let inner = server.inner.clone();
+        server.accept_thread = Some(
+            thread::Builder::new()
+                .name("daos-obs-accept".into())
+                .spawn(move || accept_loop(listener, inner))?,
+        );
+        Ok(server)
     }
 
     /// The bound socket address.
@@ -359,7 +356,7 @@ impl ObsServer {
     }
 
     /// Stop accepting, wake every pump, and join the accept loop and
-    /// the worker pool. Live `/events` streams notice the flag within
+    /// the pumps. Live `/events` streams notice the flag within
     /// one poll interval.
     pub fn shutdown(&mut self) {
         // ordering: Release pairs with the Acquire loads in the accept
@@ -372,9 +369,11 @@ impl ObsServer {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        // Dropping the pool joins the pump workers (they exit on the
-        // stop flag; in-progress turns finish their current request).
-        self.pool = None;
+        // The pumps exit on the stop flag; in-progress turns finish
+        // their current request.
+        for t in self.pumps.drain(..) {
+            let _ = t.join();
+        }
         // Close connections still parked in the queue so keep-alive
         // clients see EOF now instead of a read timeout later.
         lock(&self.inner.queue).clear();
@@ -455,7 +454,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     }
 }
 
-/// One pool worker's serve loop: pop a connection, give it one turn,
+/// One pump thread's serve loop: pop a connection, give it one turn,
 /// repeat until shutdown.
 fn pump(inner: &Inner) {
     loop {
@@ -471,11 +470,7 @@ fn pump(inner: &Inner) {
                 inner.stats.queued.store(q.len() as u64, Ordering::Relaxed);
                 break c;
             }
-            q = inner
-                .queue_cv
-                .wait_timeout(q, PUMP_IDLE)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
+            q = wait_timeout(&inner.queue_cv, q, PUMP_IDLE);
         };
         drop(q);
         serve_turn(conn, inner);
@@ -549,7 +544,7 @@ fn route(conn: &mut Conn, req: &Request, inner: &Inner, started: Instant) -> io:
     let head = req.method == "HEAD";
     if req.method != "GET" && !head {
         let body = "only GET and HEAD are supported\n";
-        inner.stats.record(Endpoint::Other, started, body.len());
+        inner.stats.record(Endpoint::Other, started);
         write_response_with(
             &mut conn.stream,
             405,
@@ -588,7 +583,7 @@ fn route(conn: &mut Conn, req: &Request, inner: &Inner, started: Instant) -> io:
         }
         Endpoint::Events => {
             if head {
-                inner.stats.record(Endpoint::Events, started, 0);
+                inner.stats.record(Endpoint::Events, started);
                 write_response_with(
                     &mut conn.stream,
                     200,
@@ -600,21 +595,16 @@ fn route(conn: &mut Conn, req: &Request, inner: &Inner, started: Instant) -> io:
             }
             // Record before the terminal chunk so the count lands ahead
             // of the client seeing the stream complete.
-            let written = match stream_events(&mut conn.stream, inner) {
-                Ok(n) => n,
-                Err(e) => {
-                    inner.stats.record(Endpoint::Events, started, 0);
-                    return Err(e);
-                }
-            };
-            inner.stats.record(Endpoint::Events, started, written);
+            let streamed = stream_events(&mut conn.stream, inner);
+            inner.stats.record(Endpoint::Events, started);
+            streamed?;
             finish_chunked(&mut conn.stream)?;
             // The chunked stream announced `Connection: close`.
             return Ok(false);
         }
         Endpoint::Other => (404, "text/plain", "unknown path\n".to_string()),
     };
-    inner.stats.record(ep, started, if head { 0 } else { body.len() });
+    inner.stats.record(ep, started);
     write_response_with(
         &mut conn.stream,
         status,
@@ -688,11 +678,10 @@ fn query_response(publisher: &Publisher, raw_path: &str) -> (u16, String) {
 /// is finished (after a final drain) or the server shuts down. A write
 /// error (stalled or vanished client) exits promptly — the socket's
 /// write timeout bounds every chunk — freeing the pump for other
-/// connections. Returns the body bytes written.
-fn stream_events(stream: &mut TcpStream, inner: &Inner) -> io::Result<usize> {
+/// connections.
+fn stream_events(stream: &mut TcpStream, inner: &Inner) -> io::Result<()> {
     start_chunked(stream, "application/jsonl")?;
     let mut cursor = 0u64;
-    let mut written = 0usize;
     loop {
         let finished = inner.publisher.is_finished();
         let (events, next) = inner.publisher.events_since(cursor);
@@ -703,7 +692,6 @@ fn stream_events(stream: &mut TcpStream, inner: &Inner) -> io::Result<usize> {
                 batch.push('\n');
             }
             write_chunk(stream, &batch)?;
-            written += batch.len();
             cursor = next;
         }
         // Checking `finished` before the drain guarantees the final
@@ -711,7 +699,7 @@ fn stream_events(stream: &mut TcpStream, inner: &Inner) -> io::Result<usize> {
         // writes the terminal chunk (after recording stats).
         // ordering: Acquire pairs with the Release store in `shutdown`.
         if finished || inner.stop.load(Ordering::Acquire) {
-            return Ok(written);
+            return Ok(());
         }
         thread::sleep(EVENTS_POLL);
     }

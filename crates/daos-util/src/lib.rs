@@ -23,9 +23,14 @@
 //!   scheduler with a persistent-thread frontend ([`pool::WorkerPool`],
 //!   driving the fleet engine's shard ticks) and a scoped map frontend
 //!   ([`pool::par_map`], driving the figure sweeps).
+//! * [`sync`] — the workspace's one lock funnel: [`sync::lock`] recovers
+//!   from poison and, in debug builds, asserts the leaf-lock rule (no
+//!   mutex is taken while the thread holds another) on every
+//!   acquisition. Nothing else in the tree calls `Mutex::lock`.
 
 pub mod bench;
 pub mod json;
 pub mod pool;
 pub mod prop;
 pub mod rng;
+pub mod sync;

@@ -16,13 +16,10 @@
 //! execution produce identical numbers; stealing only changes *which
 //! thread* runs an item, never its result.
 
+use crate::sync::{lock, wait};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-
-fn recover<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
-    r.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Per-worker FIFO queues with stealing: a worker drains its own queue
 /// first and, when empty, takes work from the *back* of a sibling's
@@ -54,7 +51,7 @@ impl<T> StealQueues<T> {
         // ordering: Relaxed — the counter only spreads items across
         // queues; the queue mutex publishes the item itself.
         let i = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        recover(self.queues[i].lock()).push_back(item);
+        lock(&self.queues[i]).push_back(item);
     }
 
     /// Pop work for `worker`: its own queue's front, else steal from the
@@ -63,12 +60,12 @@ impl<T> StealQueues<T> {
     pub fn pop(&self, worker: usize) -> Option<T> {
         let n = self.queues.len();
         let own = worker % n;
-        if let Some(item) = recover(self.queues[own].lock()).pop_front() {
+        if let Some(item) = lock(&self.queues[own]).pop_front() {
             return Some(item);
         }
         for off in 1..n {
             let victim = (own + off) % n;
-            if let Some(item) = recover(self.queues[victim].lock()).pop_back() {
+            if let Some(item) = lock(&self.queues[victim]).pop_back() {
                 // ordering: Relaxed — a statistics counter, read only
                 // after the batch completes.
                 self.steals.fetch_add(1, Ordering::Relaxed);
@@ -109,7 +106,7 @@ struct PoolShared {
 
 impl PoolShared {
     fn notify(&self, all: bool) {
-        *recover(self.signal.lock()) += 1;
+        *lock(&self.signal) += 1;
         if all {
             self.wake.notify_all();
         } else {
@@ -174,22 +171,6 @@ impl WorkerPool {
         }
     }
 
-    /// Submit one fire-and-forget task. Unlike [`run_batch`] the caller
-    /// does not wait: the task runs whenever a worker frees up, and its
-    /// completion is the submitter's business to observe (a long-lived
-    /// consumer like the obs server parks its own loops in the pool this
-    /// way — one submitted pump per worker). Panics in the task are
-    /// swallowed by the worker loop exactly as for batch tasks.
-    ///
-    /// [`run_batch`]: Self::run_batch
-    pub fn submit<F>(&self, task: F)
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.shared.queues.push(Box::new(task));
-        self.shared.notify(false);
-    }
-
     /// Run `tasks` to completion across the workers and return their
     /// results in submission order. The caller blocks until the whole
     /// batch finished; worker threads and queues are reused, so a tick
@@ -215,7 +196,7 @@ impl WorkerPool {
                 // missing output and panics itself.
                 let _guard = CompletionGuard(&done);
                 let r = task();
-                *recover(outputs[i].lock()) = Some(r);
+                *lock(&outputs[i]) = Some(r);
             }));
             self.shared.notify(false);
         }
@@ -223,10 +204,12 @@ impl WorkerPool {
         // than tasks, notify_one may have woken the same worker twice.
         self.shared.notify(true);
         let (count, cv) = &*done;
-        let mut finished = recover(count.lock());
+        let mut finished = lock(count);
         while *finished < n {
-            finished = recover(cv.wait(finished));
+            finished = wait(cv, finished);
         }
+        // The slots are mutexes too: give `count` back first.
+        drop(finished);
         // Take results out of the slots rather than unwrapping the Arc:
         // a worker's clone may outlive its completion signal by an
         // instant, but every slot is already written (or provably never
@@ -234,7 +217,7 @@ impl WorkerPool {
         outputs
             .iter()
             .map(|m| {
-                recover(m.lock())
+                lock(m)
                     .take()
                     // lint: allow(panic, a worker task died before writing its slot — surface it)
                     .expect("pool worker panicked while running a batch task")
@@ -249,7 +232,7 @@ struct CompletionGuard<'a>(&'a (Mutex<usize>, Condvar));
 impl Drop for CompletionGuard<'_> {
     fn drop(&mut self) {
         let (count, cv) = self.0;
-        *recover(count.lock()) += 1;
+        *lock(count) += 1;
         cv.notify_all();
     }
 }
@@ -272,7 +255,7 @@ fn worker_loop(id: usize, shared: &PoolShared) {
         // after this read bumps the counter, so the wait below is
         // skipped and the task is found on the next loop — no lost
         // wake-ups.
-        let seen = *recover(shared.signal.lock());
+        let seen = *lock(&shared.signal);
         while let Some(task) = shared.queues.pop(id) {
             // Count *before* running: the bump then happens-before the
             // task's completion signal, so a caller that returned from
@@ -289,13 +272,13 @@ fn worker_loop(id: usize, shared: &PoolShared) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let mut seq = recover(shared.signal.lock());
+        let mut seq = lock(&shared.signal);
         while *seq == seen {
             // ordering: Acquire pairs with the Release store in Drop.
             if shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            seq = recover(shared.wake.wait(seq));
+            seq = wait(&shared.wake, seq);
         }
     }
 }
@@ -337,11 +320,11 @@ where
             let f = &f;
             scope.spawn(move || {
                 while let Some(i) = queues.pop(id) {
-                    let item = recover(inputs[i].lock())
+                    let item = lock(&inputs[i])
                         .take()
                         // lint: allow(panic, each index is queued exactly once)
                         .expect("each index claimed once");
-                    *recover(outputs[i].lock()) = Some(f(item));
+                    *lock(&outputs[i]) = Some(f(item));
                 }
             });
         }
@@ -350,7 +333,8 @@ where
     outputs
         .into_iter()
         .map(|m| {
-            recover(m.into_inner())
+            m.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
                 // lint: allow(panic, a worker panic would have propagated at scope exit)
                 .expect("all indices processed")
         })
@@ -425,38 +409,6 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.executed.len(), 3);
         assert_eq!(stats.executed.iter().sum::<u64>(), 100);
-    }
-
-    #[test]
-    fn submitted_tasks_run_without_a_waiting_caller() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let pool = WorkerPool::new(2);
-        let hits = Arc::new(AtomicU64::new(0));
-        for i in 0..16u64 {
-            let hits = hits.clone();
-            pool.submit(move || {
-                // ordering: Relaxed — the pool's Drop join is the
-                // synchronisation point the final assert relies on.
-                hits.fetch_add(i + 1, Ordering::Relaxed);
-            });
-        }
-        drop(pool); // joins the workers, so every submitted task ran
-        // ordering: Relaxed — the join above is the synchronisation.
-        assert_eq!(hits.load(Ordering::Relaxed), (1..=16).sum::<u64>());
-    }
-
-    #[test]
-    fn submit_and_run_batch_share_the_queues() {
-        let pool = WorkerPool::new(3);
-        let flag = Arc::new(AtomicBool::new(false));
-        let f = flag.clone();
-        // ordering: Release pairs with the Acquire load after the batch.
-        pool.submit(move || f.store(true, Ordering::Release));
-        let out = pool.run_batch((0..8u64).map(|i| move || i * 3).collect::<Vec<_>>());
-        assert_eq!(out, (0..8u64).map(|i| i * 3).collect::<Vec<_>>());
-        drop(pool);
-        // ordering: Acquire pairs with the Release store in the task.
-        assert!(flag.load(Ordering::Acquire));
     }
 
     #[test]

@@ -52,9 +52,8 @@ fn main() {
     println!("Scheme: 'min max min min 30s max pageout' on the physical address space.\n");
 
     let (none, base_runtime) = drive(SwapConfig::None);
-    let (file, file_runtime) = drive(SwapConfig::File { capacity_bytes: 1 << 30 });
-    let (zram, zram_runtime) =
-        drive(SwapConfig::Zram { capacity_bytes: 256 << 20, compression_ratio: 9.0 });
+    let (file, file_runtime) = drive(SwapConfig::serverless_file());
+    let (zram, zram_runtime) = drive(SwapConfig::serverless_zram());
 
     println!("{:<12} {:>18} {:>12}", "swap", "normalized memory", "slowdown");
     println!("{:-<44}", "");

@@ -4,8 +4,8 @@
 # workspace invariants: no registry (non-path) dependencies, no printing
 # from library code, panic discipline, deterministic simulation crates,
 # justified atomic orderings, no dead tracepoints, machine-parseable
-# metric keys, and the semantic concurrency passes — lock-order cycles,
-# blocking calls under live guards, and poison-funnel guard discipline.
+# metric keys, and guard discipline — every lock is taken through
+# `daos_util::sync`, which asserts the leaf-lock rule in debug builds.
 #
 # The workspace must build from a clean clone with no network and an
 # empty registry cache; every dependency is an in-tree path dependency
@@ -13,6 +13,43 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# bench_gate BIN BASELINE OUT WHAT: a fresh full run of target/release/BIN
+# into OUT must be non-empty, the committed BASELINE must be well-formed,
+# and OUT's gated statistic must sit within BASELINE + 50 %.
+bench_gate() {
+    DAOS_BENCH_OUT="$3" "target/release/$1" > /dev/null
+    [ -s "$3" ] || { echo "FAIL: $1 artifact empty"; exit 1; }
+    "target/release/$1" --check "$2" || {
+        echo "FAIL: committed $2 is not well-formed JSON"; exit 1
+    }
+    "target/release/$1" --check "$3" --baseline "$2" --margin 50 || {
+        echo "FAIL: $4 regressed past the committed baseline + margin"
+        echo "(compare $3 against $2; if the"
+        echo "slowdown is intentional, regenerate the baseline with"
+        echo "'cargo run --release -p daos-bench --bin $1')"
+        exit 1
+    }
+}
+
+# serve_bg LOG WHAT CMD...: start CMD (a `--serve 127.0.0.1:0` run) in
+# the background with its output in LOG and wait for it to announce its
+# address. Sets $served_pid and $served_addr.
+serve_bg() {
+    log=$1 what=$2
+    shift 2
+    "$@" > "$log" 2>&1 &
+    served_pid=$!
+    served_addr=""
+    for _ in $(seq 1 50); do
+        served_addr=$(sed -n 's/^serving observability on \([0-9.:]*\)$/\1/p' "$log")
+        [ -n "$served_addr" ] && return 0
+        sleep 0.1
+    done
+    echo "FAIL: $what never announced its address"
+    kill "$served_pid" 2>/dev/null
+    exit 1
+}
 
 echo "== offline release build (must be warning-free) =="
 # `cargo build` replays cached warnings for already-built crates, so
@@ -58,25 +95,29 @@ echo "== daos-lint: workspace invariants =="
 # The token-level replacement for the old awk/grep guards: a
 # comment/string-aware lexer, so doc examples and multiline macro calls
 # can neither false-positive nor slip through. See DESIGN.md §11; the
-# concurrency passes (semantic model + call graph) are DESIGN.md §16.
+# leaf-lock rule behind guard-discipline is DESIGN.md §16.
 lint_out=$(cargo run -q -p daos-lint --release --offline -- --json) || {
     echo "$lint_out"
     echo "FAIL: daos-lint found workspace-invariant violations"
     echo "(run 'cargo run -p daos-lint --release' for the human-readable list)"
     exit 1
 }
-# "Clean" must mean the concurrency passes actually ran: the report's
-# lint roster has to advertise them, or the gate is vacuous.
-for pass in lock-order blocking-under-lock guard-discipline; do
-    case "$lint_out" in
-        *"\"$pass\""*) ;;
-        *)
-            echo "$lint_out"
-            echo "FAIL: daos-lint --json lint roster lacks the $pass pass"
-            exit 1
-            ;;
-    esac
-done
+# "Clean" must mean the funnel pass actually ran: the report's lint
+# roster has to advertise it, or the gate is vacuous — and must not
+# advertise the deleted lock-order pass, or a stale binary answered.
+case "$lint_out" in
+    *'"lock-order"'*)
+        echo "$lint_out"
+        echo "FAIL: daos-lint --json still lists lock-order — stale binary?"
+        exit 1
+        ;;
+    *'"guard-discipline"'*) ;;
+    *)
+        echo "$lint_out"
+        echo "FAIL: daos-lint --json lint roster lacks the guard-discipline pass"
+        exit 1
+        ;;
+esac
 echo "ok"
 
 echo "== live lines per package (daos-lint --json live_loc) =="
@@ -122,16 +163,10 @@ echo "== live observability endpoints answer during a real run =="
 # Spawn a served run on an ephemeral port, scrape /healthz and /metrics
 # with the std-only obs-get client (which also validates the exposition
 # format), then kill the lingering server.
-target/release/daos run parsec3/freqmine --config rec --epochs 200 --seed 42 \
-    --serve 127.0.0.1:0 --linger > "$tmp/serve.log" 2>&1 &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^serving observability on \([0-9.:]*\)$/\1/p' "$tmp/serve.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "FAIL: served run never announced its address"; kill "$serve_pid" 2>/dev/null; exit 1; }
+serve_bg "$tmp/serve.log" "served run" \
+    target/release/daos run parsec3/freqmine --config rec --epochs 200 --seed 42 \
+    --serve 127.0.0.1:0 --linger
+serve_pid=$served_pid addr=$served_addr
 health=$(target/release/obs-get "$addr" /healthz) || {
     echo "FAIL: /healthz unreachable on $addr"; kill "$serve_pid" 2>/dev/null; exit 1
 }
@@ -151,36 +186,17 @@ echo "== bench pipeline: well-formed artifact, hot paths within baseline =="
 # (PR 15's parent was 3.2x / 5x over on the fleet build and the resident
 # touch walk). These micro lanes gate hot paths per layer; every
 # end-to-end number belongs to the ledger (DESIGN.md §10).
-DAOS_BENCH_OUT="$tmp/bench.json" target/release/pipeline > /dev/null
-[ -s "$tmp/bench.json" ] || { echo "FAIL: BENCH_pipeline.json empty"; exit 1; }
-# The committed baseline at the repo root must stay well-formed too.
-target/release/pipeline --check BENCH_pipeline.json || {
-    echo "FAIL: committed BENCH_pipeline.json is not well-formed JSON"; exit 1
-}
-target/release/pipeline --check "$tmp/bench.json" \
-    --baseline BENCH_pipeline.json --margin 50 || {
-    echo "FAIL: hot-path bench regressed past the committed baseline + margin"
-    echo "(compare $tmp/bench.json against BENCH_pipeline.json; if the"
-    echo "slowdown is intentional, regenerate the baseline with"
-    echo "'cargo run --release -p daos-bench --bin pipeline')"
-    exit 1
-}
+bench_gate pipeline BENCH_pipeline.json "$tmp/bench.json" "hot-path bench"
 echo "ok"
 
 echo "== fleet smoke: 256 processes, per-tenant /metrics families =="
 # A served fleet run: the sharded engine must complete, print the fleet
 # summary, and publish per-tenant label families on /metrics (the
 # registry folds tenant.<t>.* counters into daos_tenant_*{tenant="t"}).
-target/release/daos fleet --processes 256 --epochs 30 --tenants 4 --seed 42 \
-    --serve 127.0.0.1:0 --linger > "$tmp/fleet.log" 2>&1 &
-fleet_pid=$!
-faddr=""
-for _ in $(seq 1 50); do
-    faddr=$(sed -n 's/^serving observability on \([0-9.:]*\)$/\1/p' "$tmp/fleet.log")
-    [ -n "$faddr" ] && break
-    sleep 0.1
-done
-[ -n "$faddr" ] || { echo "FAIL: fleet run never announced its address"; kill "$fleet_pid" 2>/dev/null; exit 1; }
+serve_bg "$tmp/fleet.log" "fleet run" \
+    target/release/daos fleet --processes 256 --epochs 30 --tenants 4 --seed 42 \
+    --serve 127.0.0.1:0 --linger
+fleet_pid=$served_pid faddr=$served_addr
 # Wait for the run to complete (the summary prints before --linger), so
 # the scrape below sees the finalized snapshot.
 fleet_done=""
@@ -307,21 +323,8 @@ grep -v -e '^fleet    ' -e '^pool     ' "$tmp/fleet_10k_2.txt" | diff -u "$tmp/f
 echo "ok"
 
 echo "== bench fleet: 1k-process tick and run within baseline =="
-# Same shape as the pipeline gate: fresh full run, artifact well-formed,
-# gated min-of-N within the committed baseline + margin.
-DAOS_BENCH_OUT="$tmp/fleet_bench.json" target/release/fleet_bench > /dev/null
-[ -s "$tmp/fleet_bench.json" ] || { echo "FAIL: fleet bench artifact empty"; exit 1; }
-target/release/fleet_bench --check BENCH_fleet.json || {
-    echo "FAIL: committed BENCH_fleet.json is not well-formed JSON"; exit 1
-}
-target/release/fleet_bench --check "$tmp/fleet_bench.json" \
-    --baseline BENCH_fleet.json --margin 50 || {
-    echo "FAIL: fleet tick bench regressed past the committed baseline + margin"
-    echo "(compare $tmp/fleet_bench.json against BENCH_fleet.json; if the"
-    echo "slowdown is intentional, regenerate the baseline with"
-    echo "'cargo run --release -p daos-bench --bin fleet_bench')"
-    exit 1
-}
+# Same gate as the pipeline's, on min-of-N.
+bench_gate fleet_bench BENCH_fleet.json "$tmp/fleet_bench.json" "fleet tick bench"
 echo "ok"
 
 echo "== bench obs: load-test p50s within baseline, counts equality-pinned =="
@@ -330,19 +333,7 @@ echo "== bench obs: load-test p50s within baseline, counts equality-pinned =="
 # daos_obs_http_requests_total{endpoint=...} exactly matches the
 # client-side request counts, so this step also proves the server's
 # self-telemetry under load. The gate compares per-endpoint p50s.
-DAOS_BENCH_OUT="$tmp/obs_bench.json" target/release/obs_bench > /dev/null
-[ -s "$tmp/obs_bench.json" ] || { echo "FAIL: obs bench artifact empty"; exit 1; }
-target/release/obs_bench --check BENCH_obs.json || {
-    echo "FAIL: committed BENCH_obs.json is not well-formed JSON"; exit 1
-}
-target/release/obs_bench --check "$tmp/obs_bench.json" \
-    --baseline BENCH_obs.json --margin 50 || {
-    echo "FAIL: obs endpoint latency regressed past the committed baseline + margin"
-    echo "(compare $tmp/obs_bench.json against BENCH_obs.json; if the"
-    echo "slowdown is intentional, regenerate the baseline with"
-    echo "'cargo run --release -p daos-bench --bin obs_bench')"
-    exit 1
-}
+bench_gate obs_bench BENCH_obs.json "$tmp/obs_bench.json" "obs endpoint latency"
 echo "ok"
 
 echo "== offline test suite (workspace) =="

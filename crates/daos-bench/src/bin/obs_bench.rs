@@ -157,7 +157,7 @@ fn measure(quick: bool) -> Json {
         ("obs/snapshot", "/snapshot", true),
         ("obs/events", "/events", false),
         ("obs/statusz", "/statusz", true),
-        ("obs/query", "/query?metric=daos_obs_seq&agg=last", true),
+        ("obs/query", "/query?metric=daos_obs_seq", true),
     ];
     let mut results: Vec<(String, LoadStats)> = Vec::new();
     for (bench, path, keep_alive) in plan {

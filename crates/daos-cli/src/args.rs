@@ -28,16 +28,13 @@ SUBCOMMANDS:
         [--config baseline|rec|prec|thp|ethp|prcl|damon_reclaim]
         [--machine i3|m5d|z1d] [--seed N] [--epochs N]
         [--serve ADDR]        expose live /metrics /snapshot /events
-                              /healthz /statusz /query /alerts while
-                              the run executes
-        [--publish-every N] [--ring N] [--linger] [--obs-workers N]
+                              /healthz /statusz /query while the run
+                              executes
+        [--publish-every N] [--ring N] [--linger]
     top <ADDR | workload>     live dashboard (WSS sparkline, hottest
         regions, scheme state, span latencies); ADDR attaches to a
         --serve endpoint, a workload name runs it in-process
         [--refresh MS] [--iterations N] [--plain] [--config ...]
-    alerts <ADDR>             one-shot alert-rule state table from a
-        --serve endpoint's /alerts (threshold and rate rules, with
-        hysteresis state and transition counts)
     record <workload>         monitor a workload, write a record file
         [--machine i3|m5d|z1d] [--paddr] [--seed N] [--out FILE]
     report heatmap <FILE>     render a record or trace as an ASCII heatmap
@@ -56,7 +53,7 @@ SUBCOMMANDS:
         the event stream as JSONL (stdout, or --out FILE with a summary)
         [--config baseline|rec|prec|thp|ethp|prcl|damon_reclaim]
         [--ring N] [--epochs N] [--machine ...] [--seed N] [--out FILE]
-        [--serve ADDR] [--publish-every N] [--linger] [--obs-workers N]
+        [--serve ADDR] [--publish-every N] [--linger]
     tune <workload>           auto-tune the prcl scheme's min_age
         [--range LO:HI] [--samples N] [--machine ...] [--seed N]
     fleet                     the serverless production scenario at
@@ -67,7 +64,7 @@ SUBCOMMANDS:
         [--config baseline|rec|prec|thp|ethp|prcl|damon_reclaim]
         [--swap zram|file|none] [--min-age SECONDS]
         [--machine i3|m5d|z1d] [--seed N]
-        [--serve ADDR] [--publish-every N] [--linger] [--obs-workers N]
+        [--serve ADDR] [--publish-every N] [--linger]
 
 Every command is deterministic under a fixed --seed.
 ";
@@ -77,7 +74,6 @@ const VALUE_OPTIONS: &[&str] = &[
     "machine", "out", "seed", "rows", "cols", "schemes-file", "scheme", "range", "samples",
     "swap", "min-age", "config", "ring", "epochs", "serve", "refresh", "iterations",
     "publish-every", "processes", "shard-size", "workers", "tenants", "footprint",
-    "obs-workers",
 ];
 
 /// Boolean flags.
@@ -199,7 +195,7 @@ mod tests {
             let raw = [format!("--{key}"), "1".to_string()];
             assert!(Args::parse(raw).is_ok(), "USAGE names --{key}, the parser rejects it");
         }
-        assert_eq!((VALUE_OPTIONS.len(), FLAGS.len()), (24, 5));
+        assert_eq!((VALUE_OPTIONS.len(), FLAGS.len()), (23, 5));
     }
 
     #[test]

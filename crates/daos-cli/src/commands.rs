@@ -12,7 +12,7 @@ use daos::{
 };
 use daos_mm::clock::sec;
 use daos_mm::{MachineProfile, SwapConfig};
-use daos_obs::{Dashboard, FleetPublisher, ObsConfig, ObsServer, ObsSnapshot, Publisher};
+use daos_obs::{Dashboard, FleetPublisher, ObsServer, ObsSnapshot, Publisher};
 use daos_schemes::{parse_scheme_line, parse_schemes};
 use daos_tuner::TunerConfig;
 use daos_workloads::{by_path, paper_suite, FleetConfig, WorkloadSpec};
@@ -246,14 +246,6 @@ pub fn schemes(args: &Args) -> Result<(), DaosError> {
     Ok(())
 }
 
-/// The obs server tuning selected by `--obs-workers` (0 = auto-size
-/// from the machine's parallelism; the other knobs keep their
-/// defaults).
-fn obs_config(args: &Args) -> Result<ObsConfig, DaosError> {
-    let workers: usize = args.opt_num("obs-workers", 0)?;
-    Ok(ObsConfig { workers, ..ObsConfig::default() })
-}
-
 /// Run `fleet` processes of `spec` under `config` to completion. With
 /// `--serve ADDR`, first bind the observability server there, attach a
 /// [`FleetPublisher`] under the run's identity and publish the final
@@ -272,8 +264,8 @@ fn execute(
     };
     let publish_every: u64 = args.opt_num("publish-every", 1)?;
     let publisher = Publisher::new();
-    let server = ObsServer::bind_with(addr, publisher.clone(), obs_config(args)?)
-        .map_err(|e| DaosError::io(addr, e))?;
+    let server =
+        ObsServer::bind(addr, publisher.clone()).map_err(|e| DaosError::io(addr, e))?;
     println!("serving observability on {}", server.addr());
     let mut obs = FleetPublisher::new(
         publisher,
@@ -405,30 +397,17 @@ pub fn top(args: &Args) -> Result<(), DaosError> {
 /// shows a full sparkline. Best-effort: older servers without the
 /// endpoint (or an empty history) just start cold.
 fn backfill_wss(dash: &mut Dashboard, addr: SocketAddr) {
-    use daos_util::json::Json;
-    let Ok(resp) = daos_obs::http::http_get(
-        addr,
-        "/query?metric=daos_obs_wss_bytes&agg=last",
-        Duration::from_secs(5),
-    ) else {
+    use daos_util::json::FromJson;
+    let path = "/query?metric=daos_obs_wss_bytes";
+    let Ok(resp) = daos_obs::http::http_get(addr, path, Duration::from_secs(5)) else {
         return;
     };
     if resp.status != 200 {
         return;
     }
     let Ok(v) = daos_util::json::parse(&resp.body) else { return };
-    let Some(Json::Array(points)) = v.get("points") else { return };
-    let values: Vec<u64> = points
-        .iter()
-        .filter_map(|p| match p {
-            Json::Array(pair) if pair.len() == 2 => match pair[1] {
-                Json::F64(v) if v >= 0.0 => Some(v as u64),
-                Json::U64(v) => Some(v),
-                _ => None,
-            },
-            _ => None,
-        })
-        .collect();
+    let Ok(answer) = daos_obs::QueryResult::from_json(&v) else { return };
+    let values: Vec<u64> = answer.points.iter().map(|&(_, v)| v as u64).collect();
     dash.backfill(&values);
 }
 
@@ -527,66 +506,6 @@ fn top_inprocess(
     let snap = publisher.snapshot();
     if snap.seq > 0 {
         show_frame(&mut dash, &snap, plain);
-    }
-    Ok(())
-}
-
-/// `daos alerts <ADDR>`: one-shot view of a `--serve` endpoint's alert
-/// rules — fetches `/alerts` and renders a state table.
-pub fn alerts(args: &Args) -> Result<(), DaosError> {
-    use daos_util::json::Json;
-    let target = args
-        .pos(0)
-        .ok_or_else(|| DaosError::usage("daos alerts needs an ADDR (host:port)"))?;
-    let addr: SocketAddr = target
-        .parse()
-        .map_err(|_| DaosError::usage(format!("'{target}' is not a host:port address")))?;
-    let resp = daos_obs::http::http_get(addr, "/alerts", Duration::from_secs(5))
-        .map_err(|e| DaosError::io(addr.to_string(), e))?;
-    if resp.status != 200 {
-        return Err(DaosError::usage(format!(
-            "GET /alerts from {addr} returned status {}",
-            resp.status
-        )));
-    }
-    let Json::Array(rules) = daos_util::json::parse(&resp.body)? else {
-        return Err(DaosError::usage(format!("/alerts did not return a JSON array: {}", resp.body)));
-    };
-    if rules.is_empty() {
-        println!("no alert rules installed at {addr}");
-        return Ok(());
-    }
-    println!(
-        "{:<28} {:<9} {:<36} {:>10} {:<8} {:>5} {:>11} {:>12}",
-        "rule", "kind", "metric", "threshold", "state", "for", "transitions", "value"
-    );
-    for rule in &rules {
-        let s = |k: &str| rule.field::<String>(k).unwrap_or_default();
-        let n = |k: &str| rule.field::<u64>(k).unwrap_or(0);
-        let value = match rule.get("value") {
-            Some(Json::F64(v)) => format!("{v:.3}"),
-            Some(Json::U64(v)) => format!("{v}"),
-            _ => "-".into(),
-        };
-        let threshold = rule
-            .get("threshold")
-            .and_then(|t| match t {
-                Json::F64(v) => Some(format!("{v:.3}")),
-                Json::U64(v) => Some(format!("{v}")),
-                _ => None,
-            })
-            .unwrap_or_else(|| "-".into());
-        println!(
-            "{:<28} {:<9} {:<36} {:>10} {:<8} {:>5} {:>11} {:>12}",
-            s("rule"),
-            s("kind"),
-            s("metric"),
-            threshold,
-            s("state"),
-            n("for_samples"),
-            n("transitions"),
-            value,
-        );
     }
     Ok(())
 }

@@ -18,7 +18,6 @@ fn main() {
             "list" => commands::list(),
             "run" => commands::run_cmd(&Args::parse(raw)?),
             "top" => commands::top(&Args::parse(raw)?),
-            "alerts" => commands::alerts(&Args::parse(raw)?),
             "record" => commands::record(&Args::parse(raw)?),
             "report" => {
                 if raw.is_empty() {

@@ -7,9 +7,34 @@
 //! requests (used by the `obs_bench` load generator and the keep-alive
 //! tests) — no external dependencies anywhere.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
+
+/// Longest line (request line, status line, header, chunk size;
+/// terminator included) either side of the plane will buffer.
+pub const MAX_LINE: usize = 8 * 1024;
+
+/// Most header lines in one request or response head.
+pub const MAX_HEADERS: usize = 64;
+
+/// Largest `Content-Length` body, or single chunk, the clients accept.
+pub const MAX_BODY: usize = 64 << 20;
+
+fn invalid(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
+/// `read_line` that refuses to buffer more than [`MAX_LINE`] bytes: a
+/// peer that never sends the newline gets [`io::ErrorKind::InvalidData`]
+/// instead of an ever-growing `String`.
+fn read_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
+    let n = reader.take(MAX_LINE as u64 + 1).read_line(line)?;
+    if n > MAX_LINE {
+        return Err(invalid(format!("line longer than {MAX_LINE} bytes")));
+    }
+    Ok(n)
+}
 
 /// A parsed request head. Only the headers the server acts on are
 /// interpreted (`Connection`); the rest are read and discarded.
@@ -27,39 +52,24 @@ pub struct Request {
 
 /// Read one request head from `reader`. Returns `None` on a clean EOF
 /// before any bytes (client closed an idle connection). Malformed
-/// request lines surface as [`io::ErrorKind::InvalidData`] so the
-/// server can answer `400 Bad Request` instead of silently closing.
+/// request lines — and a request line or header over [`MAX_LINE`]
+/// bytes, or more than [`MAX_HEADERS`] headers — surface as
+/// [`io::ErrorKind::InvalidData`] so the server can answer
+/// `400 Bad Request` and close instead of buffering without limit.
 pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_line(reader, &mut line)? == 0 {
         return Ok(None);
     }
     let mut words = line.split_whitespace();
     let (method, path, version) = match (words.next(), words.next(), words.next()) {
         (Some(m), Some(p), Some(v)) if v.starts_with("HTTP/1.") => (m, p, v),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed request line: {line:?}"),
-            ))
-        }
+        _ => return Err(invalid(format!("malformed request line: {line:?}"))),
     };
     // Keep-alive is the HTTP/1.1 default; 1.0 must opt in.
     let mut keep_alive = version != "HTTP/1.0";
-    let request = Request {
-        method: method.to_string(),
-        path: path.to_string(),
-        keep_alive,
-    };
-    let mut request = request;
-    // Drain headers up to the blank line; `Connection` is the only one
-    // the server interprets.
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
-            request.keep_alive = keep_alive;
-            return Ok(Some(request));
-        }
+    // `Connection` is the only header the server interprets.
+    for_each_header(reader, |header| {
         let lower = header.to_ascii_lowercase();
         if let Some(v) = lower.strip_prefix("connection:") {
             keep_alive = match v.trim() {
@@ -68,7 +78,22 @@ pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
                 _ => keep_alive,
             };
         }
+    })?;
+    Ok(Some(Request { method: method.to_string(), path: path.to_string(), keep_alive }))
+}
+
+/// Hand `each` the header lines up to the blank line (or EOF) that ends
+/// a head; more than [`MAX_HEADERS`] of them is
+/// [`io::ErrorKind::InvalidData`].
+fn for_each_header(reader: &mut impl BufRead, mut each: impl FnMut(&str)) -> io::Result<()> {
+    for _ in 0..=MAX_HEADERS {
+        let mut header = String::new();
+        if read_line(reader, &mut header)? == 0 || header == "\r\n" || header == "\n" {
+            return Ok(());
+        }
+        each(&header);
     }
+    Err(invalid(format!("more than {MAX_HEADERS} header lines")))
 }
 
 fn status_text(status: u16) -> &'static str {
@@ -132,19 +157,6 @@ pub fn write_response_with(
     Ok(written)
 }
 
-/// Write a complete `Connection: close` response with a
-/// `Content-Length` body (the one-shot shape every pre-keep-alive
-/// caller used; kept as the simple front door).
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> io::Result<()> {
-    write_response_with(stream, status, content_type, body, ResponseOpts::default())
-        .map(|_| ())
-}
-
 /// Start a chunked response; follow with [`write_chunk`] calls and a
 /// final [`finish_chunked`]. Chunked streams always announce
 /// `Connection: close` — the `/events` tail ends with the connection.
@@ -194,26 +206,22 @@ impl Response {
 /// With `head_only` the body is not read even if `Content-Length` says
 /// one would follow (the `HEAD` client side). For chunked bodies a
 /// read timeout mid-stream keeps what already arrived (the `/events`
-/// client behaviour).
+/// client behaviour). The peer's bytes are held to the same
+/// [`MAX_LINE`] / [`MAX_HEADERS`] bounds as a request, and to
+/// [`MAX_BODY`] per announced length.
 fn read_response(reader: &mut impl BufRead, head_only: bool) -> io::Result<Response> {
     let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
+    read_line(reader, &mut status_line)?;
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad status line: {status_line:?}"))
-        })?;
+        .ok_or_else(|| invalid(format!("bad status line: {status_line:?}")))?;
 
     let mut headers: Vec<(String, String)> = Vec::new();
     let mut content_length: Option<usize> = None;
     let mut chunked = false;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
-            break;
-        }
+    for_each_header(reader, |header| {
         if let Some((name, value)) = header.split_once(':') {
             let name = name.trim().to_ascii_lowercase();
             let value = value.trim().to_string();
@@ -224,7 +232,7 @@ fn read_response(reader: &mut impl BufRead, head_only: bool) -> io::Result<Respo
             }
             headers.push((name, value));
         }
-    }
+    })?;
 
     let mut body = String::new();
     if head_only {
@@ -237,13 +245,26 @@ fn read_response(reader: &mut impl BufRead, head_only: bool) -> io::Result<Respo
             }
         }
     } else if let Some(len) = content_length {
-        let mut buf = vec![0u8; len];
-        reader.read_exact(&mut buf)?;
-        body = String::from_utf8_lossy(&buf).into_owned();
+        body = String::from_utf8_lossy(&read_body(reader, len)?).into_owned();
     } else {
-        reader.read_to_string(&mut body)?;
+        reader.take(MAX_BODY as u64).read_to_string(&mut body)?;
     }
     Ok(Response { status, headers, body })
+}
+
+/// Read exactly `len` body bytes, where `len` is what the peer
+/// announced: over [`MAX_BODY`] is refused, and the buffer grows only as
+/// bytes arrive, so a length with nothing behind it allocates nothing.
+fn read_body(reader: &mut impl BufRead, len: usize) -> io::Result<Vec<u8>> {
+    if len > MAX_BODY {
+        return Err(invalid(format!("body of {len} bytes exceeds {MAX_BODY}")));
+    }
+    let mut buf = Vec::new();
+    reader.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(buf)
 }
 
 /// Blocking `GET {path}` against `addr` with per-operation `timeout`,
@@ -306,29 +327,122 @@ impl HttpClient {
 fn read_chunked(reader: &mut impl BufRead, body: &mut String) -> io::Result<()> {
     loop {
         let mut size_line = String::new();
-        if reader.read_line(&mut size_line)? == 0 {
+        if read_line(reader, &mut size_line)? == 0 {
             return Ok(());
         }
-        let size = usize::from_str_radix(size_line.trim(), 16).map_err(|_| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad chunk size: {size_line:?}"))
-        })?;
+        let size = usize::from_str_radix(size_line.trim(), 16)
+            .map_err(|_| invalid(format!("bad chunk size: {size_line:?}")))?;
         if size == 0 {
             let mut trailer = String::new();
-            let _ = reader.read_line(&mut trailer);
+            let _ = read_line(reader, &mut trailer);
             return Ok(());
         }
-        let mut buf = vec![0u8; size];
-        reader.read_exact(&mut buf)?;
-        body.push_str(&String::from_utf8_lossy(&buf));
+        body.push_str(&String::from_utf8_lossy(&read_body(reader, size)?));
         let mut crlf = String::new();
-        reader.read_line(&mut crlf)?;
+        read_line(reader, &mut crlf)?;
     }
+}
+
+/// Hostile-input generator shared by the plane's fuzz suites: a run of
+/// pieces, each either one of `tokens` (so inputs get past the first
+/// check of the parser under test) or a few arbitrary bytes.
+#[cfg(test)]
+pub(crate) fn fuzz_bytes(
+    tokens: &'static [&'static str],
+) -> impl daos_util::prop::Strategy<Value = Vec<u8>> {
+    use daos_util::prop::{select, vec_of, StrategyExt};
+    let piece = daos_util::one_of![
+        select(tokens.to_vec()).prop_map(|t| t.as_bytes().to_vec()),
+        vec_of(0u8..=255, 1usize..4),
+    ];
+    vec_of(piece, 0usize..48).prop_map(|pieces| pieces.concat())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use daos_util::prop::any_bool;
+    use daos_util::{prop_assert, proptest};
     use std::io::Cursor;
+
+    #[test]
+    fn oversized_heads_are_invalid_data_after_a_bounded_read() {
+        // No newline, ever: the parser gives up one byte past the cap.
+        let mut endless = Cursor::new(vec![b'A'; 1 << 20]);
+        let err = read_request(&mut endless).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(endless.position(), MAX_LINE as u64 + 1);
+        // A header line is held to the same cap.
+        let long_header = format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "y".repeat(MAX_LINE));
+        let err = read_request(&mut Cursor::new(long_header)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // MAX_HEADERS headers parse; one more does not — and the parser
+        // stops there instead of draining the rest.
+        let head = |n: usize| format!("GET / HTTP/1.1\r\n{}\r\n", "X: y\r\n".repeat(n));
+        assert!(read_request(&mut Cursor::new(head(MAX_HEADERS))).unwrap().is_some());
+        let mut flood = Cursor::new(head(100_000));
+        let err = read_request(&mut flood).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(flood.position(), 16 + 6 * (MAX_HEADERS as u64 + 1));
+    }
+
+    #[test]
+    fn announced_lengths_allocate_only_what_arrives() {
+        let resp = |head: &str| read_response(&mut Cursor::new(head.as_bytes()), false);
+        let huge = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\nabc", usize::MAX);
+        assert_eq!(resp(&huge).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        let short = format!("HTTP/1.1 200 OK\r\nContent-Length: {MAX_BODY}\r\n\r\nabc");
+        assert_eq!(resp(&short).unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        let chunk = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffff\r\nabc";
+        assert_eq!(resp(chunk).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(read_body(&mut Cursor::new(b"abcd"), 3).unwrap(), b"abc");
+    }
+
+    const REQUEST_TOKENS: &[&str] = &[
+        "GET ", "HEAD ", "/query?metric=", " HTTP/1.1", " HTTP/1.0", "HTTP/1.", "\r\n", "\n",
+        "Connection:", " close", " keep-alive", "X: y\r\n", " ", "%7B", "\r\n\r\n",
+    ];
+
+    const RESPONSE_TOKENS: &[&str] = &[
+        "HTTP/1.1 200 OK\r\n", "HTTP/1.1 ", "503 ", "\r\n", "\n", "Content-Length: ",
+        "Transfer-Encoding: chunked\r\n", "3", "0\r\n\r\n", "5\r\nhello\r\n", "a\r\n",
+        "67108864", "18446744073709551615", "ffffffffffffffff\r\n", "X: y\r\n", ":",
+    ];
+
+    // Whatever bytes arrive, the two head parsers return `Ok` or a typed
+    // error — never panic — and what they hand back is bounded by the
+    // caps and by the input's own length.
+    proptest! {
+        cases = 512;
+
+        fn read_request_survives_arbitrary_bytes(raw in fuzz_bytes(REQUEST_TOKENS)) {
+            let mut cursor = Cursor::new(&raw);
+            match read_request(&mut cursor) {
+                Ok(Some(req)) => prop_assert!(req.method.len() + req.path.len() <= raw.len()),
+                Ok(None) => prop_assert!(raw.is_empty()),
+                Err(e) => prop_assert!(e.kind() == io::ErrorKind::InvalidData, "{e}"),
+            }
+            prop_assert!(cursor.position() <= ((MAX_HEADERS + 2) * (MAX_LINE + 1)) as u64);
+        }
+
+        fn read_response_survives_arbitrary_bytes(
+            raw in fuzz_bytes(RESPONSE_TOKENS),
+            head_only in any_bool(),
+        ) {
+            match read_response(&mut Cursor::new(&raw), head_only) {
+                Ok(resp) => {
+                    prop_assert!(resp.headers.len() <= MAX_HEADERS);
+                    let held: usize = resp.headers.iter().map(|(k, v)| k.len() + v.len()).sum();
+                    // Lossy decoding grows an invalid byte to a 3-byte U+FFFD.
+                    prop_assert!(held + resp.body.len() <= 3 * raw.len());
+                }
+                Err(e) => prop_assert!(
+                    matches!(e.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof),
+                    "{e}"
+                ),
+            }
+        }
+    }
 
     #[test]
     fn request_line_parses_and_headers_are_drained() {
@@ -400,7 +514,8 @@ mod tests {
                     .unwrap()
                     .unwrap();
                 if req.path == "/plain" {
-                    write_response(&mut s, 200, "text/plain", "hello daos").unwrap();
+                    let opts = ResponseOpts::default();
+                    write_response_with(&mut s, 200, "text/plain", "hello daos", opts).unwrap();
                 } else {
                     start_chunked(&mut s, "application/jsonl").unwrap();
                     write_chunk(&mut s, "{\"a\":1}\n").unwrap();

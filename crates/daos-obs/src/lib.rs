@@ -16,11 +16,11 @@
 //!   numbers are exported and under which names: the snapshot's scalars
 //!   as `obs.*` keys, the snapshot's registry, and the plane's own
 //!   telemetry (server counters and per-endpoint histograms, event-tail
-//!   and history accounting, alert states) in one registry. `/metrics`
-//!   renders it, every publish records it into the history behind
-//!   `/query` and the alert rules, and `/statusz` is a JSON view of its
-//!   `obs.server.*` / `obs.http.*` / `obs.history.*` keys — so the
-//!   three cannot disagree about what exists.
+//!   and history accounting) in one registry. `/metrics` renders it,
+//!   every publish records it into the history behind `/query`, and
+//!   `/statusz` is a JSON view of its `obs.server.*` / `obs.http.*` /
+//!   `obs.history.*` keys — so the three cannot disagree about what
+//!   exists.
 //! - [`publisher::FleetPublisher`] — the [`daos::FleetObserver`] that
 //!   builds and publishes snapshots every N ticks from inside the run
 //!   loop (and a final one via
@@ -31,19 +31,15 @@
 //!   `std::net::TcpListener` built on a fixed set of pump threads
 //!   multiplexing keep-alive connections, serving
 //!   `GET /metrics` (the exposition as Prometheus text), `/snapshot`
-//!   (JSON), `/events` (chunked live JSONL), `/healthz`, and
-//!   `/statusz` (the server's own state as JSON). Saturation is
+//!   (JSON), `/events` (chunked live JSONL), `/healthz`, `/statusz`
+//!   (the server's own state as JSON) and `/query`. Saturation is
 //!   explicit: past [`server::ObsConfig::max_connections`] the accept
 //!   loop answers `503` with `Retry-After`.
-//! - [`history::MetricHistory`] — the embedded time-series store behind
-//!   `GET /query`: every publish's exposition is flattened into
-//!   prometheus-style series (labels included) and retained in
-//!   fixed-capacity rings with tiered raw → 10-sample → 100-sample
-//!   rollup downsampling.
-//! - [`alert::AlertEngine`] — the threshold / rate-of-change rules of
-//!   [`alert::DEFAULT_RULES`] evaluated on every publish with
-//!   hysteresis; states serve on `GET /alerts`, export as
-//!   `daos_alert_state{rule=…}`, and transitions stream on `/events`.
+//! - [`history::MetricHistory`] — the store behind `GET /query`: every
+//!   publish's exposition is flattened into prometheus-style series
+//!   (labels included), each keeping its newest samples, exact, in one
+//!   fixed-capacity ring. The plane exports numbers and leaves judging
+//!   them to whoever scrapes it; there is no rule engine.
 //! - [`top::Dashboard`] — the `daos top` frame renderer (WSS sparkline,
 //!   hottest regions, scheme quota state, span p50/p95), backfilling
 //!   its sparkline from `/query` when watching a remote server.
@@ -52,9 +48,9 @@
 //!   ADDR`, the tests, the `obs_bench` load generator, and the
 //!   `obs-get` verify helper.
 //!
-//! Every mutex in the plane (the snapshot, the event tail, the history
-//! and alert state, the connection queue, the per-endpoint latency
-//! histograms) is taken through `daos_util::sync::lock`, the
+//! Every mutex in the plane (the snapshot, the event tail, the
+//! history, the connection queue, the per-endpoint latency histograms)
+//! is taken through `daos_util::sync::lock`, the
 //! workspace's one funnel: each guards state whose updates are
 //! self-contained, so it recovers from poison, and each is a leaf —
 //! debug builds assert that nothing is acquired under it.
@@ -63,7 +59,6 @@
 //! constructs a publisher and the run loop's observation hook stays a
 //! single untaken branch.
 
-pub mod alert;
 pub mod history;
 pub mod http;
 pub mod prom;
@@ -72,8 +67,7 @@ pub mod server;
 pub mod snapshot;
 pub mod top;
 
-pub use alert::{AlertEngine, AlertKind, AlertRule, AlertState, AlertStatus, DEFAULT_RULES};
-pub use history::{Agg, MetricHistory, QueryResult};
+pub use history::{MetricHistory, QueryResult};
 pub use http::{http_get, HttpClient};
 pub use publisher::{FleetPublisher, Publisher, DEFAULT_TAIL_CAPACITY};
 pub use server::{Endpoint, ObsConfig, ObsServer};

@@ -82,15 +82,10 @@ fn hist_samples(out: &mut String, name: &str, label: Option<(&str, &str)>, h: &H
 
 /// Key prefixes that collapse into labelled families, as
 /// `(key prefix, label name)`: `scheme.<i>.*`, `tenant.<t>.*` (the
-/// fleet engine's per-tenant aggregates), `obs.http.<ep>.*` (the obs
-/// server's per-endpoint self-telemetry), and `alert.<rule>.*` (the
-/// alert engine's per-rule state/transition metrics).
-const LABELLED_PREFIXES: [(&str, &str); 4] = [
-    ("scheme", "scheme"),
-    ("tenant", "tenant"),
-    ("obs.http", "endpoint"),
-    ("alert", "rule"),
-];
+/// fleet engine's per-tenant aggregates) and `obs.http.<ep>.*` (the obs
+/// server's per-endpoint self-telemetry).
+const LABELLED_PREFIXES: [(&str, &str); 3] =
+    [("scheme", "scheme"), ("tenant", "tenant"), ("obs.http", "endpoint")];
 
 /// Split `key` on the first matching labelled prefix into
 /// `(prefix, label name, label value, field)`.
@@ -177,7 +172,7 @@ pub fn flatten_registry(reg: &Registry) -> Vec<(String, f64)> {
 /// totals every snapshot carries), and `extra` (the publisher's
 /// telemetry). `/metrics` renders the result, every
 /// publish records [`flatten_registry`] of it into the history behind
-/// `/query` and the alert rules, and `/statusz` reads its `obs.*` keys.
+/// `/query`, and `/statusz` reads its `obs.*` keys.
 pub fn exposition(snap: &ObsSnapshot, extra: Option<&Registry>) -> Registry {
     let mut reg = snap.registry.clone();
     let gauges = [
@@ -514,35 +509,17 @@ mod tests {
     }
 
     #[test]
-    fn alert_gauges_fold_into_rule_label_families() {
-        let mut reg = Registry::new();
-        reg.gauge_set("alert.trace_ring_drop_rate.state", 2.0);
-        reg.gauge_set("alert.obs_http_503_rate.state", 0.0);
-        reg.counter_add("alert.trace_ring_drop_rate.transitions_total", 3);
-        reg.gauge_set("tuner.best_x", 1.5);
-        let snap = ObsSnapshot { registry: reg, ..Default::default() };
-        let text = render(&snap);
-        let m = sample_map(&text);
-        assert_eq!(m["daos_alert_state{rule=\"trace_ring_drop_rate\"}"], 2.0);
-        assert_eq!(m["daos_alert_state{rule=\"obs_http_503_rate\"}"], 0.0);
-        assert_eq!(m["daos_alert_transitions_total{rule=\"trace_ring_drop_rate\"}"], 3.0);
-        assert_eq!(m["daos_tuner_best_x"], 1.5, "plain gauges stay plain");
-        // One family header even with two labelled rule gauges.
-        assert_eq!(text.matches("# TYPE daos_alert_state gauge").count(), 1);
-    }
-
-    #[test]
     fn flatten_registry_matches_exposition_keys() {
         let mut reg = Registry::new();
         reg.counter_add("monitor.work_ns", 480);
         reg.counter_add("tenant.t3.rss_bytes", 2048);
-        reg.gauge_set("alert.r0.state", 1.0);
+        reg.gauge_set("obs.http.query.in_flight", 1.0);
         reg.hist_record("span.sample_ns", 100);
         reg.hist_record("span.sample_ns", 300);
         let flat: BTreeMap<String, f64> = flatten_registry(&reg).into_iter().collect();
         assert_eq!(flat["daos_monitor_work_ns"], 480.0);
         assert_eq!(flat["daos_tenant_rss_bytes{tenant=\"t3\"}"], 2048.0);
-        assert_eq!(flat["daos_alert_state{rule=\"r0\"}"], 1.0);
+        assert_eq!(flat["daos_obs_http_in_flight{endpoint=\"query\"}"], 1.0);
         // Histograms flatten to their percentiles.
         assert!(flat.contains_key("daos_span_sample_ns_p50"));
         assert!(flat.contains_key("daos_span_sample_ns_p99"));
@@ -556,6 +533,31 @@ mod tests {
             parse_exposition(&render(&snap)).unwrap().iter().map(|s| s.key()).collect();
         for key in flat.keys().filter(|k| !k.contains("_p5") && !k.contains("_p9")) {
             assert!(keys.contains(key.as_str()), "{key} not in exposition");
+        }
+    }
+
+    const EXPOSITION_TOKENS: &[&str] = &[
+        "# HELP ", "# TYPE ", "daos_x", "daos_x_bucket", " counter", " histogram", "{", "}", "le=\"",
+        "\"", "\\", "\\n", ",", "=", " ", "1", "+Inf", "NaN", "\n", "#",
+    ];
+
+    daos_util::proptest! {
+        cases = 512;
+
+        // The scrape-side parser over arbitrary bytes: samples or a
+        // message naming a line, holding no more than the text did.
+        fn parse_exposition_survives_arbitrary_bytes(
+            raw in crate::http::fuzz_bytes(EXPOSITION_TOKENS),
+        ) {
+            let text = String::from_utf8_lossy(&raw);
+            if let Ok(samples) = parse_exposition(&text) {
+                daos_util::prop_assert!(samples.len() <= text.lines().count());
+                let held: usize = samples
+                    .iter()
+                    .map(|s| s.name.len() + s.labels.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>())
+                    .sum();
+                daos_util::prop_assert!(held <= text.len());
+            }
         }
     }
 

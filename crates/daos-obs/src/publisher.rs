@@ -6,18 +6,14 @@
 //!
 //! Every publish also records [`prom::exposition`] of the snapshot —
 //! the same registry `/metrics` renders — into the bounded
-//! [`MetricHistory`] behind `/query`, evaluates the installed
-//! [`AlertEngine`] rules against the freshest samples, and pushes each
-//! state transition onto the `/events` tail as an `AlertTransition`
-//! trace event.
+//! [`MetricHistory`] behind `/query`.
 
-use crate::alert::{AlertEngine, AlertStatus, DEFAULT_RULES};
-use crate::history::{Agg, MetricHistory, QueryResult};
+use crate::history::{MetricHistory, QueryResult};
 use crate::prom;
 use crate::server::ServerStats;
 use crate::snapshot::ObsSnapshot;
 use daos::{FleetObserver, FleetProgress, FleetSummary, TenantStats};
-use daos_trace::{Event, Registry, Ring, TimedEvent};
+use daos_trace::{Registry, Ring, TimedEvent};
 use daos_util::sync::lock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,20 +52,18 @@ impl Tail {
     }
 }
 
-/// The retention + alerting state, advanced on every publish.
+/// The retention state, advanced on every publish.
 struct ObsState {
     history: MetricHistory,
-    alerts: AlertEngine,
-    /// The bound server's counters, so every publish records them and
-    /// rate rules (the default `obs_http_503_rate`) can watch the 503
-    /// gate without a scrape round-trip.
+    /// The bound server's counters, so every publish records them into
+    /// the history without a scrape round-trip.
     server: Option<Arc<ServerStats>>,
 }
 
 // Poison recovery through `lock` is safe for all three: the snapshot is
 // a whole-`Arc` swap, the tail's every exit path leaves it internally
 // consistent (worst case: events a poisoned sync already counted
-// re-sync as missed), and the history and alert engine only append.
+// re-sync as missed), and the history only appends.
 struct Shared {
     snap: Mutex<Arc<ObsSnapshot>>,
     tail: Mutex<Tail>,
@@ -112,7 +106,6 @@ impl Publisher {
                 }),
                 obs: Mutex::new(ObsState {
                     history: MetricHistory::new(),
-                    alerts: AlertEngine::new(),
                     server: None,
                 }),
                 finished: AtomicBool::new(false),
@@ -122,40 +115,19 @@ impl Publisher {
 
     /// Swap in a new snapshot (the Arc-swap: readers holding the old
     /// `Arc` keep a consistent view, new readers see the new one), after
-    /// recording its exposition into the metric history and evaluating
-    /// the alert rules over the freshest values.
+    /// recording its exposition into the metric history.
     pub fn publish(&self, snap: ObsSnapshot) {
         let samples = prom::flatten_registry(&prom::exposition(&snap, Some(&self.telemetry())));
-        let transitions = {
-            let mut obs = lock(&self.shared.obs);
-            let ObsState { history, alerts, .. } = &mut *obs;
-            history.record(snap.seq, snap.now_ns, &samples);
-            alerts.evaluate(snap.now_ns, |metric| history.latest(metric).map(|(_, v)| v))
-        };
-        for t in &transitions {
-            // Into the thread-local ring for offline JSONL export —
-            // `sync_ring` skips the variant, so the direct tail push
-            // below stays the single `/events` delivery path.
-            daos_trace::trace!(t.at, AlertTransition {
-                rule: t.rule,
-                from: t.from,
-                to: t.to,
-                value: t.value,
-            });
-            let event =
-                Event::AlertTransition { rule: t.rule, from: t.from, to: t.to, value: t.value };
-            lock(&self.shared.tail).push(TimedEvent { at: t.at, event });
-        }
+        lock(&self.shared.obs).history.record(snap.seq, snap.now_ns, &samples);
         *lock(&self.shared.snap) = Arc::new(snap);
     }
 
     /// Everything the obs plane reports about itself, as registry keys:
     /// event-tail accounting (`obs.events_missed_total`, `obs.tail_len`),
-    /// history accounting (`obs.history.*`), the alert states
-    /// (`alert.<rule>.state` gauges, `alert.<rule>.transitions_total`
-    /// counters) and, once a server is bound, its `obs.server.*` /
-    /// `obs.http.<endpoint>.*` counters and histograms. This is the
-    /// `extra` every reader hands to [`prom::exposition`].
+    /// history accounting (`obs.history.*`) and, once a server is bound,
+    /// its `obs.server.*` / `obs.http.<endpoint>.*` counters and
+    /// histograms. This is the `extra` every reader hands to
+    /// [`prom::exposition`].
     pub(crate) fn telemetry(&self) -> Registry {
         let mut reg = Registry::new();
         {
@@ -168,13 +140,6 @@ impl Publisher {
             reg.gauge_set("obs.history.series", obs.history.series_count() as f64);
             reg.counter_add("obs.history.samples_total", obs.history.samples_recorded());
             reg.counter_add("obs.history.dropped_series_total", obs.history.dropped_series());
-            for s in obs.alerts.statuses() {
-                reg.gauge_set(&format!("alert.{}.state", s.rule.name), s.state as u32 as f64);
-                reg.counter_add(
-                    &format!("alert.{}.transitions_total", s.rule.name),
-                    s.transitions,
-                );
-            }
             obs.server.clone()
         };
         if let Some(stats) = server {
@@ -189,24 +154,9 @@ impl Publisher {
         lock(&self.shared.obs).server = Some(stats);
     }
 
-    /// Install [`DEFAULT_RULES`] unless rules are already installed —
-    /// idempotent, so wiring it into every observer constructor can't
-    /// double the rule set.
-    pub fn install_default_rules(&self) {
-        let mut obs = lock(&self.shared.obs);
-        if obs.alerts.is_empty() {
-            obs.alerts.install(&DEFAULT_RULES);
-        }
-    }
-
-    /// Point-in-time view of every installed rule (the `/alerts` body).
-    pub fn alert_statuses(&self) -> Vec<AlertStatus> {
-        lock(&self.shared.obs).alerts.statuses()
-    }
-
     /// Answer a `/query`: see [`MetricHistory::query`].
-    pub fn query(&self, metric: &str, since: u64, agg: Agg) -> Option<QueryResult> {
-        lock(&self.shared.obs).history.query(metric, since, agg)
+    pub fn query(&self, metric: &str, since: u64) -> Option<QueryResult> {
+        lock(&self.shared.obs).history.query(metric, since)
     }
 
     /// The current snapshot (cheap: one `Arc` clone under the lock).
@@ -228,12 +178,7 @@ impl Publisher {
         let take = (new as usize).min(ring.len());
         tail.missed += new - take as u64;
         for ev in ring.tail(take) {
-            // Alert transitions reach the tail directly in `publish`;
-            // copying the ring's mirror of them would double-deliver
-            // on `/events`.
-            if !matches!(ev.event, Event::AlertTransition { .. }) {
-                tail.push(ev);
-            }
+            tail.push(ev);
         }
         tail.seen = total;
     }
@@ -307,7 +252,6 @@ impl FleetPublisher {
         machine: &str,
         publish_every: u64,
     ) -> FleetPublisher {
-        publisher.install_default_rules();
         FleetPublisher {
             publisher,
             config: config.to_string(),
@@ -442,8 +386,7 @@ impl FleetObserver for FleetPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alert::AlertState;
-    use daos_trace::Collector;
+    use daos_trace::{Collector, Event};
 
     fn missed(p: &Publisher) -> u64 {
         p.telemetry().counter("obs.events_missed_total")
@@ -522,10 +465,10 @@ mod tests {
                 ..Default::default()
             });
         }
-        let q = p.query("daos_obs_wss_bytes", 0, Agg::Last).expect("series recorded");
+        let q = p.query("daos_obs_wss_bytes", 0).expect("series recorded");
         assert_eq!(q.points.len(), 5);
         assert_eq!(q.points.last(), Some(&(5_000, 5.0 * 4096.0)));
-        let f = p.query("daos_fleet_nr_processes", 0, Agg::Last).unwrap();
+        let f = p.query("daos_fleet_nr_processes", 0).unwrap();
         assert!(f.points.iter().all(|&(_, v)| v == 256.0));
         let t = p.telemetry();
         assert!(t.gauge("obs.history.series").unwrap() >= 2.0);
@@ -533,70 +476,7 @@ mod tests {
         assert_eq!(t.counter("obs.history.dropped_series_total"), 0);
         // Re-publishing the same seq is deduplicated.
         p.publish(ObsSnapshot { seq: 5, now_ns: 5_000, wss_bytes: 99, ..Default::default() });
-        assert_eq!(p.query("daos_obs_wss_bytes", 0, Agg::Last).unwrap().points.len(), 5);
-    }
-
-    #[test]
-    fn alert_transitions_reach_the_tail_and_the_registry() {
-        let p = Publisher::new();
-        p.install_default_rules();
-        p.install_default_rules(); // idempotent
-        assert_eq!(p.alert_statuses().len(), 3);
-        // Drive the drop-rate rule: dropped_events grows every publish,
-        // so its per-second rate > 0 for 2 samples → pending, firing.
-        for (seq, dropped) in [(1u64, 0u64), (2, 10), (3, 20), (4, 20), (5, 20)] {
-            p.publish(ObsSnapshot {
-                seq,
-                now_ns: seq * 1_000_000_000,
-                dropped_events: dropped,
-                ..Default::default()
-            });
-        }
-        let statuses = p.alert_statuses();
-        let drop = statuses.iter().find(|s| s.rule.name == "trace_ring_drop_rate").unwrap();
-        // 0→10→20→20→20: breach at seq 2 and 3 (pending → firing), clear
-        // at 4 (resolved) and 5 (ok) — four transitions.
-        assert_eq!(drop.state, AlertState::Ok);
-        assert_eq!(drop.transitions, 4);
-        let (evs, _) = p.events_since(0);
-        let alerts: Vec<&TimedEvent> = evs
-            .iter()
-            .filter(|e| matches!(e.event, Event::AlertTransition { .. }))
-            .collect();
-        assert_eq!(alerts.len(), 4, "every transition reaches /events: {evs:?}");
-        match alerts[1].event {
-            Event::AlertTransition { from, to, .. } => {
-                assert_eq!(from, AlertState::Pending);
-                assert_eq!(to, AlertState::Firing);
-            }
-            _ => unreachable!(),
-        }
-        // The registry view folds into daos_alert_* families.
-        let reg = p.telemetry();
-        assert_eq!(reg.counter("alert.trace_ring_drop_rate.transitions_total"), 4);
-        let gauges: Vec<(&str, f64)> = reg.gauges().collect();
-        assert!(gauges.iter().any(|(k, v)| *k == "alert.trace_ring_drop_rate.state" && *v == 0.0));
-    }
-
-    #[test]
-    fn sync_ring_skips_alert_transitions() {
-        let p = Publisher::new();
-        let mut c = Collector::builder().ring_capacity(8).build().unwrap();
-        c.record(1, ev(1).event);
-        c.record(
-            2,
-            Event::AlertTransition {
-                rule: 0,
-                from: AlertState::Ok,
-                to: AlertState::Pending,
-                value: 1.0,
-            },
-        );
-        c.record(3, ev(3).event);
-        p.sync_ring(c.ring());
-        let (evs, _) = p.events_since(0);
-        assert_eq!(evs.iter().map(|e| e.at).collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(missed(&p), 0, "skipped mirrors are not 'missed'");
+        assert_eq!(p.query("daos_obs_wss_bytes", 0).unwrap().points.len(), 5);
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! - `GET /statusz` — the same telemetry's `obs.server.*` /
 //!   `obs.http.*` / `obs.history.*` keys as compact JSON (in-flight,
 //!   accepted/rejected, per-endpoint p50/p99)
-//! - `GET /query?metric=…[&since=…][&agg=min|max|mean|last]` — one
-//!   retained series from the metric history as JSON points
-//! - `GET /alerts` — every installed alert rule's state as JSON
+//! - `GET /query?metric=…[&since=…]` — one series' retained samples
+//!   from the metric history as JSON points
 //!
 //! `HEAD` works everywhere (headers only); malformed requests get a
 //! `400`; other methods get a `405`.
@@ -38,7 +37,6 @@ use crate::http::{
     finish_chunked, read_request, start_chunked, write_chunk, write_response_with,
     Request, ResponseOpts,
 };
-use crate::history::Agg;
 use crate::prom;
 use crate::publisher::Publisher;
 use daos_trace::{Histogram, Registry};
@@ -122,13 +120,11 @@ pub enum Endpoint {
     Statusz,
     /// `/query`.
     Query,
-    /// `/alerts`.
-    Alerts,
     /// Anything else (404s and non-GET/HEAD methods).
     Other,
 }
 
-const NR_ENDPOINTS: usize = 8;
+const NR_ENDPOINTS: usize = 7;
 
 /// One row per endpoint, in discriminant order: the request path it
 /// answers (none for `Other`) and its `endpoint` label value (the
@@ -140,7 +136,6 @@ const ENDPOINTS: [(Endpoint, &str, &str); NR_ENDPOINTS] = [
     (Endpoint::Events, "/events", "events"),
     (Endpoint::Statusz, "/statusz", "statusz"),
     (Endpoint::Query, "/query", "query"),
-    (Endpoint::Alerts, "/alerts", "alerts"),
     (Endpoint::Other, "", "other"),
 ];
 
@@ -382,8 +377,8 @@ impl ObsServer {
     }
 
     /// The obs plane's telemetry as a [`Registry`] (`obs.http.*` /
-    /// `obs.server.*` / `obs.history.*` / `alert.*` keys) — the `extra`
-    /// that `/metrics` hands to [`prom::exposition`].
+    /// `obs.server.*` / `obs.history.*` keys) — the `extra` that
+    /// `/metrics` hands to [`prom::exposition`].
     pub fn telemetry(&self) -> Registry {
         self.inner.publisher.telemetry()
     }
@@ -576,11 +571,6 @@ fn route(conn: &mut Conn, req: &Request, inner: &Inner, started: Instant) -> io:
             let ctype = if status == 200 { "application/json" } else { "text/plain" };
             (status, ctype, body)
         }
-        Endpoint::Alerts => {
-            let statuses: Vec<Json> =
-                inner.publisher.alert_statuses().iter().map(|s| s.to_json()).collect();
-            (200, "application/json", Json::Array(statuses).to_string_compact())
-        }
         Endpoint::Events => {
             if head {
                 inner.stats.record(Endpoint::Events, started);
@@ -647,7 +637,6 @@ fn query_response(publisher: &Publisher, raw_path: &str) -> (u16, String) {
     let qs = raw_path.split_once('?').map(|(_, q)| q).unwrap_or("");
     let mut metric = None;
     let mut since = 0u64;
-    let mut agg = Agg::Last;
     for pair in qs.split('&').filter(|p| !p.is_empty()) {
         let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
         let v = percent_decode(v);
@@ -657,17 +646,13 @@ fn query_response(publisher: &Publisher, raw_path: &str) -> (u16, String) {
                 Ok(n) => since = n,
                 Err(_) => return (400, "bad since: expected u64 nanoseconds\n".into()),
             },
-            "agg" => match Agg::parse(&v) {
-                Some(a) => agg = a,
-                None => return (400, "bad agg: expected min|max|mean|last\n".into()),
-            },
             _ => return (400, format!("unknown parameter: {k}\n")),
         }
     }
     let Some(metric) = metric else {
         return (400, "missing required parameter: metric\n".into());
     };
-    match publisher.query(&metric, since, agg) {
+    match publisher.query(&metric, since) {
         Some(result) => (200, result.to_json().to_string_compact()),
         None => (404, format!("unknown metric: {metric}\n")),
     }
@@ -759,7 +744,13 @@ mod tests {
             ObsSnapshot::from_json(&daos_util::json::parse(&snap.body).unwrap()).unwrap();
         assert_eq!((parsed.seq, parsed.epoch, parsed.wss_bytes), (3, 9, 1 << 20));
 
+        assert!(samples.iter().any(|s| s.name == "daos_obs_events_missed_total"));
+        assert!(samples.iter().any(|s| s.name == "daos_obs_tail_len"));
+
+        // The alert engine is gone: its path is one more unknown path.
         assert_eq!(http_get(addr, "/nope", T).unwrap().status, 404);
+        assert_eq!(http_get(addr, "/alerts", T).unwrap().status, 404);
+        assert_eq!(server.requests_total(Endpoint::Other), 2);
     }
 
     #[test]
@@ -804,6 +795,43 @@ mod tests {
         assert_eq!(server.telemetry().counter("obs.server.bad_requests_total"), 1);
     }
 
+    /// Send `head`, then `piece` over and over until `total` bytes are
+    /// out or the server stops taking them; what came back, if the
+    /// server's close did not reset it away.
+    fn flood(addr: SocketAddr, head: &[u8], piece: &[u8], total: usize) -> String {
+        use std::io::{Read, Write};
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(T)).unwrap();
+        raw.set_write_timeout(Some(T)).unwrap();
+        let mut sent = raw.write_all(head).map_or(total, |()| 0);
+        while sent < total && raw.write_all(piece).is_ok() {
+            sent += piece.len();
+        }
+        let mut resp = String::new();
+        let _ = raw.read_to_string(&mut resp);
+        resp
+    }
+
+    #[test]
+    fn a_head_without_end_gets_400_not_an_unbounded_buffer() {
+        let (server, _publisher) = server_with_state();
+        let addr = server.addr();
+        let bad = || server.telemetry().counter("obs.server.bad_requests_total");
+        let floods: [(&[u8], &[u8]); 2] = [
+            (b"", &[b'A'; 4096]),                   // 1 MiB request line, no newline
+            (b"GET /healthz HTTP/1.1\r\n", b"X: y\r\n"), // headers without end
+        ];
+        for (i, (head, piece)) in floods.into_iter().enumerate() {
+            let resp = flood(addr, head, piece, 1 << 20);
+            // The 400 can be lost to the reset that closing on unread
+            // input causes; the counter cannot.
+            assert!(resp.is_empty() || resp.starts_with("HTTP/1.1 400 Bad Request"), "{resp}");
+            assert_eq!(bad(), i as u64 + 1, "refused at the cap, not at the read timeout");
+            let health = http_get(addr, "/healthz", T).unwrap();
+            assert_eq!((health.status, health.body.as_str()), (200, "ok\n"));
+        }
+    }
+
     #[test]
     fn events_stream_drains_tail_then_terminates_on_finish() {
         let (server, publisher) = server_with_state();
@@ -840,11 +868,10 @@ mod tests {
         }
         let addr = server.addr();
 
-        let resp = http_get(addr, "/query?metric=daos_obs_wss_bytes&agg=last", T).unwrap();
+        let resp = http_get(addr, "/query?metric=daos_obs_wss_bytes", T).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body);
         let v = daos_util::json::parse(&resp.body).unwrap();
         assert_eq!(v.field::<String>("metric").unwrap(), "daos_obs_wss_bytes");
-        assert_eq!(v.field::<String>("tier").unwrap(), "raw");
         let Some(Json::Array(points)) = v.get("points") else {
             panic!("points missing: {}", resp.body);
         };
@@ -857,40 +884,12 @@ mod tests {
         assert_eq!(escaped.status, 200, "{}", escaped.body);
 
         assert_eq!(http_get(addr, "/query", T).unwrap().status, 400);
-        assert_eq!(http_get(addr, "/query?metric=daos_obs_seq&agg=median", T).unwrap().status, 400);
+        let agg = http_get(addr, "/query?metric=daos_obs_seq&agg=last", T).unwrap();
+        assert_eq!((agg.status, agg.body.as_str()), (400, "unknown parameter: agg\n"));
+        let since = http_get(addr, "/query?metric=daos_obs_seq&since=8000", T).unwrap();
+        assert_eq!(since.body, r#"{"metric":"daos_obs_seq","points":[[8000,8.0],[9000,9.0]]}"#);
         assert_eq!(http_get(addr, "/query?metric=daos_obs_seq&since=abc", T).unwrap().status, 400);
         assert_eq!(http_get(addr, "/query?metric=never_recorded", T).unwrap().status, 404);
-    }
-
-    #[test]
-    fn alerts_endpoint_and_metrics_expose_rule_state() {
-        let (server, publisher) = server_with_state();
-        publisher.install_default_rules();
-        let addr = server.addr();
-
-        let resp = http_get(addr, "/alerts", T).unwrap();
-        assert_eq!(resp.status, 200);
-        let Json::Array(rules) = daos_util::json::parse(&resp.body).unwrap() else {
-            panic!("not an array: {}", resp.body);
-        };
-        assert!(!rules.is_empty());
-        assert!(resp.body.contains("\"rule\":\"trace_ring_drop_rate\""), "{}", resp.body);
-        assert!(resp.body.contains("\"state\":\"ok\""), "{}", resp.body);
-
-        // The alert states and tail accounting fold into /metrics.
-        let metrics = http_get(addr, "/metrics", T).unwrap();
-        let samples = prom::parse_exposition(&metrics.body).unwrap();
-        assert!(
-            samples.iter().any(|s| {
-                s.name == "daos_alert_state"
-                    && s.labels
-                        == vec![("rule".to_string(), "trace_ring_drop_rate".to_string())]
-            }),
-            "{}",
-            metrics.body
-        );
-        assert!(samples.iter().any(|s| s.name == "daos_obs_events_missed_total"));
-        assert!(samples.iter().any(|s| s.name == "daos_obs_tail_len"));
     }
 
     #[test]
@@ -906,6 +905,29 @@ mod tests {
         let Some(Json::Array(points)) = v.get("points") else { panic!("{}", resp.body) };
         let Some(Json::Array(last)) = points.last() else { panic!() };
         assert!(matches!(last[1], Json::F64(n) if n >= 1.0), "{}", resp.body);
+    }
+
+    const QUERY_TOKENS: &[&str] = &[
+        "/query", "?", "&", "=", "metric", "since", "agg", "daos_obs_seq", "daos_obs_wss_bytes",
+        "%", "%7B", "%zz", "%f", "%00", "0", "2000", "18446744073709551616",
+    ];
+
+    daos_util::proptest! {
+        cases = 512;
+
+        // `/query`'s parameter parsing and percent-decoding over
+        // arbitrary bytes: a status the route knows, and a body no
+        // larger than the series plus an echo of the input.
+        fn query_response_survives_arbitrary_paths(raw in crate::http::fuzz_bytes(QUERY_TOKENS)) {
+            let publisher = Publisher::new();
+            for seq in 1..=3u64 {
+                publisher.publish(ObsSnapshot { seq, now_ns: seq * 1_000, ..Default::default() });
+            }
+            let path = String::from_utf8_lossy(&raw);
+            let (status, body) = query_response(&publisher, &path);
+            daos_util::prop_assert!(matches!(status, 200 | 400 | 404), "{status}");
+            daos_util::prop_assert!(body.len() <= 3 * path.len() + 128, "{body}");
+        }
     }
 
     #[test]

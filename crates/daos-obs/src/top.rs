@@ -84,7 +84,7 @@ impl Dashboard {
 
     /// Seed the WSS sparkline from an already-recorded series (oldest
     /// first) — `daos top ADDR` pulls
-    /// `/query?metric=daos_obs_wss_bytes&agg=last` so the first frame
+    /// `/query?metric=daos_obs_wss_bytes` so the first frame
     /// shows history instead of a single dot. Keeps the newest
     /// `spark_width` values; later [`frame`](Self::frame) calls append
     /// as usual.
@@ -333,6 +333,39 @@ mod tests {
         // The next live frame appends after the backfilled history.
         dash.frame(&busy_snapshot(1, 7));
         assert_eq!(dash.wss_history, [4, 5, 6, 7]);
+    }
+
+    /// `daos top ADDR`'s first frame after more publishes than the
+    /// history retains: `/query` answers with the newest `RAW_CAPACITY`
+    /// publishes, one sample each, so the sparkline's 48 columns are the
+    /// newest 48 publishes — not 39 ten-publish rollups followed by 9
+    /// single publishes drawn at one spacing, as the tiered store gave.
+    #[test]
+    fn backfill_from_query_is_the_newest_consecutive_publishes() {
+        use crate::history::{QueryResult, RAW_CAPACITY};
+        use daos_util::json::FromJson;
+        const PUBLISHES: u64 = 1_159;
+        let publisher = crate::Publisher::new();
+        for seq in 1..=PUBLISHES {
+            let (now_ns, wss_bytes) = (seq * 1_000, seq);
+            publisher.publish(ObsSnapshot { seq, now_ns, wss_bytes, ..Default::default() });
+        }
+        let server = crate::ObsServer::bind("127.0.0.1:0", publisher).unwrap();
+        let resp = crate::http_get(
+            server.addr(),
+            "/query?metric=daos_obs_wss_bytes",
+            std::time::Duration::from_secs(10),
+        )
+        .unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let answer = QueryResult::from_json(&daos_util::json::parse(&resp.body).unwrap()).unwrap();
+        assert!(answer.points.iter().all(|&(at, v)| at == v as u64 * 1_000), "{}", resp.body);
+        let values: Vec<u64> = answer.points.iter().map(|&(_, v)| v as u64).collect();
+        let newest = |n: usize| (PUBLISHES + 1 - n as u64..=PUBLISHES).collect::<Vec<u64>>();
+        assert_eq!(values, newest(RAW_CAPACITY));
+        let mut dash = Dashboard::new();
+        dash.backfill(&values);
+        assert_eq!(dash.wss_history, newest(dash.spark_width));
     }
 
     #[test]

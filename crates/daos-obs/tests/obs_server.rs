@@ -263,7 +263,6 @@ fn metrics_and_query_share_one_name_set() {
             }
         }
         assert!(series.contains("daos_obs_monitor_share_permille"), "{series:?}");
-        assert!(series.contains("daos_alert_state{rule=\"obs_http_503_rate\"}"), "{series:?}");
         for key in &series {
             let path = format!("/query?metric={}", percent_encode(key));
             let resp = http_get(addr, &path, TIMEOUT).expect("query");
@@ -276,6 +275,54 @@ fn metrics_and_query_share_one_name_set() {
             .expect("history_series");
         assert_eq!(held, series.len() as u64, "the history holds a series /metrics lacks");
     }
+}
+
+/// A ring far too small for what is recorded into it: the drops are
+/// what an outside scraper would see — `daos_obs_dropped_events` on
+/// `/query`, flat, rising while the ring overflows, flat again — and
+/// `/events` carries only what survived.
+#[test]
+fn ring_overflow_is_a_rising_dropped_events_series() {
+    use daos_trace::{Collector, Event};
+    let publisher = Publisher::new();
+    let server = ObsServer::bind("127.0.0.1:0", publisher.clone()).unwrap();
+    let mut c = Collector::builder().ring_capacity(16).build().unwrap();
+    let publish = |seq: u64, c: &Collector| {
+        publisher.sync_ring(c.ring());
+        publisher.publish(ObsSnapshot {
+            seq,
+            now_ns: seq * 1_000_000_000,
+            dropped_events: c.ring().dropped(),
+            ..Default::default()
+        });
+    };
+    publish(1, &c);
+    for at in 0..40u64 {
+        c.record(at, Event::RegionSplit { before: at, after: at + 1 });
+    }
+    assert!(c.ring().dropped() > 0, "the ring must actually overflow");
+    publish(2, &c);
+    for at in 40..64u64 {
+        c.record(at, Event::RegionSplit { before: at, after: at + 1 });
+    }
+    publish(3, &c);
+    publish(4, &c);
+    publish(5, &c);
+    publisher.finish();
+
+    let resp = http_get(server.addr(), "/query?metric=daos_obs_dropped_events", TIMEOUT).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let answer = daos_util::json::parse(&resp.body).expect("query body is JSON");
+    let answer = daos_obs::QueryResult::from_json(&answer).expect("query body decodes");
+    let values: Vec<f64> = answer.points.iter().map(|&(_, v)| v).collect();
+    assert_eq!(values.len(), 5, "{}", resp.body);
+    assert_eq!(values[0], 0.0);
+    assert!(values[1] > 0.0 && values[2] > values[1], "rising: {values:?}");
+    assert_eq!(values[3], values[2], "flat after: {values:?}");
+    assert_eq!(values[4], values[3], "flat after: {values:?}");
+
+    let events = http_get(server.addr(), "/events", TIMEOUT).unwrap();
+    assert_eq!(events.body.lines().count(), 32, "two syncs of a 16-slot ring");
 }
 
 #[test]

@@ -165,7 +165,6 @@ impl Collector {
             Event::SpanExit { phase, dur_ns } => {
                 reg.hist_record(&keys::span(phase), dur_ns);
             }
-            Event::AlertTransition { .. } => reg.counter_add("obs.alert_transitions", 1),
         }
     }
 

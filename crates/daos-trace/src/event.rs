@@ -24,29 +24,9 @@ pub enum Layer {
     Schemes,
     /// Auto-tuner: samples, refits, final step.
     Tuner,
-    /// Observability plane: alert-rule state transitions.
-    Obs,
 }
 
-json_enum!(Layer { Mm, Monitor, Schemes, Tuner, Obs });
-
-/// Alert-rule state carried by [`Event::AlertTransition`]. It lives here
-/// because trace sits below the obs crate in the crate DAG; the alert
-/// engine uses it as `daos_obs::AlertState`, and `/metrics` exports the
-/// discriminant (0 = ok … 3 = resolved) as `daos_alert_state`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlertStateTag {
-    /// Signal within bounds.
-    Ok,
-    /// Breached, not yet for the rule's `for_samples`.
-    Pending,
-    /// Breached long enough; the alert is active.
-    Firing,
-    /// Was firing; the breach just cleared.
-    Resolved,
-}
-
-json_enum!(AlertStateTag { Ok, Pending, Firing, Resolved });
+json_enum!(Layer { Mm, Monitor, Schemes, Tuner });
 
 /// DAMOS action tag carried by [`Event::SchemeApply`]. Mirrors
 /// `daos_schemes::Action` variant-for-variant; the schemes crate maps
@@ -237,11 +217,6 @@ events! {
     SpanEnter { phase: Phase },
     /// A pipeline phase finished after `dur_ns` of virtual work.
     SpanExit { phase: Phase, dur_ns: Ns },
-
-    // ---- obs ----
-    /// An alert rule changed state (`rule` is its index in the installed
-    /// rule set; `value` is the signal that drove the change).
-    AlertTransition { rule: u32, from: AlertStateTag, to: AlertStateTag, value: f64 },
 }
 
 impl Event {
@@ -257,7 +232,6 @@ impl Event {
             | WatermarkTransition { .. } => Layer::Schemes,
             TunerSample { .. } | TunerRefit { .. } | TunerStep { .. } => Layer::Tuner,
             SpanEnter { phase } | SpanExit { phase, .. } => phase.layer(),
-            AlertTransition { .. } => Layer::Obs,
         }
     }
 }
@@ -307,15 +281,6 @@ mod tests {
             (Event::SpanEnter { phase: Phase::Sample }, Layer::Monitor),
             (Event::SpanExit { phase: Phase::SchemeApply, dur_ns: 9 }, Layer::Schemes),
             (Event::SpanExit { phase: Phase::TunerStep, dur_ns: 9 }, Layer::Tuner),
-            (
-                Event::AlertTransition {
-                    rule: 0,
-                    from: AlertStateTag::Pending,
-                    to: AlertStateTag::Firing,
-                    value: 2.5,
-                },
-                Layer::Obs,
-            ),
         ];
         for (e, l) in samples {
             assert_eq!(e.layer(), l);

@@ -51,9 +51,7 @@ pub use collector::{
     emit, enabled, install, registry_snapshot, ring_status, take, with_collector, Collector,
     CollectorBuilder, DEFAULT_RING_CAPACITY,
 };
-pub use event::{
-    ActionTag, AlertStateTag, Event, Layer, Ns, Phase, Pid, SamplePhase, TimedEvent,
-};
+pub use event::{ActionTag, Event, Layer, Ns, Phase, Pid, SamplePhase, TimedEvent};
 pub use export::{events_from_jsonl, events_to_jsonl, export_collector, parse_export, TraceDoc};
 pub use metrics::{keys, Histogram, Registry};
 pub use ring::Ring;

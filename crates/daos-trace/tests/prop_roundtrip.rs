@@ -3,8 +3,7 @@
 //! reason `daos_util::json` keeps a dedicated unsigned lane).
 
 use daos_trace::{
-    events_from_jsonl, events_to_jsonl, ActionTag, AlertStateTag, Event, Phase, SamplePhase,
-    TimedEvent,
+    events_from_jsonl, events_to_jsonl, ActionTag, Event, Phase, SamplePhase, TimedEvent,
 };
 use daos_util::prop::vec_of;
 use daos_util::{prop_assert_eq, proptest};
@@ -20,14 +19,7 @@ const ACTIONS: [ActionTag; 8] = [
     ActionTag::LruDeprio,
 ];
 
-const ALERT_STATES: [AlertStateTag; 4] = [
-    AlertStateTag::Ok,
-    AlertStateTag::Pending,
-    AlertStateTag::Firing,
-    AlertStateTag::Resolved,
-];
-
-/// Deterministically build one of the 21 event variants from raw draws.
+/// Deterministically build one of the 20 event variants from raw draws.
 fn build_event(kind: usize, a: u64, b: u64) -> Event {
     let pid = (a % 10_000) as u32;
     let scheme = (a % 8) as u32;
@@ -57,13 +49,7 @@ fn build_event(kind: usize, a: u64, b: u64) -> Event {
         13 => Event::WatermarkTransition { scheme, active: flag, metric_permille: a % 1001 },
         14 => Event::TunerSample { x, score: y, phase },
         15 => Event::TunerRefit { degree: a % 6, nr_samples: b % 1000 },
-        16 => Event::TunerStep { best_x: x, best_score: y },
-        _ => Event::AlertTransition {
-            rule: (a % 16) as u32,
-            from: ALERT_STATES[(a % 4) as usize],
-            to: ALERT_STATES[(b % 4) as usize],
-            value: y,
-        },
+        _ => Event::TunerStep { best_x: x, best_score: y },
     }
 }
 
@@ -71,7 +57,7 @@ proptest! {
     cases = 256;
 
     fn single_event_jsonl_roundtrip(
-        kind in 0usize..21,
+        kind in 0usize..20,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         at in 0u64..u64::MAX,
@@ -85,7 +71,7 @@ proptest! {
     }
 
     fn event_stream_jsonl_roundtrip(
-        batch in vec_of((0usize..21, 0u64..u64::MAX, 0u64..u64::MAX), 0usize..24),
+        batch in vec_of((0usize..20, 0u64..u64::MAX, 0u64..u64::MAX), 0usize..24),
     ) {
         let events: Vec<TimedEvent> = batch
             .iter()

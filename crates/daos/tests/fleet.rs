@@ -4,7 +4,7 @@
 //! stay deterministic regardless of worker count, keep per-process drop
 //! accounting, and show sub-linear monitoring overhead.
 
-use daos::{FleetSpec, MonitorKind, RunConfig, Session};
+use daos::{FleetSpec, FleetSummary, MonitorKind, RunConfig, Session};
 use daos_mm::clock::ms;
 use daos_mm::MachineProfile;
 use daos_monitor::MonitorAttrs;
@@ -25,6 +25,12 @@ fn small_worker(nr_epochs: u64) -> WorkloadSpec {
 
 /// The committed golden `tests/golden/<name>`: what a single-process
 /// run of the small-worker spec produces.
+/// The monitor's share of the fleet's CPU time, in ‰ — the number the
+/// paper's Conclusion 3 bounds at 5 % of one CPU per process.
+fn monitor_share_permille(s: &FleetSummary) -> u64 {
+    s.monitor_work_ns * 1000 / (s.nr_processes as u64 * s.runtime_ns)
+}
+
 fn golden(name: &str) -> String {
     let path = format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
@@ -104,6 +110,7 @@ fn paddr_fleet_of_twelve_matches_golden() {
             .unwrap();
         let mut summary = session.fleet.expect("every session carries a summary");
         assert_eq!(summary.nr_workers, workers);
+        assert!(monitor_share_permille(&summary) <= 50, "paddr monitor over the 5 % bound");
         // Pool counters vary with worker count and thread timing.
         summary.nr_workers = 0;
         summary.steals = 0;
@@ -134,6 +141,7 @@ fn fleet_results_independent_of_worker_count() {
     let serial = fleet(1);
     let s = serial.fleet.unwrap();
     assert_eq!((s.nr_workers, s.nr_shards), (1, 7));
+    assert!(monitor_share_permille(&s) <= 50, "vaddr monitor over the 5 % bound");
     for workers in [2, 8] {
         let parallel = fleet(workers);
         assert_eq!(serial.runs, parallel.runs, "workers({workers}) changed per-process results");

@@ -162,7 +162,12 @@ echo "ok"
 echo "== live observability endpoints answer during a real run =="
 # Spawn a served run on an ephemeral port, scrape /healthz and /metrics
 # with the std-only obs-get client (which also validates the exposition
-# format), then kill the lingering server.
+# format), then kill the lingering server. The plane exports and leaves
+# judging to the scraper: a binary that still has the `alerts`
+# subcommand (removed with the rule engine) is a stale one.
+rc=0
+target/release/daos alerts x > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "FAIL: 'daos alerts x' exited $rc, not 2 — stale binary?"; exit 1; }
 serve_bg "$tmp/serve.log" "served run" \
     target/release/daos run parsec3/freqmine --config rec --epochs 200 --seed 42 \
     --serve 127.0.0.1:0 --linger
@@ -234,7 +239,7 @@ for field in in_flight accepted_total history_series; do
 done
 # The metric history behind /query must have recorded the fleet gauge on
 # every publish: a non-empty, monotonically non-decreasing series.
-target/release/obs-get "$faddr" '/query?metric=daos_fleet_nr_processes&agg=last' \
+target/release/obs-get "$faddr" '/query?metric=daos_fleet_nr_processes' \
     > "$tmp/fleet_query.json" || {
     echo "FAIL: fleet /query unreachable or unknown metric"
     kill "$fleet_pid" 2>/dev/null
@@ -248,26 +253,6 @@ tr '[' '\n' < "$tmp/fleet_query.json" \
     kill "$fleet_pid" 2>/dev/null
     exit 1
 }
-# The alert engine ships with the default rules installed.
-target/release/obs-get "$faddr" /alerts > "$tmp/fleet_alerts.json" || {
-    echo "FAIL: fleet /alerts unreachable"
-    kill "$fleet_pid" 2>/dev/null
-    exit 1
-}
-grep -q '"rule":"trace_ring_drop_rate"' "$tmp/fleet_alerts.json" || {
-    echo "FAIL: /alerts lacks the default rule set"
-    cat "$tmp/fleet_alerts.json"
-    kill "$fleet_pid" 2>/dev/null
-    exit 1
-}
-# The overhead rule must see a fleet's monitor share, not only a single
-# run's: its value is a number, never null.
-grep -q '"rule":"monitor_overhead_permille"[^}]*"value":[0-9]' "$tmp/fleet_alerts.json" || {
-    echo "FAIL: /alerts has no numeric value for monitor_overhead_permille"
-    cat "$tmp/fleet_alerts.json"
-    kill "$fleet_pid" 2>/dev/null
-    exit 1
-}
 kill "$fleet_pid" 2>/dev/null
 wait "$fleet_pid" 2>/dev/null || true
 grep -q 'daos_tenant_rss_bytes{tenant="t3"}' "$tmp/fleet_metrics.txt" || {
@@ -278,6 +263,14 @@ grep -q 'daos_tenant_rss_bytes{tenant="t3"}' "$tmp/fleet_metrics.txt" || {
 grep -q '^daos_fleet_nr_processes 256$' "$tmp/fleet_metrics.txt" || {
     echo "FAIL: /metrics lacks the fleet-level gauges"
     head -40 "$tmp/fleet_metrics.txt"
+    exit 1
+}
+# The paper's Conclusion 3: monitoring costs at most 5 % of one CPU per
+# process. The plane exports the fleet's share; this is its reader.
+awk '$1 == "daos_obs_monitor_share_permille" { seen = 1; if ($2 + 0 > 50) exit 1 }
+     END { exit !seen }' "$tmp/fleet_metrics.txt" || {
+    echo "FAIL: daos_obs_monitor_share_permille missing from /metrics or above 50"
+    grep monitor_share "$tmp/fleet_metrics.txt"
     exit 1
 }
 echo "ok"

@@ -2,8 +2,8 @@
 //! hot paths — the monitoring tick (sampling), a full aggregation window
 //! (aggregate + split/merge) over the synthetic space and over a real
 //! process's page tables, the schemes-engine apply pass, the
-//! substrate's page-table walks, and the same monitor loop with
-//! tracing enabled vs disabled — written to
+//! substrate's page-table walks and fault service, and the same monitor
+//! loop with tracing enabled vs disabled — written to
 //! `BENCH_pipeline.json` at the repo root as the regression baseline.
 //!
 //! `pipeline --quick` shrinks samples/iterations for CI smoke runs
@@ -166,6 +166,37 @@ fn bench_page_walks(h: &mut Harness, iters: u64) {
     });
 }
 
+/// Fault service, the other half of `apply_access`: an `All` batch over
+/// 4096 never-touched pages, on a machine with room for all of them
+/// (minor faults only) and on one whose DRAM is two thirds of the batch
+/// (every fault past DRAM waits for pressure reclaim, which evicts what
+/// the batch itself just mapped — what a fleet shard's set-up does).
+/// Every iteration faults into its own copy of an empty machine, so the
+/// lanes include materialising the chunks, the frame slab and the LRU
+/// ring — which is why they are recorded but not gated: a neighbour's
+/// burst on the shared box moves these allocation-heavy lanes 1.6× where
+/// it moves the in-cache walks 1.35×, past the 50 % margin. The gated
+/// `fleet/run_1000_procs_50_epochs` covers the path end to end.
+fn bench_fault_service(h: &mut Harness, iters: u64) {
+    const BATCH: u64 = 16 << 20;
+    for (name, dram_bytes) in [
+        ("mm/fault_in_4096_fresh", 256 << 20),
+        ("mm/fault_evict_4096_under_pressure", (BATCH / 3 * 2) & !(PAGE_SIZE - 1)),
+    ] {
+        let mut machine = daos_mm::MachineProfile::test_tiny();
+        machine.dram_bytes = dram_bytes;
+        let mut empty = MemorySystem::new(machine, SwapConfig::paper_zram(), 1);
+        let pid = empty.spawn();
+        let batch = AccessBatch::all(empty.mmap(pid, BATCH, ThpMode::Never).expect("mmap"), 1.0);
+        h.bench_iters(name, iters, || {
+            let mut sys = empty.clone();
+            let out = sys.apply_access(pid, &batch).expect("fault in");
+            assert_eq!(out.minor_faults, BATCH / PAGE_SIZE);
+            black_box(sys)
+        });
+    }
+}
+
 /// The identical monitor loop with the trace collector absent vs
 /// installed — the zero-overhead-when-disabled claim, quantified.
 fn bench_trace_toggle(h: &mut Harness, iters: u64) {
@@ -214,6 +245,7 @@ fn measure(quick: bool) -> Json {
     bench_sweep_vaddr(&mut h, iters);
     bench_scheme_apply(&mut h, iters);
     bench_page_walks(&mut h, iters * 4);
+    bench_fault_service(&mut h, iters);
     bench_trace_toggle(&mut h, iters * 4);
 
     artifact::artifact_doc("pipeline", quick, samples, h.results())

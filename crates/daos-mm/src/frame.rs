@@ -160,6 +160,37 @@ impl FrameAllocator {
         self.meta(id).owner
     }
 
+    /// Recount the allocator's own books (for [`crate::MemorySystem::audit`]):
+    /// no frame is on the recycle list twice, every frame on it — and
+    /// every frame never handed out — is unowned, and the owned frames are
+    /// exactly [`Self::nr_used`]. An owned frame is then never a free one.
+    pub fn audit(&self) -> Result<(), String> {
+        let mut free = self.free.clone();
+        free.sort_unstable();
+        if let Some(w) = free.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("frame {} is on the free list twice", w[0]));
+        }
+        if let Some(id) = free.iter().find(|id| self.owner(**id).is_some()) {
+            return Err(format!("frame {id} is free and owned by {:?}", self.owner(*id)));
+        }
+        let mut nr_owned = 0;
+        for (i, slab) in self.slabs.iter().enumerate() {
+            // Only a materialised slab can hold an owner.
+            let Some(slab) = slab else { continue };
+            for (j, _) in slab.iter().enumerate().filter(|(_, m)| m.owner.is_some()) {
+                let id = (i * SLAB_FRAMES + j) as FrameId;
+                if id >= self.next_fresh {
+                    return Err(format!("frame {id} was never handed out and is owned"));
+                }
+                nr_owned += 1;
+            }
+        }
+        if nr_owned != self.nr_used() {
+            return Err(format!("{nr_owned} frames are owned, {} are in use", self.nr_used()));
+        }
+        Ok(())
+    }
+
     /// Iterate over `(frame, meta)` of all frames; the physical-address
     /// monitoring primitive walks this. Virgin slabs yield FREE metadata.
     pub fn iter(&self) -> impl Iterator<Item = (FrameId, FrameMeta)> + '_ {

@@ -147,6 +147,14 @@ impl Process {
         self.vmas.get_mut(pos).filter(|v| v.range.contains(addr))
     }
 
+    /// [`Self::find_vma_mut`] for a caller working through neighbouring
+    /// addresses: `*at`, the index of the VMA its last address fell in, is
+    /// tried before the binary search and updated (see [`PteCursor`]).
+    #[inline]
+    pub(crate) fn vma_near(&mut self, at: &mut usize, addr: u64) -> Option<&mut Vma> {
+        seek(&self.vmas, at, addr).map(|i| &mut self.vmas[i])
+    }
+
     /// All VMA ranges, sorted — what the virtual-address monitoring
     /// primitive reads to construct/refresh its target regions.
     pub fn vma_ranges(&self) -> Vec<AddrRange> {
@@ -167,6 +175,18 @@ impl Process {
     pub fn vsize_bytes(&self) -> u64 {
         self.vmas.iter().map(|v| v.range.len()).sum()
     }
+}
+
+/// Index of the VMA of `vmas` (sorted, non-overlapping) containing `addr`,
+/// `None` when it is unmapped. `*at` is tried first and left at the VMA
+/// found: any address order is correct, a run of neighbours is fast.
+#[inline]
+fn seek(vmas: &[Vma], at: &mut usize, addr: u64) -> Option<usize> {
+    let hit = |i: usize| vmas.get(i).is_some_and(|v| v.range.contains(addr));
+    if !hit(*at) {
+        *at = vmas.partition_point(|v| v.range.end <= addr);
+    }
+    hit(*at).then_some(*at)
 }
 
 /// A forward cursor over a sorted VMA list, for reading and clearing
@@ -198,12 +218,7 @@ impl<V: Deref<Target = [Vma]>> PteCursor<V> {
     /// Move to the VMA containing `addr`; `None` when it is unmapped.
     #[inline]
     fn seek(&mut self, addr: u64) -> Option<usize> {
-        let vmas = &*self.vmas;
-        let hit = |i: usize| vmas.get(i).is_some_and(|v| v.range.contains(addr));
-        if !hit(self.at) {
-            self.at = vmas.partition_point(|v| v.range.end <= addr);
-        }
-        hit(self.at).then_some(self.at)
+        seek(&self.vmas, &mut self.at, addr)
     }
 
     /// The accessed bit of the page at `addr`; `None` when unmapped.

@@ -8,7 +8,7 @@
 use daos_util::rng::SmallRng;
 
 use crate::access::{AccessBatch, AccessOutcome, TouchPattern};
-use crate::addr::{AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
+use crate::addr::{huge_align_down, AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
 use crate::clock::{Clock, Ns};
 use crate::error::{MmError, MmResult};
 use crate::frame::FrameAllocator;
@@ -18,7 +18,7 @@ use crate::process::{Pid, Process, PteCursor};
 use crate::stats::KernelStats;
 use crate::swap::{SwapConfig, SwapDevice};
 use crate::tlb::access_costs;
-use crate::vma::{PteState, ThpMode, Vma};
+use crate::vma::{PteState, Reclaimed, ThpMode, Vma};
 
 /// How many pages one pressure-reclaim pass tries to free.
 const RECLAIM_BATCH: u64 = 32;
@@ -140,6 +140,45 @@ impl MemorySystem {
             .filter(|p| !p.exited)
             .map(|p| p.pid)
             .collect()
+    }
+
+    /// Recount what the substrate maintains incrementally, on the live
+    /// machine: every VMA's chunk and VMA counters and canonical form
+    /// ([`Vma::check_counters`]); each process's RSS against its VMAs'
+    /// resident pages; each resident page's frame owned, in the rmap, by
+    /// exactly that `(pid, addr)` — so no frame backs two pages; the
+    /// frames in use against the sum of RSS; and the frame allocator's
+    /// books ([`FrameAllocator::audit`]: nothing free is owned). O(mapped
+    /// pages): for debug builds and tests, not for a hot path.
+    pub fn audit(&self) -> Result<(), String> {
+        let mut rss_pages = 0;
+        for proc in &self.procs {
+            let pid = proc.pid;
+            let mut resident = 0;
+            for vma in proc.vmas() {
+                vma.check_counters().map_err(|e| format!("pid {pid} vma {}: {e}", vma.range))?;
+                resident += vma.nr_resident() as u64;
+                for (addr, pte) in vma.iter_mapped() {
+                    let PteState::Resident(frame) = pte.state else { continue };
+                    let owner = self.frames.owner(frame);
+                    if owner != Some((pid, addr)) {
+                        return Err(format!(
+                            "pid {pid} page {addr:#x} is in frame {frame}, owned by {owner:?}"
+                        ));
+                    }
+                }
+            }
+            if proc.rss_bytes() != resident * PAGE_SIZE {
+                let rss = proc.rss_bytes() / PAGE_SIZE;
+                return Err(format!("pid {pid}: RSS {rss} pages, its VMAs hold {resident}"));
+            }
+            rss_pages += resident;
+        }
+        if self.frames.nr_used() as u64 != rss_pages {
+            let used = self.frames.nr_used();
+            return Err(format!("{used} frames in use, the processes' RSS sums to {rss_pages}"));
+        }
+        self.frames.audit()
     }
 
     // ---- process lifecycle -----------------------------------------
@@ -271,10 +310,7 @@ impl MemorySystem {
         }
 
         // Pass 2: service the faults (may trigger reclaim).
-        let mut stall_ns: Ns = 0;
-        for &addr in &faults {
-            stall_ns += self.handle_fault(pid, addr, &mut out)?;
-        }
+        let stall_ns = self.service_faults(pid, &faults, &mut out)?;
         self.fault_scratch = faults;
 
         // Cost model: DRAM latency + TLB walks, per logical access.
@@ -293,72 +329,95 @@ impl MemorySystem {
         Ok(out)
     }
 
-    /// Handle a fault on `addr`: minor (first touch) or major (swap-in).
-    fn handle_fault(&mut self, pid: Pid, addr: u64, out: &mut AccessOutcome) -> MmResult<Ns> {
-        // Read the PTE state without holding the borrow.
-        let (state, huge) = {
-            let proc = self.proc(pid)?;
-            let vma = proc.find_vma(addr).ok_or(MmError::Unmapped(addr))?;
-            (vma.pte(addr).state, vma.is_huge(addr))
-        };
-        let mut cost: Ns = 0;
-        let load_cost = match state {
-            PteState::Resident(_) => return Ok(0), // raced with ourselves; nothing to do
-            PteState::None => {
-                cost += self.machine.minor_fault_ns;
-                None
+    /// Service the faults pass 1 queued, in order, one (VMA, 2 MiB chunk)
+    /// run at a time: minor (first touch) or major (swap-in) each, with
+    /// pressure reclaim whenever DRAM is full. Returns the stall charged.
+    ///
+    /// Process, VMA and huge flag are resolved once per run (whether
+    /// anyone is tracing, once per batch), and the run's RSS and fault
+    /// counters are folded into one update. What stays per page is what a
+    /// page decides: its state, read when its turn comes (an address a
+    /// `Random` batch drew twice is resident by its second turn, and is
+    /// skipped), the swap load, the frame, the page-table write and the
+    /// LRU push. Reclaim may evict the faulting process's own pages, so
+    /// the run is folded *before* it: peak RSS is then the per-page peak,
+    /// and the swap device sees the page's load ahead of reclaim's stores,
+    /// as a per-page loop would issue them.
+    fn service_faults(
+        &mut self,
+        pid: Pid,
+        faults: &[u64],
+        out: &mut AccessOutcome,
+    ) -> MmResult<Ns> {
+        use daos_trace::Event;
+        let (now, tracing) = (self.now(), daos_trace::enabled());
+        let mut stall: Ns = 0;
+        // Set while `faults[i]` has had its swap-in (if it was one: the
+        // flag) and waits for reclaim to free it a frame.
+        let mut waiting: Option<bool> = None;
+        let mut i = 0;
+        while i < faults.len() {
+            let Self { procs, frames, swap, lru, machine, .. } = self;
+            let proc = procs.get_mut(pid as usize).ok_or(MmError::NoSuchProcess(pid))?;
+            let vma = proc.find_vma_mut(faults[i]).ok_or(MmError::Unmapped(faults[i]))?;
+            let chunk = huge_align_down(faults[i]);
+            let run_end = (chunk + HUGE_PAGE_SIZE).min(vma.range.end);
+            let run = AddrRange::new(chunk.max(vma.range.start), run_end);
+            let huge = vma.is_huge(chunk);
+            let (mut mapped, mut major) = (0u64, 0u64);
+            while let Some(&addr) = faults.get(i).filter(|a| run.contains(**a)) {
+                let swapped_in = match waiting.take() {
+                    Some(swapped_in) => swapped_in,
+                    None => match vma.pte(addr).state {
+                        PteState::Resident(_) => {
+                            i += 1;
+                            continue;
+                        }
+                        PteState::None => {
+                            stall += machine.minor_fault_ns;
+                            false
+                        }
+                        PteState::Swapped(slot) => {
+                            stall += swap.load(slot, machine) + machine.major_fault_extra_ns;
+                            true
+                        }
+                    },
+                };
+                let Some(frame) = frames.alloc(pid, addr) else {
+                    waiting = Some(swapped_in);
+                    break;
+                };
+                let gen = vma.map_page(addr, frame, true);
+                lru.insert(LruList::Inactive, pid, addr, gen);
+                mapped += 1;
+                major += swapped_in as u64;
+                if tracing {
+                    if swapped_in {
+                        daos_trace::emit(now, Event::SwapIn { pid, addr });
+                    }
+                    daos_trace::emit(now, Event::PageFault { pid, addr, major: swapped_in });
+                }
+                i += 1;
             }
-            PteState::Swapped(slot) => {
-                let ns = self.swap.load(slot, &self.machine);
-                cost += ns + self.machine.major_fault_extra_ns;
-                Some(())
+            if mapped > 0 {
+                proc.map_pages(now, mapped);
+                proc.stats.minor_faults += mapped - major;
+                proc.stats.major_faults += major;
+                proc.stats.swapins += major;
+                out.minor_faults += mapped - major;
+                out.major_faults += major;
+                out.touched_pages += mapped;
+                out.touched_huge += if huge { mapped } else { 0 };
             }
-        };
-
-        let (frame, reclaim_ns) = self.get_frame(pid, addr)?;
-        cost += reclaim_ns;
-
-        let now = self.now();
-        let proc = self.proc_mut(pid)?;
-        let vma = proc.find_vma_mut(addr).ok_or(MmError::Unmapped(addr))?;
-        let gen = vma.with_pte(addr, |pte| {
-            pte.state = PteState::Resident(frame);
-            pte.accessed = true;
-            pte.touched = true;
-            pte.lru_gen = pte.lru_gen.wrapping_add(1);
-            pte.lru_gen
-        });
-        proc.map_pages(now, 1);
-        if load_cost.is_some() {
-            proc.stats.major_faults += 1;
-            proc.stats.swapins += 1;
-            out.major_faults += 1;
-        } else {
-            proc.stats.minor_faults += 1;
-            out.minor_faults += 1;
+            if waiting.is_some() {
+                // DRAM is full: direct reclaim, charged to the faulter.
+                stall += self.shrink(RECLAIM_BATCH);
+                if self.frames.nr_free() == 0 {
+                    return Err(MmError::OutOfMemory);
+                }
+            }
         }
-        out.touched_pages += 1;
-        out.touched_huge += huge as u64;
-        self.lru.insert(LruList::Inactive, pid, addr, gen);
-        let major = load_cost.is_some();
-        if major {
-            daos_trace::trace!(now, SwapIn { pid, addr });
-        }
-        daos_trace::trace!(now, PageFault { pid, addr, major });
-        Ok(cost)
-    }
-
-    /// Allocate a frame, running pressure reclaim when DRAM is full.
-    /// Returns the frame and the direct-reclaim stall charged.
-    fn get_frame(&mut self, pid: Pid, addr: u64) -> MmResult<(u32, Ns)> {
-        if let Some(f) = self.frames.alloc(pid, addr) {
-            return Ok((f, 0));
-        }
-        let stall = self.shrink(RECLAIM_BATCH);
-        self.frames
-            .alloc(pid, addr)
-            .map(|f| (f, stall))
-            .ok_or(MmError::OutOfMemory)
+        Ok(stall)
     }
 
     /// Pressure reclaim: evict up to `target` cold pages from the LRU
@@ -371,51 +430,35 @@ impl MemorySystem {
         // referenced.
         let mut budget = (self.frames.capacity() as u64 * 4).max(1024);
         let budget_start = budget;
+        // Neighbours on the lists were mostly mapped one after the other.
+        let mut at = 0;
 
         while freed < target && budget > 0 {
             budget -= 1;
             let Some(e) = self.lru.pop_inactive() else {
                 // Refill inactive from the active list's cold tail.
                 let Some(a) = self.lru.pop_active() else { break };
-                if let Some(gen) = self.revalidate_bump(a.pid, a.addr, a.gen, false) {
+                if let Some(gen) = self.bump_resident(&mut at, a.pid, a.addr, Some(a.gen), false) {
                     self.lru.insert(LruList::Inactive, a.pid, a.addr, gen);
                 }
                 continue;
             };
-
-            // Validate and check the accessed bit in one borrow.
-            let verdict = {
-                let Some(proc) = self.procs.get_mut(e.pid as usize) else { continue };
-                let Some(vma) = proc.find_vma_mut(e.addr) else { continue };
-                vma.with_pte(e.addr, |pte| {
-                    if pte.lru_gen != e.gen || !pte.is_resident() {
-                        None // stale
-                    } else if pte.accessed {
-                        // Second chance: clear and promote to active.
-                        pte.accessed = false;
-                        pte.lru_gen = pte.lru_gen.wrapping_add(1);
-                        Some((true, pte.lru_gen))
-                    } else {
-                        pte.lru_gen = pte.lru_gen.wrapping_add(1);
-                        Some((false, pte.lru_gen))
-                    }
-                })
-            };
-            match verdict {
-                None => continue,
-                Some((true, gen)) => {
+            match self.reclaim_page(&mut at, e.pid, e.addr, Some(e.gen)) {
+                Ok(Reclaimed::Stale) => {}
+                // Second chance: promote to active.
+                Ok(Reclaimed::Referenced(gen)) => {
                     self.lru.insert(LruList::Active, e.pid, e.addr, gen);
                 }
-                Some((false, _gen)) => {
-                    match self.unmap_to_swap(e.pid, e.addr) {
-                        Ok(ns) => {
-                            cost += ns;
-                            freed += 1;
-                            self.kstats.pressure_reclaims += 1;
-                        }
-                        // Swap full: anonymous pages become unreclaimable.
-                        Err(_) => break,
-                    }
+                Ok(Reclaimed::Evicted(_)) => {
+                    cost += self.machine.pageout_page_ns;
+                    freed += 1;
+                    self.kstats.pressure_reclaims += 1;
+                }
+                // Swap full: anonymous pages become unreclaimable.
+                Err(MmError::SwapFull) => break,
+                Err(e) => {
+                    debug_assert!(false, "reclaim can only fail on a full swap device: {e}");
+                    break;
                 }
             }
         }
@@ -427,51 +470,52 @@ impl MemorySystem {
         cost
     }
 
-    /// Re-validate a queued LRU entry and bump its generation; returns the
-    /// new generation if still live. When `clear_accessed` is set the
-    /// accessed bit is also cleared (deactivation ages the page).
-    fn revalidate_bump(&mut self, pid: Pid, addr: u64, gen: u32, clear_accessed: bool) -> Option<u32> {
-        let proc = self.procs.get_mut(pid as usize)?;
-        let vma = proc.find_vma_mut(addr)?;
-        vma.with_pte(addr, |pte| {
-            if pte.lru_gen != gen || !pte.is_resident() {
-                return None;
-            }
-            if clear_accessed {
-                pte.accessed = false;
-            }
-            pte.lru_gen = pte.lru_gen.wrapping_add(1);
-            Some(pte.lru_gen)
-        })
+    /// [`Vma::bump_resident`] on the page at `(pid, addr)`; a page that is
+    /// gone (process, mapping or residency) is `None`.
+    fn bump_resident(
+        &mut self,
+        at: &mut usize,
+        pid: Pid,
+        addr: u64,
+        queued_gen: Option<u32>,
+        clear_accessed: bool,
+    ) -> Option<u32> {
+        let vma = self.procs.get_mut(pid as usize)?.vma_near(at, addr)?;
+        vma.bump_resident(addr, queued_gen, clear_accessed)
     }
 
-    /// Unmap one resident page to swap. Returns the *synchronous* kernel
-    /// CPU cost; the device write itself is asynchronous (writeback) and
-    /// only tracked in [`KernelStats::swap_write_ns`].
-    fn unmap_to_swap(&mut self, pid: Pid, addr: u64) -> MmResult<Ns> {
-        let (slot, store_ns) = self.swap.store(&self.machine)?;
-        self.kstats.swap_write_ns += store_ns;
-        let now = self.now();
-        let proc = self.proc_mut(pid)?;
-        let vma = proc.find_vma_mut(addr).ok_or(MmError::Unmapped(addr))?;
-        let frame = vma.with_pte(addr, |pte| {
-            let PteState::Resident(frame) = pte.state else { return None };
-            pte.state = PteState::Swapped(slot);
-            pte.accessed = false;
-            pte.touched = false;
-            pte.lru_gen = pte.lru_gen.wrapping_add(1);
-            Some(frame)
-        });
-        let Some(frame) = frame else {
-            // Caller validated residency; losing the race is a bug.
-            self.swap.discard(slot);
-            return Err(MmError::Unmapped(addr));
-        };
-        proc.unmap_pages(now, 1);
-        proc.stats.swapouts += 1;
-        self.frames.free(frame);
-        daos_trace::trace!(now, SwapOut { pid, addr });
-        Ok(self.machine.pageout_page_ns)
+    /// Judge one reclaim candidate — an LRU entry queued under
+    /// `Some(lru_gen)`, or with `None` a page a scheme found resident —
+    /// and evict it to swap if it is cold, all in one resolve of
+    /// [`Vma::reclaim_page`], whose verdict this returns with the frame
+    /// already freed. A page that is gone is `Stale`; the only error is
+    /// the swap device's [`MmError::SwapFull`], which leaves the page
+    /// resident. An eviction costs the caller `pageout_page_ns` of
+    /// synchronous kernel CPU; the device write itself is asynchronous
+    /// (writeback) and only tracked in [`KernelStats::swap_write_ns`].
+    fn reclaim_page(
+        &mut self,
+        at: &mut usize,
+        pid: Pid,
+        addr: u64,
+        lru_gen: Option<u32>,
+    ) -> MmResult<Reclaimed> {
+        let Self { procs, swap, machine, kstats, frames, clock, .. } = self;
+        let Some(proc) = procs.get_mut(pid as usize) else { return Ok(Reclaimed::Stale) };
+        let Some(vma) = proc.vma_near(at, addr) else { return Ok(Reclaimed::Stale) };
+        let verdict = vma.reclaim_page(addr, lru_gen, || {
+            let (slot, store_ns) = swap.store(machine)?;
+            kstats.swap_write_ns += store_ns;
+            Ok(slot)
+        })?;
+        if let Reclaimed::Evicted(frame) = verdict {
+            let now = clock.now();
+            proc.unmap_pages(now, 1);
+            proc.stats.swapouts += 1;
+            frames.free(frame);
+            daos_trace::trace!(now, SwapOut { pid, addr });
+        }
+        Ok(verdict)
     }
 
     // ---- monitoring hooks (the "Monitoring Primitives" substrate) ---
@@ -543,63 +587,56 @@ impl MemorySystem {
     /// kernel_cost_ns)`; stops early when swap fills up.
     pub fn pageout(&mut self, pid: Pid, range: AddrRange) -> MmResult<(u64, Ns)> {
         let addrs = self.resident_addrs_in(pid, range)?;
-        let mut bytes = 0u64;
-        let mut cost: Ns = 0;
+        let (mut paged_out, mut at) = ((0u64, 0 as Ns), 0);
         for addr in addrs {
-            if self.reference_check(pid, addr) {
-                continue;
-            }
-            match self.unmap_to_swap(pid, addr) {
-                Ok(ns) => {
-                    bytes += PAGE_SIZE;
-                    cost += ns;
-                    self.kstats.damos_pageouts += 1;
-                }
-                Err(MmError::SwapFull) => break,
-                Err(e) => return Err(e),
+            if !self.pageout_page(&mut at, pid, addr, &mut paged_out) {
+                break;
             }
         }
-        Ok((bytes, cost))
+        Ok(paged_out)
     }
 
-    /// The reclaim reference check: if the page was referenced since the
-    /// last check, clear the bit and report `true` (skip this round).
-    fn reference_check(&mut self, pid: Pid, addr: u64) -> bool {
-        let Some(proc) = self.procs.get_mut(pid as usize) else { return false };
-        let Some(vma) = proc.find_vma_mut(addr) else { return false };
-        vma.with_pte(addr, |pte| {
-            if pte.accessed {
-                pte.accessed = false;
-                true
-            } else {
-                false
+    /// One page of a scheme's pageout, its `(bytes, cost)` added to
+    /// `paged_out`: the reclaim reference check — a page referenced since
+    /// the last check has the bit cleared and is skipped this round — and
+    /// the eviction of a page that was not. `false` once swap is full.
+    fn pageout_page(
+        &mut self,
+        at: &mut usize,
+        pid: Pid,
+        addr: u64,
+        paged_out: &mut (u64, Ns),
+    ) -> bool {
+        match self.reclaim_page(at, pid, addr, None) {
+            Ok(Reclaimed::Evicted(_)) => {
+                paged_out.0 += PAGE_SIZE;
+                paged_out.1 += self.machine.pageout_page_ns;
+                self.kstats.damos_pageouts += 1;
             }
-        })
+            Ok(Reclaimed::Stale | Reclaimed::Referenced(_)) => {}
+            Err(MmError::SwapFull) => return false,
+            Err(e) => {
+                debug_assert!(false, "reclaim can only fail on a full swap device: {e}");
+                return false;
+            }
+        }
+        true
     }
 
     /// Page out by *physical* address range, via rmap (prec-style targets).
     pub fn pageout_paddr(&mut self, range: AddrRange) -> (u64, Ns) {
-        let mut bytes = 0u64;
-        let mut cost: Ns = 0;
+        let (mut paged_out, mut at) = ((0u64, 0 as Ns), 0);
         for paddr in range.pages() {
             if paddr >= self.machine.dram_bytes {
                 break;
             }
             if let Some((pid, vaddr)) = self.phys_owner(paddr) {
-                if self.reference_check(pid, vaddr) {
-                    continue;
-                }
-                match self.unmap_to_swap(pid, vaddr) {
-                    Ok(ns) => {
-                        bytes += PAGE_SIZE;
-                        cost += ns;
-                        self.kstats.damos_pageouts += 1;
-                    }
-                    Err(_) => break,
+                if !self.pageout_page(&mut at, pid, vaddr, &mut paged_out) {
+                    break;
                 }
             }
         }
-        (bytes, cost)
+        paged_out
     }
 
     fn resident_addrs_in(&self, pid: Pid, range: AddrRange) -> MmResult<Vec<u64>> {
@@ -805,9 +842,10 @@ impl MemorySystem {
     /// the inactive LRU tail (next reclaim victims) and age them.
     pub fn mark_cold(&mut self, pid: Pid, range: AddrRange) -> MmResult<u64> {
         let addrs = self.resident_addrs_in(pid, range)?;
-        let mut nr = 0u64;
+        let (mut nr, mut at) = (0u64, 0);
         for addr in addrs {
-            if let Some(gen) = self.revalidate_current(pid, addr) {
+            // Aged whatever its prior queue state: the bit is cleared too.
+            if let Some(gen) = self.bump_resident(&mut at, pid, addr, None, true) {
                 self.lru.deactivate_to_tail(pid, addr, gen);
                 nr += 1;
             }
@@ -815,48 +853,20 @@ impl MemorySystem {
         Ok(nr)
     }
 
-    /// Bump a page's generation, clearing its accessed bit, regardless of
-    /// prior queue state. Returns the new generation if resident.
-    fn revalidate_current(&mut self, pid: Pid, addr: u64) -> Option<u32> {
-        let proc = self.procs.get_mut(pid as usize)?;
-        let vma = proc.find_vma_mut(addr)?;
-        vma.with_pte(addr, |pte| {
-            if !pte.is_resident() {
-                return None;
-            }
-            pte.accessed = false;
-            pte.lru_gen = pte.lru_gen.wrapping_add(1);
-            Some(pte.lru_gen)
-        })
-    }
-
     /// LRU-activate resident pages of `range` (the DAMON_LRU_SORT
     /// "prioritise hot pages" operation): they move to the active list's
     /// head, making them the last candidates for pressure reclaim.
     pub fn mark_hot(&mut self, pid: Pid, range: AddrRange) -> MmResult<u64> {
         let addrs = self.resident_addrs_in(pid, range)?;
-        let mut nr = 0u64;
+        let (mut nr, mut at) = (0u64, 0);
         for addr in addrs {
-            if let Some(gen) = self.bump_gen_keep_accessed(pid, addr) {
+            // Activation must not erase reference information.
+            if let Some(gen) = self.bump_resident(&mut at, pid, addr, None, false) {
                 self.lru.insert(LruList::Active, pid, addr, gen);
                 nr += 1;
             }
         }
         Ok(nr)
-    }
-
-    /// Bump a resident page's LRU generation without touching its
-    /// accessed bit (activation must not erase reference information).
-    fn bump_gen_keep_accessed(&mut self, pid: Pid, addr: u64) -> Option<u32> {
-        let proc = self.procs.get_mut(pid as usize)?;
-        let vma = proc.find_vma_mut(addr)?;
-        vma.with_pte(addr, |pte| {
-            if !pte.is_resident() {
-                return None;
-            }
-            pte.lru_gen = pte.lru_gen.wrapping_add(1);
-            Some(pte.lru_gen)
-        })
     }
 
     /// `MADV_WILLNEED`-style prefetch: swap swapped pages of `range` back
@@ -874,32 +884,17 @@ impl MemorySystem {
         let mut bytes = 0u64;
         let mut cost: Ns = 0;
         for addr in swapped {
-            let Some(frame) = self.frames.alloc(pid, addr) else { break };
-            let slot = {
-                let proc = self.proc(pid)?;
-                let vma = proc.find_vma(addr).ok_or(MmError::Unmapped(addr))?;
-                match vma.pte(addr).state {
-                    PteState::Swapped(s) => s,
-                    _ => {
-                        self.frames.free(frame);
-                        continue;
-                    }
-                }
-            };
-            cost += self.swap.load(slot, &self.machine);
-            let now = self.now();
-            let proc = self.proc_mut(pid)?;
+            let Self { procs, frames, swap, lru, machine, clock, .. } = self;
+            let proc = procs.get_mut(pid as usize).ok_or(MmError::NoSuchProcess(pid))?;
             let vma = proc.find_vma_mut(addr).ok_or(MmError::Unmapped(addr))?;
-            let gen = vma.with_pte(addr, |pte| {
-                pte.state = PteState::Resident(frame);
-                pte.accessed = false;
-                pte.touched = false;
-                pte.lru_gen = pte.lru_gen.wrapping_add(1);
-                pte.lru_gen
-            });
-            proc.map_pages(now, 1);
+            let PteState::Swapped(slot) = vma.pte(addr).state else { continue };
+            let Some(frame) = frames.alloc(pid, addr) else { break };
+            cost += swap.load(slot, machine);
+            // Prefetched, not used: mapped neither accessed nor touched.
+            let gen = vma.map_page(addr, frame, false);
+            proc.map_pages(clock.now(), 1);
             proc.stats.swapins += 1;
-            self.lru.insert(LruList::Active, pid, addr, gen);
+            lru.insert(LruList::Active, pid, addr, gen);
             bytes += PAGE_SIZE;
         }
         Ok((bytes, cost))
@@ -1010,6 +1005,42 @@ mod tests {
             sys.rss_bytes(pid) + sys.nr_swapped_in(pid, range) * PAGE_SIZE,
             2 << 20
         );
+    }
+
+    /// Swap filling up in the middle of a reclaim pass ends the pass — the
+    /// one error reclaim can meet. The victim it was judging stays
+    /// resident, off the lists, with the verdict's one generation bump.
+    #[test]
+    fn swap_full_mid_shrink_leaves_the_victim_resident() {
+        let swap = SwapConfig::File { capacity_bytes: 3 * PAGE_SIZE };
+        let mut sys = sys_with_dram(64 * PAGE_SIZE, swap);
+        let pid = sys.spawn();
+        let range = sys.mmap(pid, 64 * PAGE_SIZE, ThpMode::Never).unwrap();
+        sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
+        // Every page is on the inactive list under generation 1; make
+        // them cold, so that the pass evicts from the oldest on.
+        for addr in range.pages() {
+            sys.check_accessed_clear(pid, addr);
+        }
+        let pte = |sys: &MemorySystem, i: u64| {
+            sys.procs[pid as usize].vmas()[0].pte(range.start + i * PAGE_SIZE)
+        };
+        let victim_before = pte(&sys, 3);
+        assert_eq!(victim_before.lru_gen, 1);
+
+        let cost = sys.shrink(RECLAIM_BATCH);
+        assert_eq!(cost, 3 * sys.machine.pageout_page_ns);
+        assert_eq!(sys.kstats.pressure_reclaims, 3);
+        assert!(!sys.swap.has_room());
+        for evicted in 0..3 {
+            let pte = pte(&sys, evicted);
+            assert!(matches!(pte.state, PteState::Swapped(_)) && pte.lru_gen == 3, "{pte:?}");
+        }
+        let victim = crate::vma::Pte { lru_gen: 2, ..victim_before };
+        assert_eq!(pte(&sys, 3), victim, "resident in its frame, touched, bumped once");
+        assert_eq!(pte(&sys, 4).lru_gen, 1, "the pass ended at the victim");
+        assert_eq!(sys.rss_bytes(pid), 61 * PAGE_SIZE);
+        assert_eq!(sys.audit(), Ok(()));
     }
 
     #[test]
@@ -1212,6 +1243,29 @@ mod tests {
         assert_eq!(integral(&mut sys, q), (2u128 << 20) * (500 + 40 + 700 + 60 + 300));
         // Reading twice at one instant adds nothing.
         assert_eq!(integral(&mut sys, p), want[0]);
+    }
+
+    #[test]
+    fn audit_names_what_is_wrong() {
+        let (mut sys, pid, range) = small_sys();
+        sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
+        assert_eq!(sys.audit(), Ok(()));
+        // Two pages in one frame.
+        let mut broken = sys.clone();
+        let second = range.start + PAGE_SIZE;
+        let first_frame = broken.procs[pid as usize].vmas()[0].pte(range.start).state;
+        broken.procs[pid as usize].vmas_mut()[0].with_pte(second, |pte| pte.state = first_frame);
+        let err = broken.audit().unwrap_err();
+        assert!(err.contains(&format!("page {second:#x} is in frame")), "{err}");
+        // A frame nobody maps.
+        let mut broken = sys.clone();
+        broken.frames.alloc(pid, range.end);
+        let err = broken.audit().unwrap_err();
+        assert!(err.contains("257 frames in use, the processes' RSS sums to 256"), "{err}");
+        // RSS drifting from the page tables.
+        sys.procs[pid as usize].map_pages(0, 1);
+        let err = sys.audit().unwrap_err();
+        assert!(err.contains("RSS 257 pages, its VMAs hold 256"), "{err}");
     }
 
     #[test]

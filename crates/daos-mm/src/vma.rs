@@ -20,11 +20,44 @@
 //! ([`Vma::collect_resident_in`], [`Vma::collect_swapped_in`]) skip
 //! missing chunks and, inside a chunk, every 64-page word with no bit set
 //! — so paging out an already-evicted region is O(words touched), not
-//! O(pages in range). All state changes must go through [`Vma::with_pte`],
-//! which keeps the counters exact; the two touch paths
-//! ([`Vma::touch_run`], [`Vma::touch_resident`]) only set bits of resident
-//! pages, and the monitor's check ([`Vma::clear_accessed`]) only clears
-//! one, so they write in place and leave the counters alone.
+//! O(pages in range). The counters are kept exact by whoever changes a
+//! page's state — the transition primitives below and the general
+//! [`Vma::with_pte`]; the two touch paths ([`Vma::touch_run`],
+//! [`Vma::touch_resident`]) only set bits of resident pages, and the
+//! monitor's check ([`Vma::clear_accessed`]) only clears one, so they write
+//! in place and leave the counters alone.
+//!
+//! ## State transitions
+//!
+//! The fault and reclaim paths change a page's state through three
+//! primitives, each one resolve of the page's chunk, bit operations on the
+//! four bitmaps, a write to `backing`/`lru_gen`, and the chunk and VMA
+//! counters moved by exactly what the transition moves:
+//!
+//! * [`Vma::map_page`] — `None | Swapped → Resident(frame)`, for a fault
+//!   (mapped accessed and touched) or a prefetch (neither). Materialises
+//!   the chunk. May assume the page is not resident (asserted in debug
+//!   builds) and nothing else: it overwrites both state bits, both flags
+//!   and the backing, so whatever a stale entry held is gone.
+//! * [`Vma::bump_resident`] — the LRU's requeue: a generation bump,
+//!   optionally matching a queued stamp first and clearing `accessed`.
+//!   Assumes nothing; on an absent chunk, a non-resident page or a stale
+//!   stamp it writes nothing.
+//! * [`Vma::reclaim_page`] — the reclaim verdict (stale / second chance /
+//!   cold) and, for a cold page, `Resident → Swapped(slot)` in the same
+//!   resolve. Reads `backing` as a frame only under a set `resident` bit —
+//!   all the canonical form promises — and leaves the form intact: the
+//!   evicted page has `swapped` set, `resident`, `accessed` and `touched`
+//!   clear, and the slot as backing. When the swap device refuses the
+//!   store, the page keeps everything but the verdict's generation bump.
+//!
+//! None of them materialises a chunk it does not map a page into, so a
+//! probe of untouched memory stays allocation-free, as with `with_pte`.
+//! [`Vma::with_pte`] — load the page as a [`Pte`], run a closure, scatter
+//! it back in canonical form, account the difference — remains for the
+//! paths that are not per-fault: THP promotion and demotion, and tests.
+//! `tests/walker_differential.rs` holds each primitive to the `with_pte`
+//! closure it replaced.
 //!
 //! ## PTE layout
 //!
@@ -39,7 +72,7 @@
 //! time, and never the per-page arrays.
 //!
 //! A chunk is kept in canonical form, which [`Vma::check_counters`]
-//! asserts: `resident` and `swapped` are disjoint, a page in neither has
+//! recounts: `resident` and `swapped` are disjoint, a page in neither has
 //! `backing == 0`, and the counters equal the popcounts. Derived equality
 //! on [`Vma`] is then a logical comparison (a shard stamped from an image
 //! equals one built separately). `accessed`, `touched` and the generation
@@ -91,6 +124,7 @@ use crate::addr::{
     huge_align_down, huge_align_up, AddrRange, HUGE_PAGE_SIZE, PAGES_PER_HUGE, PAGE_SHIFT,
     PAGE_SIZE,
 };
+use crate::error::MmResult;
 use crate::frame::FrameId;
 use crate::swap::SwapSlot;
 
@@ -135,6 +169,19 @@ impl Pte {
     pub fn is_resident(&self) -> bool {
         matches!(self.state, PteState::Resident(_))
     }
+}
+
+/// What [`Vma::reclaim_page`] found a reclaim candidate to be, and did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reclaimed {
+    /// Not resident, or queued under another generation: nothing changed.
+    Stale,
+    /// Referenced since the last check: the accessed bit is now clear and
+    /// the page stays, under this generation.
+    Referenced(u32),
+    /// Cold: the page is in swap now, and this frame is the caller's to
+    /// free.
+    Evicted(FrameId),
 }
 
 /// One materialised 2 MiB span of the page table, structure-of-arrays
@@ -426,6 +473,105 @@ impl Vma {
         }
     }
 
+    // ---- state transitions in place (see the module docs) ----------
+
+    /// `None | Swapped → Resident(frame)`: a fault (`by_cpu`: the page is
+    /// mapped accessed and touched) or a prefetch (neither). Returns the
+    /// page's new generation. The page must not be resident.
+    pub fn map_page(&mut self, addr: u64, frame: FrameId, by_cpu: bool) -> u32 {
+        let slot = self.slot(addr);
+        let c = self.chunks[slot].get_or_insert_with(PteChunk::new);
+        let pi = Self::page_in_chunk(addr);
+        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
+        debug_assert_eq!(c.resident[w] & bit, 0, "map_page over a resident page");
+        let was_swapped = c.swapped[w] & bit != 0;
+        c.resident[w] |= bit;
+        c.swapped[w] &= !bit;
+        let flag = if by_cpu { bit } else { 0 };
+        c.accessed[w] = (c.accessed[w] & !bit) | flag;
+        c.touched[w] = (c.touched[w] & !bit) | flag;
+        c.backing[pi] = frame as u64;
+        c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
+        let gen = c.lru_gen[pi];
+        c.nr_resident += 1;
+        c.nr_swapped -= was_swapped as u32;
+        self.total_resident += 1;
+        self.total_swapped -= was_swapped as u64;
+        gen
+    }
+
+    /// Requeue a resident page: bump its generation (invalidating every
+    /// queued LRU entry) and return the new one, clearing the accessed bit
+    /// when `clear_accessed` (deactivation ages the page). `None`, and
+    /// nothing written, when the page is not resident or — given
+    /// `queued_gen`, the stamp of the LRU entry being revalidated — was
+    /// queued under another generation.
+    pub fn bump_resident(
+        &mut self,
+        addr: u64,
+        queued_gen: Option<u32>,
+        clear_accessed: bool,
+    ) -> Option<u32> {
+        let slot = self.slot(addr);
+        let c = self.chunks[slot].as_deref_mut()?;
+        let pi = Self::page_in_chunk(addr);
+        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
+        if c.resident[w] & bit == 0 || queued_gen.is_some_and(|gen| gen != c.lru_gen[pi]) {
+            return None;
+        }
+        if clear_accessed {
+            c.accessed[w] &= !bit;
+        }
+        c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
+        Some(c.lru_gen[pi])
+    }
+
+    /// Judge one reclaim candidate and, when it is cold, evict it —
+    /// `Resident → Swapped(store()?)` — in the same resolve.
+    ///
+    /// `lru_gen` is `Some(stamp)` for an entry popped off the LRU: a stamp
+    /// that is not the page's generation makes it [`Reclaimed::Stale`],
+    /// and a live entry's verdict bumps the generation (a second chance
+    /// requeues the page under the new one; a cold page is bumped again by
+    /// the eviction). `None` is a scheme's pageout of a page it found
+    /// resident: no queue entry, so a second chance leaves the generation
+    /// alone. `store` is called for a cold page only; when it fails the
+    /// page stays resident as the verdict left it and the error is
+    /// returned.
+    pub fn reclaim_page(
+        &mut self,
+        addr: u64,
+        lru_gen: Option<u32>,
+        store: impl FnOnce() -> MmResult<SwapSlot>,
+    ) -> MmResult<Reclaimed> {
+        let slot = self.slot(addr);
+        let Some(c) = self.chunks[slot].as_deref_mut() else { return Ok(Reclaimed::Stale) };
+        let pi = Self::page_in_chunk(addr);
+        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
+        if c.resident[w] & bit == 0 || lru_gen.is_some_and(|gen| gen != c.lru_gen[pi]) {
+            return Ok(Reclaimed::Stale);
+        }
+        if lru_gen.is_some() {
+            c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
+        }
+        if c.accessed[w] & bit != 0 {
+            c.accessed[w] &= !bit;
+            return Ok(Reclaimed::Referenced(c.lru_gen[pi]));
+        }
+        let swap_slot = store()?;
+        let frame = c.backing[pi] as FrameId;
+        c.resident[w] &= !bit;
+        c.swapped[w] |= bit;
+        c.touched[w] &= !bit;
+        c.backing[pi] = swap_slot.0;
+        c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
+        c.nr_resident -= 1;
+        c.nr_swapped += 1;
+        self.total_resident -= 1;
+        self.total_swapped += 1;
+        Ok(Reclaimed::Evicted(frame))
+    }
+
     /// Counter fixup for one PTE state transition.
     fn account(&mut self, slot: usize, before: PteState, after: PteState) {
         let res = |s: &PteState| matches!(s, PteState::Resident(_)) as i64;
@@ -598,26 +744,35 @@ impl Vma {
         self.huge.iter().filter(|h| **h).count() as u64 * HUGE_PAGE_SIZE
     }
 
-    /// Debug invariant, for tests: panics unless every chunk is in
-    /// canonical form ("PTE layout" in the module docs) and the running
-    /// counters match a recount from the bitmaps.
-    pub fn check_counters(&self) {
+    /// The layout invariant, recounted: `Err` says what is wrong unless
+    /// every chunk is in canonical form ("PTE layout" in the module docs)
+    /// and the running counters match a recount from the bitmaps.
+    pub fn check_counters(&self) -> Result<(), String> {
         let count = |words: &[u64; PT_WORDS]| words.iter().map(|w| w.count_ones()).sum::<u32>();
         let (mut resident, mut swapped) = (0u64, 0u64);
-        for c in self.chunks.iter().flatten() {
-            assert_eq!(c.nr_resident, count(&c.resident));
-            assert_eq!(c.nr_swapped, count(&c.swapped));
+        for (slot, c) in self.chunks.iter().enumerate() {
+            let Some(c) = c.as_deref() else { continue };
+            let counted = (count(&c.resident), count(&c.swapped));
+            if (c.nr_resident, c.nr_swapped) != counted {
+                let kept = (c.nr_resident, c.nr_swapped);
+                return Err(format!("chunk {slot} counts {kept:?}, its bitmaps hold {counted:?}"));
+            }
             for w in 0..PT_WORDS {
-                assert_eq!(c.resident[w] & c.swapped[w], 0, "a page is resident and swapped");
-                for b in bits(!(c.resident[w] | c.swapped[w])) {
-                    assert_eq!(c.backing[w * 64 + b], 0, "an unmapped page keeps a backing");
+                if c.resident[w] & c.swapped[w] != 0 {
+                    return Err(format!("chunk {slot} word {w}: a page is resident and swapped"));
+                }
+                if bits(!(c.resident[w] | c.swapped[w])).any(|b| c.backing[w * 64 + b] != 0) {
+                    return Err(format!("chunk {slot} word {w}: an unmapped page keeps a backing"));
                 }
             }
             resident += c.nr_resident as u64;
             swapped += c.nr_swapped as u64;
         }
-        assert_eq!(self.total_resident, resident);
-        assert_eq!(self.total_swapped, swapped);
+        if (self.total_resident, self.total_swapped) != (resident, swapped) {
+            let kept = (self.total_resident, self.total_swapped);
+            return Err(format!("totals {kept:?}, the chunks sum to {:?}", (resident, swapped)));
+        }
+        Ok(())
     }
 }
 
@@ -684,7 +839,7 @@ mod tests {
         vma.with_pte(b, |p| p.state = PteState::None);
         assert_eq!(vma.nr_resident(), 0);
         assert_eq!(vma.nr_swapped(), 0);
-        vma.check_counters();
+        vma.check_counters().unwrap();
     }
 
     #[test]
@@ -696,7 +851,7 @@ mod tests {
         assert!(vma.touch_resident(mb(1)));
         let pte = vma.pte(mb(1));
         assert!(pte.accessed && pte.touched, "touch sets the accessed and touched bits");
-        vma.check_counters();
+        vma.check_counters().unwrap();
     }
 
     #[test]
@@ -712,7 +867,7 @@ mod tests {
         out.clear();
         vma.collect_resident_in(&AddrRange::new(mb(2), mb(6)), &mut out);
         assert!(out.is_empty());
-        vma.check_counters();
+        vma.check_counters().unwrap();
     }
 
     #[test]

@@ -43,6 +43,12 @@ fn swap_full_stops_pageout_but_leaves_consistent_state() {
     assert_eq!(out.major_faults, 64);
     assert_eq!(sys.rss_bytes(pid), 1 << 20);
     assert_eq!(sys.swap().used_bytes(), 0, "slots freed after swap-in");
+    // The physical-address pageout stops at the same place.
+    drop_refs(&mut sys, pid, range);
+    let (bytes, _) = sys.pageout_paddr(sys.phys_space());
+    assert_eq!(bytes, 64 * PAGE_SIZE, "stops exactly at device capacity");
+    assert_eq!(sys.rss_bytes(pid), (256 - 64) * PAGE_SIZE);
+    assert_eq!(sys.audit(), Ok(()));
 }
 
 #[test]

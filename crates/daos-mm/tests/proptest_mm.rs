@@ -54,6 +54,8 @@ fn check_conservation(sys: &MemorySystem, pid: u32, range: AddrRange) {
         resident * PAGE_SIZE,
         "single-process DRAM usage equals its resident set"
     );
+    // Every incrementally kept quantity, recounted.
+    assert_eq!(sys.audit(), Ok(()));
 }
 
 proptest! {

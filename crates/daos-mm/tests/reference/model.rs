@@ -4,10 +4,18 @@
 //! drives beside the real [`daos_mm::vma::Vma`]: every operation here
 //! looks at one whole `Pte` at a time and recounts instead of keeping
 //! counters, so it shares neither layout nor arithmetic with the words.
+//!
+//! The state transitions — `map_page`, `bump_resident`, `reclaim_page` —
+//! are the `with_pte` closures `MemorySystem`'s fault, reclaim and LRU
+//! paths ran before `Vma` grew in-place primitives for them, moved here:
+//! each names the function it came out of.
 
 use daos_mm::access::AccessOutcome;
 use daos_mm::addr::{huge_align_down, AddrRange, HUGE_PAGE_SIZE, PAGE_SHIFT, PAGE_SIZE};
-use daos_mm::vma::{Pte, PteState, PT_CHUNK_PAGES};
+use daos_mm::error::MmResult;
+use daos_mm::frame::FrameId;
+use daos_mm::swap::SwapSlot;
+use daos_mm::vma::{Pte, PteState, Reclaimed, PT_CHUNK_PAGES};
 
 const EMPTY: Pte = Pte { state: PteState::None, accessed: false, touched: false, lru_gen: 0 };
 
@@ -46,6 +54,88 @@ impl ModelVma {
             self.chunks[slot].get_or_insert_with(|| Box::new([EMPTY; PT_CHUNK_PAGES]))[pi] = pte;
         }
         r
+    }
+
+    /// `handle_fault`'s map (`by_cpu`) and `willneed`'s (not).
+    pub fn map_page(&mut self, addr: u64, frame: FrameId, by_cpu: bool) -> u32 {
+        self.with_pte(addr, |pte| {
+            pte.state = PteState::Resident(frame);
+            pte.accessed = by_cpu;
+            pte.touched = by_cpu;
+            pte.lru_gen = pte.lru_gen.wrapping_add(1);
+            pte.lru_gen
+        })
+    }
+
+    /// `revalidate_bump` (a queued generation to match), and without one
+    /// `revalidate_current` (clearing) and `bump_gen_keep_accessed` (not).
+    pub fn bump_resident(
+        &mut self,
+        addr: u64,
+        queued_gen: Option<u32>,
+        clear_accessed: bool,
+    ) -> Option<u32> {
+        self.with_pte(addr, |pte| {
+            if queued_gen.is_some_and(|gen| pte.lru_gen != gen) || !pte.is_resident() {
+                return None;
+            }
+            if clear_accessed {
+                pte.accessed = false;
+            }
+            pte.lru_gen = pte.lru_gen.wrapping_add(1);
+            Some(pte.lru_gen)
+        })
+    }
+
+    /// `shrink`'s verdict on a popped entry (`lru_gen`) or `pageout`'s
+    /// `reference_check` (none — its callers only passed resident pages,
+    /// which is the contract's `Stale` here), then `unmap_to_swap`.
+    pub fn reclaim_page(
+        &mut self,
+        addr: u64,
+        lru_gen: Option<u32>,
+        store: impl FnOnce() -> MmResult<SwapSlot>,
+    ) -> MmResult<Reclaimed> {
+        let verdict = match lru_gen {
+            Some(gen) => self.with_pte(addr, |pte| {
+                if pte.lru_gen != gen || !pte.is_resident() {
+                    None // stale
+                } else if pte.accessed {
+                    // Second chance: clear and promote to active.
+                    pte.accessed = false;
+                    pte.lru_gen = pte.lru_gen.wrapping_add(1);
+                    Some((true, pte.lru_gen))
+                } else {
+                    pte.lru_gen = pte.lru_gen.wrapping_add(1);
+                    Some((false, pte.lru_gen))
+                }
+            }),
+            None if !self.pte(addr).is_resident() => None,
+            None => self.with_pte(addr, |pte| {
+                if pte.accessed {
+                    pte.accessed = false;
+                    Some((true, pte.lru_gen))
+                } else {
+                    Some((false, pte.lru_gen))
+                }
+            }),
+        };
+        match verdict {
+            None => Ok(Reclaimed::Stale),
+            Some((true, gen)) => Ok(Reclaimed::Referenced(gen)),
+            Some((false, _)) => {
+                let slot = store()?;
+                let frame = self.with_pte(addr, |pte| {
+                    let PteState::Resident(frame) = pte.state else { return None };
+                    pte.state = PteState::Swapped(slot);
+                    pte.accessed = false;
+                    pte.touched = false;
+                    pte.lru_gen = pte.lru_gen.wrapping_add(1);
+                    Some(frame)
+                });
+                Ok(Reclaimed::Evicted(frame.expect("the verdict found the page resident")))
+            }
+        }
     }
 
     pub fn set_huge(&mut self, chunk_addr: u64, huge: bool) {

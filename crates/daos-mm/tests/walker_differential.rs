@@ -20,7 +20,10 @@
 //! accessors — is pinned against the array-of-`Pte` layout it replaced
 //! (`reference/model.rs`): random sequences of every `Vma` operation that
 //! reads or writes a page go through both, and must return the same
-//! values and leave the same pages and the same materialised chunks.
+//! values and leave the same pages and the same materialised chunks. The
+//! in-place state transitions (`map_page`, `bump_resident`, `reclaim_page`)
+//! are pinned the same way against the `with_pte` closures they replaced,
+//! which the model keeps.
 //!
 //! The forward page-table cursor (`PteCursor`) is pinned the same way,
 //! over the same address spaces, against the per-address lookups it
@@ -31,6 +34,7 @@
 
 use daos_mm::access::{AccessBatch, AccessOutcome};
 use daos_mm::addr::{huge_align_down, AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
+use daos_mm::error::MmError;
 use daos_mm::machine::MachineProfile;
 use daos_mm::process::PteCursor;
 use daos_mm::swap::{SwapConfig, SwapSlot};
@@ -156,7 +160,7 @@ fn edge_range(rng: &mut SmallRng, vma: &Vma, stride: u32) -> AddrRange {
 /// through the public API: the totals, the per-chunk counters, and the
 /// collecting scans.
 fn check_counters(vma: &Vma) {
-    vma.check_counters();
+    vma.check_counters().unwrap();
     let everything = AddrRange::new(0, u64::MAX);
     let resident: Vec<u64> =
         vma.iter_mapped().filter(|(_, p)| p.is_resident()).map(|(a, _)| a).collect();
@@ -176,6 +180,29 @@ fn check_counters(vma: &Vma) {
         let in_chunk = swapped.iter().filter(|a| span.contains(**a)).count() as u64;
         assert_eq!(vma.chunk_nr_swapped(chunk), in_chunk);
     }
+}
+
+/// The same pages, and — `Vma ==` compares the chunk table, and an
+/// unmapped page keeps no backing — the same materialised chunks: a fresh
+/// VMA given the model's chunks and entries is the real one. Then the
+/// counters, against a rescan.
+fn assert_same_table(real: &Vma, model: &ModelVma, seed: u64) {
+    let range = real.range;
+    let mut rebuilt = Vma::new(range, real.thp);
+    for (slot, _) in model.materialised().iter().enumerate().filter(|(_, m)| **m) {
+        let any = (huge_align_down(range.start) + slot as u64 * HUGE_PAGE_SIZE).max(range.start);
+        rebuilt.with_pte(any, |p| p.accessed = true);
+        rebuilt.with_pte(any, |p| p.accessed = false);
+    }
+    for addr in range.pages() {
+        assert_eq!(real.pte(addr), model.pte(addr), "seed {seed}: page {addr:#x}");
+        rebuilt.with_pte(addr, |p| *p = model.pte(addr));
+    }
+    for chunk in real.chunks_in(&AddrRange::new(0, u64::MAX)).collect::<Vec<_>>() {
+        rebuilt.set_huge(chunk, model.is_huge(chunk));
+    }
+    assert!(*real == rebuilt, "seed {seed}: the materialised chunks differ from the model's");
+    check_counters(real);
 }
 
 /// Walk `range` at `stride` with the walker and with the oracle; `all`
@@ -402,24 +429,77 @@ proptest! {
                 }
             }
         }
-        // The same pages, and — `Vma ==` compares the chunk table, and an
-        // unmapped page keeps no backing — the same materialised chunks: a
-        // fresh VMA given the model's chunks and entries is the real one.
-        let mut rebuilt = Vma::new(range, ThpMode::Always);
-        for (slot, _) in model.materialised().iter().enumerate().filter(|(_, m)| **m) {
-            let any = (huge_align_down(range.start) + slot as u64 * HUGE_PAGE_SIZE).max(range.start);
-            rebuilt.with_pte(any, |p| p.accessed = true);
-            rebuilt.with_pte(any, |p| p.accessed = false);
+        assert_same_table(&real, &model, seed);
+    }
+
+    /// The in-place state transitions against the `with_pte` closures the
+    /// fault, reclaim and LRU paths ran before them (`reference/model.rs`):
+    /// `map_page` over holes and swapped pages; `bump_resident` and
+    /// `reclaim_page` with no queue stamp, the live one and a stale one,
+    /// on resident, referenced, swapped and never-materialised pages; a
+    /// swap device that is full one time in five. Same return values, the
+    /// same calls to `store`, and afterwards the same pages, the same
+    /// materialised chunks and exact counters.
+    fn transitions_match_the_with_pte_closures(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let start = 64 * HUGE_PAGE_SIZE + rng.random_range(0..600u64) * PAGE_SIZE;
+        let range = AddrRange::new(start, start + rng.random_range(1..1500u64) * PAGE_SIZE);
+        let (mut real, mut model) = (Vma::new(range, ThpMode::Always), ModelVma::new(range));
+        let (entries, _) = population(range, &mut rng, &mut 0);
+        for (addr, pte) in entries {
+            real.with_pte(addr, |p| *p = pte);
+            model.with_pte(addr, |p| *p = pte);
         }
-        for addr in range.pages() {
-            prop_assert_eq!(real.pte(addr), model.pte(addr), "seed {}: page {:#x}", seed, addr);
-            rebuilt.with_pte(addr, |p| *p = model.pte(addr));
+        let mut resident = Vec::new();
+        let mut next_slot = 0u64;
+        for step in 0..250 {
+            // Half the time a page that was resident not long ago.
+            if step % 16 == 0 {
+                resident.clear();
+                real.collect_resident_in(&range, &mut resident);
+            }
+            let addr = match resident.len() {
+                n if n > 0 && rng.random::<f32>() < 0.5 => resident[rng.random_range(0..n)],
+                _ => rng.random_range(range.start..range.end),
+            };
+            let gen = real.pte(addr).lru_gen;
+            let stamps = [None, Some(gen), Some(gen), Some(gen.wrapping_sub(1))];
+            let stamp = stamps[rng.random_range(0..4usize)];
+            let flag = rng.random::<f32>() < 0.5;
+            let what = format!("seed {seed} step {step} at {addr:#x} stamp {stamp:?} flag {flag}");
+            match rng.random_range(0..100u32) {
+                0..25 if !real.pte(addr).is_resident() => {
+                    let frame = rng.random_range(0..=u32::MAX);
+                    let got = real.map_page(addr, frame, flag);
+                    let want = model.map_page(addr, frame, flag);
+                    prop_assert_eq!(got, want, "{}: map_page", what);
+                }
+                0..50 => {
+                    let got = real.bump_resident(addr, stamp, flag);
+                    let want = model.bump_resident(addr, stamp, flag);
+                    prop_assert_eq!(got, want, "{}: bump_resident", what);
+                }
+                50..90 => {
+                    let full = rng.random_range(0..5u32) == 0;
+                    let (mut stores_r, mut stores_m) = (0, 0);
+                    let store = |calls: &mut u32| {
+                        *calls += 1;
+                        if full { Err(MmError::SwapFull) } else { Ok(SwapSlot(next_slot)) }
+                    };
+                    let got = real.reclaim_page(addr, stamp, || store(&mut stores_r));
+                    let want = model.reclaim_page(addr, stamp, || store(&mut stores_m));
+                    prop_assert_eq!(got, want, "{}: reclaim_page (swap full: {})", what, full);
+                    prop_assert_eq!(stores_r, stores_m, "{}: calls to store", what);
+                    next_slot += 1;
+                }
+                _ => {
+                    let (hit, want) = (real.touch_resident(addr), model.touch_resident(addr));
+                    prop_assert_eq!(hit, want, "{}: touch_resident", what);
+                }
+            }
+            prop_assert_eq!(real.pte(addr), model.pte(addr), "{}: the page afterwards", what);
         }
-        for chunk in real.chunks_in(&everything).collect::<Vec<_>>() {
-            rebuilt.set_huge(chunk, model.is_huge(chunk));
-        }
-        assert!(real == rebuilt, "seed {seed}: the materialised chunks differ from the model's");
-        check_counters(&real);
+        assert_same_table(&real, &model, seed);
     }
 
     /// `TouchPattern::Stride`'s doc promises `Stride(1) == All`: the one

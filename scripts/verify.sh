@@ -38,7 +38,8 @@ bench_gate() {
 serve_bg() {
     log=$1 what=$2
     shift 2
-    "$@" > "$log" 2>&1 &
+    : > "$log" # exists before the first poll, whoever is scheduled first
+    "$@" >> "$log" 2>&1 &
     served_pid=$!
     served_addr=""
     for _ in $(seq 1 50); do

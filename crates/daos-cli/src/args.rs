@@ -57,8 +57,8 @@ SUBCOMMANDS:
     tune <workload>           auto-tune the prcl scheme's min_age
         [--range LO:HI] [--samples N] [--machine ...] [--seed N]
     fleet                     the serverless production scenario at
-        scale: N worker processes under the sharded work-stealing
-        monitoring engine, with per-tenant aggregation
+        scale: N worker processes under the sharded monitoring
+        engine, with per-tenant aggregation
         [--processes N] [--epochs N] [--shard-size N] [--workers N]
         [--tenants N] [--footprint MIB] [--ring N]
         [--config baseline|rec|prec|thp|ethp|prcl|damon_reclaim]
@@ -149,6 +149,8 @@ impl Args {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use daos_util::prop::{any_bool, fuzz_bytes, select};
+    use daos_util::{prop_assert, prop_assert_eq, proptest};
 
     fn parse(s: &str) -> Args {
         Args::parse(s.split_whitespace().map(String::from)).unwrap()
@@ -205,5 +207,49 @@ mod tests {
         assert_eq!(a.opt_num("cols", 72usize).unwrap(), 72);
         let bad = parse("--rows many");
         assert!(bad.opt_num("rows", 16usize).is_err());
+    }
+
+    const ARG_SEEDS: &[&str] = &[
+        "",
+        "parsec3/freqmine --machine z1d --seed 7 --paddr --range 0:60 --samples 3",
+        "fleet --processes 8 --epochs 2 --json --out /tmp/x",
+    ];
+
+    const ARG_TOKENS: &[&str] = &[
+        "--", "--seed", "--machine", "--range", "--samples", "--paddr", "--json", "--proceses",
+        " ", "\t", "\n", "=", "-", "42", "0:60", "i3", "parsec3/freqmine",
+    ];
+
+    // Whatever argv holds — a real command line, one with token soup
+    // and arbitrary bytes spliced in, or soup alone — parsing and the
+    // typed accessors answer `Ok` or a usage error, never panic, and
+    // `Args` holds no more bytes than it was given.
+    proptest! {
+        cases = 512;
+
+        fn parse_survives_arbitrary_bytes(
+            seed in select(ARG_SEEDS.to_vec()),
+            noise in fuzz_bytes(ARG_TOKENS),
+            at in 0usize..4096,
+            intact in any_bool(),
+        ) {
+            let mut raw = seed.as_bytes().to_vec();
+            if !intact {
+                let at = at % (raw.len() + 1);
+                raw.splice(at..at, noise);
+            }
+            let text = String::from_utf8_lossy(&raw);
+            match Args::parse(text.split(' ').map(String::from)) {
+                Ok(a) => {
+                    let held: usize = a.positionals.iter().chain(&a.flags).map(String::len).sum();
+                    let opts: usize = a.options.iter().map(|(k, v)| k.len() + v.len()).sum();
+                    prop_assert!(held + opts <= text.len());
+                    for e in [a.seed().err(), a.machine().err(), a.opt_num("samples", 1u64).err()] {
+                        prop_assert_eq!(e.map_or(2, |e| e.exit_code()), 2);
+                    }
+                }
+                Err(e) => prop_assert_eq!(e.exit_code(), 2),
+            }
+        }
     }
 }

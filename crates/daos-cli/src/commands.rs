@@ -578,8 +578,14 @@ pub fn tune(args: &Args) -> Result<(), DaosError> {
     let (lo, hi) = range_str
         .split_once(':')
         .and_then(|(a, b)| Some((a.parse::<f64>().ok()?, b.parse::<f64>().ok()?)))
-        .ok_or_else(|| DaosError::usage(format!("bad --range '{range_str}' (expected LO:HI)")))?;
+        .filter(|(lo, hi)| lo.is_finite() && hi.is_finite() && lo < hi)
+        .ok_or_else(|| {
+            DaosError::usage(format!("bad --range '{range_str}' (expected LO:HI, finite, LO < HI)"))
+        })?;
     let samples: u64 = args.opt_num("samples", 10)?;
+    if samples == 0 {
+        return Err(DaosError::usage("--samples must be at least 1"));
+    }
 
     println!(
         "tuning prcl min_age over [{lo}, {hi}]s for {} on {} ({samples} samples)...",
@@ -609,7 +615,7 @@ pub fn tune(args: &Args) -> Result<(), DaosError> {
 
 /// `daos fleet`: the §4.4 serverless production scenario at fleet
 /// scale. One serverless worker spec is replicated `--processes` times
-/// under the sharded work-stealing engine (the [`Session`] API), with
+/// under the sharded fleet engine (the [`Session`] API), with
 /// physical-address monitoring under a fleet-wide region budget and the
 /// paper's pageout scheme applied batched per shard. Prints the fleet
 /// summary: per-tenant aggregates, monitoring overhead per process, and
@@ -806,7 +812,17 @@ mod tests {
 
     #[test]
     fn tune_range_parsing() {
-        let err = tune(&args("parsec3/freqmine --range backwards")).unwrap_err();
-        assert!(err.to_string().contains("--range"));
+        for range in ["backwards", "10:5", "5:5", "nan:5", "0:inf"] {
+            let err = tune(&args(&format!("parsec3/freqmine --range {range}"))).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "--range {range}: {err}");
+            assert!(err.to_string().contains("--range"), "--range {range}: {err}");
+        }
+    }
+
+    #[test]
+    fn tune_rejects_a_zero_sample_budget() {
+        let err = tune(&args("parsec3/freqmine --samples 0")).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("--samples"), "{err}");
     }
 }

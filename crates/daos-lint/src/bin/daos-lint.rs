@@ -29,10 +29,10 @@ EXIT CODES:
     65  findings reported (EX_DATAERR)
     2   usage error (unknown flag, bad --root, unknown --pass)
 
-Passes: no-print, no-registry-deps, panic-discipline, determinism,
-atomic-ordering, dead-tracepoint, metric-name-discipline,
-guard-discipline. See DESIGN.md §11 for the catalogue and the
-`// lint: allow(<key>, <reason>)` annotation grammar.
+Passes: no-print, panic-discipline, determinism, atomic-ordering,
+dead-tracepoint, metric-name-discipline, guard-discipline. See
+DESIGN.md §11 for the catalogue and the `// lint: allow(<key>, <reason>)`
+annotation grammar.
 ";
 
 fn run() -> Result<(), DaosError> {
@@ -85,11 +85,7 @@ fn run() -> Result<(), DaosError> {
             println!("{}", f.render());
         }
         if findings.is_empty() {
-            println!(
-                "daos-lint: clean ({} files, {} manifests)",
-                ws.files.len(),
-                ws.manifests.len()
-            );
+            println!("daos-lint: clean ({} files)", ws.files.len());
         }
     }
     if findings.is_empty() {

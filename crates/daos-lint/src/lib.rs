@@ -2,9 +2,8 @@
 //!
 //! The repo's correctness story rests on invariants `rustc` cannot see:
 //! deterministic replay (simulation crates read only virtual clocks),
-//! zero-overhead-when-disabled tracing, the zero-registry-dependency
-//! policy, no printing from library code, panic discipline, and a
-//! tracepoint taxonomy with no dead variants. They used to be enforced
+//! zero-overhead-when-disabled tracing, no printing from library code,
+//! panic discipline, and a tracepoint taxonomy with no dead variants. They used to be enforced
 //! by `grep`/`awk` guards in `scripts/verify.sh`, which strings, doc
 //! examples, comments and multiline forms all slipped past. This crate
 //! machine-checks them: a hand-rolled comment/string/raw-string-aware
@@ -130,7 +129,6 @@ pub fn report_json(ws: &Workspace, findings: &[Finding]) -> Json {
     Json::Object(vec![
         ("clean".into(), findings.is_empty().to_json()),
         ("files_scanned".into(), (ws.files.len() as u64).to_json()),
-        ("manifests_scanned".into(), (ws.manifests.len() as u64).to_json()),
         ("live_loc".into(), Json::Object(live_loc)),
         (
             "lints".into(),

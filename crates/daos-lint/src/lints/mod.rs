@@ -15,7 +15,6 @@ mod guard_discipline;
 mod metric_name;
 mod no_print;
 mod panic_discipline;
-mod registry_deps;
 
 /// One static-analysis pass.
 pub trait Pass {
@@ -38,7 +37,6 @@ pub const ALLOW_KEYS: [&str; 7] =
 pub fn all_passes() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(no_print::NoPrint),
-        Box::new(registry_deps::RegistryDeps),
         Box::new(panic_discipline::PanicDiscipline),
         Box::new(determinism::Determinism),
         Box::new(atomic_ordering::AtomicOrdering),

@@ -1,11 +1,11 @@
 //! The analysed workspace model: lexed source files with their
-//! test-code mask and suppression annotations, parsed manifests, and
-//! the directory walker that loads them.
+//! test-code mask and suppression annotations, and the directory walker
+//! that loads them.
 //!
-//! Scan scope (mirrors what the old shell guards covered, minus their
-//! blind spots): `Cargo.toml` and `crates/*/Cargo.toml`, plus every
-//! `*.rs` under `src/` and `crates/*/src/`. Integration tests, benches
-//! and examples are not library code and are not scanned.
+//! Scan scope: every `*.rs` under `src/` and `crates/*/src/`.
+//! Integration tests, benches and examples are not library code and are
+//! not scanned; manifests are Cargo's to read (`--locked`, and a
+//! `Cargo.lock` without a `source =` line, keep the build hermetic).
 
 use crate::lexer::{self, Token, TokenKind};
 use crate::Finding;
@@ -313,154 +313,19 @@ fn attr_is_test(attr: &[&str]) -> bool {
     }
 }
 
-/// One parsed `Cargo.toml`, reduced to what the dependency lint needs.
-#[derive(Debug)]
-pub struct Manifest {
-    /// Path relative to the workspace root.
-    pub rel: String,
-    /// Offending dependency lines: `(line, text, why)`.
-    pub offenders: Vec<(u32, String, String)>,
-}
-
-impl Manifest {
-    /// Walk a manifest's dependency tables. Inside
-    /// `[dependencies]` / `[dev-dependencies]` / `[build-dependencies]`
-    /// / `[workspace.dependencies]` (and `[target.*.dependencies]`),
-    /// every entry must be `X.workspace = true` or carry `path = …`.
-    /// Dotted sections (`[dependencies.X]`) must not use
-    /// `version` / `git` / `registry` keys.
-    pub fn parse(rel: String, text: &str) -> Manifest {
-        #[derive(PartialEq)]
-        enum Mode {
-            Other,
-            DepsTable,
-            DepsItem,
-        }
-        let mut mode = Mode::Other;
-        let mut offenders = Vec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if line.starts_with('[') {
-                let header = line.trim_matches(|c| c == '[' || c == ']');
-                let is_deps = |s: &str| {
-                    matches!(s, "dependencies" | "dev-dependencies" | "build-dependencies")
-                };
-                mode = if is_deps(header)
-                    || header == "workspace.dependencies"
-                    || (header.starts_with("target.") && header.ends_with(".dependencies"))
-                {
-                    Mode::DepsTable
-                } else if header
-                    .rsplit_once('.')
-                    .is_some_and(|(head, _)| {
-                        is_deps(head)
-                            || head == "workspace.dependencies"
-                            || (head.starts_with("target.") && head.ends_with(".dependencies"))
-                    })
-                {
-                    Mode::DepsItem
-                } else {
-                    Mode::Other
-                };
-                continue;
-            }
-            let flag = |why: &str, offenders: &mut Vec<(u32, String, String)>| {
-                offenders.push((idx as u32 + 1, line.to_string(), why.to_string()));
-            };
-            match mode {
-                Mode::Other => {}
-                Mode::DepsTable => {
-                    let hermetic = contains_key(line, "workspace")
-                        .map(|v| v.starts_with("true"))
-                        .unwrap_or(false)
-                        || contains_key(line, "path").is_some();
-                    if !hermetic {
-                        flag("dependency entry has no `path` and is not `workspace = true`",
-                             &mut offenders);
-                    }
-                }
-                Mode::DepsItem => {
-                    for key in ["version", "git", "registry"] {
-                        if line.starts_with(key)
-                            && contains_key(line, key).is_some()
-                        {
-                            flag("dotted dependency section uses a registry key",
-                                 &mut offenders);
-                        }
-                    }
-                }
-            }
-        }
-        Manifest { rel, offenders }
-    }
-}
-
-/// If `line` contains `key` as a TOML key (`key =` or `.key =`), return
-/// the text after the `=`.
-fn contains_key<'l>(line: &'l str, key: &str) -> Option<&'l str> {
-    let mut from = 0;
-    while let Some(pos) = line[from..].find(key) {
-        let at = from + pos;
-        let before_ok = at == 0
-            || matches!(line.as_bytes()[at - 1], b' ' | b'\t' | b'{' | b',' | b'.');
-        let rest = line[at + key.len()..].trim_start();
-        if before_ok {
-            if let Some(v) = rest.strip_prefix('=') {
-                return Some(v.trim_start());
-            }
-        }
-        from = at + key.len();
-    }
-    None
-}
-
-/// The loaded workspace: every scanned source file and manifest.
+/// The loaded workspace: every scanned source file.
 #[derive(Debug)]
 pub struct Workspace {
     /// Workspace root directory.
     pub root: PathBuf,
     /// Lexed `.rs` files under `src/` and `crates/*/src/`.
     pub files: Vec<SourceFile>,
-    /// `Cargo.toml` and `crates/*/Cargo.toml`.
-    pub manifests: Vec<Manifest>,
 }
 
 impl Workspace {
     /// Load `root` (a directory holding `Cargo.toml` and `crates/`).
     pub fn load(root: &Path) -> Result<Workspace, DaosError> {
         let mut files = Vec::new();
-        let mut manifests = Vec::new();
-
-        let mut load_manifest = |p: &Path, rel: String| -> Result<(), DaosError> {
-            let text = read(p)?;
-            manifests.push(Manifest::parse(rel, &text));
-            Ok(())
-        };
-        let root_manifest = root.join("Cargo.toml");
-        if root_manifest.is_file() {
-            load_manifest(&root_manifest, "Cargo.toml".into())?;
-        }
-
-        let mut crate_dirs: Vec<(String, PathBuf)> = Vec::new();
-        let crates = root.join("crates");
-        if crates.is_dir() {
-            for entry in read_dir_sorted(&crates)? {
-                if entry.is_dir() {
-                    let name = file_name(&entry);
-                    crate_dirs.push((name, entry));
-                }
-            }
-        }
-        for (name, dir) in &crate_dirs {
-            let m = dir.join("Cargo.toml");
-            if m.is_file() {
-                load_manifest(&m, format!("crates/{name}/Cargo.toml"))?;
-            }
-        }
-
         let mut load_tree =
             |src_dir: &Path, rel_prefix: &str, crate_name: Option<&str>| -> Result<(), DaosError> {
                 if !src_dir.is_dir() {
@@ -483,11 +348,15 @@ impl Workspace {
                 Ok(())
             };
         load_tree(&root.join("src"), "src", None)?;
-        for (name, dir) in &crate_dirs {
-            load_tree(&dir.join("src"), &format!("crates/{name}/src"), Some(name))?;
+        let crates = root.join("crates");
+        if crates.is_dir() {
+            for dir in read_dir_sorted(&crates)?.into_iter().filter(|p| p.is_dir()) {
+                let name = file_name(&dir);
+                load_tree(&dir.join("src"), &format!("crates/{name}/src"), Some(&name))?;
+            }
         }
 
-        Ok(Workspace { root: root.to_path_buf(), files, manifests })
+        Ok(Workspace { root: root.to_path_buf(), files })
     }
 }
 
@@ -614,21 +483,5 @@ mod tests {
         );
         assert!(f.ordering_justified.contains(&2));
         assert!(f.ordering_justified.contains(&3));
-    }
-
-    #[test]
-    fn manifest_walker_flags_registry_deps_only() {
-        let m = Manifest::parse(
-            "Cargo.toml".into(),
-            "[package]\nname = \"x\"\nversion = \"0.1.0\"\n\
-             [dependencies]\ngood.workspace = true\n\
-             also = { path = \"../also\" }\n\
-             bad = \"1.0\"\n\
-             worse = { version = \"2\", features = [\"std\"] }\n\
-             [dependencies.dotted]\nversion = \"3\"\n\
-             [dev-dependencies]\nfine = { path = \"x\" }\n",
-        );
-        let lines: Vec<u32> = m.offenders.iter().map(|o| o.0).collect();
-        assert_eq!(lines, vec![7, 8, 10]);
     }
 }

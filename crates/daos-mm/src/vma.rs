@@ -15,24 +15,25 @@
 //! O(chunks) pointers instead of O(pages) PTEs, which is what lets
 //! 10⁶–10⁸-page address spaces exist without a dense `Vec<Pte>` per VMA.
 //!
-//! Each chunk carries resident/swapped counters and the VMA keeps running
-//! totals. Scans for resident or swapped pages
+//! The VMA keeps running totals of resident and swapped pages; a chunk's
+//! own counts are the popcounts of its bitmaps, taken when asked for
+//! ([`Vma::chunk_nr_resident`]). Scans for resident or swapped pages
 //! ([`Vma::collect_resident_in`], [`Vma::collect_swapped_in`]) skip
 //! missing chunks and, inside a chunk, every 64-page word with no bit set
 //! — so paging out an already-evicted region is O(words touched), not
-//! O(pages in range). The counters are kept exact by whoever changes a
+//! O(pages in range). The totals are kept exact by whoever changes a
 //! page's state — the transition primitives below and the general
 //! [`Vma::with_pte`]; the two touch paths ([`Vma::touch_run`],
 //! [`Vma::touch_resident`]) only set bits of resident pages, and the
 //! monitor's check ([`Vma::clear_accessed`]) only clears one, so they write
-//! in place and leave the counters alone.
+//! in place and leave the totals alone.
 //!
 //! ## State transitions
 //!
 //! The fault and reclaim paths change a page's state through three
 //! primitives, each one resolve of the page's chunk, bit operations on the
-//! four bitmaps, a write to `backing`/`lru_gen`, and the chunk and VMA
-//! counters moved by exactly what the transition moves:
+//! four bitmaps, a write to `backing`/`lru_gen`, and the VMA totals
+//! moved by exactly what the transition moves:
 //!
 //! * [`Vma::map_page`] — `None | Swapped → Resident(frame)`, for a fault
 //!   (mapped accessed and touched) or a prefetch (neither). Materialises
@@ -73,7 +74,7 @@
 //!
 //! A chunk is kept in canonical form, which [`Vma::check_counters`]
 //! recounts: `resident` and `swapped` are disjoint, a page in neither has
-//! `backing == 0`, and the counters equal the popcounts. Derived equality
+//! `backing == 0`, and the VMA totals equal the popcounts. Derived equality
 //! on [`Vma`] is then a logical comparison (a shard stamped from an image
 //! equals one built separately). `accessed`, `touched` and the generation
 //! are stored as written whatever the state, exactly as the fields of a
@@ -196,10 +197,6 @@ struct PteChunk {
     /// Frame id of a resident page, swap slot of a swapped one, else 0.
     backing: [u64; PT_CHUNK_PAGES],
     lru_gen: [u32; PT_CHUNK_PAGES],
-    /// Resident pages in this chunk.
-    nr_resident: u32,
-    /// Swapped pages in this chunk.
-    nr_swapped: u32,
 }
 
 impl PteChunk {
@@ -211,8 +208,6 @@ impl PteChunk {
             touched: [0; PT_WORDS],
             backing: [0; PT_CHUNK_PAGES],
             lru_gen: [0; PT_CHUNK_PAGES],
-            nr_resident: 0,
-            nr_swapped: 0,
         })
     }
 
@@ -253,6 +248,11 @@ impl PteChunk {
         self.backing[pi] = backing;
         self.lru_gen[pi] = pte.lru_gen;
     }
+}
+
+/// Set bits in one of a chunk's bitmaps.
+fn popcount(words: &[u64; PT_WORDS]) -> u64 {
+    words.iter().map(|w| w.count_ones() as u64).sum()
 }
 
 /// The set bit positions of `word`, lowest first.
@@ -363,7 +363,7 @@ impl Vma {
     }
 
     /// Read-modify-write the PTE covering `addr` through `f`, keeping the
-    /// chunk and VMA residency counters exact. The chunk is materialised
+    /// VMA residency totals exact. The chunk is materialised
     /// only if `f` actually changes the entry, so probing an untouched
     /// page (e.g. a monitor access check) stays allocation-free.
     pub fn with_pte<R>(&mut self, addr: u64, f: impl FnOnce(&mut Pte) -> R) -> R {
@@ -374,14 +374,14 @@ impl Vma {
             let before = pte.state;
             let r = f(&mut pte);
             c.set(pi, pte);
-            self.account(slot, before, pte.state);
+            self.account(before, pte.state);
             r
         } else {
             let mut pte = Pte::EMPTY;
             let r = f(&mut pte);
             if pte != Pte::EMPTY {
                 self.chunks[slot].insert(PteChunk::new()).set(pi, pte);
-                self.account(slot, PteState::None, pte.state);
+                self.account(PteState::None, pte.state);
             }
             r
         }
@@ -493,8 +493,6 @@ impl Vma {
         c.backing[pi] = frame as u64;
         c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
         let gen = c.lru_gen[pi];
-        c.nr_resident += 1;
-        c.nr_swapped -= was_swapped as u32;
         self.total_resident += 1;
         self.total_swapped -= was_swapped as u64;
         gen
@@ -565,28 +563,17 @@ impl Vma {
         c.touched[w] &= !bit;
         c.backing[pi] = swap_slot.0;
         c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
-        c.nr_resident -= 1;
-        c.nr_swapped += 1;
         self.total_resident -= 1;
         self.total_swapped += 1;
         Ok(Reclaimed::Evicted(frame))
     }
 
-    /// Counter fixup for one PTE state transition.
-    fn account(&mut self, slot: usize, before: PteState, after: PteState) {
+    /// Totals fixup for one PTE state transition.
+    fn account(&mut self, before: PteState, after: PteState) {
         let res = |s: &PteState| matches!(s, PteState::Resident(_)) as i64;
         let swp = |s: &PteState| matches!(s, PteState::Swapped(_)) as i64;
-        let dr = res(&after) - res(&before);
-        let ds = swp(&after) - swp(&before);
-        if dr == 0 && ds == 0 {
-            return;
-        }
-        // lint: allow(panic, only reachable after with_pte materialised the chunk — a miss is substrate corruption)
-        let c = self.chunks[slot].as_deref_mut().expect("accounted chunk must exist");
-        c.nr_resident = (c.nr_resident as i64 + dr) as u32;
-        c.nr_swapped = (c.nr_swapped as i64 + ds) as u32;
-        self.total_resident = (self.total_resident as i64 + dr) as u64;
-        self.total_swapped = (self.total_swapped as i64 + ds) as u64;
+        self.total_resident = (self.total_resident as i64 + res(&after) - res(&before)) as u64;
+        self.total_swapped = (self.total_swapped as i64 + swp(&after) - swp(&before)) as u64;
     }
 
     /// Number of 4 KiB pages in the VMA.
@@ -673,23 +660,23 @@ impl Vma {
         }
     }
 
-    /// Resident pages in the aligned 2 MiB chunk at `chunk_addr`. O(1) —
-    /// the page-table chunk grid coincides with the THP chunk grid.
-    pub fn chunk_nr_resident(&self, chunk_addr: u64) -> u64 {
+    /// Pages of the aligned 2 MiB chunk at `chunk_addr` whose bit is set
+    /// in the bitmap `of` picks: eight popcounts — the page-table chunk
+    /// grid coincides with the THP chunk grid.
+    fn chunk_count(&self, chunk_addr: u64, of: impl Fn(&PteChunk) -> &[u64; PT_WORDS]) -> u64 {
         debug_assert_eq!(chunk_addr % HUGE_PAGE_SIZE, 0);
-        match self.chunks.get(self.slot(chunk_addr)).and_then(|c| c.as_deref()) {
-            Some(c) => c.nr_resident as u64,
-            None => 0,
-        }
+        let chunk = self.chunks.get(self.slot(chunk_addr)).and_then(|c| c.as_deref());
+        chunk.map_or(0, |c| popcount(of(c)))
     }
 
-    /// Swapped pages in the aligned 2 MiB chunk at `chunk_addr`. O(1).
+    /// Resident pages in the aligned 2 MiB chunk at `chunk_addr`.
+    pub fn chunk_nr_resident(&self, chunk_addr: u64) -> u64 {
+        self.chunk_count(chunk_addr, |c| &c.resident)
+    }
+
+    /// Swapped pages in the aligned 2 MiB chunk at `chunk_addr`.
     pub fn chunk_nr_swapped(&self, chunk_addr: u64) -> u64 {
-        debug_assert_eq!(chunk_addr % HUGE_PAGE_SIZE, 0);
-        match self.chunks.get(self.slot(chunk_addr)).and_then(|c| c.as_deref()) {
-            Some(c) => c.nr_swapped as u64,
-            None => 0,
-        }
+        self.chunk_count(chunk_addr, |c| &c.swapped)
     }
 
     // ---- huge-page chunk bookkeeping -------------------------------
@@ -746,17 +733,11 @@ impl Vma {
 
     /// The layout invariant, recounted: `Err` says what is wrong unless
     /// every chunk is in canonical form ("PTE layout" in the module docs)
-    /// and the running counters match a recount from the bitmaps.
+    /// and the running totals match a recount from the bitmaps.
     pub fn check_counters(&self) -> Result<(), String> {
-        let count = |words: &[u64; PT_WORDS]| words.iter().map(|w| w.count_ones()).sum::<u32>();
         let (mut resident, mut swapped) = (0u64, 0u64);
         for (slot, c) in self.chunks.iter().enumerate() {
             let Some(c) = c.as_deref() else { continue };
-            let counted = (count(&c.resident), count(&c.swapped));
-            if (c.nr_resident, c.nr_swapped) != counted {
-                let kept = (c.nr_resident, c.nr_swapped);
-                return Err(format!("chunk {slot} counts {kept:?}, its bitmaps hold {counted:?}"));
-            }
             for w in 0..PT_WORDS {
                 if c.resident[w] & c.swapped[w] != 0 {
                     return Err(format!("chunk {slot} word {w}: a page is resident and swapped"));
@@ -765,12 +746,12 @@ impl Vma {
                     return Err(format!("chunk {slot} word {w}: an unmapped page keeps a backing"));
                 }
             }
-            resident += c.nr_resident as u64;
-            swapped += c.nr_swapped as u64;
+            resident += popcount(&c.resident);
+            swapped += popcount(&c.swapped);
         }
         if (self.total_resident, self.total_swapped) != (resident, swapped) {
             let kept = (self.total_resident, self.total_swapped);
-            return Err(format!("totals {kept:?}, the chunks sum to {:?}", (resident, swapped)));
+            return Err(format!("totals {kept:?}, the bitmaps hold {:?}", (resident, swapped)));
         }
         Ok(())
     }

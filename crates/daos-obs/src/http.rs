@@ -343,25 +343,10 @@ fn read_chunked(reader: &mut impl BufRead, body: &mut String) -> io::Result<()> 
     }
 }
 
-/// Hostile-input generator shared by the plane's fuzz suites: a run of
-/// pieces, each either one of `tokens` (so inputs get past the first
-/// check of the parser under test) or a few arbitrary bytes.
-#[cfg(test)]
-pub(crate) fn fuzz_bytes(
-    tokens: &'static [&'static str],
-) -> impl daos_util::prop::Strategy<Value = Vec<u8>> {
-    use daos_util::prop::{select, vec_of, StrategyExt};
-    let piece = daos_util::one_of![
-        select(tokens.to_vec()).prop_map(|t| t.as_bytes().to_vec()),
-        vec_of(0u8..=255, 1usize..4),
-    ];
-    vec_of(piece, 0usize..48).prop_map(|pieces| pieces.concat())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daos_util::prop::any_bool;
+    use daos_util::prop::{any_bool, fuzz_bytes};
     use daos_util::{prop_assert, proptest};
     use std::io::Cursor;
 

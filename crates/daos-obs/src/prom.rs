@@ -547,7 +547,7 @@ mod tests {
         // The scrape-side parser over arbitrary bytes: samples or a
         // message naming a line, holding no more than the text did.
         fn parse_exposition_survives_arbitrary_bytes(
-            raw in crate::http::fuzz_bytes(EXPOSITION_TOKENS),
+            raw in daos_util::prop::fuzz_bytes(EXPOSITION_TOKENS),
         ) {
             let text = String::from_utf8_lossy(&raw);
             if let Ok(samples) = parse_exposition(&text) {

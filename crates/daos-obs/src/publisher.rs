@@ -316,7 +316,6 @@ impl FleetPublisher {
             ("monitor_total_checks", summary.monitor_total_checks),
             ("overhead_per_process_ns", summary.overhead_per_process_ns()),
             ("effective_max_regions", summary.effective_max_regions as u64),
-            ("steals", summary.steals),
             ("dropped_events", summary.total_dropped()),
         ];
         let last = self.publisher.snapshot();

@@ -918,7 +918,7 @@ mod tests {
         // `/query`'s parameter parsing and percent-decoding over
         // arbitrary bytes: a status the route knows, and a body no
         // larger than the series plus an echo of the input.
-        fn query_response_survives_arbitrary_paths(raw in crate::http::fuzz_bytes(QUERY_TOKENS)) {
+        fn query_response_survives_arbitrary_paths(raw in daos_util::prop::fuzz_bytes(QUERY_TOKENS)) {
             let publisher = Publisher::new();
             for seq in 1..=3u64 {
                 publisher.publish(ObsSnapshot { seq, now_ns: seq * 1_000, ..Default::default() });

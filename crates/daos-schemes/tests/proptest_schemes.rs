@@ -4,9 +4,12 @@ use daos_mm::addr::AddrRange;
 use daos_mm::clock::ms;
 use daos_monitor::{Aggregation, RegionInfo};
 use daos_schemes::{
-    apply_filters, parse_scheme_line, Action, AddrFilter, AgeVal, Bound, FreqVal, Scheme,
+    apply_filters, parse_scheme_line, parse_schemes, Action, AddrFilter, AgeVal, Bound, FreqVal,
+    Scheme,
 };
-use daos_util::prop::{any_bool, select, vec_of, Just, Strategy, StrategyExt, TestCaseError};
+use daos_util::prop::{
+    any_bool, fuzz_bytes, select, vec_of, Just, Strategy, StrategyExt, TestCaseError,
+};
 use daos_util::{one_of, prop_assert, prop_assert_eq, proptest};
 
 fn arb_action() -> impl Strategy<Value = Action> {
@@ -131,6 +134,53 @@ proptest! {
         // With no filters, coverage is exactly the candidate.
         if filters.is_empty() {
             prop_assert_eq!(covered, candidate.len());
+        }
+    }
+}
+
+const SCHEME_SEEDS: &[&str] = &[
+    "",
+    "4K max min min 5s max pageout\n# a comment\n2M max 80% max min 2m hugepage # trailing\n",
+    "min max 5 max min max stat",
+];
+
+const SCHEME_TOKENS: &[&str] = &[
+    "4K", "2M", "max", "min", "5s", "2m", "100ms", "us", "80%", "pageout", "hugepage", "stat",
+    " ", "\t", "\n", "#", "18446744073709551615", "G", "T", "1.5", "-1", "1e308", "nan", "inf",
+];
+
+// Whatever a scheme file holds — a real one, one with token soup and
+// arbitrary bytes spliced in, or soup alone — both parsers answer `Ok`
+// or a typed error, never panic, and neither hands back more than it
+// was given: at most one scheme per line, an error no longer than the
+// line it quotes.
+proptest! {
+    cases = 512;
+
+    fn scheme_parsers_survive_arbitrary_bytes(
+        seed in select(SCHEME_SEEDS.to_vec()),
+        noise in fuzz_bytes(SCHEME_TOKENS),
+        at in 0usize..4096,
+        intact in any_bool(),
+    ) {
+        let mut raw = seed.as_bytes().to_vec();
+        if !intact {
+            let at = at % (raw.len() + 1);
+            raw.splice(at..at, noise);
+        }
+        let text = String::from_utf8_lossy(&raw);
+        let nr_lines = text.lines().count();
+        match parse_schemes(&text) {
+            Ok(schemes) => prop_assert!(schemes.len() <= nr_lines),
+            Err(e) => {
+                prop_assert!((1..=nr_lines).contains(&e.line), "line {} of {nr_lines}", e.line);
+                prop_assert!(e.to_string().len() <= text.len() + 128, "{e}");
+            }
+        }
+        for line in text.lines() {
+            if let Err(e) = parse_scheme_line(line) {
+                prop_assert!(e.to_string().len() <= line.len() + 128, "{e}");
+            }
         }
     }
 }

@@ -3,10 +3,11 @@
 //! reason `daos_util::json` keeps a dedicated unsigned lane).
 
 use daos_trace::{
-    events_from_jsonl, events_to_jsonl, ActionTag, Event, Phase, SamplePhase, TimedEvent,
+    events_from_jsonl, events_to_jsonl, parse_export, ActionTag, Event, Phase, SamplePhase,
+    TimedEvent,
 };
-use daos_util::prop::vec_of;
-use daos_util::{prop_assert_eq, proptest};
+use daos_util::prop::{any_bool, fuzz_bytes, select, vec_of};
+use daos_util::{prop_assert, prop_assert_eq, proptest};
 
 const ACTIONS: [ActionTag; 8] = [
     ActionTag::Stat,
@@ -83,5 +84,50 @@ proptest! {
             daos_util::prop::TestCaseError::fail(format!("decode failed: {e}"))
         })?;
         prop_assert_eq!(back, events);
+    }
+}
+
+const EXPORT_SEEDS: &[&str] = &[
+    "",
+    concat!(
+        "# daos-trace v1: 2 events, 1 dropped (ring capacity 2)\n",
+        "{\"at\":0,\"event\":{\"PageFault\":{\"pid\":0,\"addr\":268435456,\"major\":false}}}\n",
+        "{\"at\":7,\"event\":{\"SwapOut\":{\"pid\":1,\"addr\":4096}}}\n",
+        "# metrics: {\"counters\":{\"mm.minor_faults\":1024},\"gauges\":{\"monitor.nr_regions\":10.0},",
+        "\"histograms\":{\"span.sample_ns\":{\"count\":3,\"sum\":6000,\"min\":1200,\"max\":2400,",
+        "\"buckets\":[[11,1],[12,2]]}},\"dropped_events\":1,\"ring_capacity\":2}\n",
+    ),
+];
+
+const EXPORT_TOKENS: &[&str] = &[
+    "# daos-trace v1:", " 3 events, ", "1 dropped", " (ring capacity 16)", "# metrics: ", "#",
+    "\n", "{\"at\":7,\"event\":", "{\"SwapOut\":{\"pid\":1,\"addr\":4096}}", "{\"Nope\":{}}", "}",
+    "{\"counters\":{", "\"gauges\":{", "\"histograms\":{", "\"buckets\":[[4,1]]", "\"k\":", "{",
+    "[", "\"", ":", ",", "18446744073709551616", "-1", "1.5", "null",
+];
+
+// Whatever a trace file holds — a real export, one with token soup and
+// arbitrary bytes spliced in, or soup alone — `parse_export` answers
+// `Ok` or a typed error, never panics, with at most one event per line
+// and an error no longer than the text it quotes.
+proptest! {
+    cases = 512;
+
+    fn parse_export_survives_arbitrary_bytes(
+        seed in select(EXPORT_SEEDS.to_vec()),
+        noise in fuzz_bytes(EXPORT_TOKENS),
+        at in 0usize..4096,
+        intact in any_bool(),
+    ) {
+        let mut raw = seed.as_bytes().to_vec();
+        if !intact {
+            let at = at % (raw.len() + 1);
+            raw.splice(at..at, noise);
+        }
+        let text = String::from_utf8_lossy(&raw);
+        match parse_export(&text) {
+            Ok(doc) => prop_assert!(doc.events.len() <= text.lines().count()),
+            Err(e) => prop_assert!(e.to_string().len() <= text.len() + 128, "{e}"),
+        }
     }
 }

@@ -787,4 +787,55 @@ mod tests {
         assert_eq!(payload, &Json::U64(4));
         assert!(untag(&Json::Null).is_err());
     }
+
+    const JSON_SEEDS: &[&str] = &[
+        "",
+        r#"{"k":[1,-2,3.5,"s\u00e9\ud83d\ude00\n",null,true],"o":{},"a":[]}"#,
+        "[18446744073709551615,-9223372036854775808,1e308,0.0]\n{\"line\":2}\n# comment\n",
+        " \"plain\" ",
+    ];
+
+    const JSON_TOKENS: &[&str] = &[
+        "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "d83d", "\\ude00", "\"k\":", "null",
+        "true", "false", "-", "0", ".", "e", "1e999", "18446744073709551616", " ", "\n", "#",
+    ];
+
+    /// Nodes plus string bytes: what a parsed document holds.
+    fn weight(v: &Json) -> usize {
+        1 + match v {
+            Json::Str(s) => s.len(),
+            Json::Array(items) => items.iter().map(weight).sum(),
+            Json::Object(fields) => fields.iter().map(|(k, v)| k.len() + weight(v)).sum(),
+            _ => 0,
+        }
+    }
+
+    // Whatever text arrives — a real document, one with token soup and
+    // arbitrary bytes spliced in, or soup alone — the parsers answer
+    // `Ok` or a `JsonError`, never panic, and a parsed document holds no
+    // more than the text that spelt it.
+    crate::proptest! {
+        cases = 512;
+
+        fn parse_survives_arbitrary_bytes(
+            seed in crate::prop::select(JSON_SEEDS.to_vec()),
+            noise in crate::prop::fuzz_bytes(JSON_TOKENS),
+            at in 0usize..4096,
+            intact in crate::prop::any_bool(),
+        ) {
+            let mut raw = seed.as_bytes().to_vec();
+            if !intact {
+                let at = at % (raw.len() + 1);
+                raw.splice(at..at, noise);
+            }
+            let text = String::from_utf8_lossy(&raw);
+            match parse(&text) {
+                Ok(v) => crate::prop_assert!(weight(&v) <= text.len(), "{v:?}"),
+                Err(e) => crate::prop_assert!(e.0.len() <= text.len() + 128, "{e}"),
+            }
+            if let Ok(docs) = parse_lines(&text) {
+                crate::prop_assert!(docs.iter().map(weight).sum::<usize>() <= text.len());
+            }
+        }
+    }
 }

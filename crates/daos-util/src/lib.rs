@@ -19,10 +19,11 @@
 //!   count, failing seed printed, simple halving shrink).
 //! * [`mod@bench`] — a median-of-N wall-clock timing harness for the bench
 //!   binaries.
-//! * [`pool`] — the workspace's single worker pool: a work-stealing
-//!   scheduler with a persistent-thread frontend ([`pool::WorkerPool`],
-//!   driving the fleet engine's shard ticks) and a scoped map frontend
-//!   ([`pool::par_map`], driving the figure sweeps).
+//! * [`pool`] — the workspace's single worker pool: threads pulling
+//!   from one shared queue, with a persistent-thread frontend
+//!   ([`pool::WorkerPool`], driving the fleet engine's shard tasks) and
+//!   a scoped map frontend ([`pool::par_map`], driving the figure
+//!   sweeps).
 //! * [`sync`] — the workspace's one lock funnel: [`sync::lock`] recovers
 //!   from poison and, in debug builds, asserts the leaf-lock rule (no
 //!   mutex is taken while the thread holds another) on every

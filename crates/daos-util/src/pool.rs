@@ -1,125 +1,51 @@
-//! The workspace's single worker pool: per-worker queues with work
-//! stealing, shared by every parallel consumer in the tree.
+//! The workspace's single worker pool: threads pulling from one shared
+//! queue, used by every parallel consumer in the tree.
 //!
-//! Two frontends drive one scheduler ([`StealQueues`]):
+//! Two frontends:
 //!
 //! * [`WorkerPool`] — persistent threads for long-lived engines (the
-//!   fleet runner submits one batch of shard ticks per virtual tick;
-//!   respawning threads per tick would dwarf the work). Tasks are
-//!   `'static` closures; [`WorkerPool::run_batch`] blocks until the
-//!   whole batch finished and returns results in submission order.
+//!   fleet runner submits one batch of shard tasks per span; respawning
+//!   threads per span would dwarf the work of a watched fleet's
+//!   one-tick spans). Tasks are `'static` closures;
+//!   [`WorkerPool::run_batch`] blocks until the whole batch finished and
+//!   returns results in submission order.
 //! * [`par_map`] — a scoped one-shot map for borrowing closures (figure
 //!   sweeps map over hundreds of independent simulations). Threads live
 //!   for the call only, so `f` may borrow from the caller's stack.
 //!
-//! Work items are deterministic simulations, so parallel and serial
-//! execution produce identical numbers; stealing only changes *which
-//! thread* runs an item, never its result.
+//! Both hand out work dynamically — an idle thread takes the next item,
+//! whatever its neighbours are still busy with — so uneven items balance
+//! without a scheduler. Work items are deterministic simulations, so
+//! parallel and serial execution produce identical numbers; the queue
+//! only changes *which thread* runs an item, never its result.
 
 use crate::sync::{lock, wait};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-
-/// Per-worker FIFO queues with stealing: a worker drains its own queue
-/// first and, when empty, takes work from the *back* of a sibling's
-/// queue (classic steal-from-the-cold-end discipline, which keeps the
-/// owner's cache-warm front intact).
-///
-/// Queue slots hold whole items; a poisoned mutex therefore carries no
-/// torn state and poison recovery is safe throughout.
-pub struct StealQueues<T> {
-    queues: Vec<Mutex<VecDeque<T>>>,
-    next: AtomicUsize,
-    steals: AtomicU64,
-}
-
-impl<T> StealQueues<T> {
-    /// `nr` empty queues (at least one).
-    pub fn new(nr: usize) -> StealQueues<T> {
-        let nr = nr.max(1);
-        StealQueues {
-            queues: (0..nr).map(|_| Mutex::new(VecDeque::new())).collect(),
-            next: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-        }
-    }
-
-    /// Push an item onto the next queue, round-robin, so a batch starts
-    /// out evenly spread and stealing only handles imbalance.
-    pub fn push(&self, item: T) {
-        // ordering: Relaxed — the counter only spreads items across
-        // queues; the queue mutex publishes the item itself.
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        lock(&self.queues[i]).push_back(item);
-    }
-
-    /// Pop work for `worker`: its own queue's front, else steal from the
-    /// back of the first non-empty sibling (scanning from `worker + 1`
-    /// so contention spreads).
-    pub fn pop(&self, worker: usize) -> Option<T> {
-        let n = self.queues.len();
-        let own = worker % n;
-        if let Some(item) = lock(&self.queues[own]).pop_front() {
-            return Some(item);
-        }
-        for off in 1..n {
-            let victim = (own + off) % n;
-            if let Some(item) = lock(&self.queues[victim]).pop_back() {
-                // ordering: Relaxed — a statistics counter, read only
-                // after the batch completes.
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(item);
-            }
-        }
-        None
-    }
-
-    /// Steals observed so far.
-    pub fn steals(&self) -> u64 {
-        // ordering: Relaxed — statistics only.
-        self.steals.load(Ordering::Relaxed)
-    }
-}
-
-/// Scheduler statistics of a [`WorkerPool`], for fleet summaries.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Tasks executed per worker, by worker index.
-    pub executed: Vec<u64>,
-    /// Tasks a worker took from a sibling's queue.
-    pub steals: u64,
-}
+use std::sync::{Arc, Condvar, Mutex};
 
 type Task = Box<dyn FnOnce() + Send>;
 
+/// What the workers share, under one mutex. Tasks move in and out
+/// whole, so a poisoned lock carries no torn state.
+#[derive(Default)]
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
+}
+
+#[derive(Default)]
 struct PoolShared {
-    queues: StealQueues<Task>,
-    /// Signals "work may be available" to sleeping workers; the guarded
-    /// counter increments per push so a wake-up between check and wait
-    /// is never lost.
-    signal: Mutex<u64>,
+    queue: Mutex<Queue>,
+    /// Signalled when `queue` gains tasks or `shutdown` is set. Workers
+    /// check both under the lock before they wait, so no wake-up is lost.
     wake: Condvar,
-    shutdown: AtomicBool,
-    executed: Vec<AtomicU64>,
 }
 
-impl PoolShared {
-    fn notify(&self, all: bool) {
-        *lock(&self.signal) += 1;
-        if all {
-            self.wake.notify_all();
-        } else {
-            self.wake.notify_one();
-        }
-    }
-}
-
-/// A shared pool of persistent worker threads draining [`StealQueues`].
+/// A pool of persistent worker threads draining one task queue.
 ///
 /// Construction spawns the threads once; [`run_batch`](Self::run_batch)
-/// distributes a batch and blocks until every task ran. Dropping the
-/// pool shuts the workers down and joins them.
+/// queues a batch and blocks until every task ran. Dropping the pool
+/// shuts the workers down and joins them.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -131,17 +57,11 @@ impl WorkerPool {
     /// [`default_parallelism`]: Self::default_parallelism
     pub fn new(nr: usize) -> WorkerPool {
         let nr = if nr == 0 { Self::default_parallelism() } else { nr };
-        let shared = Arc::new(PoolShared {
-            queues: StealQueues::new(nr),
-            signal: Mutex::new(0),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            executed: (0..nr).map(|_| AtomicU64::new(0)).collect(),
-        });
+        let shared = Arc::new(PoolShared::default());
         let workers = (0..nr)
-            .map(|id| {
+            .map(|_| {
                 let shared = shared.clone();
-                std::thread::spawn(move || worker_loop(id, &shared))
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
         WorkerPool { shared, workers }
@@ -157,24 +77,10 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Scheduler statistics so far (cumulative over all batches).
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            executed: self
-                .shared
-                .executed
-                .iter()
-                // ordering: Relaxed — statistics only.
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            steals: self.shared.queues.steals(),
-        }
-    }
-
     /// Run `tasks` to completion across the workers and return their
     /// results in submission order. The caller blocks until the whole
-    /// batch finished; worker threads and queues are reused, so a tick
-    /// loop can call this once per tick without respawn cost.
+    /// batch finished; worker threads and the queue are reused, so a
+    /// tick loop can call this once per tick without respawn cost.
     pub fn run_batch<R, F>(&self, tasks: Vec<F>) -> Vec<R>
     where
         R: Send + 'static,
@@ -187,22 +93,20 @@ impl WorkerPool {
         let outputs: Arc<Vec<Mutex<Option<R>>>> =
             Arc::new((0..n).map(|_| Mutex::new(None)).collect());
         let done = Arc::new((Mutex::new(0usize), Condvar::new()));
-        for (i, task) in tasks.into_iter().enumerate() {
+        let boxed = tasks.into_iter().enumerate().map(|(i, task)| {
             let outputs = outputs.clone();
             let done = done.clone();
-            self.shared.queues.push(Box::new(move || {
+            Box::new(move || {
                 // `CompletionGuard` signals even if the task panics, so
                 // the waiting caller never deadlocks; it observes the
                 // missing output and panics itself.
                 let _guard = CompletionGuard(&done);
                 let r = task();
                 *lock(&outputs[i]) = Some(r);
-            }));
-            self.shared.notify(false);
-        }
-        // One extra broadcast after the last push: with more workers
-        // than tasks, notify_one may have woken the same worker twice.
-        self.shared.notify(true);
+            }) as Task
+        });
+        lock(&self.shared.queue).tasks.extend(boxed);
+        self.shared.wake.notify_all();
         let (count, cv) = &*done;
         let mut finished = lock(count);
         while *finished < n {
@@ -239,47 +143,35 @@ impl Drop for CompletionGuard<'_> {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // ordering: Release pairs with the Acquire load in worker_loop —
-        // a worker that sees the flag also sees every task pushed first.
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.notify(true);
+        lock(&self.shared.queue).shutdown = true;
+        self.shared.wake.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }
 }
 
-fn worker_loop(id: usize, shared: &PoolShared) {
+fn worker_loop(shared: &PoolShared) {
     loop {
-        // Read the signal counter *before* draining: a push that lands
-        // after this read bumps the counter, so the wait below is
-        // skipped and the task is found on the next loop — no lost
-        // wake-ups.
-        let seen = *lock(&shared.signal);
-        while let Some(task) = shared.queues.pop(id) {
-            // Count *before* running: the bump then happens-before the
-            // task's completion signal, so a caller that returned from
-            // `run_batch` reads fully-accounted stats.
-            // ordering: Relaxed — statistics only.
-            shared.executed[id].fetch_add(1, Ordering::Relaxed);
-            // A panicking task unwinds through the box; the batch's
-            // completion guard still fires (Drop), and the caller
-            // reports the dead slot. Swallowing the unwind here keeps
-            // the worker alive for later batches.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-        }
-        // ordering: Acquire pairs with the Release store in Drop.
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let mut seq = lock(&shared.signal);
-        while *seq == seen {
-            // ordering: Acquire pairs with the Release store in Drop.
-            if shared.shutdown.load(Ordering::Acquire) {
-                return;
+        let task = {
+            let mut queue = lock(&shared.queue);
+            loop {
+                if let Some(task) = queue.tasks.pop_front() {
+                    break task;
+                }
+                // Checked only on an empty queue: tasks queued before
+                // the pool dropped still run.
+                if queue.shutdown {
+                    return;
+                }
+                queue = wait(&shared.wake, queue);
             }
-            seq = wait(&shared.wake, seq);
-        }
+        };
+        // A panicking task unwinds through the box; the batch's
+        // completion guard still fires (Drop), and the caller reports
+        // the dead slot. Swallowing the unwind here keeps the worker
+        // alive for later batches.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
     }
 }
 
@@ -292,58 +184,49 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let nr_threads = WorkerPool::default_parallelism().min(n);
+    let nr_threads = WorkerPool::default_parallelism().min(items.len());
     if nr_threads <= 1 {
         return items.into_iter().map(f).collect();
     }
 
-    let queues: StealQueues<usize> = StealQueues::new(nr_threads);
-    let inputs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let outputs: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    for i in 0..n {
-        queues.push(i);
-    }
-
-    // A worker panic propagates out of the scope when its JoinHandle is
-    // detached-joined at scope exit, so no explicit error plumbing is
-    // needed; slot mutexes carry no torn state (each slot is written
-    // whole, once), so poison recovery is safe everywhere.
-    std::thread::scope(|scope| {
-        for id in 0..nr_threads {
-            let queues = &queues;
-            let inputs = &inputs;
-            let outputs = &outputs;
-            let f = &f;
-            scope.spawn(move || {
-                while let Some(i) = queues.pop(id) {
-                    let item = lock(&inputs[i])
-                        .take()
-                        // lint: allow(panic, each index is queued exactly once)
-                        .expect("each index claimed once");
-                    *lock(&outputs[i]) = Some(f(item));
-                }
-            });
-        }
+    // The iterator's `next` moves one item out whole, so poison
+    // recovery is safe; `f` runs outside the lock.
+    let work = Mutex::new(items.into_iter().enumerate());
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..nr_threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        // A statement of its own: the guard is gone
+                        // before `f` runs.
+                        let next = lock(&work).next();
+                        let Some((i, item)) = next else { break mine };
+                        mine.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
-
-    outputs
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                // lint: allow(panic, a worker panic would have propagated at scope exit)
-                .expect("all indices processed")
-        })
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The text of a caught panic, whichever payload type `panic!` chose.
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(other) => other.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default(),
+        }
+    }
 
     #[test]
     fn maps_in_order() {
@@ -379,19 +262,15 @@ mod tests {
     }
 
     #[test]
-    fn steal_queues_hand_out_every_item_once() {
-        let q: StealQueues<usize> = StealQueues::new(4);
-        for i in 0..100 {
-            q.push(i);
-        }
-        let mut got: Vec<usize> = Vec::new();
-        // Worker 3 drains everything: 1/4 owned, 3/4 stolen.
-        while let Some(i) = q.pop(3) {
-            got.push(i);
-        }
-        got.sort_unstable();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
-        assert_eq!(q.steals(), 75);
+    fn par_map_propagates_a_worker_panic() {
+        let died = std::panic::catch_unwind(|| {
+            par_map((0..16).collect(), |x: i32| {
+                assert!(x != 5, "item five is poison");
+                x
+            })
+        });
+        let message = panic_message(died.expect_err("the panic reaches the caller"));
+        assert!(message.contains("item five is poison"), "the worker's own payload: {message}");
     }
 
     #[test]
@@ -406,9 +285,6 @@ mod tests {
             let want: Vec<u64> = (0..20u64).map(|i| i.wrapping_mul(i) ^ round).collect();
             assert_eq!(out, want);
         }
-        let stats = pool.stats();
-        assert_eq!(stats.executed.len(), 3);
-        assert_eq!(stats.executed.iter().sum::<u64>(), 100);
     }
 
     #[test]
@@ -435,8 +311,9 @@ mod tests {
 
     #[test]
     fn uneven_batches_keep_results_deterministic() {
-        // Tasks with wildly different costs: stealing rebalances, the
-        // result vector is identical to the 1-worker pool's.
+        // Tasks with wildly different costs: whichever worker is free
+        // takes the next one, and the result vector is identical to the
+        // 1-worker pool's.
         let slowload = |i: u64| {
             let mut acc = i;
             for _ in 0..(i % 7) * 10_000 {
@@ -449,5 +326,46 @@ mod tests {
         let parallel = WorkerPool::new(4)
             .run_batch((0..64u64).map(|i| move || slowload(i)).collect::<Vec<_>>());
         assert_eq!(serial, parallel);
+    }
+
+    /// A task that panics costs its batch, not the pool: the caller gets
+    /// the panic instead of a hang, every other task of the batch still
+    /// ran, and the same workers complete the next batch.
+    #[test]
+    fn a_panicking_task_fails_its_batch_and_spares_the_pool() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let ran = Arc::new(Mutex::new(0usize));
+        let tasks: Vec<_> = (0..8usize)
+            .map(|i| {
+                let ran = ran.clone();
+                move || {
+                    assert!(i != 3, "task three is poison");
+                    *lock(&ran) += 1;
+                    i
+                }
+            })
+            .collect();
+        // On a thread of its own, so a lost completion signal fails the
+        // test instead of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = {
+            let pool = pool.clone();
+            std::thread::spawn(move || {
+                let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    pool.run_batch(tasks)
+                }));
+                let _ = tx.send(died.map_err(panic_message));
+            })
+        };
+        let died = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_batch returns although a task panicked");
+        caller.join().expect("the caller caught the panic");
+        let message = died.expect_err("the batch's failure is the caller's panic");
+        assert!(message.contains("pool worker panicked"), "{message}");
+        assert_eq!(*lock(&ran), 7, "the rest of the batch ran");
+
+        let out = pool.run_batch((0..8usize).map(|i| move || i * 2).collect::<Vec<_>>());
+        assert_eq!(out, (0..8).map(|i| i * 2).collect::<Vec<_>>());
     }
 }

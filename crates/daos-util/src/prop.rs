@@ -363,6 +363,17 @@ where
     }
 }
 
+/// Hostile-input generator for parser fuzz suites: a run of pieces,
+/// each either one of `tokens` (so inputs get past the first check of
+/// the parser under test) or a few arbitrary bytes.
+pub fn fuzz_bytes(tokens: &'static [&'static str]) -> impl Strategy<Value = Vec<u8>> {
+    let piece = crate::one_of![
+        select(tokens.to_vec()).prop_map(|t| t.as_bytes().to_vec()),
+        vec_of(0u8..=255, 1usize..4),
+    ];
+    vec_of(piece, 0usize..48).prop_map(|pieces| pieces.concat())
+}
+
 // ---------------------------------------------------------------- tuples
 
 macro_rules! tuple_strategy {

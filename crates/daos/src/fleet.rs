@@ -66,10 +66,10 @@
 //! multi-shard fleet it sees a span's events shard after shard — their
 //! timestamps were always per-shard virtual clocks. Otherwise each span
 //! moves every slot into a task of the workspace worker pool
-//! ([`daos_util::pool::WorkerPool`], a work-stealing scheduler) and
+//! ([`daos_util::pool::WorkerPool`], threads on one shared queue) and
 //! takes it back with the task's result behind the batch barrier, so
-//! results never depend on worker count — only `steals` in the summary
-//! varies.
+//! nothing in the results or the summary depends on worker count or
+//! thread timing but `nr_workers` itself.
 //!
 //! Monitoring cost stays **sub-linear in fleet size** through a global
 //! region budget of 64 × the configuration's `max_nr_regions`: each
@@ -287,8 +287,9 @@ pub struct FleetSummary {
     /// without `trace_ring`). Per-process counts, not a deduplicated
     /// once-per-run warning: every process's loss is visible.
     pub dropped_events: Vec<u64>,
-    /// Work-stealing steals across the run (0 when inline; varies with
-    /// thread timing — excluded from determinism comparisons).
+    /// Always 0: the pool is one shared queue and has nothing to steal.
+    /// Kept only for the frozen perf ledger's `fleet.steals` lane, and
+    /// goes with it (ROADMAP 3(b)).
     pub steals: u64,
     /// Per-tenant aggregates at end of run.
     pub tenants: Vec<TenantStats>,
@@ -337,9 +338,6 @@ impl FleetSummary {
             self.effective_max_regions,
             self.overhead_per_process_ns()
         ));
-        if self.steals > 0 {
-            out.push_str(&format!("pool     {} steals\n", self.steals));
-        }
         for t in &self.tenants {
             out.push_str(&format!(
                 "tenant   {}: {} procs, rss {}, peak {}, {} majfaults, {} swapouts\n",
@@ -978,7 +976,7 @@ impl FleetEngine {
 
     /// Bring every shard to `barrier`, one shard at a time: shard after
     /// shard on the caller thread (which keeps a caller-installed trace
-    /// collector observing), or with a pool one work-stealing task per
+    /// collector observing), or with a pool one queued task per
     /// slot, which takes the slot and brings it home with its result
     /// behind the batch barrier. With `retire` a shard leaves only its
     /// results behind as soon as it arrives.
@@ -1122,7 +1120,7 @@ impl FleetEngine {
             monitor_total_checks: totals.monitor_total_checks,
             effective_max_regions: fleet.effective_attrs(&self.recipe.config.attrs).max_nr_regions,
             dropped_events,
-            steals: self.pool.as_ref().map_or(0, |p| p.stats().steals),
+            steals: 0,
             tenants: totals.tenants,
         };
         Ok((runs, summary))
@@ -1208,12 +1206,11 @@ mod tests {
         }
     }
 
-    /// A finished engine's results, without the pool counters that vary
-    /// with worker count and thread timing.
+    /// A finished engine's results, without the worker count it was
+    /// asked for — the one summary field that differs across pools.
     fn finish(engine: FleetEngine) -> (Vec<RunResult>, FleetSummary) {
         let (runs, mut summary) = engine.finish().unwrap();
         summary.nr_workers = 0;
-        summary.steals = 0;
         (runs, summary)
     }
 

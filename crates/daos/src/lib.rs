@@ -10,7 +10,7 @@
 //! * the [`Session`] entry point executing one workload under one
 //!   configuration on one machine profile — or, with a [`FleetSpec`],
 //!   replicated across thousands of processes — on the sharded
-//!   work-stealing [`fleet`] engine, which hosts the monitor one way (a
+//!   [`fleet`] engine, which hosts the monitor one way (a
 //!   plane per group of processes: one process under virtual-address
 //!   monitoring, the whole shard under physical-address monitoring) and
 //!   is observed through one [`FleetObserver`] seam;

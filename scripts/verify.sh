@@ -1,15 +1,18 @@
 #!/bin/sh
 # Tier-1 verification: hermetic offline build + full test suite, plus
 # the in-tree static analysis (`daos-lint`) that machine-checks the
-# workspace invariants: no registry (non-path) dependencies, no printing
-# from library code, panic discipline, deterministic simulation crates,
-# justified atomic orderings, no dead tracepoints, machine-parseable
-# metric keys, and guard discipline — every lock is taken through
-# `daos_util::sync`, which asserts the leaf-lock rule in debug builds.
+# workspace invariants: no printing from library code, panic
+# discipline, deterministic simulation crates, justified atomic
+# orderings, no dead tracepoints, machine-parseable metric keys, and
+# guard discipline — every lock is taken through `daos_util::sync`,
+# which asserts the leaf-lock rule in debug builds.
 #
 # The workspace must build from a clean clone with no network and an
 # empty registry cache; every dependency is an in-tree path dependency
-# (see README "Zero-dependency policy").
+# (see README "Zero-dependency policy"). Cargo's resolver states that
+# itself: a package that is not a path dependency gets a `source = `
+# line in Cargo.lock, so the build is `--locked` and the lockfiles must
+# carry none.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -52,10 +55,22 @@ serve_bg() {
     exit 1
 }
 
-echo "== offline release build (must be warning-free) =="
+# no_sources LOCKFILE: every package Cargo resolved is an in-tree path.
+no_sources() {
+    [ -s "$1" ] || { echo "FAIL: $1 is missing or empty"; exit 1; }
+    if grep -n '^source = ' "$1"; then
+        echo "FAIL: $1 resolves a package from outside the tree"
+        exit 1
+    fi
+}
+
+echo "== offline, locked release build (must be warning-free) =="
+# `--locked` refuses a manifest edit the committed Cargo.lock does not
+# already carry, so a new dependency has to show up in the lockfile.
 # `cargo build` replays cached warnings for already-built crates, so
 # grepping the build output catches warnings even on incremental runs.
-build_log=$(cargo build --release --offline --workspace 2>&1) || {
+no_sources Cargo.lock
+build_log=$(cargo build --release --offline --locked --workspace 2>&1) || {
     echo "$build_log"
     exit 1
 }
@@ -105,11 +120,11 @@ lint_out=$(cargo run -q -p daos-lint --release --offline -- --json) || {
 }
 # "Clean" must mean the funnel pass actually ran: the report's lint
 # roster has to advertise it, or the gate is vacuous — and must not
-# advertise the deleted lock-order pass, or a stale binary answered.
+# advertise a deleted pass, or a stale binary answered.
 case "$lint_out" in
-    *'"lock-order"'*)
+    *'"lock-order"'* | *'"no-registry-deps"'*)
         echo "$lint_out"
-        echo "FAIL: daos-lint --json still lists lock-order — stale binary?"
+        echo "FAIL: daos-lint --json still lists a deleted pass — stale binary?"
         exit 1
         ;;
     *'"guard-discipline"'*) ;;
@@ -279,11 +294,11 @@ echo "ok"
 echo "== fleet: results independent of worker count =="
 # Shards are stamped from one image and run inline (1 worker) or over
 # the pool (2): everything the summary prints except the worker count
-# and the pool's steal counter must be byte-equal. 100 processes make
-# three full shards and a remainder shard.
+# in its header line must be byte-equal. 100 processes make three full
+# shards and a remainder shard.
 for w in 1 2; do
     target/release/daos fleet --processes 100 --epochs 20 --seed 42 --workers "$w" \
-        | grep -v -e '^fleet    ' -e '^pool     ' > "$tmp/fleet_workers_$w.txt"
+        | grep -v '^fleet    ' > "$tmp/fleet_workers_$w.txt"
     [ -s "$tmp/fleet_workers_$w.txt" ] || { echo "FAIL: daos fleet --workers $w printed nothing"; exit 1; }
 done
 diff -u "$tmp/fleet_workers_1.txt" "$tmp/fleet_workers_2.txt" || {
@@ -309,8 +324,8 @@ grep -q '^fleet    10000 procs in 313 shards' "$tmp/fleet_10k_1.txt" || {
     echo "FAIL: the 10,000-process fleet printed no summary"
     exit 1
 }
-grep -v -e '^fleet    ' -e '^pool     ' "$tmp/fleet_10k_1.txt" > "$tmp/fleet_10k_1.body"
-grep -v -e '^fleet    ' -e '^pool     ' "$tmp/fleet_10k_2.txt" | diff -u "$tmp/fleet_10k_1.body" - || {
+grep -v '^fleet    ' "$tmp/fleet_10k_1.txt" > "$tmp/fleet_10k_1.body"
+grep -v '^fleet    ' "$tmp/fleet_10k_2.txt" | diff -u "$tmp/fleet_10k_1.body" - || {
     echo "FAIL: the 10,000-process summary depends on --workers"
     exit 1
 }
@@ -338,6 +353,7 @@ echo "== perf ledger (BENCHMARK.json's command) builds and passes its tests =="
 # above compiles it: an API change that breaks its adapter shows here.
 ledger=crates/daos-bench/src/bin/ledger
 cargo test -q --release --offline --manifest-path $ledger/Cargo.toml
+no_sources $ledger/Cargo.lock
 
 echo "== speed-only guard: the benchmark's workloads reproduce the recorded sim_digest =="
 # A layout or fast-path change may move host time only. Each BENCHMARK.json

@@ -94,3 +94,15 @@ fn watermarked_reclaim_only_fires_under_pressure() {
     let pass = engine.on_aggregation(&mut sys, &agg);
     assert_eq!(pass.paged_out, 16 << 20, "idle area reclaimed under pressure");
 }
+
+/// The zero-dependency policy, as Cargo's own resolver states it: a
+/// package that is not an in-tree path dependency gets a `source = `
+/// line in the lockfile, and the committed one has none.
+#[test]
+fn committed_lockfile_resolves_every_package_in_tree() {
+    let lock = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.lock"))
+        .expect("the root Cargo.lock is committed");
+    assert!(lock.contains("name = \"daos-util\""), "not this workspace's lockfile");
+    let foreign: Vec<&str> = lock.lines().filter(|l| l.starts_with("source = ")).collect();
+    assert!(foreign.is_empty(), "packages resolved from outside the tree: {foreign:?}");
+}

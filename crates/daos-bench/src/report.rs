@@ -66,15 +66,6 @@ impl Table {
         out
     }
 
-    /// Render as a JSON object: `{"headers": [...], "rows": [[...]]}`.
-    pub fn to_json(&self) -> daos_util::json::Json {
-        use daos_util::json::{Json, ToJson};
-        Json::Object(vec![
-            ("headers".to_string(), self.headers.to_json()),
-            ("rows".to_string(), self.rows.to_json()),
-        ])
-    }
-
     /// Render as CSV.
     pub fn to_csv(&self) -> String {
         let esc = |s: &str| {
@@ -174,14 +165,6 @@ mod tests {
     fn row_arity_checked() {
         let mut t = Table::new(vec!["a", "b"]);
         t.row(vec!["only-one"]);
-    }
-
-    #[test]
-    fn table_to_json() {
-        let mut t = Table::new(vec!["k", "v"]);
-        t.row(vec!["a", "1"]);
-        let j = t.to_json().to_string_compact();
-        assert_eq!(j, "{\"headers\":[\"k\",\"v\"],\"rows\":[[\"a\",\"1\"]]}");
     }
 
     #[test]

@@ -35,17 +35,19 @@ SUBCOMMANDS:
         regions, scheme state, span latencies); ADDR attaches to a
         --serve endpoint, a workload name runs it in-process
         [--refresh MS] [--iterations N] [--plain] [--config ...]
-    record <workload>         monitor a workload, write a record file
+    record <workload>         monitor a workload, write every aggregation
+        window as trace JSONL (default daos.record.jsonl)
         [--machine i3|m5d|z1d] [--paddr] [--seed N] [--out FILE]
-    report heatmap <FILE>     render a record or trace as an ASCII heatmap
+    report <KIND> <FILE>      FILE is JSONL from `daos record` or `daos trace`
+    report heatmap <FILE>     render the recorded windows as an ASCII heatmap
         [--rows N] [--cols N] [--json]
-    report wss <FILE>         working-set-size series + percentiles of a
-        record or trace [--distribution] [--json]
-    report summary <TRACE>    event counts, drop accounting and metrics
-        integrity of a trace
-    report schemes <TRACE>    per-scheme apply timeline (tried/applied,
+    report wss <FILE>         working-set-size series + percentiles
+        [--distribution] [--json]
+    report summary <FILE>     event counts, drop accounting and metrics
+        integrity
+    report schemes <FILE>     per-scheme apply timeline (tried/applied,
         quota throttling, watermark windows) [--json]
-    report profile <TRACE>    per-phase span latency percentiles and the
+    report profile <FILE>     per-phase span latency percentiles and the
         overhead cross-check
     schemes <workload>        run a workload under a scheme file
         (--schemes-file FILE | --scheme 'LINE') [--machine ...] [--seed N]

@@ -6,9 +6,8 @@ use std::thread;
 use std::time::Duration;
 
 use daos::{
-    biggest_active_span, record_from_csv, record_to_csv, score_vs_baseline, tune_prcl, DaosError,
-    FleetSpec, Heatmap, Normalized, RunConfig, RunResult, Session, SessionResult, TunedPrcl,
-    WssReport,
+    biggest_active_span, score_vs_baseline, tune_prcl, DaosError, FleetSpec, Heatmap, Normalized,
+    RunConfig, RunResult, Session, SessionResult, TunedPrcl,
 };
 use daos_mm::clock::sec;
 use daos_mm::{MachineProfile, SwapConfig};
@@ -49,7 +48,9 @@ pub fn list() -> Result<(), DaosError> {
     Ok(())
 }
 
-/// `daos record <workload>`
+/// `daos record <workload>`: the run's complete in-memory record (it
+/// never drops a window, unlike the bounded ring behind `daos trace`),
+/// written as the trace events the monitor streams for it.
 pub fn record(args: &Args) -> Result<(), DaosError> {
     let spec = lookup(args)?;
     let machine = args.machine()?;
@@ -63,8 +64,9 @@ pub fn record(args: &Args) -> Result<(), DaosError> {
     let session = Session::new(&machine, &config, &spec).seed(args.seed()?);
     let result = session.execute()?.into_single();
     let record = result.record.as_ref().expect("recording config");
-    let out = args.opt("out").unwrap_or("daos.record.csv");
-    fs::write(out, record_to_csv(record)).map_err(|e| DaosError::io(out, e))?;
+    let out = args.opt("out").unwrap_or("daos.record.jsonl");
+    let jsonl = daos_trace::events_to_jsonl(&daos_report::record_to_events(record));
+    fs::write(out, jsonl).map_err(|e| DaosError::io(out, e))?;
     println!(
         "wrote {} aggregation windows ({:.0}s of monitoring) to {out}",
         record.len(),
@@ -78,38 +80,20 @@ pub fn record(args: &Args) -> Result<(), DaosError> {
     Ok(())
 }
 
-/// True when `text` looks like a trace export (JSONL, possibly with the
-/// `# daos-trace` header) rather than a record CSV.
-fn looks_like_trace(text: &str) -> bool {
-    let head = text.trim_start();
-    head.starts_with('#') || head.starts_with('{')
-}
-
-/// Load a record from `args.pos(0)` — either a record CSV (from
-/// `daos record`) or a trace export (from `daos trace`), sniffed by
-/// content so every report subcommand accepts both.
-fn load_record(args: &Args) -> Result<daos_monitor::MonitorRecord, DaosError> {
-    let path = args.pos(0).ok_or_else(|| DaosError::usage("missing record file argument"))?;
-    let text = fs::read_to_string(path).map_err(|e| DaosError::io(path, e))?;
-    if looks_like_trace(&text) {
-        let doc = daos_trace::parse_export(&text)?;
-        warn_if_truncated(&doc);
-        Ok(daos_report::record_from_doc(&doc))
-    } else {
-        Ok(record_from_csv(&text)?)
-    }
-}
-
-/// Load a trace document from `args.pos(0)` (trace-only subcommands).
+/// Load the trace document at `args.pos(0)` — a `daos trace` export or
+/// a `daos record` file, the one format every report subcommand reads.
 fn load_doc(args: &Args) -> Result<daos_trace::TraceDoc, DaosError> {
-    let path = args.pos(0).ok_or_else(|| DaosError::usage("missing trace file argument"))?;
+    let path =
+        args.pos(0).ok_or_else(|| DaosError::usage("missing record or trace file argument"))?;
     let text = fs::read_to_string(path).map_err(|e| DaosError::io(path, e))?;
-    if !looks_like_trace(&text) {
-        return Err(DaosError::usage(format!(
-            "{path} is not a trace export (expected JSONL from `daos trace`)"
-        )));
-    }
     Ok(daos_trace::parse_export(&text)?)
+}
+
+/// The monitor record held by the file at `args.pos(0)`.
+fn load_record(args: &Args) -> Result<daos_monitor::MonitorRecord, DaosError> {
+    let doc = load_doc(args)?;
+    warn_if_truncated(&doc);
+    Ok(daos_report::record_from_doc(&doc))
 }
 
 fn warn_if_truncated(doc: &daos_trace::TraceDoc) {
@@ -147,8 +131,8 @@ pub fn report_heatmap(args: &Args) -> Result<(), DaosError> {
     Ok(())
 }
 
-/// `daos report wss <FILE>`: the time series when the input is a trace,
-/// the distribution alone for a record CSV (which has no better view).
+/// `daos report wss <FILE>`: the time series with its percentile
+/// table, or with `--distribution` the damo-style distribution alone.
 pub fn report_wss(args: &Args) -> Result<(), DaosError> {
     let record = load_record(args)?;
     let tl = daos_report::WssTimeline::from_record(&record);
@@ -158,21 +142,21 @@ pub fn report_wss(args: &Args) -> Result<(), DaosError> {
         return Ok(());
     }
     if args.flag("distribution") {
-        print!("{}", WssReport::from_record(&record).render());
+        print!("{}", tl.render_distribution());
     } else {
         print!("{}", tl.render());
     }
     Ok(())
 }
 
-/// `daos report summary <TRACE>`
+/// `daos report summary <FILE>`
 pub fn report_summary(args: &Args) -> Result<(), DaosError> {
     let doc = load_doc(args)?;
     print!("{}", daos_report::Summary::of(&doc).render());
     Ok(())
 }
 
-/// `daos report schemes <TRACE>`
+/// `daos report schemes <FILE>`
 pub fn report_schemes(args: &Args) -> Result<(), DaosError> {
     let doc = load_doc(args)?;
     warn_if_truncated(&doc);
@@ -188,7 +172,7 @@ pub fn report_schemes(args: &Args) -> Result<(), DaosError> {
     Ok(())
 }
 
-/// `daos report profile <TRACE>`
+/// `daos report profile <FILE>`
 pub fn report_profile(args: &Args) -> Result<(), DaosError> {
     let doc = load_doc(args)?;
     warn_if_truncated(&doc);
@@ -707,9 +691,8 @@ mod tests {
         assert!(err.to_string().contains("file.rec"));
     }
 
-    #[test]
-    fn reports_work_on_a_real_record_file() {
-        // Build a small record via the library, write it, report on it.
+    /// Write what `daos record` writes for a small library-built run.
+    fn write_record_file(name: &str) -> std::path::PathBuf {
         let spec = daos_workloads::WorkloadSpec {
             name: "cli-test",
             suite: daos_workloads::Suite::Parsec3,
@@ -726,12 +709,22 @@ mod tests {
         let config = RunConfig::rec();
         let result =
             Session::new(&machine, &config, &spec).seed(1).execute().unwrap().into_single();
-        let path = std::env::temp_dir().join("daos_cli_test.rec");
-        fs::write(&path, record_to_csv(result.record.as_ref().unwrap())).unwrap();
+        let events = daos_report::record_to_events(result.record.as_ref().unwrap());
+        let path = std::env::temp_dir().join(name);
+        fs::write(&path, daos_trace::events_to_jsonl(&events)).unwrap();
+        path
+    }
+
+    #[test]
+    fn reports_work_on_a_real_record_file() {
+        let path = write_record_file("daos_cli_test.record.jsonl");
         let path_str = path.to_str().unwrap();
 
         assert!(report_wss(&args(path_str)).is_ok());
+        assert!(report_wss(&args(&format!("{path_str} --distribution"))).is_ok());
+        assert!(report_wss(&args(&format!("{path_str} --json"))).is_ok());
         assert!(report_heatmap(&args(&format!("{path_str} --rows 6 --cols 20"))).is_ok());
+        assert!(report_heatmap(&args(&format!("{path_str} --json"))).is_ok());
         let _ = fs::remove_file(&path);
     }
 
@@ -752,7 +745,7 @@ mod tests {
         )))
         .unwrap();
         let text = fs::read_to_string(&path).unwrap();
-        let events = daos_trace::events_from_jsonl(&text).unwrap();
+        let events = daos_trace::parse_export(&text).unwrap().events;
         assert!(!events.is_empty(), "trace produced no events");
         let _ = fs::remove_file(&path);
 
@@ -783,15 +776,24 @@ mod tests {
     }
 
     #[test]
-    fn trace_only_reports_reject_csv() {
-        let path = std::env::temp_dir().join("daos_cli_not_a_trace.csv");
-        fs::write(&path, daos::RECORD_HEADER).unwrap();
+    fn summary_schemes_profile_accept_a_record_file() {
+        // A record file is a trace with only monitor-window events: the
+        // trace views load it and say what it does not hold.
+        let path = write_record_file("daos_cli_record_as_trace.jsonl");
         let path_str = path.to_str().unwrap().to_string();
-        let err = report_summary(&args(&path_str)).unwrap_err();
-        assert!(err.to_string().contains("not a trace export"), "{err}");
-        let err = report_profile(&args(&path_str)).unwrap_err();
-        assert!(err.to_string().contains("not a trace export"), "{err}");
+        assert!(report_summary(&args(&path_str)).is_ok());
+        assert!(report_schemes(&args(&path_str)).is_ok());
+        assert!(report_profile(&args(&path_str)).is_ok());
+
+        let doc = load_doc(&args(&path_str)).unwrap();
         let _ = fs::remove_file(&path);
+        assert!(!daos_report::record_from_doc(&doc).is_empty());
+        let summary = daos_report::Summary::of(&doc).render();
+        assert!(summary.contains("metrics trailer: absent"), "{summary}");
+        let schemes = daos_report::schemes::render_all(&doc);
+        assert!(schemes.contains("no per-scheme events"), "{schemes}");
+        let profile = daos_report::Profile::of(&doc).render();
+        assert!(profile.contains("no spans recorded"), "{profile}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The `daos` binary speaks sysexits on a bad command line: exit 2 and
-//! one `error:` line naming the option — never a panic's backtrace
-//! (exit 101) and never a run of the defaults.
+//! The `daos` binary speaks sysexits: on a bad command line exit 2, on
+//! a malformed input file exit 65, each with one `error:` line naming
+//! what was wrong — never a panic's backtrace (exit 101), an abort, or
+//! a run of the defaults.
 
 use std::process::Command;
 
@@ -24,5 +25,36 @@ fn binary_usage_errors_exit_2() {
         assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(stderr.contains(option), "{args:?}: {stderr}");
+    }
+}
+
+/// A report input that is not trace JSONL is the user's bad data
+/// (`EX_DATAERR`), not an internal failure: one `error:` line, exit 65 —
+/// for an unknown event, a pre-JSONL CSV record, and a line nested deep
+/// enough to have overflowed the parser's stack.
+#[test]
+fn binary_malformed_report_input_exits_65() {
+    let cases = [
+        ("unknown_event", "{\"at\":1,\"event\":{\"Nope\":{}}}\n".to_string(), "unknown event"),
+        (
+            "csv_record",
+            "at_ns,start,end,nr_accesses,age,max_nr_accesses,aggr_ns\n\
+             100000000,0,4096,3,1,20,100000000\n"
+                .to_string(),
+            "byte 0",
+        ),
+        ("deep_line", format!("{}\n", "[".repeat(200_000)), "nesting deeper than"),
+    ];
+    for (name, text, what) in cases {
+        let path = std::env::temp_dir().join(format!("daos_cli_bad_input_{name}.jsonl"));
+        std::fs::write(&path, text).unwrap();
+        for kind in ["summary", "wss", "heatmap", "schemes", "profile"] {
+            let (code, stderr) = run(&["report", kind, path.to_str().unwrap()]);
+            assert_eq!(code, 65, "{name} / {kind}: {stderr}");
+            assert!(stderr.starts_with("error: "), "{name} / {kind}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{name} / {kind}: {stderr}");
+            assert!(stderr.contains(what), "{name} / {kind}: {stderr}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -129,40 +129,3 @@ mod tests {
         assert!(many > 9.99 && many <= 10.0);
     }
 }
-
-
-use daos_util::json::{self, FromJson, Json, JsonError, ToJson};
-
-impl ToJson for TouchPattern {
-    fn to_json(&self) -> Json {
-        match self {
-            TouchPattern::All => Json::Str("All".into()),
-            TouchPattern::Stride(n) => json::tagged("Stride", n.to_json()),
-            TouchPattern::Prob(p) => json::tagged("Prob", p.to_json()),
-            TouchPattern::Random { count } => json::tagged(
-                "Random",
-                Json::Object(vec![("count".into(), count.to_json())]),
-            ),
-        }
-    }
-}
-
-impl FromJson for TouchPattern {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Json::Str(s) = v {
-            return match s.as_str() {
-                "All" => Ok(TouchPattern::All),
-                other => Err(JsonError::msg(format!("unknown TouchPattern '{other}'"))),
-            };
-        }
-        let (tag, payload) = json::untag(v)?;
-        match tag {
-            "Stride" => Ok(TouchPattern::Stride(u32::from_json(payload)?)),
-            "Prob" => Ok(TouchPattern::Prob(f32::from_json(payload)?)),
-            "Random" => Ok(TouchPattern::Random { count: payload.field("count")? }),
-            other => Err(JsonError::msg(format!("unknown TouchPattern '{other}'"))),
-        }
-    }
-}
-
-daos_util::json_struct!(AccessBatch { range, pattern, accesses_per_page });

@@ -109,6 +109,3 @@ mod tests {
         assert_eq!(format_ns(1_500_000_000), "1500ms");
     }
 }
-
-
-daos_util::json_struct!(Clock { now });

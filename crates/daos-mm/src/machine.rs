@@ -212,12 +212,3 @@ mod tests {
         assert!(m.tlb_coverage_2m() > m.tlb_coverage_4k());
     }
 }
-
-
-daos_util::json_struct!(MachineProfile {
-    name, cpu_ghz, nr_cpus, dram_bytes, dram_latency_ns, tlb_entries_4k,
-    tlb_entries_2m, tlb_miss_penalty_ns, minor_fault_ns,
-    major_fault_extra_ns, zram_store_ns, zram_load_ns, file_swap_write_ns,
-    file_swap_read_ns, pageout_page_ns, huge_alloc_ns, access_check_ns,
-    rmap_check_factor, monitor_interference,
-});

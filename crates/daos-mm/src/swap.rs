@@ -262,45 +262,3 @@ mod tests {
         let _ = (zlat, flat);
     }
 }
-
-
-use daos_util::json::{self, FromJson, Json, JsonError, ToJson};
-
-impl ToJson for SwapConfig {
-    fn to_json(&self) -> Json {
-        match self {
-            SwapConfig::None => Json::Str("None".into()),
-            SwapConfig::Zram { capacity_bytes, compression_ratio } => json::tagged(
-                "Zram",
-                Json::Object(vec![
-                    ("capacity_bytes".into(), capacity_bytes.to_json()),
-                    ("compression_ratio".into(), compression_ratio.to_json()),
-                ]),
-            ),
-            SwapConfig::File { capacity_bytes } => json::tagged(
-                "File",
-                Json::Object(vec![("capacity_bytes".into(), capacity_bytes.to_json())]),
-            ),
-        }
-    }
-}
-
-impl FromJson for SwapConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Json::Str(s) = v {
-            return match s.as_str() {
-                "None" => Ok(SwapConfig::None),
-                other => Err(JsonError::msg(format!("unknown SwapConfig '{other}'"))),
-            };
-        }
-        let (tag, payload) = json::untag(v)?;
-        match tag {
-            "Zram" => Ok(SwapConfig::Zram {
-                capacity_bytes: payload.field("capacity_bytes")?,
-                compression_ratio: payload.field("compression_ratio")?,
-            }),
-            "File" => Ok(SwapConfig::File { capacity_bytes: payload.field("capacity_bytes")? }),
-            other => Err(JsonError::msg(format!("unknown SwapConfig '{other}'"))),
-        }
-    }
-}

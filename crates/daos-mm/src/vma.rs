@@ -945,6 +945,3 @@ mod tests {
         );
     }
 }
-
-
-daos_util::json_enum!(ThpMode { Never, Always, Madvise });

@@ -252,9 +252,3 @@ mod tests {
         assert_eq!(a.merge_threshold(), 1);
     }
 }
-
-
-daos_util::json_struct!(MonitorAttrs {
-    sampling_interval, aggregation_interval, regions_update_interval,
-    min_nr_regions, max_nr_regions, adaptive,
-});

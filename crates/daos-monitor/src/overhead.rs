@@ -23,31 +23,6 @@ pub struct OverheadStats {
 }
 
 impl OverheadStats {
-    /// Re-derive the counters from a trace [`Registry`] — the single
-    /// source of truth when a collector is installed. The
-    /// `monitor.checks_per_tick` histogram carries ticks (count), total
-    /// checks (exact sum) and the per-tick peak (exact max); work and
-    /// aggregation counts come from their counters. With a collector
-    /// live for the whole run this equals the embedded struct exactly
-    /// (pinned by a runner test).
-    ///
-    /// [`Registry`]: daos_trace::Registry
-    pub fn from_registry(reg: &daos_trace::Registry) -> Self {
-        use daos_trace::keys;
-        let (total_checks, max_checks_per_tick, nr_ticks) =
-            match reg.hist(keys::MONITOR_CHECKS_PER_TICK) {
-                Some(h) => (h.sum(), h.max(), h.count()),
-                None => (0, 0, 0),
-            };
-        OverheadStats {
-            total_checks,
-            max_checks_per_tick,
-            nr_ticks,
-            nr_aggregations: reg.counter(keys::MONITOR_AGGREGATIONS),
-            work_ns: reg.counter(keys::MONITOR_WORK_NS),
-        }
-    }
-
     /// Average checks per sampling tick.
     pub fn avg_checks_per_tick(&self) -> f64 {
         if self.nr_ticks == 0 {
@@ -84,25 +59,6 @@ mod tests {
         assert_eq!(s.cpu_share(1000), 0.05);
         assert_eq!(OverheadStats::default().avg_checks_per_tick(), 0.0);
         assert_eq!(OverheadStats::default().cpu_share(0), 0.0);
-    }
-
-    #[test]
-    fn from_registry_rederives_counters() {
-        use daos_trace::{Collector, Event};
-        let mut c = Collector::builder().build().unwrap();
-        c.record(0, Event::SamplingTick { checks: 10, nr_regions: 5, work_ns: 400 });
-        c.record(5, Event::SamplingTick { checks: 30, nr_regions: 5, work_ns: 1200 });
-        c.record(5, Event::Aggregation { nr_regions: 5, window_ns: 100, max_nr_accesses: 20 });
-        let s = OverheadStats::from_registry(c.registry());
-        let want = OverheadStats {
-            total_checks: 40,
-            max_checks_per_tick: 30,
-            nr_ticks: 2,
-            nr_aggregations: 1,
-            work_ns: 1600,
-        };
-        assert_eq!(s, want);
-        assert_eq!(OverheadStats::from_registry(&daos_trace::Registry::new()), OverheadStats::default());
     }
 }
 

@@ -155,4 +155,3 @@ mod tests {
 daos_util::json_struct!(Aggregation {
     at, regions, max_nr_accesses, aggregation_interval,
 });
-daos_util::json_struct!(MonitorRecord { aggregations });

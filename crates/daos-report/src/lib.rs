@@ -1,11 +1,12 @@
 //! Offline analysis of exported traces — the reproduction's analogue of
 //! `damo report`: every view here is computed deterministically from a
-//! JSONL document written by `daos trace` (see `daos_trace::parse_export`),
-//! with no access to the live simulation.
+//! JSONL document written by `daos trace` or `daos record` (see
+//! `daos_trace::parse_export`), with no access to the live simulation.
 //!
 //! The views:
 //! - [`record_from_doc`] rebuilds a `MonitorRecord` from the
-//!   `RegionSnapshot`/`Aggregation` event pairs, which feeds
+//!   `RegionSnapshot`/`Aggregation` event pairs ([`record_to_events`]
+//!   is its inverse, what `daos record` writes), which feeds
 //! - [`WssTimeline`] (working-set-size series + percentiles) and
 //! - [`heatmap_from_doc`] (the Fig. 6 rasteriser, driven from a trace);
 //! - [`SchemeTimeline`] summarises each scheme's tried/applied bytes,
@@ -27,7 +28,7 @@ pub mod wss;
 
 pub use heatmap::heatmap_from_doc;
 pub use profile::{PhaseStats, Profile};
-pub use record::{record_from_doc, record_from_events};
+pub use record::{record_from_doc, record_from_events, record_to_events};
 pub use schemes::{scheme_timelines, SchemeTimeline};
 pub use summary::Summary;
 pub use wss::WssTimeline;

@@ -1,11 +1,13 @@
-//! Rebuilding a `MonitorRecord` from a trace.
+//! A `MonitorRecord` as trace events, and back.
 //!
 //! The monitor streams each aggregation window into the trace as a run
 //! of `RegionSnapshot` events followed by one `Aggregation` commit event
 //! carrying the expected region count. A window is accepted only when
 //! the pending snapshot run matches that count exactly — a ring that
 //! overwrote part of a window (or its commit) yields a *discarded*
-//! window rather than a silently corrupted one.
+//! window rather than a silently corrupted one. `daos record` writes
+//! its (never-dropping) in-memory record through [`record_to_events`],
+//! so a record file and a trace export are one format with one reader.
 
 use daos_mm::addr::AddrRange;
 use daos_monitor::{Aggregation, MonitorRecord, RegionInfo};
@@ -42,6 +44,33 @@ pub fn record_from_events(events: &[TimedEvent]) -> MonitorRecord {
         }
     }
     record
+}
+
+/// The inverse of [`record_from_events`]: each window as the monitor
+/// streams it, a `RegionSnapshot` per region then the `Aggregation`
+/// commit.
+pub fn record_to_events(record: &MonitorRecord) -> Vec<TimedEvent> {
+    let mut events = Vec::new();
+    for agg in &record.aggregations {
+        events.extend(agg.regions.iter().map(|r| TimedEvent {
+            at: agg.at,
+            event: Event::RegionSnapshot {
+                start: r.range.start,
+                end: r.range.end,
+                nr_accesses: r.nr_accesses as u64,
+                age: r.age as u64,
+            },
+        }));
+        events.push(TimedEvent {
+            at: agg.at,
+            event: Event::Aggregation {
+                nr_regions: agg.regions.len() as u64,
+                window_ns: agg.aggregation_interval,
+                max_nr_accesses: agg.max_nr_accesses as u64,
+            },
+        });
+    }
+    events
 }
 
 /// [`record_from_events`] over a parsed export document.

@@ -155,8 +155,3 @@ mod tests {
         assert_eq!(Action::from_keyword("lru_deprio"), Some(Action::LruDeprio));
     }
 }
-
-
-daos_util::json_enum!(Action {
-    Willneed, Cold, Hugepage, Nohugepage, Pageout, Stat, LruPrio, LruDeprio,
-});

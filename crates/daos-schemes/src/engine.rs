@@ -760,7 +760,15 @@ mod tests {
         engine.on_aggregation(&mut sys, &agg);
 
         let collector = daos_trace::take().unwrap();
-        let from_reg = SchemeStats::from_registry(collector.registry(), 0);
+        // The engine mirrors every tried/applied/skip into `scheme.0.*`.
+        let counter = |field| collector.registry().counter(&daos_trace::keys::scheme(0, field));
+        let from_reg = SchemeStats {
+            nr_tried: counter("nr_tried"),
+            sz_tried: counter("sz_tried"),
+            nr_applied: counter("nr_applied"),
+            sz_applied: counter("sz_applied"),
+            nr_quota_skips: counter("nr_quota_skips"),
+        };
         assert_eq!(from_reg, engine.stats()[0], "registry is the same source of truth");
         assert!(from_reg.nr_tried >= 2 && from_reg.nr_quota_skips >= 1);
         let kinds: Vec<&str> =

@@ -122,7 +122,3 @@ mod tests {
         assert_eq!(out, vec![r(60, 100)]);
     }
 }
-
-
-daos_util::json_enum!(FilterMode { Allow, Reject });
-daos_util::json_struct!(AddrFilter { range, mode });

@@ -172,6 +172,3 @@ mod tests {
         assert_eq!(v[0].range.start, 0, "hot first for promotion");
     }
 }
-
-
-daos_util::json_struct!(Quota { sz_limit, reset_interval });

@@ -311,75 +311,3 @@ mod tests {
         assert_eq!(s.to_string(), "2M max 80% max 1m max pageout");
     }
 }
-
-
-use daos_util::json::{self, FromJson, Json, JsonError, ToJson};
-
-impl<T: ToJson> ToJson for Bound<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Bound::Unbounded => Json::Str("Unbounded".into()),
-            Bound::Val(v) => json::tagged("Val", v.to_json()),
-        }
-    }
-}
-
-impl<T: FromJson> FromJson for Bound<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Json::Str(s) = v {
-            return match s.as_str() {
-                "Unbounded" => Ok(Bound::Unbounded),
-                other => Err(JsonError::msg(format!("unknown Bound '{other}'"))),
-            };
-        }
-        let (tag, payload) = json::untag(v)?;
-        match tag {
-            "Val" => Ok(Bound::Val(T::from_json(payload)?)),
-            other => Err(JsonError::msg(format!("unknown Bound '{other}'"))),
-        }
-    }
-}
-
-impl ToJson for FreqVal {
-    fn to_json(&self) -> Json {
-        match self {
-            FreqVal::Percent(p) => json::tagged("Percent", p.to_json()),
-            FreqVal::Samples(s) => json::tagged("Samples", s.to_json()),
-        }
-    }
-}
-
-impl FromJson for FreqVal {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, payload) = json::untag(v)?;
-        match tag {
-            "Percent" => Ok(FreqVal::Percent(f64::from_json(payload)?)),
-            "Samples" => Ok(FreqVal::Samples(u32::from_json(payload)?)),
-            other => Err(JsonError::msg(format!("unknown FreqVal '{other}'"))),
-        }
-    }
-}
-
-impl ToJson for AgeVal {
-    fn to_json(&self) -> Json {
-        match self {
-            AgeVal::Intervals(n) => json::tagged("Intervals", n.to_json()),
-            AgeVal::Time(ns) => json::tagged("Time", ns.to_json()),
-        }
-    }
-}
-
-impl FromJson for AgeVal {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, payload) = json::untag(v)?;
-        match tag {
-            "Intervals" => Ok(AgeVal::Intervals(u32::from_json(payload)?)),
-            "Time" => Ok(AgeVal::Time(FromJson::from_json(payload)?)),
-            other => Err(JsonError::msg(format!("unknown AgeVal '{other}'"))),
-        }
-    }
-}
-
-daos_util::json_struct!(Scheme {
-    min_sz, max_sz, min_freq, max_freq, min_age, max_age, action,
-});

@@ -29,22 +29,6 @@ impl SchemeStats {
         self.nr_applied += 1;
         self.sz_applied += bytes;
     }
-
-    /// Re-derive scheme `idx`'s counters from a trace [`Registry`] — the
-    /// single source of truth when a collector is installed (the engine
-    /// mirrors every tried/applied/skip into `scheme.<idx>.*` counters).
-    ///
-    /// [`Registry`]: daos_trace::Registry
-    pub fn from_registry(reg: &daos_trace::Registry, idx: u32) -> Self {
-        use daos_trace::keys::scheme;
-        SchemeStats {
-            nr_tried: reg.counter(&scheme(idx, "nr_tried")),
-            sz_tried: reg.counter(&scheme(idx, "sz_tried")),
-            nr_applied: reg.counter(&scheme(idx, "nr_applied")),
-            sz_applied: reg.counter(&scheme(idx, "sz_applied")),
-            nr_quota_skips: reg.counter(&scheme(idx, "nr_quota_skips")),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -175,7 +175,3 @@ mod tests {
         assert_eq!(free_mem_permille(&sys), 500);
     }
 }
-
-
-daos_util::json_enum!(WatermarkMetric { FreeMemPermille });
-daos_util::json_struct!(Watermarks { metric, high, mid, low });

@@ -106,9 +106,10 @@ impl Collector {
         self.ring.push(TimedEvent { at, event });
     }
 
-    /// Registry mirror for each event kind — the counters/histograms the
-    /// stats structs re-derive from. Kept in one match so the event
-    /// taxonomy and the metric key space evolve together.
+    /// Registry mirror for each event kind — the counters/histograms
+    /// each layer's tests hold equal to its stats struct. Kept in one
+    /// match so the event taxonomy and the metric key space evolve
+    /// together.
     fn mirror(&mut self, event: &Event) {
         let reg = &mut self.registry;
         match *event {

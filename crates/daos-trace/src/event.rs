@@ -26,8 +26,6 @@ pub enum Layer {
     Tuner,
 }
 
-json_enum!(Layer { Mm, Monitor, Schemes, Tuner });
-
 /// DAMOS action tag carried by [`Event::SchemeApply`]. Mirrors
 /// `daos_schemes::Action` variant-for-variant; the schemes crate maps
 /// into this when emitting (trace sits below it in the crate DAG).

@@ -1,13 +1,13 @@
 //! JSONL export/import of event logs, built on `daos_util::json`. One
 //! `TimedEvent` object per line; `#`-prefixed header lines carry run
-//! metadata and are skipped on re-parse (the `parse_lines` convention
-//! shared with record files).
+//! metadata. A `daos record` file is the same format with neither
+//! header nor trailer — only the monitor-window events.
 
 use crate::collector::Collector;
 use crate::event::TimedEvent;
 use crate::metrics::Registry;
 use crate::TraceError;
-use daos_util::json::{self, parse_lines, FromJson, Json, JsonError, ToJson};
+use daos_util::json::{self, FromJson, Json, JsonError, ToJson};
 
 /// Encode events as JSONL, one object per line (trailing newline).
 pub fn events_to_jsonl<'a>(events: impl IntoIterator<Item = &'a TimedEvent>) -> String {
@@ -19,19 +19,10 @@ pub fn events_to_jsonl<'a>(events: impl IntoIterator<Item = &'a TimedEvent>) -> 
     out
 }
 
-/// Decode a JSONL event log, skipping blank and `#` comment lines.
-pub fn events_from_jsonl(text: &str) -> Result<Vec<TimedEvent>, TraceError> {
-    let values = parse_lines(text)?;
-    values
-        .iter()
-        .map(|v| TimedEvent::from_json(v).map_err(TraceError::from))
-        .collect()
-}
-
 /// Render a collector's full state as a self-describing JSONL document:
 /// a `#` header with ring occupancy and drop count, the event stream,
 /// and a final `#`-prefixed metrics snapshot. The whole document feeds
-/// back through [`events_from_jsonl`] unchanged.
+/// back through [`parse_export`] unchanged.
 pub fn export_collector(c: &Collector) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -147,7 +138,7 @@ mod tests {
         let events = sample_events();
         let text = events_to_jsonl(&events);
         assert_eq!(text.lines().count(), 3);
-        let back = events_from_jsonl(&text).unwrap();
+        let back = parse_export(&text).unwrap().events;
         assert_eq!(back, events);
     }
 
@@ -159,13 +150,13 @@ mod tests {
         }
         let doc = export_collector(&c);
         assert!(doc.starts_with("# daos-trace v1: 3 events"));
-        let back = events_from_jsonl(&doc).unwrap();
+        let back = parse_export(&doc).unwrap().events;
         assert_eq!(back, c.events(), "header/metrics comments must not disturb re-parse");
     }
 
     #[test]
     fn bad_line_is_a_typed_error() {
-        let err = events_from_jsonl("{\"at\":1,\"event\":{\"Nope\":{}}}\n").unwrap_err();
+        let err = parse_export("{\"at\":1,\"event\":{\"Nope\":{}}}\n").unwrap_err();
         assert!(err.to_string().contains("unknown event"));
     }
 

@@ -18,8 +18,8 @@
 //! let collector = daos_trace::take().unwrap();
 //! assert_eq!(collector.ring().len(), 1);
 //! let jsonl = daos_trace::events_to_jsonl(collector.ring().iter());
-//! let replay = daos_trace::events_from_jsonl(&jsonl).unwrap();
-//! assert_eq!(replay, collector.events());
+//! let replay = daos_trace::parse_export(&jsonl).unwrap();
+//! assert_eq!(replay.events, collector.events());
 //! ```
 //!
 //! Design points:
@@ -31,8 +31,9 @@
 //!   overwrites the oldest entry and counts drops — tracing can never
 //!   make a run unbounded in memory.
 //! - **One source of truth.** Every event is mirrored into the
-//!   [`Registry`] (counters / gauges / log2 histograms), and the stats
-//!   structs (`OverheadStats`, `SchemeStats`) re-derive from it.
+//!   [`Registry`] (counters / gauges / log2 histograms); each layer's
+//!   tests hold its stats struct (`OverheadStats`, `SchemeStats`) equal
+//!   to the registry's view of the same run.
 //! - **Replayable.** [`export_collector`] writes a self-describing JSONL
 //!   document; [`parse_export`] reads it back as a [`TraceDoc`], and
 //!   [`Collector::replay`] rebuilds the registry from the event stream —
@@ -52,7 +53,7 @@ pub use collector::{
     CollectorBuilder, DEFAULT_RING_CAPACITY,
 };
 pub use event::{ActionTag, Event, Layer, Ns, Phase, Pid, SamplePhase, TimedEvent};
-pub use export::{events_from_jsonl, events_to_jsonl, export_collector, parse_export, TraceDoc};
+pub use export::{events_to_jsonl, export_collector, parse_export, TraceDoc};
 pub use metrics::{keys, Histogram, Registry};
 pub use ring::Ring;
 

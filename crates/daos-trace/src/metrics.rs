@@ -1,7 +1,8 @@
 //! The metrics registry: named counters (monotonic `u64`), gauges
-//! (last-write-wins `f64`), and log2-bucketed histograms. The registry is
-//! the single source of truth the stats structs (`OverheadStats`,
-//! `SchemeStats`) re-derive from when a collector is installed.
+//! (last-write-wins `f64`), and log2-bucketed histograms. With a collector
+//! installed for a whole run the registry agrees exactly with the layers'
+//! own stats structs (`OverheadStats`, `SchemeStats`) — pinned by a test
+//! in each layer.
 
 use daos_util::json::{FromJson, Json, JsonError, ToJson};
 use std::collections::BTreeMap;
@@ -313,9 +314,10 @@ impl FromJson for Registry {
     }
 }
 
-/// Well-known registry keys written by the collector's event mirror.
-/// `OverheadStats::from_registry` / `SchemeStats::from_registry` read
-/// these — keep them in one place so producer and consumer cannot drift.
+/// Well-known registry keys written by the collector's event mirror
+/// and read by `daos trace`'s summary, `report profile`, `daos top` and
+/// the layers' registry-equals-stats tests — kept in one place so
+/// producer and consumer cannot drift.
 pub mod keys {
     /// Histogram of young-bit checks per sampling tick (count = ticks,
     /// sum = total checks, max = the Fig. 7 bound witness).

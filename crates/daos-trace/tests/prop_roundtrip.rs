@@ -3,8 +3,7 @@
 //! reason `daos_util::json` keeps a dedicated unsigned lane).
 
 use daos_trace::{
-    events_from_jsonl, events_to_jsonl, parse_export, ActionTag, Event, Phase, SamplePhase,
-    TimedEvent,
+    events_to_jsonl, parse_export, ActionTag, Event, Phase, SamplePhase, TimedEvent,
 };
 use daos_util::prop::{any_bool, fuzz_bytes, select, vec_of};
 use daos_util::{prop_assert, prop_assert_eq, proptest};
@@ -65,10 +64,10 @@ proptest! {
     ) {
         let te = TimedEvent { at, event: build_event(kind, a, b) };
         let text = events_to_jsonl(std::slice::from_ref(&te));
-        let back = events_from_jsonl(&text).map_err(|e| {
+        let doc = parse_export(&text).map_err(|e| {
             daos_util::prop::TestCaseError::fail(format!("decode failed: {e}\n{text}"))
         })?;
-        prop_assert_eq!(back, vec![te]);
+        prop_assert_eq!(doc.events, vec![te]);
     }
 
     fn event_stream_jsonl_roundtrip(
@@ -80,10 +79,10 @@ proptest! {
             .map(|(i, &(kind, a, b))| TimedEvent { at: i as u64, event: build_event(kind, a, b) })
             .collect();
         let text = events_to_jsonl(&events);
-        let back = events_from_jsonl(&text).map_err(|e| {
+        let doc = parse_export(&text).map_err(|e| {
             daos_util::prop::TestCaseError::fail(format!("decode failed: {e}"))
         })?;
-        prop_assert_eq!(back, events);
+        prop_assert_eq!(doc.events, events);
     }
 }
 
@@ -99,11 +98,21 @@ const EXPORT_SEEDS: &[&str] = &[
     ),
 ];
 
+macro_rules! x16 {
+    ($s:expr) => {
+        concat!($s, $s, $s, $s, $s, $s, $s, $s, $s, $s, $s, $s, $s, $s, $s, $s)
+    };
+}
+
+/// 65 536 open brackets: past `json::MAX_DEPTH`, and past a 2 MiB test
+/// thread's stack were the parser to recurse through them.
+const BRACKET_RUN: &str = x16!(x16!(x16!(x16!("["))));
+
 const EXPORT_TOKENS: &[&str] = &[
     "# daos-trace v1:", " 3 events, ", "1 dropped", " (ring capacity 16)", "# metrics: ", "#",
     "\n", "{\"at\":7,\"event\":", "{\"SwapOut\":{\"pid\":1,\"addr\":4096}}", "{\"Nope\":{}}", "}",
     "{\"counters\":{", "\"gauges\":{", "\"histograms\":{", "\"buckets\":[[4,1]]", "\"k\":", "{",
-    "[", "\"", ":", ",", "18446744073709551616", "-1", "1.5", "null",
+    "[", "\"", ":", ",", "18446744073709551616", "-1", "1.5", "null", BRACKET_RUN,
 ];
 
 // Whatever a trace file holds — a real export, one with token soup and
@@ -130,4 +139,24 @@ proptest! {
             Err(e) => prop_assert!(e.to_string().len() <= text.len() + 128, "{e}"),
         }
     }
+}
+
+/// A line nested past the JSON depth bound — as an event line or as the
+/// metrics trailer — is a typed error naming the bound, never a stack
+/// overflow; one exactly at the bound fails only on what it decodes to.
+#[test]
+fn parse_export_bounds_nesting() {
+    let max = daos_util::json::MAX_DEPTH;
+    for unit in ["[", "{\"a\":"] {
+        let deep = unit.repeat(200_000);
+        for text in [format!("{deep}\n"), format!("# metrics: {deep}\n")] {
+            let err = parse_export(&text).unwrap_err().to_string();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+    }
+    let nested = |n: usize| format!("{}{}\n", "[".repeat(n), "]".repeat(n));
+    let at_limit = parse_export(&nested(max)).unwrap_err().to_string();
+    assert!(!at_limit.contains("nesting"), "{at_limit}");
+    let past_limit = parse_export(&nested(max + 1)).unwrap_err().to_string();
+    assert!(past_limit.contains("nesting deeper than"), "{past_limit}");
 }

@@ -212,9 +212,3 @@ mod tests {
         assert_eq!(idx, vec![1, 2, 3, 4, 5, 6]);
     }
 }
-
-
-daos_util::json_enum!(ScorePattern {
-    Increasing, RiseFallAbove, RiseFallBelow, Decreasing, FallRiseBelow,
-    FallRiseAbove,
-});

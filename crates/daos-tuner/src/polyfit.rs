@@ -218,6 +218,3 @@ mod tests {
         assert_eq!(paper_degree(100), 8, "capped for stability");
     }
 }
-
-
-daos_util::json_struct!(Polynomial { coeffs, x_mid, x_half });

@@ -175,6 +175,3 @@ mod tests {
         assert_eq!(f.score(&inputs(500.0, 25.0)), 75.0);
     }
 }
-
-
-daos_util::json_struct!(ScoreInputs { runtime, orig_runtime, rss, orig_rss });

@@ -230,6 +230,3 @@ mod tests {
         assert_eq!(a.best_x, b.best_x);
     }
 }
-
-
-daos_util::json_struct!(TunerConfig { time_limit, unit_work_time, range, seed });

@@ -162,9 +162,15 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parse one JSON document (surrounding whitespace allowed).
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so unbounded input depth would be unbounded stack;
+/// the deepest document this workspace writes (`/snapshot`) nests < 10.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON document (surrounding whitespace allowed). Nesting
+/// beyond [`MAX_DEPTH`] is an error, not a stack overflow.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -197,6 +203,8 @@ pub fn parse_lines(text: &str) -> Result<Vec<Json>, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -237,8 +245,18 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::msg(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(JsonError::msg(format!(
                 "unexpected {:?} at byte {}",
@@ -492,40 +510,6 @@ macro_rules! json_uint {
 
 json_uint!(u8, u16, u32, u64, usize);
 
-macro_rules! json_int {
-    ($($t:ty),+) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                let i = *self as i64;
-                if i >= 0 {
-                    Json::U64(i as u64)
-                } else {
-                    Json::I64(i)
-                }
-            }
-        }
-        impl FromJson for $t {
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
-                let i = match v {
-                    Json::U64(u) => i64::try_from(*u)
-                        .map_err(|_| JsonError::msg(format!("{u} too large")))?,
-                    Json::I64(i) => *i,
-                    Json::F64(x) if x.fract() == 0.0 => *x as i64,
-                    other => {
-                        return Err(JsonError::msg(format!(
-                            "expected integer, got {other:?}"
-                        )))
-                    }
-                };
-                <$t>::try_from(i)
-                    .map_err(|_| JsonError::msg(format!("{i} out of range for {}", stringify!($t))))
-            }
-        }
-    )+};
-}
-
-json_int!(i8, i16, i32, i64, isize);
-
 impl ToJson for u128 {
     /// 128-bit counters are encoded as decimal strings: they do not fit
     /// the `u64` lane and would lose precision as `f64`.
@@ -560,18 +544,6 @@ impl FromJson for f64 {
             Json::I64(i) => Ok(*i as f64),
             other => Err(JsonError::msg(format!("expected number, got {other:?}"))),
         }
-    }
-}
-
-impl ToJson for f32 {
-    fn to_json(&self) -> Json {
-        Json::F64(*self as f64)
-    }
-}
-
-impl FromJson for f32 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        f64::from_json(v).map(|x| x as f32)
     }
 }
 
@@ -773,6 +745,25 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        // 200 000 levels overflowed a 2 MiB test thread's stack before
+        // the bound; now the error names where the limit was crossed.
+        for unit in ["[", "{\"a\":"] {
+            let deep = unit.repeat(200_000);
+            let err = parse(&deep).unwrap_err();
+            let at = unit.len() * MAX_DEPTH;
+            assert_eq!(err.0, format!("nesting deeper than {MAX_DEPTH} levels at byte {at}"));
+            let err = parse_lines(&format!("1\n{deep}\n")).unwrap_err();
+            assert!(err.0.starts_with("line 2: nesting deeper than"), "{err}");
+        }
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        // Siblings do not accumulate depth.
+        assert!(parse(&format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","))).is_ok());
+    }
+
+    #[test]
     fn jsonl_skips_blanks_and_comments() {
         let vs = parse_lines("1\n\n# note\n  {\"x\":2}\n").unwrap();
         assert_eq!(vs.len(), 2);
@@ -795,9 +786,20 @@ mod tests {
         " \"plain\" ",
     ];
 
+    macro_rules! x16 {
+        ($s:expr) => {
+            concat!($s, $s, $s, $s, $s, $s, $s, $s, $s, $s, $s, $s, $s, $s, $s, $s)
+        };
+    }
+
+    /// 65 536 open brackets: one level of recursion each, were there no
+    /// depth bound — more than a 2 MiB test thread's stack holds.
+    const BRACKET_RUN: &str = x16!(x16!(x16!(x16!("["))));
+
     const JSON_TOKENS: &[&str] = &[
         "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "d83d", "\\ude00", "\"k\":", "null",
         "true", "false", "-", "0", ".", "e", "1e999", "18446744073709551616", " ", "\n", "#",
+        BRACKET_RUN,
     ];
 
     /// Nodes plus string bytes: what a parsed document holds.

@@ -189,148 +189,3 @@ mod tests {
         assert_eq!(Suite::Splash2x.path(), "splash2x");
     }
 }
-
-
-use daos_util::json::{self, FromJson, Json, JsonError, ToJson};
-
-daos_util::json_enum!(Suite { Parsec3, Splash2x, Fleet });
-
-impl ToJson for Behavior {
-    fn to_json(&self) -> Json {
-        let obj = |fields: Vec<(&str, Json)>| {
-            Json::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-        };
-        match *self {
-            Behavior::CompactHot { hot_frac, apc, cold_touch_prob } => json::tagged(
-                "CompactHot",
-                obj(vec![
-                    ("hot_frac", hot_frac.to_json()),
-                    ("apc", apc.to_json()),
-                    ("cold_touch_prob", cold_touch_prob.to_json()),
-                ]),
-            ),
-            Behavior::PointerChase { random_touches, core_frac, apc } => json::tagged(
-                "PointerChase",
-                obj(vec![
-                    ("random_touches", random_touches.to_json()),
-                    ("core_frac", core_frac.to_json()),
-                    ("apc", apc.to_json()),
-                ]),
-            ),
-            Behavior::Streaming { window_frac, stride, apc, sweep_period } => json::tagged(
-                "Streaming",
-                obj(vec![
-                    ("window_frac", window_frac.to_json()),
-                    ("stride", stride.to_json()),
-                    ("apc", apc.to_json()),
-                    ("sweep_period", sweep_period.to_json()),
-                ]),
-            ),
-            Behavior::PhaseShift { nr_phases, hot_frac, apc, phase_len } => json::tagged(
-                "PhaseShift",
-                obj(vec![
-                    ("nr_phases", nr_phases.to_json()),
-                    ("hot_frac", hot_frac.to_json()),
-                    ("apc", apc.to_json()),
-                    ("phase_len", phase_len.to_json()),
-                ]),
-            ),
-            Behavior::Growing { built_by_frac, hot_tail_frac, apc } => json::tagged(
-                "Growing",
-                obj(vec![
-                    ("built_by_frac", built_by_frac.to_json()),
-                    ("hot_tail_frac", hot_tail_frac.to_json()),
-                    ("apc", apc.to_json()),
-                ]),
-            ),
-            Behavior::MostlyIdle { active_frac, apc, stray_prob } => json::tagged(
-                "MostlyIdle",
-                obj(vec![
-                    ("active_frac", active_frac.to_json()),
-                    ("apc", apc.to_json()),
-                    ("stray_prob", stray_prob.to_json()),
-                ]),
-            ),
-        }
-    }
-}
-
-impl FromJson for Behavior {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, p) = json::untag(v)?;
-        match tag {
-            "CompactHot" => Ok(Behavior::CompactHot {
-                hot_frac: p.field("hot_frac")?,
-                apc: p.field("apc")?,
-                cold_touch_prob: p.field("cold_touch_prob")?,
-            }),
-            "PointerChase" => Ok(Behavior::PointerChase {
-                random_touches: p.field("random_touches")?,
-                core_frac: p.field("core_frac")?,
-                apc: p.field("apc")?,
-            }),
-            "Streaming" => Ok(Behavior::Streaming {
-                window_frac: p.field("window_frac")?,
-                stride: p.field("stride")?,
-                apc: p.field("apc")?,
-                sweep_period: p.field("sweep_period")?,
-            }),
-            "PhaseShift" => Ok(Behavior::PhaseShift {
-                nr_phases: p.field("nr_phases")?,
-                hot_frac: p.field("hot_frac")?,
-                apc: p.field("apc")?,
-                phase_len: p.field("phase_len")?,
-            }),
-            "Growing" => Ok(Behavior::Growing {
-                built_by_frac: p.field("built_by_frac")?,
-                hot_tail_frac: p.field("hot_tail_frac")?,
-                apc: p.field("apc")?,
-            }),
-            "MostlyIdle" => Ok(Behavior::MostlyIdle {
-                active_frac: p.field("active_frac")?,
-                apc: p.field("apc")?,
-                stray_prob: p.field("stray_prob")?,
-            }),
-            other => Err(JsonError::msg(format!("unknown Behavior '{other}'"))),
-        }
-    }
-}
-
-impl ToJson for WorkloadSpec {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("name".into(), self.name.to_json()),
-            ("suite".into(), self.suite.to_json()),
-            ("footprint".into(), self.footprint.to_json()),
-            ("nr_epochs".into(), self.nr_epochs.to_json()),
-            ("compute_ns".into(), self.compute_ns.to_json()),
-            ("behavior".into(), self.behavior.to_json()),
-        ])
-    }
-}
-
-impl FromJson for WorkloadSpec {
-    /// The `name` field is a `&'static str`, so decoding resolves it
-    /// against the paper-suite catalog; all other fields come from the
-    /// JSON (a decoded spec may deviate from the catalog entry, e.g. a
-    /// scaled footprint).
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let name: String = v.field("name")?;
-        let suite: Suite = v.field("suite")?;
-        let catalog = crate::suite::paper_suite();
-        let entry = catalog
-            .iter()
-            .find(|s| s.name == name && s.suite == suite)
-            .ok_or_else(|| {
-                JsonError::msg(format!("unknown workload '{name}' in suite {suite:?}"))
-            })?;
-        Ok(WorkloadSpec {
-            name: entry.name,
-            suite,
-            footprint: v.field("footprint")?,
-            nr_epochs: v.field("nr_epochs")?,
-            compute_ns: v.field("compute_ns")?,
-            behavior: v.field("behavior")?,
-        })
-    }
-}

@@ -8,8 +8,6 @@ use daos_schemes::{ParseError, SchemeConfigError, SchemeParseError};
 use daos_trace::TraceError;
 use daos_util::json::JsonError;
 
-use crate::recordio::RecordError;
-
 /// Anything that can go wrong across the DAOS layers.
 #[derive(Debug)]
 pub enum DaosError {
@@ -23,9 +21,8 @@ pub enum DaosError {
     SchemeLine(SchemeParseError),
     /// An invalid scheme configuration (quota/watermark attachment).
     SchemeConfig(SchemeConfigError),
-    /// A record file failed to parse.
-    Record(RecordError),
-    /// Telemetry collector misuse (bad capacity, double install).
+    /// A trace or record file failed to parse, or telemetry collector
+    /// misuse (bad capacity, double install).
     Trace(TraceError),
     /// Malformed JSON input.
     Json(JsonError),
@@ -68,8 +65,8 @@ impl DaosError {
             | DaosError::Schemes(_)
             | DaosError::SchemeLine(_)
             | DaosError::SchemeConfig(_)
-            | DaosError::Record(_)
             | DaosError::Json(_)
+            | DaosError::Trace(TraceError::Json(_))
             | DaosError::SchemesWithoutMonitor
             | DaosError::Lint { .. } => 65,
             DaosError::Io { .. } => 74,
@@ -86,7 +83,6 @@ impl core::fmt::Display for DaosError {
             DaosError::Schemes(e) => write!(f, "{e}"),
             DaosError::SchemeLine(e) => write!(f, "{e}"),
             DaosError::SchemeConfig(e) => write!(f, "{e}"),
-            DaosError::Record(e) => write!(f, "{e}"),
             DaosError::Trace(e) => write!(f, "{e}"),
             DaosError::Json(e) => write!(f, "{e}"),
             DaosError::Io { path, source } => write!(f, "{path}: {source}"),
@@ -109,7 +105,6 @@ impl std::error::Error for DaosError {
             DaosError::Schemes(e) => Some(e),
             DaosError::SchemeLine(e) => Some(e),
             DaosError::SchemeConfig(e) => Some(e),
-            DaosError::Record(e) => Some(e),
             DaosError::Trace(e) => Some(e),
             DaosError::Json(e) => Some(e),
             DaosError::Io { source, .. } => Some(source),
@@ -150,12 +145,6 @@ impl From<SchemeConfigError> for DaosError {
     }
 }
 
-impl From<RecordError> for DaosError {
-    fn from(e: RecordError) -> Self {
-        DaosError::Record(e)
-    }
-}
-
 impl From<TraceError> for DaosError {
     fn from(e: TraceError) -> Self {
         DaosError::Trace(e)
@@ -182,6 +171,14 @@ mod tests {
             65
         );
         assert_eq!(DaosError::SchemesWithoutMonitor.exit_code(), 65);
+    }
+
+    #[test]
+    fn a_malformed_trace_file_is_bad_data_not_an_internal_failure() {
+        let e = daos_trace::parse_export("{\"at\":1,\"event\":{\"Nope\":{}}}\n").unwrap_err();
+        assert_eq!(DaosError::from(e).exit_code(), 65);
+        assert_eq!(DaosError::from(TraceError::InvalidCapacity(0)).exit_code(), 70);
+        assert_eq!(DaosError::from(TraceError::AlreadyInstalled).exit_code(), 70);
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod error;
 pub mod fleet;
 pub mod heatmap;
 pub mod metrics;
-pub mod recordio;
 pub mod session;
 
 pub use config::{MonitorKind, RunConfig, RunConfigBuilder};
@@ -55,5 +54,4 @@ pub use fleet::{
 };
 pub use heatmap::{biggest_active_span, Heatmap};
 pub use metrics::{score_inputs, score_vs_baseline, tune_prcl, Normalized, TunedPrcl};
-pub use recordio::{record_from_csv, record_to_csv, RecordError, WssReport, RECORD_HEADER};
 pub use session::{RunResult, Session, SessionResult};

@@ -182,6 +182,3 @@ mod tests {
         assert!(s > 20.0 && s < 26.0, "score {s}");
     }
 }
-
-
-daos_util::json_struct!(Normalized { performance, memory_efficiency });

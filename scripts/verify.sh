@@ -155,6 +155,24 @@ echo "$lint_out" | sed 's/.*"live_loc":{\([^}]*\)}.*/\1/' | tr ',' '\n' | tr -d 
     exit 1
 }
 
+echo "== wire inventory: every JSON codec is one a shipped tool writes or reads =="
+# DESIGN.md §7's table is the list of what crosses a process boundary.
+# A json_struct! / json_enum! / `impl ToJson for` site (outside the JSON
+# library itself and the ledger's own package) naming a type the table
+# lacks is a codec without a wire: delete it, or add the tool and the row.
+inventory=$(sed -n '/^### Wire inventory$/,/^## 8\. /p' DESIGN.md | grep '^|')
+for t in $(grep -rnoE 'json_(struct|enum)!\([A-Za-z0-9_]+|impl(<[^>]*>)? ToJson for [A-Za-z0-9_]+' \
+        --include='*.rs' --exclude-dir=ledger crates/*/src \
+    | grep -v '^crates/daos-util/src/json\.rs:' | sed 's/.*[ (]//' | sort -u); do
+    echo "$inventory" | grep -q "\`$t\`" || {
+        echo "FAIL: $t has a JSON codec but no row in DESIGN.md §7's wire inventory"
+        exit 1
+    }
+    codecs="${codecs:-} $t"
+done
+[ -n "${codecs:-}" ] || { echo "FAIL: found no codec sites — the guard's grep rotted"; exit 1; }
+echo "ok:$codecs"
+
 echo "== golden: fixed-seed trace reports are byte-stable =="
 # Record a small fixed-seed trace and diff the offline reports against
 # checked-in golden files. Any drift in the monitor, the trace schema,
@@ -171,6 +189,20 @@ diff -u tests/golden/trace_wss.txt "$tmp/wss.txt" || {
 }
 diff -u tests/golden/trace_summary.txt "$tmp/summary.txt" || {
     echo "FAIL: report summary drifted from tests/golden/trace_summary.txt"
+    exit 1
+}
+# `daos record` writes the same format from the in-memory record: every
+# report kind must load it, and the record views must have something to
+# say about it.
+target/release/daos record parsec3/freqmine --seed 42 --out "$tmp/rec.jsonl" > /dev/null
+target/release/daos report summary "$tmp/rec.jsonl" > /dev/null || {
+    echo "FAIL: report summary rejects a daos record file"
+    exit 1
+}
+target/release/daos report wss --distribution "$tmp/rec.jsonl" > "$tmp/rec_dist.txt"
+target/release/daos report heatmap "$tmp/rec.jsonl" > "$tmp/rec_heat.txt"
+[ -s "$tmp/rec_dist.txt" ] && [ -s "$tmp/rec_heat.txt" ] || {
+    echo "FAIL: report wss --distribution / heatmap printed nothing for a daos record file"
     exit 1
 }
 echo "ok"

@@ -1,10 +1,14 @@
 //! Tooling-level integration: record files, WSS reports and the scheme
 //! DSL driving real runs end to end.
 
-use daos::{record_from_csv, record_to_csv, RunConfig, Session, WssReport};
+use daos::{RunConfig, Session};
+use daos_mm::addr::AddrRange;
 use daos_mm::clock::ms;
 use daos_mm::{AccessBatch, MachineProfile, MemorySystem, SwapConfig, ThpMode};
-use daos_workloads::{Behavior, Suite, WorkloadSpec};
+use daos_monitor::{Aggregation, MonitorRecord, RegionInfo};
+use daos_report::{record_from_doc, record_from_events, record_to_events, WssTimeline};
+use daos_trace::{events_to_jsonl, parse_export, Collector};
+use daos_workloads::{by_path, Behavior, Suite, WorkloadSpec};
 
 fn small_spec() -> WorkloadSpec {
     WorkloadSpec {
@@ -17,6 +21,13 @@ fn small_spec() -> WorkloadSpec {
     }
 }
 
+/// What `daos record` writes for `record`, read back the way every
+/// `daos report` kind reads its input.
+fn through_a_record_file(record: &MonitorRecord) -> MonitorRecord {
+    let text = events_to_jsonl(&record_to_events(record));
+    record_from_doc(&parse_export(&text).expect("a record file is a trace export"))
+}
+
 #[test]
 fn record_file_roundtrip_preserves_analysis_results() {
     let machine = MachineProfile::i3_metal();
@@ -24,13 +35,12 @@ fn record_file_roundtrip_preserves_analysis_results() {
     let result = Session::new(&machine, &config, &spec).seed(3).execute().unwrap().into_single();
     let record = result.record.unwrap();
 
-    let csv = record_to_csv(&record);
-    let reloaded = record_from_csv(&csv).unwrap();
+    let reloaded = through_a_record_file(&record);
     assert_eq!(record, reloaded);
 
     // Analyses computed on the reloaded record agree exactly.
-    let wss_a = WssReport::from_record(&record);
-    let wss_b = WssReport::from_record(&reloaded);
+    let wss_a = WssTimeline::from_record(&record);
+    let wss_b = WssTimeline::from_record(&reloaded);
     assert_eq!(wss_a, wss_b);
     // The hot quarter of 16 MiB is 4 MiB; the median WSS estimate should
     // sit in that ballpark.
@@ -44,6 +54,44 @@ fn record_file_roundtrip_preserves_analysis_results() {
     let span_a = daos::biggest_active_span(&record).unwrap();
     let span_b = daos::biggest_active_span(&reloaded).unwrap();
     assert_eq!(span_a, span_b);
+}
+
+/// One record, three routes: the session's in-memory record, the
+/// monitor's own event stream, and the file `daos record` writes.
+#[test]
+fn one_record_three_routes_equal() {
+    let machine = MachineProfile::i3_metal();
+    let spec = by_path("parsec3/freqmine").unwrap();
+    for config in [RunConfig::rec(), RunConfig::prec()] {
+        let collector = Collector::builder().ring_capacity(1 << 20).build().unwrap();
+        daos_trace::install(collector).unwrap();
+        let ran = Session::new(&machine, &config, &spec).seed(42).execute();
+        let collector = daos_trace::take().expect("collector installed above");
+        assert_eq!(collector.ring().dropped(), 0, "{}: ring too small", config.name);
+        let record = ran.unwrap().into_single().record.expect("a recording config");
+        assert!(record.len() > 100, "{}: {} windows", config.name, record.len());
+
+        assert_eq!(record_from_events(&record_to_events(&record)), record, "{}", config.name);
+        assert_eq!(record_from_events(&collector.events()), record, "{}", config.name);
+        assert_eq!(through_a_record_file(&record), record, "{}", config.name);
+    }
+
+    // What no run produces: a window with no regions between two that
+    // have some, and counters at the top of their `u32` range.
+    let window = |at, regions| Aggregation {
+        at,
+        regions,
+        max_nr_accesses: u32::MAX,
+        aggregation_interval: ms(100),
+    };
+    let full = RegionInfo { range: AddrRange::new(0, u64::MAX), nr_accesses: u32::MAX, age: u32::MAX };
+    let mut record = MonitorRecord::new();
+    record.push(window(ms(100), vec![full]));
+    record.push(window(ms(200), vec![]));
+    record.push(window(u64::MAX, vec![full, RegionInfo { age: 0, ..full }]));
+    assert_eq!(record_to_events(&record).len(), 3 + 3);
+    assert_eq!(record_from_events(&record_to_events(&record)), record);
+    assert_eq!(through_a_record_file(&record), record);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 use daos::{RunConfig, Session};
 use daos_mm::MachineProfile;
-use daos_trace::{events_from_jsonl, Collector, Event};
+use daos_trace::{parse_export, Collector, Event};
 use daos_workloads::by_path;
 
 #[test]
@@ -26,7 +26,7 @@ fn jsonl_replay_rederives_fig7_overhead_bound() {
 
     // Export and re-parse: the JSONL round trip is the replay source.
     let jsonl = daos_trace::export_collector(&collector);
-    let events = events_from_jsonl(&jsonl).unwrap();
+    let events = parse_export(&jsonl).unwrap().events;
     assert!(!events.is_empty());
 
     let max_checks = events

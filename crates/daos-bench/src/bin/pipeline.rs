@@ -70,36 +70,46 @@ fn bench_monitor_window(h: &mut Harness, iters: u64) {
 }
 
 /// One aggregation window of the path `daos run` takes: `VaddrPrimitives`
-/// reading and clearing PTE accessed bits of a process with a 128 MiB
-/// heap (every other page resident) and a stack, so each sweep resolves
-/// addresses across two VMAs, materialised chunks and holes. Nothing
-/// re-touches the pages: the steady state is the ~35 cold regions the
-/// paper-default attrs merge down to, ~70 checks a tick. The two
-/// synthetic lanes above read a `HashSet` and never see this cost.
+/// reading and clearing PTE accessed bits of a process with a heap and a
+/// stack, so each sweep resolves addresses across two VMAs. Nothing
+/// re-touches the pages: the steady state is the ~36 cold regions of
+/// 2–4 MiB the paper-default attrs merge down to, two checks per region
+/// a tick, and a region's old and new samples mostly fall in different
+/// 2 MiB chunks. The two synthetic lanes above read a `HashSet` and never
+/// see this cost.
+///
+/// `monitor/sweep_vaddr` is a 128 MiB heap with every other page
+/// resident, so samples land on holes half the time;
+/// `monitor/sweep_vaddr_large` is a fully resident 96 MiB heap, the
+/// `run_idle_prcl` shape.
 fn bench_sweep_vaddr(h: &mut Harness, iters: u64) {
-    let mut machine = daos_mm::MachineProfile::test_tiny();
-    machine.dram_bytes = 256 << 20;
-    let mut sys = MemorySystem::new(machine, SwapConfig::paper_zram(), 1);
-    let pid = sys.spawn();
-    let heap = sys.mmap(pid, 128 << 20, ThpMode::Never).expect("mmap 128 MiB");
-    let stack = sys
-        .mmap_at(pid, daos_mm::process::STACK_BASE, 1 << 20, ThpMode::Never)
-        .expect("mmap stack");
-    sys.apply_access(pid, &AccessBatch::stride(heap, 2, 1.0)).expect("fault in");
-    sys.apply_access(pid, &AccessBatch::all(stack, 1.0)).expect("fault in");
-    let a = attrs();
-    let mut ctx = MonitorCtx::new(a, VaddrPrimitives::new(pid), &sys, 0, 42);
-    let mut sink = Vec::new();
-    let ticks = (a.aggregation_interval / a.sampling_interval).max(1);
-    let mut now = 0;
-    h.bench_iters("monitor/sweep_vaddr", iters, || {
-        for _ in 0..ticks {
-            now += a.sampling_interval;
-            ctx.step(&mut sys, now, &mut sink);
-        }
-        sink.clear();
-        black_box(ctx.overhead.total_checks)
-    });
+    for (name, heap_mib, stride) in
+        [("monitor/sweep_vaddr", 128, 2), ("monitor/sweep_vaddr_large", 96, 1)]
+    {
+        let mut machine = daos_mm::MachineProfile::test_tiny();
+        machine.dram_bytes = 256 << 20;
+        let mut sys = MemorySystem::new(machine, SwapConfig::paper_zram(), 1);
+        let pid = sys.spawn();
+        let heap = sys.mmap(pid, heap_mib << 20, ThpMode::Never).expect("mmap heap");
+        let stack = sys
+            .mmap_at(pid, daos_mm::process::STACK_BASE, 1 << 20, ThpMode::Never)
+            .expect("mmap stack");
+        sys.apply_access(pid, &AccessBatch::stride(heap, stride, 1.0)).expect("fault in");
+        sys.apply_access(pid, &AccessBatch::all(stack, 1.0)).expect("fault in");
+        let a = attrs();
+        let mut ctx = MonitorCtx::new(a, VaddrPrimitives::new(pid), &sys, 0, 42);
+        let mut sink = Vec::new();
+        let ticks = (a.aggregation_interval / a.sampling_interval).max(1);
+        let mut now = 0;
+        h.bench_iters(name, iters, || {
+            for _ in 0..ticks {
+                now += a.sampling_interval;
+                ctx.step(&mut sys, now, &mut sink);
+            }
+            sink.clear();
+            black_box(ctx.overhead.total_checks)
+        });
+    }
 }
 
 /// The schemes-engine apply pass over a 1000-region window against a
@@ -225,10 +235,11 @@ fn bench_trace_toggle(h: &mut Harness, iters: u64) {
 /// Hot-path timings gated against the committed baseline by
 /// `--check --baseline`: the region/mm rebuild targets and the page
 /// walker, so a rewrite that quietly regresses one shows up in verify.sh.
-const GATED: [&str; 6] = [
+const GATED: [&str; 7] = [
     "schemes/apply_1000_regions",
     "monitor/aggregate_window",
     "monitor/sweep_vaddr",
+    "monitor/sweep_vaddr_large",
     "mm/touch_all_4096_resident",
     "mm/touch_stride2_4096_resident",
     "mm/collect_resident_16mib_sparse",

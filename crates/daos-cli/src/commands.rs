@@ -624,6 +624,17 @@ pub fn fleet(args: &Args) -> Result<(), DaosError> {
     let tenants: usize = args.opt_num("tenants", 4)?;
     let fleet_cfg = FleetConfig::default();
     let footprint: u64 = args.opt_num("footprint", fleet_cfg.worker_footprint >> 20)?;
+    // A fleet of nothing is a typo, not a request: `FleetSpec` would
+    // quietly run one of each, and an empty mapping fails mid-set-up.
+    let sizes = [
+        ("processes", processes as u64),
+        ("shard-size", shard_size as u64),
+        ("tenants", tenants as u64),
+        ("footprint", footprint),
+    ];
+    if let Some((option, _)) = sizes.iter().find(|(_, n)| *n == 0) {
+        return Err(DaosError::usage(format!("--{option} must be at least 1")));
+    }
 
     // The production configuration: physical-address monitoring feeding
     // the pageout scheme, unless --config picks a named paper config.
@@ -800,6 +811,15 @@ mod tests {
     fn fleet_rejects_unknown_swap() {
         let err = fleet(&args("--swap tape")).unwrap_err();
         assert!(err.to_string().contains("unknown swap"));
+    }
+
+    #[test]
+    fn fleet_rejects_zero_sizes() {
+        for option in ["processes", "shard-size", "tenants", "footprint"] {
+            let err = fleet(&args(&format!("--{option} 0 --epochs 1"))).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "--{option} 0: {err}");
+            assert!(err.to_string().contains(&format!("--{option}")), "--{option} 0: {err}");
+        }
     }
 
     #[test]

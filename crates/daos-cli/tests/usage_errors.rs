@@ -12,12 +12,16 @@ fn run(args: &[&str]) -> (i32, String) {
 
 #[test]
 fn binary_usage_errors_exit_2() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["tune", "parsec3/freqmine", "--range", "10:5", "--samples", "3"], "--range"),
         (&["tune", "parsec3/freqmine", "--range", "nan:5"], "--range"),
         (&["tune", "parsec3/freqmine", "--range", "backwards"], "--range"),
         (&["tune", "parsec3/freqmine", "--samples", "0"], "--samples"),
         (&["fleet", "--proceses", "8"], "--proceses"),
+        (&["fleet", "--processes", "0", "--epochs", "1"], "--processes"),
+        (&["fleet", "--shard-size", "0", "--epochs", "1"], "--shard-size"),
+        (&["fleet", "--tenants", "0", "--epochs", "1"], "--tenants"),
+        (&["fleet", "--footprint", "0", "--epochs", "1"], "--footprint"),
     ];
     for (args, option) in cases {
         let (code, stderr) = run(args);

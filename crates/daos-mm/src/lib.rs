@@ -13,10 +13,10 @@
 //!
 //! * [`MemorySystem::pte_cursor`] / [`MemorySystem::paddr_cursor`] — the
 //!   access checks of one monitor sweep: a forward page-table cursor
-//!   ([`process::PteCursor`]) that reads and clears PTE accessed bits,
-//!   resolving process and VMA once per run of addresses, not once per
-//!   check (any address order is correct, ascending is fast), directly
-//!   or through rmap. [`MemorySystem::check_accessed_clear`],
+//!   ([`process::PteCursor`]) whose one op reads a region's outstanding
+//!   sample's accessed bit and clears its next sample's, resolving the
+//!   VMA once per region (any address order is correct, ascending is
+//!   fast), directly or through rmap. [`MemorySystem::check_accessed_clear`],
 //!   [`MemorySystem::peek_accessed`] and
 //!   [`MemorySystem::check_paddr_accessed_clear`] are the same lookup,
 //!   one shot, for tests and tools;

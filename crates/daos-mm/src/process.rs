@@ -235,6 +235,48 @@ impl<V: DerefMut<Target = [Vma]>> PteCursor<V> {
     pub fn clear_accessed(&mut self, addr: u64) -> Option<bool> {
         self.seek(addr).map(|i| self.vmas[i].clear_accessed(addr))
     }
+
+    /// The monitor's one access op: whether the page at `old` was accessed
+    /// since its bit was last cleared, then clear the bit of the page at
+    /// `new` (`None` skips that half; unmapped pages read `false`). The two
+    /// are a region's outstanding and next sample, so they almost always
+    /// share a VMA, and mostly the one the last pair fell in: then each page
+    /// is one chunk-word operation. Reading before clearing makes
+    /// `old == new` report the bit as it was.
+    #[inline(always)]
+    pub fn access(&mut self, old: Option<u64>, new: Option<u64>) -> bool {
+        match self.hinted(old, new) {
+            Some(vma) => vma.access(old, new),
+            None => self.access_elsewhere(old, new),
+        }
+    }
+
+    /// The VMA the last address fell in, when it holds both pages.
+    #[inline(always)]
+    fn hinted(&mut self, old: Option<u64>, new: Option<u64>) -> Option<&mut Vma> {
+        let vma = self.vmas.get_mut(self.at)?;
+        let range = vma.range;
+        let inside = |addr: Option<u64>| addr.is_none_or(|a| range.contains(a));
+        (inside(old) && inside(new)).then_some(vma)
+    }
+
+    /// [`Self::access`] off the last VMA: seek the VMA of the pair — one
+    /// resolve for both when they share it, one each when they straddle a
+    /// VMA boundary or a gap. Out of line, so the sweep's loop stays small
+    /// enough to inline the common case.
+    #[cold]
+    fn access_elsewhere(&mut self, old: Option<u64>, new: Option<u64>) -> bool {
+        if new.or(old).and_then(|addr| self.seek(addr)).is_some() {
+            if let Some(vma) = self.hinted(old, new) {
+                return vma.access(old, new);
+            }
+        }
+        let was = old.and_then(|addr| self.accessed(addr)).unwrap_or(false);
+        if let Some(addr) = new {
+            self.clear_accessed(addr);
+        }
+        was
+    }
 }
 
 #[cfg(test)]

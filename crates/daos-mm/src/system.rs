@@ -526,20 +526,25 @@ impl MemorySystem {
         PteCursor::new(self.procs.get_mut(pid as usize).map(Process::vmas_mut).unwrap_or_default())
     }
 
-    /// The physical-space cursor: `cursor(paddr, clear)` says whether the
-    /// page backed by the frame at `paddr` was accessed, clearing the bit
-    /// when `clear`; unowned frames read `false`. Each check goes through
-    /// rmap to the owner's [`PteCursor`], started at the VMA index the
-    /// last check hit — processes are laid out alike, so it mostly hits.
-    pub fn paddr_cursor(&mut self) -> impl FnMut(u64, bool) -> bool + '_ {
+    /// The physical-space cursor, [`PteCursor::access`] by frame address:
+    /// `cursor(old, new)` says whether the page backed by the frame at `old`
+    /// was accessed, then clears the bit of the page backed by `new`;
+    /// unowned frames read `false`. Two frames of one region may belong to
+    /// two processes, so each goes through rmap to its owner's
+    /// [`PteCursor`] on its own, started at the VMA index the last one
+    /// hit — processes are laid out alike, so it mostly hits.
+    pub fn paddr_cursor(&mut self) -> impl FnMut(Option<u64>, Option<u64>) -> bool + '_ {
         let mut at = 0;
-        move |paddr, clear| {
-            let Some((pid, vaddr)) = self.phys_owner(paddr) else { return false };
-            let mut cur = self.pte_cursor(pid);
-            cur.at = at;
-            let was = if clear { cur.clear_accessed(vaddr) } else { cur.accessed(vaddr) };
-            at = cur.at;
-            was.unwrap_or(false)
+        move |old, new| {
+            let mut was = false;
+            for (paddr, clear) in [(old, false), (new, true)] {
+                let Some((pid, vaddr)) = paddr.and_then(|p| self.phys_owner(p)) else { continue };
+                let mut cur = self.pte_cursor(pid);
+                cur.at = at;
+                was |= cur.access((!clear).then_some(vaddr), clear.then_some(vaddr));
+                at = cur.at;
+            }
+            was
         }
     }
 
@@ -559,7 +564,7 @@ impl MemorySystem {
     /// `paddr` to its owner mapping and check that PTE. Unowned frames
     /// read as "not accessed".
     pub fn check_paddr_accessed_clear(&mut self, paddr: u64) -> bool {
-        self.paddr_cursor()(paddr, true)
+        self.paddr_cursor()(Some(paddr), Some(paddr))
     }
 
     /// Record monitor CPU work; returns the interference to charge the
@@ -653,28 +658,31 @@ impl MemorySystem {
     /// faulted subpages (this is the THP *bloat* of Kwon et al.).
     /// Returns `(chunks_promoted, kernel_cost_ns)`.
     pub fn promote_huge(&mut self, pid: Pid, range: AddrRange) -> MmResult<(u64, Ns)> {
-        let chunk_addrs: Vec<u64> = {
-            let proc = self.proc(pid)?;
-            proc.vmas()
-                .iter()
-                .filter(|v| v.thp != ThpMode::Never)
-                .flat_map(|v| v.chunks_in(&range).collect::<Vec<_>>())
-                .collect()
-        };
+        // The chunks not yet huge, found before anything is allocated
+        // (promoting one chunk changes no other chunk's flag). A scheme
+        // mostly tries ranges holding none — most of what ethp tries is
+        // under 2 MiB, where no aligned chunk fits at all.
+        let proc = self.proc(pid)?;
+        if range.len() < HUGE_PAGE_SIZE {
+            return Ok((0, 0));
+        }
+        let chunk_addrs: Vec<u64> = proc
+            .vmas()
+            .iter()
+            .filter(|v| v.thp != ThpMode::Never)
+            .flat_map(|v| v.chunks_in(&range).filter(|&c| !v.is_huge(c)))
+            .collect();
         let mut promoted = 0u64;
         let mut cost: Ns = 0;
-        'chunks: for chunk in chunk_addrs {
-            // Skip chunks that are already huge or contain swapped pages
-            // (khugepaged does not collapse over swap entries).
+        for chunk in chunk_addrs {
+            // Skip chunks that contain swapped pages (khugepaged does not
+            // collapse over swap entries).
             let chunk_range = AddrRange::new(chunk, chunk + HUGE_PAGE_SIZE);
             {
                 let proc = self.proc(pid)?;
                 let vma = proc.find_vma(chunk).ok_or(MmError::Unmapped(chunk))?;
-                if vma.is_huge(chunk) {
-                    continue;
-                }
                 if vma.chunk_nr_swapped(chunk) > 0 {
-                    continue 'chunks;
+                    continue;
                 }
             }
             // Fill holes. If DRAM runs out mid-chunk, abandon the chunk
@@ -778,25 +786,21 @@ impl MemorySystem {
     /// subpages that were allocated by promotion but never touched.
     /// Returns `(bytes_freed, kernel_cost_ns)`.
     pub fn demote_huge(&mut self, pid: Pid, range: AddrRange) -> MmResult<(u64, Ns)> {
-        let chunk_addrs: Vec<u64> = {
-            let proc = self.proc(pid)?;
-            proc.vmas()
-                .iter()
-                .flat_map(|v| v.chunks_in(&range).collect::<Vec<_>>())
-                .collect()
-        };
+        // The huge chunks, found before anything is allocated, as in
+        // `promote_huge`.
+        let proc = self.proc(pid)?;
+        if range.len() < HUGE_PAGE_SIZE {
+            return Ok((0, 0));
+        }
+        let chunk_addrs: Vec<u64> = proc
+            .vmas()
+            .iter()
+            .flat_map(|v| v.chunks_in(&range).filter(|&c| v.is_huge(c)))
+            .collect();
         let mut freed_bytes = 0u64;
         let mut cost: Ns = 0;
         for chunk in chunk_addrs {
             let chunk_range = AddrRange::new(chunk, chunk + HUGE_PAGE_SIZE);
-            let was_huge = {
-                let proc = self.proc_mut(pid)?;
-                let vma = proc.find_vma_mut(chunk).ok_or(MmError::Unmapped(chunk))?;
-                vma.is_huge(chunk)
-            };
-            if !was_huge {
-                continue;
-            }
             // Collect untouched resident subpages.
             let mut to_free: Vec<(u64, u32)> = Vec::new();
             {

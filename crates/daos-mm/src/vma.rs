@@ -402,6 +402,25 @@ impl Vma {
         was
     }
 
+    /// The monitor's access op on two pages of this VMA: whether the page
+    /// at `old` was accessed, then clear the bit of the page at `new`
+    /// (`None` skips that half). Each half is one chunk-word operation, and
+    /// neither asks whether the two pages share a chunk: a sweep alternates
+    /// between the two cases region by region, so that branch would
+    /// mispredict to save one chunk lookup (DESIGN §12 has the numbers).
+    #[inline]
+    pub(crate) fn access(&mut self, old: Option<u64>, new: Option<u64>) -> bool {
+        let was = old.is_some_and(|addr| {
+            let Some(c) = self.chunks[self.slot(addr)].as_deref() else { return false };
+            let pi = Self::page_in_chunk(addr);
+            c.accessed[pi / 64] & (1 << (pi % 64)) != 0
+        });
+        if let Some(addr) = new {
+            self.clear_accessed(addr);
+        }
+        was
+    }
+
     /// Single-page touch (the `Prob`/`Random` patterns, which have no run
     /// to amortise over): if `addr` is resident, set its accessed and
     /// touched bits and return `true`; otherwise `false`, without

@@ -310,9 +310,32 @@ proptest! {
         let vmas = random_address_space(&mut rng);
         let lo = vmas[0].range.start - 8 * PAGE_SIZE;
         let hi = vmas[vmas.len() - 1].range.end + 8 * PAGE_SIZE;
-        // (address, clear?) — a read or a read-and-clear.
-        let mut probes: Vec<(u64, bool)> =
-            (0..300).map(|_| (rng.random_range(lo..hi), rng.random::<f32>() < 0.5)).collect();
+        // (address, what) — a read, a read-and-clear, or the monitor's
+        // access op on a pair: `new` a page up to 3 MiB either side of
+        // `old` (same chunk, the next, across a VMA edge or a gap), or one
+        // half missing.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        enum Probe {
+            Read,
+            Clear,
+            Access(Option<u64>, Option<u64>),
+        }
+        let mut probes: Vec<(u64, Probe)> = (0..300)
+            .map(|_| {
+                let addr = rng.random_range(lo..hi);
+                let near = (addr + rng.random_range(0..6 * HUGE_PAGE_SIZE))
+                    .saturating_sub(3 * HUGE_PAGE_SIZE)
+                    .clamp(lo, hi - 1);
+                let probe = match rng.random_range(0..5u32) {
+                    0 => Probe::Read,
+                    1 => Probe::Clear,
+                    2 => Probe::Access(Some(addr), Some(near)),
+                    3 => Probe::Access(Some(addr), None),
+                    _ => Probe::Access(None, Some(addr)),
+                };
+                (addr, probe)
+            })
+            .collect();
         for order in ["ascending", "descending", "shuffled"] {
             match order {
                 "ascending" => probes.sort_unstable(),
@@ -321,16 +344,26 @@ proptest! {
             }
             let (mut swept, mut looked_up) = (vmas.clone(), vmas.clone());
             let mut cur = PteCursor::new(&mut swept[..]);
-            for &(addr, clear) in &probes {
-                let what = format!("seed {seed} {order} {addr:#x} clear={clear}");
-                if clear {
-                    let want = reference::check_accessed_clear(&mut looked_up, addr);
-                    prop_assert_eq!(cur.clear_accessed(addr), want, "{}", what);
-                } else {
-                    let want = reference::peek_accessed(&looked_up, addr);
-                    prop_assert_eq!(cur.accessed(addr), want, "{}", what);
-                    // The read-only cursor, one-shot: what `peek_accessed` is.
-                    prop_assert_eq!(PteCursor::new(&looked_up[..]).accessed(addr), want, "{}", what);
+            for &(addr, probe) in &probes {
+                let what = format!("seed {seed} {order} {addr:#x} {probe:x?}");
+                match probe {
+                    Probe::Clear => {
+                        let want = reference::check_accessed_clear(&mut looked_up, addr);
+                        prop_assert_eq!(cur.clear_accessed(addr), want, "{}", what);
+                    }
+                    Probe::Read => {
+                        let want = reference::peek_accessed(&looked_up, addr);
+                        prop_assert_eq!(cur.accessed(addr), want, "{}", what);
+                        // The read-only cursor, one-shot: what `peek_accessed` is.
+                        let one_shot = PteCursor::new(&looked_up[..]).accessed(addr);
+                        prop_assert_eq!(one_shot, want, "{}", what);
+                    }
+                    Probe::Access(old, new) => {
+                        // Read `old`, then clear `new`, one lookup each.
+                        let want = old.and_then(|a| reference::peek_accessed(&looked_up, a));
+                        new.map(|a| reference::check_accessed_clear(&mut looked_up, a));
+                        prop_assert_eq!(cur.access(old, new), want.unwrap_or(false), "{}", what);
+                    }
                 }
             }
             // Same bits cleared and — `Vma ==` compares the chunk table —

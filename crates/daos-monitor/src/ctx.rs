@@ -27,6 +27,9 @@ pub struct MonitorCtx<P: Primitives> {
     pub attrs: MonitorAttrs,
     prim: P,
     regions: RegionSet,
+    /// The set `split` and `update_ranges` rebuild into, kept so a
+    /// boundary reuses its columns instead of allocating new ones.
+    scratch: RegionSet,
     rng: SmallRng,
     next_sample: Ns,
     next_aggr: Ns,
@@ -49,6 +52,7 @@ impl<P: Primitives> MonitorCtx<P> {
             attrs,
             prim,
             regions,
+            scratch: RegionSet::default(),
             rng: SmallRng::seed_from_u64(seed),
             next_sample: now + attrs.sampling_interval,
             next_aggr: now + attrs.aggregation_interval,
@@ -107,11 +111,11 @@ impl<P: Primitives> MonitorCtx<P> {
         // and one fused pass over the regions does both.
         let boundary = self.next_aggr <= t || self.next_update <= t;
         let mut checks = {
-            let mut probe = self.prim.cursor(env);
+            let access = self.prim.access(env);
             if boundary {
-                self.regions.check_samples(|addr| probe(addr, false))
+                self.regions.check_samples(access)
             } else {
-                self.regions.sweep_samples(&mut self.rng, probe)
+                self.regions.sweep_samples(&mut self.rng, access)
             }
         };
 
@@ -180,7 +184,7 @@ impl<P: Primitives> MonitorCtx<P> {
             });
             let split_ns = daos_trace::span!(t, SplitMerge, {
                 if self.attrs.adaptive {
-                    self.regions.split(&mut self.rng, self.attrs.max_nr_regions);
+                    self.regions.split(&mut self.rng, self.attrs.max_nr_regions, &mut self.scratch);
                     let after_split = self.regions.len() as u64;
                     if after_split != after_merge {
                         daos_trace::trace!(
@@ -201,15 +205,14 @@ impl<P: Primitives> MonitorCtx<P> {
         // Regions-update boundary: follow mmap()/hotplug changes.
         if self.next_update <= t {
             let ranges = self.prim.target_ranges(env);
-            self.regions.update_ranges(&ranges);
+            self.regions.update_ranges(&ranges, &mut self.scratch);
             let a = &self.attrs;
             self.regions.merge_to_cap(a.merge_threshold(), a.min_nr_regions, a.max_nr_regions);
             self.next_update = t + self.attrs.regions_update_interval;
         }
 
         if boundary {
-            let mut probe = self.prim.cursor(env);
-            checks += self.regions.prepare_samples(&mut self.rng, |addr| { probe(addr, true); });
+            checks += self.regions.prepare_samples(&mut self.rng, self.prim.access(env));
         }
 
         // Overhead accounting: this is where the paper's bound lives —

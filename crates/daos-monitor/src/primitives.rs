@@ -17,7 +17,7 @@ use daos_mm::system::MemorySystem;
 /// Two-phase sampling, as in the kernel: the accessed bit of the sample
 /// page is cleared (`mkold`) when the sample is *prepared*; one sampling
 /// interval later the monitor reads whether the CPU set it again
-/// (`young`). Both go through the cursor a back-end hands out per sweep.
+/// (`young`). Both are the one access op a back-end hands out per sweep.
 pub trait Primitives {
     /// The environment checks run against (the simulated machine, or a
     /// synthetic space in tests).
@@ -27,15 +27,25 @@ pub trait Primitives {
     /// interval to follow `mmap()`/hotplug events).
     fn target_ranges(&mut self, env: &Self::Env) -> Vec<AddrRange>;
 
-    /// The access-check cursor for one sweep over the regions:
-    /// `cursor(addr, clear)` says whether the page at `addr` was accessed
-    /// since its bit was last cleared, and clears it when `clear`. It
-    /// must be correct for addresses in any order and may be faster for
-    /// ascending ones — a sweep visits the regions in address order, so
-    /// a back-end resolves its target once here, not once per check.
-    /// Target ranges must be page-aligned: the monitor relies on checks
-    /// in different regions touching different pages.
-    fn cursor<'a>(&'a mut self, env: &'a mut Self::Env) -> impl FnMut(u64, bool) -> bool + 'a;
+    /// The access op for one sweep over the regions: `access(old, new)`
+    /// says whether the page at `old` was accessed since its bit was last
+    /// cleared (`young`), then clears the bit of the page at `new`
+    /// (`mkold`); `None` skips that half and reads `false`. A sweep calls
+    /// it once per region with the region's outstanding sample and its
+    /// next one, so a back-end resolves its target once per region, not
+    /// once per page. The contract:
+    ///
+    /// * calls in any address order are correct; ascending ones — a sweep
+    ///   visits the regions in address order — may be faster;
+    /// * `old` and `new` lie in the same region (they need not share a
+    ///   page, a VMA or a 2 MiB chunk), and `old` is read before `new` is
+    ///   cleared, so `old == new` reads the bit as it was;
+    /// * target ranges are page-aligned, so two regions never share a
+    ///   page and one region's `mkold` never changes another's `young`.
+    fn access<'a>(
+        &'a mut self,
+        env: &'a mut Self::Env,
+    ) -> impl FnMut(Option<u64>, Option<u64>) -> bool + 'a;
 
     /// CPU cost of a single `mkold`/`young` operation.
     fn check_cost_ns(&self, env: &Self::Env) -> Ns;
@@ -97,13 +107,14 @@ impl Primitives for VaddrPrimitives {
         three_regions(&env.vma_ranges(self.pid))
     }
 
-    fn cursor<'a>(&'a mut self, env: &'a mut MemorySystem) -> impl FnMut(u64, bool) -> bool + 'a {
+    fn access<'a>(
+        &'a mut self,
+        env: &'a mut MemorySystem,
+    ) -> impl FnMut(Option<u64>, Option<u64>) -> bool + 'a {
         // The three-regions span covers gaps between VMAs; samples landing
         // in a gap simply read as not-accessed, like unmapped PTEs.
         let mut cur = env.pte_cursor(self.pid);
-        move |addr, clear| {
-            if clear { cur.clear_accessed(addr) } else { cur.accessed(addr) }.unwrap_or(false)
-        }
+        move |old, new| cur.access(old, new)
     }
 
     fn check_cost_ns(&self, env: &MemorySystem) -> Ns {
@@ -128,7 +139,10 @@ impl Primitives for PaddrPrimitives {
         vec![env.phys_space()]
     }
 
-    fn cursor<'a>(&'a mut self, env: &'a mut MemorySystem) -> impl FnMut(u64, bool) -> bool + 'a {
+    fn access<'a>(
+        &'a mut self,
+        env: &'a mut MemorySystem,
+    ) -> impl FnMut(Option<u64>, Option<u64>) -> bool + 'a {
         env.paddr_cursor()
     }
 
@@ -177,10 +191,16 @@ impl Primitives for SyntheticPrimitives {
         env.ranges.clone()
     }
 
-    fn cursor<'a>(&'a mut self, env: &'a mut SyntheticSpace) -> impl FnMut(u64, bool) -> bool + 'a {
-        move |addr, clear| {
-            let page = page_align_down(addr);
-            if clear { env.accessed.remove(&page) } else { env.accessed.contains(&page) }
+    fn access<'a>(
+        &'a mut self,
+        env: &'a mut SyntheticSpace,
+    ) -> impl FnMut(Option<u64>, Option<u64>) -> bool + 'a {
+        move |old, new| {
+            let was = old.is_some_and(|addr| env.accessed.contains(&page_align_down(addr)));
+            if let Some(addr) = new {
+                env.accessed.remove(&page_align_down(addr));
+            }
+            was
         }
     }
 
@@ -246,14 +266,23 @@ mod tests {
         sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
         sys.apply_access(pid, &AccessBatch::all(stack, 1.0)).unwrap();
 
-        assert!(prim.cursor(&mut sys)(range.start, true), "prepare clears the bit");
-        assert!(!prim.cursor(&mut sys)(range.start, false));
+        let (a, b) = (Some(range.start), Some(range.start + PAGE_SIZE));
+        assert!(prim.access(&mut sys)(a, a), "reads before it clears");
+        assert!(!prim.access(&mut sys)(a, None), "prepare cleared the bit");
+        assert!(prim.access(&mut sys)(b, a), "the other page is still young");
+        assert!(prim.access(&mut sys)(b, None), "and was not cleared");
         sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
-        let mut cur = prim.cursor(&mut sys);
-        assert!(cur(range.start, false), "touch after mkold → young");
-        assert!(!cur(range.end + PAGE_SIZE, false), "outside every VMA reads not-accessed");
-        assert!(cur(stack.start, false), "on into the next VMA");
-        assert!(cur(range.start, false), "and back down: any order is correct");
+        let mut cur = prim.access(&mut sys);
+        assert!(cur(a, None), "touch after mkold → young");
+        assert!(!cur(Some(range.end + PAGE_SIZE), None), "outside every VMA reads not-accessed");
+        assert!(cur(Some(stack.start), None), "on into the next VMA");
+        assert!(cur(a, Some(range.end + PAGE_SIZE)), "and back down: any order is correct");
+        // A pair straddling a gap (one region over both VMAs) reads one
+        // and clears the other.
+        assert!(cur(Some(stack.start), a));
+        assert!(cur(Some(range.end - PAGE_SIZE), Some(stack.start)));
+        assert!(!cur(a, None) && !cur(Some(stack.start), None), "both halves landed");
+        assert!(!cur(None, None));
         drop(cur);
         assert!(prim.check_cost_ns(&sys) > 0);
     }
@@ -278,10 +307,15 @@ mod tests {
         let all_owned: Vec<u64> =
             sys.phys_space().pages().filter(|p| sys.phys_owner(*p).is_some()).collect();
         assert_eq!(all_owned.len(), 512);
-        let mut cur = prim.cursor(&mut sys);
-        assert!(all_owned.iter().rev().all(|p| cur(*p, false)), "both VMAs' frames, any order");
-        assert!(cur(owned, true));
-        assert!(!cur(owned, false));
+        let unowned = sys.phys_space().pages().find(|p| sys.phys_owner(*p).is_none());
+        let mut cur = prim.access(&mut sys);
+        let young = all_owned.iter().rev().all(|p| cur(Some(*p), None));
+        assert!(young, "both VMAs' frames, any order");
+        let last = all_owned.last().copied();
+        assert!(cur(Some(owned), Some(owned)), "reads before it clears");
+        assert!(!cur(Some(owned), last));
+        assert!(!cur(last, None), "each half resolves its own frame");
+        assert!(!cur(unowned, unowned) && !cur(None, None), "unowned frames read not-accessed");
         drop(cur);
         // Physical checks cost more than virtual ones (rmap walk).
         assert!(prim.check_cost_ns(&sys) > VaddrPrimitives::new(pid).check_cost_ns(&sys));
@@ -292,12 +326,13 @@ mod tests {
         let mut space = SyntheticSpace::new(vec![AddrRange::new(0, 0x10000)]);
         let mut prim = SyntheticPrimitives;
         space.touch_range(AddrRange::new(0x1000, 0x3000));
-        let mut cur = prim.cursor(&mut space);
-        assert!(cur(0x1000, false));
-        assert!(cur(0x1234, false), "sub-page addr maps to its page");
-        assert!(!cur(0x4000, false));
-        assert!(cur(0x1500, true));
-        assert!(!cur(0x1000, false));
-        assert!(cur(0x2000, false));
+        let mut cur = prim.access(&mut space);
+        assert!(cur(Some(0x1000), None));
+        assert!(cur(Some(0x1234), None), "sub-page addr maps to its page");
+        assert!(!cur(Some(0x4000), None));
+        assert!(cur(Some(0x1500), Some(0x1500)), "reads before it clears");
+        assert!(!cur(Some(0x1000), Some(0x2000)));
+        assert!(!cur(Some(0x2000), None));
+        assert!(!cur(None, None));
     }
 }

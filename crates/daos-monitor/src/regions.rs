@@ -18,17 +18,32 @@
 //! `prepare_samples` consume the rng in exactly the same order as the
 //! reference so both produce identical sequences from one seed.
 //!
-//! ## Sampling: two phases, or one fused sweep
+//! ## Sampling: one resolve per region
 //!
 //! Each sampling interval every region's outstanding sample is checked
-//! ([`RegionSet::check_samples`]) and a new one is drawn and aged
-//! ([`RegionSet::prepare_samples`]). The monitor runs the two as separate
-//! phases only on ticks where a merge, split or target update sits
-//! between them; on all others [`RegionSet::sweep_samples`] does both per
-//! region in one pass over the columns. The result is the same because
-//! regions are disjoint and page-aligned — the page region *i* ages is
-//! never the page region *j* checks — and the rng is still drawn once
-//! per non-empty region, in region order.
+//! and a new one is drawn and aged. All three sampling walks call the
+//! back-end's one access op ([`crate::Primitives::access`]) once per
+//! region — `access(old, new)` reads the old sample's accessed bit and
+//! clears the new one's — so a back-end resolves each region's target
+//! once, whichever walk runs:
+//!
+//! * [`RegionSet::sweep_samples`], on every tick with nothing between the
+//!   phases, does both halves with one call per region;
+//! * [`RegionSet::check_samples`] (`access(old, None)`) and
+//!   [`RegionSet::prepare_samples`] (`access(None, new)`) are the two
+//!   phases a boundary tick runs on either side of its merge, split or
+//!   target update.
+//!
+//! The fused sweep equals the two phases because regions are disjoint and
+//! page-aligned — the page region *i* ages is never the page region *j*
+//! checks — and the rng is still drawn once per region, in region order.
+//! The walks zip column slices, so the per-region loop carries no index
+//! bounds checks.
+//!
+//! [`RegionSet::split`] and [`RegionSet::update_ranges`] rebuild the set
+//! into a scratch set the caller keeps (the monitor holds one for its
+//! lifetime) and swap it in, so a boundary reuses the columns' capacity
+//! instead of allocating six fresh ones.
 
 use daos_mm::addr::{page_align_down, AddrRange, PAGE_SIZE};
 use daos_util::rng::SmallRng;
@@ -43,6 +58,12 @@ const NO_SAMPLE: u64 = u64::MAX;
 #[inline]
 fn wavg(x: u32, y: u32, sa: u64, sb: u64) -> u32 {
     ((x as u64 * sa + y as u64 * sb) / (sa + sb).max(1)) as u32
+}
+
+/// A random page of the (non-empty) region `[start, end)`: one rng draw.
+#[inline]
+fn draw_sample(rng: &mut SmallRng, start: u64, end: u64) -> u64 {
+    page_align_down(start) + rng.random_range(0..(end - start).div_ceil(PAGE_SIZE)) * PAGE_SIZE
 }
 
 /// An ordered, non-overlapping set of monitoring regions, stored as
@@ -249,21 +270,30 @@ impl RegionSet {
         self.sampling.truncate(n);
     }
 
+    /// Empty the set, keeping the columns' capacity.
+    fn clear(&mut self) {
+        self.truncate(0);
+        self.total_bytes = 0;
+    }
+
     /// The random splitting pass, run once per aggregation interval.
     ///
     /// Each region is split into 2 (or 3, when far below the cap) pieces
     /// at random page-aligned points, so that sub-regions with distinct
     /// access frequencies can be discovered next window. Splitting stops
     /// at `max_nr` regions — the paper's overhead upper bound. The rng is
-    /// consumed in exactly the reference implementation's order.
-    pub fn split(&mut self, rng: &mut SmallRng, max_nr: usize) {
+    /// consumed in exactly the reference implementation's order. The new
+    /// set is built in `scratch`, which is left holding the old one's
+    /// columns for the next rebuild.
+    pub fn split(&mut self, rng: &mut SmallRng, max_nr: usize, scratch: &mut Self) {
         let nr = self.len();
         if nr == 0 || nr >= max_nr {
             return;
         }
         // Kernel heuristic: aim for 3 pieces while clearly below the cap.
         let nr_pieces = if nr * 3 <= max_nr { 3 } else { 2 };
-        let mut out = Self::default();
+        let out = scratch;
+        out.clear();
         out.reserve(nr * nr_pieces);
         let mut total = nr;
         for i in 0..nr {
@@ -293,7 +323,7 @@ impl RegionSet {
             let sample = if was_split { NO_SAMPLE } else { self.sampling[i] };
             out.push_with(rest_start, rest_end, na, la, age, sample);
         }
-        *self = out;
+        std::mem::swap(self, out);
     }
 
     fn reserve(&mut self, n: usize) {
@@ -323,14 +353,16 @@ impl RegionSet {
     /// pass over the ranges — O(regions + ranges), not O(ranges ×
     /// regions). `new_ranges` must be ascending and disjoint, which is
     /// what every primitives backend produces (sorted VMA lists, the
-    /// physical space, synthetic spaces).
-    pub fn update_ranges(&mut self, new_ranges: &[AddrRange]) {
+    /// physical space, synthetic spaces). Built in `scratch`, as
+    /// [`Self::split`] is.
+    pub fn update_ranges(&mut self, new_ranges: &[AddrRange], scratch: &mut Self) {
         debug_assert!(
             new_ranges.windows(2).all(|w| w[0].end <= w[1].start || w[1].is_empty()),
             "target ranges must be sorted and disjoint"
         );
         let n = self.len();
-        let mut out = Self::default();
+        let out = scratch;
+        out.clear();
         out.reserve(n);
         let mut ri = 0usize;
         for range in new_ranges.iter().filter(|r| !r.is_empty()) {
@@ -368,53 +400,46 @@ impl RegionSet {
                 out.push_fresh(cursor, range.end);
             }
         }
-        *self = out;
+        std::mem::swap(self, out);
     }
 
-    /// Consume region `i`'s outstanding sample, counting an access when
-    /// `young` reports the page was touched. Returns the checks made.
-    #[inline]
-    fn check_one(&mut self, i: usize, young: &mut impl FnMut(u64) -> bool) -> u64 {
-        let addr = std::mem::replace(&mut self.sampling[i], NO_SAMPLE);
-        if addr == NO_SAMPLE {
-            return 0;
+    /// Phase-1 sampling: consume every outstanding sample, counting an
+    /// access when `access(Some(sample), None)` reports the page young.
+    /// Returns the number of checks performed.
+    pub fn check_samples(
+        &mut self,
+        mut access: impl FnMut(Option<u64>, Option<u64>) -> bool,
+    ) -> u64 {
+        let mut checks = 0;
+        for (sample, nr) in self.sampling.iter_mut().zip(&mut self.nr_accesses) {
+            let old = std::mem::replace(sample, NO_SAMPLE);
+            if old != NO_SAMPLE {
+                *nr += access(Some(old), None) as u32;
+                checks += 1;
+            }
         }
-        self.nr_accesses[i] += young(addr) as u32;
-        1
+        checks
     }
 
-    /// Pick one random page of region `i`, age it via `mkold` and
-    /// remember it for the next check (one rng draw per non-empty
-    /// region, the reference implementation's order). Returns the
-    /// checks made.
-    #[inline]
-    fn prepare_one(&mut self, i: usize, rng: &mut SmallRng, mkold: &mut impl FnMut(u64)) -> u64 {
-        let pages = (self.ends[i] - self.starts[i]).div_ceil(PAGE_SIZE);
-        if pages == 0 {
-            return 0;
+    /// Phase-2 sampling: pick one random page per region, age it via
+    /// `access(None, Some(page))` and remember it for the next check (one
+    /// rng draw per region, the reference implementation's order).
+    /// Returns the number of samples prepared.
+    pub fn prepare_samples(
+        &mut self,
+        rng: &mut SmallRng,
+        mut access: impl FnMut(Option<u64>, Option<u64>) -> bool,
+    ) -> u64 {
+        let columns = self.starts.iter().zip(&self.ends).zip(&mut self.sampling);
+        for ((&start, &end), sample) in columns {
+            *sample = draw_sample(rng, start, end);
+            access(None, Some(*sample));
         }
-        let addr = page_align_down(self.starts[i]) + rng.random_range(0..pages) * PAGE_SIZE;
-        mkold(addr);
-        self.sampling[i] = addr;
-        1
+        self.len() as u64
     }
 
-    /// Phase-1 sampling: consume every outstanding sample. Returns the
-    /// number of checks performed. Keeping the loop inside the store
-    /// lets it stream the `sampling` and `nr_accesses` columns.
-    pub fn check_samples(&mut self, mut young: impl FnMut(u64) -> bool) -> u64 {
-        (0..self.len()).map(|i| self.check_one(i, &mut young)).sum()
-    }
-
-    /// Phase-2 sampling: prepare one sample per region. Returns the
-    /// number of samples prepared.
-    pub fn prepare_samples(&mut self, rng: &mut SmallRng, mut mkold: impl FnMut(u64)) -> u64 {
-        (0..self.len()).map(|i| self.prepare_one(i, rng, &mut mkold)).sum()
-    }
-
-    /// Both phases in one pass, region by region: check the outstanding
-    /// sample, then prepare the next (`probe(addr, clear)` reads the
-    /// accessed bit and clears it when `clear`). Equal to
+    /// Both phases in one pass, one `access(old, new)` per region: check
+    /// the outstanding sample and age the next. Equal to
     /// [`Self::check_samples`] followed by [`Self::prepare_samples`]
     /// whenever no two regions share a page: region *i*'s `mkold` then
     /// commutes with region *j*'s `young`, and the rng is drawn in the
@@ -422,15 +447,19 @@ impl RegionSet {
     pub fn sweep_samples(
         &mut self,
         rng: &mut SmallRng,
-        mut probe: impl FnMut(u64, bool) -> bool,
+        mut access: impl FnMut(Option<u64>, Option<u64>) -> bool,
     ) -> u64 {
         debug_assert!(self.starts.iter().all(|s| s % PAGE_SIZE == 0), "regions share a page");
-        (0..self.len())
-            .map(|i| {
-                self.check_one(i, &mut |addr| probe(addr, false))
-                    + self.prepare_one(i, rng, &mut |addr| { probe(addr, true); })
-            })
-            .sum()
+        let mut checks = self.len() as u64;
+        let columns = self.starts.iter().zip(&self.ends).zip(&mut self.sampling);
+        for (((&start, &end), sample), nr) in columns.zip(&mut self.nr_accesses) {
+            let new = draw_sample(rng, start, end);
+            let old = std::mem::replace(sample, new);
+            let old = (old != NO_SAMPLE).then_some(old);
+            checks += old.is_some() as u64;
+            *nr += access(old, Some(new)) as u32;
+        }
+        checks
     }
 
     /// Debug invariant: sorted, non-overlapping, non-empty regions, and a
@@ -502,10 +531,10 @@ mod tests {
     #[test]
     fn split_preserves_bytes_and_respects_max() {
         let mut set = RegionSet::init(&[AddrRange::new(0, mb(64))], 10);
-        let mut rng = SmallRng::seed_from_u64(1);
+        let (mut rng, mut scratch) = (SmallRng::seed_from_u64(1), RegionSet::default());
         let before = set.total_bytes();
         for _ in 0..10 {
-            set.split(&mut rng, 100);
+            set.split(&mut rng, 100, &mut scratch);
             assert_eq!(set.total_bytes(), before, "split conserves bytes");
             set.check_invariants().unwrap();
             assert!(set.len() <= 100);
@@ -579,7 +608,7 @@ mod tests {
             set.ages[i] = 3;
         }
         // Target grew by 2 MiB and lost its first MiB.
-        set.update_ranges(&[AddrRange::new(mb(1), mb(6))]);
+        set.update_ranges(&[AddrRange::new(mb(1), mb(6))], &mut RegionSet::default());
         set.check_invariants().unwrap();
         assert_eq!(set.total_bytes(), mb(5));
         // Old overlap keeps counters; the new tail starts fresh.
@@ -596,7 +625,8 @@ mod tests {
     fn update_ranges_fills_holes_between_regions() {
         let mut set = RegionSet::init(&[AddrRange::new(0, mb(1))], 3);
         // New target has a second disjoint range → fresh region there.
-        set.update_ranges(&[AddrRange::new(0, mb(1)), AddrRange::new(mb(10), mb(12))]);
+        let target = [AddrRange::new(0, mb(1)), AddrRange::new(mb(10), mb(12))];
+        set.update_ranges(&target, &mut RegionSet::default());
         set.check_invariants().unwrap();
         assert_eq!(set.total_bytes(), mb(3));
         assert!(set.iter().any(|r| r.range.start >= mb(10)));
@@ -608,7 +638,8 @@ mod tests {
         // contribute its counters to both clipped pieces.
         let mut set = RegionSet::init(&[AddrRange::new(0, mb(4))], 1);
         set.set_nr_accesses(0, 9);
-        set.update_ranges(&[AddrRange::new(0, mb(1)), AddrRange::new(mb(2), mb(3))]);
+        let target = [AddrRange::new(0, mb(1)), AddrRange::new(mb(2), mb(3))];
+        set.update_ranges(&target, &mut RegionSet::default());
         set.check_invariants().unwrap();
         assert_eq!(set.len(), 2);
         assert!(set.iter().all(|r| r.nr_accesses == 9));
@@ -618,10 +649,10 @@ mod tests {
     #[test]
     fn split_then_merge_roundtrip_conserves() {
         let mut set = RegionSet::init(&[AddrRange::new(0, mb(16))], 10);
-        let mut rng = SmallRng::seed_from_u64(7);
+        let (mut rng, mut scratch) = (SmallRng::seed_from_u64(7), RegionSet::default());
         let bytes = set.total_bytes();
         for _ in 0..20 {
-            set.split(&mut rng, 50);
+            set.split(&mut rng, 50, &mut scratch);
             set.merge_with_aging(2, mb(16) / 10, 10);
             assert_eq!(set.total_bytes(), bytes);
             set.check_invariants().unwrap();
@@ -634,15 +665,39 @@ mod tests {
     fn sample_roundtrip_counts_young_pages() {
         let mut set = RegionSet::init(&[AddrRange::new(0, mb(1))], 4);
         let mut rng = SmallRng::seed_from_u64(3);
-        let prepared = set.prepare_samples(&mut rng, |_| {});
+        let mut aged = Vec::new();
+        let prepared = set.prepare_samples(&mut rng, |old, new| {
+            assert_eq!(old, None, "prepare only ages");
+            aged.push(new.unwrap());
+            true
+        });
         assert_eq!(prepared, set.len() as u64);
-        assert!(set.iter().all(|r| r.sampling_addr.is_some()));
+        assert!(set.iter().zip(&aged).all(|(r, a)| r.sampling_addr == Some(*a)));
         // Every sampled page reads young → every region counts one.
-        let checked = set.check_samples(|_| true);
+        let checked = set.check_samples(|old, new| old.is_some() && new.is_none());
         assert_eq!(checked, prepared);
         assert!(set.iter().all(|r| r.nr_accesses == 1));
         assert!(set.iter().all(|r| r.sampling_addr.is_none()), "samples consumed");
         // No outstanding samples → no checks.
-        assert_eq!(set.check_samples(|_| true), 0);
+        assert_eq!(set.check_samples(|_, _| true), 0);
+        // The fused sweep: one call per region, the first with no sample
+        // outstanding; then each checks the page the last one aged (a
+        // back-end reads `None` as not accessed).
+        let mut sweep = |set: &mut RegionSet| {
+            let mut calls = Vec::new();
+            let checks = set.sweep_samples(&mut rng, |old, new| {
+                calls.push((old, new));
+                old.is_some()
+            });
+            (checks, calls)
+        };
+        let (checks, calls) = sweep(&mut set);
+        assert_eq!(checks, 4);
+        assert!(calls.iter().all(|(old, new)| old.is_none() && new.is_some()));
+        assert!(set.iter().all(|r| r.nr_accesses == 1), "nothing was outstanding");
+        let (checks, next) = sweep(&mut set);
+        assert_eq!(checks, 8);
+        assert!(next.iter().zip(&calls).all(|((old, _), (_, aged))| old == aged));
+        assert!(set.iter().all(|r| r.nr_accesses == 2));
     }
 }

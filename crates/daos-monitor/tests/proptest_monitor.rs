@@ -35,9 +35,9 @@ proptest! {
         let min_nr = 10usize;
         let mut set = RegionSet::init(&ranges, min_nr);
         let bytes = set.total_bytes();
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let (mut rng, mut scratch) = (SmallRng::seed_from_u64(seed), RegionSet::default());
         for _ in 0..cycles {
-            set.split(&mut rng, max_nr);
+            set.split(&mut rng, max_nr, &mut scratch);
             prop_assert!(set.len() <= max_nr);
             prop_assert_eq!(set.total_bytes(), bytes);
             set.check_invariants().map_err(TestCaseError::fail)?;
@@ -89,7 +89,7 @@ proptest! {
         new_ranges in arb_ranges(),
     ) {
         let mut set = RegionSet::init(&ranges, 10);
-        set.update_ranges(&new_ranges);
+        set.update_ranges(&new_ranges, &mut RegionSet::default());
         set.check_invariants().map_err(TestCaseError::fail)?;
         let want: u64 = new_ranges.iter().map(|r| r.len()).sum();
         prop_assert_eq!(set.total_bytes(), want);

@@ -102,7 +102,8 @@ impl Monitor {
 
     fn tick(&mut self, sys: &mut MemorySystem, t: Ns, sink: &mut Vec<Aggregation>) {
         let (attrs, target) = (self.attrs, self.target);
-        let mut checks = self.regions.check_samples(|addr| target.young(sys, addr));
+        let mut checks =
+            self.regions.check_samples(|old, _| old.is_some_and(|addr| target.young(sys, addr)));
 
         if self.next_aggr <= t {
             if attrs.adaptive {
@@ -120,7 +121,8 @@ impl Monitor {
             });
             self.regions.reset_aggregated();
             if attrs.adaptive {
-                self.regions.split(&mut self.rng, attrs.max_nr_regions);
+                let scratch = &mut daos_monitor::RegionSet::default();
+                self.regions.split(&mut self.rng, attrs.max_nr_regions, scratch);
             }
             // Merge + snapshot + reset + split: 40 ns per final region.
             self.pending_work_ns += self.regions.len() as u64 * 40;
@@ -129,7 +131,8 @@ impl Monitor {
         }
 
         if self.next_update <= t {
-            self.regions.update_ranges(&target.ranges(sys));
+            let scratch = &mut daos_monitor::RegionSet::default();
+            self.regions.update_ranges(&target.ranges(sys), scratch);
             self.regions.merge_to_cap(
                 attrs.merge_threshold(),
                 attrs.min_nr_regions,
@@ -138,7 +141,10 @@ impl Monitor {
             self.next_update = t + attrs.regions_update_interval;
         }
 
-        checks += self.regions.prepare_samples(&mut self.rng, |addr| target.mkold(sys, addr));
+        checks += self.regions.prepare_samples(&mut self.rng, |_, new| {
+            new.into_iter().for_each(|addr| target.mkold(sys, addr));
+            false
+        });
 
         self.overhead.total_checks += checks;
         self.overhead.max_checks_per_tick = self.overhead.max_checks_per_tick.max(checks);

@@ -1,9 +1,9 @@
 //! Differential equivalence tests against the oracles kept beside this
 //! test (`reference/`): the struct-of-arrays `RegionSet`
 //! (`daos_monitor::regions`) against the original array-of-structs
-//! implementation, and `MonitorCtx`'s tick — one page-table cursor per
-//! sweep, check and prepare fused between boundaries — against the
-//! per-address two-phase loop it replaced.
+//! implementation, and `MonitorCtx`'s tick — one access op per region,
+//! check and prepare fused between boundaries — against the per-address
+//! two-phase loop it replaced.
 //!
 //! Both stores are driven through identical seeded operation sequences —
 //! two `SmallRng`s built from the same seed, consumed in the same order —
@@ -60,6 +60,7 @@ fn run_monitor_cycle(seed: u64, ranges: &[AddrRange], windows: usize) {
 
     let mut rng_a = SmallRng::seed_from_u64(seed);
     let mut rng_b = SmallRng::seed_from_u64(seed);
+    let mut scratch = RegionSet::default();
     // Deterministic access oracle: the low third of each range is "hot".
     let hot = |addr: u64| ranges.iter().any(|r| r.contains(addr) && addr < r.start + r.len() / 3);
 
@@ -68,13 +69,16 @@ fn run_monitor_cycle(seed: u64, ranges: &[AddrRange], windows: usize) {
             let tag = format!("seed {seed}: window {w} tick {tick}");
             let mut olded_a = Vec::new();
             let mut olded_b = Vec::new();
-            let pa = soa.prepare_samples(&mut rng_a, |a| olded_a.push(a));
-            let pb = aos.prepare_samples(&mut rng_b, |a| olded_b.push(a));
+            let pa = soa.prepare_samples(&mut rng_a, |old, new| {
+                olded_a.push((old, new));
+                false
+            });
+            let pb = aos.prepare_samples(&mut rng_b, |a| olded_b.push((None, Some(a))));
             assert_eq!(pa, pb, "{tag}: prepared count");
             assert_eq!(olded_a, olded_b, "{tag}: mkold order");
             assert_same(&soa, &aos, &format!("{tag}: after prepare"));
 
-            let ca = soa.check_samples(hot);
+            let ca = soa.check_samples(|old, new| new.is_none() && old.is_some_and(hot));
             let cb = aos.check_samples(hot);
             assert_eq!(ca, cb, "{tag}: checked count");
             assert_same(&soa, &aos, &format!("{tag}: after check"));
@@ -89,7 +93,7 @@ fn run_monitor_cycle(seed: u64, ranges: &[AddrRange], windows: usize) {
         aos.reset_aggregated();
         assert_same(&soa, &aos, &format!("{tag}: after reset"));
 
-        soa.split(&mut rng_a, max_nr);
+        soa.split(&mut rng_a, max_nr, &mut scratch);
         aos.split(&mut rng_b, max_nr);
         assert_same(&soa, &aos, &format!("{tag}: after split"));
     }
@@ -147,6 +151,7 @@ fn update_ranges_matches_reference_through_target_churn() {
     let mut aos = reference::RegionSet::init(&[AddrRange::new(0, mb(16))], 10);
     let mut rng_a = SmallRng::seed_from_u64(99);
     let mut rng_b = SmallRng::seed_from_u64(99);
+    let mut scratch = RegionSet::default();
 
     let targets: &[&[AddrRange]] = &[
         // Grow at the tail.
@@ -169,14 +174,14 @@ fn update_ranges_matches_reference_through_target_churn() {
     ];
     for (step, target) in targets.iter().enumerate() {
         // Accumulate some per-region state so clipping has counters to keep.
-        soa.prepare_samples(&mut rng_a, |_| {});
+        soa.prepare_samples(&mut rng_a, |_, _| false);
         aos.prepare_samples(&mut rng_b, |_| {});
-        soa.check_samples(|a| a % (3 * PAGE_SIZE) == 0);
+        soa.check_samples(|old, _| old.is_some_and(|a| a % (3 * PAGE_SIZE) == 0));
         aos.check_samples(|a| a % (3 * PAGE_SIZE) == 0);
         soa.merge_with_aging(2, mb(4), 4);
         aos.merge_with_aging(2, mb(4), 4);
 
-        soa.update_ranges(target);
+        soa.update_ranges(target, &mut scratch);
         aos.update_ranges(target);
         assert_same(&soa, &aos, &format!("update step {step} → {target:?}"));
     }
@@ -227,20 +232,22 @@ fn workload_tick(sys: &mut MemorySystem, procs: &[(Pid, [AddrRange; 3])], tick: 
 }
 
 /// Run `MonitorCtx<P>` and the reference loop side by side on two copies
-/// of one machine for `ticks` sampling intervals, comparing everything
-/// the monitor owns after every tick and the machines at the end.
+/// of one machine for `ticks` sampling intervals, with `(min, max)`
+/// regions, comparing everything the monitor owns after every tick and
+/// the machines at the end.
 fn run_tick_differential<P: Primitives<Env = MemorySystem> + std::fmt::Debug>(
     seed: u64,
     prim: impl FnOnce(Pid) -> P,
     target: impl FnOnce(Pid) -> reference::Target,
+    (min_nr_regions, max_nr_regions): (usize, usize),
     ticks: u64,
 ) {
     let attrs = MonitorAttrs {
         sampling_interval: ms(5),
         aggregation_interval: ms(100),
         regions_update_interval: ms(1000),
-        min_nr_regions: 10,
-        max_nr_regions: 60,
+        min_nr_regions,
+        max_nr_regions,
         adaptive: true,
     };
     let (mut sys, procs) = pressured_machine(seed);
@@ -304,13 +311,27 @@ fn run_tick_differential<P: Primitives<Env = MemorySystem> + std::fmt::Debug>(
 #[test]
 fn vaddr_tick_matches_the_per_address_two_phase_loop() {
     for seed in [1, 42] {
-        run_tick_differential(seed, VaddrPrimitives::new, reference::Target::Vaddr, 460);
+        run_tick_differential(seed, VaddrPrimitives::new, reference::Target::Vaddr, (10, 60), 460);
     }
 }
 
 #[test]
 fn paddr_tick_matches_the_per_address_two_phase_loop() {
     for seed in [7, 42] {
-        run_tick_differential(seed, |_| PaddrPrimitives, |_| reference::Target::Paddr, 460);
+        let paddr = |_| reference::Target::Paddr;
+        run_tick_differential(seed, |_| PaddrPrimitives, paddr, (10, 60), 460);
+    }
+}
+
+/// Few large regions (3 to 8 over the ≈ 5.5 MiB target): a region's old
+/// and new samples mostly land in different 2 MiB chunks, and its span
+/// crosses the three-regions gaps and VMA boundaries, so the one access op
+/// takes its per-page fallback as well as its one-resolve path.
+#[test]
+fn few_large_regions_tick_matches_the_per_address_two_phase_loop() {
+    for seed in [1, 42] {
+        run_tick_differential(seed, VaddrPrimitives::new, reference::Target::Vaddr, (3, 8), 460);
+        let paddr = |_| reference::Target::Paddr;
+        run_tick_differential(seed, |_| PaddrPrimitives, paddr, (3, 8), 460);
     }
 }

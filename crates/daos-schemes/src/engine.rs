@@ -65,6 +65,9 @@ pub struct SchemesEngine {
     quotas: Vec<Option<QuotaState>>,
     wmarks: Vec<Option<(Watermarks, WatermarkState)>>,
     filters: Vec<Vec<AddrFilter>>,
+    /// The regions one scheme matched in the current pass, reused across
+    /// schemes and passes.
+    matching: Vec<RegionInfo>,
 }
 
 impl SchemesEngine {
@@ -86,6 +89,7 @@ impl SchemesEngine {
             quotas: Vec::new(),
             wmarks: Vec::new(),
             filters: Vec::new(),
+            matching: Vec::new(),
         };
         for config in schemes {
             let config: SchemeConfig = config.into();
@@ -154,23 +158,20 @@ impl SchemesEngine {
                 }
             }
             let scheme = self.schemes[i];
-            let mut matching: Vec<RegionInfo> = agg
-                .regions
-                .iter()
-                .filter(|r| scheme.matches(r, agg))
-                .copied()
-                .collect();
-            if matching.is_empty() {
+            let bounds = scheme.window_bounds(agg);
+            self.matching.clear();
+            self.matching.extend(agg.regions.iter().filter(|r| bounds.admit(r)));
+            if self.matching.is_empty() {
                 continue;
             }
             // With a quota, spend the budget on the best regions first.
             if self.quotas[i].is_some() {
-                prioritize(scheme.action, &mut matching, agg);
+                prioritize(scheme.action, &mut self.matching, agg);
             }
             if let Some(q) = &mut self.quotas[i] {
                 q.maybe_reset(agg.at);
             }
-            for r in &matching {
+            for r in &self.matching {
                 self.stats[i].tried(r.range.len());
                 daos_trace::trace!(agg.at, SchemeMatch {
                     scheme: i as u32,
@@ -199,10 +200,16 @@ impl SchemesEngine {
                     None => r.range.len(),
                 };
                 // Clip the acted-on range to the granted budget, then
-                // run it through the scheme's address filters.
+                // run it through the scheme's address filters — or, with
+                // none (the common case), act on it as it is, so trying a
+                // region allocates nothing.
                 let range = AddrRange::new(r.range.start, r.range.start + granted);
+                let filters = &self.filters[i];
+                let unfiltered = filters.is_empty().then_some(range).filter(|r| !r.is_empty());
+                let filtered =
+                    if filters.is_empty() { Vec::new() } else { apply_filters(range, filters) };
                 let mut applied_total = 0;
-                for allowed in apply_filters(range, &self.filters[i]) {
+                for allowed in unfiltered.into_iter().chain(filtered) {
                     let applied = Self::apply(self.target, scheme.action, sys, allowed, pass);
                     if applied > 0 {
                         applied_total += applied;

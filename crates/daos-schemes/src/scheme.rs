@@ -137,40 +137,44 @@ impl Scheme {
     /// Whether a region from the given aggregation window fulfils all
     /// three conditions (inclusive bounds, as in the kernel).
     pub fn matches(&self, r: &RegionInfo, agg: &Aggregation) -> bool {
+        self.window_bounds(agg).admit(r)
+    }
+
+    /// The three conditions resolved against `agg`: percentages become
+    /// sample counts and times become intervals once per window, not once
+    /// per region.
+    pub(crate) fn window_bounds(&self, agg: &Aggregation) -> WindowBounds {
+        let (max_nr, interval) = (agg.max_nr_accesses, agg.aggregation_interval);
+        let freq = |b: &Bound<FreqVal>, open| b.value().map_or(open, |v| v.to_samples(max_nr));
+        let age = |b: &Bound<AgeVal>, open| b.value().map_or(open, |v| v.to_intervals(interval));
+        let sz = |b: &Bound<u64>, open| b.value().map_or(open, |v| *v);
+        WindowBounds {
+            sz: [sz(&self.min_sz, 0), sz(&self.max_sz, u64::MAX)],
+            freq: [freq(&self.min_freq, f64::NEG_INFINITY), freq(&self.max_freq, f64::INFINITY)],
+            age: [age(&self.min_age, f64::NEG_INFINITY), age(&self.max_age, f64::INFINITY)],
+        }
+    }
+}
+
+/// A scheme's `[min, max]` pairs for one aggregation window. A wildcard is
+/// the type's extreme, which no value falls outside, so an unbounded side
+/// admits everything — as skipping its comparison did.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WindowBounds {
+    sz: [u64; 2],
+    freq: [f64; 2],
+    age: [f64; 2],
+}
+
+impl WindowBounds {
+    /// Whether region `r` lies inside all three pairs.
+    #[inline]
+    pub(crate) fn admit(&self, r: &RegionInfo) -> bool {
+        let inside = |x, [lo, hi]: [f64; 2]| !(x < lo || x > hi);
         let sz = r.range.len();
-        if let Bound::Val(min) = self.min_sz {
-            if sz < min {
-                return false;
-            }
-        }
-        if let Bound::Val(max) = self.max_sz {
-            if sz > max {
-                return false;
-            }
-        }
-        let nr = r.nr_accesses as f64;
-        if let Bound::Val(min) = self.min_freq {
-            if nr < min.to_samples(agg.max_nr_accesses) {
-                return false;
-            }
-        }
-        if let Bound::Val(max) = self.max_freq {
-            if nr > max.to_samples(agg.max_nr_accesses) {
-                return false;
-            }
-        }
-        let age = r.age as f64;
-        if let Bound::Val(min) = self.min_age {
-            if age < min.to_intervals(agg.aggregation_interval) {
-                return false;
-            }
-        }
-        if let Bound::Val(max) = self.max_age {
-            if age > max.to_intervals(agg.aggregation_interval) {
-                return false;
-            }
-        }
-        true
+        !(sz < self.sz[0] || sz > self.sz[1])
+            && inside(r.nr_accesses as f64, self.freq)
+            && inside(r.age as f64, self.age)
     }
 }
 

@@ -14,13 +14,27 @@
 //! * [`SmallRng::next_u64`] is the reference xoshiro256++ algorithm
 //!   (Blackman & Vigna, <https://prng.di.unimi.it/>).
 //! * The derived draws ([`SmallRng::random`], [`SmallRng::random_range`],
-//!   [`SmallRng::random_bool`], [`SmallRng::sample_index`]) each consume a
-//!   documented, fixed number of `next_u64` outputs and map them with
-//!   the fixed formulas below.
+//!   [`SmallRng::sample_index`]) each consume a documented number of
+//!   `next_u64` outputs and map them with the fixed formulas below.
 //!
 //! Changing any of these mappings is a breaking change to every recorded
 //! experiment and must regenerate `results/`. The known-answer tests in
-//! `crates/daos-util/tests/rng_determinism.rs` pin the streams.
+//! `crates/daos-util/tests/rng_determinism.rs` pin the streams — raw
+//! draws, and `random_range` values with the draw that follows each.
+//!
+//! ## Integer ranges without a division per draw
+//!
+//! An integer draw from `[0, bound)` is Lemire's widening multiply with
+//! rejection: `m = x · bound` over 128 bits, accept when the low word
+//! `m mod 2⁶⁴` is at least `t = 2⁶⁴ mod bound`, return the high word. `t`
+//! costs a 64-bit division, and the monitor draws once per region per
+//! sampling tick. Since `t < bound`, a low word of at least `bound` is
+//! accepted without knowing `t`, so `lemire_u64` divides only when the
+//! low word is below `bound` — probability `bound / 2⁶⁴`, which for the
+//! monitor's page counts is practically never. Every draw is accepted or
+//! rejected exactly as the divide-every-call form decided, so the values
+//! and the `next_u64` consumption are bit-identical to it; a seeded
+//! property test holds the two forms equal.
 
 /// The reference SplitMix64 step: advances `state` and returns the next
 /// output. Used for seed expansion so that similar seeds (0, 1, 2, …)
@@ -58,12 +72,6 @@ impl SmallRng {
         SmallRng { s }
     }
 
-    /// Derive an independent child generator from `parent` (one
-    /// `next_u64` draw feeds a fresh SplitMix64 expansion).
-    pub fn from_rng(parent: &mut SmallRng) -> Self {
-        Self::seed_from_u64(parent.next_u64())
-    }
-
     /// The reference xoshiro256++ step.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -99,12 +107,6 @@ impl SmallRng {
     #[inline]
     pub fn random_range<T, R: SampleRange<T>>(&mut self, range: R) -> T {
         range.sample(self)
-    }
-
-    /// `true` with probability `p` (one draw; `p` clamped to `[0, 1]`).
-    #[inline]
-    pub fn random_bool(&mut self, p: f64) -> bool {
-        self.random::<f64>() < p
     }
 
     /// A uniform index into a collection of length `len`.
@@ -166,20 +168,22 @@ pub trait SampleRange<T> {
 }
 
 /// Unbiased draw from `[0, bound)` via Lemire's widening-multiply
-/// method with rejection.
+/// method with rejection, in its nearly-divisionless form (see the
+/// module docs): the threshold is computed only for a low word below
+/// `bound`.
 #[inline]
 fn lemire_u64(rng: &mut SmallRng, bound: u64) -> u64 {
     debug_assert!(bound > 0);
-    // Reject draws falling in the short final stripe so every residue
-    // class is equally likely.
-    let threshold = bound.wrapping_neg() % bound;
-    loop {
-        let x = rng.next_u64();
-        let m = (x as u128) * (bound as u128);
-        if (m as u64) >= threshold {
-            return (m >> 64) as u64;
+    let mut m = (rng.next_u64() as u128) * (bound as u128);
+    if (m as u64) < bound {
+        // Reject draws falling in the short final stripe so every
+        // residue class is equally likely.
+        let threshold = bound.wrapping_neg() % bound;
+        while (m as u64) < threshold {
+            m = (rng.next_u64() as u128) * (bound as u128);
         }
     }
+    (m >> 64) as u64
 }
 
 macro_rules! int_sample_range {

@@ -13,7 +13,7 @@ fn main() {
     println!("Figure 6: access-pattern heatmaps (rec configuration on {}).\n", machine.name);
 
     let mut all_csv = String::from("workload,time_s,addr_mib,intensity\n");
-    for spec in scale.fig6_workloads() {
+    for spec in scale.fig4_workloads() {
         let config = RunConfig::rec();
         let session = Session::new(&machine, &config, &spec).seed(42).execute().expect("rec run");
         let r = session.into_single();

@@ -16,8 +16,11 @@
 //! | `fig8_autotune` | Fig. 8 — manual vs auto-tuned prcl |
 //! | `fig9_production` | Fig. 9 — serverless production RSS |
 //!
-//! Scaling: `DAOS_QUICK=1` smoke grids, default full-qualitative grids,
-//! `DAOS_FULL=1` the paper-exact grids. Artifacts land in `./results`.
+//! The four extra binaries (`ablation_adaptive`, `ablation_tuner`,
+//! `ext_damon_reclaim`, `ext_lru_sort`) make thirteen figure and table
+//! binaries in all. Scaling ([`scale`]): the paper's exact grids by
+//! default, `DAOS_QUICK=1` smoke grids. Artifacts land in `./results`
+//! (`$DAOS_RESULTS` overrides).
 
 pub mod artifact;
 pub mod fig9;

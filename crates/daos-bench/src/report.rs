@@ -115,21 +115,6 @@ pub fn pct(v: f64) -> String {
     format!("{v:.1}%")
 }
 
-/// Geometric-mean helper for normalised metrics.
-pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
-    let mut log_sum = 0.0;
-    let mut n = 0usize;
-    for v in values {
-        log_sum += v.max(1e-12).ln();
-        n += 1;
-    }
-    if n == 0 {
-        1.0
-    } else {
-        (log_sum / n as f64).exp()
-    }
-}
-
 /// Arithmetic mean.
 pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
     let mut sum = 0.0;
@@ -178,8 +163,6 @@ mod tests {
 
     #[test]
     fn stats_helpers() {
-        assert!((geomean([1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(Vec::<f64>::new()), 1.0);
         assert_eq!(mean([1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(Vec::<f64>::new()), 0.0);
     }

@@ -1,52 +1,47 @@
 //! Experiment grid scaling.
 //!
-//! The full paper grids (Fig. 4: 16 workloads × 61 min_age values × 3
-//! machines × 3 repeats) take tens of minutes on one core. The default
-//! grids preserve every qualitative result at a fraction of the cost;
-//! set `DAOS_FULL=1` for the paper-exact grid or `DAOS_QUICK=1` for a
-//! smoke-test pass.
+//! Every figure binary runs the paper's own grid by default — Fig. 4 is
+//! 16 workloads × 61 min_age values × 3 machines × 3 repeats — and all
+//! thirteen figure and table binaries finish in about a minute and a half
+//! on two cores (EXPERIMENTS.md, "Running", has the per-binary times).
+//! `DAOS_QUICK=1` shrinks each grid to a smoke pass of a few seconds,
+//! which is how `scripts/verify.sh` runs every binary.
 
 use daos_workloads::{fig4_subset, paper_suite, WorkloadSpec};
 
 /// Grid density selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Smoke test: minutes → seconds.
+    /// Smoke test: a handful of workloads, ages and one machine.
     Quick,
-    /// Default: full qualitative coverage.
-    Default,
     /// The paper's exact grid.
-    Full,
+    Paper,
 }
 
 impl Scale {
-    /// Read from the environment (`DAOS_QUICK` / `DAOS_FULL`).
+    /// `Quick` when `DAOS_QUICK` is set to anything but `0`, else `Paper`.
     pub fn from_env() -> Scale {
-        let set = |k: &str| std::env::var(k).map(|v| v != "0" && !v.is_empty()).unwrap_or(false);
-        if set("DAOS_FULL") {
-            Scale::Full
-        } else if set("DAOS_QUICK") {
-            Scale::Quick
-        } else {
-            Scale::Default
+        match std::env::var("DAOS_QUICK") {
+            Ok(v) if v != "0" && !v.is_empty() => Scale::Quick,
+            _ => Scale::Paper,
         }
     }
 
-    /// min_age grid (seconds) for the Fig. 4 sweep; the paper uses
+    /// min_age grid (seconds) for the Fig. 3/4 sweeps; the paper uses
     /// 0..=60 s at 1 s granularity.
     pub fn fig4_ages(&self) -> Vec<u64> {
         match self {
             Scale::Quick => vec![0, 5, 15, 30, 60],
-            Scale::Default => (0..=60).step_by(4).collect(),
-            Scale::Full => (0..=60).collect(),
+            Scale::Paper => (0..=60).collect(),
         }
     }
 
-    /// Workloads for the Fig. 4 sweep (paper plots 16 of its 24).
+    /// Workloads for the Fig. 3/4 sweeps and the Fig. 6 heatmaps (the
+    /// paper plots 16 of its 24).
     pub fn fig4_workloads(&self) -> Vec<WorkloadSpec> {
         match self {
             Scale::Quick => fig4_subset().into_iter().take(4).collect(),
-            _ => fig4_subset(),
+            Scale::Paper => fig4_subset(),
         }
     }
 
@@ -54,16 +49,7 @@ impl Scale {
     pub fn repeats(&self) -> u64 {
         match self {
             Scale::Quick => 1,
-            Scale::Default => 1,
-            Scale::Full => 3,
-        }
-    }
-
-    /// Workloads for the Fig. 6 heatmaps (paper plots 16).
-    pub fn fig6_workloads(&self) -> Vec<WorkloadSpec> {
-        match self {
-            Scale::Quick => fig4_subset().into_iter().take(4).collect(),
-            _ => fig4_subset(),
+            Scale::Paper => 3,
         }
     }
 
@@ -71,7 +57,7 @@ impl Scale {
     pub fn full_suite(&self) -> Vec<WorkloadSpec> {
         match self {
             Scale::Quick => paper_suite().into_iter().take(6).collect(),
-            _ => paper_suite(),
+            Scale::Paper => paper_suite(),
         }
     }
 
@@ -79,7 +65,7 @@ impl Scale {
     pub fn machines(&self) -> Vec<daos_mm::MachineProfile> {
         match self {
             Scale::Quick => vec![daos_mm::MachineProfile::i3_metal()],
-            _ => daos_mm::MachineProfile::paper_machines(),
+            Scale::Paper => daos_mm::MachineProfile::paper_machines(),
         }
     }
 }
@@ -89,13 +75,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn grids_grow_with_scale() {
-        assert!(Scale::Quick.fig4_ages().len() < Scale::Default.fig4_ages().len());
-        assert_eq!(Scale::Full.fig4_ages().len(), 61);
-        assert_eq!(Scale::Full.fig4_workloads().len(), 16);
-        assert_eq!(Scale::Full.full_suite().len(), 24);
-        assert_eq!(Scale::Full.repeats(), 3);
+    fn paper_is_the_papers_grid() {
+        assert_eq!(Scale::Paper.fig4_ages(), (0..=60).collect::<Vec<_>>(), "61 ages");
+        assert_eq!(Scale::Paper.fig4_workloads().len(), 16);
+        assert_eq!(Scale::Paper.machines().len(), 3);
+        assert_eq!(Scale::Paper.repeats(), 3);
+        assert_eq!(Scale::Paper.full_suite().len(), 24);
+        assert!(Scale::Quick.fig4_ages().len() < 61);
         assert_eq!(Scale::Quick.machines().len(), 1);
-        assert_eq!(Scale::Default.machines().len(), 3);
     }
 }

@@ -4,7 +4,7 @@
 use daos::{score_inputs, DaosError, Normalized, RunConfig, Session, SessionResult};
 use daos_mm::clock::sec;
 use daos_mm::MachineProfile;
-use daos_tuner::{DefaultScore, ScoreFn};
+use daos_tuner::DefaultScore;
 use daos_workloads::WorkloadSpec;
 
 use daos_util::pool::par_map;

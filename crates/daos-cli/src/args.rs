@@ -127,6 +127,19 @@ impl Args {
         }
     }
 
+    /// A parsed numeric option that counts something, so `0` is a usage
+    /// error naming it rather than an empty or degenerate run.
+    pub fn opt_count<T>(&self, key: &str, default: T) -> Result<T, DaosError>
+    where
+        T: std::str::FromStr + Default + PartialEq,
+    {
+        let n = self.opt_num(key, default)?;
+        if n == T::default() {
+            return Err(DaosError::usage(format!("--{key} must be at least 1")));
+        }
+        Ok(n)
+    }
+
     /// Whether a boolean flag was given.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)

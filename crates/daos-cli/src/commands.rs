@@ -108,11 +108,11 @@ fn warn_if_truncated(doc: &daos_trace::TraceDoc) {
 
 /// `daos report heatmap <FILE>`
 pub fn report_heatmap(args: &Args) -> Result<(), DaosError> {
+    let rows: usize = args.opt_count("rows", 16)?;
+    let cols: usize = args.opt_count("cols", 72)?;
     let record = load_record(args)?;
     let span = biggest_active_span(&record)
         .ok_or_else(|| DaosError::usage("record shows no activity"))?;
-    let rows: usize = args.opt_num("rows", 16)?;
-    let cols: usize = args.opt_num("cols", 72)?;
     let hm = Heatmap::from_record(&record, span, cols, rows)
         .ok_or_else(|| DaosError::usage("empty record"))?;
     if args.flag("json") {
@@ -322,13 +322,13 @@ pub fn run_cmd(args: &Args) -> Result<(), DaosError> {
     let mut spec = lookup(args)?;
     let machine = args.machine()?;
     let config = named_config(args.opt("config").unwrap_or("prcl"))?;
-    let epochs: u64 = args.opt_num("epochs", spec.nr_epochs)?;
+    let epochs: u64 = args.opt_count("epochs", spec.nr_epochs)?;
     spec.nr_epochs = epochs.min(spec.nr_epochs);
+    let ring: usize = args.opt_count("ring", daos_trace::DEFAULT_RING_CAPACITY)?;
 
     // Serving implies telemetry: install a collector so `/metrics` and
     // `/events` have a registry and ring to publish.
     if args.opt("serve").is_some() {
-        let ring: usize = args.opt_num("ring", daos_trace::DEFAULT_RING_CAPACITY)?;
         daos_trace::install(daos_trace::Collector::builder().ring_capacity(ring).build()?)?;
     }
     let ran = execute(args, &machine, &config, &spec, FleetSpec::new(1));
@@ -434,40 +434,41 @@ fn top_inprocess(
     let machine = args.machine()?;
     let seed = args.seed()?;
     let config = named_config(args.opt("config").unwrap_or("prcl"))?;
-    let epochs: u64 = args.opt_num("epochs", spec.nr_epochs)?;
+    let epochs: u64 = args.opt_count("epochs", spec.nr_epochs)?;
     spec.nr_epochs = epochs.min(spec.nr_epochs);
-    let ring: usize = args.opt_num("ring", daos_trace::DEFAULT_RING_CAPACITY)?;
+    let ring: usize = args.opt_count("ring", daos_trace::DEFAULT_RING_CAPACITY)?;
     let publish_every: u64 = args.opt_num("publish-every", 1)?;
+    let collector = daos_trace::Collector::builder().ring_capacity(ring).build()?;
 
     let publisher = Publisher::new();
     let worker = {
         let publisher = publisher.clone();
-        thread::spawn(move || -> Result<(), DaosError> {
-            // The collector is thread-local: install on the run thread so
-            // the publisher snapshots this run's registry and ring.
-            daos_trace::install(
-                daos_trace::Collector::builder().ring_capacity(ring).build()?,
-            )?;
-            let mut obs = FleetPublisher::new(
-                publisher.clone(),
-                &config.name,
-                &spec.path_name(),
-                &machine.name,
-                publish_every,
-            );
-            let ran = Session::new(&machine, &config, &spec)
-                .seed(seed)
-                .fleet_observer(&mut obs)
-                .execute();
-            match &ran {
-                Ok(result) => {
-                    obs.finalize(result.fleet.as_ref().expect("every session carries a summary"))
+        thread::spawn(move || {
+            let run = || -> Result<(), DaosError> {
+                // The collector is thread-local: install on the run thread
+                // so the publisher snapshots this run's registry and ring.
+                daos_trace::install(collector)?;
+                let mut obs = FleetPublisher::new(
+                    publisher.clone(),
+                    &config.name,
+                    &spec.path_name(),
+                    &machine.name,
+                    publish_every,
+                );
+                let ran = Session::new(&machine, &config, &spec)
+                    .seed(seed)
+                    .fleet_observer(&mut obs)
+                    .execute();
+                if let Ok(result) = &ran {
+                    obs.finalize(result.fleet.as_ref().expect("every session carries a summary"));
                 }
-                // Unblock the dashboard loop on failure too.
-                Err(_) => publisher.finish(),
-            }
-            daos_trace::take();
-            ran.map(drop).map_err(DaosError::from)
+                daos_trace::take();
+                ran.map(drop).map_err(DaosError::from)
+            };
+            let ran = run();
+            // Every exit path ends the dashboard loop, failures included.
+            publisher.finish();
+            ran
         })
     };
 
@@ -502,8 +503,8 @@ pub fn trace(args: &Args) -> Result<(), DaosError> {
     let mut spec = lookup(args)?;
     let machine = args.machine()?;
     let config = named_config(args.opt("config").unwrap_or("prcl"))?;
-    let ring: usize = args.opt_num("ring", daos_trace::DEFAULT_RING_CAPACITY)?;
-    let epochs: u64 = args.opt_num("epochs", spec.nr_epochs)?;
+    let ring: usize = args.opt_count("ring", daos_trace::DEFAULT_RING_CAPACITY)?;
+    let epochs: u64 = args.opt_count("epochs", spec.nr_epochs)?;
     spec.nr_epochs = epochs.min(spec.nr_epochs);
 
     daos_trace::install(daos_trace::Collector::builder().ring_capacity(ring).build()?)?;
@@ -566,10 +567,7 @@ pub fn tune(args: &Args) -> Result<(), DaosError> {
         .ok_or_else(|| {
             DaosError::usage(format!("bad --range '{range_str}' (expected LO:HI, finite, LO < HI)"))
         })?;
-    let samples: u64 = args.opt_num("samples", 10)?;
-    if samples == 0 {
-        return Err(DaosError::usage("--samples must be at least 1"));
-    }
+    let samples: u64 = args.opt_count("samples", 10)?;
 
     println!(
         "tuning prcl min_age over [{lo}, {hi}]s for {} on {} ({samples} samples)...",
@@ -617,24 +615,15 @@ pub fn fleet(args: &Args) -> Result<(), DaosError> {
         }
     };
     let min_age: u64 = args.opt_num("min-age", 30)?;
-    let processes: usize = args.opt_num("processes", 256)?;
-    let epochs: u64 = args.opt_num("epochs", 60)?;
-    let shard_size: usize = args.opt_num("shard-size", 32)?;
-    let workers: usize = args.opt_num("workers", 0)?;
-    let tenants: usize = args.opt_num("tenants", 4)?;
-    let fleet_cfg = FleetConfig::default();
-    let footprint: u64 = args.opt_num("footprint", fleet_cfg.worker_footprint >> 20)?;
     // A fleet of nothing is a typo, not a request: `FleetSpec` would
     // quietly run one of each, and an empty mapping fails mid-set-up.
-    let sizes = [
-        ("processes", processes as u64),
-        ("shard-size", shard_size as u64),
-        ("tenants", tenants as u64),
-        ("footprint", footprint),
-    ];
-    if let Some((option, _)) = sizes.iter().find(|(_, n)| *n == 0) {
-        return Err(DaosError::usage(format!("--{option} must be at least 1")));
-    }
+    let processes: usize = args.opt_count("processes", 256)?;
+    let epochs: u64 = args.opt_count("epochs", 60)?;
+    let shard_size: usize = args.opt_count("shard-size", 32)?;
+    let workers: usize = args.opt_num("workers", 0)?;
+    let tenants: usize = args.opt_count("tenants", 4)?;
+    let fleet_cfg = FleetConfig::default();
+    let footprint: u64 = args.opt_count("footprint", fleet_cfg.worker_footprint >> 20)?;
 
     // The production configuration: physical-address monitoring feeding
     // the pageout scheme, unless --config picks a named paper config.
@@ -815,10 +804,31 @@ mod tests {
 
     #[test]
     fn fleet_rejects_zero_sizes() {
-        for option in ["processes", "shard-size", "tenants", "footprint"] {
-            let err = fleet(&args(&format!("--{option} 0 --epochs 1"))).unwrap_err();
+        for option in ["processes", "shard-size", "tenants", "footprint", "epochs"] {
+            let err = fleet(&args(&format!("--epochs 1 --{option} 0"))).unwrap_err();
             assert_eq!(err.exit_code(), 2, "--{option} 0: {err}");
             assert!(err.to_string().contains(&format!("--{option}")), "--{option} 0: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_epochs_rings_and_heatmap_sizes_are_usage_errors() {
+        type Cmd = fn(&Args) -> Result<(), DaosError>;
+        // `top --ring 0` hung before it was rejected up front; the binary
+        // test runs it under a deadline.
+        let cases: [(Cmd, &str, &str); 7] = [
+            (run_cmd, "parsec3/freqmine --epochs 1 --ring 0", "--ring"),
+            (trace, "parsec3/freqmine --epochs 1 --ring 0", "--ring"),
+            (run_cmd, "parsec3/freqmine --epochs 0", "--epochs"),
+            (trace, "parsec3/freqmine --epochs 0", "--epochs"),
+            (top, "parsec3/freqmine --epochs 0 --plain --iterations 1", "--epochs"),
+            (report_heatmap, "/no/such/file.jsonl --rows 0", "--rows"),
+            (report_heatmap, "/no/such/file.jsonl --cols 0", "--cols"),
+        ];
+        for (cmd, line, option) in cases {
+            let err = cmd(&args(line)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{line}: {err}");
+            assert_eq!(err.to_string(), format!("{option} must be at least 1"), "{line}");
         }
     }
 
@@ -827,7 +837,8 @@ mod tests {
         // The smallest interesting fleet: two shards, a tiny trace ring
         // (so the drop path is exercised) and a named config override.
         fleet(&args("--processes 4 --epochs 6 --shard-size 2 --tenants 2 --ring 32")).unwrap();
-        fleet(&args("--processes 2 --epochs 4 --config prcl --swap none")).unwrap();
+        // On `fleet`, `--ring 0` means "no ring", not a usage error.
+        fleet(&args("--processes 2 --epochs 4 --config prcl --swap none --ring 0")).unwrap();
         let err = fleet(&args("--config warp9")).unwrap_err();
         assert!(err.to_string().contains("unknown config"));
     }

@@ -1,18 +1,39 @@
 //! The `daos` binary speaks sysexits: on a bad command line exit 2, on
 //! a malformed input file exit 65, each with one `error:` line naming
-//! what was wrong — never a panic's backtrace (exit 101), an abort, or
-//! a run of the defaults.
+//! what was wrong — never a panic's backtrace (exit 101), an abort, a
+//! hang, or a run of the defaults.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
+/// Run `daos` with `args` and return its exit code and stderr. A run
+/// still going after a minute is killed and fails the test.
 fn run(args: &[&str]) -> (i32, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_daos")).args(args).output().expect("daos binary runs");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_daos"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("daos binary runs");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("daos binary waits").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("daos {args:?} still running after 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("daos binary exits");
     (out.status.code().unwrap_or(-1), String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
 #[test]
 fn binary_usage_errors_exit_2() {
-    let cases: [(&[&str], &str); 9] = [
+    let trace = std::env::temp_dir().join("daos_cli_usage_errors_trace.jsonl");
+    let trace = trace.to_str().expect("utf-8 temp path");
+    let traced = ["trace", "parsec3/freqmine", "--config", "rec", "--epochs", "40", "--out", trace];
+    assert_eq!(run(&traced).0, 0, "a small trace to render a heatmap from");
+    let cases: [(&[&str], &str); 18] = [
         (&["tune", "parsec3/freqmine", "--range", "10:5", "--samples", "3"], "--range"),
         (&["tune", "parsec3/freqmine", "--range", "nan:5"], "--range"),
         (&["tune", "parsec3/freqmine", "--range", "backwards"], "--range"),
@@ -22,6 +43,17 @@ fn binary_usage_errors_exit_2() {
         (&["fleet", "--shard-size", "0", "--epochs", "1"], "--shard-size"),
         (&["fleet", "--tenants", "0", "--epochs", "1"], "--tenants"),
         (&["fleet", "--footprint", "0", "--epochs", "1"], "--footprint"),
+        (&["fleet", "--epochs", "0"], "--epochs"),
+        (&["run", "parsec3/freqmine", "--epochs", "1", "--ring", "0"], "--ring"),
+        (&["trace", "parsec3/freqmine", "--epochs", "1", "--ring", "0"], "--ring"),
+        // Its run thread used to fail before the first publish and leave
+        // the dashboard waiting forever.
+        (&["top", "parsec3/freqmine", "--ring", "0", "--epochs", "10", "--plain", "--iterations", "1"], "--ring"),
+        (&["run", "parsec3/freqmine", "--epochs", "0"], "--epochs"),
+        (&["trace", "parsec3/freqmine", "--epochs", "0"], "--epochs"),
+        (&["top", "parsec3/freqmine", "--epochs", "0", "--plain", "--iterations", "1"], "--epochs"),
+        (&["report", "heatmap", trace, "--rows", "0"], "--rows"),
+        (&["report", "heatmap", trace, "--cols", "0"], "--cols"),
     ];
     for (args, option) in cases {
         let (code, stderr) = run(args);
@@ -30,6 +62,7 @@ fn binary_usage_errors_exit_2() {
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(stderr.contains(option), "{args:?}: {stderr}");
     }
+    let _ = std::fs::remove_file(trace);
 }
 
 /// A report input that is not trace JSONL is the user's bad data

@@ -30,7 +30,7 @@ EXIT CODES:
     2   usage error (unknown flag, bad --root, unknown --pass)
 
 Passes: no-print, panic-discipline, determinism, atomic-ordering,
-dead-tracepoint, metric-name-discipline, guard-discipline. See
+dead-tracepoint, metric-name-discipline, guard-discipline, dead-pub. See
 DESIGN.md §11 for the catalogue and the `// lint: allow(<key>, <reason>)`
 annotation grammar.
 ";

@@ -9,6 +9,7 @@ use crate::source::{SourceFile, Workspace};
 use crate::Finding;
 
 mod atomic_ordering;
+mod dead_pub;
 mod dead_tracepoint;
 mod determinism;
 mod guard_discipline;
@@ -43,21 +44,17 @@ pub fn all_passes() -> Vec<Box<dyn Pass>> {
         Box::new(dead_tracepoint::DeadTracepoint),
         Box::new(metric_name::MetricName),
         Box::new(guard_discipline::GuardDiscipline),
+        Box::new(dead_pub::DeadPub),
     ]
 }
 
-/// Run every pass, apply `// lint: allow(…)` suppression, and return
-/// the surviving findings sorted by `(file, line, lint)` (message as
-/// the final tiebreak, so the order is fully deterministic). Malformed
-/// annotations are themselves findings (never suppressible).
-pub fn run_all(ws: &Workspace) -> Vec<Finding> {
-    // lint: allow(panic, run_filtered only errs for Some(unknown-pass) filters)
-    run_filtered(ws, None).expect("unfiltered run cannot name an unknown pass")
-}
-
-/// [`run_all`], optionally restricted to one pass by name (the
-/// `daos-lint --pass` fast path). Annotation findings are only
-/// included in unfiltered runs. `Err` carries the unknown pass name.
+/// Run every pass — or only the one named by `only` (the `daos-lint
+/// --pass` fast path) — apply `// lint: allow(…)` suppression, and
+/// return the surviving findings sorted by `(file, line, lint)` (message
+/// as the final tiebreak, so the order is fully deterministic).
+/// Malformed annotations are themselves findings (never suppressible),
+/// included in unfiltered runs only. `Err` carries the unknown pass
+/// name.
 pub fn run_filtered(ws: &Workspace, only: Option<&str>) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
     if only.is_none() {
@@ -114,7 +111,7 @@ impl<'f> Code<'f> {
         self.file.tokens[self.idx[i]].kind
     }
 
-    pub fn text(&self, i: usize) -> &str {
+    pub fn text(&self, i: usize) -> &'f str {
         self.file.text(&self.file.tokens[self.idx[i]])
     }
 

@@ -3,9 +3,11 @@
 //! that loads them.
 //!
 //! Scan scope: every `*.rs` under `src/` and `crates/*/src/`.
-//! Integration tests, benches and examples are not library code and are
-//! not scanned; manifests are Cargo's to read (`--locked`, and a
-//! `Cargo.lock` without a `source =` line, keep the build hermetic).
+//! Integration tests and examples are not library code and are not
+//! linted, but they do call the library: they are loaded as
+//! [reader-only files](Workspace::readers) that only `dead-pub` looks
+//! at. Manifests are Cargo's to read (`--locked`, and a `Cargo.lock`
+//! without a `source =` line, keep the build hermetic).
 
 use crate::lexer::{self, Token, TokenKind};
 use crate::Finding;
@@ -225,6 +227,12 @@ fn test_mask(tokens: &[Token], src: &str) -> Vec<bool> {
 
     let mut ci = 0;
     while ci + 1 < code.len() {
+        if text(ci) == "macro_rules" && is_punct(ci + 1, '!') {
+            // A `#[test]` in a macro template gates the expansion, not
+            // this file's code.
+            ci = match_close(&code, tokens, src, ci + 3, '{', '}').map_or(ci + 1, |c| c + 1);
+            continue;
+        }
         if !(is_punct(ci, '#') && is_punct(ci + 1, '[')) {
             ci += 1;
             continue;
@@ -320,44 +328,48 @@ pub struct Workspace {
     pub root: PathBuf,
     /// Lexed `.rs` files under `src/` and `crates/*/src/`.
     pub files: Vec<SourceFile>,
+    /// Lexed `.rs` files under `tests/`, `examples/` and
+    /// `crates/*/tests/`, minus any `fixtures/` tree (the lint's own
+    /// fixture workspaces): callers of the library, never linted.
+    pub readers: Vec<SourceFile>,
 }
 
 impl Workspace {
     /// Load `root` (a directory holding `Cargo.toml` and `crates/`).
     pub fn load(root: &Path) -> Result<Workspace, DaosError> {
-        let mut files = Vec::new();
-        let mut load_tree =
-            |src_dir: &Path, rel_prefix: &str, crate_name: Option<&str>| -> Result<(), DaosError> {
-                if !src_dir.is_dir() {
-                    return Ok(());
-                }
-                for p in walk_rs_files(src_dir)? {
-                    let rel = format!(
-                        "{rel_prefix}/{}",
-                        p.strip_prefix(src_dir)
-                            .unwrap_or(&p)
-                            .to_string_lossy()
-                            .replace('\\', "/")
-                    );
-                    files.push(SourceFile::parse(
-                        rel,
-                        crate_name.map(str::to_string),
-                        read(&p)?,
-                    ));
-                }
-                Ok(())
-            };
-        load_tree(&root.join("src"), "src", None)?;
+        let (mut files, mut readers) = (Vec::new(), Vec::new());
+        load_tree(&mut files, root, "src", None)?;
+        load_tree(&mut readers, root, "tests", None)?;
+        load_tree(&mut readers, root, "examples", None)?;
         let crates = root.join("crates");
         if crates.is_dir() {
             for dir in read_dir_sorted(&crates)?.into_iter().filter(|p| p.is_dir()) {
                 let name = file_name(&dir);
-                load_tree(&dir.join("src"), &format!("crates/{name}/src"), Some(&name))?;
+                load_tree(&mut files, root, &format!("crates/{name}/src"), Some(&name))?;
+                load_tree(&mut readers, root, &format!("crates/{name}/tests"), Some(&name))?;
             }
         }
 
-        Ok(Workspace { root: root.to_path_buf(), files })
+        Ok(Workspace { root: root.to_path_buf(), files, readers })
     }
+}
+
+/// Lex every `.rs` file under `root/rel` (if it exists) into `out`.
+fn load_tree(
+    out: &mut Vec<SourceFile>,
+    root: &Path,
+    rel: &str,
+    crate_name: Option<&str>,
+) -> Result<(), DaosError> {
+    let dir = root.join(rel);
+    if dir.is_dir() {
+        for p in walk_rs_files(&dir)? {
+            let sub = p.strip_prefix(&dir).unwrap_or(&p).to_string_lossy().replace('\\', "/");
+            let owner = crate_name.map(str::to_string);
+            out.push(SourceFile::parse(format!("{rel}/{sub}"), owner, read(&p)?));
+        }
+    }
+    Ok(())
 }
 
 fn read(p: &Path) -> Result<String, DaosError> {
@@ -379,14 +391,17 @@ fn read_dir_sorted(dir: &Path) -> Result<Vec<PathBuf>, DaosError> {
     Ok(out)
 }
 
-/// All `.rs` files under `dir`, recursively, sorted.
+/// All `.rs` files under `dir`, recursively, sorted, skipping `fixtures/`
+/// directories.
 fn walk_rs_files(dir: &Path) -> Result<Vec<PathBuf>, DaosError> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
         for p in read_dir_sorted(&d)? {
             if p.is_dir() {
-                stack.push(p);
+                if file_name(&p) != "fixtures" {
+                    stack.push(p);
+                }
             } else if p.extension().is_some_and(|e| e == "rs") {
                 out.push(p);
             }
@@ -445,6 +460,12 @@ mod tests {
             .collect();
         assert!(masked.contains(&"unwrap"));
         assert!(!masked.contains(&"live"));
+    }
+
+    #[test]
+    fn test_attributes_in_macro_templates_are_not_masked() {
+        let f = sf("macro_rules! p {\n () => { #[test] fn t() { run_cases(); } };\n}\n");
+        assert!(f.in_test.iter().all(|&b| !b), "the template is this file's code");
     }
 
     #[test]

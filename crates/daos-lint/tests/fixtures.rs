@@ -1,7 +1,9 @@
 //! End-to-end lint runs over the seeded fixture workspaces under
 //! `tests/fixtures/`. The `violations/` tree trips every lint at least
 //! once; the `clean/` tree is all bait (raw strings, nested block
-//! comments, test modules, annotated sites) and must produce nothing.
+//! comments, test modules, annotated sites, public items read only by an
+//! integration test, an example, another crate's `use` or a generic
+//! bound) and must produce nothing.
 
 use daos_lint::{lint_workspace, Finding};
 use std::path::{Path, PathBuf};
@@ -34,7 +36,8 @@ fn violations_fixture_trips_every_lint() {
     assert_eq!(count(&findings, "metric-name-discipline"), 1, "{ctx}");
     assert_eq!(count(&findings, "annotation"), 1, "{ctx}");
     assert_eq!(count(&findings, "guard-discipline"), 2, "{ctx}");
-    assert_eq!(findings.len(), 15, "{ctx}");
+    assert_eq!(count(&findings, "dead-pub"), 4, "{ctx}");
+    assert_eq!(findings.len(), 19, "{ctx}");
 
     // Both raw acquisitions fire — the hand-recovered one and the bare
     // `.lock().unwrap()` (which trips panic-discipline too, counted
@@ -60,6 +63,17 @@ fn violations_fixture_details() {
         .iter()
         .any(|f| f.lint == "dead-tracepoint" && f.message.contains("`Dead`")));
     assert!(!findings.iter().any(|f| f.message.contains("`Alive`")));
+
+    // dead-pub: unnamed, named only by its own tests, only by a `pub
+    // use`, only in a comment and a string — and nothing else, because
+    // the integration test reads every other bait item.
+    let mut dead: Vec<&str> = findings
+        .iter()
+        .filter(|f| f.lint == "dead-pub")
+        .map(|f| f.message.split('`').nth(1).expect("named item"))
+        .collect();
+    dead.sort();
+    assert_eq!(dead, ["MENTIONED", "Reexported", "test_only", "unread"]);
 
     // The reason-less `// lint: allow(panic)` is itself the finding and
     // suppresses nothing: the `.expect()` it hovers over still fires.

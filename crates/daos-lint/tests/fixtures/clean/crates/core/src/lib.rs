@@ -89,3 +89,16 @@ pub fn not_test_is_live() -> u8 {
     // fire. It does not.
     0
 }
+
+/// Named by another crate only as a generic bound.
+pub trait Sink {
+    fn put(&mut self, v: u64);
+}
+
+/// Read by another crate through its `use`.
+pub fn shared() -> u64 {
+    1
+}
+
+/// Not public outside the crate: rustc's dead-code lint owns it.
+pub(crate) fn crate_only() {}

@@ -1,0 +1,25 @@
+//! Fixture: public items nothing reads. Never compiled — only lexed.
+
+/// Nobody names this function anywhere.
+pub fn unread() {}
+
+/// Named only by this file's own test code.
+pub const fn test_only() -> u8 {
+    7
+}
+
+/// Named only by the crate's `pub use` in `lib.rs`: a re-export
+/// forwards a name, it does not read it.
+pub struct Reexported;
+
+/// `MENTIONED` appears in this comment and in the string below — text,
+/// not code.
+pub const MENTIONED: &str = "MENTIONED";
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn reads_test_only() {
+        assert_eq!(super::test_only(), 7);
+    }
+}

@@ -1,6 +1,7 @@
 //! Fixture: library code that prints, leaves atomics unjustified,
-//! declares a tracepoint nobody emits, and locks behind the funnel's
-//! back. Never compiled — only lexed.
+//! declares a tracepoint nobody emits, locks behind the funnel's back,
+//! and exports items nothing reads (`dead.rs`). Never compiled — only
+//! lexed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -37,3 +38,6 @@ pub fn raw_lock(m: &std::sync::Mutex<u64>) -> u64 {
 pub fn bare_unwrap(m: &std::sync::Mutex<u64>) -> u64 {
     *m.lock().unwrap()
 }
+
+mod dead;
+pub use dead::Reexported;

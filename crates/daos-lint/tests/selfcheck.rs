@@ -72,8 +72,9 @@ fn binary_lists_and_filters_passes() {
     let expected: Vec<&str> =
         daos_lint::all_passes().iter().map(|p| p.name()).collect::<Vec<_>>();
     assert_eq!(listed, expected, "--list-passes must mirror all_passes()");
-    assert_eq!(listed.len(), 7, "{listed:?}");
+    assert_eq!(listed.len(), 8, "{listed:?}");
     assert!(listed.contains(&"guard-discipline"), "{listed:?}");
+    assert!(listed.contains(&"dead-pub"), "{listed:?}");
 
     // A single-pass run over the violations fixture reports only that
     // pass's findings.
@@ -156,4 +157,5 @@ fn binary_usage_errors_exit_2() {
     let (code, stdout, _) = run(&["--help"]);
     assert_eq!(code, 0);
     assert!(stdout.contains("USAGE"));
+    assert!(stdout.contains("dead-pub"), "--help names every pass: {stdout}");
 }

@@ -145,19 +145,6 @@ impl AddrRange {
             end: page_align_up(self.end),
         }
     }
-
-    /// The largest huge-page-aligned sub-range, shrunk inward. Empty when
-    /// no aligned 2 MiB chunk fits.
-    #[inline]
-    pub fn huge_aligned_inner(&self) -> AddrRange {
-        let start = huge_align_up(self.start);
-        let end = huge_align_down(self.end);
-        if start >= end {
-            AddrRange::empty()
-        } else {
-            AddrRange { start, end }
-        }
-    }
 }
 
 impl core::fmt::Display for AddrRange {
@@ -224,16 +211,6 @@ mod tests {
         assert_eq!(r.pages().count(), 3);
         let unaligned = AddrRange::new(0x1001, 0x1002);
         assert_eq!(unaligned.pages().count(), 1);
-    }
-
-    #[test]
-    fn huge_aligned_inner_shrinks() {
-        let r = AddrRange::new(1, 3 * HUGE_PAGE_SIZE - 1);
-        let inner = r.huge_aligned_inner();
-        assert_eq!(inner.start, HUGE_PAGE_SIZE);
-        assert_eq!(inner.end, 2 * HUGE_PAGE_SIZE);
-        let small = AddrRange::new(1, HUGE_PAGE_SIZE);
-        assert!(small.huge_aligned_inner().is_empty());
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl Lru {
         self.active.pop_back()
     }
 
-    /// Queue lengths `(active, inactive)` including stale entries.
-    pub fn queued_len(&self) -> (usize, usize) {
-        (self.active.len(), self.inactive.len())
-    }
-
     /// Whether both lists are (apparently) empty.
     pub fn is_empty(&self) -> bool {
         self.active.is_empty() && self.inactive.is_empty()
@@ -137,7 +132,6 @@ mod tests {
         let mut lru = Lru::new();
         lru.insert(LruList::Active, 1, 0xa000, 1);
         lru.insert(LruList::Inactive, 1, 0xb000, 1);
-        assert_eq!(lru.queued_len(), (1, 1));
         assert_eq!(lru.pop_active().unwrap().addr, 0xa000);
         assert_eq!(lru.pop_inactive().unwrap().addr, 0xb000);
         assert!(lru.is_empty());

@@ -170,11 +170,6 @@ impl Process {
     pub fn vmas_mut(&mut self) -> &mut [Vma] {
         &mut self.vmas
     }
-
-    /// Total mapped bytes (virtual size).
-    pub fn vsize_bytes(&self) -> u64 {
-        self.vmas.iter().map(|v| v.range.len()).sum()
-    }
 }
 
 /// Index of the VMA of `vmas` (sorted, non-overlapping) containing `addr`,
@@ -291,7 +286,6 @@ mod tests {
         assert!(!a.overlaps(&b));
         assert!(b.start >= a.end + MMAP_GAP);
         assert_eq!(p.vma_ranges(), vec![a, b]);
-        assert_eq!(p.vsize_bytes(), 2 << 20);
     }
 
     #[test]

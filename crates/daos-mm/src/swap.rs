@@ -72,15 +72,12 @@ pub struct SwapDevice {
     next_slot: u64,
     /// Bytes of device capacity currently consumed.
     used_bytes: f64,
-    /// Lifetime counters.
-    stores: u64,
-    loads: u64,
 }
 
 impl SwapDevice {
     /// Create a device from its configuration.
     pub fn new(config: SwapConfig) -> Self {
-        Self { config, next_slot: 0, used_bytes: 0.0, stores: 0, loads: 0 }
+        Self { config, next_slot: 0, used_bytes: 0.0 }
     }
 
     /// The device configuration.
@@ -102,16 +99,6 @@ impl SwapDevice {
             SwapConfig::Zram { .. } => self.used_bytes(),
             SwapConfig::None | SwapConfig::File { .. } => 0,
         }
-    }
-
-    /// Lifetime number of stored pages.
-    pub fn nr_stores(&self) -> u64 {
-        self.stores
-    }
-
-    /// Lifetime number of loaded pages.
-    pub fn nr_loads(&self) -> u64 {
-        self.loads
     }
 
     /// How many bytes one stored page consumes on this device.
@@ -139,7 +126,6 @@ impl SwapDevice {
             return Err(MmError::SwapFull);
         }
         self.used_bytes += self.cost_per_page();
-        self.stores += 1;
         let slot = SwapSlot(self.next_slot);
         self.next_slot += 1;
         let lat = match self.config {
@@ -154,7 +140,6 @@ impl SwapDevice {
     /// Load (and free) one previously stored page; returns the latency.
     pub fn load(&mut self, _slot: SwapSlot, machine: &MachineProfile) -> Ns {
         self.used_bytes = (self.used_bytes - self.cost_per_page()).max(0.0);
-        self.loads += 1;
         match self.config {
             SwapConfig::None => 0,
             SwapConfig::Zram { .. } => machine.zram_load_ns,
@@ -196,7 +181,6 @@ mod tests {
             dev.store(&m).expect("fits thanks to compression");
         }
         assert_eq!(dev.store(&m), Err(MmError::SwapFull));
-        assert_eq!(dev.nr_stores(), 4);
     }
 
     #[test]
@@ -243,9 +227,7 @@ mod tests {
         let mut dev = SwapDevice::new(SwapConfig::paper_zram());
         let m = machine();
         let (slot, _) = dev.store(&m).unwrap();
-        let before_loads = dev.nr_loads();
         dev.discard(slot);
-        assert_eq!(dev.nr_loads(), before_loads);
         assert_eq!(dev.used_bytes(), 0);
     }
 

@@ -270,17 +270,6 @@ impl MemorySystem {
             let proc = procs
                 .get_mut(pid as usize)
                 .ok_or(MmError::NoSuchProcess(pid))?;
-            let touch = |vma: &mut crate::vma::Vma,
-                         faults: &mut Vec<u64>,
-                         out: &mut AccessOutcome,
-                         addr: u64| {
-                if vma.touch_resident(addr) {
-                    out.touched_pages += 1;
-                    out.touched_huge += vma.is_huge(addr) as u64;
-                } else {
-                    faults.push(addr);
-                }
-            };
             for vma in proc.vmas_mut() {
                 let Some(isect) = vma.range.intersect(&batch.range) else {
                     continue;
@@ -288,20 +277,18 @@ impl MemorySystem {
                 match batch.pattern {
                     TouchPattern::All => vma.touch_run(&isect, 1, &mut faults, &mut out),
                     TouchPattern::Stride(n) => vma.touch_run(&isect, n, &mut faults, &mut out),
-                    TouchPattern::Prob(p) => {
-                        for addr in isect.pages() {
-                            if rng.random::<f32>() < p {
-                                touch(vma, &mut faults, &mut out, addr);
-                            }
-                        }
-                    }
                     TouchPattern::Random { count } => {
                         let nr = isect.nr_pages();
                         if nr > 0 {
                             let base = isect.page_aligned().start;
                             for _ in 0..count {
-                                let page = rng.random_range(0..nr);
-                                touch(vma, &mut faults, &mut out, base + page * PAGE_SIZE);
+                                let addr = base + rng.random_range(0..nr) * PAGE_SIZE;
+                                if vma.touch_resident(addr) {
+                                    out.touched_pages += 1;
+                                    out.touched_huge += vma.is_huge(addr) as u64;
+                                } else {
+                                    faults.push(addr);
+                                }
                             }
                         }
                     }

@@ -421,7 +421,7 @@ impl Vma {
         was
     }
 
-    /// Single-page touch (the `Prob`/`Random` patterns, which have no run
+    /// Single-page touch (the `Random` pattern, which has no run
     /// to amortise over): if `addr` is resident, set its accessed and
     /// touched bits and return `true`; otherwise `false`, without
     /// materialising anything — a fault will.

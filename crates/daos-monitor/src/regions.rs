@@ -156,16 +156,6 @@ impl RegionSet {
         (0..self.len()).map(|i| self.get(i))
     }
 
-    /// Overwrite region `i`'s live access counter (tests / tools).
-    pub fn set_nr_accesses(&mut self, i: usize, v: u32) {
-        self.nr_accesses[i] = v;
-    }
-
-    /// Overwrite region `i`'s previous-window counter (tests / tools).
-    pub fn set_last_nr_accesses(&mut self, i: usize, v: u32) {
-        self.last_nr_accesses[i] = v;
-    }
-
     /// Immutable snapshot for callbacks/schemes.
     pub fn snapshot(&self) -> Vec<RegionInfo> {
         (0..self.len())
@@ -557,7 +547,7 @@ mod tests {
     fn merge_keeps_dissimilar_apart() {
         let mut set = RegionSet::init(&[AddrRange::new(0, mb(4))], 4);
         // Make region 1 hot.
-        set.set_nr_accesses(1, 20);
+        set.nr_accesses[1] = 20;
         set.merge_with_aging(2, u64::MAX, 1);
         // Hot region must not merge into cold neighbours.
         assert!(set.len() >= 2);
@@ -578,14 +568,14 @@ mod tests {
     fn aging_increments_when_stable_resets_on_change() {
         let mut set = RegionSet::init(&[AddrRange::new(0, mb(1))], 3);
         for i in 0..set.len() {
-            set.set_nr_accesses(i, 5);
-            set.set_last_nr_accesses(i, 5);
+            set.nr_accesses[i] = 5;
+            set.last_nr_accesses[i] = 5;
         }
         set.merge_with_aging(2, PAGE_SIZE, 3); // sz_limit small: no merging
         assert!(set.iter().all(|r| r.age == 1));
         set.reset_aggregated();
         for i in 0..set.len() {
-            set.set_nr_accesses(i, 15); // big change
+            set.nr_accesses[i] = 15; // big change
         }
         set.merge_with_aging(2, PAGE_SIZE, 3);
         assert!(set.iter().all(|r| r.age == 0), "age reset on change");
@@ -594,7 +584,7 @@ mod tests {
     #[test]
     fn reset_aggregated_rolls_window() {
         let mut set = RegionSet::init(&[AddrRange::new(0, mb(1))], 3);
-        set.set_nr_accesses(0, 9);
+        set.nr_accesses[0] = 9;
         set.reset_aggregated();
         assert_eq!(set.get(0).nr_accesses, 0);
         assert_eq!(set.get(0).last_nr_accesses, 9);
@@ -604,7 +594,7 @@ mod tests {
     fn update_ranges_keeps_overlap_counters() {
         let mut set = RegionSet::init(&[AddrRange::new(0, mb(4))], 4);
         for i in 0..set.len() {
-            set.set_nr_accesses(i, 7);
+            set.nr_accesses[i] = 7;
             set.ages[i] = 3;
         }
         // Target grew by 2 MiB and lost its first MiB.
@@ -637,7 +627,7 @@ mod tests {
         // One big region overlapping both halves of a split target must
         // contribute its counters to both clipped pieces.
         let mut set = RegionSet::init(&[AddrRange::new(0, mb(4))], 1);
-        set.set_nr_accesses(0, 9);
+        set.nr_accesses[0] = 9;
         let target = [AddrRange::new(0, mb(1)), AddrRange::new(mb(2), mb(3))];
         set.update_ranges(&target, &mut RegionSet::default());
         set.check_invariants().unwrap();

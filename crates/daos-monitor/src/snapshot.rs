@@ -30,11 +30,6 @@ impl Aggregation {
         }
     }
 
-    /// A region's age expressed in nanoseconds of virtual time.
-    pub fn age_ns(&self, r: &RegionInfo) -> Ns {
-        r.age as Ns * self.aggregation_interval
-    }
-
     /// Total monitored bytes.
     pub fn total_bytes(&self) -> u64 {
         self.regions.iter().map(|r| r.range.len()).sum()
@@ -106,7 +101,7 @@ mod tests {
     }
 
     #[test]
-    fn ratios_and_ages() {
+    fn ratios_and_totals() {
         let a = Aggregation {
             at: 100,
             regions: vec![info(0, 0x1000, 10, 3), info(0x1000, 0x3000, 0, 7)],
@@ -115,7 +110,6 @@ mod tests {
         };
         assert_eq!(a.freq_ratio(&a.regions[0]), 0.5);
         assert_eq!(a.freq_ratio(&a.regions[1]), 0.0);
-        assert_eq!(a.age_ns(&a.regions[0]), 150);
         assert_eq!(a.total_bytes(), 0x3000);
         assert_eq!(a.hot_bytes_estimate(), 0x800);
     }

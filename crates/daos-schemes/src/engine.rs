@@ -102,12 +102,6 @@ impl SchemesEngine {
         engine
     }
 
-    /// Current watermark activation state of scheme `idx` (None = no
-    /// watermarks configured, i.e. always active).
-    pub fn watermark_state(&self, idx: usize) -> Option<WatermarkState> {
-        self.wmarks[idx].map(|(_, st)| st)
-    }
-
     /// The configured schemes.
     pub fn schemes(&self) -> &[Scheme] {
         &self.schemes
@@ -667,20 +661,14 @@ mod tests {
         let agg = agg_of(vec![info(range, 0, 100)]);
         let pass = engine.on_aggregation(&mut sys, &agg);
         assert_eq!(pass.paged_out, 0, "75% free: watermarks keep the scheme dormant");
-        assert_eq!(
-            engine.watermark_state(0),
-            Some(crate::watermarks::WatermarkState::Inactive)
-        );
+        assert_eq!(engine.wmarks[0].map(|(_, st)| st), Some(WatermarkState::Inactive));
 
         // Build pressure: map+touch 3 more MiB → 37% free → activates.
         let more = sys.mmap(pid, 3 << 20, ThpMode::Never).unwrap();
         sys.apply_access(pid, &AccessBatch::all(more, 1.0)).unwrap();
         let pass = engine.on_aggregation(&mut sys, &agg);
         assert!(pass.paged_out > 0, "under pressure the scheme activates");
-        assert_eq!(
-            engine.watermark_state(0),
-            Some(crate::watermarks::WatermarkState::Active)
-        );
+        assert_eq!(engine.wmarks[0].map(|(_, st)| st), Some(WatermarkState::Active));
     }
 
     #[test]

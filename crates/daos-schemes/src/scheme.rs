@@ -102,17 +102,6 @@ impl Scheme {
         }
     }
 
-    /// Proactive reclamation (the paper's `prcl` core): page out regions
-    /// not accessed for at least `min_age_ns`.
-    pub fn pageout_older_than(min_age_ns: Ns) -> Self {
-        Self {
-            min_freq: Bound::Unbounded,
-            max_freq: Bound::Val(FreqVal::Samples(0)),
-            min_age: Bound::Val(AgeVal::Time(min_age_ns)),
-            ..Self::any(Action::Pageout)
-        }
-    }
-
     /// Builder: set the size bounds (bytes).
     pub fn sz(mut self, min: Option<u64>, max: Option<u64>) -> Self {
         self.min_sz = min.map_or(Bound::Unbounded, Bound::Val);
@@ -297,7 +286,9 @@ mod tests {
     #[test]
     fn prcl_scheme_semantics() {
         // "page out memory regions not accessed ≥ 2 minutes" (Listing 1).
-        let s = Scheme::pageout_older_than(2 * daos_mm::clock::MINUTE);
+        let s = Scheme::any(Action::Pageout)
+            .freq(None, Some(FreqVal::Samples(0)))
+            .age(Some(AgeVal::Time(2 * daos_mm::clock::MINUTE)), None);
         let agg = agg_with(vec![]);
         // 2 min at 100 ms windows = 1200 intervals.
         assert!(s.matches(&region(4096, 0, 1200), &agg));

@@ -1,9 +1,8 @@
 //! The collector: a ring buffer plus a metrics registry behind a
 //! thread-local install point. Instrumented crates emit through the
 //! [`trace!`](crate::trace) macro, which checks a single thread-local
-//! flag first — with no collector installed (or an installed collector
-//! built with `.enabled(false)`) the event expression is never even
-//! evaluated, so hot paths pay one branch.
+//! flag first — with no collector installed the event expression is
+//! never even evaluated, so hot paths pay one branch.
 //!
 //! The install point is thread-local on purpose: a simulation run is
 //! single-threaded, while `cargo test` runs many tests concurrently —
@@ -27,19 +26,17 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 pub struct Collector {
     ring: Ring,
     registry: Registry,
-    enabled: bool,
 }
 
 /// Builder for [`Collector`]; validation happens at [`build`](Self::build).
 #[derive(Debug, Clone)]
 pub struct CollectorBuilder {
     ring_capacity: usize,
-    enabled: bool,
 }
 
 impl Default for CollectorBuilder {
     fn default() -> Self {
-        CollectorBuilder { ring_capacity: DEFAULT_RING_CAPACITY, enabled: true }
+        CollectorBuilder { ring_capacity: DEFAULT_RING_CAPACITY }
     }
 }
 
@@ -50,23 +47,12 @@ impl CollectorBuilder {
         self
     }
 
-    /// Start enabled (default) or disabled. A disabled collector can be
-    /// installed to pin the zero-overhead path in tests.
-    pub fn enabled(mut self, enabled: bool) -> Self {
-        self.enabled = enabled;
-        self
-    }
-
     /// Validate and construct the collector.
     pub fn build(self) -> Result<Collector, TraceError> {
         if self.ring_capacity == 0 {
             return Err(TraceError::InvalidCapacity(self.ring_capacity));
         }
-        Ok(Collector {
-            ring: Ring::new(self.ring_capacity),
-            registry: Registry::new(),
-            enabled: self.enabled,
-        })
+        Ok(Collector { ring: Ring::new(self.ring_capacity), registry: Registry::new() })
     }
 }
 
@@ -86,11 +72,6 @@ impl Collector {
         &self.registry
     }
 
-    /// Whether this collector records events.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Surviving events, oldest first.
     pub fn events(&self) -> Vec<TimedEvent> {
         self.ring.to_vec()
@@ -99,9 +80,6 @@ impl Collector {
     /// Record one event: push to the ring and mirror into the registry.
     /// (Callers normally go through [`trace!`](crate::trace) instead.)
     pub fn record(&mut self, at: Ns, event: Event) {
-        if !self.enabled {
-            return;
-        }
         self.mirror(&event);
         self.ring.push(TimedEvent { at, event });
     }
@@ -188,8 +166,8 @@ impl Collector {
 
 thread_local! {
     static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
-    /// Mirror of "a collector is installed AND enabled", kept in a
-    /// separate `Cell` so the `trace!` fast path is one load, no borrow.
+    /// Mirror of "a collector is installed", kept in a separate `Cell` so
+    /// the `trace!` fast path is one load, no borrow.
     static LIVE: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -201,7 +179,7 @@ pub fn install(collector: Collector) -> Result<(), TraceError> {
         if slot.is_some() {
             return Err(TraceError::AlreadyInstalled);
         }
-        LIVE.with(|l| l.set(collector.enabled));
+        LIVE.with(|l| l.set(true));
         *slot = Some(collector);
         Ok(())
     })
@@ -213,8 +191,8 @@ pub fn take() -> Option<Collector> {
     COLLECTOR.with(|c| c.borrow_mut().take())
 }
 
-/// Fast check used by [`trace!`](crate::trace): true only while an
-/// enabled collector is installed on this thread.
+/// Fast check used by [`trace!`](crate::trace): true only while a
+/// collector is installed on this thread.
 #[inline]
 pub fn enabled() -> bool {
     LIVE.with(|l| l.get())
@@ -251,8 +229,8 @@ pub fn ring_status() -> Option<(u64, u64, usize)> {
     with_collector(|c| (c.ring().total_pushed(), c.ring().dropped(), c.ring().capacity()))
 }
 
-/// Emit a typed event if (and only if) an enabled collector is installed
-/// on this thread. The variant expression is written without the
+/// Emit a typed event if (and only if) a collector is installed on this
+/// thread. The variant expression is written without the
 /// `Event::` prefix and is **not evaluated** when tracing is off:
 ///
 /// ```
@@ -408,15 +386,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collector_records_nothing() {
-        install(Collector::builder().enabled(false).build().unwrap()).unwrap();
-        assert!(!enabled(), "disabled collector must not arm the fast path");
+    fn trace_arguments_are_not_evaluated_without_a_collector() {
+        assert!(take().is_none());
+        assert!(!enabled(), "no collector must not arm the fast path");
         let mut evaluated = false;
         crate::trace!(1, PageFault { pid: 1, addr: { evaluated = true; 0x1000 }, major: false });
-        let c = take().unwrap();
         assert!(!evaluated, "event arguments must not be evaluated when tracing is off");
-        assert_eq!(c.ring().len(), 0);
-        assert_eq!(c.ring().dropped(), 0);
-        assert!(c.registry().is_empty(), "zero registry mutations on the disabled path");
     }
 }

@@ -24,9 +24,9 @@
 //!
 //! Design points:
 //! - **Disabled means free.** `trace!` checks one thread-local flag; the
-//!   event expression is not evaluated unless an enabled collector is
-//!   installed, so hot paths (fault handling, sampling ticks) are
-//!   unperturbed when tracing is off.
+//!   event expression is not evaluated unless a collector is installed,
+//!   so hot paths (fault handling, sampling ticks) are unperturbed when
+//!   tracing is off.
 //! - **Bounded.** Events land in a fixed-capacity ring ([`Ring`]) that
 //!   overwrites the oldest entry and counts drops — tracing can never
 //!   make a run unbounded in memory.

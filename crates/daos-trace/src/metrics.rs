@@ -270,12 +270,6 @@ impl Registry {
         }
     }
 
-    /// True when no metric key has ever been written — the pin the
-    /// disabled-collector test relies on.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
-    }
-
     /// All counters, sorted by key.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
@@ -375,7 +369,6 @@ mod tests {
     #[test]
     fn registry_defaults_and_writes() {
         let mut r = Registry::new();
-        assert!(r.is_empty());
         assert_eq!(r.counter("absent"), 0);
         r.counter_add("a.b", 2);
         r.counter_add("a.b", 3);
@@ -384,7 +377,6 @@ mod tests {
         assert_eq!(r.counter("a.b"), 5);
         assert_eq!(r.gauge("g"), Some(1.5));
         assert_eq!(r.hist("h").unwrap().count(), 1);
-        assert!(!r.is_empty());
     }
 
     #[test]

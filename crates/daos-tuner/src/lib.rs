@@ -41,5 +41,5 @@ pub use patterns::{classify, ScorePattern};
 pub use peaks::{best_peak, find_peaks, Peak};
 pub use polyfit::{paper_degree, Polynomial};
 pub use sampler::Sampler;
-pub use score::{CustomScore, DefaultScore, ScoreFn, ScoreInputs, WORST_SCORE};
+pub use score::{DefaultScore, ScoreInputs, WORST_SCORE};
 pub use tuner::{tune, TuneResult, TunerConfig};

@@ -78,21 +78,6 @@ impl Polynomial {
     pub fn degree(&self) -> usize {
         self.coeffs.len().saturating_sub(1)
     }
-
-    /// Root-mean-square residual over a sample set.
-    pub fn rms_residual(&self, samples: &[(f64, f64)]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let ss: f64 = samples
-            .iter()
-            .map(|&(x, y)| {
-                let e = self.eval(x) - y;
-                e * e
-            })
-            .sum();
-        (ss / samples.len() as f64).sqrt()
-    }
 }
 
 /// Solve `m x = b` by Gaussian elimination with partial pivoting.
@@ -151,7 +136,6 @@ mod tests {
         for &(x, y) in &pts {
             assert_close(p.eval(x), y, 1e-8);
         }
-        assert!(p.rms_residual(&pts) < 1e-8);
     }
 
     #[test]
@@ -164,22 +148,6 @@ mod tests {
         assert_close(p.eval(0.0), -7.0, 1e-9);
         assert_close(p.deriv(3.0), 0.0, 1e-9);
         assert_close(p.deriv(5.0), -4.0, 1e-9);
-    }
-
-    #[test]
-    fn residual_decreases_with_degree() {
-        // Noisy cubic-ish data.
-        let pts: Vec<(f64, f64)> = (0..30)
-            .map(|i| {
-                let x = i as f64 / 5.0;
-                (x, x.sin() * 10.0 + if i % 2 == 0 { 0.3 } else { -0.3 })
-            })
-            .collect();
-        let r1 = Polynomial::fit(&pts, 1).unwrap().rms_residual(&pts);
-        let r3 = Polynomial::fit(&pts, 3).unwrap().rms_residual(&pts);
-        let r6 = Polynomial::fit(&pts, 6).unwrap().rms_residual(&pts);
-        assert!(r3 < r1);
-        assert!(r6 <= r3 + 1e-9);
     }
 
     #[test]

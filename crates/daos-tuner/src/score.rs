@@ -33,15 +33,6 @@ impl ScoreInputs {
     }
 }
 
-/// A (stateful) score function. Statefulness matters: Listing 2 returns
-/// the *worst score seen so far* for SLA-violating samples.
-pub trait ScoreFn {
-    /// Score one sample.
-    fn score(&mut self, inputs: &ScoreInputs) -> f64;
-    /// Reset accumulated state between tuning sessions.
-    fn reset(&mut self);
-}
-
 /// Listing 2 of the paper, verbatim (×100 for percent points):
 ///
 /// ```text
@@ -53,6 +44,9 @@ pub trait ScoreFn {
 ///     return score
 /// return min(prev_scores)
 /// ```
+///
+/// It is stateful: Listing 2 returns the *worst score seen so far* for
+/// SLA-violating samples, so one tuning session uses one instance.
 #[derive(Debug, Clone)]
 pub struct DefaultScore {
     /// SLA floor on `pscore` (−0.1 = at most 10 % slowdown).
@@ -71,8 +65,9 @@ impl Default for DefaultScore {
 /// Floor for SLA-violation scores when no valid sample exists yet.
 pub const WORST_SCORE: f64 = -100.0;
 
-impl ScoreFn for DefaultScore {
-    fn score(&mut self, inputs: &ScoreInputs) -> f64 {
+impl DefaultScore {
+    /// Score one sample.
+    pub fn score(&mut self, inputs: &ScoreInputs) -> f64 {
         let pscore = inputs.pscore();
         let mscore = inputs.mscore();
         if pscore > self.sla_pscore_floor {
@@ -91,21 +86,6 @@ impl ScoreFn for DefaultScore {
             self.prev_scores.iter().copied().fold(f64::INFINITY, f64::min)
         }
     }
-
-    fn reset(&mut self) {
-        self.prev_scores.clear();
-    }
-}
-
-/// A stateless score function wrapping a closure, for custom metrics
-/// ("users can define a new score function", §3.5).
-pub struct CustomScore<F: FnMut(&ScoreInputs) -> f64>(pub F);
-
-impl<F: FnMut(&ScoreInputs) -> f64> ScoreFn for CustomScore<F> {
-    fn score(&mut self, inputs: &ScoreInputs) -> f64 {
-        (self.0)(inputs)
-    }
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]
@@ -160,18 +140,7 @@ mod tests {
         let s = f.score(&inputs(200.0, 1.0));
         assert!((s - (-0.5)).abs() < 1e-9, "raw weighted score, got {s}");
         // Catastrophic violations floor at WORST_SCORE.
-        f.reset();
-        let s = f.score(&inputs(100_000.0, 100.0));
+        let s = DefaultScore::default().score(&inputs(100_000.0, 100.0));
         assert_eq!(s, WORST_SCORE);
-        f.reset();
-        let s2 = f.score(&inputs(100.0, 50.0));
-        assert!(s2 > 0.0, "reset clears the history");
-    }
-
-    #[test]
-    fn custom_score_closure() {
-        // Memory-only objective.
-        let mut f = CustomScore(|i: &ScoreInputs| i.mscore() * 100.0);
-        assert_eq!(f.score(&inputs(500.0, 25.0)), 75.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the tuner's numerical components.
 
-use daos_tuner::{best_peak, paper_degree, DefaultScore, Polynomial, ScoreFn, ScoreInputs};
+use daos_tuner::{best_peak, paper_degree, DefaultScore, Polynomial, ScoreInputs};
 use daos_util::prop::{btree_set_of, vec_of, TestCaseError};
 use daos_util::{prop_assert, proptest};
 

@@ -183,23 +183,6 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
     Ok(v)
 }
 
-/// Parse a line-oriented stream: one JSON document per non-empty line
-/// (the JSONL convention used by record files and config files). Errors
-/// carry the 1-based line number.
-pub fn parse_lines(text: &str) -> Result<Vec<Json>, JsonError> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let v =
-            parse(line).map_err(|e| JsonError::msg(format!("line {}: {}", i + 1, e.0)))?;
-        out.push(v);
-    }
-    Ok(out)
-}
-
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -753,21 +736,12 @@ mod tests {
             let err = parse(&deep).unwrap_err();
             let at = unit.len() * MAX_DEPTH;
             assert_eq!(err.0, format!("nesting deeper than {MAX_DEPTH} levels at byte {at}"));
-            let err = parse_lines(&format!("1\n{deep}\n")).unwrap_err();
-            assert!(err.0.starts_with("line 2: nesting deeper than"), "{err}");
         }
         let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
         assert!(parse(&nested(MAX_DEPTH)).is_ok());
         assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
         // Siblings do not accumulate depth.
         assert!(parse(&format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","))).is_ok());
-    }
-
-    #[test]
-    fn jsonl_skips_blanks_and_comments() {
-        let vs = parse_lines("1\n\n# note\n  {\"x\":2}\n").unwrap();
-        assert_eq!(vs.len(), 2);
-        assert_eq!(vs[1].field::<u32>("x").unwrap(), 2);
     }
 
     #[test]
@@ -813,7 +787,7 @@ mod tests {
     }
 
     // Whatever text arrives — a real document, one with token soup and
-    // arbitrary bytes spliced in, or soup alone — the parsers answer
+    // arbitrary bytes spliced in, or soup alone — the parser answers
     // `Ok` or a `JsonError`, never panic, and a parsed document holds no
     // more than the text that spelt it.
     crate::proptest! {
@@ -834,9 +808,6 @@ mod tests {
             match parse(&text) {
                 Ok(v) => crate::prop_assert!(weight(&v) <= text.len(), "{v:?}"),
                 Err(e) => crate::prop_assert!(e.0.len() <= text.len() + 128, "{e}"),
-            }
-            if let Ok(docs) = parse_lines(&text) {
-                crate::prop_assert!(docs.iter().map(weight).sum::<usize>() <= text.len());
             }
         }
     }

@@ -3,7 +3,7 @@
 
 use daos_mm::error::MmResult;
 use daos_mm::machine::MachineProfile;
-use daos_tuner::{tune, DefaultScore, ScoreFn, ScoreInputs, TuneResult, TunerConfig};
+use daos_tuner::{tune, DefaultScore, ScoreInputs, TuneResult, TunerConfig};
 use daos_workloads::WorkloadSpec;
 
 use crate::config::RunConfig;

@@ -3,9 +3,10 @@
 # the in-tree static analysis (`daos-lint`) that machine-checks the
 # workspace invariants: no printing from library code, panic
 # discipline, deterministic simulation crates, justified atomic
-# orderings, no dead tracepoints, machine-parseable metric keys, and
-# guard discipline — every lock is taken through `daos_util::sync`,
-# which asserts the leaf-lock rule in debug builds.
+# orderings, no dead tracepoints, machine-parseable metric keys, guard
+# discipline — every lock is taken through `daos_util::sync`, which
+# asserts the leaf-lock rule in debug builds — and no public item that
+# nothing reads. It also runs every figure and table binary once.
 #
 # The workspace must build from a clean clone with no network and an
 # empty registry cache; every dependency is an in-tree path dependency
@@ -118,22 +119,26 @@ lint_out=$(cargo run -q -p daos-lint --release --offline -- --json) || {
     echo "(run 'cargo run -p daos-lint --release' for the human-readable list)"
     exit 1
 }
-# "Clean" must mean the funnel pass actually ran: the report's lint
-# roster has to advertise it, or the gate is vacuous — and must not
-# advertise a deleted pass, or a stale binary answered.
+# "Clean" must mean the funnel and dead-pub passes actually ran: the
+# report's lint roster has to advertise them, or the gate is vacuous —
+# and must not advertise a deleted pass, or a stale binary answered.
 case "$lint_out" in
     *'"lock-order"'* | *'"no-registry-deps"'*)
         echo "$lint_out"
         echo "FAIL: daos-lint --json still lists a deleted pass — stale binary?"
         exit 1
         ;;
-    *'"guard-discipline"'*) ;;
-    *)
-        echo "$lint_out"
-        echo "FAIL: daos-lint --json lint roster lacks the guard-discipline pass"
-        exit 1
-        ;;
 esac
+for pass in guard-discipline dead-pub; do
+    case "$lint_out" in
+        *"\"$pass\""*) ;;
+        *)
+            echo "$lint_out"
+            echo "FAIL: daos-lint --json lint roster lacks the $pass pass"
+            exit 1
+            ;;
+    esac
+done
 echo "ok"
 
 echo "== live lines per package (daos-lint --json live_loc) =="
@@ -206,6 +211,29 @@ target/release/daos report heatmap "$tmp/rec.jsonl" > "$tmp/rec_heat.txt"
     exit 1
 }
 echo "ok"
+
+echo "== reproduction: every figure and table binary runs on the quick grid =="
+# Each binary under daos-bench/src/bin except the three gated benches
+# (and the ledger, a package of its own) must exit 0 under DAOS_QUICK=1
+# and leave a non-empty CSV in its own DAOS_RESULTS directory. Without
+# the variable the same binaries run the paper's grids (EXPERIMENTS.md).
+figures=""
+for src in crates/daos-bench/src/bin/*.rs; do
+    bin=$(basename "$src" .rs)
+    case $bin in pipeline | fleet_bench | obs_bench) continue ;; esac
+    out="$tmp/results/$bin"
+    DAOS_QUICK=1 DAOS_RESULTS="$out" "target/release/$bin" > "$tmp/$bin.log" 2>&1 || {
+        tail -20 "$tmp/$bin.log"
+        echo "FAIL: $bin exited non-zero under DAOS_QUICK=1"
+        exit 1
+    }
+    find "$out" -name '*.csv' -size +0 | grep -q . || {
+        echo "FAIL: $bin left no non-empty CSV artifact in DAOS_RESULTS"
+        exit 1
+    }
+    figures="$figures $bin"
+done
+echo "ok:$figures"
 
 echo "== live observability endpoints answer during a real run =="
 # Spawn a served run on an ephemeral port, scrape /healthz and /metrics

@@ -57,7 +57,7 @@ pub mod prelude {
         parse_scheme_line, parse_schemes, Action, Scheme, SchemeConfig, SchemeTarget,
         SchemesEngine,
     };
-    pub use daos_tuner::{tune, classify, DefaultScore, ScoreFn, ScoreInputs, TunerConfig};
+    pub use daos_tuner::{tune, classify, DefaultScore, ScoreInputs, TunerConfig};
     pub use daos_workloads::{
         by_path, instantiate, paper_suite, FleetConfig, Workload, WorkloadSpec,
     };

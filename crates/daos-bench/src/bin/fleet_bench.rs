@@ -2,8 +2,8 @@
 //! 1000-process serverless fleet (and a 100-process fleet for the
 //! sub-linearity context), the whole 1000-process × 50-epoch run `daos
 //! fleet` makes by default, and (ungated) building its shard images
-//! alone, written to `BENCH_fleet.json` at the repo root as the
-//! regression baseline.
+//! alone and its first tick, which stamps every shard, written to
+//! `BENCH_fleet.json` at the repo root as the regression baseline.
 //!
 //! `fleet_bench --quick` shrinks samples/iterations for CI smoke runs;
 //! `DAOS_BENCH_OUT` overrides the output path;
@@ -50,7 +50,9 @@ fn bench_fleet_tick(h: &mut Harness, iters: u64, nr_procs: usize) {
     });
 }
 
-/// `daos fleet`'s default fleet, end to end and its image builds alone:
+/// `daos fleet`'s default fleet, end to end, its image builds alone, and
+/// its first tick — all 32 shards stamped, then ticked once — on an
+/// engine built untimed:
 /// 1000 default-footprint workers in shards of 32, which overcommit each
 /// shard's DRAM so set-up itself reclaims. The run is a whole
 /// `Session::execute()` — build, run, finish, drop — on this thread, for
@@ -64,10 +66,11 @@ fn bench_fleet_run(h: &mut Harness) {
         let session = Session::new(&machine, &config, &spec).seed(42).fleet(fleet());
         black_box(session.execute().expect("fleet run").runs.len())
     });
-    h.bench_iters("fleet/images_1000_procs", 1, || {
-        let engine =
-            FleetEngine::new(&machine, &config, &spec, fleet(), 42).expect("fleet setup");
-        black_box(engine.nr_ticks())
+    let build = || FleetEngine::new(&machine, &config, &spec, fleet(), 42).expect("fleet setup");
+    h.bench_iters("fleet/images_1000_procs", 1, || black_box(build().nr_ticks()));
+    h.bench_with_setup("fleet/first_tick_1000_procs", build, |mut engine| {
+        engine.tick().expect("fleet tick");
+        engine
     });
 }
 

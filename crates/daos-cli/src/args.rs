@@ -31,6 +31,7 @@ SUBCOMMANDS:
                               /healthz /statusz /query while the run
                               executes
         [--publish-every N] [--ring N] [--linger]
+        [--profile-wall]      print host wall time per engine phase
     top <ADDR | workload>     live dashboard (WSS sparkline, hottest
         regions, scheme state, span latencies); ADDR attaches to a
         --serve endpoint, a workload name runs it in-process
@@ -66,7 +67,7 @@ SUBCOMMANDS:
         [--config baseline|rec|prec|thp|ethp|prcl|damon_reclaim]
         [--swap zram|file|none] [--min-age SECONDS]
         [--machine i3|m5d|z1d] [--seed N]
-        [--serve ADDR] [--publish-every N] [--linger]
+        [--serve ADDR] [--publish-every N] [--linger] [--profile-wall]
 
 Every command is deterministic under a fixed --seed.
 ";
@@ -79,7 +80,7 @@ const VALUE_OPTIONS: &[&str] = &[
 ];
 
 /// Boolean flags.
-const FLAGS: &[&str] = &["distribution", "json", "linger", "paddr", "plain"];
+const FLAGS: &[&str] = &["distribution", "json", "linger", "paddr", "plain", "profile-wall"];
 
 impl Args {
     /// Parse raw arguments (without the program/subcommand names).
@@ -212,7 +213,7 @@ mod tests {
             let raw = [format!("--{key}"), "1".to_string()];
             assert!(Args::parse(raw).is_ok(), "USAGE names --{key}, the parser rejects it");
         }
-        assert_eq!((VALUE_OPTIONS.len(), FLAGS.len()), (23, 5));
+        assert_eq!((VALUE_OPTIONS.len(), FLAGS.len()), (23, 6));
     }
 
     #[test]

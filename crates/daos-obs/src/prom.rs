@@ -10,9 +10,10 @@
 //!   (`monitor.work_ns` → `daos_monitor_work_ns`);
 //! - keyed prefixes collapse into one family per field with a label:
 //!   `scheme.<i>.<field>` → `daos_scheme_<field>{scheme="i"}`,
-//!   `tenant.<t>.<field>` → `daos_tenant_<field>{tenant="t"}`, and the
-//!   server's own `obs.http.<ep>.<field>` →
-//!   `daos_obs_http_<field>{endpoint="ep"}`;
+//!   `tenant.<t>.<field>` → `daos_tenant_<field>{tenant="t"}`, the
+//!   engine profile's `engine.phase.<p>.<field>` →
+//!   `daos_engine_phase_<field>{phase="p"}`, and the server's own
+//!   `obs.http.<ep>.<field>` → `daos_obs_http_<field>{endpoint="ep"}`;
 //! - log2 histograms render as native Prometheus histograms with
 //!   power-of-two `le` bounds plus `_sum`/`_count`;
 //! - label values are escaped per the exposition rules (`\\`, `\"`,
@@ -82,10 +83,15 @@ fn hist_samples(out: &mut String, name: &str, label: Option<(&str, &str)>, h: &H
 
 /// Key prefixes that collapse into labelled families, as
 /// `(key prefix, label name)`: `scheme.<i>.*`, `tenant.<t>.*` (the
-/// fleet engine's per-tenant aggregates) and `obs.http.<ep>.*` (the obs
-/// server's per-endpoint self-telemetry).
-const LABELLED_PREFIXES: [(&str, &str); 3] =
-    [("scheme", "scheme"), ("tenant", "tenant"), ("obs.http", "endpoint")];
+/// fleet engine's per-tenant aggregates), `engine.phase.<p>.*` (its
+/// host wall time per phase) and `obs.http.<ep>.*` (the obs server's
+/// per-endpoint self-telemetry).
+const LABELLED_PREFIXES: [(&str, &str); 4] = [
+    ("scheme", "scheme"),
+    ("tenant", "tenant"),
+    ("engine.phase", "phase"),
+    ("obs.http", "endpoint"),
+];
 
 /// Split `key` on the first matching labelled prefix into
 /// `(prefix, label name, label value, field)`.

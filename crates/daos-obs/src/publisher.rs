@@ -12,7 +12,7 @@ use crate::history::{MetricHistory, QueryResult};
 use crate::prom;
 use crate::server::ServerStats;
 use crate::snapshot::ObsSnapshot;
-use daos::{FleetObserver, FleetProgress, FleetSummary, TenantStats};
+use daos::{FleetObserver, FleetProgress, FleetSummary, Phase, TenantStats, WallProfile};
 use daos_trace::{Registry, Ring, TimedEvent};
 use daos_util::sync::lock;
 use std::collections::VecDeque;
@@ -232,7 +232,10 @@ fn ring_dropped() -> u64 {
 /// aggregation window with its working-set estimate, scheme stats,
 /// monitor overhead, and its time-weighted average RSS in
 /// `avg_rss_bytes`; for a fleet `avg_rss_bytes` carries the *current*
-/// total RSS. `peak_rss_bytes` is the summed per-process peaks.
+/// total RSS. `peak_rss_bytes` is the summed per-process peaks. A
+/// profiled run ([`daos::Session::profile_wall`]) adds its host wall time
+/// per engine phase as `engine.phase.<phase>.wall_ns`, which `/metrics`
+/// folds into `daos_engine_phase_wall_ns{phase="..."}`.
 pub struct FleetPublisher {
     publisher: Publisher,
     config: String,
@@ -240,6 +243,8 @@ pub struct FleetPublisher {
     machine: String,
     publish_every: u64,
     seq: u64,
+    /// The freshest engine profile a tick showed, if the run is profiled.
+    profile: Option<WallProfile>,
 }
 
 impl FleetPublisher {
@@ -259,13 +264,15 @@ impl FleetPublisher {
             machine: machine.to_string(),
             publish_every: publish_every.max(1),
             seq: 0,
+            profile: None,
         }
     }
 
     /// The one snapshot constructor. It adds what every snapshot shares
     /// — the next `seq`, the run identity, the calling thread's
-    /// registry plus the `fleet.*` totals and `tenant.<name>.*`
-    /// aggregates, and the thread collector's ring drops on top of the
+    /// registry plus the `fleet.*` totals, the `tenant.<name>.*`
+    /// aggregates and any `engine.phase.<phase>.*` wall times, and the
+    /// thread collector's ring drops on top of the
     /// engine's — to `rest`, where a live tick and the end of the run
     /// put what they each know.
     fn build(
@@ -289,6 +296,12 @@ impl FleetPublisher {
             add("interference_ns", t.interference_ns);
             add("major_faults", t.major_faults);
             add("swapouts", t.swapouts);
+        }
+        if let Some(profile) = &self.profile {
+            for phase in Phase::ALL {
+                let key = format!("engine.phase.{}.wall_ns", phase.name());
+                registry.counter_add(&key, profile.phase_ns(phase));
+            }
         }
         ObsSnapshot {
             seq: self.seq,
@@ -352,6 +365,7 @@ impl FleetObserver for FleetPublisher {
         if !self.due(p.tick, p.nr_ticks) {
             return;
         }
+        self.profile.clone_from(&p.profile);
         let fleet = [
             ("nr_processes", p.nr_processes as u64),
             ("monitor_work_ns", p.monitor_work_ns),

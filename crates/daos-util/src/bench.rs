@@ -73,7 +73,7 @@ impl Harness {
         mut f: impl FnMut() -> R,
     ) -> Timing {
         assert!(iters >= 1);
-        let mut per_iter: Vec<f64> = (0..self.samples)
+        let per_iter = (0..self.samples)
             .map(|_| {
                 let t = Instant::now();
                 for _ in 0..iters {
@@ -82,6 +82,31 @@ impl Harness {
                 t.elapsed().as_nanos() as f64 / iters as f64
             })
             .collect();
+        self.record(name, iters, per_iter)
+    }
+
+    /// Time one call of `f` per sample on what an untimed `setup` made
+    /// for it; what `f` returns is dropped untimed too.
+    pub fn bench_with_setup<S, R>(
+        &mut self,
+        name: &str,
+        mut setup: impl FnMut() -> S,
+        mut f: impl FnMut(S) -> R,
+    ) -> Timing {
+        let per_iter = (0..self.samples)
+            .map(|_| {
+                let input = setup();
+                let t = Instant::now();
+                let out = black_box(f(input));
+                let ns = t.elapsed().as_nanos() as f64;
+                drop(out);
+                ns
+            })
+            .collect();
+        self.record(name, 1, per_iter)
+    }
+
+    fn record(&mut self, name: &str, iters: u64, mut per_iter: Vec<f64>) -> Timing {
         per_iter.sort_by(f64::total_cmp);
         let timing = Timing {
             median_ns: per_iter[per_iter.len() / 2],

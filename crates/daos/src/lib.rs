@@ -15,6 +15,7 @@
 //!   monitoring, the whole shard under physical-address monitoring) and
 //!   is observed through one [`FleetObserver`] seam;
 //! * Fig. 6-style access-pattern [`heatmap`]s;
+//! * the engine's host-time [`profile`]: wall time per engine phase;
 //! * the normalised performance / memory-efficiency / score [`metrics`]
 //!   of Figures 4, 7 and 8, and [`tune_prcl`]: the Auto-tuning Runtime
 //!   sampling the *prcl* threshold through that same engine.
@@ -45,6 +46,7 @@ pub mod error;
 pub mod fleet;
 pub mod heatmap;
 pub mod metrics;
+pub mod profile;
 pub mod session;
 
 pub use config::{MonitorKind, RunConfig, RunConfigBuilder};
@@ -54,4 +56,5 @@ pub use fleet::{
 };
 pub use heatmap::{biggest_active_span, Heatmap};
 pub use metrics::{score_inputs, score_vs_baseline, tune_prcl, Normalized, TunedPrcl};
+pub use profile::{Phase, WallProfile};
 pub use session::{RunResult, Session, SessionResult};

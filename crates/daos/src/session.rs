@@ -42,6 +42,7 @@ use daos_workloads::WorkloadSpec;
 
 use crate::config::RunConfig;
 use crate::fleet::{FleetEngine, FleetObserver, FleetSpec, FleetSummary};
+use crate::profile::WallProfile;
 
 /// Everything one process's run produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,6 +90,9 @@ pub struct SessionResult {
     /// Fleet-level aggregates; `Some` for every executed session (a
     /// single run is a fleet of one process).
     pub fleet: Option<FleetSummary>,
+    /// Host wall time per engine phase, when the session was
+    /// [`profiled`](Session::profile_wall).
+    pub profile: Option<WallProfile>,
 }
 
 impl SessionResult {
@@ -112,6 +116,7 @@ pub struct Session<'a> {
     seed: u64,
     fleet: FleetSpec,
     fleet_observer: Option<&'a mut dyn FleetObserver>,
+    profile_wall: bool,
 }
 
 impl<'a> Session<'a> {
@@ -122,7 +127,15 @@ impl<'a> Session<'a> {
         config: &'a RunConfig,
         spec: &'a WorkloadSpec,
     ) -> Self {
-        Session { machine, config, spec, seed: 0, fleet: FleetSpec::new(1), fleet_observer: None }
+        Session {
+            machine,
+            config,
+            spec,
+            seed: 0,
+            fleet: FleetSpec::new(1),
+            fleet_observer: None,
+            profile_wall: false,
+        }
     }
 
     /// Fix all randomness (workload draws, monitor sampling, region
@@ -146,15 +159,28 @@ impl<'a> Session<'a> {
         self
     }
 
+    /// With `on`, book the host wall time of every engine phase into
+    /// [`SessionResult::profile`] (and each observer's
+    /// [`FleetProgress::profile`](crate::FleetProgress::profile)).
+    pub fn profile_wall(mut self, on: bool) -> Self {
+        self.profile_wall = on;
+        self
+    }
+
     /// Run to completion: build the engine, run every shard through the
     /// workload's epochs (from one tick the observer is due for to the
     /// next), collect the per-process results.
     pub fn execute(self) -> MmResult<SessionResult> {
+        let started = std::time::Instant::now();
+        let (machine, config, spec, seed) = (self.machine, self.config, self.spec, self.seed);
         let mut engine =
-            FleetEngine::new(self.machine, self.config, self.spec, self.fleet, self.seed)?;
+            FleetEngine::build(machine, config, spec, self.fleet, seed, self.profile_wall)?;
         engine.run(self.fleet_observer)?;
-        let (runs, summary) = engine.finish()?;
-        Ok(SessionResult { runs, fleet: Some(summary) })
+        let (runs, summary, mut profile) = engine.finish_profiled()?;
+        if let Some(profile) = &mut profile {
+            profile.wall_ns = started.elapsed().as_nanos() as u64;
+        }
+        Ok(SessionResult { runs, fleet: Some(summary), profile })
     }
 }
 

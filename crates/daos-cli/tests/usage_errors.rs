@@ -33,7 +33,7 @@ fn binary_usage_errors_exit_2() {
     let trace = trace.to_str().expect("utf-8 temp path");
     let traced = ["trace", "parsec3/freqmine", "--config", "rec", "--epochs", "40", "--out", trace];
     assert_eq!(run(&traced).0, 0, "a small trace to render a heatmap from");
-    let cases: [(&[&str], &str); 18] = [
+    let cases: [(&[&str], &str); 19] = [
         (&["tune", "parsec3/freqmine", "--range", "10:5", "--samples", "3"], "--range"),
         (&["tune", "parsec3/freqmine", "--range", "nan:5"], "--range"),
         (&["tune", "parsec3/freqmine", "--range", "backwards"], "--range"),
@@ -42,6 +42,8 @@ fn binary_usage_errors_exit_2() {
         (&["fleet", "--processes", "0", "--epochs", "1"], "--processes"),
         (&["fleet", "--shard-size", "0", "--epochs", "1"], "--shard-size"),
         (&["fleet", "--tenants", "0", "--epochs", "1"], "--tenants"),
+        // It used to run, publishing ten tenants of no processes.
+        (&["fleet", "--processes", "10", "--tenants", "20", "--epochs", "3"], "--tenants"),
         (&["fleet", "--footprint", "0", "--epochs", "1"], "--footprint"),
         (&["fleet", "--epochs", "0"], "--epochs"),
         (&["run", "parsec3/freqmine", "--epochs", "1", "--ring", "0"], "--ring"),

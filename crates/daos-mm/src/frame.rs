@@ -17,6 +17,13 @@
 //! allocated at least once. Freed frames go to a LIFO recycle list and
 //! are preferred over fresh ones, preserving the kernel-like reuse
 //! behaviour the old allocator had.
+//!
+//! A [`frozen`](FrameAllocator::freeze) allocator — a fleet's shard
+//! image — turns its slabs into shared read-only blocks: a copy shares
+//! them and copies a slab into a block of its own only on its first
+//! write to that slab (a shard of the default fleet writes 2 of 32).
+
+use std::sync::Arc;
 
 use crate::addr::PAGE_SIZE;
 use crate::process::Pid;
@@ -40,13 +47,44 @@ impl FrameMeta {
     const FREE: FrameMeta = FrameMeta { owner: None };
 }
 
+/// One slab's metadata: a block of the allocator's own, a frozen
+/// image's shared block, or neither while no frame in it was ever handed
+/// out (every frame then reads [`FrameMeta::FREE`]). Never both.
+#[derive(Debug, Clone, Default)]
+struct Slab {
+    own: Option<Box<[FrameMeta]>>,
+    shared: Option<Arc<Box<[FrameMeta]>>>,
+}
+
+impl Slab {
+    #[inline]
+    fn metas(&self) -> Option<&[FrameMeta]> {
+        self.own.as_deref().or(self.shared.as_deref().map(|b| &b[..]))
+    }
+}
+
+/// A slab's first write: its own block — the shared one if nothing else
+/// holds it any more, a copy of it if something does, and materialised
+/// all-FREE if there is none. Out of line, so the write path keeps a
+/// small frame.
+#[cold]
+#[inline(never)]
+fn first_write(shared: Option<Arc<Box<[FrameMeta]>>>) -> Box<[FrameMeta]> {
+    match shared {
+        Some(block) => Arc::unwrap_or_clone(block),
+        None => vec![FrameMeta::FREE; SLAB_FRAMES].into_boxed_slice(),
+    }
+}
+
 /// A dense allocator over a fixed number of physical frames, with
-/// slab-lazy metadata.
+/// slab-lazy metadata. Two allocators are equal when they hand out the
+/// same frames next and every frame has the same owner, however their
+/// slabs are held.
 #[derive(Debug)]
 pub struct FrameAllocator {
     capacity: usize,
     /// Lazily materialised metadata slabs of [`SLAB_FRAMES`] frames each.
-    slabs: Vec<Option<Box<[FrameMeta]>>>,
+    slabs: Vec<Slab>,
     /// LIFO recycle list of freed frames, preferred over fresh ones.
     free: Vec<FrameId>,
     /// Next never-allocated frame; all frames `>= next_fresh` outside
@@ -76,7 +114,7 @@ impl FrameAllocator {
         let nr = (capacity_bytes / PAGE_SIZE) as usize;
         Self {
             capacity: nr,
-            slabs: (0..nr.div_ceil(SLAB_FRAMES)).map(|_| None).collect(),
+            slabs: vec![Slab::default(); nr.div_ceil(SLAB_FRAMES)],
             free: Vec::new(),
             next_fresh: 0,
         }
@@ -106,21 +144,37 @@ impl FrameAllocator {
         self.nr_used() as u64 * PAGE_SIZE
     }
 
-    /// Metadata slot for `id`, materialising its slab on first use.
+    /// Metadata slot for `id`, giving its slab a block of its own on
+    /// the first write.
+    #[inline]
     fn meta_mut(&mut self, id: FrameId) -> &mut FrameMeta {
-        let slab = &mut self.slabs[id as usize / SLAB_FRAMES];
-        let slab = slab
-            .get_or_insert_with(|| vec![FrameMeta::FREE; SLAB_FRAMES].into_boxed_slice());
-        &mut slab[id as usize % SLAB_FRAMES]
+        let Slab { own, shared } = &mut self.slabs[id as usize / SLAB_FRAMES];
+        let own = own.get_or_insert_with(|| first_write(shared.take()));
+        &mut own[id as usize % SLAB_FRAMES]
     }
 
     /// Metadata for `id` without materialising (virgin slabs read FREE).
     #[inline]
     fn meta(&self, id: FrameId) -> FrameMeta {
-        match self.slabs.get(id as usize / SLAB_FRAMES) {
-            Some(Some(slab)) => slab[id as usize % SLAB_FRAMES],
-            _ => FrameMeta::FREE,
+        match self.slabs.get(id as usize / SLAB_FRAMES).and_then(Slab::metas) {
+            Some(metas) => metas[id as usize % SLAB_FRAMES],
+            None => FrameMeta::FREE,
         }
+    }
+
+    /// Turn every slab's own block into a shared one, so that copies of
+    /// this allocator share the metadata until they write it.
+    pub fn freeze(&mut self) {
+        for slab in &mut self.slabs {
+            if let Some(own) = slab.own.take() {
+                slab.shared = Some(Arc::new(own));
+            }
+        }
+    }
+
+    /// Whether any slab is still a shared block.
+    pub fn is_shared(&self) -> bool {
+        self.slabs.iter().any(|s| s.shared.is_some())
     }
 
     /// Allocate one frame for `(pid, vaddr)`. Returns `None` when DRAM is
@@ -176,7 +230,7 @@ impl FrameAllocator {
         let mut nr_owned = 0;
         for (i, slab) in self.slabs.iter().enumerate() {
             // Only a materialised slab can hold an owner.
-            let Some(slab) = slab else { continue };
+            let Some(slab) = slab.metas() else { continue };
             for (j, _) in slab.iter().enumerate().filter(|(_, m)| m.owner.is_some()) {
                 let id = (i * SLAB_FRAMES + j) as FrameId;
                 if id >= self.next_fresh {
@@ -195,6 +249,16 @@ impl FrameAllocator {
     /// monitoring primitive walks this. Virgin slabs yield FREE metadata.
     pub fn iter(&self) -> impl Iterator<Item = (FrameId, FrameMeta)> + '_ {
         (0..self.capacity as FrameId).map(|id| (id, self.meta(id)))
+    }
+}
+
+impl PartialEq for FrameAllocator {
+    fn eq(&self, other: &Self) -> bool {
+        // Frames at and above `next_fresh` were never handed out: FREE.
+        self.capacity == other.capacity
+            && self.next_fresh == other.next_fresh
+            && self.free == other.free
+            && (0..self.next_fresh).all(|id| self.meta(id) == other.meta(id))
     }
 }
 
@@ -260,10 +324,33 @@ mod tests {
     fn construction_is_slab_lazy() {
         // 1 GiB of frames: only slab pointers, no metadata yet.
         let fa = FrameAllocator::new(1 << 30);
-        assert!(fa.slabs.iter().all(|s| s.is_none()));
+        assert!(fa.slabs.iter().all(|s| s.metas().is_none()));
         assert_eq!(fa.nr_free(), fa.capacity());
         // Reads of virgin frames see FREE metadata without materialising.
         assert_eq!(fa.owner(123_456), None);
+    }
+
+    /// A copy of a frozen allocator shares every slab until it writes
+    /// one, then owns that one slab; the original never moves.
+    #[test]
+    fn a_frozen_copy_copies_a_slab_on_its_first_write() {
+        let mut fa = FrameAllocator::new(SLAB_FRAMES as u64 * 2 * PAGE_SIZE);
+        let ids: Vec<FrameId> =
+            (0..SLAB_FRAMES as u64 + 2).map(|i| fa.alloc(1, i * PAGE_SIZE).unwrap()).collect();
+        let owned = fa.clone();
+        fa.freeze();
+        assert!(fa.is_shared() && !owned.is_shared());
+        assert_eq!(fa, owned);
+        let mut copy = fa.clone();
+        copy.free(ids[SLAB_FRAMES]);
+        assert!(copy.slabs[0].shared.is_some() && copy.slabs[1].own.is_some());
+        assert_eq!(copy.owner(ids[SLAB_FRAMES]), None);
+        let neighbour = (1, (SLAB_FRAMES as u64 + 1) * PAGE_SIZE);
+        assert_eq!(copy.owner(ids[SLAB_FRAMES + 1]), Some(neighbour), "copied, not cleared");
+        assert_eq!(copy.owner(ids[0]), Some((1, 0)), "the untouched slab reads through");
+        assert_eq!(fa, owned, "the frozen original did not move");
+        assert_ne!(copy, owned);
+        assert_eq!(copy.audit(), Ok(()));
     }
 
     #[test]

@@ -12,8 +12,15 @@
 //! each queued entry carries the page's `lru_gen` at enqueue time; entries
 //! whose generation no longer matches the PTE are skipped on pop. This
 //! keeps every operation O(1) amortised without intrusive links.
+//!
+//! A [`frozen`](Lru::freeze) LRU — a fleet's shard image, which many
+//! shards copy — keeps each list's entries in one read-only shared base.
+//! A copy shares the base, consumes it from the tail by index, and queues
+//! its own pushes in deques of its own around it, so copying a list of
+//! 131,072 entries costs a reference count, not 2 MiB.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::process::Pid;
 
@@ -37,24 +44,74 @@ pub struct LruEntry {
     pub gen: u32,
 }
 
-/// The two-list LRU.
-#[derive(Debug, Default)]
-pub struct Lru {
-    active: VecDeque<LruEntry>,
-    inactive: VecDeque<LruEntry>,
+/// One list, front (newest) to back (next victim): `head`, then the
+/// shared base's first `base_len` entries, then `tail`. Never frozen, the
+/// base is empty and `head` is the whole list — today's plain deque.
+#[derive(Debug, Clone, Default)]
+struct Queue {
+    head: VecDeque<LruEntry>,
+    base: Arc<VecDeque<LruEntry>>,
+    base_len: usize,
+    tail: VecDeque<LruEntry>,
 }
 
-/// A copy keeps the original's capacity: a derived clone is exactly
-/// full, so the first insert into a copy of a warmed-up machine would
-/// regrow (and move) a multi-MiB deque.
-impl Clone for Lru {
-    fn clone(&self) -> Self {
-        let copy = |q: &VecDeque<LruEntry>| {
-            let mut out = VecDeque::with_capacity(q.capacity());
-            out.extend(q);
-            out
-        };
-        Lru { active: copy(&self.active), inactive: copy(&self.inactive) }
+impl Queue {
+    #[inline]
+    fn push_front(&mut self, e: LruEntry) {
+        self.head.push_front(e);
+    }
+
+    #[inline]
+    fn push_back(&mut self, e: LruEntry) {
+        if self.base_len == 0 && self.tail.is_empty() {
+            self.head.push_back(e);
+        } else {
+            self.tail.push_back(e);
+        }
+    }
+
+    #[inline]
+    fn pop_back(&mut self) -> Option<LruEntry> {
+        if let Some(e) = self.tail.pop_back() {
+            return Some(e);
+        }
+        if self.base_len > 0 {
+            self.base_len -= 1;
+            return Some(self.base[self.base_len]);
+        }
+        self.head.pop_back()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &LruEntry> {
+        self.head.iter().chain(self.base.range(..self.base_len)).chain(&self.tail)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.head.is_empty() && self.base_len == 0 && self.tail.is_empty()
+    }
+
+    /// Move every entry into a new shared base (without copying the
+    /// deque of a list that was never frozen).
+    fn freeze(&mut self) {
+        let mut base = std::mem::take(&mut self.head);
+        if self.base_len > 0 || !self.tail.is_empty() {
+            base.extend(self.iter());
+        }
+        *self = Queue { base_len: base.len(), base: Arc::new(base), ..Queue::default() };
+    }
+}
+
+/// The two-list LRU. Two LRUs are equal when their lists hold the same
+/// entries in the same order, frozen or not.
+#[derive(Debug, Clone, Default)]
+pub struct Lru {
+    active: Queue,
+    inactive: Queue,
+}
+
+impl PartialEq for Lru {
+    fn eq(&self, other: &Self) -> bool {
+        self.active.iter().eq(other.active.iter()) && self.inactive.iter().eq(other.inactive.iter())
     }
 }
 
@@ -97,16 +154,37 @@ impl Lru {
         self.active.is_empty() && self.inactive.is_empty()
     }
 
+    /// Every queued entry, live or stale, with its list.
+    pub fn entries(&self) -> impl Iterator<Item = (LruList, LruEntry)> + '_ {
+        let active = self.active.iter().map(|e| (LruList::Active, *e));
+        active.chain(self.inactive.iter().map(|e| (LruList::Inactive, *e)))
+    }
+
+    /// Move both lists into shared bases, so that copies of this LRU
+    /// share them instead of copying them.
+    pub fn freeze(&mut self) {
+        self.active.freeze();
+        self.inactive.freeze();
+    }
+
+    /// Whether a list holds a shared base (this LRU, or what it was
+    /// copied from, was frozen).
+    pub fn is_shared(&self) -> bool {
+        !self.active.base.is_empty() || !self.inactive.base.is_empty()
+    }
+
     /// Drop all queued entries (e.g. after process teardown in tests).
     pub fn clear(&mut self) {
-        self.active.clear();
-        self.inactive.clear();
+        self.active = Queue::default();
+        self.inactive = Queue::default();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use daos_util::prop::{vec_of, Just};
+    use daos_util::{one_of, prop_assert, prop_assert_eq, proptest};
 
     #[test]
     fn fifo_order_within_inactive() {
@@ -137,23 +215,88 @@ mod tests {
         assert!(lru.is_empty());
     }
 
+    /// A copy of a frozen LRU consumes the shared base without touching
+    /// the original, and equality sees through the layout.
     #[test]
-    fn clone_keeps_order_and_headroom() {
+    fn a_frozen_copy_shares_and_leaves_the_original_alone() {
         let mut lru = Lru::new();
         for i in 0..100 {
             lru.insert(LruList::Inactive, 1, i * 0x1000, 1);
         }
+        let owned = lru.clone();
+        lru.freeze();
+        assert!(lru.is_shared() && !owned.is_shared());
+        assert_eq!(lru, owned);
         let mut copy = lru.clone();
-        assert!(copy.inactive.capacity() >= lru.inactive.capacity());
-        assert_eq!(copy.inactive, lru.inactive);
-        assert_eq!(copy.pop_inactive(), lru.pop_inactive());
+        assert!(Arc::ptr_eq(&copy.inactive.base, &lru.inactive.base), "shared, not copied");
+        assert_eq!(copy.pop_inactive().unwrap().addr, 0);
+        copy.insert(LruList::Inactive, 1, 0xf000, 2);
+        assert_eq!(lru, owned, "the original did not move");
+        assert_ne!(copy, owned);
     }
 
     #[test]
     fn clear_empties() {
         let mut lru = Lru::new();
         lru.insert(LruList::Active, 1, 0, 0);
+        lru.freeze();
         lru.clear();
-        assert!(lru.is_empty());
+        assert!(lru.is_empty() && !lru.is_shared());
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        PushFront,
+        PushBack,
+        PopBack,
+        /// Freeze the list and go on with a copy of it.
+        Freeze,
+    }
+
+    proptest! {
+        cases = 256;
+
+        // One list against a `VecDeque` oracle: whatever the pushes, pops
+        // and freezes, every pop answers what the oracle's does and the
+        // list reads front to back as the oracle; a frozen list is left
+        // exactly as it was frozen by everything its copy does.
+        fn queue_matches_a_deque_across_freezes(
+            ops in vec_of(
+                one_of![
+                    Just(Op::PushFront),
+                    Just(Op::PushBack),
+                    Just(Op::PopBack),
+                    Just(Op::Freeze),
+                ],
+                0..200,
+            ),
+        ) {
+            let mut queue = Queue::default();
+            let mut oracle = VecDeque::new();
+            let mut frozen: Vec<(Queue, Vec<LruEntry>)> = Vec::new();
+            for (i, op) in ops.into_iter().enumerate() {
+                let e = LruEntry { pid: 1, addr: i as u64 * 0x1000, gen: i as u32 };
+                match op {
+                    Op::PushFront => {
+                        queue.push_front(e);
+                        oracle.push_front(e);
+                    }
+                    Op::PushBack => {
+                        queue.push_back(e);
+                        oracle.push_back(e);
+                    }
+                    Op::PopBack => prop_assert_eq!(queue.pop_back(), oracle.pop_back()),
+                    Op::Freeze => {
+                        queue.freeze();
+                        frozen.push((queue.clone(), oracle.iter().copied().collect()));
+                    }
+                }
+                prop_assert!(queue.iter().eq(oracle.iter()), "after op {i}");
+                prop_assert_eq!(queue.is_empty(), oracle.is_empty());
+            }
+            for (image, entries) in frozen {
+                prop_assert!(image.iter().eq(entries.iter()), "a frozen list moved");
+            }
+        }
     }
 }

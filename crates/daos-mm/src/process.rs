@@ -23,7 +23,7 @@ pub const MMAP_GAP: u64 = 16 * PAGE_SIZE;
 pub const STACK_BASE: u64 = 0x7f00_0000_0000;
 
 /// A simulated process: a sorted list of VMAs plus statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Process {
     /// This process's identifier.
     pub pid: Pid,

@@ -17,9 +17,12 @@ use crate::clock::Ns;
 use crate::error::{MmError, MmResult};
 use crate::machine::MachineProfile;
 
-/// An opaque ticket for a swapped-out page.
+/// An opaque ticket for a swapped-out page. The device keeps no state
+/// per slot, so tickets only need to be distinct among the pages swapped
+/// out at one time, and 32 bits keep a page-table chunk small: tickets
+/// wrap after 2³² stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SwapSlot(pub u64);
+pub struct SwapSlot(pub u32);
 
 /// Which swap backend to simulate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,10 +69,10 @@ impl SwapConfig {
 }
 
 /// A swap device instance with usage accounting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwapDevice {
     config: SwapConfig,
-    next_slot: u64,
+    next_slot: u32,
     /// Bytes of device capacity currently consumed.
     used_bytes: f64,
 }
@@ -127,7 +130,7 @@ impl SwapDevice {
         }
         self.used_bytes += self.cost_per_page();
         let slot = SwapSlot(self.next_slot);
-        self.next_slot += 1;
+        self.next_slot = self.next_slot.wrapping_add(1);
         let lat = match self.config {
             // lint: allow(panic, has_room() returned false for SwapConfig::None above)
             SwapConfig::None => unreachable!("has_room() is false for SwapConfig::None"),

@@ -24,9 +24,11 @@ use crate::vma::{PteState, Reclaimed, ThpMode, Vma};
 const RECLAIM_BATCH: u64 = 32;
 
 /// The whole simulated machine. `Clone` copies it with everything it
-/// has mapped, keeping the LRU lists' and the frame recycle list's
-/// growth headroom — the fleet engine stamps shards from one built image.
-#[derive(Debug, Clone)]
+/// has mapped — the fleet engine stamps shards from one built image,
+/// which it first [`freeze`](Self::freeze)s so that the copies share
+/// what they rarely write. Two machines are equal when their state is,
+/// frozen or not.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemorySystem {
     machine: MachineProfile,
     clock: Clock,
@@ -67,6 +69,22 @@ impl MemorySystem {
             "the image drew from the machine stream: a copy would replay the draw"
         );
         self.rng = SmallRng::seed_from_u64(seed);
+    }
+
+    /// Make copies of this machine share its frame metadata and LRU
+    /// lists instead of copying them: each copy copies a frame slab on
+    /// its first write to it, and consumes the lists' shared bases from
+    /// the tail while queueing its own pushes beside them. The page
+    /// tables stay each copy's own: a shard writes most of them. For a
+    /// machine that will be copied more than once; nothing else changes.
+    pub fn freeze(&mut self) {
+        self.frames.freeze();
+        self.lru.freeze();
+    }
+
+    /// Whether this machine still holds blocks shared with a frozen one.
+    pub fn is_shared(&self) -> bool {
+        self.frames.is_shared() || self.lru.is_shared()
     }
 
     // ---- introspection ---------------------------------------------
@@ -147,9 +165,11 @@ impl MemorySystem {
     /// ([`Vma::check_counters`]); each process's RSS against its VMAs'
     /// resident pages; each resident page's frame owned, in the rmap, by
     /// exactly that `(pid, addr)` — so no frame backs two pages; the
-    /// frames in use against the sum of RSS; and the frame allocator's
-    /// books ([`FrameAllocator::audit`]: nothing free is owned). O(mapped
-    /// pages): for debug builds and tests, not for a hot path.
+    /// frames in use against the sum of RSS; the frame allocator's books
+    /// ([`FrameAllocator::audit`]: nothing free is owned); and the LRU
+    /// (DESIGN §5: every live entry on a resident page, one per page).
+    /// O(mapped pages + queued entries): for debug builds and tests, not
+    /// for a hot path.
     pub fn audit(&self) -> Result<(), String> {
         let mut rss_pages = 0;
         for proc in &self.procs {
@@ -178,7 +198,34 @@ impl MemorySystem {
             let used = self.frames.nr_used();
             return Err(format!("{used} frames in use, the processes' RSS sums to {rss_pages}"));
         }
-        self.frames.audit()
+        self.frames.audit()?;
+        self.audit_lru()
+    }
+
+    /// The LRU invariant (DESIGN §5): an entry is live when its stamp is
+    /// its page's current generation, and a live entry names a resident
+    /// page, which has no other live entry on either list. (A resident
+    /// page may have none: a huge page's filler subpages and a victim a
+    /// full swap device left behind are resident off the lists.)
+    fn audit_lru(&self) -> Result<(), String> {
+        let mut live = std::collections::HashSet::new();
+        for (list, e) in self.lru.entries() {
+            let pte = self
+                .procs
+                .get(e.pid as usize)
+                .and_then(|p| p.find_vma(e.addr))
+                .map(|vma| vma.pte(e.addr));
+            let Some(pte) = pte.filter(|pte| pte.lru_gen == e.gen) else { continue };
+            let (pid, addr) = (e.pid, e.addr);
+            if !pte.is_resident() {
+                let what = format!("a live {list:?} entry names pid {pid} page {addr:#x}");
+                return Err(format!("{what}, which is not resident"));
+            }
+            if !live.insert((pid, addr)) {
+                return Err(format!("pid {pid} page {addr:#x} has two live LRU entries"));
+            }
+        }
+        Ok(())
     }
 
     // ---- process lifecycle -----------------------------------------

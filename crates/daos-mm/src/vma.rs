@@ -65,12 +65,14 @@
 //! A chunk is structure-of-arrays. The four things a page *is* — resident,
 //! swapped, accessed, touched — are four bitmaps of eight `u64` words, one
 //! bit per page; what a page *has* sits beside them in two per-page
-//! arrays: `backing` (the frame id of a resident page, the swap slot of a
-//! swapped one) and the LRU generation. [`Pte`] is the by-value view of
-//! one page that `get` assembles and `set` scatters back; nothing stores
-//! one. The commonest thing a workload does — re-touching resident pages —
-//! and every scan for them therefore reads and writes words, 64 pages at a
-//! time, and never the per-page arrays.
+//! arrays: `backing` (the frame id of a resident page, the swap slot of
+//! a swapped one, both 32 bits) and the LRU generation — 4,352 bytes per
+//! 512 pages, which is what stamping a fleet shard copies per chunk.
+//! [`Pte`] is the by-value view of one page that `get` assembles and
+//! `set` scatters back; nothing stores one. The commonest thing a
+//! workload does — re-touching resident pages — and every scan for them
+//! therefore reads and writes words, 64 pages at a time, and never the
+//! per-page arrays.
 //!
 //! A chunk is kept in canonical form, which [`Vma::check_counters`]
 //! recounts: `resident` and `swapped` are disjoint, a page in neither has
@@ -195,7 +197,7 @@ struct PteChunk {
     accessed: [u64; PT_WORDS],
     touched: [u64; PT_WORDS],
     /// Frame id of a resident page, swap slot of a swapped one, else 0.
-    backing: [u64; PT_CHUNK_PAGES],
+    backing: [u32; PT_CHUNK_PAGES],
     lru_gen: [u32; PT_CHUNK_PAGES],
 }
 
@@ -216,7 +218,7 @@ impl PteChunk {
     fn get(&self, pi: usize) -> Pte {
         let (w, bit) = (pi / 64, 1u64 << (pi % 64));
         let state = if self.resident[w] & bit != 0 {
-            PteState::Resident(self.backing[pi] as FrameId)
+            PteState::Resident(self.backing[pi])
         } else if self.swapped[w] & bit != 0 {
             PteState::Swapped(SwapSlot(self.backing[pi]))
         } else {
@@ -238,7 +240,7 @@ impl PteChunk {
         let put = |word: &mut u64, on: bool| *word = (*word & !bit) | if on { bit } else { 0 };
         let (resident, swapped, backing) = match pte.state {
             PteState::None => (false, false, 0),
-            PteState::Resident(frame) => (true, false, frame as u64),
+            PteState::Resident(frame) => (true, false, frame),
             PteState::Swapped(slot) => (false, true, slot.0),
         };
         put(&mut self.resident[w], resident);
@@ -509,7 +511,7 @@ impl Vma {
         let flag = if by_cpu { bit } else { 0 };
         c.accessed[w] = (c.accessed[w] & !bit) | flag;
         c.touched[w] = (c.touched[w] & !bit) | flag;
-        c.backing[pi] = frame as u64;
+        c.backing[pi] = frame;
         c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
         let gen = c.lru_gen[pi];
         self.total_resident += 1;
@@ -576,7 +578,7 @@ impl Vma {
             return Ok(Reclaimed::Referenced(c.lru_gen[pi]));
         }
         let swap_slot = store()?;
-        let frame = c.backing[pi] as FrameId;
+        let frame = c.backing[pi];
         c.resident[w] &= !bit;
         c.swapped[w] |= bit;
         c.touched[w] &= !bit;

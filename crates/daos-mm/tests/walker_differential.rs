@@ -95,7 +95,8 @@ fn population(range: AddrRange, rng: &mut SmallRng, frame: &mut u32) -> (Vec<(u6
                 let state = PteState::Resident(*frame);
                 entries.push((addr, Pte { state, accessed, touched, lru_gen: 0 }));
             } else if kind >= 2 && roll < resident_pct + 10 {
-                entries.push((addr, Pte { state: PteState::Swapped(SwapSlot(addr)), ..EMPTY }));
+                let state = PteState::Swapped(SwapSlot((addr / PAGE_SIZE) as u32));
+                entries.push((addr, Pte { state, ..EMPTY }));
             }
         }
         // Aligned chunks are huge half the time, whatever they hold (a
@@ -236,7 +237,7 @@ fn compare(vmas: &[Vma], range: &AddrRange, stride: u32, all: bool, what: &str) 
 #[derive(Debug, Clone, Copy)]
 enum Edit {
     Map(u32, bool, bool),
-    Swap(u64),
+    Swap(u32),
     /// `state = None`, flags and generation left as they are.
     Unmap,
     /// Back to the entry a never-touched page reads as.
@@ -252,7 +253,7 @@ impl Edit {
         let (a, t) = (flag(), flag());
         match rng.random_range(0..10u32) {
             0..3 => Edit::Map(rng.random_range(0..=u32::MAX), a, t),
-            3..5 => Edit::Swap(rng.random_range(0..=u64::MAX)),
+            3..5 => Edit::Swap(rng.random_range(0..=u32::MAX)),
             5 => Edit::Unmap,
             6 => Edit::Clear,
             7 => Edit::Flags(a, t),
@@ -484,7 +485,7 @@ proptest! {
             model.with_pte(addr, |p| *p = pte);
         }
         let mut resident = Vec::new();
-        let mut next_slot = 0u64;
+        let mut next_slot = 0u32;
         for step in 0..250 {
             // Half the time a page that was resident not long ago.
             if step % 16 == 0 {

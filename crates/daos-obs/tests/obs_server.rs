@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-use daos::{FleetObserver, FleetProgress, FleetSpec, RunConfig, Session};
+use daos::{FleetObserver, FleetProgress, FleetSpec, Phase, RunConfig, Session};
 use daos_mm::MachineProfile;
 use daos_obs::http::http_get;
 use daos_obs::prom::{parse_exposition, Sample};
@@ -337,4 +337,48 @@ fn serve_free_run_allocates_no_publisher() {
     let result = Session::new(&machine, &config, &spec).seed(7).execute().expect("run");
     assert!(result.into_single().runtime_ns > 0);
     assert!(!daos_trace::enabled(), "plain runs must not install a collector");
+}
+
+/// A profiled run exports its host wall time per engine phase as one
+/// labelled family, `daos_engine_phase_wall_ns{phase}`: a sample per
+/// phase, as of the last tick published, so never more than the run's
+/// own final profile. An unprofiled run exports no such family.
+#[test]
+fn a_profiled_run_exports_its_engine_phases() {
+    let machine = MachineProfile::i3_metal();
+    let config = RunConfig::prcl();
+    let workers = FleetConfig { worker_footprint: 4 << 20, ..FleetConfig::default() };
+    let spec = workers.worker_spec(10);
+    for profiled in [true, false] {
+        let publisher = Publisher::new();
+        let server = ObsServer::bind("127.0.0.1:0", publisher.clone()).expect("bind");
+        let mut obs =
+            FleetPublisher::new(publisher, &config.name, &spec.path_name(), &machine.name, 1);
+        let result = Session::new(&machine, &config, &spec)
+            .seed(3)
+            .fleet(FleetSpec::new(8).shard_size(4).workers(2))
+            .profile_wall(profiled)
+            .fleet_observer(&mut obs)
+            .execute()
+            .expect("run");
+        obs.finalize(result.fleet.as_ref().expect("every session carries a summary"));
+        let metrics = http_get(server.addr(), "/metrics", TIMEOUT).expect("metrics");
+        let samples = parse_exposition(&metrics.body).expect("exposition parses");
+        let phases: Vec<&Sample> =
+            samples.iter().filter(|s| s.name == "daos_engine_phase_wall_ns").collect();
+        let Some(profile) = result.profile else {
+            assert!(!profiled && phases.is_empty(), "unprofiled: {phases:?}");
+            continue;
+        };
+        assert_eq!(phases.len(), Phase::ALL.len(), "{phases:?}");
+        let scraped = |phase: Phase| {
+            let label = vec![("phase".to_string(), phase.name().to_string())];
+            phases.iter().find(|s| s.labels == label).map(|s| s.value)
+        };
+        for phase in Phase::ALL {
+            let ns = scraped(phase).unwrap_or_else(|| panic!("no {phase:?} in {phases:?}"));
+            assert!(ns <= profile.phase_ns(phase) as f64, "{phase:?}: {ns}");
+        }
+        assert!(scraped(Phase::Workload) > Some(0.0), "{phases:?}");
+    }
 }

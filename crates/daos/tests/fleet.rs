@@ -233,6 +233,10 @@ fn fleet_spec_defaults_and_clamps() {
     assert_eq!(spec.nr_tenants, 1);
     assert_eq!(spec.nr_shards(), 100);
 
+    // More tenants than processes would publish empty tenants.
+    assert_eq!(FleetSpec::new(3).tenants(4).nr_tenants, 3);
+    assert_eq!(FleetSpec::new(10).tenants(20).nr_tenants, 10);
+
     let attrs = daos_monitor::MonitorAttrs::paper_defaults();
     assert_eq!(FleetSpec::new(1).effective_attrs(&attrs), attrs, "N=1 attrs unchanged");
     let squeezed = FleetSpec::new(100_000).effective_attrs(&attrs);

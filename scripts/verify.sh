@@ -323,7 +323,7 @@ target/release/obs-get "$faddr" '/query?metric=daos_fleet_nr_processes' \
 }
 tr '[' '\n' < "$tmp/fleet_query.json" \
     | sed -n 's/^[0-9.e+-]*,\([0-9.e+-]*\)\].*$/\1/p' \
-    | awk 'NR > 1 && $1 + 0 < prev { exit 1 } { prev = $1 + 0 } END { exit (NR == 0) }' || {
+    | awk 'NR > 1 && $1 + 0 < prev { down = 1 } { prev = $1 + 0 } END { exit NR == 0 || down }' || {
     echo "FAIL: /query daos_fleet_nr_processes series empty or non-monotonic"
     cat "$tmp/fleet_query.json"
     kill "$fleet_pid" 2>/dev/null
@@ -343,8 +343,8 @@ grep -q '^daos_fleet_nr_processes 256$' "$tmp/fleet_metrics.txt" || {
 }
 # The paper's Conclusion 3: monitoring costs at most 5 % of one CPU per
 # process. The plane exports the fleet's share; this is its reader.
-awk '$1 == "daos_obs_monitor_share_permille" { seen = 1; if ($2 + 0 > 50) exit 1 }
-     END { exit !seen }' "$tmp/fleet_metrics.txt" || {
+awk '$1 == "daos_obs_monitor_share_permille" { seen = 1; high = $2 + 0 > 50 }
+     END { exit !seen || high }' "$tmp/fleet_metrics.txt" || {
     echo "FAIL: daos_obs_monitor_share_permille missing from /metrics or above 50"
     grep monitor_share "$tmp/fleet_metrics.txt"
     exit 1
@@ -389,6 +389,32 @@ grep -v '^fleet    ' "$tmp/fleet_10k_2.txt" | diff -u "$tmp/fleet_10k_1.body" - 
     echo "FAIL: the 10,000-process summary depends on --workers"
     exit 1
 }
+echo "ok"
+
+echo "== engine profile: --profile-wall accounts for the wall =="
+# The engine's own lane (DESIGN §13): a table row per phase, and rows
+# that attribute at least 95 % of the session's wall — inline (a single
+# run) and with the shard phases on a worker pool (a 64-process fleet).
+profile_check() {
+    out=$1
+    for phase in build stamp workload plane khugepaged barrier progress retire drop; do
+        grep -Eq "^$phase\*? " "$out" || {
+            echo "FAIL: the --profile-wall table has no $phase row"
+            cat "$out"
+            exit 1
+        }
+    done
+    awk '$1 == "attributed" { seen = 1; low = $(NF - 1) + 0 < 95 } END { exit !seen || low }' \
+        "$out" || {
+        echo "FAIL: the --profile-wall rows cover under 95 % of wall"
+        cat "$out"
+        exit 1
+    }
+}
+target/release/daos run parsec3/freqmine --epochs 200 --profile-wall > "$tmp/profile_run.txt"
+profile_check "$tmp/profile_run.txt"
+target/release/daos fleet --processes 64 --epochs 5 --profile-wall > "$tmp/profile_fleet.txt"
+profile_check "$tmp/profile_fleet.txt"
 echo "ok"
 
 echo "== bench fleet: 1k-process tick and run within baseline =="

@@ -1,6 +1,8 @@
 //! Minimal argument parsing: positionals plus `--key value` / `--flag`
-//! options, with typed accessors. An option in neither table below is
-//! a usage error, so a misspelt `--key` cannot silently run defaults.
+//! options, with typed accessors. A subcommand takes exactly the options
+//! its [`USAGE`] block names — the one list there is — so a misspelt
+//! `--key`, or another subcommand's, is a usage error, never a silent
+//! run of the defaults.
 
 use std::collections::BTreeMap;
 
@@ -14,8 +16,11 @@ pub struct Args {
     flags: Vec<String>,
 }
 
-/// The `daos` binary's help text; every `--option` it names is in one
-/// of the two tables below (pinned by a test).
+/// The `daos` binary's help text, and the option table: a subcommand's
+/// block — its 4-space-indented header line (`report heatmap <FILE>`
+/// heads `report heatmap`) and the deeper-indented lines below it —
+/// names every `--option` it takes; `[--key]` is a flag, any other
+/// `--key` takes a value.
 pub const USAGE: &str = "\
 daos — data access-aware memory management (paper reproduction tool)
 
@@ -34,8 +39,10 @@ SUBCOMMANDS:
         [--profile-wall]      print host wall time per engine phase
     top <ADDR | workload>     live dashboard (WSS sparkline, hottest
         regions, scheme state, span latencies); ADDR attaches to a
-        --serve endpoint, a workload name runs it in-process
-        [--refresh MS] [--iterations N] [--plain] [--config ...]
+        served run's endpoint, a workload name runs it in-process
+        [--refresh MS] [--iterations N] [--plain]
+        [--config ...] [--machine ...] [--seed N] [--epochs N]
+        [--ring N] [--publish-every N]
     record <workload>         monitor a workload, write every aggregation
         window as trace JSONL (default daos.record.jsonl)
         [--machine i3|m5d|z1d] [--paddr] [--seed N] [--out FILE]
@@ -72,37 +79,57 @@ SUBCOMMANDS:
 Every command is deterministic under a fixed --seed.
 ";
 
-/// Option keys that take a value.
-const VALUE_OPTIONS: &[&str] = &[
-    "machine", "out", "seed", "rows", "cols", "schemes-file", "scheme", "range", "samples",
-    "swap", "min-age", "config", "ring", "epochs", "serve", "refresh", "iterations",
-    "publish-every", "processes", "shard-size", "workers", "tenants", "footprint",
-];
+/// The lines of subcommand `sub`'s [`USAGE`] block (none for an unknown
+/// one).
+fn usage_block(sub: &str) -> impl Iterator<Item = &'static str> + '_ {
+    let mut name = String::new();
+    USAGE.lines().filter(move |line| {
+        if let Some(header) = line.strip_prefix("    ").filter(|h| !h.starts_with(' ')) {
+            let words = header.split("  ").next().unwrap_or_default().split(' ');
+            name = words.take_while(|w| !w.starts_with('<')).collect::<Vec<_>>().join(" ");
+        } else if !line.starts_with("        ") {
+            name.clear();
+        }
+        name == sub
+    })
+}
 
-/// Boolean flags.
-const FLAGS: &[&str] = &["distribution", "json", "linger", "paddr", "plain", "profile-wall"];
+/// The options subcommand `sub` takes: `(key, takes a value)` for every
+/// `--key` its [`USAGE`] block names.
+fn options(sub: &str) -> impl Iterator<Item = (&'static str, bool)> + '_ {
+    usage_block(sub).flat_map(|line| {
+        line.match_indices("--").map(move |(at, _)| {
+            let rest = &line[at + 2..];
+            let len = rest.find(|c: char| !(c.is_ascii_lowercase() || c == '-'));
+            let key = &rest[..len.unwrap_or(rest.len())];
+            (key, !rest[key.len()..].starts_with(']'))
+        })
+    })
+}
 
 impl Args {
-    /// Parse raw arguments (without the program/subcommand names).
-    pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, DaosError> {
+    /// Parse the raw arguments of subcommand `sub` (`"fleet"`, `"report
+    /// wss"`, …; without the program and subcommand names).
+    pub fn parse<I: IntoIterator<Item = String>>(sub: &str, raw: I) -> Result<Args, DaosError> {
         let mut args = Args::default();
-        let mut it = raw.into_iter().peekable();
+        let mut it = raw.into_iter();
         while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                if VALUE_OPTIONS.contains(&key) {
+            let Some(key) = a.strip_prefix("--") else {
+                args.positionals.push(a);
+                continue;
+            };
+            match options(sub).find(|&(k, _)| k == key) {
+                Some((_, true)) => {
                     let v = it
                         .next()
                         .ok_or_else(|| DaosError::usage(format!("option --{key} needs a value")))?;
                     args.options.insert(key.to_string(), v);
-                } else if FLAGS.contains(&key) {
-                    args.flags.push(key.to_string());
-                } else {
-                    return Err(DaosError::usage(format!(
-                        "unknown option --{key} (see daos --help)"
-                    )));
                 }
-            } else {
-                args.positionals.push(a);
+                Some((_, false)) => args.flags.push(key.to_string()),
+                None => {
+                    let why = format!("daos {sub} takes no option --{key} (see daos --help)");
+                    return Err(DaosError::usage(why));
+                }
             }
         }
         Ok(args)
@@ -168,13 +195,23 @@ mod tests {
     use daos_util::prop::{any_bool, fuzz_bytes, select};
     use daos_util::{prop_assert, prop_assert_eq, proptest};
 
-    fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+    /// Every subcommand, as `main` names it to [`Args::parse`].
+    const SUBCOMMANDS: [&str; 13] = [
+        "list", "run", "top", "record", "report heatmap", "report wss", "report summary",
+        "report schemes", "report profile", "schemes", "trace", "tune", "fleet",
+    ];
+
+    fn try_parse(sub: &str, s: &str) -> Result<Args, DaosError> {
+        Args::parse(sub, s.split_whitespace().map(String::from))
+    }
+
+    fn parse(sub: &str, s: &str) -> Args {
+        try_parse(sub, s).unwrap()
     }
 
     #[test]
     fn positionals_and_options() {
-        let a = parse("parsec3/freqmine --machine z1d --seed 7 --paddr");
+        let a = parse("record", "parsec3/freqmine --machine z1d --seed 7 --paddr");
         assert_eq!(a.pos(0), Some("parsec3/freqmine"));
         assert_eq!(a.pos(1), None);
         assert_eq!(a.opt("machine"), Some("z1d"));
@@ -185,43 +222,61 @@ mod tests {
 
     #[test]
     fn machine_selection() {
-        assert_eq!(parse("--machine m5d").machine().unwrap().name, "m5d.metal");
-        assert_eq!(parse("").machine().unwrap().name, "i3.metal");
-        assert!(parse("--machine quantum").machine().is_err());
+        assert_eq!(parse("run", "--machine m5d").machine().unwrap().name, "m5d.metal");
+        assert_eq!(parse("run", "").machine().unwrap().name, "i3.metal");
+        assert!(parse("run", "--machine quantum").machine().is_err());
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Args::parse(vec!["--machine".to_string()]).is_err());
+        assert!(try_parse("run", "--machine").is_err());
     }
 
     #[test]
     fn a_misspelt_option_is_a_usage_error_naming_it() {
-        let err = Args::parse("--proceses 8 --epochs 2".split(' ').map(String::from)).unwrap_err();
+        let err = try_parse("fleet", "--proceses 8 --epochs 2").unwrap_err();
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains("--proceses"), "{err}");
     }
 
+    /// Each subcommand takes what its `USAGE` block names and nothing
+    /// else: another subcommand's option is the same usage error as a
+    /// misspelt one. Across the blocks, every option there is.
     #[test]
-    fn every_option_in_usage_parses() {
-        let named: Vec<&str> = USAGE
-            .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
-            .filter_map(|w| w.strip_prefix("--"))
-            .collect();
-        assert!(named.len() > VALUE_OPTIONS.len() + FLAGS.len(), "USAGE names options");
-        for key in named {
-            let raw = [format!("--{key}"), "1".to_string()];
-            assert!(Args::parse(raw).is_ok(), "USAGE names --{key}, the parser rejects it");
+    fn a_subcommand_takes_only_the_options_its_usage_block_names() {
+        let record: Vec<_> = options("record").collect();
+        assert_eq!(record, [("machine", true), ("paddr", false), ("seed", true), ("out", true)]);
+        assert_eq!(options("list").count() + options("report summary").count(), 0);
+        for sub in SUBCOMMANDS {
+            for (key, takes_value) in options(sub) {
+                let line = if takes_value { format!("--{key} 1") } else { format!("--{key}") };
+                assert!(try_parse(sub, &line).is_ok(), "daos {sub}'s USAGE names --{key}");
+            }
         }
-        assert_eq!((VALUE_OPTIONS.len(), FLAGS.len()), (23, 6));
+        for (sub, line, key) in [
+            ("record", "parsec3/freqmine --config thp", "--config"),
+            ("fleet", "--paddr", "--paddr"),
+            ("tune", "parsec3/freqmine --epochs 5", "--epochs"),
+            ("top", "parsec3/freqmine --serve 127.0.0.1:0", "--serve"),
+            ("report summary", "t.jsonl --json", "--json"),
+        ] {
+            let err = try_parse(sub, line).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "daos {sub} {line}");
+            assert!(err.to_string().contains(key), "daos {sub} {line}: {err}");
+        }
+        let mut keys: Vec<_> = SUBCOMMANDS.iter().flat_map(|sub| options(sub)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let flags = keys.iter().filter(|(_, takes_value)| !takes_value).count();
+        assert_eq!((keys.len() - flags, flags), (23, 6), "{keys:?}");
     }
 
     #[test]
     fn numeric_defaults_and_errors() {
-        let a = parse("--rows 24");
+        let a = parse("report heatmap", "--rows 24");
         assert_eq!(a.opt_num("rows", 16usize).unwrap(), 24);
         assert_eq!(a.opt_num("cols", 72usize).unwrap(), 72);
-        let bad = parse("--rows many");
+        let bad = parse("report heatmap", "--rows many");
         assert!(bad.opt_num("rows", 16usize).is_err());
     }
 
@@ -236,14 +291,15 @@ mod tests {
         " ", "\t", "\n", "=", "-", "42", "0:60", "i3", "parsec3/freqmine",
     ];
 
-    // Whatever argv holds — a real command line, one with token soup
-    // and arbitrary bytes spliced in, or soup alone — parsing and the
-    // typed accessors answer `Ok` or a usage error, never panic, and
-    // `Args` holds no more bytes than it was given.
+    // Whatever argv holds, for whichever subcommand — a real command
+    // line, one with token soup and arbitrary bytes spliced in, or soup
+    // alone — parsing and the typed accessors answer `Ok` or a usage
+    // error, never panic, and `Args` holds no more bytes than it was given.
     proptest! {
         cases = 512;
 
         fn parse_survives_arbitrary_bytes(
+            sub in select(SUBCOMMANDS.to_vec()),
             seed in select(ARG_SEEDS.to_vec()),
             noise in fuzz_bytes(ARG_TOKENS),
             at in 0usize..4096,
@@ -255,7 +311,7 @@ mod tests {
                 raw.splice(at..at, noise);
             }
             let text = String::from_utf8_lossy(&raw);
-            match Args::parse(text.split(' ').map(String::from)) {
+            match Args::parse(sub, text.split(' ').map(String::from)) {
                 Ok(a) => {
                     let held: usize = a.positionals.iter().chain(&a.flags).map(String::len).sum();
                     let opts: usize = a.options.iter().map(|(k, v)| k.len() + v.len()).sum();

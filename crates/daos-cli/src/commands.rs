@@ -278,15 +278,14 @@ fn maybe_linger(args: &Args, server: &ObsServer) {
     }
 }
 
-/// Warn about trace-ring overflow at most once per run, with the final
-/// dropped count. Publish/export paths may observe the ring many times
-/// while it keeps overwriting; warning at each observation would repeat
-/// the message with stale intermediate numbers.
-fn warn_ring_overflow_once(warned: &mut bool, dropped: u64, capacity: usize) {
-    if dropped == 0 || *warned {
+/// Warn about trace-ring overflow with the final dropped count: called
+/// once, after the run, not per publish or export, which would repeat the
+/// message with stale intermediate numbers.
+fn warn_ring_overflow(ring: &daos_trace::Ring) {
+    let (dropped, capacity) = (ring.dropped(), ring.capacity());
+    if dropped == 0 {
         return;
     }
-    *warned = true;
     eprintln!(
         "warning: ring overflowed — {dropped} events dropped (capacity {capacity}); \
          re-run with a larger --ring to keep the full stream"
@@ -348,12 +347,7 @@ pub fn run_cmd(args: &Args) -> Result<(), DaosError> {
     print_run_summary(&result.into_single());
     print_profile(profile.as_ref());
     if let Some(collector) = collector {
-        let mut warned = false;
-        warn_ring_overflow_once(
-            &mut warned,
-            collector.ring().dropped(),
-            collector.ring().capacity(),
-        );
+        warn_ring_overflow(collector.ring());
     }
     if let Some(server) = &server {
         maybe_linger(args, server);
@@ -528,14 +522,7 @@ pub fn trace(args: &Args) -> Result<(), DaosError> {
     let result = result.into_single();
 
     let jsonl = daos_trace::export_collector(&collector);
-    // One warning per run, with the final count (not one per export or
-    // per publish interval).
-    let mut ring_warned = false;
-    warn_ring_overflow_once(
-        &mut ring_warned,
-        collector.ring().dropped(),
-        collector.ring().capacity(),
-    );
+    warn_ring_overflow(collector.ring());
     match args.opt("out") {
         Some(path) => {
             fs::write(path, &jsonl).map_err(|e| DaosError::io(path, e))?;
@@ -687,8 +674,8 @@ pub fn fleet(args: &Args) -> Result<(), DaosError> {
 mod tests {
     use super::*;
 
-    fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+    fn args(sub: &str, s: &str) -> Args {
+        Args::parse(sub, s.split_whitespace().map(String::from)).unwrap()
     }
 
     #[test]
@@ -698,17 +685,17 @@ mod tests {
 
     #[test]
     fn lookup_errors_are_friendly() {
-        let err = lookup(&args("parsec3/quake")).unwrap_err();
+        let err = lookup(&args("run", "parsec3/quake")).unwrap_err();
         assert!(err.to_string().contains("unknown workload"));
-        let err = lookup(&args("")).unwrap_err();
+        let err = lookup(&args("run", "")).unwrap_err();
         assert!(err.to_string().contains("missing workload"));
     }
 
     #[test]
     fn report_on_missing_file_errors() {
-        let err = report_wss(&args("/no/such/file.rec")).unwrap_err();
+        let err = report_wss(&args("report wss", "/no/such/file.rec")).unwrap_err();
         assert!(err.to_string().contains("file.rec"));
-        let err = report_heatmap(&args("/no/such/file.rec")).unwrap_err();
+        let err = report_heatmap(&args("report heatmap", "/no/such/file.rec")).unwrap_err();
         assert!(err.to_string().contains("file.rec"));
     }
 
@@ -741,19 +728,20 @@ mod tests {
         let path = write_record_file("daos_cli_test.record.jsonl");
         let path_str = path.to_str().unwrap();
 
-        assert!(report_wss(&args(path_str)).is_ok());
-        assert!(report_wss(&args(&format!("{path_str} --distribution"))).is_ok());
-        assert!(report_wss(&args(&format!("{path_str} --json"))).is_ok());
-        assert!(report_heatmap(&args(&format!("{path_str} --rows 6 --cols 20"))).is_ok());
-        assert!(report_heatmap(&args(&format!("{path_str} --json"))).is_ok());
+        assert!(report_wss(&args("report wss", path_str)).is_ok());
+        assert!(report_wss(&args("report wss", &format!("{path_str} --distribution"))).is_ok());
+        assert!(report_wss(&args("report wss", &format!("{path_str} --json"))).is_ok());
+        let sized = format!("{path_str} --rows 6 --cols 20");
+        assert!(report_heatmap(&args("report heatmap", &sized)).is_ok());
+        assert!(report_heatmap(&args("report heatmap", &format!("{path_str} --json"))).is_ok());
         let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn schemes_requires_a_scheme_source() {
-        let err = schemes(&args("parsec3/freqmine")).unwrap_err();
+        let err = schemes(&args("schemes", "parsec3/freqmine")).unwrap_err();
         assert!(err.to_string().contains("--schemes-file"));
-        let err = schemes(&args("parsec3/freqmine --scheme bogus")).unwrap_err();
+        let err = schemes(&args("schemes", "parsec3/freqmine --scheme bogus")).unwrap_err();
         assert!(err.to_string().contains("expected 7 fields"));
     }
 
@@ -761,7 +749,7 @@ mod tests {
     fn trace_writes_parseable_jsonl() {
         let path = std::env::temp_dir().join("daos_cli_trace_test.jsonl");
         let path_str = path.to_str().unwrap().to_string();
-        trace(&args(&format!(
+        trace(&args("trace", &format!(
             "parsec3/freqmine --config rec --epochs 40 --out {path_str}"
         )))
         .unwrap();
@@ -771,7 +759,7 @@ mod tests {
         let _ = fs::remove_file(&path);
 
         // The message lists exactly the names the library resolves.
-        let err = trace(&args("parsec3/freqmine --config warp9")).unwrap_err();
+        let err = trace(&args("trace", "parsec3/freqmine --config warp9")).unwrap_err();
         let known = RunConfig::names().join(" | ");
         assert_eq!(err.to_string(), format!("unknown config 'warp9' ({known})"));
     }
@@ -781,18 +769,19 @@ mod tests {
         // Record a trace, then drive every report subcommand from it.
         let path = std::env::temp_dir().join("daos_cli_report_trace.jsonl");
         let path_str = path.to_str().unwrap().to_string();
-        trace(&args(&format!(
+        trace(&args("trace", &format!(
             "parsec3/freqmine --config prcl --epochs 60 --out {path_str}"
         )))
         .unwrap();
 
-        assert!(report_wss(&args(&path_str)).is_ok());
-        assert!(report_wss(&args(&format!("{path_str} --distribution"))).is_ok());
-        assert!(report_heatmap(&args(&format!("{path_str} --rows 6 --cols 20"))).is_ok());
-        assert!(report_heatmap(&args(&format!("{path_str} --json"))).is_ok());
-        assert!(report_summary(&args(&path_str)).is_ok());
-        assert!(report_schemes(&args(&path_str)).is_ok());
-        assert!(report_profile(&args(&path_str)).is_ok());
+        assert!(report_wss(&args("report wss", &path_str)).is_ok());
+        assert!(report_wss(&args("report wss", &format!("{path_str} --distribution"))).is_ok());
+        let sized = format!("{path_str} --rows 6 --cols 20");
+        assert!(report_heatmap(&args("report heatmap", &sized)).is_ok());
+        assert!(report_heatmap(&args("report heatmap", &format!("{path_str} --json"))).is_ok());
+        assert!(report_summary(&args("report summary", &path_str)).is_ok());
+        assert!(report_schemes(&args("report schemes", &path_str)).is_ok());
+        assert!(report_profile(&args("report profile", &path_str)).is_ok());
         let _ = fs::remove_file(&path);
     }
 
@@ -802,11 +791,11 @@ mod tests {
         // trace views load it and say what it does not hold.
         let path = write_record_file("daos_cli_record_as_trace.jsonl");
         let path_str = path.to_str().unwrap().to_string();
-        assert!(report_summary(&args(&path_str)).is_ok());
-        assert!(report_schemes(&args(&path_str)).is_ok());
-        assert!(report_profile(&args(&path_str)).is_ok());
+        assert!(report_summary(&args("report summary", &path_str)).is_ok());
+        assert!(report_schemes(&args("report schemes", &path_str)).is_ok());
+        assert!(report_profile(&args("report profile", &path_str)).is_ok());
 
-        let doc = load_doc(&args(&path_str)).unwrap();
+        let doc = load_doc(&args("report summary", &path_str)).unwrap();
         let _ = fs::remove_file(&path);
         assert!(!daos_report::record_from_doc(&doc).is_empty());
         let summary = daos_report::Summary::of(&doc).render();
@@ -819,14 +808,14 @@ mod tests {
 
     #[test]
     fn fleet_rejects_unknown_swap() {
-        let err = fleet(&args("--swap tape")).unwrap_err();
+        let err = fleet(&args("fleet", "--swap tape")).unwrap_err();
         assert!(err.to_string().contains("unknown swap"));
     }
 
     #[test]
     fn fleet_rejects_zero_sizes() {
         for option in ["processes", "shard-size", "tenants", "footprint", "epochs"] {
-            let err = fleet(&args(&format!("--epochs 1 --{option} 0"))).unwrap_err();
+            let err = fleet(&args("fleet", &format!("--epochs 1 --{option} 0"))).unwrap_err();
             assert_eq!(err.exit_code(), 2, "--{option} 0: {err}");
             assert!(err.to_string().contains(&format!("--{option}")), "--{option} 0: {err}");
         }
@@ -837,17 +826,17 @@ mod tests {
         type Cmd = fn(&Args) -> Result<(), DaosError>;
         // `top --ring 0` hung before it was rejected up front; the binary
         // test runs it under a deadline.
-        let cases: [(Cmd, &str, &str); 7] = [
-            (run_cmd, "parsec3/freqmine --epochs 1 --ring 0", "--ring"),
-            (trace, "parsec3/freqmine --epochs 1 --ring 0", "--ring"),
-            (run_cmd, "parsec3/freqmine --epochs 0", "--epochs"),
-            (trace, "parsec3/freqmine --epochs 0", "--epochs"),
-            (top, "parsec3/freqmine --epochs 0 --plain --iterations 1", "--epochs"),
-            (report_heatmap, "/no/such/file.jsonl --rows 0", "--rows"),
-            (report_heatmap, "/no/such/file.jsonl --cols 0", "--cols"),
+        let cases: [(Cmd, &str, &str, &str); 7] = [
+            (run_cmd, "run", "parsec3/freqmine --epochs 1 --ring 0", "--ring"),
+            (trace, "trace", "parsec3/freqmine --epochs 1 --ring 0", "--ring"),
+            (run_cmd, "run", "parsec3/freqmine --epochs 0", "--epochs"),
+            (trace, "trace", "parsec3/freqmine --epochs 0", "--epochs"),
+            (top, "top", "parsec3/freqmine --epochs 0 --plain --iterations 1", "--epochs"),
+            (report_heatmap, "report heatmap", "/no/such/file.jsonl --rows 0", "--rows"),
+            (report_heatmap, "report heatmap", "/no/such/file.jsonl --cols 0", "--cols"),
         ];
-        for (cmd, line, option) in cases {
-            let err = cmd(&args(line)).unwrap_err();
+        for (cmd, sub, line, option) in cases {
+            let err = cmd(&args(sub, line)).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{line}: {err}");
             assert_eq!(err.to_string(), format!("{option} must be at least 1"), "{line}");
         }
@@ -857,17 +846,20 @@ mod tests {
     fn fleet_small_run_succeeds() {
         // The smallest interesting fleet: two shards, a tiny trace ring
         // (so the drop path is exercised) and a named config override.
-        fleet(&args("--processes 4 --epochs 6 --shard-size 2 --tenants 2 --ring 32")).unwrap();
+        let line = "--processes 4 --epochs 6 --shard-size 2 --tenants 2 --ring 32";
+        fleet(&args("fleet", line)).unwrap();
         // On `fleet`, `--ring 0` means "no ring", not a usage error.
-        fleet(&args("--processes 2 --epochs 4 --config prcl --swap none --ring 0")).unwrap();
-        let err = fleet(&args("--config warp9")).unwrap_err();
+        let line = "--processes 2 --epochs 4 --config prcl --swap none --ring 0";
+        fleet(&args("fleet", line)).unwrap();
+        let err = fleet(&args("fleet", "--config warp9")).unwrap_err();
         assert!(err.to_string().contains("unknown config"));
     }
 
     #[test]
     fn tune_range_parsing() {
         for range in ["backwards", "10:5", "5:5", "nan:5", "0:inf"] {
-            let err = tune(&args(&format!("parsec3/freqmine --range {range}"))).unwrap_err();
+            let line = format!("parsec3/freqmine --range {range}");
+            let err = tune(&args("tune", &line)).unwrap_err();
             assert_eq!(err.exit_code(), 2, "--range {range}: {err}");
             assert!(err.to_string().contains("--range"), "--range {range}: {err}");
         }
@@ -875,7 +867,7 @@ mod tests {
 
     #[test]
     fn tune_rejects_a_zero_sample_budget() {
-        let err = tune(&args("parsec3/freqmine --samples 0")).unwrap_err();
+        let err = tune(&args("tune", "parsec3/freqmine --samples 0")).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
         assert!(err.to_string().contains("--samples"), "{err}");
     }

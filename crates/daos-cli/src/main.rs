@@ -12,13 +12,14 @@ fn main() {
         print!("{USAGE}");
         return;
     }
-    let sub = raw.remove(0);
+    let mut sub = raw.remove(0);
     let result = (|| -> Result<(), DaosError> {
-        match sub.as_str() {
-            "list" => commands::list(),
-            "run" => commands::run_cmd(&Args::parse(raw)?),
-            "top" => commands::top(&Args::parse(raw)?),
-            "record" => commands::record(&Args::parse(raw)?),
+        type Command = fn(&Args) -> Result<(), DaosError>;
+        let command: Command = match sub.as_str() {
+            "list" => |_| commands::list(),
+            "run" => commands::run_cmd,
+            "top" => commands::top,
+            "record" => commands::record,
             "report" => {
                 if raw.is_empty() {
                     return Err(DaosError::usage(
@@ -26,24 +27,29 @@ fn main() {
                     ));
                 }
                 let kind = raw.remove(0);
-                let args = Args::parse(raw)?;
-                match kind.as_str() {
-                    "heatmap" => commands::report_heatmap(&args),
-                    "wss" => commands::report_wss(&args),
-                    "summary" => commands::report_summary(&args),
-                    "schemes" => commands::report_schemes(&args),
-                    "profile" => commands::report_profile(&args),
-                    other => Err(DaosError::usage(format!("unknown report kind '{other}'"))),
-                }
+                let command: Command = match kind.as_str() {
+                    "heatmap" => commands::report_heatmap,
+                    "wss" => commands::report_wss,
+                    "summary" => commands::report_summary,
+                    "schemes" => commands::report_schemes,
+                    "profile" => commands::report_profile,
+                    other => {
+                        return Err(DaosError::usage(format!("unknown report kind '{other}'")))
+                    }
+                };
+                // Each report kind has a USAGE block, and options, of its own.
+                sub = format!("report {kind}");
+                command
             }
-            "schemes" => commands::schemes(&Args::parse(raw)?),
-            "trace" => commands::trace(&Args::parse(raw)?),
-            "tune" => commands::tune(&Args::parse(raw)?),
-            "fleet" => commands::fleet(&Args::parse(raw)?),
+            "schemes" => commands::schemes,
+            "trace" => commands::trace,
+            "tune" => commands::tune,
+            "fleet" => commands::fleet,
             other => {
-                Err(DaosError::usage(format!("unknown subcommand '{other}'\n\n{USAGE}")))
+                return Err(DaosError::usage(format!("unknown subcommand '{other}'\n\n{USAGE}")))
             }
-        }
+        };
+        command(&Args::parse(&sub, raw)?)
     })();
     if let Err(e) = result {
         eprintln!("error: {e}");

@@ -33,7 +33,12 @@ fn binary_usage_errors_exit_2() {
     let trace = trace.to_str().expect("utf-8 temp path");
     let traced = ["trace", "parsec3/freqmine", "--config", "rec", "--epochs", "40", "--out", trace];
     assert_eq!(run(&traced).0, 0, "a small trace to render a heatmap from");
-    let cases: [(&[&str], &str); 19] = [
+    let cases: [(&[&str], &str); 22] = [
+        // Another subcommand's option: each used to be accepted and
+        // ignored (the record was `rec`, the fleet and the tuning ran).
+        (&["record", "parsec3/freqmine", "--config", "thp"], "--config"),
+        (&["fleet", "--paddr"], "--paddr"),
+        (&["tune", "parsec3/freqmine", "--epochs", "5"], "--epochs"),
         (&["tune", "parsec3/freqmine", "--range", "10:5", "--samples", "3"], "--range"),
         (&["tune", "parsec3/freqmine", "--range", "nan:5"], "--range"),
         (&["tune", "parsec3/freqmine", "--range", "backwards"], "--range"),

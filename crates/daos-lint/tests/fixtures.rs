@@ -3,7 +3,8 @@
 //! once; the `clean/` tree is all bait (raw strings, nested block
 //! comments, test modules, annotated sites, public items read only by an
 //! integration test, an example, another crate's `use` or a generic
-//! bound) and must produce nothing.
+//! bound, methods read only by a `.method()` call or a `Type::method`
+//! path) and must produce nothing.
 
 use daos_lint::{lint_workspace, Finding};
 use std::path::{Path, PathBuf};
@@ -36,8 +37,8 @@ fn violations_fixture_trips_every_lint() {
     assert_eq!(count(&findings, "metric-name-discipline"), 1, "{ctx}");
     assert_eq!(count(&findings, "annotation"), 1, "{ctx}");
     assert_eq!(count(&findings, "guard-discipline"), 2, "{ctx}");
-    assert_eq!(count(&findings, "dead-pub"), 4, "{ctx}");
-    assert_eq!(findings.len(), 19, "{ctx}");
+    assert_eq!(count(&findings, "dead-pub"), 8, "{ctx}");
+    assert_eq!(findings.len(), 23, "{ctx}");
 
     // Both raw acquisitions fire — the hand-recovered one and the bare
     // `.lock().unwrap()` (which trips panic-discipline too, counted
@@ -65,15 +66,22 @@ fn violations_fixture_details() {
     assert!(!findings.iter().any(|f| f.message.contains("`Alive`")));
 
     // dead-pub: unnamed, named only by its own tests, only by a `pub
-    // use`, only in a comment and a string — and nothing else, because
-    // the integration test reads every other bait item.
+    // use`, only in a comment and a string, and four methods named only
+    // by a field, a local, a parameter and a module — and nothing else,
+    // because the integration test reads every other bait item.
     let mut dead: Vec<&str> = findings
         .iter()
         .filter(|f| f.lint == "dead-pub")
         .map(|f| f.message.split('`').nth(1).expect("named item"))
         .collect();
     dead.sort();
-    assert_eq!(dead, ["MENTIONED", "Reexported", "test_only", "unread"]);
+    assert_eq!(
+        dead,
+        [
+            "MENTIONED", "Reexported", "by_field", "by_local", "by_module", "by_param",
+            "test_only", "unread",
+        ]
+    );
 
     // The reason-less `// lint: allow(panic)` is itself the finding and
     // suppresses nothing: the `.expect()` it hovers over still fires.

@@ -100,5 +100,20 @@ pub fn shared() -> u64 {
     1
 }
 
+/// Methods are read by calls: `bump` by a `.bump()` in the integration
+/// test, `zero` by a `Counter::zero` path in another crate.
+pub struct Counter(u64);
+
+impl Counter {
+    pub fn zero() -> Counter {
+        Counter(0)
+    }
+
+    pub fn bump(&mut self) -> u64 {
+        self.0 += 1;
+        self.0
+    }
+}
+
 /// Not public outside the crate: rustc's dead-code lint owns it.
 pub(crate) fn crate_only() {}

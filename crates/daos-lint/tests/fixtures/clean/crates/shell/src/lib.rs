@@ -6,4 +6,5 @@ use core_lib::shared;
 /// Read only by the workspace's example.
 pub fn drain<S: core_lib::Sink>(sink: &mut S) {
     sink.put(shared());
+    let _ = core_lib::Counter::zero();
 }

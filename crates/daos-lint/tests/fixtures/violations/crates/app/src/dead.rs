@@ -16,6 +16,30 @@ pub struct Reexported;
 /// not code.
 pub const MENTIONED: &str = "MENTIONED";
 
+/// Read by `tests/callers.rs`; its methods are not — there, each name is
+/// a field, a local, a parameter or a module, never a call.
+pub struct Engine {
+    pub by_field: u8,
+}
+
+impl Engine {
+    pub fn by_field(&self) -> u8 {
+        self.by_field
+    }
+
+    pub fn by_local(&self) -> u8 {
+        1
+    }
+
+    pub fn by_param(&self) -> u8 {
+        2
+    }
+
+    pub fn by_module(&self) -> u8 {
+        3
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -1,7 +1,7 @@
 //! Fixture: library code that prints, leaves atomics unjustified,
 //! declares a tracepoint nobody emits, locks behind the funnel's back,
-//! and exports items nothing reads (`dead.rs`). Never compiled — only
-//! lexed.
+//! and exports items and methods nothing reads (`dead.rs`). Never
+//! compiled — only lexed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -40,4 +40,4 @@ pub fn bare_unwrap(m: &std::sync::Mutex<u64>) -> u64 {
 }
 
 mod dead;
-pub use dead::Reexported;
+pub use dead::{Engine, Reexported};

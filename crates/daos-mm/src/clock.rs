@@ -53,12 +53,6 @@ impl Clock {
     pub fn advance(&mut self, delta: Ns) {
         self.now += delta;
     }
-
-    /// Nanoseconds elapsed since `since` (saturating).
-    #[inline]
-    pub fn since(&self, since: Ns) -> Ns {
-        self.now.saturating_sub(since)
-    }
 }
 
 /// Pretty-print a nanosecond quantity using the largest sensible unit,
@@ -88,8 +82,7 @@ mod tests {
         c.advance(ms(5));
         assert_eq!(c.now(), 5 * MSEC);
         c.advance(sec(1));
-        assert_eq!(c.since(ms(5)), SEC);
-        assert_eq!(c.since(sec(100)), 0, "since saturates");
+        assert_eq!(c.now(), SEC + 5 * MSEC);
     }
 
     #[test]

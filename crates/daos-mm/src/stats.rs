@@ -34,11 +34,6 @@ pub struct ProcStats {
 }
 
 impl ProcStats {
-    /// Total virtual runtime so far (the paper's performance metric).
-    pub fn runtime_ns(&self) -> Ns {
-        self.compute_ns + self.access_ns + self.stall_ns + self.monitor_interference_ns
-    }
-
     /// Average RSS over `elapsed` nanoseconds of virtual time.
     pub fn avg_rss_bytes(&self, elapsed: Ns) -> u64 {
         if elapsed == 0 {
@@ -69,18 +64,6 @@ pub struct KernelStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn runtime_sums_components() {
-        let s = ProcStats {
-            compute_ns: 100,
-            access_ns: 20,
-            stall_ns: 30,
-            monitor_interference_ns: 5,
-            ..Default::default()
-        };
-        assert_eq!(s.runtime_ns(), 155);
-    }
 
     #[test]
     fn avg_rss_integral() {

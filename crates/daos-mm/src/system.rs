@@ -692,93 +692,53 @@ impl MemorySystem {
     /// faulted subpages (this is the THP *bloat* of Kwon et al.).
     /// Returns `(chunks_promoted, kernel_cost_ns)`.
     pub fn promote_huge(&mut self, pid: Pid, range: AddrRange) -> MmResult<(u64, Ns)> {
+        let Self { procs, frames, machine, clock, .. } = self;
+        let proc = procs.get_mut(pid as usize).ok_or(MmError::NoSuchProcess(pid))?;
+        if range.len() < HUGE_PAGE_SIZE {
+            return Ok((0, 0));
+        }
         // The chunks not yet huge, found before anything is allocated
         // (promoting one chunk changes no other chunk's flag). A scheme
         // mostly tries ranges holding none — most of what ethp tries is
         // under 2 MiB, where no aligned chunk fits at all.
-        let proc = self.proc(pid)?;
-        if range.len() < HUGE_PAGE_SIZE {
-            return Ok((0, 0));
-        }
         let chunk_addrs: Vec<u64> = proc
             .vmas()
             .iter()
             .filter(|v| v.thp != ThpMode::Never)
             .flat_map(|v| v.chunks_in(&range).filter(|&c| !v.is_huge(c)))
             .collect();
-        let mut promoted = 0u64;
-        let mut cost: Ns = 0;
+        let (mut promoted, mut at, mut filled) = (0u64, 0, Vec::new());
         for chunk in chunk_addrs {
-            // Skip chunks that contain swapped pages (khugepaged does not
-            // collapse over swap entries).
-            let chunk_range = AddrRange::new(chunk, chunk + HUGE_PAGE_SIZE);
-            {
-                let proc = self.proc(pid)?;
-                let vma = proc.find_vma(chunk).ok_or(MmError::Unmapped(chunk))?;
-                if vma.chunk_nr_swapped(chunk) > 0 {
-                    continue;
-                }
-            }
-            // Fill holes. If DRAM runs out mid-chunk, abandon the chunk
-            // (the kernel's fast path also refuses to reclaim for THP).
-            let mut allocated: Vec<(u64, u32)> = Vec::new();
-            let mut failed = false;
-            // Fully-resident chunks (no swap, checked above) have no holes.
-            let has_holes = {
-                let proc = self.proc(pid)?;
-                let vma = proc.find_vma(chunk).ok_or(MmError::Unmapped(chunk))?;
-                vma.chunk_nr_resident(chunk) < crate::addr::PAGES_PER_HUGE
-            };
-            if has_holes {
-                for addr in chunk_range.pages() {
-                    let is_hole = {
-                        let proc = self.proc(pid)?;
-                        let vma = proc.find_vma(addr).ok_or(MmError::Unmapped(addr))?;
-                        matches!(vma.pte(addr).state, PteState::None)
-                    };
-                    if !is_hole {
-                        continue;
-                    }
-                    match self.frames.alloc(pid, addr) {
-                        Some(f) => allocated.push((addr, f)),
-                        None => {
-                            failed = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if failed {
-                for (_, f) in allocated {
-                    self.frames.free(f);
-                }
+            let vma = proc.vma_near(&mut at, chunk).ok_or(MmError::Unmapped(chunk))?;
+            // khugepaged does not collapse over swap entries.
+            if vma.chunk_nr_swapped(chunk) > 0 {
                 continue;
             }
-            let nr_filled = allocated.len() as u64;
-            let now = self.now();
-            let proc = self.proc_mut(pid)?;
-            for (addr, frame) in allocated {
-                let vma = proc.find_vma_mut(addr).ok_or(MmError::Unmapped(addr))?;
-                vma.with_pte(addr, |pte| {
-                    pte.state = PteState::Resident(frame);
-                    // Filled subpages are neither accessed nor touched —
-                    // that is the bloat `demote_huge` gives back.
-                    pte.accessed = false;
-                    pte.touched = false;
-                    pte.lru_gen = pte.lru_gen.wrapping_add(1);
-                });
+            // A frame per hole, ascending. If DRAM runs out mid-chunk,
+            // abandon the chunk (the kernel's fast path also refuses to
+            // reclaim for THP).
+            filled.clear();
+            let complete = vma
+                .chunk_holes(chunk)
+                .all(|addr| frames.alloc(pid, addr).map(|f| filled.push((addr, f))).is_some());
+            if !complete {
+                filled.iter().for_each(|&(_, f)| frames.free(f));
+                continue;
             }
-            proc.map_pages(now, nr_filled);
-            proc.stats.thp_promotions += 1;
-            let vma = proc.find_vma_mut(chunk).ok_or(MmError::Unmapped(chunk))?;
+            // Filler is mapped neither accessed nor touched, and off the
+            // LRU — the bloat `demote_huge` gives back.
+            for &(addr, frame) in &filled {
+                vma.map_page(addr, frame, false);
+            }
             vma.set_huge(chunk, true);
+            proc.map_pages(clock.now(), filled.len() as u64);
+            proc.stats.thp_promotions += 1;
             promoted += 1;
-            cost += self.machine.huge_alloc_ns;
         }
         if promoted > 0 {
-            daos_trace::trace!(self.now(), ThpPromote { pid, chunks: promoted });
+            daos_trace::trace!(clock.now(), ThpPromote { pid, chunks: promoted });
         }
-        Ok((promoted, cost))
+        Ok((promoted, promoted * machine.huge_alloc_ns))
     }
 
     /// One khugepaged pass: promote every aligned chunk of `pid`'s
@@ -787,91 +747,52 @@ impl MemorySystem {
     /// whose bloat the paper's `ethp` scheme fixes). Returns
     /// `(chunks_promoted, kernel_cost_ns)`.
     pub fn khugepaged_scan(&mut self, pid: Pid, min_resident: u64) -> MmResult<(u64, Ns)> {
-        let candidates: Vec<AddrRange> = {
-            let proc = self.proc(pid)?;
-            let mut v = Vec::new();
-            for vma in proc.vmas() {
-                if vma.thp == ThpMode::Never {
-                    continue;
-                }
-                for chunk in vma.chunks_in(&vma.range) {
-                    if vma.is_huge(chunk) {
-                        continue;
-                    }
-                    let chunk_range = AddrRange::new(chunk, chunk + HUGE_PAGE_SIZE);
-                    if vma.chunk_nr_resident(chunk) >= min_resident {
-                        v.push(chunk_range);
-                    }
-                }
-            }
-            v
-        };
-        let mut promoted = 0;
-        let mut cost = 0;
-        for range in candidates {
-            let (p, ns) = self.promote_huge(pid, range)?;
-            promoted += p;
-            cost += ns;
-        }
-        Ok((promoted, cost))
+        let candidates: Vec<u64> = self
+            .proc(pid)?
+            .vmas()
+            .iter()
+            .filter(|v| v.thp != ThpMode::Never)
+            .flat_map(|v| {
+                let eligible = |&c: &u64| !v.is_huge(c) && v.chunk_nr_resident(c) >= min_resident;
+                v.chunks_in(&v.range).filter(eligible)
+            })
+            .collect();
+        candidates.into_iter().try_fold((0, 0), |(promoted, cost), chunk| {
+            let (p, ns) = self.promote_huge(pid, AddrRange::new(chunk, chunk + HUGE_PAGE_SIZE))?;
+            Ok((promoted + p, cost + ns))
+        })
     }
 
     /// Demote (split) huge chunks in `range` back to base pages, freeing
     /// subpages that were allocated by promotion but never touched.
     /// Returns `(bytes_freed, kernel_cost_ns)`.
     pub fn demote_huge(&mut self, pid: Pid, range: AddrRange) -> MmResult<(u64, Ns)> {
-        // The huge chunks, found before anything is allocated, as in
-        // `promote_huge`.
-        let proc = self.proc(pid)?;
+        let Self { procs, frames, machine, clock, .. } = self;
+        let proc = procs.get_mut(pid as usize).ok_or(MmError::NoSuchProcess(pid))?;
         if range.len() < HUGE_PAGE_SIZE {
             return Ok((0, 0));
         }
+        // The huge chunks, found before any is split, as in `promote_huge`.
         let chunk_addrs: Vec<u64> = proc
             .vmas()
             .iter()
             .flat_map(|v| v.chunks_in(&range).filter(|&c| v.is_huge(c)))
             .collect();
-        let mut freed_bytes = 0u64;
-        let mut cost: Ns = 0;
+        let (mut freed_pages, mut cost, mut at, mut freed) = (0u64, 0 as Ns, 0, Vec::new());
         for chunk in chunk_addrs {
-            let chunk_range = AddrRange::new(chunk, chunk + HUGE_PAGE_SIZE);
-            // Collect untouched resident subpages.
-            let mut to_free: Vec<(u64, u32)> = Vec::new();
-            {
-                let proc = self.proc(pid)?;
-                let vma = proc.find_vma(chunk).ok_or(MmError::Unmapped(chunk))?;
-                let mut resident = Vec::new();
-                vma.collect_resident_in(&chunk_range, &mut resident);
-                for addr in resident {
-                    let pte = vma.pte(addr);
-                    if let (PteState::Resident(f), false) = (pte.state, pte.touched) {
-                        to_free.push((addr, f));
-                    }
-                }
-            }
-            let nr_freed = to_free.len() as u64;
-            for (_, f) in &to_free {
-                self.frames.free(*f);
-            }
-            let now = self.now();
-            let proc = self.proc_mut(pid)?;
-            for (addr, _) in &to_free {
-                let vma = proc.find_vma_mut(*addr).ok_or(MmError::Unmapped(*addr))?;
-                vma.with_pte(*addr, |pte| {
-                    pte.state = PteState::None;
-                    pte.accessed = false;
-                    pte.lru_gen = pte.lru_gen.wrapping_add(1);
-                });
-            }
-            proc.unmap_pages(now, nr_freed);
+            let vma = proc.vma_near(&mut at, chunk).ok_or(MmError::Unmapped(chunk))?;
+            freed.clear();
+            vma.split_huge(chunk, &mut freed);
+            freed.iter().for_each(|&f| frames.free(f));
+            let nr_freed = freed.len() as u64;
+            proc.unmap_pages(clock.now(), nr_freed);
             proc.stats.thp_demotions += 1;
-            let vma = proc.find_vma_mut(chunk).ok_or(MmError::Unmapped(chunk))?;
-            vma.set_huge(chunk, false);
-            freed_bytes += nr_freed * PAGE_SIZE;
-            cost += self.machine.pageout_page_ns * nr_freed.max(1);
+            freed_pages += nr_freed;
+            cost += machine.pageout_page_ns * nr_freed.max(1);
         }
+        let freed_bytes = freed_pages * PAGE_SIZE;
         if freed_bytes > 0 {
-            daos_trace::trace!(self.now(), ThpDemote { pid, freed_bytes });
+            daos_trace::trace!(clock.now(), ThpDemote { pid, freed_bytes });
         }
         Ok((freed_bytes, cost))
     }

@@ -22,24 +22,27 @@
 //! missing chunks and, inside a chunk, every 64-page word with no bit set
 //! — so paging out an already-evicted region is O(words touched), not
 //! O(pages in range). The totals are kept exact by whoever changes a
-//! page's state — the transition primitives below and the general
-//! [`Vma::with_pte`]; the two touch paths ([`Vma::touch_run`],
+//! page's state — the transition primitives below, and the tests' general
+//! setter [`Vma::with_pte`]; the two touch paths ([`Vma::touch_run`],
 //! [`Vma::touch_resident`]) only set bits of resident pages, and the
 //! monitor's check ([`Vma::clear_accessed`]) only clears one, so they write
 //! in place and leave the totals alone.
 //!
 //! ## State transitions
 //!
-//! The fault and reclaim paths change a page's state through three
-//! primitives, each one resolve of the page's chunk, bit operations on the
-//! four bitmaps, a write to `backing`/`lru_gen`, and the VMA totals
-//! moved by exactly what the transition moves:
+//! Every library path — fault, reclaim, LRU, THP promotion and demotion —
+//! changes a page's state through four primitives, each one resolve of
+//! the chunk, bit operations on the four bitmaps, writes to
+//! `backing`/`lru_gen`, and the VMA totals moved by exactly what the
+//! transition moves:
 //!
 //! * [`Vma::map_page`] — `None | Swapped → Resident(frame)`, for a fault
-//!   (mapped accessed and touched) or a prefetch (neither). Materialises
-//!   the chunk. May assume the page is not resident (asserted in debug
-//!   builds) and nothing else: it overwrites both state bits, both flags
-//!   and the backing, so whatever a stale entry held is gone.
+//!   (mapped accessed and touched), or a prefetch or a promotion's filler
+//!   (neither). Materialises the chunk. May assume the page is not
+//!   resident (asserted in debug builds) and nothing else: it overwrites
+//!   both state bits, both flags and the backing, so whatever a stale
+//!   entry held is gone. A promotion maps each hole of the chunk
+//!   (`Vma::chunk_holes`, read off its `resident` words) with it.
 //! * [`Vma::bump_resident`] — the LRU's requeue: a generation bump,
 //!   optionally matching a queued stamp first and clearing `accessed`.
 //!   Assumes nothing; on an absent chunk, a non-resident page or a stale
@@ -51,14 +54,17 @@
 //!   evicted page has `swapped` set, `resident`, `accessed` and `touched`
 //!   clear, and the slot as backing. When the swap device refuses the
 //!   store, the page keeps everything but the verdict's generation bump.
+//! * [`Vma::split_huge`] — a huge chunk back to base pages: the huge flag
+//!   cleared and, a word at a time, every `resident & !touched` page to
+//!   `None` with `accessed` clear, its generation bumped and its frame
+//!   handed to the caller, ascending.
 //!
 //! None of them materialises a chunk it does not map a page into, so a
-//! probe of untouched memory stays allocation-free, as with `with_pte`.
-//! [`Vma::with_pte`] — load the page as a [`Pte`], run a closure, scatter
-//! it back in canonical form, account the difference — remains for the
-//! paths that are not per-fault: THP promotion and demotion, and tests.
-//! `tests/walker_differential.rs` holds each primitive to the `with_pte`
-//! closure it replaced.
+//! probe of untouched memory stays allocation-free. [`Vma::with_pte`] —
+//! load the page as a [`Pte`], run a closure, scatter it back in
+//! canonical form, account the difference — is no library path's: it is
+//! the tests' setter for any state, and `tests/walker_differential.rs`
+//! holds each primitive to the `with_pte` closure it replaced.
 //!
 //! ## PTE layout
 //!
@@ -367,7 +373,9 @@ impl Vma {
     /// Read-modify-write the PTE covering `addr` through `f`, keeping the
     /// VMA residency totals exact. The chunk is materialised
     /// only if `f` actually changes the entry, so probing an untouched
-    /// page (e.g. a monitor access check) stays allocation-free.
+    /// page stays allocation-free. The tests' setter for any page state:
+    /// the library changes pages only through the transition primitives
+    /// (see the module docs).
     pub fn with_pte<R>(&mut self, addr: u64, f: impl FnOnce(&mut Pte) -> R) -> R {
         let slot = self.slot(addr);
         let pi = Self::page_in_chunk(addr);
@@ -589,18 +597,34 @@ impl Vma {
         Ok(Reclaimed::Evicted(frame))
     }
 
+    /// Split the aligned 2 MiB chunk at `chunk_addr`: clear its huge flag
+    /// and return every resident page the CPU never touched — a
+    /// promotion's filler, a prefetched page — to `None`, with `accessed`
+    /// clear and its generation bumped, pushing its frame on `freed` in
+    /// ascending address order. The frames are the caller's to free.
+    pub fn split_huge(&mut self, chunk_addr: u64, freed: &mut Vec<FrameId>) {
+        self.set_huge(chunk_addr, false);
+        let slot = self.slot(chunk_addr);
+        let Some(c) = self.chunks[slot].as_deref_mut() else { return };
+        let before = freed.len();
+        for w in 0..PT_WORDS {
+            let filler = c.resident[w] & !c.touched[w];
+            c.resident[w] &= !filler;
+            c.accessed[w] &= !filler;
+            for pi in bits(filler).map(|b| w * 64 + b) {
+                freed.push(std::mem::take(&mut c.backing[pi]));
+                c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
+            }
+        }
+        self.total_resident -= (freed.len() - before) as u64;
+    }
+
     /// Totals fixup for one PTE state transition.
     fn account(&mut self, before: PteState, after: PteState) {
         let res = |s: &PteState| matches!(s, PteState::Resident(_)) as i64;
         let swp = |s: &PteState| matches!(s, PteState::Swapped(_)) as i64;
         self.total_resident = (self.total_resident as i64 + res(&after) - res(&before)) as u64;
         self.total_swapped = (self.total_swapped as i64 + swp(&after) - swp(&before)) as u64;
-    }
-
-    /// Number of 4 KiB pages in the VMA.
-    #[inline]
-    pub fn nr_pages(&self) -> usize {
-        self.range.nr_pages() as usize
     }
 
     /// Iterate `(page_addr, pte)` over every *mapped* (resident or
@@ -700,17 +724,23 @@ impl Vma {
         self.chunk_count(chunk_addr, |c| &c.swapped)
     }
 
+    /// The pages of the aligned 2 MiB chunk at `chunk_addr` that are not
+    /// resident, ascending: the clear bits of its `resident` words, or
+    /// every page of a chunk never materialised.
+    pub(crate) fn chunk_holes(&self, chunk_addr: u64) -> impl Iterator<Item = u64> + '_ {
+        let chunk = self.chunks[self.slot(chunk_addr)].as_deref();
+        let word = move |w: usize| chunk.map_or(u64::MAX, |c| !c.resident[w]);
+        (0..PT_WORDS)
+            .flat_map(move |w| bits(word(w)).map(move |b| w * 64 + b))
+            .map(move |pi| chunk_addr + pi as u64 * PAGE_SIZE)
+    }
+
     // ---- huge-page chunk bookkeeping -------------------------------
 
     /// Address of the first 2 MiB-aligned chunk, if any fits.
     pub fn first_chunk_addr(&self) -> Option<u64> {
         let start = huge_align_up(self.range.start);
         (start + HUGE_PAGE_SIZE <= self.range.end).then_some(start)
-    }
-
-    /// Number of 2 MiB-aligned chunks that fit fully inside the VMA.
-    pub fn nr_chunks(&self) -> usize {
-        self.huge.len()
     }
 
     /// Chunk index for a huge-aligned address inside the VMA.
@@ -794,7 +824,6 @@ mod tests {
     #[test]
     fn vma_pte_indexing() {
         let mut vma = Vma::new(AddrRange::new(mb(4), mb(8)), ThpMode::Never);
-        assert_eq!(vma.nr_pages(), (mb(4) / PAGE_SIZE) as usize);
         vma.with_pte(mb(4), |p| p.accessed = true);
         assert!(vma.pte(mb(4)).accessed);
         assert!(!vma.pte(mb(4) + PAGE_SIZE).accessed);
@@ -897,10 +926,14 @@ mod tests {
         assert_eq!(vma.chunk_nr_swapped(mb(4)), 1);
     }
 
+    fn nr_chunks(vma: &Vma) -> usize {
+        vma.chunks_in(&AddrRange::new(0, u64::MAX)).count()
+    }
+
     #[test]
     fn chunk_accounting_aligned_vma() {
         let vma = Vma::new(AddrRange::new(mb(2), mb(8)), ThpMode::Always);
-        assert_eq!(vma.nr_chunks(), 3);
+        assert_eq!(nr_chunks(&vma), 3);
         assert_eq!(vma.first_chunk_addr(), Some(mb(2)));
     }
 
@@ -908,14 +941,14 @@ mod tests {
     fn chunk_accounting_unaligned_vma() {
         // [1 MiB, 6 MiB): aligned chunks are [2,4) and [4,6) → 2 chunks.
         let vma = Vma::new(AddrRange::new(mb(1), mb(6)), ThpMode::Always);
-        assert_eq!(vma.nr_chunks(), 2);
+        assert_eq!(nr_chunks(&vma), 2);
         assert_eq!(vma.first_chunk_addr(), Some(mb(2)));
     }
 
     #[test]
     fn tiny_vma_has_no_chunks() {
         let vma = Vma::new(AddrRange::new(mb(1), mb(1) + PAGE_SIZE), ThpMode::Always);
-        assert_eq!(vma.nr_chunks(), 0);
+        assert_eq!(nr_chunks(&vma), 0);
         assert_eq!(vma.first_chunk_addr(), None);
         assert!(!vma.is_huge(mb(1)));
     }
@@ -945,8 +978,7 @@ mod tests {
         let vma = Vma::new(AddrRange::new(mb(2), mb(10)), ThpMode::Always);
         let chunks: Vec<u64> = vma.chunks_in(&AddrRange::new(mb(3), mb(9))).collect();
         assert_eq!(chunks, vec![mb(4), mb(6)]);
-        let all: Vec<u64> = vma.chunks_in(&AddrRange::new(0, u64::MAX)).collect();
-        assert_eq!(all.len(), vma.nr_chunks());
+        assert_eq!(nr_chunks(&vma), 4);
     }
 
     #[test]

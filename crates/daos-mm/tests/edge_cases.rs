@@ -154,6 +154,19 @@ fn promotion_fails_cleanly_when_dram_exhausted() {
     // No leaked frames: used = 1 full chunk + 1 head page.
     assert_eq!(sys.used_dram_bytes(), HUGE_PAGE_SIZE + PAGE_SIZE);
     assert_eq!(sys.rss_bytes(pid), sys.used_dram_bytes());
+    assert_eq!(sys.audit(), Ok(()));
+    // The abandoned chunk took frames 513..=767 in ascending order and
+    // freed them in that order, so the LIFO recycle list hands them out
+    // from the top; a rollback in any other order hands out others.
+    let second = range.start + HUGE_PAGE_SIZE;
+    let next = AddrRange::new(second + PAGE_SIZE, second + 4 * PAGE_SIZE);
+    sys.apply_access(pid, &AccessBatch::all(next, 1.0)).unwrap();
+    let frame_of = |addr| {
+        let owned = |&paddr: &u64| sys.phys_owner(paddr) == Some((pid, addr));
+        sys.phys_space().pages().find(owned).map(|paddr| paddr / PAGE_SIZE)
+    };
+    let frames: Vec<u64> = next.pages().filter_map(frame_of).collect();
+    assert_eq!(frames, [767, 766, 765]);
 }
 
 #[test]

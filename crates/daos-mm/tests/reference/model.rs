@@ -5,10 +5,10 @@
 //! looks at one whole `Pte` at a time and recounts instead of keeping
 //! counters, so it shares neither layout nor arithmetic with the words.
 //!
-//! The state transitions — `map_page`, `bump_resident`, `reclaim_page` —
-//! are the `with_pte` closures `MemorySystem`'s fault, reclaim and LRU
-//! paths ran before `Vma` grew in-place primitives for them, moved here:
-//! each names the function it came out of.
+//! The state transitions — `map_page`, `bump_resident`, `reclaim_page`,
+//! `split_huge` — are the `with_pte` closures `MemorySystem`'s fault,
+//! reclaim, LRU and THP paths ran before `Vma` grew in-place primitives
+//! for them, moved here: each names the function it came out of.
 
 use daos_mm::access::AccessOutcome;
 use daos_mm::addr::{huge_align_down, AddrRange, HUGE_PAGE_SIZE, PAGE_SHIFT, PAGE_SIZE};
@@ -56,7 +56,8 @@ impl ModelVma {
         r
     }
 
-    /// `handle_fault`'s map (`by_cpu`) and `willneed`'s (not).
+    /// `handle_fault`'s map (`by_cpu`), and `willneed`'s and
+    /// `promote_huge`'s filler (not).
     pub fn map_page(&mut self, addr: u64, frame: FrameId, by_cpu: bool) -> u32 {
         self.with_pte(addr, |pte| {
             pte.state = PteState::Resident(frame);
@@ -134,6 +135,27 @@ impl ModelVma {
                     Some(frame)
                 });
                 Ok(Reclaimed::Evicted(frame.expect("the verdict found the page resident")))
+            }
+        }
+    }
+
+    /// `demote_huge`'s split: the chunk's resident pages, each checked
+    /// on its own, and every one the CPU never touched unmapped and its
+    /// frame handed back.
+    pub fn split_huge(&mut self, chunk_addr: u64, freed: &mut Vec<FrameId>) {
+        self.set_huge(chunk_addr, false);
+        let mut resident = Vec::new();
+        let chunk = AddrRange::new(chunk_addr, chunk_addr + HUGE_PAGE_SIZE);
+        self.collect_resident_in(&chunk, &mut resident);
+        for addr in resident {
+            let pte = self.pte(addr);
+            if let (PteState::Resident(frame), false) = (pte.state, pte.touched) {
+                freed.push(frame);
+                self.with_pte(addr, |pte| {
+                    pte.state = PteState::None;
+                    pte.accessed = false;
+                    pte.lru_gen = pte.lru_gen.wrapping_add(1);
+                });
             }
         }
     }

@@ -21,9 +21,9 @@
 //! (`reference/model.rs`): random sequences of every `Vma` operation that
 //! reads or writes a page go through both, and must return the same
 //! values and leave the same pages and the same materialised chunks. The
-//! in-place state transitions (`map_page`, `bump_resident`, `reclaim_page`)
-//! are pinned the same way against the `with_pte` closures they replaced,
-//! which the model keeps.
+//! in-place state transitions (`map_page`, `bump_resident`, `reclaim_page`,
+//! `split_huge`) are pinned the same way against the `with_pte` closures
+//! they replaced, which the model keeps.
 //!
 //! The forward page-table cursor (`PteCursor`) is pinned the same way,
 //! over the same address spaces, against the per-address lookups it
@@ -467,22 +467,28 @@ proptest! {
     }
 
     /// The in-place state transitions against the `with_pte` closures the
-    /// fault, reclaim and LRU paths ran before them (`reference/model.rs`):
-    /// `map_page` over holes and swapped pages; `bump_resident` and
-    /// `reclaim_page` with no queue stamp, the live one and a stale one,
-    /// on resident, referenced, swapped and never-materialised pages; a
-    /// swap device that is full one time in five. Same return values, the
-    /// same calls to `store`, and afterwards the same pages, the same
-    /// materialised chunks and exact counters.
+    /// fault, reclaim, LRU and THP paths ran before them
+    /// (`reference/model.rs`): `map_page` over holes and swapped pages;
+    /// `bump_resident` and `reclaim_page` with no queue stamp, the live one
+    /// and a stale one, on resident, referenced, swapped and
+    /// never-materialised pages; a swap device that is full one time in
+    /// five; `split_huge` of huge and split chunks, materialised or not,
+    /// holding touched and untouched pages. Same return values and freed
+    /// frames, the same calls to `store`, and afterwards the same pages,
+    /// the same materialised chunks and exact counters.
     fn transitions_match_the_with_pte_closures(seed in 0u64..1_000_000) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let start = 64 * HUGE_PAGE_SIZE + rng.random_range(0..600u64) * PAGE_SIZE;
         let range = AddrRange::new(start, start + rng.random_range(1..1500u64) * PAGE_SIZE);
         let (mut real, mut model) = (Vma::new(range, ThpMode::Always), ModelVma::new(range));
-        let (entries, _) = population(range, &mut rng, &mut 0);
+        let (entries, huge) = population(range, &mut rng, &mut 0);
         for (addr, pte) in entries {
             real.with_pte(addr, |p| *p = pte);
             model.with_pte(addr, |p| *p = pte);
+        }
+        for chunk in huge {
+            real.set_huge(chunk, true);
+            model.set_huge(chunk, true);
         }
         let mut resident = Vec::new();
         let mut next_slot = 0u32;
@@ -525,6 +531,26 @@ proptest! {
                     prop_assert_eq!(got, want, "{}: reclaim_page (swap full: {})", what, full);
                     prop_assert_eq!(stores_r, stores_m, "{}: calls to store", what);
                     next_slot += 1;
+                }
+                90..95 => {
+                    let chunk = huge_align_down(addr);
+                    if !real.chunks_in(&range).any(|c| c == chunk) {
+                        continue;
+                    }
+                    let (mut freed_r, mut freed_m) = (Vec::new(), Vec::new());
+                    real.split_huge(chunk, &mut freed_r);
+                    model.split_huge(chunk, &mut freed_m);
+                    prop_assert_eq!(freed_r, freed_m, "{}: split_huge {:#x} freed", what, chunk);
+                    for a in AddrRange::new(chunk, chunk + HUGE_PAGE_SIZE).pages() {
+                        let page = (real.pte(a), model.pte(a));
+                        prop_assert_eq!(page.0, page.1, "{}: split_huge, page {:#x}", what, a);
+                    }
+                    prop_assert_eq!(
+                        (real.chunk_nr_resident(chunk), real.is_huge(chunk)),
+                        (model.chunk_nr_resident(chunk), model.is_huge(chunk)),
+                        "{}: split_huge {:#x} chunk state", what, chunk
+                    );
+                    real.check_counters().unwrap();
                 }
                 _ => {
                     let (hit, want) = (real.touch_resident(addr), model.touch_resident(addr));

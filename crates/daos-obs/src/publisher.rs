@@ -15,7 +15,6 @@ use crate::snapshot::ObsSnapshot;
 use daos::{FleetObserver, FleetProgress, FleetSummary, Phase, TenantStats, WallProfile};
 use daos_trace::{Registry, Ring, TimedEvent};
 use daos_util::sync::lock;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -24,31 +23,28 @@ use std::sync::{Arc, Mutex};
 /// without letting a slow subscriber pin the whole run in memory.
 pub const DEFAULT_TAIL_CAPACITY: usize = 8 * 1024;
 
-/// Bounded live tail of the trace ring, with global sequence numbers so
-/// each `/events` subscriber keeps its own cursor.
+/// Bounded live tail of the trace ring. Its own [`Ring`] numbers the
+/// events it was handed (`total_pushed`), so each `/events` subscriber
+/// keeps its own cursor, and counts the ones it evicted (`dropped`).
 struct Tail {
-    events: VecDeque<TimedEvent>,
-    /// Global sequence number of `events.front()`.
-    first_seq: u64,
-    /// Ring events accounted for so far (`Ring::total_pushed` at the
-    /// last sync).
+    events: Ring,
+    /// Collector-ring events accounted for so far (its `total_pushed` at
+    /// the last sync).
     seen: u64,
-    /// Events lost to subscribers: ring overwrites between syncs plus
-    /// tail evictions.
-    missed: u64,
-    cap: usize,
+    /// Events the collector's ring overwrote before a sync copied them.
+    overwritten: u64,
 }
 
 impl Tail {
-    /// Append one event, evicting the oldest (and counting it as
-    /// missed) when the tail is full.
-    fn push(&mut self, ev: TimedEvent) {
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-            self.first_seq += 1;
-            self.missed += 1;
-        }
-        self.events.push_back(ev);
+    /// Global sequence number of the oldest event held.
+    fn first_seq(&self) -> u64 {
+        self.events.total_pushed() - self.events.len() as u64
+    }
+
+    /// Events lost to subscribers: collector-ring overwrites between
+    /// syncs plus tail evictions.
+    fn missed(&self) -> u64 {
+        self.overwritten + self.events.dropped()
     }
 }
 
@@ -97,13 +93,7 @@ impl Publisher {
         Publisher {
             shared: Arc::new(Shared {
                 snap: Mutex::new(Arc::new(ObsSnapshot::default())),
-                tail: Mutex::new(Tail {
-                    events: VecDeque::new(),
-                    first_seq: 0,
-                    seen: 0,
-                    missed: 0,
-                    cap: cap.max(1),
-                }),
+                tail: Mutex::new(Tail { events: Ring::new(cap.max(1)), seen: 0, overwritten: 0 }),
                 obs: Mutex::new(ObsState {
                     history: MetricHistory::new(),
                     server: None,
@@ -132,7 +122,7 @@ impl Publisher {
         let mut reg = Registry::new();
         {
             let tail = lock(&self.shared.tail);
-            reg.counter_add("obs.events_missed_total", tail.missed);
+            reg.counter_add("obs.events_missed_total", tail.missed());
             reg.gauge_set("obs.tail_len", tail.events.len() as f64);
         }
         let server = {
@@ -176,9 +166,9 @@ impl Publisher {
         }
         // Events the ring already overwrote before we got here are gone.
         let take = (new as usize).min(ring.len());
-        tail.missed += new - take as u64;
+        tail.overwritten += new - take as u64;
         for ev in ring.tail(take) {
-            tail.push(ev);
+            tail.events.push(ev);
         }
         tail.seen = total;
     }
@@ -188,10 +178,8 @@ impl Publisher {
     /// surviving tail.
     pub fn events_since(&self, cursor: u64) -> (Vec<TimedEvent>, u64) {
         let tail = lock(&self.shared.tail);
-        let next = tail.first_seq + tail.events.len() as u64;
-        let start = cursor.max(tail.first_seq);
-        let skip = (start - tail.first_seq) as usize;
-        (tail.events.iter().skip(skip).copied().collect(), next)
+        let skip = cursor.saturating_sub(tail.first_seq()) as usize;
+        (tail.events.iter().skip(skip).copied().collect(), tail.events.total_pushed())
     }
 
     /// Mark the run complete: `/events` streams terminate once drained

@@ -11,6 +11,10 @@ use std::collections::VecDeque;
 
 /// Sparkline glyphs, lowest to highest.
 const SPARKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+/// Sparkline width (publish intervals of history).
+const SPARK_WIDTH: usize = 48;
+/// Hottest regions shown per frame.
+const TOP_REGIONS: usize = 8;
 
 /// Render `values` (oldest first) as a fixed-height sparkline scaled to
 /// the window's own maximum. All-zero input renders as all-low.
@@ -61,19 +65,10 @@ pub fn fmt_ns(ns: u64) -> String {
 /// Stateful frame renderer: remembers the WSS of each snapshot it has
 /// seen (by publish `seq`, so repeated polls of one snapshot don't
 /// stutter the sparkline).
+#[derive(Default)]
 pub struct Dashboard {
     wss_history: VecDeque<u64>,
     last_seq: u64,
-    /// Hottest regions shown per frame.
-    pub top_regions: usize,
-    /// Sparkline width (publish intervals of history).
-    pub spark_width: usize,
-}
-
-impl Default for Dashboard {
-    fn default() -> Self {
-        Dashboard { wss_history: VecDeque::new(), last_seq: 0, top_regions: 8, spark_width: 48 }
-    }
 }
 
 impl Dashboard {
@@ -86,15 +81,19 @@ impl Dashboard {
     /// first) — `daos top ADDR` pulls
     /// `/query?metric=daos_obs_wss_bytes` so the first frame
     /// shows history instead of a single dot. Keeps the newest
-    /// `spark_width` values; later [`frame`](Self::frame) calls append
+    /// `SPARK_WIDTH` values; later [`frame`](Self::frame) calls append
     /// as usual.
     pub fn backfill(&mut self, values: &[u64]) {
-        for &v in values {
-            self.wss_history.push_back(v);
-        }
-        while self.wss_history.len() > self.spark_width {
+        values.iter().for_each(|&v| self.push_wss(v));
+    }
+
+    /// Append one WSS value to the sparkline history, keeping the newest
+    /// `SPARK_WIDTH`.
+    fn push_wss(&mut self, wss: u64) {
+        if self.wss_history.len() == SPARK_WIDTH {
             self.wss_history.pop_front();
         }
+        self.wss_history.push_back(wss);
     }
 
     /// Render one frame. Feeding the same snapshot (same `seq`) again
@@ -102,10 +101,7 @@ impl Dashboard {
     pub fn frame(&mut self, snap: &ObsSnapshot) -> String {
         if snap.seq != self.last_seq {
             self.last_seq = snap.seq;
-            self.wss_history.push_back(snap.wss_bytes);
-            while self.wss_history.len() > self.spark_width {
-                self.wss_history.pop_front();
-            }
+            self.push_wss(snap.wss_bytes);
         }
         let mut out = String::new();
         self.header(&mut out, snap);
@@ -164,12 +160,12 @@ impl Dashboard {
         });
         out.push_str(&format!(
             "\nhottest regions ({} of {}, window @{})\n",
-            hottest.len().min(self.top_regions),
+            hottest.len().min(TOP_REGIONS),
             window.regions.len(),
             fmt_ns(window.at),
         ));
         out.push_str("  #  start              size     heat  age\n");
-        for (i, r) in hottest.iter().take(self.top_regions).enumerate() {
+        for (i, r) in hottest.iter().take(TOP_REGIONS).enumerate() {
             let heat = bar(r.nr_accesses as u64, window.max_nr_accesses.max(1) as u64, 5);
             out.push_str(&format!(
                 "  {:<2} {:#016x} {:>8}  {:<5} {:>3}\n",
@@ -327,12 +323,12 @@ mod tests {
     #[test]
     fn backfill_seeds_the_sparkline_and_clamps_to_width() {
         let mut dash = Dashboard::new();
-        dash.spark_width = 4;
-        dash.backfill(&[1, 2, 3, 4, 5, 6]);
-        assert_eq!(dash.wss_history, [3, 4, 5, 6]);
+        let values: Vec<u64> = (1..=SPARK_WIDTH as u64 + 2).collect();
+        dash.backfill(&values);
+        assert_eq!(dash.wss_history, &values[2..]);
         // The next live frame appends after the backfilled history.
-        dash.frame(&busy_snapshot(1, 7));
-        assert_eq!(dash.wss_history, [4, 5, 6, 7]);
+        dash.frame(&busy_snapshot(1, 99));
+        assert_eq!(dash.wss_history, [&values[3..], &[99]].concat());
     }
 
     /// `daos top ADDR`'s first frame after more publishes than the
@@ -365,7 +361,7 @@ mod tests {
         assert_eq!(values, newest(RAW_CAPACITY));
         let mut dash = Dashboard::new();
         dash.backfill(&values);
-        assert_eq!(dash.wss_history, newest(dash.spark_width));
+        assert_eq!(dash.wss_history, newest(SPARK_WIDTH));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! - [`record_from_doc`] rebuilds a `MonitorRecord` from the
 //!   `RegionSnapshot`/`Aggregation` event pairs ([`record_to_events`]
 //!   is its inverse, what `daos record` writes), which feeds
-//! - [`WssTimeline`] (working-set-size series + percentiles) and
-//! - [`heatmap_from_doc`] (the Fig. 6 rasteriser, driven from a trace);
+//!   [`WssTimeline`] (working-set-size series + percentiles) and the
+//!   Fig. 6 rasteriser (`daos::Heatmap`);
 //! - [`SchemeTimeline`] summarises each scheme's tried/applied bytes,
 //!   quota throttling and watermark activation windows;
 //! - [`Summary`] is the run header: event counts, drop accounting, and a
@@ -19,14 +19,12 @@
 //! Everything renders to returned `String`s — per the workspace print
 //! policy only the CLI writes to stdout.
 
-pub mod heatmap;
 pub mod profile;
 pub mod record;
 pub mod schemes;
 pub mod summary;
 pub mod wss;
 
-pub use heatmap::heatmap_from_doc;
 pub use profile::{PhaseStats, Profile};
 pub use record::{record_from_doc, record_from_events, record_to_events};
 pub use schemes::{scheme_timelines, SchemeTimeline};

@@ -48,8 +48,6 @@ pub struct EnginePass {
     pub paged_out: u64,
     /// Bytes THP-promoted this pass.
     pub promoted: u64,
-    /// Bytes freed by THP demotion this pass.
-    pub demoted_freed: u64,
     /// Bytes counted by STAT schemes this pass.
     pub stat_bytes: u64,
     /// Regions counted by STAT schemes this pass.
@@ -110,11 +108,6 @@ impl SchemesEngine {
     /// Per-scheme statistics, parallel to [`Self::schemes`].
     pub fn stats(&self) -> &[SchemeStats] {
         &self.stats
-    }
-
-    /// The engine's target space.
-    pub fn target(&self) -> SchemeTarget {
-        self.target
     }
 
     /// Process one aggregation window: match and apply every scheme.
@@ -258,7 +251,6 @@ impl SchemesEngine {
             (SchemeTarget::Virtual(pid), Action::Nohugepage) => {
                 let (freed, ns) = sys.demote_huge(pid, range).unwrap_or((0, 0));
                 pass.work_ns += ns;
-                pass.demoted_freed += freed;
                 freed
             }
             (SchemeTarget::Virtual(pid), Action::Cold)

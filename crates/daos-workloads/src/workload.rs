@@ -97,11 +97,6 @@ impl SyntheticWorkload {
         self.rng = Self::stream(&self.spec, seed);
     }
 
-    /// The underlying spec.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
-
     /// The main data mapping (valid after setup).
     pub fn region(&self) -> AddrRange {
         self.region

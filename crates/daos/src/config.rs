@@ -206,12 +206,6 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Run the aggressive background promoter (Linux-original THP).
-    pub fn khugepaged(mut self, on: bool) -> Self {
-        self.config.khugepaged = on;
-        self
-    }
-
     /// Enable monitoring with the given primitive.
     pub fn monitor(mut self, kind: MonitorKind) -> Self {
         self.config.monitor = Some(kind);

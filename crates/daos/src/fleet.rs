@@ -938,7 +938,6 @@ pub struct FleetEngine {
     slots: Vec<Slot>,
     pool: Option<WorkerPool>,
     recipe: Arc<Recipe>,
-    workload_name: String,
     nr_ticks: u64,
     tick: u64,
     /// The driver thread's laps, when profiling.
@@ -999,22 +998,11 @@ impl FleetEngine {
             slots,
             pool,
             recipe: Arc::new(recipe),
-            workload_name: spec.path_name(),
             nr_ticks: spec.nr_epochs,
             tick: 0,
             laps,
             shard_laps: Laps::default(),
         })
-    }
-
-    /// The fleet spec this engine runs.
-    pub fn spec(&self) -> &FleetSpec {
-        &self.recipe.fleet
-    }
-
-    /// Display name of the replicated workload.
-    pub fn workload_name(&self) -> &str {
-        &self.workload_name
     }
 
     /// Ticks the full run will execute (the workload's epoch count).

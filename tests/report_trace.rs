@@ -36,8 +36,8 @@ fn trace_rebuilt_record_equals_the_in_memory_record() {
     // Therefore the Fig. 6 heatmap is identical cell-for-cell.
     let span = biggest_active_span(live).expect("freqmine shows activity");
     let from_live = Heatmap::from_record(live, span, 24, 12).unwrap();
-    let from_trace =
-        daos_report::heatmap_from_doc(&doc, 24, 12).expect("trace holds complete windows");
+    let trace_span = biggest_active_span(&rebuilt).expect("trace holds complete windows");
+    let from_trace = Heatmap::from_record(&rebuilt, trace_span, 24, 12).unwrap();
     assert_eq!(from_live.cells, from_trace.cells);
     assert_eq!(from_live.time_span, from_trace.time_span);
     assert_eq!(from_live.addr_span, from_trace.addr_span);
@@ -46,6 +46,32 @@ fn trace_rebuilt_record_equals_the_in_memory_record() {
     let summary = Summary::of(&doc);
     assert!(summary.is_complete());
     assert_eq!(summary.nr_events, doc.events.len() as u64);
+}
+
+/// THP promotion and demotion, end to end: `daos report summary` of
+/// `daos trace splash2x/ocean_ncp --seed 42 --epochs 2000` under `ethp`
+/// (the scheme promotes and demotes) and under `thp` (khugepaged
+/// promotes), pinned event kind by event kind, `ThpPromote` and
+/// `ThpDemote` included.
+#[test]
+fn thp_runs_trace_the_pinned_event_counts() {
+    let machine = MachineProfile::i3_metal();
+    let mut spec = by_path("splash2x/ocean_ncp").unwrap();
+    spec.nr_epochs = 2_000;
+    for config in [RunConfig::ethp(), RunConfig::thp()] {
+        daos_trace::install(Collector::builder().build().unwrap()).unwrap();
+        let ran = Session::new(&machine, &config, &spec).seed(42).execute();
+        let collector = daos_trace::take().expect("collector installed above");
+        ran.unwrap();
+        let doc = parse_export(&daos_trace::export_collector(&collector)).unwrap();
+        let path = format!(
+            "{}/tests/golden/trace_summary_ocean_ncp_{}.txt",
+            env!("CARGO_MANIFEST_DIR"),
+            config.name
+        );
+        let pinned = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_eq!(Summary::of(&doc).render(), pinned, "{}", config.name);
+    }
 }
 
 #[test]

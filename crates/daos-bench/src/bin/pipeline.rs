@@ -2,7 +2,7 @@
 //! hot paths — the monitoring tick (sampling), a full aggregation window
 //! (aggregate + split/merge) over the synthetic space and over a real
 //! process's page tables, the schemes-engine apply pass, the
-//! substrate's page-table walks and fault service, and the same monitor
+//! substrate's page-table walks, pageout and fault service, and the same monitor
 //! loop with tracing enabled vs disabled — written to
 //! `BENCH_pipeline.json` at the repo root as the regression baseline.
 //!
@@ -176,6 +176,35 @@ fn bench_page_walks(h: &mut Harness, iters: u64) {
     });
 }
 
+/// A scheme's pageout over a fully resident 16 MiB VMA, a word of pages at
+/// a time. `mm/pageout_4096_referenced` re-touches the 4096 pages and
+/// pages the range out: the second-chance pass, which clears every
+/// accessed bit and evicts nothing — what a prcl scheme trying a region
+/// still in use pays — and allocates nothing. `mm/pageout_4096_cold`
+/// evicts all 4096 from a copy of a machine whose bits are already clear:
+/// stores, frees and bookkeeping per page; recorded but not gated, because
+/// the copy is allocation-heavy like the fault-service lanes below.
+fn bench_pageout(h: &mut Harness, iters: u64) {
+    let mut machine = daos_mm::MachineProfile::test_tiny();
+    machine.dram_bytes = 256 << 20;
+    let mut sys = MemorySystem::new(machine, SwapConfig::paper_zram(), 1);
+    let pid = sys.spawn();
+    let range = sys.mmap(pid, 16 << 20, ThpMode::Never).expect("mmap 16 MiB");
+    let touch = AccessBatch::all(range, 1.0);
+    sys.apply_access(pid, &touch).expect("fault in");
+    h.bench_iters("mm/pageout_4096_referenced", iters, || {
+        sys.apply_access(pid, &touch).expect("re-touch");
+        black_box(sys.pageout(pid, range).expect("second chance"))
+    });
+    let aged = sys;
+    h.bench_iters("mm/pageout_4096_cold", iters / 4, || {
+        let mut sys = aged.clone();
+        let (bytes, _) = sys.pageout(pid, range).expect("evict");
+        assert_eq!(bytes, range.len());
+        black_box(sys)
+    });
+}
+
 /// Fault service, the other half of `apply_access`: an `All` batch over
 /// 4096 never-touched pages, on a machine with room for all of them
 /// (minor faults only) and on one whose DRAM is two thirds of the batch
@@ -235,7 +264,7 @@ fn bench_trace_toggle(h: &mut Harness, iters: u64) {
 /// Hot-path timings gated against the committed baseline by
 /// `--check --baseline`: the region/mm rebuild targets and the page
 /// walker, so a rewrite that quietly regresses one shows up in verify.sh.
-const GATED: [&str; 7] = [
+const GATED: [&str; 8] = [
     "schemes/apply_1000_regions",
     "monitor/aggregate_window",
     "monitor/sweep_vaddr",
@@ -243,6 +272,7 @@ const GATED: [&str; 7] = [
     "mm/touch_all_4096_resident",
     "mm/touch_stride2_4096_resident",
     "mm/collect_resident_16mib_sparse",
+    "mm/pageout_4096_referenced",
 ];
 
 /// Time every bench and return the artifact.
@@ -256,6 +286,7 @@ fn measure(quick: bool) -> Json {
     bench_sweep_vaddr(&mut h, iters);
     bench_scheme_apply(&mut h, iters);
     bench_page_walks(&mut h, iters * 4);
+    bench_pageout(&mut h, iters * 4);
     bench_fault_service(&mut h, iters);
     bench_trace_toggle(&mut h, iters * 4);
 

@@ -11,7 +11,7 @@ use crate::access::{AccessBatch, AccessOutcome, TouchPattern};
 use crate::addr::{huge_align_down, AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
 use crate::clock::{Clock, Ns};
 use crate::error::{MmError, MmResult};
-use crate::frame::FrameAllocator;
+use crate::frame::{FrameAllocator, FrameId};
 use crate::lru::{Lru, LruList};
 use crate::machine::MachineProfile;
 use crate::process::{Pid, Process, PteCursor};
@@ -40,6 +40,8 @@ pub struct MemorySystem {
     /// Kernel-side accounting (monitor, schemes, reclaim CPU time).
     pub kstats: KernelStats,
     fault_scratch: Vec<u64>,
+    /// A pageout's `(addr, frame)` evictions, empty between calls.
+    evicted: Vec<(u64, FrameId)>,
 }
 
 impl MemorySystem {
@@ -57,6 +59,7 @@ impl MemorySystem {
             rng: SmallRng::seed_from_u64(seed),
             kstats: KernelStats::default(),
             fault_scratch: Vec::new(),
+            evicted: Vec::new(),
         }
     }
 
@@ -624,58 +627,62 @@ impl MemorySystem {
     /// inside a matched region survive and only pages idle across two
     /// pageout attempts are evicted. Returns `(bytes_paged_out,
     /// kernel_cost_ns)`; stops early when swap fills up.
+    ///
+    /// One [`Vma::pageout_in`] per VMA, a word of pages at a time, then the
+    /// evictions' bookkeeping in address order — each frame freed and its
+    /// `SwapOut` traced — and one RSS update: what a loop of
+    /// [`Vma::reclaim_page`] over the resident pages did, page by page.
     pub fn pageout(&mut self, pid: Pid, range: AddrRange) -> MmResult<(u64, Ns)> {
-        let addrs = self.resident_addrs_in(pid, range)?;
-        let (mut paged_out, mut at) = ((0u64, 0 as Ns), 0);
-        for addr in addrs {
-            if !self.pageout_page(&mut at, pid, addr, &mut paged_out) {
+        let Self { procs, swap, machine, kstats, frames, clock, evicted, .. } = self;
+        let proc = procs.get_mut(pid as usize).ok_or(MmError::NoSuchProcess(pid))?;
+        let mut stored = Ok(());
+        for vma in proc.vmas_mut() {
+            stored = vma.pageout_in(&range, evicted, || {
+                let (slot, store_ns) = swap.store(machine)?;
+                kstats.swap_write_ns += store_ns;
+                Ok(slot)
+            });
+            if stored.is_err() {
                 break;
             }
         }
-        Ok(paged_out)
-    }
-
-    /// One page of a scheme's pageout, its `(bytes, cost)` added to
-    /// `paged_out`: the reclaim reference check — a page referenced since
-    /// the last check has the bit cleared and is skipped this round — and
-    /// the eviction of a page that was not. `false` once swap is full.
-    fn pageout_page(
-        &mut self,
-        at: &mut usize,
-        pid: Pid,
-        addr: u64,
-        paged_out: &mut (u64, Ns),
-    ) -> bool {
-        match self.reclaim_page(at, pid, addr, None) {
-            Ok(Reclaimed::Evicted(_)) => {
-                paged_out.0 += PAGE_SIZE;
-                paged_out.1 += self.machine.pageout_page_ns;
-                self.kstats.damos_pageouts += 1;
-            }
-            Ok(Reclaimed::Stale | Reclaimed::Referenced(_)) => {}
-            Err(MmError::SwapFull) => return false,
-            Err(e) => {
-                debug_assert!(false, "reclaim can only fail on a full swap device: {e}");
-                return false;
-            }
+        if let Err(e) = stored {
+            debug_assert_eq!(e, MmError::SwapFull, "reclaim can only fail on a full swap device");
         }
-        true
+        let nr = evicted.len() as u64;
+        if nr > 0 {
+            let (now, tracing) = (clock.now(), daos_trace::enabled());
+            for (addr, frame) in evicted.drain(..) {
+                frames.free(frame);
+                if tracing {
+                    daos_trace::emit(now, daos_trace::Event::SwapOut { pid, addr });
+                }
+            }
+            proc.unmap_pages(now, nr);
+            proc.stats.swapouts += nr;
+            kstats.damos_pageouts += nr;
+        }
+        Ok((nr * PAGE_SIZE, nr * machine.pageout_page_ns))
     }
 
-    /// Page out by *physical* address range, via rmap (prec-style targets).
+    /// Page out by *physical* address range, via rmap (prec-style targets):
+    /// each owned frame's page judged and, if cold, evicted on its own
+    /// ([`Vma::reclaim_page`]), until swap is full.
     pub fn pageout_paddr(&mut self, range: AddrRange) -> (u64, Ns) {
-        let (mut paged_out, mut at) = ((0u64, 0 as Ns), 0);
-        for paddr in range.pages() {
-            if paddr >= self.machine.dram_bytes {
-                break;
-            }
-            if let Some((pid, vaddr)) = self.phys_owner(paddr) {
-                if !self.pageout_page(&mut at, pid, vaddr, &mut paged_out) {
+        let (mut nr, mut at, dram) = (0u64, 0, self.machine.dram_bytes);
+        for paddr in range.pages().take_while(|&p| p < dram) {
+            let Some((pid, vaddr)) = self.phys_owner(paddr) else { continue };
+            match self.reclaim_page(&mut at, pid, vaddr, None) {
+                Ok(Reclaimed::Evicted(_)) => nr += 1,
+                Ok(Reclaimed::Stale | Reclaimed::Referenced(_)) => {}
+                Err(e) => {
+                    debug_assert_eq!(e, MmError::SwapFull, "reclaim can only fail on a full swap device");
                     break;
                 }
             }
         }
-        paged_out
+        self.kstats.damos_pageouts += nr;
+        (nr * PAGE_SIZE, nr * self.machine.pageout_page_ns)
     }
 
     fn resident_addrs_in(&self, pid: Pid, range: AddrRange) -> MmResult<Vec<u64>> {

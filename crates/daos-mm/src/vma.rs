@@ -20,8 +20,9 @@
 //! ([`Vma::chunk_nr_resident`]). Scans for resident or swapped pages
 //! ([`Vma::collect_resident_in`], [`Vma::collect_swapped_in`]) skip
 //! missing chunks and, inside a chunk, every 64-page word with no bit set
-//! — so paging out an already-evicted region is O(words touched), not
-//! O(pages in range). The totals are kept exact by whoever changes a
+//! — and so does a scheme's pageout ([`Vma::pageout_in`]), so paging out an
+//! already-evicted region is O(words touched), not O(pages in range).
+//! The totals are kept exact by whoever changes a
 //! page's state — the transition primitives below, and the tests' general
 //! setter [`Vma::with_pte`]; the two touch paths ([`Vma::touch_run`],
 //! [`Vma::touch_resident`]) only set bits of resident pages, and the
@@ -30,11 +31,12 @@
 //!
 //! ## State transitions
 //!
-//! Every library path — fault, reclaim, LRU, THP promotion and demotion —
-//! changes a page's state through four primitives, each one resolve of
-//! the chunk, bit operations on the four bitmaps, writes to
+//! Every library path — fault, reclaim, a scheme's pageout, LRU, THP
+//! promotion and demotion — changes a page's state through five
+//! primitives, each one resolve of the chunk (a range's worth for
+//! `pageout_in`), bit operations on the four bitmaps, writes to
 //! `backing`/`lru_gen`, and the VMA totals moved by exactly what the
-//! transition moves:
+//! transitions move:
 //!
 //! * [`Vma::map_page`] — `None | Swapped → Resident(frame)`, for a fault
 //!   (mapped accessed and touched), or a prefetch or a promotion's filler
@@ -54,6 +56,17 @@
 //!   evicted page has `swapped` set, `resident`, `accessed` and `touched`
 //!   clear, and the slot as backing. When the swap device refuses the
 //!   store, the page keeps everything but the verdict's generation bump.
+//! * [`Vma::pageout_in`] — a scheme's pageout of a range: exactly
+//!   `reclaim_page(addr, None, store)` over its resident pages, ascending,
+//!   done a word at a time. Per word, the referenced pages (`resident &
+//!   accessed` in the range) have `accessed` cleared by one mask, and the
+//!   cold ones go `Resident → Swapped(store()?)` lowest bit first, each
+//!   `(addr, frame)` pushed for the caller to free; `resident`, `swapped`
+//!   and `touched` then move by one mask of the evicted bits. The first
+//!   failed store ends the walk: that page and every later one keep
+//!   everything, their `accessed` bits included — the referenced mask is
+//!   cut below the failing bit — as the per-page loop left them when it
+//!   broke off.
 //! * [`Vma::split_huge`] — a huge chunk back to base pages: the huge flag
 //!   cleared and, a word at a time, every `resident & !touched` page to
 //!   `None` with `accessed` clear, its generation bumped and its frame
@@ -64,7 +77,8 @@
 //! load the page as a [`Pte`], run a closure, scatter it back in
 //! canonical form, account the difference — is no library path's: it is
 //! the tests' setter for any state, and `tests/walker_differential.rs`
-//! holds each primitive to the `with_pte` closure it replaced.
+//! holds each primitive to the `with_pte` closure it replaced (and
+//! `pageout_in` to `reclaim_page` looped over the resident pages).
 //!
 //! ## PTE layout
 //!
@@ -119,6 +133,18 @@
 //! and `visit & !resident` is the faults. Chunks ascend, words ascend
 //! within a chunk, and a word's set bits are taken lowest first, so the
 //! fault list is in visit order — the order the per-page loop pushed them.
+//!
+//! *The whole-chunk path.* Most of a run is whole chunks: at a stride that
+//! divides 64, a chunk entered at a page `lo < stride` and left at its end
+//! has the one visit mask `pattern << lo` in all eight words, so the walk
+//! is a fixed eight-word body — `hit = resident & visit`, or-ed into
+//! `accessed` and `touched`, popcounted — with no mask array to build. The
+//! fault list is built in a second pass, and only when the count falls
+//! short of eight times the mask's popcount: some visited page is not
+//! resident. The chunk advance is a shift (a stride that divides 64 is a
+//! power of two). A partial chunk — the run's first and last, an
+//! unaligned VMA's ends — and every other stride take the general path
+//! above.
 //! A word operation may assume only what the canonical form gives it: a
 //! bit of `resident` is a page with a frame, whatever its other bits say.
 //!
@@ -255,6 +281,32 @@ impl PteChunk {
         put(&mut self.touched[w], pte.touched);
         self.backing[pi] = backing;
         self.lru_gen[pi] = pte.lru_gen;
+    }
+
+    /// The walker on a whole chunk whose visit mask is `visit` in every
+    /// word: touch the resident pages it visits and return how many; push
+    /// the others, ascending, as `page(pi)` on `faults` — a second pass
+    /// that runs only when the count says some visited page is missing.
+    #[inline]
+    fn touch_every_word(
+        &mut self,
+        visit: u64,
+        faults: &mut Vec<u64>,
+        page: impl Fn(usize) -> u64,
+    ) -> u64 {
+        let mut nr = 0u64;
+        for w in 0..PT_WORDS {
+            let hit = self.resident[w] & visit;
+            self.accessed[w] |= hit;
+            self.touched[w] |= hit;
+            nr += hit.count_ones() as u64;
+        }
+        if nr < PT_WORDS as u64 * visit.count_ones() as u64 {
+            for w in 0..PT_WORDS {
+                faults.extend(bits(visit & !self.resident[w]).map(|b| page(w * 64 + b)));
+            }
+        }
+        nr
     }
 }
 
@@ -461,9 +513,13 @@ impl Vma {
         let Some(isect) = self.range.intersect(range) else { return };
         let stride = stride.max(1) as usize;
         let step = stride as u64 * PAGE_SIZE;
-        // Every `stride`-th bit from bit 0, when every word has that pattern.
-        let periodic = (64 % stride == 0)
-            .then(|| if stride == 64 { 1 } else { u64::MAX / ((1u64 << stride) - 1) });
+        // A stride that divides 64 is a power of two: every `stride`-th bit
+        // from bit 0 is then the same pattern in every word, and a count
+        // of pages divides by a shift.
+        let periodic = (64 % stride == 0).then(|| {
+            let pattern = if stride == 64 { 1 } else { u64::MAX / ((1u64 << stride) - 1) };
+            (pattern, stride.trailing_zeros())
+        });
         let mut addr = isect.page_aligned().start;
         while addr < isect.end {
             let chunk_base = huge_align_down(addr);
@@ -473,12 +529,18 @@ impl Vma {
                 .div_ceil(PAGE_SIZE) as usize;
             let huge = self.is_huge(chunk_base);
             let slot = self.slot(addr);
-            match self.chunks[slot].as_deref_mut() {
-                Some(c) => {
+            let page = |pi: usize| chunk_base + pi as u64 * PAGE_SIZE;
+            let nr = match (self.chunks[slot].as_deref_mut(), periodic) {
+                // The whole chunk at `lo`'s phase: one visit mask for all
+                // eight words.
+                (Some(c), Some((pattern, _))) if lo < stride && hi == PT_CHUNK_PAGES => {
+                    c.touch_every_word(pattern << lo, faults, page)
+                }
+                (Some(c), _) => {
                     let words = lo / 64..hi.div_ceil(64);
                     let mut visit = [0u64; PT_WORDS];
                     match periodic {
-                        Some(pattern) => words.clone().for_each(|w| {
+                        Some((pattern, _)) => words.clone().for_each(|w| {
                             visit[w] = (pattern << (lo % stride)) & word_mask(w, lo, hi)
                         }),
                         None => (lo..hi).step_by(stride).for_each(|pi| visit[pi / 64] |= 1 << (pi % 64)),
@@ -489,16 +551,22 @@ impl Vma {
                         c.accessed[w] |= hit;
                         c.touched[w] |= hit;
                         nr += hit.count_ones() as u64;
-                        let page = |b| chunk_base + (w * 64 + b) as u64 * PAGE_SIZE;
-                        faults.extend(bits(visit[w] & !c.resident[w]).map(page));
+                        faults.extend(bits(visit[w] & !c.resident[w]).map(|b| page(w * 64 + b)));
                     }
-                    out.touched_pages += nr;
-                    out.touched_huge += if huge { nr } else { 0 };
+                    nr
                 }
-                None => faults
-                    .extend((lo..hi).step_by(stride).map(|pi| chunk_base + pi as u64 * PAGE_SIZE)),
-            }
-            addr += (hi - lo).div_ceil(stride) as u64 * step;
+                (None, _) => {
+                    faults.extend((lo..hi).step_by(stride).map(page));
+                    0
+                }
+            };
+            out.touched_pages += nr;
+            out.touched_huge += if huge { nr } else { 0 };
+            let visited = match periodic {
+                Some((_, shift)) => (hi - lo + stride - 1) >> shift,
+                None => (hi - lo).div_ceil(stride),
+            };
+            addr += visited as u64 * step;
         }
     }
 
@@ -597,6 +665,65 @@ impl Vma {
         Ok(Reclaimed::Evicted(frame))
     }
 
+    /// A scheme's pageout of `range ∩ vma`: exactly
+    /// [`reclaim_page`](Self::reclaim_page)`(addr, None, store)` over its
+    /// resident pages, ascending, until a store fails — done a word at a
+    /// time. Referenced pages have `accessed` cleared by one mask; cold
+    /// pages go `Resident → Swapped(store()?)` in address order, each
+    /// `(addr, frame)` pushed on `evicted` (the frames are the caller's to
+    /// free). The first failed store leaves that page and every later one
+    /// untouched, their `accessed` bits included, and is the error.
+    #[inline]
+    pub fn pageout_in(
+        &mut self,
+        range: &AddrRange,
+        evicted: &mut Vec<(u64, FrameId)>,
+        mut store: impl FnMut() -> MmResult<SwapSlot>,
+    ) -> MmResult<()> {
+        if self.total_resident == 0 {
+            return Ok(());
+        }
+        let (before, mut result) = (evicted.len(), Ok(()));
+        'chunks: for (slot, chunk_base, lo, hi) in self.spans(range) {
+            let Some(c) = self.chunks[slot].as_deref_mut() else { continue };
+            for w in lo / 64..hi.div_ceil(64) {
+                // The word's resident pages in the range: all judged,
+                // unless a store fails first.
+                let mut judged = c.resident[w] & word_mask(w, lo, hi);
+                if judged == 0 {
+                    continue;
+                }
+                let mut out = 0u64;
+                for b in bits(judged & !c.accessed[w]) {
+                    let swap_slot = match store() {
+                        Ok(swap_slot) => swap_slot,
+                        Err(e) => {
+                            judged &= (1 << b) - 1;
+                            result = Err(e);
+                            break;
+                        }
+                    };
+                    let pi = w * 64 + b;
+                    evicted.push((chunk_base + pi as u64 * PAGE_SIZE, c.backing[pi]));
+                    c.backing[pi] = swap_slot.0;
+                    c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
+                    out |= 1 << b;
+                }
+                c.accessed[w] &= !judged;
+                c.resident[w] &= !out;
+                c.swapped[w] |= out;
+                c.touched[w] &= !out;
+                if result.is_err() {
+                    break 'chunks;
+                }
+            }
+        }
+        let nr = (evicted.len() - before) as u64;
+        self.total_resident -= nr;
+        self.total_swapped += nr;
+        result
+    }
+
     /// Split the aligned 2 MiB chunk at `chunk_addr`: clear its huge flag
     /// and return every resident page the CPU never touched — a
     /// promotion's filler, a prefetched page — to `None`, with `accessed`
@@ -655,12 +782,23 @@ impl Vma {
         self.total_swapped as usize
     }
 
-    /// Chunk-slot span `[lo, hi)` covering pages `[page_lo, page_hi)`.
-    fn slot_span(&self, page_lo: u64, page_hi: u64) -> (usize, usize) {
+    /// The chunk slots `range ∩ vma` overlaps, ascending, each with its
+    /// base address and its pages `[lo, hi)` inside the range. Borrows
+    /// nothing, so a caller may write the chunks as it goes.
+    fn spans(&self, range: &AddrRange) -> impl Iterator<Item = (usize, u64, usize, usize)> + use<> {
         let base = self.grid_base();
-        let lo = ((page_lo - base) / HUGE_PAGE_SIZE) as usize;
-        let hi = ((page_hi - base).div_ceil(HUGE_PAGE_SIZE) as usize).min(self.chunks.len());
-        (lo, hi)
+        let aligned = self.range.intersect(range).map(|r| r.page_aligned());
+        let slots = aligned.map_or(0..0, |r| {
+            let lo = ((r.start - base) / HUGE_PAGE_SIZE) as usize;
+            lo..((r.end - base).div_ceil(HUGE_PAGE_SIZE) as usize).min(self.chunks.len())
+        });
+        let r = aligned.unwrap_or(AddrRange::empty());
+        slots.map(move |slot| {
+            let chunk_base = base + slot as u64 * HUGE_PAGE_SIZE;
+            let lo = (r.start.max(chunk_base) - chunk_base) as usize >> PAGE_SHIFT;
+            let hi = (r.end.min(chunk_base + HUGE_PAGE_SIZE) - chunk_base) as usize >> PAGE_SHIFT;
+            (slot, chunk_base, lo, hi)
+        })
     }
 
     /// Push the addresses of all resident pages in `range ∩ vma` onto
@@ -688,19 +826,11 @@ impl Vma {
         out: &mut Vec<u64>,
         of: impl Fn(&PteChunk) -> &[u64; PT_WORDS],
     ) {
-        let Some(isect) = self.range.intersect(range) else { return };
-        let aligned = isect.page_aligned();
-        let (s_lo, s_hi) = self.slot_span(aligned.start, aligned.end);
-        let base = self.grid_base();
-        for slot in s_lo..s_hi {
+        for (slot, chunk_base, lo, hi) in self.spans(range) {
             let Some(c) = self.chunks[slot].as_deref() else { continue };
-            let chunk_base = base + slot as u64 * HUGE_PAGE_SIZE;
-            let p_lo = (aligned.start.max(chunk_base) - chunk_base) as usize >> PAGE_SHIFT;
-            let p_hi =
-                ((aligned.end.min(chunk_base + HUGE_PAGE_SIZE) - chunk_base) as usize) >> PAGE_SHIFT;
-            for w in p_lo / 64..p_hi.div_ceil(64) {
+            for w in lo / 64..hi.div_ceil(64) {
                 let page = |b| chunk_base + (w * 64 + b) as u64 * PAGE_SIZE;
-                out.extend(bits(of(c)[w] & word_mask(w, p_lo, p_hi)).map(page));
+                out.extend(bits(of(c)[w] & word_mask(w, lo, hi)).map(page));
             }
         }
     }

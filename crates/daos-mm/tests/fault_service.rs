@@ -8,6 +8,8 @@
 //! own — a run of one, which resolves, folds and reclaims alone, as the
 //! per-page `handle_fault` did. The two must leave the same machine: one
 //! test per way a fold can go wrong without any counter total moving.
+//! A scheme's pageout, which works a word at a time and books its
+//! evictions afterwards, is held the same way to one page per call.
 
 use daos_mm::access::AccessBatch;
 use daos_mm::addr::{AddrRange, PAGE_SIZE};
@@ -155,6 +157,51 @@ fn a_full_swap_device_still_exchanges_a_page() {
     assert_eq!((out.major_faults, sys.nr_resident_in(pid, page(swapped))), (1, 1));
     assert_eq!((sys.nr_resident_in(pid, range), sys.nr_swapped_in(pid, range)), (64, 32));
     assert_eq!(sys.audit(), Ok(()));
+}
+
+/// A scheme's pageout works a 64-page word at a time and does the
+/// evictions' bookkeeping after the range: against the same machine paged
+/// out one resident page per call, ascending, until the device has no room
+/// for a cold page — where the per-page loop broke off. Every third page is
+/// referenced, the range starts mid-page, and the device fills mid-range:
+/// the same bytes and cost, the `SwapOut`s in the same order, the same
+/// machine — and, once the range is faulted back in, the same frames,
+/// because the free list took the evicted frames back in address order.
+#[test]
+fn a_pageout_by_word_frees_and_traces_in_address_order() {
+    let mut m = MachineProfile::test_tiny();
+    m.dram_bytes = 512 * PAGE_SIZE;
+    let swap = SwapConfig::File { capacity_bytes: 150 * PAGE_SIZE };
+    let mut by_word = MemorySystem::new(m, swap, SEED);
+    let pid = by_word.spawn();
+    let range = by_word.mmap(pid, 400 * PAGE_SIZE, ThpMode::Never).unwrap();
+    by_word.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
+    for addr in range.pages().filter(|a| !((a - range.start) / PAGE_SIZE).is_multiple_of(3)) {
+        by_word.check_accessed_clear(pid, addr);
+    }
+    let mut by_page = by_word.clone();
+
+    let span = AddrRange::new(range.start + 5 * PAGE_SIZE + 100, range.end - 3 * PAGE_SIZE);
+    let (out, events_word) = traced(|| by_word.pageout(pid, span).unwrap());
+    let (sum, events_page) = traced(|| {
+        let mut sum = (0, 0);
+        for addr in span.page_aligned().pages() {
+            if by_page.peek_accessed(pid, addr) == Some(false) && !by_page.swap().has_room() {
+                break;
+            }
+            let (bytes, ns) = by_page.pageout(pid, page(addr)).unwrap();
+            sum = (sum.0 + bytes, sum.1 + ns);
+        }
+        sum
+    });
+    assert_eq!(out, sum);
+    assert_eq!(out.0, 150 * PAGE_SIZE, "the device filled mid-range");
+    assert_eq!(events_word, events_page);
+    assert_same_machine(&mut by_word, &mut by_page, pid, range);
+    for sys in [&mut by_word, &mut by_page] {
+        sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
+    }
+    assert_same_machine(&mut by_word, &mut by_page, pid, range);
 }
 
 /// (iii) A `Random` batch draws addresses with replacement. Pass 1 queues

@@ -8,7 +8,9 @@
 //! The state transitions — `map_page`, `bump_resident`, `reclaim_page`,
 //! `split_huge` — are the `with_pte` closures `MemorySystem`'s fault,
 //! reclaim, LRU and THP paths ran before `Vma` grew in-place primitives
-//! for them, moved here: each names the function it came out of.
+//! for them, moved here: each names the function it came out of. The
+//! fifth, `pageout_in`, is the per-page loop over `reclaim_page` that a
+//! scheme's pageout ran before it worked a word at a time.
 
 use daos_mm::access::AccessOutcome;
 use daos_mm::addr::{huge_align_down, AddrRange, HUGE_PAGE_SIZE, PAGE_SHIFT, PAGE_SIZE};
@@ -137,6 +139,26 @@ impl ModelVma {
                 Ok(Reclaimed::Evicted(frame.expect("the verdict found the page resident")))
             }
         }
+    }
+
+    /// `MemorySystem::pageout`'s loop before `Vma::pageout_in`: the
+    /// resident pages of `range ∩ vma`, collected first, each judged and
+    /// evicted on its own by `reclaim_page(addr, None, store)` until a
+    /// store fails — whose error ends the loop.
+    pub fn pageout_in(
+        &mut self,
+        range: &AddrRange,
+        evicted: &mut Vec<(u64, FrameId)>,
+        mut store: impl FnMut() -> MmResult<SwapSlot>,
+    ) -> MmResult<()> {
+        let mut resident = Vec::new();
+        self.collect_resident_in(range, &mut resident);
+        for addr in resident {
+            if let Reclaimed::Evicted(frame) = self.reclaim_page(addr, None, &mut store)? {
+                evicted.push((addr, frame));
+            }
+        }
+        Ok(())
     }
 
     /// `demote_huge`'s split: the chunk's resident pages, each checked

@@ -14,7 +14,9 @@
 //! strides that divide 64, strides that do not, strides of a chunk and
 //! more (`STRIDES`), and runs that start and end on the first, second and
 //! last bit of a word, sit inside one word, or end on a chunk's last bit
-//! (`edge_range`).
+//! (`edge_range`). A run over whole chunks at a stride that divides 64
+//! takes the walker's whole-chunk path, so it gets a property of its own
+//! over chunks fully resident, partly resident and absent, huge and split.
 //!
 //! The page table itself — bitmaps and per-page arrays behind `Pte`-valued
 //! accessors — is pinned against the array-of-`Pte` layout it replaced
@@ -23,7 +25,8 @@
 //! values and leave the same pages and the same materialised chunks. The
 //! in-place state transitions (`map_page`, `bump_resident`, `reclaim_page`,
 //! `split_huge`) are pinned the same way against the `with_pte` closures
-//! they replaced, which the model keeps.
+//! they replaced, which the model keeps, and `pageout_in` against
+//! `reclaim_page(addr, None, store)` looped over the resident pages.
 //!
 //! The forward page-table cursor (`PteCursor`) is pinned the same way,
 //! over the same address spaces, against the per-address lookups it
@@ -306,6 +309,52 @@ proptest! {
         compare(&vmas, &whole, stride, false, &format!("seed {seed} whole space stride {stride}"));
     }
 
+    /// The walker's whole-chunk path — a stride that divides 64, from a
+    /// chunk's first visited page (`lo < stride`) to its end, one visit
+    /// mask for all eight words — over one aligned VMA of four chunks and
+    /// a ragged tail, each chunk fully resident, all but a few pages, half,
+    /// or never materialised, huge or split: runs of one or more whole
+    /// chunks at strides 1, 2, 4 and 64, against `touch_stride` (and at
+    /// stride 1 `touch_all`).
+    fn whole_chunk_runs_match_the_per_page_loop(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let start = 64 * HUGE_PAGE_SIZE;
+        let end = start + 4 * HUGE_PAGE_SIZE + rng.random_range(0..512u64) * PAGE_SIZE;
+        let mut vma = Vma::new(AddrRange::new(start, end), ThpMode::Always);
+        let mut frame = 0u32;
+        for chunk in (start..end).step_by(HUGE_PAGE_SIZE as usize) {
+            let resident_pct = [100, 100, 97, 50, 0][rng.random_range(0..5usize)];
+            for addr in AddrRange::new(chunk, (chunk + HUGE_PAGE_SIZE).min(end)).pages() {
+                let roll = rng.random_range(0..100u32);
+                let (accessed, touched) = (rng.random::<f32>() < 0.5, rng.random::<f32>() < 0.5);
+                let state = if roll < resident_pct {
+                    frame += 1;
+                    PteState::Resident(frame)
+                } else if resident_pct > 0 && roll.is_multiple_of(2) {
+                    PteState::Swapped(SwapSlot(roll))
+                } else {
+                    continue;
+                };
+                vma.with_pte(addr, |p| *p = Pte { state, accessed, touched, lru_gen: 0 });
+            }
+            vma.set_huge(chunk, rng.random::<f32>() < 0.5);
+        }
+        let vmas = [vma];
+        for stride in [1u32, 2, 4, 64] {
+            for round in 0..3 {
+                let first = rng.random_range(0..4u64);
+                let phase = rng.random_range(0..stride as u64);
+                let last = (start + rng.random_range(first + 1..6) * HUGE_PAGE_SIZE).min(end);
+                let run = AddrRange::new(start + first * HUGE_PAGE_SIZE + phase * PAGE_SIZE, last);
+                let what = format!("seed {seed} stride {stride} round {round} {run}");
+                compare(&vmas, &run, stride, false, &what);
+                if stride == 1 {
+                    compare(&vmas, &run, 1, true, &format!("{what}: all"));
+                }
+            }
+        }
+    }
+
     fn cursor_matches_the_per_address_lookup(seed in 0u64..1_000_000) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let vmas = random_address_space(&mut rng);
@@ -472,10 +521,13 @@ proptest! {
     /// `bump_resident` and `reclaim_page` with no queue stamp, the live one
     /// and a stale one, on resident, referenced, swapped and
     /// never-materialised pages; a swap device that is full one time in
-    /// five; `split_huge` of huge and split chunks, materialised or not,
-    /// holding touched and untouched pages. Same return values and freed
-    /// frames, the same calls to `store`, and afterwards the same pages,
-    /// the same materialised chunks and exact counters.
+    /// five; `pageout_in` over spans across chunk and VMA edges, with a
+    /// store that fails at a random call — mid-word included — half the
+    /// time; `split_huge` of huge and split chunks, materialised or not,
+    /// holding touched and untouched pages. Same return values, freed
+    /// frames and evicted `(addr, frame)` lists in order, the same calls to
+    /// `store`, and afterwards the same pages, the same materialised chunks
+    /// and exact counters.
     fn transitions_match_the_with_pte_closures(seed in 0u64..1_000_000) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let start = 64 * HUGE_PAGE_SIZE + rng.random_range(0..600u64) * PAGE_SIZE;
@@ -519,7 +571,7 @@ proptest! {
                     let want = model.bump_resident(addr, stamp, flag);
                     prop_assert_eq!(got, want, "{}: bump_resident", what);
                 }
-                50..90 => {
+                50..85 => {
                     let full = rng.random_range(0..5u32) == 0;
                     let (mut stores_r, mut stores_m) = (0, 0);
                     let store = |calls: &mut u32| {
@@ -531,6 +583,38 @@ proptest! {
                     prop_assert_eq!(got, want, "{}: reclaim_page (swap full: {})", what, full);
                     prop_assert_eq!(stores_r, stores_m, "{}: calls to store", what);
                     next_slot += 1;
+                }
+                85..90 => {
+                    // Across chunk and VMA edges, byte-granular, or aimed
+                    // at the word arithmetic; the store fails at a random
+                    // call half the time, mid-word included.
+                    let span = match flag {
+                        true => random_range(&mut rng, std::slice::from_ref(&real)),
+                        false => edge_range(&mut rng, &real, 1),
+                    };
+                    let fail_at =
+                        if rng.random::<f32>() < 0.5 { rng.random_range(0..64u32) } else { u32::MAX };
+                    let store = |calls: &mut u32| {
+                        *calls += 1;
+                        match *calls - 1 {
+                            call if call == fail_at => Err(MmError::SwapFull),
+                            call => Ok(SwapSlot(next_slot.wrapping_add(call))),
+                        }
+                    };
+                    let (mut stores_r, mut stores_m) = (0, 0);
+                    let (mut evicted_r, mut evicted_m) = (Vec::new(), Vec::new());
+                    let got = real.pageout_in(&span, &mut evicted_r, || store(&mut stores_r));
+                    let want = model.pageout_in(&span, &mut evicted_m, || store(&mut stores_m));
+                    let what = format!("{what}: pageout_in {span} (store fails at {fail_at})");
+                    prop_assert_eq!(got, want, "{}", what);
+                    prop_assert_eq!(stores_r, stores_m, "{}: calls to store", what);
+                    prop_assert_eq!(evicted_r, evicted_m, "{}: evicted", what);
+                    let paged = span.intersect(&range).map_or(AddrRange::empty(), |r| r.page_aligned());
+                    for a in paged.pages() {
+                        prop_assert_eq!(real.pte(a), model.pte(a), "{}: page {:#x}", what, a);
+                    }
+                    real.check_counters().unwrap();
+                    next_slot = next_slot.wrapping_add(stores_r);
                 }
                 90..95 => {
                     let chunk = huge_align_down(addr);

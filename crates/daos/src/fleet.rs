@@ -96,7 +96,7 @@ use std::sync::Arc;
 use daos_workloads::{instantiate, SyntheticWorkload, Workload, WorkloadSpec};
 
 use crate::config::{MonitorKind, RunConfig};
-use crate::profile::{self, Laps, Phase, WallProfile};
+use crate::profile::{self, Laps, Phase, Stopwatch, WallProfile};
 use crate::session::RunResult;
 
 /// How to scale one run into a fleet. Built with
@@ -484,12 +484,20 @@ impl Plane {
 
     /// Epoch phases 2–3: the monitor catches up with virtual time and
     /// the engine consumes each completed window, with all work charged
-    /// as interference against `owner`.
-    fn step(&mut self, sys: &mut MemorySystem, owner: Pid, sink: &mut Vec<Aggregation>) {
+    /// as interference against `owner` — a lap of [`Phase::Monitor`],
+    /// then one of [`Phase::Schemes`], when profiling.
+    fn step(
+        &mut self,
+        sys: &mut MemorySystem,
+        owner: Pid,
+        sink: &mut Vec<Aggregation>,
+        watch: &mut Option<Stopwatch>,
+    ) {
         let now = sys.now();
         self.monitor.step(sys, now, sink);
         let work = sys.charge_monitor(self.monitor.take_work_ns());
         interfere(sys, owner, work);
+        profile::lap(watch, Phase::Monitor);
         for agg in sink.drain(..) {
             if let Some(engine) = &mut self.engine {
                 let pass = engine.on_aggregation(sys, &agg);
@@ -501,6 +509,7 @@ impl Plane {
                 None => self.last_window = Some(agg),
             }
         }
+        profile::lap(watch, Phase::Schemes);
     }
 
     fn last_window(&self) -> Option<&Aggregation> {
@@ -760,14 +769,14 @@ impl Shard {
     /// thread already carries one — e.g. a caller-installed collector on
     /// the inline path keeps precedence) and attribute ring-drop deltas
     /// to the process whose phases produced them.
-    fn tick(&mut self, idx: u64, laps: &mut Option<Laps>) -> MmResult<()> {
+    fn tick(&mut self, idx: u64, watch: &mut Option<Stopwatch>) -> MmResult<()> {
         let mut tracing = false;
         if self.collector.is_some() && daos_trace::with_collector(|_| ()).is_none() {
             if let Some(col) = self.collector.take() {
                 tracing = daos_trace::install(col).is_ok();
             }
         }
-        let result = self.tick_inner(idx, tracing, laps);
+        let result = self.tick_inner(idx, tracing, watch);
         if tracing {
             self.collector = daos_trace::take();
         }
@@ -776,11 +785,15 @@ impl Shard {
 
     /// Per group: every member's workload quantum, the plane's step
     /// (its ring drops go to the owner), every member's khugepaged scan
-    /// — each of the three one lap of its [`Phase`] when profiling.
-    fn tick_inner(&mut self, idx: u64, tracing: bool, laps: &mut Option<Laps>) -> MmResult<()> {
+    /// — each ending a lap of its [`Phase`] when profiling.
+    fn tick_inner(
+        &mut self,
+        idx: u64,
+        tracing: bool,
+        watch: &mut Option<Stopwatch>,
+    ) -> MmResult<()> {
         let mut drops = DropMeter::start(tracing);
         for g in &mut self.groups {
-            let lap = profile::start(laps);
             for p in &mut g.procs {
                 workload_phase(
                     &mut self.sys,
@@ -792,21 +805,18 @@ impl Shard {
                 )?;
                 drops.charge(p);
             }
-            profile::stop(laps, Phase::Workload, lap);
+            profile::lap(watch, Phase::Workload);
             if let Some(plane) = &mut g.plane {
-                let lap = profile::start(laps);
                 let owner = &mut g.procs[0];
-                plane.step(&mut self.sys, owner.pid, &mut self.sink);
+                plane.step(&mut self.sys, owner.pid, &mut self.sink, watch);
                 drops.charge(owner);
-                profile::stop(laps, Phase::Plane, lap);
             }
             if self.khugepaged {
-                let lap = profile::start(laps);
                 for p in &mut g.procs {
                     khugepaged_phase(&mut self.sys, p.pid, &mut p.next_khugepaged)?;
                     drops.charge(p);
                 }
-                profile::stop(laps, Phase::Khugepaged, lap);
+                profile::lap(watch, Phase::Khugepaged);
             }
         }
         Ok(())
@@ -895,7 +905,8 @@ impl Slot {
     /// if it is still an image (the last holder of an image takes it, so
     /// a fleet of one shard never copies), tick it, and retire it if
     /// `retire`. The slot comes back whatever happens; one that fails
-    /// stays live. With `profiling`, so do the laps of its phases.
+    /// stays live. With `profiling`, so do the laps of its phases, one
+    /// after the other from the start of the advance.
     fn advance(
         self,
         recipe: &Recipe,
@@ -905,27 +916,35 @@ impl Slot {
         retire: bool,
         profiling: bool,
     ) -> (Slot, MmResult<()>, Option<Laps>) {
-        let mut laps = profiling.then(Laps::default);
+        let mut watch = Stopwatch::start(profiling);
         let mut shard = match self {
-            Slot::Pending(image) => profile::timed(&mut laps, Phase::Stamp, || {
-                Shard::stamp(Arc::unwrap_or_clone(image), recipe, shard_idx)
-            }),
+            Slot::Pending(image) => {
+                let shard = Shard::stamp(Arc::unwrap_or_clone(image), recipe, shard_idx);
+                profile::lap(&mut watch, Phase::Stamp);
+                shard
+            }
             Slot::Live(shard) => shard,
-            retired @ Slot::Retired(_) => return (retired, Ok(()), laps),
+            retired @ Slot::Retired(_) => return (retired, Ok(()), None),
         };
-        let ticked = (from..barrier).try_for_each(|idx| shard.tick(idx, &mut laps));
+        let ticked = (from..barrier).try_for_each(|idx| shard.tick(idx, &mut watch));
         let retired = ticked.and_then(|()| {
-            let retiring = || profile::timed(&mut laps, Phase::Retire, || shard.retire(recipe));
+            let retiring = || {
+                let row = shard.retire(recipe);
+                profile::lap(&mut watch, Phase::Retire);
+                row
+            };
             retire.then(retiring).transpose()
         });
-        match retired {
+        let (slot, result) = match retired {
             Ok(Some(row)) => {
-                profile::timed(&mut laps, Phase::Drop, || drop(shard));
-                (Slot::Retired(row), Ok(()), laps)
+                drop(shard);
+                profile::lap(&mut watch, Phase::Drop);
+                (Slot::Retired(row), Ok(()))
             }
-            Ok(None) => (Slot::Live(shard), Ok(()), laps),
-            Err(e) => (Slot::Live(shard), Err(e), laps),
-        }
+            Ok(None) => (Slot::Live(shard), Ok(())),
+            Err(e) => (Slot::Live(shard), Err(e)),
+        };
+        (slot, result, watch.map(|w| w.laps))
     }
 }
 
@@ -941,7 +960,7 @@ pub struct FleetEngine {
     nr_ticks: u64,
     tick: u64,
     /// The driver thread's laps, when profiling.
-    laps: Option<Laps>,
+    laps: Option<Stopwatch>,
     /// The shards' laps, summed as their slots come home.
     shard_laps: Laps,
 }
@@ -971,8 +990,7 @@ impl FleetEngine {
         seed: u64,
         profiling: bool,
     ) -> MmResult<FleetEngine> {
-        let mut laps = profiling.then(Laps::default);
-        let lap = profile::start(&laps);
+        let mut laps = Stopwatch::start(profiling);
         let nr_shards = fleet.nr_shards();
         let pool = (nr_shards > 1 && fleet.nr_workers != 1)
             .then(|| WorkerPool::new(fleet.nr_workers));
@@ -991,7 +1009,7 @@ impl FleetEngine {
                 slots.extend((0..nr).map(|_| Slot::Pending(Arc::clone(&image))));
             }
         }
-        profile::stop(&mut laps, Phase::Build, lap);
+        profile::lap(&mut laps, Phase::Build);
         let recipe =
             Recipe { config: config.clone(), fleet, seed, machine_name: machine.name.clone() };
         Ok(FleetEngine {
@@ -1101,10 +1119,10 @@ impl FleetEngine {
             let stamped = self.advance_to(self.tick, false);
             debug_assert!(stamped.is_ok());
         }
-        let lap = profile::start(&self.laps);
+        profile::restart(&mut self.laps);
         let totals = self.totals();
         let single = self.single_detail();
-        profile::stop(&mut self.laps, Phase::Progress, lap);
+        profile::lap(&mut self.laps, Phase::Progress);
         FleetProgress {
             tick: self.tick.saturating_sub(1),
             nr_ticks: self.nr_ticks,
@@ -1124,7 +1142,7 @@ impl FleetEngine {
         self.laps.map(|driver| WallProfile {
             wall_ns: 0,
             nr_workers: self.pool.as_ref().map_or(1, |p| p.nr_workers()),
-            driver,
+            driver: driver.laps,
             shards: self.shard_laps,
         })
     }
@@ -1189,7 +1207,7 @@ impl FleetEngine {
         let mut profile = self.profile();
         if let Some(profile) = &mut profile {
             profile::timed(&mut self.laps, Phase::Drop, || drop(self.pool.take()));
-            profile.driver = self.laps.unwrap_or_default();
+            profile.driver = self.laps.map_or_else(Laps::default, |w| w.laps);
         }
         Ok((runs, summary, profile))
     }

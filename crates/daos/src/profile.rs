@@ -9,6 +9,15 @@
 //! travels home with its slot, so worker threads share nothing while
 //! they time.
 //!
+//! A lap ends where the next begins: the clock is read once per phase
+//! boundary, and each reading closes the lap since the one before. So
+//! inside a shard's advance — stamp, every tick's phases, retire — the
+//! glue between phases (the tick loop, the trace-drop meter, the
+//! collector check) is booked to the phase it leads into, not lost
+//! between a stop and the next start. Only the driver's own phases start
+//! afresh (`timed`): what runs between them — an observer, the session
+//! around the engine — is not the engine's.
+//!
 //! One structure, three readers: the CLI table ([`WallProfile::render`]),
 //! the `daos_engine_phase_wall_ns{phase}` family on `/metrics` (through
 //! [`crate::FleetProgress::profile`]), and [`crate::SessionResult::profile`].
@@ -24,8 +33,12 @@ pub enum Phase {
     Stamp,
     /// The processes' epoch quanta.
     Workload,
-    /// The monitoring planes' steps (monitor and schemes).
-    Plane,
+    /// The monitors' steps: sampling, aggregation, regions updates, and
+    /// charging their work.
+    Monitor,
+    /// What a plane does with each completed window: the schemes
+    /// engine's pass over it, and recording it.
+    Schemes,
     /// The khugepaged scans.
     Khugepaged,
     /// The driver thread waiting at the worker pool's batch barrier.
@@ -40,11 +53,12 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in table order.
-    pub const ALL: [Phase; 9] = [
+    pub const ALL: [Phase; 10] = [
         Phase::Build,
         Phase::Stamp,
         Phase::Workload,
-        Phase::Plane,
+        Phase::Monitor,
+        Phase::Schemes,
         Phase::Khugepaged,
         Phase::Barrier,
         Phase::Progress,
@@ -58,7 +72,8 @@ impl Phase {
             Phase::Build => "build",
             Phase::Stamp => "stamp",
             Phase::Workload => "workload",
-            Phase::Plane => "plane",
+            Phase::Monitor => "monitor",
+            Phase::Schemes => "schemes",
             Phase::Khugepaged => "khugepaged",
             Phase::Barrier => "barrier",
             Phase::Progress => "progress",
@@ -90,27 +105,48 @@ impl Laps {
     }
 }
 
-/// Start a lap: the clock is read only when profiling.
-#[inline]
-pub(crate) fn start(laps: &Option<Laps>) -> Option<Instant> {
-    laps.as_ref().map(|_| Instant::now())
+/// One thread's laps in progress: the totals so far, and the instant the
+/// last lap ended, where the next one starts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stopwatch {
+    pub(crate) laps: Laps,
+    mark: Instant,
 }
 
-/// Book the lap `started` (from [`start`]) to `phase`.
-#[inline]
-pub(crate) fn stop(laps: &mut Option<Laps>, phase: Phase, started: Option<Instant>) {
-    if let (Some(laps), Some(t)) = (laps, started) {
-        laps.ns[phase as usize] += t.elapsed().as_nanos() as u64;
-        laps.calls[phase as usize] += 1;
+impl Stopwatch {
+    /// A stopwatch started now when `on`; `None`, and no clock read, off.
+    pub(crate) fn start(on: bool) -> Option<Stopwatch> {
+        on.then(|| Stopwatch { laps: Laps::default(), mark: Instant::now() })
     }
 }
 
-/// Run `f` as one lap of `phase`.
+/// End the current lap here and book it to `phase`: everything since the
+/// last boundary. The same clock reading starts the next lap.
 #[inline]
-pub(crate) fn timed<R>(laps: &mut Option<Laps>, phase: Phase, f: impl FnOnce() -> R) -> R {
-    let started = start(laps);
+pub(crate) fn lap(watch: &mut Option<Stopwatch>, phase: Phase) {
+    if let Some(w) = watch {
+        let now = Instant::now();
+        w.laps.ns[phase as usize] += (now - w.mark).as_nanos() as u64;
+        w.laps.calls[phase as usize] += 1;
+        w.mark = now;
+    }
+}
+
+/// Start the next lap now: what ran since the last boundary belongs to no
+/// phase.
+#[inline]
+pub(crate) fn restart(watch: &mut Option<Stopwatch>) {
+    if let Some(w) = watch {
+        w.mark = Instant::now();
+    }
+}
+
+/// Run `f` as one lap of `phase`, starting now.
+#[inline]
+pub(crate) fn timed<R>(watch: &mut Option<Stopwatch>, phase: Phase, f: impl FnOnce() -> R) -> R {
+    restart(watch);
     let out = f();
-    stop(laps, phase, started);
+    lap(watch, phase);
     out
 }
 
@@ -187,16 +223,34 @@ mod tests {
 
     #[test]
     fn off_books_nothing_and_on_books_each_lap() {
-        let mut off = None;
+        let mut off = Stopwatch::start(false);
         assert_eq!(timed(&mut off, Phase::Stamp, || 7), 7);
-        assert_eq!(off, None);
-        let mut on = Some(Laps::default());
+        lap(&mut off, Phase::Workload);
+        assert!(off.is_none());
+        let mut on = Stopwatch::start(true);
         timed(&mut on, Phase::Stamp, || std::thread::sleep(std::time::Duration::from_millis(1)));
         timed(&mut on, Phase::Stamp, || ());
-        let laps = on.unwrap();
+        let laps = on.unwrap().laps;
         assert_eq!(laps.calls[Phase::Stamp as usize], 2);
         assert!(laps.ns[Phase::Stamp as usize] >= 1_000_000);
         assert_eq!(laps.ns.iter().sum::<u64>(), laps.ns[Phase::Stamp as usize]);
+    }
+
+    /// Back-to-back laps share their boundary's clock reading: together
+    /// they book exactly the time from the start to the last boundary,
+    /// with nothing lost between one lap and the next.
+    #[test]
+    fn back_to_back_laps_leave_no_gap() {
+        let mut on = Stopwatch::start(true);
+        let started = on.unwrap().mark;
+        for phase in [Phase::Workload, Phase::Monitor, Phase::Schemes, Phase::Workload] {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            lap(&mut on, phase);
+        }
+        let Stopwatch { laps, mark } = on.unwrap();
+        assert_eq!(laps.ns.iter().sum::<u64>(), (mark - started).as_nanos() as u64);
+        assert_eq!(laps.calls[Phase::Workload as usize], 2);
+        assert!(laps.ns[Phase::Monitor as usize] >= 200_000);
     }
 
     #[test]

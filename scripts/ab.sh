@@ -13,10 +13,11 @@
 # per end-to-end metric of BENCHMARK.json, each side's median and
 # quartiles over the pairs, how many pairs B won and tied, and whether
 # B's median beats A's by more than A's own interquartile distance —
-# then whether the two sides' `sim_digest`s agree. Exits 1 if any
-# workload had a failed run or a differing digest (the change moved
-# behaviour, and the timings compare two different programs), after
-# every workload has run. So a perf PR's claim table and its "must not
+# then whether the two sides' `sim_digest`s agree at seed 42 and at
+# seed 7 (a speed-only claim must hold at both). Exits 1 if any
+# workload had a failed run or a differing digest at either seed (the
+# change moved behaviour, and the timings compare two different
+# programs), after every workload has run. So a perf PR's claim table and its "must not
 # move" table are one command. Reads the ledger; edits nothing under it.
 set -eu
 
@@ -61,9 +62,9 @@ values() {
     sed -n "s/.*\"$2\":{\"value\":\([-0-9.e+]*\).*/\1/p" "$1"
 }
 
-# digest ROOT BIN: the sim_digest of one quick run of $workload.
+# digest ROOT BIN SEED: the sim_digest of one quick run of $workload.
 digest() {
-    (cd "$1" && "$2" --quick --workload "$workload" --seed 42 2> /dev/null) \
+    (cd "$1" && "$2" --quick --workload "$workload" --seed "$3" 2> /dev/null) \
         | tail -n 1 | sed -n 's/.*"sim_digest":"\([0-9a-f]*\)".*/\1/p'
 }
 
@@ -120,14 +121,17 @@ for workload in $workloads; do
             }'
     done
 
-    # Speed-only or not: one quick run per side prints the digest.
-    a_digest=$(digest "$a_root" "$a_bin")
-    b_digest=$(digest . "$b_bin")
-    if [ -n "$a_digest" ] && [ "$a_digest" = "$b_digest" ]; then
-        echo "sim_digest: equal ($a_digest)"
-    else
-        echo "FAIL: $workload: sim_digest differs: A ${a_digest:-none} B ${b_digest:-none}"
-        status=1
-    fi
+    # Speed-only or not: one quick run per side and seed prints the digest.
+    for seed in 42 7; do
+        a_digest=$(digest "$a_root" "$a_bin" "$seed")
+        b_digest=$(digest . "$b_bin" "$seed")
+        if [ -n "$a_digest" ] && [ "$a_digest" = "$b_digest" ]; then
+            echo "sim_digest at seed $seed: equal ($a_digest)"
+        else
+            echo "FAIL: $workload: sim_digest at seed $seed differs:" \
+                "A ${a_digest:-none} B ${b_digest:-none}"
+            status=1
+        fi
+    done
 done
 exit "$status"

@@ -394,10 +394,12 @@ echo "ok"
 echo "== engine profile: --profile-wall accounts for the wall =="
 # The engine's own lane (DESIGN §13): a table row per phase, and rows
 # that attribute at least 95 % of the session's wall — inline (a single
-# run) and with the shard phases on a worker pool (a 64-process fleet).
+# run, short and at the benchmark's full length under prcl, where the
+# glue between 26,000 epochs' laps once went unbooked) and with the shard
+# phases on a worker pool (a 64-process fleet).
 profile_check() {
     out=$1
-    for phase in build stamp workload plane khugepaged barrier progress retire drop; do
+    for phase in build stamp workload monitor schemes khugepaged barrier progress retire drop; do
         grep -Eq "^$phase\*? " "$out" || {
             echo "FAIL: the --profile-wall table has no $phase row"
             cat "$out"
@@ -413,6 +415,8 @@ profile_check() {
 }
 target/release/daos run parsec3/freqmine --epochs 200 --profile-wall > "$tmp/profile_run.txt"
 profile_check "$tmp/profile_run.txt"
+target/release/daos run parsec3/freqmine --config prcl --profile-wall > "$tmp/profile_prcl.txt"
+profile_check "$tmp/profile_prcl.txt"
 target/release/daos fleet --processes 64 --epochs 5 --profile-wall > "$tmp/profile_fleet.txt"
 profile_check "$tmp/profile_fleet.txt"
 echo "ok"

@@ -316,11 +316,23 @@ fn print_run_summary(result: &RunResult) {
     }
 }
 
-/// The `--profile-wall` table, under its own header.
+/// The `--profile-wall` table, under its own header, and the process's
+/// peak resident set under it where `/proc` reports one.
 fn print_profile(profile: Option<&WallProfile>) {
     if let Some(profile) = profile {
         print!("host wall time by engine phase:\n{}", profile.render());
+        if let Some(kib) = peak_rss_kib() {
+            println!("peak RSS {:.1} MiB (VmHWM)", kib as f64 / 1024.0);
+        }
     }
+}
+
+/// This process's peak resident set so far, KiB: `VmHWM` in
+/// `/proc/self/status`.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// `daos run <workload>`: one configuration, summarised. With

@@ -26,6 +26,7 @@
 use std::sync::Arc;
 
 use crate::addr::PAGE_SIZE;
+use crate::error::AuditError;
 use crate::process::Pid;
 
 /// Identifier of a physical page frame (dense, 0-based).
@@ -34,17 +35,25 @@ pub type FrameId = u32;
 /// Frames of metadata per lazily-allocated slab (16 MiB of DRAM each).
 pub const SLAB_FRAMES: usize = 4096;
 
-/// Per-frame metadata: the rmap entry, 24 bytes. (Whether the CPU used
-/// the page since it was mapped is a bit of the mapping's PTE — see
+/// Per-frame metadata: the rmap entry, 16 bytes — the owning process and
+/// page-aligned virtual address, with [`Pid::MAX`] for a free frame
+/// rather than an `Option` tag. (Whether the CPU used the page since it
+/// was mapped is a bit of the mapping's PTE — see
 /// [`crate::vma::Pte::touched`] — not of the frame.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameMeta {
-    /// Owning `(process, page-aligned virtual address)` when mapped.
-    pub owner: Option<(Pid, u64)>,
+    pid: Pid,
+    addr: u64,
 }
 
 impl FrameMeta {
-    const FREE: FrameMeta = FrameMeta { owner: None };
+    const FREE: FrameMeta = FrameMeta { pid: Pid::MAX, addr: 0 };
+
+    /// Owning `(process, page-aligned virtual address)` when mapped.
+    #[inline]
+    pub fn owner(self) -> Option<(Pid, u64)> {
+        (self.pid != Pid::MAX).then_some((self.pid, self.addr))
+    }
 }
 
 /// One slab's metadata: a block of the allocator's own, a frozen
@@ -183,6 +192,7 @@ impl FrameAllocator {
     /// order.
     #[inline]
     pub fn alloc(&mut self, pid: Pid, vaddr: u64) -> Option<FrameId> {
+        debug_assert_ne!(pid, Pid::MAX, "pid {pid} marks a free frame");
         let id = match self.free.pop() {
             Some(id) => id,
             None if (self.next_fresh as usize) < self.capacity => {
@@ -192,7 +202,7 @@ impl FrameAllocator {
             }
             None => return None,
         };
-        *self.meta_mut(id) = FrameMeta { owner: Some((pid, vaddr)) };
+        *self.meta_mut(id) = FrameMeta { pid, addr: vaddr };
         Some(id)
     }
 
@@ -203,7 +213,7 @@ impl FrameAllocator {
     /// be a double-free bug in the substrate.
     #[inline]
     pub fn free(&mut self, id: FrameId) {
-        debug_assert!(self.meta(id).owner.is_some(), "double free of frame {id}");
+        debug_assert!(self.meta(id).owner().is_some(), "double free of frame {id}");
         *self.meta_mut(id) = FrameMeta::FREE;
         self.free.push(id);
     }
@@ -211,36 +221,36 @@ impl FrameAllocator {
     /// The rmap lookup: owner of a frame, if mapped.
     #[inline]
     pub fn owner(&self, id: FrameId) -> Option<(Pid, u64)> {
-        self.meta(id).owner
+        self.meta(id).owner()
     }
 
     /// Recount the allocator's own books (for [`crate::MemorySystem::audit`]):
     /// no frame is on the recycle list twice, every frame on it — and
     /// every frame never handed out — is unowned, and the owned frames are
     /// exactly [`Self::nr_used`]. An owned frame is then never a free one.
-    pub fn audit(&self) -> Result<(), String> {
+    pub fn audit(&self) -> Result<(), AuditError> {
         let mut free = self.free.clone();
         free.sort_unstable();
         if let Some(w) = free.windows(2).find(|w| w[0] == w[1]) {
-            return Err(format!("frame {} is on the free list twice", w[0]));
+            return Err(AuditError::FreeTwice { frame: w[0] });
         }
-        if let Some(id) = free.iter().find(|id| self.owner(**id).is_some()) {
-            return Err(format!("frame {id} is free and owned by {:?}", self.owner(*id)));
+        if let Some(&frame) = free.iter().find(|id| self.owner(**id).is_some()) {
+            return Err(AuditError::FreeOwned { frame, owner: self.owner(frame) });
         }
-        let mut nr_owned = 0;
+        let mut owned = 0;
         for (i, slab) in self.slabs.iter().enumerate() {
             // Only a materialised slab can hold an owner.
             let Some(slab) = slab.metas() else { continue };
-            for (j, _) in slab.iter().enumerate().filter(|(_, m)| m.owner.is_some()) {
-                let id = (i * SLAB_FRAMES + j) as FrameId;
-                if id >= self.next_fresh {
-                    return Err(format!("frame {id} was never handed out and is owned"));
+            for (j, _) in slab.iter().enumerate().filter(|(_, m)| m.owner().is_some()) {
+                let frame = (i * SLAB_FRAMES + j) as FrameId;
+                if frame >= self.next_fresh {
+                    return Err(AuditError::VirginOwned { frame });
                 }
-                nr_owned += 1;
+                owned += 1;
             }
         }
-        if nr_owned != self.nr_used() {
-            return Err(format!("{nr_owned} frames are owned, {} are in use", self.nr_used()));
+        if owned != self.nr_used() {
+            return Err(AuditError::OwnedFrames { owned, used: self.nr_used() });
         }
         Ok(())
     }
@@ -316,8 +326,8 @@ mod tests {
     }
 
     #[test]
-    fn frame_meta_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<FrameMeta>(), 24);
+    fn frame_meta_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<FrameMeta>(), 16);
     }
 
     #[test]
@@ -358,7 +368,7 @@ mod tests {
         let mut fa = FrameAllocator::new(SLAB_FRAMES as u64 * 2 * PAGE_SIZE);
         let f = fa.alloc(7, 0x4000).unwrap();
         let mapped: Vec<FrameId> =
-            fa.iter().filter(|(_, m)| m.owner.is_some()).map(|(id, _)| id).collect();
+            fa.iter().filter(|(_, m)| m.owner().is_some()).map(|(id, _)| id).collect();
         assert_eq!(mapped, vec![f]);
         assert_eq!(fa.iter().count(), fa.capacity());
     }

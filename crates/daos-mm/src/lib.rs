@@ -45,7 +45,7 @@ pub mod vma;
 pub use access::{AccessBatch, AccessOutcome, TouchPattern};
 pub use addr::{AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
 pub use clock::{ms, sec, Clock, Ns, MINUTE, MSEC, SEC, USEC};
-pub use error::{MmError, MmResult};
+pub use error::{AuditError, MmError, MmResult};
 pub use machine::MachineProfile;
 pub use process::Pid;
 pub use stats::{KernelStats, ProcStats};

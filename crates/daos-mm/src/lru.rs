@@ -11,7 +11,10 @@
 //! The implementation uses generation-stamped entries with lazy deletion:
 //! each queued entry carries the page's `lru_gen` at enqueue time; entries
 //! whose generation no longer matches the PTE are skipped on pop. This
-//! keeps every operation O(1) amortised without intrusive links.
+//! keeps every operation O(1) amortised without intrusive links. Stale
+//! entries are also dropped in bulk: the machine retains only the live
+//! ones once the lists outgrow a bound on its resident pages, so they stay
+//! in proportion to what is resident.
 //!
 //! A [`frozen`](Lru::freeze) LRU — a fleet's shard image, which many
 //! shards copy — keeps each list's entries in one read-only shared base.
@@ -87,17 +90,33 @@ impl Queue {
     }
 
     fn is_empty(&self) -> bool {
-        self.head.is_empty() && self.base_len == 0 && self.tail.is_empty()
+        self.len() == 0
+    }
+
+    fn len(&self) -> usize {
+        self.head.len() + self.base_len + self.tail.len()
     }
 
     /// Move every entry into a new shared base (without copying the
-    /// deque of a list that was never frozen).
+    /// deque of a list that was never frozen), trimmed to its length: it
+    /// never grows again.
     fn freeze(&mut self) {
         let mut base = std::mem::take(&mut self.head);
         if self.base_len > 0 || !self.tail.is_empty() {
             base.extend(self.iter());
         }
+        base.shrink_to_fit();
         *self = Queue { base_len: base.len(), base: Arc::new(base), ..Queue::default() };
+    }
+
+    /// Keep only the entries `keep` accepts, in order, in a plain deque of
+    /// this list's own: `head` in place, then what `keep` accepts of a
+    /// shared base (let go, not written) and of `tail`.
+    fn retain(&mut self, mut keep: impl FnMut(&LruEntry) -> bool) {
+        let mut head = std::mem::take(&mut self.head);
+        head.retain(|e| keep(e));
+        head.extend(self.iter().filter(|e| keep(e)));
+        *self = Queue { head, ..Queue::default() };
     }
 }
 
@@ -154,6 +173,18 @@ impl Lru {
         self.active.is_empty() && self.inactive.is_empty()
     }
 
+    /// Entries queued on both lists, live or stale.
+    pub(crate) fn len(&self) -> usize {
+        self.active.len() + self.inactive.len()
+    }
+
+    /// Keep only the entries `keep` accepts, each list in its order. A
+    /// list that shares a frozen base gets a deque of its own.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&LruEntry) -> bool) {
+        self.active.retain(&mut keep);
+        self.inactive.retain(&mut keep);
+    }
+
     /// Every queued entry, live or stale, with its list.
     pub fn entries(&self) -> impl Iterator<Item = (LruList, LruEntry)> + '_ {
         let active = self.active.iter().map(|e| (LruList::Active, *e));
@@ -183,7 +214,7 @@ impl Lru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daos_util::prop::{vec_of, Just};
+    use daos_util::prop::{vec_of, Just, StrategyExt};
     use daos_util::{one_of, prop_assert, prop_assert_eq, proptest};
 
     #[test]
@@ -251,15 +282,19 @@ mod tests {
         PopBack,
         /// Freeze the list and go on with a copy of it.
         Freeze,
+        /// Keep the entries whose address hashes, under the seed, to an
+        /// even number.
+        Retain(u64),
     }
 
     proptest! {
         cases = 256;
 
-        // One list against a `VecDeque` oracle: whatever the pushes, pops
-        // and freezes, every pop answers what the oracle's does and the
-        // list reads front to back as the oracle; a frozen list is left
-        // exactly as it was frozen by everything its copy does.
+        // One list against a `VecDeque` oracle: whatever the pushes, pops,
+        // freezes and retains, every pop answers what the oracle's does and
+        // the list reads front to back as the oracle; a frozen list is left
+        // exactly as it was frozen by everything its copy does, a retain
+        // included, and holds no more room than entries.
         fn queue_matches_a_deque_across_freezes(
             ops in vec_of(
                 one_of![
@@ -267,6 +302,7 @@ mod tests {
                     Just(Op::PushBack),
                     Just(Op::PopBack),
                     Just(Op::Freeze),
+                    (0u64..u64::MAX).prop_map(Op::Retain),
                 ],
                 0..200,
             ),
@@ -288,11 +324,19 @@ mod tests {
                     Op::PopBack => prop_assert_eq!(queue.pop_back(), oracle.pop_back()),
                     Op::Freeze => {
                         queue.freeze();
+                        prop_assert_eq!(queue.base.capacity(), queue.base.len(), "trimmed");
                         frozen.push((queue.clone(), oracle.iter().copied().collect()));
+                    }
+                    Op::Retain(seed) => {
+                        let keep =
+                            |e: &LruEntry| (e.addr ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 0;
+                        queue.retain(keep);
+                        oracle.retain(keep);
                     }
                 }
                 prop_assert!(queue.iter().eq(oracle.iter()), "after op {i}");
                 prop_assert_eq!(queue.is_empty(), oracle.is_empty());
+                prop_assert_eq!(queue.len(), oracle.len());
             }
             for (image, entries) in frozen {
                 prop_assert!(image.iter().eq(entries.iter()), "a frozen list moved");

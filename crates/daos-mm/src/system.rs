@@ -10,9 +10,9 @@ use daos_util::rng::SmallRng;
 use crate::access::{AccessBatch, AccessOutcome, TouchPattern};
 use crate::addr::{huge_align_down, AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
 use crate::clock::{Clock, Ns};
-use crate::error::{MmError, MmResult};
+use crate::error::{AuditError, MmError, MmResult};
 use crate::frame::{FrameAllocator, FrameId};
-use crate::lru::{Lru, LruList};
+use crate::lru::{Lru, LruEntry, LruList};
 use crate::machine::MachineProfile;
 use crate::process::{Pid, Process, PteCursor};
 use crate::stats::KernelStats;
@@ -22,6 +22,31 @@ use crate::vma::{PteState, Reclaimed, ThpMode, Vma};
 
 /// How many pages one pressure-reclaim pass tries to free.
 const RECLAIM_BATCH: u64 = 32;
+
+/// Entries the LRU lists may queue beyond twice the resident pages
+/// before the machine drops their stale ones ([`lru_within_bound`]).
+pub(crate) const LRU_SLACK: usize = 4096;
+
+/// The LRU bound (DESIGN §5): the two lists together queue at most
+/// `2 × resident + LRU_SLACK` entries. A live entry names a resident page
+/// and no page has two, so a compaction to the live entries leaves at most
+/// `resident`, and the lists then grow by at least `resident + LRU_SLACK`
+/// before the next: amortised O(1) per insert.
+fn lru_within_bound(queued: usize, resident: usize) -> bool {
+    queued <= 2 * resident + LRU_SLACK
+}
+
+/// The VMA an LRU entry's page is in, if its process and mapping exist.
+fn entry_vma<'a>(procs: &'a [Process], e: &LruEntry) -> Option<&'a Vma> {
+    procs.get(e.pid as usize)?.find_vma(e.addr)
+}
+
+/// Whether an LRU entry is live: its page is resident at the generation it
+/// was queued under. Reclaim judges exactly these and passes over the
+/// rest, so dropping every other entry changes nothing a run does.
+fn is_live(procs: &[Process], e: &LruEntry) -> bool {
+    entry_vma(procs, e).is_some_and(|vma| vma.is_resident_at(e.addr, e.gen))
+}
 
 /// The whole simulated machine. `Clone` copies it with everything it
 /// has mapped — the fleet engine stamps shards from one built image,
@@ -170,65 +195,80 @@ impl MemorySystem {
     /// exactly that `(pid, addr)` — so no frame backs two pages; the
     /// frames in use against the sum of RSS; the frame allocator's books
     /// ([`FrameAllocator::audit`]: nothing free is owned); and the LRU
-    /// (DESIGN §5: every live entry on a resident page, one per page).
-    /// O(mapped pages + queued entries): for debug builds and tests, not
-    /// for a hot path.
-    pub fn audit(&self) -> Result<(), String> {
+    /// (DESIGN §5: every live entry on a resident page, one per page, and
+    /// the lists within their bound). O(mapped pages + queued entries):
+    /// for debug builds and tests, not for a hot path.
+    pub fn audit(&self) -> Result<(), AuditError> {
         let mut rss_pages = 0;
         for proc in &self.procs {
             let pid = proc.pid;
             let mut resident = 0;
             for vma in proc.vmas() {
-                vma.check_counters().map_err(|e| format!("pid {pid} vma {}: {e}", vma.range))?;
+                vma.check_counters()
+                    .map_err(|detail| AuditError::VmaCounters { pid, vma: vma.range, detail })?;
                 resident += vma.nr_resident() as u64;
                 for (addr, pte) in vma.iter_mapped() {
                     let PteState::Resident(frame) = pte.state else { continue };
                     let owner = self.frames.owner(frame);
                     if owner != Some((pid, addr)) {
-                        return Err(format!(
-                            "pid {pid} page {addr:#x} is in frame {frame}, owned by {owner:?}"
-                        ));
+                        return Err(AuditError::RmapOwner { pid, addr, frame, owner });
                     }
                 }
             }
             if proc.rss_bytes() != resident * PAGE_SIZE {
-                let rss = proc.rss_bytes() / PAGE_SIZE;
-                return Err(format!("pid {pid}: RSS {rss} pages, its VMAs hold {resident}"));
+                let rss_pages = proc.rss_bytes() / PAGE_SIZE;
+                return Err(AuditError::Rss { pid, rss_pages, resident_pages: resident });
             }
             rss_pages += resident;
         }
         if self.frames.nr_used() as u64 != rss_pages {
-            let used = self.frames.nr_used();
-            return Err(format!("{used} frames in use, the processes' RSS sums to {rss_pages}"));
+            return Err(AuditError::FramesInUse { used: self.frames.nr_used(), rss_pages });
         }
         self.frames.audit()?;
         self.audit_lru()
     }
 
-    /// The LRU invariant (DESIGN §5): an entry is live when its stamp is
-    /// its page's current generation, and a live entry names a resident
-    /// page, which has no other live entry on either list. (A resident
-    /// page may have none: a huge page's filler subpages and a victim a
+    /// The LRU invariant (DESIGN §5): an entry stamped with its page's
+    /// current generation names a resident page — it is live
+    /// ([`is_live`]) — which has no other live entry on either list; and
+    /// the lists are within their bound ([`lru_within_bound`]). (A resident
+    /// page may have no entry: a huge page's filler subpages and a victim a
     /// full swap device left behind are resident off the lists.)
-    fn audit_lru(&self) -> Result<(), String> {
+    fn audit_lru(&self) -> Result<(), AuditError> {
         let mut live = std::collections::HashSet::new();
         for (list, e) in self.lru.entries() {
-            let pte = self
-                .procs
-                .get(e.pid as usize)
-                .and_then(|p| p.find_vma(e.addr))
-                .map(|vma| vma.pte(e.addr));
-            let Some(pte) = pte.filter(|pte| pte.lru_gen == e.gen) else { continue };
             let (pid, addr) = (e.pid, e.addr);
-            if !pte.is_resident() {
-                let what = format!("a live {list:?} entry names pid {pid} page {addr:#x}");
-                return Err(format!("{what}, which is not resident"));
-            }
-            if !live.insert((pid, addr)) {
-                return Err(format!("pid {pid} page {addr:#x} has two live LRU entries"));
+            if is_live(&self.procs, &e) {
+                if !live.insert((pid, addr)) {
+                    return Err(AuditError::TwoLiveEntries { pid, addr });
+                }
+            } else if entry_vma(&self.procs, &e).is_some_and(|vma| vma.pte(addr).lru_gen == e.gen) {
+                return Err(AuditError::StampedNotResident { list, pid, addr });
             }
         }
+        let (queued, resident) = (self.lru.len(), self.frames.nr_used());
+        if !lru_within_bound(queued, resident) {
+            return Err(AuditError::LruUnbounded { queued, resident });
+        }
         Ok(())
+    }
+
+    /// Hold the LRU to its bound: once the lists outgrow it, drop every
+    /// stale entry, keeping the live ones in order. Called by every op
+    /// that queued entries or freed frames; nothing a run does moves.
+    fn bound_lru(&mut self) {
+        if !lru_within_bound(self.lru.len(), self.frames.nr_used()) {
+            self.compact_lru();
+        }
+    }
+
+    /// Drop every stale LRU entry ([`is_live`]), keeping the live ones in
+    /// order. Out of line: the common case is one comparison.
+    #[cold]
+    #[inline(never)]
+    fn compact_lru(&mut self) {
+        let Self { lru, procs, .. } = self;
+        lru.retain(|e| is_live(procs, e));
     }
 
     // ---- process lifecycle -----------------------------------------
@@ -280,6 +320,9 @@ impl MemorySystem {
         }
         let now = self.now();
         self.proc_mut(pid)?.unmap_pages(now, freed_pages);
+        if freed_pages > 0 {
+            self.bound_lru();
+        }
         Ok(())
     }
 
@@ -348,6 +391,9 @@ impl MemorySystem {
 
         // Pass 2: service the faults (may trigger reclaim).
         let stall_ns = self.service_faults(pid, &faults, &mut out)?;
+        if !faults.is_empty() {
+            self.bound_lru();
+        }
         self.fault_scratch = faults;
 
         // Cost model: DRAM latency + TLB walks, per logical access.
@@ -463,24 +509,28 @@ impl MemorySystem {
     fn shrink(&mut self, target: u64) -> Ns {
         let mut freed = 0u64;
         let mut cost: Ns = 0;
-        // Budget prevents livelock when every queued entry is stale or
-        // referenced.
+        // Budget prevents livelock when every queued entry is referenced.
+        // It counts the entries the pass judges: a stale pop costs nothing
+        // (and still removes an entry, so the loop ends), which leaves what
+        // the pass does independent of how many stale entries are queued.
         let mut budget = (self.frames.capacity() as u64 * 4).max(1024);
         let budget_start = budget;
         // Neighbours on the lists were mostly mapped one after the other.
         let mut at = 0;
 
         while freed < target && budget > 0 {
-            budget -= 1;
             let Some(e) = self.lru.pop_inactive() else {
                 // Refill inactive from the active list's cold tail.
                 let Some(a) = self.lru.pop_active() else { break };
                 if let Some(gen) = self.bump_resident(&mut at, a.pid, a.addr, Some(a.gen), false) {
+                    budget -= 1;
                     self.lru.insert(LruList::Inactive, a.pid, a.addr, gen);
                 }
                 continue;
             };
-            match self.reclaim_page(&mut at, e.pid, e.addr, Some(e.gen)) {
+            let verdict = self.reclaim_page(&mut at, e.pid, e.addr, Some(e.gen));
+            budget -= !matches!(verdict, Ok(Reclaimed::Stale)) as u64;
+            match verdict {
                 Ok(Reclaimed::Stale) => {}
                 // Second chance: promote to active.
                 Ok(Reclaimed::Referenced(gen)) => {
@@ -661,8 +711,9 @@ impl MemorySystem {
             proc.unmap_pages(now, nr);
             proc.stats.swapouts += nr;
             kstats.damos_pageouts += nr;
+            self.bound_lru();
         }
-        Ok((nr * PAGE_SIZE, nr * machine.pageout_page_ns))
+        Ok((nr * PAGE_SIZE, nr * self.machine.pageout_page_ns))
     }
 
     /// Page out by *physical* address range, via rmap (prec-style targets):
@@ -682,6 +733,9 @@ impl MemorySystem {
             }
         }
         self.kstats.damos_pageouts += nr;
+        if nr > 0 {
+            self.bound_lru();
+        }
         (nr * PAGE_SIZE, nr * self.machine.pageout_page_ns)
     }
 
@@ -800,6 +854,7 @@ impl MemorySystem {
         let freed_bytes = freed_pages * PAGE_SIZE;
         if freed_bytes > 0 {
             daos_trace::trace!(clock.now(), ThpDemote { pid, freed_bytes });
+            self.bound_lru();
         }
         Ok((freed_bytes, cost))
     }
@@ -816,6 +871,9 @@ impl MemorySystem {
                 nr += 1;
             }
         }
+        if nr > 0 {
+            self.bound_lru();
+        }
         Ok(nr)
     }
 
@@ -831,6 +889,9 @@ impl MemorySystem {
                 self.lru.insert(LruList::Active, pid, addr, gen);
                 nr += 1;
             }
+        }
+        if nr > 0 {
+            self.bound_lru();
         }
         Ok(nr)
     }
@@ -862,6 +923,9 @@ impl MemorySystem {
             proc.stats.swapins += 1;
             lru.insert(LruList::Active, pid, addr, gen);
             bytes += PAGE_SIZE;
+        }
+        if bytes > 0 {
+            self.bound_lru();
         }
         Ok((bytes, cost))
     }
@@ -1221,17 +1285,91 @@ mod tests {
         let second = range.start + PAGE_SIZE;
         let first_frame = broken.procs[pid as usize].vmas()[0].pte(range.start).state;
         broken.procs[pid as usize].vmas_mut()[0].with_pte(second, |pte| pte.state = first_frame);
+        let PteState::Resident(frame) = first_frame else { unreachable!() };
+        let owner = Some((pid, range.start));
         let err = broken.audit().unwrap_err();
-        assert!(err.contains(&format!("page {second:#x} is in frame")), "{err}");
+        assert_eq!(err, AuditError::RmapOwner { pid, addr: second, frame, owner });
+        assert!(err.to_string().contains(&format!("page {second:#x} is in frame")), "{err}");
         // A frame nobody maps.
         let mut broken = sys.clone();
         broken.frames.alloc(pid, range.end);
         let err = broken.audit().unwrap_err();
-        assert!(err.contains("257 frames in use, the processes' RSS sums to 256"), "{err}");
+        assert_eq!(err, AuditError::FramesInUse { used: 257, rss_pages: 256 });
+        assert_eq!(err.to_string(), "257 frames in use, the processes' RSS sums to 256");
+        // A page queued live twice.
+        let mut broken = sys.clone();
+        let gen = broken.procs[pid as usize].vmas()[0].pte(range.start).lru_gen;
+        broken.lru.insert(LruList::Active, pid, range.start, gen);
+        let err = broken.audit().unwrap_err();
+        assert_eq!(err, AuditError::TwoLiveEntries { pid, addr: range.start });
+        // Stale entries past the bound.
+        let mut broken = sys.clone();
+        let queued = 2 * 256 + LRU_SLACK + 1;
+        for _ in sys.lru.len()..queued {
+            broken.lru.insert(LruList::Inactive, pid, range.start, gen.wrapping_sub(1));
+        }
+        let err = broken.audit().unwrap_err();
+        assert_eq!(err, AuditError::LruUnbounded { queued, resident: 256 });
         // RSS drifting from the page tables.
         sys.procs[pid as usize].map_pages(0, 1);
         let err = sys.audit().unwrap_err();
-        assert!(err.contains("RSS 257 pages, its VMAs hold 256"), "{err}");
+        assert_eq!(err, AuditError::Rss { pid, rss_pages: 257, resident_pages: 256 });
+        assert!(err.to_string().contains("RSS 257 pages, its VMAs hold 256"), "{err}");
+    }
+
+    /// Compaction keeps exactly the live entries, each list in its order,
+    /// and a frozen image's lists are let go, not written.
+    #[test]
+    fn compaction_keeps_the_live_entries_in_order() {
+        let (mut sys, pid, range) = small_sys();
+        let part = |from: u64, to: u64| {
+            AddrRange::new(range.start + from * PAGE_SIZE, range.start + to * PAGE_SIZE)
+        };
+        sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
+        sys.mark_hot(pid, part(0, 96)).unwrap();
+        sys.mark_cold(pid, part(64, 128)).unwrap();
+        for _ in 0..2 {
+            sys.pageout(pid, part(32, 80)).unwrap();
+        }
+        sys.apply_access(pid, &AccessBatch::stride(part(32, 80), 3, 1.0)).unwrap();
+        let entries: Vec<(LruList, LruEntry)> = sys.lru.entries().collect();
+        let live: Vec<(LruList, LruEntry)> =
+            entries.iter().copied().filter(|(_, e)| is_live(&sys.procs, e)).collect();
+        assert!(live.len() < entries.len(), "some entries are stale");
+        for list in [LruList::Active, LruList::Inactive] {
+            assert!(live.iter().any(|(l, _)| *l == list), "{list:?} holds live entries");
+        }
+        let mut image = sys.clone();
+        image.freeze();
+        let mut copy = image.clone();
+        sys.compact_lru();
+        assert_eq!(sys.lru.entries().collect::<Vec<_>>(), live);
+        assert_eq!(sys.audit(), Ok(()));
+        copy.compact_lru();
+        assert_eq!(copy.lru, sys.lru);
+        assert!(!copy.lru.is_shared(), "a copy compacts into lists of its own");
+        assert!(image.lru.entries().eq(entries), "the frozen image did not move");
+    }
+
+    /// A reclaim pass's budget counts the entries it judges: stale ones,
+    /// however many are queued ahead of the live ones, cost it nothing.
+    #[test]
+    fn stale_entries_cost_a_reclaim_pass_nothing() {
+        // 64 frames: a budget of 1024 entries, and an LRU bound above 4096.
+        let mut sys = sys_with_dram(64 * PAGE_SIZE, SwapConfig::paper_zram());
+        let pid = sys.spawn();
+        let range = sys.mmap(pid, 64 * PAGE_SIZE, ThpMode::Never).unwrap();
+        for _ in 0..20 {
+            sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
+            sys.pageout(pid, range).unwrap(); // clears the reference bits
+            sys.pageout(pid, range).unwrap(); // evicts: the entries go stale
+        }
+        sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
+        assert_eq!(sys.lru.len(), 21 * 64, "1280 stale entries, then 64 live ones");
+        let cost = sys.shrink(RECLAIM_BATCH);
+        assert_eq!(cost, RECLAIM_BATCH * sys.machine.pageout_page_ns);
+        assert_eq!(sys.rss_bytes(pid), (64 - RECLAIM_BATCH) * PAGE_SIZE);
+        assert_eq!(sys.audit(), Ok(()));
     }
 
     #[test]

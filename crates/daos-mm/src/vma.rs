@@ -449,6 +449,16 @@ impl Vma {
         }
     }
 
+    /// Whether the page at `addr` is resident at generation `gen`: an LRU
+    /// entry stamped `gen` is live. The generation is read first — a stale
+    /// entry mostly fails there, on one cache line.
+    #[inline]
+    pub(crate) fn is_resident_at(&self, addr: u64, gen: u32) -> bool {
+        let Some(c) = self.chunks[self.slot(addr)].as_deref() else { return false };
+        let pi = Self::page_in_chunk(addr);
+        c.lru_gen[pi] == gen && c.resident[pi / 64] & (1 << (pi % 64)) != 0
+    }
+
     /// Clear the accessed bit of the page at `addr`; returns whether it was
     /// set. A flag write moves no residency counter and an unmaterialised
     /// chunk holds no set bit, so this writes the bit in place — what

@@ -23,6 +23,7 @@ enum Op {
     Promote,
     Demote,
     Cold,
+    Hot,
     Willneed,
 }
 
@@ -35,6 +36,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Promote),
         Just(Op::Demote),
         Just(Op::Cold),
+        Just(Op::Hot),
         Just(Op::Willneed),
     ]
 }
@@ -54,7 +56,8 @@ fn check_conservation(sys: &MemorySystem, pid: u32, range: AddrRange) {
         resident * PAGE_SIZE,
         "single-process DRAM usage equals its resident set"
     );
-    // Every incrementally kept quantity, recounted.
+    // Every incrementally kept quantity, recounted — the LRU's bound on
+    // its stale entries included.
     assert_eq!(sys.audit(), Ok(()));
 }
 
@@ -97,6 +100,9 @@ proptest! {
                 }
                 Op::Cold => {
                     sys.mark_cold(pid, range).unwrap();
+                }
+                Op::Hot => {
+                    sys.mark_hot(pid, range).unwrap();
                 }
                 Op::Willneed => {
                     sys.willneed(pid, range).unwrap();

@@ -102,6 +102,22 @@ impl<P: Primitives> MonitorCtx<P> {
         self.next_sample = t + interval;
     }
 
+    /// The region set's invariants on the live monitor (DESIGN §5), which
+    /// debug builds check after every aggregation and regions update:
+    /// [`RegionSet::check_invariants`], and `min_nr_regions ≤ len ≤
+    /// max_nr_regions` — the floor only where the target has that many
+    /// pages.
+    fn audit_regions(&self) -> Result<(), String> {
+        self.regions.check_invariants()?;
+        let (len, a) = (self.regions.len(), &self.attrs);
+        let pages = self.regions.total_bytes() / PAGE_SIZE;
+        if len > a.max_nr_regions || (len < a.min_nr_regions && pages >= a.min_nr_regions as u64) {
+            let (min, max) = (a.min_nr_regions, a.max_nr_regions);
+            return Err(format!("{len} regions over {pages} pages, outside [{min}, {max}]"));
+        }
+        Ok(())
+    }
+
     /// One sampling tick at time `t`.
     fn tick(&mut self, env: &mut P::Env, t: Ns, sink: &mut Vec<Aggregation>) {
         let check_cost = self.prim.check_cost_ns(env);
@@ -200,6 +216,7 @@ impl<P: Primitives> MonitorCtx<P> {
             // Rebase (rather than increment) so a slow quantum does not
             // leave a backlog of aggregation windows firing in a burst.
             self.next_aggr = t + self.attrs.aggregation_interval;
+            debug_assert_eq!(self.audit_regions(), Ok(()), "after an aggregation");
         }
 
         // Regions-update boundary: follow mmap()/hotplug changes.
@@ -209,6 +226,7 @@ impl<P: Primitives> MonitorCtx<P> {
             let a = &self.attrs;
             self.regions.merge_to_cap(a.merge_threshold(), a.min_nr_regions, a.max_nr_regions);
             self.next_update = t + self.attrs.regions_update_interval;
+            debug_assert_eq!(self.audit_regions(), Ok(()), "after a regions update");
         }
 
         if boundary {

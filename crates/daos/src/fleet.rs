@@ -941,7 +941,16 @@ impl Slot {
                 profile::lap(&mut watch, Phase::Drop);
                 (Slot::Retired(row), Ok(()))
             }
-            Ok(None) => (Slot::Live(shard), Ok(())),
+            Ok(None) => {
+                // Debug builds recount a shard that stays live too, at each
+                // barrier that passes a power-of-two tick: O(log ticks)
+                // audits per run. One per barrier would be one per tick
+                // for a run observed every tick (DESIGN §5).
+                if from.checked_ilog2() != barrier.checked_ilog2() {
+                    debug_assert_eq!(shard.sys.audit(), Ok(()), "a live shard fails its audit");
+                }
+                (Slot::Live(shard), Ok(()))
+            }
             Err(e) => (Slot::Live(shard), Err(e)),
         };
         (slot, result, watch.map(|w| w.laps))

@@ -421,6 +421,23 @@ target/release/daos fleet --processes 64 --epochs 5 --profile-wall > "$tmp/profi
 profile_check "$tmp/profile_fleet.txt"
 echo "ok"
 
+echo "== peak RSS: reclaim metadata in proportion to live pages =="
+# canneal under prcl pages out and refaults its pages for its whole run.
+# Its LRU entries once grew with that history (≈ 415k queued for ≈ 1.3k
+# resident pages, VmHWM ≈ 9.3 MiB); the lists are now held to
+# 2 × frames in use + 4096 entries (DESIGN §5), and the process's VmHWM,
+# printed under the --profile-wall table, stays under 6 MiB.
+target/release/daos run parsec3/canneal --config prcl --profile-wall > "$tmp/profile_canneal.txt"
+profile_check "$tmp/profile_canneal.txt"
+awk '$1 == "peak" && $2 == "RSS" { seen = 1; high = $3 + 0 > 6 } END { exit !seen || high }' \
+    "$tmp/profile_canneal.txt" || {
+    echo "FAIL: canneal/prcl's peak RSS is missing or above 6 MiB"
+    cat "$tmp/profile_canneal.txt"
+    exit 1
+}
+grep '^peak RSS' "$tmp/profile_canneal.txt"
+echo "ok"
+
 echo "== bench fleet: 1k-process tick and run within baseline =="
 # Same gate as the pipeline's, on min-of-N.
 bench_gate fleet_bench BENCH_fleet.json "$tmp/fleet_bench.json" "fleet tick bench"

@@ -1,7 +1,8 @@
 //! The seeded perf trajectory: min/median/max-of-N timings of the simulator's
 //! hot paths — the monitoring tick (sampling), a full aggregation window
 //! (aggregate + split/merge) over the synthetic space and over a real
-//! process's page tables, the schemes-engine apply pass, the
+//! process's page tables (and the sampling sweep per region at
+//! `run_stream_ethp`'s region count), the schemes-engine apply pass, the
 //! substrate's page-table walks, pageout and fault service, and the same monitor
 //! loop with tracing enabled vs disabled — written to
 //! `BENCH_pipeline.json` at the repo root as the regression baseline.
@@ -110,6 +111,40 @@ fn bench_sweep_vaddr(h: &mut Harness, iters: u64) {
             black_box(ctx.overhead.total_checks)
         });
     }
+}
+
+/// The sampling sweep at `run_stream_ethp`'s scale, in ns per region per
+/// tick: the paper attrs with `min_nr_regions` 362 — the regions a tick of
+/// `daos run splash2x/ocean_ncp --config ethp` sweeps on average — over a
+/// fully resident 90 MiB heap and a stack. One iteration is an aggregation
+/// window; its unit count is the regions each of its ticks left behind.
+/// Recorded, not gated: the gated `monitor/sweep_vaddr*` lanes above cover
+/// the same path at 36 regions.
+fn bench_sweep_vaddr_ocean(h: &mut Harness, iters: u64) {
+    let mut machine = daos_mm::MachineProfile::test_tiny();
+    machine.dram_bytes = 256 << 20;
+    let mut sys = MemorySystem::new(machine, SwapConfig::paper_zram(), 1);
+    let pid = sys.spawn();
+    let heap = sys.mmap(pid, 90 << 20, ThpMode::Never).expect("mmap heap");
+    let stack =
+        sys.mmap_at(pid, daos_mm::process::STACK_BASE, 1 << 20, ThpMode::Never).expect("mmap stack");
+    sys.apply_access(pid, &AccessBatch::all(heap, 1.0)).expect("fault in");
+    sys.apply_access(pid, &AccessBatch::all(stack, 1.0)).expect("fault in");
+    let a = MonitorAttrs { min_nr_regions: 362, ..attrs() };
+    let mut ctx = MonitorCtx::new(a, VaddrPrimitives::new(pid), &sys, 0, 42);
+    let mut sink = Vec::new();
+    let ticks = (a.aggregation_interval / a.sampling_interval).max(1);
+    let mut now = 0;
+    h.bench_units("monitor/sweep_vaddr_ocean", iters, || {
+        let mut regions = 0;
+        for _ in 0..ticks {
+            now += a.sampling_interval;
+            ctx.step(&mut sys, now, &mut sink);
+            regions += ctx.regions().len() as u64;
+        }
+        sink.clear();
+        regions
+    });
 }
 
 /// A window of 1000 adjacent regions over `range`, a third of them hot.
@@ -305,6 +340,7 @@ fn measure(quick: bool) -> Json {
     bench_monitor_tick(&mut h, iters * 4);
     bench_monitor_window(&mut h, iters);
     bench_sweep_vaddr(&mut h, iters);
+    bench_sweep_vaddr_ocean(&mut h, iters);
     bench_scheme_apply(&mut h, iters);
     bench_record_window(&mut h, iters);
     bench_page_walks(&mut h, iters * 4);

@@ -16,7 +16,10 @@
 //!   ([`process::PteCursor`]) whose one op reads a region's outstanding
 //!   sample's accessed bit and clears its next sample's, resolving the
 //!   VMA once per region (any address order is correct, ascending is
-//!   fast), directly or through rmap. [`MemorySystem::check_accessed_clear`],
+//!   fast), directly or through rmap; and the cursor's column op
+//!   ([`process::PteCursor::sweep`]), the whole sweep over a region set's
+//!   [`process::SampleColumns`], resolving the VMA once per run of regions
+//!   inside it. [`MemorySystem::check_accessed_clear`],
 //!   [`MemorySystem::peek_accessed`] and
 //!   [`MemorySystem::check_paddr_accessed_clear`] are the same lookup,
 //!   one shot, for tests and tools;

@@ -172,6 +172,87 @@ impl Process {
     }
 }
 
+/// What a sample column holds where no sample is outstanding.
+pub const NO_SAMPLE: u64 = u64::MAX;
+
+/// The columns of a monitor's region set that one sampling sweep walks:
+/// region `i` is `[starts[i], ends[i])`, `samples[i]` its outstanding
+/// sample — a page address, or [`NO_SAMPLE`] — and `nr_accesses[i]` its
+/// access count. The regions are sorted, disjoint and page-aligned, and an
+/// outstanding sample is a page of its own region: the precondition of
+/// every sweep ([`Self::sweep_pairs`], [`PteCursor::sweep`]).
+///
+/// A sweep visits the regions in address order. For each it draws the next
+/// sample, `new = next(start, end)` — a page of the region, or
+/// [`NO_SAMPLE`] for a sweep with no prepare half — and swaps it in for the
+/// outstanding one, `old`. Then it does the monitor's access op on the
+/// pair: if `old` is a sample, `nr_accesses` counts one when its page was
+/// accessed; if `new` is a sample, its page's bit is cleared. `old` is read
+/// before `new` is cleared. The sweep returns its checks: the samples read
+/// plus the samples cleared.
+#[derive(Debug)]
+pub struct SampleColumns<'a> {
+    pub(crate) starts: &'a [u64],
+    pub(crate) ends: &'a [u64],
+    pub(crate) samples: &'a mut [u64],
+    pub(crate) nr_accesses: &'a mut [u32],
+}
+
+/// Swap `new` in for the outstanding sample; the pair as the access op
+/// takes it, [`NO_SAMPLE`] as `None`.
+#[inline(always)]
+pub(crate) fn swap_sample(sample: &mut u64, new: u64) -> (Option<u64>, Option<u64>) {
+    let old = std::mem::replace(sample, new);
+    ((old != NO_SAMPLE).then_some(old), (new != NO_SAMPLE).then_some(new))
+}
+
+impl<'a> SampleColumns<'a> {
+    /// The four columns of one region set; they must be of one length.
+    pub fn new(
+        starts: &'a [u64],
+        ends: &'a [u64],
+        samples: &'a mut [u64],
+        nr_accesses: &'a mut [u32],
+    ) -> Self {
+        let n = starts.len();
+        assert!(
+            ends.len() == n && samples.len() == n && nr_accesses.len() == n,
+            "sample columns of unequal length"
+        );
+        Self { starts, ends, samples, nr_accesses }
+    }
+
+    /// Regions `from..to`.
+    #[inline]
+    fn sub(&mut self, from: usize, to: usize) -> SampleColumns<'_> {
+        SampleColumns {
+            starts: &self.starts[from..to],
+            ends: &self.ends[from..to],
+            samples: &mut self.samples[from..to],
+            nr_accesses: &mut self.nr_accesses[from..to],
+        }
+    }
+
+    /// The sweep as a loop of per-pair access ops, `access(old, new)` —
+    /// the back-end's op for one region's pair (see
+    /// [`PteCursor::access`]). Returns the checks.
+    #[inline]
+    pub fn sweep_pairs(
+        self,
+        mut next: impl FnMut(u64, u64) -> u64,
+        mut access: impl FnMut(Option<u64>, Option<u64>) -> bool,
+    ) -> u64 {
+        let mut checks = 0;
+        let bounds = self.starts.iter().zip(self.ends);
+        for (((&start, &end), sample), nr) in bounds.zip(self.samples).zip(self.nr_accesses) {
+            let (old, new) = swap_sample(sample, next(start, end));
+            checks += old.is_some() as u64 + new.is_some() as u64;
+            *nr += access(old, new) as u32;
+        }
+        checks
+    }
+}
+
 /// Index of the VMA of `vmas` (sorted, non-overlapping) containing `addr`,
 /// `None` when it is unmapped. `*at` is tried first and left at the VMA
 /// found: any address order is correct, a run of neighbours is fast.
@@ -253,6 +334,36 @@ impl<V: DerefMut<Target = [Vma]>> PteCursor<V> {
         let range = vma.range;
         let inside = |addr: Option<u64>| addr.is_none_or(|a| range.contains(a));
         (inside(old) && inside(new)).then_some(vma)
+    }
+
+    /// The monitor's sampling sweep over `cols` (see [`SampleColumns`]),
+    /// a VMA run at a time. It seeks the VMA holding a region's start, and
+    /// `Vma::sweep_run` then walks that region and every following one
+    /// that ends inside the VMA in one loop: draw the sample, read `old`'s
+    /// chunk word, clear `new`'s — no per-pair VMA check. A region that is
+    /// not wholly inside one VMA (it starts in a gap of the three-regions
+    /// target, or crosses a VMA edge) takes the per-pair op. Returns the
+    /// checks, as [`SampleColumns::sweep_pairs`] over [`Self::access`] does,
+    /// with the same bits read and cleared.
+    #[inline]
+    pub fn sweep(
+        &mut self,
+        mut cols: SampleColumns<'_>,
+        mut next: impl FnMut(u64, u64) -> u64,
+    ) -> u64 {
+        let (n, mut checks, mut i) = (cols.starts.len(), 0, 0);
+        while i < n {
+            let run = match self.seek(cols.starts[i]) {
+                Some(v) => self.vmas[v].sweep_run(cols.sub(i, n), &mut next, &mut checks),
+                None => 0,
+            };
+            if run == 0 {
+                let one = cols.sub(i, i + 1);
+                checks += one.sweep_pairs(&mut next, |old, new| self.access_elsewhere(old, new));
+            }
+            i += run.max(1);
+        }
+        checks
     }
 
     /// [`Self::access`] off the last VMA: seek the VMA of the pair — one

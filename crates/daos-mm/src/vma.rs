@@ -161,6 +161,7 @@ use crate::addr::{
 };
 use crate::error::MmResult;
 use crate::frame::FrameId;
+use crate::process::{swap_sample, SampleColumns};
 use crate::swap::SwapSlot;
 
 /// Pages per page-table chunk (one chunk = one aligned 2 MiB span).
@@ -491,6 +492,37 @@ impl Vma {
             self.clear_accessed(addr);
         }
         was
+    }
+
+    /// The sampling sweep's kernel ([`crate::process::PteCursor::sweep`])
+    /// over the leading regions of `cols` that end inside this VMA; the
+    /// first must start in it. Per region: draw `new = next(start, end)`,
+    /// swap it into the sample column, count `old`'s accessed bit and clear
+    /// `new`'s ([`Self::access`]: a chunk-word read and a chunk-word
+    /// write). The one test of the VMA per region is the loop's exit, `end
+    /// ≤ range.end`: a region that ends inside the VMA also starts in it
+    /// (the first does, and regions ascend), and so do its samples. Returns
+    /// how many regions it swept and adds their checks to `checks`.
+    #[inline]
+    pub(crate) fn sweep_run(
+        &mut self,
+        cols: SampleColumns<'_>,
+        next: &mut impl FnMut(u64, u64) -> u64,
+        checks: &mut u64,
+    ) -> usize {
+        let end_of_vma = self.range.end;
+        let mut swept = 0;
+        let bounds = cols.starts.iter().zip(cols.ends);
+        for (((&start, &end), sample), nr) in bounds.zip(cols.samples).zip(cols.nr_accesses) {
+            if end > end_of_vma {
+                break;
+            }
+            let (old, new) = swap_sample(sample, next(start, end));
+            *checks += old.is_some() as u64 + new.is_some() as u64;
+            *nr += self.access(old, new) as u32;
+            swept += 1;
+        }
+        swept
     }
 
     /// Single-page touch (the `Random` pattern, which has no run

@@ -34,12 +34,25 @@
 //! in the gaps, past both ends — in ascending, descending and shuffled
 //! order must return the same bits and leave the same VMAs, down to which
 //! chunks exist.
+//!
+//! The sampling sweep's column kernel (`PteCursor::sweep`, a VMA run at a
+//! time) is pinned to the per-pair loop it replaced —
+//! `SampleColumns::sweep_pairs` over `PteCursor::access` — on region sets
+//! over the same address spaces: regions that straddle VMA edges and
+//! gaps, end exactly on a VMA's end or lie wholly in a gap, samples
+//! outstanding or not, chunks absent or huge, and all three halves
+//! selections (fused, check-only, prepare-only). Same checks, access
+//! counts, sample column and rng state, and `Vma ==` afterwards. Hand
+//! mutations this catches: the kernel without its `end ≤ vma.end` exit
+//! (panics on the first straddling region), reading `new`'s bit instead of
+//! `old`'s, clearing before reading, and a per-pair fallback that skips
+//! the draw.
 
 use daos_mm::access::{AccessBatch, AccessOutcome};
-use daos_mm::addr::{huge_align_down, AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
+use daos_mm::addr::{huge_align_down, page_align_down, AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
 use daos_mm::error::MmError;
 use daos_mm::machine::MachineProfile;
-use daos_mm::process::PteCursor;
+use daos_mm::process::{PteCursor, SampleColumns, NO_SAMPLE};
 use daos_mm::swap::{SwapConfig, SwapSlot};
 use daos_mm::system::MemorySystem;
 use daos_mm::vma::{Pte, PteState, ThpMode, Vma};
@@ -235,6 +248,42 @@ fn compare(vmas: &[Vma], range: &AddrRange, stride: u32, all: bool, what: &str) 
     }
 }
 
+/// A region set over `vmas` as the sweep sees it — `(starts, ends,
+/// samples, nr_accesses)`: sorted, disjoint and page-aligned regions from
+/// below the first VMA to past the last, cut at random lengths, at VMA
+/// edges (so that a region can end exactly where its VMA does) or across
+/// them, with a gap left between two regions now and then; each with a
+/// random access count and, three times in four, an outstanding sample.
+type Regions = (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u32>);
+
+fn random_regions(rng: &mut SmallRng, vmas: &[Vma]) -> Regions {
+    let edges: Vec<u64> = vmas.iter().flat_map(|v| [v.range.start, v.range.end]).collect();
+    let mut at = vmas[0].range.start - rng.random_range(0..8u64) * PAGE_SIZE;
+    let last = vmas[vmas.len() - 1].range.end + 8 * PAGE_SIZE;
+    let mut regions: Regions = Default::default();
+    while at < last {
+        let end = match rng.random_range(0..4u32) {
+            // To the next VMA edge above.
+            0 => edges.iter().copied().find(|&e| e > at).unwrap_or(last),
+            // Long: across edges and gaps.
+            1 => at + rng.random_range(1..1500u64) * PAGE_SIZE,
+            _ => at + rng.random_range(1..64u64) * PAGE_SIZE,
+        };
+        let pages = (end - at) / PAGE_SIZE;
+        let sample = match rng.random_range(0..4u32) {
+            0 => NO_SAMPLE,
+            _ => at + rng.random_range(0..pages) * PAGE_SIZE,
+        };
+        regions.0.push(at);
+        regions.1.push(end);
+        regions.2.push(sample);
+        regions.3.push(rng.random_range(0..20u32));
+        let gap = if rng.random_range(0..6u32) == 0 { rng.random_range(1..40u64) } else { 0 };
+        at = end + gap * PAGE_SIZE;
+    }
+    regions
+}
+
 /// One `with_pte` closure: every state transition, flag and generation
 /// writes whatever the state, and the closure that changes nothing.
 #[derive(Debug, Clone, Copy)]
@@ -421,6 +470,52 @@ proptest! {
             for (i, (s, l)) in swept.iter().zip(&looked_up).enumerate() {
                 assert!(s == l, "seed {seed} {order}: vma {i} {} differs after the sweep", s.range);
                 check_counters(s);
+            }
+        }
+    }
+
+    /// The column kernel against the per-pair loop: three sweeps over one
+    /// region set with a touch of random pages between them, each with
+    /// the halves drawn at random — both, the check half (the draw returns
+    /// `NO_SAMPLE`) or the prepare half (no sample outstanding).
+    fn sweep_kernel_matches_the_per_pair_loop(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let vmas = random_address_space(&mut rng);
+        let (starts, ends, mut samples, mut nr_accesses) = random_regions(&mut rng, &vmas);
+        let (mut swept, mut looped) = (vmas.clone(), vmas.clone());
+        let (mut samples_l, mut nr_accesses_l) = (samples.clone(), nr_accesses.clone());
+        let draws = SmallRng::seed_from_u64(seed ^ 0x5eed);
+        let (mut draws_s, mut draws_l) = (draws.clone(), draws);
+        for round in 0..3 {
+            let halves = rng.random_range(0..3u32);
+            if halves == 2 {
+                samples.fill(NO_SAMPLE);
+                samples_l.fill(NO_SAMPLE);
+            }
+            let draw = |rng: &mut SmallRng, start: u64, end: u64| match halves {
+                1 => NO_SAMPLE,
+                _ => page_align_down(start) + rng.random_range(0..(end - start) / PAGE_SIZE) * PAGE_SIZE,
+            };
+            let what = format!("seed {seed} round {round} halves {halves}");
+            let cols = SampleColumns::new(&starts, &ends, &mut samples, &mut nr_accesses);
+            let checks = PteCursor::new(&mut swept[..]).sweep(cols, |s, e| draw(&mut draws_s, s, e));
+            let cols = SampleColumns::new(&starts, &ends, &mut samples_l, &mut nr_accesses_l);
+            let mut cur = PteCursor::new(&mut looped[..]);
+            let want = cols.sweep_pairs(|s, e| draw(&mut draws_l, s, e), |old, new| cur.access(old, new));
+            prop_assert_eq!(checks, want, "{}: checks", what);
+            prop_assert_eq!(&nr_accesses, &nr_accesses_l, "{}: nr_accesses", what);
+            prop_assert_eq!(&samples, &samples_l, "{}: samples", what);
+            prop_assert_eq!(&draws_s, &draws_l, "{}: rng state", what);
+            for (i, (s, l)) in swept.iter().zip(&looped).enumerate() {
+                assert!(s == l, "{what}: vma {i} {} differs after the sweep", s.range);
+                check_counters(s);
+            }
+            // The workload between two ticks: the same pages touched on both.
+            let range = random_range(&mut rng, &vmas);
+            let stride = STRIDES[rng.random_range(0..STRIDES.len())];
+            for (s, l) in swept.iter_mut().zip(looped.iter_mut()) {
+                s.touch_run(&range, stride, &mut Vec::new(), &mut AccessOutcome::default());
+                l.touch_run(&range, stride, &mut Vec::new(), &mut AccessOutcome::default());
             }
         }
     }

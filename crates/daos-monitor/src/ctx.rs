@@ -103,12 +103,18 @@ impl<P: Primitives> MonitorCtx<P> {
     }
 
     /// The region set's invariants on the live monitor (DESIGN §5), which
-    /// debug builds check after every aggregation and regions update:
-    /// [`RegionSet::check_invariants`], and `min_nr_regions ≤ len ≤
+    /// debug builds check at the end of every boundary tick — after the
+    /// prepare half, so the samples the next sweep reads are audited too:
+    /// [`RegionSet::check_invariants`] (every outstanding sample a page of
+    /// its region), page-aligned regions (the rest of the
+    /// [`Primitives`] precondition), and `min_nr_regions ≤ len ≤
     /// max_nr_regions` — the floor only where the target has that many
     /// pages.
     fn audit_regions(&self) -> Result<(), String> {
         self.regions.check_invariants()?;
+        if let Some(r) = self.regions.iter().find(|r| r.range.page_aligned() != r.range) {
+            return Err(format!("region {} is not page-aligned", r.range));
+        }
         let (len, a) = (self.regions.len(), &self.attrs);
         let pages = self.regions.total_bytes() / PAGE_SIZE;
         if len > a.max_nr_regions || (len < a.min_nr_regions && pages >= a.min_nr_regions as u64) {
@@ -126,14 +132,8 @@ impl<P: Primitives> MonitorCtx<P> {
         // preparing the next (phase 2). On every other tick nothing does,
         // and one fused pass over the regions does both.
         let boundary = self.next_aggr <= t || self.next_update <= t;
-        let mut checks = {
-            let access = self.prim.access(env);
-            if boundary {
-                self.regions.check_samples(access)
-            } else {
-                self.regions.sweep_samples(&mut self.rng, access)
-            }
-        };
+        let draw = (!boundary).then_some(&mut self.rng);
+        let mut checks = self.regions.sweep(&mut self.prim, env, draw);
 
         // Aggregation boundary: merge+age, report, reset, split. The two
         // spans decompose the historical `final_regions × 40 ns` charge
@@ -216,7 +216,6 @@ impl<P: Primitives> MonitorCtx<P> {
             // Rebase (rather than increment) so a slow quantum does not
             // leave a backlog of aggregation windows firing in a burst.
             self.next_aggr = t + self.attrs.aggregation_interval;
-            debug_assert_eq!(self.audit_regions(), Ok(()), "after an aggregation");
         }
 
         // Regions-update boundary: follow mmap()/hotplug changes.
@@ -226,11 +225,12 @@ impl<P: Primitives> MonitorCtx<P> {
             let a = &self.attrs;
             self.regions.merge_to_cap(a.merge_threshold(), a.min_nr_regions, a.max_nr_regions);
             self.next_update = t + self.attrs.regions_update_interval;
-            debug_assert_eq!(self.audit_regions(), Ok(()), "after a regions update");
         }
 
         if boundary {
-            checks += self.regions.prepare_samples(&mut self.rng, self.prim.access(env));
+            // The prepare half: the check half above consumed every sample.
+            checks += self.regions.sweep(&mut self.prim, env, Some(&mut self.rng));
+            debug_assert_eq!(self.audit_regions(), Ok(()), "after a boundary tick");
         }
 
         // Overhead accounting: this is where the paper's bound lives —

@@ -9,7 +9,7 @@
 
 use daos_mm::addr::{page_align_down, AddrRange};
 use daos_mm::clock::Ns;
-use daos_mm::process::Pid;
+use daos_mm::process::{Pid, SampleColumns};
 use daos_mm::system::MemorySystem;
 
 /// The target-specific operations the monitor core needs.
@@ -17,7 +17,14 @@ use daos_mm::system::MemorySystem;
 /// Two-phase sampling, as in the kernel: the accessed bit of the sample
 /// page is cleared (`mkold`) when the sample is *prepared*; one sampling
 /// interval later the monitor reads whether the CPU set it again
-/// (`young`). Both are the one access op a back-end hands out per sweep.
+/// (`young`). A back-end does both in one column op, [`Self::sweep`], over
+/// a region set's columns; [`Self::access`] is the same op for one region.
+///
+/// The precondition of both, which a debug `MonitorCtx` audits at the end
+/// of every boundary tick: the regions are sorted, disjoint and page-aligned
+/// (target ranges are page-aligned, so two regions never share a page and
+/// one region's `mkold` never changes another's `young`), and every
+/// outstanding sample is a page of its own region.
 pub trait Primitives {
     /// The environment checks run against (the simulated machine, or a
     /// synthetic space in tests).
@@ -27,25 +34,37 @@ pub trait Primitives {
     /// interval to follow `mmap()`/hotplug events).
     fn target_ranges(&mut self, env: &Self::Env) -> Vec<AddrRange>;
 
-    /// The access op for one sweep over the regions: `access(old, new)`
-    /// says whether the page at `old` was accessed since its bit was last
-    /// cleared (`young`), then clears the bit of the page at `new`
-    /// (`mkold`); `None` skips that half and reads `false`. A sweep calls
-    /// it once per region with the region's outstanding sample and its
-    /// next one, so a back-end resolves its target once per region, not
-    /// once per page. The contract:
+    /// The access op for one region: `access(old, new)` says whether the
+    /// page at `old` was accessed since its bit was last cleared (`young`),
+    /// then clears the bit of the page at `new` (`mkold`); `None` skips
+    /// that half and reads `false`. The contract:
     ///
     /// * calls in any address order are correct; ascending ones — a sweep
     ///   visits the regions in address order — may be faster;
     /// * `old` and `new` lie in the same region (they need not share a
     ///   page, a VMA or a 2 MiB chunk), and `old` is read before `new` is
-    ///   cleared, so `old == new` reads the bit as it was;
-    /// * target ranges are page-aligned, so two regions never share a
-    ///   page and one region's `mkold` never changes another's `young`.
+    ///   cleared, so `old == new` reads the bit as it was.
     fn access<'a>(
         &'a mut self,
         env: &'a mut Self::Env,
     ) -> impl FnMut(Option<u64>, Option<u64>) -> bool + 'a;
+
+    /// One sampling sweep over a region set's columns (the walk
+    /// [`SampleColumns`] defines): per region, in address order, draw
+    /// `new = next(start, end)` — [`daos_mm::process::NO_SAMPLE`] for a
+    /// sweep without the prepare half — swap it in for the outstanding
+    /// sample, and do the access op on the pair. Returns the checks made.
+    /// The provided method is that loop over [`Self::access`], so a
+    /// back-end resolves its target once per region; the virtual back-end
+    /// overrides it with a column kernel that resolves it once per VMA.
+    fn sweep(
+        &mut self,
+        env: &mut Self::Env,
+        cols: SampleColumns<'_>,
+        next: impl FnMut(u64, u64) -> u64,
+    ) -> u64 {
+        cols.sweep_pairs(next, self.access(env))
+    }
 
     /// CPU cost of a single `mkold`/`young` operation.
     fn check_cost_ns(&self, env: &Self::Env) -> Ns;
@@ -115,6 +134,16 @@ impl Primitives for VaddrPrimitives {
         // in a gap simply read as not-accessed, like unmapped PTEs.
         let mut cur = env.pte_cursor(self.pid);
         move |old, new| cur.access(old, new)
+    }
+
+    #[inline]
+    fn sweep(
+        &mut self,
+        env: &mut MemorySystem,
+        cols: SampleColumns<'_>,
+        next: impl FnMut(u64, u64) -> u64,
+    ) -> u64 {
+        env.pte_cursor(self.pid).sweep(cols, next)
     }
 
     fn check_cost_ns(&self, env: &MemorySystem) -> Ns {

@@ -14,31 +14,28 @@
 //! aggregation boundary no longer rescans the set.
 //!
 //! Semantics are pinned to the reference array-of-structs implementation
-//! in `tests/reference/` by differential tests; `split` and
-//! `prepare_samples` consume the rng in exactly the same order as the
-//! reference so both produce identical sequences from one seed.
+//! in `tests/reference/` by differential tests; `split` and `sweep`
+//! consume the rng in exactly the same order as the reference so both
+//! produce identical sequences from one seed.
 //!
-//! ## Sampling: one resolve per region
+//! ## Sampling: one column op per sweep
 //!
 //! Each sampling interval every region's outstanding sample is checked
-//! and a new one is drawn and aged. All three sampling walks call the
-//! back-end's one access op ([`crate::Primitives::access`]) once per
-//! region — `access(old, new)` reads the old sample's accessed bit and
-//! clears the new one's — so a back-end resolves each region's target
-//! once, whichever walk runs:
+//! and a new one is drawn and aged. There is one walk,
+//! [`RegionSet::sweep`]: it hands the set's columns (bounds, samples,
+//! access counts) and the draw to the back-end's column op
+//! ([`crate::Primitives::sweep`]), which walks them in address order — the
+//! virtual back-end a VMA run at a time, the others one access op per
+//! region. The tick selects the halves:
 //!
-//! * [`RegionSet::sweep_samples`], on every tick with nothing between the
-//!   phases, does both halves with one call per region;
-//! * [`RegionSet::check_samples`] (`access(old, None)`) and
-//!   [`RegionSet::prepare_samples`] (`access(None, new)`) are the two
-//!   phases a boundary tick runs on either side of its merge, split or
-//!   target update.
+//! * on every tick with nothing between the phases, one sweep does both;
+//! * a boundary tick runs the check half alone (no draw) before its merge,
+//!   split or target update, and the prepare half (a draw on a set with no
+//!   sample outstanding) after it.
 //!
-//! The fused sweep equals the two phases because regions are disjoint and
+//! The fused sweep equals the two halves because regions are disjoint and
 //! page-aligned — the page region *i* ages is never the page region *j*
 //! checks — and the rng is still drawn once per region, in region order.
-//! The walks zip column slices, so the per-region loop carries no index
-//! bounds checks.
 //!
 //! [`RegionSet::split`] and [`RegionSet::update_ranges`] rebuild the set
 //! into a scratch set the caller keeps (the monitor holds one for its
@@ -46,12 +43,11 @@
 //! instead of allocating six fresh ones.
 
 use daos_mm::addr::{page_align_down, AddrRange, PAGE_SIZE};
+use daos_mm::process::{SampleColumns, NO_SAMPLE};
 use daos_util::rng::SmallRng;
 
+use crate::primitives::Primitives;
 use crate::region::{Region, RegionInfo};
-
-/// Sentinel in the `sampling` column for "no sample outstanding".
-const NO_SAMPLE: u64 = u64::MAX;
 
 /// Size-weighted average of two per-region counters (`wavg` of §3.1's
 /// merge rule: weights are the byte sizes of the two regions).
@@ -280,6 +276,8 @@ impl RegionSet {
         if nr == 0 || nr >= max_nr {
             return;
         }
+        // Drawn from a local copy, written back below: see `sweep`.
+        let mut local = rng.clone();
         // Kernel heuristic: aim for 3 pieces while clearly below the cap.
         let nr_pieces = if nr * 3 <= max_nr { 3 } else { 2 };
         let out = scratch;
@@ -298,7 +296,7 @@ impl RegionSet {
                 }
                 // Random page-aligned split point strictly inside.
                 let pages = (rest_end - rest_start).div_ceil(PAGE_SIZE);
-                let cut_page = rng.random_range(1..pages);
+                let cut_page = local.random_range(1..pages);
                 let mid = page_align_down(rest_start) + cut_page * PAGE_SIZE;
                 if mid <= rest_start || mid >= rest_end {
                     break;
@@ -313,6 +311,7 @@ impl RegionSet {
             let sample = if was_split { NO_SAMPLE } else { self.sampling[i] };
             out.push_with(rest_start, rest_end, na, la, age, sample);
         }
+        *rng = local;
         std::mem::swap(self, out);
     }
 
@@ -393,67 +392,45 @@ impl RegionSet {
         std::mem::swap(self, out);
     }
 
-    /// Phase-1 sampling: consume every outstanding sample, counting an
-    /// access when `access(Some(sample), None)` reports the page young.
-    /// Returns the number of checks performed.
-    pub fn check_samples(
+    /// One sampling sweep through the back-end's column op
+    /// ([`Primitives::sweep`]): every outstanding sample is checked — its
+    /// region counts an access when the page reads young — and, with `rng`,
+    /// every region draws its next sample (one draw per region, in region
+    /// order, the reference implementation's) and ages it. Returns the
+    /// checks. The three ways the monitor calls it:
+    ///
+    /// * with `rng`, samples outstanding: the fused tick, both halves;
+    /// * without `rng`: the check half alone, every sample consumed;
+    /// * with `rng` on a set with no sample outstanding (after a check-only
+    ///   sweep and a boundary's merge, split or update): the prepare half.
+    ///
+    /// The fused sweep equals the check half followed by the prepare half
+    /// because regions are disjoint and page-aligned: region *i*'s `mkold`
+    /// never touches the page region *j* reads. The rng is drawn through a
+    /// local copy, written back after the walk, so the draw inlined into
+    /// the back-end's loop keeps its state in registers.
+    pub fn sweep<P: Primitives>(
         &mut self,
-        mut access: impl FnMut(Option<u64>, Option<u64>) -> bool,
+        prim: &mut P,
+        env: &mut P::Env,
+        rng: Option<&mut SmallRng>,
     ) -> u64 {
-        let mut checks = 0;
-        for (sample, nr) in self.sampling.iter_mut().zip(&mut self.nr_accesses) {
-            let old = std::mem::replace(sample, NO_SAMPLE);
-            if old != NO_SAMPLE {
-                *nr += access(Some(old), None) as u32;
-                checks += 1;
-            }
-        }
+        let cols = SampleColumns::new(
+            &self.starts,
+            &self.ends,
+            &mut self.sampling,
+            &mut self.nr_accesses,
+        );
+        let Some(rng) = rng else { return prim.sweep(env, cols, |_, _| NO_SAMPLE) };
+        let mut local = rng.clone();
+        let checks = prim.sweep(env, cols, |start, end| draw_sample(&mut local, start, end));
+        *rng = local;
         checks
     }
 
-    /// Phase-2 sampling: pick one random page per region, age it via
-    /// `access(None, Some(page))` and remember it for the next check (one
-    /// rng draw per region, the reference implementation's order).
-    /// Returns the number of samples prepared.
-    pub fn prepare_samples(
-        &mut self,
-        rng: &mut SmallRng,
-        mut access: impl FnMut(Option<u64>, Option<u64>) -> bool,
-    ) -> u64 {
-        let columns = self.starts.iter().zip(&self.ends).zip(&mut self.sampling);
-        for ((&start, &end), sample) in columns {
-            *sample = draw_sample(rng, start, end);
-            access(None, Some(*sample));
-        }
-        self.len() as u64
-    }
-
-    /// Both phases in one pass, one `access(old, new)` per region: check
-    /// the outstanding sample and age the next. Equal to
-    /// [`Self::check_samples`] followed by [`Self::prepare_samples`]
-    /// whenever no two regions share a page: region *i*'s `mkold` then
-    /// commutes with region *j*'s `young`, and the rng is drawn in the
-    /// same order. Returns the number of checks performed.
-    pub fn sweep_samples(
-        &mut self,
-        rng: &mut SmallRng,
-        mut access: impl FnMut(Option<u64>, Option<u64>) -> bool,
-    ) -> u64 {
-        debug_assert!(self.starts.iter().all(|s| s % PAGE_SIZE == 0), "regions share a page");
-        let mut checks = self.len() as u64;
-        let columns = self.starts.iter().zip(&self.ends).zip(&mut self.sampling);
-        for (((&start, &end), sample), nr) in columns.zip(&mut self.nr_accesses) {
-            let new = draw_sample(rng, start, end);
-            let old = std::mem::replace(sample, new);
-            let old = (old != NO_SAMPLE).then_some(old);
-            checks += old.is_some() as u64;
-            *nr += access(old, Some(new)) as u32;
-        }
-        checks
-    }
-
-    /// Debug invariant: sorted, non-overlapping, non-empty regions, and a
-    /// consistent incremental byte total.
+    /// Debug invariant: sorted, non-overlapping, non-empty regions, every
+    /// outstanding sample a page of its region, and a consistent
+    /// incremental byte total.
     pub fn check_invariants(&self) -> Result<(), String> {
         for i in 1..self.len() {
             if self.ends[i - 1] > self.starts[i] {
@@ -469,6 +446,16 @@ impl RegionSet {
         for i in 0..self.len() {
             if self.starts[i] >= self.ends[i] {
                 return Err(format!("empty region at [{:#x}, {:#x})", self.starts[i], self.ends[i]));
+            }
+        }
+        // The sweep kernels' precondition: an outstanding sample is a page
+        // of its own region (page-aligned, and overlapping it).
+        for i in 0..self.len() {
+            let (start, end, sample) = (self.starts[i], self.ends[i], self.sampling[i]);
+            let in_region =
+                sample % PAGE_SIZE == 0 && sample >= page_align_down(start) && sample < end;
+            if sample != NO_SAMPLE && !in_region {
+                return Err(format!("sample {sample:#x} outside its region [{start:#x}, {end:#x})"));
             }
         }
         let sum: u64 = (0..self.len()).map(|i| self.ends[i] - self.starts[i]).sum();
@@ -652,42 +639,32 @@ mod tests {
     }
 
     #[test]
-    fn sample_roundtrip_counts_young_pages() {
-        let mut set = RegionSet::init(&[AddrRange::new(0, mb(1))], 4);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut aged = Vec::new();
-        let prepared = set.prepare_samples(&mut rng, |old, new| {
-            assert_eq!(old, None, "prepare only ages");
-            aged.push(new.unwrap());
-            true
-        });
-        assert_eq!(prepared, set.len() as u64);
-        assert!(set.iter().zip(&aged).all(|(r, a)| r.sampling_addr == Some(*a)));
-        // Every sampled page reads young → every region counts one.
-        let checked = set.check_samples(|old, new| old.is_some() && new.is_none());
-        assert_eq!(checked, prepared);
-        assert!(set.iter().all(|r| r.nr_accesses == 1));
-        assert!(set.iter().all(|r| r.sampling_addr.is_none()), "samples consumed");
-        // No outstanding samples → no checks.
-        assert_eq!(set.check_samples(|_, _| true), 0);
-        // The fused sweep: one call per region, the first with no sample
-        // outstanding; then each checks the page the last one aged (a
-        // back-end reads `None` as not accessed).
-        let mut sweep = |set: &mut RegionSet| {
-            let mut calls = Vec::new();
-            let checks = set.sweep_samples(&mut rng, |old, new| {
-                calls.push((old, new));
-                old.is_some()
-            });
-            (checks, calls)
+    fn sweep_halves_count_young_pages() {
+        use crate::primitives::{SyntheticPrimitives, SyntheticSpace};
+        let whole = AddrRange::new(0, mb(1));
+        let mut space = SyntheticSpace::new(vec![whole]);
+        let mut set = RegionSet::init(&[whole], 4);
+        let (mut rng, mut prim) = (SmallRng::seed_from_u64(3), SyntheticPrimitives);
+        let mut sweep = |set: &mut RegionSet, space: &mut SyntheticSpace, draw: bool| {
+            set.sweep(&mut prim, space, draw.then_some(&mut rng))
         };
-        let (checks, calls) = sweep(&mut set);
-        assert_eq!(checks, 4);
-        assert!(calls.iter().all(|(old, new)| old.is_none() && new.is_some()));
-        assert!(set.iter().all(|r| r.nr_accesses == 1), "nothing was outstanding");
-        let (checks, next) = sweep(&mut set);
-        assert_eq!(checks, 8);
-        assert!(next.iter().zip(&calls).all(|((old, _), (_, aged))| old == aged));
+        // The prepare half: nothing outstanding, one sample drawn per region.
+        space.touch_range(whole);
+        assert_eq!(sweep(&mut set, &mut space, true), 4);
+        assert!(set.iter().all(|r| r.nr_accesses == 0 && r.sampling_addr.is_some()));
+        assert!(set.iter().all(|r| !space.accessed.contains(&r.sampling_addr.unwrap())), "aged");
+        // The check half: every sampled page reads young again, and is consumed.
+        space.touch_range(whole);
+        assert_eq!(sweep(&mut set, &mut space, false), 4);
+        assert!(set.iter().all(|r| r.nr_accesses == 1 && r.sampling_addr.is_none()));
+        assert_eq!(sweep(&mut set, &mut space, false), 0, "nothing outstanding");
+        // Fused: the first has nothing outstanding to check; the second
+        // checks what the first aged.
+        assert_eq!(sweep(&mut set, &mut space, true), 4);
+        space.touch_range(whole);
+        assert_eq!(sweep(&mut set, &mut space, true), 8);
         assert!(set.iter().all(|r| r.nr_accesses == 2));
+        assert!(set.iter().all(|r| !space.accessed.contains(&r.sampling_addr.unwrap())), "aged");
+        set.check_invariants().unwrap();
     }
 }

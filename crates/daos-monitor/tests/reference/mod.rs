@@ -7,7 +7,8 @@
 //!   oracle for the struct-of-arrays store in `daos_monitor::regions`.
 //! * [`Monitor`]: `MonitorCtx`'s tick as it ran before the page-table
 //!   cursor and the fused sweep — two phases on every tick, every check
-//!   resolved on its own through `MemorySystem`'s random-access calls.
+//!   resolved on its own through `MemorySystem`'s random-access calls
+//!   (the per-address back-end, `impl Primitives for Target`).
 
 use daos_mm::addr::{page_align_down, AddrRange, PAGE_SIZE};
 use daos_mm::clock::Ns;
@@ -15,7 +16,9 @@ use daos_mm::process::Pid;
 use daos_mm::system::MemorySystem;
 use daos_util::rng::SmallRng;
 
-use daos_monitor::{three_regions, Aggregation, MonitorAttrs, OverheadStats, Region, RegionInfo};
+use daos_monitor::{
+    three_regions, Aggregation, MonitorAttrs, OverheadStats, Primitives, Region, RegionInfo,
+};
 
 /// What a reference [`Monitor`] watches.
 #[derive(Debug, Clone, Copy)]
@@ -49,7 +52,31 @@ impl Target {
         }
     }
 
-    fn check_cost_ns(self, sys: &MemorySystem) -> Ns {
+}
+
+/// The per-address back-end: every check resolves its page on its own
+/// through `MemorySystem`'s random-access calls, and a sweep is the
+/// provided per-pair loop.
+impl Primitives for Target {
+    type Env = MemorySystem;
+
+    fn target_ranges(&mut self, sys: &MemorySystem) -> Vec<AddrRange> {
+        self.ranges(sys)
+    }
+
+    fn access<'a>(
+        &'a mut self,
+        sys: &'a mut MemorySystem,
+    ) -> impl FnMut(Option<u64>, Option<u64>) -> bool + 'a {
+        let target = *self;
+        move |old, new| {
+            let was = old.is_some_and(|addr| target.young(sys, addr));
+            new.into_iter().for_each(|addr| target.mkold(sys, addr));
+            was
+        }
+    }
+
+    fn check_cost_ns(&self, sys: &MemorySystem) -> Ns {
         let m = sys.machine();
         match self {
             Target::Vaddr(_) => m.access_check_ns,
@@ -101,9 +128,8 @@ impl Monitor {
     }
 
     fn tick(&mut self, sys: &mut MemorySystem, t: Ns, sink: &mut Vec<Aggregation>) {
-        let (attrs, target) = (self.attrs, self.target);
-        let mut checks =
-            self.regions.check_samples(|old, _| old.is_some_and(|addr| target.young(sys, addr)));
+        let (attrs, mut target) = (self.attrs, self.target);
+        let mut checks = self.regions.sweep(&mut target, sys, None);
 
         if self.next_aggr <= t {
             if attrs.adaptive {
@@ -141,10 +167,7 @@ impl Monitor {
             self.next_update = t + attrs.regions_update_interval;
         }
 
-        checks += self.regions.prepare_samples(&mut self.rng, |_, new| {
-            new.into_iter().for_each(|addr| target.mkold(sys, addr));
-            false
-        });
+        checks += self.regions.sweep(&mut target, sys, Some(&mut self.rng));
 
         self.overhead.total_checks += checks;
         self.overhead.max_checks_per_tick = self.overhead.max_checks_per_tick.max(checks);
@@ -317,7 +340,7 @@ impl RegionSet {
     }
 
     /// Phase-1 sampling: consume outstanding samples, counting accesses.
-    /// Mirrors `daos_monitor::RegionSet::check_samples`.
+    /// Mirrors `daos_monitor::RegionSet::sweep`'s check half (no draw).
     pub fn check_samples(&mut self, mut young: impl FnMut(u64) -> bool) -> u64 {
         let mut checks = 0;
         for r in &mut self.regions {
@@ -333,7 +356,7 @@ impl RegionSet {
 
     /// Phase-2 sampling: pick one random page per region, age it via
     /// `mkold`, and remember it for the next check. Consumes the rng
-    /// identically to `daos_monitor::RegionSet::prepare_samples`.
+    /// identically to `daos_monitor::RegionSet::sweep`'s prepare half.
     pub fn prepare_samples(&mut self, rng: &mut SmallRng, mut mkold: impl FnMut(u64)) -> u64 {
         let mut checks = 0;
         for r in &mut self.regions {

@@ -30,6 +30,32 @@ fn mb(n: u64) -> u64 {
     n << 20
 }
 
+/// A back-end for driving a bare `RegionSet`: it logs every access pair
+/// and reads the pages `hot` names as young.
+struct Scripted<F>(F);
+
+impl<F: Fn(u64) -> bool> Primitives for Scripted<F> {
+    type Env = Vec<(Option<u64>, Option<u64>)>;
+
+    fn target_ranges(&mut self, _: &Self::Env) -> Vec<AddrRange> {
+        Vec::new()
+    }
+
+    fn access<'a>(
+        &'a mut self,
+        log: &'a mut Self::Env,
+    ) -> impl FnMut(Option<u64>, Option<u64>) -> bool + 'a {
+        move |old, new| {
+            log.push((old, new));
+            old.is_some_and(&self.0)
+        }
+    }
+
+    fn check_cost_ns(&self, _: &Self::Env) -> u64 {
+        0
+    }
+}
+
 /// Assert the two stores are region-for-region identical.
 fn assert_same(soa: &RegionSet, aos: &reference::RegionSet, what: &str) {
     soa.check_invariants().unwrap_or_else(|e| panic!("{what}: SoA invariants: {e}"));
@@ -63,22 +89,22 @@ fn run_monitor_cycle(seed: u64, ranges: &[AddrRange], windows: usize) {
     let mut scratch = RegionSet::default();
     // Deterministic access oracle: the low third of each range is "hot".
     let hot = |addr: u64| ranges.iter().any(|r| r.contains(addr) && addr < r.start + r.len() / 3);
+    let mut scripted = Scripted(hot);
 
     for w in 0..windows {
         for tick in 0..5 {
             let tag = format!("seed {seed}: window {w} tick {tick}");
             let mut olded_a = Vec::new();
             let mut olded_b = Vec::new();
-            let pa = soa.prepare_samples(&mut rng_a, |old, new| {
-                olded_a.push((old, new));
-                false
-            });
+            let pa = soa.sweep(&mut scripted, &mut olded_a, Some(&mut rng_a));
             let pb = aos.prepare_samples(&mut rng_b, |a| olded_b.push((None, Some(a))));
             assert_eq!(pa, pb, "{tag}: prepared count");
             assert_eq!(olded_a, olded_b, "{tag}: mkold order");
             assert_same(&soa, &aos, &format!("{tag}: after prepare"));
 
-            let ca = soa.check_samples(|old, new| new.is_none() && old.is_some_and(hot));
+            let mut checked = Vec::new();
+            let ca = soa.sweep(&mut scripted, &mut checked, None);
+            assert!(checked.iter().all(|(old, new)| old.is_some() && new.is_none()), "{tag}");
             let cb = aos.check_samples(hot);
             assert_eq!(ca, cb, "{tag}: checked count");
             assert_same(&soa, &aos, &format!("{tag}: after check"));
@@ -152,6 +178,7 @@ fn update_ranges_matches_reference_through_target_churn() {
     let mut rng_a = SmallRng::seed_from_u64(99);
     let mut rng_b = SmallRng::seed_from_u64(99);
     let mut scratch = RegionSet::default();
+    let mut scripted = Scripted(|a: u64| a % (3 * PAGE_SIZE) == 0);
 
     let targets: &[&[AddrRange]] = &[
         // Grow at the tail.
@@ -174,9 +201,9 @@ fn update_ranges_matches_reference_through_target_churn() {
     ];
     for (step, target) in targets.iter().enumerate() {
         // Accumulate some per-region state so clipping has counters to keep.
-        soa.prepare_samples(&mut rng_a, |_, _| false);
+        soa.sweep(&mut scripted, &mut Vec::new(), Some(&mut rng_a));
         aos.prepare_samples(&mut rng_b, |_| {});
-        soa.check_samples(|old, _| old.is_some_and(|a| a % (3 * PAGE_SIZE) == 0));
+        soa.sweep(&mut scripted, &mut Vec::new(), None);
         aos.check_samples(|a| a % (3 * PAGE_SIZE) == 0);
         soa.merge_with_aging(2, mb(4), 4);
         aos.merge_with_aging(2, mb(4), 4);

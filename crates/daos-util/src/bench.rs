@@ -85,6 +85,21 @@ impl Harness {
         self.record(name, iters, per_iter)
     }
 
+    /// [`Self::bench_iters`] per unit of work rather than per call: each
+    /// call of `f` returns how many units it did (regions swept, pages
+    /// walked), and a sample's time is divided by their sum.
+    pub fn bench_units(&mut self, name: &str, iters: u64, mut f: impl FnMut() -> u64) -> Timing {
+        assert!(iters >= 1);
+        let per_unit = (0..self.samples)
+            .map(|_| {
+                let t = Instant::now();
+                let units: u64 = (0..iters).map(|_| black_box(f())).sum();
+                t.elapsed().as_nanos() as f64 / units.max(1) as f64
+            })
+            .collect();
+        self.record(name, iters, per_unit)
+    }
+
     /// Time one call of `f` per sample on what an untimed `setup` made
     /// for it; what `f` returns is dropped untimed too.
     pub fn bench_with_setup<S, R>(

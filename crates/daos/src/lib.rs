@@ -57,4 +57,4 @@ pub use fleet::{
 pub use heatmap::{biggest_active_span, Heatmap};
 pub use metrics::{score_inputs, score_vs_baseline, tune_prcl, Normalized, TunedPrcl};
 pub use profile::{Phase, WallProfile};
-pub use session::{RunResult, Session, SessionResult};
+pub use session::{digest, RunResult, Session, SessionResult};

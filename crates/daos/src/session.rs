@@ -81,6 +81,41 @@ impl RunResult {
     }
 }
 
+/// The simulated-state digest of a session's runs: 64-bit FNV-1a over one
+/// line per process — workload, config, machine, runtime, average and peak
+/// RSS, the compact JSON of `stats`, `kstats`, `overhead` and every scheme's
+/// stats, and the record's window count. Equal digests mean the runs
+/// simulated identically, which is what a speed-only change must keep. The
+/// inputs and their rendering are the perf ledger's `sim_digest`, byte for
+/// byte, so the two agree on every run.
+pub fn digest(runs: &[RunResult]) -> u64 {
+    use daos_util::json::ToJson;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for r in runs {
+        let overhead = r.overhead.map(|o| o.to_json().to_string_compact());
+        let schemes: Vec<String> =
+            r.scheme_stats.iter().map(|s| s.to_json().to_string_compact()).collect();
+        let line = format!(
+            "{} {} {}|{} {} {}|{}|{}|{:?}|{:?}|{:?}\n",
+            r.workload,
+            r.config,
+            r.machine,
+            r.runtime_ns,
+            r.avg_rss,
+            r.peak_rss,
+            r.stats.to_json().to_string_compact(),
+            r.kstats.to_json().to_string_compact(),
+            overhead,
+            schemes,
+            r.record.as_ref().map(MonitorRecord::len),
+        );
+        for &b in line.as_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
 /// Everything a session produced: one [`RunResult`] per process (a
 /// single run is `runs.len() == 1`) plus the [`FleetSummary`].
 #[derive(Debug)]

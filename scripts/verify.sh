@@ -446,6 +446,11 @@ peak_rss_check canneal_prcl 6 parsec3/canneal --config prcl
 # region and a Vec per window the record made VmHWM ≈ 9.7 MiB; as one
 # varint stream of ≈ 6 bytes a region (DESIGN §12) it reads ≈ 5.0 MiB.
 peak_rss_check ocean_ncp_rec 7 splash2x/ocean_ncp --config rec
+# ocean_ncp under ethp is the sampling sweep's workload: `monitor` is
+# ≈ 80 % of its wall, nearly all of it the column kernel (DESIGN §12).
+# It keeps no record, so VmHWM is the substrate and the region set:
+# ≈ 3.7 MiB.
+peak_rss_check ocean_ncp_ethp 6 splash2x/ocean_ncp --config ethp
 echo "ok"
 
 echo "== bench fleet: 1k-process tick and run within baseline =="

@@ -154,3 +154,27 @@ fn machines_differ_but_all_complete() {
     // z1d (4 GHz) must beat i3 (3 GHz) on a compute-heavy workload.
     assert!(runtimes[2] < runtimes[0], "z1d {} vs i3 {}", runtimes[2], runtimes[0]);
 }
+
+/// `daos::digest` pinned on two benchmark shapes cut to 2,000 epochs, at
+/// the two seeds the speed-only checks use. The values were recorded before
+/// the column sweep kernel replaced the per-pair sampling loop; a change
+/// that moves one changed what the simulation does, not only how fast. At
+/// full length the same function gives the perf ledger's `sim_digest`
+/// (`run_stream_ethp` 2b7a5891beb492e8, `run_idle_prcl` 1d64c6dda1d628c9
+/// at seed 42).
+#[test]
+fn library_digest_is_pinned_on_short_paper_runs() {
+    let cases = [
+        ("splash2x/ocean_ncp", "ethp", 42, 0xd414_bfc2_0568_e77d_u64),
+        ("splash2x/ocean_ncp", "ethp", 7, 0xf19f_5fb0_529e_a052),
+        ("parsec3/freqmine", "prcl", 42, 0x422b_e8f0_4a89_c5b7),
+        ("parsec3/freqmine", "prcl", 7, 0x1d1c_cf9f_74d8_b17e),
+    ];
+    for (path, config, seed, want) in cases {
+        let cfg = RunConfig::paper_configs().into_iter().find(|c| c.name == config).unwrap();
+        let spec = WorkloadSpec { nr_epochs: 2000, ..daos_workloads::by_path(path).unwrap() };
+        let runs = Session::new(&machine(), &cfg, &spec).seed(seed).execute().unwrap().runs;
+        let got = daos::digest(&runs);
+        assert_eq!(got, want, "{path} under {config}, seed {seed}: {got:#018x}");
+    }
+}

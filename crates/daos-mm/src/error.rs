@@ -44,8 +44,9 @@ impl std::error::Error for MmError {}
 /// machine, naming where: one variant per invariant (DESIGN §5).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AuditError {
-    /// A VMA's counters or canonical form ([`crate::vma::Vma::check_counters`]).
-    VmaCounters { pid: Pid, vma: AddrRange, detail: String },
+    /// A VMA's page table is not in canonical form
+    /// ([`crate::vma::Vma::check_layout`]).
+    VmaLayout { pid: Pid, vma: AddrRange, detail: String },
     /// A resident page's frame is not owned, in the rmap, by that page.
     RmapOwner { pid: Pid, addr: u64, frame: FrameId, owner: Option<(Pid, u64)> },
     /// A process's RSS is not its VMAs' resident pages.
@@ -73,7 +74,7 @@ pub enum AuditError {
 impl core::fmt::Display for AuditError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            AuditError::VmaCounters { pid, vma, detail } => write!(f, "pid {pid} vma {vma}: {detail}"),
+            AuditError::VmaLayout { pid, vma, detail } => write!(f, "pid {pid} vma {vma}: {detail}"),
             AuditError::RmapOwner { pid, addr, frame, owner } => {
                 write!(f, "pid {pid} page {addr:#x} is in frame {frame}, owned by {owner:?}")
             }

@@ -150,6 +150,8 @@ impl Process {
     /// [`Self::find_vma_mut`] for a caller working through neighbouring
     /// addresses: `*at`, the index of the VMA its last address fell in, is
     /// tried before the binary search and updated (see [`PteCursor`]).
+    /// Kept because it pays: `fleet_wide` runs ≈ 4 % slower and sets up
+    /// ≈ 21 % slower without it (DESIGN §12, derived state).
     #[inline]
     pub(crate) fn vma_near(&mut self, at: &mut usize, addr: u64) -> Option<&mut Vma> {
         seek(&self.vmas, at, addr).map(|i| &mut self.vmas[i])

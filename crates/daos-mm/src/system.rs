@@ -189,11 +189,12 @@ impl MemorySystem {
     }
 
     /// Recount what the substrate maintains incrementally, on the live
-    /// machine: every VMA's chunk and VMA counters and canonical form
-    /// ([`Vma::check_counters`]); each process's RSS against its VMAs'
-    /// resident pages; each resident page's frame owned, in the rmap, by
-    /// exactly that `(pid, addr)` — so no frame backs two pages; the
-    /// frames in use against the sum of RSS; the frame allocator's books
+    /// machine: every VMA's page table in canonical form
+    /// ([`Vma::check_layout`]); each process's RSS against the popcount of
+    /// its VMAs' `resident` bitmaps; each resident page's frame owned, in
+    /// the rmap, by exactly that `(pid, addr)` — so no frame backs two
+    /// pages; the frames in use against the sum of RSS; the frame
+    /// allocator's books
     /// ([`FrameAllocator::audit`]: nothing free is owned); and the LRU
     /// (DESIGN §5: every live entry on a resident page, one per page, and
     /// the lists within their bound). O(mapped pages + queued entries):
@@ -204,8 +205,8 @@ impl MemorySystem {
             let pid = proc.pid;
             let mut resident = 0;
             for vma in proc.vmas() {
-                vma.check_counters()
-                    .map_err(|detail| AuditError::VmaCounters { pid, vma: vma.range, detail })?;
+                vma.check_layout()
+                    .map_err(|detail| AuditError::VmaLayout { pid, vma: vma.range, detail })?;
                 resident += vma.nr_resident() as u64;
                 for (addr, pte) in vma.iter_mapped() {
                     let PteState::Resident(frame) = pte.state else { continue };
@@ -934,19 +935,12 @@ impl MemorySystem {
 
     /// Number of resident pages of `pid` within `range`.
     pub fn nr_resident_in(&self, pid: Pid, range: AddrRange) -> u64 {
-        self.resident_addrs_in(pid, range)
-            .map(|v| v.len() as u64)
-            .unwrap_or(0)
+        self.proc(pid).map_or(0, |p| p.vmas().iter().map(|v| v.nr_resident_in(&range)).sum())
     }
 
     /// Number of swapped pages of `pid` within `range`.
     pub fn nr_swapped_in(&self, pid: Pid, range: AddrRange) -> u64 {
-        let Ok(proc) = self.proc(pid) else { return 0 };
-        let mut v = Vec::new();
-        for vma in proc.vmas() {
-            vma.collect_swapped_in(&range, &mut v);
-        }
-        v.len() as u64
+        self.proc(pid).map_or(0, |p| p.vmas().iter().map(|v| v.nr_swapped_in(&range)).sum())
     }
 
     /// Bytes of `pid`'s address space currently huge-mapped.

@@ -15,28 +15,23 @@
 //! O(chunks) pointers instead of O(pages) PTEs, which is what lets
 //! 10⁶–10⁸-page address spaces exist without a dense `Vec<Pte>` per VMA.
 //!
-//! The VMA keeps running totals of resident and swapped pages; a chunk's
-//! own counts are the popcounts of its bitmaps, taken when asked for
-//! ([`Vma::chunk_nr_resident`]). Scans for resident or swapped pages
-//! ([`Vma::collect_resident_in`], [`Vma::collect_swapped_in`]) skip
-//! missing chunks and, inside a chunk, every 64-page word with no bit set
-//! — and so does a scheme's pageout ([`Vma::pageout_in`]), so paging out an
-//! already-evicted region is O(words touched), not O(pages in range).
-//! The totals are kept exact by whoever changes a
-//! page's state — the transition primitives below, and the tests' general
-//! setter [`Vma::with_pte`]; the two touch paths ([`Vma::touch_run`],
-//! [`Vma::touch_resident`]) only set bits of resident pages, and the
-//! monitor's check ([`Vma::clear_accessed`]) only clears one, so they write
-//! in place and leave the totals alone.
+//! The page table is its own count: how many pages of a range, a chunk or
+//! the whole VMA are resident or swapped is a masked popcount of the
+//! bitmaps, taken when asked for ([`Vma::nr_resident_in`]). Those counts,
+//! the scans for resident or swapped pages ([`Vma::collect_resident_in`],
+//! [`Vma::collect_swapped_in`]) and a scheme's pageout ([`Vma::pageout_in`])
+//! skip missing chunks and, inside a chunk, every 64-page word with no bit
+//! set, so paging out an already-evicted region is O(words touched), not
+//! O(pages in range). The huge flags sit on the same chunk grid, one per
+//! slot.
 //!
 //! ## State transitions
 //!
 //! Every library path — fault, reclaim, a scheme's pageout, LRU, THP
 //! promotion and demotion — changes a page's state through five
 //! primitives, each one resolve of the chunk (a range's worth for
-//! `pageout_in`), bit operations on the four bitmaps, writes to
-//! `backing`/`lru_gen`, and the VMA totals moved by exactly what the
-//! transitions move:
+//! `pageout_in`), bit operations on the four bitmaps and writes to
+//! `backing`/`lru_gen`:
 //!
 //! * [`Vma::map_page`] — `None | Swapped → Resident(frame)`, for a fault
 //!   (mapped accessed and touched), or a prefetch or a promotion's filler
@@ -75,7 +70,7 @@
 //! None of them materialises a chunk it does not map a page into, so a
 //! probe of untouched memory stays allocation-free. [`Vma::with_pte`] —
 //! load the page as a [`Pte`], run a closure, scatter it back in
-//! canonical form, account the difference — is no library path's: it is
+//! canonical form — is no library path's: it is
 //! the tests' setter for any state, and `tests/walker_differential.rs`
 //! holds each primitive to the `with_pte` closure it replaced (and
 //! `pageout_in` to `reclaim_page` looped over the resident pages).
@@ -94,9 +89,9 @@
 //! therefore reads and writes words, 64 pages at a time, and never the
 //! per-page arrays.
 //!
-//! A chunk is kept in canonical form, which [`Vma::check_counters`]
-//! recounts: `resident` and `swapped` are disjoint, a page in neither has
-//! `backing == 0`, and the VMA totals equal the popcounts. Derived equality
+//! A chunk is kept in canonical form, which [`Vma::check_layout`]
+//! checks: `resident` and `swapped` are disjoint, and a page in neither
+//! has `backing == 0`. Derived equality
 //! on [`Vma`] is then a logical comparison (a shard stamped from an image
 //! equals one built separately). `accessed`, `touched` and the generation
 //! are stored as written whatever the state, exactly as the fields of a
@@ -118,10 +113,10 @@
 //! the page address is below `range.end`; a resident page gets `accessed`
 //! and `touched` set and is counted (as huge when its chunk is — the flag
 //! is read once per 2 MiB chunk, and is `false` for the partial chunks at
-//! an unaligned VMA's ends); a non-resident page is pushed on the fault
-//! list, in visit order, without being changed; an unmaterialised chunk
-//! queues its whole span without reading a PTE. No state changes, so no
-//! counter moves and no chunk is materialised.
+//! an unaligned VMA's ends, which [`Vma::set_huge`] refuses); a
+//! non-resident page is pushed on the fault list, in visit order, without
+//! being changed; an unmaterialised chunk queues its whole span without
+//! reading a PTE. No state changes, and no chunk is materialised.
 //!
 //! Per chunk the walk is word operations. The *visit mask* of a word has
 //! a bit per page the run visits: the run's pages `[lo, hi)` of the chunk,
@@ -148,11 +143,10 @@
 //! A word operation may assume only what the canonical form gives it: a
 //! bit of `resident` is a page with a frame, whatever its other bits say.
 //!
-//! A flag write still bypasses [`Vma::with_pte`]: setting or clearing
-//! `accessed`/`touched` moves no residency counter, and on an absent chunk
+//! A flag write still bypasses [`Vma::with_pte`]: on an absent chunk
 //! there is no resident page to touch and no set bit to clear, so neither
-//! the load → `f` → store → account round trip nor a materialisation
-//! could change anything the in-place word write does not.
+//! the load → `f` → store round trip nor a materialisation could change
+//! anything the in-place word write does not.
 
 use crate::access::AccessOutcome;
 use crate::addr::{
@@ -311,11 +305,6 @@ impl PteChunk {
     }
 }
 
-/// Set bits in one of a chunk's bitmaps.
-fn popcount(words: &[u64; PT_WORDS]) -> u64 {
-    words.iter().map(|w| w.count_ones() as u64).sum()
-}
-
 /// The set bit positions of `word`, lowest first.
 fn bits(mut word: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -358,12 +347,8 @@ pub struct Vma {
     /// Sparse page table: one optional chunk per aligned 2 MiB span
     /// overlapping the VMA. Slot 0 covers `huge_align_down(range.start)`.
     chunks: Vec<Option<Box<PteChunk>>>,
-    /// Running count of resident PTEs across all chunks.
-    total_resident: u64,
-    /// Running count of swapped PTEs across all chunks.
-    total_swapped: u64,
-    /// Per-aligned-2 MiB-chunk huge flag. Chunk 0 starts at
-    /// `huge_align_up(range.start)`.
+    /// Huge flag per chunk slot, indexed like `chunks`; only a slot the
+    /// VMA covers whole is ever set ([`Vma::set_huge`]).
     huge: Vec<bool>,
 }
 
@@ -374,25 +359,8 @@ impl Vma {
         debug_assert!(!range.is_empty());
         let nr_slots =
             ((huge_align_up(range.end) - huge_align_down(range.start)) / HUGE_PAGE_SIZE) as usize;
-        let nr_chunks = Self::nr_aligned_chunks(&range);
-        Self {
-            range,
-            thp,
-            chunks: (0..nr_slots).map(|_| None).collect(),
-            total_resident: 0,
-            total_swapped: 0,
-            huge: vec![false; nr_chunks],
-        }
-    }
-
-    fn nr_aligned_chunks(range: &AddrRange) -> usize {
-        let start = huge_align_up(range.start);
-        let end = huge_align_down(range.end);
-        if start >= end {
-            0
-        } else {
-            ((end - start) / HUGE_PAGE_SIZE) as usize
-        }
+        let chunks = (0..nr_slots).map(|_| None).collect();
+        Self { range, thp, chunks, huge: vec![false; nr_slots] }
     }
 
     /// Start of the (absolute-aligned) chunk grid.
@@ -423,31 +391,20 @@ impl Vma {
         }
     }
 
-    /// Read-modify-write the PTE covering `addr` through `f`, keeping the
-    /// VMA residency totals exact. The chunk is materialised
-    /// only if `f` actually changes the entry, so probing an untouched
-    /// page stays allocation-free. The tests' setter for any page state:
-    /// the library changes pages only through the transition primitives
-    /// (see the module docs).
+    /// Read-modify-write the PTE covering `addr` through `f`. The chunk is
+    /// materialised only if `f` actually changes the entry, so probing an
+    /// untouched page stays allocation-free. The tests' setter for any
+    /// page state: the library changes pages only through the transition
+    /// primitives (see the module docs).
     pub fn with_pte<R>(&mut self, addr: u64, f: impl FnOnce(&mut Pte) -> R) -> R {
-        let slot = self.slot(addr);
-        let pi = Self::page_in_chunk(addr);
-        if let Some(c) = &mut self.chunks[slot] {
-            let mut pte = c.get(pi);
-            let before = pte.state;
-            let r = f(&mut pte);
-            c.set(pi, pte);
-            self.account(before, pte.state);
-            r
-        } else {
-            let mut pte = Pte::EMPTY;
-            let r = f(&mut pte);
-            if pte != Pte::EMPTY {
-                self.chunks[slot].insert(PteChunk::new()).set(pi, pte);
-                self.account(PteState::None, pte.state);
-            }
-            r
+        let (slot, pi) = (self.slot(addr), Self::page_in_chunk(addr));
+        let chunk = &mut self.chunks[slot];
+        let mut pte = chunk.as_deref().map_or(Pte::EMPTY, |c| c.get(pi));
+        let r = f(&mut pte);
+        if chunk.is_some() || pte != Pte::EMPTY {
+            chunk.get_or_insert_with(PteChunk::new).set(pi, pte);
         }
+        r
     }
 
     /// Whether the page at `addr` is resident at generation `gen`: an LRU
@@ -461,9 +418,9 @@ impl Vma {
     }
 
     /// Clear the accessed bit of the page at `addr`; returns whether it was
-    /// set. A flag write moves no residency counter and an unmaterialised
-    /// chunk holds no set bit, so this writes the bit in place — what
-    /// [`Vma::with_pte`] would conclude after its accounting.
+    /// set. An unmaterialised chunk holds no set bit, so this writes the
+    /// bit in place — what [`Vma::with_pte`] would conclude after its round
+    /// trip.
     #[inline]
     pub fn clear_accessed(&mut self, addr: u64) -> bool {
         let slot = self.slot(addr);
@@ -569,8 +526,8 @@ impl Vma {
             let lo = Self::page_in_chunk(addr);
             let hi = (isect.end.min(chunk_base + HUGE_PAGE_SIZE) - chunk_base)
                 .div_ceil(PAGE_SIZE) as usize;
-            let huge = self.is_huge(chunk_base);
             let slot = self.slot(addr);
+            let huge = self.huge[slot];
             let page = |pi: usize| chunk_base + pi as u64 * PAGE_SIZE;
             let nr = match (self.chunks[slot].as_deref_mut(), periodic) {
                 // The whole chunk at `lo`'s phase: one visit mask for all
@@ -623,7 +580,6 @@ impl Vma {
         let pi = Self::page_in_chunk(addr);
         let (w, bit) = (pi / 64, 1u64 << (pi % 64));
         debug_assert_eq!(c.resident[w] & bit, 0, "map_page over a resident page");
-        let was_swapped = c.swapped[w] & bit != 0;
         c.resident[w] |= bit;
         c.swapped[w] &= !bit;
         let flag = if by_cpu { bit } else { 0 };
@@ -631,10 +587,7 @@ impl Vma {
         c.touched[w] = (c.touched[w] & !bit) | flag;
         c.backing[pi] = frame;
         c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
-        let gen = c.lru_gen[pi];
-        self.total_resident += 1;
-        self.total_swapped -= was_swapped as u64;
-        gen
+        c.lru_gen[pi]
     }
 
     /// Requeue a resident page: bump its generation (invalidating every
@@ -702,8 +655,6 @@ impl Vma {
         c.touched[w] &= !bit;
         c.backing[pi] = swap_slot.0;
         c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
-        self.total_resident -= 1;
-        self.total_swapped += 1;
         Ok(Reclaimed::Evicted(frame))
     }
 
@@ -722,10 +673,7 @@ impl Vma {
         evicted: &mut Vec<(u64, FrameId)>,
         mut store: impl FnMut() -> MmResult<SwapSlot>,
     ) -> MmResult<()> {
-        if self.total_resident == 0 {
-            return Ok(());
-        }
-        let (before, mut result) = (evicted.len(), Ok(()));
+        let mut result = Ok(());
         'chunks: for (slot, chunk_base, lo, hi) in self.spans(range) {
             let Some(c) = self.chunks[slot].as_deref_mut() else { continue };
             for w in lo / 64..hi.div_ceil(64) {
@@ -760,9 +708,6 @@ impl Vma {
                 }
             }
         }
-        let nr = (evicted.len() - before) as u64;
-        self.total_resident -= nr;
-        self.total_swapped += nr;
         result
     }
 
@@ -775,7 +720,6 @@ impl Vma {
         self.set_huge(chunk_addr, false);
         let slot = self.slot(chunk_addr);
         let Some(c) = self.chunks[slot].as_deref_mut() else { return };
-        let before = freed.len();
         for w in 0..PT_WORDS {
             let filler = c.resident[w] & !c.touched[w];
             c.resident[w] &= !filler;
@@ -785,15 +729,6 @@ impl Vma {
                 c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
             }
         }
-        self.total_resident -= (freed.len() - before) as u64;
-    }
-
-    /// Totals fixup for one PTE state transition.
-    fn account(&mut self, before: PteState, after: PteState) {
-        let res = |s: &PteState| matches!(s, PteState::Resident(_)) as i64;
-        let swp = |s: &PteState| matches!(s, PteState::Swapped(_)) as i64;
-        self.total_resident = (self.total_resident as i64 + res(&after) - res(&before)) as u64;
-        self.total_swapped = (self.total_swapped as i64 + swp(&after) - swp(&before)) as u64;
     }
 
     /// Iterate `(page_addr, pte)` over every *mapped* (resident or
@@ -810,18 +745,6 @@ impl Vma {
                     .flat_map(|w| bits(c.resident[w] | c.swapped[w]).map(move |b| w * 64 + b))
                     .map(move |pi| (chunk_base + pi as u64 * PAGE_SIZE, c.get(pi)))
             })
-    }
-
-    /// Number of resident pages (RSS contribution). O(1).
-    #[inline]
-    pub fn nr_resident(&self) -> usize {
-        self.total_resident as usize
-    }
-
-    /// Number of swapped pages. O(1).
-    #[inline]
-    pub fn nr_swapped(&self) -> usize {
-        self.total_swapped as usize
     }
 
     /// The chunk slots `range ∩ vma` overlaps, ascending, each with its
@@ -847,17 +770,13 @@ impl Vma {
     /// `out`, in address order. Missing chunks are skipped, and so is
     /// every 64-page word with no resident page.
     pub fn collect_resident_in(&self, range: &AddrRange, out: &mut Vec<u64>) {
-        if self.total_resident > 0 {
-            self.collect_in(range, out, |c| &c.resident);
-        }
+        self.collect_in(range, out, |c| &c.resident);
     }
 
     /// Push the addresses of all swapped pages in `range ∩ vma` onto
     /// `out`, in address order, skipping swap-free words the same way.
     pub fn collect_swapped_in(&self, range: &AddrRange, out: &mut Vec<u64>) {
-        if self.total_swapped > 0 {
-            self.collect_in(range, out, |c| &c.swapped);
-        }
+        self.collect_in(range, out, |c| &c.swapped);
     }
 
     /// The pages of `range ∩ vma` whose bit is set in the bitmap `of`
@@ -877,23 +796,48 @@ impl Vma {
         }
     }
 
-    /// Pages of the aligned 2 MiB chunk at `chunk_addr` whose bit is set
-    /// in the bitmap `of` picks: eight popcounts — the page-table chunk
-    /// grid coincides with the THP chunk grid.
-    fn chunk_count(&self, chunk_addr: u64, of: impl Fn(&PteChunk) -> &[u64; PT_WORDS]) -> u64 {
-        debug_assert_eq!(chunk_addr % HUGE_PAGE_SIZE, 0);
-        let chunk = self.chunks.get(self.slot(chunk_addr)).and_then(|c| c.as_deref());
-        chunk.map_or(0, |c| popcount(of(c)))
+    /// How many pages of `range ∩ vma` have their bit set in the bitmap
+    /// `of` picks: a masked popcount per word, over the same spans and
+    /// words as [`Vma::collect_resident_in`].
+    fn count_in(&self, range: &AddrRange, of: impl Fn(&PteChunk) -> &[u64; PT_WORDS]) -> u64 {
+        let mut nr = 0;
+        for (slot, _, lo, hi) in self.spans(range) {
+            let Some(c) = self.chunks[slot].as_deref() else { continue };
+            let word = |w: usize| (of(c)[w] & word_mask(w, lo, hi)).count_ones() as u64;
+            nr += (lo / 64..hi.div_ceil(64)).map(word).sum::<u64>();
+        }
+        nr
     }
 
-    /// Resident pages in the aligned 2 MiB chunk at `chunk_addr`.
+    /// Resident pages in `range ∩ vma`.
+    pub fn nr_resident_in(&self, range: &AddrRange) -> u64 {
+        self.count_in(range, |c| &c.resident)
+    }
+
+    /// Swapped pages in `range ∩ vma`.
+    pub fn nr_swapped_in(&self, range: &AddrRange) -> u64 {
+        self.count_in(range, |c| &c.swapped)
+    }
+
+    /// Resident pages in the VMA: its RSS contribution.
+    pub fn nr_resident(&self) -> usize {
+        self.nr_resident_in(&self.range) as usize
+    }
+
+    /// Swapped pages in the VMA.
+    pub fn nr_swapped(&self) -> usize {
+        self.nr_swapped_in(&self.range) as usize
+    }
+
+    /// Resident pages in the aligned 2 MiB chunk at `chunk_addr` (the
+    /// page-table chunk grid coincides with the THP chunk grid).
     pub fn chunk_nr_resident(&self, chunk_addr: u64) -> u64 {
-        self.chunk_count(chunk_addr, |c| &c.resident)
+        self.nr_resident_in(&AddrRange::new(chunk_addr, chunk_addr + HUGE_PAGE_SIZE))
     }
 
     /// Swapped pages in the aligned 2 MiB chunk at `chunk_addr`.
     pub fn chunk_nr_swapped(&self, chunk_addr: u64) -> u64 {
-        self.chunk_count(chunk_addr, |c| &c.swapped)
+        self.nr_swapped_in(&AddrRange::new(chunk_addr, chunk_addr + HUGE_PAGE_SIZE))
     }
 
     /// The pages of the aligned 2 MiB chunk at `chunk_addr` that are not
@@ -909,44 +853,28 @@ impl Vma {
 
     // ---- huge-page chunk bookkeeping -------------------------------
 
-    /// Address of the first 2 MiB-aligned chunk, if any fits.
-    pub fn first_chunk_addr(&self) -> Option<u64> {
-        let start = huge_align_up(self.range.start);
-        (start + HUGE_PAGE_SIZE <= self.range.end).then_some(start)
+    /// Whether the page at `addr` is huge-mapped: it is inside the VMA and
+    /// its chunk slot is flagged.
+    pub fn is_huge(&self, addr: u64) -> bool {
+        self.range.contains(addr) && self.huge[self.slot(addr)]
     }
 
-    /// Chunk index for a huge-aligned address inside the VMA.
-    fn chunk_idx(&self, chunk_addr: u64) -> Option<usize> {
-        let first = self.first_chunk_addr()?;
-        if chunk_addr < first || chunk_addr + HUGE_PAGE_SIZE > self.range.end {
-            return None;
-        }
-        debug_assert_eq!(chunk_addr % HUGE_PAGE_SIZE, 0);
-        Some(((chunk_addr - first) / HUGE_PAGE_SIZE) as usize)
-    }
-
-    /// Whether the aligned chunk at `chunk_addr` is currently huge-mapped.
-    pub fn is_huge(&self, chunk_addr: u64) -> bool {
-        self.chunk_idx(huge_align_down(chunk_addr))
-            .map(|i| self.huge[i])
-            .unwrap_or(false)
-    }
-
-    /// Mark a chunk huge (true) or split (false). Returns previous state,
-    /// or `None` if no aligned chunk exists there.
+    /// Mark the aligned 2 MiB chunk at `chunk_addr` huge (true) or split
+    /// (false). Returns the previous state, or `None`, changing nothing,
+    /// unless the VMA covers the chunk whole.
     pub fn set_huge(&mut self, chunk_addr: u64, huge: bool) -> Option<bool> {
-        let i = self.chunk_idx(chunk_addr)?;
-        Some(std::mem::replace(&mut self.huge[i], huge))
+        let whole = chunk_addr.is_multiple_of(HUGE_PAGE_SIZE)
+            && self.range.start <= chunk_addr
+            && chunk_addr + HUGE_PAGE_SIZE <= self.range.end;
+        let slot = whole.then(|| self.slot(chunk_addr))?;
+        Some(std::mem::replace(&mut self.huge[slot], huge))
     }
 
     /// Iterate addresses of all aligned 2 MiB chunks inside `range ∩ vma`.
-    pub fn chunks_in(&self, range: &AddrRange) -> impl Iterator<Item = u64> + '_ {
+    pub fn chunks_in(&self, range: &AddrRange) -> impl Iterator<Item = u64> + use<> {
         let isect = self.range.intersect(range).unwrap_or(AddrRange::empty());
         let first = huge_align_up(isect.start);
-        let last = huge_align_down(isect.end);
-        (first..last.max(first))
-            .step_by(HUGE_PAGE_SIZE as usize)
-            .filter(move |a| self.chunk_idx(*a).is_some())
+        (first..huge_align_down(isect.end).max(first)).step_by(HUGE_PAGE_SIZE as usize)
     }
 
     /// Bytes of this VMA currently mapped by huge chunks.
@@ -954,11 +882,9 @@ impl Vma {
         self.huge.iter().filter(|h| **h).count() as u64 * HUGE_PAGE_SIZE
     }
 
-    /// The layout invariant, recounted: `Err` says what is wrong unless
-    /// every chunk is in canonical form ("PTE layout" in the module docs)
-    /// and the running totals match a recount from the bitmaps.
-    pub fn check_counters(&self) -> Result<(), String> {
-        let (mut resident, mut swapped) = (0u64, 0u64);
+    /// The layout invariant: `Err` says which chunk word breaks it unless
+    /// every chunk is in canonical form ("PTE layout" in the module docs).
+    pub fn check_layout(&self) -> Result<(), String> {
         for (slot, c) in self.chunks.iter().enumerate() {
             let Some(c) = c.as_deref() else { continue };
             for w in 0..PT_WORDS {
@@ -969,12 +895,6 @@ impl Vma {
                     return Err(format!("chunk {slot} word {w}: an unmapped page keeps a backing"));
                 }
             }
-            resident += popcount(&c.resident);
-            swapped += popcount(&c.swapped);
-        }
-        if (self.total_resident, self.total_swapped) != (resident, swapped) {
-            let kept = (self.total_resident, self.total_swapped);
-            return Err(format!("totals {kept:?}, the bitmaps hold {:?}", (resident, swapped)));
         }
         Ok(())
     }
@@ -1042,7 +962,7 @@ mod tests {
         vma.with_pte(b, |p| p.state = PteState::None);
         assert_eq!(vma.nr_resident(), 0);
         assert_eq!(vma.nr_swapped(), 0);
-        vma.check_counters().unwrap();
+        vma.check_layout().unwrap();
     }
 
     #[test]
@@ -1054,7 +974,7 @@ mod tests {
         assert!(vma.touch_resident(mb(1)));
         let pte = vma.pte(mb(1));
         assert!(pte.accessed && pte.touched, "touch sets the accessed and touched bits");
-        vma.check_counters().unwrap();
+        vma.check_layout().unwrap();
     }
 
     #[test]
@@ -1070,7 +990,7 @@ mod tests {
         out.clear();
         vma.collect_resident_in(&AddrRange::new(mb(2), mb(6)), &mut out);
         assert!(out.is_empty());
-        vma.check_counters().unwrap();
+        vma.check_layout().unwrap();
     }
 
     #[test]
@@ -1106,7 +1026,7 @@ mod tests {
     fn chunk_accounting_aligned_vma() {
         let vma = Vma::new(AddrRange::new(mb(2), mb(8)), ThpMode::Always);
         assert_eq!(nr_chunks(&vma), 3);
-        assert_eq!(vma.first_chunk_addr(), Some(mb(2)));
+        assert_eq!(vma.chunks_in(&vma.range).next(), Some(mb(2)));
     }
 
     #[test]
@@ -1114,15 +1034,61 @@ mod tests {
         // [1 MiB, 6 MiB): aligned chunks are [2,4) and [4,6) → 2 chunks.
         let vma = Vma::new(AddrRange::new(mb(1), mb(6)), ThpMode::Always);
         assert_eq!(nr_chunks(&vma), 2);
-        assert_eq!(vma.first_chunk_addr(), Some(mb(2)));
+        assert_eq!(vma.chunks_in(&vma.range).next(), Some(mb(2)));
     }
 
     #[test]
     fn tiny_vma_has_no_chunks() {
-        let vma = Vma::new(AddrRange::new(mb(1), mb(1) + PAGE_SIZE), ThpMode::Always);
+        let mut vma = Vma::new(AddrRange::new(mb(1), mb(1) + PAGE_SIZE), ThpMode::Always);
         assert_eq!(nr_chunks(&vma), 0);
-        assert_eq!(vma.first_chunk_addr(), None);
+        assert_eq!(vma.set_huge(0, true), None);
         assert!(!vma.is_huge(mb(1)));
+    }
+
+    #[test]
+    fn thp_flags_only_on_whole_chunks_of_an_unaligned_vma() {
+        // [1 MiB, 7 MiB): slots [0,2) and [6,8) are partial, [2,4) and
+        // [4,6) whole. Every page resident, the chunk at 4 MiB huge.
+        let mut vma = Vma::new(AddrRange::new(mb(1), mb(7)), ThpMode::Always);
+        for (frame, addr) in vma.range.pages().enumerate() {
+            vma.map_page(addr, frame as FrameId + 1, false);
+        }
+        assert_eq!(vma.set_huge(0, true), None, "partial first slot");
+        assert_eq!(vma.set_huge(mb(6), true), None, "partial last slot");
+        assert_eq!(vma.set_huge(mb(4), true), Some(false));
+        let partial = AddrRange::new(0, mb(2)).pages().chain(AddrRange::new(mb(6), mb(8)).pages());
+        for addr in partial {
+            assert!(!vma.is_huge(addr), "{addr:#x} is in a partial slot");
+        }
+        assert!(!vma.is_huge(mb(8)), "past the last slot");
+        let mut out = AccessOutcome::default();
+        let mut faults = Vec::new();
+        let range = vma.range;
+        vma.touch_run(&range, 1, &mut faults, &mut out);
+        assert!(faults.is_empty());
+        assert_eq!(out.touched_pages, vma.range.nr_pages());
+        assert_eq!(out.touched_huge, PAGES_PER_HUGE, "only the huge chunk's pages");
+    }
+
+    #[test]
+    fn check_layout_finds_a_broken_chunk() {
+        let fresh = || {
+            let mut vma = Vma::new(AddrRange::new(mb(2), mb(4)), ThpMode::Never);
+            vma.with_pte(mb(2), |p| p.state = PteState::Resident(5));
+            vma.check_layout().unwrap();
+            vma
+        };
+        fn chunk(vma: &mut Vma) -> &mut PteChunk {
+            vma.chunks[0].as_deref_mut().unwrap()
+        }
+
+        let mut both = fresh();
+        chunk(&mut both).swapped[0] |= 1;
+        assert!(both.check_layout().unwrap_err().contains("resident and swapped"));
+
+        let mut stale = fresh();
+        chunk(&mut stale).backing[3] = 9;
+        assert!(stale.check_layout().unwrap_err().contains("keeps a backing"));
     }
 
     #[test]

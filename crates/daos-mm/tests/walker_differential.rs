@@ -9,7 +9,7 @@
 //! mid-page, outside every VMA, or straddle several, at strides from 1 to
 //! 700 pages (past 512 a stride skips whole chunks). They must agree on
 //! the outcome counters, the fault list element for element, every PTE
-//! bit, and leave the residency counters exact. The walker works a
+//! bit, and the residency counts. The walker works a
 //! 64-page word at a time, so the generators aim at the word arithmetic:
 //! strides that divide 64, strides that do not, strides of a chunk and
 //! more (`STRIDES`), and runs that start and end on the first, second and
@@ -172,12 +172,11 @@ fn edge_range(rng: &mut SmallRng, vma: &Vma, stride: u32) -> AddrRange {
     AddrRange::new(lo * PAGE_SIZE, hi.max(lo + 1) * PAGE_SIZE)
 }
 
-/// The layout invariants (`Vma::check_counters`: canonical form, counters
-/// equal to popcounts), and the residency counters against a rescan
-/// through the public API: the totals, the per-chunk counters, and the
-/// collecting scans.
-fn check_counters(vma: &Vma) {
-    vma.check_counters().unwrap();
+/// The layout invariant (`Vma::check_layout`: canonical form), and the
+/// residency counts — popcounts of the bitmaps — against a rescan through
+/// the public API: the VMA's, each chunk's, and the collecting scans.
+fn check_counts(vma: &Vma) {
+    vma.check_layout().unwrap();
     let everything = AddrRange::new(0, u64::MAX);
     let resident: Vec<u64> =
         vma.iter_mapped().filter(|(_, p)| p.is_resident()).map(|(a, _)| a).collect();
@@ -202,7 +201,7 @@ fn check_counters(vma: &Vma) {
 /// The same pages, and — `Vma ==` compares the chunk table, and an
 /// unmapped page keeps no backing — the same materialised chunks: a fresh
 /// VMA given the model's chunks and entries is the real one. Then the
-/// counters, against a rescan.
+/// counts, against a rescan.
 fn assert_same_table(real: &Vma, model: &ModelVma, seed: u64) {
     let range = real.range;
     let mut rebuilt = Vma::new(range, real.thp);
@@ -219,7 +218,7 @@ fn assert_same_table(real: &Vma, model: &ModelVma, seed: u64) {
         rebuilt.set_huge(chunk, model.is_huge(chunk));
     }
     assert!(*real == rebuilt, "seed {seed}: the materialised chunks differ from the model's");
-    check_counters(real);
+    check_counts(real);
 }
 
 /// Walk `range` at `stride` with the walker and with the oracle; `all`
@@ -240,7 +239,7 @@ fn compare(vmas: &[Vma], range: &AddrRange, stride: u32, all: bool, what: &str) 
     assert_eq!(faults_w, faults_l, "{what}: fault list");
     for (i, (w, l)) in walked.iter().zip(&looped).enumerate() {
         assert!(w == l, "{what}: vma {i} {} differs after the walk", w.range);
-        check_counters(w);
+        check_counts(w);
     }
     // The walk only sets bits of resident pages: residency is as before.
     for (w, before) in walked.iter().zip(vmas) {
@@ -469,7 +468,7 @@ proptest! {
             // no chunk materialised by a probe.
             for (i, (s, l)) in swept.iter().zip(&looked_up).enumerate() {
                 assert!(s == l, "seed {seed} {order}: vma {i} {} differs after the sweep", s.range);
-                check_counters(s);
+                check_counts(s);
             }
         }
     }
@@ -508,7 +507,7 @@ proptest! {
             prop_assert_eq!(&draws_s, &draws_l, "{}: rng state", what);
             for (i, (s, l)) in swept.iter().zip(&looped).enumerate() {
                 assert!(s == l, "{what}: vma {i} {} differs after the sweep", s.range);
-                check_counters(s);
+                check_counts(s);
             }
             // The workload between two ticks: the same pages touched on both.
             let range = random_range(&mut rng, &vmas);
@@ -597,7 +596,7 @@ proptest! {
                     for chunk in real.chunks_in(&everything).collect::<Vec<_>>() {
                         let counts = (real.chunk_nr_resident(chunk), real.chunk_nr_swapped(chunk));
                         let want = (model.chunk_nr_resident(chunk), model.chunk_nr_swapped(chunk));
-                        prop_assert_eq!(counts, want, "{}: chunk {:#x} counters", what, chunk);
+                        prop_assert_eq!(counts, want, "{}: chunk {:#x} counts", what, chunk);
                         if rng.random::<f32>() < 0.3 {
                             let huge = !real.is_huge(chunk);
                             real.set_huge(chunk, huge);
@@ -622,7 +621,7 @@ proptest! {
     /// holding touched and untouched pages. Same return values, freed
     /// frames and evicted `(addr, frame)` lists in order, the same calls to
     /// `store`, and afterwards the same pages, the same materialised chunks
-    /// and exact counters.
+    /// and exact counts.
     fn transitions_match_the_with_pte_closures(seed in 0u64..1_000_000) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let start = 64 * HUGE_PAGE_SIZE + rng.random_range(0..600u64) * PAGE_SIZE;
@@ -708,7 +707,7 @@ proptest! {
                     for a in paged.pages() {
                         prop_assert_eq!(real.pte(a), model.pte(a), "{}: page {:#x}", what, a);
                     }
-                    real.check_counters().unwrap();
+                    real.check_layout().unwrap();
                     next_slot = next_slot.wrapping_add(stores_r);
                 }
                 90..95 => {
@@ -729,7 +728,7 @@ proptest! {
                         (model.chunk_nr_resident(chunk), model.is_huge(chunk)),
                         "{}: split_huge {:#x} chunk state", what, chunk
                     );
-                    real.check_counters().unwrap();
+                    real.check_layout().unwrap();
                 }
                 _ => {
                     let (hit, want) = (real.touch_resident(addr), model.touch_resident(addr));

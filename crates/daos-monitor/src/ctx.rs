@@ -28,7 +28,9 @@ pub struct MonitorCtx<P: Primitives> {
     prim: P,
     regions: RegionSet,
     /// The set `split` and `update_ranges` rebuild into, kept so a
-    /// boundary reuses its columns instead of allocating new ones.
+    /// boundary reuses its columns instead of allocating new ones. Kept
+    /// because it pays: `fig7_grid` peaks ≈ 0.3 MiB higher without it
+    /// (DESIGN §12, derived state).
     scratch: RegionSet,
     rng: SmallRng,
     next_sample: Ns,

@@ -9,9 +9,9 @@
 //! The monitor's per-tick loops touch one or two of those fields for
 //! every region; packing each field contiguously keeps the hot loops in
 //! cache and turns merge/split/update into index walks instead of
-//! 48-byte struct moves. Total coverage is maintained incrementally so
-//! `total_bytes` is O(1) — the adaptive `sz_limit` computation at every
-//! aggregation boundary no longer rescans the set.
+//! 48-byte struct moves. The columns are the only state: total coverage
+//! ([`RegionSet::total_bytes`]) is summed when asked for, once per
+//! aggregation window over at most `max_nr_regions` regions.
 //!
 //! Semantics are pinned to the reference array-of-structs implementation
 //! in `tests/reference/` by differential tests; `split` and `sweep`
@@ -73,8 +73,6 @@ pub struct RegionSet {
     ages: Vec<u32>,
     /// Outstanding sample address per region; [`NO_SAMPLE`] when none.
     sampling: Vec<u64>,
-    /// Incrementally maintained sum of region sizes.
-    total_bytes: u64,
 }
 
 impl RegionSet {
@@ -104,7 +102,6 @@ impl RegionSet {
         self.last_nr_accesses.push(0);
         self.ages.push(0);
         self.sampling.push(NO_SAMPLE);
-        self.total_bytes += end - start;
     }
 
     fn append_evenly(&mut self, range: AddrRange, pieces: usize) {
@@ -131,9 +128,9 @@ impl RegionSet {
         self.starts.is_empty()
     }
 
-    /// Total monitored bytes. O(1) — maintained incrementally.
+    /// Total monitored bytes, summed over the regions.
     pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
+        self.starts.iter().zip(&self.ends).map(|(s, e)| e - s).sum()
     }
 
     /// Materialise region `i` (testing / diagnostics).
@@ -256,12 +253,6 @@ impl RegionSet {
         self.sampling.truncate(n);
     }
 
-    /// Empty the set, keeping the columns' capacity.
-    fn clear(&mut self) {
-        self.truncate(0);
-        self.total_bytes = 0;
-    }
-
     /// The random splitting pass, run once per aggregation interval.
     ///
     /// Each region is split into 2 (or 3, when far below the cap) pieces
@@ -281,7 +272,7 @@ impl RegionSet {
         // Kernel heuristic: aim for 3 pieces while clearly below the cap.
         let nr_pieces = if nr * 3 <= max_nr { 3 } else { 2 };
         let out = scratch;
-        out.clear();
+        out.truncate(0);
         out.reserve(nr * nr_pieces);
         let mut total = nr;
         for i in 0..nr {
@@ -331,7 +322,6 @@ impl RegionSet {
         self.last_nr_accesses.push(last);
         self.ages.push(age);
         self.sampling.push(sample);
-        self.total_bytes += end - start;
     }
 
     /// Adapt the region set to a changed set of target ranges (the
@@ -351,7 +341,7 @@ impl RegionSet {
         );
         let n = self.len();
         let out = scratch;
-        out.clear();
+        out.truncate(0);
         out.reserve(n);
         let mut ri = 0usize;
         for range in new_ranges.iter().filter(|r| !r.is_empty()) {
@@ -428,9 +418,8 @@ impl RegionSet {
         checks
     }
 
-    /// Debug invariant: sorted, non-overlapping, non-empty regions, every
-    /// outstanding sample a page of its region, and a consistent
-    /// incremental byte total.
+    /// Debug invariant: sorted, non-overlapping, non-empty regions, and
+    /// every outstanding sample a page of its region.
     pub fn check_invariants(&self) -> Result<(), String> {
         for i in 1..self.len() {
             if self.ends[i - 1] > self.starts[i] {
@@ -457,13 +446,6 @@ impl RegionSet {
             if sample != NO_SAMPLE && !in_region {
                 return Err(format!("sample {sample:#x} outside its region [{start:#x}, {end:#x})"));
             }
-        }
-        let sum: u64 = (0..self.len()).map(|i| self.ends[i] - self.starts[i]).sum();
-        if sum != self.total_bytes {
-            return Err(format!(
-                "total_bytes drift: cached {} actual {sum}",
-                self.total_bytes
-            ));
         }
         Ok(())
     }

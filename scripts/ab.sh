@@ -14,7 +14,10 @@
 # quartiles over the pairs, how many pairs B won and tied, and whether
 # B's median beats A's by more than A's own interquartile distance —
 # then whether the two sides' `sim_digest`s agree at seed 42 and at
-# seed 7 (a speed-only claim must hold at both). Exits 1 if any
+# seed 7 (a speed-only claim must hold at both). First it prints each
+# package's `live_loc` for A and B and the difference, both trees read by
+# B's `daos-lint --json`, so a refactor's line count comes from the same
+# command as its speed and digest tables. Exits 1 if any
 # workload had a failed run or a differing digest at either seed (the
 # change moved behaviour, and the timings compare two different
 # programs), after every workload has run. So a perf PR's claim table and its "must not
@@ -44,6 +47,19 @@ cargo build --release --offline --quiet --manifest-path "$a_root/$ledger/Cargo.t
 cargo build --release --offline --quiet --manifest-path "$ledger/Cargo.toml"
 a_bin=$PWD/$a_root/$ledger/target/release/ledger
 b_bin=$PWD/$ledger/target/release/ledger
+
+# live_loc ROOT: one "package:lines" line per package of the tree at ROOT,
+# sorted (the lint exits non-zero on a finding; its report still prints).
+cargo build --release --offline --quiet -p daos-lint
+live_loc() {
+    target/release/daos-lint --json --root "$1" 2> /dev/null \
+        | sed -n 's/.*"live_loc":{\([^}]*\)}.*/\1/p' | tr ',' '\n' | tr -d '"' | LC_ALL=C sort
+}
+live_loc "$a_root" > "$scratch/a.loc"
+live_loc . > "$scratch/b.loc"
+printf '\n%-42s %8s %8s %8s\n' live_loc A B B-A
+LC_ALL=C join -t: -a1 -a2 -e0 -o 0,1.2,2.2 "$scratch/a.loc" "$scratch/b.loc" \
+    | awk -F: '{ printf "%-42s %8d %8d %+8d\n", $1, $2, $3, $3 - $2 }'
 
 # The end-to-end metrics and which way is better, from BENCHMARK.json.
 metrics=$(sed -n '/"end_to_end"/,/\]/p' BENCHMARK.json \

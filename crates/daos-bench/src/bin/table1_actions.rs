@@ -43,7 +43,7 @@ fn demonstrate(action: Action) -> String {
         sys.pageout(pid, range).unwrap();
         sys.pageout(pid, range).unwrap();
     }
-    let pass = engine.on_aggregation(&mut sys, &agg(range));
+    engine.on_aggregation(&mut sys, &agg(range));
     match action {
         Action::Willneed => format!(
             "swapped-out region prefetched back: RSS 0 -> {} MiB",
@@ -71,12 +71,12 @@ fn demonstrate(action: Action) -> String {
             "RSS {} MiB -> {} MiB ({} MiB paged out)",
             rss_before,
             sys.rss_bytes(pid) >> 20,
-            pass.paged_out >> 20
+            engine.stats()[0].sz_applied >> 20
         ),
         Action::Stat => format!(
             "counted {} regions / {} MiB, memory untouched (RSS still {} MiB)",
-            pass.stat_regions,
-            pass.stat_bytes >> 20,
+            engine.stats()[0].nr_applied,
+            engine.stats()[0].sz_applied >> 20,
             sys.rss_bytes(pid) >> 20
         ),
         Action::LruPrio | Action::LruDeprio => format!(

@@ -36,13 +36,14 @@ SUBCOMMANDS:
                               /healthz /statusz /query while the run
                               executes
         [--publish-every N] [--ring N] [--linger]
+                              (these three need --serve)
         [--profile-wall]      print host wall time per engine phase
     top <ADDR | workload>     live dashboard (WSS sparkline, hottest
         regions, scheme state, span latencies); ADDR attaches to a
         served run's endpoint, a workload name runs it in-process
         [--refresh MS] [--iterations N] [--plain]
         [--config ...] [--machine ...] [--seed N] [--epochs N]
-        [--ring N] [--publish-every N]
+        [--ring N] [--publish-every N]  (these six: a workload only)
     record <workload>         monitor a workload, write every aggregation
         window as trace JSONL (default daos.record.jsonl)
         [--machine i3|m5d|z1d] [--paddr] [--seed N] [--out FILE]
@@ -64,6 +65,7 @@ SUBCOMMANDS:
         [--config baseline|rec|prec|thp|ethp|prcl|damon_reclaim]
         [--ring N] [--epochs N] [--machine ...] [--seed N] [--out FILE]
         [--serve ADDR] [--publish-every N] [--linger]
+                              (the last two need --serve)
     tune <workload>           auto-tune the prcl scheme's min_age
         [--range LO:HI] [--samples N] [--machine ...] [--seed N]
     fleet                     the serverless production scenario at
@@ -73,10 +75,12 @@ SUBCOMMANDS:
         [--tenants N] [--footprint MIB] [--ring N]
         [--config baseline|rec|prec|thp|ethp|prcl|damon_reclaim]
         [--swap zram|file|none] [--min-age SECONDS]
-        [--machine i3|m5d|z1d] [--seed N]
-        [--serve ADDR] [--publish-every N] [--linger] [--profile-wall]
+        [--machine i3|m5d|z1d] [--seed N] [--profile-wall]
+        [--serve ADDR] [--publish-every N] [--linger]
+                              (the last two need --serve)
 
-Every command is deterministic under a fixed --seed.
+Every command is deterministic under a fixed --seed. A served run's status
+lines go to stderr, so stdout holds only the command's output.
 ";
 
 /// The lines of subcommand `sub`'s [`USAGE`] block (none for an unknown

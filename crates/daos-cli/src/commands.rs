@@ -1,7 +1,13 @@
-//! Subcommand implementations.
+//! Subcommand implementations. Every subcommand that runs a workload —
+//! `run`, `trace`, `record`, `schemes`, `fleet` and `top <workload>` —
+//! resolves its inputs once into a `Launch` and hands it to
+//! `execute`, the one place that installs a trace collector, binds
+//! `--serve`, attaches a publisher and runs the [`Session`].
 
 use std::fs;
+use std::io::Write;
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -13,7 +19,9 @@ use daos_mm::clock::sec;
 use daos_mm::{MachineProfile, SwapConfig};
 use daos_obs::{Dashboard, FleetPublisher, ObsServer, ObsSnapshot, Publisher};
 use daos_schemes::{parse_scheme_line, parse_schemes};
+use daos_trace::{Collector, DEFAULT_RING_CAPACITY};
 use daos_tuner::TunerConfig;
+use daos_util::json::{FromJson, ToJson};
 use daos_workloads::{by_path, paper_suite, FleetConfig, WorkloadSpec};
 
 use crate::args::Args;
@@ -31,6 +39,122 @@ fn named_config(name: &str) -> Result<RunConfig, DaosError> {
     RunConfig::by_name(name).ok_or_else(|| {
         DaosError::usage(format!("unknown config '{name}' ({})", RunConfig::names().join(" | ")))
     })
+}
+
+/// A usage error naming the first of the options `keys` that `args`
+/// holds: there, each would do nothing, `why`.
+fn reject(args: &Args, keys: &[&str], why: &str) -> Result<(), DaosError> {
+    match keys.iter().find(|&&key| args.opt(key).is_some() || args.flag(key)) {
+        Some(key) => Err(DaosError::usage(format!("--{key} does nothing {why}"))),
+        None => Ok(()),
+    }
+}
+
+/// What a subcommand runs, resolved from its arguments once.
+struct Launch {
+    /// The workload, with `--epochs` applied.
+    spec: WorkloadSpec,
+    machine: MachineProfile,
+    config: RunConfig,
+    seed: u64,
+    fleet: FleetSpec,
+}
+
+impl Launch {
+    /// One process of the workload `args` names, cut to `--epochs`, under
+    /// `--config` or else `config`, on `--machine` with `--seed`.
+    fn of(args: &Args, config: RunConfig) -> Result<Launch, DaosError> {
+        let mut spec = lookup(args)?;
+        spec.nr_epochs = args.opt_count("epochs", spec.nr_epochs)?.min(spec.nr_epochs);
+        let config = match args.opt("config") {
+            Some(name) => named_config(name)?,
+            None => config,
+        };
+        let (machine, seed) = (args.machine()?, args.seed()?);
+        Ok(Launch { spec, machine, config, seed, fleet: FleetSpec::new(1) })
+    }
+}
+
+/// What [`execute`] hands back.
+struct Ran {
+    result: SessionResult,
+    /// The collector the run traced into, taken back.
+    collector: Option<Collector>,
+    /// The `--serve` endpoint, still serving the final snapshot.
+    server: Option<ObsServer>,
+}
+
+/// Run `launch` to completion: the one place the CLI builds a
+/// [`Session`]. With `ring`, a trace collector of that capacity is
+/// installed on the calling thread for the run and taken back on every
+/// exit path. With `--serve ADDR`, an [`ObsServer`] over `publisher` (a
+/// new one if `None`) is bound there first. Given either, a
+/// [`FleetPublisher`] publishes the run every `--publish-every` ticks and
+/// its final snapshot; the collector lends it its registry and ring tail.
+fn execute(
+    args: &Args,
+    launch: &Launch,
+    ring: Option<usize>,
+    mut publisher: Option<Publisher>,
+) -> Result<Ran, DaosError> {
+    let publish_every: u64 = args.opt_count("publish-every", 1)?;
+    let server = match (args.opt("serve"), publisher.is_some()) {
+        (Some(addr), _) => {
+            let publisher = publisher.get_or_insert_with(Publisher::new).clone();
+            let server =
+                ObsServer::bind(addr, publisher).map_err(|e| DaosError::io(addr, e))?;
+            // Status goes to stderr: stdout may be the trace itself.
+            eprintln!("serving observability on {}", server.addr());
+            Some(server)
+        }
+        (None, true) => None,
+        (None, false) => {
+            reject(args, &["publish-every", "linger"], "without --serve")?;
+            None
+        }
+    };
+    let mut obs = publisher.map(|publisher| {
+        let (config, machine) = (&launch.config.name, &launch.machine.name);
+        FleetPublisher::new(publisher, config, &launch.spec.path_name(), machine, publish_every)
+    });
+    let mut session = Session::new(&launch.machine, &launch.config, &launch.spec)
+        .seed(launch.seed)
+        .fleet(launch.fleet.clone())
+        .profile_wall(args.flag("profile-wall"));
+    if let Some(obs) = &mut obs {
+        session = session.fleet_observer(obs);
+    }
+    if let Some(ring) = ring {
+        daos_trace::install(Collector::builder().ring_capacity(ring).build()?)?;
+    }
+    let ran = session.execute();
+    if let (Ok(result), Some(obs)) = (&ran, &mut obs) {
+        obs.finalize(result.fleet.as_ref().expect("every session carries a summary"));
+    }
+    // Taken back even if the run failed, so a retry on this thread does
+    // not hit AlreadyInstalled.
+    let collector = ring.and_then(|_| daos_trace::take());
+    // Once, with the final count: not per publish or export, which would
+    // repeat the warning with stale numbers.
+    if let Some(ring) = collector.as_ref().map(Collector::ring).filter(|r| r.dropped() > 0) {
+        eprintln!(
+            "warning: ring overflowed — {} events dropped (capacity {}); \
+             re-run with a larger --ring to keep the full stream",
+            ring.dropped(),
+            ring.capacity()
+        );
+    }
+    Ok(Ran { result: ran?, collector, server })
+}
+
+/// With `--linger`, keep `server` serving the final snapshot until the
+/// process is killed (how `scripts/verify.sh` probes a live server).
+fn linger(args: &Args, server: Option<&ObsServer>) {
+    let Some(server) = server.filter(|_| args.flag("linger")) else { return };
+    eprintln!("run complete; serving final snapshot on {} until killed", server.addr());
+    loop {
+        thread::sleep(Duration::from_secs(3600));
+    }
 }
 
 /// `daos list`
@@ -52,17 +176,15 @@ pub fn list() -> Result<(), DaosError> {
 /// never drops a window, unlike the bounded ring behind `daos trace`),
 /// written as the trace events the monitor streams for it.
 pub fn record(args: &Args) -> Result<(), DaosError> {
-    let spec = lookup(args)?;
-    let machine = args.machine()?;
-    let config = if args.flag("paddr") { RunConfig::prec() } else { RunConfig::rec() };
+    let paddr = args.flag("paddr");
+    let launch = Launch::of(args, if paddr { RunConfig::prec() } else { RunConfig::rec() })?;
     println!(
         "recording {} on {} ({} monitoring)...",
-        spec.path_name(),
-        machine.name,
-        if args.flag("paddr") { "physical-address" } else { "virtual-address" }
+        launch.spec.path_name(),
+        launch.machine.name,
+        if paddr { "physical-address" } else { "virtual-address" }
     );
-    let session = Session::new(&machine, &config, &spec).seed(args.seed()?);
-    let result = session.execute()?.into_single();
+    let result = execute(args, &launch, None, None)?.result.into_single();
     let record = result.record.as_ref().expect("recording config");
     let out = args.opt("out").unwrap_or("daos.record.jsonl");
     let jsonl = daos_trace::events_to_jsonl(&daos_report::record_to_events(record));
@@ -106,6 +228,15 @@ fn warn_if_truncated(doc: &daos_trace::TraceDoc) {
     }
 }
 
+/// With `--json`, `view` as one line of compact JSON; else `text()`.
+fn print_view(args: &Args, view: &impl ToJson, text: impl FnOnce() -> String) {
+    if args.flag("json") {
+        println!("{}", view.to_json().to_string_compact());
+    } else {
+        print!("{}", text());
+    }
+}
+
 /// `daos report heatmap <FILE>`
 pub fn report_heatmap(args: &Args) -> Result<(), DaosError> {
     let rows: usize = args.opt_count("rows", 16)?;
@@ -115,19 +246,11 @@ pub fn report_heatmap(args: &Args) -> Result<(), DaosError> {
         .ok_or_else(|| DaosError::usage("record shows no activity"))?;
     let hm = Heatmap::from_record(&record, span, cols, rows)
         .ok_or_else(|| DaosError::usage("empty record"))?;
-    if args.flag("json") {
-        use daos_util::json::ToJson;
-        println!("{}", hm.to_json().to_string_compact());
-        return Ok(());
-    }
-    print!("{}", hm.render_ascii());
-    println!(
-        "x: {:.0}..{:.0}s   y: {}..{} MiB",
-        hm.time_span.0 as f64 / 1e9,
-        hm.time_span.1 as f64 / 1e9,
-        span.start >> 20,
-        span.end >> 20
-    );
+    print_view(args, &hm, || {
+        let (from, to) = (hm.time_span.0 as f64 / 1e9, hm.time_span.1 as f64 / 1e9);
+        let (lo, hi) = (span.start >> 20, span.end >> 20);
+        format!("{}x: {from:.0}..{to:.0}s   y: {lo}..{hi} MiB\n", hm.render_ascii())
+    });
     Ok(())
 }
 
@@ -136,16 +259,8 @@ pub fn report_heatmap(args: &Args) -> Result<(), DaosError> {
 pub fn report_wss(args: &Args) -> Result<(), DaosError> {
     let record = load_record(args)?;
     let tl = daos_report::WssTimeline::from_record(&record);
-    if args.flag("json") {
-        use daos_util::json::ToJson;
-        println!("{}", tl.to_json().to_string_compact());
-        return Ok(());
-    }
-    if args.flag("distribution") {
-        print!("{}", tl.render_distribution());
-    } else {
-        print!("{}", tl.render());
-    }
+    let distribution = args.flag("distribution");
+    print_view(args, &tl, || if distribution { tl.render_distribution() } else { tl.render() });
     Ok(())
 }
 
@@ -160,15 +275,8 @@ pub fn report_summary(args: &Args) -> Result<(), DaosError> {
 pub fn report_schemes(args: &Args) -> Result<(), DaosError> {
     let doc = load_doc(args)?;
     warn_if_truncated(&doc);
-    if args.flag("json") {
-        use daos_util::json::ToJson;
-        println!(
-            "{}",
-            daos_report::scheme_timelines(&doc.events).to_json().to_string_compact()
-        );
-        return Ok(());
-    }
-    print!("{}", daos_report::schemes::render_all(&doc));
+    let timelines = daos_report::scheme_timelines(&doc.events);
+    print_view(args, &timelines, || daos_report::schemes::render_all(&doc));
     Ok(())
 }
 
@@ -182,8 +290,7 @@ pub fn report_profile(args: &Args) -> Result<(), DaosError> {
 
 /// `daos schemes <workload> --schemes-file FILE | --scheme LINE`
 pub fn schemes(args: &Args) -> Result<(), DaosError> {
-    let spec = lookup(args)?;
-    let machine = args.machine()?;
+    let mut launch = Launch::of(args, RunConfig::baseline())?;
     let schemes = match (args.opt("schemes-file"), args.opt("scheme")) {
         (Some(path), _) => {
             let text = fs::read_to_string(path).map_err(|e| DaosError::io(path, e))?;
@@ -194,20 +301,19 @@ pub fn schemes(args: &Args) -> Result<(), DaosError> {
             return Err(DaosError::usage("need --schemes-file FILE or --scheme 'LINE'"))
         }
     };
-    println!("running {} under {} scheme(s) on {}:", spec.path_name(), schemes.len(), machine.name);
+    println!(
+        "running {} under {} scheme(s) on {}:",
+        launch.spec.path_name(),
+        schemes.len(),
+        launch.machine.name
+    );
     for s in &schemes {
         println!("  {s}");
     }
-    let seed = args.seed()?;
-    let run = |config: &RunConfig| {
-        Session::new(&machine, config, &spec).seed(seed).execute().map(SessionResult::into_single)
-    };
-    let baseline = run(&RunConfig::baseline())?;
-    let mut config = RunConfig::rec();
-    config.name = "schemes".into();
-    config.record = false;
-    config.schemes = schemes.into_iter().map(Into::into).collect();
-    let result = run(&config)?;
+    let baseline = execute(args, &launch, None, None)?.result.into_single();
+    let schemes = schemes.into_iter().map(Into::into).collect();
+    launch.config = RunConfig { name: "schemes".into(), record: false, schemes, ..RunConfig::rec() };
+    let result = execute(args, &launch, None, None)?.result.into_single();
     let n = Normalized::of(&baseline, &result);
     println!("\nruntime: {:.1}s (baseline {:.1}s, {:+.2}% change)",
         result.runtime_ns as f64 / 1e9,
@@ -218,78 +324,8 @@ pub fn schemes(args: &Args) -> Result<(), DaosError> {
         baseline.avg_rss >> 20,
         n.memory_saving_pct());
     println!("score (Listing 2): {:.2}", score_vs_baseline(&baseline, &result));
-    for (i, st) in result.scheme_stats.iter().enumerate() {
-        println!(
-            "scheme {i}: tried {} regions / {} MiB, applied {} / {} MiB",
-            st.nr_tried,
-            st.sz_tried >> 20,
-            st.nr_applied,
-            st.sz_applied >> 20
-        );
-    }
+    print_scheme_stats(&result);
     Ok(())
-}
-
-/// Run `fleet` processes of `spec` under `config` to completion. With
-/// `--serve ADDR`, first bind the observability server there, attach a
-/// [`FleetPublisher`] under the run's identity and publish the final
-/// snapshot; a trace collector the caller installed lends the published
-/// snapshots its registry and ring tail.
-fn execute(
-    args: &Args,
-    machine: &MachineProfile,
-    config: &RunConfig,
-    spec: &WorkloadSpec,
-    fleet: FleetSpec,
-) -> Result<(SessionResult, Option<ObsServer>), DaosError> {
-    let session = Session::new(machine, config, spec)
-        .seed(args.seed()?)
-        .fleet(fleet)
-        .profile_wall(args.flag("profile-wall"));
-    let Some(addr) = args.opt("serve") else {
-        return Ok((session.execute()?, None));
-    };
-    let publish_every: u64 = args.opt_num("publish-every", 1)?;
-    let publisher = Publisher::new();
-    let server =
-        ObsServer::bind(addr, publisher.clone()).map_err(|e| DaosError::io(addr, e))?;
-    println!("serving observability on {}", server.addr());
-    let mut obs = FleetPublisher::new(
-        publisher,
-        &config.name,
-        &spec.path_name(),
-        &machine.name,
-        publish_every,
-    );
-    let result = session.fleet_observer(&mut obs).execute()?;
-    obs.finalize(result.fleet.as_ref().expect("every session carries a summary"));
-    Ok((result, Some(server)))
-}
-
-/// With `--linger`, keep the endpoint serving the final snapshot until
-/// the process is killed (how `scripts/verify.sh` probes a live server).
-fn maybe_linger(args: &Args, server: &ObsServer) {
-    if !args.flag("linger") {
-        return;
-    }
-    println!("run complete; serving final snapshot on {} until killed", server.addr());
-    loop {
-        thread::sleep(Duration::from_secs(3600));
-    }
-}
-
-/// Warn about trace-ring overflow with the final dropped count: called
-/// once, after the run, not per publish or export, which would repeat the
-/// message with stale intermediate numbers.
-fn warn_ring_overflow(ring: &daos_trace::Ring) {
-    let (dropped, capacity) = (ring.dropped(), ring.capacity());
-    if dropped == 0 {
-        return;
-    }
-    eprintln!(
-        "warning: ring overflowed — {dropped} events dropped (capacity {capacity}); \
-         re-run with a larger --ring to keep the full stream"
-    );
 }
 
 fn print_run_summary(result: &RunResult) {
@@ -305,6 +341,11 @@ fn print_run_summary(result: &RunResult) {
     if result.overhead.is_some() {
         println!("monitoring cost: {:.2}% of one CPU", result.monitor_cpu_share() * 100.0);
     }
+    print_scheme_stats(result);
+}
+
+/// What each scheme tried and applied over the run, one line a scheme.
+fn print_scheme_stats(result: &RunResult) {
     for (i, st) in result.scheme_stats.iter().enumerate() {
         println!(
             "scheme {i}: tried {} regions / {} MiB, applied {} / {} MiB",
@@ -340,43 +381,67 @@ fn peak_rss_kib() -> Option<u64> {
 /// (`/metrics`, `/snapshot`, `/events`, `/healthz`); without it, no
 /// publisher, server thread or collector is ever constructed.
 pub fn run_cmd(args: &Args) -> Result<(), DaosError> {
-    let mut spec = lookup(args)?;
-    let machine = args.machine()?;
-    let config = named_config(args.opt("config").unwrap_or("prcl"))?;
-    let epochs: u64 = args.opt_count("epochs", spec.nr_epochs)?;
-    spec.nr_epochs = epochs.min(spec.nr_epochs);
-    let ring: usize = args.opt_count("ring", daos_trace::DEFAULT_RING_CAPACITY)?;
-
-    // Serving implies telemetry: install a collector so `/metrics` and
-    // `/events` have a registry and ring to publish.
-    if args.opt("serve").is_some() {
-        daos_trace::install(daos_trace::Collector::builder().ring_capacity(ring).build()?)?;
-    }
-    let ran = execute(args, &machine, &config, &spec, FleetSpec::new(1));
-    let collector = daos_trace::take();
-    let (mut result, server) = ran?;
+    let launch = Launch::of(args, RunConfig::prcl())?;
+    let ring = args.opt_count("ring", DEFAULT_RING_CAPACITY)?;
+    // Serving implies telemetry: a collector gives `/metrics` and
+    // `/events` a registry and ring to publish.
+    let ring = match args.opt("serve") {
+        Some(_) => Some(ring),
+        None => {
+            reject(args, &["ring"], "without --serve")?;
+            None
+        }
+    };
+    let ran = execute(args, &launch, ring, None)?;
+    let mut result = ran.result;
     let profile = result.profile.take();
     print_run_summary(&result.into_single());
     print_profile(profile.as_ref());
-    if let Some(collector) = collector {
-        warn_ring_overflow(collector.ring());
-    }
-    if let Some(server) = &server {
-        maybe_linger(args, server);
-    }
+    linger(args, ran.server.as_ref());
     Ok(())
 }
 
-fn show_frame(dash: &mut Dashboard, snap: &ObsSnapshot, plain: bool) {
-    let frame = dash.frame(snap);
-    if plain {
-        print!("{frame}");
-    } else {
-        // ANSI clear-screen + cursor-home, then the fresh frame.
-        print!("\x1b[2J\x1b[H{frame}");
+/// `daos top`'s frame loop and what it draws with.
+struct Frames {
+    dash: Dashboard,
+    refresh: Duration,
+    /// Frames to draw before stopping; 0 = until the run finishes.
+    iterations: u64,
+    plain: bool,
+}
+
+impl Frames {
+    /// The one frame loop, for both `top` modes: draw each published
+    /// snapshot `next` returns until one is finished, `next` says its
+    /// feed has ended, or `--iterations` frames are drawn. True when it
+    /// drew the feed to its end.
+    fn watch(
+        &mut self,
+        mut next: impl FnMut() -> Result<(Arc<ObsSnapshot>, bool), DaosError>,
+    ) -> Result<bool, DaosError> {
+        let mut shown = 0u64;
+        loop {
+            let (snap, ended) = next()?;
+            if snap.seq > 0 {
+                let frame = self.dash.frame(&snap);
+                if self.plain {
+                    print!("{frame}");
+                } else {
+                    // ANSI clear-screen + cursor-home, then the fresh frame.
+                    print!("\x1b[2J\x1b[H{frame}");
+                }
+                let _ = std::io::stdout().flush();
+                shown += 1;
+            }
+            if ended || snap.finished {
+                return Ok(true);
+            }
+            if self.iterations > 0 && shown >= self.iterations {
+                return Ok(false);
+            }
+            thread::sleep(self.refresh);
+        }
     }
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
 }
 
 /// `daos top <ADDR | workload>`: live dashboard. A `host:port` argument
@@ -386,131 +451,71 @@ pub fn top(args: &Args) -> Result<(), DaosError> {
     let target = args.pos(0).ok_or_else(|| {
         DaosError::usage("daos top needs an ADDR (host:port) or a workload (see `daos list`)")
     })?;
-    let refresh = Duration::from_millis(args.opt_num("refresh", 500u64)?);
-    let iterations: u64 = args.opt_num("iterations", 0)?; // 0 = until the run finishes
-    let plain = args.flag("plain");
+    let frames = Frames {
+        dash: Dashboard::new(),
+        refresh: Duration::from_millis(args.opt_num("refresh", 500u64)?),
+        iterations: args.opt_num("iterations", 0)?,
+        plain: args.flag("plain"),
+    };
     match target.parse::<SocketAddr>() {
-        Ok(addr) => top_remote(addr, refresh, iterations, plain),
-        Err(_) => top_inprocess(args, refresh, iterations, plain),
+        Ok(addr) => {
+            let run_options = ["config", "machine", "seed", "epochs", "ring", "publish-every"];
+            reject(args, &run_options, "when daos top attaches to a served run")?;
+            top_remote(addr, frames)
+        }
+        Err(_) => top_workload(args, frames),
     }
 }
 
-/// Pull the retained WSS series from `/query` so the first remote frame
-/// shows a full sparkline. Best-effort: older servers without the
-/// endpoint (or an empty history) just start cold.
-fn backfill_wss(dash: &mut Dashboard, addr: SocketAddr) {
-    use daos_util::json::FromJson;
-    let path = "/query?metric=daos_obs_wss_bytes";
-    let Ok(resp) = daos_obs::http::http_get(addr, path, Duration::from_secs(5)) else {
-        return;
-    };
+/// `GET path` from a served run, decoded.
+fn get_json<T: FromJson>(addr: SocketAddr, path: &str) -> Result<T, DaosError> {
+    let resp = daos_obs::http::http_get(addr, path, Duration::from_secs(5))
+        .map_err(|e| DaosError::io(addr.to_string(), e))?;
     if resp.status != 200 {
-        return;
+        let status = resp.status;
+        return Err(DaosError::usage(format!("GET {path} from {addr} returned status {status}")));
     }
-    let Ok(v) = daos_util::json::parse(&resp.body) else { return };
-    let Ok(answer) = daos_obs::QueryResult::from_json(&v) else { return };
-    let values: Vec<u64> = answer.points.iter().map(|&(_, v)| v as u64).collect();
-    dash.backfill(&values);
+    Ok(T::from_json(&daos_util::json::parse(&resp.body)?)?)
 }
 
-fn top_remote(
-    addr: SocketAddr,
-    refresh: Duration,
-    iterations: u64,
-    plain: bool,
-) -> Result<(), DaosError> {
-    use daos_util::json::FromJson;
-    let mut dash = Dashboard::new();
-    backfill_wss(&mut dash, addr);
-    let mut shown = 0u64;
-    loop {
-        let resp = daos_obs::http::http_get(addr, "/snapshot", Duration::from_secs(5))
-            .map_err(|e| DaosError::io(addr.to_string(), e))?;
-        if resp.status != 200 {
-            return Err(DaosError::usage(format!(
-                "GET /snapshot from {addr} returned status {}",
-                resp.status
-            )));
-        }
-        let snap = ObsSnapshot::from_json(&daos_util::json::parse(&resp.body)?)?;
-        show_frame(&mut dash, &snap, plain);
-        shown += 1;
-        if snap.finished || (iterations > 0 && shown >= iterations) {
-            return Ok(());
-        }
-        thread::sleep(refresh);
+/// `daos top ADDR`: frames fed by `GET /snapshot`, after the WSS series
+/// the run retained so the first frame shows a full sparkline
+/// (best-effort: without one the sparkline starts cold).
+fn top_remote(addr: SocketAddr, mut frames: Frames) -> Result<(), DaosError> {
+    let wss = get_json::<daos_obs::QueryResult>(addr, "/query?metric=daos_obs_wss_bytes");
+    if let Ok(wss) = wss {
+        frames.dash.backfill(&wss.points.iter().map(|&(_, v)| v as u64).collect::<Vec<_>>());
     }
-}
-
-fn top_inprocess(
-    args: &Args,
-    refresh: Duration,
-    iterations: u64,
-    plain: bool,
-) -> Result<(), DaosError> {
-    let mut spec = lookup(args)?;
-    let machine = args.machine()?;
-    let seed = args.seed()?;
-    let config = named_config(args.opt("config").unwrap_or("prcl"))?;
-    let epochs: u64 = args.opt_count("epochs", spec.nr_epochs)?;
-    spec.nr_epochs = epochs.min(spec.nr_epochs);
-    let ring: usize = args.opt_count("ring", daos_trace::DEFAULT_RING_CAPACITY)?;
-    let publish_every: u64 = args.opt_num("publish-every", 1)?;
-    let collector = daos_trace::Collector::builder().ring_capacity(ring).build()?;
-
-    let publisher = Publisher::new();
-    let worker = {
-        let publisher = publisher.clone();
-        thread::spawn(move || {
-            let run = || -> Result<(), DaosError> {
-                // The collector is thread-local: install on the run thread
-                // so the publisher snapshots this run's registry and ring.
-                daos_trace::install(collector)?;
-                let mut obs = FleetPublisher::new(
-                    publisher.clone(),
-                    &config.name,
-                    &spec.path_name(),
-                    &machine.name,
-                    publish_every,
-                );
-                let ran = Session::new(&machine, &config, &spec)
-                    .seed(seed)
-                    .fleet_observer(&mut obs)
-                    .execute();
-                if let Ok(result) = &ran {
-                    obs.finalize(result.fleet.as_ref().expect("every session carries a summary"));
-                }
-                daos_trace::take();
-                ran.map(drop).map_err(DaosError::from)
-            };
-            let ran = run();
-            // Every exit path ends the dashboard loop, failures included.
-            publisher.finish();
-            ran
-        })
-    };
-
-    let mut dash = Dashboard::new();
-    let mut shown = 0u64;
-    loop {
-        let finished = publisher.is_finished();
-        let snap = publisher.snapshot();
-        if snap.seq > 0 {
-            show_frame(&mut dash, &snap, plain);
-            shown += 1;
-        }
-        if finished || (iterations > 0 && shown >= iterations) {
-            break;
-        }
-        thread::sleep(refresh);
-    }
-    worker.join().map_err(|_| DaosError::usage("run thread panicked"))??;
-    // One last frame so the DONE state is what remains on screen.
-    let snap = publisher.snapshot();
-    if snap.seq > 0 {
-        show_frame(&mut dash, &snap, plain);
-    }
+    frames.watch(|| Ok((Arc::new(get_json(addr, "/snapshot")?), false)))?;
     Ok(())
+}
+
+/// `daos top <workload>`: the run executes on a thread of its own —
+/// the collector is thread-local, so `execute` installs it there, where
+/// the publisher snapshots it — and frames are fed by that publisher.
+fn top_workload(args: &Args, mut frames: Frames) -> Result<(), DaosError> {
+    let launch = Launch::of(args, RunConfig::prcl())?;
+    let ring = args.opt_count("ring", DEFAULT_RING_CAPACITY)?;
+    let publisher = Publisher::new();
+    let mut next = || {
+        let ended = publisher.is_finished();
+        Ok((publisher.snapshot(), ended))
+    };
+    thread::scope(|s| {
+        let run = s.spawn(|| {
+            let ran = execute(args, &launch, Some(ring), Some(publisher.clone()));
+            // Every exit path ends the frame loop, failures included.
+            publisher.finish();
+            ran.map(drop)
+        });
+        let drawn_to_end = frames.watch(&mut next)?;
+        run.join().map_err(|_| DaosError::usage("run thread panicked"))??;
+        // One last frame so the DONE state is what remains on screen.
+        if !drawn_to_end {
+            frames.watch(&mut next)?;
+        }
+        Ok(())
+    })
 }
 
 /// `daos trace <workload>`: run a workload with the telemetry collector
@@ -518,30 +523,20 @@ fn top_inprocess(
 /// With `--serve ADDR`, also expose the live observability endpoint for
 /// the duration of the run.
 pub fn trace(args: &Args) -> Result<(), DaosError> {
-    let mut spec = lookup(args)?;
-    let machine = args.machine()?;
-    let config = named_config(args.opt("config").unwrap_or("prcl"))?;
-    let ring: usize = args.opt_count("ring", daos_trace::DEFAULT_RING_CAPACITY)?;
-    let epochs: u64 = args.opt_count("epochs", spec.nr_epochs)?;
-    spec.nr_epochs = epochs.min(spec.nr_epochs);
+    let launch = Launch::of(args, RunConfig::prcl())?;
+    let ring = args.opt_count("ring", DEFAULT_RING_CAPACITY)?;
+    let ran = execute(args, &launch, Some(ring), None)?;
+    let result = ran.result.into_single();
+    let collector = ran.collector.as_ref().expect("execute takes back the collector it installs");
 
-    daos_trace::install(daos_trace::Collector::builder().ring_capacity(ring).build()?)?;
-    // Take the collector back even if the run fails, so a retry in the
-    // same process does not hit AlreadyInstalled.
-    let ran = execute(args, &machine, &config, &spec, FleetSpec::new(1));
-    let collector = daos_trace::take().expect("collector installed above");
-    let (result, server) = ran?;
-    let result = result.into_single();
-
-    let jsonl = daos_trace::export_collector(&collector);
-    warn_ring_overflow(collector.ring());
+    let jsonl = daos_trace::export_collector(collector);
     match args.opt("out") {
         Some(path) => {
             fs::write(path, &jsonl).map_err(|e| DaosError::io(path, e))?;
             println!(
                 "traced {} under '{}': {} events ({} dropped) over {:.1}s -> {path}",
-                spec.path_name(),
-                config.name,
+                launch.spec.path_name(),
+                launch.config.name,
                 collector.events().len(),
                 collector.ring().dropped(),
                 result.runtime_ns as f64 / 1e9,
@@ -552,16 +547,14 @@ pub fn trace(args: &Args) -> Result<(), DaosError> {
                     "monitor: {} ticks, max {} checks/tick (bound {})",
                     h.count(),
                     h.max(),
-                    2 * config.attrs.max_nr_regions
+                    2 * launch.config.attrs.max_nr_regions
                 );
             }
         }
         // Bare `daos trace` streams the JSONL itself, pipeline-friendly.
         None => print!("{jsonl}"),
     }
-    if let Some(server) = &server {
-        maybe_linger(args, server);
-    }
+    linger(args, ran.server.as_ref());
     Ok(())
 }
 
@@ -655,30 +648,28 @@ pub fn fleet(args: &Args) -> Result<(), DaosError> {
     };
     let spec = FleetConfig { worker_footprint: footprint << 20, ..fleet_cfg }.worker_spec(epochs);
 
-    let mut fleet_spec =
-        FleetSpec::new(processes).shard_size(shard_size).workers(workers).tenants(tenants);
+    let mut fleet = FleetSpec::new(processes).shard_size(shard_size).workers(workers).tenants(tenants);
     let ring: usize = args.opt_num("ring", 0)?;
     if ring > 0 {
-        fleet_spec = fleet_spec.trace_ring(ring);
+        fleet = fleet.trace_ring(ring);
     }
+    let launch = Launch { spec, machine, config, seed: args.seed()?, fleet };
 
     println!(
         "fleet: {processes} serverless workers x {epochs} epochs under '{}' on {} \
          ({} shards, {} tenants, {:?})...",
-        config.name,
-        machine.name,
-        fleet_spec.nr_shards(),
-        fleet_spec.nr_tenants,
-        config.swap,
+        launch.config.name,
+        launch.machine.name,
+        launch.fleet.nr_shards(),
+        launch.fleet.nr_tenants,
+        launch.config.swap,
     );
 
-    let (result, server) = execute(args, &machine, &config, &spec, fleet_spec)?;
-    let summary = result.fleet.expect("every session carries a summary");
+    let ran = execute(args, &launch, None, None)?;
+    let summary = ran.result.fleet.expect("every session carries a summary");
     print!("{}", summary.render());
-    print_profile(result.profile.as_ref());
-    if let Some(server) = &server {
-        maybe_linger(args, server);
-    }
+    print_profile(ran.result.profile.as_ref());
+    linger(args, ran.server.as_ref());
     Ok(())
 }
 
@@ -816,6 +807,46 @@ mod tests {
         assert!(schemes.contains("no per-scheme events"), "{schemes}");
         let profile = daos_report::Profile::of(&doc).render();
         assert!(profile.contains("no spans recorded"), "{profile}");
+    }
+
+    /// `run --serve` and `top <workload>` reach the run through the same
+    /// `execute`: on one `Launch` they give the same runs and publish the
+    /// same final snapshot, one over `/snapshot`, one to a publisher.
+    #[test]
+    fn one_launch_runs_alike_served_and_watched() {
+        let line = "parsec3/freqmine --config rec --epochs 40";
+        let served = args("run", &format!("{line} --serve 127.0.0.1:0"));
+        let launch = Launch::of(&served, RunConfig::prcl()).unwrap();
+        let ring = Some(DEFAULT_RING_CAPACITY);
+        let ran = execute(&served, &launch, ring, None).unwrap();
+        let server = ran.server.as_ref().expect("--serve binds a server");
+        let resp = daos_obs::http::http_get(server.addr(), "/snapshot", Duration::from_secs(5));
+        let served_snapshot = resp.unwrap().body;
+
+        let publisher = Publisher::new();
+        let watched = execute(&args("top", line), &launch, ring, Some(publisher.clone())).unwrap();
+        assert!(watched.server.is_none());
+        assert_eq!(ran.result.runs, watched.result.runs);
+        let snapshot = publisher.snapshot();
+        assert!(snapshot.finished && publisher.is_finished());
+        assert_eq!(served_snapshot, snapshot.to_json().to_string_compact());
+    }
+
+    /// A run that fails mid-way still takes its collector back: the next
+    /// `execute` on the thread installs its own.
+    #[test]
+    fn a_failed_run_leaves_no_collector_installed() {
+        let line = args("run", "parsec3/freqmine --config rec --epochs 40");
+        let fits = Launch::of(&line, RunConfig::prcl()).unwrap();
+        let mut too_big = Launch::of(&line, RunConfig::prcl()).unwrap();
+        too_big.machine = MachineProfile::test_tiny();
+        too_big.config.swap = SwapConfig::None;
+        too_big.spec.footprint = 2 * too_big.machine.dram_bytes;
+        let err = execute(&line, &too_big, Some(DEFAULT_RING_CAPACITY), None).err();
+        let err = err.map(|e| e.to_string());
+        assert!(err.as_deref().is_some_and(|e| e.contains("out of memory")), "{err:?}");
+        let ran = execute(&line, &fits, Some(DEFAULT_RING_CAPACITY), None).unwrap();
+        assert!(!ran.collector.expect("the run's own collector").events().is_empty());
     }
 
     #[test]

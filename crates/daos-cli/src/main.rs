@@ -6,6 +6,26 @@ use daos::DaosError;
 use daos_cli::args::{Args, USAGE};
 use daos_cli::commands;
 
+type Command = fn(&Args) -> Result<(), DaosError>;
+
+/// Every subcommand by the name its [`USAGE`] block has (`report <kind>`
+/// is one subcommand a kind, with options of its own).
+const COMMANDS: [(&str, Command); 13] = [
+    ("list", |_| commands::list()),
+    ("run", commands::run_cmd),
+    ("top", commands::top),
+    ("record", commands::record),
+    ("report heatmap", commands::report_heatmap),
+    ("report wss", commands::report_wss),
+    ("report summary", commands::report_summary),
+    ("report schemes", commands::report_schemes),
+    ("report profile", commands::report_profile),
+    ("schemes", commands::schemes),
+    ("trace", commands::trace),
+    ("tune", commands::tune),
+    ("fleet", commands::fleet),
+];
+
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() || raw[0] == "--help" || raw[0] == "-h" || raw[0] == "help" {
@@ -13,44 +33,19 @@ fn main() {
         return;
     }
     let mut sub = raw.remove(0);
-    let result = (|| -> Result<(), DaosError> {
-        type Command = fn(&Args) -> Result<(), DaosError>;
-        let command: Command = match sub.as_str() {
-            "list" => |_| commands::list(),
-            "run" => commands::run_cmd,
-            "top" => commands::top,
-            "record" => commands::record,
-            "report" => {
-                if raw.is_empty() {
-                    return Err(DaosError::usage(
-                        "report needs a kind: heatmap | wss | summary | schemes | profile",
-                    ));
-                }
-                let kind = raw.remove(0);
-                let command: Command = match kind.as_str() {
-                    "heatmap" => commands::report_heatmap,
-                    "wss" => commands::report_wss,
-                    "summary" => commands::report_summary,
-                    "schemes" => commands::report_schemes,
-                    "profile" => commands::report_profile,
-                    other => {
-                        return Err(DaosError::usage(format!("unknown report kind '{other}'")))
-                    }
-                };
-                // Each report kind has a USAGE block, and options, of its own.
-                sub = format!("report {kind}");
-                command
+    if sub == "report" && !raw.is_empty() {
+        sub = format!("report {}", raw.remove(0));
+    }
+    let result = match COMMANDS.iter().find(|(name, _)| *name == sub) {
+        Some((_, command)) => Args::parse(&sub, raw).and_then(|args| command(&args)),
+        None => Err(DaosError::usage(match sub.strip_prefix("report ") {
+            Some(kind) => format!("unknown report kind '{kind}'"),
+            None if sub == "report" => {
+                "report needs a kind: heatmap | wss | summary | schemes | profile".into()
             }
-            "schemes" => commands::schemes,
-            "trace" => commands::trace,
-            "tune" => commands::tune,
-            "fleet" => commands::fleet,
-            other => {
-                return Err(DaosError::usage(format!("unknown subcommand '{other}'\n\n{USAGE}")))
-            }
-        };
-        command(&Args::parse(&sub, raw)?)
-    })();
+            None => format!("unknown subcommand '{sub}'\n\n{USAGE}"),
+        })),
+    };
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(e.exit_code());

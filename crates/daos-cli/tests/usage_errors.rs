@@ -33,7 +33,7 @@ fn binary_usage_errors_exit_2() {
     let trace = trace.to_str().expect("utf-8 temp path");
     let traced = ["trace", "parsec3/freqmine", "--config", "rec", "--epochs", "40", "--out", trace];
     assert_eq!(run(&traced).0, 0, "a small trace to render a heatmap from");
-    let cases: [(&[&str], &str); 22] = [
+    let cases: [(&[&str], &str); 40] = [
         // Another subcommand's option: each used to be accepted and
         // ignored (the record was `rec`, the fleet and the tuning ran).
         (&["record", "parsec3/freqmine", "--config", "thp"], "--config"),
@@ -61,6 +61,28 @@ fn binary_usage_errors_exit_2() {
         (&["top", "parsec3/freqmine", "--epochs", "0", "--plain", "--iterations", "1"], "--epochs"),
         (&["report", "heatmap", trace, "--rows", "0"], "--rows"),
         (&["report", "heatmap", trace, "--cols", "0"], "--cols"),
+        // Options that only mean something to a served run: each used to
+        // be accepted and do nothing.
+        (&["run", "parsec3/freqmine", "--epochs", "1", "--ring", "64"], "--ring"),
+        (&["run", "parsec3/freqmine", "--epochs", "1", "--publish-every", "2"], "--publish-every"),
+        (&["run", "parsec3/freqmine", "--epochs", "1", "--linger"], "--linger"),
+        (&["trace", "parsec3/freqmine", "--epochs", "1", "--publish-every", "2"], "--publish-every"),
+        (&["trace", "parsec3/freqmine", "--epochs", "1", "--linger"], "--linger"),
+        (&["fleet", "--epochs", "1", "--publish-every", "2"], "--publish-every"),
+        (&["fleet", "--epochs", "1", "--linger"], "--linger"),
+        // Attached to a served run, `top` runs nothing of its own.
+        (&["top", "127.0.0.1:9", "--config", "rec"], "--config"),
+        (&["top", "127.0.0.1:9", "--machine", "z1d"], "--machine"),
+        (&["top", "127.0.0.1:9", "--seed", "7"], "--seed"),
+        (&["top", "127.0.0.1:9", "--epochs", "5"], "--epochs"),
+        (&["top", "127.0.0.1:9", "--ring", "64"], "--ring"),
+        (&["top", "127.0.0.1:9", "--publish-every", "2"], "--publish-every"),
+        // It used to publish every tick, as 1 does.
+        (&["run", "parsec3/freqmine", "--epochs", "1", "--serve", "127.0.0.1:0", "--publish-every", "0"], "--publish-every"),
+        (&["trace", "parsec3/freqmine", "--epochs", "1", "--serve", "127.0.0.1:0", "--publish-every", "0"], "--publish-every"),
+        (&["fleet", "--epochs", "1", "--serve", "127.0.0.1:0", "--publish-every", "0"], "--publish-every"),
+        (&["top", "parsec3/freqmine", "--epochs", "1", "--publish-every", "0", "--plain"], "--publish-every"),
+        (&["top", "127.0.0.1:9", "--publish-every", "0"], "--publish-every"),
     ];
     for (args, option) in cases {
         let (code, stderr) = run(args);

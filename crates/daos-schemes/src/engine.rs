@@ -39,19 +39,12 @@ pub enum SchemeTarget {
     Physical,
 }
 
-/// Result of one engine pass over an aggregation window.
+/// Result of one engine pass over an aggregation window. What each
+/// scheme tried and applied is counted once, in [`SchemesEngine::stats`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EnginePass {
     /// Kernel CPU time the actions consumed.
     pub work_ns: Ns,
-    /// Bytes paged out this pass.
-    pub paged_out: u64,
-    /// Bytes THP-promoted this pass.
-    pub promoted: u64,
-    /// Bytes counted by STAT schemes this pass.
-    pub stat_bytes: u64,
-    /// Regions counted by STAT schemes this pass.
-    pub stat_regions: u64,
 }
 
 /// The Memory Management Schemes Engine.
@@ -198,7 +191,8 @@ impl SchemesEngine {
                     if filters.is_empty() { Vec::new() } else { apply_filters(range, filters) };
                 let mut applied_total = 0;
                 for allowed in unfiltered.into_iter().chain(filtered) {
-                    let applied = Self::apply(self.target, scheme.action, sys, allowed, pass);
+                    let (applied, work_ns) = Self::apply(self.target, scheme.action, sys, allowed);
+                    pass.work_ns += work_ns;
                     if applied > 0 {
                         applied_total += applied;
                         self.stats[i].applied(applied);
@@ -222,59 +216,36 @@ impl SchemesEngine {
         }
     }
 
-    /// Apply one action to one range; returns affected bytes.
-    fn apply(
-        target: SchemeTarget,
-        action: Action,
-        sys: &mut MemorySystem,
-        range: AddrRange,
-        pass: &mut EnginePass,
-    ) -> u64 {
+    /// Apply one action to one range; returns the affected bytes and the
+    /// kernel CPU time it took.
+    fn apply(target: SchemeTarget, action: Action, sys: &mut MemorySystem, range: AddrRange) -> (u64, Ns) {
+        use daos_mm::addr::{HUGE_PAGE_SIZE, PAGE_SIZE};
         match (target, action) {
-            (_, Action::Stat) => {
-                pass.stat_bytes += range.len();
-                pass.stat_regions += 1;
-                range.len()
-            }
+            (_, Action::Stat) => (range.len(), 0),
             (SchemeTarget::Virtual(pid), Action::Pageout) => {
-                let (bytes, ns) = sys.pageout(pid, range).unwrap_or((0, 0));
-                pass.work_ns += ns;
-                pass.paged_out += bytes;
-                bytes
+                sys.pageout(pid, range).unwrap_or((0, 0))
             }
-            (SchemeTarget::Physical, Action::Pageout) => {
-                let (bytes, ns) = sys.pageout_paddr(range);
-                pass.work_ns += ns;
-                pass.paged_out += bytes;
-                bytes
-            }
+            (SchemeTarget::Physical, Action::Pageout) => sys.pageout_paddr(range),
             (SchemeTarget::Virtual(pid), Action::Hugepage) => {
                 let (chunks, ns) = sys.promote_huge(pid, range).unwrap_or((0, 0));
-                pass.work_ns += ns;
-                let bytes = chunks * daos_mm::addr::HUGE_PAGE_SIZE;
-                pass.promoted += bytes;
-                bytes
+                (chunks * HUGE_PAGE_SIZE, ns)
             }
             (SchemeTarget::Virtual(pid), Action::Nohugepage) => {
-                let (freed, ns) = sys.demote_huge(pid, range).unwrap_or((0, 0));
-                pass.work_ns += ns;
-                freed
+                sys.demote_huge(pid, range).unwrap_or((0, 0))
             }
             (SchemeTarget::Virtual(pid), Action::Cold)
             | (SchemeTarget::Virtual(pid), Action::LruDeprio) => {
-                sys.mark_cold(pid, range).unwrap_or(0) * daos_mm::addr::PAGE_SIZE
+                (sys.mark_cold(pid, range).unwrap_or(0) * PAGE_SIZE, 0)
             }
             (SchemeTarget::Virtual(pid), Action::LruPrio) => {
-                sys.mark_hot(pid, range).unwrap_or(0) * daos_mm::addr::PAGE_SIZE
+                (sys.mark_hot(pid, range).unwrap_or(0) * PAGE_SIZE, 0)
             }
             (SchemeTarget::Virtual(pid), Action::Willneed) => {
-                let (bytes, ns) = sys.willneed(pid, range).unwrap_or((0, 0));
-                pass.work_ns += ns;
-                bytes
+                sys.willneed(pid, range).unwrap_or((0, 0))
             }
             // THP / madvise actions need a virtual mapping; on physical
             // targets they are unsupported (as in the kernel).
-            (SchemeTarget::Physical, _) => 0,
+            (SchemeTarget::Physical, _) => (0, 0),
         }
     }
 }
@@ -306,6 +277,14 @@ mod tests {
         RegionInfo { range, nr_accesses: nr, age }
     }
 
+    /// Run one pass over `agg`; the bytes each scheme applied in it, from
+    /// the change in its stats.
+    fn applied(engine: &mut SchemesEngine, sys: &mut MemorySystem, agg: &Aggregation) -> Vec<u64> {
+        let before: Vec<u64> = engine.stats().iter().map(|st| st.sz_applied).collect();
+        engine.on_aggregation(sys, agg);
+        engine.stats().iter().zip(before).map(|(st, b)| st.sz_applied - b).collect()
+    }
+
     /// Tests fabricate "idle" regions right after touching them; drop the
     /// reference bits so reclaim's second chance does not defer eviction.
     fn clear_refs(sys: &mut MemorySystem, pid: u32, range: AddrRange) {
@@ -327,15 +306,14 @@ mod tests {
 
         // Young region: nothing happens.
         let agg = agg_of(vec![info(range, 0, 10)]); // 10 intervals = 1s < 5s
-        let pass = engine.on_aggregation(&mut sys, &agg);
-        assert_eq!(pass.paged_out, 0);
+        assert_eq!(applied(&mut engine, &mut sys, &agg), [0]);
         assert_eq!(engine.stats()[0].nr_tried, 0);
 
         // Old idle region: paged out.
         clear_refs(&mut sys, pid, range);
         let agg = agg_of(vec![info(range, 0, 60)]); // 6s ≥ 5s
         let pass = engine.on_aggregation(&mut sys, &agg);
-        assert_eq!(pass.paged_out, 1 << 20);
+        assert_eq!(engine.stats()[0].sz_applied, 1 << 20);
         assert_eq!(sys.rss_bytes(pid), 0);
         assert_eq!(engine.stats()[0].nr_applied, 1);
         assert!(pass.work_ns > 0);
@@ -351,8 +329,7 @@ mod tests {
         let mut engine = SchemesEngine::new(SchemeTarget::Virtual(pid), vec![scheme]);
         // Region is old but has nr_accesses=3 → max_freq 'min' (0) fails.
         let agg = agg_of(vec![info(range, 3, 100)]);
-        let pass = engine.on_aggregation(&mut sys, &agg);
-        assert_eq!(pass.paged_out, 0);
+        assert_eq!(applied(&mut engine, &mut sys, &agg), [0]);
         assert_eq!(sys.rss_bytes(pid), 1 << 20);
     }
 
@@ -373,8 +350,7 @@ mod tests {
 
         // Hot region → promotion.
         let agg = agg_of(vec![info(range, 10, 2)]);
-        let pass = engine.on_aggregation(&mut sys, &agg);
-        assert_eq!(pass.promoted, 2 * HUGE_PAGE_SIZE);
+        assert_eq!(applied(&mut engine, &mut sys, &agg), [2 * HUGE_PAGE_SIZE, 0]);
         assert_eq!(sys.huge_bytes(pid), 2 * HUGE_PAGE_SIZE);
 
         // Later the region goes idle for ≥7s → demotion (no bloat to free
@@ -393,9 +369,9 @@ mod tests {
         let mut engine =
             SchemesEngine::new(SchemeTarget::Virtual(pid), vec![Scheme::any(Action::Stat)]);
         let agg = agg_of(vec![info(range, 0, 100)]);
-        let pass = engine.on_aggregation(&mut sys, &agg);
-        assert_eq!(pass.stat_bytes, 1 << 20);
-        assert_eq!(pass.stat_regions, 1);
+        engine.on_aggregation(&mut sys, &agg);
+        assert_eq!(engine.stats()[0].sz_applied, 1 << 20);
+        assert_eq!(engine.stats()[0].nr_applied, 1);
         assert_eq!(sys.rss_bytes(pid), 1 << 20, "STAT must not modify memory");
     }
 
@@ -412,9 +388,9 @@ mod tests {
             vec![Scheme::any(Action::Pageout), Scheme::any(Action::Hugepage)],
         );
         let agg = agg_of(vec![info(phys, 0, 100)]);
-        let pass = engine.on_aggregation(&mut sys, &agg);
-        assert_eq!(pass.paged_out, 256 << 10, "all mapped frames paged out via rmap");
-        assert_eq!(pass.promoted, 0, "hugepage unsupported on physical target");
+        let bytes = applied(&mut engine, &mut sys, &agg);
+        assert_eq!(bytes[0], 256 << 10, "all mapped frames paged out via rmap");
+        assert_eq!(bytes[1], 0, "hugepage unsupported on physical target");
         assert_eq!(sys.rss_bytes(pid), 0);
     }
 
@@ -432,8 +408,7 @@ mod tests {
             .unwrap();
         let mut engine = SchemesEngine::new(SchemeTarget::Virtual(pid), vec![config]);
         let agg = agg_of(vec![info(range, 0, 100)]);
-        let pass = engine.on_aggregation(&mut sys, &agg);
-        assert_eq!(pass.paged_out, 256 << 10, "quota caps the pageout");
+        assert_eq!(applied(&mut engine, &mut sys, &agg), [256 << 10], "quota caps the pageout");
         assert_eq!(sys.rss_bytes(pid), (1 << 20) - (256 << 10));
     }
 
@@ -485,10 +460,9 @@ mod tests {
         // The protected region is far colder → prioritised (and charged)
         // first under the old accounting.
         let agg = agg_of(vec![info(protected, 0, 90), info(victim, 0, 10)]);
-        let pass = engine.on_aggregation(&mut sys, &agg);
         assert_eq!(
-            pass.paged_out,
-            256 << 10,
+            applied(&mut engine, &mut sys, &agg),
+            [256 << 10],
             "budget must survive the filtered region and fund the victim"
         );
         assert_eq!(sys.rss_bytes(pid), 256 << 10);
@@ -513,8 +487,7 @@ mod tests {
             .unwrap();
         let mut engine = SchemesEngine::new(SchemeTarget::Virtual(pid), vec![config]);
         let agg = agg_of(vec![info(range, 0, 90)]);
-        let pass = engine.on_aggregation(&mut sys, &agg);
-        assert_eq!(pass.paged_out, 256 << 10);
+        assert_eq!(applied(&mut engine, &mut sys, &agg), [256 << 10]);
         assert_eq!(engine.stats()[0].nr_quota_skips, 0);
     }
 
@@ -540,8 +513,8 @@ mod tests {
         // `gone` is colder, so it is attempted (and, before the fix,
         // fully charged) first.
         let agg = agg_of(vec![info(gone, 0, 90), info(live, 0, 10)]);
-        let pass = engine.on_aggregation(&mut sys, &agg);
-        assert_eq!(pass.paged_out, 256 << 10, "budget funds bytes actually reclaimed");
+        let paged_out = applied(&mut engine, &mut sys, &agg);
+        assert_eq!(paged_out, [256 << 10], "budget funds bytes actually reclaimed");
         assert_eq!(sys.rss_bytes(pid), 0);
     }
 
@@ -568,18 +541,15 @@ mod tests {
             aggregation_interval: ms(100),
         };
         // First pass lands mid-stream at t=2.5s: one window's budget.
-        let pass = engine.on_aggregation(&mut sys, &mk(ms(2500)));
-        assert_eq!(pass.paged_out, 256 << 10);
+        assert_eq!(applied(&mut engine, &mut sys, &mk(ms(2500))), [256 << 10]);
         // Same window → throttled.
-        let pass = engine.on_aggregation(&mut sys, &mk(ms(2600)));
-        assert_eq!(pass.paged_out, 0);
+        assert_eq!(applied(&mut engine, &mut sys, &mk(ms(2600))), [0]);
         assert!(engine.stats()[0].nr_quota_skips >= 1);
         // Next window boundary (grid anchored at t=0) → budget refills.
         // Fault the evicted head back in so there is something to reclaim.
         sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
         clear_refs(&mut sys, pid, range);
-        let pass = engine.on_aggregation(&mut sys, &mk(ms(3000)));
-        assert_eq!(pass.paged_out, 256 << 10);
+        assert_eq!(applied(&mut engine, &mut sys, &mk(ms(3000))), [256 << 10]);
     }
 
     #[test]
@@ -592,10 +562,8 @@ mod tests {
         let schemes = vec![Scheme::any(Action::Stat), Scheme::any(Action::Pageout)];
         let mut engine = SchemesEngine::new(SchemeTarget::Virtual(pid), schemes);
         let agg = agg_of(vec![info(range, 0, 10)]);
-        let pass = engine.on_aggregation(&mut sys, &agg);
         // STAT saw the region resident; PAGEOUT then reclaimed it.
-        assert_eq!(pass.stat_bytes, 512 << 10);
-        assert_eq!(pass.paged_out, 512 << 10);
+        assert_eq!(applied(&mut engine, &mut sys, &agg), [512 << 10, 512 << 10]);
         assert_eq!(engine.stats()[0].nr_applied, 1);
         assert_eq!(engine.stats()[1].nr_applied, 1);
     }
@@ -609,9 +577,9 @@ mod tests {
         let mut engine =
             SchemesEngine::new(SchemeTarget::Virtual(pid), vec![Scheme::any(Action::Cold)]);
         let agg = agg_of(vec![info(range, 0, 10)]);
-        let pass = engine.on_aggregation(&mut sys, &agg);
+        engine.on_aggregation(&mut sys, &agg);
         assert_eq!(engine.stats()[0].sz_applied, 128 << 10);
-        assert_eq!(pass.paged_out, 0, "COLD only deactivates");
+        assert_eq!(sys.nr_swapped_in(pid, range), 0, "COLD only deactivates");
         assert_eq!(sys.rss_bytes(pid), 128 << 10);
     }
 
@@ -658,15 +626,15 @@ mod tests {
             .unwrap();
         let mut engine = SchemesEngine::new(SchemeTarget::Virtual(pid), vec![config]);
         let agg = agg_of(vec![info(range, 0, 100)]);
-        let pass = engine.on_aggregation(&mut sys, &agg);
-        assert_eq!(pass.paged_out, 0, "75% free: watermarks keep the scheme dormant");
+        let dormant = applied(&mut engine, &mut sys, &agg);
+        assert_eq!(dormant, [0], "75% free: watermarks keep the scheme dormant");
         assert_eq!(engine.wmarks[0].map(|(_, st)| st), Some(WatermarkState::Inactive));
 
         // Build pressure: map+touch 3 more MiB → 37% free → activates.
         let more = sys.mmap(pid, 3 << 20, ThpMode::Never).unwrap();
         sys.apply_access(pid, &AccessBatch::all(more, 1.0)).unwrap();
-        let pass = engine.on_aggregation(&mut sys, &agg);
-        assert!(pass.paged_out > 0, "under pressure the scheme activates");
+        let active = applied(&mut engine, &mut sys, &agg);
+        assert!(active[0] > 0, "under pressure the scheme activates");
         assert_eq!(engine.wmarks[0].map(|(_, st)| st), Some(WatermarkState::Active));
     }
 
@@ -687,8 +655,8 @@ mod tests {
             .unwrap();
         let mut engine = SchemesEngine::new(SchemeTarget::Virtual(pid), vec![config]);
         let agg = agg_of(vec![info(range, 0, 100)]);
-        let pass = engine.on_aggregation(&mut sys, &agg);
-        assert_eq!(pass.paged_out, 512 << 10, "only the unprotected half went out");
+        let paged_out = applied(&mut engine, &mut sys, &agg);
+        assert_eq!(paged_out, [512 << 10], "only the unprotected half went out");
         assert_eq!(
             sys.nr_resident_in(pid, protected),
             protected.nr_pages(),
@@ -711,8 +679,7 @@ mod tests {
             .unwrap();
         let mut engine = SchemesEngine::new(SchemeTarget::Virtual(pid), vec![config]);
         let agg = agg_of(vec![info(range, 0, 100)]);
-        let pass = engine.on_aggregation(&mut sys, &agg);
-        assert_eq!(pass.paged_out, 128 << 10);
+        assert_eq!(applied(&mut engine, &mut sys, &agg), [128 << 10]);
     }
 
     #[test]

@@ -212,6 +212,23 @@ target/release/daos report heatmap "$tmp/rec.jsonl" > "$tmp/rec_heat.txt"
 }
 echo "ok"
 
+echo "== golden: a served trace's stdout is the same trace =="
+# A served run's status lines go to stderr, and serving moves neither
+# the run nor the stream: the JSONL a served `daos trace` writes to
+# stdout summarises to the same golden file.
+target/release/daos trace parsec3/freqmine --config rec --epochs 200 --seed 42 \
+    --ring 1048576 --serve 127.0.0.1:0 > "$tmp/served.jsonl" 2> "$tmp/served.err"
+target/release/daos report summary "$tmp/served.jsonl" > "$tmp/served_summary.txt" || {
+    cat "$tmp/served.err"
+    echo "FAIL: report summary rejects a served trace's stdout"
+    exit 1
+}
+diff -u tests/golden/trace_summary.txt "$tmp/served_summary.txt" || {
+    echo "FAIL: a served trace summarises differently from tests/golden/trace_summary.txt"
+    exit 1
+}
+echo "ok"
+
 echo "== reproduction: every figure and table binary runs on the quick grid =="
 # Each binary under daos-bench/src/bin except the three gated benches
 # (and the ledger, a package of its own) must exit 0 under DAOS_QUICK=1

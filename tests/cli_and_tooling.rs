@@ -194,14 +194,14 @@ fn watermarked_reclaim_only_fires_under_pressure() {
     };
 
     // 75% free: dormant.
-    let pass = engine.on_aggregation(&mut sys, &agg);
-    assert_eq!(pass.paged_out, 0);
+    engine.on_aggregation(&mut sys, &agg);
+    assert_eq!(engine.stats()[0].sz_applied, 0);
 
     // Allocate another 24 MiB → 37% free: the scheme wakes and reclaims.
     let pressure = sys.mmap(pid, 24 << 20, ThpMode::Never).unwrap();
     sys.apply_access(pid, &AccessBatch::all(pressure, 1.0)).unwrap();
-    let pass = engine.on_aggregation(&mut sys, &agg);
-    assert_eq!(pass.paged_out, 16 << 20, "idle area reclaimed under pressure");
+    engine.on_aggregation(&mut sys, &agg);
+    assert_eq!(engine.stats()[0].sz_applied, 16 << 20, "idle area reclaimed under pressure");
 }
 
 /// The zero-dependency policy, as Cargo's own resolver states it: a

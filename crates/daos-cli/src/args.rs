@@ -72,7 +72,7 @@ SUBCOMMANDS:
         scale: N worker processes under the sharded monitoring
         engine, with per-tenant aggregation
         [--processes N] [--epochs N] [--shard-size N] [--workers N]
-        [--tenants N] [--footprint MIB] [--ring N]
+        [--tenants N] [--footprint MIB]
         [--config baseline|rec|prec|thp|ethp|prcl|damon_reclaim]
         [--swap zram|file|none] [--min-age SECONDS]
         [--machine i3|m5d|z1d] [--seed N] [--profile-wall]

@@ -604,9 +604,8 @@ pub fn tune(args: &Args) -> Result<(), DaosError> {
 /// under the sharded fleet engine (the [`Session`] API), with
 /// physical-address monitoring under a fleet-wide region budget and the
 /// paper's pageout scheme applied batched per shard. Prints the fleet
-/// summary: per-tenant aggregates, monitoring overhead per process, and
-/// per-process trace-ring drop counts (with `--ring`). With
-/// `--serve ADDR` the run publishes one snapshot per fleet, whose
+/// summary: per-tenant aggregates and monitoring overhead per process.
+/// With `--serve ADDR` the run publishes one snapshot per fleet, whose
 /// `/metrics` exposition carries per-tenant label families.
 pub fn fleet(args: &Args) -> Result<(), DaosError> {
     let machine = args.machine()?;
@@ -648,11 +647,7 @@ pub fn fleet(args: &Args) -> Result<(), DaosError> {
     };
     let spec = FleetConfig { worker_footprint: footprint << 20, ..fleet_cfg }.worker_spec(epochs);
 
-    let mut fleet = FleetSpec::new(processes).shard_size(shard_size).workers(workers).tenants(tenants);
-    let ring: usize = args.opt_num("ring", 0)?;
-    if ring > 0 {
-        fleet = fleet.trace_ring(ring);
-    }
+    let fleet = FleetSpec::new(processes).shard_size(shard_size).workers(workers).tenants(tenants);
     let launch = Launch { spec, machine, config, seed: args.seed()?, fleet };
 
     println!(
@@ -887,12 +882,11 @@ mod tests {
 
     #[test]
     fn fleet_small_run_succeeds() {
-        // The smallest interesting fleet: two shards, a tiny trace ring
-        // (so the drop path is exercised) and a named config override.
-        let line = "--processes 4 --epochs 6 --shard-size 2 --tenants 2 --ring 32";
+        // The smallest interesting fleet: two shards and two tenants,
+        // then a named config override.
+        let line = "--processes 4 --epochs 6 --shard-size 2 --tenants 2";
         fleet(&args("fleet", line)).unwrap();
-        // On `fleet`, `--ring 0` means "no ring", not a usage error.
-        let line = "--processes 2 --epochs 4 --config prcl --swap none --ring 0";
+        let line = "--processes 2 --epochs 4 --config prcl --swap none";
         fleet(&args("fleet", line)).unwrap();
         let err = fleet(&args("fleet", "--config warp9")).unwrap_err();
         assert!(err.to_string().contains("unknown config"));

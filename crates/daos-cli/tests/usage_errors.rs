@@ -33,7 +33,7 @@ fn binary_usage_errors_exit_2() {
     let trace = trace.to_str().expect("utf-8 temp path");
     let traced = ["trace", "parsec3/freqmine", "--config", "rec", "--epochs", "40", "--out", trace];
     assert_eq!(run(&traced).0, 0, "a small trace to render a heatmap from");
-    let cases: [(&[&str], &str); 40] = [
+    let cases: [(&[&str], &str); 41] = [
         // Another subcommand's option: each used to be accepted and
         // ignored (the record was `rec`, the fleet and the tuning ran).
         (&["record", "parsec3/freqmine", "--config", "thp"], "--config"),
@@ -51,6 +51,8 @@ fn binary_usage_errors_exit_2() {
         (&["fleet", "--processes", "10", "--tenants", "20", "--epochs", "3"], "--tenants"),
         (&["fleet", "--footprint", "0", "--epochs", "1"], "--footprint"),
         (&["fleet", "--epochs", "0"], "--epochs"),
+        // It used to fill a per-shard trace ring nothing ever read.
+        (&["fleet", "--ring", "8"], "--ring"),
         (&["run", "parsec3/freqmine", "--epochs", "1", "--ring", "0"], "--ring"),
         (&["trace", "parsec3/freqmine", "--epochs", "1", "--ring", "0"], "--ring"),
         // Its run thread used to fail before the first publish and leave

@@ -93,12 +93,6 @@ impl AddrRange {
         addr >= self.start && addr < self.end
     }
 
-    /// Whether `other` is fully contained in `self`.
-    #[inline]
-    pub const fn contains_range(&self, other: &AddrRange) -> bool {
-        other.is_empty() || (other.start >= self.start && other.end <= self.end)
-    }
-
     /// Intersection of two ranges; `None` when they do not overlap.
     #[inline]
     pub fn intersect(&self, other: &AddrRange) -> Option<AddrRange> {
@@ -211,15 +205,6 @@ mod tests {
         assert_eq!(r.pages().count(), 3);
         let unaligned = AddrRange::new(0x1001, 0x1002);
         assert_eq!(unaligned.pages().count(), 1);
-    }
-
-    #[test]
-    fn contains_range_edge_cases() {
-        let r = AddrRange::new(100, 200);
-        assert!(r.contains_range(&AddrRange::new(100, 200)));
-        assert!(r.contains_range(&AddrRange::new(150, 150))); // empty
-        assert!(!r.contains_range(&AddrRange::new(99, 150)));
-        assert!(!r.contains_range(&AddrRange::new(150, 201)));
     }
 }
 

@@ -260,9 +260,8 @@ impl FleetPublisher {
     /// — the next `seq`, the run identity, the calling thread's
     /// registry plus the `fleet.*` totals, the `tenant.<name>.*`
     /// aggregates and any `engine.phase.<phase>.*` wall times, and the
-    /// thread collector's ring drops on top of the
-    /// engine's — to `rest`, where a live tick and the end of the run
-    /// put what they each know.
+    /// thread collector's ring drops — to `rest`, where a live tick and
+    /// the end of the run put what they each know.
     fn build(
         &mut self,
         fleet: &[(&str, u64)],
@@ -297,7 +296,7 @@ impl FleetPublisher {
             workload: self.workload.clone(),
             machine: self.machine.clone(),
             registry,
-            dropped_events: rest.dropped_events + ring_dropped(),
+            dropped_events: ring_dropped(),
             ..rest
         }
     }
@@ -317,7 +316,6 @@ impl FleetPublisher {
             ("monitor_total_checks", summary.monitor_total_checks),
             ("overhead_per_process_ns", summary.overhead_per_process_ns()),
             ("effective_max_regions", summary.effective_max_regions as u64),
-            ("dropped_events", summary.total_dropped()),
         ];
         let last = self.publisher.snapshot();
         let snap = self.build(
@@ -333,7 +331,6 @@ impl FleetPublisher {
                 last_window: last.last_window.clone(),
                 schemes: last.schemes.clone(),
                 overhead: last.overhead,
-                dropped_events: summary.total_dropped(),
                 finished: true,
                 ..Default::default()
             },
@@ -357,7 +354,6 @@ impl FleetObserver for FleetPublisher {
         let fleet = [
             ("nr_processes", p.nr_processes as u64),
             ("monitor_work_ns", p.monitor_work_ns),
-            ("dropped_events", p.dropped_events),
         ];
         let single = p.single.as_ref();
         let last_window = single.and_then(|s| s.last_window.clone());
@@ -375,7 +371,6 @@ impl FleetObserver for FleetPublisher {
                 last_window,
                 schemes: single.map(|s| s.scheme_stats.clone()).unwrap_or_default(),
                 overhead: single.and_then(|s| s.overhead),
-                dropped_events: p.dropped_events,
                 ..Default::default()
             },
         );

@@ -42,7 +42,7 @@ pub struct ObsSnapshot {
     /// Snapshot of the trace metrics registry (empty when the run has no
     /// collector installed).
     pub registry: Registry,
-    /// Events the trace ring overwrote so far.
+    /// Events the calling thread's trace ring overwrote so far.
     pub dropped_events: u64,
     /// Whether the run has completed (the final snapshot sets this).
     pub finished: bool,

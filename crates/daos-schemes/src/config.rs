@@ -1,11 +1,11 @@
 //! Scheme-level configuration: one scheme plus everything attached to
-//! it — quota, watermarks, address filters — assembled with a builder
-//! and validated at [`build`](SchemeConfigBuilder::build).
+//! it — quota and watermarks — assembled with a builder and validated
+//! at [`build`](SchemeConfigBuilder::build).
 //!
 //! This replaces the index-based `SchemesEngine::set_quota(idx, ..)` /
-//! `set_watermarks(idx, ..)` / `add_filter(idx, ..)` style, where the
-//! binding between a scheme and its attachments lived only in the
-//! caller's head (and an off-by-one silently re-targeted a quota).
+//! `set_watermarks(idx, ..)` style, where the binding between a scheme
+//! and its attachments lived only in the caller's head (and an
+//! off-by-one silently re-targeted a quota).
 //! A [`SchemeConfig`] keeps them together:
 //!
 //! ```
@@ -20,7 +20,6 @@
 //! assert_eq!(cfg.scheme.action, Action::Pageout);
 //! ```
 
-use crate::filter::AddrFilter;
 use crate::quota::Quota;
 use crate::scheme::Scheme;
 use crate::watermarks::{Watermarks, WatermarksError};
@@ -68,8 +67,8 @@ impl From<WatermarksError> for SchemeConfigError {
     }
 }
 
-/// A scheme together with its optional quota, watermarks, and address
-/// filters — the unit [`SchemesEngine::new`] consumes.
+/// A scheme together with its optional quota and watermarks — the unit
+/// [`SchemesEngine::new`] consumes.
 ///
 /// [`SchemesEngine::new`]: crate::SchemesEngine::new
 #[derive(Debug, Clone, PartialEq)]
@@ -80,15 +79,13 @@ pub struct SchemeConfig {
     pub quota: Option<Quota>,
     /// Optional activation band over the free-memory metric.
     pub watermarks: Option<Watermarks>,
-    /// Address filters applied to every acted-on range.
-    pub filters: Vec<AddrFilter>,
 }
 
 impl From<Scheme> for SchemeConfig {
-    /// A bare scheme: no quota, no watermarks, no filters. Lets
+    /// A bare scheme: no quota, no watermarks. Lets
     /// `SchemesEngine::new(target, vec![scheme])` keep working.
     fn from(scheme: Scheme) -> Self {
-        SchemeConfig { scheme, quota: None, watermarks: None, filters: Vec::new() }
+        SchemeConfig { scheme, quota: None, watermarks: None }
     }
 }
 
@@ -119,12 +116,6 @@ impl SchemeConfigBuilder {
         self
     }
 
-    /// Append an address filter (filters are applied in insertion order).
-    pub fn filter(mut self, filter: AddrFilter) -> Self {
-        self.config.filters.push(filter);
-        self
-    }
-
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<SchemeConfig, SchemeConfigError> {
         if let Some(wm) = &self.config.watermarks {
@@ -147,7 +138,6 @@ mod tests {
     use super::*;
     use crate::action::Action;
     use crate::watermarks::WatermarkMetric;
-    use daos_mm::addr::AddrRange;
 
     #[test]
     fn builder_collects_attachments() {
@@ -155,13 +145,10 @@ mod tests {
             .configure()
             .quota(Quota { sz_limit: 1 << 20, reset_interval: 1_000 })
             .watermarks(Watermarks::reclaim_defaults())
-            .filter(AddrFilter::reject(AddrRange::new(0, 4096)))
-            .filter(AddrFilter::allow(AddrRange::new(8192, 16384)))
             .build()
             .unwrap();
         assert_eq!(cfg.quota.unwrap().sz_limit, 1 << 20);
         assert!(cfg.watermarks.is_some());
-        assert_eq!(cfg.filters.len(), 2);
     }
 
     #[test]
@@ -169,7 +156,6 @@ mod tests {
         let cfg = SchemeConfig::from(Scheme::any(Action::Stat));
         assert_eq!(cfg.quota, None);
         assert_eq!(cfg.watermarks, None);
-        assert!(cfg.filters.is_empty());
     }
 
     #[test]

@@ -9,7 +9,6 @@ use daos_monitor::{Aggregation, RegionInfo};
 
 use crate::action::Action;
 use crate::config::SchemeConfig;
-use crate::filter::{apply_filters, AddrFilter};
 use crate::quota::{prioritize, QuotaState};
 use crate::scheme::Scheme;
 use crate::stats::SchemeStats;
@@ -55,7 +54,6 @@ pub struct SchemesEngine {
     stats: Vec<SchemeStats>,
     quotas: Vec<Option<QuotaState>>,
     wmarks: Vec<Option<(Watermarks, WatermarkState)>>,
-    filters: Vec<Vec<AddrFilter>>,
     /// The regions one scheme matched in the current pass, reused across
     /// schemes and passes. Kept because it pays: `run_idle_prcl` peaks
     /// ≈ 0.15 MiB higher without it (DESIGN §12, derived state).
@@ -67,7 +65,7 @@ impl SchemesEngine {
     ///
     /// Accepts anything convertible to [`SchemeConfig`]s: a plain
     /// `Vec<Scheme>` (no attachments), or configs built with
-    /// [`Scheme::configure`] carrying quotas, watermarks, and filters.
+    /// [`Scheme::configure`] carrying quotas and watermarks.
     /// Quota windows start at virtual time 0.
     pub fn new<I>(target: SchemeTarget, schemes: I) -> Self
     where
@@ -80,7 +78,6 @@ impl SchemesEngine {
             stats: Vec::new(),
             quotas: Vec::new(),
             wmarks: Vec::new(),
-            filters: Vec::new(),
             matching: Vec::new(),
         };
         for config in schemes {
@@ -89,7 +86,6 @@ impl SchemesEngine {
             engine.stats.push(SchemeStats::default());
             engine.quotas.push(config.quota.map(|q| QuotaState::new(q, 0)));
             engine.wmarks.push(config.watermarks.map(|w| (w, WatermarkState::Inactive)));
-            engine.filters.push(config.filters);
         }
         engine
     }
@@ -160,10 +156,9 @@ impl SchemesEngine {
                 });
                 // Grant up to the remaining budget without consuming it
                 // yet: the quota is charged for what the action actually
-                // affects, after filters clip the range and the mm layer
-                // reports actionable bytes. Charging the full grant up
-                // front (the old behaviour) burned budget on
-                // filter-rejected and already-evicted bytes, so a scheme
+                // affects, once the mm layer reports actionable bytes.
+                // Charging the full grant up front (the old behaviour)
+                // burned budget on already-evicted bytes, so a scheme
                 // could stall with most of its nominal budget unspent.
                 let granted = match &mut self.quotas[i] {
                     Some(q) => {
@@ -180,37 +175,26 @@ impl SchemesEngine {
                     }
                     None => r.range.len(),
                 };
-                // Clip the acted-on range to the granted budget, then
-                // run it through the scheme's address filters — or, with
-                // none (the common case), act on it as it is, so trying a
-                // region allocates nothing.
+                // Act on the region clipped to the granted budget.
                 let range = AddrRange::new(r.range.start, r.range.start + granted);
-                let filters = &self.filters[i];
-                let unfiltered = filters.is_empty().then_some(range).filter(|r| !r.is_empty());
-                let filtered =
-                    if filters.is_empty() { Vec::new() } else { apply_filters(range, filters) };
-                let mut applied_total = 0;
-                for allowed in unfiltered.into_iter().chain(filtered) {
-                    let (applied, work_ns) = Self::apply(self.target, scheme.action, sys, allowed);
-                    pass.work_ns += work_ns;
-                    if applied > 0 {
-                        applied_total += applied;
-                        self.stats[i].applied(applied);
-                        daos_trace::trace!(agg.at, SchemeApply {
-                            scheme: i as u32,
-                            action: action_tag(scheme.action),
-                            bytes: applied,
-                        });
-                    }
+                let (applied, work_ns) = Self::apply(self.target, scheme.action, sys, range);
+                pass.work_ns += work_ns;
+                if applied > 0 {
+                    self.stats[i].applied(applied);
+                    daos_trace::trace!(agg.at, SchemeApply {
+                        scheme: i as u32,
+                        action: action_tag(scheme.action),
+                        bytes: applied,
+                    });
                 }
                 if let Some(q) = &mut self.quotas[i] {
                     // The grant is at most what remains, so an action
                     // that stays inside it never overdraws the window.
                     debug_assert!(
-                        applied_total <= granted,
-                        "scheme {i} applied {applied_total} bytes on a grant of {granted}"
+                        applied <= granted,
+                        "scheme {i} applied {applied} bytes on a grant of {granted}"
                     );
-                    q.consume(applied_total);
+                    q.consume(applied);
                 }
             }
         }
@@ -437,61 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn reject_filtered_region_leaves_quota_intact() {
-        // Regression: the engine used to consume quota for the full
-        // granted bytes *before* filters ran, so a region that filters
-        // then rejected entirely still burned the whole window's budget
-        // and starved every later (actionable) region.
-        let mut sys = sys();
-        let pid = sys.spawn();
-        let protected = sys.mmap(pid, 256 << 10, ThpMode::Never).unwrap();
-        let victim = sys.mmap(pid, 256 << 10, ThpMode::Never).unwrap();
-        sys.apply_access(pid, &AccessBatch::all(protected, 1.0)).unwrap();
-        sys.apply_access(pid, &AccessBatch::all(victim, 1.0)).unwrap();
-        clear_refs(&mut sys, pid, protected);
-        clear_refs(&mut sys, pid, victim);
-        let config = Scheme::any(Action::Pageout)
-            .configure()
-            .quota(Quota { sz_limit: 256 << 10, reset_interval: ms(1000) })
-            .filter(crate::filter::AddrFilter::reject(protected))
-            .build()
-            .unwrap();
-        let mut engine = SchemesEngine::new(SchemeTarget::Virtual(pid), vec![config]);
-        // The protected region is far colder → prioritised (and charged)
-        // first under the old accounting.
-        let agg = agg_of(vec![info(protected, 0, 90), info(victim, 0, 10)]);
-        assert_eq!(
-            applied(&mut engine, &mut sys, &agg),
-            [256 << 10],
-            "budget must survive the filtered region and fund the victim"
-        );
-        assert_eq!(sys.rss_bytes(pid), 256 << 10);
-        assert_eq!(sys.nr_swapped_in(pid, protected), 0, "filter held");
-        assert_eq!(sys.nr_swapped_in(pid, victim), 64);
-    }
-
-    #[test]
-    fn empty_reject_filter_is_a_noop() {
-        // Edge case: an empty filter range must neither clip the action
-        // nor perturb quota charging.
-        let mut sys = sys();
-        let pid = sys.spawn();
-        let range = sys.mmap(pid, 256 << 10, ThpMode::Never).unwrap();
-        sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
-        clear_refs(&mut sys, pid, range);
-        let config = Scheme::any(Action::Pageout)
-            .configure()
-            .quota(Quota { sz_limit: 1 << 20, reset_interval: ms(1000) })
-            .filter(crate::filter::AddrFilter::reject(AddrRange::empty()))
-            .build()
-            .unwrap();
-        let mut engine = SchemesEngine::new(SchemeTarget::Virtual(pid), vec![config]);
-        let agg = agg_of(vec![info(range, 0, 90)]);
-        assert_eq!(applied(&mut engine, &mut sys, &agg), [256 << 10]);
-        assert_eq!(engine.stats()[0].nr_quota_skips, 0);
-    }
-
-    #[test]
     fn quota_charges_applied_not_granted_bytes() {
         // A region that is already swapped out yields zero actionable
         // bytes; acting on it must not consume budget.
@@ -636,50 +565,6 @@ mod tests {
         let active = applied(&mut engine, &mut sys, &agg);
         assert!(active[0] > 0, "under pressure the scheme activates");
         assert_eq!(engine.wmarks[0].map(|(_, st)| st), Some(WatermarkState::Active));
-    }
-
-    #[test]
-    fn filters_protect_ranges_from_actions() {
-        let mut sys = sys();
-        let pid = sys.spawn();
-        let range = sys.mmap(pid, 1 << 20, ThpMode::Never).unwrap();
-        sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
-        clear_refs(&mut sys, pid, range);
-
-        // Protect the middle half of the mapping.
-        let protected = AddrRange::new(range.start + (256 << 10), range.start + (768 << 10));
-        let config = Scheme::any(Action::Pageout)
-            .configure()
-            .filter(crate::filter::AddrFilter::reject(protected))
-            .build()
-            .unwrap();
-        let mut engine = SchemesEngine::new(SchemeTarget::Virtual(pid), vec![config]);
-        let agg = agg_of(vec![info(range, 0, 100)]);
-        let paged_out = applied(&mut engine, &mut sys, &agg);
-        assert_eq!(paged_out, [512 << 10], "only the unprotected half went out");
-        assert_eq!(
-            sys.nr_resident_in(pid, protected),
-            protected.nr_pages(),
-            "the protected range stayed resident"
-        );
-    }
-
-    #[test]
-    fn allow_filter_confines_action() {
-        let mut sys = sys();
-        let pid = sys.spawn();
-        let range = sys.mmap(pid, 1 << 20, ThpMode::Never).unwrap();
-        sys.apply_access(pid, &AccessBatch::all(range, 1.0)).unwrap();
-        clear_refs(&mut sys, pid, range);
-        let arena = AddrRange::new(range.start, range.start + (128 << 10));
-        let config = Scheme::any(Action::Pageout)
-            .configure()
-            .filter(crate::filter::AddrFilter::allow(arena))
-            .build()
-            .unwrap();
-        let mut engine = SchemesEngine::new(SchemeTarget::Virtual(pid), vec![config]);
-        let agg = agg_of(vec![info(range, 0, 100)]);
-        assert_eq!(applied(&mut engine, &mut sys, &agg), [128 << 10]);
     }
 
     #[test]

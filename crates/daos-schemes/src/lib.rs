@@ -19,7 +19,6 @@
 pub mod action;
 pub mod config;
 pub mod engine;
-pub mod filter;
 pub mod parser;
 pub mod quota;
 pub mod scheme;
@@ -29,7 +28,6 @@ pub mod watermarks;
 pub use action::Action;
 pub use config::{SchemeConfig, SchemeConfigBuilder, SchemeConfigError};
 pub use engine::{EnginePass, SchemeTarget, SchemesEngine};
-pub use filter::{apply_filters, AddrFilter, FilterMode};
 pub use parser::{parse_scheme_line, parse_schemes, ParseError, SchemeParseError};
 pub use quota::{Quota, QuotaState};
 pub use scheme::{AgeVal, Bound, FreqVal, Scheme};

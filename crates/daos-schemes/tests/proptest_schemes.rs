@@ -3,13 +3,8 @@
 use daos_mm::addr::AddrRange;
 use daos_mm::clock::ms;
 use daos_monitor::{Aggregation, RegionInfo};
-use daos_schemes::{
-    apply_filters, parse_scheme_line, parse_schemes, Action, AddrFilter, AgeVal, Bound, FreqVal,
-    Scheme,
-};
-use daos_util::prop::{
-    any_bool, fuzz_bytes, select, vec_of, Just, Strategy, StrategyExt, TestCaseError,
-};
+use daos_schemes::{parse_scheme_line, parse_schemes, Action, AgeVal, Bound, FreqVal, Scheme};
+use daos_util::prop::{any_bool, fuzz_bytes, select, Just, Strategy, StrategyExt, TestCaseError};
 use daos_util::{one_of, prop_assert, prop_assert_eq, proptest};
 
 fn arb_action() -> impl Strategy<Value = Action> {
@@ -104,37 +99,6 @@ proptest! {
         let s = Scheme::any(Action::Stat)
             .freq(Some(FreqVal::Samples(lo + width)), Some(FreqVal::Samples(lo - 1)));
         prop_assert!(!s.matches(&region(4096, probe.min(20), 0), &agg()));
-    }
-
-    /// Filter chains never emit bytes outside the candidate, never
-    /// overlap, and allow-filters only shrink coverage.
-    fn filter_outputs_are_sound(
-        cand_pages in 1u64..256,
-        specs in vec_of((0u64..256, 1u64..128, any_bool()), 0..5),
-    ) {
-        let candidate = AddrRange::new(0x10000, 0x10000 + cand_pages * 4096);
-        let filters: Vec<AddrFilter> = specs
-            .iter()
-            .map(|&(start, pages, allow)| {
-                let r = AddrRange::new(start * 4096, (start + pages) * 4096);
-                if allow { AddrFilter::allow(r) } else { AddrFilter::reject(r) }
-            })
-            .collect();
-        let out = apply_filters(candidate, &filters);
-        let mut covered = 0u64;
-        for (i, r) in out.iter().enumerate() {
-            prop_assert!(!r.is_empty());
-            prop_assert!(candidate.contains_range(r), "{r} outside {candidate}");
-            covered += r.len();
-            if let Some(next) = out.get(i + 1) {
-                prop_assert!(r.end <= next.start, "outputs must be ordered/disjoint");
-            }
-        }
-        prop_assert!(covered <= candidate.len());
-        // With no filters, coverage is exactly the candidate.
-        if filters.is_empty() {
-            prop_assert_eq!(covered, candidate.len());
-        }
     }
 }
 

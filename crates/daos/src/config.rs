@@ -30,8 +30,8 @@ pub struct RunConfig {
     pub khugepaged: bool,
     /// Monitoring, if any.
     pub monitor: Option<MonitorKind>,
-    /// Schemes for the engine, each with its quota / watermarks /
-    /// filters attached (requires monitoring).
+    /// Schemes for the engine, each with its quota / watermarks attached
+    /// (requires monitoring).
     pub schemes: Vec<SchemeConfig>,
     /// Whether to keep the full aggregation record (Fig. 6 heatmaps).
     pub record: bool,

@@ -196,31 +196,6 @@ fn monitoring_overhead_is_sublinear_in_fleet_size() {
     );
 }
 
-/// With per-shard trace rings, drop counts are reported per process —
-/// not collapsed into one once-per-run warning.
-#[test]
-fn per_process_drop_counts_survive_in_summary() {
-    let machine = small_machine();
-    let spec = small_worker(15);
-    let config = RunConfig::prcl();
-    let summary = Session::new(&machine, &config, &spec)
-        .seed(3)
-        .fleet(FleetSpec::new(6).shard_size(2).workers(2).trace_ring(8))
-        .execute()
-        .unwrap()
-        .fleet
-        .unwrap();
-    assert_eq!(summary.dropped_events.len(), 6, "one drop counter per process");
-    let lossy = summary.dropped_events.iter().filter(|&&d| d > 0).count();
-    assert!(
-        lossy >= 2,
-        "expected multiple processes to overflow an 8-event ring, got {:?}",
-        summary.dropped_events
-    );
-    let rendered = summary.render();
-    assert!(rendered.contains("events dropped across"), "summary renders drops:\n{rendered}");
-}
-
 /// The budget clamp leaves a catalog workload's attrs untouched at N=1
 /// and the builder clamps degenerate values.
 #[test]

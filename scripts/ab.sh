@@ -12,8 +12,9 @@
 # side, the side that goes first alternating. Prints, per workload and
 # per end-to-end metric of BENCHMARK.json, each side's median and
 # quartiles over the pairs, how many pairs B won and tied, and whether
-# B's median beats A's by more than A's own interquartile distance —
-# then whether the two sides' `sim_digest`s agree at seed 42 and at
+# B's median beats A's by more than A's own interquartile distance,
+# and each side's host steal ticks per run (a spread with steal in it is
+# the box, not the change) — then whether the two sides' `sim_digest`s agree at seed 42 and at
 # seed 7 (a speed-only claim must hold at both). First it prints each
 # package's `live_loc` for A and B and the difference, both trees read by
 # B's `daos-lint --json`, so a refactor's line count comes from the same
@@ -65,12 +66,21 @@ LC_ALL=C join -t: -a1 -a2 -e0 -o 0,1.2,2.2 "$scratch/a.loc" "$scratch/b.loc" \
 metrics=$(sed -n '/"end_to_end"/,/\]/p' BENCHMARK.json \
     | sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([^"]*\)".*/\1:\2/p')
 
+# steal: the host's steal ticks so far, all CPUs (the 8th value of the
+# `cpu` line of /proc/stat, in USER_HZ ticks; 0 without one).
+steal() {
+    awk '$1 == "cpu" { s = $9 } END { print s + 0 }' /proc/stat 2> /dev/null || echo 0
+}
+
 # side_run SIDE ROOT BIN: one timed window of $workload; its last stdout
 # line (the driver contract's {"correct","attempted","failed","metrics"})
-# is appended to $scratch/SIDE.$workload.jsonl.
+# is appended to $scratch/SIDE.$workload.jsonl, and the steal ticks the
+# run saw to $scratch/SIDE.$workload.steal.
 side_run() {
+    before=$(steal)
     (cd "$2" && "$3" --workload "$workload" --seed 42 --seconds "$seconds" --trace 0 2> /dev/null) \
         | tail -n 1 >> "$scratch/$1.$workload.jsonl"
+    echo $(($(steal) - before)) >> "$scratch/$1.$workload.steal"
 }
 
 # values FILE METRIC: one value per run, in run order.
@@ -89,6 +99,8 @@ for workload in $workloads; do
     a_runs=$scratch/A.$workload.jsonl b_runs=$scratch/B.$workload.jsonl
     : > "$a_runs"
     : > "$b_runs"
+    : > "$scratch/A.$workload.steal"
+    : > "$scratch/B.$workload.steal"
     printf '\n== %s ' "$workload"
     i=1
     while [ "$i" -le "$pairs" ]; do
@@ -135,6 +147,9 @@ for workload in $workloads; do
                 printf "%-18s %-4s %12.4g %12.4g %12.4g\n", name, "A", q(a, n, 0.25), am, q(a, n, 0.75)
                 printf "%-18s %-4s %12.4g %12.4g %12.4g   %s\n", name, "B", q(b, n, 0.25), bm, q(b, n, 0.75), verdict
             }'
+    done
+    for side in A B; do
+        echo "steal ticks per run, $side: $(tr '\n' ' ' < "$scratch/$side.$workload.steal")"
     done
 
     # Speed-only or not: one quick run per side and seed prints the digest.

@@ -496,18 +496,22 @@ no_sources $ledger/Cargo.lock
 
 echo "== speed-only guard: the benchmark's workloads reproduce the recorded sim_digest =="
 # A layout or fast-path change may move host time only. Each BENCHMARK.json
-# workload, run once at seed 42, must hash to the sim_digest recorded in
-# the ledger's baseline (read here, never written).
+# workload, run once at seed 42 and once at seed 7, must hash to the
+# sim_digest recorded in the ledger's baseline for that seed (read here,
+# never written).
 digest() { grep -o '"sim_digest":"[0-9a-f]*"' | head -1; }
-for w in $(sed -n 's/.*{"name": "\([a-z0-9_]*\)", "why".*/\1/p' BENCHMARK.json); do
-    want=$(grep -o "\"$w\":{.*" $ledger/baseline/ledger_A1.json | digest)
-    got=$(cargo run -q --release --offline --manifest-path $ledger/Cargo.toml -- \
-        --quick --workload "$w" --seed 42 2>/dev/null | tail -1 | digest)
-    [ -n "$want" ] && [ "$got" = "$want" ] || {
-        echo "FAIL: $w: $got, baseline/ledger_A1.json records $want"
-        exit 1
-    }
-    echo "  $w $got"
+for run in 42:ledger_A1.json 7:ledger_seed7.json; do
+    seed=${run%%:*} baseline=baseline/${run#*:}
+    for w in $(sed -n 's/.*{"name": "\([a-z0-9_]*\)", "why".*/\1/p' BENCHMARK.json); do
+        want=$(grep -o "\"$w\":{.*" $ledger/$baseline | digest)
+        got=$(cargo run -q --release --offline --manifest-path $ledger/Cargo.toml -- \
+            --quick --workload "$w" --seed "$seed" 2>/dev/null | tail -1 | digest)
+        [ -n "$want" ] && [ "$got" = "$want" ] || {
+            echo "FAIL: $w at seed $seed: $got, $baseline records $want"
+            exit 1
+        }
+        echo "  $w seed $seed $got"
+    done
 done
 echo "ok"
 

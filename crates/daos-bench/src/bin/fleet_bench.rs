@@ -5,10 +5,9 @@
 //! alone and its first tick, which stamps every shard, written to
 //! `BENCH_fleet.json` at the repo root as the regression baseline.
 //!
-//! `fleet_bench --quick` shrinks samples/iterations for CI smoke runs;
 //! `DAOS_BENCH_OUT` overrides the output path;
-//! `--check FILE [--baseline BASE --margin PCT]` gates the committed
-//! baseline exactly like `pipeline --check` (exit 65 on a regression).
+//! `--check FILE [--baseline BASE]` gates the committed baseline exactly
+//! like `pipeline --check` (exit 65 on a regression).
 
 use daos::{FleetEngine, FleetSpec, RunConfig, Session};
 use daos_bench::artifact;
@@ -75,16 +74,15 @@ fn bench_fleet_run(h: &mut Harness) {
 }
 
 /// Time every bench and return the artifact.
-fn measure(quick: bool) -> Json {
-    let samples = if quick { 3 } else { 10 };
-    let iters = if quick { 2 } else { 5 };
+fn measure() -> Json {
+    let (samples, iters) = (10, 5);
     let mut h = Harness::new("fleet", samples).progress_to(Box::new(std::io::stdout()));
 
     bench_fleet_tick(&mut h, iters, 100);
     bench_fleet_tick(&mut h, iters, 1000);
     bench_fleet_run(&mut h);
 
-    artifact::artifact_doc("fleet", quick, samples, h.results())
+    artifact::artifact_doc("fleet", samples, h.results())
 }
 
 fn main() {

@@ -8,10 +8,9 @@
 //! self-telemetry against the client-side request counts — the artifact
 //! is only committed if the server counted every request.
 //!
-//! `obs_bench --quick` shrinks the storm for CI smoke runs;
 //! `DAOS_BENCH_OUT` overrides the output path;
-//! `--check FILE [--baseline BASE --margin PCT]` gates the committed
-//! baseline exactly like `pipeline --check` (exit 65 on a regression).
+//! `--check FILE [--baseline BASE]` gates the committed baseline exactly
+//! like `pipeline --check` (exit 65 on a regression).
 
 use daos_bench::artifact::{self, LoadStats};
 use daos_obs::http::{http_get, HttpClient};
@@ -131,8 +130,8 @@ fn server_side_counts(addr: std::net::SocketAddr) -> Vec<(String, u64)> {
 }
 
 /// Storm every endpoint of a live server and return the artifact.
-fn measure(quick: bool) -> Json {
-    let (clients, requests) = if quick { (20, 5) } else { (200, 25) };
+fn measure() -> Json {
+    let (clients, requests) = (200, 25);
 
     let publisher = synthetic_publisher();
     let server = ObsServer::bind_with(
@@ -188,7 +187,7 @@ fn measure(quick: bool) -> Json {
     }
     println!("obs_bench: server-side request totals match client-side counts");
 
-    artifact::load_artifact_doc("obs", quick, &results)
+    artifact::load_artifact_doc("obs", &results)
 }
 
 fn main() {

@@ -7,9 +7,10 @@
 //! loop with tracing enabled vs disabled — written to
 //! `BENCH_pipeline.json` at the repo root as the regression baseline.
 //!
-//! `pipeline --quick` shrinks samples/iterations for CI smoke runs
-//! (verify.sh only checks the artifact is well-formed JSON);
-//! `DAOS_BENCH_OUT` overrides the output path.
+//! `DAOS_BENCH_OUT` overrides the output path; `--check FILE [--baseline
+//! BASE]` gates an artifact against the committed baseline (exit 65 on a
+//! regression). README's hot-path table is rendered from the committed
+//! artifact, lane by lane in JSON order.
 
 use daos_bench::artifact;
 use daos_mm::addr::{AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
@@ -332,9 +333,8 @@ const GATED: [&str; 8] = [
 ];
 
 /// Time every bench and return the artifact.
-fn measure(quick: bool) -> Json {
-    let samples = if quick { 3 } else { 20 };
-    let iters = if quick { 5 } else { 100 };
+fn measure() -> Json {
+    let (samples, iters) = (20, 100);
     let mut h = Harness::new("pipeline", samples).progress_to(Box::new(std::io::stdout()));
 
     bench_monitor_tick(&mut h, iters * 4);
@@ -348,7 +348,7 @@ fn measure(quick: bool) -> Json {
     bench_fault_service(&mut h, iters);
     bench_trace_toggle(&mut h, iters * 4);
 
-    artifact::artifact_doc("pipeline", quick, samples, h.results())
+    artifact::artifact_doc("pipeline", samples, h.results())
 }
 
 fn main() {

@@ -59,9 +59,8 @@
 //!   `(addr, frame)` pushed for the caller to free; `resident`, `swapped`
 //!   and `touched` then move by one mask of the evicted bits. The first
 //!   failed store ends the walk: that page and every later one keep
-//!   everything, their `accessed` bits included — the referenced mask is
-//!   cut below the failing bit — as the per-page loop left them when it
-//!   broke off.
+//!   everything, their `accessed` bits included, because the referenced
+//!   mask is cut below the failing bit.
 //! * [`Vma::split_huge`] — a huge chunk back to base pages: the huge flag
 //!   cleared and, a word at a time, every `resident & !touched` page to
 //!   `None` with `accessed` clear, its generation bumped and its frame
@@ -70,10 +69,10 @@
 //! None of them materialises a chunk it does not map a page into, so a
 //! probe of untouched memory stays allocation-free. [`Vma::with_pte`] —
 //! load the page as a [`Pte`], run a closure, scatter it back in
-//! canonical form — is no library path's: it is
-//! the tests' setter for any state, and `tests/walker_differential.rs`
-//! holds each primitive to the `with_pte` closure it replaced (and
-//! `pageout_in` to `reclaim_page` looped over the resident pages).
+//! canonical form — is no library path's: it is the tests' setter for
+//! any state, and `tests/walker_differential.rs` holds each primitive to
+//! a `with_pte` closure (and `pageout_in` to `reclaim_page` looped over
+//! the resident pages).
 //!
 //! ## PTE layout
 //!
@@ -91,11 +90,12 @@
 //!
 //! A chunk is kept in canonical form, which [`Vma::check_layout`]
 //! checks: `resident` and `swapped` are disjoint, and a page in neither
-//! has `backing == 0`. Derived equality
-//! on [`Vma`] is then a logical comparison (a shard stamped from an image
-//! equals one built separately). `accessed`, `touched` and the generation
-//! are stored as written whatever the state, exactly as the fields of a
-//! stored `Pte` would be.
+//! has `backing == 0`. Derived equality on [`Vma`] is then a logical
+//! comparison (a shard stamped from an image equals one built
+//! separately). `accessed`, `touched` and the generation are stored as
+//! written whatever the state. A word operation may assume only what the
+//! canonical form gives it: a bit of `resident` is a page with a frame,
+//! whatever its other bits say.
 //!
 //! `touched` — "the CPU has used this page since it was mapped", what
 //! `demote_huge` reads to tell a promotion's filler subpages from real
@@ -127,25 +127,22 @@
 //! visit` is or-ed into `accessed` and `touched` and counted by popcount,
 //! and `visit & !resident` is the faults. Chunks ascend, words ascend
 //! within a chunk, and a word's set bits are taken lowest first, so the
-//! fault list is in visit order — the order the per-page loop pushed them.
+//! fault list is in visit order.
 //!
 //! *The whole-chunk path.* Most of a run is whole chunks: at a stride that
 //! divides 64, a chunk entered at a page `lo < stride` and left at its end
 //! has the one visit mask `pattern << lo` in all eight words, so the walk
 //! is a fixed eight-word body — `hit = resident & visit`, or-ed into
-//! `accessed` and `touched`, popcounted — with no mask array to build. The
-//! fault list is built in a second pass, and only when the count falls
-//! short of eight times the mask's popcount: some visited page is not
-//! resident. The chunk advance is a shift (a stride that divides 64 is a
-//! power of two). A partial chunk — the run's first and last, an
-//! unaligned VMA's ends — and every other stride take the general path
-//! above.
-//! A word operation may assume only what the canonical form gives it: a
-//! bit of `resident` is a page with a frame, whatever its other bits say.
+//! `accessed` and `touched`, popcounted. The fault list is built in a
+//! second pass, and only when the count falls short of eight times the
+//! mask's popcount: some visited page is not resident. The chunk advance
+//! is a shift (a stride that divides 64 is a power of two). A partial
+//! chunk — the run's first and last, an unaligned VMA's ends — and every
+//! other stride take the general path above.
 //!
-//! A flag write still bypasses [`Vma::with_pte`]: on an absent chunk
-//! there is no resident page to touch and no set bit to clear, so neither
-//! the load → `f` → store round trip nor a materialisation could change
+//! A flag write bypasses [`Vma::with_pte`]: on an absent chunk there is
+//! no resident page to touch and no set bit to clear, so neither the
+//! load → `f` → store round trip nor a materialisation could change
 //! anything the in-place word write does not.
 
 use crate::access::AccessOutcome;

@@ -26,9 +26,8 @@
 //! the default fleet maps 32 × 24 MiB onto 512 MiB of DRAM per shard, so
 //! about 2.03 M of a 1000 × 50 run's 2.26 M swapouts happen inside
 //! set-up, and which pages a process loses depends on its position in
-//! the shard. (That counts what the shards' *stamped counters* add up to;
-//! the host runs set-up once per image, so what it executes per run is
-//! 474,530 faults and 294,688 evictions.)
+//! the shard. (Those are the shards' *stamped counters*; the host runs
+//! set-up once per image.)
 //!
 //! Within a shard, processes are partitioned into **groups**, each
 //! watched by at most one monitoring **plane**: a monitor, the schemes
@@ -63,8 +62,8 @@
 //! Single-shard (or single-worker) fleets advance inline on the caller
 //! thread, so a thread-local trace collector observes them directly: it
 //! sees a length's set-up once, when the image is built, and on a
-//! multi-shard fleet it sees a span's events shard after shard — their
-//! timestamps were always per-shard virtual clocks. Otherwise each span
+//! multi-shard fleet it sees a span's events shard after shard, each
+//! stamped with its shard's virtual clock. Otherwise each span
 //! moves every slot into a task of the workspace worker pool
 //! ([`daos_util::pool::WorkerPool`], threads on one shared queue) and
 //! takes it back with the task's result behind the batch barrier, so

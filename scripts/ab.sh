@@ -17,8 +17,9 @@
 # the box, not the change) — then whether the two sides' `sim_digest`s agree at seed 42 and at
 # seed 7 (a speed-only claim must hold at both). First it prints each
 # package's `live_loc` for A and B and the difference, both trees read by
-# B's `daos-lint --json`, so a refactor's line count comes from the same
-# command as its speed and digest tables. Exits 1 if any
+# B's `daos-lint --json`, and under them DESIGN.md's and README.md's line
+# counts, so a refactor's line count comes from the same command as its
+# speed and digest tables. Exits 1 if any
 # workload had a failed run or a differing digest at either seed (the
 # change moved behaviour, and the timings compare two different
 # programs), after every workload has run. So a perf PR's claim table and its "must not
@@ -61,6 +62,11 @@ live_loc . > "$scratch/b.loc"
 printf '\n%-42s %8s %8s %8s\n' live_loc A B B-A
 LC_ALL=C join -t: -a1 -a2 -e0 -o 0,1.2,2.2 "$scratch/a.loc" "$scratch/b.loc" \
     | awk -F: '{ printf "%-42s %8d %8d %+8d\n", $1, $2, $3, $3 - $2 }'
+# The design docs grow like code does, so their line counts print beside it.
+for doc in DESIGN.md README.md; do
+    a=$(wc -l < "$a_root/$doc") b=$(wc -l < "$doc")
+    printf '%-42s %8d %8d %+8d\n' "$doc lines" "$a" "$b" $((b - a))
+done
 
 # The end-to-end metrics and which way is better, from BENCHMARK.json.
 metrics=$(sed -n '/"end_to_end"/,/\]/p' BENCHMARK.json \

@@ -20,14 +20,15 @@ cd "$(dirname "$0")/.."
 
 # bench_gate BIN BASELINE OUT WHAT: a fresh full run of target/release/BIN
 # into OUT must be non-empty, the committed BASELINE must be well-formed,
-# and OUT's gated statistic must sit within BASELINE + 50 %.
+# and OUT's gated statistic must sit within BASELINE + 50 % (the bench
+# binaries' `GATE_MARGIN_PCT`).
 bench_gate() {
     DAOS_BENCH_OUT="$3" "target/release/$1" > /dev/null
     [ -s "$3" ] || { echo "FAIL: $1 artifact empty"; exit 1; }
     "target/release/$1" --check "$2" || {
         echo "FAIL: committed $2 is not well-formed JSON"; exit 1
     }
-    "target/release/$1" --check "$3" --baseline "$2" --margin 50 || {
+    "target/release/$1" --check "$3" --baseline "$2" || {
         echo "FAIL: $4 regressed past the committed baseline + margin"
         echo "(compare $3 against $2; if the"
         echo "slowdown is intentional, regenerate the baseline with"
@@ -278,7 +279,7 @@ wait "$serve_pid" 2>/dev/null || true
 echo "ok"
 
 echo "== bench pipeline: well-formed artifact, hot paths within baseline =="
-# A full (non-quick) run takes <1 s. Timing lanes are gated on min-of-N,
+# A full run takes <1 s. Timing lanes are gated on min-of-N,
 # which moves only with a systematic slowdown, so a 50 % margin holds on
 # a shared CI machine and still catches any real hot-path regression
 # (PR 15's parent was 3.2x / 5x over on the fleet build and the resident

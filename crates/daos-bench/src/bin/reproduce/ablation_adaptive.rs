@@ -8,6 +8,7 @@
 //! memory it mislabels hot (false-hot), and what it costs (checks/tick).
 
 use daos_bench::report::{mean, write_artifact, Table};
+use daos_bench::scale::Scale;
 use daos_mm::addr::AddrRange;
 use daos_mm::clock::{ms, sec};
 use daos_monitor::{MonitorAttrs, MonitorCtx, SyntheticPrimitives, SyntheticSpace};
@@ -79,7 +80,7 @@ fn run_monitor(nr_regions: usize, adaptive: bool, seed: u64) -> Outcome {
     }
 }
 
-fn main() {
+pub fn run(_: Scale) {
     println!(
         "Ablation: adaptive regions adjustment vs static sampling\n\
          target {} MiB, hot region {} MiB (1/128th), jumping every 5 s\n",

@@ -4,6 +4,7 @@
 //! synthetic score landscapes of the six Fig. 3 shapes.
 
 use daos_bench::report::{mean, write_artifact, Table};
+use daos_bench::scale::Scale;
 use daos_mm::clock::sec;
 use daos_tuner::{tune, Polynomial, ScorePattern, TunerConfig};
 use daos_util::rng::SmallRng;
@@ -80,7 +81,7 @@ fn grid_fit_strategy(pattern: ScorePattern, seed: u64) -> f64 {
     }
 }
 
-fn main() {
+pub fn run(_: Scale) {
     println!(
         "Ablation: tuning strategies at equal budget ({BUDGET} samples, noise ±{NOISE}, \
          {TRIALS} trials per landscape)\nmetric: regret = true_best − true(chosen)\n"

@@ -6,12 +6,13 @@
 
 use daos::{Normalized, RunConfig, Session, SessionResult};
 use daos_bench::report::{write_artifact, Table};
+use daos_bench::scale::Scale;
 use daos_mm::clock::ms;
 use daos_mm::MachineProfile;
 use daos_schemes::{Quota, WatermarkMetric, Watermarks};
 use daos_workloads::by_path;
 
-fn main() {
+pub fn run(_: Scale) {
     println!("Extension: prcl vs DAMON_RECLAIM (quota + watermarks)\n");
 
     let mut table = Table::new(vec![

@@ -5,6 +5,7 @@
 //! victims immediately instead of discovering them by trial eviction.
 
 use daos_bench::report::{write_artifact, Table};
+use daos_bench::scale::Scale;
 use daos_mm::access::AccessBatch;
 use daos_mm::addr::AddrRange;
 use daos_mm::{MachineProfile, MemorySystem, SwapConfig, ThpMode};
@@ -79,7 +80,7 @@ fn pressured_run(lru_sort: bool) -> (u64, f64) {
     (hot_majors, sys.now() as f64 / 1e9)
 }
 
-fn main() {
+pub fn run(_: Scale) {
     println!(
         "Extension: DAMON_LRU_SORT — 24 MiB workload on 16 MiB DRAM.\n\
          The hot 6 MiB is re-touched only every ~100 ms, so its accessed bits are\n\

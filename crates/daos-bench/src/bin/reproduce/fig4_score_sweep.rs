@@ -8,8 +8,7 @@ use daos_bench::scale::Scale;
 use daos_bench::sweep::{prcl_sweep, to_aggressiveness_series};
 use daos_tuner::classify;
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) {
     let ages = scale.fig4_ages();
     let machines = scale.machines();
     let workloads = scale.fig4_workloads();

@@ -4,13 +4,14 @@
 
 use daos::tune_prcl;
 use daos_bench::report::{write_artifact, Table};
+use daos_bench::scale::Scale;
 use daos_bench::sweep::prcl_sweep;
 use daos_mm::clock::sec;
 use daos_mm::MachineProfile;
 use daos_tuner::TunerConfig;
 use daos_workloads::by_path;
 
-fn main() {
+pub fn run(_: Scale) {
     let machine = MachineProfile::i3_metal();
     let spec = by_path("parsec3/raytrace").expect("suite workload");
     println!("Figure 5: trend estimation for {} on {}.\n", spec.path_name(), machine.name);
@@ -29,29 +30,23 @@ fn main() {
     let result = tune_prcl(&machine, &spec, 42, &cfg).expect("tuning runs").result;
 
     let curve = result.curve.as_ref().expect("polynomial fit");
-    println!("{:>8} {:>10} {:>10}", "min_age", "Measured", "Estimated");
     let mut csv = Table::new(vec!["min_age_s", "measured", "estimated"]);
-    for (i, age) in ages.iter().enumerate() {
-        let est = curve.eval(*age as f64);
-        println!("{:>7}s {:>10.2} {:>10.2}", age, measured[i].score, est);
+    for (age, m) in ages.iter().zip(&measured) {
         csv.row(vec![
             age.to_string(),
-            format!("{:.3}", measured[i].score),
-            format!("{:.3}", est),
+            format!("{:.3}", m.score),
+            format!("{:.3}", curve.eval(*age as f64)),
         ]);
     }
+    print!("{}", csv.render());
 
-    println!("\n60% global samples:");
+    println!("\nTuner samples: 60% global, then 40% local around the best global sample:");
     let mut samples = Table::new(vec!["phase", "min_age_s", "score"]);
-    for (x, s) in &result.samples[..result.nr_global] {
-        println!("  min_age {x:>5.1}s -> score {s:>7.2}");
-        samples.row(vec!["global".into(), format!("{x:.2}"), format!("{s:.3}")]);
+    for (i, (x, s)) in result.samples.iter().enumerate() {
+        let phase = if i < result.nr_global { "global" } else { "local" };
+        samples.row(vec![phase.into(), format!("{x:.2}"), format!("{s:.3}")]);
     }
-    println!("40% local samples (around the best global sample):");
-    for (x, s) in &result.samples[result.nr_global..] {
-        println!("  min_age {x:>5.1}s -> score {s:>7.2}");
-        samples.row(vec!["local".into(), format!("{x:.2}"), format!("{s:.3}")]);
-    }
+    print!("{}", samples.render());
 
     let best_measured = measured
         .iter()

@@ -7,8 +7,7 @@ use daos_bench::report::write_artifact;
 use daos_bench::scale::Scale;
 use daos_mm::MachineProfile;
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) {
     let machine = MachineProfile::i3_metal();
     println!("Figure 6: access-pattern heatmaps (rec configuration on {}).\n", machine.name);
 

@@ -9,8 +9,7 @@ use daos_bench::report::{mean, r3, write_artifact, Table};
 use daos_bench::scale::Scale;
 use daos_mm::MachineProfile;
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) {
     let machine = MachineProfile::i3_metal();
     let workloads = scale.full_suite();
     let configs = RunConfig::paper_configs();

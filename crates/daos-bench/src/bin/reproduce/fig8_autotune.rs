@@ -51,8 +51,7 @@ fn tune_one(machine: &MachineProfile, spec: &WorkloadSpec) -> Row {
     }
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) {
     let machines = scale.machines();
     let workloads = scale.full_suite();
     println!(
@@ -70,20 +69,20 @@ fn main() {
     let rows: Vec<Row> = par_map(jobs, |(machine, spec)| tune_one(&machine, &spec));
 
     let mut table = Table::new(vec![
-        "workload", "machine", "man perf", "auto perf", "man mem", "auto mem", "man score",
-        "auto score", "tuned min_age",
+        "workload", "machine", "man_perf", "auto_perf", "man_mem", "auto_mem", "man_score",
+        "auto_score", "tuned_min_age_s",
     ]);
     for r in &rows {
         table.row(vec![
             r.workload.clone(),
             r.machine.clone(),
-            format!("{:.3}", r.man.performance),
-            format!("{:.3}", r.auto.performance),
-            format!("{:.3}", r.man.memory_efficiency),
-            format!("{:.3}", r.auto.memory_efficiency),
-            format!("{:.1}", r.man_score),
-            format!("{:.1}", r.auto_score),
-            format!("{:.1}s", r.tuned_min_age),
+            format!("{:.4}", r.man.performance),
+            format!("{:.4}", r.auto.performance),
+            format!("{:.4}", r.man.memory_efficiency),
+            format!("{:.4}", r.auto.memory_efficiency),
+            format!("{:.3}", r.man_score),
+            format!("{:.3}", r.auto_score),
+            format!("{:.2}", r.tuned_min_age),
         ]);
     }
     print!("{}", table.render());
@@ -119,22 +118,5 @@ fn main() {
          (paper: 78.2% -> 14.6%)"
     );
 
-    let mut csv = Table::new(vec![
-        "workload", "machine", "man_perf", "auto_perf", "man_mem", "auto_mem", "man_score",
-        "auto_score", "tuned_min_age_s",
-    ]);
-    for r in &rows {
-        csv.row(vec![
-            r.workload.clone(),
-            r.machine.clone(),
-            format!("{:.4}", r.man.performance),
-            format!("{:.4}", r.auto.performance),
-            format!("{:.4}", r.man.memory_efficiency),
-            format!("{:.4}", r.auto.memory_efficiency),
-            format!("{:.3}", r.man_score),
-            format!("{:.3}", r.auto_score),
-            format!("{:.2}", r.tuned_min_age),
-        ]);
-    }
-    println!("[artifact] {}", write_artifact("fig8_autotune.csv", &csv.to_csv()).unwrap().display());
+    println!("[artifact] {}", write_artifact("fig8_autotune.csv", &table.to_csv()).unwrap().display());
 }

@@ -5,12 +5,13 @@
 
 use daos_bench::fig9::fig9_production;
 use daos_bench::report::{write_artifact, Table};
+use daos_bench::scale::Scale;
 use daos_workloads::FleetConfig;
 
 /// Epochs per worker: about 240 virtual seconds of the default fleet.
 const NR_EPOCHS: u64 = 41_000;
 
-fn main() {
+pub fn run(_: Scale) {
     println!("Figure 9: serverless production fleet under the 30s pageout scheme.\n");
     let rows = fig9_production(&FleetConfig::default(), NR_EPOCHS).expect("fleet run");
 

@@ -4,6 +4,7 @@
 //! simulated system, reporting its observable effect.
 
 use daos_bench::report::{write_artifact, Table};
+use daos_bench::scale::Scale;
 use daos_mm::access::AccessBatch;
 use daos_mm::addr::{AddrRange, HUGE_PAGE_SIZE};
 use daos_mm::{MachineProfile, MemorySystem, SwapConfig, ThpMode};
@@ -86,7 +87,7 @@ fn demonstrate(action: Action) -> String {
     }
 }
 
-fn main() {
+pub fn run(_: Scale) {
     println!("Table 1: The actions supported by the DAOS Scheme Engine.\n");
     let mut table = Table::new(vec!["Action", "Description", "Demonstrated effect"]);
     for action in Action::paper_actions() {

@@ -2,9 +2,10 @@
 //! profiles (plus the derived cost-model parameters the simulation uses).
 
 use daos_bench::report::{write_artifact, Table};
+use daos_bench::scale::Scale;
 use daos_mm::machine::{MachineProfile, CAPACITY_SCALE};
 
-fn main() {
+pub fn run(_: Scale) {
     println!("Table 2: AWS EC2 instance types used in experiments.\n");
     let mut table = Table::new(vec!["Instance type", "CPU", "DRAM"]);
     for m in MachineProfile::paper_machines() {

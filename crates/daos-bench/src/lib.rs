@@ -1,10 +1,12 @@
 //! # daos-bench — the paper's evaluation harness
 //!
-//! One binary per table and figure of the paper (see DESIGN.md §3 for
-//! the experiment index), plus the three gated bench binaries
-//! (`pipeline`, `fleet_bench`, `obs_bench`; [`artifact`]):
+//! One binary, `reproduce`, regenerates every table and figure of the
+//! paper (see DESIGN.md §3 for the experiment index); beside it are the
+//! three gated bench binaries (`pipeline`, `fleet_bench`, `obs_bench`;
+//! [`artifact`]). `reproduce NAME…` runs the named figures, and with no
+//! argument all thirteen, in this order:
 //!
-//! | Binary | Reproduces |
+//! | Name | Reproduces |
 //! |---|---|
 //! | `table1_actions` | Table 1 — supported scheme actions |
 //! | `table2_machines` | Table 2 — machine profiles |
@@ -15,12 +17,12 @@
 //! | `fig7_overhead_benefit` | Fig. 7 — overhead & scheme benefits |
 //! | `fig8_autotune` | Fig. 8 — manual vs auto-tuned prcl |
 //! | `fig9_production` | Fig. 9 — serverless production RSS |
+//! | `ablation_adaptive`, `ablation_tuner` | ablations of the monitor and the tuner |
+//! | `ext_damon_reclaim`, `ext_lru_sort` | the kernel's DAMON_RECLAIM and DAMON_LRU_SORT |
 //!
-//! The four extra binaries (`ablation_adaptive`, `ablation_tuner`,
-//! `ext_damon_reclaim`, `ext_lru_sort`) make thirteen figure and table
-//! binaries in all. Scaling ([`scale`]): the paper's exact grids by
-//! default, `DAOS_QUICK=1` smoke grids. Artifacts land in `./results`
-//! (`$DAOS_RESULTS` overrides).
+//! Scaling ([`scale`]): the paper's exact grids by default,
+//! `DAOS_QUICK=1` smoke grids; EXPERIMENTS.md's wall-time table has the
+//! times. Artifacts land in `./results` (`$DAOS_RESULTS` overrides).
 
 pub mod artifact;
 pub mod fig9;

@@ -1,11 +1,10 @@
 //! Experiment grid scaling.
 //!
-//! Every figure binary runs the paper's own grid by default — Fig. 4 is
-//! 16 workloads × 61 min_age values × 3 machines × 3 repeats — and all
-//! thirteen figure and table binaries finish in about a minute and a half
-//! on two cores (EXPERIMENTS.md, "Running", has the per-binary times).
-//! `DAOS_QUICK=1` shrinks each grid to a smoke pass of a few seconds,
-//! which is how `scripts/verify.sh` runs every binary.
+//! Every figure runs the paper's own grid by default — Fig. 4 is 16
+//! workloads × 61 min_age values × 3 machines × 3 repeats; the wall-time
+//! table under EXPERIMENTS.md's "Reproducing everything" has the
+//! per-figure times. `DAOS_QUICK=1` shrinks each grid to a smoke pass of
+//! a few seconds, which is how `scripts/verify.sh` runs `reproduce`.
 
 use daos_workloads::{fig4_subset, paper_suite, WorkloadSpec};
 
@@ -27,7 +26,7 @@ impl Scale {
         }
     }
 
-    /// min_age grid (seconds) for the Fig. 3/4 sweeps; the paper uses
+    /// min_age grid (seconds) for the Fig. 4 sweeps; the paper uses
     /// 0..=60 s at 1 s granularity.
     pub fn fig4_ages(&self) -> Vec<u64> {
         match self {
@@ -36,7 +35,7 @@ impl Scale {
         }
     }
 
-    /// Workloads for the Fig. 3/4 sweeps and the Fig. 6 heatmaps (the
+    /// Workloads for the Fig. 4 sweeps and the Fig. 6 heatmaps (the
     /// paper plots 16 of its 24).
     pub fn fig4_workloads(&self) -> Vec<WorkloadSpec> {
         match self {

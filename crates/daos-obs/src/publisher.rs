@@ -198,17 +198,6 @@ impl Publisher {
     }
 }
 
-/// A registry snapshot of the calling thread's installed collector, or
-/// an empty registry.
-fn current_registry() -> Registry {
-    daos_trace::registry_snapshot().unwrap_or_default()
-}
-
-/// Events the calling thread's installed collector has overwritten.
-fn ring_dropped() -> u64 {
-    daos_trace::ring_status().map_or(0, |(_, dropped, _)| dropped)
-}
-
 /// The [`FleetObserver`] that publishes **one snapshot per run** every
 /// `publish_every` ticks (and on the final tick). The registry is the
 /// calling thread's trace-collector registry (empty without one) plus
@@ -256,20 +245,23 @@ impl FleetPublisher {
         }
     }
 
-    /// The one snapshot constructor. It adds what every snapshot shares
-    /// — the next `seq`, the run identity, the calling thread's
-    /// registry plus the `fleet.*` totals, the `tenant.<name>.*`
-    /// aggregates and any `engine.phase.<phase>.*` wall times, and the
-    /// thread collector's ring drops — to `rest`, where a live tick and
-    /// the end of the run put what they each know.
-    fn build(
-        &mut self,
-        fleet: &[(&str, u64)],
-        tenants: &[TenantStats],
-        rest: ObsSnapshot,
-    ) -> ObsSnapshot {
+    /// Publish one snapshot. It adds what every snapshot shares — the
+    /// next `seq`, the run identity, the calling thread's registry plus
+    /// the `fleet.*` totals, the `tenant.<name>.*` aggregates and any
+    /// `engine.phase.<phase>.*` wall times, and the thread collector's
+    /// ring drops — to `rest`, where a live tick and the end of the run
+    /// put what they each know. The collector is read once (an empty
+    /// registry and no drops without one); on a live tick (a `rest` not
+    /// marked `finished`) that read also syncs the ring's new tail.
+    fn publish(&mut self, fleet: &[(&str, u64)], tenants: &[TenantStats], rest: ObsSnapshot) {
         self.seq += 1;
-        let mut registry = current_registry();
+        let (mut registry, dropped_events) = daos_trace::with_collector(|c| {
+            if !rest.finished {
+                self.publisher.sync_ring(c.ring());
+            }
+            (c.registry().clone(), c.ring().dropped())
+        })
+        .unwrap_or_default();
         for (field, value) in fleet {
             registry.counter_add(&format!("fleet.{field}"), *value);
         }
@@ -290,15 +282,15 @@ impl FleetPublisher {
                 registry.counter_add(&key, profile.phase_ns(phase));
             }
         }
-        ObsSnapshot {
+        self.publisher.publish(ObsSnapshot {
             seq: self.seq,
             config: self.config.clone(),
             workload: self.workload.clone(),
             machine: self.machine.clone(),
             registry,
-            dropped_events: ring_dropped(),
+            dropped_events,
             ..rest
-        }
+        });
     }
 
     /// Publish the end-of-run snapshot from the [`FleetSummary`] and
@@ -318,7 +310,7 @@ impl FleetPublisher {
             ("effective_max_regions", summary.effective_max_regions as u64),
         ];
         let last = self.publisher.snapshot();
-        let snap = self.build(
+        self.publish(
             &fleet,
             &summary.tenants,
             ObsSnapshot {
@@ -335,7 +327,6 @@ impl FleetPublisher {
                 ..Default::default()
             },
         );
-        self.publisher.publish(snap);
         self.publisher.finish();
     }
 }
@@ -358,7 +349,7 @@ impl FleetObserver for FleetPublisher {
         let single = p.single.as_ref();
         let last_window = single.and_then(|s| s.last_window.clone());
         let total_rss: u64 = p.tenants.iter().map(|t| t.total_rss).sum();
-        let snap = self.build(
+        self.publish(
             &fleet,
             &p.tenants,
             ObsSnapshot {
@@ -374,8 +365,6 @@ impl FleetObserver for FleetPublisher {
                 ..Default::default()
             },
         );
-        daos_trace::with_collector(|c| self.publisher.sync_ring(c.ring()));
-        self.publisher.publish(snap);
     }
 }
 

@@ -214,21 +214,6 @@ pub fn with_collector<R>(f: impl FnOnce(&Collector) -> R) -> Option<R> {
     COLLECTOR.with(|c| c.borrow().as_ref().map(f))
 }
 
-/// Clone this thread's registry as an owned, independent snapshot (or
-/// `None` when no collector is installed). The install point is
-/// thread-local, but the snapshot is a plain value — safe to hand to a
-/// publisher thread, and unaffected by metrics recorded after the call.
-pub fn registry_snapshot() -> Option<Registry> {
-    with_collector(|c| c.registry().clone())
-}
-
-/// The installed ring's `(total_pushed, dropped, capacity)` accounting,
-/// or `None` when no collector is installed. `total_pushed` is the
-/// monotonic cursor live consumers diff against [`Ring::tail`].
-pub fn ring_status() -> Option<(u64, u64, usize)> {
-    with_collector(|c| (c.ring().total_pushed(), c.ring().dropped(), c.ring().capacity()))
-}
-
 /// Emit a typed event if (and only if) a collector is installed on this
 /// thread. The variant expression is written without the
 /// `Event::` prefix and is **not evaluated** when tracing is off:
@@ -363,10 +348,10 @@ mod tests {
     }
 
     #[test]
-    fn registry_snapshot_is_independent_of_later_mutation() {
+    fn registry_clone_is_independent_of_later_mutation() {
         install(Collector::builder().build().unwrap()).unwrap();
         crate::trace!(1, SamplingTick { checks: 4, nr_regions: 2, work_ns: 160 });
-        let snap = registry_snapshot().expect("collector installed");
+        let snap = with_collector(|c| c.registry().clone()).expect("collector installed");
         // Mutate the live registry after the snapshot was taken…
         crate::trace!(2, SamplingTick { checks: 8, nr_regions: 2, work_ns: 320 });
         crate::trace!(3, SchemeMatch { scheme: 0, bytes: 4096 });
@@ -381,8 +366,7 @@ mod tests {
             .join()
             .unwrap();
         assert_eq!(moved, 160);
-        assert!(registry_snapshot().is_none(), "no collector, no snapshot");
-        assert!(ring_status().is_none());
+        assert!(with_collector(|c| c.registry().clone()).is_none(), "no collector, no snapshot");
     }
 
     #[test]

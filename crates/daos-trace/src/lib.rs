@@ -49,8 +49,8 @@ pub mod metrics;
 pub mod ring;
 
 pub use collector::{
-    emit, enabled, install, registry_snapshot, ring_status, take, with_collector, Collector,
-    CollectorBuilder, DEFAULT_RING_CAPACITY,
+    emit, enabled, install, take, with_collector, Collector, CollectorBuilder,
+    DEFAULT_RING_CAPACITY,
 };
 pub use event::{ActionTag, Event, Layer, Ns, Phase, Pid, SamplePhase, TimedEvent};
 pub use export::{events_to_jsonl, export_collector, parse_export, TraceDoc};

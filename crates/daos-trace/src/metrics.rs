@@ -261,12 +261,7 @@ impl Registry {
             self.gauge_set(key, value);
         }
         for (key, h) in other.hists() {
-            match self.hists.get_mut(key) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.hists.insert(key.to_string(), h.clone());
-                }
-            }
+            self.hist_insert(key, h);
         }
     }
 

@@ -6,7 +6,7 @@
 # orderings, no dead tracepoints, machine-parseable metric keys, guard
 # discipline — every lock is taken through `daos_util::sync`, which
 # asserts the leaf-lock rule in debug builds — and no public item that
-# nothing reads. It also runs every figure and table binary once.
+# nothing reads. It also runs `reproduce`, every figure and table, once.
 #
 # The workspace must build from a clean clone with no network and an
 # empty registry cache; every dependency is an in-tree path dependency
@@ -101,7 +101,7 @@ echo "== one engine: no shipped experiment re-composes the epoch loop =="
 loops=$(grep -rl 'charge_monitor(' --include='*.rs' crates/*/src crates/*/tests examples tests \
     | grep -v -e '^crates/daos-mm/' -e '^crates/daos/src/fleet\.rs$' \
         -e '^crates/daos-bench/src/bin/ledger/' \
-        -e '^crates/daos-bench/src/bin/ext_lru_sort\.rs$' || true)
+        -e '^crates/daos-bench/src/bin/reproduce/ext_lru_sort\.rs$' || true)
 if [ -n "$loops" ]; then
     echo "$loops"
     echo "FAIL: hand-rolled epoch loop — drive the engine through Session"
@@ -230,28 +230,26 @@ diff -u tests/golden/trace_summary.txt "$tmp/served_summary.txt" || {
 }
 echo "ok"
 
-echo "== reproduction: every figure and table binary runs on the quick grid =="
-# Each binary under daos-bench/src/bin except the three gated benches
-# (and the ledger, a package of its own) must exit 0 under DAOS_QUICK=1
-# and leave a non-empty CSV in its own DAOS_RESULTS directory. Without
-# the variable the same binaries run the paper's grids (EXPERIMENTS.md).
-figures=""
-for src in crates/daos-bench/src/bin/*.rs; do
-    bin=$(basename "$src" .rs)
-    case $bin in pipeline | fleet_bench | obs_bench) continue ;; esac
-    out="$tmp/results/$bin"
-    DAOS_QUICK=1 DAOS_RESULTS="$out" "target/release/$bin" > "$tmp/$bin.log" 2>&1 || {
-        tail -20 "$tmp/$bin.log"
-        echo "FAIL: $bin exited non-zero under DAOS_QUICK=1"
+echo "== reproduction: every figure and table runs on the quick grid =="
+# One `reproduce` run regenerates all thirteen figures and tables into
+# one DAOS_RESULTS directory: it must exit 0 under DAOS_QUICK=1 and leave
+# each figure's CSVs there, non-empty and under their own names. Without
+# the variable the same run uses the paper's grids (EXPERIMENTS.md).
+DAOS_QUICK=1 DAOS_RESULTS="$tmp/results" target/release/reproduce > "$tmp/reproduce.log" 2>&1 || {
+    tail -20 "$tmp/reproduce.log"
+    echo "FAIL: reproduce exited non-zero under DAOS_QUICK=1"
+    exit 1
+}
+csvs="table1_actions table2_machines fig3_canonical fig4_scores fig4_patterns fig5_curves
+    fig5_samples fig6_heatmaps fig7_overhead_benefit fig8_autotune fig9_production
+    ablation_adaptive ablation_tuner ext_damon_reclaim ext_lru_sort"
+for csv in $csvs; do
+    [ -s "$tmp/results/$csv.csv" ] || {
+        echo "FAIL: reproduce left no non-empty $csv.csv in DAOS_RESULTS"
         exit 1
     }
-    find "$out" -name '*.csv' -size +0 | grep -q . || {
-        echo "FAIL: $bin left no non-empty CSV artifact in DAOS_RESULTS"
-        exit 1
-    }
-    figures="$figures $bin"
 done
-echo "ok:$figures"
+echo "ok: $(echo $csvs | wc -w) CSVs"
 
 echo "== live observability endpoints answer during a real run =="
 # Spawn a served run on an ephemeral port, scrape /healthz and /metrics

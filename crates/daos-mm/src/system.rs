@@ -99,20 +99,30 @@ impl MemorySystem {
         self.rng = SmallRng::seed_from_u64(seed);
     }
 
-    /// Make copies of this machine share its frame metadata and LRU
-    /// lists instead of copying them: each copy copies a frame slab on
-    /// its first write to it, and consumes the lists' shared bases from
-    /// the tail while queueing its own pushes beside them. The page
-    /// tables stay each copy's own: a shard writes most of them. For a
-    /// machine that will be copied more than once; nothing else changes.
+    /// Make copies of this machine share its frame metadata, LRU lists
+    /// and page-table page arrays instead of copying them: each copy
+    /// copies a frame slab, or a chunk's `backing` and LRU generations,
+    /// on its first write to it, and consumes the lists' shared bases from
+    /// the tail while queueing its own pushes beside them. The page-table
+    /// bitmaps stay each copy's own: every touch and every access check
+    /// writes them. For a machine that will be copied more than once;
+    /// nothing else changes.
     pub fn freeze(&mut self) {
         self.frames.freeze();
         self.lru.freeze();
+        self.procs.iter_mut().flat_map(Process::vmas_mut).for_each(Vma::freeze);
     }
 
-    /// Whether this machine still holds blocks shared with a frozen one.
+    /// Whether this machine still holds blocks shared with a frozen one:
+    /// frame slabs, LRU bases or page arrays.
     pub fn is_shared(&self) -> bool {
-        self.frames.is_shared() || self.lru.is_shared()
+        self.frames.is_shared() || self.lru.is_shared() || self.shares_page_arrays()
+    }
+
+    /// Whether some page-table chunk still reads its page arrays from a
+    /// frozen machine's.
+    pub fn shares_page_arrays(&self) -> bool {
+        self.procs.iter().flat_map(Process::vmas).any(Vma::is_shared)
     }
 
     // ---- introspection ---------------------------------------------

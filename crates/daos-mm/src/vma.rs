@@ -81,12 +81,27 @@
 //! bit per page; what a page *has* sits beside them in two per-page
 //! arrays: `backing` (the frame id of a resident page, the swap slot of
 //! a swapped one, both 32 bits) and the LRU generation — 4,352 bytes per
-//! 512 pages, which is what stamping a fleet shard copies per chunk.
-//! [`Pte`] is the by-value view of one page that `get` assembles and
-//! `set` scatters back; nothing stores one. The commonest thing a
-//! workload does — re-touching resident pages — and every scan for them
-//! therefore reads and writes words, 64 pages at a time, and never the
-//! per-page arrays.
+//! 512 pages, one block per chunk. [`Pte`] is the by-value view of one
+//! page that `get` assembles and `set` scatters back; nothing stores one.
+//! The commonest thing a workload does — re-touching resident pages — and
+//! every scan for them therefore reads and writes words, 64 pages at a
+//! time, and never the per-page arrays.
+//!
+//! *What a copy shares.* `Vma::freeze` — run on a fleet's shard image by
+//! `MemorySystem::freeze` — moves every chunk to a second table, as its
+//! bitmaps beside a read-only block of its arrays that the VMA's copies
+//! share: stamping a fleet shard then copies 256 bytes of bitmaps per
+//! chunk, not 4,352. A copy's chunk goes back to being one block of its
+//! own on its first write to the arrays (`Vma::unshare`, `#[cold]`), like
+//! a frame slab's metadata. The bitmaps stay each copy's own: every
+//! resident touch and every access check writes them. The touch walker,
+//! the sampling sweep and `pageout_in`'s masks never go near the arrays,
+//! so a shard copies a chunk's arrays only when it maps, evicts, requeues
+//! or splits one of its pages: a 50-epoch shard of the default fleet
+//! writes the arrays of 43–47 of its image's 384 chunks, and the bitmaps
+//! of 101–108. A VMA never frozen has no shared chunk: reading a chunk is
+//! the one load it always was, and the second table is only looked in
+//! for a chunk the first does not hold.
 //!
 //! A chunk is kept in canonical form, which [`Vma::check_layout`]
 //! checks: `resident` and `swapped` are disjoint, and a page in neither
@@ -154,6 +169,7 @@ use crate::error::MmResult;
 use crate::frame::FrameId;
 use crate::process::{swap_sample, SampleColumns};
 use crate::swap::SwapSlot;
+use std::sync::Arc;
 
 /// Pages per page-table chunk (one chunk = one aligned 2 MiB span).
 pub const PT_CHUNK_PAGES: usize = PAGES_PER_HUGE as usize;
@@ -211,49 +227,51 @@ pub enum Reclaimed {
     Evicted(FrameId),
 }
 
-/// One materialised 2 MiB span of the page table, structure-of-arrays
-/// (see "PTE layout" in the module docs). Bit `pi % 64` of word `pi / 64`
-/// is page `pi`.
+/// What a page *is*: the four bitmaps of one chunk (see "PTE layout" in
+/// the module docs). Bit `pi % 64` of word `pi / 64` is page `pi`.
 #[derive(Debug, Clone, PartialEq)]
-struct PteChunk {
+struct Bitmaps {
     resident: [u64; PT_WORDS],
     swapped: [u64; PT_WORDS],
     accessed: [u64; PT_WORDS],
     touched: [u64; PT_WORDS],
+}
+
+/// What a page *has*, per page of one chunk.
+#[derive(Debug, Clone, PartialEq)]
+struct PageArrays {
     /// Frame id of a resident page, swap slot of a swapped one, else 0.
     backing: [u32; PT_CHUNK_PAGES],
     lru_gen: [u32; PT_CHUNK_PAGES],
 }
 
+/// One materialised 2 MiB span of the page table, structure-of-arrays
+/// (see "PTE layout" in the module docs), in one block.
+#[derive(Debug, Clone)]
+struct PteChunk {
+    bits: Bitmaps,
+    pages: PageArrays,
+}
+
+/// A chunk of a frozen VMA or of a copy of one that has not written its
+/// page arrays: bitmaps of its own, arrays shared read-only.
+#[derive(Debug, Clone)]
+struct SharedChunk {
+    bits: Bitmaps,
+    pages: Arc<PageArrays>,
+}
+
 impl PteChunk {
     fn new() -> Box<Self> {
         Box::new(PteChunk {
-            resident: [0; PT_WORDS],
-            swapped: [0; PT_WORDS],
-            accessed: [0; PT_WORDS],
-            touched: [0; PT_WORDS],
-            backing: [0; PT_CHUNK_PAGES],
-            lru_gen: [0; PT_CHUNK_PAGES],
+            bits: Bitmaps {
+                resident: [0; PT_WORDS],
+                swapped: [0; PT_WORDS],
+                accessed: [0; PT_WORDS],
+                touched: [0; PT_WORDS],
+            },
+            pages: PageArrays { backing: [0; PT_CHUNK_PAGES], lru_gen: [0; PT_CHUNK_PAGES] },
         })
-    }
-
-    /// Page `pi`, assembled.
-    #[inline]
-    fn get(&self, pi: usize) -> Pte {
-        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
-        let state = if self.resident[w] & bit != 0 {
-            PteState::Resident(self.backing[pi])
-        } else if self.swapped[w] & bit != 0 {
-            PteState::Swapped(SwapSlot(self.backing[pi]))
-        } else {
-            PteState::None
-        };
-        Pte {
-            state,
-            accessed: self.accessed[w] & bit != 0,
-            touched: self.touched[w] & bit != 0,
-            lru_gen: self.lru_gen[pi],
-        }
     }
 
     /// Scatter `pte` over page `pi`, in canonical form. The caller
@@ -267,12 +285,34 @@ impl PteChunk {
             PteState::Resident(frame) => (true, false, frame),
             PteState::Swapped(slot) => (false, true, slot.0),
         };
-        put(&mut self.resident[w], resident);
-        put(&mut self.swapped[w], swapped);
-        put(&mut self.accessed[w], pte.accessed);
-        put(&mut self.touched[w], pte.touched);
-        self.backing[pi] = backing;
-        self.lru_gen[pi] = pte.lru_gen;
+        let PteChunk { bits: c, pages } = self;
+        put(&mut c.resident[w], resident);
+        put(&mut c.swapped[w], swapped);
+        put(&mut c.accessed[w], pte.accessed);
+        put(&mut c.touched[w], pte.touched);
+        pages.backing[pi] = backing;
+        pages.lru_gen[pi] = pte.lru_gen;
+    }
+}
+
+impl Bitmaps {
+    /// Page `pi`, assembled with its entries of `pages`.
+    #[inline]
+    fn get(&self, pages: &PageArrays, pi: usize) -> Pte {
+        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
+        let state = if self.resident[w] & bit != 0 {
+            PteState::Resident(pages.backing[pi])
+        } else if self.swapped[w] & bit != 0 {
+            PteState::Swapped(SwapSlot(pages.backing[pi]))
+        } else {
+            PteState::None
+        };
+        Pte {
+            state,
+            accessed: self.accessed[w] & bit != 0,
+            touched: self.touched[w] & bit != 0,
+            lru_gen: pages.lru_gen[pi],
+        }
     }
 
     /// The walker on a whole chunk whose visit mask is `visit` in every
@@ -334,8 +374,10 @@ pub enum ThpMode {
     Madvise,
 }
 
-/// A contiguous virtual mapping.
-#[derive(Debug, Clone, PartialEq)]
+/// A contiguous virtual mapping. Two VMAs are equal when they map the
+/// same range under the same policy and every page reads the same,
+/// however their chunks are held.
+#[derive(Debug, Clone)]
 pub struct Vma {
     /// Byte range covered; always page-aligned.
     pub range: AddrRange,
@@ -344,9 +386,20 @@ pub struct Vma {
     /// Sparse page table: one optional chunk per aligned 2 MiB span
     /// overlapping the VMA. Slot 0 covers `huge_align_down(range.start)`.
     chunks: Vec<Option<Box<PteChunk>>>,
+    /// The chunks whose page arrays are shared with a frozen VMA, indexed
+    /// like `chunks`; empty unless this VMA or the one it was copied from
+    /// was frozen. A slot's chunk is in at most one of the two tables.
+    shared: Vec<Option<Box<SharedChunk>>>,
     /// Huge flag per chunk slot, indexed like `chunks`; only a slot the
     /// VMA covers whole is ever set ([`Vma::set_huge`]).
     huge: Vec<bool>,
+}
+
+impl PartialEq for Vma {
+    fn eq(&self, other: &Self) -> bool {
+        (self.range, self.thp, &self.huge) == (other.range, other.thp, &other.huge)
+            && (0..self.chunks.len()).all(|slot| self.chunk(slot) == other.chunk(slot))
+    }
 }
 
 impl Vma {
@@ -357,7 +410,7 @@ impl Vma {
         let nr_slots =
             ((huge_align_up(range.end) - huge_align_down(range.start)) / HUGE_PAGE_SIZE) as usize;
         let chunks = (0..nr_slots).map(|_| None).collect();
-        Self { range, thp, chunks, huge: vec![false; nr_slots] }
+        Self { range, thp, chunks, shared: Vec::new(), huge: vec![false; nr_slots] }
     }
 
     /// Start of the (absolute-aligned) chunk grid.
@@ -379,11 +432,83 @@ impl Vma {
         ((addr & (HUGE_PAGE_SIZE - 1)) >> PAGE_SHIFT) as usize
     }
 
+    /// Chunk `slot`'s bitmaps and page arrays, however they are held.
+    #[inline]
+    fn chunk(&self, slot: usize) -> Option<(&Bitmaps, &PageArrays)> {
+        match &self.chunks[slot] {
+            Some(c) => Some((&c.bits, &c.pages)),
+            None => self.shared.get(slot)?.as_deref().map(|c| (&c.bits, &*c.pages)),
+        }
+    }
+
+    /// Chunk `slot`'s bitmaps.
+    #[inline]
+    fn bits(&self, slot: usize) -> Option<&Bitmaps> {
+        match &self.chunks[slot] {
+            Some(c) => Some(&c.bits),
+            None => self.shared.get(slot)?.as_deref().map(|c| &c.bits),
+        }
+    }
+
+    /// Chunk `slot`'s bitmaps, to write: a shared chunk's own bitmaps.
+    #[inline]
+    fn bits_mut(&mut self, slot: usize) -> Option<&mut Bitmaps> {
+        match &mut self.chunks[slot] {
+            Some(c) => Some(&mut c.bits),
+            None => self.shared.get_mut(slot)?.as_deref_mut().map(|c| &mut c.bits),
+        }
+    }
+
+    /// Chunk `slot` as one block of the VMA's own, to write its page
+    /// arrays: a shared chunk becomes one first ([`Self::unshare`]).
+    /// `None` if the slot has no chunk.
+    #[inline]
+    fn own_chunk(&mut self, slot: usize) -> Option<&mut PteChunk> {
+        if self.chunks[slot].is_none() {
+            self.unshare(slot);
+        }
+        self.chunks[slot].as_deref_mut()
+    }
+
+    /// A shared chunk's first write to its page arrays: one block of its
+    /// own — its bitmaps, and the arrays themselves if nothing else holds
+    /// them any more, else a copy. Out of line, so the write paths keep a
+    /// small frame; a slot with no shared chunk is left as it is.
+    #[cold]
+    #[inline(never)]
+    fn unshare(&mut self, slot: usize) {
+        if let Some(shared) = self.shared.get_mut(slot).and_then(Option::take) {
+            let SharedChunk { bits, pages } = *shared;
+            let pages = Arc::unwrap_or_clone(pages);
+            self.chunks[slot] = Some(Box::new(PteChunk { bits, pages }));
+        }
+    }
+
+    /// Move every chunk to the shared table, so that copies of this VMA
+    /// share its page arrays until they write them (each copy's bitmaps
+    /// are its own).
+    pub(crate) fn freeze(&mut self) {
+        if self.shared.is_empty() {
+            self.shared = self.chunks.iter().map(|_| None).collect();
+        }
+        for (own, shared) in self.chunks.iter_mut().zip(&mut self.shared) {
+            if let Some(c) = own.take() {
+                let PteChunk { bits, pages } = *c;
+                *shared = Some(Box::new(SharedChunk { bits, pages: Arc::new(pages) }));
+            }
+        }
+    }
+
+    /// Whether any chunk's page arrays are still shared with a frozen VMA.
+    pub(crate) fn is_shared(&self) -> bool {
+        self.shared.iter().any(Option::is_some)
+    }
+
     /// The PTE covering `addr`, by value (missing chunks read as empty).
     #[inline]
     pub fn pte(&self, addr: u64) -> Pte {
-        match &self.chunks[self.slot(addr)] {
-            Some(c) => c.get(Self::page_in_chunk(addr)),
+        match self.chunk(self.slot(addr)) {
+            Some((c, pages)) => c.get(pages, Self::page_in_chunk(addr)),
             None => Pte::EMPTY,
         }
     }
@@ -395,11 +520,12 @@ impl Vma {
     /// primitives (see the module docs).
     pub fn with_pte<R>(&mut self, addr: u64, f: impl FnOnce(&mut Pte) -> R) -> R {
         let (slot, pi) = (self.slot(addr), Self::page_in_chunk(addr));
-        let chunk = &mut self.chunks[slot];
-        let mut pte = chunk.as_deref().map_or(Pte::EMPTY, |c| c.get(pi));
+        let old = self.chunk(slot).map(|(c, pages)| c.get(pages, pi));
+        let mut pte = old.unwrap_or(Pte::EMPTY);
         let r = f(&mut pte);
-        if chunk.is_some() || pte != Pte::EMPTY {
-            chunk.get_or_insert_with(PteChunk::new).set(pi, pte);
+        if old.is_some() || pte != Pte::EMPTY {
+            self.unshare(slot);
+            self.chunks[slot].get_or_insert_with(PteChunk::new).set(pi, pte);
         }
         r
     }
@@ -409,9 +535,9 @@ impl Vma {
     /// entry mostly fails there, on one cache line.
     #[inline]
     pub(crate) fn is_resident_at(&self, addr: u64, gen: u32) -> bool {
-        let Some(c) = self.chunks[self.slot(addr)].as_deref() else { return false };
+        let Some((c, pages)) = self.chunk(self.slot(addr)) else { return false };
         let pi = Self::page_in_chunk(addr);
-        c.lru_gen[pi] == gen && c.resident[pi / 64] & (1 << (pi % 64)) != 0
+        pages.lru_gen[pi] == gen && c.resident[pi / 64] & (1 << (pi % 64)) != 0
     }
 
     /// Clear the accessed bit of the page at `addr`; returns whether it was
@@ -421,7 +547,7 @@ impl Vma {
     #[inline]
     pub fn clear_accessed(&mut self, addr: u64) -> bool {
         let slot = self.slot(addr);
-        let Some(c) = self.chunks[slot].as_deref_mut() else { return false };
+        let Some(c) = self.bits_mut(slot) else { return false };
         let pi = Self::page_in_chunk(addr);
         let (w, bit) = (pi / 64, 1u64 << (pi % 64));
         let was = c.accessed[w] & bit != 0;
@@ -438,7 +564,7 @@ impl Vma {
     #[inline]
     pub(crate) fn access(&mut self, old: Option<u64>, new: Option<u64>) -> bool {
         let was = old.is_some_and(|addr| {
-            let Some(c) = self.chunks[self.slot(addr)].as_deref() else { return false };
+            let Some(c) = self.bits(self.slot(addr)) else { return false };
             let pi = Self::page_in_chunk(addr);
             c.accessed[pi / 64] & (1 << (pi % 64)) != 0
         });
@@ -486,7 +612,7 @@ impl Vma {
     #[inline]
     pub fn touch_resident(&mut self, addr: u64) -> bool {
         let slot = self.slot(addr);
-        let Some(c) = self.chunks[slot].as_deref_mut() else { return false };
+        let Some(c) = self.bits_mut(slot) else { return false };
         let pi = Self::page_in_chunk(addr);
         let (w, bit) = (pi / 64, 1u64 << (pi % 64));
         let hit = c.resident[w] & bit;
@@ -526,7 +652,7 @@ impl Vma {
             let slot = self.slot(addr);
             let huge = self.huge[slot];
             let page = |pi: usize| chunk_base + pi as u64 * PAGE_SIZE;
-            let nr = match (self.chunks[slot].as_deref_mut(), periodic) {
+            let nr = match (self.bits_mut(slot), periodic) {
                 // The whole chunk at `lo`'s phase: one visit mask for all
                 // eight words.
                 (Some(c), Some((pattern, _))) if lo < stride && hi == PT_CHUNK_PAGES => {
@@ -573,7 +699,11 @@ impl Vma {
     /// page's new generation. The page must not be resident.
     pub fn map_page(&mut self, addr: u64, frame: FrameId, by_cpu: bool) -> u32 {
         let slot = self.slot(addr);
-        let c = self.chunks[slot].get_or_insert_with(PteChunk::new);
+        if self.chunks[slot].is_none() {
+            self.unshare(slot);
+        }
+        let chunk = self.chunks[slot].get_or_insert_with(PteChunk::new);
+        let PteChunk { bits: c, pages } = &mut **chunk;
         let pi = Self::page_in_chunk(addr);
         let (w, bit) = (pi / 64, 1u64 << (pi % 64));
         debug_assert_eq!(c.resident[w] & bit, 0, "map_page over a resident page");
@@ -582,9 +712,9 @@ impl Vma {
         let flag = if by_cpu { bit } else { 0 };
         c.accessed[w] = (c.accessed[w] & !bit) | flag;
         c.touched[w] = (c.touched[w] & !bit) | flag;
-        c.backing[pi] = frame;
-        c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
-        c.lru_gen[pi]
+        pages.backing[pi] = frame;
+        pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
+        pages.lru_gen[pi]
     }
 
     /// Requeue a resident page: bump its generation (invalidating every
@@ -593,6 +723,7 @@ impl Vma {
     /// nothing written, when the page is not resident or — given
     /// `queued_gen`, the stamp of the LRU entry being revalidated — was
     /// queued under another generation.
+    #[inline]
     pub fn bump_resident(
         &mut self,
         addr: u64,
@@ -600,17 +731,18 @@ impl Vma {
         clear_accessed: bool,
     ) -> Option<u32> {
         let slot = self.slot(addr);
-        let c = self.chunks[slot].as_deref_mut()?;
+        let (c, pages) = self.chunk(slot)?;
         let pi = Self::page_in_chunk(addr);
         let (w, bit) = (pi / 64, 1u64 << (pi % 64));
-        if c.resident[w] & bit == 0 || queued_gen.is_some_and(|gen| gen != c.lru_gen[pi]) {
+        if c.resident[w] & bit == 0 || queued_gen.is_some_and(|gen| gen != pages.lru_gen[pi]) {
             return None;
         }
+        let PteChunk { bits: c, pages } = self.own_chunk(slot)?;
         if clear_accessed {
             c.accessed[w] &= !bit;
         }
-        c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
-        Some(c.lru_gen[pi])
+        pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
+        Some(pages.lru_gen[pi])
     }
 
     /// Judge one reclaim candidate and, when it is cold, evict it —
@@ -632,26 +764,29 @@ impl Vma {
         store: impl FnOnce() -> MmResult<SwapSlot>,
     ) -> MmResult<Reclaimed> {
         let slot = self.slot(addr);
-        let Some(c) = self.chunks[slot].as_deref_mut() else { return Ok(Reclaimed::Stale) };
+        let Some((c, pages)) = self.chunk(slot) else { return Ok(Reclaimed::Stale) };
         let pi = Self::page_in_chunk(addr);
         let (w, bit) = (pi / 64, 1u64 << (pi % 64));
-        if c.resident[w] & bit == 0 || lru_gen.is_some_and(|gen| gen != c.lru_gen[pi]) {
+        if c.resident[w] & bit == 0 || lru_gen.is_some_and(|gen| gen != pages.lru_gen[pi]) {
             return Ok(Reclaimed::Stale);
         }
+        let Some(PteChunk { bits: c, pages }) = self.own_chunk(slot) else {
+            return Ok(Reclaimed::Stale);
+        };
         if lru_gen.is_some() {
-            c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
+            pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
         }
         if c.accessed[w] & bit != 0 {
             c.accessed[w] &= !bit;
-            return Ok(Reclaimed::Referenced(c.lru_gen[pi]));
+            return Ok(Reclaimed::Referenced(pages.lru_gen[pi]));
         }
         let swap_slot = store()?;
-        let frame = c.backing[pi];
+        let frame = pages.backing[pi];
         c.resident[w] &= !bit;
         c.swapped[w] |= bit;
         c.touched[w] &= !bit;
-        c.backing[pi] = swap_slot.0;
-        c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
+        pages.backing[pi] = swap_slot.0;
+        pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
         Ok(Reclaimed::Evicted(frame))
     }
 
@@ -672,8 +807,19 @@ impl Vma {
     ) -> MmResult<()> {
         let mut result = Ok(());
         'chunks: for (slot, chunk_base, lo, hi) in self.spans(range) {
-            let Some(c) = self.chunks[slot].as_deref_mut() else { continue };
-            for w in lo / 64..hi.div_ceil(64) {
+            let Some(c) = self.bits(slot) else { continue };
+            let words = lo / 64..hi.div_ceil(64);
+            let cold = |w: usize| c.resident[w] & !c.accessed[w] & word_mask(w, lo, hi);
+            if self.chunks[slot].is_none() && words.clone().all(|w| cold(w) == 0) {
+                // A shared chunk with nothing to evict: its referenced
+                // pages lose their accessed bits, and it keeps sharing.
+                if let Some(c) = self.bits_mut(slot) {
+                    words.for_each(|w| c.accessed[w] &= !(c.resident[w] & word_mask(w, lo, hi)));
+                }
+                continue;
+            }
+            let Some(PteChunk { bits: c, pages }) = self.own_chunk(slot) else { continue };
+            for w in words {
                 // The word's resident pages in the range: all judged,
                 // unless a store fails first.
                 let mut judged = c.resident[w] & word_mask(w, lo, hi);
@@ -691,9 +837,9 @@ impl Vma {
                         }
                     };
                     let pi = w * 64 + b;
-                    evicted.push((chunk_base + pi as u64 * PAGE_SIZE, c.backing[pi]));
-                    c.backing[pi] = swap_slot.0;
-                    c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
+                    evicted.push((chunk_base + pi as u64 * PAGE_SIZE, pages.backing[pi]));
+                    pages.backing[pi] = swap_slot.0;
+                    pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
                     out |= 1 << b;
                 }
                 c.accessed[w] &= !judged;
@@ -716,14 +862,19 @@ impl Vma {
     pub fn split_huge(&mut self, chunk_addr: u64, freed: &mut Vec<FrameId>) {
         self.set_huge(chunk_addr, false);
         let slot = self.slot(chunk_addr);
-        let Some(c) = self.chunks[slot].as_deref_mut() else { return };
+        let Some(c) = self.bits(slot) else { return };
+        let filler = |w: usize| c.resident[w] & !c.touched[w];
+        if self.chunks[slot].is_none() && (0..PT_WORDS).all(|w| filler(w) == 0) {
+            return; // a shared chunk with no filler: nothing to write
+        }
+        let Some(PteChunk { bits: c, pages }) = self.own_chunk(slot) else { return };
         for w in 0..PT_WORDS {
             let filler = c.resident[w] & !c.touched[w];
             c.resident[w] &= !filler;
             c.accessed[w] &= !filler;
             for pi in bits(filler).map(|b| w * 64 + b) {
-                freed.push(std::mem::take(&mut c.backing[pi]));
-                c.lru_gen[pi] = c.lru_gen[pi].wrapping_add(1);
+                freed.push(std::mem::take(&mut pages.backing[pi]));
+                pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
             }
         }
     }
@@ -732,15 +883,13 @@ impl Vma {
     /// swapped) page, skipping unmaterialised chunks entirely.
     pub fn iter_mapped(&self) -> impl Iterator<Item = (u64, Pte)> + '_ {
         let base = self.grid_base();
-        self.chunks
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.as_deref().map(|c| (i, c)))
-            .flat_map(move |(i, c)| {
+        (0..self.chunks.len())
+            .filter_map(|i| self.chunk(i).map(|c| (i, c)))
+            .flat_map(move |(i, (c, pages))| {
                 let chunk_base = base + i as u64 * HUGE_PAGE_SIZE;
                 (0..PT_WORDS)
                     .flat_map(|w| bits(c.resident[w] | c.swapped[w]).map(move |b| w * 64 + b))
-                    .map(move |pi| (chunk_base + pi as u64 * PAGE_SIZE, c.get(pi)))
+                    .map(move |pi| (chunk_base + pi as u64 * PAGE_SIZE, c.get(pages, pi)))
             })
     }
 
@@ -782,10 +931,10 @@ impl Vma {
         &self,
         range: &AddrRange,
         out: &mut Vec<u64>,
-        of: impl Fn(&PteChunk) -> &[u64; PT_WORDS],
+        of: impl Fn(&Bitmaps) -> &[u64; PT_WORDS],
     ) {
         for (slot, chunk_base, lo, hi) in self.spans(range) {
-            let Some(c) = self.chunks[slot].as_deref() else { continue };
+            let Some(c) = self.bits(slot) else { continue };
             for w in lo / 64..hi.div_ceil(64) {
                 let page = |b| chunk_base + (w * 64 + b) as u64 * PAGE_SIZE;
                 out.extend(bits(of(c)[w] & word_mask(w, lo, hi)).map(page));
@@ -796,10 +945,10 @@ impl Vma {
     /// How many pages of `range ∩ vma` have their bit set in the bitmap
     /// `of` picks: a masked popcount per word, over the same spans and
     /// words as [`Vma::collect_resident_in`].
-    fn count_in(&self, range: &AddrRange, of: impl Fn(&PteChunk) -> &[u64; PT_WORDS]) -> u64 {
+    fn count_in(&self, range: &AddrRange, of: impl Fn(&Bitmaps) -> &[u64; PT_WORDS]) -> u64 {
         let mut nr = 0;
         for (slot, _, lo, hi) in self.spans(range) {
-            let Some(c) = self.chunks[slot].as_deref() else { continue };
+            let Some(c) = self.bits(slot) else { continue };
             let word = |w: usize| (of(c)[w] & word_mask(w, lo, hi)).count_ones() as u64;
             nr += (lo / 64..hi.div_ceil(64)).map(word).sum::<u64>();
         }
@@ -841,7 +990,7 @@ impl Vma {
     /// resident, ascending: the clear bits of its `resident` words, or
     /// every page of a chunk never materialised.
     pub(crate) fn chunk_holes(&self, chunk_addr: u64) -> impl Iterator<Item = u64> + '_ {
-        let chunk = self.chunks[self.slot(chunk_addr)].as_deref();
+        let chunk = self.bits(self.slot(chunk_addr));
         let word = move |w: usize| chunk.map_or(u64::MAX, |c| !c.resident[w]);
         (0..PT_WORDS)
             .flat_map(move |w| bits(word(w)).map(move |b| w * 64 + b))
@@ -882,13 +1031,13 @@ impl Vma {
     /// The layout invariant: `Err` says which chunk word breaks it unless
     /// every chunk is in canonical form ("PTE layout" in the module docs).
     pub fn check_layout(&self) -> Result<(), String> {
-        for (slot, c) in self.chunks.iter().enumerate() {
-            let Some(c) = c.as_deref() else { continue };
+        for slot in 0..self.chunks.len() {
+            let Some((c, pages)) = self.chunk(slot) else { continue };
             for w in 0..PT_WORDS {
                 if c.resident[w] & c.swapped[w] != 0 {
                     return Err(format!("chunk {slot} word {w}: a page is resident and swapped"));
                 }
-                if bits(!(c.resident[w] | c.swapped[w])).any(|b| c.backing[w * 64 + b] != 0) {
+                if bits(!(c.resident[w] | c.swapped[w])).any(|b| pages.backing[w * 64 + b] != 0) {
                     return Err(format!("chunk {slot} word {w}: an unmapped page keeps a backing"));
                 }
             }
@@ -900,6 +1049,9 @@ impl Vma {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MmError;
+    use daos_util::prop::{any_bool, vec_of, Just, StrategyExt};
+    use daos_util::{one_of, prop_assert, prop_assert_eq, proptest};
 
     fn mb(n: u64) -> u64 {
         n << 20
@@ -1080,11 +1232,11 @@ mod tests {
         }
 
         let mut both = fresh();
-        chunk(&mut both).swapped[0] |= 1;
+        chunk(&mut both).bits.swapped[0] |= 1;
         assert!(both.check_layout().unwrap_err().contains("resident and swapped"));
 
         let mut stale = fresh();
-        chunk(&mut stale).backing[3] = 9;
+        chunk(&mut stale).pages.backing[3] = 9;
         assert!(stale.check_layout().unwrap_err().contains("keeps a backing"));
     }
 
@@ -1131,5 +1283,187 @@ mod tests {
                 (mb(4) + 2 * PAGE_SIZE, PteState::Swapped(SwapSlot(2))),
             ]
         );
+    }
+
+    /// A copy of a frozen VMA shares every chunk's page arrays until it
+    /// writes one, then owns that chunk's; the original never moves.
+    #[test]
+    fn a_frozen_copy_copies_a_chunks_arrays_on_its_first_write() {
+        let mut vma = Vma::new(AddrRange::new(0, mb(4)), ThpMode::Never);
+        vma.map_page(0, 1, true);
+        vma.map_page(mb(2), 2, true);
+        let owned = vma.clone();
+        vma.freeze();
+        assert!(vma.is_shared() && !owned.is_shared());
+        assert_eq!(vma, owned);
+        let mut copy = vma.clone();
+        let shared = |v: &Vma, slot: usize| v.shared[slot].as_ref().map(|c| Arc::clone(&c.pages));
+        assert!(Arc::ptr_eq(&shared(&copy, 0).unwrap(), &shared(&vma, 0).unwrap()));
+        assert!(copy.touch_resident(mb(2)), "a touch writes the bitmaps only");
+        assert!(shared(&copy, 1).is_some());
+        assert_eq!(copy.bump_resident(mb(2), None, false), Some(2));
+        assert!(shared(&copy, 0).is_some() && shared(&copy, 1).is_none());
+        assert_eq!(copy.pte(0), owned.pte(0), "the untouched chunk reads through");
+        assert_eq!(vma, owned, "the frozen original did not move");
+        assert_ne!(copy, owned);
+    }
+
+    /// Pages of the property test's VMA, `[1 MiB, 7 MiB)`: two whole
+    /// chunks between two partial ones.
+    const PROP_PAGES: u64 = mb_pages(6);
+
+    const fn mb_pages(n: u64) -> u64 {
+        (n << 20) / PAGE_SIZE
+    }
+
+    /// A generation to queue under: none, the page's own, or a stale one.
+    fn queued(pte: Pte, how: u8) -> Option<u32> {
+        [None, Some(pte.lru_gen), Some(pte.lru_gen.wrapping_add(1))][how as usize % 3]
+    }
+
+    #[derive(Debug, Clone)]
+    enum PageOp {
+        /// Map the first `.1` non-resident pages from page `.0`, by the
+        /// CPU or not.
+        Fault(u64, u64, bool),
+        /// `reclaim_page` on the resident page `.0` picks, queued as `.1`
+        /// says ([`queued`]), its store failing when `.2`.
+        Reclaim(u64, u8, bool),
+        /// `pageout_in` over `.1` pages from page `.0`, its store failing
+        /// after `.2` slots.
+        Pageout(u64, u64, u8),
+        /// `bump_resident` on the resident page `.0` picks, queued as `.1`
+        /// says, clearing `accessed` when `.2`.
+        Bump(u64, u8, bool),
+        /// Flag the whole chunk `.0` picks huge, then split it when `.1`.
+        Huge(u64, bool),
+        /// `touch_run` over `.1` pages from page `.0` at stride `.2`.
+        Touch(u64, u64, u32),
+        /// `touch_resident` on page `.0`.
+        TouchOne(u64),
+        /// Freeze the VMA and go on with a copy of it, keeping the frozen
+        /// original when `.0` (else the copy is the arrays' last holder).
+        Freeze(bool),
+    }
+
+    /// What an op returned, to compare between the two VMAs.
+    fn apply(vma: &mut Vma, op: &PageOp, oracle: &Vma, next: &mut u32) -> String {
+        let page = |i: u64| mb(1) + (i % PROP_PAGES) * PAGE_SIZE;
+        let resident = |pick: u64| {
+            let mut out = Vec::new();
+            oracle.collect_resident_in(&oracle.range, &mut out);
+            out.get(pick as usize % out.len().max(1)).copied().unwrap_or(page(pick))
+        };
+        let mut slot = || {
+            *next += 1;
+            *next
+        };
+        match *op {
+            PageOp::Fault(at, nr, by_cpu) => {
+                let pages = (at..at + PROP_PAGES).map(page);
+                let free: Vec<u64> =
+                    pages.filter(|&a| !oracle.pte(a).is_resident()).take(nr as usize).collect();
+                let gens: Vec<u32> =
+                    free.into_iter().map(|addr| vma.map_page(addr, slot(), by_cpu)).collect();
+                format!("{gens:?}")
+            }
+            PageOp::Reclaim(pick, how, fails) => {
+                let addr = resident(pick);
+                let gen = queued(oracle.pte(addr), how);
+                let store = || if fails { Err(MmError::SwapFull) } else { Ok(SwapSlot(slot())) };
+                format!("{:?}", vma.reclaim_page(addr, gen, store))
+            }
+            PageOp::Pageout(at, len, ok) => {
+                let range = AddrRange::new(page(at), (page(at) + len * PAGE_SIZE).min(mb(7)));
+                let (mut evicted, mut stored) = (Vec::new(), 0);
+                let store = || {
+                    stored += 1;
+                    if stored > ok { Err(MmError::SwapFull) } else { Ok(SwapSlot(slot())) }
+                };
+                let result = vma.pageout_in(&range, &mut evicted, store);
+                format!("{result:?} {evicted:?}")
+            }
+            PageOp::Bump(pick, how, clear) => {
+                let addr = resident(pick);
+                format!("{:?}", vma.bump_resident(addr, queued(oracle.pte(addr), how), clear))
+            }
+            PageOp::Huge(pick, split) => {
+                let chunk = mb(2) + (pick % 2) * HUGE_PAGE_SIZE;
+                let was = vma.set_huge(chunk, true);
+                let mut freed = Vec::new();
+                if split {
+                    vma.split_huge(chunk, &mut freed);
+                }
+                format!("{was:?} {freed:?}")
+            }
+            PageOp::Touch(at, len, stride) => {
+                let range = AddrRange::new(page(at), page(at) + len * PAGE_SIZE);
+                let (mut faults, mut out) = (Vec::new(), AccessOutcome::default());
+                vma.touch_run(&range, stride, &mut faults, &mut out);
+                format!("{faults:?} {} {}", out.touched_pages, out.touched_huge)
+            }
+            PageOp::TouchOne(at) => format!("{}", vma.touch_resident(page(at))),
+            PageOp::Freeze(_) => String::new(),
+        }
+    }
+
+    proptest! {
+        cases = 128;
+
+        // The page-table twin of the LRU's `queue_matches_a_deque_across_freezes`:
+        // whatever faults, reclaims, pageouts, generation bumps, splits and
+        // touches a VMA takes, frozen at random points and carried on in a
+        // copy, every op returns what it returns on a VMA that was never
+        // frozen, the two stay equal and in canonical form, and a frozen
+        // VMA is left exactly as it was frozen by everything its copies do.
+        fn page_table_matches_an_unfrozen_one_across_freezes(
+            ops in vec_of(
+                one_of![
+                    (0..PROP_PAGES, 1u64..300, any_bool())
+                        .prop_map(|(at, nr, cpu)| PageOp::Fault(at, nr, cpu)),
+                    (0..PROP_PAGES, 0u8..3, any_bool())
+                        .prop_map(|(pick, how, fails)| PageOp::Reclaim(pick, how, fails)),
+                    (0..PROP_PAGES, 1u64..700, 0u8..40)
+                        .prop_map(|(at, len, ok)| PageOp::Pageout(at, len, ok)),
+                    (0..PROP_PAGES, 0u8..3, any_bool())
+                        .prop_map(|(pick, how, clear)| PageOp::Bump(pick, how, clear)),
+                    (0u64..2, any_bool()).prop_map(|(pick, split)| PageOp::Huge(pick, split)),
+                    (0..PROP_PAGES, 1u64..1100, 1u32..80)
+                        .prop_map(|(at, len, stride)| PageOp::Touch(at, len, stride)),
+                    (0..PROP_PAGES).prop_map(PageOp::TouchOne),
+                    any_bool().prop_map(PageOp::Freeze),
+                    Just(PageOp::Fault(0, 64, true)),
+                ],
+                0..120,
+            ),
+        ) {
+            let range = AddrRange::new(mb(1), mb(7));
+            let mut vma = Vma::new(range, ThpMode::Always);
+            let mut oracle = vma.clone();
+            let (mut next, mut next_oracle) = (0, 0);
+            let mut frozen: Vec<(Vma, Vma)> = Vec::new();
+            for (i, op) in ops.iter().enumerate() {
+                if let PageOp::Freeze(keep) = *op {
+                    vma.freeze();
+                    let all_shared = vma.chunks.iter().all(Option::is_none);
+                    prop_assert!(all_shared, "a frozen VMA shares every chunk");
+                    let copy = vma.clone();
+                    if keep {
+                        frozen.push((std::mem::replace(&mut vma, copy), oracle.clone()));
+                    } else {
+                        vma = copy;
+                    }
+                }
+                let got = apply(&mut vma, op, &oracle, &mut next);
+                let snapshot = oracle.clone();
+                let want = apply(&mut oracle, op, &snapshot, &mut next_oracle);
+                prop_assert_eq!(got, want, "op {i}: {op:?}");
+                prop_assert!(vma == oracle, "after op {i}: {op:?}");
+                prop_assert_eq!(vma.check_layout(), Ok(()));
+            }
+            for (image, state) in frozen {
+                prop_assert!(image == state, "a frozen VMA moved");
+            }
+        }
     }
 }

@@ -13,16 +13,17 @@
 //! `All`/`Stride` batches and reclaim is deterministic, so setting up a
 //! shard's processes draws from no random stream: every shard of one
 //! length starts as the same memory image, whatever its seeds. The
-//! engine therefore builds one `ShardImage` per distinct length — at most
-//! two, the full shards' and the remainder shard's — and *stamps* every
-//! shard from it: copy the image (the last holder of an image takes the
-//! image itself, so a fleet of one shard never copies), seed the machine
-//! stream with `seed ^ (shard << 21)` and process `p`'s workload stream
-//! with `seed ^ (p << 17)`, label the processes with their global
-//! indices, and build the planes (seeded `… ^ 0xda05` from the shard's
-//! stream for a physical-address plane, from the owner's otherwise)
-//! against the stamped machine. The unit is the shard, not the process,
-//! because processes of one spec do *not* start identical:
+//! engine therefore builds one `ShardImage` per distinct length — the
+//! first shard's in [`FleetEngine::new`], and a shorter remainder
+//! shard's, used once, in its own slot when it first advances — and
+//! *stamps* every shard from it: copy the image (the last holder of an
+//! image takes the image itself, so a fleet of one shard never copies),
+//! seed the machine stream with `seed ^ (shard << 21)` and process `p`'s
+//! workload stream with `seed ^ (p << 17)`, label the processes with
+//! their global indices, and build the planes (seeded `… ^ 0xda05` from
+//! the shard's stream for a physical-address plane, from the owner's
+//! otherwise) against the stamped machine. The unit is the shard, not
+//! the process, because processes of one spec do *not* start identical:
 //! the default fleet maps 32 × 24 MiB onto 512 MiB of DRAM per shard, so
 //! about 2.03 M of a 1000 × 50 run's 2.26 M swapouts happen inside
 //! set-up, and which pages a process loses depends on its position in
@@ -48,15 +49,17 @@
 //! is [`due`](FleetObserver::due) for (a hand-driven [`FleetEngine::tick`]
 //! is a barrier after one tick), or the end of the run. The engine keeps
 //! one slot per shard and advances the fleet slot by slot: a slot is
-//! stamped when it first advances, ticked straight to the barrier, and —
-//! once no due tick remains — *retired* on arrival: its per-process
-//! results and its share of the fleet totals stay, the machine goes back
-//! to the allocator while it is warm for the next stamp. A fleet nobody
-//! is watching is one span, so it never holds more than one live shard
-//! per worker; an always-due observer gets spans of one tick, every
-//! shard live throughout. Each shard executes the same ticks in the same
-//! order on its own clock and streams whichever way the spans are cut,
-//! so results cannot depend on the schedule
+//! stamped when it first advances (a remainder's slot builds its image
+//! first), ticked straight to the barrier, and — once no due tick
+//! remains — *retired* on arrival: its per-process results and its share
+//! of the fleet totals stay, the machine goes back to the allocator while
+//! it is warm for the next stamp. A fleet nobody is watching is one span,
+//! so it never holds more than one live shard per worker (inline, the
+//! remainder's image is built only after the last full shard has dropped
+//! theirs); an always-due observer gets spans of one tick, every shard
+//! live throughout. Each shard executes the same ticks in the same order
+//! on its own clock and streams whichever way the spans are cut, so
+//! results cannot depend on the schedule
 //! (`tests::shard_major_equals_tick_major`).
 //!
 //! Single-shard (or single-worker) fleets advance inline on the caller
@@ -569,13 +572,14 @@ impl ShardImage {
     }
 }
 
-/// What stamping and retiring a shard need besides its image, shared
-/// with the pool tasks that do both.
+/// What building, stamping and retiring a shard need besides its image,
+/// shared with the pool tasks that do all three.
 struct Recipe {
+    machine: MachineProfile,
     config: RunConfig,
+    spec: WorkloadSpec,
     fleet: FleetSpec,
     seed: u64,
-    machine_name: String,
 }
 
 /// One shard's share of everything the engine reports about the fleet
@@ -747,7 +751,7 @@ impl Shard {
                 runs.push(RunResult {
                     config: recipe.config.name.clone(),
                     workload: p.wl.name(),
-                    machine: recipe.machine_name.clone(),
+                    machine: recipe.machine.name.clone(),
                     runtime_ns: totals.now_ns,
                     avg_rss: stats.avg_rss_bytes(totals.now_ns),
                     peak_rss: stats.peak_rss_bytes,
@@ -763,21 +767,24 @@ impl Shard {
     }
 }
 
-/// Where one shard is in its life: an image to stamp, a machine that
-/// ticks, or the results it left behind.
+/// Where one shard is in its life: an image of this many processes to
+/// build, an image to stamp, a machine that ticks, or the results it left
+/// behind.
 enum Slot {
+    Unbuilt(usize),
     Pending(Arc<ShardImage>),
     Live(Shard),
     Retired(Retired),
 }
 
 impl Slot {
-    /// Bring shard `shard_idx` from tick `from` to `barrier`: stamp it
-    /// if it is still an image (the last holder of an image takes it, so
-    /// a fleet of one shard never copies), tick it, and retire it if
-    /// `retire`. The slot comes back whatever happens; one that fails
-    /// stays live. With `profiling`, so do the laps of its phases, one
-    /// after the other from the start of the advance.
+    /// Bring shard `shard_idx` from tick `from` to `barrier`: build its
+    /// image if it has none, stamp it if it is still an image (the last
+    /// holder of an image takes it, so a fleet of one shard never
+    /// copies), tick it, and retire it if `retire`. The slot comes back
+    /// whatever happens; one that fails stays where it was, or live. With
+    /// `profiling`, so do the laps of its phases, one after the other
+    /// from the start of the advance.
     fn advance(
         self,
         recipe: &Recipe,
@@ -788,12 +795,22 @@ impl Slot {
         profiling: bool,
     ) -> (Slot, MmResult<()>, Option<Laps>) {
         let mut watch = Stopwatch::start(profiling);
+        let stamp = |image, watch: &mut Option<Stopwatch>| {
+            let shard = Shard::stamp(image, recipe, shard_idx);
+            profile::lap(watch, Phase::Stamp);
+            shard
+        };
         let mut shard = match self {
-            Slot::Pending(image) => {
-                let shard = Shard::stamp(Arc::unwrap_or_clone(image), recipe, shard_idx);
-                profile::lap(&mut watch, Phase::Stamp);
-                shard
+            Slot::Unbuilt(nr_procs) => {
+                let Recipe { machine, config, spec, .. } = recipe;
+                let built = ShardImage::build(machine, config, spec, nr_procs);
+                profile::lap(&mut watch, Phase::Build);
+                match built {
+                    Ok(image) => stamp(image, &mut watch),
+                    Err(e) => return (Slot::Unbuilt(nr_procs), Err(e), watch.map(|w| w.laps)),
+                }
             }
+            Slot::Pending(image) => stamp(Arc::unwrap_or_clone(image), &mut watch),
             Slot::Live(shard) => shard,
             retired @ Slot::Retired(_) => return (retired, Ok(()), None),
         };
@@ -846,10 +863,10 @@ pub struct FleetEngine {
 }
 
 impl FleetEngine {
-    /// Build the fleet: one `ShardImage` per distinct shard length (the
-    /// full shards, and the remainder shard if there is one), on the
-    /// caller thread, and one pending slot per shard. Nothing is stamped
-    /// until the fleet first advances.
+    /// Build the fleet: the first shard's `ShardImage`, on the caller
+    /// thread, and one slot per shard — pending on that image for every
+    /// shard of its length, unbuilt for the remainder shard if there is
+    /// one. Nothing is stamped until the fleet first advances.
     pub fn new(
         machine: &MachineProfile,
         config: &RunConfig,
@@ -874,24 +891,34 @@ impl FleetEngine {
         let nr_shards = fleet.nr_shards();
         let pool = (nr_shards > 1 && fleet.nr_workers != 1)
             .then(|| WorkerPool::new(fleet.nr_workers));
-        let nr_full = fleet.nr_processes / fleet.procs_per_shard;
-        let remainder = fleet.nr_processes % fleet.procs_per_shard;
+        // `nr` shards of `len` processes, then `remainder` processes.
+        let len = fleet.procs_per_shard.min(fleet.nr_processes);
+        let (nr, remainder) = (fleet.nr_processes / len, fleet.nr_processes % len);
+        // The one image built here: a set-up that cannot fit fails the
+        // construction. A remainder's set-up is the first `remainder`
+        // steps of this one, so it cannot fail, and its image is used
+        // once: its slot builds it when it first advances (on the pool
+        // when pooled, and inline only after the last shard of this
+        // length has dropped this image).
+        let mut image = ShardImage::build(machine, config, spec, len)?;
+        if nr > 1 {
+            // Copied nr - 1 times: share what the copies rarely write.
+            image.sys.freeze();
+        }
+        let image = Arc::new(image);
         let mut slots = Vec::with_capacity(nr_shards);
-        // (shards, processes per shard) of each length.
-        for (nr, len) in [(nr_full, fleet.procs_per_shard), (remainder.min(1), remainder)] {
-            if nr > 0 {
-                let mut image = ShardImage::build(machine, config, spec, len)?;
-                if nr > 1 {
-                    // Copied nr - 1 times: share what the copies rarely write.
-                    image.sys.freeze();
-                }
-                let image = Arc::new(image);
-                slots.extend((0..nr).map(|_| Slot::Pending(Arc::clone(&image))));
-            }
+        slots.extend((0..nr).map(|_| Slot::Pending(Arc::clone(&image))));
+        if remainder > 0 {
+            slots.push(Slot::Unbuilt(remainder));
         }
         profile::lap(&mut laps, Phase::Build);
-        let recipe =
-            Recipe { config: config.clone(), fleet, seed, machine_name: machine.name.clone() };
+        let recipe = Recipe {
+            machine: machine.clone(),
+            config: config.clone(),
+            spec: *spec,
+            fleet,
+            seed,
+        };
         Ok(FleetEngine {
             slots,
             pool,
@@ -978,7 +1005,7 @@ impl FleetEngine {
         for slot in &mut self.slots {
             match slot {
                 // `progress` stamps and `finish` retires before folding.
-                Slot::Pending(_) => {}
+                Slot::Unbuilt(_) | Slot::Pending(_) => {}
                 Slot::Live(shard) => shard.add_totals(fleet, &mut acc),
                 Slot::Retired(row) => acc.add(&row.totals),
             }
@@ -1174,12 +1201,14 @@ mod tests {
         (runs, summary)
     }
 
-    /// Stamping shards from one shared (frozen) image is only a way to
-    /// build them faster: for every workload behaviour under every engine
-    /// shape, a fleet whose shards were each built from an image of their
-    /// own produces the same per-process results and the same summary —
-    /// inline and over the pool, for the oracle fleet (six shards share
-    /// one image) and for three shards (two share one, one has its own).
+    /// Stamping shards from one shared (frozen) image, and building a
+    /// remainder's image in its slot, are only ways to build them faster:
+    /// for every workload behaviour under every engine shape, a fleet
+    /// whose shards were each built from an image of their own produces
+    /// the same per-process results and the same summary — inline and
+    /// over the pool, for the oracle fleet (six shards share one image,
+    /// the remainder's slot builds its own) and for three shards (two
+    /// share one, the third's slot builds its own).
     #[test]
     fn stamped_shards_equal_separately_built_ones() {
         let (machine, oracle) = oracle_fleet();
@@ -1240,8 +1269,13 @@ mod tests {
             for config in engine_shapes() {
                 let spec = oracle_spec(behavior, &config);
                 let what = format!("{} under {}", behavior.kind_name(), config.name);
-                let (fleet, machine_name) = (fleet.clone(), machine.name.clone());
-                let recipe = Recipe { config: config.clone(), fleet, seed: 5, machine_name };
+                let recipe = Recipe {
+                    machine: machine.clone(),
+                    config: config.clone(),
+                    spec,
+                    fleet: fleet.clone(),
+                    seed: 5,
+                };
                 let fresh = || ShardImage::build(&machine, &config, &spec, 4).unwrap();
                 let run = |mut shard: Shard| {
                     (0..spec.nr_epochs).for_each(|idx| shard.tick(idx, &mut None).unwrap());
@@ -1262,31 +1296,61 @@ mod tests {
         }
     }
 
-    /// Only an image that several slots hold is frozen: a single run and
-    /// a fleet of one shard per length keep the owned layout, and a fleet
-    /// of several equal shards shares.
+    /// Only an image that several slots hold is frozen, page arrays
+    /// included: a single run, a fleet of one shard per length and a
+    /// remainder shard keep the owned layout, and several equal shards
+    /// share.
     #[test]
     fn only_an_image_several_slots_hold_is_frozen() {
         let (machine, _) = oracle_fleet();
         let config = RunConfig::baseline();
         let spec = oracle_spec(behaviors()[0], &config);
         for (fleet, shares) in [
-            (FleetSpec::new(1), false),
-            (FleetSpec::new(6).shard_size(4), false),
-            (FleetSpec::new(12).shard_size(4), true),
+            (FleetSpec::new(1), vec![false]),
+            (FleetSpec::new(6).shard_size(4), vec![false; 2]),
+            (FleetSpec::new(12).shard_size(4), vec![true; 3]),
+            (FleetSpec::new(10).shard_size(4), vec![true, true, false]),
         ] {
             let what = format!("{} in shards of {}", fleet.nr_processes, fleet.procs_per_shard);
             let mut engine = FleetEngine::new(&machine, &config, &spec, fleet, 1).unwrap();
             engine.progress();
-            let shared: Vec<bool> = engine
+            let shared: Vec<(bool, bool)> = engine
                 .slots
                 .iter()
                 .map(|slot| match slot {
-                    Slot::Live(shard) => shard.sys.is_shared(),
+                    Slot::Live(shard) => (shard.sys.is_shared(), shard.sys.shares_page_arrays()),
                     _ => panic!("{what}: progress stamps every slot"),
                 })
                 .collect();
-            assert_eq!(shared.iter().any(|s| *s), shares, "{what}: {shared:?}");
+            let expected: Vec<(bool, bool)> = shares.iter().map(|&s| (s, s)).collect();
+            assert_eq!(shared, expected, "{what}: (shared, page arrays shared) per shard");
+        }
+    }
+
+    /// A fleet with a remainder builds one image in `FleetEngine::new`,
+    /// which every full shard holds, and the remainder's slot builds its
+    /// own when it first advances: two `build` laps in all, inline and
+    /// over the pool, and as many `stamp` laps as shards.
+    #[test]
+    fn a_remainder_shard_builds_its_own_image_in_its_slot() {
+        let (machine, _) = oracle_fleet();
+        let config = RunConfig::baseline();
+        let spec = oracle_spec(behaviors()[0], &config);
+        for workers in [1, 2] {
+            let fleet = FleetSpec::new(10).shard_size(4).workers(workers);
+            let engine = FleetEngine::build(&machine, &config, &spec, fleet, 1, true).unwrap();
+            let built = engine.profile().map(|p| p.calls(Phase::Build));
+            assert_eq!(built, Some(1), "workers({workers}): one image in new");
+            let [Slot::Pending(a), Slot::Pending(b), Slot::Unbuilt(2)] = engine.slots.as_slice()
+            else {
+                panic!("workers({workers}): two shards on the image, the remainder unbuilt")
+            };
+            assert!(Arc::ptr_eq(a, b), "workers({workers}): one image");
+            let (runs, _, profile) = engine.finish_profiled().unwrap();
+            assert_eq!(runs.len(), 10);
+            let profile = profile.unwrap();
+            assert_eq!(profile.calls(Phase::Build), 2, "workers({workers})");
+            assert_eq!(profile.calls(Phase::Stamp), 3, "workers({workers})");
         }
     }
 
@@ -1443,7 +1507,7 @@ mod tests {
                 match slot {
                     Slot::Live(_) => assert_eq!(s, middle, "only the failing shard stays live"),
                     Slot::Retired(_) => assert_ne!(s, middle),
-                    Slot::Pending(_) => panic!("shard {s} never ran"),
+                    Slot::Unbuilt(_) | Slot::Pending(_) => panic!("shard {s} never ran"),
                 }
             }
             drop(engine);

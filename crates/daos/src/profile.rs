@@ -27,7 +27,8 @@ use std::time::Instant;
 /// One kind of host-side work the engine does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Building the shard images (`FleetEngine::new`).
+    /// Building the shard images: the first shard's in `FleetEngine::new`,
+    /// a remainder shard's when its slot first advances.
     Build,
     /// Turning an image into a shard, the image copy included.
     Stamp,
@@ -85,7 +86,7 @@ impl Phase {
     /// Whether the phase runs (at least partly) inside a slot's advance
     /// — on a worker thread when the fleet has a pool.
     fn in_shard(self) -> bool {
-        !matches!(self, Phase::Build | Phase::Barrier | Phase::Progress)
+        !matches!(self, Phase::Barrier | Phase::Progress)
     }
 }
 
@@ -169,7 +170,8 @@ impl WallProfile {
         self.driver.ns[phase as usize] + self.shards.ns[phase as usize]
     }
 
-    fn calls(&self, phase: Phase) -> u64 {
+    /// Calls of `phase`, summed over threads.
+    pub(crate) fn calls(&self, phase: Phase) -> u64 {
         self.driver.calls[phase as usize] + self.shards.calls[phase as usize]
     }
 

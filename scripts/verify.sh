@@ -438,12 +438,13 @@ profile_check "$tmp/profile_fleet.txt"
 echo "ok"
 
 echo "== peak RSS: host memory in proportion to live pages and regions =="
-# peak_rss_check <run> <MiB> <daos run args…>: the process's VmHWM,
-# printed under the --profile-wall table, must be there and at most MiB.
+# peak_rss_check <run> <MiB> <daos subcommand> <args…>: the process's
+# VmHWM, printed under the --profile-wall table, must be there and at
+# most MiB.
 peak_rss_check() {
     name=$1 limit=$2
     shift 2
-    target/release/daos run "$@" --profile-wall > "$tmp/profile_$name.txt"
+    target/release/daos "$@" --profile-wall > "$tmp/profile_$name.txt"
     profile_check "$tmp/profile_$name.txt"
     awk -v limit="$limit" '$1 == "peak" && $2 == "RSS" { seen = 1; high = $3 + 0 > limit }
         END { exit !seen || high }' "$tmp/profile_$name.txt" || {
@@ -457,16 +458,28 @@ peak_rss_check() {
 # Its LRU entries once grew with that history (≈ 415k queued for ≈ 1.3k
 # resident pages, VmHWM ≈ 9.3 MiB); the lists are now held to
 # 2 × frames in use + 4096 entries (DESIGN §5): ≈ 3.5 MiB.
-peak_rss_check canneal_prcl 6 parsec3/canneal --config prcl
+peak_rss_check canneal_prcl 6 run parsec3/canneal --config prcl
 # ocean_ncp under rec keeps every aggregation window. At 24 bytes a
 # region and a Vec per window the record made VmHWM ≈ 9.7 MiB; as one
 # varint stream of ≈ 6 bytes a region (DESIGN §12) it reads ≈ 5.0 MiB.
-peak_rss_check ocean_ncp_rec 7 splash2x/ocean_ncp --config rec
+peak_rss_check ocean_ncp_rec 7 run splash2x/ocean_ncp --config rec
 # ocean_ncp under ethp is the sampling sweep's workload: `monitor` is
 # ≈ 80 % of its wall, nearly all of it the column kernel (DESIGN §12).
 # It keeps no record, so VmHWM is the substrate and the region set:
 # ≈ 3.7 MiB.
-peak_rss_check ocean_ncp_ethp 6 splash2x/ocean_ncp --config ethp
+peak_rss_check ocean_ncp_ethp 6 run splash2x/ocean_ncp --config ethp
+# The default fleet on one worker: 31 shards of 32 stamped from one
+# frozen image, and a remainder of 8 whose slot builds its own image
+# after the last full shard has dropped the shared one. A stamp copies a
+# chunk's bitmaps and shares its page arrays until it writes them: ≈ 10.1
+# MiB. ≈ 12.9 MiB while every stamp deep-copied its page tables and the
+# remainder's image was built up front and held for the whole run.
+peak_rss_check fleet_1000 11 fleet --processes 1000 --epochs 50 --workers 1
+awk '$1 == "build" { calls = $NF } END { exit calls != 2 }' "$tmp/profile_fleet_1000.txt" || {
+    echo "FAIL: a fleet with a remainder builds one image in FleetEngine::new and one in its slot"
+    cat "$tmp/profile_fleet_1000.txt"
+    exit 1
+}
 echo "ok"
 
 echo "== bench fleet: 1k-process tick and run within baseline =="

@@ -444,18 +444,33 @@ impl Vma {
     /// Chunk `slot`'s bitmaps.
     #[inline]
     fn bits(&self, slot: usize) -> Option<&Bitmaps> {
-        match &self.chunks[slot] {
-            Some(c) => Some(&c.bits),
-            None => self.shared.get(slot)?.as_deref().map(|c| &c.bits),
-        }
+        self.bits_in::<true>(slot)
     }
 
     /// Chunk `slot`'s bitmaps, to write: a shared chunk's own bitmaps.
     #[inline]
     fn bits_mut(&mut self, slot: usize) -> Option<&mut Bitmaps> {
+        self.bits_mut_in::<true>(slot)
+    }
+
+    /// [`Self::bits`], looking in the shared table only when `SHARED`: a
+    /// sweep over a VMA without one keeps that lookup out of its loop.
+    #[inline]
+    fn bits_in<const SHARED: bool>(&self, slot: usize) -> Option<&Bitmaps> {
+        match &self.chunks[slot] {
+            Some(c) => Some(&c.bits),
+            None if SHARED => self.shared.get(slot)?.as_deref().map(|c| &c.bits),
+            None => None,
+        }
+    }
+
+    /// [`Self::bits_mut`], looking in the shared table only when `SHARED`.
+    #[inline]
+    fn bits_mut_in<const SHARED: bool>(&mut self, slot: usize) -> Option<&mut Bitmaps> {
         match &mut self.chunks[slot] {
             Some(c) => Some(&mut c.bits),
-            None => self.shared.get_mut(slot)?.as_deref_mut().map(|c| &mut c.bits),
+            None if SHARED => self.shared.get_mut(slot)?.as_deref_mut().map(|c| &mut c.bits),
+            None => None,
         }
     }
 
@@ -563,13 +578,22 @@ impl Vma {
     /// mispredict to save one chunk lookup (DESIGN §12 has the numbers).
     #[inline]
     pub(crate) fn access(&mut self, old: Option<u64>, new: Option<u64>) -> bool {
+        self.access_in::<true>(old, new)
+    }
+
+    /// [`Self::access`], looking in the shared table only when `SHARED`.
+    #[inline]
+    fn access_in<const SHARED: bool>(&mut self, old: Option<u64>, new: Option<u64>) -> bool {
         let was = old.is_some_and(|addr| {
-            let Some(c) = self.bits(self.slot(addr)) else { return false };
+            let Some(c) = self.bits_in::<SHARED>(self.slot(addr)) else { return false };
             let pi = Self::page_in_chunk(addr);
             c.accessed[pi / 64] & (1 << (pi % 64)) != 0
         });
         if let Some(addr) = new {
-            self.clear_accessed(addr);
+            if let Some(c) = self.bits_mut_in::<SHARED>(self.slot(addr)) {
+                let pi = Self::page_in_chunk(addr);
+                c.accessed[pi / 64] &= !(1 << (pi % 64));
+            }
         }
         was
     }
@@ -590,6 +614,20 @@ impl Vma {
         next: &mut impl FnMut(u64, u64) -> u64,
         checks: &mut u64,
     ) -> usize {
+        match self.shared.is_empty() {
+            true => self.sweep_run_in::<false>(cols, next, checks),
+            false => self.sweep_run_in::<true>(cols, next, checks),
+        }
+    }
+
+    /// [`Self::sweep_run`], looking in the shared table only when `SHARED`.
+    #[inline]
+    fn sweep_run_in<const SHARED: bool>(
+        &mut self,
+        cols: SampleColumns<'_>,
+        next: &mut impl FnMut(u64, u64) -> u64,
+        checks: &mut u64,
+    ) -> usize {
         let end_of_vma = self.range.end;
         let mut swept = 0;
         let bounds = cols.starts.iter().zip(cols.ends);
@@ -599,7 +637,7 @@ impl Vma {
             }
             let (old, new) = swap_sample(sample, next(start, end));
             *checks += old.is_some() as u64 + new.is_some() as u64;
-            *nr += self.access(old, new) as u32;
+            *nr += self.access_in::<SHARED>(old, new) as u32;
             swept += 1;
         }
         swept
@@ -1341,6 +1379,9 @@ mod tests {
         Touch(u64, u64, u32),
         /// `touch_resident` on page `.0`.
         TouchOne(u64),
+        /// The monitor's `access`: page `.0`'s accessed bit, then clear
+        /// page `.1`'s.
+        Access(u64, u64),
         /// Freeze the VMA and go on with a copy of it, keeping the frozen
         /// original when `.0` (else the copy is the arrays' last holder).
         Freeze(bool),
@@ -1403,6 +1444,7 @@ mod tests {
                 format!("{faults:?} {} {}", out.touched_pages, out.touched_huge)
             }
             PageOp::TouchOne(at) => format!("{}", vma.touch_resident(page(at))),
+            PageOp::Access(old, new) => format!("{}", vma.access(Some(page(old)), Some(page(new)))),
             PageOp::Freeze(_) => String::new(),
         }
     }
@@ -1410,9 +1452,10 @@ mod tests {
     proptest! {
         cases = 128;
 
-        // The page-table twin of the LRU's `queue_matches_a_deque_across_freezes`:
-        // whatever faults, reclaims, pageouts, generation bumps, splits and
-        // touches a VMA takes, frozen at random points and carried on in a
+        // The page-table twin of the LRU's
+        // `queue_matches_a_deque_across_freezes`: whatever faults,
+        // reclaims, pageouts, generation bumps, splits, touches and access
+        // checks a VMA takes, frozen at random points and carried on in a
         // copy, every op returns what it returns on a VMA that was never
         // frozen, the two stay equal and in canonical form, and a frozen
         // VMA is left exactly as it was frozen by everything its copies do.
@@ -1431,6 +1474,7 @@ mod tests {
                     (0..PROP_PAGES, 1u64..1100, 1u32..80)
                         .prop_map(|(at, len, stride)| PageOp::Touch(at, len, stride)),
                     (0..PROP_PAGES).prop_map(PageOp::TouchOne),
+                    (0..PROP_PAGES, 0..PROP_PAGES).prop_map(|(old, new)| PageOp::Access(old, new)),
                     any_bool().prop_map(PageOp::Freeze),
                     Just(PageOp::Fault(0, 64, true)),
                 ],

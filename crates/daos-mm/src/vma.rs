@@ -78,39 +78,36 @@
 //!
 //! A chunk is structure-of-arrays. The four things a page *is* — resident,
 //! swapped, accessed, touched — are four bitmaps of eight `u64` words, one
-//! bit per page; what a page *has* sits beside them in two per-page
-//! arrays: `backing` (the frame id of a resident page, the swap slot of
-//! a swapped one, both 32 bits) and the LRU generation — 4,352 bytes per
-//! 512 pages, one block per chunk. [`Pte`] is the by-value view of one
-//! page that `get` assembles and `set` scatters back; nothing stores one.
-//! The commonest thing a workload does — re-touching resident pages — and
-//! every scan for them therefore reads and writes words, 64 pages at a
-//! time, and never the per-page arrays.
+//! bit per page, 256 bytes in the chunk itself; what a page *has* sits
+//! behind the chunk's pointer to two per-page arrays: `backing` (the frame
+//! id of a resident page, the swap slot of a swapped one, both 32 bits)
+//! and the LRU generation, 4 KiB per 512 pages. [`Pte`] is the by-value
+//! view of one page that `get` assembles and `set` scatters back; nothing
+//! stores one. The commonest thing a workload does — re-touching resident
+//! pages — and every scan for them therefore reads and writes words, 64
+//! pages at a time, and never the per-page arrays.
 //!
-//! *What a copy shares.* `Vma::freeze` — run on a fleet's shard image by
-//! `MemorySystem::freeze` — moves every chunk to a second table, as its
-//! bitmaps beside a read-only block of its arrays that the VMA's copies
-//! share: stamping a fleet shard then copies 256 bytes of bitmaps per
-//! chunk, not 4,352. A copy's chunk goes back to being one block of its
-//! own on its first write to the arrays (`Vma::unshare`, `#[cold]`), like
-//! a frame slab's metadata. The bitmaps stay each copy's own: every
-//! resident touch and every access check writes them. The touch walker,
-//! the sampling sweep and `pageout_in`'s masks never go near the arrays,
-//! so a shard copies a chunk's arrays only when it maps, evicts, requeues
-//! or splits one of its pages: a 50-epoch shard of the default fleet
-//! writes the arrays of 43–47 of its image's 384 chunks, and the bitmaps
-//! of 101–108. A VMA never frozen has no shared chunk: reading a chunk is
-//! the one load it always was, and the second table is only looked in
-//! for a chunk the first does not hold.
+//! *What a copy shares.* A chunk holds its arrays as an `own | shared`
+//! pair, like a frame slab's metadata. `Vma::freeze` — run on a fleet's
+//! shard image by `MemorySystem::freeze` — turns every chunk's arrays into
+//! a read-only block its copies share, so the bitmaps, 256 bytes, are
+//! what stamping a fleet shard copies per chunk. A copy takes arrays of
+//! its own on its first write to them (`#[cold]`). The bitmaps stay each
+//! copy's own: every resident touch and every access check writes them.
+//! The touch walker, the sampling sweep and `pageout_in`'s masks never go
+//! near the arrays, so a shard copies a chunk's arrays only when it maps,
+//! evicts, requeues or splits one of its pages: a 50-epoch shard of the
+//! default fleet writes the arrays of 43–47 of its image's 384 chunks, and
+//! the bitmaps of 101–108.
 //!
 //! A chunk is kept in canonical form, which [`Vma::check_layout`]
 //! checks: `resident` and `swapped` are disjoint, and a page in neither
 //! has `backing == 0`. Derived equality on [`Vma`] is then a logical
-//! comparison (a shard stamped from an image equals one built
-//! separately). `accessed`, `touched` and the generation are stored as
-//! written whatever the state. A word operation may assume only what the
-//! canonical form gives it: a bit of `resident` is a page with a frame,
-//! whatever its other bits say.
+//! comparison, however a chunk's arrays are held (a shard stamped from an
+//! image equals one built separately). `accessed`, `touched` and the
+//! generation are stored as written whatever the state. A word operation
+//! may assume only what the canonical form gives it: a bit of `resident`
+//! is a page with a frame, whatever its other bits say.
 //!
 //! `touched` — "the CPU has used this page since it was mapped", what
 //! `demote_huge` reads to tell a promotion's filler subpages from real
@@ -227,14 +224,16 @@ pub enum Reclaimed {
     Evicted(FrameId),
 }
 
-/// What a page *is*: the four bitmaps of one chunk (see "PTE layout" in
-/// the module docs). Bit `pi % 64` of word `pi / 64` is page `pi`.
+/// One materialised 2 MiB span of the page table, structure-of-arrays
+/// (see "PTE layout" in the module docs): the four bitmaps, and the page
+/// arrays behind a pointer. Bit `pi % 64` of word `pi / 64` is page `pi`.
 #[derive(Debug, Clone, PartialEq)]
-struct Bitmaps {
+struct PteChunk {
     resident: [u64; PT_WORDS],
     swapped: [u64; PT_WORDS],
     accessed: [u64; PT_WORDS],
     touched: [u64; PT_WORDS],
+    pages: Pages,
 }
 
 /// What a page *has*, per page of one chunk.
@@ -245,61 +244,74 @@ struct PageArrays {
     lru_gen: [u32; PT_CHUNK_PAGES],
 }
 
-/// One materialised 2 MiB span of the page table, structure-of-arrays
-/// (see "PTE layout" in the module docs), in one block.
-#[derive(Debug, Clone)]
-struct PteChunk {
-    bits: Bitmaps,
-    pages: PageArrays,
+/// Every entry 0: what a chunk's arrays read before its first write.
+static NO_PAGES: PageArrays =
+    PageArrays { backing: [0; PT_CHUNK_PAGES], lru_gen: [0; PT_CHUNK_PAGES] };
+
+/// A chunk's page arrays: a block of its own, a frozen VMA's shared
+/// block, or neither while no entry was ever written (every entry then
+/// reads 0). Never both. Two are equal when they read the same, however
+/// they are held.
+#[derive(Debug, Clone, Default)]
+struct Pages {
+    own: Option<Box<PageArrays>>,
+    shared: Option<Arc<PageArrays>>,
 }
 
-/// A chunk of a frozen VMA or of a copy of one that has not written its
-/// page arrays: bitmaps of its own, arrays shared read-only.
-#[derive(Debug, Clone)]
-struct SharedChunk {
-    bits: Bitmaps,
-    pages: Arc<PageArrays>,
+impl Pages {
+    #[inline]
+    fn get(&self) -> &PageArrays {
+        self.own.as_deref().or(self.shared.as_deref()).unwrap_or(&NO_PAGES)
+    }
+
+    #[inline]
+    fn get_mut(&mut self) -> &mut PageArrays {
+        self.own.get_or_insert_with(|| first_write(self.shared.take()))
+    }
+
+    /// Let copies share the arrays until they write them.
+    fn freeze(&mut self) {
+        if let Some(own) = self.own.take() {
+            self.shared = Some(Arc::new(*own));
+        }
+    }
+}
+
+impl PartialEq for Pages {
+    fn eq(&self, other: &Self) -> bool {
+        self.get() == other.get()
+    }
+}
+
+/// A chunk's first write to its page arrays: its own block — the shared
+/// one if nothing else holds it any more, a copy of it if something does,
+/// and all-zero if there is none. Out of line, so the write paths keep a
+/// small frame.
+#[cold]
+#[inline(never)]
+fn first_write(shared: Option<Arc<PageArrays>>) -> Box<PageArrays> {
+    match shared {
+        Some(block) => Box::new(Arc::unwrap_or_clone(block)),
+        None => Box::new(PageArrays { backing: [0; PT_CHUNK_PAGES], lru_gen: [0; PT_CHUNK_PAGES] }),
+    }
 }
 
 impl PteChunk {
     fn new() -> Box<Self> {
         Box::new(PteChunk {
-            bits: Bitmaps {
-                resident: [0; PT_WORDS],
-                swapped: [0; PT_WORDS],
-                accessed: [0; PT_WORDS],
-                touched: [0; PT_WORDS],
-            },
-            pages: PageArrays { backing: [0; PT_CHUNK_PAGES], lru_gen: [0; PT_CHUNK_PAGES] },
+            resident: [0; PT_WORDS],
+            swapped: [0; PT_WORDS],
+            accessed: [0; PT_WORDS],
+            touched: [0; PT_WORDS],
+            pages: Pages::default(),
         })
     }
 
-    /// Scatter `pte` over page `pi`, in canonical form. The caller
-    /// accounts for the state change.
+    /// Page `pi`, assembled.
     #[inline]
-    fn set(&mut self, pi: usize, pte: Pte) {
+    fn get(&self, pi: usize) -> Pte {
         let (w, bit) = (pi / 64, 1u64 << (pi % 64));
-        let put = |word: &mut u64, on: bool| *word = (*word & !bit) | if on { bit } else { 0 };
-        let (resident, swapped, backing) = match pte.state {
-            PteState::None => (false, false, 0),
-            PteState::Resident(frame) => (true, false, frame),
-            PteState::Swapped(slot) => (false, true, slot.0),
-        };
-        let PteChunk { bits: c, pages } = self;
-        put(&mut c.resident[w], resident);
-        put(&mut c.swapped[w], swapped);
-        put(&mut c.accessed[w], pte.accessed);
-        put(&mut c.touched[w], pte.touched);
-        pages.backing[pi] = backing;
-        pages.lru_gen[pi] = pte.lru_gen;
-    }
-}
-
-impl Bitmaps {
-    /// Page `pi`, assembled with its entries of `pages`.
-    #[inline]
-    fn get(&self, pages: &PageArrays, pi: usize) -> Pte {
-        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
+        let pages = self.pages.get();
         let state = if self.resident[w] & bit != 0 {
             PteState::Resident(pages.backing[pi])
         } else if self.swapped[w] & bit != 0 {
@@ -313,6 +325,26 @@ impl Bitmaps {
             touched: self.touched[w] & bit != 0,
             lru_gen: pages.lru_gen[pi],
         }
+    }
+
+    /// Scatter `pte` over page `pi`, in canonical form. The caller
+    /// accounts for the state change.
+    #[inline]
+    fn set(&mut self, pi: usize, pte: Pte) {
+        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
+        let put = |word: &mut u64, on: bool| *word = (*word & !bit) | if on { bit } else { 0 };
+        let (resident, swapped, backing) = match pte.state {
+            PteState::None => (false, false, 0),
+            PteState::Resident(frame) => (true, false, frame),
+            PteState::Swapped(slot) => (false, true, slot.0),
+        };
+        put(&mut self.resident[w], resident);
+        put(&mut self.swapped[w], swapped);
+        put(&mut self.accessed[w], pte.accessed);
+        put(&mut self.touched[w], pte.touched);
+        let pages = self.pages.get_mut();
+        pages.backing[pi] = backing;
+        pages.lru_gen[pi] = pte.lru_gen;
     }
 
     /// The walker on a whole chunk whose visit mask is `visit` in every
@@ -374,10 +406,8 @@ pub enum ThpMode {
     Madvise,
 }
 
-/// A contiguous virtual mapping. Two VMAs are equal when they map the
-/// same range under the same policy and every page reads the same,
-/// however their chunks are held.
-#[derive(Debug, Clone)]
+/// A contiguous virtual mapping.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vma {
     /// Byte range covered; always page-aligned.
     pub range: AddrRange,
@@ -386,20 +416,9 @@ pub struct Vma {
     /// Sparse page table: one optional chunk per aligned 2 MiB span
     /// overlapping the VMA. Slot 0 covers `huge_align_down(range.start)`.
     chunks: Vec<Option<Box<PteChunk>>>,
-    /// The chunks whose page arrays are shared with a frozen VMA, indexed
-    /// like `chunks`; empty unless this VMA or the one it was copied from
-    /// was frozen. A slot's chunk is in at most one of the two tables.
-    shared: Vec<Option<Box<SharedChunk>>>,
     /// Huge flag per chunk slot, indexed like `chunks`; only a slot the
     /// VMA covers whole is ever set ([`Vma::set_huge`]).
     huge: Vec<bool>,
-}
-
-impl PartialEq for Vma {
-    fn eq(&self, other: &Self) -> bool {
-        (self.range, self.thp, &self.huge) == (other.range, other.thp, &other.huge)
-            && (0..self.chunks.len()).all(|slot| self.chunk(slot) == other.chunk(slot))
-    }
 }
 
 impl Vma {
@@ -410,7 +429,7 @@ impl Vma {
         let nr_slots =
             ((huge_align_up(range.end) - huge_align_down(range.start)) / HUGE_PAGE_SIZE) as usize;
         let chunks = (0..nr_slots).map(|_| None).collect();
-        Self { range, thp, chunks, shared: Vec::new(), huge: vec![false; nr_slots] }
+        Self { range, thp, chunks, huge: vec![false; nr_slots] }
     }
 
     /// Start of the (absolute-aligned) chunk grid.
@@ -432,98 +451,22 @@ impl Vma {
         ((addr & (HUGE_PAGE_SIZE - 1)) >> PAGE_SHIFT) as usize
     }
 
-    /// Chunk `slot`'s bitmaps and page arrays, however they are held.
-    #[inline]
-    fn chunk(&self, slot: usize) -> Option<(&Bitmaps, &PageArrays)> {
-        match &self.chunks[slot] {
-            Some(c) => Some((&c.bits, &c.pages)),
-            None => self.shared.get(slot)?.as_deref().map(|c| (&c.bits, &*c.pages)),
-        }
-    }
-
-    /// Chunk `slot`'s bitmaps.
-    #[inline]
-    fn bits(&self, slot: usize) -> Option<&Bitmaps> {
-        self.bits_in::<true>(slot)
-    }
-
-    /// Chunk `slot`'s bitmaps, to write: a shared chunk's own bitmaps.
-    #[inline]
-    fn bits_mut(&mut self, slot: usize) -> Option<&mut Bitmaps> {
-        self.bits_mut_in::<true>(slot)
-    }
-
-    /// [`Self::bits`], looking in the shared table only when `SHARED`: a
-    /// sweep over a VMA without one keeps that lookup out of its loop.
-    #[inline]
-    fn bits_in<const SHARED: bool>(&self, slot: usize) -> Option<&Bitmaps> {
-        match &self.chunks[slot] {
-            Some(c) => Some(&c.bits),
-            None if SHARED => self.shared.get(slot)?.as_deref().map(|c| &c.bits),
-            None => None,
-        }
-    }
-
-    /// [`Self::bits_mut`], looking in the shared table only when `SHARED`.
-    #[inline]
-    fn bits_mut_in<const SHARED: bool>(&mut self, slot: usize) -> Option<&mut Bitmaps> {
-        match &mut self.chunks[slot] {
-            Some(c) => Some(&mut c.bits),
-            None if SHARED => self.shared.get_mut(slot)?.as_deref_mut().map(|c| &mut c.bits),
-            None => None,
-        }
-    }
-
-    /// Chunk `slot` as one block of the VMA's own, to write its page
-    /// arrays: a shared chunk becomes one first ([`Self::unshare`]).
-    /// `None` if the slot has no chunk.
-    #[inline]
-    fn own_chunk(&mut self, slot: usize) -> Option<&mut PteChunk> {
-        if self.chunks[slot].is_none() {
-            self.unshare(slot);
-        }
-        self.chunks[slot].as_deref_mut()
-    }
-
-    /// A shared chunk's first write to its page arrays: one block of its
-    /// own — its bitmaps, and the arrays themselves if nothing else holds
-    /// them any more, else a copy. Out of line, so the write paths keep a
-    /// small frame; a slot with no shared chunk is left as it is.
-    #[cold]
-    #[inline(never)]
-    fn unshare(&mut self, slot: usize) {
-        if let Some(shared) = self.shared.get_mut(slot).and_then(Option::take) {
-            let SharedChunk { bits, pages } = *shared;
-            let pages = Arc::unwrap_or_clone(pages);
-            self.chunks[slot] = Some(Box::new(PteChunk { bits, pages }));
-        }
-    }
-
-    /// Move every chunk to the shared table, so that copies of this VMA
-    /// share its page arrays until they write them (each copy's bitmaps
-    /// are its own).
+    /// Make copies of this VMA share every chunk's page arrays until they
+    /// write them (each copy's bitmaps are its own).
     pub(crate) fn freeze(&mut self) {
-        if self.shared.is_empty() {
-            self.shared = self.chunks.iter().map(|_| None).collect();
-        }
-        for (own, shared) in self.chunks.iter_mut().zip(&mut self.shared) {
-            if let Some(c) = own.take() {
-                let PteChunk { bits, pages } = *c;
-                *shared = Some(Box::new(SharedChunk { bits, pages: Arc::new(pages) }));
-            }
-        }
+        self.chunks.iter_mut().flatten().for_each(|c| c.pages.freeze());
     }
 
-    /// Whether any chunk's page arrays are still shared with a frozen VMA.
+    /// Whether some chunk still reads its page arrays from a frozen VMA's.
     pub(crate) fn is_shared(&self) -> bool {
-        self.shared.iter().any(Option::is_some)
+        self.chunks.iter().flatten().any(|c| c.pages.shared.is_some())
     }
 
     /// The PTE covering `addr`, by value (missing chunks read as empty).
     #[inline]
     pub fn pte(&self, addr: u64) -> Pte {
-        match self.chunk(self.slot(addr)) {
-            Some((c, pages)) => c.get(pages, Self::page_in_chunk(addr)),
+        match &self.chunks[self.slot(addr)] {
+            Some(c) => c.get(Self::page_in_chunk(addr)),
             None => Pte::EMPTY,
         }
     }
@@ -535,12 +478,11 @@ impl Vma {
     /// primitives (see the module docs).
     pub fn with_pte<R>(&mut self, addr: u64, f: impl FnOnce(&mut Pte) -> R) -> R {
         let (slot, pi) = (self.slot(addr), Self::page_in_chunk(addr));
-        let old = self.chunk(slot).map(|(c, pages)| c.get(pages, pi));
-        let mut pte = old.unwrap_or(Pte::EMPTY);
+        let chunk = &mut self.chunks[slot];
+        let mut pte = chunk.as_deref().map_or(Pte::EMPTY, |c| c.get(pi));
         let r = f(&mut pte);
-        if old.is_some() || pte != Pte::EMPTY {
-            self.unshare(slot);
-            self.chunks[slot].get_or_insert_with(PteChunk::new).set(pi, pte);
+        if chunk.is_some() || pte != Pte::EMPTY {
+            chunk.get_or_insert_with(PteChunk::new).set(pi, pte);
         }
         r
     }
@@ -550,9 +492,9 @@ impl Vma {
     /// entry mostly fails there, on one cache line.
     #[inline]
     pub(crate) fn is_resident_at(&self, addr: u64, gen: u32) -> bool {
-        let Some((c, pages)) = self.chunk(self.slot(addr)) else { return false };
+        let Some(c) = self.chunks[self.slot(addr)].as_deref() else { return false };
         let pi = Self::page_in_chunk(addr);
-        pages.lru_gen[pi] == gen && c.resident[pi / 64] & (1 << (pi % 64)) != 0
+        c.pages.get().lru_gen[pi] == gen && c.resident[pi / 64] & (1 << (pi % 64)) != 0
     }
 
     /// Clear the accessed bit of the page at `addr`; returns whether it was
@@ -562,7 +504,7 @@ impl Vma {
     #[inline]
     pub fn clear_accessed(&mut self, addr: u64) -> bool {
         let slot = self.slot(addr);
-        let Some(c) = self.bits_mut(slot) else { return false };
+        let Some(c) = self.chunks[slot].as_deref_mut() else { return false };
         let pi = Self::page_in_chunk(addr);
         let (w, bit) = (pi / 64, 1u64 << (pi % 64));
         let was = c.accessed[w] & bit != 0;
@@ -578,22 +520,13 @@ impl Vma {
     /// mispredict to save one chunk lookup (DESIGN §12 has the numbers).
     #[inline]
     pub(crate) fn access(&mut self, old: Option<u64>, new: Option<u64>) -> bool {
-        self.access_in::<true>(old, new)
-    }
-
-    /// [`Self::access`], looking in the shared table only when `SHARED`.
-    #[inline]
-    fn access_in<const SHARED: bool>(&mut self, old: Option<u64>, new: Option<u64>) -> bool {
         let was = old.is_some_and(|addr| {
-            let Some(c) = self.bits_in::<SHARED>(self.slot(addr)) else { return false };
+            let Some(c) = self.chunks[self.slot(addr)].as_deref() else { return false };
             let pi = Self::page_in_chunk(addr);
             c.accessed[pi / 64] & (1 << (pi % 64)) != 0
         });
         if let Some(addr) = new {
-            if let Some(c) = self.bits_mut_in::<SHARED>(self.slot(addr)) {
-                let pi = Self::page_in_chunk(addr);
-                c.accessed[pi / 64] &= !(1 << (pi % 64));
-            }
+            self.clear_accessed(addr);
         }
         was
     }
@@ -614,20 +547,6 @@ impl Vma {
         next: &mut impl FnMut(u64, u64) -> u64,
         checks: &mut u64,
     ) -> usize {
-        match self.shared.is_empty() {
-            true => self.sweep_run_in::<false>(cols, next, checks),
-            false => self.sweep_run_in::<true>(cols, next, checks),
-        }
-    }
-
-    /// [`Self::sweep_run`], looking in the shared table only when `SHARED`.
-    #[inline]
-    fn sweep_run_in<const SHARED: bool>(
-        &mut self,
-        cols: SampleColumns<'_>,
-        next: &mut impl FnMut(u64, u64) -> u64,
-        checks: &mut u64,
-    ) -> usize {
         let end_of_vma = self.range.end;
         let mut swept = 0;
         let bounds = cols.starts.iter().zip(cols.ends);
@@ -637,7 +556,7 @@ impl Vma {
             }
             let (old, new) = swap_sample(sample, next(start, end));
             *checks += old.is_some() as u64 + new.is_some() as u64;
-            *nr += self.access_in::<SHARED>(old, new) as u32;
+            *nr += self.access(old, new) as u32;
             swept += 1;
         }
         swept
@@ -650,7 +569,7 @@ impl Vma {
     #[inline]
     pub fn touch_resident(&mut self, addr: u64) -> bool {
         let slot = self.slot(addr);
-        let Some(c) = self.bits_mut(slot) else { return false };
+        let Some(c) = self.chunks[slot].as_deref_mut() else { return false };
         let pi = Self::page_in_chunk(addr);
         let (w, bit) = (pi / 64, 1u64 << (pi % 64));
         let hit = c.resident[w] & bit;
@@ -690,7 +609,7 @@ impl Vma {
             let slot = self.slot(addr);
             let huge = self.huge[slot];
             let page = |pi: usize| chunk_base + pi as u64 * PAGE_SIZE;
-            let nr = match (self.bits_mut(slot), periodic) {
+            let nr = match (self.chunks[slot].as_deref_mut(), periodic) {
                 // The whole chunk at `lo`'s phase: one visit mask for all
                 // eight words.
                 (Some(c), Some((pattern, _))) if lo < stride && hi == PT_CHUNK_PAGES => {
@@ -737,11 +656,7 @@ impl Vma {
     /// page's new generation. The page must not be resident.
     pub fn map_page(&mut self, addr: u64, frame: FrameId, by_cpu: bool) -> u32 {
         let slot = self.slot(addr);
-        if self.chunks[slot].is_none() {
-            self.unshare(slot);
-        }
-        let chunk = self.chunks[slot].get_or_insert_with(PteChunk::new);
-        let PteChunk { bits: c, pages } = &mut **chunk;
+        let c = self.chunks[slot].get_or_insert_with(PteChunk::new);
         let pi = Self::page_in_chunk(addr);
         let (w, bit) = (pi / 64, 1u64 << (pi % 64));
         debug_assert_eq!(c.resident[w] & bit, 0, "map_page over a resident page");
@@ -750,6 +665,7 @@ impl Vma {
         let flag = if by_cpu { bit } else { 0 };
         c.accessed[w] = (c.accessed[w] & !bit) | flag;
         c.touched[w] = (c.touched[w] & !bit) | flag;
+        let pages = c.pages.get_mut();
         pages.backing[pi] = frame;
         pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
         pages.lru_gen[pi]
@@ -761,7 +677,6 @@ impl Vma {
     /// nothing written, when the page is not resident or — given
     /// `queued_gen`, the stamp of the LRU entry being revalidated — was
     /// queued under another generation.
-    #[inline]
     pub fn bump_resident(
         &mut self,
         addr: u64,
@@ -769,16 +684,17 @@ impl Vma {
         clear_accessed: bool,
     ) -> Option<u32> {
         let slot = self.slot(addr);
-        let (c, pages) = self.chunk(slot)?;
+        let c = self.chunks[slot].as_deref_mut()?;
         let pi = Self::page_in_chunk(addr);
         let (w, bit) = (pi / 64, 1u64 << (pi % 64));
-        if c.resident[w] & bit == 0 || queued_gen.is_some_and(|gen| gen != pages.lru_gen[pi]) {
+        let stale = |gen| gen != c.pages.get().lru_gen[pi];
+        if c.resident[w] & bit == 0 || queued_gen.is_some_and(stale) {
             return None;
         }
-        let PteChunk { bits: c, pages } = self.own_chunk(slot)?;
         if clear_accessed {
             c.accessed[w] &= !bit;
         }
+        let pages = c.pages.get_mut();
         pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
         Some(pages.lru_gen[pi])
     }
@@ -802,28 +718,27 @@ impl Vma {
         store: impl FnOnce() -> MmResult<SwapSlot>,
     ) -> MmResult<Reclaimed> {
         let slot = self.slot(addr);
-        let Some((c, pages)) = self.chunk(slot) else { return Ok(Reclaimed::Stale) };
+        let Some(c) = self.chunks[slot].as_deref_mut() else { return Ok(Reclaimed::Stale) };
         let pi = Self::page_in_chunk(addr);
         let (w, bit) = (pi / 64, 1u64 << (pi % 64));
-        if c.resident[w] & bit == 0 || lru_gen.is_some_and(|gen| gen != pages.lru_gen[pi]) {
+        let stale = |gen| gen != c.pages.get().lru_gen[pi];
+        if c.resident[w] & bit == 0 || lru_gen.is_some_and(stale) {
             return Ok(Reclaimed::Stale);
         }
-        let Some(PteChunk { bits: c, pages }) = self.own_chunk(slot) else {
-            return Ok(Reclaimed::Stale);
-        };
         if lru_gen.is_some() {
+            let pages = c.pages.get_mut();
             pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
         }
         if c.accessed[w] & bit != 0 {
             c.accessed[w] &= !bit;
-            return Ok(Reclaimed::Referenced(pages.lru_gen[pi]));
+            return Ok(Reclaimed::Referenced(c.pages.get().lru_gen[pi]));
         }
         let swap_slot = store()?;
-        let frame = pages.backing[pi];
         c.resident[w] &= !bit;
         c.swapped[w] |= bit;
         c.touched[w] &= !bit;
-        pages.backing[pi] = swap_slot.0;
+        let pages = c.pages.get_mut();
+        let frame = std::mem::replace(&mut pages.backing[pi], swap_slot.0);
         pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
         Ok(Reclaimed::Evicted(frame))
     }
@@ -845,19 +760,8 @@ impl Vma {
     ) -> MmResult<()> {
         let mut result = Ok(());
         'chunks: for (slot, chunk_base, lo, hi) in self.spans(range) {
-            let Some(c) = self.bits(slot) else { continue };
-            let words = lo / 64..hi.div_ceil(64);
-            let cold = |w: usize| c.resident[w] & !c.accessed[w] & word_mask(w, lo, hi);
-            if self.chunks[slot].is_none() && words.clone().all(|w| cold(w) == 0) {
-                // A shared chunk with nothing to evict: its referenced
-                // pages lose their accessed bits, and it keeps sharing.
-                if let Some(c) = self.bits_mut(slot) {
-                    words.for_each(|w| c.accessed[w] &= !(c.resident[w] & word_mask(w, lo, hi)));
-                }
-                continue;
-            }
-            let Some(PteChunk { bits: c, pages }) = self.own_chunk(slot) else { continue };
-            for w in words {
+            let Some(c) = self.chunks[slot].as_deref_mut() else { continue };
+            for w in lo / 64..hi.div_ceil(64) {
                 // The word's resident pages in the range: all judged,
                 // unless a store fails first.
                 let mut judged = c.resident[w] & word_mask(w, lo, hi);
@@ -874,9 +778,9 @@ impl Vma {
                             break;
                         }
                     };
-                    let pi = w * 64 + b;
-                    evicted.push((chunk_base + pi as u64 * PAGE_SIZE, pages.backing[pi]));
-                    pages.backing[pi] = swap_slot.0;
+                    let (pi, pages) = (w * 64 + b, c.pages.get_mut());
+                    let frame = std::mem::replace(&mut pages.backing[pi], swap_slot.0);
+                    evicted.push((chunk_base + pi as u64 * PAGE_SIZE, frame));
                     pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
                     out |= 1 << b;
                 }
@@ -900,17 +804,13 @@ impl Vma {
     pub fn split_huge(&mut self, chunk_addr: u64, freed: &mut Vec<FrameId>) {
         self.set_huge(chunk_addr, false);
         let slot = self.slot(chunk_addr);
-        let Some(c) = self.bits(slot) else { return };
-        let filler = |w: usize| c.resident[w] & !c.touched[w];
-        if self.chunks[slot].is_none() && (0..PT_WORDS).all(|w| filler(w) == 0) {
-            return; // a shared chunk with no filler: nothing to write
-        }
-        let Some(PteChunk { bits: c, pages }) = self.own_chunk(slot) else { return };
+        let Some(c) = self.chunks[slot].as_deref_mut() else { return };
         for w in 0..PT_WORDS {
             let filler = c.resident[w] & !c.touched[w];
             c.resident[w] &= !filler;
             c.accessed[w] &= !filler;
             for pi in bits(filler).map(|b| w * 64 + b) {
+                let pages = c.pages.get_mut();
                 freed.push(std::mem::take(&mut pages.backing[pi]));
                 pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
             }
@@ -921,13 +821,15 @@ impl Vma {
     /// swapped) page, skipping unmaterialised chunks entirely.
     pub fn iter_mapped(&self) -> impl Iterator<Item = (u64, Pte)> + '_ {
         let base = self.grid_base();
-        (0..self.chunks.len())
-            .filter_map(|i| self.chunk(i).map(|c| (i, c)))
-            .flat_map(move |(i, (c, pages))| {
+        self.chunks
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| c.as_deref().map(|c| (i, c)))
+            .flat_map(move |(i, c)| {
                 let chunk_base = base + i as u64 * HUGE_PAGE_SIZE;
                 (0..PT_WORDS)
                     .flat_map(|w| bits(c.resident[w] | c.swapped[w]).map(move |b| w * 64 + b))
-                    .map(move |pi| (chunk_base + pi as u64 * PAGE_SIZE, c.get(pages, pi)))
+                    .map(move |pi| (chunk_base + pi as u64 * PAGE_SIZE, c.get(pi)))
             })
     }
 
@@ -969,10 +871,10 @@ impl Vma {
         &self,
         range: &AddrRange,
         out: &mut Vec<u64>,
-        of: impl Fn(&Bitmaps) -> &[u64; PT_WORDS],
+        of: impl Fn(&PteChunk) -> &[u64; PT_WORDS],
     ) {
         for (slot, chunk_base, lo, hi) in self.spans(range) {
-            let Some(c) = self.bits(slot) else { continue };
+            let Some(c) = self.chunks[slot].as_deref() else { continue };
             for w in lo / 64..hi.div_ceil(64) {
                 let page = |b| chunk_base + (w * 64 + b) as u64 * PAGE_SIZE;
                 out.extend(bits(of(c)[w] & word_mask(w, lo, hi)).map(page));
@@ -983,10 +885,10 @@ impl Vma {
     /// How many pages of `range ∩ vma` have their bit set in the bitmap
     /// `of` picks: a masked popcount per word, over the same spans and
     /// words as [`Vma::collect_resident_in`].
-    fn count_in(&self, range: &AddrRange, of: impl Fn(&Bitmaps) -> &[u64; PT_WORDS]) -> u64 {
+    fn count_in(&self, range: &AddrRange, of: impl Fn(&PteChunk) -> &[u64; PT_WORDS]) -> u64 {
         let mut nr = 0;
         for (slot, _, lo, hi) in self.spans(range) {
-            let Some(c) = self.bits(slot) else { continue };
+            let Some(c) = self.chunks[slot].as_deref() else { continue };
             let word = |w: usize| (of(c)[w] & word_mask(w, lo, hi)).count_ones() as u64;
             nr += (lo / 64..hi.div_ceil(64)).map(word).sum::<u64>();
         }
@@ -1028,7 +930,7 @@ impl Vma {
     /// resident, ascending: the clear bits of its `resident` words, or
     /// every page of a chunk never materialised.
     pub(crate) fn chunk_holes(&self, chunk_addr: u64) -> impl Iterator<Item = u64> + '_ {
-        let chunk = self.bits(self.slot(chunk_addr));
+        let chunk = self.chunks[self.slot(chunk_addr)].as_deref();
         let word = move |w: usize| chunk.map_or(u64::MAX, |c| !c.resident[w]);
         (0..PT_WORDS)
             .flat_map(move |w| bits(word(w)).map(move |b| w * 64 + b))
@@ -1069,13 +971,14 @@ impl Vma {
     /// The layout invariant: `Err` says which chunk word breaks it unless
     /// every chunk is in canonical form ("PTE layout" in the module docs).
     pub fn check_layout(&self) -> Result<(), String> {
-        for slot in 0..self.chunks.len() {
-            let Some((c, pages)) = self.chunk(slot) else { continue };
+        for (slot, c) in self.chunks.iter().enumerate() {
+            let Some(c) = c.as_deref() else { continue };
             for w in 0..PT_WORDS {
                 if c.resident[w] & c.swapped[w] != 0 {
                     return Err(format!("chunk {slot} word {w}: a page is resident and swapped"));
                 }
-                if bits(!(c.resident[w] | c.swapped[w])).any(|b| pages.backing[w * 64 + b] != 0) {
+                let backing = &c.pages.get().backing;
+                if bits(!(c.resident[w] | c.swapped[w])).any(|b| backing[w * 64 + b] != 0) {
                     return Err(format!("chunk {slot} word {w}: an unmapped page keeps a backing"));
                 }
             }
@@ -1270,11 +1173,11 @@ mod tests {
         }
 
         let mut both = fresh();
-        chunk(&mut both).bits.swapped[0] |= 1;
+        chunk(&mut both).swapped[0] |= 1;
         assert!(both.check_layout().unwrap_err().contains("resident and swapped"));
 
         let mut stale = fresh();
-        chunk(&mut stale).pages.backing[3] = 9;
+        chunk(&mut stale).pages.get_mut().backing[3] = 9;
         assert!(stale.check_layout().unwrap_err().contains("keeps a backing"));
     }
 
@@ -1335,7 +1238,7 @@ mod tests {
         assert!(vma.is_shared() && !owned.is_shared());
         assert_eq!(vma, owned);
         let mut copy = vma.clone();
-        let shared = |v: &Vma, slot: usize| v.shared[slot].as_ref().map(|c| Arc::clone(&c.pages));
+        let shared = |v: &Vma, slot: usize| v.chunks[slot].as_ref()?.pages.shared.clone();
         assert!(Arc::ptr_eq(&shared(&copy, 0).unwrap(), &shared(&vma, 0).unwrap()));
         assert!(copy.touch_resident(mb(2)), "a touch writes the bitmaps only");
         assert!(shared(&copy, 1).is_some());
@@ -1489,7 +1392,7 @@ mod tests {
             for (i, op) in ops.iter().enumerate() {
                 if let PageOp::Freeze(keep) = *op {
                     vma.freeze();
-                    let all_shared = vma.chunks.iter().all(Option::is_none);
+                    let all_shared = vma.chunks.iter().flatten().all(|c| c.pages.own.is_none());
                     prop_assert!(all_shared, "a frozen VMA shares every chunk");
                     let copy = vma.clone();
                     if keep {

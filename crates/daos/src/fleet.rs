@@ -64,14 +64,18 @@
 //!
 //! Single-shard (or single-worker) fleets advance inline on the caller
 //! thread, so a thread-local trace collector observes them directly: it
-//! sees a length's set-up once, when the image is built, and on a
-//! multi-shard fleet it sees a span's events shard after shard, each
-//! stamped with its shard's virtual clock. Otherwise each span
+//! sees a length's set-up once, when the image is built — the full
+//! length's in [`FleetEngine::new`], before any tick, and a remainder's
+//! when its slot first advances, after the full shards' ticks of that
+//! span — and on a multi-shard fleet it sees a span's events shard after
+//! shard, each stamped with its shard's virtual clock. Otherwise each span
 //! moves every slot into a task of the workspace worker pool
 //! ([`daos_util::pool::WorkerPool`], threads on one shared queue) and
 //! takes it back with the task's result behind the batch barrier, so
 //! nothing in the results or the summary depends on worker count or
-//! thread timing but `nr_workers` itself.
+//! thread timing but `nr_workers` itself. Pool tasks run untraced, the
+//! remainder's image build included: a collector on a pooled fleet sees
+//! the full length's set-up only.
 //!
 //! Monitoring cost stays **sub-linear in fleet size** through a global
 //! region budget of 64 × the configuration's `max_nr_regions`: each

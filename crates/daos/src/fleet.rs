@@ -1358,6 +1358,42 @@ mod tests {
         }
     }
 
+    /// A caller-installed collector sees a length's set-up where its
+    /// image is built. `FleetEngine::new` builds the full length's only,
+    /// so a fleet with a remainder traces what one without does. A pooled
+    /// first tick adds nothing, the remainder's build included (pool
+    /// tasks run untraced); an inline one traces the full shards' tick,
+    /// then the remainder's set-up — what a fleet of just the remainder
+    /// traces in `new` (it swaps: 2 × 4 MiB on 7 MiB of DRAM) — then the
+    /// remainder's tick.
+    #[test]
+    fn a_collector_sees_the_remainders_set_up_only_inline() {
+        let (machine, _) = oracle_fleet();
+        let config = RunConfig::baseline();
+        let spec = oracle_spec(behaviors()[0], &config);
+        // The exported events, without the export's header line.
+        let traced = |nr: usize, workers: usize, ticks: u64| {
+            daos_trace::install(daos_trace::Collector::builder().build().unwrap()).unwrap();
+            let fleet = FleetSpec::new(nr).shard_size(4).workers(workers);
+            let mut engine = FleetEngine::new(&machine, &config, &spec, fleet, 1).unwrap();
+            (0..ticks).for_each(|_| engine.tick().unwrap());
+            let export = daos_trace::export_collector(&daos_trace::take().unwrap());
+            export.lines().filter(|l| !l.starts_with('#')).map(str::to_owned).collect::<Vec<_>>()
+        };
+        for workers in [1, 2] {
+            let built = traced(8, workers, 0);
+            assert!(!built.is_empty(), "workers({workers}): the full image's set-up swaps");
+            assert_eq!(traced(10, workers, 0), built, "workers({workers}): one image in new");
+        }
+        assert_eq!(traced(10, 2, 1), traced(8, 2, 0), "a pooled tick is untraced");
+        let remainder = traced(2, 1, 0);
+        assert!(!remainder.is_empty());
+        let inline = traced(10, 1, 1);
+        let full_shards = traced(8, 1, 1);
+        assert!(inline.starts_with(&[full_shards.clone(), remainder.clone()].concat()), "inline order");
+        assert!(inline.len() > full_shards.len() + remainder.len(), "the remainder's tick");
+    }
+
     /// What an observer is shown, minus `single` (a fleet has none).
     type Seen = (u64, Ns, Ns, u64, Vec<TenantStats>);
 

@@ -471,7 +471,7 @@ peak_rss_check ocean_ncp_ethp 6 run splash2x/ocean_ncp --config ethp
 # The default fleet on one worker: 31 shards of 32 stamped from one
 # frozen image, and a remainder of 8 whose slot builds its own image
 # after the last full shard has dropped the shared one. A stamp copies a
-# chunk's bitmaps and shares its page arrays until it writes them: ≈ 10.1
+# chunk's bitmaps and shares its page arrays until it writes them: ≈ 10.3
 # MiB. ≈ 12.9 MiB while every stamp deep-copied its page tables and the
 # remainder's image was built up front and held for the whole run.
 peak_rss_check fleet_1000 11 fleet --processes 1000 --epochs 50 --workers 1

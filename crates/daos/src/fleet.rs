@@ -1390,7 +1390,8 @@ mod tests {
         assert!(!remainder.is_empty());
         let inline = traced(10, 1, 1);
         let full_shards = traced(8, 1, 1);
-        assert!(inline.starts_with(&[full_shards.clone(), remainder.clone()].concat()), "inline order");
+        let in_order = [&full_shards[..], &remainder[..]].concat();
+        assert!(inline.starts_with(&in_order), "inline order");
         assert!(inline.len() > full_shards.len() + remainder.len(), "the remainder's tick");
     }
 

@@ -13,6 +13,10 @@ pub const PAGE_SHIFT: u32 = 12;
 pub const HUGE_PAGE_SIZE: u64 = 2 * 1024 * 1024;
 /// Number of base pages per huge page (512).
 pub const PAGES_PER_HUGE: u64 = HUGE_PAGE_SIZE / PAGE_SIZE;
+/// End of the user address space, x86-64's 47-bit line: no mapping ends
+/// above it, so a page number fits the 35 bits an rmap or LRU entry
+/// packs it into.
+pub const USER_ADDR_END: u64 = 1 << 47;
 
 /// Round `addr` down to a page boundary.
 #[inline]

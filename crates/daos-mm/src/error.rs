@@ -22,6 +22,8 @@ pub enum MmError {
     MappingOverlap(AddrRange),
     /// Requested mapping length was zero or not representable.
     BadLength(u64),
+    /// The requested mapping ends above [`crate::addr::USER_ADDR_END`].
+    BeyondUserSpace(AddrRange),
 }
 
 impl core::fmt::Display for MmError {
@@ -34,6 +36,7 @@ impl core::fmt::Display for MmError {
             MmError::SwapFull => write!(f, "swap device full"),
             MmError::MappingOverlap(r) => write!(f, "mapping overlaps existing VMA at {r}"),
             MmError::BadLength(l) => write!(f, "bad mapping length: {l}"),
+            MmError::BeyondUserSpace(r) => write!(f, "mapping {r} ends above the 47-bit user space"),
         }
     }
 }

@@ -5,7 +5,9 @@
 //! `(process, virtual address)` currently owns each frame. That is exactly
 //! the information the paper's physical-address monitoring primitive needs
 //! ("uses the mappings from physical address to virtual addresses (rmap)
-//! instead of struct vma", §3.1).
+//! instead of struct vma", §3.1). An entry is 8 bytes, the pid packed
+//! above the page number: pids stay below [`PID_LIMIT`] and mappings
+//! below [`USER_ADDR_END`], x86-64's 47-bit line.
 //!
 //! Metadata is held in lazily materialised slabs of [`SLAB_FRAMES`]
 //! entries. A machine with 128 GiB of DRAM has ~33 M frames; eagerly
@@ -25,9 +27,9 @@
 
 use std::sync::Arc;
 
-use crate::addr::PAGE_SIZE;
+use crate::addr::{PAGE_SHIFT, PAGE_SIZE, USER_ADDR_END};
 use crate::error::AuditError;
-use crate::process::Pid;
+use crate::process::{Pid, PID_LIMIT};
 
 /// Identifier of a physical page frame (dense, 0-based).
 pub type FrameId = u32;
@@ -35,24 +37,39 @@ pub type FrameId = u32;
 /// Frames of metadata per lazily-allocated slab (16 MiB of DRAM each).
 pub const SLAB_FRAMES: usize = 4096;
 
-/// Per-frame metadata: the rmap entry, 16 bytes — the owning process and
-/// page-aligned virtual address, with [`Pid::MAX`] for a free frame
-/// rather than an `Option` tag. (Whether the CPU used the page since it
-/// was mapped is a bit of the mapping's PTE — see
-/// [`crate::vma::Pte::touched`] — not of the frame.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameMeta {
-    pid: Pid,
-    addr: u64,
+/// Bits of a packed page word below its pid: the page number of an
+/// address under [`USER_ADDR_END`].
+const PAGE_NR_BITS: u32 = USER_ADDR_END.trailing_zeros() - PAGE_SHIFT;
+
+/// A page `(pid, page-aligned address)` as one word, the pid above the
+/// page number. With the pid under [`PID_LIMIT`] it is never all ones.
+#[inline]
+pub(crate) fn pack_page(pid: Pid, addr: u64) -> u64 {
+    debug_assert!(pid < PID_LIMIT && addr < USER_ADDR_END && addr % PAGE_SIZE == 0);
+    (pid as u64) << PAGE_NR_BITS | addr >> PAGE_SHIFT
 }
 
+/// The page a [`pack_page`] word names.
+#[inline]
+pub(crate) fn unpack_page(word: u64) -> (Pid, u64) {
+    ((word >> PAGE_NR_BITS) as Pid, (word & ((1 << PAGE_NR_BITS) - 1)) << PAGE_SHIFT)
+}
+
+/// Per-frame metadata: the rmap entry, 8 bytes — the owning pid packed
+/// above the page number, all ones for a free frame rather than an
+/// `Option` tag. (Whether the CPU used the page since it was mapped is a bit of
+/// the mapping's PTE — see [`crate::vma::Pte::touched`] — not of the
+/// frame.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameMeta(u64);
+
 impl FrameMeta {
-    const FREE: FrameMeta = FrameMeta { pid: Pid::MAX, addr: 0 };
+    const FREE: FrameMeta = FrameMeta(u64::MAX);
 
     /// Owning `(process, page-aligned virtual address)` when mapped.
     #[inline]
     pub fn owner(self) -> Option<(Pid, u64)> {
-        (self.pid != Pid::MAX).then_some((self.pid, self.addr))
+        (self != Self::FREE).then(|| unpack_page(self.0))
     }
 }
 
@@ -192,7 +209,6 @@ impl FrameAllocator {
     /// order.
     #[inline]
     pub fn alloc(&mut self, pid: Pid, vaddr: u64) -> Option<FrameId> {
-        debug_assert_ne!(pid, Pid::MAX, "pid {pid} marks a free frame");
         let id = match self.free.pop() {
             Some(id) => id,
             None if (self.next_fresh as usize) < self.capacity => {
@@ -202,7 +218,7 @@ impl FrameAllocator {
             }
             None => return None,
         };
-        *self.meta_mut(id) = FrameMeta { pid, addr: vaddr };
+        *self.meta_mut(id) = FrameMeta(pack_page(pid, vaddr));
         Some(id)
     }
 
@@ -275,6 +291,10 @@ impl PartialEq for FrameAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lru::LruEntry;
+    use crate::process::{MMAP_BASE, STACK_BASE};
+    use daos_util::prop::{select, StrategyExt, TestCaseResult};
+    use daos_util::{one_of, prop_assert, prop_assert_eq, proptest};
 
     #[test]
     fn alloc_free_roundtrip() {
@@ -326,8 +346,45 @@ mod tests {
     }
 
     #[test]
-    fn frame_meta_is_16_bytes() {
-        assert_eq!(std::mem::size_of::<FrameMeta>(), 16);
+    fn frame_meta_is_8_bytes() {
+        assert_eq!(std::mem::size_of::<FrameMeta>(), 8);
+    }
+
+    /// The edges of what a page word holds: the smallest and largest pid,
+    /// and the heap's base, the stack's and the last user page.
+    const PIDS: [Pid; 2] = [0, PID_LIMIT - 1];
+    const ADDRS: [u64; 3] = [MMAP_BASE, STACK_BASE, USER_ADDR_END - PAGE_SIZE];
+
+    /// `(pid, addr)` reads back the same from an rmap entry and an LRU
+    /// entry, and its rmap entry is not the free marker.
+    fn round_trips(pid: Pid, addr: u64) -> TestCaseResult {
+        let meta = FrameMeta(pack_page(pid, addr));
+        prop_assert!(meta != FrameMeta::FREE, "pid {pid} page {addr:#x} packs to FREE");
+        prop_assert_eq!(meta.owner(), Some((pid, addr)));
+        let e = LruEntry::new(pid, addr, u32::MAX);
+        prop_assert_eq!((e.pid(), e.addr(), e.gen()), (pid, addr, u32::MAX));
+        Ok(())
+    }
+
+    #[test]
+    fn the_edges_round_trip() {
+        for (pid, addr) in PIDS.into_iter().flat_map(|pid| ADDRS.map(|addr| (pid, addr))) {
+            round_trips(pid, addr).unwrap();
+        }
+    }
+
+    proptest! {
+        cases = 256;
+
+        fn a_page_round_trips_through_both_entries(
+            pid in one_of![select(PIDS.to_vec()), 0..PID_LIMIT],
+            addr in one_of![
+                select(ADDRS.to_vec()),
+                (0..USER_ADDR_END / PAGE_SIZE).prop_map(|page| page * PAGE_SIZE),
+            ],
+        ) {
+            round_trips(pid, addr)?;
+        }
     }
 
     #[test]

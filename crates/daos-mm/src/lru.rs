@@ -16,15 +16,18 @@
 //! ones once the lists outgrow a bound on its resident pages, so they stay
 //! in proportion to what is resident.
 //!
-//! A [`frozen`](Lru::freeze) LRU — a fleet's shard image, which many
-//! shards copy — keeps each list's entries in one read-only shared base.
-//! A copy shares the base, consumes it from the tail by index, and queues
-//! its own pushes in deques of its own around it, so copying a list of
-//! 131,072 entries costs a reference count, not 2 MiB.
+//! An entry is 12 bytes: the page packed as in an rmap entry, and its
+//! generation. A [`frozen`](Lru::freeze) LRU — a fleet's shard image,
+//! which many shards copy — keeps each list's entries in one read-only
+//! shared base. A copy shares the base, consumes it from the tail by
+//! index, and queues its own pushes in deques of its own around it, so
+//! copying a list of 131,072 entries costs a reference count, not
+//! 1.5 MiB.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use crate::frame::{pack_page, unpack_page};
 use crate::process::Pid;
 
 /// Which list a queued entry belongs to.
@@ -36,15 +39,44 @@ pub enum LruList {
     Inactive,
 }
 
-/// A queued page reference.
+/// A queued page reference, 12 bytes: the page word of an rmap entry
+/// ([`crate::frame::FrameMeta`]) in two halves, so that it aligns to 4,
+/// and a generation stamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LruEntry {
+    word: [u32; 2],
+    gen: u32,
+}
+
+impl LruEntry {
+    #[inline]
+    pub(crate) fn new(pid: Pid, addr: u64, gen: u32) -> Self {
+        let word = pack_page(pid, addr);
+        Self { word: [word as u32, (word >> 32) as u32], gen }
+    }
+
+    #[inline]
+    fn page(self) -> (Pid, u64) {
+        unpack_page(self.word[0] as u64 | (self.word[1] as u64) << 32)
+    }
+
     /// Owning process.
-    pub pid: Pid,
+    #[inline]
+    pub fn pid(self) -> Pid {
+        self.page().0
+    }
+
     /// Page-aligned virtual address.
-    pub addr: u64,
+    #[inline]
+    pub fn addr(self) -> u64 {
+        self.page().1
+    }
+
     /// Generation stamp; must match the PTE's `lru_gen` to be live.
-    pub gen: u32,
+    #[inline]
+    pub fn gen(self) -> u32 {
+        self.gen
+    }
 }
 
 /// One list, front (newest) to back (next victim): `head`, then the
@@ -143,7 +175,7 @@ impl Lru {
     /// Record a newly mapped (or re-referenced) page on the given list's
     /// head. The caller must have bumped the PTE's `lru_gen` to `gen`.
     pub fn insert(&mut self, list: LruList, pid: Pid, addr: u64, gen: u32) {
-        let e = LruEntry { pid, addr, gen };
+        let e = LruEntry::new(pid, addr, gen);
         match list {
             LruList::Active => self.active.push_front(e),
             LruList::Inactive => self.inactive.push_front(e),
@@ -153,7 +185,7 @@ impl Lru {
     /// Queue a page at the inactive *tail* — the very next reclaim victim.
     /// Used by DAMOS `COLD`.
     pub fn deactivate_to_tail(&mut self, pid: Pid, addr: u64, gen: u32) {
-        self.inactive.push_back(LruEntry { pid, addr, gen });
+        self.inactive.push_back(LruEntry::new(pid, addr, gen));
     }
 
     /// Pop the best eviction candidate from the inactive tail. The caller
@@ -223,8 +255,8 @@ mod tests {
         lru.insert(LruList::Inactive, 1, 0x1000, 1);
         lru.insert(LruList::Inactive, 1, 0x2000, 1);
         // Tail pop returns the *oldest* insert.
-        assert_eq!(lru.pop_inactive().unwrap().addr, 0x1000);
-        assert_eq!(lru.pop_inactive().unwrap().addr, 0x2000);
+        assert_eq!(lru.pop_inactive().unwrap().addr(), 0x1000);
+        assert_eq!(lru.pop_inactive().unwrap().addr(), 0x2000);
         assert!(lru.pop_inactive().is_none());
     }
 
@@ -233,7 +265,7 @@ mod tests {
         let mut lru = Lru::new();
         lru.insert(LruList::Inactive, 1, 0x1000, 1);
         lru.deactivate_to_tail(1, 0x9000, 2);
-        assert_eq!(lru.pop_inactive().unwrap().addr, 0x9000);
+        assert_eq!(lru.pop_inactive().unwrap().addr(), 0x9000);
     }
 
     #[test]
@@ -241,8 +273,8 @@ mod tests {
         let mut lru = Lru::new();
         lru.insert(LruList::Active, 1, 0xa000, 1);
         lru.insert(LruList::Inactive, 1, 0xb000, 1);
-        assert_eq!(lru.pop_active().unwrap().addr, 0xa000);
-        assert_eq!(lru.pop_inactive().unwrap().addr, 0xb000);
+        assert_eq!(lru.pop_active().unwrap().addr(), 0xa000);
+        assert_eq!(lru.pop_inactive().unwrap().addr(), 0xb000);
         assert!(lru.is_empty());
     }
 
@@ -260,10 +292,15 @@ mod tests {
         assert_eq!(lru, owned);
         let mut copy = lru.clone();
         assert!(Arc::ptr_eq(&copy.inactive.base, &lru.inactive.base), "shared, not copied");
-        assert_eq!(copy.pop_inactive().unwrap().addr, 0);
+        assert_eq!(copy.pop_inactive().unwrap().addr(), 0);
         copy.insert(LruList::Inactive, 1, 0xf000, 2);
         assert_eq!(lru, owned, "the original did not move");
         assert_ne!(copy, owned);
+    }
+
+    #[test]
+    fn lru_entry_is_12_bytes() {
+        assert_eq!((std::mem::size_of::<LruEntry>(), std::mem::align_of::<LruEntry>()), (12, 4));
     }
 
     #[test]
@@ -311,7 +348,7 @@ mod tests {
             let mut oracle = VecDeque::new();
             let mut frozen: Vec<(Queue, Vec<LruEntry>)> = Vec::new();
             for (i, op) in ops.into_iter().enumerate() {
-                let e = LruEntry { pid: 1, addr: i as u64 * 0x1000, gen: i as u32 };
+                let e = LruEntry::new(1, i as u64 * 0x1000, i as u32);
                 match op {
                     Op::PushFront => {
                         queue.push_front(e);
@@ -329,7 +366,7 @@ mod tests {
                     }
                     Op::Retain(seed) => {
                         let keep =
-                            |e: &LruEntry| (e.addr ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 0;
+                            |e: &LruEntry| (e.addr() ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 0;
                         queue.retain(keep);
                         oracle.retain(keep);
                     }

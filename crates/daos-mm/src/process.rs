@@ -3,7 +3,7 @@
 
 use std::ops::{Deref, DerefMut};
 
-use crate::addr::{page_align_up, AddrRange, PAGE_SIZE};
+use crate::addr::{page_align_up, AddrRange, PAGE_SIZE, USER_ADDR_END};
 use crate::clock::Ns;
 use crate::error::{MmError, MmResult};
 use crate::stats::ProcStats;
@@ -11,6 +11,10 @@ use crate::vma::{ThpMode, Vma};
 
 /// Process identifier (dense index into the system's process table).
 pub type Pid = u32;
+
+/// Pids stay below this: an rmap or LRU entry packs the pid into the 29
+/// bits above a page number, and the all-ones word marks a free frame.
+pub const PID_LIMIT: Pid = (1 << 29) - 1;
 
 /// Base of the simulated heap/mmap area. Leaving a gap below mirrors the
 /// real layout (text/data below, then a gap, then anonymous mappings) that
@@ -88,37 +92,36 @@ impl Process {
 
     /// Map `len` bytes of anonymous memory at an allocator-chosen address.
     pub fn mmap(&mut self, len: u64, thp: ThpMode) -> MmResult<AddrRange> {
-        if len == 0 {
-            return Err(MmError::BadLength(0));
-        }
-        let len = page_align_up(len);
-        let start = self.next_mmap;
-        let range = AddrRange::new(start, start + len);
+        let range = self.insert_vma(self.next_mmap, len, thp)?;
         self.next_mmap = range.end + MMAP_GAP;
-        self.insert_vma(Vma::new(range, thp))?;
         Ok(range)
     }
 
     /// Map `len` bytes at a fixed address (tests, stack areas).
     pub fn mmap_at(&mut self, start: u64, len: u64, thp: ThpMode) -> MmResult<AddrRange> {
+        self.insert_vma(start, len, thp)
+    }
+
+    /// Map `len` bytes from the page-aligned `start`, rounded up to whole
+    /// pages. A range past [`USER_ADDR_END`] is refused before its page
+    /// table is sized, and one past `u64::MAX` does not wrap.
+    fn insert_vma(&mut self, start: u64, len: u64, thp: ThpMode) -> MmResult<AddrRange> {
         if len == 0 {
             return Err(MmError::BadLength(0));
         }
-        let len = page_align_up(len);
-        let range = AddrRange::new(start, start + len);
-        self.insert_vma(Vma::new(range, thp))?;
-        Ok(range)
-    }
-
-    fn insert_vma(&mut self, vma: Vma) -> MmResult<()> {
-        let pos = self.vmas.partition_point(|v| v.range.start < vma.range.start);
-        let overlaps_prev = pos > 0 && self.vmas[pos - 1].range.overlaps(&vma.range);
-        let overlaps_next = pos < self.vmas.len() && self.vmas[pos].range.overlaps(&vma.range);
-        if overlaps_prev || overlaps_next {
-            return Err(MmError::MappingOverlap(vma.range));
+        let end = start.saturating_add(len);
+        if end > USER_ADDR_END {
+            return Err(MmError::BeyondUserSpace(AddrRange::new(start, end)));
         }
-        self.vmas.insert(pos, vma);
-        Ok(())
+        let range = AddrRange::new(start, page_align_up(end));
+        let pos = self.vmas.partition_point(|v| v.range.start < range.start);
+        let overlaps_prev = pos > 0 && self.vmas[pos - 1].range.overlaps(&range);
+        let overlaps_next = pos < self.vmas.len() && self.vmas[pos].range.overlaps(&range);
+        if overlaps_prev || overlaps_next {
+            return Err(MmError::MappingOverlap(range));
+        }
+        self.vmas.insert(pos, Vma::new(range, thp));
+        Ok(range)
     }
 
     /// Remove the VMA exactly covering `range`; returns it so the caller
@@ -434,6 +437,25 @@ mod tests {
         ));
         // Adjacent (non-overlapping) is fine.
         assert!(p.mmap_at(0x14000, 0x1000, ThpMode::Never).is_ok());
+    }
+
+    #[test]
+    fn a_mapping_may_end_at_the_user_space_edge_and_not_past_it() {
+        let mut p = Process::new(0);
+        let below = AddrRange::new(USER_ADDR_END - 2 * PAGE_SIZE, USER_ADDR_END);
+        assert_eq!(p.mmap_at(below.start, below.len(), ThpMode::Never), Ok(below));
+        let across = AddrRange::new(USER_ADDR_END - 4 * PAGE_SIZE, USER_ADDR_END + PAGE_SIZE);
+        let refused = p.mmap_at(across.start, across.len(), ThpMode::Never);
+        assert_eq!(refused, Err(MmError::BeyondUserSpace(across)));
+        // Refused before a page table for 2⁵⁰ bytes is sized, and without
+        // wrapping past the top of the address space.
+        let huge = p.mmap(1 << 50, ThpMode::Never);
+        assert!(matches!(huge, Err(MmError::BeyondUserSpace(r)) if r.len() == 1 << 50));
+        let top = p.mmap_at(u64::MAX & !(PAGE_SIZE - 1), 2 * PAGE_SIZE, ThpMode::Never);
+        assert!(matches!(top, Err(MmError::BeyondUserSpace(r)) if r.end == u64::MAX));
+        let next = p.mmap(PAGE_SIZE, ThpMode::Never).unwrap();
+        assert_eq!(next.start, MMAP_BASE, "a refused mmap leaves the bump pointer alone");
+        assert_eq!(p.vma_ranges(), vec![next, below]);
     }
 
     #[test]

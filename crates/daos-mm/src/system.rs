@@ -14,7 +14,7 @@ use crate::error::{AuditError, MmError, MmResult};
 use crate::frame::{FrameAllocator, FrameId};
 use crate::lru::{Lru, LruEntry, LruList};
 use crate::machine::MachineProfile;
-use crate::process::{Pid, Process, PteCursor};
+use crate::process::{Pid, Process, PteCursor, PID_LIMIT};
 use crate::stats::KernelStats;
 use crate::swap::{SwapConfig, SwapDevice};
 use crate::tlb::access_costs;
@@ -38,14 +38,14 @@ fn lru_within_bound(queued: usize, resident: usize) -> bool {
 
 /// The VMA an LRU entry's page is in, if its process and mapping exist.
 fn entry_vma<'a>(procs: &'a [Process], e: &LruEntry) -> Option<&'a Vma> {
-    procs.get(e.pid as usize)?.find_vma(e.addr)
+    procs.get(e.pid() as usize)?.find_vma(e.addr())
 }
 
 /// Whether an LRU entry is live: its page is resident at the generation it
 /// was queued under. Reclaim judges exactly these and passes over the
 /// rest, so dropping every other entry changes nothing a run does.
 fn is_live(procs: &[Process], e: &LruEntry) -> bool {
-    entry_vma(procs, e).is_some_and(|vma| vma.is_resident_at(e.addr, e.gen))
+    entry_vma(procs, e).is_some_and(|vma| vma.is_resident_at(e.addr(), e.gen()))
 }
 
 /// The whole simulated machine. `Clone` copies it with everything it
@@ -248,12 +248,12 @@ impl MemorySystem {
     fn audit_lru(&self) -> Result<(), AuditError> {
         let mut live = std::collections::HashSet::new();
         for (list, e) in self.lru.entries() {
-            let (pid, addr) = (e.pid, e.addr);
+            let (pid, addr) = (e.pid(), e.addr());
             if is_live(&self.procs, &e) {
                 if !live.insert((pid, addr)) {
                     return Err(AuditError::TwoLiveEntries { pid, addr });
                 }
-            } else if entry_vma(&self.procs, &e).is_some_and(|vma| vma.pte(addr).lru_gen == e.gen) {
+            } else if entry_vma(&self.procs, &e).is_some_and(|vma| vma.pte(addr).lru_gen == e.gen()) {
                 return Err(AuditError::StampedNotResident { list, pid, addr });
             }
         }
@@ -287,6 +287,7 @@ impl MemorySystem {
     /// Create a new (empty) process.
     pub fn spawn(&mut self) -> Pid {
         let pid = self.procs.len() as Pid;
+        debug_assert!(pid < PID_LIMIT, "pid {pid} does not fit an rmap entry");
         self.procs.push(Process::new(pid));
         pid
     }
@@ -533,19 +534,19 @@ impl MemorySystem {
             let Some(e) = self.lru.pop_inactive() else {
                 // Refill inactive from the active list's cold tail.
                 let Some(a) = self.lru.pop_active() else { break };
-                if let Some(gen) = self.bump_resident(&mut at, a.pid, a.addr, Some(a.gen), false) {
+                if let Some(gen) = self.bump_resident(&mut at, a.pid(), a.addr(), Some(a.gen()), false) {
                     budget -= 1;
-                    self.lru.insert(LruList::Inactive, a.pid, a.addr, gen);
+                    self.lru.insert(LruList::Inactive, a.pid(), a.addr(), gen);
                 }
                 continue;
             };
-            let verdict = self.reclaim_page(&mut at, e.pid, e.addr, Some(e.gen));
+            let verdict = self.reclaim_page(&mut at, e.pid(), e.addr(), Some(e.gen()));
             budget -= !matches!(verdict, Ok(Reclaimed::Stale)) as u64;
             match verdict {
                 Ok(Reclaimed::Stale) => {}
                 // Second chance: promote to active.
                 Ok(Reclaimed::Referenced(gen)) => {
-                    self.lru.insert(LruList::Active, e.pid, e.addr, gen);
+                    self.lru.insert(LruList::Active, e.pid(), e.addr(), gen);
                 }
                 Ok(Reclaimed::Evicted(_)) => {
                     cost += self.machine.pageout_page_ns;
@@ -977,6 +978,23 @@ mod tests {
         let pid = sys.spawn();
         let range = sys.mmap(pid, 1 << 20, ThpMode::Never).unwrap(); // 256 pages
         (sys, pid, range)
+    }
+
+    /// The last user page faults in, and its rmap and LRU entries read
+    /// back, like any other; a mapping past the edge is refused.
+    #[test]
+    fn the_last_user_page_maps_and_one_past_it_does_not() {
+        use crate::addr::USER_ADDR_END;
+        let (mut sys, pid, _) = small_sys();
+        let last = sys.mmap_at(pid, USER_ADDR_END - PAGE_SIZE, PAGE_SIZE, ThpMode::Never).unwrap();
+        sys.apply_access(pid, &AccessBatch::all(last, 1.0)).unwrap();
+        let frame = sys.frames.iter().filter_map(|(_, m)| m.owner()).find(|o| o.1 == last.start);
+        assert_eq!(frame, Some((pid, last.start)));
+        assert!(sys.lru.entries().any(|(_, e)| (e.pid(), e.addr()) == (pid, last.start)));
+        assert_eq!(sys.audit(), Ok(()));
+        let past = AddrRange::new(USER_ADDR_END, USER_ADDR_END + PAGE_SIZE);
+        let refused = sys.mmap_at(pid, past.start, past.len(), ThpMode::Never);
+        assert_eq!(refused, Err(MmError::BeyondUserSpace(past)));
     }
 
     #[test]

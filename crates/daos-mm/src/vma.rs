@@ -88,11 +88,13 @@
 //! pages at a time, and never the per-page arrays.
 //!
 //! *What a copy shares.* A chunk holds its arrays as an `own | shared`
-//! pair, like a frame slab's metadata. `Vma::freeze` — run on a fleet's
-//! shard image by `MemorySystem::freeze` — turns every chunk's arrays into
-//! a read-only block its copies share, so the bitmaps, 256 bytes, are
-//! what stamping a fleet shard copies per chunk. A copy takes arrays of
-//! its own on its first write to them (`#[cold]`). The bitmaps stay each
+//! pair, like a frame slab's metadata: a `Box` of its own, or an
+//! `Arc<Box<…>>`. `Vma::freeze` — run on a fleet's shard image by
+//! `MemorySystem::freeze` — moves every chunk's own box into a read-only
+//! shared one, copying nothing, so the bitmaps, 256 bytes, are what
+//! stamping a fleet shard copies per chunk. A copy takes arrays of its
+//! own on its first write to them (`#[cold]`): the shared box itself if
+//! nothing else holds it, else a copy. The bitmaps stay each
 //! copy's own: every resident touch and every access check writes them.
 //! The touch walker, the sampling sweep and `pageout_in`'s masks never go
 //! near the arrays, so a shard copies a chunk's arrays only when it maps,
@@ -255,13 +257,13 @@ static NO_PAGES: PageArrays =
 #[derive(Debug, Clone, Default)]
 struct Pages {
     own: Option<Box<PageArrays>>,
-    shared: Option<Arc<PageArrays>>,
+    shared: Option<Arc<Box<PageArrays>>>,
 }
 
 impl Pages {
     #[inline]
     fn get(&self) -> &PageArrays {
-        self.own.as_deref().or(self.shared.as_deref()).unwrap_or(&NO_PAGES)
+        self.own.as_deref().or(self.shared.as_deref().map(|b| &**b)).unwrap_or(&NO_PAGES)
     }
 
     #[inline]
@@ -269,10 +271,11 @@ impl Pages {
         self.own.get_or_insert_with(|| first_write(self.shared.take()))
     }
 
-    /// Let copies share the arrays until they write them.
+    /// Let copies share the arrays, moved and not copied, until they
+    /// write them.
     fn freeze(&mut self) {
         if let Some(own) = self.own.take() {
-            self.shared = Some(Arc::new(*own));
+            self.shared = Some(Arc::new(own));
         }
     }
 }
@@ -289,9 +292,9 @@ impl PartialEq for Pages {
 /// small frame.
 #[cold]
 #[inline(never)]
-fn first_write(shared: Option<Arc<PageArrays>>) -> Box<PageArrays> {
+fn first_write(shared: Option<Arc<Box<PageArrays>>>) -> Box<PageArrays> {
     match shared {
-        Some(block) => Box::new(Arc::unwrap_or_clone(block)),
+        Some(block) => Arc::unwrap_or_clone(block),
         None => Box::new(PageArrays { backing: [0; PT_CHUNK_PAGES], lru_gen: [0; PT_CHUNK_PAGES] }),
     }
 }
@@ -1247,6 +1250,22 @@ mod tests {
         assert_eq!(copy.pte(0), owned.pte(0), "the untouched chunk reads through");
         assert_eq!(vma, owned, "the frozen original did not move");
         assert_ne!(copy, owned);
+    }
+
+    /// Freezing moves a chunk's page arrays into the shared block and
+    /// copies nothing, and a write with no copy left takes the same
+    /// block back.
+    #[test]
+    fn freeze_keeps_a_chunks_arrays_in_place() {
+        let mut vma = Vma::new(AddrRange::new(0, mb(2)), ThpMode::Never);
+        vma.map_page(0, 1, true);
+        let arrays = |v: &Vma| v.chunks[0].as_ref().unwrap().pages.get() as *const PageArrays;
+        let block = arrays(&vma);
+        vma.freeze();
+        assert!(vma.is_shared());
+        assert!(std::ptr::eq(arrays(&vma), block), "moved, not copied");
+        vma.map_page(PAGE_SIZE, 2, true);
+        assert!(!vma.is_shared() && std::ptr::eq(arrays(&vma), block), "unwrapped, not copied");
     }
 
     /// Pages of the property test's VMA, `[1 MiB, 7 MiB)`: two whole

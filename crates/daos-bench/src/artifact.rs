@@ -3,6 +3,7 @@
 //! regression gate that `scripts/verify.sh` drives via `--check
 //! --baseline`, and [`bench_main`], the one `main` all three share.
 
+use std::ffi::OsString;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -113,15 +114,16 @@ pub fn load_artifact_doc(bench: &str, results: &[(String, LoadStats)]) -> Json {
     ])
 }
 
-/// Artifact output path: the `DAOS_BENCH_OUT` override, or `file` at
-/// the repo root (two levels above this crate's manifest).
+/// Artifact output path: the `DAOS_BENCH_OUT` override, or `file` in
+/// the working directory — never the checkout the binary was built
+/// from, whose committed baseline a run from elsewhere would overwrite.
 pub fn out_path(file: &str) -> PathBuf {
-    match std::env::var("DAOS_BENCH_OUT") {
-        Ok(p) => p.into(),
-        Err(_) => {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file)
-        }
-    }
+    out_path_with(std::env::var_os("DAOS_BENCH_OUT"), file)
+}
+
+/// [`out_path`] for a given value of `DAOS_BENCH_OUT`.
+fn out_path_with(bench_out: Option<OsString>, file: &str) -> PathBuf {
+    bench_out.map_or_else(|| PathBuf::from(file), PathBuf::from)
 }
 
 /// Parse an artifact's text into JSON.
@@ -285,6 +287,13 @@ pub fn bench_main(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn artifact_goes_to_the_override_or_the_working_directory() {
+        let set = out_path_with(Some("/tmp/x.json".into()), "BENCH_t.json");
+        assert_eq!(set, PathBuf::from("/tmp/x.json"));
+        assert_eq!(out_path_with(None, "BENCH_t.json"), PathBuf::from("BENCH_t.json"));
+    }
 
     /// A timing artifact whose median is noisy (3× the min).
     fn artifact(min: f64) -> Json {

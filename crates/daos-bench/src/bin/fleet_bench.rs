@@ -3,7 +3,8 @@
 //! sub-linearity context), the whole 1000-process × 50-epoch run `daos
 //! fleet` makes by default, and (ungated) building its shard images
 //! alone and its first tick, which stamps every shard, written to
-//! `BENCH_fleet.json` at the repo root as the regression baseline.
+//! `BENCH_fleet.json` in the working directory as the regression
+//! baseline (run it from the repo root to regenerate the committed one).
 //!
 //! `DAOS_BENCH_OUT` overrides the output path;
 //! `--check FILE [--baseline BASE]` gates the committed baseline exactly

@@ -2,8 +2,9 @@
 //! hammer a live `ObsServer`'s `/metrics`, `/snapshot`, `/events`,
 //! `/statusz`, and `/query` (metric-history) endpoints, recording
 //! sustained RPS and p50/p95/p99 request latency
-//! per endpoint into `BENCH_obs.json` at the repo root as the
-//! regression baseline. Before writing, the harness cross-checks the
+//! per endpoint into `BENCH_obs.json` in the working directory as the
+//! regression baseline (run it from the repo root to regenerate the
+//! committed one). Before writing, the harness cross-checks the
 //! server's own `daos_obs_http_requests_total{endpoint=...}`
 //! self-telemetry against the client-side request counts — the artifact
 //! is only committed if the server counted every request.

@@ -5,7 +5,8 @@
 //! `run_stream_ethp`'s region count), the schemes-engine apply pass, the
 //! substrate's page-table walks, pageout and fault service, and the same monitor
 //! loop with tracing enabled vs disabled — written to
-//! `BENCH_pipeline.json` at the repo root as the regression baseline.
+//! `BENCH_pipeline.json` in the working directory as the regression
+//! baseline (run it from the repo root to regenerate the committed one).
 //!
 //! `DAOS_BENCH_OUT` overrides the output path; `--check FILE [--baseline
 //! BASE]` gates an artifact against the committed baseline (exit 65 on a

@@ -17,6 +17,7 @@ use daos::{
 };
 use daos_mm::clock::sec;
 use daos_mm::{MachineProfile, SwapConfig};
+use daos_monitor::MonitorRecord;
 use daos_obs::{Dashboard, FleetPublisher, ObsServer, ObsSnapshot, Publisher};
 use daos_schemes::{parse_scheme_line, parse_schemes};
 use daos_trace::{Collector, DEFAULT_RING_CAPACITY};
@@ -212,7 +213,7 @@ fn load_doc(args: &Args) -> Result<daos_trace::TraceDoc, DaosError> {
 }
 
 /// The monitor record held by the file at `args.pos(0)`.
-fn load_record(args: &Args) -> Result<daos_monitor::MonitorRecord, DaosError> {
+fn load_record(args: &Args) -> Result<MonitorRecord, DaosError> {
     let doc = load_doc(args)?;
     warn_if_truncated(&doc);
     Ok(daos_report::record_from_doc(&doc))
@@ -357,13 +358,23 @@ fn print_scheme_stats(result: &RunResult) {
     }
 }
 
-/// The `--profile-wall` table, under its own header, and the process's
-/// peak resident set under it where `/proc` reports one.
-fn print_profile(profile: Option<&WallProfile>) {
+/// The `--profile-wall` table, under its own header, the process's
+/// peak resident set under it where `/proc` reports one, and under that
+/// what a recording run's record holds of the host heap.
+fn print_profile(profile: Option<&WallProfile>, record: Option<&MonitorRecord>) {
     if let Some(profile) = profile {
         print!("host wall time by engine phase:\n{}", profile.render());
         if let Some(kib) = peak_rss_kib() {
             println!("peak RSS {:.1} MiB (VmHWM)", kib as f64 / 1024.0);
+        }
+        if let Some(record) = record {
+            let regions: usize = record.windows().map(|a| a.regions.len()).sum();
+            let bytes = record.heap_bytes();
+            println!(
+                "record {} windows, {regions} regions, {bytes} bytes ({:.2} B a region)",
+                record.len(),
+                bytes as f64 / regions.max(1) as f64
+            );
         }
     }
 }
@@ -395,8 +406,9 @@ pub fn run_cmd(args: &Args) -> Result<(), DaosError> {
     let ran = execute(args, &launch, ring, None)?;
     let mut result = ran.result;
     let profile = result.profile.take();
-    print_run_summary(&result.into_single());
-    print_profile(profile.as_ref());
+    let result = result.into_single();
+    print_run_summary(&result);
+    print_profile(profile.as_ref(), result.record.as_ref());
     linger(args, ran.server.as_ref());
     Ok(())
 }
@@ -663,7 +675,7 @@ pub fn fleet(args: &Args) -> Result<(), DaosError> {
     let ran = execute(args, &launch, None, None)?;
     let summary = ran.result.fleet.expect("every session carries a summary");
     print!("{}", summary.render());
-    print_profile(ran.result.profile.as_ref());
+    print_profile(ran.result.profile.as_ref(), None);
     linger(args, ran.server.as_ref());
     Ok(())
 }

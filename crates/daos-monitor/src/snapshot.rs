@@ -4,7 +4,7 @@
 use std::borrow::Borrow;
 use std::fmt;
 
-use daos_mm::addr::AddrRange;
+use daos_mm::addr::{AddrRange, PAGE_SHIFT, PAGE_SIZE};
 use daos_mm::clock::Ns;
 
 use crate::region::RegionInfo;
@@ -50,28 +50,32 @@ impl Aggregation {
 /// A log of aggregations, as produced by the paper's `rec`/`prec`
 /// configurations and consumed by the Fig. 6 heatmap renderer.
 ///
-/// Every window's regions live in one byte stream, four LEB128 varints
-/// a region: the gap from the previous region's end (from 0 for a
-/// window's first), the length, `nr_accesses` and `age`. A region next
-/// to the previous one takes 5–8 bytes where a [`RegionInfo`] takes 24.
-/// The gap and length wrap, so any window round-trips, sorted or not.
-/// Equal records have equal streams: the encoding is canonical.
+/// Every window is one run of LEB128 varints in one byte stream, and the
+/// record keeps only where each run starts. A run opens with its header:
+/// `at`, `aggregation_interval`, `max_nr_accesses` and the region count
+/// shifted past two flags. Then, per region, the gap from the previous
+/// region's end (from 0 for a window's first) and the length — in pages
+/// when every gap and length of the window is a whole number of pages
+/// (`ALIGNED`) — and the counters. When every `nr_accesses` is at most
+/// `max_nr_accesses` and every length is below 2⁶³ (`PACKED`), a region
+/// is `age × (max + 1) + nr` as one varint, then the length shifted past
+/// a bit that says whether a nonzero gap follows it. A monitor's window
+/// takes ≈ 2.5 bytes a region that way, where a [`RegionInfo`] takes 24.
+/// Any other window keeps four varints a region (gap, length,
+/// `nr_accesses`, `age`): `daos report` rebuilds records from trace
+/// files, whose windows can be anything. Gap and length wrap, so any
+/// window round-trips, sorted or not, and the flags are the window's
+/// own, so the encoding is canonical: equal records have equal streams.
 #[derive(Default, Clone, PartialEq, Eq)]
 pub struct MonitorRecord {
-    windows: Vec<Window>,
+    offsets: Vec<u64>,
     stream: Vec<u8>,
 }
 
-/// A recorded window's fields other than its regions, and where its
-/// regions start in the stream.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Window {
-    at: Ns,
-    aggregation_interval: Ns,
-    max_nr_accesses: u32,
-    nr_regions: usize,
-    offset: usize,
-}
+/// Header flag: gaps and lengths are stored in pages.
+const ALIGNED: u64 = 1;
+/// Header flag: each region's count and age share one varint.
+const PACKED: u64 = 2;
 
 impl MonitorRecord {
     /// Empty record.
@@ -82,62 +86,96 @@ impl MonitorRecord {
     /// Append one window.
     pub fn push(&mut self, a: impl Borrow<Aggregation>) {
         let a = a.borrow();
-        self.windows.push(Window {
-            at: a.at,
-            aggregation_interval: a.aggregation_interval,
-            max_nr_accesses: a.max_nr_accesses,
-            nr_regions: a.regions.len(),
-            offset: self.stream.len(),
-        });
-        let mut prev_end = 0;
+        let max = u64::from(a.max_nr_accesses);
+        let (mut offgrid, mut packed, mut prev_end) = (0, true, 0);
         for r in &a.regions {
-            let gap = r.range.start.wrapping_sub(prev_end);
             let len = r.range.end.wrapping_sub(r.range.start);
-            let mut buf = [0; 4 * MAX_VARINT];
-            let mut n = 0;
-            for v in [gap, len, r.nr_accesses.into(), r.age.into()] {
-                n += put_varint(&mut buf[n..], v);
-            }
-            self.stream.extend_from_slice(&buf[..n]);
+            offgrid |= r.range.start.wrapping_sub(prev_end) | len;
+            packed &= r.nr_accesses <= a.max_nr_accesses && len >> 63 == 0;
             prev_end = r.range.end;
+        }
+        let aligned = offgrid % PAGE_SIZE == 0;
+        let shift = if aligned { PAGE_SHIFT } else { 0 };
+        let flags = if aligned { ALIGNED } else { 0 } | if packed { PACKED } else { 0 };
+        self.offsets.push(self.stream.len() as u64);
+        let count = (a.regions.len() as u64) << 2 | flags;
+        self.put([a.at, a.aggregation_interval, max, count]);
+        prev_end = 0;
+        for r in &a.regions {
+            let gap = r.range.start.wrapping_sub(prev_end) >> shift;
+            let len = r.range.end.wrapping_sub(r.range.start) >> shift;
+            let (nr, age) = (u64::from(r.nr_accesses), u64::from(r.age));
+            if !packed {
+                self.put([gap, len, nr, age]);
+            } else if gap == 0 {
+                self.put([age * (max + 1) + nr, len << 1]);
+            } else {
+                self.put([age * (max + 1) + nr, len << 1 | 1, gap]);
+            }
+            prev_end = r.range.end;
+        }
+    }
+
+    /// Append varints to the stream as LEB128: seven bits a byte, low
+    /// bits first, the top bit set on every byte but the last.
+    fn put<const N: usize>(&mut self, values: [u64; N]) {
+        for mut v in values {
+            while v >= 0x80 {
+                self.stream.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            self.stream.push(v as u8);
         }
     }
 
     /// The recorded windows, decoded, in time order.
     pub fn windows(&self) -> impl DoubleEndedIterator<Item = Aggregation> + '_ {
-        self.windows.iter().map(|w| Aggregation {
-            at: w.at,
-            regions: self.regions(w).collect(),
-            max_nr_accesses: w.max_nr_accesses,
-            aggregation_interval: w.aggregation_interval,
+        self.offsets.iter().map(|&offset| {
+            let (mut a, regions) = self.window(offset);
+            a.regions = regions.collect();
+            a
         })
     }
 
-    /// One window's regions, decoded from the stream.
-    fn regions(&self, w: &Window) -> Regions<'_> {
-        Regions { stream: &self.stream, pos: w.offset, prev_end: 0, left: w.nr_regions }
+    /// The window whose run starts at `offset`, its regions left out,
+    /// and the decoder of its regions.
+    fn window(&self, offset: u64) -> (Aggregation, Regions<'_>) {
+        let mut r = Regions { stream: &self.stream, pos: offset as usize, ..Regions::default() };
+        let [at, aggregation_interval, max, count] = [(); 4].map(|()| r.varint());
+        (r.max, r.left) = (max, (count >> 2) as usize);
+        r.shift = if count & ALIGNED != 0 { PAGE_SHIFT } else { 0 };
+        r.packed = count & PACKED != 0;
+        let regions = Vec::new();
+        (Aggregation { at, regions, max_nr_accesses: max as u32, aggregation_interval }, r)
     }
 
     /// Number of recorded windows.
     pub fn len(&self) -> usize {
-        self.windows.len()
+        self.offsets.len()
     }
 
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
+        self.offsets.is_empty()
+    }
+
+    /// Host heap the record holds, bytes: what its two vectors have
+    /// allocated, used or not.
+    pub fn heap_bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<u64>() + self.stream.capacity()
     }
 
     /// Time span `(first, last)` covered by the record.
     pub fn time_span(&self) -> Option<(Ns, Ns)> {
-        Some((self.windows.first()?.at, self.windows.last()?.at))
+        let at = |&offset: &u64| self.window(offset).0.at;
+        Some((at(self.offsets.first()?), at(self.offsets.last()?)))
     }
 
     /// The union of all observed region ranges (for axis scaling).
     pub fn address_span(&self) -> Option<AddrRange> {
         let mut lo = u64::MAX;
         let mut hi = 0u64;
-        for r in self.windows.iter().flat_map(|w| self.regions(w)) {
+        for r in self.offsets.iter().flat_map(|&offset| self.window(offset).1) {
             lo = lo.min(r.range.start);
             hi = hi.max(r.range.end);
         }
@@ -154,29 +192,17 @@ impl fmt::Debug for MonitorRecord {
     }
 }
 
-/// The most bytes a `u64` takes as LEB128.
-const MAX_VARINT: usize = 10;
-
-/// Write `v` at the front of `buf` as LEB128 — seven bits a byte, low
-/// bits first, the top bit set on every byte but the last — and return
-/// how many bytes that took.
-fn put_varint(buf: &mut [u8], mut v: u64) -> usize {
-    let mut n = 0;
-    while v >= 0x80 {
-        buf[n] = v as u8 | 0x80;
-        v >>= 7;
-        n += 1;
-    }
-    buf[n] = v as u8;
-    n + 1
-}
-
-/// The decoder of one window's run of regions.
+/// The decoder of one window's run of regions, in the layout its
+/// header's flags name.
+#[derive(Default)]
 struct Regions<'a> {
     stream: &'a [u8],
     pos: usize,
     prev_end: u64,
     left: usize,
+    max: u64,
+    shift: u32,
+    packed: bool,
 }
 
 impl Regions<'_> {
@@ -199,12 +225,22 @@ impl Iterator for Regions<'_> {
 
     fn next(&mut self) -> Option<RegionInfo> {
         self.left = self.left.checked_sub(1)?;
-        let start = self.prev_end.wrapping_add(self.varint());
-        let end = start.wrapping_add(self.varint());
+        let (gap, len, nr_accesses, age);
+        if self.packed {
+            let head = self.varint();
+            let l = self.varint();
+            gap = if l & 1 == 1 { self.varint() } else { 0 };
+            len = l >> 1;
+            nr_accesses = head % (self.max + 1);
+            age = head / (self.max + 1);
+        } else {
+            [gap, len, nr_accesses, age] = [(); 4].map(|()| self.varint());
+        }
+        let start = self.prev_end.wrapping_add(gap << self.shift);
+        let end = start.wrapping_add(len << self.shift);
         self.prev_end = end;
-        let nr_accesses = self.varint() as u32;
-        let age = self.varint() as u32;
-        Some(RegionInfo { range: AddrRange { start, end }, nr_accesses, age })
+        let range = AddrRange { start, end };
+        Some(RegionInfo { range, nr_accesses: nr_accesses as u32, age: age as u32 })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -259,19 +295,53 @@ mod tests {
     #[test]
     fn varints_round_trip_at_every_width() {
         for v in [0, 1, 0x7f, 0x80, 0x3fff, 0x4000, u32::MAX as u64, 1 << 63, u64::MAX] {
-            let mut stream = [0; MAX_VARINT];
-            let n = put_varint(&mut stream, v);
+            let mut rec = MonitorRecord::new();
+            rec.put([v]);
+            let n = rec.stream.len();
             assert_eq!(n, (64 - v.leading_zeros() as usize).div_ceil(7).max(1));
-            let mut r = Regions { stream: &stream, pos: 0, prev_end: 0, left: 1 };
+            let mut r = Regions { stream: &rec.stream, ..Regions::default() };
             assert_eq!((r.varint(), r.pos), (v, n), "{v:#x}");
         }
     }
 
-    /// A window of `rng`'s choosing: empty, or regions that are adjacent
-    /// as the monitor makes them, or apart, or anywhere at all — bounds
-    /// off the page grid, `u32::MAX` counters and ages, addresses near
-    /// `u64::MAX` and ranges that wrap past it.
+    /// A window of `rng`'s choosing: one shaped like the monitor's, or a
+    /// hostile one.
     fn random_window(rng: &mut SmallRng, at: Ns) -> Aggregation {
+        if rng.random_range(0..3u32) == 0 {
+            let (nr, max) = (rng.random_range(0..40usize), rng.random_range(0..64u32));
+            monitor_window(rng, at, nr, max)
+        } else {
+            hostile_window(rng, at)
+        }
+    }
+
+    /// A window as the monitor makes one: `nr` regions on the page grid,
+    /// mostly adjacent, now and then a gap, each at most 64 pages,
+    /// counters at most `max_nr_accesses` and ages mostly a few windows.
+    fn monitor_window(rng: &mut SmallRng, at: Ns, nr: usize, max_nr_accesses: u32) -> Aggregation {
+        let mut addr = rng.random_range(0..1u64 << 28) * PAGE_SIZE;
+        let mut regions = Vec::with_capacity(nr);
+        for _ in 0..nr {
+            if rng.random_range(0..64u32) == 0 {
+                addr += rng.random_range(1..1u64 << 18) * PAGE_SIZE;
+            }
+            let start = addr;
+            addr += rng.random_range(1..=64u64) * PAGE_SIZE;
+            let oldest = rng.random_range(0..32u32);
+            regions.push(RegionInfo {
+                range: AddrRange::new(start, addr),
+                nr_accesses: rng.random_range(0..=max_nr_accesses),
+                age: rng.random_range(0..=oldest),
+            });
+        }
+        Aggregation { at, regions, max_nr_accesses, aggregation_interval: 100_000_000 }
+    }
+
+    /// A window no monitor would make: empty, or regions that are
+    /// adjacent, or apart, or anywhere at all — bounds off the page
+    /// grid, `u32::MAX` counters and ages, addresses near `u64::MAX` and
+    /// ranges that wrap past it.
+    fn hostile_window(rng: &mut SmallRng, at: Ns) -> Aggregation {
         fn counter(rng: &mut SmallRng) -> u32 {
             match rng.random_range(0..4u32) {
                 0 => u32::MAX,
@@ -358,6 +428,40 @@ mod tests {
                 daos_util::prop_assert!(shorter != rec, "a record without its last window");
             }
         }
+    }
+
+    /// One window of each layout — neither flag, `ALIGNED` alone,
+    /// `PACKED` alone, both — in one record, each read back as pushed.
+    #[test]
+    fn every_layout_round_trips_in_one_record() {
+        let mut rng = SmallRng::seed_from_u64(44);
+        let both = monitor_window(&mut rng, 40, 300, 20);
+        let mut packed = both.clone();
+        packed.regions[7].range.end += 1;
+        let mut aligned = both.clone();
+        aligned.regions[0].nr_accesses = both.max_nr_accesses + 1;
+        let mut neither = packed.clone();
+        neither.regions[1].range.end = neither.regions[1].range.start.wrapping_sub(1);
+        let windows = [neither, aligned, packed, both];
+        let mut rec = MonitorRecord::new();
+        windows.iter().for_each(|w| rec.push(w));
+        let flags: Vec<u64> = rec.offsets.iter().map(|&o| {
+            let r = rec.window(o).1;
+            u64::from(r.shift == PAGE_SHIFT) * ALIGNED | u64::from(r.packed) * PACKED
+        }).collect();
+        assert_eq!(flags, [0, ALIGNED, PACKED, ALIGNED | PACKED]);
+        assert_eq!(rec.windows().collect::<Vec<_>>(), windows);
+    }
+
+    /// A monitor's 1,000-region window costs at most 3 stream bytes a
+    /// region, its header included.
+    #[test]
+    fn a_monitor_window_takes_under_three_bytes_a_region() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rec = MonitorRecord::new();
+        rec.push(monitor_window(&mut rng, 1 << 40, 1000, 20));
+        assert!(rec.stream.len() <= 3000, "{} bytes", rec.stream.len());
+        assert!(rec.heap_bytes() >= rec.stream.len() + 8);
     }
 
     /// The record's shape before it was a stream, for its derived `Debug`.

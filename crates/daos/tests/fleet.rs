@@ -7,7 +7,7 @@
 use daos::{FleetSpec, FleetSummary, MonitorKind, RunConfig, Session};
 use daos_mm::clock::ms;
 use daos_mm::MachineProfile;
-use daos_monitor::MonitorAttrs;
+use daos_monitor::{MonitorAttrs, MonitorRecord};
 use daos_schemes::parse_scheme_line;
 use daos_trace::Collector;
 use daos_workloads::{by_path, FleetConfig, WorkloadSpec};
@@ -38,7 +38,9 @@ fn golden(name: &str) -> String {
 
 /// A single run is a fleet of one: for every paper configuration, vaddr
 /// and paddr alike, a session without a fleet spec reproduces the pinned
-/// single-run `RunResult`.
+/// single-run `RunResult`. The recording configurations' records are
+/// pinned in windows and host bytes too, like a golden: `MonitorRecord`'s
+/// encoding moves them only in a change that says so.
 #[test]
 fn fleet_of_one_equals_single_run() {
     let machine = small_machine();
@@ -56,6 +58,25 @@ fn fleet_of_one_equals_single_run() {
         let summary = session.fleet.expect("every session carries a summary");
         assert_eq!(summary.nr_processes, 1);
         assert_eq!(summary.runtime_ns, session.runs[0].runtime_ns);
+    }
+    // No 100 ms window closes in 40 epochs, so the records pinned above
+    // are empty: the byte pin runs rec and prec 400 epochs on 10 ms windows
+    // and pins windows, bytes held and bytes in use.
+    let attrs = MonitorAttrs::builder()
+        .sampling_interval(ms(1))
+        .aggregation_interval(ms(10))
+        .regions_update_interval(ms(50))
+        .build()
+        .unwrap();
+    let pins = [(RunConfig::rec(), (21, 2304, 1407)), (RunConfig::prec(), (21, 2304, 1427))];
+    for (config, pinned) in pins {
+        let config = RunConfig { attrs: attrs.clone(), ..config };
+        let session = Session::new(&machine, &config, &small_worker(400)).seed(42).execute();
+        let run = session.unwrap().into_single();
+        let record = run.record.expect("a recording run keeps its record");
+        // A clone allocates exactly what it holds: the bytes in use.
+        let bytes = (record.len(), record.heap_bytes(), record.clone().heap_bytes());
+        assert_eq!(bytes, pinned, "record bytes under {}", config.name);
     }
 }
 

@@ -459,10 +459,18 @@ peak_rss_check() {
 # resident pages, VmHWM ≈ 9.3 MiB); the lists are now held to
 # 2 × frames in use + 4096 entries (DESIGN §5): ≈ 3.5 MiB.
 peak_rss_check canneal_prcl 6 run parsec3/canneal --config prcl
-# ocean_ncp under rec keeps every aggregation window. At 24 bytes a
-# region and a Vec per window the record made VmHWM ≈ 9.7 MiB; as one
-# varint stream of ≈ 6 bytes a region (DESIGN §12) it reads ≈ 5.0 MiB.
-peak_rss_check ocean_ncp_rec 7 run splash2x/ocean_ncp --config rec
+# ocean_ncp under rec keeps every aggregation window: 273,282 regions in
+# 979. At 24 bytes a region and a Vec per window the record made VmHWM
+# ≈ 9.7 MiB, as four varints a region ≈ 4.8 MiB; with a region's count
+# and age in one varint, lengths in pages and the window headers in the
+# stream, ≈ 2.4 bytes a region (DESIGN §12), it reads ≈ 4.1 MiB. The
+# `record` line under it gives the record's own heap bytes.
+peak_rss_check ocean_ncp_rec 4.5 run splash2x/ocean_ncp --config rec
+grep '^record [0-9]* windows, [0-9]* regions, [0-9]* bytes' "$tmp/profile_ocean_ncp_rec.txt" || {
+    echo "FAIL: a recording run's --profile-wall has no record line"
+    cat "$tmp/profile_ocean_ncp_rec.txt"
+    exit 1
+}
 # ocean_ncp under ethp is the sampling sweep's workload: `monitor` is
 # ≈ 80 % of its wall, nearly all of it the column kernel (DESIGN §12).
 # It keeps no record, so VmHWM is the substrate and the region set:

@@ -3,8 +3,8 @@
 //! (aggregate + split/merge) over the synthetic space and over a real
 //! process's page tables (and the sampling sweep per region at
 //! `run_stream_ethp`'s region count), the schemes-engine apply pass, the
-//! substrate's page-table walks, pageout and fault service, and the same monitor
-//! loop with tracing enabled vs disabled — written to
+//! substrate's page-table walks, pageout and fault service, a fleet shard's
+//! set-up, and the same monitor loop with tracing enabled vs disabled — written to
 //! `BENCH_pipeline.json` in the working directory as the regression
 //! baseline (run it from the repo root to regenerate the committed one).
 //!
@@ -24,6 +24,7 @@ use daos_monitor::{
 };
 use daos_schemes::{parse_scheme_line, SchemeTarget, SchemesEngine};
 use daos_util::bench::Harness;
+use daos_workloads::{instantiate, FleetConfig, Workload};
 use daos_util::json::Json;
 use std::hint::black_box;
 
@@ -294,6 +295,27 @@ fn bench_fault_service(h: &mut Harness, iters: u64) {
     }
 }
 
+/// What building a fleet's shard image costs, in ns per faulted page:
+/// 32 serverless workers set up on a fresh `fleet-prcl` machine (i3.metal,
+/// the serverless zram device), as `ShardImage::build` sets them up for
+/// `daos fleet`. Their heaps are half again the machine's DRAM, so from
+/// the 22nd worker on every fault round waits for pressure reclaim: most
+/// of the ≈ 204,000 faults, ≈ 204,000 second chances and ≈ 73,000
+/// evictions of a build. Each iteration builds and drops its own machine.
+/// Recorded, not gated, like the fault-service lanes above.
+fn bench_build_shard(h: &mut Harness, iters: u64) {
+    let spec = FleetConfig::default().worker_spec(50);
+    h.bench_units("mm/build_shard_32_procs", iters, || {
+        let machine = daos_mm::MachineProfile::i3_metal();
+        let mut sys = MemorySystem::new(machine, SwapConfig::serverless_zram(), 0);
+        let pids: Vec<u32> = (0..32)
+            .map(|_| instantiate(spec, 0).setup(&mut sys, ThpMode::Never).expect("set up a worker"))
+            .collect();
+        let faulted = |pid| sys.proc_stats(pid).map_or(0, |st| st.minor_faults + st.major_faults);
+        pids.into_iter().map(faulted).sum()
+    });
+}
+
 /// The identical monitor loop with the trace collector absent vs
 /// installed — the zero-overhead-when-disabled claim, quantified.
 fn bench_trace_toggle(h: &mut Harness, iters: u64) {
@@ -347,6 +369,7 @@ fn measure() -> Json {
     bench_page_walks(&mut h, iters * 4);
     bench_pageout(&mut h, iters * 4);
     bench_fault_service(&mut h, iters);
+    bench_build_shard(&mut h, 2);
     bench_trace_toggle(&mut h, iters * 4);
 
     artifact::artifact_doc("pipeline", samples, h.results())

@@ -20,6 +20,12 @@
 //! are preferred over fresh ones, preserving the kernel-like reuse
 //! behaviour the old allocator had.
 //!
+//! Frames come and go a run at a time — a fault run's pages
+//! ([`FrameAllocator::alloc_run`]), a reclaim run's victims
+//! ([`FrameAllocator::free_run`]) — in exactly the order one call per
+//! frame would take them; [`FrameAllocator::alloc`] and
+//! [`FrameAllocator::free`] are the one-frame cases.
+//!
 //! A [`frozen`](FrameAllocator::freeze) allocator — a fleet's shard
 //! image — turns its slabs into shared read-only blocks: a copy shares
 //! them and copies a slab into a block of its own only on its first
@@ -203,35 +209,56 @@ impl FrameAllocator {
         self.slabs.iter().any(|s| s.shared.is_some())
     }
 
-    /// Allocate one frame for `(pid, vaddr)`. Returns `None` when DRAM is
-    /// exhausted — the caller is expected to reclaim and retry. Recycled
-    /// frames are reused LIFO before fresh ones are broken in ascending
-    /// order.
+    /// Allocate one frame for `(pid, vaddr)`: the one-page case of
+    /// [`Self::alloc_run`]. Returns `None` when DRAM is exhausted — the
+    /// caller is expected to reclaim and retry.
     #[inline]
     pub fn alloc(&mut self, pid: Pid, vaddr: u64) -> Option<FrameId> {
-        let id = match self.free.pop() {
-            Some(id) => id,
-            None if (self.next_fresh as usize) < self.capacity => {
-                let id = self.next_fresh;
-                self.next_fresh += 1;
-                id
-            }
-            None => return None,
-        };
-        *self.meta_mut(id) = FrameMeta(pack_page(pid, vaddr));
-        Some(id)
+        let mut frame = [0];
+        (self.alloc_run(pid, &[vaddr], &mut frame) == 1).then_some(frame[0])
     }
 
-    /// Release a frame back to the free pool.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the frame is already free — that would
-    /// be a double-free bug in the substrate.
+    /// Allocate frames for the pages `addrs` of `pid`, in order, while any
+    /// are free: writes them to the front of `frames` and returns how many.
+    /// They are exactly the frames one [`Self::alloc`] per page would hand
+    /// out — recycled frames first, LIFO, then fresh ones in ascending
+    /// order — so a run of faults and a loop of single ones map the same
+    /// pages to the same frames.
+    #[inline]
+    pub fn alloc_run(&mut self, pid: Pid, addrs: &[u64], frames: &mut [FrameId]) -> usize {
+        let nr = addrs.len().min(self.nr_free());
+        for (frame, &addr) in frames[..nr].iter_mut().zip(addrs) {
+            let id = self.free.pop().unwrap_or_else(|| {
+                self.next_fresh += 1;
+                self.next_fresh - 1
+            });
+            *self.meta_mut(id) = FrameMeta(pack_page(pid, addr));
+            *frame = id;
+        }
+        nr
+    }
+
+    /// Release a frame back to the free pool: the one-frame case of
+    /// [`Self::free_run`].
     #[inline]
     pub fn free(&mut self, id: FrameId) {
-        debug_assert!(self.meta(id).owner().is_some(), "double free of frame {id}");
-        *self.meta_mut(id) = FrameMeta::FREE;
-        self.free.push(id);
+        self.free_run(&[id]);
+    }
+
+    /// Release `ids` back to the free pool, in order: what one
+    /// [`Self::free`] per frame does, so the next allocations reuse the
+    /// last of them first.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) if a frame is already free — that would
+    /// be a double-free bug in the substrate.
+    #[inline]
+    pub fn free_run(&mut self, ids: &[FrameId]) {
+        for &id in ids {
+            debug_assert!(self.meta(id).owner().is_some(), "double free of frame {id}");
+            *self.meta_mut(id) = FrameMeta::FREE;
+            self.free.push(id);
+        }
     }
 
     /// The rmap lookup: owner of a frame, if mapped.
@@ -293,7 +320,7 @@ mod tests {
     use super::*;
     use crate::lru::LruEntry;
     use crate::process::{MMAP_BASE, STACK_BASE};
-    use daos_util::prop::{select, StrategyExt, TestCaseResult};
+    use daos_util::prop::{any_bool, select, vec_of, StrategyExt, TestCaseResult};
     use daos_util::{one_of, prop_assert, prop_assert_eq, proptest};
 
     #[test]
@@ -333,6 +360,43 @@ mod tests {
         let c = fa.alloc(2, 0x9000).unwrap();
         assert_eq!(c, a, "LIFO reuse of the freshest frame");
         assert_eq!(fa.owner(c), Some((2, 0x9000)));
+    }
+
+    proptest! {
+        cases = 256;
+
+        // A run alloc hands out what one `alloc` per page would, a run
+        // free takes back what one `free` per frame would: the same frames
+        // in the same order, recycled ones LIFO before fresh ones, the run
+        // cut short where DRAM runs out, and the same owners after.
+        fn runs_match_one_call_per_frame(
+            ops in vec_of((any_bool(), 0usize..40, 0u64..u64::MAX), 1..40),
+        ) {
+            let mut by_run = FrameAllocator::new(64 * PAGE_SIZE);
+            let mut by_one = by_run.clone();
+            let mut held: Vec<FrameId> = Vec::new();
+            for (i, &(alloc, nr, seed)) in ops.iter().enumerate() {
+                if alloc {
+                    let addrs: Vec<u64> = (0..nr as u64).map(|p| (i as u64 * 64 + p) * PAGE_SIZE).collect();
+                    let mut frames = vec![0; nr];
+                    let got = by_run.alloc_run(3, &addrs, &mut frames);
+                    let want: Vec<FrameId> = addrs.iter().map_while(|&a| by_one.alloc(3, a)).collect();
+                    prop_assert_eq!(&frames[..got], &want[..], "op {i}");
+                    held.extend(want);
+                } else {
+                    // Free `nr` held frames picked by the seed, in its order.
+                    let mut picked = Vec::new();
+                    for j in 0..nr.min(held.len()) {
+                        let at = (seed.rotate_left(j as u32 * 7) % held.len() as u64) as usize;
+                        picked.push(held.swap_remove(at));
+                    }
+                    by_run.free_run(&picked);
+                    picked.iter().for_each(|&f| by_one.free(f));
+                }
+                prop_assert!(by_run == by_one, "after op {i}");
+                prop_assert_eq!(by_run.audit(), Ok(()));
+            }
+        }
     }
 
     #[test]

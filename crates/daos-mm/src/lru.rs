@@ -23,10 +23,19 @@
 //! index, and queues its own pushes in deques of its own around it, so
 //! copying a list of 131,072 entries costs a reference count, not
 //! 1.5 MiB.
+//!
+//! Entries come and go a run at a time: a fault round queues its pages
+//! with one run insert (exactly one `insert` each), and reclaim reads the
+//! tail run — the entries at a list's tail that share a (process, 2 MiB
+//! chunk), a frozen base in place — and then drops as many of it as it
+//! judged. Each part of a list is stored back first, next victim at index
+//! 0, so a run pushed on the front is one `extend`, and a deque that
+//! empties starts over at the front of its buffer.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use crate::addr::PAGES_PER_HUGE;
 use crate::frame::{pack_page, unpack_page};
 use crate::process::Pid;
 
@@ -56,8 +65,20 @@ impl LruEntry {
     }
 
     #[inline]
+    fn word(self) -> u64 {
+        self.word[0] as u64 | (self.word[1] as u64) << 32
+    }
+
+    #[inline]
     fn page(self) -> (Pid, u64) {
-        unpack_page(self.word[0] as u64 | (self.word[1] as u64) << 32)
+        unpack_page(self.word())
+    }
+
+    /// The (process, aligned 2 MiB chunk) the page is in, as one word:
+    /// two entries share a chunk exactly when their keys are equal.
+    #[inline]
+    pub(crate) fn chunk_key(self) -> u64 {
+        self.word() >> PAGES_PER_HUGE.trailing_zeros()
     }
 
     /// Owning process.
@@ -80,45 +101,93 @@ impl LruEntry {
 }
 
 /// One list, front (newest) to back (next victim): `head`, then the
-/// shared base's first `base_len` entries, then `tail`. Never frozen, the
-/// base is empty and `head` is the whole list — today's plain deque.
+/// shared base's entries not yet consumed, then `tail`. Each part is
+/// stored back first — its next victim at index 0 — so that a run pushed
+/// on the front is one `extend` and the back is consumed from index 0 up
+/// (the base by index, `base_at`). Never frozen, the base is empty and
+/// `head` is the whole list.
 #[derive(Debug, Clone, Default)]
 struct Queue {
     head: VecDeque<LruEntry>,
     base: Arc<VecDeque<LruEntry>>,
-    base_len: usize,
+    base_at: usize,
     tail: VecDeque<LruEntry>,
 }
 
 impl Queue {
     #[inline]
-    fn push_front(&mut self, e: LruEntry) {
-        self.head.push_front(e);
+    fn push_back(&mut self, e: LruEntry) {
+        if self.base_at == self.base.len() && self.tail.is_empty() {
+            self.head.push_front(e);
+        } else {
+            self.tail.push_front(e);
+        }
     }
 
+    /// `entries` pushed on the front one after the other: the last is
+    /// the new front.
     #[inline]
-    fn push_back(&mut self, e: LruEntry) {
-        if self.base_len == 0 && self.tail.is_empty() {
-            self.head.push_back(e);
+    fn push_front_run(&mut self, entries: impl ExactSizeIterator<Item = LruEntry>) {
+        self.head.extend(entries);
+    }
+
+    /// The part the back entry is in — `tail`, else what is left of the
+    /// base, else `head` — back first.
+    #[inline]
+    fn back_part(&self) -> std::collections::vec_deque::Iter<'_, LruEntry> {
+        if !self.tail.is_empty() {
+            self.tail.iter()
+        } else if self.base_at < self.base.len() {
+            self.base.range(self.base_at..)
         } else {
-            self.tail.push_back(e);
+            self.head.iter()
+        }
+    }
+
+    /// The back run, next pop first: the entries at the back of the back
+    /// part that share the back entry's chunk. A shared base is read in
+    /// place.
+    #[inline]
+    fn back_run(&self) -> impl Iterator<Item = LruEntry> + Clone + '_ {
+        let part = self.back_part();
+        let key = part.clone().next().map(|e| e.chunk_key());
+        part.copied().take_while(move |e| Some(e.chunk_key()) == key)
+    }
+
+    /// Drop `n` entries off the back — at most the back run: what `n`
+    /// [`Self::pop_back`]s would take, with a shared base consumed by
+    /// index. A deque emptied starts over at the front of its buffer, so
+    /// a list that reclaim keeps emptying — the inactive list under
+    /// pressure — writes the same few cache lines, not a path through
+    /// the whole buffer its longest moment left it.
+    #[inline]
+    fn drop_back(&mut self, n: usize) {
+        let part = if !self.tail.is_empty() {
+            &mut self.tail
+        } else if self.base_at < self.base.len() {
+            self.base_at += n;
+            return;
+        } else {
+            &mut self.head
+        };
+        if n == part.len() {
+            part.clear();
+        } else {
+            part.drain(..n);
         }
     }
 
     #[inline]
     fn pop_back(&mut self) -> Option<LruEntry> {
-        if let Some(e) = self.tail.pop_back() {
-            return Some(e);
-        }
-        if self.base_len > 0 {
-            self.base_len -= 1;
-            return Some(self.base[self.base_len]);
-        }
-        self.head.pop_back()
+        let e = self.back_part().next().copied();
+        self.drop_back(e.is_some() as usize);
+        e
     }
 
+    /// Front to back.
     fn iter(&self) -> impl Iterator<Item = &LruEntry> {
-        self.head.iter().chain(self.base.range(..self.base_len)).chain(&self.tail)
+        let base = self.base.range(self.base_at..).rev();
+        self.head.iter().rev().chain(base).chain(self.tail.iter().rev())
     }
 
     fn is_empty(&self) -> bool {
@@ -126,28 +195,34 @@ impl Queue {
     }
 
     fn len(&self) -> usize {
-        self.head.len() + self.base_len + self.tail.len()
+        self.head.len() + self.base.len() - self.base_at + self.tail.len()
     }
 
     /// Move every entry into a new shared base (without copying the
     /// deque of a list that was never frozen), trimmed to its length: it
     /// never grows again.
     fn freeze(&mut self) {
-        let mut base = std::mem::take(&mut self.head);
-        if self.base_len > 0 || !self.tail.is_empty() {
-            base.extend(self.iter());
-        }
+        let base = if self.base_at == self.base.len() && self.tail.is_empty() {
+            std::mem::take(&mut self.head)
+        } else {
+            let rest = self.base.range(self.base_at..).chain(&self.head);
+            self.tail.iter().chain(rest).copied().collect()
+        };
+        let mut base = base;
         base.shrink_to_fit();
-        *self = Queue { base_len: base.len(), base: Arc::new(base), ..Queue::default() };
+        *self = Queue { base: Arc::new(base), ..Queue::default() };
     }
 
     /// Keep only the entries `keep` accepts, in order, in a plain deque of
     /// this list's own: `head` in place, then what `keep` accepts of a
-    /// shared base (let go, not written) and of `tail`.
+    /// shared base (let go, not written) and of `tail`, put behind it.
     fn retain(&mut self, mut keep: impl FnMut(&LruEntry) -> bool) {
         let mut head = std::mem::take(&mut self.head);
         head.retain(|e| keep(e));
-        head.extend(self.iter().filter(|e| keep(e)));
+        let behind = self.tail.iter().chain(self.base.range(self.base_at..));
+        for &e in behind.rev().filter(|e| keep(e)) {
+            head.push_front(e);
+        }
         *self = Queue { head, ..Queue::default() };
     }
 }
@@ -172,14 +247,50 @@ impl Lru {
         Self::default()
     }
 
-    /// Record a newly mapped (or re-referenced) page on the given list's
-    /// head. The caller must have bumped the PTE's `lru_gen` to `gen`.
-    pub fn insert(&mut self, list: LruList, pid: Pid, addr: u64, gen: u32) {
-        let e = LruEntry::new(pid, addr, gen);
+    fn queue(&self, list: LruList) -> &Queue {
         match list {
-            LruList::Active => self.active.push_front(e),
-            LruList::Inactive => self.inactive.push_front(e),
+            LruList::Active => &self.active,
+            LruList::Inactive => &self.inactive,
         }
+    }
+
+    fn queue_mut(&mut self, list: LruList) -> &mut Queue {
+        match list {
+            LruList::Active => &mut self.active,
+            LruList::Inactive => &mut self.inactive,
+        }
+    }
+
+    /// Record a newly mapped (or re-referenced) page on the given list's
+    /// head: the one-entry case of `Self::insert_run`. The caller must
+    /// have bumped the PTE's `lru_gen` to `gen`.
+    pub fn insert(&mut self, list: LruList, pid: Pid, addr: u64, gen: u32) {
+        self.insert_run(list, std::iter::once(LruEntry::new(pid, addr, gen)));
+    }
+
+    /// Queue `entries` on the given list's head in order — exactly one
+    /// [`Self::insert`] each, so the last is the new head — with one
+    /// reservation for the run.
+    pub(crate) fn insert_run(
+        &mut self,
+        list: LruList,
+        entries: impl ExactSizeIterator<Item = LruEntry>,
+    ) {
+        self.queue_mut(list).push_front_run(entries);
+    }
+
+    /// The list's tail run, next victim first: the entries at its tail
+    /// that share one (process, 2 MiB chunk), so that reclaim resolves
+    /// their page table once. A run never spans two of a list's parts (a
+    /// copy's own tail, a frozen base, its own head), and is read in place.
+    pub(crate) fn tail_run(&self, list: LruList) -> impl Iterator<Item = LruEntry> + Clone + '_ {
+        self.queue(list).back_run()
+    }
+
+    /// Take the first `n` entries of the list's [`Self::tail_run`] off the
+    /// list, as `n` pops would (a frozen base is consumed by index).
+    pub(crate) fn drop_tail(&mut self, list: LruList, n: usize) {
+        self.queue_mut(list).drop_back(n);
     }
 
     /// Queue a page at the inactive *tail* — the very next reclaim victim.
@@ -317,6 +428,10 @@ mod tests {
         PushFront,
         PushBack,
         PopBack,
+        /// Push this many entries on the front as one run.
+        PushFrontRun(u8),
+        /// Read the back run and drop this many of it (at most all).
+        DropRun(u8),
         /// Freeze the list and go on with a copy of it.
         Freeze,
         /// Keep the entries whose address hashes, under the seed, to an
@@ -338,6 +453,8 @@ mod tests {
                     Just(Op::PushFront),
                     Just(Op::PushBack),
                     Just(Op::PopBack),
+                    (0u8..6).prop_map(Op::PushFrontRun),
+                    (0u8..8).prop_map(Op::DropRun),
                     Just(Op::Freeze),
                     (0u64..u64::MAX).prop_map(Op::Retain),
                 ],
@@ -348,10 +465,11 @@ mod tests {
             let mut oracle = VecDeque::new();
             let mut frozen: Vec<(Queue, Vec<LruEntry>)> = Vec::new();
             for (i, op) in ops.into_iter().enumerate() {
-                let e = LruEntry::new(1, i as u64 * 0x1000, i as u32);
+                // 131 pages apart: about four entries to a chunk.
+                let e = LruEntry::new(1, i as u64 * 131 * 0x1000, i as u32);
                 match op {
                     Op::PushFront => {
-                        queue.push_front(e);
+                        queue.push_front_run(std::iter::once(e));
                         oracle.push_front(e);
                     }
                     Op::PushBack => {
@@ -359,6 +477,27 @@ mod tests {
                         oracle.push_back(e);
                     }
                     Op::PopBack => prop_assert_eq!(queue.pop_back(), oracle.pop_back()),
+                    Op::PushFrontRun(nr) => {
+                        // Every third run lands in the chunk the last one did.
+                        let run: Vec<LruEntry> = (0..nr as u64)
+                            .map(|j| LruEntry::new(1, (i as u64 / 3 * 512 + j) * 0x1000, i as u32))
+                            .collect();
+                        queue.push_front_run(run.iter().copied());
+                        run.iter().for_each(|&e| oracle.push_front(e));
+                    }
+                    Op::DropRun(nr) => {
+                        // The back run is a prefix of what the pops return,
+                        // all of one chunk, and never empty on a non-empty
+                        // list.
+                        let run: Vec<LruEntry> = queue.back_run().collect();
+                        let back: Vec<LruEntry> = oracle.iter().rev().take(run.len()).copied().collect();
+                        prop_assert_eq!(&run, &back);
+                        prop_assert!(run.iter().all(|e| e.chunk_key() == run[0].chunk_key()));
+                        prop_assert_eq!(run.is_empty(), oracle.is_empty());
+                        let nr = (nr as usize).min(run.len());
+                        queue.drop_back(nr);
+                        oracle.truncate(oracle.len() - nr);
+                    }
                     Op::Freeze => {
                         queue.freeze();
                         prop_assert_eq!(queue.base.capacity(), queue.base.len(), "trimmed");

@@ -78,14 +78,14 @@ impl Process {
     }
 
     /// `nr` more pages are resident from `now` on.
-    pub(crate) fn map_pages(&mut self, now: Ns, nr: u64) {
+    pub fn map_pages(&mut self, now: Ns, nr: u64) {
         self.settle(now);
         self.rss_pages += nr;
         self.stats.peak_rss_bytes = self.stats.peak_rss_bytes.max(self.rss_bytes());
     }
 
     /// `nr` fewer pages are resident from `now` on.
-    pub(crate) fn unmap_pages(&mut self, now: Ns, nr: u64) {
+    pub fn unmap_pages(&mut self, now: Ns, nr: u64) {
         self.settle(now);
         self.rss_pages -= nr;
     }

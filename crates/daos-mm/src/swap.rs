@@ -72,6 +72,8 @@ impl SwapConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwapDevice {
     config: SwapConfig,
+    /// Bytes one stored page consumes, from `config`.
+    page_cost: f64,
     next_slot: u32,
     /// Bytes of device capacity currently consumed.
     used_bytes: f64,
@@ -80,7 +82,12 @@ pub struct SwapDevice {
 impl SwapDevice {
     /// Create a device from its configuration.
     pub fn new(config: SwapConfig) -> Self {
-        Self { config, next_slot: 0, used_bytes: 0.0 }
+        let page_cost = match config {
+            SwapConfig::None => 0.0,
+            SwapConfig::Zram { compression_ratio, .. } => PAGE_SIZE as f64 / compression_ratio,
+            SwapConfig::File { .. } => PAGE_SIZE as f64,
+        };
+        Self { config, page_cost, next_slot: 0, used_bytes: 0.0 }
     }
 
     /// The device configuration.
@@ -105,12 +112,9 @@ impl SwapDevice {
     }
 
     /// How many bytes one stored page consumes on this device.
+    #[inline]
     fn cost_per_page(&self) -> f64 {
-        match self.config {
-            SwapConfig::None => 0.0,
-            SwapConfig::Zram { compression_ratio, .. } => PAGE_SIZE as f64 / compression_ratio,
-            SwapConfig::File { .. } => PAGE_SIZE as f64,
-        }
+        self.page_cost
     }
 
     /// Whether one more page fits.
@@ -123,24 +127,28 @@ impl SwapDevice {
         }
     }
 
-    /// Store one page; returns the slot and the device-side latency.
+    /// Store one page; returns the slot and the device-side latency. The
+    /// fill it tests against the capacity — [`Self::has_room`]'s sum — is
+    /// the fill it leaves.
+    #[inline]
     pub fn store(&mut self, machine: &MachineProfile) -> MmResult<(SwapSlot, Ns)> {
-        if !self.has_room() {
+        let (capacity_bytes, lat) = match self.config {
+            SwapConfig::None => return Err(MmError::SwapFull),
+            SwapConfig::Zram { capacity_bytes, .. } => (capacity_bytes, machine.zram_store_ns),
+            SwapConfig::File { capacity_bytes } => (capacity_bytes, machine.file_swap_write_ns),
+        };
+        let used = self.used_bytes + self.cost_per_page();
+        if !(used <= capacity_bytes as f64) {
             return Err(MmError::SwapFull);
         }
-        self.used_bytes += self.cost_per_page();
+        self.used_bytes = used;
         let slot = SwapSlot(self.next_slot);
         self.next_slot = self.next_slot.wrapping_add(1);
-        let lat = match self.config {
-            // lint: allow(panic, has_room() returned false for SwapConfig::None above)
-            SwapConfig::None => unreachable!("has_room() is false for SwapConfig::None"),
-            SwapConfig::Zram { .. } => machine.zram_store_ns,
-            SwapConfig::File { .. } => machine.file_swap_write_ns,
-        };
         Ok((slot, lat))
     }
 
     /// Load (and free) one previously stored page; returns the latency.
+    #[inline]
     pub fn load(&mut self, _slot: SwapSlot, machine: &MachineProfile) -> Ns {
         self.used_bytes = (self.used_bytes - self.cost_per_page()).max(0.0);
         match self.config {

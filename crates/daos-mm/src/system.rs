@@ -18,7 +18,7 @@ use crate::process::{Pid, Process, PteCursor, PID_LIMIT};
 use crate::stats::KernelStats;
 use crate::swap::{SwapConfig, SwapDevice};
 use crate::tlb::access_costs;
-use crate::vma::{PteState, Reclaimed, ThpMode, Vma};
+use crate::vma::{ChunkRun, PteState, Reclaimed, ThpMode, Vma};
 
 /// How many pages one pressure-reclaim pass tries to free.
 const RECLAIM_BATCH: u64 = 32;
@@ -64,9 +64,55 @@ pub struct MemorySystem {
     rng: SmallRng,
     /// Kernel-side accounting (monitor, schemes, reclaim CPU time).
     pub kstats: KernelStats,
-    fault_scratch: Vec<u64>,
-    /// A pageout's `(addr, frame)` evictions, empty between calls.
+    scratch: Scratch,
+}
+
+/// Buffers the fault and reclaim paths reuse from call to call. They are
+/// not the machine's state: what they hold between calls means nothing,
+/// a copy of the machine starts them empty, and equality ignores them.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Pass 1's queued faults.
+    faults: Vec<u64>,
+    /// A fault run's pages, in turn order, whether each is a swap-in,
+    /// their frames and their new generations.
+    pages: Vec<u64>,
+    swapped_in: Vec<bool>,
+    frames: Vec<FrameId>,
+    gens: Vec<u32>,
+    /// A reclaim run's second chances, for the active list's head, and
+    /// its evictions' frames.
+    requeued: Vec<LruEntry>,
+    freed: Vec<FrameId>,
+    /// A pageout's `(addr, frame)` evictions.
     evicted: Vec<(u64, FrameId)>,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl PartialEq for Scratch {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// A machine taken apart, each component borrowed on its own: what a
+/// fault or reclaim engine outside this module drives — the one-page,
+/// one-entry reference engine `tests/fault_service.rs` holds
+/// [`MemorySystem::apply_access`] to. `now` is the machine's clock.
+pub struct Parts<'a> {
+    pub machine: &'a MachineProfile,
+    pub now: Ns,
+    pub frames: &'a mut FrameAllocator,
+    pub swap: &'a mut SwapDevice,
+    pub procs: &'a mut [Process],
+    pub lru: &'a mut Lru,
+    pub rng: &'a mut SmallRng,
+    pub kstats: &'a mut KernelStats,
 }
 
 impl MemorySystem {
@@ -83,9 +129,14 @@ impl MemorySystem {
             lru: Lru::new(),
             rng: SmallRng::seed_from_u64(seed),
             kstats: KernelStats::default(),
-            fault_scratch: Vec::new(),
-            evicted: Vec::new(),
+            scratch: Scratch::default(),
         }
+    }
+
+    /// The machine's components, each borrowed on its own ([`Parts`]).
+    pub fn parts(&mut self) -> Parts<'_> {
+        let Self { machine, clock, frames, swap, procs, lru, rng, kstats, .. } = self;
+        Parts { machine, now: clock.now(), frames, swap, procs, lru, rng, kstats }
     }
 
     /// Replace the random stream of a machine that has not drawn from it
@@ -267,7 +318,7 @@ impl MemorySystem {
     /// Hold the LRU to its bound: once the lists outgrow it, drop every
     /// stale entry, keeping the live ones in order. Called by every op
     /// that queued entries or freed frames; nothing a run does moves.
-    fn bound_lru(&mut self) {
+    pub fn bound_lru(&mut self) {
         if !lru_within_bound(self.lru.len(), self.frames.nr_used()) {
             self.compact_lru();
         }
@@ -366,7 +417,7 @@ impl MemorySystem {
     /// the workload spent (the caller advances the clock with it).
     pub fn apply_access(&mut self, pid: Pid, batch: &AccessBatch) -> MmResult<AccessOutcome> {
         let mut out = AccessOutcome::default();
-        let mut faults = std::mem::take(&mut self.fault_scratch);
+        let mut faults = std::mem::take(&mut self.scratch.faults);
         faults.clear();
 
         // Pass 1: touch resident pages in place, queue the rest.
@@ -406,7 +457,7 @@ impl MemorySystem {
         if !faults.is_empty() {
             self.bound_lru();
         }
-        self.fault_scratch = faults;
+        self.scratch.faults = faults;
 
         // Cost model: DRAM latency + TLB walks, per logical access.
         let pages_4k = out.touched_pages - out.touched_huge;
@@ -428,16 +479,22 @@ impl MemorySystem {
     /// run at a time: minor (first touch) or major (swap-in) each, with
     /// pressure reclaim whenever DRAM is full. Returns the stall charged.
     ///
-    /// Process, VMA and huge flag are resolved once per run (whether
-    /// anyone is tracing, once per batch), and the run's RSS and fault
-    /// counters are folded into one update. What stays per page is what a
-    /// page decides: its state, read when its turn comes (an address a
-    /// `Random` batch drew twice is resident by its second turn, and is
-    /// skipped), the swap load, the frame, the page-table write and the
-    /// LRU push. Reclaim may evict the faulting process's own pages, so
-    /// the run is folded *before* it: peak RSS is then the per-page peak,
-    /// and the swap device sees the page's load ahead of reclaim's stores,
-    /// as a per-page loop would issue them.
+    /// A run is served in rounds of as many pages as there are free
+    /// frames. A round resolves process, VMA and huge flag once (whether
+    /// anyone is tracing, once per batch), reads each page's state when
+    /// its turn comes — a page the round already holds (a `Random` batch
+    /// drew it twice) is resident by its second turn, and is skipped — and
+    /// issues its swap load, then maps all its pages at once: one
+    /// [`FrameAllocator::alloc_run`], one [`Vma::map_run`], one LRU
+    /// `Lru::insert_run`, the per-page events in turn order, and one fold
+    /// of RSS and fault counters. Nothing a page decides depends on a
+    /// later page's frame, page-table write or LRU entry, so this is the
+    /// per-page loop reordered. The page that finds DRAM full has had its
+    /// swap load and waits: reclaim runs, and it heads the next round.
+    /// Reclaim may evict the faulting process's own pages, so the round is
+    /// folded *before* it: peak RSS is then the per-page peak, and the swap
+    /// device sees the page's load ahead of reclaim's stores, as a per-page
+    /// loop would issue them.
     fn service_faults(
         &mut self,
         pid: Pid,
@@ -450,20 +507,31 @@ impl MemorySystem {
         // Set while `faults[i]` has had its swap-in (if it was one: the
         // flag) and waits for reclaim to free it a frame.
         let mut waiting: Option<bool> = None;
-        let mut i = 0;
+        let (mut i, mut at) = (0, 0);
         while i < faults.len() {
-            let Self { procs, frames, swap, lru, machine, .. } = self;
+            let Self { procs, frames, swap, lru, machine, scratch, .. } = self;
             let proc = procs.get_mut(pid as usize).ok_or(MmError::NoSuchProcess(pid))?;
-            let vma = proc.find_vma_mut(faults[i]).ok_or(MmError::Unmapped(faults[i]))?;
+            let vma = proc.vma_near(&mut at, faults[i]).ok_or(MmError::Unmapped(faults[i]))?;
             let chunk = huge_align_down(faults[i]);
             let run_end = (chunk + HUGE_PAGE_SIZE).min(vma.range.end);
             let run = AddrRange::new(chunk.max(vma.range.start), run_end);
             let huge = vma.is_huge(chunk);
-            let (mut mapped, mut major) = (0u64, 0u64);
-            while let Some(&addr) = faults.get(i).filter(|a| run.contains(**a)) {
+            let mut pt = vma.chunk_run(faults[i]);
+            let nr_free = frames.nr_free();
+            let Scratch { pages, swapped_in: majors, frames: got, gens, .. } = scratch;
+            pages.clear();
+            majors.clear();
+            // Bit `pi` of `held`: the round maps page `pi` of the chunk.
+            let (mut held, mut major) = ([0u64; 8], 0u64);
+            for &addr in faults[i..].iter().take_while(|a| run.contains(**a)) {
+                let pi = ((addr - chunk) / PAGE_SIZE) as usize;
                 let swapped_in = match waiting.take() {
                     Some(swapped_in) => swapped_in,
-                    None => match vma.pte(addr).state {
+                    None if held[pi / 64] & 1 << (pi % 64) != 0 => {
+                        i += 1;
+                        continue;
+                    }
+                    None => match pt.state(addr) {
                         PteState::Resident(_) => {
                             i += 1;
                             continue;
@@ -478,23 +546,34 @@ impl MemorySystem {
                         }
                     },
                 };
-                let Some(frame) = frames.alloc(pid, addr) else {
+                let j = pages.len();
+                if j == nr_free {
                     waiting = Some(swapped_in);
                     break;
-                };
-                let gen = vma.map_page(addr, frame, true);
-                lru.insert(LruList::Inactive, pid, addr, gen);
-                mapped += 1;
-                major += swapped_in as u64;
-                if tracing {
-                    if swapped_in {
-                        daos_trace::emit(now, Event::SwapIn { pid, addr });
-                    }
-                    daos_trace::emit(now, Event::PageFault { pid, addr, major: swapped_in });
                 }
+                held[pi / 64] |= 1 << (pi % 64);
+                major += swapped_in as u64;
+                majors.push(swapped_in);
+                pages.push(addr);
                 i += 1;
             }
+            let mapped = pages.len();
             if mapped > 0 {
+                got.resize(mapped, 0);
+                gens.resize(mapped, 0);
+                frames.alloc_run(pid, pages, got);
+                pt.map(pages, got, true, gens);
+                let entries = pages.iter().zip(gens.iter());
+                lru.insert_run(LruList::Inactive, entries.map(|(&a, &g)| LruEntry::new(pid, a, g)));
+                if tracing {
+                    for (&addr, &major) in pages.iter().zip(majors.iter()) {
+                        if major {
+                            daos_trace::emit(now, Event::SwapIn { pid, addr });
+                        }
+                        daos_trace::emit(now, Event::PageFault { pid, addr, major });
+                    }
+                }
+                let mapped = mapped as u64;
                 proc.map_pages(now, mapped);
                 proc.stats.minor_faults += mapped - major;
                 proc.stats.major_faults += major;
@@ -517,10 +596,34 @@ impl MemorySystem {
 
     /// Pressure reclaim: evict up to `target` cold pages from the LRU
     /// lists to swap. Returns the CPU time spent (charged to the caller
-    /// as direct-reclaim stall).
-    fn shrink(&mut self, target: u64) -> Ns {
+    /// as direct-reclaim stall). Public for the reference engine, which
+    /// holds it to a one-entry-at-a-time loop.
+    ///
+    /// The pass judges the inactive list's tail entries in turn: a stale
+    /// one is passed over, a referenced one gets a second chance at the
+    /// active list's head, a cold one is evicted. When the inactive list is
+    /// empty it refills from the active tail: a live entry is requeued
+    /// under a new generation, and — being then the inactive list's only
+    /// entry, its next victim — judged at once. The pass ends when it has
+    /// freed `target`, spent its budget, found the swap device full (the
+    /// victim keeps the verdict's generation bump, and its entry is gone)
+    /// or emptied both lists.
+    ///
+    /// It works a tail run at a time (`Lru::tail_run`): the entries
+    /// that share a (process, 2 MiB chunk), read in place. A run resolves
+    /// the process, and its VMA and chunk (`Vma::chunk_run`) once for
+    /// each VMA its pages fall in; the stop tests stay per entry. Then
+    /// the entries judged come off the list (`Lru::drop_tail`), the
+    /// second chances go to the active head in order (`Lru::insert_run`),
+    /// the evicted frames back to the allocator ([`FrameAllocator::free_run`])
+    /// and RSS and counters are folded — once per run, which is exact: the
+    /// clock does not move during a pass, a run's own list is not written
+    /// until it ends, and a pushed entry could be popped only after every
+    /// entry of the run.
+    pub fn shrink(&mut self, target: u64) -> Ns {
+        use daos_trace::Event;
+        let (now, tracing) = (self.now(), daos_trace::enabled());
         let mut freed = 0u64;
-        let mut cost: Ns = 0;
         // Budget prevents livelock when every queued entry is referenced.
         // It counts the entries the pass judges: a stale pop costs nothing
         // (and still removes an entry, so the loop ends), which leaves what
@@ -529,43 +632,88 @@ impl MemorySystem {
         let budget_start = budget;
         // Neighbours on the lists were mostly mapped one after the other.
         let mut at = 0;
-
-        while freed < target && budget > 0 {
-            let Some(e) = self.lru.pop_inactive() else {
-                // Refill inactive from the active list's cold tail.
-                let Some(a) = self.lru.pop_active() else { break };
-                if let Some(gen) = self.bump_resident(&mut at, a.pid(), a.addr(), Some(a.gen()), false) {
-                    budget -= 1;
-                    self.lru.insert(LruList::Inactive, a.pid(), a.addr(), gen);
-                }
-                continue;
+        let mut swap_full = false;
+        while freed < target && budget > 0 && !swap_full {
+            let refill = self.lru.tail_run(LruList::Inactive).next().is_none();
+            let list = if refill { LruList::Active } else { LruList::Inactive };
+            let Self { procs, frames, swap, lru, machine, kstats, scratch, .. } = self;
+            let Scratch { requeued, freed: gone, .. } = scratch;
+            let run = lru.tail_run(list);
+            let Some(first) = run.clone().next() else { break };
+            let pid = first.pid();
+            let mut proc = procs.get_mut(pid as usize);
+            let mut store = || {
+                let (slot, store_ns) = swap.store(machine)?;
+                kstats.swap_write_ns += store_ns;
+                Ok(slot)
             };
-            let verdict = self.reclaim_page(&mut at, e.pid(), e.addr(), Some(e.gen()));
-            budget -= !matches!(verdict, Ok(Reclaimed::Stale)) as u64;
-            match verdict {
-                Ok(Reclaimed::Stale) => {}
-                // Second chance: promote to active.
-                Ok(Reclaimed::Referenced(gen)) => {
-                    self.lru.insert(LruList::Active, e.pid(), e.addr(), gen);
-                }
-                Ok(Reclaimed::Evicted(_)) => {
-                    cost += self.machine.pageout_page_ns;
-                    freed += 1;
-                    self.kstats.pressure_reclaims += 1;
-                }
-                // Swap full: anonymous pages become unreclaimable.
-                Err(MmError::SwapFull) => break,
-                Err(e) => {
-                    debug_assert!(false, "reclaim can only fail on a full swap device: {e}");
+            // Entries judged (and so taken off), and a refilled entry the
+            // budget ran out on, left queued on the inactive list.
+            let (mut judged, mut left) = (0, None);
+            // The VMA the last entry fell in, and its chunk resolved.
+            let mut vma: Option<(AddrRange, ChunkRun)> = None;
+            for e in run {
+                if !(freed < target && budget > 0) {
                     break;
                 }
+                judged += 1;
+                let addr = e.addr();
+                if !vma.as_ref().is_some_and(|(range, _)| range.contains(addr)) {
+                    let found = proc.as_deref_mut().and_then(|p| p.vma_near(&mut at, addr));
+                    vma = found.map(|v| (v.range, v.chunk_run(addr)));
+                }
+                // Gone with its process or mapping: stale.
+                let Some((_, chunk)) = vma.as_mut() else { continue };
+                let gen = if refill {
+                    let Some(gen) = chunk.requeue(addr, Some(e.gen()), false) else { continue };
+                    budget -= 1;
+                    if budget == 0 {
+                        left = Some(LruEntry::new(pid, addr, gen));
+                        break;
+                    }
+                    gen
+                } else {
+                    e.gen()
+                };
+                match chunk.judge(addr, Some(gen), &mut store) {
+                    Ok(Reclaimed::Stale) => {}
+                    // Second chance: promote to active.
+                    Ok(Reclaimed::Referenced(gen)) => {
+                        budget -= 1;
+                        requeued.push(LruEntry::new(pid, addr, gen));
+                    }
+                    Ok(Reclaimed::Evicted(frame)) => {
+                        budget -= 1;
+                        freed += 1;
+                        gone.push(frame);
+                        if tracing {
+                            daos_trace::emit(now, Event::SwapOut { pid, addr });
+                        }
+                    }
+                    // Swap full: anonymous pages become unreclaimable.
+                    Err(e) => {
+                        debug_assert_eq!(e, MmError::SwapFull, "reclaim can only fail on a full swap device");
+                        budget -= 1;
+                        swap_full = true;
+                        break;
+                    }
+                }
+            }
+            lru.drop_tail(list, judged);
+            lru.insert_run(LruList::Active, requeued.drain(..));
+            lru.insert_run(LruList::Inactive, left.into_iter());
+            if let Some(proc) = proc.filter(|_| !gone.is_empty()) {
+                let nr = gone.len() as u64;
+                proc.unmap_pages(now, nr);
+                proc.stats.swapouts += nr;
+                frames.free_run(gone);
+                gone.clear();
             }
         }
+        let cost = freed * self.machine.pageout_page_ns;
+        self.kstats.pressure_reclaims += freed;
         self.kstats.reclaim_ns += cost;
-        daos_trace::trace!(
-            self.now(),
-            Reclaim { freed_pages: freed, scanned: budget_start - budget, cost_ns: cost }
-        );
+        daos_trace::trace!(now, Reclaim { freed_pages: freed, scanned: budget_start - budget, cost_ns: cost });
         cost
     }
 
@@ -581,40 +729,6 @@ impl MemorySystem {
     ) -> Option<u32> {
         let vma = self.procs.get_mut(pid as usize)?.vma_near(at, addr)?;
         vma.bump_resident(addr, queued_gen, clear_accessed)
-    }
-
-    /// Judge one reclaim candidate — an LRU entry queued under
-    /// `Some(lru_gen)`, or with `None` a page a scheme found resident —
-    /// and evict it to swap if it is cold, all in one resolve of
-    /// [`Vma::reclaim_page`], whose verdict this returns with the frame
-    /// already freed. A page that is gone is `Stale`; the only error is
-    /// the swap device's [`MmError::SwapFull`], which leaves the page
-    /// resident. An eviction costs the caller `pageout_page_ns` of
-    /// synchronous kernel CPU; the device write itself is asynchronous
-    /// (writeback) and only tracked in [`KernelStats::swap_write_ns`].
-    fn reclaim_page(
-        &mut self,
-        at: &mut usize,
-        pid: Pid,
-        addr: u64,
-        lru_gen: Option<u32>,
-    ) -> MmResult<Reclaimed> {
-        let Self { procs, swap, machine, kstats, frames, clock, .. } = self;
-        let Some(proc) = procs.get_mut(pid as usize) else { return Ok(Reclaimed::Stale) };
-        let Some(vma) = proc.vma_near(at, addr) else { return Ok(Reclaimed::Stale) };
-        let verdict = vma.reclaim_page(addr, lru_gen, || {
-            let (slot, store_ns) = swap.store(machine)?;
-            kstats.swap_write_ns += store_ns;
-            Ok(slot)
-        })?;
-        if let Reclaimed::Evicted(frame) = verdict {
-            let now = clock.now();
-            proc.unmap_pages(now, 1);
-            proc.stats.swapouts += 1;
-            frames.free(frame);
-            daos_trace::trace!(now, SwapOut { pid, addr });
-        }
-        Ok(verdict)
     }
 
     // ---- monitoring hooks (the "Monitoring Primitives" substrate) ---
@@ -695,7 +809,8 @@ impl MemorySystem {
     /// `SwapOut` traced — and one RSS update: what a loop of
     /// [`Vma::reclaim_page`] over the resident pages did, page by page.
     pub fn pageout(&mut self, pid: Pid, range: AddrRange) -> MmResult<(u64, Ns)> {
-        let Self { procs, swap, machine, kstats, frames, clock, evicted, .. } = self;
+        let Self { procs, swap, machine, kstats, frames, clock, scratch, .. } = self;
+        let evicted = &mut scratch.evicted;
         let proc = procs.get_mut(pid as usize).ok_or(MmError::NoSuchProcess(pid))?;
         let mut stored = Ok(());
         for vma in proc.vmas_mut() {
@@ -730,13 +845,29 @@ impl MemorySystem {
 
     /// Page out by *physical* address range, via rmap (prec-style targets):
     /// each owned frame's page judged and, if cold, evicted on its own
-    /// ([`Vma::reclaim_page`]), until swap is full.
+    /// ([`Vma::reclaim_page`]), until swap is full. An eviction's frame is
+    /// freed, its `SwapOut` traced and its owner's RSS moved at once.
     pub fn pageout_paddr(&mut self, range: AddrRange) -> (u64, Ns) {
         let (mut nr, mut at, dram) = (0u64, 0, self.machine.dram_bytes);
         for paddr in range.pages().take_while(|&p| p < dram) {
             let Some((pid, vaddr)) = self.phys_owner(paddr) else { continue };
-            match self.reclaim_page(&mut at, pid, vaddr, None) {
-                Ok(Reclaimed::Evicted(_)) => nr += 1,
+            let Self { procs, swap, machine, kstats, frames, clock, .. } = self;
+            let Some(proc) = procs.get_mut(pid as usize) else { continue };
+            let Some(vma) = proc.vma_near(&mut at, vaddr) else { continue };
+            let verdict = vma.reclaim_page(vaddr, None, || {
+                let (slot, store_ns) = swap.store(machine)?;
+                kstats.swap_write_ns += store_ns;
+                Ok(slot)
+            });
+            match verdict {
+                Ok(Reclaimed::Evicted(frame)) => {
+                    let now = clock.now();
+                    proc.unmap_pages(now, 1);
+                    proc.stats.swapouts += 1;
+                    frames.free(frame);
+                    daos_trace::trace!(now, SwapOut { pid, addr: vaddr });
+                    nr += 1;
+                }
                 Ok(Reclaimed::Stale | Reclaimed::Referenced(_)) => {}
                 Err(e) => {
                     debug_assert_eq!(e, MmError::SwapFull, "reclaim can only fail on a full swap device");
@@ -780,7 +911,8 @@ impl MemorySystem {
             .filter(|v| v.thp != ThpMode::Never)
             .flat_map(|v| v.chunks_in(&range).filter(|&c| !v.is_huge(c)))
             .collect();
-        let (mut promoted, mut at, mut filled) = (0u64, 0, Vec::new());
+        let (mut promoted, mut at) = (0u64, 0);
+        let (mut holes, mut got, mut gens) = (Vec::new(), Vec::new(), Vec::new());
         for chunk in chunk_addrs {
             let vma = proc.vma_near(&mut at, chunk).ok_or(MmError::Unmapped(chunk))?;
             // khugepaged does not collapse over swap entries.
@@ -790,21 +922,20 @@ impl MemorySystem {
             // A frame per hole, ascending. If DRAM runs out mid-chunk,
             // abandon the chunk (the kernel's fast path also refuses to
             // reclaim for THP).
-            filled.clear();
-            let complete = vma
-                .chunk_holes(chunk)
-                .all(|addr| frames.alloc(pid, addr).map(|f| filled.push((addr, f))).is_some());
-            if !complete {
-                filled.iter().for_each(|&(_, f)| frames.free(f));
+            holes.clear();
+            holes.extend(vma.chunk_holes(chunk));
+            got.resize(holes.len(), 0);
+            let nr = frames.alloc_run(pid, &holes, &mut got);
+            if nr < holes.len() {
+                frames.free_run(&got[..nr]);
                 continue;
             }
             // Filler is mapped neither accessed nor touched, and off the
             // LRU — the bloat `demote_huge` gives back.
-            for &(addr, frame) in &filled {
-                vma.map_page(addr, frame, false);
-            }
+            gens.resize(nr, 0);
+            vma.map_run(&holes, &got, false, &mut gens);
             vma.set_huge(chunk, true);
-            proc.map_pages(clock.now(), filled.len() as u64);
+            proc.map_pages(clock.now(), nr as u64);
             proc.stats.thp_promotions += 1;
             promoted += 1;
         }

@@ -33,13 +33,16 @@
 //! `pageout_in`), bit operations on the four bitmaps and writes to
 //! `backing`/`lru_gen`:
 //!
-//! * [`Vma::map_page`] — `None | Swapped → Resident(frame)`, for a fault
-//!   (mapped accessed and touched), or a prefetch or a promotion's filler
-//!   (neither). Materialises the chunk. May assume the page is not
-//!   resident (asserted in debug builds) and nothing else: it overwrites
-//!   both state bits, both flags and the backing, so whatever a stale
-//!   entry held is gone. A promotion maps each hole of the chunk
-//!   (`Vma::chunk_holes`, read off its `resident` words) with it.
+//! * [`Vma::map_run`] — `None | Swapped → Resident(frame)` for a run of
+//!   pages of one chunk, for a fault round (mapped accessed and touched),
+//!   a prefetch or a promotion's filler (neither): the bitmaps by the
+//!   run's word masks, `backing` and `lru_gen` in one loop.
+//!   [`Vma::map_page`] is its one-page case. Materialises the chunk. May
+//!   assume the pages are distinct and not resident (asserted in debug
+//!   builds) and nothing else: it overwrites both state bits, both flags
+//!   and the backing, so whatever a stale entry held is gone. A
+//!   promotion maps the chunk's holes (`Vma::chunk_holes`, read off its
+//!   `resident` words) as one run.
 //! * [`Vma::bump_resident`] — the LRU's requeue: a generation bump,
 //!   optionally matching a queued stamp first and clearing `accessed`.
 //!   Assumes nothing; on an absent chunk, a non-resident page or a stale
@@ -66,6 +69,11 @@
 //!   `None` with `accessed` clear, its generation bumped and its frame
 //!   handed to the caller, ascending.
 //!
+//! Reclaim judges an LRU tail run through a `ChunkRun` — the chunk
+//! resolved once (`Vma::chunk_run`), then per entry the requeue and the
+//! verdict that `bump_resident` and `reclaim_page` are the one-page cases
+//! of; a fault round reads its pages' states and maps them through one.
+//!
 //! None of them materialises a chunk it does not map a page into, so a
 //! probe of untouched memory stays allocation-free. [`Vma::with_pte`] —
 //! load the page as a [`Pte`], run a closure, scatter it back in
@@ -79,9 +87,10 @@
 //! A chunk is structure-of-arrays. The four things a page *is* — resident,
 //! swapped, accessed, touched — are four bitmaps of eight `u64` words, one
 //! bit per page, 256 bytes in the chunk itself; what a page *has* sits
-//! behind the chunk's pointer to two per-page arrays: `backing` (the frame
-//! id of a resident page, the swap slot of a swapped one, both 32 bits)
-//! and the LRU generation, 4 KiB per 512 pages. [`Pte`] is the by-value
+//! behind the chunk's pointer to one per-page array of 8-byte slots:
+//! `backing` (the frame id of a resident page, the swap slot of a swapped
+//! one, both 32 bits) beside the LRU generation — every path that touches
+//! one touches the other — 4 KiB per 512 pages. [`Pte`] is the by-value
 //! view of one page that `get` assembles and `set` scatters back; nothing
 //! stores one. The commonest thing a workload does — re-touching resident
 //! pages — and every scan for them therefore reads and writes words, 64
@@ -226,6 +235,132 @@ pub enum Reclaimed {
     Evicted(FrameId),
 }
 
+/// One chunk of a VMA's page table, resolved once for a run of LRU
+/// entries whose pages are in it (`Vma::chunk_run`): reclaim requeues
+/// and judges each entry in turn with a bit test and a write or two, and
+/// never looks the chunk up again. Every page passed must be in the chunk
+/// and in the VMA. An absent chunk holds no resident page: every entry is
+/// stale, and nothing is materialised.
+pub(crate) struct ChunkRun<'a> {
+    base: u64,
+    chunk: &'a mut Option<Box<PteChunk>>,
+}
+
+impl ChunkRun<'_> {
+    /// The page's index in the chunk and its word and bit.
+    #[inline]
+    fn at(&self, addr: u64) -> (usize, usize, u64) {
+        debug_assert_eq!(huge_align_down(addr), self.base, "{addr:#x} is not in the run's chunk");
+        let pi = Vma::page_in_chunk(addr);
+        (pi, pi / 64, 1u64 << (pi % 64))
+    }
+
+    /// The state of the page at `addr` ([`Vma::state`]).
+    #[inline]
+    pub(crate) fn state(&self, addr: u64) -> PteState {
+        let (pi, w, bit) = self.at(addr);
+        let Some(c) = self.chunk.as_deref() else { return PteState::None };
+        if c.resident[w] & bit != 0 {
+            PteState::Resident(c.pages.get()[pi].backing)
+        } else if c.swapped[w] & bit != 0 {
+            PteState::Swapped(SwapSlot(c.pages.get()[pi].backing))
+        } else {
+            PteState::None
+        }
+    }
+
+    /// [`Vma::map_run`], the chunk materialised if it is not yet.
+    #[inline]
+    pub(crate) fn map(&mut self, addrs: &[u64], frames: &[FrameId], by_cpu: bool, gens: &mut [u32]) {
+        let c = self.chunk.get_or_insert_with(PteChunk::new);
+        // The run's pages as a mask of each word, and the words it spans.
+        let (mut run, mut words) = ([0u64; PT_WORDS], PT_WORDS..0);
+        let pages = c.pages.get_mut();
+        for ((&addr, &frame), gen) in addrs.iter().zip(frames).zip(gens) {
+            debug_assert_eq!(huge_align_down(addr), self.base, "{addr:#x} is not in the run's chunk");
+            let pi = Vma::page_in_chunk(addr);
+            let (w, bit) = (pi / 64, 1u64 << (pi % 64));
+            debug_assert_eq!((c.resident[w] | run[w]) & bit, 0, "map_run over a resident page");
+            run[w] |= bit;
+            words = words.start.min(w)..words.end.max(w + 1);
+            pages[pi].backing = frame;
+            pages[pi].lru_gen = pages[pi].lru_gen.wrapping_add(1);
+            *gen = pages[pi].lru_gen;
+        }
+        for w in words {
+            let bits = run[w];
+            let flag = if by_cpu { bits } else { 0 };
+            c.resident[w] |= bits;
+            c.swapped[w] &= !bits;
+            c.accessed[w] = (c.accessed[w] & !bits) | flag;
+            c.touched[w] = (c.touched[w] & !bits) | flag;
+        }
+    }
+
+    /// [`Vma::bump_resident`] on the page at `addr`.
+    #[inline]
+    pub(crate) fn requeue(
+        &mut self,
+        addr: u64,
+        queued_gen: Option<u32>,
+        clear_accessed: bool,
+    ) -> Option<u32> {
+        let (pi, w, bit) = self.at(addr);
+        let c = self.chunk.as_deref_mut()?;
+        if c.resident[w] & bit == 0 || queued_gen.is_some_and(|gen| gen != c.pages.get()[pi].lru_gen) {
+            return None;
+        }
+        if clear_accessed {
+            c.accessed[w] &= !bit;
+        }
+        let pages = c.pages.get_mut();
+        pages[pi].lru_gen = pages[pi].lru_gen.wrapping_add(1);
+        Some(pages[pi].lru_gen)
+    }
+
+    /// Judge one reclaim candidate and, when it is cold, evict it —
+    /// `Resident → Swapped(store()?)`.
+    ///
+    /// `lru_gen` is `Some(stamp)` for an entry popped off the LRU: a stamp
+    /// that is not the page's generation makes it [`Reclaimed::Stale`],
+    /// and a live entry's verdict bumps the generation (a second chance
+    /// requeues the page under the new one; a cold page is bumped again by
+    /// the eviction). `None` is a scheme's pageout of a page it found
+    /// resident: no queue entry, so a second chance leaves the generation
+    /// alone. `store` is called for a cold page only; when it fails the
+    /// page stays resident as the verdict left it and the error is
+    /// returned.
+    #[inline]
+    pub(crate) fn judge(
+        &mut self,
+        addr: u64,
+        lru_gen: Option<u32>,
+        store: impl FnOnce() -> MmResult<SwapSlot>,
+    ) -> MmResult<Reclaimed> {
+        let (pi, w, bit) = self.at(addr);
+        let Some(c) = self.chunk.as_deref_mut() else { return Ok(Reclaimed::Stale) };
+        if c.resident[w] & bit == 0 || lru_gen.is_some_and(|gen| gen != c.pages.get()[pi].lru_gen) {
+            return Ok(Reclaimed::Stale);
+        }
+        if lru_gen.is_some() {
+            let pages = c.pages.get_mut();
+            pages[pi].lru_gen = pages[pi].lru_gen.wrapping_add(1);
+        }
+        if c.accessed[w] & bit != 0 {
+            c.accessed[w] &= !bit;
+            return Ok(Reclaimed::Referenced(c.pages.get()[pi].lru_gen));
+        }
+        let swap_slot = store()?;
+        c.resident[w] &= !bit;
+        c.swapped[w] |= bit;
+        c.touched[w] &= !bit;
+        let pages = c.pages.get_mut();
+        let frame = std::mem::replace(&mut pages[pi].backing, swap_slot.0);
+        pages[pi].lru_gen = pages[pi].lru_gen.wrapping_add(1);
+        Ok(Reclaimed::Evicted(frame))
+    }
+}
+
 /// One materialised 2 MiB span of the page table, structure-of-arrays
 /// (see "PTE layout" in the module docs): the four bitmaps, and the page
 /// arrays behind a pointer. Bit `pi % 64` of word `pi / 64` is page `pi`.
@@ -238,17 +373,21 @@ struct PteChunk {
     pages: Pages,
 }
 
-/// What a page *has*, per page of one chunk.
-#[derive(Debug, Clone, PartialEq)]
-struct PageArrays {
+/// What one page *has*, its two words side by side: every path that
+/// reads or writes one of them for a page — a fault, a reclaim verdict, a
+/// split — touches the other, so a page costs one cache line, not two.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PageSlot {
     /// Frame id of a resident page, swap slot of a swapped one, else 0.
-    backing: [u32; PT_CHUNK_PAGES],
-    lru_gen: [u32; PT_CHUNK_PAGES],
+    backing: u32,
+    lru_gen: u32,
 }
 
+/// What a page *has*, per page of one chunk.
+type PageArrays = [PageSlot; PT_CHUNK_PAGES];
+
 /// Every entry 0: what a chunk's arrays read before its first write.
-static NO_PAGES: PageArrays =
-    PageArrays { backing: [0; PT_CHUNK_PAGES], lru_gen: [0; PT_CHUNK_PAGES] };
+static NO_PAGES: PageArrays = [PageSlot { backing: 0, lru_gen: 0 }; PT_CHUNK_PAGES];
 
 /// A chunk's page arrays: a block of its own, a frozen VMA's shared
 /// block, or neither while no entry was ever written (every entry then
@@ -295,7 +434,7 @@ impl PartialEq for Pages {
 fn first_write(shared: Option<Arc<Box<PageArrays>>>) -> Box<PageArrays> {
     match shared {
         Some(block) => Arc::unwrap_or_clone(block),
-        None => Box::new(PageArrays { backing: [0; PT_CHUNK_PAGES], lru_gen: [0; PT_CHUNK_PAGES] }),
+        None => Box::new([PageSlot { backing: 0, lru_gen: 0 }; PT_CHUNK_PAGES]),
     }
 }
 
@@ -316,9 +455,9 @@ impl PteChunk {
         let (w, bit) = (pi / 64, 1u64 << (pi % 64));
         let pages = self.pages.get();
         let state = if self.resident[w] & bit != 0 {
-            PteState::Resident(pages.backing[pi])
+            PteState::Resident(pages[pi].backing)
         } else if self.swapped[w] & bit != 0 {
-            PteState::Swapped(SwapSlot(pages.backing[pi]))
+            PteState::Swapped(SwapSlot(pages[pi].backing))
         } else {
             PteState::None
         };
@@ -326,7 +465,7 @@ impl PteChunk {
             state,
             accessed: self.accessed[w] & bit != 0,
             touched: self.touched[w] & bit != 0,
-            lru_gen: pages.lru_gen[pi],
+            lru_gen: pages[pi].lru_gen,
         }
     }
 
@@ -346,8 +485,8 @@ impl PteChunk {
         put(&mut self.accessed[w], pte.accessed);
         put(&mut self.touched[w], pte.touched);
         let pages = self.pages.get_mut();
-        pages.backing[pi] = backing;
-        pages.lru_gen[pi] = pte.lru_gen;
+        pages[pi].backing = backing;
+        pages[pi].lru_gen = pte.lru_gen;
     }
 
     /// The walker on a whole chunk whose visit mask is `visit` in every
@@ -497,7 +636,7 @@ impl Vma {
     pub(crate) fn is_resident_at(&self, addr: u64, gen: u32) -> bool {
         let Some(c) = self.chunks[self.slot(addr)].as_deref() else { return false };
         let pi = Self::page_in_chunk(addr);
-        c.pages.get().lru_gen[pi] == gen && c.resident[pi / 64] & (1 << (pi % 64)) != 0
+        c.pages.get()[pi].lru_gen == gen && c.resident[pi / 64] & (1 << (pi % 64)) != 0
     }
 
     /// Clear the accessed bit of the page at `addr`; returns whether it was
@@ -655,23 +794,25 @@ impl Vma {
     // ---- state transitions in place (see the module docs) ----------
 
     /// `None | Swapped → Resident(frame)`: a fault (`by_cpu`: the page is
-    /// mapped accessed and touched) or a prefetch (neither). Returns the
-    /// page's new generation. The page must not be resident.
+    /// mapped accessed and touched) or a prefetch (neither) — the one-page
+    /// case of [`Self::map_run`]. Returns the page's new generation. The
+    /// page must not be resident.
     pub fn map_page(&mut self, addr: u64, frame: FrameId, by_cpu: bool) -> u32 {
-        let slot = self.slot(addr);
-        let c = self.chunks[slot].get_or_insert_with(PteChunk::new);
-        let pi = Self::page_in_chunk(addr);
-        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
-        debug_assert_eq!(c.resident[w] & bit, 0, "map_page over a resident page");
-        c.resident[w] |= bit;
-        c.swapped[w] &= !bit;
-        let flag = if by_cpu { bit } else { 0 };
-        c.accessed[w] = (c.accessed[w] & !bit) | flag;
-        c.touched[w] = (c.touched[w] & !bit) | flag;
-        let pages = c.pages.get_mut();
-        pages.backing[pi] = frame;
-        pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
-        pages.lru_gen[pi]
+        let mut gen = [0];
+        self.map_run(&[addr], &[frame], by_cpu, &mut gen);
+        gen[0]
+    }
+
+    /// `None | Swapped → Resident(frames[i])` for each page `addrs[i]` of
+    /// one chunk, writing its new generation to `gens[i]`: what one
+    /// [`Self::map_page`] per page does, with the chunk resolved (and
+    /// materialised) once, the four bitmaps written a word at a time by
+    /// the run's mask, and `backing` and `lru_gen` in one loop. The pages
+    /// must be distinct and none resident.
+    pub fn map_run(&mut self, addrs: &[u64], frames: &[FrameId], by_cpu: bool, gens: &mut [u32]) {
+        if let Some(&first) = addrs.first() {
+            self.chunk_run(first).map(addrs, frames, by_cpu, gens);
+        }
     }
 
     /// Requeue a resident page: bump its generation (invalidating every
@@ -679,71 +820,36 @@ impl Vma {
     /// when `clear_accessed` (deactivation ages the page). `None`, and
     /// nothing written, when the page is not resident or — given
     /// `queued_gen`, the stamp of the LRU entry being revalidated — was
-    /// queued under another generation.
+    /// queued under another generation. The one-page case of
+    /// `ChunkRun::requeue`.
     pub fn bump_resident(
         &mut self,
         addr: u64,
         queued_gen: Option<u32>,
         clear_accessed: bool,
     ) -> Option<u32> {
-        let slot = self.slot(addr);
-        let c = self.chunks[slot].as_deref_mut()?;
-        let pi = Self::page_in_chunk(addr);
-        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
-        let stale = |gen| gen != c.pages.get().lru_gen[pi];
-        if c.resident[w] & bit == 0 || queued_gen.is_some_and(stale) {
-            return None;
-        }
-        if clear_accessed {
-            c.accessed[w] &= !bit;
-        }
-        let pages = c.pages.get_mut();
-        pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
-        Some(pages.lru_gen[pi])
+        self.chunk_run(addr).requeue(addr, queued_gen, clear_accessed)
     }
 
     /// Judge one reclaim candidate and, when it is cold, evict it —
-    /// `Resident → Swapped(store()?)` — in the same resolve.
-    ///
-    /// `lru_gen` is `Some(stamp)` for an entry popped off the LRU: a stamp
-    /// that is not the page's generation makes it [`Reclaimed::Stale`],
-    /// and a live entry's verdict bumps the generation (a second chance
-    /// requeues the page under the new one; a cold page is bumped again by
-    /// the eviction). `None` is a scheme's pageout of a page it found
-    /// resident: no queue entry, so a second chance leaves the generation
-    /// alone. `store` is called for a cold page only; when it fails the
-    /// page stays resident as the verdict left it and the error is
-    /// returned.
+    /// `Resident → Swapped(store()?)` — in the same resolve: the one-page
+    /// case of the run judge, `ChunkRun::judge`, which says what
+    /// `lru_gen` and `store` mean.
     pub fn reclaim_page(
         &mut self,
         addr: u64,
         lru_gen: Option<u32>,
         store: impl FnOnce() -> MmResult<SwapSlot>,
     ) -> MmResult<Reclaimed> {
+        self.chunk_run(addr).judge(addr, lru_gen, store)
+    }
+
+    /// The chunk holding `addr`, resolved once for a run of requeues and
+    /// judgments of its pages (`ChunkRun`).
+    #[inline]
+    pub(crate) fn chunk_run(&mut self, addr: u64) -> ChunkRun<'_> {
         let slot = self.slot(addr);
-        let Some(c) = self.chunks[slot].as_deref_mut() else { return Ok(Reclaimed::Stale) };
-        let pi = Self::page_in_chunk(addr);
-        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
-        let stale = |gen| gen != c.pages.get().lru_gen[pi];
-        if c.resident[w] & bit == 0 || lru_gen.is_some_and(stale) {
-            return Ok(Reclaimed::Stale);
-        }
-        if lru_gen.is_some() {
-            let pages = c.pages.get_mut();
-            pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
-        }
-        if c.accessed[w] & bit != 0 {
-            c.accessed[w] &= !bit;
-            return Ok(Reclaimed::Referenced(c.pages.get().lru_gen[pi]));
-        }
-        let swap_slot = store()?;
-        c.resident[w] &= !bit;
-        c.swapped[w] |= bit;
-        c.touched[w] &= !bit;
-        let pages = c.pages.get_mut();
-        let frame = std::mem::replace(&mut pages.backing[pi], swap_slot.0);
-        pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
-        Ok(Reclaimed::Evicted(frame))
+        ChunkRun { base: huge_align_down(addr), chunk: &mut self.chunks[slot] }
     }
 
     /// A scheme's pageout of `range ∩ vma`: exactly
@@ -782,9 +888,9 @@ impl Vma {
                         }
                     };
                     let (pi, pages) = (w * 64 + b, c.pages.get_mut());
-                    let frame = std::mem::replace(&mut pages.backing[pi], swap_slot.0);
+                    let frame = std::mem::replace(&mut pages[pi].backing, swap_slot.0);
                     evicted.push((chunk_base + pi as u64 * PAGE_SIZE, frame));
-                    pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
+                    pages[pi].lru_gen = pages[pi].lru_gen.wrapping_add(1);
                     out |= 1 << b;
                 }
                 c.accessed[w] &= !judged;
@@ -814,8 +920,8 @@ impl Vma {
             c.accessed[w] &= !filler;
             for pi in bits(filler).map(|b| w * 64 + b) {
                 let pages = c.pages.get_mut();
-                freed.push(std::mem::take(&mut pages.backing[pi]));
-                pages.lru_gen[pi] = pages.lru_gen[pi].wrapping_add(1);
+                freed.push(std::mem::take(&mut pages[pi].backing));
+                pages[pi].lru_gen = pages[pi].lru_gen.wrapping_add(1);
             }
         }
     }
@@ -980,8 +1086,8 @@ impl Vma {
                 if c.resident[w] & c.swapped[w] != 0 {
                     return Err(format!("chunk {slot} word {w}: a page is resident and swapped"));
                 }
-                let backing = &c.pages.get().backing;
-                if bits(!(c.resident[w] | c.swapped[w])).any(|b| backing[w * 64 + b] != 0) {
+                let pages = c.pages.get();
+                if bits(!(c.resident[w] | c.swapped[w])).any(|b| pages[w * 64 + b].backing != 0) {
                     return Err(format!("chunk {slot} word {w}: an unmapped page keeps a backing"));
                 }
             }
@@ -1180,7 +1286,7 @@ mod tests {
         assert!(both.check_layout().unwrap_err().contains("resident and swapped"));
 
         let mut stale = fresh();
-        chunk(&mut stale).pages.get_mut().backing[3] = 9;
+        chunk(&mut stale).pages.get_mut()[3].backing = 9;
         assert!(stale.check_layout().unwrap_err().contains("keeps a backing"));
     }
 

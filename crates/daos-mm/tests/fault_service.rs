@@ -10,16 +10,29 @@
 //! test per way a fold can go wrong without any counter total moving.
 //! A scheme's pageout, which works a word at a time and books its
 //! evictions afterwards, is held the same way to one page per call.
+//!
+//! Pressure reclaim works an LRU tail run at a time too. Its oracle is
+//! [`reference`]: the engine as it was before runs — pass 2 one page at a
+//! time, and `shrink` one entry at a time — driven through the machine's
+//! [`Parts`]. `run_and_reference_engines_agree` holds the two to equal
+//! machines, statistics and trace events over random op sequences that
+//! reach every way a run can stop early.
 
-use daos_mm::access::AccessBatch;
-use daos_mm::addr::{AddrRange, PAGE_SIZE};
+use daos_mm::access::{AccessBatch, AccessOutcome, TouchPattern};
+use daos_mm::addr::{huge_align_down, AddrRange, PAGE_SIZE};
+use daos_mm::clock::Ns;
+use daos_mm::error::{MmError, MmResult};
+use daos_mm::lru::LruList;
 use daos_mm::machine::MachineProfile;
 use daos_mm::stats::ProcStats;
 use daos_mm::swap::SwapConfig;
-use daos_mm::system::MemorySystem;
-use daos_mm::vma::ThpMode;
+use daos_mm::system::{MemorySystem, Parts};
+use daos_mm::vma::{PteState, Reclaimed, ThpMode};
 use daos_trace::{Collector, Event};
+use daos_util::prop::{any_bool, run_cases, select, vec_of, StrategyExt};
 use daos_util::rng::SmallRng;
+use daos_util::{one_of, prop_assert, prop_assert_eq};
+use std::cell::Cell;
 
 const SEED: u64 = 11;
 
@@ -253,4 +266,381 @@ fn a_random_batch_counts_each_page_once_and_keeps_the_event_order() {
         }
         assert_same_machine(&mut by_run, &mut by_page, pid, range);
     }
+}
+
+/// The engine before it worked by run, over the machine's [`Parts`]: the
+/// oracle the run engine must equal page for page and entry for entry.
+mod reference {
+    use super::*;
+
+    /// What the oracle saw happen, so that a test can tell it reached
+    /// each way a run stops early.
+    #[derive(Debug, Default, Clone, Copy)]
+    pub struct Seen {
+        pub stale: bool,
+        pub refill: bool,
+        pub budget_out: bool,
+        pub swap_full: bool,
+        pub dram_full_mid_run: bool,
+        pub drawn_twice: bool,
+    }
+
+    thread_local! {
+        pub static SEEN: Cell<Seen> = Cell::new(Seen::default());
+    }
+
+    fn saw(f: impl FnOnce(&mut Seen)) {
+        SEEN.with(|seen| {
+            let mut s = seen.get();
+            f(&mut s);
+            seen.set(s);
+        });
+    }
+
+    /// `MemorySystem::apply_access`, pass 2 one fault at a time: each
+    /// page's state read at its turn, its swap load, then a frame — after
+    /// one-entry-at-a-time reclaim if DRAM is full — its map, its LRU entry,
+    /// its RSS and its events.
+    pub fn apply_access(sys: &mut MemorySystem, pid: u32, batch: &AccessBatch) -> MmResult<AccessOutcome> {
+        let mut out = AccessOutcome::default();
+        let mut faults = Vec::new();
+        {
+            let Parts { procs, rng, .. } = sys.parts();
+            let proc = procs.get_mut(pid as usize).ok_or(MmError::NoSuchProcess(pid))?;
+            for vma in proc.vmas_mut() {
+                let Some(isect) = vma.range.intersect(&batch.range) else { continue };
+                match batch.pattern {
+                    TouchPattern::All => vma.touch_run(&isect, 1, &mut faults, &mut out),
+                    TouchPattern::Stride(n) => vma.touch_run(&isect, n, &mut faults, &mut out),
+                    TouchPattern::Random { count } => {
+                        let nr = isect.nr_pages();
+                        if nr > 0 {
+                            let base = isect.page_aligned().start;
+                            for _ in 0..count {
+                                let addr = base + rng.random_range(0..nr) * PAGE_SIZE;
+                                if vma.touch_resident(addr) {
+                                    out.touched_pages += 1;
+                                    out.touched_huge += vma.is_huge(addr) as u64;
+                                } else {
+                                    faults.push(addr);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let mut sorted = faults.clone();
+        sorted.sort_unstable();
+        if sorted.windows(2).any(|w| w[0] == w[1]) {
+            saw(|s| s.drawn_twice = true);
+        }
+
+        let tracing = daos_trace::enabled();
+        let mut stall: Ns = 0;
+        for (i, &addr) in faults.iter().enumerate() {
+            let mut p = sys.parts();
+            let now = p.now;
+            let vma = p.procs[pid as usize].find_vma_mut(addr).ok_or(MmError::Unmapped(addr))?;
+            let huge = vma.is_huge(addr);
+            let swapped_in = match vma.pte(addr).state {
+                PteState::Resident(_) => continue,
+                PteState::None => {
+                    stall += p.machine.minor_fault_ns;
+                    false
+                }
+                PteState::Swapped(slot) => {
+                    stall += p.swap.load(slot, p.machine) + p.machine.major_fault_extra_ns;
+                    true
+                }
+            };
+            let frame = match p.frames.alloc(pid, addr) {
+                Some(frame) => frame,
+                None => {
+                    if faults[..i].iter().any(|&a| huge_align_down(a) == huge_align_down(addr)) {
+                        saw(|s| s.dram_full_mid_run = true);
+                    }
+                    stall += shrink(&mut p, 32);
+                    p.frames.alloc(pid, addr).ok_or(MmError::OutOfMemory)?
+                }
+            };
+            let proc = &mut p.procs[pid as usize];
+            let vma = proc.find_vma_mut(addr).ok_or(MmError::Unmapped(addr))?;
+            let gen = vma.map_page(addr, frame, true);
+            p.lru.insert(LruList::Inactive, pid, addr, gen);
+            proc.map_pages(now, 1);
+            proc.stats.minor_faults += !swapped_in as u64;
+            proc.stats.major_faults += swapped_in as u64;
+            proc.stats.swapins += swapped_in as u64;
+            out.minor_faults += !swapped_in as u64;
+            out.major_faults += swapped_in as u64;
+            out.touched_pages += 1;
+            out.touched_huge += huge as u64;
+            if tracing {
+                if swapped_in {
+                    daos_trace::emit(now, Event::SwapIn { pid, addr });
+                }
+                daos_trace::emit(now, Event::PageFault { pid, addr, major: swapped_in });
+            }
+        }
+        if !faults.is_empty() {
+            sys.bound_lru();
+        }
+
+        let p = sys.parts();
+        let pages_4k = out.touched_pages - out.touched_huge;
+        let (c4, c2) =
+            daos_mm::tlb::access_costs(p.machine, pages_4k * PAGE_SIZE, out.touched_huge * PAGE_SIZE);
+        let apc = batch.accesses_per_page.max(0.0) as f64;
+        let access_ns = ((pages_4k as f64 * c4 + out.touched_huge as f64 * c2) * apc) as Ns;
+        let proc = &mut p.procs[pid as usize];
+        proc.stats.access_ns += access_ns;
+        proc.stats.stall_ns += stall;
+        out.cost_ns = access_ns + stall;
+        Ok(out)
+    }
+
+    /// `MemorySystem::shrink`, one LRU entry at a time: pop the inactive
+    /// tail and judge it, or — the inactive list empty — requeue the
+    /// active tail on it, while `freed < target` and the budget lasts.
+    pub fn shrink(p: &mut Parts<'_>, target: u64) -> Ns {
+        let Parts { machine, now, frames, swap, procs, lru, kstats, .. } = p;
+        let (now, tracing) = (*now, daos_trace::enabled());
+        let (mut freed, mut cost) = (0u64, 0);
+        let mut budget = (frames.capacity() as u64 * 4).max(1024);
+        let budget_start = budget;
+        while freed < target && budget > 0 {
+            let Some(e) = lru.pop_inactive() else {
+                let Some(a) = lru.pop_active() else { break };
+                let vma = procs.get_mut(a.pid() as usize).and_then(|p| p.find_vma_mut(a.addr()));
+                if let Some(gen) = vma.and_then(|v| v.bump_resident(a.addr(), Some(a.gen()), false)) {
+                    saw(|s| s.refill = true);
+                    budget -= 1;
+                    lru.insert(LruList::Inactive, a.pid(), a.addr(), gen);
+                }
+                continue;
+            };
+            let (pid, addr) = (e.pid(), e.addr());
+            let Some(proc) = procs.get_mut(pid as usize) else { continue };
+            let verdict = match proc.find_vma_mut(addr) {
+                Some(vma) => vma.reclaim_page(addr, Some(e.gen()), || {
+                    let (slot, store_ns) = swap.store(machine)?;
+                    kstats.swap_write_ns += store_ns;
+                    Ok(slot)
+                }),
+                None => Ok(Reclaimed::Stale),
+            };
+            budget -= !matches!(verdict, Ok(Reclaimed::Stale)) as u64;
+            match verdict {
+                Ok(Reclaimed::Stale) => saw(|s| s.stale = true),
+                Ok(Reclaimed::Referenced(gen)) => lru.insert(LruList::Active, pid, addr, gen),
+                Ok(Reclaimed::Evicted(frame)) => {
+                    cost += machine.pageout_page_ns;
+                    freed += 1;
+                    kstats.pressure_reclaims += 1;
+                    proc.unmap_pages(now, 1);
+                    proc.stats.swapouts += 1;
+                    frames.free(frame);
+                    if tracing {
+                        daos_trace::emit(now, Event::SwapOut { pid, addr });
+                    }
+                }
+                Err(e) => {
+                    assert_eq!(e, MmError::SwapFull);
+                    saw(|s| s.swap_full = true);
+                    break;
+                }
+            }
+        }
+        if budget == 0 {
+            saw(|s| s.budget_out = true);
+        }
+        kstats.reclaim_ns += cost;
+        if tracing {
+            let scanned = budget_start - budget;
+            daos_trace::emit(now, Event::Reclaim { freed_pages: freed, scanned, cost_ns: cost });
+        }
+        cost
+    }
+}
+
+/// One step of a property case, on both engines.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Process `.0`'s mapping `.1` (of its two), pages `[.2, .2 + .3)`,
+    /// touched in the pattern `.4` picks (`0` all, `1..4` a stride, more a
+    /// `Random` batch of that many draws).
+    Access(u8, u8, u64, u64, u32),
+    /// A scheme's pageout of the same kind of range: stale LRU entries.
+    Pageout(u8, u8, u64, u64),
+    /// `mark_cold`: entries queued at the inactive tail.
+    Cold(u8, u8, u64, u64),
+    /// `mark_hot`: entries on the active head, accessed bits kept.
+    Hot(u8, u8, u64, u64),
+    /// The monitor clearing the range's accessed bits: cold pages.
+    Age(u8, u8, u64, u64),
+    /// Freeze the machine and go on with a copy (a fleet shard stamped
+    /// from an image), keeping the image when `.0`.
+    Freeze(bool),
+    /// Direct reclaim of this many pages.
+    Shrink(u64),
+}
+
+/// Pages of each of the four mappings: process 0 has two that share a
+/// 2 MiB chunk (300 pages, a 16-page gap, then 420), process 1 two more.
+const MAPPING_PAGES: [[u64; 2]; 2] = [[300, 420], [520, 90]];
+
+fn range_of(ranges: &[[AddrRange; 2]; 2], proc: u8, map: u8, at: u64, len: u64) -> AddrRange {
+    let r = ranges[proc as usize % 2][map as usize % 2];
+    let start = r.start + (at % r.nr_pages()) * PAGE_SIZE;
+    AddrRange::new(start, (start + len.max(1) * PAGE_SIZE).min(r.end))
+}
+
+/// A machine of `dram_pages` frames and the swap device `swap`, seeded
+/// `seed`, with the four mappings mapped.
+fn case_machine(dram_pages: u64, swap: SwapConfig, seed: u64) -> (MemorySystem, [[AddrRange; 2]; 2]) {
+    let mut m = MachineProfile::test_tiny();
+    m.dram_bytes = dram_pages * PAGE_SIZE;
+    let mut sys = MemorySystem::new(m, swap, seed);
+    let ranges = MAPPING_PAGES.map(|pages| {
+        let pid = sys.spawn();
+        pages.map(|nr| sys.mmap(pid, nr * PAGE_SIZE, ThpMode::Never).unwrap())
+    });
+    (sys, ranges)
+}
+
+/// Both engines through `ops` from equal machines: after every op the
+/// same result, the same events and equal machines, statistics included.
+fn engines_agree(seed: u64, dram_pages: u64, swap: SwapConfig, ops: &[Op]) -> daos_util::prop::TestCaseResult {
+    let (mut run, ranges) = case_machine(dram_pages, swap, seed);
+    let mut by_entry = run.clone();
+    let mut images = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        if let Op::Freeze(keep) = *op {
+            for sys in [&mut run, &mut by_entry] {
+                sys.freeze();
+                let copy = sys.clone();
+                let image = std::mem::replace(sys, copy);
+                if keep {
+                    images.push(image);
+                }
+            }
+            continue;
+        }
+        let apply = |sys: &mut MemorySystem, reference: bool| -> String {
+            let range = |p: u8, m: u8, at: u64, len: u64| range_of(&ranges, p, m, at, len);
+            match *op {
+                Op::Access(p, m, at, len, how) => {
+                    let r = range(p, m, at, len);
+                    let batch = match how {
+                        0 => AccessBatch::all(r, 1.0),
+                        1..=3 => AccessBatch::stride(r, how + 1, 1.0),
+                        n => AccessBatch::random(r, n, 1.0),
+                    };
+                    let pid = p as u32 % 2;
+                    let result = if reference {
+                        reference::apply_access(sys, pid, &batch)
+                    } else {
+                        sys.apply_access(pid, &batch)
+                    };
+                    format!("{result:?}")
+                }
+                Op::Pageout(p, m, at, len) => format!("{:?}", sys.pageout(p as u32 % 2, range(p, m, at, len))),
+                Op::Cold(p, m, at, len) => format!("{:?}", sys.mark_cold(p as u32 % 2, range(p, m, at, len))),
+                Op::Hot(p, m, at, len) => format!("{:?}", sys.mark_hot(p as u32 % 2, range(p, m, at, len))),
+                Op::Age(p, m, at, len) => {
+                    let pages = range(p, m, at, len).pages();
+                    let cleared: Vec<_> = pages.map(|a| sys.check_accessed_clear(p as u32 % 2, a)).collect();
+                    format!("{cleared:?}")
+                }
+                Op::Shrink(target) if reference => format!("{}", reference::shrink(&mut sys.parts(), target)),
+                Op::Shrink(target) => format!("{}", sys.shrink(target)),
+                Op::Freeze(_) => String::new(),
+            }
+        };
+        let (got, events_run) = traced(|| apply(&mut run, false));
+        let (want, events_entry) = traced(|| apply(&mut by_entry, true));
+        prop_assert_eq!(got, want, "op {i}: {op:?}");
+        prop_assert!(events_run == events_entry, "op {i}: {op:?}: the events differ");
+        prop_assert_eq!(run.kstats, by_entry.kstats, "op {i}: {op:?}");
+        for pid in 0..2 {
+            let stats = (*run.proc_stats(pid).unwrap(), *by_entry.proc_stats(pid).unwrap());
+            prop_assert_eq!(stats.0, stats.1, "op {i}: {op:?}: process {pid}");
+        }
+        prop_assert!(run == by_entry, "op {i}: {op:?}: the machines differ");
+    }
+    prop_assert_eq!((run.audit(), by_entry.audit()), (Ok(()), Ok(())));
+    for pair in images.chunks(2) {
+        prop_assert!(pair[0] == pair[1], "a frozen image moved");
+    }
+    Ok(())
+}
+
+fn op() -> impl daos_util::prop::Strategy<Value = Op> {
+    let span = || (0u8..2, 0u8..2, 0u64..600, 1u64..600);
+    one_of![
+        (span(), select(vec![0u32, 0, 0, 1, 2, 3, 40, 300]))
+            .prop_map(|((p, m, at, len), how)| Op::Access(p, m, at, len, how)),
+        span().prop_map(|(p, m, at, len)| Op::Access(p, m, at, len, 0)),
+        span().prop_map(|(p, m, at, len)| Op::Pageout(p, m, at, len)),
+        span().prop_map(|(p, m, at, len)| Op::Cold(p, m, at, len)),
+        span().prop_map(|(p, m, at, len)| Op::Hot(p, m, at, len)),
+        span().prop_map(|(p, m, at, len)| Op::Age(p, m, at, len)),
+        any_bool().prop_map(Op::Freeze),
+        select(vec![1u64, 32, 100, 5000]).prop_map(Op::Shrink),
+    ]
+}
+
+/// The run engine against the reference over random op sequences, 256
+/// cases per machine seed at seeds 42 and 7: DRAM of 40, 96 or 256 frames
+/// — the last large enough that reclaim's budget of four judgments a frame
+/// can run out, which [`budget_runs_out_where_the_reference_stops`] makes
+/// sure of — and a zram device or a swap file small enough to fill in the
+/// middle of a run. Between them the cases reach every way a run stops
+/// early; the test checks that they did.
+#[test]
+fn run_and_reference_engines_agree() {
+    reference::SEEN.with(|s| s.set(reference::Seen::default()));
+    for seed in [42, 7] {
+        let strat = (
+            select(vec![40u64, 96, 256]),
+            select(vec![0u64, 24, 120]),
+            vec_of(op(), 1..40),
+        );
+        run_cases(&format!("fault_service::engines_agree_seed_{seed}"), 256, strat, |(dram, swap_pages, ops)| {
+            let swap = match swap_pages {
+                0 => SwapConfig::paper_zram(),
+                pages => SwapConfig::File { capacity_bytes: pages * PAGE_SIZE },
+            };
+            engines_agree(seed, dram, swap, &ops)
+        });
+    }
+    let seen = reference::SEEN.with(Cell::get);
+    assert!(seen.stale && seen.refill && seen.swap_full, "{seen:?}");
+    assert!(seen.dram_full_mid_run && seen.drawn_twice, "{seen:?}");
+}
+
+/// Reclaim's budget — four judgments a frame — is what a pass that
+/// evicts every page of a full machine spends when every page is hot on
+/// the active list: a requeue and a second chance each, then a requeue and
+/// an eviction. (No page can cost a pass more, so the budget never ends
+/// one before its last eviction.) Both engines spend it to the last
+/// judgment and stop there.
+#[test]
+fn budget_runs_out_where_the_reference_stops() {
+    reference::SEEN.with(|s| s.set(reference::Seen::default()));
+    let (mut run, ranges) = case_machine(256, SwapConfig::paper_zram(), 42);
+    let hot = AddrRange::new(ranges[1][0].start, ranges[1][0].start + 256 * PAGE_SIZE);
+    run.apply_access(1, &AccessBatch::all(hot, 1.0)).unwrap();
+    run.mark_hot(1, hot).unwrap();
+    let mut by_entry = run.clone();
+    let (cost, events_run) = traced(|| run.shrink(u64::MAX));
+    let (want, events_entry) = traced(|| reference::shrink(&mut by_entry.parts(), u64::MAX));
+    assert_eq!(cost, want);
+    assert_eq!(events_run, events_entry);
+    assert!(run == by_entry);
+    assert!(reference::SEEN.with(Cell::get).budget_out, "the budget lasted");
+    let reclaim = events_run.last().copied();
+    assert!(matches!(reclaim, Some(Event::Reclaim { scanned: 1024, freed_pages: 256, .. })), "{reclaim:?}");
+    assert_eq!((run.audit(), by_entry.audit()), (Ok(()), Ok(())));
 }

@@ -165,6 +165,13 @@ impl MonitorRecord {
         self.offsets.capacity() * std::mem::size_of::<u64>() + self.stream.capacity()
     }
 
+    /// Give back the slack the two vectors' doubling left: a finished
+    /// record holds the bytes it uses and no more.
+    pub fn shrink_to_fit(&mut self) {
+        self.offsets.shrink_to_fit();
+        self.stream.shrink_to_fit();
+    }
+
     /// Time span `(first, last)` covered by the record.
     pub fn time_span(&self) -> Option<(Ns, Ns)> {
         let at = |&offset: &u64| self.window(offset).0.at;
@@ -462,6 +469,24 @@ mod tests {
         rec.push(monitor_window(&mut rng, 1 << 40, 1000, 20));
         assert!(rec.stream.len() <= 3000, "{} bytes", rec.stream.len());
         assert!(rec.heap_bytes() >= rec.stream.len() + 8);
+    }
+
+    /// A finished record holds the bytes it uses: after `shrink_to_fit`
+    /// its heap is its offsets and its stream, no slack, and it decodes
+    /// the same windows.
+    #[test]
+    fn a_finished_record_holds_the_bytes_it_uses() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rec = MonitorRecord::new();
+        for i in 0..37 {
+            rec.push(monitor_window(&mut rng, (i + 1) << 30, 300, 20));
+        }
+        let in_use = rec.offsets.len() * std::mem::size_of::<u64>() + rec.stream.len();
+        assert!(rec.heap_bytes() > in_use, "the doubling left slack to trim");
+        let windows: Vec<Aggregation> = rec.windows().collect();
+        rec.shrink_to_fit();
+        assert_eq!(rec.heap_bytes(), in_use);
+        assert!(rec.windows().eq(windows));
     }
 
     /// The record's shape before it was a stream, for its derived `Debug`.

@@ -763,7 +763,12 @@ impl Shard {
                     kstats: sys.kstats,
                     overhead: plane.as_ref().map(|pl| pl.monitor.overhead()),
                     scheme_stats: plane.as_ref().map(Plane::scheme_stats).unwrap_or_default(),
-                    record: plane.and_then(|pl| pl.record),
+                    // Finished: the record keeps what it uses, not its
+                    // doubling slack, for as long as the result lives.
+                    record: plane.and_then(|pl| pl.record).map(|mut record| {
+                        record.shrink_to_fit();
+                        record
+                    }),
                 });
             }
         }

@@ -7,7 +7,7 @@
 use daos::{FleetSpec, FleetSummary, MonitorKind, RunConfig, Session};
 use daos_mm::clock::ms;
 use daos_mm::MachineProfile;
-use daos_monitor::{MonitorAttrs, MonitorRecord};
+use daos_monitor::MonitorAttrs;
 use daos_schemes::parse_scheme_line;
 use daos_trace::Collector;
 use daos_workloads::{by_path, FleetConfig, WorkloadSpec};
@@ -61,14 +61,15 @@ fn fleet_of_one_equals_single_run() {
     }
     // No 100 ms window closes in 40 epochs, so the records pinned above
     // are empty: the byte pin runs rec and prec 400 epochs on 10 ms windows
-    // and pins windows, bytes held and bytes in use.
+    // and pins windows, bytes held and bytes in use — equal, because a
+    // finished run's record is trimmed to what it uses.
     let attrs = MonitorAttrs::builder()
         .sampling_interval(ms(1))
         .aggregation_interval(ms(10))
         .regions_update_interval(ms(50))
         .build()
         .unwrap();
-    let pins = [(RunConfig::rec(), (21, 2304, 1407)), (RunConfig::prec(), (21, 2304, 1427))];
+    let pins = [(RunConfig::rec(), (21, 1407, 1407)), (RunConfig::prec(), (21, 1427, 1427))];
     for (config, pinned) in pins {
         let config = RunConfig { attrs: attrs.clone(), ..config };
         let session = Session::new(&machine, &config, &small_worker(400)).seed(42).execute();

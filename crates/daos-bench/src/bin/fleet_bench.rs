@@ -10,6 +10,9 @@
 //! `--check FILE [--baseline BASE]` gates the committed baseline exactly
 //! like `pipeline --check` (exit 65 on a regression).
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "a binary owns the terminal")]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "a binary may stop on a broken invariant")]
+
 use daos::{FleetEngine, FleetSpec, RunConfig, Session};
 use daos_bench::artifact;
 use daos_mm::clock::sec;

@@ -13,6 +13,9 @@
 //! regression). README's hot-path table is rendered from the committed
 //! artifact, lane by lane in JSON order.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "a binary owns the terminal")]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "a binary may stop on a broken invariant")]
+
 use daos_bench::artifact;
 use daos_mm::addr::{AddrRange, HUGE_PAGE_SIZE, PAGE_SIZE};
 use daos_mm::clock::ms;

@@ -7,6 +7,9 @@
 //! (default `./results`); `DAOS_QUICK=1` selects the smoke grids
 //! ([`Scale`]).
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "a binary owns the terminal")]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "a binary may stop on a broken invariant")]
+
 mod ablation_adaptive;
 mod ablation_tuner;
 mod ext_damon_reclaim;

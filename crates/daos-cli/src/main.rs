@@ -2,6 +2,9 @@
 //! upstream `damo` utility: record access patterns, render reports, run
 //! schemes, auto-tune them, and drive the production-fleet scenario.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "a binary owns the terminal")]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "a binary may stop on a broken invariant")]
+
 use daos::DaosError;
 use daos_cli::args::{Args, USAGE};
 use daos_cli::commands;

@@ -8,12 +8,15 @@
 //! lines, or a JSON report with `--json`) and exits with
 //! `EX_DATAERR` (65) via `DaosError::Lint`; usage errors exit 2.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "a binary owns the terminal")]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "a binary may stop on a broken invariant")]
+
 use daos::DaosError;
 use daos_lint::{all_passes, lint_workspace_filtered, report_json};
 use std::path::PathBuf;
 
 const USAGE: &str = "\
-daos-lint — static analysis of the workspace invariants
+daos-lint — token-level checks of the workspace invariants
 
 USAGE:
     daos-lint [--root DIR] [--json] [--pass NAME] [--list-passes]
@@ -29,10 +32,9 @@ EXIT CODES:
     65  findings reported (EX_DATAERR)
     2   usage error (unknown flag, bad --root, unknown --pass)
 
-Passes: no-print, panic-discipline, determinism, atomic-ordering,
-dead-tracepoint, metric-name-discipline, guard-discipline, dead-pub. See
-DESIGN.md §11 for the catalogue and the `// lint: allow(<key>, <reason>)`
-annotation grammar.
+Passes: atomic-ordering, dead-tracepoint, metric-name-discipline, dead-pub.
+The print, panic, wall-clock and lock rules are clippy's (clippy.toml,
+scripts/verify.sh). See DESIGN.md §11 for the catalogue.
 ";
 
 fn run() -> Result<(), DaosError> {

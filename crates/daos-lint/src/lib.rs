@@ -1,35 +1,24 @@
-//! `daos-lint` — the workspace's own static-analysis pass.
+//! `daos-lint` — the workspace checks that need no type information.
 //!
-//! The repo's correctness story rests on invariants `rustc` cannot see:
-//! deterministic replay (simulation crates read only virtual clocks),
-//! zero-overhead-when-disabled tracing, no printing from library code,
-//! panic discipline, a tracepoint taxonomy with no dead variants, and
-//! no public item without a reader (`dead-pub`). They used to be enforced
-//! by `grep`/`awk` guards in `scripts/verify.sh`, which strings, doc
-//! examples, comments and multiline forms all slipped past. This crate
-//! machine-checks them: a hand-rolled comment/string/raw-string-aware
-//! [lexer], a per-file token-stream [pass framework](lints::Pass), and
-//! a `daos-lint` binary (human and `--json` output, sysexits codes via
-//! `DaosError`). The one concurrency lint, `guard-discipline`, keeps
-//! every lock acquisition inside `daos_util::sync`, where the leaf-lock
-//! rule is asserted at run time (DESIGN.md §16). See
-//! [`lints::all_passes`] for the full catalogue.
-//!
-//! A finding is suppressed — never silenced — with an annotation that
-//! carries its reason:
-//!
-//! ```text
-//! // lint: allow(panic, capacity is clamped to >= 1 two lines up)
-//! // ordering: Release pairs with the Acquire load in is_finished()
-//! ```
-//!
-//! See `DESIGN.md` §11 for the lint catalogue and annotation grammar.
+//! The repo's correctness story rests on invariants `rustc` cannot see.
+//! Those that are about types — no printing from library code, panic
+//! discipline, wall-clock-free simulation crates, every lock taken
+//! through `daos_util::sync` — are clippy's: `clippy.toml` at the root
+//! lists them and `scripts/verify.sh` denies them (DESIGN.md §11). This
+//! crate checks the rest, which are about the tree's text: every atomic
+//! ordering is justified by an `// ordering:` comment, every declared
+//! tracepoint is emitted, every metric key is machine-parseable, and no
+//! public item lacks a reader (`dead-pub`). It is a hand-rolled
+//! comment/string/raw-string-aware [lexer], a per-file token-stream
+//! [pass framework](lints::Pass), and a `daos-lint` binary (human and
+//! `--json` output, sysexits codes via `DaosError`) that also counts each
+//! package's live lines. See [`lints::all_passes`] for the catalogue.
 
 pub mod lexer;
 pub mod lints;
 pub mod source;
 
-pub use lints::{all_passes, run_filtered, Pass, ALLOW_KEYS};
+pub use lints::{all_passes, run_filtered, Pass};
 pub use source::{SourceFile, Workspace};
 
 use daos_util::json::{Json, ToJson};
@@ -39,8 +28,8 @@ use std::path::Path;
 /// One lint finding: a workspace-invariant violation at a source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// The lint that fired (e.g. `panic-discipline`, or `annotation`
-    /// for a malformed suppression comment).
+    /// The lint that fired (e.g. `dead-pub`, or `annotation` for an
+    /// `// ordering:` comment without a reason).
     pub lint: &'static str,
     /// Root-relative path of the offending file.
     pub file: String,
@@ -61,7 +50,7 @@ impl Finding {
         Finding { lint, file: file.to_string(), line, message }
     }
 
-    /// A malformed-annotation finding (these are never suppressible).
+    /// A finding about an annotation comment itself.
     pub fn annotation(file: &str, line: u32, message: String) -> Finding {
         Finding::new("annotation", file, line, message)
     }

@@ -21,10 +21,6 @@ impl Pass for AtomicOrdering {
         "atomic-ordering"
     }
 
-    fn allow_key(&self) -> &'static str {
-        "ordering"
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         for file in &ws.files {
             let c = Code::new(file);

@@ -13,8 +13,8 @@
 //! module spelled the same does not count. There is no type resolution,
 //! so a name shared with a live item hides a dead one (a `::name` module
 //! path hides a method of that name); the pass finds fewer dead items
-//! than exist, never a live one. It takes no allow key: the fix is to
-//! delete the item or drop its `pub`.
+//! than exist, never a live one. The fix for a finding is to delete the
+//! item or drop its `pub`.
 
 use super::{Code, Pass};
 use crate::lexer::TokenKind;

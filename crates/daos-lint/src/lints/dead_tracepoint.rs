@@ -24,10 +24,6 @@ impl Pass for DeadTracepoint {
         "dead-tracepoint"
     }
 
-    fn allow_key(&self) -> &'static str {
-        "tracepoint"
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         // (variant, defining file, line) from every `events!` block.
         let mut declared: Vec<(String, String, u32)> = Vec::new();

@@ -24,10 +24,6 @@ impl Pass for MetricName {
         "metric-name-discipline"
     }
 
-    fn allow_key(&self) -> &'static str {
-        "metric"
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         for file in &ws.files {
             let c = Code::new(file);

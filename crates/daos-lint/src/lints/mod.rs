@@ -1,8 +1,7 @@
 //! The pass framework: a lint is a [`Pass`] over the loaded
 //! [`Workspace`]; most walk one file's comment-free token stream via
-//! `Code`. Adding a lint is: write a module with a `Pass` impl, list
-//! it in [`all_passes`], and (if it supports `// lint: allow(…)`
-//! suppression) give it an allow key in [`ALLOW_KEYS`].
+//! `Code`. Adding a lint is: write a module with a `Pass` impl and list
+//! it in [`all_passes`].
 
 use crate::lexer::TokenKind;
 use crate::source::{SourceFile, Workspace};
@@ -11,50 +10,32 @@ use crate::Finding;
 mod atomic_ordering;
 mod dead_pub;
 mod dead_tracepoint;
-mod determinism;
-mod guard_discipline;
 mod metric_name;
-mod no_print;
-mod panic_discipline;
 
 /// One static-analysis pass.
 pub trait Pass {
-    /// The lint's name, as reported in findings (`panic-discipline`).
+    /// The lint's name, as reported in findings (`dead-pub`).
     fn name(&self) -> &'static str;
-    /// The short key `// lint: allow(<key>, <reason>)` uses to suppress
-    /// this lint, or `""` if it cannot be suppressed from source.
-    fn allow_key(&self) -> &'static str {
-        ""
-    }
     /// Run the pass over the workspace, appending findings.
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>);
 }
 
-/// The allow keys annotations may name (one per suppressible lint).
-pub const ALLOW_KEYS: [&str; 7] =
-    ["print", "panic", "time", "ordering", "tracepoint", "metric", "guard"];
-
 /// Every shipped lint, in reporting order.
 pub fn all_passes() -> Vec<Box<dyn Pass>> {
     vec![
-        Box::new(no_print::NoPrint),
-        Box::new(panic_discipline::PanicDiscipline),
-        Box::new(determinism::Determinism),
         Box::new(atomic_ordering::AtomicOrdering),
         Box::new(dead_tracepoint::DeadTracepoint),
         Box::new(metric_name::MetricName),
-        Box::new(guard_discipline::GuardDiscipline),
         Box::new(dead_pub::DeadPub),
     ]
 }
 
 /// Run every pass — or only the one named by `only` (the `daos-lint
-/// --pass` fast path) — apply `// lint: allow(…)` suppression, and
-/// return the surviving findings sorted by `(file, line, lint)` (message
-/// as the final tiebreak, so the order is fully deterministic).
-/// Malformed annotations are themselves findings (never suppressible),
-/// included in unfiltered runs only. `Err` carries the unknown pass
-/// name.
+/// --pass` fast path) — and return the findings sorted by `(file, line,
+/// lint)` (message as the final tiebreak, so the order is fully
+/// deterministic). An `// ordering:` comment without a reason is itself
+/// a finding, included in unfiltered runs only. `Err` carries the
+/// unknown pass name.
 pub fn run_filtered(ws: &Workspace, only: Option<&str>) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
     if only.is_none() {
@@ -68,17 +49,7 @@ pub fn run_filtered(ws: &Workspace, only: Option<&str>) -> Result<Vec<Finding>, 
             continue;
         }
         matched = true;
-        let mut raw = Vec::new();
-        pass.check(ws, &mut raw);
-        let key = pass.allow_key();
-        raw.retain(|fd| {
-            key.is_empty()
-                || !ws
-                    .files
-                    .iter()
-                    .any(|sf| sf.rel == fd.file && sf.allowed(key, fd.line))
-        });
-        findings.extend(raw);
+        pass.check(ws, &mut findings);
     }
     if let Some(name) = only {
         if !matched {
@@ -132,10 +103,4 @@ impl<'f> Code<'f> {
     pub fn is_ident(&self, i: usize, s: &str) -> bool {
         i < self.len() && self.kind(i) == TokenKind::Ident && self.text(i) == s
     }
-}
-
-/// Shared exemption: the CLI crate and `src/bin/` report binaries are
-/// user-facing programs, not library code.
-pub(crate) fn is_binary_code(f: &SourceFile) -> bool {
-    f.crate_name.as_deref() == Some("daos-cli") || f.rel.contains("/src/bin/")
 }

@@ -1,5 +1,5 @@
 //! The analysed workspace model: lexed source files with their
-//! test-code mask and suppression annotations, and the directory walker
+//! test-code mask and `// ordering:` comments, and the directory walker
 //! that loads them.
 //!
 //! Scan scope: every `*.rs` under `src/` and `crates/*/src/`.
@@ -16,54 +16,34 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// The allow-annotation grammar: `// lint: allow(<key>, <reason>)`.
-/// `key` is a lint's short allow key (see [`crate::lints::ALLOW_KEYS`]);
-/// the reason is mandatory — an allow without a *why* is itself a
-/// finding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allow {
-    /// The allow key the annotation names (`panic`, `print`, …).
-    pub key: String,
-    /// The justification text.
-    pub reason: String,
-    /// The line the annotation suppresses findings on.
-    pub target: u32,
-}
-
 /// One lexed `.rs` file.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Path relative to the workspace root, `/`-separated.
     pub rel: String,
-    /// The `crates/<name>/…` component, if the file is in a crate.
-    pub crate_name: Option<String>,
     /// The file's text.
     pub src: String,
     /// The token stream (comments included).
     pub tokens: Vec<Token>,
     /// Per-token flag: inside `#[test]` / `#[cfg(test)]`-gated code.
     pub in_test: Vec<bool>,
-    /// Parsed `// lint: allow(…)` annotations.
-    pub allows: Vec<Allow>,
     /// Lines justified by an `// ordering:` comment (for the
     /// atomic-ordering lint).
     pub ordering_justified: BTreeSet<u32>,
-    /// Malformed-annotation findings discovered while parsing comments.
+    /// Findings for `// ordering:` comments that give no reason.
     pub annotation_findings: Vec<Finding>,
 }
 
 impl SourceFile {
     /// Lex and pre-analyse one file.
-    pub fn parse(rel: String, crate_name: Option<String>, src: String) -> SourceFile {
+    pub fn parse(rel: String, src: String) -> SourceFile {
         let tokens = lexer::lex(&src);
         let in_test = test_mask(&tokens, &src);
         let mut f = SourceFile {
             rel,
-            crate_name,
             src,
             tokens,
             in_test,
-            allows: Vec::new(),
             ordering_justified: BTreeSet::new(),
             annotation_findings: Vec::new(),
         };
@@ -100,11 +80,6 @@ impl SourceFile {
         lines.len()
     }
 
-    /// Is a finding of `key` at `line` suppressed by an annotation?
-    pub fn allowed(&self, key: &str, line: u32) -> bool {
-        self.allows.iter().any(|a| a.key == key && a.target == line)
-    }
-
     /// The first code-token line strictly after `line` (for standalone
     /// comments, which annotate the code that follows them).
     fn next_code_line(&self, line: u32) -> Option<u32> {
@@ -135,7 +110,17 @@ impl SourceFile {
             .filter(|t| matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
             .collect();
         for c in comments {
-            let body = comment_body(self.text(&c));
+            let Some(reason) = comment_body(self.text(&c)).strip_prefix("ordering:") else {
+                continue;
+            };
+            if reason.trim().is_empty() {
+                self.annotation_findings.push(Finding::annotation(
+                    &self.rel,
+                    c.line,
+                    "`// ordering:` comment has no justification text".into(),
+                ));
+                continue;
+            }
             // A trailing comment annotates its own line; a standalone
             // comment annotates the next code line (stacked comments
             // pass through to the same target).
@@ -144,31 +129,7 @@ impl SourceFile {
             } else {
                 self.next_code_line(c.line)
             };
-            if body.starts_with("ordering:") {
-                let reason = body["ordering:".len()..].trim();
-                if reason.is_empty() {
-                    self.annotation_findings.push(Finding::annotation(
-                        &self.rel,
-                        c.line,
-                        "`// ordering:` comment has no justification text".into(),
-                    ));
-                } else if let Some(t) = target {
-                    self.ordering_justified.insert(t);
-                }
-            } else if let Some(rest) = body.strip_prefix("lint:") {
-                match parse_allow(rest.trim()) {
-                    Ok((key, reason)) => {
-                        if let Some(t) = target {
-                            self.allows.push(Allow { key, reason, target: t });
-                        }
-                    }
-                    Err(msg) => {
-                        self.annotation_findings.push(Finding::annotation(
-                            &self.rel, c.line, msg,
-                        ));
-                    }
-                }
-            }
+            self.ordering_justified.extend(target);
         }
     }
 }
@@ -182,31 +143,6 @@ fn comment_body(text: &str) -> &str {
         t.strip_prefix('!').unwrap_or(t)
     };
     t.trim()
-}
-
-/// Parse `allow(<key>, <reason>)`; both parts mandatory, key must be a
-/// known allow key.
-fn parse_allow(s: &str) -> Result<(String, String), String> {
-    let inner = s
-        .strip_prefix("allow(")
-        .and_then(|r| r.strip_suffix(')'))
-        .ok_or_else(|| {
-            format!("malformed lint annotation `{s}`: expected `lint: allow(<key>, <reason>)`")
-        })?;
-    let (key, reason) = inner.split_once(',').ok_or_else(|| {
-        format!("lint annotation `allow({inner})` is missing its mandatory reason")
-    })?;
-    let (key, reason) = (key.trim(), reason.trim());
-    if reason.is_empty() {
-        return Err(format!("lint annotation `allow({inner})` has an empty reason"));
-    }
-    if !crate::lints::ALLOW_KEYS.contains(&key) {
-        return Err(format!(
-            "unknown lint key `{key}` in allow annotation (known: {})",
-            crate::lints::ALLOW_KEYS.join(", ")
-        ));
-    }
-    Ok((key.to_string(), reason.to_string()))
 }
 
 /// Compute the per-token "inside test code" mask: tokens covered by a
@@ -338,15 +274,15 @@ impl Workspace {
     /// Load `root` (a directory holding `Cargo.toml` and `crates/`).
     pub fn load(root: &Path) -> Result<Workspace, DaosError> {
         let (mut files, mut readers) = (Vec::new(), Vec::new());
-        load_tree(&mut files, root, "src", None)?;
-        load_tree(&mut readers, root, "tests", None)?;
-        load_tree(&mut readers, root, "examples", None)?;
+        load_tree(&mut files, root, "src")?;
+        load_tree(&mut readers, root, "tests")?;
+        load_tree(&mut readers, root, "examples")?;
         let crates = root.join("crates");
         if crates.is_dir() {
             for dir in read_dir_sorted(&crates)?.into_iter().filter(|p| p.is_dir()) {
                 let name = file_name(&dir);
-                load_tree(&mut files, root, &format!("crates/{name}/src"), Some(&name))?;
-                load_tree(&mut readers, root, &format!("crates/{name}/tests"), Some(&name))?;
+                load_tree(&mut files, root, &format!("crates/{name}/src"))?;
+                load_tree(&mut readers, root, &format!("crates/{name}/tests"))?;
             }
         }
 
@@ -355,18 +291,12 @@ impl Workspace {
 }
 
 /// Lex every `.rs` file under `root/rel` (if it exists) into `out`.
-fn load_tree(
-    out: &mut Vec<SourceFile>,
-    root: &Path,
-    rel: &str,
-    crate_name: Option<&str>,
-) -> Result<(), DaosError> {
+fn load_tree(out: &mut Vec<SourceFile>, root: &Path, rel: &str) -> Result<(), DaosError> {
     let dir = root.join(rel);
     if dir.is_dir() {
         for p in walk_rs_files(&dir)? {
             let sub = p.strip_prefix(&dir).unwrap_or(&p).to_string_lossy().replace('\\', "/");
-            let owner = crate_name.map(str::to_string);
-            out.push(SourceFile::parse(format!("{rel}/{sub}"), owner, read(&p)?));
+            out.push(SourceFile::parse(format!("{rel}/{sub}"), read(&p)?));
         }
     }
     Ok(())
@@ -416,7 +346,7 @@ mod tests {
     use super::*;
 
     fn sf(src: &str) -> SourceFile {
-        SourceFile::parse("crates/x/src/lib.rs".into(), Some("x".into()), src.into())
+        SourceFile::parse("crates/x/src/lib.rs".into(), src.into())
     }
 
     #[test]
@@ -475,34 +405,22 @@ mod tests {
     }
 
     #[test]
-    fn annotations_target_trailing_and_next_lines() {
+    fn ordering_comments_mark_their_target_lines() {
         let f = sf(
-            "fn a() { x.unwrap(); } // lint: allow(panic, trailing form)\n\
-             // lint: allow(print, standalone form)\n\
+            "// ordering: Release pairs with the Acquire load below\n\
              // more prose continues the comment\n\
-             fn b() { println!(\"x\"); }\n",
+             flag.store(true, Ordering::Release);\n\
+             let v = flag.load(Ordering::Acquire); // ordering: pairs with the store\n",
         );
-        assert!(f.allowed("panic", 1));
-        assert!(f.allowed("print", 4), "standalone comment targets the next code line");
+        assert!(f.ordering_justified.contains(&3), "a standalone comment targets the next code line");
+        assert!(f.ordering_justified.contains(&4));
         assert!(f.annotation_findings.is_empty());
     }
 
     #[test]
-    fn malformed_annotations_are_findings() {
-        let f = sf("// lint: allow(panic)\nfn a() {}\n// lint: allow(bogus, why)\nfn b() {}\n");
-        assert_eq!(f.annotation_findings.len(), 2);
-        assert!(f.annotation_findings[0].message.contains("reason"));
-        assert!(f.annotation_findings[1].message.contains("unknown lint key"));
-    }
-
-    #[test]
-    fn ordering_comments_mark_their_target_lines() {
-        let f = sf(
-            "// ordering: Release pairs with the Acquire load below\n\
-             flag.store(true, Ordering::Release);\n\
-             let v = flag.load(Ordering::Acquire); // ordering: pairs with the store\n",
-        );
-        assert!(f.ordering_justified.contains(&2));
-        assert!(f.ordering_justified.contains(&3));
+    fn ordering_comments_without_a_reason_are_findings() {
+        let f = sf("// ordering:\nflag.store(true, Ordering::Release);\n");
+        assert_eq!(f.annotation_findings.len(), 1);
+        assert!(f.ordering_justified.is_empty());
     }
 }

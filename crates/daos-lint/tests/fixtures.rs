@@ -1,7 +1,7 @@
 //! End-to-end lint runs over the seeded fixture workspaces under
 //! `tests/fixtures/`. The `violations/` tree trips every lint at least
 //! once; the `clean/` tree is all bait (raw strings, nested block
-//! comments, test modules, annotated sites, public items read only by an
+//! comments, test modules, justified orderings, public items read only by an
 //! integration test, an example, another crate's `use` or a generic
 //! bound, methods read only by a `.method()` call or a `Type::method`
 //! path) and must produce nothing.
@@ -29,35 +29,17 @@ fn violations_fixture_trips_every_lint() {
     let rendered: Vec<String> = findings.iter().map(Finding::render).collect();
     let ctx = rendered.join("\n");
 
-    assert_eq!(count(&findings, "no-print"), 2, "{ctx}");
-    assert_eq!(count(&findings, "panic-discipline"), 4, "{ctx}");
-    assert_eq!(count(&findings, "determinism"), 2, "{ctx}");
     assert_eq!(count(&findings, "atomic-ordering"), 2, "{ctx}");
     assert_eq!(count(&findings, "dead-tracepoint"), 1, "{ctx}");
     assert_eq!(count(&findings, "metric-name-discipline"), 1, "{ctx}");
     assert_eq!(count(&findings, "annotation"), 1, "{ctx}");
-    assert_eq!(count(&findings, "guard-discipline"), 2, "{ctx}");
     assert_eq!(count(&findings, "dead-pub"), 8, "{ctx}");
-    assert_eq!(findings.len(), 23, "{ctx}");
-
-    // Both raw acquisitions fire — the hand-recovered one and the bare
-    // `.lock().unwrap()` (which trips panic-discipline too, counted
-    // above) — each naming the funnel to use instead.
-    for f in findings.iter().filter(|f| f.lint == "guard-discipline") {
-        assert_eq!(f.file, "crates/app/src/lib.rs", "{ctx}");
-        assert!(f.message.contains("`.lock()`"), "{ctx}");
-        assert!(f.message.contains("daos_util::sync::lock"), "{ctx}");
-    }
+    assert_eq!(findings.len(), 13, "{ctx}");
 }
 
 #[test]
 fn violations_fixture_details() {
     let findings = lint("violations");
-
-    // The multiline eprintln! the old grep guard missed is caught.
-    assert!(findings
-        .iter()
-        .any(|f| f.lint == "no-print" && f.message.contains("eprintln")));
 
     // Only the never-emitted variant is dead; the emitted one is not.
     assert!(findings
@@ -83,24 +65,16 @@ fn violations_fixture_details() {
         ]
     );
 
-    // The reason-less `// lint: allow(panic)` is itself the finding and
-    // suppresses nothing: the `.expect()` it hovers over still fires.
-    let half_line = findings
+    // The reason-less `// ordering:` is itself the finding and justifies
+    // nothing: the store on the line below it still fires.
+    let empty = findings
         .iter()
         .find(|f| f.lint == "annotation")
         .map(|f| f.line)
         .expect("annotation finding present");
     assert!(findings
         .iter()
-        .any(|f| f.lint == "panic-discipline" && f.line > half_line));
-
-    // Test-module unwraps are masked: every panic finding in the
-    // daos-mm fixture file sits before its `#[cfg(test)]` module.
-    assert!(findings
-        .iter()
-        .filter(|f| f.lint == "panic-discipline"
-            && f.file == "crates/daos-mm/src/lib.rs")
-        .all(|f| f.line < 21));
+        .any(|f| f.lint == "atomic-ordering" && f.line == empty + 1));
 }
 
 #[test]

@@ -3,8 +3,7 @@
 //! `Engine`'s methods as something that is not a call. Never compiled —
 //! only lexed.
 
-use app::{bad_metric, bare_unwrap, raw_lock, status, tick};
-use daos_mm::{half, work};
+use app::{bad_metric, status, tick};
 
 fn shadows(engine: &app::Engine, by_param: u8) -> u8 {
     let by_local = engine.by_field;

@@ -31,6 +31,8 @@
 //!
 //! Everything above this crate is the *real* DAOS algorithm, not a model.
 
+#![deny(clippy::disallowed_types, reason = "a simulation crate reads virtual time only")]
+
 pub mod access;
 pub mod addr;
 pub mod clock;

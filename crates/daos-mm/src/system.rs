@@ -605,14 +605,17 @@ impl MemorySystem {
     /// empty it refills from the active tail: a live entry is requeued
     /// under a new generation, and — being then the inactive list's only
     /// entry, its next victim — judged at once. The pass ends when it has
-    /// freed `target`, spent its budget, found the swap device full (the
-    /// victim keeps the verdict's generation bump, and its entry is gone)
-    /// or emptied both lists.
+    /// freed `target`, found the swap device full (the victim keeps the
+    /// verdict's generation bump, and its entry is gone) or emptied both
+    /// lists. It needs no budget against livelock: the clock does not
+    /// move during a pass, so a page is judged at most four times — a
+    /// requeue and a second chance, then a requeue and an eviction — and
+    /// has at most one live entry.
     ///
     /// It works a tail run at a time (`Lru::tail_run`): the entries
     /// that share a (process, 2 MiB chunk), read in place. A run resolves
     /// the process, and its VMA and chunk (`Vma::chunk_run`) once for
-    /// each VMA its pages fall in; the stop tests stay per entry. Then
+    /// each VMA its pages fall in; the stop test stays per entry. Then
     /// the entries judged come off the list (`Lru::drop_tail`), the
     /// second chances go to the active head in order (`Lru::insert_run`),
     /// the evicted frames back to the allocator ([`FrameAllocator::free_run`])
@@ -623,17 +626,12 @@ impl MemorySystem {
     pub fn shrink(&mut self, target: u64) -> Ns {
         use daos_trace::Event;
         let (now, tracing) = (self.now(), daos_trace::enabled());
-        let mut freed = 0u64;
-        // Budget prevents livelock when every queued entry is referenced.
-        // It counts the entries the pass judges: a stale pop costs nothing
-        // (and still removes an entry, so the loop ends), which leaves what
-        // the pass does independent of how many stale entries are queued.
-        let mut budget = (self.frames.capacity() as u64 * 4).max(1024);
-        let budget_start = budget;
+        // Pages freed, and live entries judged (a stale pop is not counted).
+        let (mut freed, mut scanned) = (0u64, 0u64);
         // Neighbours on the lists were mostly mapped one after the other.
         let mut at = 0;
         let mut swap_full = false;
-        while freed < target && budget > 0 && !swap_full {
+        while freed < target && !swap_full {
             let refill = self.lru.tail_run(LruList::Inactive).next().is_none();
             let list = if refill { LruList::Active } else { LruList::Inactive };
             let Self { procs, frames, swap, lru, machine, kstats, scratch, .. } = self;
@@ -647,13 +645,12 @@ impl MemorySystem {
                 kstats.swap_write_ns += store_ns;
                 Ok(slot)
             };
-            // Entries judged (and so taken off), and a refilled entry the
-            // budget ran out on, left queued on the inactive list.
-            let (mut judged, mut left) = (0, None);
+            // Entries judged, and so taken off.
+            let mut judged = 0;
             // The VMA the last entry fell in, and its chunk resolved.
             let mut vma: Option<(AddrRange, ChunkRun)> = None;
             for e in run {
-                if !(freed < target && budget > 0) {
+                if freed >= target {
                     break;
                 }
                 judged += 1;
@@ -666,11 +663,7 @@ impl MemorySystem {
                 let Some((_, chunk)) = vma.as_mut() else { continue };
                 let gen = if refill {
                     let Some(gen) = chunk.requeue(addr, Some(e.gen()), false) else { continue };
-                    budget -= 1;
-                    if budget == 0 {
-                        left = Some(LruEntry::new(pid, addr, gen));
-                        break;
-                    }
+                    scanned += 1;
                     gen
                 } else {
                     e.gen()
@@ -679,11 +672,11 @@ impl MemorySystem {
                     Ok(Reclaimed::Stale) => {}
                     // Second chance: promote to active.
                     Ok(Reclaimed::Referenced(gen)) => {
-                        budget -= 1;
+                        scanned += 1;
                         requeued.push(LruEntry::new(pid, addr, gen));
                     }
                     Ok(Reclaimed::Evicted(frame)) => {
-                        budget -= 1;
+                        scanned += 1;
                         freed += 1;
                         gone.push(frame);
                         if tracing {
@@ -693,7 +686,7 @@ impl MemorySystem {
                     // Swap full: anonymous pages become unreclaimable.
                     Err(e) => {
                         debug_assert_eq!(e, MmError::SwapFull, "reclaim can only fail on a full swap device");
-                        budget -= 1;
+                        scanned += 1;
                         swap_full = true;
                         break;
                     }
@@ -701,7 +694,6 @@ impl MemorySystem {
             }
             lru.drop_tail(list, judged);
             lru.insert_run(LruList::Active, requeued.drain(..));
-            lru.insert_run(LruList::Inactive, left.into_iter());
             if let Some(proc) = proc.filter(|_| !gone.is_empty()) {
                 let nr = gone.len() as u64;
                 proc.unmap_pages(now, nr);
@@ -710,10 +702,11 @@ impl MemorySystem {
                 gone.clear();
             }
         }
+        debug_assert!(scanned <= 4 * self.frames.capacity() as u64, "a page judged more than four times in one pass");
         let cost = freed * self.machine.pageout_page_ns;
         self.kstats.pressure_reclaims += freed;
         self.kstats.reclaim_ns += cost;
-        daos_trace::trace!(now, Reclaim { freed_pages: freed, scanned: budget_start - budget, cost_ns: cost });
+        daos_trace::trace!(now, Reclaim { freed_pages: freed, scanned, cost_ns: cost });
         cost
     }
 
@@ -1438,7 +1431,7 @@ mod tests {
         let second = range.start + PAGE_SIZE;
         let first_frame = broken.procs[pid as usize].vmas()[0].pte(range.start).state;
         broken.procs[pid as usize].vmas_mut()[0].with_pte(second, |pte| pte.state = first_frame);
-        let PteState::Resident(frame) = first_frame else { unreachable!() };
+        let PteState::Resident(frame) = first_frame else { panic!("the first page is resident") };
         let owner = Some((pid, range.start));
         let err = broken.audit().unwrap_err();
         assert_eq!(err, AuditError::RmapOwner { pid, addr: second, frame, owner });
@@ -1504,11 +1497,11 @@ mod tests {
         assert!(image.lru.entries().eq(entries), "the frozen image did not move");
     }
 
-    /// A reclaim pass's budget counts the entries it judges: stale ones,
-    /// however many are queued ahead of the live ones, cost it nothing.
+    /// Stale entries, however many are queued ahead of the live ones, do
+    /// not stop a reclaim pass short of its target.
     #[test]
     fn stale_entries_cost_a_reclaim_pass_nothing() {
-        // 64 frames: a budget of 1024 entries, and an LRU bound above 4096.
+        // 64 frames: an LRU bound above 4096.
         let mut sys = sys_with_dram(64 * PAGE_SIZE, SwapConfig::paper_zram());
         let pid = sys.spawn();
         let range = sys.mmap(pid, 64 * PAGE_SIZE, ThpMode::Never).unwrap();

@@ -274,6 +274,7 @@ impl ChunkRun<'_> {
     pub(crate) fn map(&mut self, addrs: &[u64], frames: &[FrameId], by_cpu: bool, gens: &mut [u32]) {
         let c = self.chunk.get_or_insert_with(PteChunk::new);
         // The run's pages as a mask of each word, and the words it spans.
+        #[expect(clippy::reversed_empty_ranges, reason = "an empty span the loop widens")]
         let (mut run, mut words) = ([0u64; PT_WORDS], PT_WORDS..0);
         let pages = c.pages.get_mut();
         for ((&addr, &frame), gen) in addrs.iter().zip(frames).zip(gens) {

@@ -240,9 +240,9 @@ fn stats_survive_heavy_churn() {
 
 /// A long pageout-and-refault history leaves no debt: every refault
 /// queues an LRU entry and every eviction stales one, but the stale ones
-/// neither pile up nor cost a later reclaim pass its budget (65,536
-/// entries on this 64 MiB machine). Pressure afterwards evicts the old
-/// process's pages until the new one fits.
+/// neither pile up nor stop a later reclaim pass short of its target.
+/// Pressure afterwards evicts the old process's pages until the new one
+/// fits.
 #[test]
 fn stale_lru_entries_do_not_cause_a_spurious_oom() {
     let mut sys = MemorySystem::new(MachineProfile::test_tiny(), SwapConfig::paper_zram(), 99);

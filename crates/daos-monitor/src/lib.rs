@@ -32,6 +32,8 @@
 //! assert!(!sink.is_empty()); // aggregated access pattern delivered
 //! ```
 
+#![deny(clippy::disallowed_types, reason = "a simulation crate reads virtual time only")]
+
 pub mod attrs;
 pub mod ctx;
 pub mod overhead;

@@ -4,6 +4,9 @@
 //! is `/metrics` additionally requires the body to parse as strict
 //! Prometheus text exposition.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "a binary owns the terminal")]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "a binary may stop on a broken invariant")]
+
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;

@@ -16,6 +16,8 @@
 //! assert_eq!(schemes[0].action, Action::Pageout);
 //! ```
 
+#![deny(clippy::disallowed_types, reason = "a simulation crate reads virtual time only")]
+
 pub mod action;
 pub mod config;
 pub mod engine;

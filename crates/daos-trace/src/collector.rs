@@ -152,10 +152,10 @@ impl Collector {
     /// `daos report` to derive metrics from a parsed trace. The ring is
     /// sized to hold every replayed event, so nothing is dropped.
     pub fn replay(events: &[TimedEvent]) -> Collector {
+        #[expect(clippy::expect_used, reason = "capacity is clamped to >= 1 by `max(1)`")]
         let mut c = Collector::builder()
             .ring_capacity(events.len().max(1))
             .build()
-            // lint: allow(panic, capacity is clamped to >= 1 one line up)
             .expect("non-zero capacity");
         for te in events {
             c.record(te.at, te.event);

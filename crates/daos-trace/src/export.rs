@@ -35,8 +35,8 @@ pub fn export_collector(c: &Collector) -> String {
     // The trailer is the registry object with the ring's drop accounting
     // appended as sibling keys, so a consumer holding only the trailer
     // can still tell whether the recording is complete.
+    #[expect(clippy::unreachable, reason = "Registry::to_json builds Json::Object unconditionally")]
     let Json::Object(mut fields) = c.registry().to_json() else {
-        // lint: allow(panic, Registry::to_json builds Json::Object unconditionally)
         unreachable!("Registry::to_json is always an object")
     };
     fields.push(("dropped_events".into(), c.ring().dropped().to_json()));

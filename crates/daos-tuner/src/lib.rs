@@ -30,6 +30,8 @@
 //! assert!((result.best_x - 16.0).abs() < 4.0);
 //! ```
 
+#![deny(clippy::disallowed_types, reason = "a simulation crate reads virtual time only")]
+
 pub mod patterns;
 pub mod peaks;
 pub mod polyfit;

@@ -120,12 +120,10 @@ impl WorkerPool {
         // will be, if the task panicked).
         outputs
             .iter()
-            .map(|m| {
-                lock(m)
-                    .take()
-                    // lint: allow(panic, a worker task died before writing its slot — surface it)
-                    .expect("pool worker panicked while running a batch task")
-            })
+            .map(
+                #[expect(clippy::expect_used, reason = "a worker task died before writing its slot — surface it")]
+                |m| lock(m).take().expect("pool worker panicked while running a batch task"),
+            )
             .collect()
     }
 }

@@ -448,9 +448,9 @@ pub fn run_cases<S: Strategy>(
     for seed in seeds {
         let mut rng = SmallRng::seed_from_u64(seed);
         let input = strat.generate(&mut rng);
+        #[expect(clippy::panic, reason = "the property harness reports failures by panicking, like #[test]")]
         if let Err(err) = f(input.clone()) {
             let (min_input, min_err, steps) = shrink_failure(&strat, &f, input, err);
-            // lint: allow(panic, the property harness reports failures by panicking, like #[test])
             panic!(
                 "property '{name}' failed (seed {seed}, re-run with \
                  DAOS_PROP_SEED={seed}): {min_err}\n  minimal input \

@@ -10,8 +10,8 @@
 //! builds assert that on every acquisition, lockdep-style, with a
 //! thread-local count of live [`Guard`]s; release builds compile the
 //! funnel down to `m.lock().unwrap_or_else(PoisonError::into_inner)`.
-//! `daos-lint`'s `guard-discipline` pass keeps this file the only place
-//! that calls `Mutex::lock` (DESIGN.md §16).
+//! Clippy's `disallowed_methods` (clippy.toml) keeps [`lock`] the only
+//! place that calls `Mutex::lock` (DESIGN.md §11, §16).
 
 use std::ops::{Deref, DerefMut};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -63,6 +63,7 @@ impl<T> DerefMut for Guard<'_, T> {
 }
 
 /// Acquire `m`, recovering from poison.
+#[expect(clippy::disallowed_methods, reason = "the funnel: the one raw acquisition")]
 pub fn lock<T>(m: &Mutex<T>) -> Guard<'_, T> {
     let held = Held::take();
     Guard { inner: m.lock().unwrap_or_else(PoisonError::into_inner), held }

@@ -93,6 +93,7 @@ pub fn instantiate(spec: WorkloadSpec, seed: u64) -> SyntheticWorkload {
 }
 
 /// The 16 workloads the paper plots in Fig. 4 (of the 24 it ran).
+#[expect(clippy::expect_used, reason = "NAMES is static and covered by the suite tests below")]
 pub fn fig4_subset() -> Vec<WorkloadSpec> {
     const NAMES: [&str; 16] = [
         "parsec3/blackscholes",
@@ -112,7 +113,6 @@ pub fn fig4_subset() -> Vec<WorkloadSpec> {
         "splash2x/raytrace",
         "splash2x/water_nsquared",
     ];
-    // lint: allow(panic, NAMES is static and covered by the suite tests below)
     NAMES.iter().map(|n| by_path(n).expect("suite member")).collect()
 }
 

@@ -87,11 +87,11 @@ impl RunConfig {
     /// lines 2–3: promote regions with ≥ 5 access samples, demote ≥ 2 MiB
     /// regions idle for ≥ 7 s.
     pub fn ethp() -> Self {
+        #[expect(clippy::expect_used, reason = "static scheme string, covered by the config tests")]
         let schemes = parse_schemes(
             "min max 5 max min max hugepage\n\
              2M max min min 7s max nohugepage",
         )
-        // lint: allow(panic, static scheme string, covered by the config tests)
         .expect("static ethp schemes parse");
         Self {
             thp: ThpMode::Madvise,
@@ -138,15 +138,15 @@ impl RunConfig {
     pub fn damon_reclaim() -> Self {
         let mut cfg = Self::prcl();
         cfg.name = "damon_reclaim".into();
-        let scheme = cfg.schemes.remove(0).scheme;
-        cfg.schemes = vec![scheme
+        #[expect(clippy::expect_used, reason = "static quota/watermark config, covered by the config tests")]
+        let scheme = cfg.schemes.remove(0).scheme
             .configure()
             // 8 MiB per 500 ms reclaim bandwidth cap.
             .quota(Quota { sz_limit: 8 << 20, reset_interval: ms(500) })
             .watermarks(Watermarks::reclaim_defaults())
             .build()
-            // lint: allow(panic, static quota/watermark config, covered by the config tests)
-            .expect("static damon_reclaim config is valid")];
+            .expect("static damon_reclaim config is valid");
+        cfg.schemes = vec![scheme];
         cfg
     }
 
@@ -182,9 +182,8 @@ const NAMED: [(&str, fn() -> RunConfig); 7] = [
 
 /// The static pageout scheme `line` with its idle-age bound replaced.
 fn pageout_idle(line: &str, min_age: Ns) -> Scheme {
-    let scheme = daos_schemes::parse_scheme_line(line)
-        // lint: allow(panic, static scheme strings, covered by the config tests)
-        .expect("static pageout scheme parses");
+    #[expect(clippy::expect_used, reason = "static scheme strings, covered by the config tests")]
+    let scheme = daos_schemes::parse_scheme_line(line).expect("static pageout scheme parses");
     Scheme { min_age: daos_schemes::Bound::Val(daos_schemes::AgeVal::Time(min_age)), ..scheme }
 }
 

@@ -133,12 +133,12 @@ pub struct SessionResult {
 impl SessionResult {
     /// The sole result of a single-process session (or the first
     /// process of a fleet).
+    #[expect(
+        clippy::expect_used,
+        reason = "every executed session yields at least one run — nr_processes is clamped to ≥ 1"
+    )]
     pub fn into_single(self) -> RunResult {
-        self.runs
-            .into_iter()
-            .next()
-            // lint: allow(panic, every executed session yields at least one run — nr_processes is clamped to ≥ 1)
-            .expect("session produced no runs")
+        self.runs.into_iter().next().expect("session produced no runs")
     }
 }
 

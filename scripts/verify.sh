@@ -1,12 +1,13 @@
 #!/bin/sh
 # Tier-1 verification: hermetic offline build + full test suite, plus
-# the in-tree static analysis (`daos-lint`) that machine-checks the
-# workspace invariants: no printing from library code, panic
-# discipline, deterministic simulation crates, justified atomic
-# orderings, no dead tracepoints, machine-parseable metric keys, guard
-# discipline — every lock is taken through `daos_util::sync`, which
-# asserts the leaf-lock rule in debug builds — and no public item that
-# nothing reads. It also runs `reproduce`, every figure and table, once.
+# the static checks of the workspace invariants. Clippy checks the rules
+# about types: no printing from library code, panic discipline,
+# wall-clock-free simulation crates, and every lock taken through
+# `daos_util::sync`, which asserts the leaf-lock rule in debug builds.
+# The in-tree `daos-lint` checks the rest on the token stream: justified
+# atomic orderings, no dead tracepoints, machine-parseable metric keys,
+# and no public item that nothing reads. It also runs `reproduce`, every
+# figure and table, once.
 #
 # The workspace must build from a clean clone with no network and an
 # empty registry cache; every dependency is an in-tree path dependency
@@ -110,36 +111,93 @@ fi
 echo "ok"
 
 echo "== daos-lint: workspace invariants =="
-# The token-level replacement for the old awk/grep guards: a
-# comment/string-aware lexer, so doc examples and multiline macro calls
-# can neither false-positive nor slip through. See DESIGN.md §11; the
-# leaf-lock rule behind guard-discipline is DESIGN.md §16.
+# The token-level checks clippy cannot express: a comment/string-aware
+# lexer, so doc examples and multiline macro calls can neither
+# false-positive nor slip through. See DESIGN.md §11.
 lint_out=$(cargo run -q -p daos-lint --release --offline -- --json) || {
     echo "$lint_out"
     echo "FAIL: daos-lint found workspace-invariant violations"
     echo "(run 'cargo run -p daos-lint --release' for the human-readable list)"
     exit 1
 }
-# "Clean" must mean the funnel and dead-pub passes actually ran: the
-# report's lint roster has to advertise them, or the gate is vacuous —
-# and must not advertise a deleted pass, or a stale binary answered.
-case "$lint_out" in
-    *'"lock-order"'* | *'"no-registry-deps"'*)
-        echo "$lint_out"
-        echo "FAIL: daos-lint --json still lists a deleted pass — stale binary?"
-        exit 1
-        ;;
-esac
-for pass in guard-discipline dead-pub; do
+# "Clean" must mean the dead-pub pass actually ran: the report's lint
+# roster has to advertise it, or the gate is vacuous — and must not
+# advertise a deleted pass, or a stale binary answered.
+for pass in lock-order no-registry-deps no-print panic-discipline determinism guard-discipline; do
     case "$lint_out" in
-        *"\"$pass\""*) ;;
-        *)
+        *"\"$pass\""*)
             echo "$lint_out"
-            echo "FAIL: daos-lint --json lint roster lacks the $pass pass"
+            echo "FAIL: daos-lint --json still lists the deleted $pass pass — stale binary?"
             exit 1
             ;;
     esac
 done
+case "$lint_out" in
+    *'"dead-pub"'*) ;;
+    *)
+        echo "$lint_out"
+        echo "FAIL: daos-lint --json lint roster lacks the dead-pub pass"
+        exit 1
+        ;;
+esac
+echo "ok"
+
+echo "== clippy: the print, panic, wall-clock and lock rules =="
+# clippy.toml lists the forbidden methods and types; these are the
+# levels. The test profile checks `#[cfg(test)]` code too, which may
+# unwrap, expect and panic (clippy.toml) but not print. The wall-clock
+# rule is off here and on where a simulation crate's root denies it. An
+# exemption is an attribute on the code it exempts, and an `#[expect]`
+# that nothing meets any more fails the gate. See DESIGN.md §11. (The
+# levels are expanded unquoted: one word each.)
+clippy_levels="-D clippy::print_stdout -D clippy::print_stderr -D clippy::unwrap_used
+    -D clippy::expect_used -D clippy::panic -D clippy::unreachable -D clippy::todo
+    -D clippy::unimplemented -D clippy::disallowed_methods -A clippy::disallowed_types
+    -D clippy::incompatible_msrv -D unfulfilled_lint_expectations"
+clippy_log=$(cargo clippy --workspace --offline --locked --profile test -- $clippy_levels 2>&1) || {
+    echo "$clippy_log" | grep -A 12 "^error"
+    echo "FAIL: clippy reports a print, panic, wall-clock or lock rule violation"
+    exit 1
+}
+# The perf ledger is a package of its own (BENCHMARK.json's harness,
+# unchanged across the commits it compares), so it is checked on its
+# own, and its exemption as a binary is given on this command line.
+clippy_log=$(cargo clippy --offline --profile test \
+        --manifest-path crates/daos-bench/src/bin/ledger/Cargo.toml -- $clippy_levels \
+        -A clippy::print_stdout -A clippy::print_stderr -A clippy::unwrap_used \
+        -A clippy::expect_used -A clippy::panic 2>&1) || {
+    echo "$clippy_log" | grep -A 12 "^error"
+    echo "FAIL: clippy reports a lock rule violation in the perf ledger"
+    exit 1
+}
+# The gate must fire: on its fixture, the same invocation reports each
+# violating case, counted by lint, and none of the silent ones.
+clippy_fixture=crates/daos-lint/tests/fixtures/clippy
+if clippy_log=$(cargo clippy --workspace --offline --locked --profile test --keep-going \
+        --manifest-path "$clippy_fixture/Cargo.toml" --target-dir target/clippy-fixture \
+        --message-format=json -- $clippy_levels 2>/dev/null); then
+    echo "FAIL: the clippy gate passed $clippy_fixture, which breaks every rule"
+    exit 1
+fi
+clippy_found=$(echo "$clippy_log" | grep -o '"code":{"code":"[a-z_:]*"' \
+    | sed 's/.*"\([a-z_:]*\)"$/\1/' | sort | uniq -c | awk '{ print $2, $1 }')
+clippy_expected="clippy::disallowed_methods 4
+clippy::disallowed_types 2
+clippy::expect_used 1
+clippy::incompatible_msrv 1
+clippy::panic 1
+clippy::print_stderr 1
+clippy::print_stdout 2
+clippy::todo 1
+clippy::unimplemented 1
+clippy::unreachable 1
+clippy::unwrap_used 1
+unfulfilled_lint_expectations 1"
+[ "$clippy_found" = "$clippy_expected" ] || {
+    echo "$clippy_found"
+    echo "FAIL: the clippy gate's findings on $clippy_fixture differ from the expected count per lint"
+    exit 1
+}
 echo "ok"
 
 echo "== live lines per package (daos-lint --json live_loc) =="

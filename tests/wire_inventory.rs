@@ -260,10 +260,10 @@ fn report_types() {
 /// `daos-lint --json`: written, never read back — pin the text.
 #[test]
 fn lint_finding() {
-    let finding = daos_lint::Finding::new("no-print", "crates/x/src/lib.rs", 7, "say \"why\"".into());
+    let finding = daos_lint::Finding::new("dead-pub", "crates/x/src/lib.rs", 7, "say \"why\"".into());
     assert_eq!(
         finding.to_json().to_string_compact(),
-        "{\"lint\":\"no-print\",\"file\":\"crates/x/src/lib.rs\",\"line\":7,\
+        "{\"lint\":\"dead-pub\",\"file\":\"crates/x/src/lib.rs\",\"line\":7,\
          \"message\":\"say \\\"why\\\"\"}"
     );
 }

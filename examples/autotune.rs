@@ -6,6 +6,9 @@
 //! cargo run --release --example autotune [workload]
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "an example owns the terminal")]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "an example may stop on a broken invariant")]
+
 use daos_repro::prelude::*;
 use daos_mm::clock::sec;
 

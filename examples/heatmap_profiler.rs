@@ -6,6 +6,9 @@
 //! cargo run --release --example heatmap_profiler -- parsec3/dedup
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "an example owns the terminal")]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "an example may stop on a broken invariant")]
+
 use daos_repro::prelude::*;
 
 fn main() {

@@ -144,7 +144,8 @@ echo "ok"
 
 echo "== clippy: the print, panic, wall-clock and lock rules =="
 # clippy.toml lists the forbidden methods and types; these are the
-# levels. The test profile checks `#[cfg(test)]` code too, which may
+# levels. Libraries, binaries and examples are checked, not integration
+# tests. The test profile checks `#[cfg(test)]` code too, which may
 # unwrap, expect and panic (clippy.toml) but not print. The wall-clock
 # rule is off here and on where a simulation crate's root denies it. An
 # exemption is an attribute on the code it exempts, and an `#[expect]`
@@ -154,7 +155,8 @@ clippy_levels="-D clippy::print_stdout -D clippy::print_stderr -D clippy::unwrap
     -D clippy::expect_used -D clippy::panic -D clippy::unreachable -D clippy::todo
     -D clippy::unimplemented -D clippy::disallowed_methods -A clippy::disallowed_types
     -D clippy::incompatible_msrv -D unfulfilled_lint_expectations"
-clippy_log=$(cargo clippy --workspace --offline --locked --profile test -- $clippy_levels 2>&1) || {
+clippy_log=$(cargo clippy --workspace --lib --bins --examples --offline --locked --profile test \
+        -- $clippy_levels 2>&1) || {
     echo "$clippy_log" | grep -A 12 "^error"
     echo "FAIL: clippy reports a print, panic, wall-clock or lock rule violation"
     exit 1

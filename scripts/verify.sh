@@ -155,8 +155,12 @@ clippy_levels="-D clippy::print_stdout -D clippy::print_stderr -D clippy::unwrap
     -D clippy::expect_used -D clippy::panic -D clippy::unreachable -D clippy::todo
     -D clippy::unimplemented -D clippy::disallowed_methods -A clippy::disallowed_types
     -D clippy::incompatible_msrv -D unfulfilled_lint_expectations"
-clippy_log=$(cargo clippy --workspace --lib --bins --examples --offline --locked --profile test \
-        -- $clippy_levels 2>&1) || {
+# clippy_gate ARGS...: the gate's one invocation, on the tree or a fixture.
+clippy_gate() {
+    cargo clippy --workspace --lib --bins --examples --offline --locked --profile test "$@" \
+        -- $clippy_levels
+}
+clippy_log=$(clippy_gate 2>&1) || {
     echo "$clippy_log" | grep -A 12 "^error"
     echo "FAIL: clippy reports a print, panic, wall-clock or lock rule violation"
     exit 1
@@ -175,9 +179,8 @@ clippy_log=$(cargo clippy --offline --profile test \
 # The gate must fire: on its fixture, the same invocation reports each
 # violating case, counted by lint, and none of the silent ones.
 clippy_fixture=crates/daos-lint/tests/fixtures/clippy
-if clippy_log=$(cargo clippy --workspace --offline --locked --profile test --keep-going \
-        --manifest-path "$clippy_fixture/Cargo.toml" --target-dir target/clippy-fixture \
-        --message-format=json -- $clippy_levels 2>/dev/null); then
+if clippy_log=$(clippy_gate --keep-going --manifest-path "$clippy_fixture/Cargo.toml" \
+        --target-dir target/clippy-fixture --message-format=json 2>/dev/null); then
     echo "FAIL: the clippy gate passed $clippy_fixture, which breaks every rule"
     exit 1
 fi

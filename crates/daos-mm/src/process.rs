@@ -194,7 +194,9 @@ pub const NO_SAMPLE: u64 = u64::MAX;
 /// pair: if `old` is a sample, `nr_accesses` counts one when its page was
 /// accessed; if `new` is a sample, its page's bit is cleared. `old` is read
 /// before `new` is cleared. The sweep returns its checks: the samples read
-/// plus the samples cleared.
+/// plus the samples cleared. [`Self::sweep_pairs`] is that definition as a
+/// loop; [`PteCursor::sweep`] batches the same ops by VMA and 2 MiB chunk
+/// and is held to it draw for draw and bit for bit.
 #[derive(Debug)]
 pub struct SampleColumns<'a> {
     pub(crate) starts: &'a [u64],
@@ -344,12 +346,15 @@ impl<V: DerefMut<Target = [Vma]>> PteCursor<V> {
     /// The monitor's sampling sweep over `cols` (see [`SampleColumns`]),
     /// a VMA run at a time. It seeks the VMA holding a region's start, and
     /// `Vma::sweep_run` then walks that region and every following one
-    /// that ends inside the VMA in one loop: draw the sample, read `old`'s
-    /// chunk word, clear `new`'s — no per-pair VMA check. A region that is
-    /// not wholly inside one VMA (it starts in a gap of the three-regions
+    /// that ends inside the VMA with no per-pair VMA check: by 2 MiB chunk
+    /// run where regions are dense — one chunk resolve per run, then a
+    /// word read and a word clear per region — and pair by pair (a chunk
+    /// resolve per page) where they are sparse. A region that is not
+    /// wholly inside one VMA (it starts in a gap of the three-regions
     /// target, or crosses a VMA edge) takes the per-pair op. Returns the
     /// checks, as [`SampleColumns::sweep_pairs`] over [`Self::access`] does,
-    /// with the same bits read and cleared.
+    /// with the same draws in the same order and the same bits read and
+    /// cleared.
     #[inline]
     pub fn sweep(
         &mut self,

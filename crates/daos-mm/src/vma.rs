@@ -183,6 +183,12 @@ use std::sync::Arc;
 pub const PT_CHUNK_PAGES: usize = PAGES_PER_HUGE as usize;
 /// 64-page words per chunk bitmap.
 const PT_WORDS: usize = PT_CHUNK_PAGES / 64;
+/// Regions per chunk slot, over the regions left to sweep, from which
+/// the sampling sweep walks a VMA by chunk run ([`Vma::sweep_run`]). A
+/// sparser set keeps the per-pair loop: its regions mostly span chunks or
+/// sit alone in one, and a run's set-up and exit would cost more than the
+/// chunk resolves they save.
+const RUN_DENSITY: usize = 2;
 
 /// Backing state of one virtual page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -678,11 +684,24 @@ impl Vma {
     /// over the leading regions of `cols` that end inside this VMA; the
     /// first must start in it. Per region: draw `new = next(start, end)`,
     /// swap it into the sample column, count `old`'s accessed bit and clear
-    /// `new`'s ([`Self::access`]: a chunk-word read and a chunk-word
-    /// write). The one test of the VMA per region is the loop's exit, `end
-    /// ≤ range.end`: a region that ends inside the VMA also starts in it
-    /// (the first does, and regions ascend), and so do its samples. Returns
-    /// how many regions it swept and adds their checks to `checks`.
+    /// `new`'s. The one test of the VMA per region is `end ≤ range.end`: a
+    /// region that ends inside the VMA also starts in it (the first does,
+    /// and regions ascend), and so do its samples. Returns how many regions
+    /// it swept and adds their checks to `checks`.
+    ///
+    /// A dense set — at least [`RUN_DENSITY`] regions left per chunk slot —
+    /// is walked by (VMA, 2 MiB chunk) run. Where a region and the next
+    /// both end inside the region's chunk, a run opens: the chunk is
+    /// resolved once, and each region that ends inside both the chunk and
+    /// the VMA reads `old`'s bit and clears `new`'s in the chunk's
+    /// `accessed` words, one compare per region ending the run. An absent
+    /// chunk reads as zero words: `old` reads false, `new` clears nothing,
+    /// and the checks still count. A region that spans chunks, or shares
+    /// its chunk with no neighbour, takes the per-pair [`Self::access`]
+    /// (a chunk resolve per page), and so does every region of a sparse
+    /// set, so a sparse set keeps its per-pair cost. The count of regions
+    /// left includes those of later VMAs: an early VMA may be walked by run
+    /// although sparse, which costs time, never a bit.
     #[inline]
     pub(crate) fn sweep_run(
         &mut self,
@@ -691,18 +710,67 @@ impl Vma {
         checks: &mut u64,
     ) -> usize {
         let end_of_vma = self.range.end;
-        let mut swept = 0;
-        let bounds = cols.starts.iter().zip(cols.ends);
-        for (((&start, &end), sample), nr) in bounds.zip(cols.samples).zip(cols.nr_accesses) {
+        let n = cols.starts.len();
+        if n < RUN_DENSITY * self.chunks.len() {
+            // A loop of its own: run code in the same loop spills its
+            // registers and slows a sparse set (DESIGN §12, *Rejected*).
+            let mut swept = 0;
+            let bounds = cols.starts.iter().zip(cols.ends);
+            for (((&start, &end), sample), nr) in bounds.zip(cols.samples).zip(cols.nr_accesses) {
+                if end > end_of_vma {
+                    break;
+                }
+                let (old, new) = swap_sample(sample, next(start, end));
+                *checks += old.is_some() as u64 + new.is_some() as u64;
+                *nr += self.access(old, new) as u32;
+                swept += 1;
+            }
+            return swept;
+        }
+        let (starts, ends) = (cols.starts, &cols.ends[..n]);
+        let (samples, nrs) = (&mut cols.samples[..n], &mut cols.nr_accesses[..n]);
+        let mut i = 0;
+        while i < n {
+            let (start, end) = (starts[i], ends[i]);
             if end > end_of_vma {
                 break;
             }
-            let (old, new) = swap_sample(sample, next(start, end));
-            *checks += old.is_some() as u64 + new.is_some() as u64;
-            *nr += self.access(old, new) as u32;
-            swept += 1;
+            let chunk_end = huge_align_down(start) + HUGE_PAGE_SIZE;
+            if ends.get(i + 1).is_none_or(|&e| e > chunk_end) {
+                let (old, new) = swap_sample(&mut samples[i], next(start, end));
+                *checks += old.is_some() as u64 + new.is_some() as u64;
+                nrs[i] += self.access(old, new) as u32;
+                i += 1;
+                continue;
+            }
+            let run_end = chunk_end.min(end_of_vma);
+            let mut absent = [0u64; PT_WORDS];
+            let slot = self.slot(start);
+            let words = self.chunks[slot].as_deref_mut().map_or(&mut absent, |c| &mut c.accessed);
+            let word_bit = |addr: u64| {
+                debug_assert!(addr >= start && addr < run_end, "{addr:#x} is not in the run");
+                let pi = Self::page_in_chunk(addr);
+                (pi / 64, 1u64 << (pi % 64))
+            };
+            loop {
+                let (old, new) = swap_sample(&mut samples[i], next(starts[i], ends[i]));
+                *checks += old.is_some() as u64 + new.is_some() as u64;
+                let was = old.is_some_and(|addr| {
+                    let (w, bit) = word_bit(addr);
+                    words[w] & bit != 0
+                });
+                if let Some(addr) = new {
+                    let (w, bit) = word_bit(addr);
+                    words[w] &= !bit;
+                }
+                nrs[i] += was as u32;
+                i += 1;
+                if i == n || ends[i] > run_end {
+                    break;
+                }
+            }
         }
-        swept
+        i
     }
 
     /// Single-page touch (the `Random` pattern, which has no run

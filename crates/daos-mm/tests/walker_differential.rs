@@ -283,6 +283,89 @@ fn random_regions(rng: &mut SmallRng, vmas: &[Vma]) -> Regions {
     regions
 }
 
+/// A region set shaped for the sweep's chunk runs, as `random_regions`
+/// returns it: bursts of small regions packed into chunks — runs of eight
+/// or more in one chunk, runs broken by a chunk edge, by an absent chunk
+/// or by a VMA end the burst crosses (bursts also start just below a VMA
+/// edge), and a region spanning two chunks in the middle of a burst —
+/// regions that end exactly on a 2 MiB edge, regions across chunks, and
+/// one-page regions, whose drawn sample is the outstanding one (`old ==
+/// new`).
+fn chunk_run_regions(rng: &mut SmallRng, vmas: &[Vma]) -> Regions {
+    let edges: Vec<u64> = vmas.iter().flat_map(|v| [v.range.start, v.range.end]).collect();
+    let mut at = vmas[0].range.start - rng.random_range(0..8u64) * PAGE_SIZE;
+    let last = vmas[vmas.len() - 1].range.end + 8 * PAGE_SIZE;
+    let chunk_end = |at: u64| huge_align_down(at) + HUGE_PAGE_SIZE;
+    let mut regions: Regions = Default::default();
+    while at < last {
+        let burst = match rng.random_range(0..8u32) {
+            0..=2 => rng.random_range(8..41u32),
+            _ => 1,
+        };
+        for _ in 0..burst {
+            let end = match (burst, rng.random_range(0..8u32)) {
+                // In a burst: 1 to 8 pages, now and then up to just below
+                // the next chunk edge, or from there a few pages across it.
+                (8.., 0) if chunk_end(at) - at > 4 * PAGE_SIZE => {
+                    chunk_end(at) - rng.random_range(1..5u64) * PAGE_SIZE
+                }
+                (8.., 0) => chunk_end(at) + rng.random_range(1..5u64) * PAGE_SIZE,
+                (8.., _) => at + rng.random_range(1..9u64) * PAGE_SIZE,
+                // To the next 2 MiB edge.
+                (_, 0..=1) => chunk_end(at),
+                // Across the next 2 MiB edge.
+                (_, 2) => chunk_end(at) + rng.random_range(1..600u64) * PAGE_SIZE,
+                // One page.
+                (_, 3..=4) => at + PAGE_SIZE,
+                // Up to just below the next VMA edge, for a burst to cross it.
+                (_, 5..=6) => match edges.iter().find(|&&e| e > at + 16 * PAGE_SIZE) {
+                    Some(&edge) => edge - rng.random_range(1..16u64) * PAGE_SIZE,
+                    None => at + PAGE_SIZE,
+                },
+                _ => at + rng.random_range(1..1500u64) * PAGE_SIZE,
+            };
+            let pages = (end - at) / PAGE_SIZE;
+            let sample = match rng.random_range(0..4u32) {
+                0 => NO_SAMPLE,
+                _ => at + rng.random_range(0..pages) * PAGE_SIZE,
+            };
+            regions.0.push(at);
+            regions.1.push(end);
+            regions.2.push(sample);
+            regions.3.push(rng.random_range(0..20u32));
+            at = end;
+        }
+        // A gap between two regions now and then.
+        if rng.random_range(0..8u32) == 0 {
+            at += rng.random_range(1..40u64) * PAGE_SIZE;
+        }
+    }
+    regions
+}
+
+/// A sparse region set, as `random_regions` returns it: regions of a
+/// quarter chunk to three chunks, most of them across a chunk edge — too
+/// few per chunk slot for the sweep to walk by run, so its per-pair loop
+/// runs.
+fn sparse_regions(rng: &mut SmallRng, vmas: &[Vma]) -> Regions {
+    let mut at = vmas[0].range.start - rng.random_range(0..8u64) * PAGE_SIZE;
+    let last = vmas[vmas.len() - 1].range.end + 8 * PAGE_SIZE;
+    let mut regions: Regions = Default::default();
+    while at < last {
+        let end = at + rng.random_range(128..1536u64) * PAGE_SIZE;
+        let sample = match rng.random_range(0..4u32) {
+            0 => NO_SAMPLE,
+            _ => at + rng.random_range(0..(end - at) / PAGE_SIZE) * PAGE_SIZE,
+        };
+        regions.0.push(at);
+        regions.1.push(end);
+        regions.2.push(sample);
+        regions.3.push(rng.random_range(0..20u32));
+        at = end;
+    }
+    regions
+}
+
 /// One `with_pte` closure: every state transition, flag and generation
 /// writes whatever the state, and the closure that changes nothing.
 #[derive(Debug, Clone, Copy)]
@@ -476,11 +559,15 @@ proptest! {
     /// The column kernel against the per-pair loop: three sweeps over one
     /// region set with a touch of random pages between them, each with
     /// the halves drawn at random — both, the check half (the draw returns
-    /// `NO_SAMPLE`) or the prepare half (no sample outstanding).
+    /// `NO_SAMPLE`) or the prepare half (no sample outstanding). The set is
+    /// random, packed for chunk runs, or sparse, so both the kernel's run
+    /// walk and its per-pair loop are held to the reference.
     fn sweep_kernel_matches_the_per_pair_loop(seed in 0u64..1_000_000) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let vmas = random_address_space(&mut rng);
-        let (starts, ends, mut samples, mut nr_accesses) = random_regions(&mut rng, &vmas);
+        let shapes = [random_regions, chunk_run_regions, sparse_regions];
+        let shape = shapes[rng.random_range(0..shapes.len())];
+        let (starts, ends, mut samples, mut nr_accesses) = shape(&mut rng, &vmas);
         let (mut swept, mut looped) = (vmas.clone(), vmas.clone());
         let (mut samples_l, mut nr_accesses_l) = (samples.clone(), nr_accesses.clone());
         let draws = SmallRng::seed_from_u64(seed ^ 0x5eed);

@@ -778,11 +778,12 @@ impl Shard {
 
 /// Where one shard is in its life: an image of this many processes to
 /// build, an image to stamp, a machine that ticks, or the results it left
-/// behind.
+/// behind. The live machine is boxed, so a slot is as small as a retired
+/// row and not the size of a whole `Shard`.
 enum Slot {
     Unbuilt(usize),
     Pending(Arc<ShardImage>),
-    Live(Shard),
+    Live(Box<Shard>),
     Retired(Retired),
 }
 
@@ -805,7 +806,7 @@ impl Slot {
     ) -> (Slot, MmResult<()>, Option<Laps>) {
         let mut watch = Stopwatch::start(profiling);
         let stamp = |image, watch: &mut Option<Stopwatch>| {
-            let shard = Shard::stamp(image, recipe, shard_idx);
+            let shard = Box::new(Shard::stamp(image, recipe, shard_idx));
             profile::lap(watch, Phase::Stamp);
             shard
         };
@@ -1208,6 +1209,15 @@ mod tests {
         let (runs, mut summary) = engine.finish().unwrap();
         summary.nr_workers = 0;
         (runs, summary)
+    }
+
+    /// The engine keeps one slot per shard for the whole run, so a slot
+    /// costs what its largest inline variant does: the live machine is
+    /// boxed, and a slot stays near a retired row's size.
+    #[test]
+    fn a_slot_does_not_hold_a_shard_inline() {
+        let slot = std::mem::size_of::<Slot>();
+        assert!(slot <= 96, "a slot is {slot} bytes");
     }
 
     /// Stamping shards from one shared (frozen) image, and building a
